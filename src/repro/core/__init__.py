@@ -3,7 +3,13 @@ special-case allocators, lower bounds, and the approximation-ratio theory."""
 
 from repro.core.allocation import Phase1Result, allocate_resources
 from repro.core.adjustment import AdjustmentResult, adjust_allocation
-from repro.core.dtct import FractionalSolution, solve_dtct_lp, round_fractional, dtct_allocate
+from repro.core.dtct import (
+    DTCTSolveError,
+    FractionalSolution,
+    solve_dtct_lp,
+    round_fractional,
+    dtct_allocate,
+)
 from repro.core.independent import IndependentAllocation, optimal_independent_allocation
 from repro.core.list_scheduler import (
     ScheduleLog,
@@ -27,6 +33,7 @@ __all__ = [
     "AdjustmentResult",
     "adjust_allocation",
     "FractionalSolution",
+    "DTCTSolveError",
     "solve_dtct_lp",
     "round_fractional",
     "dtct_allocate",

@@ -1,7 +1,7 @@
 """Phase 1 — resource allocation (Algorithm 1).
 
 Step 1 discards dominated allocations (done inside
-:meth:`Instance.candidate_table` via :func:`repro.jobs.profiles.pareto_filter`),
+:meth:`Instance.candidate_table` via :func:`repro.jobs.profiles.pareto_indices`),
 Step 2 solves + rounds the DTCT relaxation (:mod:`repro.core.dtct`), and
 Step 3 applies the µ-adjustment (:mod:`repro.core.adjustment`).
 """

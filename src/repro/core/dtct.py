@@ -34,6 +34,7 @@ Lemma 3 with ``T_opt`` replaced by the (smaller) ``L_LP``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -44,7 +45,13 @@ from repro.instance.instance import Instance
 from repro.jobs.profiles import ProfileEntry
 from repro.resources.vector import ResourceVector
 
-__all__ = ["FractionalSolution", "solve_dtct_lp", "round_fractional", "dtct_allocate"]
+__all__ = [
+    "FractionalSolution",
+    "DTCTSolveError",
+    "solve_dtct_lp",
+    "round_fractional",
+    "dtct_allocate",
+]
 
 JobId = Hashable
 
@@ -72,6 +79,109 @@ class FractionalSolution:
     fractional_areas: dict[JobId, float]
 
 
+class DTCTSolveError(RuntimeError):
+    """HiGHS did not return an optimal solution of the DTCT LP.
+
+    The LP is always feasible and bounded, so this means a solver limit or
+    numerically hostile input.  ``status`` and ``message`` are those of the
+    ``scipy.optimize.linprog`` result (1 iteration/time limit, 2 infeasible,
+    3 unbounded, 4 numerical difficulties).
+    """
+
+    def __init__(self, status: int, message: str):
+        super().__init__(f"DTCT LP failed (status {status}): {message}")
+        self.status = status
+        self.message = message
+
+
+def _lp_problem(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]):
+    """The DTCT LP as ``linprog`` keyword arguments, assembled from flat arrays.
+
+    Variable layout: ``[x_{j,k} for j in topological order for k] + [C_j for
+    j] + [L]``.  ``A_ub`` rows, in order: one source-length row per job
+    (redundant but harmless for a job with predecessors; keeps every ``C_j``
+    anchored), one path-length row per edge in ``dag.edges()`` order, one
+    ``C_j − L`` row per job, the total-area row.
+
+    Returns ``(problem, job_order, times, areas, starts)``: the flat
+    per-column ``times``/``areas`` and the offsets (``starts[i]:starts[i + 1]``
+    are the ``x`` columns of ``job_order[i]``) are what unpacking needs.
+    """
+    job_order = instance.dag.topological_order()
+    n = len(job_order)
+    per_job = [table[j] for j in job_order]
+    counts = np.fromiter(map(len, per_job), dtype=np.int64, count=n)
+    if not counts.all():
+        j = job_order[int(np.flatnonzero(counts == 0)[0])]
+        raise ValueError(f"job {j!r} has no candidate allocations")
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    n_x = int(starts[-1])
+    l_index = n_x + n
+    n_var = n_x + n + 1
+    entries = list(chain.from_iterable(per_job))
+    times = np.fromiter((e.time for e in entries), dtype=np.float64, count=n_x)
+    areas = np.fromiter((e.area for e in entries), dtype=np.float64, count=n_x)
+
+    jobs = np.arange(n)
+    x_cols = np.arange(n_x)
+    x_job = np.repeat(jobs, counts)
+    c_cols = n_x + jobs
+
+    # equality: sum_k x_{j,k} = 1
+    a_eq = csr_matrix((np.ones(n_x), (x_job, x_cols)), shape=(n, n_var))
+
+    # path length: C_u − C_j + τ_j <= 0 for every edge u -> j; the τ_j part
+    # of edge row e spans job j's x columns
+    position = {j: i for i, j in enumerate(job_order)}
+    edges = list(instance.dag.edges())
+    n_e = len(edges)
+    tail = np.fromiter((position[u] for u, _ in edges), dtype=np.int64, count=n_e)
+    head = np.fromiter((position[j] for _, j in edges), dtype=np.int64, count=n_e)
+    edge_rows = n + np.arange(n_e)
+    head_counts = counts[head]
+    tau_rows = np.repeat(edge_rows, head_counts)
+    tau_cols = (
+        np.arange(int(head_counts.sum()))
+        + np.repeat(starts[head] - (np.cumsum(head_counts) - head_counts), head_counts)
+    )
+    cap_rows = n + n_e + jobs
+    area_row = 2 * n + n_e
+    rows = np.concatenate([
+        x_job, jobs,                       # source length: τ_j − C_j <= 0
+        edge_rows, edge_rows, tau_rows,    # path length
+        cap_rows, cap_rows,                # C_j − L <= 0
+        np.full(n_x + 1, area_row),        # total area − L <= 0
+    ])
+    cols = np.concatenate([
+        x_cols, c_cols,
+        c_cols[tail], c_cols[head], tau_cols,
+        c_cols, np.full(n, l_index),
+        x_cols, [l_index],
+    ])
+    vals = np.concatenate([
+        times, np.full(n, -1.0),
+        np.ones(n_e), np.full(n_e, -1.0), times[tau_cols],
+        np.ones(n), np.full(n, -1.0),
+        areas, [-1.0],
+    ])
+    a_ub = csr_matrix((vals, (rows, cols)), shape=(area_row + 1, n_var))
+
+    cost = np.zeros(n_var)
+    cost[l_index] = 1.0
+    bounds = np.zeros((n_var, 2))
+    bounds[:n_x, 1] = 1.0
+    bounds[n_x:, 1] = np.inf
+    problem = {
+        "c": cost,
+        "A_ub": a_ub,
+        "b_ub": np.zeros(area_row + 1),
+        "A_eq": a_eq,
+        "b_eq": np.ones(n),
+        "bounds": bounds,
+    }
+    return problem, job_order, times, areas, starts
+
+
 def solve_dtct_lp(
     instance: Instance,
     table: Mapping[JobId, Sequence[ProfileEntry]],
@@ -79,113 +189,33 @@ def solve_dtct_lp(
     """Solve the relaxed DTCT LP with scipy's HiGHS backend.
 
     ``table`` maps each job to its non-dominated candidate entries (from
-    :meth:`Instance.candidate_table`).  Raises ``RuntimeError`` if the solver
-    fails (should not happen: the LP is always feasible and bounded).
+    :meth:`Instance.candidate_table`).  Raises :class:`DTCTSolveError` if the
+    solver does not reach an optimum (should not happen: the LP is always
+    feasible and bounded).
     """
-    job_order = instance.dag.topological_order()
-    n = len(job_order)
-    if n == 0:
+    if instance.n == 0:
         return FractionalSolution(0.0, {}, {}, {})
+    problem, job_order, times, areas, starts = _lp_problem(instance, table)
+    res = linprog(**problem, method="highs")
+    if not res.success:
+        raise DTCTSolveError(res.status, res.message)
 
-    # variable layout: [x_{j,k} for j in job_order for k] + [C_j for j] + [L]
-    x_offset: dict[JobId, int] = {}
-    off = 0
-    for j in job_order:
-        entries = table[j]
-        if not entries:
-            raise ValueError(f"job {j!r} has no candidate allocations")
-        x_offset[j] = off
-        off += len(entries)
-    n_x = off
-    c_offset = {j: n_x + i for i, j in enumerate(job_order)}
-    l_index = n_x + n
-    n_var = n_x + n + 1
-
-    times = {j: np.array([e.time for e in table[j]]) for j in job_order}
-    areas = {j: np.array([e.area for e in table[j]]) for j in job_order}
-
-    # equality: sum_k x_{j,k} = 1
-    eq_rows, eq_cols, eq_vals = [], [], []
-    for r, j in enumerate(job_order):
-        k = len(table[j])
-        eq_rows.extend([r] * k)
-        eq_cols.extend(range(x_offset[j], x_offset[j] + k))
-        eq_vals.extend([1.0] * k)
-    a_eq = csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, n_var))
-    b_eq = np.ones(n)
-
-    ub_rows, ub_cols, ub_vals = [], [], []
-    b_ub: list[float] = []
-    row = 0
-
-    def add_entry(r: int, col: int, val: float) -> None:
-        ub_rows.append(r)
-        ub_cols.append(col)
-        ub_vals.append(val)
-
-    # source length: τ_j − C_j <= 0 for all j (redundant but harmless for
-    # non-sources; keeps every C_j anchored)
-    for j in job_order:
-        for k, t in enumerate(times[j]):
-            add_entry(row, x_offset[j] + k, float(t))
-        add_entry(row, c_offset[j], -1.0)
-        b_ub.append(0.0)
-        row += 1
-
-    # path length: C_u − C_j + τ_j <= 0 for every edge u -> j
-    for u, j in instance.dag.edges():
-        add_entry(row, c_offset[u], 1.0)
-        add_entry(row, c_offset[j], -1.0)
-        for k, t in enumerate(times[j]):
-            add_entry(row, x_offset[j] + k, float(t))
-        b_ub.append(0.0)
-        row += 1
-
-    # C_j − L <= 0
-    for j in job_order:
-        add_entry(row, c_offset[j], 1.0)
-        add_entry(row, l_index, -1.0)
-        b_ub.append(0.0)
-        row += 1
-
-    # total area − L <= 0
-    for j in job_order:
-        for k, a in enumerate(areas[j]):
-            add_entry(row, x_offset[j] + k, float(a))
-    add_entry(row, l_index, -1.0)
-    b_ub.append(0.0)
-    row += 1
-
-    a_ub = csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(row, n_var))
-    cost = np.zeros(n_var)
-    cost[l_index] = 1.0
-    bounds = [(0.0, 1.0)] * n_x + [(0.0, None)] * (n + 1)
-
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.array(b_ub),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - LP is always feasible/bounded
-        raise RuntimeError(f"DTCT LP failed: {res.message}")
-
+    # per job, not np.add.reduceat: the slice-wise sums and dot products keep
+    # the fractional solution bit-equal to the entry-by-entry code's
+    x_all = np.clip(res.x, 0.0, None)
     fractions: dict[JobId, np.ndarray] = {}
     f_times: dict[JobId, float] = {}
     f_areas: dict[JobId, float] = {}
-    for j in job_order:
-        k = len(table[j])
-        x = np.clip(res.x[x_offset[j] : x_offset[j] + k], 0.0, None)
+    offsets = starts.tolist()
+    for j, lo, hi in zip(job_order, offsets, offsets[1:]):
+        x = x_all[lo:hi]
         s = x.sum()
-        x = x / s if s > 0 else np.full(k, 1.0 / k)
+        x = x / s if s > 0 else np.full(hi - lo, 1.0 / (hi - lo))
         fractions[j] = x
-        f_times[j] = float(times[j] @ x)
-        f_areas[j] = float(areas[j] @ x)
+        f_times[j] = float(times[lo:hi] @ x)
+        f_areas[j] = float(areas[lo:hi] @ x)
     return FractionalSolution(
-        lower_bound=float(res.x[l_index]),
+        lower_bound=float(res.x[-1]),
         fractions=fractions,
         fractional_times=f_times,
         fractional_areas=f_areas,

@@ -21,7 +21,7 @@ from repro.dag.graph import DAG
 from repro.dag.paths import critical_path_length
 from repro.jobs.candidates import CandidateStrategy, candidates_for_job, geometric_grid
 from repro.jobs.job import Job
-from repro.jobs.profiles import ProfileEntry, pareto_filter
+from repro.jobs.profiles import ProfileEntry
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
@@ -54,7 +54,7 @@ class Instance:
     jobs: dict[JobId, Job]
     dag: DAG
     pool: ResourcePool
-    _candidate_cache: dict[int, dict[JobId, list[ProfileEntry]]] = field(
+    _candidate_cache: dict[CandidateStrategy, dict[JobId, list[ProfileEntry]]] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: array-native lowering (see :mod:`repro.instance.compiled`); built on
@@ -165,30 +165,45 @@ class Instance:
 
         Each entry list is sorted by strictly increasing time / strictly
         decreasing average area (see :func:`repro.jobs.profiles.pareto_filter`).
+        ``strategy(pool)`` is enumerated, validated and lowered to arrays once
+        for all jobs without pinned candidates; a pinned list is validated
+        per job (see :mod:`repro.jobs.vectorized`).
         """
         strategy = strategy if strategy is not None else geometric_grid
-        key = id(strategy)
-        cached = self._candidate_cache.get(key)
+        # keyed on the strategy itself, which the cache thereby keeps alive:
+        # the id() of a strategy built inline is reused once it is freed
+        cached = self._candidate_cache.get(strategy)
         if cached is not None:
             return cached
-        from repro.jobs.speedup import MultiResourceTime
-        from repro.jobs.vectorized import evaluate_entries
+        import numpy as np
 
+        from repro.jobs.speedup import MultiResourceTime
+        from repro.jobs.vectorized import CandidateGrid, NoArrayForm
+
+        shared: CandidateGrid | None = None  # strategy(pool), lowered once
         table: dict[JobId, list[ProfileEntry]] = {}
         for j, job in self.jobs.items():
-            cands = candidates_for_job(job, self.pool, strategy)
+            if job.candidates is None and shared is not None:
+                grid = shared
+            else:
+                grid = CandidateGrid.lower(
+                    candidates_for_job(job, self.pool, strategy), self.pool
+                )
+                if job.candidates is None:
+                    shared = grid
+            profile = None
             if isinstance(job.time_fn, MultiResourceTime):
                 try:
-                    table[j] = evaluate_entries(job.time_fn, cands, self.pool)
-                    continue
-                except TypeError:
-                    pass  # custom speedup model without an array form
-            entries = [
-                ProfileEntry(alloc=c, time=job.time(c), area=self.avg_area(j, c))
-                for c in cands
-            ]
-            table[j] = pareto_filter(entries)
-        self._candidate_cache[key] = table
+                    profile = grid.profile(job.time_fn)
+                except NoArrayForm:
+                    pass
+            if profile is None:
+                profile = (
+                    np.array([job.time(c) for c in grid.candidates]),
+                    np.array([self.avg_area(j, c) for c in grid.candidates]),
+                )
+            table[j] = grid.frontier(*profile)
+        self._candidate_cache[strategy] = table
         return table
 
     def validate_allocation_map(self, allocation: AllocationMap):

@@ -7,11 +7,13 @@ area — and discards the *dominated* subset
     D_j = { p | ∃ q : t_j(q) < t_j(p) and a_j(q) < a_j(p) }        (Eq. 2)
 
 so that the remaining alternatives satisfy the DTCT tradeoff condition
-(faster ⇒ at least as costly).  :func:`pareto_filter` implements this and
-additionally drops redundant duplicates (equal time with larger-or-equal
-area, or equal area with larger-or-equal time — justified by footnote 1),
-yielding a frontier with *strictly* increasing time and strictly decreasing
-area, the clean shape the ρ-quantile rounding of Lemma 3 needs.
+(faster ⇒ at least as costly).  :func:`pareto_filter` (over entry objects)
+and :func:`pareto_indices` (the array kernel that it and
+:meth:`Instance.candidate_table` share) implement this and additionally drop
+redundant duplicates (equal time with larger-or-equal area, or equal area
+with larger-or-equal time — justified by footnote 1), yielding a frontier
+with *strictly* increasing time and strictly decreasing area, the clean
+shape the ρ-quantile rounding of Lemma 3 needs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.resources.vector import ResourceVector
 
-__all__ = ["ProfileEntry", "TabulatedTimeFunction", "pareto_filter", "assumption3_violations"]
+__all__ = [
+    "ProfileEntry",
+    "TabulatedTimeFunction",
+    "pareto_indices",
+    "pareto_filter",
+    "assumption3_violations",
+]
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,23 @@ class TabulatedTimeFunction:
         raise KeyError(f"allocation {tuple(alloc)} not in profile table")
 
 
+def pareto_indices(times: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Positions of the Eq. (2) frontier of ``(times[i], areas[i])`` pairs.
+
+    The array kernel behind :func:`pareto_filter` and
+    :meth:`Instance.candidate_table`: a stable sort on ``(time, area)``, then
+    a pair is kept when it is the first of its equal-time group and its area
+    is below that of everything sorted before it.  Positions come back in
+    frontier order (strictly increasing time, strictly decreasing area);
+    among exact duplicates the earliest position wins.
+    """
+    order = np.lexsort((areas, times))
+    t, a = times[order], areas[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = (t[1:] != t[:-1]) & (a[1:] < np.minimum.accumulate(a)[:-1])
+    return order[keep]
+
+
 def pareto_filter(entries: Iterable[ProfileEntry]) -> list[ProfileEntry]:
     """The non-dominated set ``N_j`` of Eq. (2), deduplicated.
 
@@ -89,21 +116,12 @@ def pareto_filter(entries: Iterable[ProfileEntry]) -> list[ProfileEntry]:
     an entry whose area equals an already-kept faster entry's area is
     redundant (slower at the same cost) and dropped.
     """
-    items = sorted(entries, key=lambda e: (e.time, e.area))
-    out: list[ProfileEntry] = []
-    best_area = float("inf")
-    i = 0
-    while i < len(items):
-        # group of equal time: the first of the group has minimal area
-        j = i
-        while j + 1 < len(items) and items[j + 1].time == items[i].time:
-            j += 1
-        rep = items[i]
-        if rep.area < best_area:
-            out.append(rep)
-            best_area = rep.area
-        i = j + 1
-    return out
+    entries = list(entries)
+    keep = pareto_indices(
+        np.array([e.time for e in entries], dtype=np.float64),
+        np.array([e.area for e in entries], dtype=np.float64),
+    )
+    return [entries[i] for i in keep.tolist()]
 
 
 def assumption3_violations(

@@ -1,27 +1,38 @@
-"""Vectorized candidate-grid evaluation (the HPC-guide optimization).
+"""Candidate tables in arrays: shared grid, bulk ``t_j(p)``, Eq. (2) by index.
 
-Profiling shows Phase 1's dominant Python-level cost on large instances is
-evaluating ``t_j(p)`` candidate-by-candidate to build the (time, area)
-tables.  For :class:`~repro.jobs.speedup.MultiResourceTime` models the whole
-grid evaluates in a handful of numpy operations instead:
+:meth:`Instance.candidate_table` builds one ``(time, area)`` frontier per job.
+Every job without pinned candidates enumerates the *same* grid
+``strategy(pool)``, so the table-level path lowers that grid once
+(:class:`CandidateGrid`: the validated allocations, their ``(m, d)`` integer
+matrix and the share vector ``Σ_i p^(i)/P^(i)``) and per job only
 
-* each speedup family gets an array form ``s(xs)`` over an int array;
-* the combiner reduces the per-type ``w_i / s_i(xs[:, i])`` matrix with
-  ``max``/``sum`` along axis 1.
+* evaluates ``t_j`` over the whole matrix — for
+  :class:`~repro.jobs.speedup.MultiResourceTime` each speedup family has an
+  array form ``s(xs)`` and the combiner reduces the per-type
+  ``w_i / s_i(xs[:, i])`` columns with ``max``/``sum``
+  (:func:`evaluate_times`);
+* selects the Eq. (2) frontier on the ``times``/``areas`` arrays
+  (:func:`repro.jobs.profiles.pareto_indices`);
+* builds :class:`~repro.jobs.profiles.ProfileEntry` objects for the kept rows
+  only.
 
-:func:`evaluate_entries` is a drop-in accelerated equivalent of the scalar
-loop in :meth:`Instance.candidate_table` and is validated against it
-element-for-element in the tests (`test_vectorized.py`) and timed in
-``bench_vectorized.py``.
+A time function with no array form (an opaque callable, or a speedup model
+outside the built-in families — :class:`NoArrayForm`) is evaluated candidate
+by candidate and then takes the same frontier step.  ``tests/helpers.py``
+keeps the per-job loop this replaced as a frozen reference; the tables are
+required to be equal entry for entry.  Its cost is the
+``instance.candidate_table_s`` layer of ``benchmarks/stack``
+(``moldable-pipeline``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.jobs.profiles import ProfileEntry, pareto_filter
+from repro.jobs.profiles import ProfileEntry, pareto_indices
 from repro.jobs.speedup import (
     AmdahlSpeedup,
     LinearSpeedup,
@@ -33,14 +44,25 @@ from repro.jobs.speedup import (
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
-__all__ = ["speedup_array", "evaluate_times", "evaluate_entries"]
+__all__ = [
+    "NoArrayForm",
+    "CandidateGrid",
+    "speedup_array",
+    "evaluate_times",
+    "evaluate_entries",
+]
+
+
+class NoArrayForm(TypeError):
+    """The speedup model is not one of the built-in families, so its job is
+    evaluated candidate by candidate instead."""
 
 
 def speedup_array(model, xs: np.ndarray) -> np.ndarray:
     """Array form of a speedup model over integral allocations ``xs >= 1``.
 
-    Supports the built-in families; raises ``TypeError`` for custom models
-    (callers fall back to the scalar path).
+    Supports the built-in families; raises :class:`NoArrayForm` (a
+    ``TypeError``) for custom models, whose jobs take the scalar path.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if isinstance(model, LinearSpeedup):
@@ -53,7 +75,7 @@ def speedup_array(model, xs: np.ndarray) -> np.ndarray:
         return np.minimum(xs, model.cap)
     if isinstance(model, LogSpeedup):
         return 1.0 + model.gamma * np.log2(xs)
-    raise TypeError(f"no array form for speedup model {type(model).__name__}")
+    raise NoArrayForm(f"no array form for speedup model {type(model).__name__}")
 
 
 def evaluate_times(fn: MultiResourceTime, allocs: np.ndarray) -> np.ndarray:
@@ -77,6 +99,52 @@ def evaluate_times(fn: MultiResourceTime, allocs: np.ndarray) -> np.ndarray:
     return stack.max(axis=1) if fn.combiner == "max" else stack.sum(axis=1)
 
 
+@dataclass(frozen=True)
+class CandidateGrid:
+    """A candidate list lowered to arrays, shared by every job enumerating it.
+
+    ``candidates`` must already be validated against ``pool`` (see
+    :func:`repro.jobs.candidates.candidates_for_job`).
+    """
+
+    candidates: tuple[ResourceVector, ...]
+    #: ``(m, d)`` integer allocation matrix, row ``i`` = ``candidates[i]``
+    allocs: np.ndarray
+    #: ``Σ_i p^(i)/P^(i)`` per row — Definition 1's area is ``t · share / d``
+    shares: np.ndarray
+
+    @classmethod
+    def lower(
+        cls, candidates: Sequence[ResourceVector], pool: ResourcePool
+    ) -> "CandidateGrid":
+        """Lower an already validated candidate list."""
+        allocs = np.array([tuple(c) for c in candidates], dtype=np.int64)
+        caps = np.array(tuple(pool.capacities), dtype=np.float64)
+        return cls(tuple(candidates), allocs, (allocs / caps).sum(axis=1))
+
+    def profile(self, fn: MultiResourceTime) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, areas)`` of ``fn`` over the grid, checked positive and
+        finite.  Raises :class:`NoArrayForm` for a custom speedup model."""
+        times = evaluate_times(fn, self.allocs)
+        if not np.isfinite(times).all() or (times <= 0).any():
+            raise ValueError("execution times must be positive and finite")
+        return times, times * self.shares / self.allocs.shape[1]
+
+    def entries(
+        self, times: np.ndarray, areas: np.ndarray, rows: np.ndarray
+    ) -> list[ProfileEntry]:
+        """Entry objects of the given rows, in that order."""
+        cands = self.candidates
+        return [
+            ProfileEntry(alloc=cands[i], time=t, area=a)
+            for i, t, a in zip(rows.tolist(), times[rows].tolist(), areas[rows].tolist())
+        ]
+
+    def frontier(self, times: np.ndarray, areas: np.ndarray) -> list[ProfileEntry]:
+        """The Eq. (2) frontier of the grid under ``times``/``areas``."""
+        return self.entries(times, areas, pareto_indices(times, areas))
+
+
 def evaluate_entries(
     fn: MultiResourceTime,
     candidates: Sequence[ResourceVector],
@@ -86,17 +154,12 @@ def evaluate_entries(
 ) -> list[ProfileEntry]:
     """Build (and optionally Pareto-filter) the candidate entries for one job.
 
-    Equivalent to the scalar ``ProfileEntry`` loop; areas use Definition 1's
-    average over resource types.
+    The single-job form of the table-level path: equivalent to the scalar
+    ``ProfileEntry`` loop; areas use Definition 1's average over resource
+    types.
     """
-    allocs = np.array([tuple(c) for c in candidates], dtype=np.int64)
-    times = evaluate_times(fn, allocs)
-    if not np.isfinite(times).all() or (times <= 0).any():
-        raise ValueError("execution times must be positive and finite")
-    caps = np.array(tuple(pool.capacities), dtype=np.float64)
-    areas = times * (allocs / caps).sum(axis=1) / pool.d
-    entries = [
-        ProfileEntry(alloc=c, time=float(t), area=float(a))
-        for c, t, a in zip(candidates, times, areas)
-    ]
-    return pareto_filter(entries) if pareto else entries
+    grid = CandidateGrid.lower(candidates, pool)
+    times, areas = grid.profile(fn)
+    if pareto:
+        return grid.frontier(times, areas)
+    return grid.entries(times, areas, np.arange(len(grid.candidates)))

@@ -9,14 +9,27 @@ the name that wins depends on collection order.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
+from repro.core.dtct import FractionalSolution
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance, make_instance
+from repro.jobs.candidates import candidates_for_job, geometric_grid
 from repro.jobs.job import Job
-from repro.jobs.speedup import random_multi_resource_time
+from repro.jobs.profiles import ProfileEntry
+from repro.jobs.speedup import MultiResourceTime, random_multi_resource_time
+from repro.jobs.vectorized import evaluate_times
 from repro.resources.vector import ResourceVector
 
-__all__ = ["tiny_instance", "rigid_unit_job"]
+__all__ = [
+    "tiny_instance",
+    "rigid_unit_job",
+    "reference_pareto_filter",
+    "reference_candidate_table",
+    "reference_lp_problem",
+    "reference_solve_dtct_lp",
+]
 
 
 def tiny_instance(
@@ -43,3 +56,157 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
     """A unit-time job pinned to one unit of a single resource type."""
     alloc = ResourceVector.unit(d, rtype)
     return Job(id=job_id, time_fn=lambda a: 1.0, candidates=(alloc,))
+
+
+# ---------------------------------------------------------------------------
+# Frozen references for Phase 1's array code (PR 12).  These are the per-job
+# ``Instance.candidate_table`` body and the loop LP assembler of
+# ``solve_dtct_lp`` as they stood before that code moved to arrays; the
+# identity tests require the live code to reproduce them with ``==``.
+# ---------------------------------------------------------------------------
+def reference_pareto_filter(entries) -> list[ProfileEntry]:
+    """``pareto_filter`` as a sort and a scan over entry objects."""
+    items = sorted(entries, key=lambda e: (e.time, e.area))
+    out: list[ProfileEntry] = []
+    best_area = float("inf")
+    i = 0
+    while i < len(items):
+        # group of equal time: the first of the group has minimal area
+        j = i
+        while j + 1 < len(items) and items[j + 1].time == items[i].time:
+            j += 1
+        rep = items[i]
+        if rep.area < best_area:
+            out.append(rep)
+            best_area = rep.area
+        i = j + 1
+    return out
+
+
+def reference_candidate_table(instance: Instance, strategy=geometric_grid):
+    """One grid enumeration, validation and entry list per job."""
+    table = {}
+    for j, job in instance.jobs.items():
+        cands = candidates_for_job(job, instance.pool, strategy)
+        if isinstance(job.time_fn, MultiResourceTime):
+            try:
+                allocs = np.array([tuple(c) for c in cands], dtype=np.int64)
+                times = evaluate_times(job.time_fn, allocs)
+            except TypeError:
+                pass  # custom speedup model without an array form
+            else:
+                if not np.isfinite(times).all() or (times <= 0).any():
+                    raise ValueError("execution times must be positive and finite")
+                caps = np.array(tuple(instance.pool.capacities), dtype=np.float64)
+                areas = times * (allocs / caps).sum(axis=1) / instance.pool.d
+                table[j] = reference_pareto_filter(
+                    ProfileEntry(alloc=c, time=float(t), area=float(a))
+                    for c, t, a in zip(cands, times, areas)
+                )
+                continue
+        table[j] = reference_pareto_filter(
+            ProfileEntry(alloc=c, time=job.time(c), area=instance.avg_area(j, c))
+            for c in cands
+        )
+    return table
+
+
+def reference_lp_problem(instance: Instance, table) -> dict:
+    """The DTCT LP as ``linprog`` keyword arguments, filled entry by entry."""
+    job_order = instance.dag.topological_order()
+    n = len(job_order)
+    x_offset = {}
+    off = 0
+    for j in job_order:
+        x_offset[j] = off
+        off += len(table[j])
+    n_x = off
+    c_offset = {j: n_x + i for i, j in enumerate(job_order)}
+    l_index = n_x + n
+    n_var = n_x + n + 1
+
+    times = {j: np.array([e.time for e in table[j]]) for j in job_order}
+    areas = {j: np.array([e.area for e in table[j]]) for j in job_order}
+
+    eq_rows, eq_cols, eq_vals = [], [], []
+    for r, j in enumerate(job_order):
+        k = len(table[j])
+        eq_rows.extend([r] * k)
+        eq_cols.extend(range(x_offset[j], x_offset[j] + k))
+        eq_vals.extend([1.0] * k)
+    a_eq = csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, n_var))
+
+    ub_rows, ub_cols, ub_vals = [], [], []
+    b_ub: list[float] = []
+    row = 0
+
+    def add_entry(r: int, col: int, val: float) -> None:
+        ub_rows.append(r)
+        ub_cols.append(col)
+        ub_vals.append(val)
+
+    for j in job_order:  # source length: τ_j − C_j <= 0
+        for k, t in enumerate(times[j]):
+            add_entry(row, x_offset[j] + k, float(t))
+        add_entry(row, c_offset[j], -1.0)
+        b_ub.append(0.0)
+        row += 1
+    for u, j in instance.dag.edges():  # path length: C_u − C_j + τ_j <= 0
+        add_entry(row, c_offset[u], 1.0)
+        add_entry(row, c_offset[j], -1.0)
+        for k, t in enumerate(times[j]):
+            add_entry(row, x_offset[j] + k, float(t))
+        b_ub.append(0.0)
+        row += 1
+    for j in job_order:  # C_j − L <= 0
+        add_entry(row, c_offset[j], 1.0)
+        add_entry(row, l_index, -1.0)
+        b_ub.append(0.0)
+        row += 1
+    for j in job_order:  # total area − L <= 0
+        for k, a in enumerate(areas[j]):
+            add_entry(row, x_offset[j] + k, float(a))
+    add_entry(row, l_index, -1.0)
+    b_ub.append(0.0)
+    row += 1
+
+    cost = np.zeros(n_var)
+    cost[l_index] = 1.0
+    return {
+        "c": cost,
+        "A_ub": csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(row, n_var)),
+        "b_ub": np.array(b_ub),
+        "A_eq": a_eq,
+        "b_eq": np.ones(n),
+        "bounds": [(0.0, 1.0)] * n_x + [(0.0, None)] * (n + 1),
+    }
+
+
+def reference_solve_dtct_lp(instance: Instance, table) -> FractionalSolution:
+    """``solve_dtct_lp`` on the loop-assembled problem, unpacked job by job."""
+    problem = reference_lp_problem(instance, table)
+    res = linprog(
+        problem["c"],
+        **{k: v for k, v in problem.items() if k != "c"},
+        method="highs",
+    )
+    assert res.success, res.message
+    fractions, f_times, f_areas = {}, {}, {}
+    off = 0
+    for j in instance.dag.topological_order():
+        times = np.array([e.time for e in table[j]])
+        areas = np.array([e.area for e in table[j]])
+        k = len(table[j])
+        x = np.clip(res.x[off : off + k], 0.0, None)
+        off += k
+        s = x.sum()
+        x = x / s if s > 0 else np.full(k, 1.0 / k)
+        fractions[j] = x
+        f_times[j] = float(times @ x)
+        f_areas[j] = float(areas @ x)
+    return FractionalSolution(
+        lower_bound=float(res.x[-1]),
+        fractions=fractions,
+        fractional_times=f_times,
+        fractional_areas=f_areas,
+    )

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import tiny_instance
-from repro.core.dtct import dtct_allocate, round_fractional, solve_dtct_lp
+from scipy.optimize import OptimizeResult
+
+from repro.core import dtct
+from repro.core.dtct import DTCTSolveError, dtct_allocate, round_fractional, solve_dtct_lp
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
 from repro.jobs.candidates import full_grid
@@ -66,6 +69,43 @@ class TestLP:
         assert sol.lower_bound == pytest.approx(3.0, rel=1e-6)
         p_prime = round_fractional(table, sol, rho=0.5)
         assert p_prime["j"] == alloc
+
+
+class TestSolverFailure:
+    @pytest.mark.parametrize(
+        "status, message",
+        [
+            (2, "The problem is infeasible. (HiGHS Status 8: model_status is Infeasible)"),
+            (1, "Iteration limit reached. (HiGHS Status 14: model_status is Iteration limit)"),
+        ],
+    )
+    def test_typed_error_carries_status_and_message(self, monkeypatch, status, message):
+        def failing_linprog(c, **kwargs):
+            assert kwargs["method"] == "highs"
+            return OptimizeResult(success=False, status=status, message=message, x=None)
+
+        monkeypatch.setattr(dtct, "linprog", failing_linprog)
+        inst = tiny_instance(seed=2)
+        with pytest.raises(DTCTSolveError) as err:
+            solve_dtct_lp(inst, inst.candidate_table(full_grid))
+        assert err.value.status == status
+        assert err.value.message == message
+        assert message in str(err.value)
+        assert isinstance(err.value, RuntimeError)
+
+    def test_linprog_called_with_no_solver_options(self, monkeypatch):
+        seen = {}
+        real = dtct.linprog
+
+        def spying_linprog(c, **kwargs):
+            seen.update(kwargs)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(dtct, "linprog", spying_linprog)
+        inst = tiny_instance(seed=2)
+        solve_dtct_lp(inst, inst.candidate_table(full_grid))
+        assert sorted(seen) == ["A_eq", "A_ub", "b_eq", "b_ub", "bounds", "method"]
+        assert seen["method"] == "highs"
 
 
 class TestRounding:

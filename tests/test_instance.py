@@ -2,9 +2,10 @@
 
 import pytest
 
+from helpers import tiny_instance
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance, make_instance
-from repro.jobs.candidates import full_grid
+from repro.jobs.candidates import full_grid, make_candidates
 from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
@@ -95,6 +96,19 @@ class TestCandidateTable:
         t1 = inst.candidate_table(full_grid)
         t2 = inst.candidate_table(full_grid)
         assert t1 is t2
+
+    def test_cache_not_aliased_by_a_freed_strategy(self):
+        """A strategy built inline is freed after the call and the next one
+        reuses its address: keyed on ``id(strategy)`` the second call got the
+        first call's table."""
+        inst = tiny_instance(capacity=16)
+        coarse = inst.candidate_table(make_candidates("diagonal", levels=2))
+        fine = inst.candidate_table(make_candidates("diagonal", levels=16))
+        assert fine is not coarse
+        assert all(len(entries) <= 2 for entries in coarse.values())
+        assert any(len(entries) > 2 for entries in fine.values())
+        fresh = tiny_instance(capacity=16)
+        assert fine == fresh.candidate_table(make_candidates("diagonal", levels=16))
 
     def test_make_instance_roundtrip(self):
         pool = ResourcePool.of(3, 3)

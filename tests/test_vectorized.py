@@ -17,7 +17,12 @@ from repro.jobs.speedup import (
     RooflineSpeedup,
     random_multi_resource_time,
 )
-from repro.jobs.vectorized import evaluate_entries, evaluate_times, speedup_array
+from repro.jobs.vectorized import (
+    NoArrayForm,
+    evaluate_entries,
+    evaluate_times,
+    speedup_array,
+)
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector, iter_allocation_grid
 
@@ -44,7 +49,8 @@ class TestSpeedupArray:
             def __call__(self, x):
                 return float(x)
 
-        with pytest.raises(TypeError):
+        assert issubclass(NoArrayForm, TypeError)
+        with pytest.raises(NoArrayForm):
             speedup_array(Custom(), np.array([1, 2]))
 
 
