@@ -51,7 +51,7 @@ __all__ = ["main", "build_parser"]
 
 def _add_backend_arg(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--backend", default=None, metavar="NAME",
-                    help="dispatch backend for the packed engine loop "
+                    help="dispatch backend for the batch engine loop "
                          "(default: REPRO_BACKEND or 'python'; a registered "
                          "but unavailable backend falls back to 'python' "
                          "with a warning)")
@@ -60,9 +60,8 @@ def _add_backend_arg(sp: argparse.ArgumentParser) -> None:
 def _resolve_cli_backend(name: "str | None"):
     """Resolve ``--backend`` (CLI > ``REPRO_BACKEND`` > default) and pin
     the winner into the environment, so every layer below — schedulers,
-    sessions, benchmark suites, supervised worker children — resolves the
-    same backend.  Returns the backend, or ``None`` after printing an
-    error for an unregistered name."""
+    benchmark suites, fuzz cases — resolves the same backend.  Returns the
+    backend, or ``None`` after printing an error for an unregistered name."""
     import os
 
     from repro.engine.backends import BACKEND_ENV, resolve_backend
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="never compact below this many live rows "
                          "(session default 512; overrides a restored "
                          "checkpoint's setting when given)")
-    _add_backend_arg(sv)
 
     lim = sv.add_argument_group(
         "admission & limits",
@@ -702,7 +700,7 @@ def _cmd_supervise(args, argv: "Sequence[str] | None") -> int:
     return code
 
 
-def _cmd_serve_sharded(args, backend) -> int:
+def _cmd_serve_sharded(args) -> int:
     """``repro serve --workers N``: a Router over N supervised workers.
 
     Each worker is a full ``repro serve --supervise --tcp <port>`` child
@@ -752,7 +750,6 @@ def _cmd_serve_sharded(args, backend) -> int:
                 "--capacities", *map(str, caps),
                 "--admission", "fifo", "--batch-size", "1",
                 "--seed", str(args.seed + i),
-                "--backend", backend.name,
                 # the router adds an envelope around client requests:
                 # leave headroom so a client-limit-sized line still fits
                 "--max-request-bytes", str(args.max_request_bytes + 4096),
@@ -851,15 +848,8 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
         write_trace,
     )
 
-    # resolve (and env-pin) the backend before any session is built, so
-    # restored/recovered sessions and supervised children see the same
-    # choice; the worker's checkpoint never persists it
-    backend = _resolve_cli_backend(args.backend)
-    if backend is None:
-        return 2
-
     if args.workers is not None:
-        return _cmd_serve_sharded(args, backend)
+        return _cmd_serve_sharded(args)
 
     if args.supervise:
         return _cmd_supervise(args, argv)
@@ -934,8 +924,7 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
                 durable = JournaledSession.recover(
                     args.journal, snapshot, capacities=caps,
                     checkpoint_every=args.checkpoint_every, chaos=chaos,
-                    session_kwargs={"seed": args.seed,
-                                    "backend": backend.name, **compact_kw},
+                    session_kwargs={"seed": args.seed, **compact_kw},
                 )
                 session = durable.session
                 if durable.recovered:
@@ -953,8 +942,7 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
             return 2
     if session is None:
         try:
-            session = SchedulingSession(caps, seed=args.seed,
-                                        backend=backend.name, **compact_kw)
+            session = SchedulingSession(caps, seed=args.seed, **compact_kw)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -124,6 +124,23 @@ def explicit_priority(keys: Mapping[JobId, object]) -> PriorityRule:
     return rule
 
 
+def _keys_and_durations(instance, allocation, priority):
+    """The engine's ``(keys, durations)`` under ``priority``: 1-D arrays in
+    topological order when the rule has an ``as_array`` form (see
+    :data:`PriorityRule`), mappings over job ids otherwise."""
+    as_array = getattr(priority, "as_array", None)
+    if as_array is not None:
+        ci = instance.compiled()
+        times_vec = np.fromiter(
+            (instance.time(j, allocation[j]) for j in ci.order),
+            dtype=np.float64,
+            count=ci.n,
+        )
+        return as_array(instance, allocation, times_vec), times_vec
+    times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
+    return priority(instance, allocation, times), times
+
+
 def list_schedule(
     instance: Instance,
     allocation: Mapping[JobId, ResourceVector],
@@ -145,26 +162,13 @@ def list_schedule(
     dispatch events as virtual time advances (``repro schedule --follow``);
     leaving it ``None`` keeps the hot loop free of per-completion callbacks.
 
-    ``backend`` picks the dispatch backend for the packed hot loop (a
-    registry name or backend object, see :mod:`repro.engine.backends`);
+    ``backend`` picks the dispatch backend (a registry name or backend
+    object, see :mod:`repro.engine.backends`);
     ``None`` resolves CLI > ``REPRO_BACKEND`` > default.  The schedule is
     identical whichever backend executes — only the speed differs.
     """
     alloc_mat = instance.validate_allocation_map(allocation)
-    as_array = getattr(priority, "as_array", None)
-    if as_array is not None:
-        ci = instance.compiled()
-        times_vec = np.fromiter(
-            (instance.time(j, allocation[j]) for j in ci.order),
-            dtype=np.float64,
-            count=ci.n,
-        )
-        keys: object = as_array(instance, allocation, times_vec)
-        durations: object = times_vec
-    else:
-        times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
-        keys = priority(instance, allocation, times)
-        durations = times
+    keys, durations = _keys_and_durations(instance, allocation, priority)
 
     placements: dict[JobId, ScheduledJob] = {}
 
@@ -245,24 +249,12 @@ def list_schedule_log(
     than the scheduling itself.
     """
     alloc_mat = instance.validate_allocation_map(allocation)
-    as_array = getattr(priority, "as_array", None)
-    if as_array is not None:
-        ci = instance.compiled()
-        times_vec = np.fromiter(
-            (instance.time(j, allocation[j]) for j in ci.order),
-            dtype=np.float64,
-            count=ci.n,
-        )
-        keys: object = as_array(instance, allocation, times_vec)
-        durations: object = times_vec
-    else:
-        ci = instance.compiled()
-        times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
-        keys = priority(instance, allocation, times)
-        durations = times
-        times_vec = np.fromiter(
-            (times[j] for j in ci.order), dtype=np.float64, count=ci.n
-        )
+    keys, durations = _keys_and_durations(instance, allocation, priority)
+    ci = instance.compiled()
+    times_vec = (
+        durations if isinstance(durations, np.ndarray)
+        else ci.duration_vector(durations)
+    )
 
     loop = priority_loop(
         instance, allocation, keys, durations, None,

@@ -1,12 +1,16 @@
 """The shared event-driven simulation engine.
 
-* :mod:`repro.engine.kernel` — the discrete-event core: virtual time, one
-  event heap (completions, releases, failures) and numpy-vector resource
-  accounting;
 * :mod:`repro.engine.dispatch` — the two queue disciplines over the
   compiled-instance lowering (:mod:`repro.instance.compiled`): Algorithm
-  2's priority scan (packed-demand fused loop for ``d <= 4``, matrix
-  fallback above) and dispatch-time allocation policies;
+  2's priority scan (``PriorityLoop`` for a fixed job set, any ``d``;
+  ``IncrementalPriorityLoop`` for the online service) and dispatch-time
+  allocation policies;
+* :mod:`repro.engine.backends` — the registry of executors for
+  ``PriorityLoop`` (``python``, ``numba``), one ``run(loop, until)`` each;
+* :mod:`repro.engine.kernel` — the callback-driven discrete-event core
+  (virtual time, one event heap of completions and releases, numpy-vector
+  resource accounting) under the policy driver, the malleable scheduler
+  and the PR-1 reference;
 * :mod:`repro.engine.shelves` — first-fit shelf packing (pack scheduling);
 * :mod:`repro.engine.profile` — future-availability reservations
   (conservative backfilling);
@@ -20,13 +24,12 @@ named-scheduler registry in :mod:`repro.registry` is the front door.
 """
 
 from repro.engine.dispatch import drive_policy_schedule, drive_priority_schedule
-from repro.engine.kernel import COMPLETE, FAILURE, RELEASE, TIME_EPS, EventKernel
+from repro.engine.kernel import COMPLETE, RELEASE, TIME_EPS, EventKernel
 from repro.engine.profile import ReservationProfile
 from repro.engine.shelves import Shelf, pack_shelves, stack_shelves
 
 __all__ = [
     "COMPLETE",
-    "FAILURE",
     "RELEASE",
     "TIME_EPS",
     "EventKernel",

@@ -1,21 +1,22 @@
-"""Pluggable dispatch backends for the packed event loop.
+"""Pluggable dispatch backends for the batch event loop.
 
-The hot kernel of :class:`~repro.engine.dispatch.PackedPriorityLoop` —
-heap advance, SWAR feasibility scan and dispatch — sits behind a small
-registry so alternative implementations can be swapped in without
-touching the loop's state layout or its callers.  The registry mirrors
+The hot loop of :class:`~repro.engine.dispatch.PriorityLoop` — heap
+advance, feasibility scan and dispatch — sits behind a small registry so
+alternative implementations can be swapped in without touching the
+loop's state layout or its callers.  The registry mirrors
 :mod:`repro.registry` (the scheduler registry): backends register under
 a name via :func:`register_backend`, are looked up with
 :func:`get_backend`, and the built-ins load lazily on first query.
 
 Two built-ins ship:
 
-* ``python`` — the numpy loop the repository has always run (the
-  default).  Improved here with an admit-then-refilter dispatch pass
-  and vectorized batch application of simultaneous events.
-* ``numba`` — an ``@njit``-compiled kernel for the packed ``d <= 4``
-  path.  :mod:`numba` is imported lazily; when it is absent (it is an
-  optional dependency, never required) the backend reports itself
+* ``python`` — the numpy loop (the default): admit-then-refilter
+  dispatch pass, vectorized batch application of simultaneous events,
+  both demand encodings.
+* ``numba`` — an ``@njit``-compiled kernel for the packed encoding
+  (``d <= 4``, capacities below ``2**15``); everything else it hands to
+  ``python``.  :mod:`numba` is imported lazily; when it is absent (it is
+  an optional dependency, never required) the backend reports itself
   unavailable and resolution falls back to ``python`` with a warning.
 
 Selection order is **CLI flag > ``REPRO_BACKEND`` env var > default**
@@ -26,12 +27,15 @@ Backend objects implement::
 
     name: str                  # registry name
     is_available() -> bool     # can this backend execute here?
-    run_packed(loop, until)    # execute PackedPriorityLoop's hot loop
+    run(loop, until) -> bool   # execute PriorityLoop's hot loop
 
-``run_packed`` receives the loop object itself (all state lives on the
-loop, see :class:`~repro.engine.dispatch.PackedPriorityLoop`), must
-leave that state consistent on return — resumable exactly like the
-historical inline loop — and returns ``True`` once the heap drains.
+``run`` receives the loop object itself (all state lives on the loop, see
+:class:`~repro.engine.dispatch.PriorityLoop`) with either demand
+encoding, stops before the first event past ``until`` (``None``: never),
+must leave the state consistent on return so a later call resumes, and
+returns ``True`` once the heap drains.  A backend that does not cover a
+loop (the encoding, an ``on_complete`` hook) delegates to
+``get_backend("python").run``.
 """
 
 from __future__ import annotations

@@ -1,21 +1,23 @@
 """The ``numba`` dispatch backend: an njit-compiled packed kernel.
 
 :func:`_packed_loop_kernel` is the whole hot loop of
-:class:`~repro.engine.dispatch.PackedPriorityLoop` — heap advance,
-SWAR feasibility scan, dispatch, time-point batch application — written
-against plain arrays in nopython-compatible python.  When :mod:`numba`
-is importable the function is ``@njit``-compiled on first use; when it
-is not, the backend reports itself unavailable and
+:class:`~repro.engine.dispatch.PriorityLoop` under the packed demand
+encoding — heap advance, SWAR feasibility scan, dispatch, time-point
+batch application — written against plain arrays in nopython-compatible
+python.  When :mod:`numba` is importable the function is
+``@njit``-compiled on first use; when it is not, the backend reports
+itself unavailable and
 :func:`~repro.engine.backends.resolve_backend` falls back to the
 ``python`` backend (numba is an optional dependency, never required —
 see the CI ``backend-numba`` job for the installed-path coverage).
 
-Scope: the compiled path covers the **packed batch loop** (``d <= 4``,
+Scope: the compiled path covers the **packed encoding** (``d <= 4``,
 capacities below ``2**15``) without completion interception — exactly
 the regime the large-n benchmarks measure.  Runs that need
 ``on_complete`` callbacks (fault re-execution, ``--follow`` streaming)
-and the general/incremental loops delegate to the python backend; the
-schedules are identical either way, only the executor differs.
+and loops on the matrix encoding delegate to the python backend through
+the same ``run``; the schedules are identical either way, only the
+executor differs.
 
 The kernel is schedule-preserving by construction: the dispatch pass is
 a single in-order compaction scan over the rank-sorted queue (admit
@@ -186,7 +188,7 @@ def _packed_loop_kernel(
 
 @register_backend("numba", description="njit-compiled packed kernel (d <= 4)")
 class NumbaBackend:
-    """Compiled executor for the packed batch loop; python elsewhere.
+    """Compiled executor for the packed encoding; python elsewhere.
 
     ``_jit=False`` runs the kernel uncompiled — slow, but it lets the
     test suite pin kernel/python identity on hosts without numba.
@@ -211,11 +213,17 @@ class NumbaBackend:
                 self._kernel = _packed_loop_kernel
         return self._kernel
 
-    def run_packed(self, loop, until: "float | None" = None) -> bool:
-        if loop.on_complete is not None or loop.n == 0 or not self.is_available():
-            # graceful fallback: interception hooks (and trivial instances)
-            # stay on the python executor; schedules are identical
-            return get_backend("python").run_packed(loop, until)
+    def run(self, loop, until: "float | None" = None) -> bool:
+        if (
+            not loop.packed
+            or loop.on_complete is not None
+            or loop.n == 0
+            or not self.is_available()
+        ):
+            # graceful fallback: the matrix encoding, interception hooks
+            # (and trivial instances) stay on the python executor;
+            # schedules are identical
+            return get_backend("python").run(loop, until)
         # pause the collector like the python backend does: the start-log
         # replay allocates one placement record per started job, and each
         # allocation-triggered collection scans every live object of the
@@ -247,10 +255,10 @@ class NumbaBackend:
         log = on_start is None  # array start-log mode: the kernel's native output
         ns, seq, avh, L, hlen, now, done = self._compiled_kernel()(
             ht, hs, hc, hlen,
-            loop.seq, np.uint64(loop.avh), loop.H_u,
+            loop.seq, np.uint64(loop.av), loop.H_u,
             loop.qb, loop.pb, loop.L,
             loop.remaining, loop.ip, loop.si,
-            dur_a, loop.pk_topo, loop.pk_by_rank,
+            dur_a, loop.dem_topo, loop.dem_rank,
             loop.rank_a, loop.topo_a,
             loop.now, loop.eps,
             0.0 if until is None else until, until is not None,
@@ -270,9 +278,8 @@ class NumbaBackend:
                 on_start(order[i], float(out_t[k]), dur[i])
         loop.heap = [(float(ht[k]), int(hs[k]), int(hc[k])) for k in range(hlen)]
         loop.seq = int(seq)
-        loop.avh = int(avh)
+        loop.av = int(avh)
         loop.L = int(L)
         loop.now = float(now)
         loop.done = bool(done)
-        loop.sync_kernel()
         return loop.done

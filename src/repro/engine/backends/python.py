@@ -1,27 +1,24 @@
 """The default (pure numpy) dispatch backend.
 
-This is the historical fused loop of
-:class:`~repro.engine.dispatch.PackedPriorityLoop`, restructured around
-time-point batches:
+The body of :class:`~repro.engine.dispatch.PriorityLoop`, for both demand
+encodings, structured around time-point batches:
 
-* **Admit-then-refilter dispatch pass.**  The whole-queue SWAR prefilter
-  finds every queued job that fits the availability *snapshot*; the old
-  loop then rechecked each hit with scalar big-int arithmetic as
-  availability shrank — ~100 rechecks per started job on contended
-  queues.  The pass now admits the first hit (the lowest rank, valid
-  because availability has not shrunk yet) and re-filters the remaining
-  hits with one small vector comparison, repeating until no hit
-  survives.  Greedy-in-rank-order semantics are unchanged: a job outside
-  the snapshot hit set can never fit later in the pass (availability
-  only shrinks within a pass), and re-filtering the tail against the
-  shrunk availability is exactly the scalar recheck, batched.
+* **Admit-then-refilter dispatch pass.**  One whole-queue comparison
+  finds every queued job that fits the availability *snapshot*.  The
+  pass admits the first hit (the lowest rank, valid because availability
+  has not shrunk yet) and re-filters the remaining hits with one small
+  vector comparison, repeating until no hit survives.  This is the
+  greedy scan in rank order: a job outside the snapshot hit set can
+  never fit later in the pass (availability only shrinks within a
+  pass), and re-filtering the tail against the shrunk availability is
+  exactly a scalar recheck per hit, batched.
 
 * **Vectorized batch application.**  All events within ``time_eps`` of
-  the first popped event form one batch (they always did); batches of
-  simultaneous completions/releases now apply as whole-array updates —
-  one packed-demand sum for the freed capacity, one ragged CSR gather +
-  ``subtract.at`` for the successor in-degrees — instead of a python
-  loop per event.
+  the first popped event form one batch; batches of at least
+  ``_VECTOR_BATCH`` simultaneous completions/releases apply as
+  whole-array updates — one demand sum for the freed capacity, one
+  ragged CSR gather + ``subtract.at`` for the successor in-degrees —
+  instead of a python loop per event.
 
 * **Release-only fast path.**  Availability only grows on completions,
   so after a batch containing no completion the standing invariant "no
@@ -30,10 +27,16 @@ time-point batches:
   (exactly where the full pass would reach them) and the full-queue
   pass is skipped.
 
-All three changes are schedule-preserving: admission order within a
-time point remains the ``(key, topological index)`` total order, and
-the conformance fuzz matrix races the result against the frozen
-per-event references event for event.
+All three are schedule-preserving: admission order within a time point
+remains the ``(key, topological index)`` total order, and the
+conformance fuzz matrix races the result against the frozen per-event
+references event for event.
+
+The demand encoding (``loop.packed``, see the loop's class docs) is read
+in five operations only — whole-queue fit, tail re-filter, scalar fit,
+acquire, free; each is one ``if packed`` below.  Queue maintenance is
+written once: slicing and scattering along the first axis is the same
+statement for ``(n,)`` and ``(n, d)`` buffers.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ _VECTOR_BATCH = 8
 
 @register_backend("python", description="pure numpy fused loop (default)")
 class PythonBackend:
-    """The numpy implementation of the packed hot loop (always available)."""
+    """The numpy implementation of the batch loop (always available)."""
 
     name = "python"
 
@@ -61,8 +64,8 @@ class PythonBackend:
     def is_available() -> bool:
         return True
 
-    def run_packed(self, loop, until: "float | None" = None) -> bool:
-        """Execute :class:`PackedPriorityLoop`'s hot loop (see class docs).
+    def run(self, loop, until: "float | None" = None) -> bool:
+        """Execute :class:`PriorityLoop`'s hot loop (see class docs).
 
         The collector is paused for the duration of the run: the loop
         allocates only acyclic objects (event tuples, the caller's
@@ -77,19 +80,20 @@ class PythonBackend:
         if was_enabled:
             gc.disable()
         try:
-            return self._run_packed(loop, until)
+            return self._run(loop, until)
         finally:
             if was_enabled:
                 gc.enable()
 
-    def _run_packed(self, loop, until: "float | None" = None) -> bool:
+    def _run(self, loop, until: "float | None" = None) -> bool:
         remaining = loop.remaining
         ip = loop.ip
         si = loop.si
-        pk_by_rank = loop.pk_by_rank
-        pk_rank_l = loop.pk_rank_l
-        pk_topo = loop.pk_topo
-        pk_topo_l = loop.pk_topo_l
+        packed = loop.packed
+        dem_rank = loop.dem_rank
+        dem_rank_l = loop.dem_rank_l
+        dem_topo = loop.dem_topo
+        dem_topo_l = loop.dem_topo_l
         rank_a = loop.rank_a
         topo_l = loop.topo_l
         dur = loop.dur
@@ -100,7 +104,7 @@ class PythonBackend:
         H = loop.H
         H_u = loop.H_u
         uint64 = np.uint64
-        avh = loop.avh
+        av = loop.av  # packed: python int incl. headroom; matrix: int64 (d,), in place
         heap = loop.heap
         seq = loop.seq
         qb = loop.qb
@@ -128,8 +132,11 @@ class PythonBackend:
         while True:
             # ------------------------- dispatch pass -------------------------
             if need_pass and L:
-                # whole-queue feasibility: one SWAR comparison over uint64s
-                hits = ((((uint64(avh) - pb[:L]) & H_u) == H_u).nonzero())[0]
+                # whole-queue feasibility in one vector comparison
+                if packed:
+                    hits = ((((uint64(av) - pb[:L]) & H_u) == H_u).nonzero())[0]
+                else:
+                    hits = (pb[:L] <= av).all(axis=1).nonzero()[0]
                 if hits.size:
                     started = None
                     while True:
@@ -137,7 +144,10 @@ class PythonBackend:
                         # availability has not shrunk since the filter ran
                         kpos = hits[0]
                         r = int(qb[kpos])
-                        avh -= pk_rank_l[r]
+                        if packed:
+                            av -= dem_rank_l[r]
+                        else:
+                            av -= dem_rank[r]
                         i = topo_l[r]
                         t = dur[i]
                         push(heap, (now + t, seq, i))
@@ -156,7 +166,10 @@ class PythonBackend:
                         if not hits.size:
                             break
                         # re-filter the tail against the shrunk availability
-                        hits = hits[(((uint64(avh) - pb[hits]) & H_u) == H_u)]
+                        if packed:
+                            hits = hits[(((uint64(av) - pb[hits]) & H_u) == H_u)]
+                        else:
+                            hits = hits[(pb[hits] <= av).all(axis=1)]
                         if not hits.size:
                             break
                     if len(started) == L:
@@ -197,7 +210,10 @@ class PythonBackend:
                         newly = rank_a[z].tolist()
                 if comp.size:
                     freed = True
-                    avh += int(pk_topo[comp].sum(dtype=np.uint64))
+                    if packed:
+                        av += int(dem_topo[comp].sum(dtype=np.uint64))
+                    else:
+                        av += dem_topo[comp].sum(axis=0)
                     lo = ip[comp]
                     cnt = ip[comp + 1] - lo
                     total = int(cnt.sum())
@@ -235,7 +251,10 @@ class PythonBackend:
                             seq += 1
                             continue
                     freed = True
-                    avh += pk_topo_l[i]
+                    if packed:
+                        av += dem_topo_l[i]
+                    else:
+                        av += dem_topo[i]
                     lo = ip[i]
                     hi = ip[i + 1]
                     if hi > lo:
@@ -260,9 +279,14 @@ class PythonBackend:
                     newly.sort()
                 leftovers = None
                 for r in newly:
-                    a = pk_rank_l[r]
-                    if (avh - a) & H == H:
-                        avh -= a
+                    if packed:
+                        a = dem_rank_l[r]
+                        fits = (av - a) & H == H
+                    else:
+                        a = dem_rank[r]
+                        fits = (a <= av).all()
+                    if fits:
+                        av -= a
                         i = topo_l[r]
                         t = dur[i]
                         push(heap, (now + t, seq, i))
@@ -286,7 +310,7 @@ class PythonBackend:
                     qb[p + 1:L + 1] = qb[p:L]
                     qb[p] = r
                     pb[p + 1:L + 1] = pb[p:L]
-                    pb[p] = pk_rank_l[r]
+                    pb[p] = dem_rank[r]
                     L += 1
                 else:
                     nr = np.array(newly, dtype=np.int64)
@@ -297,15 +321,15 @@ class PythonBackend:
                     oq = sq[:L + k]
                     op = sp[:L + k]
                     oq[idx] = nr
-                    op[idx] = pk_by_rank[nr]
+                    op[idx] = dem_rank[nr]
                     oq[mask] = qb[:L]
                     op[mask] = pb[:L]
                     qb, sq = sq, qb
                     pb, sp = sp, pb
                     L += k
 
-        # store the loop state back and leave the kernel facade consistent
-        loop.avh = avh
+        # store the loop state back
+        loop.av = av
         loop.seq = seq
         loop.qb = qb
         loop.pb = pb
@@ -316,5 +340,4 @@ class PythonBackend:
         loop.done = done
         if log:
             loop.ns = ns
-        loop.sync_kernel()
         return done

@@ -9,49 +9,44 @@ Two queue disciplines cover every event-driven scheduler in the repository:
 * :func:`drive_policy_schedule` — dispatch-time allocation: a policy
   callback inspects the ready set and the availability vector and picks
   ``(job, allocation)`` pairs to start.  Used by the Tetris and HEFT
-  baselines.
+  baselines, on :class:`~repro.engine.kernel.EventKernel`.
 
 Both run on the **compiled instance** (:mod:`repro.instance.compiled`):
 jobs are dense topological indices, adjacency is CSR, and priority keys
 are lowered once into integer *ranks* realizing the ``(key, topological
-index)`` total order.  The ready queue is a sorted int64 array of ranks —
-insertion is a binary-search merge (``O(log n)`` comparisons per entry
-plus one memmove) and the per-pass feasibility test is a single
-whole-queue vector comparison, so dispatch is ``O((n + m) log n)`` array
-work plus ``O(1)`` python per started job.
+index)`` total order.
 
-The priority discipline is implemented as **re-entrant loop objects**
-rather than run-to-completion functions: each loop owns a resumable event
-heap plus readiness state and exposes ``run(until)`` — run until the heap
-drains (returns ``True``) or until the next event lies past ``until``
-(returns ``False``, resume later).  ``drive_priority_schedule`` simply
-builds one via :func:`priority_loop` and runs it to completion; streaming
-front-ends (``repro schedule --follow``) and the online scheduling
-service step the same loops incrementally.
+The priority discipline is a **re-entrant loop object**: it owns a
+resumable event heap plus readiness state and exposes ``run(until)`` —
+run until the heap drains (returns ``True``) or until the next event lies
+past ``until`` (returns ``False``, resume later).
+``drive_priority_schedule`` builds one via :func:`priority_loop` and runs
+it to completion; streaming front-ends (``repro schedule --follow``) step
+the same loop incrementally.
 
-Three loop bodies share that contract:
+Two loops share that contract:
 
-* :class:`PackedPriorityLoop` — the fused fast path (``ci.packable``:
-  ``d <= 4``, capacities below ``2**15``): every demand vector is one
-  ``uint64`` whose fields are the per-type amounts, the scalar admission
-  test is ``((av + mask) - a) & mask == mask``, and the whole-queue
-  prefilter is three 1-D vector ops.  One flat loop owns heap, readiness
-  and dispatch with no per-event callback indirection — this is the hot
-  path the benchmarks measure.
-* :class:`GeneralPriorityLoop` — the matrix fallback (higher ``d`` or
-  larger capacities): the same discipline over the ``(n, d)`` allocation
-  matrix on the shared :class:`~repro.engine.kernel.EventKernel`.
+* :class:`PriorityLoop` — the batch loop, for any ``d``: a pure state
+  container whose ``run`` is executed by a dispatch backend
+  (:mod:`repro.engine.backends`).  Heap, ``time_eps`` batching, CSR
+  readiness, the rank-sorted ready queue and the start log exist once;
+  only the *demand encoding* depends on the platform (``ci.packable``):
+  one ``uint64`` per demand vector with a headroom bit per field when
+  ``d <= 4`` and every capacity is below ``2**15`` (the admission test is
+  ``((av + mask) - a) & mask == mask``, one integer op), ``(n, d)`` int64
+  rows otherwise (``(a <= av).all()``).
 * :class:`IncrementalPriorityLoop` — the growable form used by
   :mod:`repro.service`: runs on a
   :class:`~repro.instance.compiled.GrowableCompiledInstance`, admits jobs
   *while scheduling* (``admit``), supports cancellation of not-yet-started
-  jobs, and keeps the ready queue as a list sorted by ``(key, index)`` —
-  the identical total order the rank lowering realizes, so a session
-  driven submission-order-faithfully reproduces the batch schedule event
-  for event (the conformance service family asserts this).
+  jobs, and keeps the ready queue as parallel arrays sorted by ``(key
+  image, row index)`` — the identical total order the rank lowering
+  realizes, so a session driven submission-order-faithfully reproduces
+  the batch schedule event for event (the conformance service family
+  asserts this).  It has its own ``run``; no backend covers it.
 
-All paths gate readiness on job release times (online arrivals) and
-preserve the historical tie-breaking exactly: simultaneous completions are
+Both gate readiness on job release times (online arrivals) and preserve
+the historical tie-breaking exactly: simultaneous completions are
 processed as one batch, newly ready jobs enter the queue by ``(priority
 key, topological index)``, and events pop in ``(time, submission)`` order.
 The frozen predecessors (:mod:`repro.engine.reference`) pin that behavior
@@ -73,8 +68,7 @@ __all__ = [
     "drive_priority_schedule",
     "drive_policy_schedule",
     "priority_loop",
-    "PackedPriorityLoop",
-    "GeneralPriorityLoop",
+    "PriorityLoop",
     "IncrementalPriorityLoop",
     "J_WAITING",
     "J_QUEUED",
@@ -88,6 +82,12 @@ JobId = Hashable
 _EMPTY_QUEUE = np.empty(0, dtype=np.int64)
 
 
+def _unpack(packed: int, d: int) -> tuple[int, ...]:
+    """The ``d`` per-type amounts of a packed ``uint64`` vector."""
+    field = (1 << PACK_BITS) - 1
+    return tuple((packed >> (PACK_BITS * r)) & field for r in range(d))
+
+
 def drive_priority_schedule(
     instance,
     allocation: Mapping[JobId, Sequence[int]],
@@ -98,7 +98,7 @@ def drive_priority_schedule(
     on_complete: Callable[[JobId, float], float | None] | None = None,
     alloc_mat: np.ndarray | None = None,
     backend: "str | object | None" = None,
-) -> EventKernel:
+) -> "PriorityLoop":
     """Run Algorithm 2's queue discipline on the compiled instance.
 
     The ready queue is kept sorted by rank (the dense integer image of
@@ -118,11 +118,11 @@ def drive_priority_schedule(
     ``on_complete(job, now) -> float | None`` intercepts completions: a
     float re-runs the job immediately for that duration *without* releasing
     its resources (failure re-execution); ``None`` completes it normally.
-    Returns a kernel whose clock holds the final virtual time.
+    Returns the drained loop: ``now`` holds the final virtual time,
+    ``available()`` the availability vector.
 
-    ``backend`` selects the dispatch backend for the packed hot loop
-    (a registry name or backend object; see
-    :mod:`repro.engine.backends`) — ``None`` resolves via the
+    ``backend`` selects the dispatch backend (a registry name or backend
+    object; see :mod:`repro.engine.backends`) — ``None`` resolves via the
     ``REPRO_BACKEND`` environment variable, then the default.
     """
     loop = priority_loop(
@@ -130,7 +130,7 @@ def drive_priority_schedule(
         on_complete=on_complete, alloc_mat=alloc_mat, backend=backend,
     )
     loop.run()
-    return loop.kernel
+    return loop
 
 
 def priority_loop(
@@ -143,13 +143,13 @@ def priority_loop(
     on_complete: Callable[[JobId, float], float | None] | None = None,
     alloc_mat: np.ndarray | None = None,
     backend: "str | object | None" = None,
-) -> "PackedPriorityLoop | GeneralPriorityLoop":
+) -> "PriorityLoop":
     """Build the re-entrant dispatch loop for a fixed job set, unstarted.
 
     Same arguments as :func:`drive_priority_schedule`; the returned loop
     exposes ``run(until=None) -> bool`` (``True`` once drained), ``now``,
-    ``next_time`` and ``kernel``.  Callers that only need the final
-    schedule should prefer :func:`drive_priority_schedule`.
+    ``next_time``, ``pending`` and ``available()``.  Callers that only
+    need the final schedule should prefer :func:`drive_priority_schedule`.
 
     ``on_start=None`` selects the **array start log**: instead of a python
     callback per dispatch, the loop records ``(topological index, start
@@ -159,10 +159,8 @@ def priority_loop(
     set at large ``n``); the compiled backend writes the log natively.
     """
     ci = compile_instance(instance)
-    kernel = EventKernel(instance.pool.capacities)
     if backend is None or isinstance(backend, str):
         backend = resolve_backend(backend)
-
     if alloc_mat is None:
         alloc_mat = ci.alloc_matrix(allocation)
     if isinstance(durations, np.ndarray):
@@ -171,58 +169,62 @@ def priority_loop(
         order = ci.order
         dur = [durations[j] for j in order]
     rank_of, topo_of_rank = ci.rank_permutation(keys)
-
-    if ci.n == 0 or ci.packable:
-        return PackedPriorityLoop(
-            ci, kernel, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete,
-            backend=backend,
-        )
-    return GeneralPriorityLoop(
-        ci, kernel, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete,
-        backend=backend,
+    return PriorityLoop(
+        ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete, backend
     )
 
 
-class PackedPriorityLoop:
-    """The fused packed-demand event loop, resumable (see module docstring).
+class PriorityLoop:
+    """Algorithm 2's batch event loop as a resumable state container.
 
     One flat loop owns the event heap, the readiness vector and the ready
     queue.  Heap entries are ``(time, seq, code)`` with ``code < n`` a
     completion of topological index ``code`` and ``code >= n`` the release
-    of index ``code - n``; ``seq`` reproduces the kernel's FIFO order for
-    simultaneous events, so ``on_complete`` sees completions in exactly
-    the order the kernel-based loop delivered them.
+    of index ``code - n``; ``seq`` makes simultaneous events pop in
+    submission order, so ``on_complete`` sees completions in exactly the
+    order the per-event references deliver them.
 
-    The loop object is a pure **state container**: every field the hot
-    loop touches is either a dense array with a pinned dtype (readiness
-    counts, CSR successors, packed demands, the rank permutation — the
-    contiguity/dtype contract :meth:`CompiledInstance.kernel_layout
+    Every field the hot loop touches is either a dense array with a
+    pinned dtype (readiness counts, CSR successors, demands, the rank
+    permutation — the contiguity/dtype contract
+    :meth:`CompiledInstance.kernel_layout
     <repro.instance.compiled.CompiledInstance>` guarantees) or a python
-    scalar/list, so the execution strategy is swappable.  :meth:`run`
-    delegates to the loop's **dispatch backend** (see
-    :mod:`repro.engine.backends`): the ``python`` backend is the numpy
-    loop this class always ran inline, the ``numba`` backend executes
-    the same state machine as one njit-compiled kernel.  Both process
-    all events at one time point as a single batch, apply
-    completions/releases vectorized, and run the feasibility re-scan
-    once per time point — identical schedules by construction, pinned
-    by the conformance fuzz matrix.
+    scalar/list, so the execution strategy is swappable: :meth:`run`
+    delegates to the loop's **dispatch backend**
+    (:mod:`repro.engine.backends`).  All backends process the events of
+    one time point as a single batch and run the feasibility re-scan once
+    per time point — identical schedules by construction, pinned by the
+    conformance fuzz matrix.
+
+    **Demand encoding** (``packed``, from ``ci.packable``).  ``dem_topo``
+    / ``dem_rank`` hold one demand per job by topological index / by
+    rank, ``pb`` / ``sp`` the demands of the queued jobs, ``av`` the
+    availability:
+
+    * packed — ``uint64`` arrays of shape ``(n,)``; ``av`` is a python int
+      carried with the headroom bits pre-added (``available + H``), and
+      ``dem_topo_l`` / ``dem_rank_l`` mirror the arrays as python ints so
+      a scalar update is one int op;
+    * matrix — ``int64`` arrays of shape ``(n, d)``; ``av`` is an int64
+      ``(d,)`` vector updated in place (``H``/``H_u`` are 0, the mirrors
+      ``None``).
+
+    Whole-queue fit, tail re-filter, scalar fit, acquire and free are the
+    only operations that read the encoding.
     """
 
     __slots__ = (
-        "kernel", "ci", "n", "order", "ip", "si", "remaining",
-        "pk_by_rank", "pk_rank_l", "pk_topo", "pk_topo_l",
+        "ci", "n", "order", "ip", "si", "remaining", "packed",
+        "dem_topo", "dem_rank", "dem_topo_l", "dem_rank_l",
         "rank_a", "topo_a", "topo_l", "dur",
-        "H", "H_u", "avh", "heap", "seq", "qb", "pb", "sq", "sp", "L",
+        "H", "H_u", "av", "heap", "seq", "qb", "pb", "sq", "sp", "L",
         "now", "eps", "on_start", "on_complete", "done", "backend", "_scratch",
         "ns",
     )
 
     def __init__(
-        self, ci, kernel, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete,
-        *, backend=None,
+        self, ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete, backend
     ) -> None:
-        self.kernel = kernel
         self.ci = ci
         cd = ci.cdag
         n = cd.n
@@ -232,31 +234,33 @@ class PackedPriorityLoop:
         self.dur = dur
         self.on_start = on_start
         self.on_complete = on_complete
-        self.backend = (
-            resolve_backend(backend)
-            if backend is None or isinstance(backend, str)
-            else backend
-        )
+        self.backend = backend
         self._scratch = None
         self.done = n == 0
         self.ns = 0  # start-log length (on_start=None mode)
 
-        pk_topo = ci.pack_demands(alloc_mat) if n else np.empty(0, dtype=np.uint64)
-        pk_by_rank = pk_topo[topo_of_rank] if n else pk_topo
-        self.pk_topo = pk_topo
-        self.pk_topo_l = pk_topo.tolist()  # python ints: scalar updates are one int op
-        self.pk_by_rank = pk_by_rank
-        self.pk_rank_l = pk_by_rank.tolist()
         self.rank_a = np.ascontiguousarray(rank_of, dtype=np.int64)
         self.topo_a = np.ascontiguousarray(topo_of_rank, dtype=np.int64)
         self.topo_l = (
             topo_of_rank if isinstance(topo_of_rank, list) else self.topo_a.tolist()
         )
 
+        self.packed = ci.packable
         self.H = ci.fit_mask
         self.H_u = np.uint64(ci.fit_mask)
-        # availability carried with the headroom bits pre-added: avh = av + H
-        self.avh = ci.packed_capacities + ci.fit_mask
+        if self.packed:
+            dem_topo = ci.pack_demands(alloc_mat)
+            dem_rank = dem_topo[self.topo_a]
+            self.dem_topo_l = dem_topo.tolist()
+            self.dem_rank_l = dem_rank.tolist()
+            self.av = ci.packed_capacities + ci.fit_mask
+        else:
+            dem_topo = np.ascontiguousarray(alloc_mat, dtype=np.int64)
+            dem_rank = dem_topo[self.topo_a]
+            self.dem_topo_l = self.dem_rank_l = None
+            self.av = ci.capacities.copy()
+        self.dem_topo = dem_topo
+        self.dem_rank = dem_rank
 
         remaining = cd.in_degree.astype(np.int64, copy=True)
         heap: list[tuple[float, int, int]] = []
@@ -273,21 +277,21 @@ class PackedPriorityLoop:
         self.heap = heap
         self.seq = seq
 
-        # the ready queue: parallel sorted-by-rank buffers of ranks and packed
+        # the ready queue: parallel sorted-by-rank buffers of ranks and
         # demands, plus spares for the batched insertion merge
         self.qb = np.empty(n, dtype=np.int64)
-        self.pb = np.empty(n, dtype=np.uint64)
+        self.pb = np.empty_like(dem_rank)
         self.sq = np.empty(n, dtype=np.int64)
-        self.sp = np.empty(n, dtype=np.uint64)
-        r0 = rank_of[np.flatnonzero(remaining == 0)] if n else _EMPTY_QUEUE
+        self.sp = np.empty_like(dem_rank)
+        r0 = self.rank_a[np.flatnonzero(remaining == 0)]
         r0.sort()
         L = r0.size
         self.qb[:L] = r0
-        self.pb[:L] = pk_by_rank[r0]
+        self.pb[:L] = dem_rank[r0]
         self.L = L
 
         self.now = 0.0
-        self.eps = kernel.time_eps
+        self.eps = TIME_EPS
 
     @property
     def next_time(self) -> float | None:
@@ -297,6 +301,12 @@ class PackedPriorityLoop:
     @property
     def pending(self) -> int:
         return len(self.heap)
+
+    def available(self) -> tuple[int, ...]:
+        """The per-type availability vector at the current clock."""
+        if self.packed:
+            return _unpack(self.av - self.H, self.ci.d)
+        return tuple(self.av.tolist())
 
     def kernel_scratch(self):
         """Scratch arrays for compiled executors, allocated once per loop:
@@ -321,227 +331,12 @@ class PackedPriorityLoop:
         _, _, out_i, out_t = self.kernel_scratch()
         return out_i[: self.ns], out_t[: self.ns]
 
-    def sync_kernel(self) -> None:
-        """Mirror the loop clock and availability onto the kernel facade."""
-        kernel = self.kernel
-        kernel.now = self.now
-        if self.ci.packable:
-            av = self.avh - self.H
-            field = (1 << PACK_BITS) - 1
-            kernel._avail[:] = [
-                (av >> (PACK_BITS * r)) & field for r in range(self.ci.d)
-            ]
-
     def run(self, until: float | None = None) -> bool:
         """Dispatch and process events; stop once the heap drains (returns
         ``True``) or the earliest pending event lies past ``until``
         (returns ``False`` — call again to resume).  Executed by the
         loop's dispatch backend."""
-        return self.backend.run_packed(self, until)
-
-
-class GeneralPriorityLoop:
-    """Matrix fallback for instances the packed lowering cannot carry
-    (``d > 4`` or capacities ``>= 2**15``): same discipline over the
-    ``(n, d)`` allocation matrix on the shared :class:`EventKernel`,
-    resumable through :meth:`EventKernel.run_until`.
-
-    Compiled backends do not cover the matrix path — whatever backend
-    was requested, execution stays on this numpy loop (the selection is
-    recorded on ``.backend`` so callers can see what actually ran).  The
-    loop shares the packed path's time-point structure: the kernel
-    delivers all events within ``time_eps`` as one batch,
-    completions/releases drain as whole-vector updates at the next
-    dispatch, and the feasibility re-scan runs once per time point with
-    the same admit-then-refilter pass the python backend uses."""
-
-    __slots__ = ("kernel", "_dispatch", "_handle", "done", "backend",
-                 "ns", "_log_i", "_log_t", "_on_start")
-
-    def __init__(
-        self, ci, kernel, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete,
-        *, backend=None,
-    ) -> None:
-        self.kernel = kernel
-        self.backend = (
-            resolve_backend(backend)
-            if backend is None or isinstance(backend, str)
-            else backend
-        )
-        self.done = False
-        self._on_start = on_start
-        self.ns = 0
-        if on_start is None:  # array start-log mode (see priority_loop)
-            self._log_i = np.empty(ci.cdag.n, dtype=np.int64)
-            self._log_t = np.empty(ci.cdag.n, dtype=np.float64)
-        else:
-            self._log_i = self._log_t = None
-        log_i = self._log_i
-        log_t = self._log_t
-        cd = ci.cdag
-        order = cd.order
-        succ_indptr = cd.succ_indptr
-        succ_indices = cd.succ_indices
-        d = ci.d
-        rng_d = range(d)
-
-        alloc_rows = alloc_mat.tolist()  # python ints for the shrinking-scan
-        alloc_by_rank = alloc_mat[topo_of_rank]
-
-        remaining = cd.in_degree.copy()
-        if ci.has_releases:
-            rel = ci.release
-            for i in np.flatnonzero(rel > 0.0).tolist():
-                remaining[i] += 1  # the release acts as one extra virtual predecessor
-                kernel.schedule_release(float(rel[i]), i)
-
-        # the ready queue: a sorted int64 array of ranks
-        state = {"q": np.sort(rank_of[np.flatnonzero(remaining == 0)])}
-
-        # events of the current batch, drained as whole-vector updates at the
-        # next dispatch pass (the batch boundary the loops have always used)
-        done_events: list[int] = []
-        released: list[int] = []
-
-        def dispatch(k: EventKernel) -> None:
-            q = state["q"]
-            zeroed = None
-            if done_events:
-                k.release(alloc_mat[done_events].sum(axis=0))
-                if len(done_events) == 1:
-                    i = done_events[0]
-                    targets = succ_indices[succ_indptr[i]:succ_indptr[i + 1]]
-                    if targets.size:
-                        remaining[targets] -= 1  # successors of one job are unique
-                else:
-                    targets = np.concatenate(
-                        [
-                            succ_indices[succ_indptr[i]:succ_indptr[i + 1]]
-                            for i in done_events
-                        ]
-                    )
-                    if targets.size:
-                        np.subtract.at(remaining, targets, 1)
-                done_events.clear()
-                if targets.size:
-                    zeroed = targets[remaining[targets] == 0]
-            newly: list[int] = []
-            if released:
-                for i in released:
-                    remaining[i] -= 1
-                    if remaining[i] == 0:
-                        newly.append(i)
-                released.clear()
-            if zeroed is not None and zeroed.size:
-                new_ranks = rank_of[np.unique(zeroed)]
-                if newly:
-                    new_ranks = np.concatenate([new_ranks, rank_of[newly]])
-            elif newly:
-                new_ranks = rank_of[newly]
-            else:
-                new_ranks = None
-            if new_ranks is not None and new_ranks.size:
-                # parallel-buffer block insert (the packed path's merge):
-                # one searchsorted + two scatters instead of np.insert's
-                # O(queue) per-entry memmove — keeps deep DAGs linear
-                new_ranks.sort()
-                nk = new_ranks.size
-                idx = q.searchsorted(new_ranks) + np.arange(nk)
-                merged = np.empty(q.size + nk, dtype=np.int64)
-                mask = np.ones(q.size + nk, dtype=bool)
-                mask[idx] = False
-                merged[idx] = new_ranks
-                merged[mask] = q
-                q = merged
-                state["q"] = q
-
-            if not q.size:
-                return
-            # whole-queue feasibility in one vector comparison
-            fit = (alloc_by_rank[q] <= k.available).all(axis=1)
-            if not fit.any():
-                return
-            # admit-then-refilter: the first candidate is the lowest-rank
-            # fitting job; each admission shrinks availability, so the
-            # candidate tail is re-filtered with one vector comparison
-            # instead of a scalar recheck per snapshot hit
-            av = k.available.astype(np.int64, copy=True)
-            acq: list[int] | None = None
-            started: list[int] | None = None
-            cand = np.flatnonzero(fit)
-            while True:
-                pos = int(cand[0])
-                i = topo_of_rank[q[pos]]
-                a = alloc_rows[i]
-                t = dur[i]
-                k.hold(i, t)
-                if acq is None:
-                    acq = list(a)
-                    started = [pos]
-                else:
-                    for r in rng_d:
-                        acq[r] += a[r]
-                    started.append(pos)
-                for r in rng_d:
-                    av[r] -= a[r]
-                if log_i is None:
-                    on_start(order[i], k.now, t)
-                else:
-                    ns = self.ns
-                    log_i[ns] = i
-                    log_t[ns] = k.now
-                    self.ns = ns + 1
-                cand = cand[1:]
-                if not cand.size:
-                    break
-                cand = cand[(alloc_by_rank[q[cand]] <= av).all(axis=1)]
-                if not cand.size:
-                    break
-            k.acquire(acq)
-            if len(started) == q.size:
-                state["q"] = _EMPTY_QUEUE
-            else:
-                keep = np.ones(q.size, dtype=bool)
-                keep[started] = False
-                state["q"] = q[keep]
-
-        def handle(k: EventKernel, kind: str, payload) -> None:
-            if kind == RELEASE:
-                released.append(payload)
-                return
-            i = payload
-            if on_complete is not None:
-                retry = on_complete(order[i], k.now)
-                if retry is not None:
-                    k.hold(i, retry)
-                    return
-            done_events.append(i)
-
-        self._dispatch = dispatch
-        self._handle = handle
-
-    @property
-    def now(self) -> float:
-        return self.kernel.now
-
-    @property
-    def next_time(self) -> float | None:
-        return self.kernel.next_time
-
-    @property
-    def pending(self) -> int:
-        return self.kernel.pending
-
-    def start_log(self) -> "tuple[np.ndarray, np.ndarray]":
-        """See :meth:`PackedPriorityLoop.start_log`."""
-        if self._on_start is not None:
-            raise ValueError("start_log() requires a loop built with on_start=None")
-        return self._log_i[: self.ns], self._log_t[: self.ns]
-
-    def run(self, until: float | None = None) -> bool:
-        """See :meth:`PackedPriorityLoop.run`."""
-        self.done = self.kernel.run_until(self._dispatch, self._handle, until)
-        return self.done
+        return self.backend.run(self, until)
 
 
 # ----------------------------------------------------------------------
@@ -555,11 +350,11 @@ J_WAITING, J_QUEUED, J_RUNNING, J_DONE, J_CANCELLED = range(5)
 class IncrementalPriorityLoop:
     """Algorithm 2's discipline over a growing job set, resumable.
 
-    The online form of the priority loops above: jobs are admitted with
+    The online form of :class:`PriorityLoop`: jobs are admitted with
     :meth:`admit` / :meth:`admit_batch` *at any point* — including between
     :meth:`run` calls with the clock mid-schedule — and not-yet-started
     jobs can be cancelled.  The ready queue is array-native in the style
-    of :class:`PackedPriorityLoop`'s rank buffers: parallel sorted buffers
+    of :class:`PriorityLoop`'s rank buffers: parallel sorted buffers
     of float64 key images, int64 row indices and (on packable platforms)
     packed uint64 demands, maintained incrementally with
     ``searchsorted``-based block insertion.  Lexicographic ``(key image,
@@ -586,7 +381,7 @@ class IncrementalPriorityLoop:
     __slots__ = (
         "gi", "now", "eps", "heap", "seq", "state", "remaining",
         "start", "finish", "avh", "avail", "log", "ncompleted",
-        "rk", "ri", "rp", "sk", "si", "sp", "L", "backend",
+        "rk", "ri", "rp", "sk", "si", "sp", "L",
     )
 
     def __init__(
@@ -595,16 +390,7 @@ class IncrementalPriorityLoop:
         *,
         log: list | None = None,
         time_eps: float = TIME_EPS,
-        backend=None,
     ) -> None:
-        # Compiled backends do not cover the growable loop (admission and
-        # cancellation interleave with dispatch); the selection is recorded
-        # so the service can report which backend is live.
-        self.backend = (
-            resolve_backend(backend)
-            if backend is None or isinstance(backend, str)
-            else backend
-        )
         self.gi = gi
         self.now = 0.0
         self.eps = time_eps
@@ -643,9 +429,7 @@ class IncrementalPriorityLoop:
     def available(self) -> tuple[int, ...]:
         """The per-type availability vector at the current clock."""
         if self.gi.packable:
-            field = (1 << PACK_BITS) - 1
-            av = self.avh - self.gi.fit_mask
-            return tuple((av >> (PACK_BITS * r)) & field for r in range(self.gi.d))
+            return _unpack(self.avh - self.gi.fit_mask, self.gi.d)
         return tuple(self.avail)
 
     def ready_items(self) -> list[tuple[object, int]]:
@@ -908,7 +692,7 @@ class IncrementalPriorityLoop:
 
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> bool:
-        """Dispatch and process events up to ``until`` (see the batch loops).
+        """Dispatch and process events up to ``until`` (see the batch loop).
 
         Returns ``True`` when the event heap is empty after the final
         dispatch pass — queued jobs may remain only if the platform can
@@ -916,7 +700,7 @@ class IncrementalPriorityLoop:
         admission's bounds validation rules out, so an empty heap means
         every admitted, uncancelled job has completed.
         """
-        # load the loop state into locals, PackedPriorityLoop-style: the
+        # load the loop state into locals, as the batch backends do: the
         # per-event path below is the hot loop the service benchmark times
         gi = self.gi
         packable = gi.packable

@@ -2,23 +2,25 @@
 
 Every scheduler in this repository ultimately runs the same loop: start work
 that fits the available resources, advance virtual time to the next event,
-release what completed, repeat.  The paper proves its Phase-2 guarantee for
-*any* queue order (Section 4.2), which makes this loop — not the priority
-rule — the shared substrate of the core algorithm, the baselines and the
-fault/malleable simulators.  :class:`EventKernel` owns that substrate once:
+release what completed, repeat.  :class:`EventKernel` is that loop in
+callback form, for schedulers whose dispatch step is arbitrary python —
+the dispatch-time allocation policies (Tetris and HEFT, through
+:func:`repro.engine.dispatch.drive_policy_schedule`), the malleable
+scheduler and the frozen PR-1 reference:
 
-* a virtual clock and a single event heap carrying *completions*, *job
-  releases* (online-arrival scenarios) and injected *failures*;
+* a virtual clock and a single event heap carrying *completions* and *job
+  releases* (online-arrival scenarios);
 * numpy-vector resource accounting — acquisitions and releases are whole
   vector operations, and dispatchers can test feasibility of an entire
   ready queue with one vectorized comparison instead of per-type Python
   loops;
 * the driving loop alternating dispatch passes with event batches.
 
-Schedulers keep their *policy* (queue discipline, allocation choice) and
-delegate time, events and resource bookkeeping here; the drivers in
-:mod:`repro.engine.dispatch` cover the two recurring disciplines
-(Algorithm 2's priority scan and dispatch-time allocation policies).
+Algorithm 2's priority scan does not run here: its allocations are fixed
+up front, so :class:`repro.engine.dispatch.PriorityLoop` carries heap,
+batching and accounting as flat arrays behind a backend.  The two share
+:data:`TIME_EPS` and the batch rule (events within it of the first popped
+one form one batch), which is what keeps their schedules identical.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["COMPLETE", "RELEASE", "FAILURE", "TIME_EPS", "EventKernel"]
+__all__ = ["COMPLETE", "RELEASE", "TIME_EPS", "EventKernel"]
 
 #: Event kinds carried on the kernel's heap.
 COMPLETE = "complete"
 RELEASE = "release"
-FAILURE = "failure"
 
 #: Events within this tolerance of the earliest pending one are popped and
 #: processed as a single batch — the tolerance the scheduling loops have
@@ -76,10 +77,6 @@ class EventKernel:
     def available(self) -> np.ndarray:
         """The live availability vector (a view — do not mutate directly)."""
         return self._avail
-
-    def fits(self, demand: Sequence[int]) -> bool:
-        """True when ``demand ⪯ available`` (the admission test)."""
-        return bool((np.asarray(demand) <= self._avail).all())
 
     def acquire(self, demand: Sequence[int]) -> None:
         """Subtract ``demand`` from the availability vector."""
@@ -126,10 +123,6 @@ class EventKernel:
         """Announce that ``payload`` becomes known/ready-eligible at ``time``."""
         self.push_event(time, RELEASE, payload)
 
-    def schedule_failure(self, time: float, payload: Any) -> None:
-        """Inject a failure event at ``time`` (platform-level fault models)."""
-        self.push_event(time, FAILURE, payload)
-
     @property
     def pending(self) -> int:
         """Number of events still on the heap."""
@@ -172,25 +165,8 @@ class EventKernel:
         the final dispatch pass starts nothing; callers are responsible for
         detecting deadlock (work left unplaced) afterwards.
         """
-        self.run_until(dispatch, handle)
-
-    def run_until(
-        self,
-        dispatch: Callable[["EventKernel"], None],
-        handle: Callable[["EventKernel", str, Any], None],
-        until: float | None = None,
-    ) -> bool:
-        """:meth:`run`, resumable: stop once the earliest pending event lies
-        past ``until`` without popping it (returns ``False`` — call again to
-        resume) or the heap drains (returns ``True``).  A resumed call
-        re-runs the dispatch pass at the current clock first, which starts
-        nothing new unless work arrived in between — availability only
-        changes through events."""
         dispatch(self)
         while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                return False
             for kind, payload in self.pop_batch():
                 handle(self, kind, payload)
             dispatch(self)
-        return True

@@ -211,12 +211,6 @@ class SchedulingSession:
     compact_min_rows:
         Minimum row count before compaction is considered — keeps small
         sessions from churning.
-    backend:
-        Dispatch backend for the incremental loop (a registry name or
-        backend object, see :mod:`repro.engine.backends`); ``None``
-        resolves ``REPRO_BACKEND`` > default.  An execution detail, not
-        session state: checkpoints never persist it, so a restored
-        session re-resolves on the restoring host.
     """
 
     def __init__(
@@ -227,7 +221,6 @@ class SchedulingSession:
         seed: int | None = None,
         compact_threshold: float | None = 0.5,
         compact_min_rows: int = 512,
-        backend: "str | object | None" = None,
     ) -> None:
         if compact_threshold is not None and not 0.0 < compact_threshold <= 1.0:
             raise ValueError(
@@ -238,7 +231,7 @@ class SchedulingSession:
         self.gi = GrowableCompiledInstance(capacities)
         self.events: list[tuple] = []
         self.loop = IncrementalPriorityLoop(
-            self.gi, log=self.events, time_eps=time_eps, backend=backend
+            self.gi, log=self.events, time_eps=time_eps
         )
         self.tenants: list[str] = []  # per-job tenant label, row order
         self.counters = _Counters()
@@ -332,8 +325,11 @@ class SchedulingSession:
 
     @property
     def backend_name(self) -> str:
-        """Name of the dispatch backend the incremental loop resolved."""
-        return self.loop.backend.name
+        """What executes the session's dispatch loop, as ``status``/``stats``
+        and ``repro_backend_info`` report it: ``IncrementalPriorityLoop.run``
+        is interpreted python on every host — the backend registry
+        (:mod:`repro.engine.backends`) covers the batch loop only."""
+        return "python"
 
     def available(self) -> tuple[int, ...]:
         """Per-type resources free at the current clock."""

@@ -1,10 +1,11 @@
 """The dispatch-backend registry and the backends' schedule identity.
 
-The contract under test: *which* backend executes the packed hot loop is
-an execution detail — schedules are identical event for event — and the
-registry's resolution order (explicit name > ``REPRO_BACKEND`` > default)
-never crashes a host where an optional backend is missing, it falls back
-to ``python`` with a warning.
+The contract under test: *which* backend executes the batch loop, and
+which demand encoding it runs on, is an execution detail — schedules are
+identical event for event — and the registry's resolution order
+(explicit name > ``REPRO_BACKEND`` > default) never crashes a host where
+an optional backend is missing, it falls back to ``python`` with a
+warning.
 
 The jitted numba path only runs where :mod:`numba` is installed (the CI
 ``backend-numba`` job); everywhere else those tests skip cleanly and the
@@ -24,6 +25,8 @@ from repro.core.list_scheduler import (
     list_schedule_log,
     lpt_priority,
 )
+from repro.dag.generators import layered_random
+from repro.dag.graph import DAG
 from repro.engine.backends import (
     BACKEND_ENV,
     DEFAULT_BACKEND,
@@ -36,12 +39,15 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.backends.numba import NumbaBackend
+from repro.engine.backends.python import _VECTOR_BATCH
 from repro.engine.dispatch import priority_loop
 from repro.engine.reference import reference_pr1_list_schedule
 from repro.experiments.workloads import random_instance
-from repro.instance.instance import with_poisson_arrivals
+from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.jobs.candidates import geometric_grid
+from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
+from repro.resources.vector import ResourceVector
 
 RULES = (fifo_priority, lpt_priority, bottom_level_priority)
 
@@ -128,7 +134,7 @@ def test_resolve_unavailable_backend_warns_and_falls_back(monkeypatch):
         def is_available():
             return False
 
-        def run_packed(self, loop, until=None):  # pragma: no cover
+        def run(self, loop, until=None):  # pragma: no cover
             raise AssertionError("must never execute")
 
     try:
@@ -270,7 +276,7 @@ def test_run_restores_gc_state(backend):
 @pytest.mark.parametrize("poisson", (False, True), ids=("offline", "poisson"))
 def test_schedule_log_equals_object_path(backend, d, poisson):
     """list_schedule_log is list_schedule with array output: same engine,
-    same events — on the packed (d<=4) and general (d>4) loops alike."""
+    same events — on the packed (d<=4) and matrix (d>4) encodings alike."""
     inst, alloc = _workload(d=d, seed=23, poisson=poisson)
     for rule in RULES:
         sched = list_schedule(inst, alloc, rule, backend=backend)
@@ -311,6 +317,124 @@ def test_start_log_requires_log_mode():
     loop = priority_loop(inst, alloc, keys, times, lambda j, s, t: None)
     with pytest.raises(ValueError, match="on_start=None"):
         loop.start_log()
+
+
+# ----------------------------------------------------------------------
+# the matrix encoding (d > 4, or a capacity >= 2**15) on the shared body
+# ----------------------------------------------------------------------
+def _rigid(dag, capacities, demands, durations, releases=None):
+    """``(instance, allocation)`` with everything fixed: job ``j`` asks
+    for ``demands[j]`` and runs ``durations[j]`` whatever it is given."""
+    jobs = {
+        j: Job(id=j, time_fn=lambda alloc, t=durations[j]: t,
+               release=(releases or {}).get(j, 0.0))
+        for j in dag.nodes()
+    }
+    inst = Instance(jobs=jobs, dag=dag, pool=ResourcePool.of(*capacities))
+    return inst, {j: ResourceVector(tuple(demands[j])) for j in jobs}
+
+
+def _start_logs(inst, alloc):
+    out = []
+    for rule in RULES:
+        log = list_schedule_log(inst, alloc, rule)
+        assert log.job_index.size == len(inst.jobs)
+        out.append((log.job_index.tolist(), log.start.tolist(), log.makespan))
+    return out
+
+
+@pytest.mark.parametrize("boundary", ("capacity", "fifth-type"))
+def test_packing_boundary_identity(boundary):
+    """The same demands either side of ``ci.packable`` give one start log:
+    capacity ``2**15 - 1`` (packed) vs ``2**15`` (matrix), and ``d = 4``
+    (packed) vs ``d = 5`` with a fifth type nobody asks for (matrix)."""
+    rng = np.random.default_rng(41)
+    dag = layered_random(6, 12, seed=41)
+    nodes = list(dag.nodes())
+    durations = dict(zip(nodes, rng.uniform(0.5, 2.0, len(nodes)).tolist()))
+    if boundary == "capacity":
+        # demands are multiples of 3 and neither 2**15 - 1 nor 2**15 is:
+        # no sum of them lands on the one unit the capacities differ by
+        rows = (3 * rng.integers(1, 4000, size=(len(nodes), 3))).tolist()
+        packed = _rigid(dag, (2**15 - 1,) * 3, dict(zip(nodes, rows)), durations)
+        matrix = _rigid(dag, (2**15,) * 3, dict(zip(nodes, rows)), durations)
+    else:
+        rows = rng.integers(1, 7, size=(len(nodes), 4)).tolist()
+        packed = _rigid(dag, (12,) * 4, dict(zip(nodes, rows)), durations)
+        matrix = _rigid(
+            dag, (12,) * 5, {j: r + [0] for j, r in zip(nodes, rows)}, durations
+        )
+    assert packed[0].compiled().packable and not matrix[0].compiled().packable
+    assert _start_logs(*packed) == _start_logs(*matrix)
+
+
+@pytest.mark.parametrize(
+    "backend", ("python", NumbaBackend(_jit=False)), ids=("python", "interp")
+)
+def test_matrix_batches_equal_per_event_reference(backend):
+    """d=6: a release-only batch and a simultaneous-completion batch, both
+    large enough for whole-array application, and a release-only batch
+    below that size, against the per-event PR-1 loop."""
+    k = _VECTOR_BATCH
+    first = [("a", i) for i in range(k)]       # start at 0, all finish at 1
+    late = [("r", i) for i in range(k + 2)]    # released together at 0.5
+    few = [("s", i) for i in range(2)]         # released together at 0.75
+    second = [("b", i) for i in range(k)]      # two parents each, shared
+    edges = [(("a", i), ("b", i)) for i in range(k)]
+    edges += [(("a", (i + 1) % k), ("b", i)) for i in range(k)]
+    dag = DAG(nodes=first + late + few + second, edges=edges)
+    demands = {j: (1,) * 6 for j in dag.nodes()}
+    durations = {j: 1.0 for j in dag.nodes()}
+    durations.update({j: 2.0 for j in late})
+    releases = {**{j: 0.5 for j in late}, **{j: 0.75 for j in few}}
+    inst, alloc = _rigid(dag, (k + 4,) * 6, demands, durations, releases)
+    assert not inst.compiled().packable
+    for rule in RULES:
+        sched = list_schedule(inst, alloc, rule, backend=backend)
+        assert _events(sched) == _events(reference_pr1_list_schedule(inst, alloc, rule))
+    # the release-only batch fit-tested its own jobs: 4 of k + 2 had room
+    starts = sorted(p.start for p in sched.placements.values())
+    assert starts[:k + 4] == [0.0] * k + [0.5] * 4
+
+
+@pytest.mark.parametrize(
+    "backend", ("python", NumbaBackend(_jit=False)), ids=("python", "interp")
+)
+def test_matrix_stepped_retry_equals_uninterrupted(backend):
+    """d=6: ``run(until)`` stepping with an ``on_complete`` hook that fails
+    every third job once (re-run on the held allocation) sees the events
+    of the uninterrupted run, in order."""
+    inst, alloc = _workload(d=6, seed=37, poisson=True)
+    keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
+    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
+
+    def drive(step):
+        events: list[tuple] = []
+        failed: set = set()
+
+        def on_complete(j, now):
+            if keys[j] % 3 == 0 and j not in failed:
+                failed.add(j)
+                events.append(("retry", j, now))
+                return times[j] / 2
+            events.append(("finish", j, now))
+            return None
+
+        loop = priority_loop(
+            inst, alloc, keys, times,
+            lambda j, s, t: events.append(("start", j, s)),
+            on_complete=on_complete, backend=backend,
+        )
+        assert not loop.packed
+        until = None if step is None else 0.0
+        while not loop.run(until=until):
+            until += step
+        assert loop.available() == tuple(inst.pool.capacities)
+        return events, loop.now
+
+    full = drive(None)
+    assert sum(e[0] == "retry" for e in full[0]) == len(range(0, len(keys), 3))
+    assert drive(0.4) == full
 
 
 # ----------------------------------------------------------------------
@@ -357,10 +481,7 @@ def test_growable_kernel_layout_after_compact():
 def test_session_reports_backend_name():
     from repro.service.session import SchedulingSession
 
-    s = SchedulingSession([8, 8])
-    assert s.backend_name == "python"
-    s2 = SchedulingSession([8, 8], backend="python")
-    assert s2.backend_name == "python"
+    assert SchedulingSession([8, 8]).backend_name == "python"
 
 
 @pytest.mark.skipif(

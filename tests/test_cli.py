@@ -26,6 +26,17 @@ class TestParser:
             args = p.parse_args(argv)
             assert args.command == argv[0]
 
+    def test_backend_flag_only_where_a_backend_runs(self, capsys):
+        """``--backend`` selects the batch loop's executor; the service runs
+        the incremental loop, which no backend covers, so ``serve`` has no
+        such flag."""
+        p = build_parser()
+        for command in ("schedule", "bench", "fuzz"):
+            assert p.parse_args([command, "--backend", "numba"]).backend == "numba"
+        with pytest.raises(SystemExit):
+            p.parse_args(["serve", "--backend", "numba"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_figure1(self, capsys):

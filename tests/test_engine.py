@@ -68,7 +68,7 @@ class TestKernel:
         pending = ["a", "b"]
 
         def dispatch(kk):
-            if pending and kk.fits((1,)):
+            if pending and kk.available[0] >= 1:
                 j = pending.pop(0)
                 kk.start(j, (1,), 1.0)
                 log.append(("start", j, kk.now))

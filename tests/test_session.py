@@ -308,7 +308,8 @@ class TestReentrantBatchLoops:
             assert loop2.now <= loop2.next_time
         assert steps > 1  # the stepping actually resumed mid-schedule
         assert stepped == full
-        assert loop2.kernel.now == loop.kernel.now
+        assert loop2.now == loop.now
+        assert loop2.available() == loop.available() == tuple(pool.capacities)
 
     def test_empty_instance_loop(self):
         from repro.dag.graph import DAG
@@ -317,5 +318,5 @@ class TestReentrantBatchLoops:
         inst = Instance(jobs={}, dag=DAG(), pool=ResourcePool.uniform(2, 4))
         loop = priority_loop(inst, {}, {}, {}, lambda *a: None)
         assert loop.run() is True
-        assert loop.kernel.now == 0.0
-        assert tuple(loop.kernel.available) == (4, 4)
+        assert loop.now == 0.0
+        assert loop.available() == (4, 4)
