@@ -38,12 +38,18 @@ Two loops share that contract:
 * :class:`IncrementalPriorityLoop` — the growable form used by
   :mod:`repro.service`: runs on a
   :class:`~repro.instance.compiled.GrowableCompiledInstance`, admits jobs
-  *while scheduling* (``admit``), supports cancellation of not-yet-started
-  jobs, and keeps the ready queue as parallel arrays sorted by ``(key
-  image, row index)`` — the identical total order the rank lowering
-  realizes, so a session driven submission-order-faithfully reproduces
-  the batch schedule event for event (the conformance service family
-  asserts this).  It has its own ``run``; no backend covers it.
+  *while scheduling* (``admit_batch``), supports cancellation of
+  not-yet-started jobs, and keeps the ready queue as parallel arrays
+  sorted by ``(key image, row index)`` — the identical total order the
+  rank lowering realizes, so a session driven submission-order-faithfully
+  reproduces the batch schedule event for event (the conformance service
+  family asserts this).  It has its own ``run``; no backend covers it.
+  It knows **one demand encoding**: every demand is a python-int image
+  with a headroom bit per field, for any ``d`` and any capacity, and
+  ``(avh - a) & H == H`` / ``avh -= a`` / ``avh += a`` are its only
+  admission / acquire / free statements.  ``gi.packable`` only says the
+  images also fit a ``uint64``, which lets long queues be tested in one
+  vector operation over a ``uint64`` column instead of in order.
 
 Both gate readiness on job release times (online arrivals) and preserve
 the historical tie-breaking exactly: simultaneous completions are
@@ -82,10 +88,10 @@ JobId = Hashable
 _EMPTY_QUEUE = np.empty(0, dtype=np.int64)
 
 
-def _unpack(packed: int, d: int) -> tuple[int, ...]:
-    """The ``d`` per-type amounts of a packed ``uint64`` vector."""
-    field = (1 << PACK_BITS) - 1
-    return tuple((packed >> (PACK_BITS * r)) & field for r in range(d))
+def _unpack(packed: int, d: int, bits: int = PACK_BITS) -> tuple[int, ...]:
+    """The ``d`` per-type amounts of a packed vector of ``bits``-wide fields."""
+    field = (1 << bits) - 1
+    return tuple((packed >> (bits * r)) & field for r in range(d))
 
 
 def drive_priority_schedule(
@@ -351,13 +357,16 @@ class IncrementalPriorityLoop:
     """Algorithm 2's discipline over a growing job set, resumable.
 
     The online form of :class:`PriorityLoop`: jobs are admitted with
-    :meth:`admit` / :meth:`admit_batch` *at any point* — including between
-    :meth:`run` calls with the clock mid-schedule — and not-yet-started
-    jobs can be cancelled.  The ready queue is array-native in the style
-    of :class:`PriorityLoop`'s rank buffers: parallel sorted buffers
-    of float64 key images, int64 row indices and (on packable platforms)
-    packed uint64 demands, maintained incrementally with
-    ``searchsorted``-based block insertion.  Lexicographic ``(key image,
+    :meth:`admit_batch` *at any point* — including between :meth:`run`
+    calls with the clock mid-schedule — and not-yet-started jobs can be
+    cancelled.  The ready queue is array-native in the style of
+    :class:`PriorityLoop`'s rank buffers: parallel sorted buffers of
+    float64 key images, int64 row indices and — where the demand images
+    fit a ``uint64`` (``gi.packable``) — a ``uint64`` demand column for
+    the whole-queue vector pass, maintained incrementally with
+    ``searchsorted``-based block insertion.  Availability is the one
+    python int ``avh`` (the per-type vector's image, headroom bits
+    pre-added) on every platform.  Lexicographic ``(key image,
     index)`` over the buffers is *exactly* the ``(key, index)`` total
     order the batch rank lowering realizes — keys are validated to be
     exactly float64-representable at submission, so the image is an order
@@ -380,7 +389,7 @@ class IncrementalPriorityLoop:
 
     __slots__ = (
         "gi", "now", "eps", "heap", "seq", "state", "remaining",
-        "start", "finish", "avh", "avail", "log", "ncompleted",
+        "start", "finish", "avh", "log", "ncompleted",
         "rk", "ri", "rp", "sk", "si", "sp", "L",
     )
 
@@ -400,10 +409,8 @@ class IncrementalPriorityLoop:
         self.remaining: list[int] = []
         self.start: list[float | None] = []
         self.finish: list[float | None] = []
-        # availability: packed with headroom pre-added (packable) and the
-        # per-type vector (authoritative in general mode, derived otherwise)
+        # availability image with the headroom bits pre-added
         self.avh = gi.packed_capacities + gi.fit_mask
-        self.avail = list(gi.capacities)
         self.log: list[tuple] = log if log is not None else []
         self.ncompleted = 0  # lifetime completions (survives compaction)
         # the ready queue: parallel sorted-by-(key, index) buffers plus
@@ -428,9 +435,8 @@ class IncrementalPriorityLoop:
 
     def available(self) -> tuple[int, ...]:
         """The per-type availability vector at the current clock."""
-        if self.gi.packable:
-            return _unpack(self.avh - self.gi.fit_mask, self.gi.d)
-        return tuple(self.avail)
+        gi = self.gi
+        return _unpack(self.avh - gi.fit_mask, gi.d, gi.bits)
 
     def ready_items(self) -> list[tuple[object, int]]:
         """The ready queue as ``(key, index)`` tuples in dispatch order —
@@ -559,32 +565,22 @@ class IncrementalPriorityLoop:
         self.L = k
 
     # ------------------------------------------------------------------
-    def admit(self, i: int) -> None:
-        """Register appended row ``i`` with the loop (once, in row order).
-
-        Readiness counts predecessors not yet completed plus — when the
-        job's release lies in the future — one virtual release
-        predecessor.  The release event is only pushed on the heap when
-        it is the *last* outstanding predecessor (here, or later when the
-        final real predecessor completes): a release that fires while
-        real predecessors are still pending could neither queue the job
-        nor free capacity, so deferring it keeps those no-op events (and
-        their dispatch passes) off the heap entirely.
-        """
-        if i != len(self.state):
-            raise ValueError(f"admit out of order: row {i}, expected {len(self.state)}")
-        self.admit_batch(i)
-
-    def admit_batch(self, lo: int, rem_counts: "Sequence[int] | None" = None) -> None:
+    def admit_batch(self, lo: int, rem_counts: Sequence[int]) -> None:
         """Register every appended row from ``lo`` to the end of the
-        instance — the vectorized batch-admission entry point: readiness
-        is counted per row, but all newly queued rows enter the ready
-        buffers through one block insertion.
+        instance (once, in row order) — readiness is set per row, but all
+        newly queued rows enter the ready buffers through one block
+        insertion.
 
-        ``rem_counts`` optionally supplies the per-row count of
-        not-yet-completed predecessors (the session's ``submit`` already
-        walks every predecessor to resolve ids, so it passes the counts
-        along rather than having this method re-scan the rows).
+        ``rem_counts[i - lo]`` is row ``i``'s count of predecessors not yet
+        completed (the session's ``submit`` walks every predecessor to
+        resolve ids and rejects cancelled ones, so it already has the
+        counts).  A release in the future adds one virtual release
+        predecessor, whose event is only pushed on the heap when it is the
+        *last* outstanding predecessor (here, or later when the final real
+        predecessor completes): a release that fires while real
+        predecessors are still pending could neither queue the job nor
+        free capacity, so deferring it keeps those no-op events (and their
+        dispatch passes) off the heap entirely.
         """
         gi = self.gi
         state = self.state
@@ -599,24 +595,11 @@ class IncrementalPriorityLoop:
         seq = self.seq
         push = heapq.heappush
         newly: list[int] = []
-        preds = gi.preds
         release = gi.release
         self.start.extend([None] * (n - lo))
         self.finish.extend([None] * (n - lo))
         for i in range(lo, n):
-            if rem_counts is not None:
-                rem = rem_counts[i - lo]
-            else:
-                rem = 0
-                for p in preds[i]:
-                    st = state[p]
-                    if st != J_DONE:
-                        if st == J_CANCELLED:
-                            raise ValueError(
-                                f"job {gi.order[i]!r} depends on cancelled job "
-                                f"{gi.order[p]!r}"
-                            )
-                        rem += 1
+            rem = rem_counts[i - lo]
             if rem == 0:
                 if release[i] > now:
                     # the release is the one outstanding virtual predecessor
@@ -716,11 +699,9 @@ class IncrementalPriorityLoop:
         key = gi.key
         succ = gi.succ
         release_a = gi.release
-        log = self.log
-        append_log = log.append
+        append_log = self.log.append
         ncompleted = self.ncompleted
         H = gi.fit_mask
-        H_u = np.uint64(H)
         uint64 = np.uint64
         avh = self.avh
         eps = self.eps
@@ -744,39 +725,18 @@ class IncrementalPriorityLoop:
             # ------------------------- dispatch pass -------------------------
             if need_pass and L:
                 started: list[int] | None = None
-                if packable:
-                    if L <= 8:
-                        # short queue (the steady-state service regime):
-                        # a python scan beats the fixed cost of the numpy
-                        # machinery below, and the sequential packed test
-                        # is exactly the vector pass (availability only
-                        # shrinks, so snapshot-hits + recheck == in-order
-                        # scan against the current availability)
-                        for pos, i in enumerate(ri[:L].tolist()):
-                            a = packed[i]
-                            if (avh - a) & H == H:
-                                avh -= a
-                                state[i] = J_RUNNING
-                                start_l[i] = now
-                                t = dur[i]
-                                push(heap, (now + t, seq, i))
-                                seq += 1
-                                append_log(("start", order[i], now, t, demand[i]))
-                                if started is None:
-                                    started = [pos]
-                                else:
-                                    started.append(pos)
-                    else:
-                        # whole-queue feasibility: one SWAR comparison over
-                        # uint64s, then admit-then-refilter — each admission
-                        # shrinks availability, so the hit tail is re-filtered
-                        # with one small vector comparison instead of a
-                        # scalar recheck per snapshot hit
-                        hits = (((uint64(avh) - rp[:L]) & H_u) == H_u).nonzero()[0]
-                        while hits.size:
-                            pos = int(hits[0])
-                            i = int(ri[pos])
-                            avh -= packed[i]
+                if L <= 8 or not packable:
+                    # short queue (the steady-state service regime), or
+                    # images too wide for the uint64 column: an in-order
+                    # scan against the current availability.  On short
+                    # queues it beats the fixed cost of the numpy
+                    # machinery below, and it is exactly the vector pass
+                    # (availability only shrinks, so snapshot-hits +
+                    # recheck == sequential test)
+                    for pos, i in enumerate(ri[:L].tolist()):
+                        a = packed[i]
+                        if (avh - a) & H == H:
+                            avh -= a
                             state[i] = J_RUNNING
                             start_l[i] = now
                             t = dur[i]
@@ -787,28 +747,33 @@ class IncrementalPriorityLoop:
                                 started = [pos]
                             else:
                                 started.append(pos)
-                            hits = hits[1:]
-                            if hits.size:
-                                hits = hits[
-                                    ((uint64(avh) - rp[hits]) & H_u) == H_u
-                                ]
                 else:
-                    av = self.avail
-                    for pos, i in enumerate(ri[:L].tolist()):
-                        dem = demand[i]
-                        if all(x <= y for x, y in zip(dem, av)):
-                            for r, x in enumerate(dem):
-                                av[r] -= x
-                            state[i] = J_RUNNING
-                            start_l[i] = now
-                            t = dur[i]
-                            push(heap, (now + t, seq, i))
-                            seq += 1
-                            append_log(("start", order[i], now, t, dem))
-                            if started is None:
-                                started = [pos]
-                            else:
-                                started.append(pos)
+                    # whole-queue feasibility: one SWAR comparison over
+                    # uint64s, then admit-then-refilter — each admission
+                    # shrinks availability, so the hit tail is re-filtered
+                    # with one small vector comparison instead of a
+                    # scalar recheck per snapshot hit
+                    H_u = uint64(H)
+                    hits = (((uint64(avh) - rp[:L]) & H_u) == H_u).nonzero()[0]
+                    while hits.size:
+                        pos = int(hits[0])
+                        i = int(ri[pos])
+                        avh -= packed[i]
+                        state[i] = J_RUNNING
+                        start_l[i] = now
+                        t = dur[i]
+                        push(heap, (now + t, seq, i))
+                        seq += 1
+                        append_log(("start", order[i], now, t, demand[i]))
+                        if started is None:
+                            started = [pos]
+                        else:
+                            started.append(pos)
+                        hits = hits[1:]
+                        if hits.size:
+                            hits = hits[
+                                ((uint64(avh) - rp[hits]) & H_u) == H_u
+                            ]
                 if started is not None:
                     if len(started) == L:
                         L = 0
@@ -853,12 +818,7 @@ class IncrementalPriorityLoop:
                 state[i] = J_DONE
                 finish_l[i] = now
                 ncompleted += 1
-                if packable:
-                    avh += packed[i]
-                else:
-                    av = self.avail
-                    for r, x in enumerate(demand[i]):
-                        av[r] += x
+                avh += packed[i]
                 append_log(("finish", order[i], now))
                 for s in succ[i]:
                     if state[s] != J_WAITING:
@@ -894,68 +854,28 @@ class IncrementalPriorityLoop:
                 if len(newly) > 1:
                     newly.sort(key=lambda s, _k=key: (_k[s], s))
                 leftovers: list[int] | None = None
-                if packable:
-                    for i in newly:
-                        a = packed[i]
-                        if (avh - a) & H == H:
-                            avh -= a
-                            state[i] = J_RUNNING
-                            start_l[i] = now
-                            t = dur[i]
-                            push(heap, (now + t, seq, i))
-                            seq += 1
-                            append_log(("start", order[i], now, t, demand[i]))
-                        elif leftovers is None:
-                            leftovers = [i]
-                        else:
-                            leftovers.append(i)
-                else:
-                    av = self.avail
-                    for i in newly:
-                        dem = demand[i]
-                        if all(x <= y for x, y in zip(dem, av)):
-                            for r, x in enumerate(dem):
-                                av[r] -= x
-                            state[i] = J_RUNNING
-                            start_l[i] = now
-                            t = dur[i]
-                            push(heap, (now + t, seq, i))
-                            seq += 1
-                            append_log(("start", order[i], now, t, dem))
-                        elif leftovers is None:
-                            leftovers = [i]
-                        else:
-                            leftovers.append(i)
+                for i in newly:
+                    a = packed[i]
+                    if (avh - a) & H == H:
+                        avh -= a
+                        state[i] = J_RUNNING
+                        start_l[i] = now
+                        t = dur[i]
+                        push(heap, (now + t, seq, i))
+                        seq += 1
+                        append_log(("start", order[i], now, t, demand[i]))
+                    elif leftovers is None:
+                        leftovers = [i]
+                    else:
+                        leftovers.append(i)
                 newly = leftovers
             if newly is not None:
-                if len(newly) == 1:
-                    # inline single insertion on the loaded locals
-                    i = newly[0]
-                    k = float(key[i])
-                    lo = int(rk[:L].searchsorted(k, side="left"))
-                    hi_p = int(rk[:L].searchsorted(k, side="right"))
-                    p = lo if lo == hi_p else lo + int(ri[lo:hi_p].searchsorted(i))
-                    if L == rk.shape[0]:
-                        self.L = L
-                        self._reserve(L + 1)
-                        rk = self.rk
-                        ri = self.ri
-                        rp = self.rp
-                    rk[p + 1:L + 1] = rk[p:L]
-                    rk[p] = k
-                    ri[p + 1:L + 1] = ri[p:L]
-                    ri[p] = i
-                    if packable:
-                        rp[p + 1:L + 1] = rp[p:L]
-                        rp[p] = packed[i]
-                    L += 1
-                else:
-                    self.L = L
-                    self._push_ready_block(newly)
-                    rk = self.rk
-                    ri = self.ri
-                    rp = self.rp
-                    L = self.L
+                self.L = L
+                self._push_ready_block(newly)
+                rk = self.rk
+                ri = self.ri
+                rp = self.rp
+                L = self.L
 
         # store the loop state back
         self.avh = avh

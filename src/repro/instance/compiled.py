@@ -303,20 +303,23 @@ PACK_MAX_D = 4
 PACK_MAX_CAPACITY = (1 << (PACK_BITS - 1)) - 1
 
 
-def pack_layout(capacities) -> tuple[bool, int, int]:
-    """``(packable, fit_mask, packed_capacities)`` for a capacity vector.
+def pack_layout(capacities) -> tuple[bool, int, int, int]:
+    """``(packable, bits, fit_mask, packed_capacities)`` for a capacity vector.
 
     The single source of truth for the SWAR lowering shared by the batch
     (:class:`CompiledInstance`) and online (:class:`GrowableCompiledInstance`)
-    engines — the two admission tests must agree bit for bit.
+    engines — the two admission tests must agree bit for bit.  ``bits`` is
+    the field width: :data:`PACK_BITS` when the image fits a ``uint64``
+    (``packable``), otherwise the widest capacity's bit length plus the
+    headroom bit — an image only python ints can carry.
     """
     caps = [int(c) for c in capacities]
     d = len(caps)
-    if not (1 <= d <= PACK_MAX_D) or max(caps, default=0) > PACK_MAX_CAPACITY:
-        return False, 0, 0
-    fit_mask = sum(1 << (PACK_BITS * r + PACK_BITS - 1) for r in range(d))
-    packed = sum(c << (PACK_BITS * r) for r, c in enumerate(caps))
-    return True, fit_mask, packed
+    packable = 1 <= d <= PACK_MAX_D and max(caps) <= PACK_MAX_CAPACITY
+    bits = PACK_BITS if packable else max(caps, default=0).bit_length() + 1
+    fit_mask = sum(1 << (bits * r + bits - 1) for r in range(d))
+    packed = sum(c << (bits * r) for r, c in enumerate(caps))
+    return packable, bits, fit_mask, packed
 
 
 class CompiledInstance:
@@ -356,8 +359,10 @@ class CompiledInstance:
             [instance.jobs[j].release for j in self.cdag.order], dtype=np.float64
         )
         self.has_releases = bool((self.release > 0.0).any())
-        self.packable, self.fit_mask, self.packed_capacities = pack_layout(
-            self.capacities
+        self.packable, _, fit_mask, packed = pack_layout(self.capacities)
+        # the batch loop's matrix encoding carries no image
+        self.fit_mask, self.packed_capacities = (
+            (fit_mask, packed) if self.packable else (0, 0)
         )
 
     # convenience pass-throughs -----------------------------------------
@@ -481,10 +486,20 @@ class GrowableCompiledInstance:
     :class:`CompiledInstance` lowers a *frozen* job set once; an online
     session admits jobs continuously, so recompiling per submission would
     be O(n) per job.  This class keeps the same lowering — topological
-    order, successor adjacency, per-job demand / duration / release rows,
-    and the packed uint64 demand when the platform is packable — in
-    append-only python lists: :meth:`append` is O(1 + in-degree) and never
-    touches existing rows.
+    order, successor adjacency, per-job demand / duration / release rows —
+    in append-only python lists: :meth:`append_batch` is O(1 + in-degree)
+    per row and never touches existing rows.
+
+    **One demand encoding.**  ``packed[i]`` is a python-int image of the
+    demand row on *every* platform, field ``r`` at bit ``bits * r`` with the
+    field's top (headroom) bit clear, so the loop's admission test is
+    always :class:`CompiledInstance`'s borrow-free comparison
+    ``(avh - a) & fit_mask == fit_mask``.  ``bits`` is :data:`PACK_BITS`
+    where the image fits a ``uint64`` (``packable``: ``d <= 4``, capacities
+    below ``2**15``) and the widest capacity's bit length plus one
+    otherwise — python ints do not overflow.  ``packable`` therefore says
+    one thing only: the images may also be held in a ``uint64`` array (the
+    loop's ready-queue column and its whole-queue vector pass).
 
     Invariants the session relies on:
 
@@ -494,8 +509,10 @@ class GrowableCompiledInstance:
       tie-breaks key on positions in it, exactly like the batch lowering;
     * priority ``key`` values are totally ordered by ``(key, index)``;
       keys must be mutually comparable (the service protocol uses floats);
-    * demand rows are validated against the capacities at append time, so
-      the dispatch loop's admission test never sees an infeasible row.
+    * demand rows are validated against the capacities before they are
+      appended (:meth:`validate_row`, or the session's whole-batch form of
+      it), so the dispatch loop's admission test never sees an infeasible
+      row and no field of an image can carry into its neighbour.
 
     **Compaction.**  Long-lived sessions accumulate rows for jobs that are
     finished or cancelled; :meth:`compact` rebuilds the contiguous layout
@@ -508,7 +525,7 @@ class GrowableCompiledInstance:
     """
 
     __slots__ = (
-        "d", "capacities", "packable", "fit_mask", "packed_capacities",
+        "d", "capacities", "packable", "bits", "fit_mask", "packed_capacities",
         "order", "index", "succ", "preds", "ext_preds", "demand", "packed",
         "duration", "key", "release",
     )
@@ -519,14 +536,16 @@ class GrowableCompiledInstance:
             raise ValueError(f"capacities must be a positive vector, got {capacities!r}")
         self.d = len(caps)
         self.capacities = caps
-        self.packable, self.fit_mask, self.packed_capacities = pack_layout(caps)
+        self.packable, self.bits, self.fit_mask, self.packed_capacities = (
+            pack_layout(caps)
+        )
         self.order: list[JobId] = []          # job ids, append (topological) order
         self.index: dict[JobId, int] = {}     # id -> topological index
         self.succ: list[list[int]] = []       # successor indices per job
         self.preds: list[tuple[int, ...]] = []  # predecessor indices per job
         self.ext_preds: list[tuple[JobId, ...]] = []  # satisfied preds dropped by compact()
         self.demand: list[tuple[int, ...]] = []
-        self.packed: list[int] = []           # packed uint64 demand (packable only)
+        self.packed: list[int] = []           # demand image, see pack()
         self.duration: list[float] = []
         self.key: list[object] = []           # priority key; order is (key, index)
         self.release: list[float] = []
@@ -536,8 +555,8 @@ class GrowableCompiledInstance:
         return len(self.order)
 
     def pack(self, demand: Sequence[int]) -> int:
-        """The uint64 packed image of one demand row (packable platforms)."""
-        return sum(int(a) << (PACK_BITS * r) for r, a in enumerate(demand))
+        """The python-int image of one per-type vector (class docstring)."""
+        return sum(int(a) << (self.bits * r) for r, a in enumerate(demand))
 
     def validate_row(
         self,
@@ -578,48 +597,6 @@ class GrowableCompiledInstance:
             )
         return dem
 
-    def append(
-        self,
-        job_id: JobId,
-        preds: Sequence[int],
-        demand: Sequence[int],
-        duration: float,
-        key: object,
-        release: float = 0.0,
-    ) -> int:
-        """Append one job row; returns its topological index.
-
-        ``preds`` are topological indices of already-appended jobs (the
-        online precedence model: a new job may depend only on jobs the
-        session already knows).  Validates id uniqueness, demand bounds
-        and duration/release finiteness (:meth:`validate_row`) so the
-        dispatch loop can trust every row it reads.
-        """
-        dem = self.validate_row(job_id, demand, duration, release)
-        duration = float(duration)
-        release = float(release)
-        i = len(self.order)
-        pred_idx = tuple(int(p) for p in preds)
-        for p in pred_idx:
-            if not 0 <= p < i:
-                raise ValueError(
-                    f"job {job_id!r}: predecessor index {p} is not an "
-                    "already-appended job"
-                )
-        self.order.append(job_id)
-        self.index[job_id] = i
-        self.succ.append([])
-        self.preds.append(pred_idx)
-        self.ext_preds.append(())
-        self.demand.append(dem)
-        self.packed.append(self.pack(dem) if self.packable else 0)
-        self.duration.append(duration)
-        self.key.append(key)
-        self.release.append(release)
-        for p in pred_idx:
-            self.succ[p].append(i)
-        return i
-
     def append_batch(
         self,
         ids: Sequence[JobId],
@@ -635,13 +612,14 @@ class GrowableCompiledInstance:
 
         The batch-lowering fast path: the caller (the session's ``submit``
         or the checkpoint restorer) has already validated every row — this
-        method only extends the column lists in bulk and packs the demand
-        matrix with one vectorized shift-and-sum instead of ``k`` python
-        packs.  ``preds_idx`` rows may reference earlier rows of the same
-        batch (indices are absolute), and double as the successor wiring
-        source — callers that already know a dependency is satisfied pass
-        it through ``ext_preds`` by id instead, keeping the wiring loop
-        proportional to the dependencies that can still fire.
+        method only extends the column lists in bulk and, where the images
+        fit a ``uint64``, packs the demand matrix with one vectorized
+        shift-and-sum instead of ``k`` python packs.  ``preds_idx`` rows
+        may reference earlier rows of the same batch (indices are
+        absolute), and double as the successor wiring source — callers
+        that already know a dependency is satisfied pass it through
+        ``ext_preds`` by id instead, keeping the wiring loop proportional
+        to the dependencies that can still fire.
         """
         k = len(ids)
         if k == 0:
@@ -660,10 +638,10 @@ class GrowableCompiledInstance:
         self.demand.extend(demands)
         if self.packable:
             dm = np.asarray(demands, dtype=np.uint64).reshape(k, self.d)
-            shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(PACK_BITS)
+            shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(self.bits)
             self.packed.extend((dm << shifts).sum(axis=1, dtype=np.uint64).tolist())
         else:
-            self.packed.extend([0] * k)
+            self.packed.extend(map(self.pack, demands))
         self.duration.extend(durations)
         self.key.extend(keys)
         self.release.extend(releases)
@@ -673,35 +651,6 @@ class GrowableCompiledInstance:
                 for p in pt:
                     succ[p].append(i)
         return base
-
-    def kernel_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A frozen array snapshot of the growable state under the kernel
-        layout contract: C-contiguous ``(succ_indptr int64, succ_indices
-        int64, packed uint64, duration float64)``.
-
-        The growable lowering lives in append-only python lists (O(1)
-        admission); compiled backends need dense pinned-dtype arrays, so
-        this builds the same CSR view :class:`CompiledDAG` carries
-        natively.  The snapshot reflects the rows present *now* — it is
-        invalidated by the next :meth:`append`/:meth:`append_batch` and
-        must be rebuilt after :meth:`compact` (indices are remapped);
-        callers snapshot per run, they do not cache across growth.
-        """
-        n = len(self.order)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, s in enumerate(self.succ):
-            indptr[i + 1] = indptr[i] + len(s)
-        indices = np.fromiter(
-            (t for s in self.succ for t in s), dtype=np.int64, count=int(indptr[-1])
-        )
-        packed = np.asarray(self.packed, dtype=np.uint64)
-        duration = np.asarray(self.duration, dtype=np.float64)
-        return (
-            np.ascontiguousarray(indptr),
-            np.ascontiguousarray(indices),
-            np.ascontiguousarray(packed),
-            np.ascontiguousarray(duration),
-        )
 
     def compact(self, keep: Sequence[int]) -> np.ndarray:
         """Rebuild the contiguous layout over the surviving rows ``keep``.

@@ -28,8 +28,12 @@ instead of resuming subtly wrong; hot paths (the throughput benchmark's
 mid-stream restore, the conformance round-trips) pass ``strict=False``
 to skip the re-verification.
 
-Format ``repro-session/1`` (per-job record list, no archive) is still
-loaded; new snapshots are always written as v2.
+``repro-session/2`` is the only format read or written: the PR-5
+``repro-session/1`` (per-job record list, no archive, no stored queue) is
+refused with a ``ValueError`` naming both tags.  The availability vector
+is stored per type; restore lowers it to the loop's one demand image with
+:meth:`GrowableCompiledInstance.pack
+<repro.instance.compiled.GrowableCompiledInstance.pack>`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.service.session import STATE_NAMES, SchedulingSession
 
 __all__ = [
     "SESSION_FORMAT",
-    "SESSION_FORMAT_V1",
     "checkpoint_session",
     "restore_session",
     "save_session",
@@ -53,8 +56,6 @@ __all__ = [
 
 #: Checkpoint format tag (bump on schema change).
 SESSION_FORMAT = "repro-session/2"
-#: The PR-5 format, still accepted by :func:`restore_session`.
-SESSION_FORMAT_V1 = "repro-session/1"
 
 _STATE_INDEX = {name: i for i, name in enumerate(STATE_NAMES)}
 
@@ -134,14 +135,12 @@ def restore_session(
             f"session checkpoint must be a JSON object, got {type(snap).__name__}"
         )
     fmt = snap.get("format")
-    if fmt not in (SESSION_FORMAT, SESSION_FORMAT_V1):
+    if fmt != SESSION_FORMAT:
         raise ValueError(
             f"unsupported session checkpoint format {fmt!r} "
             f"(expected {SESSION_FORMAT!r})"
         )
     try:
-        if fmt == SESSION_FORMAT_V1:
-            return _restore_v1(snap)
         return _restore_v2(snap, strict=strict)
     except (KeyError, TypeError, IndexError) as exc:
         # truncated or hand-edited snapshots must fail the documented way
@@ -171,8 +170,9 @@ def _load_loop_state(
     *,
     strict: bool,
 ) -> None:
-    """Shared tail of both restore paths: clock, heap, ready, availability,
-    archive, events, counters, RNG — the rows are already appended."""
+    """The loop and session half of a restore: clock, heap, ready,
+    availability, archive, events, counters, RNG — the rows are already
+    appended."""
     gi = session.gi
     loop = session.loop
     n = len(gi.order)
@@ -189,28 +189,18 @@ def _load_loop_state(
     heap.sort()  # a valid checkpoint is already heap-ordered; sorting is a superset
     loop.heap = heap
 
-    ready_idx = snap.get("ready")
-    if ready_idx is None:
-        # v1 stores no queue: it IS the sorted (key, index) list of queued jobs
-        order_key = gi.key
-        ready_idx = [
-            i for _, i in sorted(
-                (order_key[i], i) for i, s in enumerate(states) if s == J_QUEUED
+    ready_idx = [int(i) for i in snap["ready"]]
+    for i in ready_idx:
+        if not 0 <= i < n:
+            raise ValueError(f"ready queue references unknown job index {i}")
+    if strict:
+        expected = sorted(
+            (gi.key[i], i) for i, s in enumerate(states) if s == J_QUEUED
+        )
+        if [i for _, i in expected] != ready_idx:
+            raise ValueError(
+                "stored ready queue disagrees with the queued job states"
             )
-        ]
-    else:
-        ready_idx = [int(i) for i in ready_idx]
-        for i in ready_idx:
-            if not 0 <= i < n:
-                raise ValueError(f"ready queue references unknown job index {i}")
-        if strict:
-            expected = sorted(
-                (gi.key[i], i) for i, s in enumerate(states) if s == J_QUEUED
-            )
-            if [i for _, i in expected] != ready_idx:
-                raise ValueError(
-                    "stored ready queue disagrees with the queued job states"
-                )
     loop.load_ready(ready_idx)
 
     stored_avail = [int(a) for a in snap["available"]]
@@ -241,13 +231,7 @@ def _load_loop_state(
                 )
     if any(a < 0 or a > c for a, c in zip(stored_avail, gi.capacities)):
         raise ValueError(f"availability {stored_avail} is out of bounds")
-    loop.avail = stored_avail
-    if gi.packable:
-        from repro.instance.compiled import PACK_BITS
-
-        loop.avh = gi.fit_mask + sum(
-            a << (PACK_BITS * r) for r, a in enumerate(stored_avail)
-        )
+    loop.avh = gi.fit_mask + gi.pack(stored_avail)
 
     archive_src = snap.get("archive", [])
     if strict:
@@ -369,61 +353,6 @@ def _restore_v2(snap: dict[str, Any], *, strict: bool) -> SchedulingSession:
 
     _load_loop_state(session, snap, states, strict=strict)
     return session
-
-
-def _restore_v1(snap: dict[str, Any]) -> SchedulingSession:
-    """Load a PR-5 per-record snapshot (always cross-checked, as it was)."""
-    session = SchedulingSession(snap["capacities"], time_eps=float(snap["time_eps"]))
-    gi = session.gi
-    loop = session.loop
-
-    states: list[int] = []
-    for rec in snap["jobs"]:
-        name = rec["state"]
-        if name not in _STATE_INDEX:
-            raise ValueError(f"job {rec['id']!r}: unknown state {name!r}")
-        i = gi.append(
-            rec["id"],
-            [int(p) for p in rec["preds"]],
-            rec["demand"],
-            rec["duration"],
-            rec["key"],
-            rec["release"],
-        )
-        states.append(_STATE_INDEX[name])
-        loop.state.append(_STATE_INDEX[name])
-        loop.remaining.append(int(rec["remaining"]))
-        loop.start.append(None if rec["start"] is None else float(rec["start"]))
-        loop.finish.append(None if rec["finish"] is None else float(rec["finish"]))
-        session.tenants.append(rec["tenant"])
-        if loop.state[i] == J_RUNNING and loop.start[i] is None:
-            raise ValueError(f"job {rec['id']!r}: running but has no start time")
-        if loop.state[i] == J_DONE and (
-            loop.start[i] is None or loop.finish[i] is None
-        ):
-            raise ValueError(f"job {rec['id']!r}: done but missing start/finish")
-
-    # v1 event logs are per-event dicts; lower them to the tuple form
-    snap = dict(snap)
-    snap["events"] = [
-        _dict_event_row(e) for e in snap["events"]
-    ]
-    snap.setdefault("ready", None)
-    _load_loop_state(session, snap, states, strict=True)
-    return session
-
-
-def _dict_event_row(e: dict[str, Any]) -> list:
-    kind = e["event"]
-    if kind == "start":
-        return ["start", e["id"], e["time"], e["duration"], e["alloc"]]
-    if kind == "finish":
-        return ["finish", e["id"], e["time"]]
-    if kind == "submit":
-        return ["submit", e["id"], e["time"], e.get("tenant", "default")]
-    if kind == "cancel":
-        return ["cancel", e["id"], e["time"]]
-    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def save_session(

@@ -53,6 +53,7 @@ too, not just the scheduler's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
@@ -537,9 +538,11 @@ class SchedulingSession:
         """Vectorized demand/duration/release bounds checks for a batch.
 
         The fast path is three whole-batch numpy comparisons; any failure
-        (or a structurally malformed batch numpy cannot even lower) falls
-        back to the scalar :meth:`GrowableCompiledInstance.validate_row`
-        per row, which raises the precise historical error message.
+        (or a batch numpy cannot lower: structurally malformed, or amounts
+        past ``int64`` on a platform with such capacities) falls back to
+        the scalar :meth:`GrowableCompiledInstance.validate_row` per row,
+        which raises the precise historical error message — or accepts
+        every row, whose scalar lowering is then the result.
         """
         gi = self.gi
         try:
@@ -566,9 +569,15 @@ class SchedulingSession:
             ok = False
         if ok:
             return demands, durations, releases
-        for spec in specs:  # scalar path: raise the precise message
+        demands = [  # scalar path: raises the precise message
             gi.validate_row(spec.id, spec.demand, spec.duration, spec.release)
-        raise ValueError("malformed submission batch")  # pragma: no cover
+            for spec in specs
+        ]
+        return (
+            demands,
+            [float(spec.duration) for spec in specs],
+            [float(spec.release) for spec in specs],
+        )
 
     def cancel(self, job_id: JobId) -> tuple[JobId, ...]:
         """Best-effort cancel: returns the ids withdrawn (cascade order).
@@ -622,6 +631,10 @@ class SchedulingSession:
         keeps the default.
         """
         until = float(until)
+        if not math.isfinite(until):
+            # NaN fails both orderings below and would drain every event;
+            # inf would pin the clock (and every later start) at inf
+            raise ValueError(f"cannot advance to a non-finite time ({until})")
         if until < self.now:
             raise ValueError(f"cannot advance backwards to {until} (clock is {self.now})")
         n0 = len(self.events)

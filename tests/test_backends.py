@@ -453,28 +453,6 @@ def test_compiled_instance_kernel_layout():
     assert ip2 is ip and si2 is si
 
 
-def test_growable_kernel_layout_after_compact():
-    from repro.service.session import JobSpec, SchedulingSession
-
-    s = SchedulingSession([4, 4], compact_threshold=0.5, compact_min_rows=1)
-    specs = [
-        JobSpec(id=f"j{i}", demand=(1, 1), duration=1.0,
-                preds=(f"j{i-1}",) if i else (), key=i)
-        for i in range(8)
-    ]
-    s.submit(specs)
-    ip, si, packed, dur = s.gi.kernel_layout()
-    assert ip.dtype == np.int64 and si.dtype == np.int64
-    assert packed.dtype == np.uint64 and dur.dtype == np.float64
-    assert all(a.flags.c_contiguous for a in (ip, si, packed, dur))
-    assert ip.shape == (len(s.gi.order) + 1,)
-    s.drain()  # completes everything; advance-side compaction triggers
-    ip2, si2, packed2, dur2 = s.gi.kernel_layout()
-    assert ip2.shape == (len(s.gi.order) + 1,)
-    assert packed2.shape[0] == len(s.gi.order) == dur2.shape[0]
-    assert all(a.flags.c_contiguous for a in (ip2, si2, packed2, dur2))
-
-
 # ----------------------------------------------------------------------
 # service integration
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ The tentpole property lives in ``TestKillAtRandomOffset``: a durable
 session killed at a hypothesis-chosen crash site recovers (snapshot +
 journal replay) and finishes event-for-event identical to the
 uninterrupted run — including across journal rotations (compaction
-boundaries) and from legacy ``repro-session/1`` snapshots that predate
+boundaries) and from legacy ``repro-session/2`` snapshots that predate
 ``applied_seq``.
 """
 
@@ -148,6 +148,18 @@ class TestJournaledSession:
         assert [r["op"] for r in records] == ["submit", "cancel", "advance", "drain"]
         assert [r["seq"] for r in records] == [1, 2, 3, 4]
         assert all("rng" in r for r in records)
+
+    @pytest.mark.parametrize("until", (float("nan"), float("inf")))
+    def test_refused_advance_journals_nothing(self, tmp_path, until):
+        js = self._js(tmp_path)
+        js.submit(_specs())
+        with pytest.raises(ValueError, match="non-finite"):
+            js.advance(until, events=False)
+        js.advance(1.5, events=False)
+        js.close()
+        _, records, _ = scan_journal(str(tmp_path / "j.jsonl"))
+        assert [r["op"] for r in records] == ["submit", "advance"]
+        assert records[1]["until"] == 1.5 and records[1]["seq"] == 2
 
     def test_recover_replays_to_identical_state(self, tmp_path):
         js = self._js(tmp_path)

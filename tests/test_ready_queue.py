@@ -1,14 +1,16 @@
 """Ready-queue order identity and compaction remapping tests.
 
 The array-native ready queue (parallel sorted buffers of float64 key
-images, int64 row indices and packed demands) must realize *exactly* the
+images, int64 row indices and, where they fit a ``uint64``, demand
+images) must realize *exactly* the
 sorted ``(key, index)`` list the earlier ``insort``-maintained queue held
 — that total order is what makes a faithfully-driven session reproduce
 the batch schedule event for event.  The hypothesis property here drives
 a live session through randomized submit / advance / cancel
 interleavings — across workload families, priority schedulers and
-d ∈ {1..6}, covering both the packable (d ≤ 4 SWAR) and general vector
-dispatch paths — and compares the queue against the reference order
+d ∈ {1..6}, covering demand images that fit the ``uint64`` queue column
+(d ≤ 4: vector pass on long queues) and ones that do not (in-order scan
+at any length) — and compares the queue against the reference order
 after every verb, through mid-stream compactions.
 
 The compaction unit tests pin the other half of the contract: the

@@ -4,7 +4,7 @@ The satellite property: ``checkpoint → restore → drain`` is event-for-event
 identical to an uninterrupted run, across workload families × schedulers ×
 d ∈ {1..6} × arrival modes (hypothesis-sampled).  The v2 format is
 columnar and stores the ready queue in dispatch order (hot restore); the
-legacy per-record v1 format must still load.
+per-record v1 format is refused by name.
 """
 
 import json
@@ -190,46 +190,36 @@ class TestCheckpointBasics:
         assert s.to_schedule().placements == s2.to_schedule().placements
         assert s.events == s2.events
 
-    def test_v1_checkpoint_still_loads(self):
-        """The PR-5 per-record format restores and resumes exactly."""
+    def test_v1_checkpoint_is_refused(self, tmp_path, capsys):
+        """The PR-5 per-record format is no longer read: every way in
+        names the tag it got and the one it reads."""
+        from repro.cli import main
+
         snap = {
             "format": "repro-session/1",
             "capacities": [4],
             "time_eps": 1e-9,
-            "clock": 1.0,
-            "seq": 2,
-            "jobs": [
-                {
-                    "id": "a", "preds": [], "demand": [2], "duration": 5.0,
-                    "key": 0, "release": 0.0, "tenant": "default",
-                    "state": "running", "remaining": 0, "start": 0.0,
-                    "finish": None,
-                },
-                {
-                    "id": "b", "preds": [0], "demand": [1], "duration": 1.0,
-                    "key": 1, "release": 0.0, "tenant": "t2",
-                    "state": "waiting", "remaining": 1, "start": None,
-                    "finish": None,
-                },
-            ],
-            "heap": [[5.0, 0, 0]],
-            "available": [2],
-            "events": [
-                {"event": "submit", "id": "a", "time": 0.0, "tenant": "default"},
-                {"event": "submit", "id": "b", "time": 0.0, "tenant": "t2"},
-                {"event": "start", "id": "a", "time": 0.0, "duration": 5.0,
-                 "alloc": [2]},
-            ],
-            "counters": {"submitted": 2, "cancelled": 0, "completed": 0},
+            "clock": 0.0,
+            "seq": 0,
+            "jobs": [],
+            "heap": [],
+            "available": [4],
+            "events": [],
+            "counters": {"submitted": 0, "cancelled": 0, "completed": 0},
             "rng": None,
         }
-        s = restore_session(json.loads(json.dumps(snap)))
-        assert s.state_of("a") == "running" and s.state_of("b") == "waiting"
-        s.drain()
-        placements = s.to_schedule().placements
-        assert placements["a"].start == 0.0 and placements["b"].start == 5.0
-        # and it re-checkpoints in the current format
-        assert checkpoint_session(s)["format"] == SESSION_FORMAT
+        refusal = r"repro-session/1.*repro-session/2"
+        with pytest.raises(ValueError, match=refusal):
+            restore_session(snap)
+        with pytest.raises(ValueError, match=refusal):
+            restore_session(json.dumps(snap), strict=False)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(snap))
+        with pytest.raises(ValueError, match=refusal):
+            load_session(str(path))
+        assert main(["serve", "--restore", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro-session/1" in err and "repro-session/2" in err
 
     def test_roundtrip_through_compaction(self):
         """A checkpoint taken after compaction carries the archive; restore

@@ -77,6 +77,18 @@ class TestBatching:
         r = fe.handle_request({"op": "drain"})
         assert r["completed"] == 2
 
+    @pytest.mark.parametrize("literal", ("NaN", "Infinity"))
+    def test_non_finite_advance_is_an_invalid_request(self, literal):
+        """``json.loads`` accepts the non-JSON float literals; the session
+        must not (NaN drained everything, Infinity pinned the clock)."""
+        fe = frontend()
+        fe.handle_request({"op": "submit", "jobs": [job("a", duration=2.0)]})
+        r = fe.handle_request(json.loads('{"op":"advance","until":%s}' % literal))
+        assert not r["ok"] and r["error"] == "invalid_request"
+        assert "non-finite" in r["detail"]
+        assert fe.session.now == 0.0 and fe.session.counters.completed == 0
+        assert fe.handle_request({"op": "drain"})["makespan"] == 2.0
+
     def test_per_job_errors_do_not_block_the_batch(self):
         fe = frontend()
         fe.handle_request(

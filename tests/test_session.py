@@ -6,16 +6,24 @@ acceptance criterion — event-for-event identity between a
 submission-order-faithful session and the batch compiled engine.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.conformance.fuzz import drive_session_faithfully, service_specs
 from repro.core.list_scheduler import fifo_priority, list_schedule
+from repro.dag.generators import layered_random
+from repro.dag.graph import DAG
 from repro.engine.dispatch import priority_loop
 from repro.experiments.workloads import random_instance
 from repro.instance.compiled import GrowableCompiledInstance
-from repro.instance.instance import with_poisson_arrivals
+from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.jobs.candidates import make_candidates
+from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
+from repro.resources.vector import ResourceVector
+from repro.service.checkpoint import checkpoint_session, restore_session
 from repro.service.session import JobSpec, SchedulingSession
 
 
@@ -41,40 +49,46 @@ def fixed_allocation(inst, d):
 class TestGrowableCompiledInstance:
     def test_append_and_structure(self):
         gi = GrowableCompiledInstance([4, 4])
-        a = gi.append("a", [], (2, 1), 1.0, 0)
-        b = gi.append("b", [a], (1, 1), 2.0, 1)
+        base = gi.append_batch(
+            ["a", "b"], [(), (0,)], [(2, 1), (1, 1)], [1.0, 2.0], [0, 1], [0.0, 0.0]
+        )
+        a, b = base, base + 1
         assert gi.order == ["a", "b"]
         assert gi.succ[a] == [b]
         assert gi.preds[b] == (a,)
         assert gi.packable
-        assert gi.packed[a] == (1 << 16) + 2
+        assert gi.packed[a] == (1 << 16) + 2 == gi.pack((2, 1))
 
     def test_unpackable_platforms(self):
         assert not GrowableCompiledInstance([2] * 5).packable
         assert not GrowableCompiledInstance([1 << 15]).packable
         assert GrowableCompiledInstance([(1 << 15) - 1]).packable
+        # the image exists either way: fields as wide as the capacities need
+        gi = GrowableCompiledInstance([1 << 15, 3])
+        assert gi.bits == 17
+        gi.append_batch(["a"], [()], [(1 << 15, 2)], [1.0], [0], [0.0])
+        assert gi.packed == [(2 << 17) + (1 << 15)]
 
     def test_validation_errors(self):
         gi = GrowableCompiledInstance([4, 4])
-        gi.append("a", [], (1, 1), 1.0, 0)
+        gi.append_batch(["a"], [()], [(1, 1)], [1.0], [0], [0.0])
         with pytest.raises(ValueError, match="already submitted"):
-            gi.append("a", [], (1, 1), 1.0, 0)
+            gi.validate_row("a", (1, 1), 1.0)
         with pytest.raises(ValueError, match="dimension"):
-            gi.append("b", [], (1,), 1.0, 0)
+            gi.validate_row("b", (1,), 1.0)
         with pytest.raises(ValueError, match="exceeds capacities"):
-            gi.append("b", [], (5, 1), 1.0, 0)
+            gi.validate_row("b", (5, 1), 1.0)
         with pytest.raises(ValueError, match="at least one unit"):
-            gi.append("b", [], (0, 0), 1.0, 0)
+            gi.validate_row("b", (0, 0), 1.0)
         with pytest.raises(ValueError, match="duration"):
-            gi.append("b", [], (1, 1), 0.0, 0)
+            gi.validate_row("b", (1, 1), 0.0)
         with pytest.raises(ValueError, match="duration"):
-            gi.append("b", [], (1, 1), float("inf"), 0)
+            gi.validate_row("b", (1, 1), float("inf"))
         with pytest.raises(ValueError, match="release"):
-            gi.append("b", [], (1, 1), 1.0, 0, release=-1.0)
+            gi.validate_row("b", (1, 1), 1.0, release=-1.0)
         with pytest.raises(ValueError, match="release"):
-            gi.append("b", [], (1, 1), 1.0, 0, release=float("inf"))
-        with pytest.raises(ValueError, match="predecessor index"):
-            gi.append("b", [7], (1, 1), 1.0, 0)
+            gi.validate_row("b", (1, 1), 1.0, release=float("inf"))
+        assert gi.validate_row("b", [1, 1], 1.0) == (1, 1)
         with pytest.raises(ValueError, match="capacities must be a positive"):
             GrowableCompiledInstance([])
 
@@ -104,6 +118,41 @@ class TestSessionBasics:
         assert s.now == 1.25
         with pytest.raises(ValueError, match="backwards"):
             s.advance(1.0)
+
+    @pytest.mark.parametrize("until", (float("nan"), float("inf"), -float("inf")))
+    def test_advance_refuses_non_finite_times(self, until):
+        """NaN used to drain every event, inf to pin the clock at inf."""
+        s = diamond_session()
+        s.advance(1.0)
+        before = (s.now, list(s.events), s.available(), s.loop.pending)
+        with pytest.raises(ValueError, match="non-finite"):
+            s.advance(until)
+        assert (s.now, s.events, s.available(), s.loop.pending) == before
+        s.drain()
+        assert s.makespan() == 5.0  # a 0-1, b 1-3, c 3-4.5, d 4.5-5
+
+    def test_capacities_past_int64(self):
+        """Amounts numpy cannot lower take the scalar validation path —
+        and the loop's python-int demand image has no width limit."""
+        s = SchedulingSession([1 << 70, 3])
+        s.submit(
+            [
+                JobSpec("a", (1 << 70, 1), 1.0),
+                JobSpec("b", (1, 3), 2.0),
+                JobSpec("c", ((1 << 70) - 1, 0), 1.0),
+                JobSpec("d", (5, 1), 1.0, preds=("a",)),
+            ]
+        )
+        with pytest.raises(ValueError, match="exceeds capacities"):
+            s.submit([JobSpec("e", ((1 << 70) + 1, 1), 1.0)])
+        s.drain()
+        placed = s.to_schedule().placements
+        # a fills type 0; b waits for it, c (one unit short of everything)
+        # fits beside b, d then waits for b's three units of type 1
+        assert {j: p.start for j, p in placed.items()} == {
+            "a": 0.0, "b": 1.0, "c": 1.0, "d": 3.0,
+        }
+        assert s.available() == (1 << 70, 3)
 
     def test_submit_all_or_nothing(self):
         s = SchedulingSession([4])
@@ -280,6 +329,71 @@ class TestBatchIdentity:
         assert {j: (p.start, p.time) for j, p in sched.placements.items()} == {
             repr(j): (p.start, p.time) for j, p in batch.placements.items()
         }
+
+
+def _rigid_session_starts(dag, capacities, demands, durations):
+    """Submit the rigid jobs whole, stop mid-schedule, fork through a JSON
+    checkpoint (strict restore) and drain both sessions.  Asserts that the
+    two event logs are one and that every start is ``list_schedule``'s;
+    returns ``(packable, queue length after the first pass, (id, start)
+    log)``."""
+    jobs = {j: Job(id=j, time_fn=lambda alloc, t=durations[j]: t) for j in dag.nodes()}
+    inst = Instance(jobs=jobs, dag=dag, pool=ResourcePool.of(*capacities))
+    alloc = {j: ResourceVector(tuple(demands[j])) for j in jobs}
+    batch = list_schedule(inst, alloc, fifo_priority)
+    session = SchedulingSession(capacities)
+    session.submit(service_specs(inst, alloc))
+    session.advance(0.0)
+    queued = session.loop.L
+    session.advance(batch.makespan / 2)
+    fork = restore_session(json.loads(json.dumps(checkpoint_session(session))))
+    assert fork.available() == session.available()
+    session.drain()
+    fork.drain()
+    assert fork.events == session.events
+    started = [e for e in session.events if e[0] == "start"]
+    assert {e[1]: (e[2], e[4]) for e in started} == {
+        repr(j): (p.start, tuple(demands[j])) for j, p in batch.placements.items()
+    }
+    return session.gi.packable, queued, [e[1:3] for e in started]
+
+
+@pytest.mark.parametrize("boundary", ("capacity", "fifth-type", "long-queue"))
+def test_session_packing_boundary_identity(boundary):
+    """The session twin of ``test_packing_boundary_identity``: the same
+    demands either side of ``gi.packable`` — capacity ``2**15 - 1`` vs
+    ``2**15``, ``d = 4`` vs ``d = 5`` with a fifth type nobody asks for,
+    the latter also with a queue past the short-scan length — start every
+    job where ``list_schedule`` does, before and after a checkpoint round
+    trip (which restores availability through ``gi.pack``)."""
+    rng = np.random.default_rng(41)
+    if boundary == "long-queue":
+        # 40 sources, about three fit at once
+        nodes = list(range(48))
+        dag = DAG(nodes=nodes, edges=[(i, 40 + i % 8) for i in range(40)])
+    else:
+        dag = layered_random(6, 12, seed=41)
+        nodes = list(dag.nodes())
+    durations = dict(zip(nodes, rng.uniform(0.5, 2.0, len(nodes)).tolist()))
+    if boundary == "capacity":
+        # demands are multiples of 3 and neither 2**15 - 1 nor 2**15 is:
+        # no sum of them lands on the one unit the capacities differ by
+        rows = (3 * rng.integers(1, 4000, size=(len(nodes), 3))).tolist()
+        demands = dict(zip(nodes, rows))
+        narrow = _rigid_session_starts(dag, (2**15 - 1,) * 3, demands, durations)
+        wide = _rigid_session_starts(dag, (2**15,) * 3, demands, durations)
+    else:
+        rows = rng.integers(1, 7, size=(len(nodes), 4)).tolist()
+        narrow = _rigid_session_starts(
+            dag, (12,) * 4, dict(zip(nodes, rows)), durations
+        )
+        wide = _rigid_session_starts(
+            dag, (12,) * 5, {j: r + [0] for j, r in zip(nodes, rows)}, durations
+        )
+    assert narrow[0] and not wide[0]
+    assert narrow[2] == wide[2]
+    if boundary == "long-queue":
+        assert wide[1] > 8
 
 
 class TestReentrantBatchLoops:
