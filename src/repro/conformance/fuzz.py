@@ -989,9 +989,7 @@ def drive_router(
     caps = inst.pool.capacities
     specs = service_specs(inst, allocation)
     tenancy = shard_tenancy(specs, tenants=tenants)
-    from dataclasses import replace as _replace
-
-    specs = [_replace(s, tenant=tenancy[s.id]) for s in specs]
+    specs = [s._replace(tenant=tenancy[s.id]) for s in specs]
     by_id = {s.id: s for s in specs}
     spec_str = ",".join(f"t{i}={i % nshards}" for i in range(tenants))
     rng = np.random.default_rng(seed)

@@ -28,6 +28,7 @@ equivalence tests hold the lowering to that).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "PACK_MAX_D",
     "PACK_MAX_CAPACITY",
     "pack_layout",
+    "whole_amounts",
 ]
 
 JobId = Hashable
@@ -90,27 +92,14 @@ class CompiledDAG:
         self.order = order
         self.index = index
 
-        succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        pred_indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, j in enumerate(order):
-            succ_indptr[i + 1] = succ_indptr[i] + dag.out_degree(j)
-            pred_indptr[i + 1] = pred_indptr[i] + dag.in_degree(j)
-        m = int(succ_indptr[-1])
-        succ_indices = np.empty(m, dtype=np.int64)
-        pred_indices = np.empty(m, dtype=np.int64)
-        for i, j in enumerate(order):
-            s = succ_indptr[i]
-            for k, v in enumerate(dag.successors(j)):
-                succ_indices[s + k] = index[v]
-            s = pred_indptr[i]
-            for k, u in enumerate(dag.predecessors(j)):
-                pred_indices[s + k] = index[u]
-        self.succ_indptr = succ_indptr
-        self.succ_indices = succ_indices
-        self.pred_indptr = pred_indptr
-        self.pred_indices = pred_indices
-        self.in_degree = np.diff(pred_indptr)
-        self.out_degree = np.diff(succ_indptr)
+        self.succ_indptr, self.succ_indices = _csr(
+            list(map(dag.successors, order)), index
+        )
+        self.pred_indptr, self.pred_indices = _csr(
+            list(map(dag.predecessors, order)), index
+        )
+        self.in_degree = np.diff(self.pred_indptr)
+        self.out_degree = np.diff(self.succ_indptr)
         self._levels: np.ndarray | None = None
         self._level_groups: list[np.ndarray] | None = None
         self._succ_lists: list[list[int]] | None = None
@@ -191,6 +180,20 @@ class CompiledDAG:
     def _gather(indptr, indices, nodes) -> tuple:
         targets, seg_starts, nz = _ragged_gather(indptr, indices, nodes)
         return targets, seg_starts, nodes[nz]
+
+
+def _csr(adjacency: list, index: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of per-node neighbour lists, ids mapped
+    through ``index`` — lowered by whole-array calls, not a store per edge."""
+    n = len(adjacency)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adjacency), np.int64, n), out=indptr[1:])
+    indices = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(adjacency)),
+        np.int64,
+        int(indptr[-1]),
+    )
+    return indptr, indices
 
 
 def compile_dag(dag) -> CompiledDAG:
@@ -301,6 +304,25 @@ PACK_MAX_D = 4
 #: Largest capacity a packed field can represent (one headroom bit is
 #: reserved per field for the borrow-free dominance test).
 PACK_MAX_CAPACITY = (1 << (PACK_BITS - 1)) - 1
+
+
+def whole_amounts(demand) -> tuple[int, ...]:
+    """The one lowering of a demand to integer amounts, wherever one enters
+    (wire record, row validation, batch validation).
+
+    An amount must *equal* its integer value: ``2``, ``2.0`` and numpy
+    integers are two units; ``2.7``, ``"2"``, ``nan`` and ``inf`` raise
+    ``ValueError`` instead of truncating — a job never runs on less than
+    it asked for.
+    """
+    raw = tuple(demand)
+    try:
+        dem = tuple(map(int, raw))
+    except OverflowError as exc:  # int(inf)
+        raise ValueError(str(exc)) from None
+    if dem != raw:
+        raise ValueError(f"demand amounts must be whole numbers, got {list(raw)}")
+    return dem
 
 
 def pack_layout(capacities) -> tuple[bool, int, int, int]:
@@ -570,7 +592,10 @@ class GrowableCompiledInstance:
         before admitting any of it (all-or-nothing submission)."""
         if job_id in self.index:
             raise ValueError(f"job {job_id!r} was already submitted")
-        dem = tuple(int(a) for a in demand)
+        try:
+            dem = whole_amounts(demand)
+        except ValueError as exc:
+            raise ValueError(f"job {job_id!r}: {exc}") from None
         if len(dem) != self.d:
             raise ValueError(
                 f"job {job_id!r}: demand {dem} has dimension {len(dem)}, "

@@ -13,16 +13,50 @@ name)`` goes next.  A tenant (re)entering after idling starts at the
 current virtual floor, so saved-up idle time cannot be hoarded into a
 burst.  In ``fifo`` mode the stride order is bypassed and jobs drain in
 global arrival order — weights are kept but inert.
+
+**Bookkeeping is per request, results are per job.**  A front-end hands
+over a parsed request in one :meth:`FairQueue.enqueue_many` call; per
+job that is a deque append, and everything else — tenant lookup (per run
+of one tenant), the ``max_pending`` bound, gauges (once per tenant
+touched) and the arrival log — happens per request.  The arrival log,
+one ``(stamp, jobs)`` entry per request, is the queue's only record of
+*when* and *in what order* work arrived, and the queue owns it: the
+front-ends ask :meth:`FairQueue.oldest_stamp` whether the batch interval
+is due (a cancelled job's request leaves the log once all its jobs are
+gone, so younger jobs never inherit its wait), ``fifo`` draining is the
+log read front to back (arrival order belongs to the entry, not the id:
+a duplicate id that admission will refuse cannot move the job that came
+first), and :meth:`FairQueue.drain_fair` clears it.
+
+**The drain is run-length, and bit-identical to the per-job rule.**
+Picking ``min(active)`` once per job is O(jobs × tenants).  Instead the
+queue picks the minimum tenant, takes the runner-up's ``(vtime, name)``
+as a bound and pops from the pick for as long as it stays strictly ahead
+of that bound — exactly the jobs for which the per-job rule would have
+picked it again, since nobody else's ``vtime`` moves meanwhile.  Each pop
+still performs the rule's own ``vtime += 1.0 / weight``, one addition
+per job in the same order, so every ``vtime``, the floor and the output
+order are the same floats and the same list at O(jobs + switches ×
+tenants); ``tests/test_fairshare.py`` holds it to the frozen per-job
+loop with non-dyadic weights.  The order is a function of the arrival
+stream alone — however a client cuts it into requests.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Iterable
 
 from repro.service.session import JobSpec
 
 __all__ = ["FairQueue", "Tenant"]
+
+_ID = attrgetter("id")
+_TENANT = attrgetter("tenant")
+_STRIDE_KEY = attrgetter("vtime", "name")
 
 
 class Tenant:
@@ -45,8 +79,9 @@ class FairQueue:
         self.tenants: dict[str, Tenant] = {}
         self.buffered = 0
         self._vfloor = 0.0  # virtual admission time of the last drained job
-        self._seq = 0  # global arrival counter (fifo mode ordering)
-        self._arrival: dict[Any, int] = {}
+        # what is buffered, as it arrived: one ``(stamp, jobs)`` entry per
+        # request — the fifo order and the batch-interval clock both read it
+        self._arrivals: list[tuple[float, list[JobSpec]]] = []
         self._m_depth = None  # bound gauges (None = uninstrumented)
         self._m_lag = None
 
@@ -94,19 +129,47 @@ class FairQueue:
         t = self.tenants.get(name)
         return len(t.buffer) if t is not None else 0
 
-    def enqueue(self, spec: JobSpec) -> None:
-        """Buffer one job in its tenant's FIFO queue."""
-        t = self.tenant(spec.tenant)
-        if not t.buffer:
-            # (re)activation: start at the virtual floor — idle time is
-            # not banked into an admission burst
-            t.vtime = max(t.vtime, self._vfloor)
-        t.buffer.append(spec)
-        self._arrival[spec.id] = self._seq
-        self._seq += 1
-        self.buffered += 1
+    def enqueue_many(
+        self, specs: Iterable[JobSpec], stamp: float, limit: "int | None" = None
+    ) -> list[Any]:
+        """Buffer one request's jobs, in order, under one wall-clock
+        ``stamp``; returns the ids refused because their tenant's buffer
+        already held ``limit`` (>= 1) jobs — bounded buffers refuse
+        explicitly instead of growing, the client backs off and retries.
+
+        The work per job is a deque append; tenant lookup and
+        (re)activation happen per run of one tenant, the arrival log and
+        the gauges per request.
+        """
+        refused: list[Any] = []
+        accepted: list[JobSpec] = []
+        touched: dict[str, Tenant] = {}
+        for name, run in groupby(specs, _TENANT):
+            t = touched[name] = self.tenant(name)
+            buf = t.buffer
+            if not buf:
+                # (re)activation: start at the virtual floor — idle time is
+                # not banked into an admission burst
+                t.vtime = max(t.vtime, self._vfloor)
+            run = list(run)
+            if limit is not None and len(buf) + len(run) > limit:
+                room = max(limit - len(buf), 0)
+                refused.extend(map(_ID, run[room:]))
+                del run[room:]
+            buf.extend(run)
+            accepted += run
+        if accepted:
+            self._arrivals.append((stamp, accepted))
+            self.buffered += len(accepted)
         if self._m_depth is not None:
-            self._observe(t)
+            for t in touched.values():
+                self._observe(t)
+        return refused
+
+    def oldest_stamp(self) -> float:
+        """Stamp of the longest-waiting buffered job (``inf`` when nothing
+        is buffered: no wait is ever due on an empty queue)."""
+        return min((stamp for stamp, _ in self._arrivals), default=math.inf)
 
     def buffered_ids(self) -> set[Any]:
         return {spec.id for t in self.tenants.values() for spec in t.buffer}
@@ -122,21 +185,33 @@ class FairQueue:
         active = [t for t in self.tenants.values() if t.buffer]
         if self.fifo:
             for t in active:
-                out.extend(t.buffer)
                 t.vtime = max(t.vtime, self._vfloor) + len(t.buffer) / t.weight
                 self._vfloor = max(self._vfloor, t.vtime)
                 t.buffer.clear()
-            out.sort(key=lambda s: self._arrival[s.id])
+            for _, specs in self._arrivals:
+                out += specs
         else:
+            take = out.append
             while active:
-                t = min(active, key=lambda t: (t.vtime, t.name))
-                out.append(t.buffer.popleft())
-                t.vtime += 1.0 / t.weight
-                self._vfloor = t.vtime
-                if not t.buffer:
+                # run-length stride: the pick keeps the turn for as long
+                # as the per-job rule would keep picking it, i.e. while it
+                # stays strictly ahead of the runner-up
+                t = min(active, key=_STRIDE_KEY)
+                bv, bname = min(
+                    (_STRIDE_KEY(u) for u in active if u is not t),
+                    default=(math.inf, ""),
+                )
+                name, buf, v, step = t.name, t.buffer, t.vtime, 1.0 / t.weight
+                while True:
+                    take(buf.popleft())
+                    v += step  # the per-job rule's float additions, in its order
+                    if not buf or not (v < bv or (v == bv and name < bname)):
+                        break
+                t.vtime = self._vfloor = v
+                if not buf:
                     active.remove(t)
         self.buffered = 0
-        self._arrival.clear()
+        self._arrivals.clear()
         if self._m_depth is not None:
             for t in self.tenants.values():
                 self._observe(t)
@@ -147,14 +222,21 @@ class FairQueue:
         gone = set(gone)
         removed: list[Any] = []
         for t in self.tenants.values():
-            for spec in list(t.buffer):
-                if spec.id in gone:
-                    t.buffer.remove(spec)
-                    removed.append(spec.id)
-                    self.buffered -= 1
-                    self._arrival.pop(spec.id, None)
+            hit = [spec.id for spec in t.buffer if spec.id in gone]
+            if hit:
+                removed += hit
+                t.buffer = deque(spec for spec in t.buffer if spec.id not in gone)
             if self._m_depth is not None:
                 self._observe(t)
+        if removed:
+            self.buffered -= len(removed)
+            # a request all of whose jobs are gone leaves the log, and its
+            # stamp with it: younger jobs never inherit an older one's wait
+            self._arrivals = [
+                (stamp, kept)
+                for stamp, specs in self._arrivals
+                if (kept := [spec for spec in specs if spec.id not in gone])
+            ]
         return removed
 
     def cascade(self, gone: set[Any]) -> set[Any]:

@@ -13,6 +13,16 @@ semantics depend on the admitted set (``advance``, ``drain``,
 ``checkpoint``, ``trace``, ``validate``, explicit ``flush``), so virtual
 time never advances past work the client already handed over.
 
+**The admission path** touches each job once.  A ``submit`` parses its
+records (:meth:`JobSpec.from_dict` — one validating pass per record, a
+bad record refuses the whole request before anything is buffered) and
+hands the parsed list to the queue in one call
+(:meth:`~repro.service.fairshare.FairQueue.enqueue_many`, which also
+applies ``--max-pending`` and stamps the request with the wall clock —
+the queue, not this module, knows how long the oldest buffered job has
+waited).  A flush drains the queue and admits the whole batch with one
+:meth:`SchedulingSession.submit`.
+
 **Weighted fair sharing.**  Admission interleaves tenants by stride
 scheduling (see :mod:`repro.service.fairshare`): a tenant with weight 2
 gets twice the admission share — and thus dispatch preference — of a
@@ -149,7 +159,6 @@ class ServiceFrontend:
         self.clock = clock
         self.closed = False
         self.queue = FairQueue(fifo=admission == "fifo")
-        self._stamps: dict[Any, float] = {}  # wall-clock enqueue stamp per buffered job
         # -- observability (always on at the service tier; the *batch*
         # engine stays uninstrumented because sessions only record once
         # bound).  The registry/span log may be shared (tests, benches).
@@ -216,19 +225,14 @@ class ServiceFrontend:
     def set_weight(self, name: str, weight: float) -> None:
         self.queue.set_weight(name, weight)
 
-    def enqueue(self, spec: JobSpec) -> None:
-        """Buffer one job in its tenant's FIFO queue."""
-        self.queue.enqueue(spec)
-        self._stamps[spec.id] = self.clock()
-
     def _batch_due(self) -> bool:
         if self.queue.buffered == 0:
             return False
         if self.queue.buffered >= self.batch_size:
             return True
-        # per-job stamps: cancelling the oldest buffered job must not let
-        # younger jobs inherit its waiting time
-        return self.clock() - min(self._stamps.values()) >= self.batch_interval
+        # the queue keeps a stamp per buffered request: cancelling the oldest
+        # buffered job must not let younger jobs inherit its waiting time
+        return self.clock() - self.queue.oldest_stamp() >= self.batch_interval
 
     def flush(self) -> tuple[list[Any], list[dict[str, Any]]]:
         """Admit everything buffered, in the configured admission order.
@@ -243,7 +247,6 @@ class ServiceFrontend:
         """
         errors: list[dict[str, Any]] = []
         pending = self.queue.drain_fair()
-        self._stamps.clear()
         if not pending:
             return [], errors
         s0 = self.spans.now()
@@ -377,18 +380,10 @@ class ServiceFrontend:
         jobs = req.get("jobs")
         if not isinstance(jobs, list):
             raise ValueError("submit needs a 'jobs' list")
-        specs = [JobSpec.from_dict(rec) for rec in jobs]
-        refused: list[Any] = []
-        for spec in specs:
-            if (
-                self.max_pending is not None
-                and self.queue.depth(spec.tenant) >= self.max_pending
-            ):
-                # bounded buffers: refuse explicitly instead of growing
-                # without limit; the client backs off and retries
-                refused.append(spec.id)
-            else:
-                self.enqueue(spec)
+        # parsed whole before anything is buffered: one bad record refuses
+        # the request
+        specs = list(map(JobSpec.from_dict, jobs))
+        refused = self.queue.enqueue_many(specs, self.clock(), self.max_pending)
         resp: dict[str, Any] = {"buffered": self.queue.buffered}
         if refused:
             resp["backpressure"] = refused
@@ -424,10 +419,7 @@ class ServiceFrontend:
             # cascade through the buffers too: a dependent of a withdrawn
             # job — buffered or already admitted — could never admit
             self.queue.cascade(gone)
-            removed = self.queue.remove_ids(gone)
-            cancelled.extend(removed)
-            for rid in removed:
-                self._stamps.pop(rid, None)
+            cancelled.extend(self.queue.remove_ids(gone))
         return {"cancelled": cancelled, "buffered": was_buffered}
 
     @staticmethod

@@ -384,7 +384,6 @@ class Router:
         self.call_deadline = call_deadline
         self.closed = False
         self.queue = FairQueue()  # fair mode: the global stride queue
-        self._stamps: dict[Any, float] = {}
         self._placed: dict[Any, int] = {}  # admitted job id -> shard
         self._loads = [0] * len(workers)  # jobs forwarded per shard
         self._pool = ThreadPoolExecutor(
@@ -527,7 +526,7 @@ class Router:
             return False
         if self.queue.buffered >= self.batch_size:
             return True
-        return self.clock() - min(self._stamps.values()) >= self.batch_interval
+        return self.clock() - self.queue.oldest_stamp() >= self.batch_interval
 
     def flush(self) -> tuple[list[Any], list[dict[str, Any]]]:
         """Drain the global fair queue and forward each shard its slice.
@@ -540,7 +539,6 @@ class Router:
         the single-session frontend.
         """
         pending = self.queue.drain_fair()
-        self._stamps.clear()
         if not pending:
             return [], []
         errors: list[dict[str, Any]] = []
@@ -686,17 +684,10 @@ class Router:
         jobs = req.get("jobs")
         if not isinstance(jobs, list):
             raise ValueError("submit needs a 'jobs' list")
-        specs = [JobSpec.from_dict(rec) for rec in jobs]
-        refused: list[Any] = []
-        for spec in specs:
-            if (
-                self.max_pending is not None
-                and self.queue.depth(spec.tenant) >= self.max_pending
-            ):
-                refused.append(spec.id)
-            else:
-                self.queue.enqueue(spec)
-                self._stamps[spec.id] = self.clock()
+        # parsed whole before anything is buffered: one bad record refuses
+        # the request
+        specs = list(map(JobSpec.from_dict, jobs))
+        refused = self.queue.enqueue_many(specs, self.clock(), self.max_pending)
         resp: dict[str, Any] = {"buffered": self.queue.buffered}
         if refused:
             resp["backpressure"] = refused
@@ -740,10 +731,7 @@ class Router:
             gone = set(cancelled) | {jid} if cancelled else set()
         if gone:
             self.queue.cascade(gone)
-            removed = self.queue.remove_ids(gone)
-            cancelled.extend(removed)
-            for r in removed:
-                self._stamps.pop(r, None)
+            cancelled.extend(self.queue.remove_ids(gone))
         return {"cancelled": cancelled, "buffered": was_buffered}
 
     def _op_tenant(self, req: dict[str, Any]) -> dict[str, Any]:

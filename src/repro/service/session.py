@@ -11,8 +11,10 @@ service verbs:
 
 * :meth:`~SchedulingSession.submit` — admit jobs (with chosen demands,
   durations, precedences, releases and priority keys) at the current
-  virtual time; a whole batch is validated with vectorized bounds checks
-  and lowered into the growable rows in one shot;
+  virtual time; a job is a :class:`JobSpec` row (a named tuple), a batch
+  of rows is transposed to its columns once (``zip(*specs)``), validated
+  with vectorized bounds checks and lowered into the growable rows in
+  one shot;
 * :meth:`~SchedulingSession.cancel` — best-effort cancellation: a job
   that has not started is withdrawn together with its pending descendants
   (their precedence constraint became unsatisfiable); a running or
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from repro.engine.dispatch import (
     IncrementalPriorityLoop,
 )
 from repro.engine.kernel import TIME_EPS
-from repro.instance.compiled import GrowableCompiledInstance
+from repro.instance.compiled import GrowableCompiledInstance, whole_amounts
 
 __all__ = ["JobSpec", "SchedulingSession", "STATE_NAMES"]
 
@@ -80,17 +82,29 @@ STATE_NAMES = ("waiting", "queued", "running", "done", "cancelled")
 _DEFAULT_TENANT = "default"
 
 
-@dataclass(frozen=True)
-class JobSpec:
+_INT = frozenset((int,))
+_ID_TYPES = frozenset((str, int))
+_NO_PREDS: tuple = ()
+_new_row = tuple.__new__
+
+
+class JobSpec(NamedTuple):
     """One submitted job: the service protocol's unit of admission.
 
+    A named tuple — a row: built by one C call, immutable, hashable,
+    picklable, and a batch transposes to columns with one ``zip(*specs)``
+    (what :meth:`SchedulingSession.submit` does).
+
     ``id`` must be a JSON-scalar (``str`` or ``int``) so checkpoints and
-    the wire protocol carry it verbatim.  ``preds`` name already-submitted
-    jobs (or earlier jobs of the same ``submit`` call) — the online
-    precedence model.  ``key`` is the priority sort key (smaller starts
-    first, ties by submission order); omitted, the job's submission index
-    is used, i.e. FIFO.  ``release`` gates the earliest start in virtual
-    time; a release in the past is simply "available now".
+    the wire protocol carry it verbatim.  ``demand`` amounts are whole
+    numbers (``2`` and ``2.0`` are two units; ``2.7`` or ``"2"`` are
+    refused wherever they enter, never truncated).  ``preds`` name
+    already-submitted jobs (or earlier jobs of the same ``submit`` call)
+    — the online precedence model.  ``key`` is the priority sort key
+    (smaller starts first, ties by submission order); omitted, the job's
+    submission index is used, i.e. FIFO.  ``release`` gates the earliest
+    start in virtual time; a release in the past is simply "available
+    now".
     """
 
     id: JobId
@@ -105,12 +119,51 @@ class JobSpec:
     def from_dict(cls, rec: Mapping[str, Any]) -> "JobSpec":
         """Build from a wire/protocol record; structural problems raise
         ``ValueError`` (unknown fields, missing fields, non-scalar ids or
-        predecessors, scalar demands) so transport layers can buffer the
-        result without ever tripping over an unhashable or mistyped field.
+        predecessors, scalar or fractional demands, amounts past float
+        range) so transport layers can buffer the result without ever
+        tripping over an unhashable or mistyped field.
+
+        A record straight from ``json.loads`` holds exact builtin types;
+        those are tested first and the row is built in one pass.  Anything
+        else — a subclass, another mapping, a record about to be refused —
+        goes through :meth:`_from_mapping`, which accepts the same records
+        with the same result and owns every refusal and its message.
         """
+        if type(rec) is dict and rec.keys() <= _FIELDS:
+            try:
+                jid = rec["id"]
+                demand = rec["demand"]
+                duration = rec["duration"]
+                get = rec.get
+                preds = get("preds", _NO_PREDS)
+                release = get("release", 0.0)
+                tenant = get("tenant", _DEFAULT_TENANT)
+                if (
+                    type(jid) in _ID_TYPES
+                    and type(demand) is list
+                    and _INT.issuperset(map(type, demand))
+                    and (type(duration) is float or type(duration) is int)
+                    and (type(release) is float or type(release) is int)
+                    and type(tenant) is str
+                    and (
+                        preds is _NO_PREDS
+                        or (type(preds) is list and _ID_TYPES.issuperset(map(type, preds)))
+                    )
+                ):
+                    return _new_row(
+                        cls,
+                        (jid, tuple(demand), float(duration), tuple(preds),
+                         float(release), get("key"), tenant),
+                    )
+            except (KeyError, OverflowError):
+                pass  # refused below, with its message
+        return cls._from_mapping(rec)
+
+    @classmethod
+    def _from_mapping(cls, rec: Mapping[str, Any]) -> "JobSpec":
         if not isinstance(rec, Mapping):
             raise ValueError(f"job record must be an object, got {type(rec).__name__}")
-        unknown = set(rec) - {"id", "demand", "duration", "preds", "release", "key", "tenant"}
+        unknown = set(rec) - _FIELDS
         if unknown:
             raise ValueError(f"unknown job fields: {sorted(unknown)}")
         try:
@@ -119,7 +172,7 @@ class JobSpec:
             duration = float(rec["duration"])
         except KeyError as exc:
             raise ValueError(f"job record missing required field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"job record has a malformed duration: {exc}") from None
         if isinstance(jid, bool) or not isinstance(jid, (str, int)):
             raise ValueError(f"job id {jid!r} must be a string or integer")
@@ -129,10 +182,12 @@ class JobSpec:
         if isinstance(raw_preds, str):  # a bare id would iterate character-wise
             raise ValueError(f"job {jid!r}: preds must be a list of job ids")
         try:
-            demand = tuple(int(a) for a in raw_demand)
+            demand = whole_amounts(raw_demand)
             preds = tuple(raw_preds)
             release = float(rec.get("release", 0.0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: json.loads reads 1e400 as inf, and int(inf) /
+            # float(10**400) raise it rather than ValueError
             raise ValueError(f"job {jid!r}: malformed record: {exc}") from None
         for p in preds:
             if isinstance(p, bool) or not isinstance(p, (str, int)):
@@ -166,6 +221,9 @@ class JobSpec:
         if self.tenant != _DEFAULT_TENANT:
             rec["tenant"] = self.tenant
         return rec
+
+
+_FIELDS = frozenset(JobSpec._fields)  # the keys a wire record may carry
 
 
 @dataclass
@@ -416,7 +474,6 @@ class SchedulingSession:
         preds_idx: list[tuple[int, ...]] = []  # outstanding deps, as row indices
         ext_preds: list[tuple[JobId, ...]] = []  # satisfied deps, by id
         rem_counts: list[int] = []  # not-yet-done preds per row, for admit_batch
-        ids: list[JobId] = []
         keys: list[float] = []
         sub0 = self.counters.submitted
         index = gi.index
@@ -425,8 +482,9 @@ class SchedulingSession:
         archive_index = self.archive_index
         arch_get = archive_index.get
         done_ids = self.done_ids
-        for off, spec in enumerate(specs):
-            sid = spec.id
+        # the one transpose: a batch of rows to its columns
+        ids_col, dem_col, dur_col, preds_col, rel_col, key_col, tenants = zip(*specs)
+        for off, (sid, skey, preds_s) in enumerate(zip(ids_col, key_col, preds_col)):
             if isinstance(sid, bool) or not isinstance(sid, (str, int)):
                 raise ValueError(
                     f"job id {sid!r} must be a string or integer "
@@ -434,7 +492,6 @@ class SchedulingSession:
                 )
             if sid in batch_pos or sid in index or sid in archive_index:
                 raise ValueError(f"job {sid!r} was already submitted")
-            skey = spec.key
             if skey is not None:
                 if (
                     isinstance(skey, bool)
@@ -448,7 +505,6 @@ class SchedulingSession:
                         "representable as float64 (the checkpoint and ready-queue "
                         "image type)"
                     )
-            preds_s = spec.preds
             if preds_s and done_ids.issuperset(preds_s):
                 # every predecessor already finished (the steady-state
                 # case): one C-speed set test, nothing outstanding.  The
@@ -461,7 +517,6 @@ class SchedulingSession:
                 ext_preds.append(tuple(preds_s))
                 rem_counts.append(0)
                 batch_pos[sid] = off
-                ids.append(sid)
                 keys.append(skey if skey is not None else float(sub0 + off))
                 continue
             elif preds_s:
@@ -513,16 +568,17 @@ class SchedulingSession:
                 rem = 0
             rem_counts.append(rem)
             batch_pos[sid] = off
-            ids.append(sid)
             keys.append(skey if skey is not None else float(sub0 + off))
 
-        demands, durations, releases = self._validate_numeric(specs)
+        ids = list(ids_col)
+        demands, durations, releases = self._validate_numeric(
+            ids, dem_col, dur_col, rel_col
+        )
         gi.append_batch(
             ids, preds_idx, demands, durations, keys, releases, ext_preds
         )
         self.loop.admit_batch(base, rem_counts)
         now = self.now
-        tenants = [spec.tenant for spec in specs]
         self.tenants.extend(tenants)
         self.events.extend(
             ("submit", jid, now, tn) for jid, tn in zip(ids, tenants)
@@ -533,14 +589,16 @@ class SchedulingSession:
         return ids
 
     def _validate_numeric(
-        self, specs: list[JobSpec]
+        self, ids: Sequence[JobId], dem_col, dur_col, rel_col
     ) -> tuple[list[tuple[int, ...]], list[float], list[float]]:
-        """Vectorized demand/duration/release bounds checks for a batch.
+        """Vectorized demand/duration/release bounds checks for a batch,
+        given as columns.
 
         The fast path is three whole-batch numpy comparisons; any failure
-        (or a batch numpy cannot lower: structurally malformed, or amounts
-        past ``int64`` on a platform with such capacities) falls back to
-        the scalar :meth:`GrowableCompiledInstance.validate_row` per row,
+        (or a batch numpy does not lower to an ``int64`` matrix:
+        structurally malformed, amounts that are not python ints, or past
+        ``int64`` on a platform with such capacities) falls back to the
+        scalar :meth:`GrowableCompiledInstance.validate_row` per row,
         which raises the precise historical error message — or accepts
         every row, whose scalar lowering is then the result.
         """
@@ -548,14 +606,14 @@ class SchedulingSession:
         try:
             # numpy lowers the whole batch in C; .tolist() converts back to
             # builtin ints/floats, so the stored rows never hold numpy scalars
-            dm = np.array([spec.demand for spec in specs], dtype=np.int64)
-            dr = np.array([spec.duration for spec in specs], dtype=np.float64)
-            rl = np.array([spec.release for spec in specs], dtype=np.float64)
-            demands = list(map(tuple, dm.tolist()))
-            durations = dr.tolist()
-            releases = rl.tolist()
+            dm = np.array(dem_col)
+            dr = np.array(dur_col, dtype=np.float64)
+            rl = np.array(rel_col, dtype=np.float64)
             ok = (
-                dm.ndim == 2
+                # anything but whole python ints (2.7, "1", 2.0) is the
+                # scalar rule's to refuse or lower, never numpy's to truncate
+                dm.dtype == np.int64
+                and dm.ndim == 2
                 and dm.shape[1] == gi.d
                 and bool((dm >= 0).all())
                 and bool((dm.sum(axis=1) > 0).all())
@@ -568,16 +626,10 @@ class SchedulingSession:
         except (TypeError, ValueError, OverflowError):
             ok = False
         if ok:
-            return demands, durations, releases
-        demands = [  # scalar path: raises the precise message
-            gi.validate_row(spec.id, spec.demand, spec.duration, spec.release)
-            for spec in specs
-        ]
-        return (
-            demands,
-            [float(spec.duration) for spec in specs],
-            [float(spec.release) for spec in specs],
-        )
+            return list(map(tuple, dm.tolist())), dr.tolist(), rl.tolist()
+        # scalar path: raises the precise message
+        demands = list(map(gi.validate_row, ids, dem_col, dur_col, rel_col))
+        return demands, list(map(float, dur_col)), list(map(float, rel_col))
 
     def cancel(self, job_id: JobId) -> tuple[JobId, ...]:
         """Best-effort cancel: returns the ids withdrawn (cascade order).

@@ -8,6 +8,8 @@ the name that wins depends on collection order.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
@@ -29,6 +31,7 @@ __all__ = [
     "reference_candidate_table",
     "reference_lp_problem",
     "reference_solve_dtct_lp",
+    "reference_fair_queue",
 ]
 
 
@@ -210,3 +213,119 @@ def reference_solve_dtct_lp(instance: Instance, table) -> FractionalSolution:
         fractional_times=f_times,
         fractional_areas=f_areas,
     )
+
+
+# ----------------------------------------------------------------------
+# Frozen admission queue: the per-job loop before PR 15.  The fair-share
+# queue as `service/fairshare.py` had it (one `enqueue` per job, one
+# `min(active)` per drained job, an arrival number per id) together with
+# the per-job loop both `_op_submit`s ran over it (`max_pending` test,
+# then `enqueue`, then a wall-clock stamp per id).  Bookkeeping moved
+# from per job to per request; order, vtimes and refusals may not move.
+# ----------------------------------------------------------------------
+class _ReferenceTenant:
+    def __init__(self, name, weight=1.0):
+        self.name = name
+        self.weight = weight
+        self.buffer = deque()
+        self.vtime = 0.0
+
+
+class _ReferenceFairQueue:
+    def __init__(self, fifo=False):
+        self.fifo = fifo
+        self.tenants = {}
+        self.buffered = 0
+        self._vfloor = 0.0
+        self._seq = 0
+        self._arrival = {}
+        self.stamps = {}
+
+    def tenant(self, name):
+        t = self.tenants.get(name)
+        if t is None:
+            t = self.tenants[name] = _ReferenceTenant(name)
+        return t
+
+    def set_weight(self, name, weight):
+        self.tenant(name).weight = float(weight)
+
+    def depth(self, name):
+        t = self.tenants.get(name)
+        return len(t.buffer) if t is not None else 0
+
+    def enqueue(self, spec):
+        t = self.tenant(spec.tenant)
+        if not t.buffer:
+            t.vtime = max(t.vtime, self._vfloor)
+        t.buffer.append(spec)
+        self._arrival[spec.id] = self._seq
+        self._seq += 1
+        self.buffered += 1
+
+    def submit(self, specs, stamp, max_pending=None):
+        """What `_op_submit` did with a parsed request; returns the
+        refused ids."""
+        refused = []
+        for spec in specs:
+            if max_pending is not None and self.depth(spec.tenant) >= max_pending:
+                refused.append(spec.id)
+            else:
+                self.enqueue(spec)
+                self.stamps[spec.id] = stamp
+        return refused
+
+    def oldest_stamp(self):
+        return min(self.stamps.values())
+
+    def drain_fair(self):
+        out = []
+        active = [t for t in self.tenants.values() if t.buffer]
+        if self.fifo:
+            for t in active:
+                out.extend(t.buffer)
+                t.vtime = max(t.vtime, self._vfloor) + len(t.buffer) / t.weight
+                self._vfloor = max(self._vfloor, t.vtime)
+                t.buffer.clear()
+            out.sort(key=lambda s: self._arrival[s.id])
+        else:
+            while active:
+                t = min(active, key=lambda t: (t.vtime, t.name))
+                out.append(t.buffer.popleft())
+                t.vtime += 1.0 / t.weight
+                self._vfloor = t.vtime
+                if not t.buffer:
+                    active.remove(t)
+        self.buffered = 0
+        self._arrival.clear()
+        self.stamps.clear()
+        return out
+
+    def remove_ids(self, gone):
+        gone = set(gone)
+        removed = []
+        for t in self.tenants.values():
+            for spec in list(t.buffer):
+                if spec.id in gone:
+                    t.buffer.remove(spec)
+                    removed.append(spec.id)
+                    self.buffered -= 1
+                    self._arrival.pop(spec.id, None)
+                    self.stamps.pop(spec.id, None)
+        return removed
+
+    def cascade(self, gone):
+        grew = True
+        while grew:
+            grew = False
+            for t in self.tenants.values():
+                for spec in t.buffer:
+                    if spec.id not in gone and any(p in gone for p in spec.preds):
+                        gone.add(spec.id)
+                        grew = True
+        return gone
+
+
+def reference_fair_queue(*, fifo=False) -> _ReferenceFairQueue:
+    """The frozen per-job admission queue (see the banner above)."""
+    return _ReferenceFairQueue(fifo=fifo)

@@ -299,6 +299,35 @@ class TestFrontendObservability:
         assert 'repro_admission_outcomes_total{outcome="admitted"} 1' in text
         assert "repro_jobs_completed_total 1\n" in text
 
+    def test_queue_gauges_after_submit_and_after_flush(self):
+        """Refreshed once per tenant per request instead of twice per job:
+        the values a scrape reads are the ones the per-job updates left."""
+        fe = frontend(batch_size=100, batch_interval=9999.0)
+        fe.handle_request({"op": "tenant", "name": "a", "weight": 3.0})
+
+        def gauges():
+            fams = {f["name"]: f["samples"] for f in fe.metrics.dump()}
+            return {
+                name: {s["values"][0]: s["value"] for s in fams[f"repro_queue_{name}"]}
+                for name in ("depth", "stride_lag")
+            }
+
+        fe.handle_request({"op": "submit", "jobs": [
+            job("a1", tenant="a"), job("a2", tenant="a"), job("b1", tenant="b"),
+            job("a3", tenant="a"), job("b2", tenant="b"),
+        ]})
+        assert gauges() == {"depth": {"a": 3.0, "b": 2.0},
+                            "stride_lag": {"a": 0.0, "b": 0.0}}
+        r = fe.handle_request({"op": "flush"})
+        assert r["admitted"] == ["a1", "b1", "a2", "a3", "b2"]
+        # a paid 3 x 1/3, b paid 2 x 1 and drained last: the floor is b's
+        assert gauges() == {"depth": {"a": 0.0, "b": 0.0},
+                            "stride_lag": {"a": -1.0, "b": 0.0}}
+        fe.handle_request({"op": "submit", "jobs": [job("b3", tenant="b"),
+                                                     job("a4", tenant="a")]})
+        assert gauges() == {"depth": {"a": 1.0, "b": 1.0},
+                            "stride_lag": {"a": 0.0, "b": 0.0}}
+
     def test_spans_follow_a_request(self):
         fe = frontend()
         fe.handle_request({"v": 2, "rid": 41, "op": "submit", "jobs": [job("a")]})

@@ -145,6 +145,21 @@ class TestRouting:
         assert err["error"] == "admission_failed"
         assert "no shard mapping" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "demand", ("[1e400]", "[2.7]", '["1"]', "[NaN]"),
+        ids=("1e400", "fraction", "string", "NaN"),
+    )
+    def test_unrepresentable_amounts_are_invalid_requests(self, demand):
+        # 1e400 used to raise OverflowError out of handle_request
+        r = router(nshards=2)
+        resp = r.handle_request(json.loads(
+            '{"op":"submit","jobs":[{"id":"ok","demand":[1],"duration":1},'
+            '{"id":"b","demand":%s,"duration":1}]}' % demand
+        ))
+        assert resp["ok"] is False and resp["error"] == "invalid_request"
+        assert resp["detail"].startswith("job 'b': malformed record")
+        assert r.handle_request({"op": "flush"})["admitted"] == []
+
     def test_router_max_pending_backpressure(self):
         r = router(nshards=2, max_pending=1)
         resp = r.handle_request({"op": "submit", "jobs": [

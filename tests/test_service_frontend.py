@@ -162,6 +162,21 @@ class TestFairSharing:
         assert sorted(r["admitted"]) == ["kid", "root"] and "errors" not in r
 
 
+class TestFifoAdmission:
+    def test_refused_duplicate_does_not_reorder_accepted_jobs(self):
+        """fifo promises global arrival order (what shard workers run under
+        the router); the duplicate used to move the first "x" behind "y"."""
+        fe = frontend(admission="fifo", batch_size=8)
+        for jid, tenant in (("x", "t1"), ("y", "t2"), ("x", "t0")):
+            assert fe.handle_request({"op": "submit", "jobs": [job(jid, tenant=tenant)]})["ok"]
+        r = fe.handle_request({"op": "flush"})
+        assert r["admitted"] == ["x", "y"]
+        (err,) = r["errors"]
+        assert err["id"] == "x" and err["error"] == "admission_failed"
+        # the first arrival is the one admitted
+        assert fe.session.tenants == ["t1", "t2"]
+
+
 class TestProtocol:
     def test_unknown_op_and_malformed_requests(self):
         fe = frontend()
@@ -195,6 +210,43 @@ class TestProtocol:
         # the service is still alive and consistent afterwards
         fe.handle_request({"op": "submit", "jobs": [job("ok")]})
         assert fe.handle_request({"op": "drain"})["completed"] == 1
+
+    #: amounts the wire can carry that must be refused, never truncated
+    #: (2.7 -> 2, "1" -> 1) or escape as OverflowError (1e400 is inf; a
+    #: 400-digit integer does not fit a float)
+    _BAD_AMOUNTS = (
+        '{"op":"submit","jobs":[{"id":"b","demand":[1e400,1],"duration":1}]}',
+        '{"op":"submit","jobs":[{"id":"b","demand":[Infinity,1],"duration":1}]}',
+        '{"op":"submit","jobs":[{"id":"b","demand":[NaN,1],"duration":1}]}',
+        '{"op":"submit","jobs":[{"id":"a","demand":[2.7,"1"],"duration":1.5}]}',
+        '{"op":"submit","jobs":[{"id":"ok","demand":[1,1],"duration":1},'
+        '{"id":"a","demand":[1,1.5],"duration":1}]}',
+        '{"op":"submit","jobs":[{"id":"b","demand":[1,1],"duration":1,"release":1%s}]}'
+        % ("0" * 400),
+    )
+
+    @pytest.mark.parametrize(
+        "line", _BAD_AMOUNTS,
+        ids=("1e400", "Infinity", "NaN", "fraction-and-string", "last-row", "release-10^400"),
+    )
+    def test_unrepresentable_amounts_are_invalid_requests(self, line):
+        fe = frontend(caps=(4, 4))
+        # handle_request used to *raise* OverflowError on 1e400
+        r = fe.handle_request(json.loads(line))
+        assert r["ok"] is False and r["error"] == "invalid_request"
+        assert r["detail"].startswith(("job 'a': malformed record", "job 'b': malformed record"))
+        assert fe.handle_request({"op": "status"})["buffered"] == 0  # all-or-nothing
+        # ... and the transport answers the same, not `internal` from its backstop
+        out = io.StringIO()
+        serve_stdio(frontend(caps=(4, 4)), io.StringIO(line + "\n"), out)
+        assert json.loads(out.getvalue())["error"] == "invalid_request"
+
+    def test_whole_amounts_are_served_as_asked(self):
+        fe = frontend(caps=(4, 4))
+        fe.handle_request({"op": "submit", "jobs": [job("a", demand=(2.0, 1))]})
+        assert fe.handle_request({"op": "drain"})["completed"] == 1
+        (placed,) = fe.session.to_schedule().placements.values()
+        assert tuple(placed.alloc) == (2, 1)
 
     def test_malformed_job_after_interval_does_not_crash_later_requests(self):
         # an unhashable/bad record must never wedge the batch clock: every

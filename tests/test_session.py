@@ -7,6 +7,8 @@ submission-order-faithful session and the batch compiled engine.
 """
 
 import json
+import pickle
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -89,8 +91,164 @@ class TestGrowableCompiledInstance:
         with pytest.raises(ValueError, match="release"):
             gi.validate_row("b", (1, 1), 1.0, release=float("inf"))
         assert gi.validate_row("b", [1, 1], 1.0) == (1, 1)
+        # an amount must equal its integer value: lowered, or refused —
+        # never truncated
+        assert gi.validate_row("b", (2.0, np.int64(1)), 1.0) == (2, 1)
+        assert all(type(a) is int for a in gi.validate_row("b", (2.0, np.int64(1)), 1.0))
+        for bad in ((2.7, 1), ("1", 1), (float("nan"), 1), (float("inf"), 1)):
+            with pytest.raises(ValueError, match="job 'b': "):
+                gi.validate_row("b", bad, 1.0)
         with pytest.raises(ValueError, match="capacities must be a positive"):
             GrowableCompiledInstance([])
+
+
+_BASE = {"id": "j", "demand": [1, 2], "duration": 1.5}
+
+#: every refusal of ``JobSpec.from_dict``: (test id, record, exact message)
+_REFUSALS = [
+    ("not-an-object", ["id"], "job record must be an object, got list"),
+    ("null", None, "job record must be an object, got NoneType"),
+    ("unknown-fields", {**_BASE, "nope": 1, "alsonope": 2}, "unknown job fields: ['alsonope', 'nope']"),
+    ("missing-id", {"demand": [1], "duration": 1.0}, "job record missing required field 'id'"),
+    ("missing-demand", {"id": "j", "duration": 1.0}, "job record missing required field 'demand'"),
+    ("missing-duration", {"id": "j", "demand": [1]}, "job record missing required field 'duration'"),
+    (
+        "duration-text",
+        {**_BASE, "duration": "soon"},
+        "job record has a malformed duration: could not convert string to float: 'soon'",
+    ),
+    (
+        "duration-past-float",
+        {**_BASE, "duration": 10**400},
+        "job record has a malformed duration: int too large to convert to float",
+    ),
+    ("bool-id", {**_BASE, "id": True}, "job id True must be a string or integer"),
+    ("list-id", {**_BASE, "id": ["l"]}, "job id ['l'] must be a string or integer"),
+    ("float-id", {**_BASE, "id": 1.5}, "job id 1.5 must be a string or integer"),
+    ("scalar-demand", {**_BASE, "demand": 3}, "job 'j': demand must be a list of per-type amounts"),
+    ("string-demand", {**_BASE, "demand": "12"}, "job 'j': demand must be a list of per-type amounts"),
+    (
+        "nested-demand",
+        {**_BASE, "demand": [[1], 2]},
+        "job 'j': malformed record: int() argument must be a string, "
+        "a bytes-like object or a real number, not 'list'",
+    ),
+    (
+        "text-amount",
+        {**_BASE, "demand": ["x", 2]},
+        "job 'j': malformed record: invalid literal for int() with base 10: 'x'",
+    ),
+    ("bare-string-preds", {**_BASE, "preds": "j10"}, "job 'j': preds must be a list of job ids"),
+    ("empty-string-preds", {**_BASE, "preds": ""}, "job 'j': preds must be a list of job ids"),
+    ("nested-preds", {**_BASE, "preds": [["x"]]}, "job 'j': predecessor ['x'] must be a string or integer"),
+    ("bool-pred", {**_BASE, "preds": [True]}, "job 'j': predecessor True must be a string or integer"),
+    ("preds-null", {**_BASE, "preds": None}, "job 'j': malformed record: 'NoneType' object is not iterable"),
+    (
+        "release-null",
+        {**_BASE, "release": None},
+        "job 'j': malformed record: float() argument must be a string "
+        "or a real number, not 'NoneType'",
+    ),
+    (
+        "release-past-float",
+        {**_BASE, "release": 10**400},
+        "job 'j': malformed record: int too large to convert to float",
+    ),
+    # amounts: never truncated (2.7 -> 2 and "1" -> 1 used to be admitted)
+    (
+        "fractional-amounts",
+        {**_BASE, "demand": [2.7, "1"]},
+        "job 'j': malformed record: demand amounts must be whole numbers, got [2.7, '1']",
+    ),
+    (
+        "nan-amount",
+        {**_BASE, "demand": [float("nan"), 1]},
+        "job 'j': malformed record: cannot convert float NaN to integer",
+    ),
+    # json.loads reads 1e400 as inf; int(inf) raises OverflowError
+    (
+        "inf-amount",
+        {**_BASE, "demand": [float("inf"), 1]},
+        "job 'j': malformed record: cannot convert float infinity to integer",
+    ),
+]
+
+
+class _MyInt(int):
+    pass
+
+
+class _MyStr(str):
+    pass
+
+
+class _MyList(list):
+    pass
+
+
+def _subclassed(rec):
+    """The same record out of subclasses of every builtin it holds, so
+    none of ``from_dict``'s exact-type tests can pass."""
+    if not isinstance(rec, dict):
+        return rec
+
+    def sub(x):
+        if isinstance(x, bool):
+            return x
+        if isinstance(x, int):
+            return _MyInt(x)
+        if isinstance(x, str):
+            return _MyStr(x)
+        if isinstance(x, list):
+            return _MyList(x)
+        return x
+
+    return OrderedDict((k, sub(v)) for k, v in rec.items())
+
+
+class TestJobSpec:
+    def test_is_a_row(self):
+        a = JobSpec("a", (2, 1), 1.0, ("p",), 3.0, 7, "acme")
+        b = JobSpec(id="a", demand=(2, 1), duration=1.0, preds=("p",), release=3.0,
+                    key=7, tenant="acme")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != b._replace(tenant="other")
+        assert JobSpec("a", (1,), 1.0)[3:] == ((), 0.0, None, "default")
+        assert JobSpec._fields == (
+            "id", "demand", "duration", "preds", "release", "key", "tenant"
+        )
+        assert pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(AttributeError):
+            a.tenant = "other"
+        # a batch of rows transposes to its columns
+        ids, demands, *_ = zip(a, b._replace(id="b"))
+        assert ids == ("a", "b") and demands == ((2, 1), (2, 1))
+
+    @pytest.mark.parametrize("wrap", (lambda r: r, _subclassed), ids=("builtin", "subclass"))
+    @pytest.mark.parametrize(
+        "rec, message", [pytest.param(r, m, id=slug) for slug, r, m in _REFUSALS]
+    )
+    def test_every_refusal_and_its_message(self, rec, message, wrap):
+        with pytest.raises(ValueError) as exc:
+            JobSpec.from_dict(wrap(rec))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("wrap", (lambda r: r, _subclassed), ids=("builtin", "subclass"))
+    def test_accepted_records(self, wrap):
+        full = {**_BASE, "preds": ["a", 3], "release": 2, "key": 1.5, "tenant": "t"}
+        spec = JobSpec.from_dict(wrap(full))
+        assert spec == JobSpec("j", (1, 2), 1.5, ("a", 3), 2.0, 1.5, "t")
+        assert type(spec.release) is float and JobSpec.from_dict(spec.to_dict()) == spec
+        assert JobSpec.from_dict(wrap(_BASE)) == JobSpec("j", (1, 2), 1.5)
+        assert JobSpec.from_dict(wrap({**_BASE, "id": 7})).id == 7
+        # the one coercion: whatever names the tenant is its str()
+        assert JobSpec.from_dict(wrap({**_BASE, "tenant": None})).tenant == "None"
+        assert JobSpec.from_dict(wrap({**_BASE, "tenant": 7})).tenant == "7"
+        # whole amounts in other clothes are the amount
+        spec = JobSpec.from_dict(wrap({**_BASE, "demand": [2.0, np.int64(1)]}))
+        assert spec.demand == (2, 1) and all(type(a) is int for a in spec.demand)
+        assert JobSpec.from_dict(wrap({**_BASE, "duration": 3})).duration == 3.0
+        assert JobSpec.from_dict(wrap({**_BASE, "duration": "3"})).duration == 3.0
 
 
 class TestSessionBasics:
@@ -175,6 +333,24 @@ class TestSessionBasics:
                 s.submit([JobSpec("ok", (1,), 1.0), bad])
             assert s.status()["jobs"] == 0
         s.submit([JobSpec("ok", (1,), 1.0)])  # the batch retries cleanly
+
+    def test_fractional_amounts_are_refused_not_truncated(self):
+        """(2.7, "1") used to be admitted and served as allocation (2, 1)."""
+        s = SchedulingSession([4, 4])
+        for bad in ((2.7, 1), ("1", 1), (float("nan"), 1), (1, float("inf"))):
+            with pytest.raises(ValueError, match="job 'bad': "):
+                s.submit([JobSpec("bad", bad, 1.0)])
+            # all-or-nothing, with the only bad row the last of the batch
+            with pytest.raises(ValueError, match="job 'bad': "):
+                s.submit([JobSpec("ok", (1, 1), 1.0), JobSpec("ok2", (2, 2), 1.0),
+                          JobSpec("bad", bad, 1.0)])
+            assert s.status()["jobs"] == 0
+        # whole amounts of any numeric type are lowered to python ints
+        s.submit([JobSpec("a", (2.0, 1), 1.0), JobSpec("b", np.array([1, 2]), 1.0)])
+        assert s.gi.demand == [(2, 1), (1, 2)]
+        assert all(type(a) is int for row in s.gi.demand for a in row)
+        s.drain()
+        assert s.to_schedule().placements["a"].alloc == ResourceVector((2, 1))
 
     def test_submit_validation(self):
         s = SchedulingSession([4])
