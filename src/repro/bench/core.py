@@ -52,15 +52,11 @@ class BenchConfig:
 
     ``quick`` selects the reduced CI configuration (smaller workloads,
     throughput gates relaxed); ``seed`` offsets every workload seed so a
-    sweep can be replayed on fresh instances; ``backend`` names the
-    dispatch backend the engine suites run under (resolved by the CLI,
-    recorded in the document so baselines never compare across
-    backends).
+    sweep can be replayed on fresh instances.
     """
 
     quick: bool = False
     seed: int = 0
-    backend: str = "python"
 
 
 @dataclass(frozen=True)

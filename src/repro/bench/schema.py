@@ -4,7 +4,7 @@ Every ``repro bench`` run emits a single JSON document::
 
     {
       "schema": "repro-bench/1",
-      "config": {"quick": false, "seed": 0, "backend": "python"},
+      "config": {"quick": false, "seed": 0},
       "environment": {"python": ..., "numpy": ..., "git_sha": ..., ...},
       "benchmarks": [
         {
@@ -108,7 +108,6 @@ def build_document(
         "config": {
             "quick": bool(config.quick),
             "seed": int(config.seed),
-            "backend": str(getattr(config, "backend", "python")),
         },
         "environment": dict(environment if environment is not None else capture_environment()),
         "benchmarks": benchmarks,
@@ -155,11 +154,12 @@ def validate_document(doc: Any) -> None:
     )
     _check_mapping(doc["config"], "$.config", ("quick", "seed"))
     _require(isinstance(doc["config"]["quick"], bool), "$.config.quick", "expected a bool")
-    # pre-backend documents omit the key; when present it must name a backend
+    # documents written while the batch loop had a selectable executor
+    # carry the key; only the one that survives is comparable
     _require(
-        isinstance(doc["config"].get("backend", "python"), str),
+        doc["config"].get("backend", "python") == "python",
         "$.config.backend",
-        "expected a string",
+        "only 'python' runs are comparable (the key is no longer written)",
     )
     _require(
         isinstance(doc["config"]["seed"], int) and not isinstance(doc["config"]["seed"], bool),

@@ -49,32 +49,6 @@ from repro.sim.trace import trace_to_json
 __all__ = ["main", "build_parser"]
 
 
-def _add_backend_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--backend", default=None, metavar="NAME",
-                    help="dispatch backend for the batch engine loop "
-                         "(default: REPRO_BACKEND or 'python'; a registered "
-                         "but unavailable backend falls back to 'python' "
-                         "with a warning)")
-
-
-def _resolve_cli_backend(name: "str | None"):
-    """Resolve ``--backend`` (CLI > ``REPRO_BACKEND`` > default) and pin
-    the winner into the environment, so every layer below — schedulers,
-    benchmark suites, fuzz cases — resolves the same backend.  Returns the
-    backend, or ``None`` after printing an error for an unregistered name."""
-    import os
-
-    from repro.engine.backends import BACKEND_ENV, resolve_backend
-
-    try:
-        backend = resolve_backend(name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return None
-    os.environ[BACKEND_ENV] = backend.name
-    return backend
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -152,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "--emit-dir/PROFILE_<name>.txt when --emit-dir is "
                          "given, else printed after the run's own output "
                          "(no document emission or gating)")
-    _add_backend_arg(be)
 
     fz = sub.add_parser(
         "fuzz",
@@ -172,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="truncate the matrix to its first K cases")
     fz.add_argument("--failures", metavar="FILE",
                     help="write failing cases (seeded reproducers) as JSON")
-    _add_backend_arg(fz)
 
     sc = sub.add_parser("schedule", help="schedule one workload and report")
     sc.add_argument("--family", default="layered", choices=list(WORKLOAD_FAMILIES))
@@ -194,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "re-entrant engine loop, printing each start/finish "
                          "as virtual time advances (fixed-allocation "
                          "schedulers only)")
-    _add_backend_arg(sc)
 
     sv = sub.add_parser(
         "serve",
@@ -343,15 +314,11 @@ def _cmd_fuzz(args) -> int:
 
     from repro.conformance.fuzz import default_matrix, run_fuzz
 
-    backend = _resolve_cli_backend(args.backend)
-    if backend is None:
-        return 2
     quick = args.quick or os.environ.get("REPRO_FUZZ_QUICK") == "1"
     try:
         cases = default_matrix(
             quick=quick, n=args.n, seed=args.seed,
             schedulers=args.schedulers, families=args.families,
-            backend=backend.name,
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -359,8 +326,7 @@ def _cmd_fuzz(args) -> int:
     if args.max_cases is not None:
         cases = cases[: args.max_cases]
     label = "quick" if quick else "full"
-    print(f"fuzz: sweeping {len(cases)} cases ({label} matrix, "
-          f"backend {backend.name})", flush=True)
+    print(f"fuzz: sweeping {len(cases)} cases ({label} matrix)", flush=True)
 
     def progress(i, total, case):
         if i and i % 250 == 0:
@@ -400,10 +366,6 @@ def _cmd_bench(args) -> int:
                            title="Registered benchmarks"))
         return 0
 
-    backend = _resolve_cli_backend(args.backend)
-    if backend is None:
-        return 2
-
     registered = [s.name for s in benchmark_specs()]
     if args.profile is not None:
         if args.profile not in registered:
@@ -415,10 +377,10 @@ def _cmd_bench(args) -> int:
         import pstats
 
         quick = args.quick or os.environ.get("REPRO_BENCH_QUICK") == "1"
-        config = BenchConfig(quick=quick, seed=args.seed, backend=backend.name)
+        config = BenchConfig(quick=quick, seed=args.seed)
         label = "quick" if quick else "full"
         print(f"bench: profiling {args.profile} ({label} config, "
-              f"seed {args.seed}, backend {backend.name})", flush=True)
+              f"seed {args.seed})", flush=True)
         profiler = cProfile.Profile()
         profiler.enable()
         records = run_benchmarks([args.profile], config)
@@ -456,7 +418,7 @@ def _cmd_bench(args) -> int:
             return 2
 
     quick = args.quick or os.environ.get("REPRO_BENCH_QUICK") == "1"
-    config = BenchConfig(quick=quick, seed=args.seed, backend=backend.name)
+    config = BenchConfig(quick=quick, seed=args.seed)
 
     baseline = None
     if args.compare:
@@ -466,10 +428,10 @@ def _cmd_bench(args) -> int:
             print(f"error: cannot load baseline {args.compare}: {exc}",
                   file=sys.stderr)
             return 2
+        # a legacy key: load_document admitted only its one comparable value
+        baseline["config"].pop("backend", None)
         base_cfg = dict(baseline["config"])
-        # pre-backend baselines carried no backend key: they were python runs
-        base_cfg.setdefault("backend", "python")
-        run_cfg = {"quick": quick, "seed": args.seed, "backend": backend.name}
+        run_cfg = {"quick": quick, "seed": args.seed}
         if base_cfg != run_cfg:
             print(f"error: baseline {args.compare} was produced under config "
                   f"{base_cfg}, this run uses {run_cfg} — gated metrics "
@@ -478,7 +440,7 @@ def _cmd_bench(args) -> int:
             return 2
     label = "quick" if quick else "full"
     print(f"bench: running {len(names)} benchmark(s) ({label} config, "
-          f"seed {args.seed}, backend {backend.name})", flush=True)
+          f"seed {args.seed})", flush=True)
 
     def progress(i, total, name):
         print(f"  [{i + 1}/{total}] {name}", flush=True)
@@ -540,7 +502,7 @@ def _cmd_schedulers() -> int:
     return 0
 
 
-def _follow_replay(inst, result, backend=None) -> "Schedule | None":
+def _follow_replay(inst, result) -> "Schedule | None":
     """Stream the result's fixed allocation through the re-entrant engine
     loop, printing each start/finish as virtual time advances.  Returns the
     streamed schedule (same allocation, FIFO queue order — it carries the
@@ -560,32 +522,31 @@ def _follow_replay(inst, result, backend=None) -> "Schedule | None":
         else:
             print(f"[{t:12.4f}] finish {job!r}", flush=True)
 
-    return list_schedule(inst, allocation, on_event=on_event, backend=backend)
+    return list_schedule(inst, allocation, on_event=on_event)
 
 
 def _cmd_schedule(args) -> int:
-    backend = _resolve_cli_backend(args.backend)
-    if backend is None:
-        return 2
-    pool = ResourcePool.uniform(args.d, args.capacity)
-    wl = random_instance(args.family, args.n, pool, seed=args.seed)
-    inst = wl.instance
     try:
         spec = get_scheduler(args.scheduler)
     except KeyError:
         print(f"unknown scheduler {args.scheduler!r}; "
               f"registered: {', '.join(available_schedulers())}", file=sys.stderr)
         return 2
-    opts = {"sp_tree": wl.sp_tree} if args.scheduler == "ours" else {}
     try:
+        pool = ResourcePool.uniform(args.d, args.capacity)
+        wl = random_instance(args.family, args.n, pool, seed=args.seed)
+        inst = wl.instance
+        opts = {"sp_tree": wl.sp_tree} if args.scheduler == "ours" else {}
         if args.arrival_rate is not None:
             inst = with_poisson_arrivals(inst, args.arrival_rate, seed=args.seed)
         result = spec.schedule(inst, **opts)
-    except ValueError as exc:  # e.g. offline planner given release times
+    except ValueError as exc:
+        # an out-of-range --d/--capacity/--n/--seed, or an offline planner
+        # given release times
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.follow:
-        streamed = _follow_replay(inst, result, backend=backend)
+        streamed = _follow_replay(inst, result)
         if streamed is None:
             print(f"error: --follow needs a fixed allocation to replay and "
                   f"{args.scheduler!r} keeps none", file=sys.stderr)

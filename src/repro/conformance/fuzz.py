@@ -76,7 +76,6 @@ from typing import Sequence
 
 from repro.conformance.invariants import validate_schedule
 from repro.core.list_scheduler import bottom_level_priority, fifo_priority, list_schedule
-from repro.engine.backends import available_backends, resolve_backend
 from repro.engine.reference import (
     reference_execute_with_faults,
     reference_list_schedule,
@@ -143,15 +142,11 @@ class FuzzCase:
     seed: int
     scenario: str = "offline"
     arrival_rate: float = 2.0
-    #: dispatch backend the differential engine races run under; the
-    #: default keeps pre-backend reproducer JSON loading unchanged
-    backend: str = "python"
 
     def describe(self) -> str:
-        tail = f" backend={self.backend}" if self.backend != "python" else ""
         return (
             f"{self.scheduler} × {self.family} n={self.n} d={self.d} "
-            f"cap={self.capacity} seed={self.seed} [{self.scenario}]{tail}"
+            f"cap={self.capacity} seed={self.seed} [{self.scenario}]"
         )
 
 
@@ -225,7 +220,6 @@ def default_matrix(
     seed: int = 0,
     schedulers: Sequence[str] | None = None,
     families: Sequence[str] | None = None,
-    backend: str | None = None,
 ) -> list[FuzzCase]:
     """The deterministic sweep matrix.
 
@@ -234,15 +228,7 @@ def default_matrix(
     ``--quick`` mode (≈500 cases over the full registry), 24 otherwise.
     The rotation covers every d, every capacity regime and every scenario
     across the matrix while keeping each pair's case count bounded.
-
-    ``backend`` stamps every case with a dispatch backend (``None``
-    resolves ``REPRO_BACKEND`` > default, falling back to ``python``
-    when the requested backend is not importable); the differential
-    checks additionally race the case's schedule across every *other*
-    available backend, so one sweep pins event-for-event identity for
-    the whole backend registry.
     """
-    backend_name = resolve_backend(backend).name
     variants = 5 if quick else 24
     cases: list[FuzzCase] = []
     specs = list(scheduler_specs())
@@ -291,7 +277,6 @@ def default_matrix(
                         capacity=capacity,
                         seed=seed + k,
                         scenario=scenario,
-                        backend=backend_name,
                     )
                 )
     return cases
@@ -454,8 +439,7 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
 
 def _check_differential(case, inst, allocation) -> list[FuzzFailure]:
     try:
-        live = list_schedule(inst, allocation, bottom_level_priority,
-                             backend=case.backend)
+        live = list_schedule(inst, allocation, bottom_level_priority)
         pr1 = reference_pr1_list_schedule(inst, allocation, None)
     except Exception as exc:
         return [FuzzFailure(case, "differential", f"{type(exc).__name__}: {exc}")]
@@ -468,27 +452,6 @@ def _check_differential(case, inst, allocation) -> list[FuzzFailure]:
                 "compiled dispatch diverges from the frozen PR-1 kernel driver",
             )
         )
-    # cross-backend identity: every *other* available backend must produce
-    # the case's schedule event for event (one sweep covers the registry)
-    for bname, ok in available_backends().items():
-        if not ok or bname == case.backend:
-            continue
-        try:
-            other = list_schedule(inst, allocation, bottom_level_priority,
-                                  backend=bname)
-        except Exception as exc:
-            out.append(FuzzFailure(case, "differential",
-                                   f"backend {bname!r}: {type(exc).__name__}: {exc}"))
-            continue
-        if _events_by_id(live) != _events_by_id(other):
-            out.append(
-                FuzzFailure(
-                    case,
-                    "differential",
-                    f"backend {bname!r} diverges from backend "
-                    f"{case.backend!r} (event streams differ)",
-                )
-            )
     if not inst.has_releases:  # the pre-kernel loop predates releases
         try:
             old = reference_list_schedule(inst, allocation, None)

@@ -147,7 +147,6 @@ def list_schedule(
     priority: PriorityRule = fifo_priority,
     *,
     on_event: Callable[[str, JobId, float, float | None], None] | None = None,
-    backend: "str | object | None" = None,
 ) -> Schedule:
     """Run Algorithm 2 and return the resulting (valid) schedule.
 
@@ -161,11 +160,6 @@ def list_schedule(
     ``on_event("start"|"finish", job, time, duration_or_None)`` streams
     dispatch events as virtual time advances (``repro schedule --follow``);
     leaving it ``None`` keeps the hot loop free of per-completion callbacks.
-
-    ``backend`` picks the dispatch backend (a registry name or backend
-    object, see :mod:`repro.engine.backends`);
-    ``None`` resolves CLI > ``REPRO_BACKEND`` > default.  The schedule is
-    identical whichever backend executes — only the speed differs.
     """
     alloc_mat = instance.validate_allocation_map(allocation)
     keys, durations = _keys_and_durations(instance, allocation, priority)
@@ -189,8 +183,7 @@ def list_schedule(
             return None
 
     drive_priority_schedule(instance, allocation, keys, durations, on_start,
-                            on_complete=on_complete, alloc_mat=alloc_mat,
-                            backend=backend)
+                            on_complete=on_complete, alloc_mat=alloc_mat)
 
     if len(placements) != len(instance.jobs):  # pragma: no cover - invariant
         raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
@@ -236,17 +229,14 @@ def list_schedule_log(
     instance: Instance,
     allocation: Mapping[JobId, ResourceVector],
     priority: PriorityRule = fifo_priority,
-    *,
-    backend: "str | object | None" = None,
 ) -> ScheduleLog:
     """Algorithm 2 with array output: the start log instead of a Schedule.
 
     Event-for-event identical to :func:`list_schedule` (same engine, same
     discipline); the loop runs in start-log mode (``on_start=None``), so
-    no python callback fires and no placement objects are built — the
-    compiled backend emits the log natively.  Use this for large ``n``
-    where materializing a million ``ScheduledJob`` records costs more
-    than the scheduling itself.
+    no python callback fires and no placement objects are built.  Use
+    this for large ``n`` where materializing a million ``ScheduledJob``
+    records costs more than the scheduling itself.
     """
     alloc_mat = instance.validate_allocation_map(allocation)
     keys, durations = _keys_and_durations(instance, allocation, priority)
@@ -257,8 +247,7 @@ def list_schedule_log(
     )
 
     loop = priority_loop(
-        instance, allocation, keys, durations, None,
-        alloc_mat=alloc_mat, backend=backend,
+        instance, allocation, keys, durations, None, alloc_mat=alloc_mat
     )
     loop.run()
     out_i, out_t = loop.start_log()
@@ -277,7 +266,6 @@ def portfolio_list_schedule(
     instance: Instance,
     allocation: Mapping[JobId, ResourceVector],
     rules: Mapping[str, PriorityRule] | None = None,
-    backend: "str | object | None" = None,
 ) -> tuple[Schedule, str]:
     """Run Algorithm 2 under several priority rules, keep the best schedule.
 
@@ -302,7 +290,7 @@ def portfolio_list_schedule(
         raise ValueError("portfolio needs at least one priority rule")
     best: tuple[float, Schedule, str] | None = None
     for name, rule in rules.items():
-        sched = list_schedule(instance, allocation, rule, backend=backend)
+        sched = list_schedule(instance, allocation, rule)
         # strict improvement required: earlier rules keep ties
         if best is None or sched.makespan < best[0] - 1e-12:
             best = (sched.makespan, sched, name)

@@ -5,8 +5,6 @@
   2's priority scan (``PriorityLoop`` for a fixed job set, any ``d``;
   ``IncrementalPriorityLoop`` for the online service) and dispatch-time
   allocation policies;
-* :mod:`repro.engine.backends` — the registry of executors for
-  ``PriorityLoop`` (``python``, ``numba``), one ``run(loop, until)`` each;
 * :mod:`repro.engine.kernel` — the callback-driven discrete-event core
   (virtual time, one event heap of completions and releases, numpy-vector
   resource accounting) under the policy driver, the malleable scheduler

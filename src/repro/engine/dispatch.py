@@ -26,12 +26,11 @@ the same loop incrementally.
 
 Two loops share that contract:
 
-* :class:`PriorityLoop` — the batch loop, for any ``d``: a pure state
-  container whose ``run`` is executed by a dispatch backend
-  (:mod:`repro.engine.backends`).  Heap, ``time_eps`` batching, CSR
-  readiness, the rank-sorted ready queue and the start log exist once;
-  only the *demand encoding* depends on the platform (``ci.packable``):
-  one ``uint64`` per demand vector with a headroom bit per field when
+* :class:`PriorityLoop` — the batch loop, for any ``d``.  Heap,
+  ``time_eps`` batching, CSR readiness, the rank-sorted ready queue and
+  the start log exist once; only the *demand encoding* depends on the
+  platform (``ci.packable``): one ``uint64`` per demand vector with a
+  headroom bit per field when
   ``d <= 4`` and every capacity is below ``2**15`` (the admission test is
   ``((av + mask) - a) & mask == mask``, one integer op), ``(n, d)`` int64
   rows otherwise (``(a <= av).all()``).
@@ -43,9 +42,9 @@ Two loops share that contract:
   sorted by ``(key image, row index)`` — the identical total order the
   rank lowering realizes, so a session driven submission-order-faithfully
   reproduces the batch schedule event for event (the conformance service
-  family asserts this).  It has its own ``run``; no backend covers it.
-  It knows **one demand encoding**: every demand is a python-int image
-  with a headroom bit per field, for any ``d`` and any capacity, and
+  family asserts this).  It knows **one demand encoding**: every demand
+  is a python-int image with a headroom bit per field, for any ``d`` and
+  any capacity, and
   ``(avh - a) & H == H`` / ``avh -= a`` / ``avh += a`` are its only
   admission / acquire / free statements.  ``gi.packable`` only says the
   images also fit a ``uint64``, which lets long queues be tested in one
@@ -61,12 +60,12 @@ in the differential tests.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.backends import resolve_backend
 from repro.engine.kernel import RELEASE, TIME_EPS, EventKernel
 from repro.instance.compiled import PACK_BITS, compile_instance
 
@@ -87,6 +86,9 @@ JobId = Hashable
 
 _EMPTY_QUEUE = np.empty(0, dtype=np.int64)
 
+#: Batches at least this large take the whole-array application path.
+_VECTOR_BATCH = 8
+
 
 def _unpack(packed: int, d: int, bits: int = PACK_BITS) -> tuple[int, ...]:
     """The ``d`` per-type amounts of a packed vector of ``bits``-wide fields."""
@@ -103,7 +105,6 @@ def drive_priority_schedule(
     *,
     on_complete: Callable[[JobId, float], float | None] | None = None,
     alloc_mat: np.ndarray | None = None,
-    backend: "str | object | None" = None,
 ) -> "PriorityLoop":
     """Run Algorithm 2's queue discipline on the compiled instance.
 
@@ -126,14 +127,10 @@ def drive_priority_schedule(
     its resources (failure re-execution); ``None`` completes it normally.
     Returns the drained loop: ``now`` holds the final virtual time,
     ``available()`` the availability vector.
-
-    ``backend`` selects the dispatch backend (a registry name or backend
-    object; see :mod:`repro.engine.backends`) — ``None`` resolves via the
-    ``REPRO_BACKEND`` environment variable, then the default.
     """
     loop = priority_loop(
         instance, allocation, keys, durations, on_start,
-        on_complete=on_complete, alloc_mat=alloc_mat, backend=backend,
+        on_complete=on_complete, alloc_mat=alloc_mat,
     )
     loop.run()
     return loop
@@ -148,7 +145,6 @@ def priority_loop(
     *,
     on_complete: Callable[[JobId, float], float | None] | None = None,
     alloc_mat: np.ndarray | None = None,
-    backend: "str | object | None" = None,
 ) -> "PriorityLoop":
     """Build the re-entrant dispatch loop for a fixed job set, unstarted.
 
@@ -162,11 +158,9 @@ def priority_loop(
     time)`` pairs into preallocated arrays, retrievable via
     ``start_log()``.  This keeps the hot loop free of per-job python
     object construction (the cost that grows with the resident working
-    set at large ``n``); the compiled backend writes the log natively.
+    set at large ``n``).
     """
     ci = compile_instance(instance)
-    if backend is None or isinstance(backend, str):
-        backend = resolve_backend(backend)
     if alloc_mat is None:
         alloc_mat = ci.alloc_matrix(allocation)
     if isinstance(durations, np.ndarray):
@@ -176,31 +170,21 @@ def priority_loop(
         dur = [durations[j] for j in order]
     rank_of, topo_of_rank = ci.rank_permutation(keys)
     return PriorityLoop(
-        ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete, backend
+        ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete
     )
 
 
 class PriorityLoop:
-    """Algorithm 2's batch event loop as a resumable state container.
+    """Algorithm 2's batch event loop, resumable.
 
     One flat loop owns the event heap, the readiness vector and the ready
     queue.  Heap entries are ``(time, seq, code)`` with ``code < n`` a
     completion of topological index ``code`` and ``code >= n`` the release
     of index ``code - n``; ``seq`` makes simultaneous events pop in
     submission order, so ``on_complete`` sees completions in exactly the
-    order the per-event references deliver them.
-
-    Every field the hot loop touches is either a dense array with a
-    pinned dtype (readiness counts, CSR successors, demands, the rank
-    permutation — the contiguity/dtype contract
-    :meth:`CompiledInstance.kernel_layout
-    <repro.instance.compiled.CompiledInstance>` guarantees) or a python
-    scalar/list, so the execution strategy is swappable: :meth:`run`
-    delegates to the loop's **dispatch backend**
-    (:mod:`repro.engine.backends`).  All backends process the events of
-    one time point as a single batch and run the feasibility re-scan once
-    per time point — identical schedules by construction, pinned by the
-    conformance fuzz matrix.
+    order the per-event references deliver them.  :meth:`run` processes
+    the events of one time point as a single batch and runs the
+    feasibility re-scan once per time point.
 
     **Demand encoding** (``packed``, from ``ci.packable``).  ``dem_topo``
     / ``dem_rank`` hold one demand per job by topological index / by
@@ -216,39 +200,48 @@ class PriorityLoop:
       ``None``).
 
     Whole-queue fit, tail re-filter, scalar fit, acquire and free are the
-    only operations that read the encoding.
+    only operations that read the encoding — each is one ``if packed`` in
+    :meth:`run`.  Queue maintenance is written once: slicing and
+    scattering along the first axis is the same statement for ``(n,)``
+    and ``(n, d)`` buffers.
     """
 
     __slots__ = (
         "ci", "n", "order", "ip", "si", "remaining", "packed",
         "dem_topo", "dem_rank", "dem_topo_l", "dem_rank_l",
-        "rank_a", "topo_a", "topo_l", "dur",
+        "rank_a", "topo_l", "dur",
         "H", "H_u", "av", "heap", "seq", "qb", "pb", "sq", "sp", "L",
-        "now", "eps", "on_start", "on_complete", "done", "backend", "_scratch",
-        "ns",
+        "now", "eps", "on_start", "on_complete", "done",
+        "log_i", "log_t", "ns",
     )
 
     def __init__(
-        self, ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete, backend
+        self, ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete
     ) -> None:
         self.ci = ci
         cd = ci.cdag
         n = cd.n
         self.n = n
         self.order = cd.order
-        self.ip, self.si = ci.kernel_layout()
+        self.ip = cd.succ_indptr
+        self.si = cd.succ_indices
         self.dur = dur
         self.on_start = on_start
         self.on_complete = on_complete
-        self.backend = backend
-        self._scratch = None
         self.done = n == 0
-        self.ns = 0  # start-log length (on_start=None mode)
+        # the array start log (on_start=None mode): (topological index,
+        # start time) per dispatch, ns pairs recorded so far
+        if on_start is None:
+            self.log_i = np.empty(n, dtype=np.int64)
+            self.log_t = np.empty(n, dtype=np.float64)
+        else:
+            self.log_i = self.log_t = None
+        self.ns = 0
 
         self.rank_a = np.ascontiguousarray(rank_of, dtype=np.int64)
-        self.topo_a = np.ascontiguousarray(topo_of_rank, dtype=np.int64)
+        topo_a = np.ascontiguousarray(topo_of_rank, dtype=np.int64)
         self.topo_l = (
-            topo_of_rank if isinstance(topo_of_rank, list) else self.topo_a.tolist()
+            topo_of_rank if isinstance(topo_of_rank, list) else topo_a.tolist()
         )
 
         self.packed = ci.packable
@@ -256,13 +249,13 @@ class PriorityLoop:
         self.H_u = np.uint64(ci.fit_mask)
         if self.packed:
             dem_topo = ci.pack_demands(alloc_mat)
-            dem_rank = dem_topo[self.topo_a]
+            dem_rank = dem_topo[topo_a]
             self.dem_topo_l = dem_topo.tolist()
             self.dem_rank_l = dem_rank.tolist()
             self.av = ci.packed_capacities + ci.fit_mask
         else:
             dem_topo = np.ascontiguousarray(alloc_mat, dtype=np.int64)
-            dem_rank = dem_topo[self.topo_a]
+            dem_rank = dem_topo[topo_a]
             self.dem_topo_l = self.dem_rank_l = None
             self.av = ci.capacities.copy()
         self.dem_topo = dem_topo
@@ -314,35 +307,324 @@ class PriorityLoop:
             return _unpack(self.av - self.H, self.ci.d)
         return tuple(self.av.tolist())
 
-    def kernel_scratch(self):
-        """Scratch arrays for compiled executors, allocated once per loop:
-        ``(durations float64, newly-ready rank buffer, start-log indices,
-        start-log times)``."""
-        if self._scratch is None:
-            n = self.n
-            self._scratch = (
-                np.ascontiguousarray(self.dur, dtype=np.float64),
-                np.empty(n, dtype=np.int64),
-                np.empty(n, dtype=np.int64),
-                np.empty(n, dtype=np.float64),
-            )
-        return self._scratch
-
     def start_log(self) -> "tuple[np.ndarray, np.ndarray]":
         """The recorded ``(topological index, start time)`` arrays, in
         dispatch order — only populated when the loop was built with
-        ``on_start=None`` (views into the loop's scratch; copy to keep)."""
+        ``on_start=None`` (views into the loop's buffers; copy to keep)."""
         if self.on_start is not None:
             raise ValueError("start_log() requires a loop built with on_start=None")
-        _, _, out_i, out_t = self.kernel_scratch()
-        return out_i[: self.ns], out_t[: self.ns]
+        return self.log_i[: self.ns], self.log_t[: self.ns]
 
     def run(self, until: float | None = None) -> bool:
         """Dispatch and process events; stop once the heap drains (returns
         ``True``) or the earliest pending event lies past ``until``
-        (returns ``False`` — call again to resume).  Executed by the
-        loop's dispatch backend."""
-        return self.backend.run(self, until)
+        (returns ``False`` — call again to resume).
+
+        The loop is structured around time-point batches:
+
+        * **Admit-then-refilter dispatch pass.**  One whole-queue
+          comparison finds every queued job that fits the availability
+          *snapshot*.  The pass admits the first hit (the lowest rank,
+          valid because availability has not shrunk yet) and re-filters
+          the remaining hits with one small vector comparison, repeating
+          until no hit survives.  This is the greedy scan in rank order:
+          a job outside the snapshot hit set can never fit later in the
+          pass (availability only shrinks within a pass), and
+          re-filtering the tail against the shrunk availability is
+          exactly a scalar recheck per hit, batched.
+        * **Vectorized batch application.**  All events within
+          ``time_eps`` of the first popped event form one batch; batches
+          of at least ``_VECTOR_BATCH`` simultaneous completions/releases
+          apply as whole-array updates — one demand sum for the freed
+          capacity, one ragged CSR gather + ``subtract.at`` for the
+          successor in-degrees — instead of a python loop per event.
+        * **Release-only fast path.**  Availability only grows on
+          completions, so after a batch containing no completion the
+          standing invariant "no queued job fits" still holds for every
+          *old* queue entry: only the newly released jobs need a fit
+          test.  They are scanned in rank order (exactly where the full
+          pass would reach them) and the full-queue pass is skipped.
+
+        All three are schedule-preserving: admission order within a time
+        point remains the ``(key, topological index)`` total order, and
+        the conformance fuzz matrix races the result against the frozen
+        per-event references event for event.
+
+        The collector is paused for the duration of the run: the loop
+        allocates only acyclic objects (event tuples, the caller's
+        placement records), but each allocation-triggered generational
+        collection scans *every* live object — with a million-job
+        instance resident that is an O(n) cost paid every ~10k events,
+        and it is what used to bend the jobs/s curve at large n.  No
+        cycles are created, so nothing is ever missed; the prior
+        collector state is restored on exit either way.
+        """
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.disable()
+        try:
+            return self._run(until)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _run(self, until: "float | None") -> bool:
+        remaining = self.remaining
+        ip = self.ip
+        si = self.si
+        packed = self.packed
+        dem_rank = self.dem_rank
+        dem_rank_l = self.dem_rank_l
+        dem_topo = self.dem_topo
+        dem_topo_l = self.dem_topo_l
+        rank_a = self.rank_a
+        topo_l = self.topo_l
+        dur = self.dur
+        order = self.order
+        on_start = self.on_start
+        on_complete = self.on_complete
+        n = self.n
+        H = self.H
+        H_u = self.H_u
+        uint64 = np.uint64
+        av = self.av  # packed: python int incl. headroom; matrix: int64 (d,), in place
+        heap = self.heap
+        seq = self.seq
+        qb = self.qb
+        pb = self.pb
+        sq = self.sq
+        sp = self.sp
+        L = self.L
+        now = self.now
+        eps = self.eps
+        push = heapq.heappush
+        pop = heapq.heappop
+        done = False
+        log = on_start is None
+        if log:
+            # array start-log mode: record (topo index, start time) pairs
+            # instead of calling back per dispatch (see priority_loop)
+            log_i = self.log_i
+            log_t = self.log_t
+            ns = self.ns
+        # Between passes the invariant "no queued job fits the current
+        # availability" holds (the pass leaves only misses behind and
+        # availability only grows on completions), so a batch that frees
+        # no capacity cannot make an old queue entry startable.
+        need_pass = True
+
+        while True:
+            # ------------------------- dispatch pass -------------------------
+            if need_pass and L:
+                # whole-queue feasibility in one vector comparison
+                if packed:
+                    hits = ((((uint64(av) - pb[:L]) & H_u) == H_u).nonzero())[0]
+                else:
+                    hits = (pb[:L] <= av).all(axis=1).nonzero()[0]
+                if hits.size:
+                    started = None
+                    while True:
+                        # the first hit is the lowest-rank fitting job and
+                        # availability has not shrunk since the filter ran
+                        kpos = hits[0]
+                        r = int(qb[kpos])
+                        if packed:
+                            av -= dem_rank_l[r]
+                        else:
+                            av -= dem_rank[r]
+                        i = topo_l[r]
+                        t = dur[i]
+                        push(heap, (now + t, seq, i))
+                        seq += 1
+                        if log:
+                            log_i[ns] = i
+                            log_t[ns] = now
+                            ns += 1
+                        else:
+                            on_start(order[i], now, t)
+                        if started is None:
+                            started = [kpos]
+                        else:
+                            started.append(kpos)
+                        hits = hits[1:]
+                        if not hits.size:
+                            break
+                        # re-filter the tail against the shrunk availability
+                        if packed:
+                            hits = hits[(((uint64(av) - pb[hits]) & H_u) == H_u)]
+                        else:
+                            hits = hits[(pb[hits] <= av).all(axis=1)]
+                        if not hits.size:
+                            break
+                    if len(started) == L:
+                        L = 0
+                    else:
+                        for p in reversed(started):
+                            qb[p:L - 1] = qb[p + 1:L]
+                            pb[p:L - 1] = pb[p + 1:L]
+                            L -= 1
+            need_pass = False
+            if not heap:
+                done = True
+                break
+            if until is not None and heap[0][0] > until:
+                break
+            # -------------------------- event batch --------------------------
+            t0, _, c = pop(heap)
+            now = t0
+            horizon = t0 + eps
+            if heap and heap[0][0] <= horizon:
+                batch = [c]
+                while heap and heap[0][0] <= horizon:
+                    batch.append(pop(heap)[2])
+            else:
+                batch = (c,)
+            newly = None
+            freed = False
+            if on_complete is None and len(batch) >= _VECTOR_BATCH:
+                # whole-array application of one simultaneous batch
+                codes = np.fromiter(batch, count=len(batch), dtype=np.int64)
+                iscomp = codes < n
+                rel = codes[~iscomp] - n
+                comp = codes[iscomp]
+                if rel.size:
+                    remaining[rel] -= 1  # one release event per job: unique rows
+                    z = rel[remaining[rel] == 0]
+                    if z.size:
+                        newly = rank_a[z].tolist()
+                if comp.size:
+                    freed = True
+                    if packed:
+                        av += int(dem_topo[comp].sum(dtype=np.uint64))
+                    else:
+                        av += dem_topo[comp].sum(axis=0)
+                    lo = ip[comp]
+                    cnt = ip[comp + 1] - lo
+                    total = int(cnt.sum())
+                    if total:
+                        # ragged CSR gather of every successor row
+                        cum = np.cumsum(cnt)
+                        cat = si[np.repeat(lo - (cum - cnt), cnt) + np.arange(total)]
+                        np.subtract.at(remaining, cat, 1)  # parents may share children
+                        cand = np.unique(cat)
+                        z = cand[remaining[cand] == 0]
+                        if z.size:
+                            zr = rank_a[z].tolist()
+                            if newly is None:
+                                newly = zr
+                            else:
+                                newly.extend(zr)
+            else:
+                for c in batch:
+                    if c >= n:  # release event: one virtual predecessor satisfied
+                        i = c - n
+                        m = remaining[i] - 1
+                        remaining[i] = m
+                        if not m:
+                            if newly is None:
+                                newly = [int(rank_a[i])]
+                            else:
+                                newly.append(int(rank_a[i]))
+                        continue
+                    i = c
+                    if on_complete is not None:
+                        retry = on_complete(order[i], now)
+                        if retry is not None:
+                            # re-run on the held allocation; nothing is released
+                            push(heap, (now + retry, seq, i))
+                            seq += 1
+                            continue
+                    freed = True
+                    if packed:
+                        av += dem_topo_l[i]
+                    else:
+                        av += dem_topo[i]
+                    lo = ip[i]
+                    hi = ip[i + 1]
+                    if hi > lo:
+                        tgt = si[lo:hi]
+                        rem = remaining[tgt] - 1
+                        remaining[tgt] = rem  # successors of one job are unique
+                        z = tgt[rem == 0]
+                        if z.size:
+                            zr = rank_a[z].tolist()
+                            if newly is None:
+                                newly = zr
+                            else:
+                                newly.extend(zr)
+            if freed:
+                need_pass = True
+            elif newly is not None:
+                # Release-only batch: no old queue entry can have become
+                # startable, so only the newly released jobs need a fit
+                # test — in rank order, exactly where the full pass would
+                # reach them (old entries being guaranteed misses).
+                if len(newly) > 1:
+                    newly.sort()
+                leftovers = None
+                for r in newly:
+                    if packed:
+                        a = dem_rank_l[r]
+                        fits = (av - a) & H == H
+                    else:
+                        a = dem_rank[r]
+                        fits = (a <= av).all()
+                    if fits:
+                        av -= a
+                        i = topo_l[r]
+                        t = dur[i]
+                        push(heap, (now + t, seq, i))
+                        seq += 1
+                        if log:
+                            log_i[ns] = i
+                            log_t[ns] = now
+                            ns += 1
+                        else:
+                            on_start(order[i], now, t)
+                    elif leftovers is None:
+                        leftovers = [r]
+                    else:
+                        leftovers.append(r)
+                newly = leftovers
+            if newly is not None:
+                k = len(newly)
+                if k == 1:
+                    r = newly[0]
+                    p = qb[:L].searchsorted(r)
+                    qb[p + 1:L + 1] = qb[p:L]
+                    qb[p] = r
+                    pb[p + 1:L + 1] = pb[p:L]
+                    pb[p] = dem_rank[r]
+                    L += 1
+                else:
+                    nr = np.array(newly, dtype=np.int64)
+                    nr.sort()
+                    idx = qb[:L].searchsorted(nr) + np.arange(k)
+                    mask = np.ones(L + k, dtype=bool)
+                    mask[idx] = False
+                    oq = sq[:L + k]
+                    op = sp[:L + k]
+                    oq[idx] = nr
+                    op[idx] = dem_rank[nr]
+                    oq[mask] = qb[:L]
+                    op[mask] = pb[:L]
+                    qb, sq = sq, qb
+                    pb, sp = sp, pb
+                    L += k
+
+        # store the loop state back
+        self.av = av
+        self.seq = seq
+        self.qb = qb
+        self.pb = pb
+        self.sq = sq
+        self.sp = sp
+        self.L = L
+        self.now = now
+        self.done = done
+        if log:
+            self.ns = ns
+        return done
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +965,7 @@ class IncrementalPriorityLoop:
         admission's bounds validation rules out, so an empty heap means
         every admitted, uncancelled job has completed.
         """
-        # load the loop state into locals, as the batch backends do: the
+        # load the loop state into locals, as the batch loop does: the
         # per-event path below is the hot loop the service benchmark times
         gi = self.gi
         packable = gi.packable

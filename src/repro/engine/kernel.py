@@ -18,7 +18,7 @@ scheduler and the frozen PR-1 reference:
 
 Algorithm 2's priority scan does not run here: its allocations are fixed
 up front, so :class:`repro.engine.dispatch.PriorityLoop` carries heap,
-batching and accounting as flat arrays behind a backend.  The two share
+batching and accounting as flat arrays in its own ``run``.  The two share
 :data:`TIME_EPS` and the batch rule (events within it of the first popped
 one form one batch), which is what keeps their schedules identical.
 """

@@ -313,14 +313,14 @@ def whole_amounts(demand) -> tuple[int, ...]:
     An amount must *equal* its integer value: ``2``, ``2.0`` and numpy
     integers are two units; ``2.7``, ``"2"``, ``nan`` and ``inf`` raise
     ``ValueError`` instead of truncating — a job never runs on less than
-    it asked for.
+    it asked for.  A boolean is not an amount, although ``True == 1``.
     """
     raw = tuple(demand)
     try:
         dem = tuple(map(int, raw))
     except OverflowError as exc:  # int(inf)
         raise ValueError(str(exc)) from None
-    if dem != raw:
+    if dem != raw or any(isinstance(a, (bool, np.bool_)) for a in raw):
         raise ValueError(f"demand amounts must be whole numbers, got {list(raw)}")
     return dem
 
@@ -432,28 +432,6 @@ class CompiledInstance:
             )
         shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(PACK_BITS)
         return (alloc_mat.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-
-    def kernel_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR successor arrays under the **kernel layout contract**:
-        C-contiguous ``int64`` ``(succ_indptr, succ_indices)``.
-
-        Compiled dispatch backends (:mod:`repro.engine.backends`) index
-        these arrays from nopython code and need the dtype and memory
-        layout pinned, not merely conventional.  Construction already
-        produces this layout; this accessor *guarantees* it — if an
-        upstream transformation ever replaced the arrays with a view or
-        a different dtype, they are normalized (and re-cached) here
-        rather than handed to a kernel that would misread them.
-        """
-        cd = self.cdag
-        ip, si = cd.succ_indptr, cd.succ_indices
-        if ip.dtype != np.int64 or not ip.flags["C_CONTIGUOUS"]:
-            ip = np.ascontiguousarray(ip, dtype=np.int64)
-            cd.succ_indptr = ip
-        if si.dtype != np.int64 or not si.flags["C_CONTIGUOUS"]:
-            si = np.ascontiguousarray(si, dtype=np.int64)
-            cd.succ_indices = si
-        return ip, si
 
     def rank_permutation(
         self, keys: "Mapping[JobId, object] | np.ndarray"

@@ -178,6 +178,8 @@ def _load_loop_state(
     n = len(gi.order)
 
     loop.now = float(snap["clock"])
+    # the stored rows, as one batch admitted at the stored clock
+    session.span_bound = session._bounded_span(gi.release, gi.duration)
     loop.seq = int(snap["seq"])
     heap = []
     for t, s, c in snap["heap"]:

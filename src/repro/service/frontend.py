@@ -82,7 +82,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.fairshare import FairQueue
 from repro.service.journal import JournaledSession
-from repro.service.session import JobSpec, SchedulingSession
+from repro.service.session import JobSpec, SchedulingSession, real_number
 from repro.service.supervisor import RESTARTS_ENV
 from repro.service.wire import (
     ADMISSION_FAILED,
@@ -200,11 +200,6 @@ class ServiceFrontend:
         self._m_rss = m.gauge(
             "repro_process_rss_bytes", "Resident set size of this process"
         )
-        m.gauge(
-            "repro_backend_info",
-            "Active dispatch backend (constant 1, name in the label)",
-            labels=("backend",),
-        ).set(1, backend=self.session.backend_name)
         self.queue.bind_metrics(m)
         self.session.bind_metrics(m)
         if durable is not None:
@@ -434,7 +429,7 @@ class ServiceFrontend:
         _, errors = self.flush()
         want_events = req.get("events", True)
         s0 = self.spans.now()
-        out = self._mut.advance(float(req["until"]), events=bool(want_events))
+        out = self._mut.advance(real_number(req["until"]), events=bool(want_events))
         self.spans.record("advance", "dispatch", s0, self.spans.now() - s0,
                           rid=self._rid)
         resp: dict[str, Any] = {"clock": self.session.now}
@@ -471,7 +466,6 @@ class ServiceFrontend:
         status["restarts"] = self._restarts
         status["uptime_seconds"] = self.clock() - self._started
         status["rss_bytes"] = process_rss_bytes()
-        status["backend"] = self.session.backend_name
         if self.durable is not None:
             status["journal"] = {
                 "path": self.durable.journal.path,
@@ -488,13 +482,12 @@ class ServiceFrontend:
         Every key below is always present (``journal_records`` is 0 for a
         non-durable service), so dashboards can parse it without
         existence checks; the sharded router reports the same shape per
-        shard under a ``shards`` key.  Documented in the README
-        ("Operations: the stats schema").
+        shard under a ``shards`` key.  The key list is in the README
+        (Service → Sharding, the "Fan-out ops" paragraph).
         """
         c = self.session.counters
         return {
             "clock": self.session.now,
-            "backend": self.session.backend_name,
             "buffered": self.queue.buffered,
             "queues": self.queue.depths(),
             "admitted": c.submitted,

@@ -10,7 +10,7 @@ protocol (both wire versions) to clients while fanning requests out.
 a shard index; ``submit``/``cancel``/``tenant`` for one tenant always
 land on the same worker, so a sharded run is replayable.  Policies are
 pluggable through a small registry (:func:`register_policy`, the same
-idiom as the dispatch-backend registry):
+idiom as the scheduler registry, :mod:`repro.registry`):
 
 ``hash``
     a *stable* hash of the tenant name (BLAKE2, never Python's seeded
@@ -69,7 +69,7 @@ from repro.obs import (
     render_dump,
 )
 from repro.service.fairshare import FairQueue
-from repro.service.session import JobSpec
+from repro.service.session import JobSpec, real_number
 from repro.service.wire import (
     ADMISSION_FAILED,
     BACKPRESSURE,
@@ -756,7 +756,7 @@ class Router:
 
     def _op_advance(self, req: dict[str, Any]) -> dict[str, Any]:
         _, errors = self.flush()
-        until = float(req["until"])
+        until = real_number(req["until"])
         want_events = req.get("events", True)
         responses = self._broadcast(
             {"op": "advance", "until": until, "events": bool(want_events)}
@@ -831,7 +831,6 @@ class Router:
                 queues[tenant] = queues.get(tenant, 0) + depth
         return {
             "clock": max(r["clock"] for r in responses.values()),
-            "backend": responses[0]["backend"],
             "buffered": self.queue.buffered
             + sum(r["buffered"] for r in responses.values()),
             "queues": queues,

@@ -56,6 +56,7 @@ too, not just the scheduler's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -72,7 +73,7 @@ from repro.engine.dispatch import (
 from repro.engine.kernel import TIME_EPS
 from repro.instance.compiled import GrowableCompiledInstance, whole_amounts
 
-__all__ = ["JobSpec", "SchedulingSession", "STATE_NAMES"]
+__all__ = ["JobSpec", "SchedulingSession", "STATE_NAMES", "real_number"]
 
 JobId = Hashable
 
@@ -81,11 +82,25 @@ STATE_NAMES = ("waiting", "queued", "running", "done", "cancelled")
 
 _DEFAULT_TENANT = "default"
 
+#: Admission keeps every reachable virtual time below half the float64
+#: range, so that no other association of the same additions (the loop sums
+#: durations along the realized schedule, ``span_bound`` in admission order)
+#: can round up to ``inf``.
+_TIME_LIMIT = sys.float_info.max / 2
+
 
 _INT = frozenset((int,))
 _ID_TYPES = frozenset((str, int))
 _NO_PREDS: tuple = ()
 _new_row = tuple.__new__
+
+
+def real_number(x: Any) -> float:
+    """``float(x)`` wherever the protocol expects a number: a JSON boolean
+    is refused (``float(True)`` is ``1.0``), as it is for ids and keys."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
 
 
 class JobSpec(NamedTuple):
@@ -169,7 +184,7 @@ class JobSpec(NamedTuple):
         try:
             jid = rec["id"]
             raw_demand = rec["demand"]
-            duration = float(rec["duration"])
+            duration = real_number(rec["duration"])
         except KeyError as exc:
             raise ValueError(f"job record missing required field {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
@@ -184,7 +199,7 @@ class JobSpec(NamedTuple):
         try:
             demand = whole_amounts(raw_demand)
             preds = tuple(raw_preds)
-            release = float(rec.get("release", 0.0))
+            release = real_number(rec.get("release", 0.0))
         except (TypeError, ValueError, OverflowError) as exc:
             # OverflowError: json.loads reads 1e400 as inf, and int(inf) /
             # float(10**400) raise it rather than ValueError
@@ -315,6 +330,13 @@ class SchedulingSession:
         #: next value; checkpoints carry it so recovery can skip journal
         #: records the snapshot already contains.
         self.applied_seq = 0
+        #: running over-approximation of ``latest release + Σ durations``
+        #: over every job ever admitted.  List scheduling never idles once
+        #: every job is released, so no event — and so the clock — can pass
+        #: ``max(now, latest release) + Σ unfinished durations <= now +
+        #: span_bound``; :meth:`submit` refuses the batch that would make
+        #: that bound overflow.  Rebuilt from the live rows on restore.
+        self.span_bound = 0.0
         #: metrics registry (``None`` = uninstrumented, the default; the
         #: batch engine and plain embedded sessions never pay for
         #: observability).  Runtime-only wiring — checkpoints do not
@@ -382,14 +404,6 @@ class SchedulingSession:
     def time_eps(self) -> float:
         return self.loop.eps
 
-    @property
-    def backend_name(self) -> str:
-        """What executes the session's dispatch loop, as ``status``/``stats``
-        and ``repro_backend_info`` report it: ``IncrementalPriorityLoop.run``
-        is interpreted python on every host — the backend registry
-        (:mod:`repro.engine.backends`) covers the batch loop only."""
-        return "python"
-
     def available(self) -> tuple[int, ...]:
         """Per-type resources free at the current clock."""
         return self.loop.available()
@@ -453,12 +467,12 @@ class SchedulingSession:
         tie-break); a job may name earlier jobs of the same call as
         predecessors.  Validation — unknown predecessors, cancelled
         predecessors, demand bounds, non-finite durations, non-scalar ids,
-        duplicate ids — raises ``ValueError`` *before* any of the call's
-        jobs are admitted, so a rejected batch leaves the session
-        untouched.  The whole batch is lowered into the growable rows in
-        one vectorized shot (demands bounds-checked and packed as a
-        matrix, rows extended in bulk, newly ready jobs block-inserted
-        into the ready buffers).
+        duplicate ids, a total of work whose completion time float64 cannot
+        hold — raises ``ValueError`` *before* any of the call's jobs are
+        admitted, so a rejected batch leaves the session untouched.  The
+        whole batch is lowered into the growable rows in one vectorized
+        shot (demands bounds-checked and packed as a matrix, rows extended
+        in bulk, newly ready jobs block-inserted into the ready buffers).
         """
         specs = [
             spec if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
@@ -574,11 +588,13 @@ class SchedulingSession:
         demands, durations, releases = self._validate_numeric(
             ids, dem_col, dur_col, rel_col
         )
+        span = self._bounded_span(releases, durations)
         gi.append_batch(
             ids, preds_idx, demands, durations, keys, releases, ext_preds
         )
-        self.loop.admit_batch(base, rem_counts)
+        self.span_bound = span
         now = self.now
+        self.loop.admit_batch(base, rem_counts)
         self.tenants.extend(tenants)
         self.events.extend(
             ("submit", jid, now, tn) for jid, tn in zip(ids, tenants)
@@ -587,6 +603,21 @@ class SchedulingSession:
         if self.metrics is not None:
             self._m_submitted.inc(len(specs))
         return ids
+
+    def _bounded_span(
+        self, releases: Sequence[float], durations: Sequence[float]
+    ) -> float:
+        """:attr:`span_bound` after admitting jobs with these releases and
+        durations at the current clock; ``ValueError`` when the schedule
+        could then run past :data:`_TIME_LIMIT` (each job is finite on its
+        own; their sum need not be)."""
+        span = self.span_bound + max(releases, default=0.0) + sum(durations)
+        if not self.now + span < _TIME_LIMIT:
+            raise ValueError(
+                "clock + latest release + total admitted duration leaves the "
+                "float64 range (the schedule could not finish at a finite time)"
+            )
+        return span
 
     def _validate_numeric(
         self, ids: Sequence[JobId], dem_col, dur_col, rel_col

@@ -175,6 +175,15 @@ def test_document_json_round_trip():
     )
 
 
+def test_legacy_backend_key_is_accepted_but_never_written():
+    doc = toy_document()
+    assert set(doc["config"]) == {"quick", "seed"}
+    # 4 of the committed documents carry the key with its one surviving value
+    legacy = json.loads(json.dumps(doc))
+    legacy["config"]["backend"] = "python"
+    validate_document(legacy)
+
+
 def test_benchmark_document_slice_is_valid():
     doc = toy_document()
     piece = benchmark_document(doc, "toy")
@@ -190,6 +199,8 @@ def test_benchmark_document_slice_is_valid():
     [
         (lambda d: d.update(schema="repro-bench/0"), "schema"),
         (lambda d: d["config"].pop("seed"), "seed"),
+        # written while the batch loop had a second executor: not comparable
+        (lambda d: d["config"].update(backend="numba"), "backend"),
         (lambda d: d["benchmarks"][0].pop("cases"), "cases"),
         (lambda d: d["benchmarks"].append(dict(d["benchmarks"][0])), "duplicate"),
         (
@@ -455,6 +466,26 @@ def test_cli_bench_list_and_errors(tmp_path, capsys):
     assert main(["bench", "--only", "engine", "--kind", "paper"]) == 2
     err = capsys.readouterr().err
     assert "unknown" not in err and "kind" in err
+
+
+def test_cli_bench_compares_against_a_legacy_backend_baseline(tmp_path, capsys):
+    """A committed-style baseline with ``"backend": "python"`` passes the
+    config check (no exit 2) and compares without a mismatch warning."""
+    from repro.cli import main
+
+    out = tmp_path / "out.json"
+    assert main(["bench", "--quick", "--only", "figure1", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["config"]["backend"] = "python"
+    baseline = tmp_path / "legacy.json"
+    baseline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert (
+        main(["bench", "--quick", "--only", "figure1", "--compare", str(baseline)])
+        == 0
+    )
+    printed = capsys.readouterr().out
+    assert "0 regression(s)" in printed and "WARNING" not in printed
 
 
 def test_cli_bench_refuses_mismatched_baseline(tmp_path, capsys):

@@ -26,15 +26,12 @@ class TestParser:
             args = p.parse_args(argv)
             assert args.command == argv[0]
 
-    def test_backend_flag_only_where_a_backend_runs(self, capsys):
-        """``--backend`` selects the batch loop's executor; the service runs
-        the incremental loop, which no backend covers, so ``serve`` has no
-        such flag."""
-        p = build_parser()
-        for command in ("schedule", "bench", "fuzz"):
-            assert p.parse_args([command, "--backend", "numba"]).backend == "numba"
-        with pytest.raises(SystemExit):
-            p.parse_args(["serve", "--backend", "numba"])
+    @pytest.mark.parametrize("command", ("schedule", "bench", "fuzz", "serve"))
+    def test_no_subcommand_takes_a_backend_flag(self, command, capsys):
+        """The batch loop has one executor: nothing is left to select."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--backend", "x"])
+        assert exc.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
@@ -140,6 +137,31 @@ class TestCommands:
         times = [float(line.split("]")[0].strip("[ "))
                  for line in out.splitlines() if line.startswith("[")]
         assert times == sorted(times)
+
+    def test_repro_backend_env_is_inert(self, capsys, monkeypatch):
+        import warnings
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert main(["schedule", "--n", "12"]) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["schedule", "--n", "12"]) == 0
+        assert capsys.readouterr() == unset
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--d", "0"), ("--capacity", "0"), ("--n", "-3"), ("--seed", "-1")],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    def test_schedule_bad_argument_is_a_clean_error(self, flag, value, capsys):
+        """Out-of-range workload arguments exit 2 with ``error:`` on stderr,
+        as ``repro serve`` answers the same mistakes — the ``ValueError``
+        does not escape ``main`` as a traceback."""
+        assert main(["schedule", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_schedule_follow_needs_fixed_allocation(self, capsys):
         assert main(["schedule", "--family", "independent", "--n", "6",

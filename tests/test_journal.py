@@ -161,6 +161,16 @@ class TestJournaledSession:
         assert [r["op"] for r in records] == ["submit", "advance"]
         assert records[1]["until"] == 1.5 and records[1]["seq"] == 2
 
+    def test_refused_overflowing_submit_journals_nothing(self, tmp_path):
+        js = self._js(tmp_path)
+        js.submit(_specs())
+        with pytest.raises(ValueError, match="leaves the float64 range"):
+            js.submit([JobSpec("x", (4, 4), 1e308), JobSpec("y", (4, 4), 1e308)])
+        js.close()
+        _, records, _ = scan_journal(str(tmp_path / "j.jsonl"))
+        assert [r["op"] for r in records] == ["submit"]
+        assert [j["id"] for j in records[0]["jobs"]] == [s.id for s in _specs()]
+
     def test_recover_replays_to_identical_state(self, tmp_path):
         js = self._js(tmp_path)
         js.submit(_specs())

@@ -346,7 +346,7 @@ class TestFrontendObservability:
         r = fe.handle_request({"op": "spans", "limit": -1})
         assert r["ok"] is False and r["error"] == "invalid_request"
 
-    def test_status_carries_uptime_rss_backend(self):
+    def test_status_carries_uptime_rss(self):
         t = [100.0]
         fe = ServiceFrontend(SchedulingSession((4,)), batch_size=1,
                              clock=lambda: t[0])
@@ -354,7 +354,7 @@ class TestFrontendObservability:
         s = fe.handle_request({"op": "status"})
         assert s["uptime_seconds"] == pytest.approx(7.5)
         assert s["rss_bytes"] > 0
-        assert s["backend"] == fe.session.backend_name
+        assert "backend" not in s
         assert s["restarts"] == 0
 
     def test_restart_gauge_seeded_from_env(self, monkeypatch):

@@ -160,6 +160,12 @@ class TestRouting:
         assert resp["detail"].startswith("job 'b': malformed record")
         assert r.handle_request({"op": "flush"})["admitted"] == []
 
+    def test_boolean_advance_is_an_invalid_request(self):
+        r = router(nshards=2)
+        resp = r.handle_request({"op": "advance", "until": True})
+        assert resp["ok"] is False and resp["error"] == "invalid_request"
+        assert r.handle_request({"op": "status"})["clock"] == 0.0
+
     def test_router_max_pending_backpressure(self):
         r = router(nshards=2, max_pending=1)
         resp = r.handle_request({"op": "submit", "jobs": [
@@ -246,14 +252,12 @@ class TestFanOut:
         r = self._loaded()
         r.handle_request({"op": "drain"})
         resp = r.handle_request({"op": "stats"})
-        for key in ("clock", "backend", "buffered", "queues", "admitted",
-                    "completed", "cancelled", "journal_seq", "journal_records",
-                    "restarts", "workers", "policy", "shards"):
-            assert key in resp, key
+        single = {"clock", "buffered", "queues", "admitted", "completed",
+                  "cancelled", "journal_seq", "journal_records", "restarts"}
+        assert set(resp) - {"ok", "op"} == single | {"workers", "policy", "shards"}
         assert resp["admitted"] == resp["completed"] == 4
-        assert resp["backend"] == "python"
         for shard_stats in resp["shards"].values():
-            assert set(shard_stats) >= {"clock", "backend", "queues", "admitted"}
+            assert set(shard_stats) - {"ok", "op"} == single
 
     def test_validate_merges_violations(self):
         r = self._loaded()

@@ -142,6 +142,17 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match="unknown job index"):
             restore_session(snap)
 
+    def test_work_past_float_range_rejected(self):
+        """A crafted snapshot is the other way in for the state ``submit``
+        refuses: two queued jobs whose durations do not sum."""
+        s = SchedulingSession([4])
+        s.submit([JobSpec("a", (4,), 5.0), JobSpec("b", (4,), 5.0)])
+        snap = checkpoint_session(s)
+        snap["jobs"]["duration"] = [1e308, 1e308]
+        for strict in (True, False):
+            with pytest.raises(ValueError, match="leaves the float64 range"):
+                restore_session(snap, strict=strict)
+
     def test_corrupt_state_rejected(self):
         s = SchedulingSession([4])
         s.submit([JobSpec("a", (2,), 5.0)])

@@ -77,17 +77,44 @@ class TestBatching:
         r = fe.handle_request({"op": "drain"})
         assert r["completed"] == 2
 
-    @pytest.mark.parametrize("literal", ("NaN", "Infinity"))
-    def test_non_finite_advance_is_an_invalid_request(self, literal):
+    @pytest.mark.parametrize(
+        "literal, why",
+        (("NaN", "non-finite"), ("Infinity", "non-finite"), ("true", "expected a number")),
+        ids=("NaN", "Infinity", "true"),
+    )
+    def test_non_finite_advance_is_an_invalid_request(self, literal, why):
         """``json.loads`` accepts the non-JSON float literals; the session
-        must not (NaN drained everything, Infinity pinned the clock)."""
+        must not (NaN drained everything, Infinity pinned the clock) — nor
+        is ``true`` the time 1.0."""
         fe = frontend()
         fe.handle_request({"op": "submit", "jobs": [job("a", duration=2.0)]})
         r = fe.handle_request(json.loads('{"op":"advance","until":%s}' % literal))
         assert not r["ok"] and r["error"] == "invalid_request"
-        assert "non-finite" in r["detail"]
+        assert why in r["detail"]
         assert fe.session.now == 0.0 and fe.session.counters.completed == 0
         assert fe.handle_request({"op": "drain"})["makespan"] == 2.0
+
+    def test_overflowing_work_is_an_admission_error_and_replies_stay_json(self):
+        """Two finite durations whose sum is not: ``drain`` used to answer
+        ``{"clock": Infinity, "makespan": Infinity}``, which is not JSON."""
+
+        def strict(resp):
+            def refuse(literal):
+                raise AssertionError(f"non-JSON literal {literal} in {resp}")
+
+            return json.loads(json.dumps(resp), parse_constant=refuse)
+
+        fe = frontend(caps=(8, 8))
+        fe.handle_request({"op": "submit", "jobs": [
+            job("x", demand=(8, 8), duration=1e307),
+            job("y", demand=(8, 8), duration=1e308),
+        ]})
+        r = strict(fe.handle_request({"op": "flush"}))
+        assert r["admitted"] == ["x"]
+        assert [(e["id"], e["error"]) for e in r["errors"]] == [("y", "admission_failed")]
+        r = strict(fe.handle_request({"op": "drain"}))
+        assert r["clock"] == r["makespan"] == 1e307
+        strict(fe.handle_request({"op": "checkpoint"}))
 
     def test_per_job_errors_do_not_block_the_batch(self):
         fe = frontend()

@@ -7,7 +7,9 @@ submission-order-faithful session and the batch compiled engine.
 """
 
 import json
+import math
 import pickle
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -164,6 +166,27 @@ _REFUSALS = [
         "nan-amount",
         {**_BASE, "demand": [float("nan"), 1]},
         "job 'j': malformed record: cannot convert float NaN to integer",
+    ),
+    # a JSON boolean is not a number (True == 1 used to be admitted as one)
+    (
+        "bool-amount",
+        {**_BASE, "demand": [True, 1]},
+        "job 'j': malformed record: demand amounts must be whole numbers, got [True, 1]",
+    ),
+    (
+        "numpy-bool-amount",
+        {**_BASE, "demand": [1, np.True_]},
+        "job 'j': malformed record: demand amounts must be whole numbers, got [1, np.True_]",
+    ),
+    (
+        "bool-duration",
+        {**_BASE, "duration": True},
+        "job record has a malformed duration: expected a number, got True",
+    ),
+    (
+        "bool-release",
+        {**_BASE, "release": False},
+        "job 'j': malformed record: expected a number, got False",
     ),
     # json.loads reads 1e400 as inf; int(inf) raises OverflowError
     (
@@ -333,6 +356,33 @@ class TestSessionBasics:
                 s.submit([JobSpec("ok", (1,), 1.0), bad])
             assert s.status()["jobs"] == 0
         s.submit([JobSpec("ok", (1,), 1.0)])  # the batch retries cleanly
+
+    @pytest.mark.parametrize(
+        "batches",
+        (
+            [[JobSpec("x", (8, 8), 1e308), JobSpec("y", (8, 8), 1e308)]],
+            [[JobSpec("x", (8, 8), 1e307)] , [JobSpec("y", (8, 8), 1e308)]],
+            [[JobSpec("x", (8, 8), 1e308, release=1e308)]],
+            # max + ulp/4 + ulp/4 is max summed in this order, inf when the
+            # keys run the two small jobs first: (ulp/4 + ulp/4) + max
+            [[JobSpec("x", (8, 8), sys.float_info.max, key=3),
+              JobSpec("y", (8, 8), 2.0**969, key=1),
+              JobSpec("z", (8, 8), 2.0**969, key=2)]],
+        ),
+        ids=("one-batch", "two-submits", "release-plus-duration", "reassociated"),
+    )
+    def test_work_past_float_range_is_refused(self, batches):
+        """Each job is positive and finite; ``1e308 + 1e308`` is not — the
+        second finish used to pin the clock at ``inf`` (as a non-finite
+        ``advance`` once did)."""
+        s = SchedulingSession([8, 8])
+        with pytest.raises(ValueError, match="leaves the float64 range"):
+            for batch in batches:
+                s.submit(batch)
+        assert s.status()["jobs"] == len(batches) - 1  # the refused batch: no row
+        s.submit([JobSpec("ok", (8, 8), 2.0)])
+        s.drain()
+        assert math.isfinite(s.now) and math.isfinite(s.makespan())
 
     def test_fractional_amounts_are_refused_not_truncated(self):
         """(2.7, "1") used to be admitted and served as allocation (2, 1)."""
