@@ -38,8 +38,6 @@ from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.instance.instance import Instance
 from repro.jobs.profiles import ProfileEntry
@@ -107,6 +105,11 @@ def _lp_problem(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]
     per-column ``times``/``areas`` and the offsets (``starts[i]:starts[i + 1]``
     are the ``x`` columns of ``job_order[i]``) are what unpacking needs.
     """
+    # scipy is imported where an LP is built or solved, not with the
+    # package: ``repro serve`` never solves one (tests/test_cli.py holds
+    # the serve path to that)
+    from scipy.sparse import csr_matrix
+
     job_order = instance.dag.topological_order()
     n = len(job_order)
     per_job = [table[j] for j in job_order]
@@ -195,6 +198,8 @@ def solve_dtct_lp(
     """
     if instance.n == 0:
         return FractionalSolution(0.0, {}, {}, {})
+    from scipy.optimize import linprog  # see _lp_problem
+
     problem, job_order, times, areas, starts = _lp_problem(instance, table)
     res = linprog(**problem, method="highs")
     if not res.success:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 __all__ = [
     "PHI",
     "MU_A",
@@ -154,6 +152,8 @@ def mu_star(d: int) -> float:
     lo = 1e-9
     if h_poly(d, MU_B) >= 0:  # pragma: no cover - cannot happen for d >= 22
         return MU_A
+    from scipy.optimize import brentq  # not with the package: see core.dtct
+
     return float(brentq(lambda m: h_poly(d, m), lo, MU_B, xtol=1e-14))
 
 

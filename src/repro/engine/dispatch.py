@@ -38,17 +38,18 @@ Two loops share that contract:
   :mod:`repro.service`: runs on a
   :class:`~repro.instance.compiled.GrowableCompiledInstance`, admits jobs
   *while scheduling* (``admit_batch``), supports cancellation of
-  not-yet-started jobs, and keeps the ready queue as parallel arrays
-  sorted by ``(key image, row index)`` — the identical total order the
-  rank lowering realizes, so a session driven submission-order-faithfully
-  reproduces the batch schedule event for event (the conformance service
-  family asserts this).  It knows **one demand encoding**: every demand
-  is a python-int image with a headroom bit per field, for any ``d`` and
-  any capacity, and
+  not-yet-started jobs, and keeps the ready queue as one python list of
+  ``(key, row index)`` tuples in sorted order — the identical total order
+  the rank lowering realizes, so a session driven
+  submission-order-faithfully reproduces the batch schedule event for
+  event (the conformance service family asserts this).  It knows **one
+  demand encoding**: every demand is a python-int image with a headroom
+  bit per field, for any ``d`` and any capacity, and
   ``(avh - a) & H == H`` / ``avh -= a`` / ``avh += a`` are its only
   admission / acquire / free statements.  ``gi.packable`` only says the
-  images also fit a ``uint64``, which lets long queues be tested in one
-  vector operation over a ``uint64`` column instead of in order.
+  images also fit a ``uint64``, which lets a queue longer than
+  ``_VECTOR_QUEUE`` be tested in one vector operation over a ``uint64``
+  column cached beside the list instead of in order.
 
 Both gate readiness on job release times (online arrivals) and preserve
 the historical tie-breaking exactly: simultaneous completions are
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from bisect import bisect_left, insort
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -84,10 +86,16 @@ __all__ = [
 
 JobId = Hashable
 
-_EMPTY_QUEUE = np.empty(0, dtype=np.int64)
-
-#: Batches at least this large take the whole-array application path.
+#: Batches at least this large take the whole-array application path (the
+#: batch loop's simultaneous events; the session queue's newly ready rows,
+#: sorted in as one block instead of inserted one by one).
 _VECTOR_BATCH = 8
+
+#: Session ready queues longer than this carry the ``uint64`` demand column
+#: and take the whole-queue vector pass; up to it the queue is scanned in
+#: order over python ints (numpy's fixed cost per call only pays for itself
+#: on a long queue — the sweep behind the value is in CHANGES.md, PR 18).
+_VECTOR_QUEUE = 48
 
 
 def _unpack(packed: int, d: int, bits: int = PACK_BITS) -> tuple[int, ...]:
@@ -641,22 +649,32 @@ class IncrementalPriorityLoop:
     The online form of :class:`PriorityLoop`: jobs are admitted with
     :meth:`admit_batch` *at any point* — including between :meth:`run`
     calls with the clock mid-schedule — and not-yet-started jobs can be
-    cancelled.  The ready queue is array-native in the style of
-    :class:`PriorityLoop`'s rank buffers: parallel sorted buffers of
-    float64 key images, int64 row indices and — where the demand images
-    fit a ``uint64`` (``gi.packable``) — a ``uint64`` demand column for
-    the whole-queue vector pass, maintained incrementally with
-    ``searchsorted``-based block insertion.  Availability is the one
-    python int ``avh`` (the per-type vector's image, headroom bits
-    pre-added) on every platform.  Lexicographic ``(key image,
-    index)`` over the buffers is *exactly* the ``(key, index)`` total
-    order the batch rank lowering realizes — keys are validated to be
-    exactly float64-representable at submission, so the image is an order
-    isomorphism — and event batching anchors on the first popped event
-    with the same ``time_eps`` horizon.  A session driven
-    submission-order-faithfully therefore reproduces the batch schedule
-    event for event (the conformance service family asserts this at every
-    step, including through :meth:`compact`).
+    cancelled.  The ready queue :attr:`rq` is the sorted list of ``(key,
+    index)`` tuples itself, kept in order with ``bisect.insort`` and
+    ``del`` — *exactly* the ``(key, index)`` total order the batch rank
+    lowering realizes (keys are validated to be exactly
+    float64-representable at submission, which the rank lowering and the
+    checkpoint rely on; python compares ints and floats exactly).  A pass
+    scans it in order against the one python int ``avh`` (the
+    availability vector's image, headroom bits pre-added) — at the queue
+    lengths a service sees, a few dozen, that is cheaper than any numpy
+    call.  Event batching anchors on the first popped event with the same
+    ``time_eps`` horizon.  A session driven submission-order-faithfully
+    therefore reproduces the batch schedule event for event (the
+    conformance service family asserts this at every step, including
+    through :meth:`compact`).
+
+    The ``uint64`` demand column :attr:`rp` is a **cache of the list, not
+    the queue**: it exists only while the queue is long and the images fit
+    a ``uint64``, and then the whole queue is tested in one vector
+    operation (a bag-of-tasks submit leaves thousands of rows queued, and
+    scanning those per completion costs ten times the vector pass).
+    Invariant, after every method: ``rp is None`` ⇔ ``not gi.packable or
+    len(rq) <= _VECTOR_QUEUE``; otherwise ``rp[p] == gi.packed[rq[p][1]]``
+    for every position ``p`` of the queue (the buffer may be longer — room
+    for insertions).  It is gathered from the list when the queue grows
+    past the constant, patched at the positions the list is while the
+    queue stays long, and dropped when the queue shrinks back.
 
     Instead of per-event callbacks, the loop appends event tuples to
     :attr:`log` (shared with the owning session): ``("start", id, t,
@@ -671,8 +689,7 @@ class IncrementalPriorityLoop:
 
     __slots__ = (
         "gi", "now", "eps", "heap", "seq", "state", "remaining",
-        "start", "finish", "avh", "log", "ncompleted",
-        "rk", "ri", "rp", "sk", "si", "sp", "L",
+        "start", "finish", "avh", "log", "ncompleted", "rq", "rp",
     )
 
     def __init__(
@@ -695,16 +712,9 @@ class IncrementalPriorityLoop:
         self.avh = gi.packed_capacities + gi.fit_mask
         self.log: list[tuple] = log if log is not None else []
         self.ncompleted = 0  # lifetime completions (survives compaction)
-        # the ready queue: parallel sorted-by-(key, index) buffers plus
-        # spares for the batched insertion merge; L is the live length
-        cap = 16
-        self.rk = np.empty(cap, dtype=np.float64)
-        self.ri = np.empty(cap, dtype=np.int64)
-        self.rp = np.empty(cap, dtype=np.uint64)
-        self.sk = np.empty(cap, dtype=np.float64)
-        self.si = np.empty(cap, dtype=np.int64)
-        self.sp = np.empty(cap, dtype=np.uint64)
-        self.L = 0
+        # the ready queue, and its demand column while the queue is long
+        self.rq: list[tuple[object, int]] = []
+        self.rp: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -715,143 +725,98 @@ class IncrementalPriorityLoop:
     def pending(self) -> int:
         return len(self.heap)
 
+    @property
+    def L(self) -> int:
+        """Length of the ready queue."""
+        return len(self.rq)
+
     def available(self) -> tuple[int, ...]:
         """The per-type availability vector at the current clock."""
         gi = self.gi
         return _unpack(self.avh - gi.fit_mask, gi.d, gi.bits)
 
     def ready_items(self) -> list[tuple[object, int]]:
-        """The ready queue as ``(key, index)`` tuples in dispatch order —
-        by construction the sorted ``(key, index)`` list of queued jobs
-        (the PR-5 ``insort`` representation; tests and checkpoints pin the
-        buffers to it)."""
-        key = self.gi.key
-        return [(key[i], i) for i in self.ri[:self.L].tolist()]
+        """The ready queue as ``(key, index)`` tuples in dispatch order (a
+        copy of :attr:`rq`)."""
+        return list(self.rq)
 
     # ------------------------------------------------------------------
     # ready-queue maintenance
     # ------------------------------------------------------------------
-    def _reserve(self, need: int) -> None:
-        cap = self.rk.shape[0]
-        if need <= cap:
+    def _gather_column(self) -> None:
+        """Make the demand column what the list says after a bulk change:
+        gathered anew (with as much room again for in-place insertions)
+        iff the queue is long and the images fit a ``uint64``."""
+        rq = self.rq
+        if not self.gi.packable or len(rq) <= _VECTOR_QUEUE:
+            self.rp = None
             return
-        while cap < need:
-            cap *= 2
-        for name in ("rk", "ri", "rp", "sk", "si", "sp"):
-            buf = getattr(self, name)
-            new = np.empty(cap, dtype=buf.dtype)
-            new[:self.L] = buf[:self.L]
-            setattr(self, name, new)
+        packed = self.gi.packed
+        rp = np.empty(2 * len(rq), dtype=np.uint64)
+        rp[:len(rq)] = np.array([packed[i] for _, i in rq], dtype=np.uint64)
+        self.rp = rp
 
-    def _position(self, k: float, i: int) -> int:
-        """Insertion position of ``(k, i)`` in the lexicographic order."""
-        L = self.L
-        rk = self.rk
-        lo = int(rk[:L].searchsorted(k, side="left"))
-        hi = int(rk[:L].searchsorted(k, side="right"))
-        if lo == hi:
-            return lo
-        return lo + int(self.ri[lo:hi].searchsorted(i))
+    def _enqueue(self, rows: list[int]) -> None:
+        """Insert newly queued rows into the ready queue (in place: ``run``
+        holds the list in a local).
 
-    def _push_ready(self, i: int) -> None:
-        """Insert one queued row: binary search plus one block move."""
-        L = self.L
-        self._reserve(L + 1)
-        gi = self.gi
-        k = float(gi.key[i])
-        p = self._position(k, i)
-        rk = self.rk
-        ri = self.ri
-        rk[p + 1:L + 1] = rk[p:L]
-        rk[p] = k
-        ri[p + 1:L + 1] = ri[p:L]
-        ri[p] = i
-        if gi.packable:
-            rp = self.rp
-            rp[p + 1:L + 1] = rp[p:L]
-            rp[p] = gi.packed[i]
-        self.L = L + 1
-
-    def _push_ready_block(self, items: list[int]) -> None:
-        """Insert a batch of queued rows with one searchsorted merge."""
-        k = len(items)
-        if k == 1:
-            self._push_ready(items[0])
-            return
-        L = self.L
-        self._reserve(L + k)
+        A few rows are ``insort``-ed one by one — and, while the queue is
+        long, patched into the column at the same positions; a large block
+        extends and sorts (Timsort merges the two runs) and the column is
+        gathered again, as it is when the queue first grows past
+        :data:`_VECTOR_QUEUE` or outgrows the column's room.
+        """
         gi = self.gi
         key = gi.key
-        bi = np.asarray(items, dtype=np.int64)
-        bk = np.array([float(key[i]) for i in items], dtype=np.float64)
-        srt = np.lexsort((bi, bk))
-        bi = bi[srt]
-        bk = bk[srt]
-        rk = self.rk
-        ri = self.ri
-        pos = rk[:L].searchsorted(bk, side="left")
-        hi = rk[:L].searchsorted(bk, side="right")
-        ties = np.flatnonzero(pos != hi)
-        for t in ties.tolist():
-            lo = int(pos[t])
-            pos[t] = lo + int(ri[lo:int(hi[t])].searchsorted(int(bi[t])))
-        idx = pos + np.arange(k)
-        total = L + k
-        mask = np.ones(total, dtype=bool)
-        mask[idx] = False
-        vk = self.sk[:total]
-        vi = self.si[:total]
-        vk[idx] = bk
-        vk[mask] = rk[:L]
-        vi[idx] = bi
-        vi[mask] = ri[:L]
-        self.rk, self.sk = self.sk, self.rk
-        self.ri, self.si = self.si, self.ri
-        if gi.packable:
+        rq = self.rq
+        rp = self.rp
+        if len(rows) >= _VECTOR_BATCH:
+            rq.extend([(key[i], i) for i in rows])
+            rq.sort()
+        elif rp is not None and len(rq) + len(rows) <= rp.shape[0]:
             packed = gi.packed
-            vp = self.sp[:total]
-            vp[idx] = np.array([packed[i] for i in bi.tolist()], dtype=np.uint64)
-            vp[mask] = self.rp[:L]
-            self.rp, self.sp = self.sp, self.rp
-        self.L = total
+            for i in rows:
+                item = (key[i], i)
+                p = bisect_left(rq, item)
+                L = len(rq)
+                rq.insert(p, item)
+                rp[p + 1:L + 1] = rp[p:L]
+                rp[p] = packed[i]
+            return
+        else:
+            for i in rows:
+                insort(rq, (key[i], i))
+        self._gather_column()
 
     def _pop_ready(self, i: int) -> None:
         """Remove row ``i`` from the ready queue (cancellation path)."""
-        L = self.L
-        p = self._position(float(self.gi.key[i]), i)
-        if not (p < L and self.ri[p] == i):  # pragma: no cover - defensive
+        rq = self.rq
+        p = bisect_left(rq, (self.gi.key[i], i))
+        if not (p < len(rq) and rq[p][1] == i):  # pragma: no cover - defensive
             raise RuntimeError(f"ready queue lost row {i}")
-        rk = self.rk
-        ri = self.ri
-        rk[p:L - 1] = rk[p + 1:L]
-        ri[p:L - 1] = ri[p + 1:L]
-        if self.gi.packable:
-            self.rp[p:L - 1] = self.rp[p + 1:L]
-        self.L = L - 1
+        del rq[p]
+        rp = self.rp
+        if rp is not None:
+            L = len(rq)
+            if L <= _VECTOR_QUEUE:
+                self.rp = None
+            else:
+                rp[p:L] = rp[p + 1:L + 1]
 
     def load_ready(self, items: Sequence[int]) -> None:
         """Restore the ready queue from stored row indices (already in
         dispatch order) — the checkpoint hot-restore path: no rebuild from
-        per-job states, just a bulk gather of the key/packed images."""
-        k = len(items)
-        self.L = 0
-        self._reserve(k)
-        gi = self.gi
-        key = gi.key
-        idx = np.asarray(items, dtype=np.int64) if k else _EMPTY_QUEUE
-        self.ri[:k] = idx
-        self.rk[:k] = np.array([float(key[i]) for i in items], dtype=np.float64)
-        if gi.packable:
-            packed = gi.packed
-            self.rp[:k] = np.array([packed[i] for i in items], dtype=np.uint64)
-        self.L = k
+        per-job states, no sort, just the keys looked up."""
+        key = self.gi.key
+        self.rq[:] = [(key[i], i) for i in items]
+        self._gather_column()
 
     # ------------------------------------------------------------------
     def admit_batch(self, lo: int, rem_counts: Sequence[int]) -> None:
         """Register every appended row from ``lo`` to the end of the
         instance (once, in row order) — readiness is set per row, but all
-        newly queued rows enter the ready buffers through one block
-        insertion.
+        newly queued rows enter the ready queue through one
+        :meth:`_enqueue` call.
 
         ``rem_counts[i - lo]`` is row ``i``'s count of predecessors not yet
         completed (the session's ``submit`` walks every predecessor to
@@ -900,7 +865,7 @@ class IncrementalPriorityLoop:
                 state.append(J_WAITING)
         self.seq = seq
         if newly:
-            self._push_ready_block(newly)
+            self._enqueue(newly)
 
     def cancel(self, i: int) -> bool:
         """Cancel job index ``i`` if it has not started; returns success.
@@ -937,7 +902,8 @@ class IncrementalPriorityLoop:
         ready queue at queued ones — and ``old2new`` is increasing on
         survivors, so remapping indices preserves both the heap order
         (codes don't participate in it) and the ready queue's
-        ``(key, index)`` order.
+        ``(key, index)`` order; the demand column holds demands in queue
+        order, which a renumbering does not change.
         """
         state = self.state
         self.state = [state[i] for i in keep]
@@ -947,10 +913,8 @@ class IncrementalPriorityLoop:
         self.start = [start[i] for i in keep]
         finish = self.finish
         self.finish = [finish[i] for i in keep]
-        L = self.L
-        if L:
-            self.ri[:L] = old2new[self.ri[:L]]
         o2n = old2new.tolist()
+        self.rq = [(k, o2n[i]) for k, i in self.rq]
         self.heap = [
             (t, s, o2n[c] if c >= 0 else ~o2n[~c]) for (t, s, c) in self.heap
         ]
@@ -958,6 +922,13 @@ class IncrementalPriorityLoop:
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> bool:
         """Dispatch and process events up to ``until`` (see the batch loop).
+
+        A dispatch pass is one of two forms of the same greedy scan in
+        ``(key, index)`` order, chosen by whether the demand column exists
+        (``self.rp``, i.e. by the queue length observed): the in-order scan
+        of :attr:`rq` over python ints, or the batch loop's whole-queue
+        admit-then-refilter over the ``uint64`` column.  A batch with no
+        completion takes the release-only scan of the newly released rows.
 
         Returns ``True`` when the event heap is empty after the final
         dispatch pass — queued jobs may remain only if the platform can
@@ -968,7 +939,6 @@ class IncrementalPriorityLoop:
         # load the loop state into locals, as the batch loop does: the
         # per-event path below is the hot loop the service benchmark times
         gi = self.gi
-        packable = gi.packable
         heap = self.heap
         state = self.state
         remaining = self.remaining
@@ -989,10 +959,10 @@ class IncrementalPriorityLoop:
         eps = self.eps
         now = self.now
         seq = self.seq
-        rk = self.rk
-        ri = self.ri
-        rp = self.rp
-        L = self.L
+        # the queue is held here, so nothing run() calls may rebind it;
+        # the column comes and goes with the queue's length and is read
+        # from self at each pass
+        rq = self.rq
         pop = heapq.heappop
         push = heapq.heappush
         done = False
@@ -1005,17 +975,18 @@ class IncrementalPriorityLoop:
 
         while True:
             # ------------------------- dispatch pass -------------------------
-            if need_pass and L:
+            if need_pass and rq:
                 started: list[int] | None = None
-                if L <= 8 or not packable:
-                    # short queue (the steady-state service regime), or
-                    # images too wide for the uint64 column: an in-order
-                    # scan against the current availability.  On short
-                    # queues it beats the fixed cost of the numpy
-                    # machinery below, and it is exactly the vector pass
-                    # (availability only shrinks, so snapshot-hits +
-                    # recheck == sequential test)
-                    for pos, i in enumerate(ri[:L].tolist()):
+                rp = self.rp
+                if rp is None:
+                    # no column — a queue of at most _VECTOR_QUEUE entries
+                    # (the steady-state service regime), or images too
+                    # wide for a uint64: an in-order scan against the
+                    # current availability.  On such queues it beats the
+                    # fixed cost of the numpy machinery below, and it is
+                    # exactly the vector pass (availability only shrinks,
+                    # so snapshot-hits + recheck == sequential test)
+                    for pos, (_, i) in enumerate(rq):
                         a = packed[i]
                         if (avh - a) & H == H:
                             avh -= a
@@ -1036,10 +1007,12 @@ class IncrementalPriorityLoop:
                     # with one small vector comparison instead of a
                     # scalar recheck per snapshot hit
                     H_u = uint64(H)
-                    hits = (((uint64(avh) - rp[:L]) & H_u) == H_u).nonzero()[0]
+                    hits = (
+                        ((uint64(avh) - rp[:len(rq)]) & H_u) == H_u
+                    ).nonzero()[0]
                     while hits.size:
                         pos = int(hits[0])
-                        i = int(ri[pos])
+                        i = rq[pos][1]
                         avh -= packed[i]
                         state[i] = J_RUNNING
                         start_l[i] = now
@@ -1057,15 +1030,20 @@ class IncrementalPriorityLoop:
                                 ((uint64(avh) - rp[hits]) & H_u) == H_u
                             ]
                 if started is not None:
-                    if len(started) == L:
-                        L = 0
-                    else:
+                    if len(started) == len(rq):
+                        rq.clear()
+                        self.rp = None
+                    elif rp is None:
                         for p in reversed(started):
-                            rk[p:L - 1] = rk[p + 1:L]
-                            ri[p:L - 1] = ri[p + 1:L]
-                            if packable:
-                                rp[p:L - 1] = rp[p + 1:L]
+                            del rq[p]
+                    else:
+                        L = len(rq)
+                        for p in reversed(started):
+                            del rq[p]
                             L -= 1
+                            rp[p:L] = rp[p + 1:L + 1]
+                        if L <= _VECTOR_QUEUE:
+                            self.rp = None
             need_pass = False
             if not heap:
                 done = True
@@ -1152,19 +1130,13 @@ class IncrementalPriorityLoop:
                         leftovers.append(i)
                 newly = leftovers
             if newly is not None:
-                self.L = L
-                self._push_ready_block(newly)
-                rk = self.rk
-                ri = self.ri
-                rp = self.rp
-                L = self.L
+                self._enqueue(newly)
 
         # store the loop state back
         self.avh = avh
         self.seq = seq
         self.now = now
         self.ncompleted = ncompleted
-        self.L = L
         return done
 
     def advance_clock(self, until: float) -> None:

@@ -19,8 +19,8 @@ Two properties make this hold: all scheduler state is plain python
 scalars (floats survive JSON round-trips exactly; heap entries, keys and
 ids are carried verbatim), and the ready queue is stored as its index
 array rather than re-derived — restore loads it straight back into the
-loop's sorted buffers (one bulk gather of the key/packed images), so a
-hot restore does no per-job queue rebuilding.  ``strict=True`` (the
+loop's sorted ``(key, index)`` list (the keys looked up, nothing sorted),
+so a hot restore does no per-job queue rebuilding.  ``strict=True`` (the
 default) additionally cross-checks the snapshot's redundant state — the
 availability vector against the running jobs' demands, the ready array
 against the queued states — so a corrupted checkpoint fails loudly
@@ -94,7 +94,7 @@ def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
             "start": list(loop.start),
             "finish": list(loop.finish),
         },
-        "ready": loop.ri[:loop.L].tolist(),
+        "ready": [i for _, i in loop.rq],
         "heap": [[t, s, c] for (t, s, c) in loop.heap],
         "available": list(loop.available()),
         # archive records are append-only and frozen once written (restore
@@ -263,8 +263,19 @@ def _load_loop_state(
     arch = session.archive
     session.archive_index = {rec["id"]: pos for pos, rec in enumerate(arch)}
     # every finished job, archived or still a live row (see
-    # SchedulingSession.done_ids)
-    done_ids = {rec["id"] for rec in arch if rec["state"] == "done"}
+    # SchedulingSession.done_ids); the same walk rebuilds the archive's
+    # running values (SchedulingSession.archived_states)
+    done_ids = set()
+    counts = session.archived_states
+    latest = 0.0
+    for rec in arch:
+        st = rec["state"]
+        counts[st] = counts.get(st, 0) + 1
+        if st == "done":
+            done_ids.add(rec["id"])
+            if rec["finish"] > latest:
+                latest = rec["finish"]
+    session.archived_makespan = latest
     order = session.gi.order
     done_ids.update(
         order[i] for i, st in enumerate(states) if st == J_DONE

@@ -50,7 +50,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Any, Iterable
 
-from repro.service.session import JobSpec
+from repro.service.session import JobSpec, real_number
 
 __all__ = ["FairQueue", "Tenant"]
 
@@ -117,9 +117,24 @@ class FairQueue:
         return t
 
     def set_weight(self, name: str, weight: float) -> None:
-        if not weight > 0:
-            raise ValueError(f"tenant weight must be positive, got {weight}")
-        self.tenant(name).weight = float(weight)
+        """Set a tenant's weight.  This is the only way a weight gets in,
+        so it holds the one rule the stride arithmetic needs: a real number
+        (no JSON boolean) whose step ``1.0 / weight`` is finite and
+        positive.  A step of ``0.0`` (weight ``inf``) never advances the
+        tenant's ``vtime`` — once picked, its whole buffer drains before
+        anyone's second job; a step of ``inf`` (weight ``1e-320``) sends
+        the virtual floor to ``inf``, where every tenant ties for the life
+        of the process.  Refused with ``ValueError``, nothing mutated."""
+        try:
+            w = real_number(weight)
+        except OverflowError:  # an integer past float range
+            w = math.inf
+        if not (w > 0 and 0.0 < 1.0 / w < math.inf):
+            raise ValueError(
+                "tenant weight must be a positive number with a finite, "
+                f"non-zero stride step 1/weight, got {weight!r}"
+            )
+        self.tenant(name).weight = w
 
     def weight_of(self, name: str) -> float:
         t = self.tenants.get(name)

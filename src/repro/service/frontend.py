@@ -501,8 +501,9 @@ class ServiceFrontend:
         }
 
     def _op_tenant(self, req: dict[str, Any]) -> dict[str, Any]:
-        self.set_weight(str(req["name"]), float(req["weight"]))
-        return {"name": req["name"], "weight": float(req["weight"])}
+        name = str(req["name"])
+        self.set_weight(name, req["weight"])  # FairQueue.set_weight validates
+        return {"name": req["name"], "weight": self.queue.weight_of(name)}
 
     def _op_validate(self, req: dict[str, Any]) -> dict[str, Any]:
         from repro.conformance.invariants import validate_schedule

@@ -736,8 +736,8 @@ class Router:
 
     def _op_tenant(self, req: dict[str, Any]) -> dict[str, Any]:
         name = str(req["name"])
-        weight = float(req["weight"])
-        self.queue.set_weight(name, weight)  # the authoritative copy
+        self.queue.set_weight(name, req["weight"])  # the authoritative copy
+        weight = self.queue.weight_of(name)
         # mirror to the owning shard so per-worker status stays coherent
         shard = self.shard_of(name)
         resp = self._call(shard, {"op": "tenant", "name": name, "weight": weight})

@@ -6,8 +6,8 @@ completion, it owns a
 :class:`~repro.instance.compiled.GrowableCompiledInstance` (submissions
 append rows, never recompile) and an
 :class:`~repro.engine.dispatch.IncrementalPriorityLoop` (a resumable heap
-plus readiness state over array-native ready buffers), and exposes the
-service verbs:
+plus readiness state, the ready queue one sorted python list of ``(key,
+index)`` entries), and exposes the service verbs:
 
 * :meth:`~SchedulingSession.submit` — admit jobs (with chosen demands,
   durations, precedences, releases and priority keys) at the current
@@ -316,6 +316,13 @@ class SchedulingSession:
         # dead rows compacted away: full records by id (the cold store)
         self.archive: list[dict[str, Any]] = []
         self.archive_index: dict[JobId, int] = {}
+        #: what :meth:`status` and :meth:`makespan` need of the archive —
+        #: rows per state name and the latest archived finish — as running
+        #: values, so both cost O(live rows) however long the session has
+        #: run.  Updated where :meth:`_compact` archives a row, rebuilt
+        #: where restore walks the archive.
+        self.archived_states = {"done": 0, "cancelled": 0}
+        self.archived_makespan = 0.0
         #: ids of every *completed* job, live row or archived — the
         #: one-hash membership test ``submit`` uses to accept a batch
         #: whose predecessors have all finished without resolving them
@@ -429,8 +436,8 @@ class SchedulingSession:
         counts = dict.fromkeys(STATE_NAMES, 0)
         for s in self.loop.state:
             counts[STATE_NAMES[s]] += 1
-        for rec in self.archive:
-            counts[rec["state"]] += 1
+        for name, rows in self.archived_states.items():
+            counts[name] += rows
         return {
             "clock": self.now,
             "jobs": len(self.gi.order) + len(self.archive),
@@ -447,14 +454,11 @@ class SchedulingSession:
 
     def makespan(self) -> float:
         """Latest finish time over every completed job (0.0 when none)."""
-        best = 0.0
+        best = self.archived_makespan
         finish = self.loop.finish
         for i, s in enumerate(self.loop.state):
             if s == J_DONE and finish[i] > best:
                 best = finish[i]
-        for rec in self.archive:
-            if rec["state"] == "done" and rec["finish"] > best:
-                best = rec["finish"]
         return best
 
     # ------------------------------------------------------------------
@@ -472,7 +476,7 @@ class SchedulingSession:
         admitted, so a rejected batch leaves the session untouched.  The
         whole batch is lowered into the growable rows in one vectorized
         shot (demands bounds-checked and packed as a matrix, rows extended
-        in bulk, newly ready jobs block-inserted into the ready buffers).
+        in bulk, newly ready jobs entering the ready queue in one call).
         """
         specs = [
             spec if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
@@ -804,6 +808,9 @@ class SchedulingSession:
         arch_append = archive.append
         archive_index = self.archive_index
         done_ids = self.done_ids
+        archived0 = len(archive)
+        ndone = 0
+        latest = self.archived_makespan
         for i, s in enumerate(state):
             if s <= J_RUNNING:  # waiting / queued / running stay hot
                 keep_append(i)
@@ -812,6 +819,9 @@ class SchedulingSession:
             archive_index[jid] = len(archive)
             if s == J_DONE:
                 done_ids.add(jid)  # already there via the event log; cheap belt
+                ndone += 1
+                if finish[i] > latest:
+                    latest = finish[i]
             pr = [order[p] for p in preds[i]]
             ep = ext[i]
             if ep:
@@ -830,6 +840,10 @@ class SchedulingSession:
                     "finish": finish[i],
                 }
             )
+        # a dead row is done or cancelled
+        self.archived_states["done"] += ndone
+        self.archived_states["cancelled"] += len(archive) - archived0 - ndone
+        self.archived_makespan = latest
         old2new = gi.compact(keep)
         loop.compact(keep, old2new)
         self.tenants = [tenants[i] for i in keep]

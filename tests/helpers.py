@@ -8,6 +8,7 @@ the name that wins depends on collection order.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import numpy as np
@@ -33,6 +34,16 @@ __all__ = [
     "reference_solve_dtct_lp",
     "reference_fair_queue",
 ]
+
+
+def strict_json(resp):
+    """``resp`` through a JSON round trip that refuses the non-JSON float
+    literals (``NaN``, ``Infinity``) ``json.dumps`` would happily write."""
+
+    def refuse(literal):
+        raise AssertionError(f"non-JSON literal {literal} in {resp}")
+
+    return json.loads(json.dumps(resp), parse_constant=refuse)
 
 
 def tiny_instance(

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +36,20 @@ class TestParser:
             build_parser().parse_args([command, "--backend", "x"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+def test_serve_path_imports_no_scipy():
+    """``repro serve`` — and every shard worker, supervisor and router
+    process — never solves an LP, so booting one must not pay for scipy
+    (0.5 s and ~50 MB of RSS per process).  In a subprocess: this one has
+    scipy loaded."""
+    code = (
+        "import repro.cli, repro.service.frontend, repro.service.router, "
+        "repro.service.supervisor, sys; "
+        "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCommands:

@@ -6,12 +6,12 @@ LP solver tolerance) on randomized instances, not just on fixtures.
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from helpers import tiny_instance
 from scipy.optimize import OptimizeResult
 
-from repro.core import dtct
 from repro.core.dtct import DTCTSolveError, dtct_allocate, round_fractional, solve_dtct_lp
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
@@ -84,7 +84,7 @@ class TestSolverFailure:
             assert kwargs["method"] == "highs"
             return OptimizeResult(success=False, status=status, message=message, x=None)
 
-        monkeypatch.setattr(dtct, "linprog", failing_linprog)
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
         inst = tiny_instance(seed=2)
         with pytest.raises(DTCTSolveError) as err:
             solve_dtct_lp(inst, inst.candidate_table(full_grid))
@@ -95,13 +95,13 @@ class TestSolverFailure:
 
     def test_linprog_called_with_no_solver_options(self, monkeypatch):
         seen = {}
-        real = dtct.linprog
+        real = scipy.optimize.linprog
 
         def spying_linprog(c, **kwargs):
             seen.update(kwargs)
             return real(c, **kwargs)
 
-        monkeypatch.setattr(dtct, "linprog", spying_linprog)
+        monkeypatch.setattr(scipy.optimize, "linprog", spying_linprog)
         inst = tiny_instance(seed=2)
         solve_dtct_lp(inst, inst.candidate_table(full_grid))
         assert sorted(seen) == ["A_eq", "A_ub", "b_eq", "b_ub", "bounds", "method"]

@@ -13,6 +13,7 @@ wrong (a refused duplicate id moving an accepted job in ``fifo`` mode).
 
 import math
 
+import pytest
 from helpers import reference_fair_queue
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,49 @@ def test_drain_terminates_when_a_vtime_overflows():
     q.enqueue_many([spec(i, "a") for i in range(4)], 0.0)
     assert [s.id for s in q.drain_fair()] == [0, 1, 2, 3]
     assert q.tenants["a"].vtime == math.inf
+
+
+class TestWeightRule:
+    """``set_weight`` is the only way a weight gets in: it refuses what
+    the stride arithmetic cannot carry, and a refusal changes nothing."""
+
+    @staticmethod
+    def _loaded():
+        q = FairQueue()
+        q.set_weight("hog", 2.0)
+        q.enqueue_many(
+            [spec(f"a{i}", "a") for i in range(2)]
+            + [spec(f"hog{i}", "hog") for i in range(4)],
+            0.0,
+        )
+        return q
+
+    @pytest.mark.parametrize(
+        "weight",
+        [True, math.inf, 1e-320, pytest.param(10**400, id="int-past-float"),
+         0, -1, math.nan, None],
+    )
+    def test_refused_and_nothing_moves(self, weight):
+        q = self._loaded()
+        before = _state(q)
+        for name in ("a", "newcomer"):
+            with pytest.raises((ValueError, TypeError), match="positive|number"):
+                q.set_weight(name, weight)
+        assert _state(q) == before  # weights, vtimes, floor; no tenant created
+        # a at weight 1, hog at weight 2: the order of the accepted weights
+        assert [s.id for s in q.drain_fair()] == [
+            "a0", "hog0", "hog1", "a1", "hog2", "hog3",
+        ]
+        assert q._vfloor == 2.0
+
+    @pytest.mark.parametrize("weight", [0.1, 3, 1e300, 1e-308])
+    def test_accepted_as_a_float(self, weight):
+        q = self._loaded()
+        q.set_weight("a", weight)
+        w = q.weight_of("a")
+        assert w == weight and type(w) is float
+        assert 0.0 < 1.0 / w < math.inf
+        assert len(q.drain_fair()) == 6
 
 
 class TestStamps:

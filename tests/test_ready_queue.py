@@ -1,17 +1,26 @@
 """Ready-queue order identity and compaction remapping tests.
 
-The array-native ready queue (parallel sorted buffers of float64 key
-images, int64 row indices and, where they fit a ``uint64``, demand
-images) must realize *exactly* the
-sorted ``(key, index)`` list the earlier ``insort``-maintained queue held
-— that total order is what makes a faithfully-driven session reproduce
-the batch schedule event for event.  The hypothesis property here drives
-a live session through randomized submit / advance / cancel
-interleavings — across workload families, priority schedulers and
-d ∈ {1..6}, covering demand images that fit the ``uint64`` queue column
-(d ≤ 4: vector pass on long queues) and ones that do not (in-order scan
-at any length) — and compares the queue against the reference order
-after every verb, through mid-stream compactions.
+The session loop's ready queue *is* the sorted ``(key, index)`` list of
+queued rows (``IncrementalPriorityLoop.rq``, maintained with ``insort``
+and ``del``) — that total order is what makes a faithfully-driven session
+reproduce the batch schedule event for event.  The oracle here rebuilds
+the list from the per-row states and keys, so what it pins is the
+maintenance: every insertion, removal, compaction remap and checkpoint
+round trip leaves exactly the list a fresh sort would give.  Beside the
+list the loop caches a ``uint64`` demand column while the queue is longer
+than ``_VECTOR_QUEUE`` and the images fit (d ≤ 4); ``_assert_column``
+holds the invariant stated in the class docstring.
+
+Two hypothesis properties drive a live session through randomized
+submit / advance / cancel interleavings and check both after every verb,
+through mid-stream compactions: one over 10-job instances across workload
+families, priority schedulers and d ∈ {1..6} (always the short side: the
+in-order scan), one over 150–400 mostly independent jobs on a platform
+where a handful fit, whose queue crosses ``_VECTOR_QUEUE`` upward at
+``submit`` and downward while draining (the vector pass, the column
+patched, gathered and dropped, strict checkpoint round trips while it is
+live) and whose cancel-free draws must equal ``list_schedule`` event for
+event.
 
 The compaction unit tests pin the other half of the contract: the
 ``dead >= threshold * rows`` / ``rows >= min_rows`` trigger, and the
@@ -21,16 +30,24 @@ predecessor/successor wiring and archived-predecessor resolution for
 rows appended *after* the compaction.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.dispatch import J_QUEUED, J_WAITING
+from repro.core.list_scheduler import explicit_priority, list_schedule
+from repro.dag.graph import DAG
+from repro.engine.dispatch import _VECTOR_BATCH, _VECTOR_QUEUE, J_QUEUED, J_WAITING
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
+from repro.instance.instance import Instance
 from repro.jobs.candidates import make_candidates
+from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
-from repro.service.session import JobSpec, SchedulingSession
+from repro.resources.vector import ResourceVector
+from repro.service.checkpoint import checkpoint_session, restore_session
+from repro.service.session import STATE_NAMES, JobSpec, SchedulingSession
 
 _DIAGONAL = make_candidates("diagonal", levels=6)
 
@@ -73,11 +90,39 @@ def _specs(inst, alloc, keys, releases):
 
 
 def _assert_insort_order(loop):
-    """The property: the buffers ARE the sorted ``(key, index)`` list of
-    queued rows — the representation the ``insort`` queue maintained."""
+    """The property: the queue IS the sorted ``(key, index)`` list of
+    queued rows — what a fresh sort of the per-row states would give."""
     key = loop.gi.key
     ref = sorted((key[i], i) for i, s in enumerate(loop.state) if s == J_QUEUED)
     assert loop.ready_items() == ref
+
+
+def _assert_column(loop):
+    """The demand column is a cache of the list: there iff the queue is
+    long and the images fit a ``uint64``, and then equal to the queued
+    rows' images position for position."""
+    rq, rp, gi = loop.rq, loop.rp, loop.gi
+    assert (rp is None) == (not gi.packable or len(rq) <= _VECTOR_QUEUE)
+    if rp is not None:
+        assert rp.dtype == np.uint64
+        assert rp[:len(rq)].tolist() == [gi.packed[i] for _, i in rq]
+
+
+def _assert_queue(session):
+    _assert_insort_order(session.loop)
+    _assert_column(session.loop)
+
+
+def _json_fork(session, *, strict=True):
+    """checkpoint → JSON text → restore; the stored ``"ready"`` column must
+    be the oracle's indices."""
+    snap = checkpoint_session(session)
+    loop = session.loop
+    key = loop.gi.key
+    assert snap["ready"] == [
+        i for _, i in sorted((key[i], i) for i, s in enumerate(loop.state) if s == J_QUEUED)
+    ]
+    return restore_session(json.loads(json.dumps(snap)), strict=strict)
 
 
 @given(
@@ -138,6 +183,244 @@ def test_ready_queue_realizes_insort_total_order(family, scheduler, d, seed):
     _assert_insort_order(session.loop)
     assert session.loop.L == 0
     session.validate()
+
+
+def _bag_instance(n, d, seed):
+    """``n`` mostly independent rigid jobs on ``d`` types of capacity 8,
+    demands 2–5 (two or three fit at once).  Keys follow the submission
+    (= topological) order in steps of five — the backlog is served roughly
+    first come first served, so a session can advance while most of the bag
+    is still unsubmitted — with ties inside a step, ints and floats mixed
+    and a few half-steps.  Returns ``(instance, allocation, keys, specs)``,
+    specs in submission order."""
+    rng = np.random.default_rng(seed)
+    nodes = list(range(n))
+    edges = sorted(
+        {(int(rng.integers(0, j)), j) for j in range(1, n) if rng.random() < 0.15}
+    )
+    dag = DAG(nodes=nodes, edges=edges)
+    order = dag.topological_order()
+    durations = dict(zip(nodes, rng.uniform(0.5, 2.0, n).tolist()))
+    demands = dict(zip(nodes, rng.integers(2, 6, size=(n, d)).tolist()))
+    releases = {
+        j: float(rng.uniform(0.0, 30.0)) if rng.random() < 0.1 else 0.0 for j in nodes
+    }
+    keys = {}
+    for pos, j in enumerate(order):
+        step = pos // 5
+        k = step if step % 2 else float(step)
+        keys[j] = k + 0.5 if rng.random() < 0.1 else k
+    jobs = {
+        j: Job(id=j, time_fn=lambda alloc, t=durations[j]: t, release=releases[j])
+        for j in nodes
+    }
+    inst = Instance(jobs=jobs, dag=dag, pool=ResourcePool.uniform(d, 8))
+    alloc = {j: ResourceVector(tuple(demands[j])) for j in nodes}
+    specs = [
+        JobSpec(
+            id=j,
+            demand=tuple(demands[j]),
+            duration=durations[j],
+            preds=tuple(dag.predecessors(j)),
+            release=releases[j],
+            key=keys[j],
+        )
+        for j in order
+    ]
+    return inst, alloc, keys, specs
+
+
+def _assert_archive_summaries(session, submitted):
+    """``status`` and ``makespan`` read running values for the archived
+    rows: they must equal a recount over every id ever submitted and the
+    latest finish in the event log."""
+    counts = dict.fromkeys(STATE_NAMES, 0)
+    for jid in submitted:
+        counts[session.state_of(jid)] += 1
+    assert session.status()["states"] == counts
+    assert session.makespan() == max(
+        (e[2] for e in session.events if e[0] == "finish"), default=0.0
+    )
+
+
+@given(
+    n=st.integers(150, 400),
+    d=st.sampled_from((1, 3, 4, 5)),
+    seed=st.integers(0, 2**31 - 1),
+    cancels=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_long_queue_crosses_the_vector_threshold_both_ways(n, d, seed, cancels):
+    inst, alloc, keys, specs = _bag_instance(n, d, seed)
+    batch = list_schedule(inst, alloc, explicit_priority(keys))
+    rng = np.random.default_rng(seed + 1)
+    session = SchedulingSession(
+        inst.pool.capacities, compact_threshold=0.2, compact_min_rows=8
+    )
+    submitted: list = []
+    dead: set = set()  # cancelled ids: their descendants never get submitted
+    was_live = False  # the column existed at some point
+
+    def check():
+        nonlocal was_live
+        _assert_queue(session)
+        was_live = was_live or session.loop.rp is not None
+
+    def submit(size):
+        nonlocal k
+        chunk = []
+        for sp in specs[k:k + size]:
+            if any(p in dead for p in sp.preds):
+                dead.add(sp.id)
+            else:
+                chunk.append(sp)
+        k += size
+        if chunk:
+            session.submit(chunk)
+            submitted.extend(sp.id for sp in chunk)
+
+    # the opening block alone is a long queue: the crossing upward, at submit
+    k = 0
+    submit(_VECTOR_QUEUE + 40)
+    check()
+    assert (session.loop.rp is not None) == (d <= 4)
+    while k < n or session.loop.pending or session.loop.L:
+        act = rng.random()
+        if k < n and act < 0.35:
+            submit((1, 3, 40)[int(rng.integers(3))])
+        elif act < 0.75:
+            until = session.now + float(rng.uniform(0.0, 4.0))
+            if k < n:
+                # faithful: strictly below every unsubmitted job's batch start
+                horizon = min(batch.placements[sp.id].start for sp in specs[k:])
+                until = min(until, session.now + 0.999 * (horizon - session.now))
+            session.advance(until)
+        elif act < 0.85:
+            session = _json_fork(session)
+        elif cancels:
+            queued = [i for _, i in session.loop.rq]
+            if queued:
+                victim = queued[int(rng.integers(len(queued)))]
+                dead.update(session.cancel(session.gi.order[victim]))
+        check()
+        if rng.random() < 0.1:
+            _assert_archive_summaries(session, submitted)
+    session = _json_fork(session)
+    _assert_archive_summaries(session, submitted)
+    assert session.loop.rp is None and was_live == (d <= 4)
+    assert session.compactions > 0
+    session.validate()
+    if not dead:
+        started = [e for e in session.events if e[0] == "start"]
+        assert {e[1]: (e[2], e[3], e[4]) for e in started} == {
+            j: (p.start, p.time, tuple(p.alloc)) for j, p in batch.placements.items()
+        }
+
+
+def _backlog(nqueued, *, keys=None, caps=(4, 4)):
+    """A session whose whole platform is held by one long job, with
+    ``nqueued`` unit jobs queued behind it (key = ``keys[i]``, default a
+    fixed shuffle) — a ready queue of exactly that length at clock 0."""
+    if keys is None:
+        keys = np.random.default_rng(7).permutation(nqueued).tolist()
+    s = SchedulingSession(caps, compact_threshold=None)
+    s.submit(
+        [JobSpec("blocker", caps, 100.0, key=-1)]
+        + [JobSpec(f"q{i}", (1,) * len(caps), 1.0, key=k) for i, k in enumerate(keys)]
+    )
+    s.advance(0.0)
+    assert s.loop.L == nqueued
+    return s
+
+
+class TestColumnCache:
+    """Both sides of ``_VECTOR_QUEUE`` and the crossing, deterministically."""
+
+    @pytest.mark.parametrize(
+        "nqueued", [5, _VECTOR_QUEUE, _VECTOR_QUEUE + 1, 3 * _VECTOR_QUEUE]
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_ready_column_of_a_checkpoint_is_the_oracle(self, nqueued, strict):
+        s = _backlog(nqueued)
+        _assert_queue(s)
+        assert (s.loop.rp is not None) == (nqueued > _VECTOR_QUEUE)
+        fork = _json_fork(s, strict=strict)
+        _assert_queue(fork)
+        assert fork.loop.rq == s.loop.rq
+        for session in (s, fork):
+            session.drain()
+            _assert_queue(session)
+        assert fork.events == s.events
+
+    def test_wide_images_never_get_a_column(self):
+        s = _backlog(3 * _VECTOR_QUEUE, caps=(4,) * 5)
+        assert not s.gi.packable and s.loop.rp is None
+        _assert_queue(s)
+
+    def test_cancel_first_last_middle_and_the_row_that_drops_the_column(self):
+        s = _backlog(_VECTOR_QUEUE + 4)
+        loop = s.loop
+        for pos in (0, -1, len(loop.rq) // 2):
+            _, row = loop.rq[pos]
+            assert s.cancel(s.gi.order[row]) == (s.gi.order[row],)
+            _assert_queue(s)
+            assert loop.rp is not None
+        _, row = loop.rq[3]
+        s.cancel(s.gi.order[row])  # _VECTOR_QUEUE rows left: the cache goes
+        assert loop.L == _VECTOR_QUEUE and loop.rp is None
+        _assert_queue(s)
+        s.drain()
+        s.validate()
+        assert s.counters.completed == _VECTOR_QUEUE + 1
+        assert s.counters.cancelled == 4
+
+    def test_column_is_patched_where_the_list_is(self):
+        """Few rows while the queue is long: inserted into the list and the
+        column at the same positions, the column's buffer reused until it
+        has no room; a block of ``_VECTOR_BATCH`` or more gathers it anew."""
+        s = _backlog(_VECTOR_QUEUE + 1)
+        loop = s.loop
+        buf = loop.rp
+        s.submit([JobSpec("front", (1, 1), 1.0, key=-0.5),
+                  JobSpec("back", (2, 1), 1.0, key=1e9),
+                  JobSpec("tie", (1, 2), 1.0, key=7)])
+        assert loop.rp is buf
+        assert [loop.rq[0][0], loop.rq[-1][0]] == [-0.5, 1e9]
+        _assert_queue(s)
+        blocks = 0
+        while loop.rp is buf:
+            fits = loop.L + 3 <= buf.shape[0]
+            s.submit([JobSpec(f"m{blocks}.{i}", (1, 1), 1.0, key=20.5) for i in range(3)])
+            assert (loop.rp is buf) == fits
+            _assert_queue(s)
+            blocks += 1
+        assert blocks > 1
+        buf = loop.rp
+        s.submit([JobSpec(f"b{i}", (1, 1), 1.0, key=float(i)) for i in range(_VECTOR_BATCH)])
+        assert loop.rp is not buf
+        _assert_queue(s)
+        s.drain()
+        _assert_queue(s)
+        s.validate()
+
+    def test_mixed_int_and_float_keys_with_ties(self):
+        keys = [3, 3.0, 2.5, 3, 2.5, 3.0]
+        s = _backlog(len(keys), keys=keys)
+        row = s.gi.index
+        want = [(2.5, row["q2"]), (2.5, row["q4"]), (3, row["q0"]),
+                (3.0, row["q1"]), (3, row["q3"]), (3.0, row["q5"])]
+        assert s.loop.ready_items() == want
+        # 3 == 3.0: the tie falls to the index, and the key keeps its type
+        assert [type(k) for k, _ in s.loop.rq] == [float, float, int, float, int, float]
+        fork = _json_fork(s)
+        assert fork.loop.rq == want
+        assert [type(k) for k, _ in fork.loop.rq] == [type(k) for k, _ in s.loop.rq]
+        for session in (s, fork):
+            session.drain()
+        assert fork.events == s.events
+        assert [e[1] for e in s.events if e[0] == "start"][1:] == [
+            "q2", "q4", "q0", "q1", "q3", "q5"
+        ]
 
 
 class TestCompactionTrigger:

@@ -4,6 +4,7 @@ import json
 import threading
 
 import pytest
+from helpers import strict_json as strict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,37 @@ class TestRouting:
         resp = r.handle_request({"op": "flush"})
         # 2:1 stride even though the tenants live on different workers
         assert resp["admitted"] == ["h0", "l0", "h1", "h2", "l1", "h3"]
+
+    @pytest.mark.parametrize("literal", ["true", "Infinity", "1e-320"])
+    def test_weight_that_breaks_the_stride_is_refused(self, literal):
+        """The router's queue is the authoritative copy of the weights: a
+        boolean, a stride step of 0 (``Infinity``) or of ``inf``
+        (``1e-320``) is refused before the queue or any shard sees it."""
+        r = router(nshards=2, policy="explicit", policy_spec="a=0,hog=1")
+        r.handle_request({"op": "tenant", "name": "hog", "weight": 2})
+        r.handle_request({"op": "submit", "jobs": [
+            job(f"a{i}", tenant="a") for i in range(2)
+        ] + [job(f"hog{i}", tenant="hog") for i in range(4)]})
+
+        def status():
+            def scrub(doc):  # wall-clock and memory readings move on their own
+                if isinstance(doc, dict):
+                    return {k: scrub(v) for k, v in doc.items()
+                            if k not in ("uptime_seconds", "rss_bytes")}
+                return doc
+
+            return scrub(strict(r.handle_request({"op": "status"})))
+
+        before = status()
+        for name in ("a", "hog"):
+            resp = strict(r.handle_request(
+                json.loads('{"op":"tenant","name":"%s","weight":%s}' % (name, literal))
+            ))
+            assert not resp["ok"] and resp["error"] == "invalid_request"
+        assert status() == before
+        assert r.handle_request({"op": "flush"})["admitted"] == [
+            "a0", "hog0", "hog1", "a1", "hog2", "hog3",
+        ]
 
     def test_cross_shard_dependency_is_refused(self):
         r = router(nshards=2, policy="explicit", policy_spec="a=0,b=1")

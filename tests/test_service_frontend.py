@@ -6,6 +6,7 @@ import socket
 import threading
 
 import pytest
+from helpers import strict_json as strict
 
 from repro.service import ServiceFrontend, SchedulingSession, serve_stdio, serve_tcp
 from repro.service.session import JobSpec
@@ -170,6 +171,34 @@ class TestFairSharing:
         r = fe.handle_request({"op": "tenant", "name": "x", "weight": 0})
         assert not r["ok"] and r["error"] == "invalid_request"
         assert "positive" in r["detail"]
+
+    @pytest.mark.parametrize("literal", ["true", "Infinity", "1e-320"])
+    def test_weight_that_breaks_the_stride_is_refused(self, literal):
+        """``true`` is not the weight 1.0; ``Infinity`` gives a stride step
+        of 0 (the tenant's whole buffer drains first, and ``status`` stops
+        being JSON); ``1e-320`` a step of ``inf`` (the virtual floor goes to
+        ``inf`` and fair sharing ends for every tenant)."""
+        fe = frontend()
+        fe.handle_request({"op": "tenant", "name": "hog", "weight": 2})
+        fe.handle_request({"op": "submit", "jobs": [
+            job(f"a{i}", tenant="a") for i in range(2)
+        ] + [job(f"hog{i}", tenant="hog") for i in range(4)]})
+
+        def status():
+            doc = strict(fe.handle_request({"op": "status"}))
+            del doc["uptime_seconds"]
+            return doc
+
+        before = status()
+        for name in ("a", "newcomer"):
+            r = strict(fe.handle_request(
+                json.loads('{"op":"tenant","name":"%s","weight":%s}' % (name, literal))
+            ))
+            assert not r["ok"] and r["error"] == "invalid_request"
+        assert status() == before
+        assert fe.handle_request({"op": "flush"})["admitted"] == [
+            "a0", "hog0", "hog1", "a1", "hog2", "hog3",
+        ]
 
     def test_cross_tenant_dependency_in_one_call_admits(self):
         # tenant interleaving puts 'anna' before 'zoe' in the fair order,

@@ -19,7 +19,7 @@ from repro.conformance.fuzz import drive_session_faithfully, service_specs
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.generators import layered_random
 from repro.dag.graph import DAG
-from repro.engine.dispatch import priority_loop
+from repro.engine.dispatch import _VECTOR_QUEUE, priority_loop
 from repro.experiments.workloads import random_instance
 from repro.instance.compiled import GrowableCompiledInstance
 from repro.instance.instance import Instance, with_poisson_arrivals
@@ -589,14 +589,17 @@ def test_session_packing_boundary_identity(boundary):
     """The session twin of ``test_packing_boundary_identity``: the same
     demands either side of ``gi.packable`` — capacity ``2**15 - 1`` vs
     ``2**15``, ``d = 4`` vs ``d = 5`` with a fifth type nobody asks for,
-    the latter also with a queue past the short-scan length — start every
+    the latter also with a queue past ``_VECTOR_QUEUE`` (vector pass on the
+    packable side, in-order scan on the other) — start every
     job where ``list_schedule`` does, before and after a checkpoint round
     trip (which restores availability through ``gi.pack``)."""
     rng = np.random.default_rng(41)
     if boundary == "long-queue":
-        # 40 sources, about three fit at once
-        nodes = list(range(48))
-        dag = DAG(nodes=nodes, edges=[(i, 40 + i % 8) for i in range(40)])
+        # about three sources fit at once: the rest stay queued, past the
+        # length where the packable side switches to its vector pass
+        nsrc = _VECTOR_QUEUE + 24
+        nodes = list(range(nsrc + 8))
+        dag = DAG(nodes=nodes, edges=[(i, nsrc + i % 8) for i in range(nsrc)])
     else:
         dag = layered_random(6, 12, seed=41)
         nodes = list(dag.nodes())
@@ -619,7 +622,7 @@ def test_session_packing_boundary_identity(boundary):
     assert narrow[0] and not wide[0]
     assert narrow[2] == wide[2]
     if boundary == "long-queue":
-        assert wide[1] > 8
+        assert narrow[1] == wide[1] > _VECTOR_QUEUE
 
 
 class TestReentrantBatchLoops:
