@@ -349,10 +349,15 @@ def service_benchmark(config: BenchConfig) -> BenchPlan:
         checks=checks,
         derived=derived,
         tables=tables,
-        # the session runs the batch loop's dispatch discipline (since
-        # PR 18 over a sorted python list, scanned in order at service
-        # queue lengths) and batch-lowers whole chunks, so the ratio sits
-        # at or above 1 and is steady across hosts — gate it tightly
+        # batch.seconds / session.seconds on the identical workload.  Both
+        # loops now run the same discipline on the same terms (python-int
+        # demand images, a sorted python list scanned in order at these
+        # queue lengths), so the ratio compares what is left: the session's
+        # per-job state, event log and chunked admission against the batch
+        # loop's bare arrays — below 1 (≈ 0.5–0.7 in the quick config,
+        # ≈ 0.75 in the full one).  It moves when *either* side does: a
+        # faster batch loop lowers it with the session unchanged, so
+        # re-record the baseline with the change that moves the denominator
         gates=[
             Gate("session_vs_batch", direction="higher", max_regression=0.20),
             Gate(

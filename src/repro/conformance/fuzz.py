@@ -57,8 +57,8 @@ running it performs every conformance check that applies:
 
 The default matrix sweeps all registered schedulers × the 11 workload
 families × ``d ∈ {1..6}`` × capacity regimes (including the degenerate
-``cap=1`` platform and the packed/unpacked engine boundary at ``d=4/5``
-and ``cap >= 2**15``) × offline / Poisson-arrival / fault-replay /
+``cap=1`` platform and ``cap = 2**15``, whose 17-bit fields put ``d = 4``
+past the one-word demand image) × offline / Poisson-arrival / fault-replay /
 service / crash-recovery scenarios.  Offline-only planners (backfill, the shelf packers,
 the malleable relaxation) are swept offline; a scheduler that *rejects* a
 scenario with ``ValueError`` is recorded as a skip, never a failure.
@@ -107,13 +107,12 @@ SCENARIOS = ("offline", "poisson", "faults", "service", "crash", "sharded")
 #: Schedulers that plan offline and reject release times by contract.
 _OFFLINE_ONLY = frozenset({"backfill", "level_shelf", "sun_shelf", "malleable"})
 
-#: Resource dimensions swept (d <= 4 exercises the packed engine path,
-#: d = 5, 6 the general matrix path).
+#: Resource dimensions swept.
 _D_VALUES = (1, 2, 3, 4, 5, 6)
 
-#: Capacity past the packed field range (2**15): with d <= 4 this forces
-#: the general engine path on an otherwise packable dimension — the
-#: packed/unpacked boundary the compiled engine must agree across.
+#: A capacity that needs 17-bit fields: d <= 3 still fits one ``uint64``
+#: demand image (``d * bits <= 64``), d = 4 does not — the word/wide
+#: boundary the compiled engine must agree across.
 _UNPACKED_CAP = 1 << 15
 
 #: O(levels) candidates regardless of d — keeps huge-capacity and d=6
@@ -204,9 +203,9 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 def _capacities_for(d: int) -> tuple[int, ...]:
     """Capacity regimes per dimension: the degenerate single-unit platform,
-    a small contended pool, a comfortable pool, and — where the packed
-    lowering would otherwise apply (d <= 4) — a capacity past the packed
-    field range, pinning the packed/unpacked boundary."""
+    a small contended pool, a comfortable pool, and — up to ``d = 4``,
+    where it straddles the one-word demand image — a capacity that needs
+    17-bit fields."""
     regimes = [1, 4, 16]
     if d <= 4:
         regimes.append(_UNPACKED_CAP)

@@ -2,9 +2,10 @@
 
 * :mod:`repro.engine.dispatch` — the two queue disciplines over the
   compiled-instance lowering (:mod:`repro.instance.compiled`): Algorithm
-  2's priority scan (``PriorityLoop`` for a fixed job set, any ``d``;
-  ``IncrementalPriorityLoop`` for the online service) and dispatch-time
-  allocation policies;
+  2's priority scan (``PriorityLoop`` for a fixed job set,
+  ``IncrementalPriorityLoop`` for the online service — one python-int
+  demand image and one sorted-list ready queue in both, for any ``d``)
+  and dispatch-time allocation policies;
 * :mod:`repro.engine.kernel` — the callback-driven discrete-event core
   (virtual time, one event heap of completions and releases, numpy-vector
   resource accounting) under the policy driver, the malleable scheduler

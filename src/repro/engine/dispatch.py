@@ -24,32 +24,32 @@ past ``until`` (returns ``False``, resume later).
 it to completion; streaming front-ends (``repro schedule --follow``) step
 the same loop incrementally.
 
-Two loops share that contract:
+Two loops share that contract, and **one demand encoding**: every demand
+is a python-int image with a headroom bit per field
+(:func:`~repro.instance.compiled.pack_layout` sizes a field by the
+platform), for any ``d`` and any capacity, and ``(av - a) & H == H`` /
+``av -= a`` / ``av += a`` are the only admission / acquire / free
+statements.  Both keep the ready queue as a sorted python list, scanned in
+order while it is short, and both cache a demand column beside the list
+only while it is longer than ``_VECTOR_QUEUE``, to test the whole queue in
+one vector operation.
 
-* :class:`PriorityLoop` — the batch loop, for any ``d``.  Heap,
-  ``time_eps`` batching, CSR readiness, the rank-sorted ready queue and
-  the start log exist once; only the *demand encoding* depends on the
-  platform (``ci.packable``): one ``uint64`` per demand vector with a
-  headroom bit per field when
-  ``d <= 4`` and every capacity is below ``2**15`` (the admission test is
-  ``((av + mask) - a) & mask == mask``, one integer op), ``(n, d)`` int64
-  rows otherwise (``(a <= av).all()``).
+* :class:`PriorityLoop` — the batch loop, for a fixed job set.  The queue
+  holds integer ranks; per-event work is python ints over memoryviews of
+  the compiled int64 buffers (no copy of the CSR adjacency or the
+  readiness vector).  The column is ``uint64`` images where they fit a
+  word (``ci.packable``: ``d * bits <= 64``) and ``(L, d)`` int64 rows
+  where they do not.
 * :class:`IncrementalPriorityLoop` — the growable form used by
   :mod:`repro.service`: runs on a
   :class:`~repro.instance.compiled.GrowableCompiledInstance`, admits jobs
   *while scheduling* (``admit_batch``), supports cancellation of
-  not-yet-started jobs, and keeps the ready queue as one python list of
-  ``(key, row index)`` tuples in sorted order — the identical total order
-  the rank lowering realizes, so a session driven
-  submission-order-faithfully reproduces the batch schedule event for
-  event (the conformance service family asserts this).  It knows **one
-  demand encoding**: every demand is a python-int image with a headroom
-  bit per field, for any ``d`` and any capacity, and
-  ``(avh - a) & H == H`` / ``avh -= a`` / ``avh += a`` are its only
-  admission / acquire / free statements.  ``gi.packable`` only says the
-  images also fit a ``uint64``, which lets a queue longer than
-  ``_VECTOR_QUEUE`` be tested in one vector operation over a ``uint64``
-  column cached beside the list instead of in order.
+  not-yet-started jobs, and keeps the ready queue as ``(key, row index)``
+  tuples — the identical total order the rank lowering realizes, so a
+  session driven submission-order-faithfully reproduces the batch schedule
+  event for event (the conformance service family asserts this).  Its
+  column exists only where the images fit a ``uint64`` (``gi.packable``);
+  wider images are always scanned in order.
 
 Both gate readiness on job release times (online arrivals) and preserve
 the historical tie-breaking exactly: simultaneous completions are
@@ -69,7 +69,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.engine.kernel import RELEASE, TIME_EPS, EventKernel
-from repro.instance.compiled import PACK_BITS, compile_instance
+from repro.instance.compiled import compile_instance
 
 __all__ = [
     "drive_priority_schedule",
@@ -86,19 +86,21 @@ __all__ = [
 
 JobId = Hashable
 
-#: Batches at least this large take the whole-array application path (the
-#: batch loop's simultaneous events; the session queue's newly ready rows,
-#: sorted in as one block instead of inserted one by one).
+#: Newly ready rows at least this many enter a ready queue as one block
+#: (``extend`` + ``sort``, the demand column gathered again) instead of being
+#: inserted one by one — the batch loop and the session loop alike.
 _VECTOR_BATCH = 8
 
-#: Session ready queues longer than this carry the ``uint64`` demand column
-#: and take the whole-queue vector pass; up to it the queue is scanned in
-#: order over python ints (numpy's fixed cost per call only pays for itself
-#: on a long queue — the sweep behind the value is in CHANGES.md, PR 18).
-_VECTOR_QUEUE = 48
+#: Ready queues longer than this carry the demand column and take the
+#: whole-queue vector pass; up to it the queue is scanned in order over
+#: python ints.  One constant for both loops: numpy's fixed cost per call —
+#: and a shift of the column per insertion and per start while it exists —
+#: only pays for itself on a long queue.  The sweeps behind the value are in
+#: CHANGES.md (PR 18 for the session loop, PR 19 for both).
+_VECTOR_QUEUE = 96
 
 
-def _unpack(packed: int, d: int, bits: int = PACK_BITS) -> tuple[int, ...]:
+def _unpack(packed: int, d: int, bits: int) -> tuple[int, ...]:
     """The ``d`` per-type amounts of a packed vector of ``bits``-wide fields."""
     field = (1 << bits) - 1
     return tuple((packed >> (bits * r)) & field for r in range(d))
@@ -117,17 +119,22 @@ def drive_priority_schedule(
     """Run Algorithm 2's queue discipline on the compiled instance.
 
     The ready queue is kept sorted by rank (the dense integer image of
-    ``(key, topological tie-break)``); every scheduling pass tests the whole
-    queue with one vectorized feasibility comparison and scans only the
-    passing entries in priority order, starting every job that still fits as
-    availability shrinks (exact: availability only shrinks within a pass, so
-    a job failing the whole-queue test cannot start until the next event).
+    ``(key, topological tie-break)``); every scheduling pass is the greedy
+    scan in priority order, starting every job that still fits as
+    availability shrinks — in order over python ints while the queue is
+    short, by one vectorized whole-queue comparison plus a re-filter of the
+    passing entries while it is long (exact: availability only shrinks
+    within a pass, so a job failing the whole-queue test cannot start until
+    the next event).  See :meth:`PriorityLoop.run`.
 
     ``keys`` and ``durations`` may be mappings over job ids or 1-D arrays
     aligned with the topological order (the vectorized fast path);
-    ``alloc_mat`` optionally supplies the already-lowered ``(n, d)``
-    allocation matrix (e.g. the one ``validate_allocation_map`` returns)
-    so the allocation is not lowered twice per run.
+    ``alloc_mat`` optionally supplies the already-lowered and validated
+    ``(n, d)`` allocation matrix (the one ``validate_allocation_map``
+    returns) so the allocation is neither lowered nor checked twice per
+    run; without it the allocation is lowered and checked here
+    (``ValueError`` naming the first job outside ``0 ⪯ a ⪯ capacities``
+    or asking for nothing).
 
     ``on_start(job, start, duration)`` records each dispatch.  When given,
     ``on_complete(job, now) -> float | None`` intercepts completions: a
@@ -170,7 +177,20 @@ def priority_loop(
     """
     ci = compile_instance(instance)
     if alloc_mat is None:
+        # nobody has checked this allocation yet: an amount above its
+        # capacity would carry into the neighbouring field of the image
         alloc_mat = ci.alloc_matrix(allocation)
+        bad = (
+            ((alloc_mat < 0) | (alloc_mat > ci.capacities)).any(axis=1)
+            | (alloc_mat.sum(axis=1) <= 0)
+        )
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"job {ci.order[i]!r}: allocation {tuple(alloc_mat[i].tolist())} "
+                "must request at least one unit, no negative amount and no "
+                f"more than the capacities {tuple(ci.capacities.tolist())}"
+            )
     if isinstance(durations, np.ndarray):
         dur = durations.tolist()
     else:
@@ -194,31 +214,37 @@ class PriorityLoop:
     the events of one time point as a single batch and runs the
     feasibility re-scan once per time point.
 
-    **Demand encoding** (``packed``, from ``ci.packable``).  ``dem_topo``
-    / ``dem_rank`` hold one demand per job by topological index / by
-    rank, ``pb`` / ``sp`` the demands of the queued jobs, ``av`` the
-    availability:
+    **One demand encoding**, the session loop's: every demand is a
+    python-int image with a headroom bit per field (``img_topo`` by
+    topological index, ``img_rank`` by rank), for any ``d`` and any
+    capacity, ``av`` is the availability's image with the headroom bits
+    ``H`` pre-added, and ``(av - a) & H == H`` / ``av -= a`` / ``av += a``
+    are the only admission / acquire / free statements.  The per-event
+    work is python ints throughout: successor readiness walks
+    **memoryviews of the compiled int64 buffers** (``succ_indptr``,
+    ``succ_indices``, ``remaining``, ``rank_of`` — no copy, so a million
+    jobs cost no list), and the ready queue :attr:`rq` is a sorted python
+    list of ranks kept in order with ``insort`` and ``del``.
 
-    * packed — ``uint64`` arrays of shape ``(n,)``; ``av`` is a python int
-      carried with the headroom bits pre-added (``available + H``), and
-      ``dem_topo_l`` / ``dem_rank_l`` mirror the arrays as python ints so
-      a scalar update is one int op;
-    * matrix — ``int64`` arrays of shape ``(n, d)``; ``av`` is an int64
-      ``(d,)`` vector updated in place (``H``/``H_u`` are 0, the mirrors
-      ``None``).
-
-    Whole-queue fit, tail re-filter, scalar fit, acquire and free are the
-    only operations that read the encoding — each is one ``if packed`` in
-    :meth:`run`.  Queue maintenance is written once: slicing and
-    scattering along the first axis is the same statement for ``(n,)``
-    and ``(n, d)`` buffers.
+    The demand column :attr:`pb` is a **cache of the list, not the
+    queue**: it exists only while the queue is longer than
+    ``_VECTOR_QUEUE``, and then a pass tests the whole queue in one vector
+    operation instead of in order.  It holds rows of ``dem_rank`` — the
+    ``uint64`` images where they fit a word (``ci.packable``), the
+    ``(d,)`` int64 amounts where they do not; that is all the loop reads
+    ``ci.packable`` for.  Invariant, between :meth:`run` calls: ``pb is
+    None`` ⇔ ``len(rq) <= _VECTOR_QUEUE``; otherwise ``pb[p]`` is the
+    demand of ``rq[p]`` for every position ``p`` of the queue (the buffer
+    may be longer — room for insertions).  It is gathered from the list
+    when the queue grows past the constant, patched at the positions the
+    list is while the queue stays long, and dropped when the queue
+    shrinks back.
     """
 
     __slots__ = (
-        "ci", "n", "order", "ip", "si", "remaining", "packed",
-        "dem_topo", "dem_rank", "dem_topo_l", "dem_rank_l",
-        "rank_a", "topo_l", "dur",
-        "H", "H_u", "av", "heap", "seq", "qb", "pb", "sq", "sp", "L",
+        "ci", "n", "order", "ip", "si", "remaining",
+        "img_topo", "img_rank", "dem_rank", "rank_a", "topo_l", "dur",
+        "H", "av", "heap", "seq", "rq", "pb",
         "now", "eps", "on_start", "on_complete", "done",
         "log_i", "log_t", "ns",
     )
@@ -252,22 +278,23 @@ class PriorityLoop:
             topo_of_rank if isinstance(topo_of_rank, list) else topo_a.tolist()
         )
 
-        self.packed = ci.packable
         self.H = ci.fit_mask
-        self.H_u = np.uint64(ci.fit_mask)
-        if self.packed:
-            dem_topo = ci.pack_demands(alloc_mat)
-            dem_rank = dem_topo[topo_a]
-            self.dem_topo_l = dem_topo.tolist()
-            self.dem_rank_l = dem_rank.tolist()
-            self.av = ci.packed_capacities + ci.fit_mask
+        self.av = ci.packed_capacities + ci.fit_mask
+        if ci.packable:
+            images = ci.pack_demands(alloc_mat)
+            self.img_topo = images.tolist()
+            self.dem_rank = images[topo_a]
+            self.img_rank = self.dem_rank.tolist()
         else:
-            dem_topo = np.ascontiguousarray(alloc_mat, dtype=np.int64)
-            dem_rank = dem_topo[topo_a]
-            self.dem_topo_l = self.dem_rank_l = None
-            self.av = ci.capacities.copy()
-        self.dem_topo = dem_topo
-        self.dem_rank = dem_rank
+            # wider than a word: the same shift-and-sum over python ints
+            shifts = range(0, ci.d * ci.bits, ci.bits)
+            img_topo = [
+                sum(a << s for a, s in zip(row, shifts))
+                for row in alloc_mat.tolist()
+            ]
+            self.img_topo = img_topo
+            self.dem_rank = alloc_mat[topo_a]
+            self.img_rank = [img_topo[i] for i in self.topo_l]
 
         remaining = cd.in_degree.astype(np.int64, copy=True)
         heap: list[tuple[float, int, int]] = []
@@ -284,21 +311,23 @@ class PriorityLoop:
         self.heap = heap
         self.seq = seq
 
-        # the ready queue: parallel sorted-by-rank buffers of ranks and
-        # demands, plus spares for the batched insertion merge
-        self.qb = np.empty(n, dtype=np.int64)
-        self.pb = np.empty_like(dem_rank)
-        self.sq = np.empty(n, dtype=np.int64)
-        self.sp = np.empty_like(dem_rank)
+        # the ready queue, and its demand column while the queue is long
         r0 = self.rank_a[np.flatnonzero(remaining == 0)]
         r0.sort()
-        L = r0.size
-        self.qb[:L] = r0
-        self.pb[:L] = dem_rank[r0]
-        self.L = L
+        self.rq: list[int] = r0.tolist()
+        self.pb = self._column() if len(self.rq) > _VECTOR_QUEUE else None
 
         self.now = 0.0
         self.eps = TIME_EPS
+
+    def _column(self) -> np.ndarray:
+        """The demand column of a long queue, gathered from the list with
+        as much room again for in-place insertions."""
+        rq = self.rq
+        dem_rank = self.dem_rank
+        pb = np.empty((2 * len(rq),) + dem_rank.shape[1:], dtype=dem_rank.dtype)
+        pb[:len(rq)] = dem_rank[rq]
+        return pb
 
     @property
     def next_time(self) -> float | None:
@@ -309,11 +338,15 @@ class PriorityLoop:
     def pending(self) -> int:
         return len(self.heap)
 
+    @property
+    def L(self) -> int:
+        """Length of the ready queue."""
+        return len(self.rq)
+
     def available(self) -> tuple[int, ...]:
         """The per-type availability vector at the current clock."""
-        if self.packed:
-            return _unpack(self.av - self.H, self.ci.d)
-        return tuple(self.av.tolist())
+        ci = self.ci
+        return _unpack(self.av - self.H, ci.d, ci.bits)
 
     def start_log(self) -> "tuple[np.ndarray, np.ndarray]":
         """The recorded ``(topological index, start time)`` arrays, in
@@ -326,26 +359,30 @@ class PriorityLoop:
     def run(self, until: float | None = None) -> bool:
         """Dispatch and process events; stop once the heap drains (returns
         ``True``) or the earliest pending event lies past ``until``
-        (returns ``False`` — call again to resume).
+        (returns ``False`` — call again to resume).  ``until=None`` or
+        ``inf`` runs to completion; NaN orders against no event time and is
+        refused with ``ValueError``.
 
-        The loop is structured around time-point batches:
+        The loop is structured around time-point batches: all events
+        within ``time_eps`` of the first popped event form one batch,
+        applied event by event over python ints, and one dispatch pass
+        follows it.  A pass is the greedy scan of the ready queue in rank
+        order, in the form the queue length calls for:
 
-        * **Admit-then-refilter dispatch pass.**  One whole-queue
-          comparison finds every queued job that fits the availability
-          *snapshot*.  The pass admits the first hit (the lowest rank,
-          valid because availability has not shrunk yet) and re-filters
-          the remaining hits with one small vector comparison, repeating
-          until no hit survives.  This is the greedy scan in rank order:
-          a job outside the snapshot hit set can never fit later in the
-          pass (availability only shrinks within a pass), and
-          re-filtering the tail against the shrunk availability is
-          exactly a scalar recheck per hit, batched.
-        * **Vectorized batch application.**  All events within
-          ``time_eps`` of the first popped event form one batch; batches
-          of at least ``_VECTOR_BATCH`` simultaneous completions/releases
-          apply as whole-array updates — one demand sum for the freed
-          capacity, one ragged CSR gather + ``subtract.at`` for the
-          successor in-degrees — instead of a python loop per event.
+        * **In-order scan** while the queue is short (no column): each
+          entry's image is tested against the current availability and
+          started if it fits.  At a few dozen entries that is cheaper than
+          the fixed cost of any numpy call.
+        * **Admit-then-refilter** while the queue is long (the column
+          exists).  One whole-queue comparison finds every queued job that
+          fits the availability *snapshot*.  The pass admits the first hit
+          (the lowest rank, valid because availability has not shrunk yet)
+          and re-filters the remaining hits with one small vector
+          comparison, repeating until no hit survives.  This is the same
+          scan: a job outside the snapshot hit set can never fit later in
+          the pass (availability only shrinks within a pass), and
+          re-filtering the tail against the shrunk availability is exactly
+          a scalar recheck per hit, batched.
         * **Release-only fast path.**  Availability only grows on
           completions, so after a batch containing no completion the
           standing invariant "no queued job fits" still holds for every
@@ -367,6 +404,8 @@ class PriorityLoop:
         cycles are created, so nothing is ever missed; the prior
         collector state is restored on exit either way.
         """
+        if until is not None and until != until:
+            raise ValueError("cannot run until a NaN time")
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
@@ -377,32 +416,30 @@ class PriorityLoop:
                 gc.enable()
 
     def _run(self, until: "float | None") -> bool:
-        remaining = self.remaining
-        ip = self.ip
-        si = self.si
-        packed = self.packed
+        # python ints straight out of the int64 buffers, no copy
+        remaining = memoryview(self.remaining)
+        ip = memoryview(self.ip)
+        si = memoryview(self.si)
+        rank = memoryview(self.rank_a)
+        word = self.ci.packable  # the column holds uint64 images, not rows
+        img_topo = self.img_topo
+        img_rank = self.img_rank
         dem_rank = self.dem_rank
-        dem_rank_l = self.dem_rank_l
-        dem_topo = self.dem_topo
-        dem_topo_l = self.dem_topo_l
-        rank_a = self.rank_a
         topo_l = self.topo_l
         dur = self.dur
         order = self.order
         on_start = self.on_start
         on_complete = self.on_complete
         n = self.n
+        d = self.ci.d
+        bits = self.ci.bits
         H = self.H
-        H_u = self.H_u
         uint64 = np.uint64
-        av = self.av  # packed: python int incl. headroom; matrix: int64 (d,), in place
+        av = self.av  # the availability image, headroom bits pre-added
         heap = self.heap
         seq = self.seq
-        qb = self.qb
+        rq = self.rq
         pb = self.pb
-        sq = self.sq
-        sp = self.sp
-        L = self.L
         now = self.now
         eps = self.eps
         push = heapq.heappush
@@ -412,8 +449,8 @@ class PriorityLoop:
         if log:
             # array start-log mode: record (topo index, start time) pairs
             # instead of calling back per dispatch (see priority_loop)
-            log_i = self.log_i
-            log_t = self.log_t
+            log_i = memoryview(self.log_i)
+            log_t = memoryview(self.log_t)
             ns = self.ns
         # Between passes the invariant "no queued job fits the current
         # availability" holds (the pass leaves only misses behind and
@@ -423,23 +460,46 @@ class PriorityLoop:
 
         while True:
             # ------------------------- dispatch pass -------------------------
-            if need_pass and L:
-                # whole-queue feasibility in one vector comparison
-                if packed:
-                    hits = ((((uint64(av) - pb[:L]) & H_u) == H_u).nonzero())[0]
+            if need_pass and rq:
+                started = None
+                if pb is None:
+                    # short queue: in-order scan against the current
+                    # availability — exactly the vector pass below
+                    # (availability only shrinks, so snapshot hits +
+                    # recheck == sequential test)
+                    for p, r in enumerate(rq):
+                        a = img_rank[r]
+                        if (av - a) & H == H:
+                            av -= a
+                            i = topo_l[r]
+                            t = dur[i]
+                            push(heap, (now + t, seq, i))
+                            seq += 1
+                            if log:
+                                log_i[ns] = i
+                                log_t[ns] = now
+                                ns += 1
+                            else:
+                                on_start(order[i], now, t)
+                            if started is None:
+                                started = [p]
+                            else:
+                                started.append(p)
                 else:
-                    hits = (pb[:L] <= av).all(axis=1).nonzero()[0]
-                if hits.size:
-                    started = None
-                    while True:
+                    # whole-queue feasibility in one vector comparison
+                    L = len(rq)
+                    if word:
+                        H_u = uint64(H)
+                        hits = (((uint64(av) - pb[:L]) & H_u) == H_u).nonzero()[0]
+                    else:
+                        avv = np.array(_unpack(av - H, d, bits), dtype=np.int64)
+                        hits = (pb[:L] <= avv).all(axis=1).nonzero()[0]
+                    while hits.size:
                         # the first hit is the lowest-rank fitting job and
                         # availability has not shrunk since the filter ran
-                        kpos = hits[0]
-                        r = int(qb[kpos])
-                        if packed:
-                            av -= dem_rank_l[r]
-                        else:
-                            av -= dem_rank[r]
+                        p = int(hits[0])
+                        r = rq[p]
+                        av -= img_rank[r]
                         i = topo_l[r]
                         t = dur[i]
                         push(heap, (now + t, seq, i))
@@ -451,26 +511,32 @@ class PriorityLoop:
                         else:
                             on_start(order[i], now, t)
                         if started is None:
-                            started = [kpos]
+                            started = [p]
                         else:
-                            started.append(kpos)
+                            started.append(p)
                         hits = hits[1:]
-                        if not hits.size:
-                            break
-                        # re-filter the tail against the shrunk availability
-                        if packed:
-                            hits = hits[(((uint64(av) - pb[hits]) & H_u) == H_u)]
-                        else:
-                            hits = hits[(pb[hits] <= av).all(axis=1)]
-                        if not hits.size:
-                            break
-                    if len(started) == L:
-                        L = 0
-                    else:
+                        if hits.size:
+                            # re-filter the tail against the shrunk availability
+                            if word:
+                                hits = hits[((uint64(av) - pb[hits]) & H_u) == H_u]
+                            else:
+                                avv -= pb[p]
+                                hits = hits[(pb[hits] <= avv).all(axis=1)]
+                if started is not None:
+                    if len(started) == len(rq):
+                        rq.clear()
+                        pb = None
+                    elif pb is None:
                         for p in reversed(started):
-                            qb[p:L - 1] = qb[p + 1:L]
-                            pb[p:L - 1] = pb[p + 1:L]
+                            del rq[p]
+                    else:
+                        L = len(rq)
+                        for p in reversed(started):
+                            del rq[p]
                             L -= 1
+                            pb[p:L] = pb[p + 1:L + 1]
+                        if L <= _VECTOR_QUEUE:
+                            pb = None
             need_pass = False
             if not heap:
                 done = True
@@ -489,77 +555,35 @@ class PriorityLoop:
                 batch = (c,)
             newly = None
             freed = False
-            if on_complete is None and len(batch) >= _VECTOR_BATCH:
-                # whole-array application of one simultaneous batch
-                codes = np.fromiter(batch, count=len(batch), dtype=np.int64)
-                iscomp = codes < n
-                rel = codes[~iscomp] - n
-                comp = codes[iscomp]
-                if rel.size:
-                    remaining[rel] -= 1  # one release event per job: unique rows
-                    z = rel[remaining[rel] == 0]
-                    if z.size:
-                        newly = rank_a[z].tolist()
-                if comp.size:
-                    freed = True
-                    if packed:
-                        av += int(dem_topo[comp].sum(dtype=np.uint64))
-                    else:
-                        av += dem_topo[comp].sum(axis=0)
-                    lo = ip[comp]
-                    cnt = ip[comp + 1] - lo
-                    total = int(cnt.sum())
-                    if total:
-                        # ragged CSR gather of every successor row
-                        cum = np.cumsum(cnt)
-                        cat = si[np.repeat(lo - (cum - cnt), cnt) + np.arange(total)]
-                        np.subtract.at(remaining, cat, 1)  # parents may share children
-                        cand = np.unique(cat)
-                        z = cand[remaining[cand] == 0]
-                        if z.size:
-                            zr = rank_a[z].tolist()
-                            if newly is None:
-                                newly = zr
-                            else:
-                                newly.extend(zr)
-            else:
-                for c in batch:
-                    if c >= n:  # release event: one virtual predecessor satisfied
-                        i = c - n
-                        m = remaining[i] - 1
-                        remaining[i] = m
-                        if not m:
-                            if newly is None:
-                                newly = [int(rank_a[i])]
-                            else:
-                                newly.append(int(rank_a[i]))
+            for c in batch:
+                if c >= n:  # release event: one virtual predecessor satisfied
+                    i = c - n
+                    m = remaining[i] - 1
+                    remaining[i] = m
+                    if not m:
+                        if newly is None:
+                            newly = [rank[i]]
+                        else:
+                            newly.append(rank[i])
+                    continue
+                i = c
+                if on_complete is not None:
+                    retry = on_complete(order[i], now)
+                    if retry is not None:
+                        # re-run on the held allocation; nothing is released
+                        push(heap, (now + retry, seq, i))
+                        seq += 1
                         continue
-                    i = c
-                    if on_complete is not None:
-                        retry = on_complete(order[i], now)
-                        if retry is not None:
-                            # re-run on the held allocation; nothing is released
-                            push(heap, (now + retry, seq, i))
-                            seq += 1
-                            continue
-                    freed = True
-                    if packed:
-                        av += dem_topo_l[i]
-                    else:
-                        av += dem_topo[i]
-                    lo = ip[i]
-                    hi = ip[i + 1]
-                    if hi > lo:
-                        tgt = si[lo:hi]
-                        rem = remaining[tgt] - 1
-                        remaining[tgt] = rem  # successors of one job are unique
-                        z = tgt[rem == 0]
-                        if z.size:
-                            zr = rank_a[z].tolist()
-                            if newly is None:
-                                newly = zr
-                            else:
-                                newly.extend(zr)
+                freed = True
+                av += img_topo[i]
+                for s in si[ip[i]:ip[i + 1]]:
+                    m = remaining[s] - 1
+                    remaining[s] = m
+                    if not m:
+                        if newly is None:
+                            newly = [rank[s]]
+                        else:
+                            newly.append(rank[s])
             if freed:
                 need_pass = True
             elif newly is not None:
@@ -571,13 +595,8 @@ class PriorityLoop:
                     newly.sort()
                 leftovers = None
                 for r in newly:
-                    if packed:
-                        a = dem_rank_l[r]
-                        fits = (av - a) & H == H
-                    else:
-                        a = dem_rank[r]
-                        fits = (a <= av).all()
-                    if fits:
+                    a = img_rank[r]
+                    if (av - a) & H == H:
                         av -= a
                         i = topo_l[r]
                         t = dur[i]
@@ -596,38 +615,29 @@ class PriorityLoop:
                 newly = leftovers
             if newly is not None:
                 k = len(newly)
-                if k == 1:
-                    r = newly[0]
-                    p = qb[:L].searchsorted(r)
-                    qb[p + 1:L + 1] = qb[p:L]
-                    qb[p] = r
-                    pb[p + 1:L + 1] = pb[p:L]
-                    pb[p] = dem_rank[r]
-                    L += 1
+                if pb is not None and k < _VECTOR_BATCH and len(rq) + k <= len(pb):
+                    # long queue, a few rows: the column is patched at the
+                    # positions the list is
+                    for r in newly:
+                        p = bisect_left(rq, r)
+                        L = len(rq)
+                        rq.insert(p, r)
+                        pb[p + 1:L + 1] = pb[p:L]
+                        pb[p] = dem_rank[r]
                 else:
-                    nr = np.array(newly, dtype=np.int64)
-                    nr.sort()
-                    idx = qb[:L].searchsorted(nr) + np.arange(k)
-                    mask = np.ones(L + k, dtype=bool)
-                    mask[idx] = False
-                    oq = sq[:L + k]
-                    op = sp[:L + k]
-                    oq[idx] = nr
-                    op[idx] = dem_rank[nr]
-                    oq[mask] = qb[:L]
-                    op[mask] = pb[:L]
-                    qb, sq = sq, qb
-                    pb, sp = sp, pb
-                    L += k
+                    if k < _VECTOR_BATCH:
+                        for r in newly:
+                            insort(rq, r)
+                    else:
+                        # a block: Timsort merges the two runs
+                        rq.extend(newly)
+                        rq.sort()
+                    pb = self._column() if len(rq) > _VECTOR_QUEUE else None
 
-        # store the loop state back
+        # store the loop state back (the queue was mutated in place)
         self.av = av
         self.seq = seq
-        self.qb = qb
         self.pb = pb
-        self.sq = sq
-        self.sp = sp
-        self.L = L
         self.now = now
         self.done = done
         if log:

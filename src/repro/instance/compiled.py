@@ -43,9 +43,6 @@ __all__ = [
     "bottom_levels_array",
     "top_levels_array",
     "critical_path_length_array",
-    "PACK_BITS",
-    "PACK_MAX_D",
-    "PACK_MAX_CAPACITY",
     "pack_layout",
     "whole_amounts",
 ]
@@ -297,14 +294,6 @@ def critical_path_length_array(cdag: CompiledDAG, times: np.ndarray) -> float:
 # instance-level lowering
 # ----------------------------------------------------------------------
 
-#: Bit width of one resource field in the packed-demand representation.
-PACK_BITS = 16
-#: Most resource types a 64-bit packed demand can carry.
-PACK_MAX_D = 4
-#: Largest capacity a packed field can represent (one headroom bit is
-#: reserved per field for the borrow-free dominance test).
-PACK_MAX_CAPACITY = (1 << (PACK_BITS - 1)) - 1
-
 
 def whole_amounts(demand) -> tuple[int, ...]:
     """The one lowering of a demand to integer amounts, wherever one enters
@@ -330,15 +319,17 @@ def pack_layout(capacities) -> tuple[bool, int, int, int]:
 
     The single source of truth for the SWAR lowering shared by the batch
     (:class:`CompiledInstance`) and online (:class:`GrowableCompiledInstance`)
-    engines — the two admission tests must agree bit for bit.  ``bits`` is
-    the field width: :data:`PACK_BITS` when the image fits a ``uint64``
-    (``packable``), otherwise the widest capacity's bit length plus the
-    headroom bit — an image only python ints can carry.
+    engines — the two admission tests must agree bit for bit.  A field is
+    as wide as the platform needs: ``bits`` is the widest capacity's bit
+    length plus the headroom bit, on every platform.  ``packable`` says the
+    ``d`` fields together fit a ``uint64`` (``d * bits <= 64``: four types
+    below ``2**15``, six at capacity 24, twelve at capacity 12); a wider
+    image only python ints can carry.
     """
     caps = [int(c) for c in capacities]
     d = len(caps)
-    packable = 1 <= d <= PACK_MAX_D and max(caps) <= PACK_MAX_CAPACITY
-    bits = PACK_BITS if packable else max(caps, default=0).bit_length() + 1
+    bits = max(caps, default=0).bit_length() + 1
+    packable = d >= 1 and d * bits <= 64
     fit_mask = sum(1 << (bits * r + bits - 1) for r in range(d))
     packed = sum(c << (bits * r) for r, c in enumerate(caps))
     return packable, bits, fit_mask, packed
@@ -350,27 +341,28 @@ class CompiledInstance:
     Owns the structural arrays (via ``cdag``) and the per-job release
     vector; provides the per-run builders the dispatch drivers consume —
     allocation matrices, duration vectors, the integer rank permutation
-    for priority keys and (when ``packable``) the packed-demand lowering.
+    for priority keys and (when ``packable``) the ``uint64`` demand lowering.
 
-    **Packed demands.**  For ``d <= 4`` resource types with capacities
-    below ``2**15``, a whole demand vector fits one ``uint64`` — field
-    ``r`` occupies bits ``[16r, 16r+15)`` with the top bit of each field
-    kept clear.  The dominance test ``a ⪯ av`` then becomes the classic
-    borrow-free SWAR comparison::
+    **Demand images.**  A whole demand vector is one integer: field ``r``
+    occupies bits ``[bits * r, bits * (r + 1))`` with the top bit of each
+    field kept clear, ``bits`` sized by the platform (:func:`pack_layout`).
+    The dominance test ``a ⪯ av`` then becomes the classic borrow-free
+    SWAR comparison::
 
         ((av + fit_mask) - a) & fit_mask == fit_mask
 
     where ``fit_mask`` carries the headroom bit of every field: field
-    arithmetic cannot borrow across fields (``0x8000 + av_r - a_r > 0``
+    arithmetic cannot borrow across fields (``2**(bits-1) + av_r - a_r > 0``
     always), so each field's headroom bit survives the subtraction iff
     ``a_r <= av_r``.  One integer op replaces a ``d``-wide vector
-    comparison — as a scalar test in the dispatch scan and as a single
-    1-D vector op over the whole ready queue.
+    comparison on every platform; where ``packable`` (``d * bits <= 64``)
+    the images also fit a ``uint64`` array, so a long ready queue is
+    tested by a single 1-D vector op (:meth:`pack_demands`).
     """
 
     __slots__ = (
         "cdag", "d", "capacities", "release", "has_releases",
-        "packable", "fit_mask", "packed_capacities",
+        "packable", "bits", "fit_mask", "packed_capacities",
     )
 
     def __init__(self, instance) -> None:
@@ -381,10 +373,8 @@ class CompiledInstance:
             [instance.jobs[j].release for j in self.cdag.order], dtype=np.float64
         )
         self.has_releases = bool((self.release > 0.0).any())
-        self.packable, _, fit_mask, packed = pack_layout(self.capacities)
-        # the batch loop's matrix encoding carries no image
-        self.fit_mask, self.packed_capacities = (
-            (fit_mask, packed) if self.packable else (0, 0)
+        self.packable, self.bits, self.fit_mask, self.packed_capacities = (
+            pack_layout(self.capacities)
         )
 
     # convenience pass-throughs -----------------------------------------
@@ -419,18 +409,20 @@ class CompiledInstance:
         )
 
     def pack_demands(self, alloc_mat: np.ndarray) -> np.ndarray:
-        """Packed ``uint64`` demand per job (see class docstring).
+        """The demand image of every job as one ``uint64`` array (see
+        class docstring).
 
-        ``alloc_mat`` is the ``(n, d)`` matrix from :meth:`alloc_matrix`;
-        only valid when :attr:`packable` (demands above the field range
-        would corrupt adjacent fields).
+        ``alloc_mat`` is the ``(n, d)`` matrix from :meth:`alloc_matrix`,
+        already validated against the capacities (an amount above its
+        capacity would carry into the neighbouring field); only valid when
+        :attr:`packable`.
         """
         if not self.packable:
             raise ValueError(
                 f"instance is not packable (d={self.d}, "
                 f"max capacity {int(self.capacities.max(initial=0))})"
             )
-        shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(PACK_BITS)
+        shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(self.bits)
         return (alloc_mat.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 
     def rank_permutation(
@@ -494,12 +486,12 @@ class GrowableCompiledInstance:
     demand row on *every* platform, field ``r`` at bit ``bits * r`` with the
     field's top (headroom) bit clear, so the loop's admission test is
     always :class:`CompiledInstance`'s borrow-free comparison
-    ``(avh - a) & fit_mask == fit_mask``.  ``bits`` is :data:`PACK_BITS`
-    where the image fits a ``uint64`` (``packable``: ``d <= 4``, capacities
-    below ``2**15``) and the widest capacity's bit length plus one
-    otherwise — python ints do not overflow.  ``packable`` therefore says
-    one thing only: the images may also be held in a ``uint64`` array (the
-    loop's ready-queue column and its whole-queue vector pass).
+    ``(avh - a) & fit_mask == fit_mask``.  ``bits`` is the widest
+    capacity's bit length plus one (:func:`pack_layout`) — python ints do
+    not overflow, whatever ``d * bits`` comes to.  ``packable``
+    (``d * bits <= 64``) therefore says one thing only: the images may also
+    be held in a ``uint64`` array (the loop's ready-queue column and its
+    whole-queue vector pass).
 
     Invariants the session relies on:
 

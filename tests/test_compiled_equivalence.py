@@ -1,12 +1,13 @@
 """Property-based equivalence: compiled dispatch vs. the frozen references.
 
-The compiled engine (packed *and* general paths) must reproduce the
-schedules of both frozen generations event for event — identical start
-times, not merely identical makespans — across random DAG shapes, seeds,
-resource dimensions and priority rules.  ``d`` ranges over 1..6 so both
-the packed (``d <= 4``) and the matrix fallback (``d > 4``) paths are
-exercised, and one strategy corner pushes capacities past the packed
-field range.
+The compiled engine must reproduce the schedules of both frozen
+generations event for event — identical start times, not merely identical
+makespans — across random DAG shapes, seeds, resource dimensions and
+priority rules.  ``d`` ranges over 1..13 and the capacities sit either
+side of ``d * bits = 64`` (5-bit fields at capacity 12: twelve types are a
+word, thirteen are not; ``2**15 - 1`` vs ``2**15``: four types at 16 bits
+are a word, at 17 bits they are not), so demand images that fit a
+``uint64`` and images only python ints can carry are both exercised.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.engine.reference import (
     reference_list_schedule,
     reference_pr1_list_schedule,
 )
-from repro.instance.compiled import PACK_MAX_CAPACITY, compile_instance
+from repro.instance.compiled import compile_instance
 from repro.instance.instance import make_instance, with_poisson_arrivals
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
@@ -58,12 +59,13 @@ def rigid_instance(shape, n_seed, d, capacity, rigid_seed):
 @given(
     shape=st.sampled_from(["layered", "erdos"]),
     n_seed=st.integers(0, 10_000),
-    d=st.integers(1, 6),
-    capacity=st.sampled_from([6, 12, PACK_MAX_CAPACITY + 5]),
+    d=st.integers(1, 13),
+    capacity=st.sampled_from([6, 12, 2**15 - 1, 2**15]),
     rule_idx=st.integers(0, len(RULES) - 1),
 )
 def test_compiled_dispatch_reproduces_references(shape, n_seed, d, capacity, rule_idx):
     inst, alloc = rigid_instance(shape, n_seed, d, capacity, rigid_seed=n_seed + 1)
+    assert compile_instance(inst).packable == (d * (capacity.bit_length() + 1) <= 64)
     rule = RULES[rule_idx]
     new = list_schedule(inst, alloc, rule)
     pr1 = reference_pr1_list_schedule(inst, alloc, rule)
@@ -77,13 +79,14 @@ def test_compiled_dispatch_reproduces_references(shape, n_seed, d, capacity, rul
 @settings(max_examples=20, deadline=None)
 @given(
     n_seed=st.integers(0, 10_000),
-    d=st.integers(1, 6),
+    d=st.integers(1, 13),
+    capacity=st.sampled_from([12, 2**15]),
     rate=st.sampled_from([0.5, 3.0]),
 )
-def test_compiled_dispatch_matches_pr1_with_releases(n_seed, d, rate):
-    """Online arrivals: the packed loop's release gating must match the
+def test_compiled_dispatch_matches_pr1_with_releases(n_seed, d, capacity, rate):
+    """Online arrivals: the batch loop's release gating must match the
     PR-1 kernel's (the pre-kernel loop cannot express releases at all)."""
-    inst, alloc = rigid_instance("layered", n_seed, d, 12, rigid_seed=n_seed + 1)
+    inst, alloc = rigid_instance("layered", n_seed, d, capacity, rigid_seed=n_seed + 1)
     online = with_poisson_arrivals(inst, rate=rate, seed=n_seed)
     new = list_schedule(online, alloc, bottom_level_priority)
     pr1 = reference_pr1_list_schedule(online, alloc, bottom_level_priority)

@@ -10,12 +10,7 @@ import pytest
 
 from repro.dag.generators import erdos_renyi_dag, layered_random
 from repro.dag.graph import DAG
-from repro.instance.compiled import (
-    PACK_BITS,
-    PACK_MAX_CAPACITY,
-    compile_dag,
-    compile_instance,
-)
+from repro.instance.compiled import compile_dag, compile_instance
 from repro.instance.instance import make_instance, with_release_times
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
@@ -127,12 +122,22 @@ class TestRankPermutation:
 
 class TestPackedDemands:
     def test_packable_predicate(self):
+        """``packable`` ⇔ ``d * bits <= 64``, a field being the widest
+        capacity's bit length plus its headroom bit."""
         dag = layered_random(3, 4, p=0.5, seed=0)
-        assert compile_instance(build(dag, d=4, capacity=PACK_MAX_CAPACITY)).packable
-        assert not compile_instance(build(dag, d=5, capacity=8)).packable
-        assert not compile_instance(
-            build(dag, d=2, capacity=PACK_MAX_CAPACITY + 1)
-        ).packable
+        for d, capacity, bits in (
+            (4, 2**15 - 1, 16),  # exactly one word
+            (4, 2**15, 17),      # 68 bits
+            (2, 2**15, 17),
+            (5, 8, 5),
+            (6, 24, 6),
+            (12, 12, 5),         # 60 bits
+            (13, 12, 5),         # 65 bits
+            (1, 2**62, 64),
+        ):
+            ci = compile_instance(build(dag, d=d, capacity=capacity))
+            assert ci.bits == bits
+            assert ci.packable == (d * bits <= 64)
 
     def test_pack_round_trip(self):
         dag = layered_random(3, 4, p=0.5, seed=1)
@@ -142,10 +147,10 @@ class TestPackedDemands:
         alloc = {j: ResourceVector(rng.integers(0, 10, size=3)) for j in inst.jobs}
         m = ci.alloc_matrix(alloc)
         packed = ci.pack_demands(m)
-        field = (1 << PACK_BITS) - 1
+        field = (1 << ci.bits) - 1
         for i in range(ci.n):
             fields = [
-                (int(packed[i]) >> (PACK_BITS * r)) & field for r in range(ci.d)
+                (int(packed[i]) >> (ci.bits * r)) & field for r in range(ci.d)
             ]
             assert fields == list(m[i])
 
@@ -158,14 +163,14 @@ class TestPackedDemands:
         for _ in range(200):
             a = rng.integers(0, 25, size=4)
             av = rng.integers(0, 25, size=4)
-            pa = sum(int(x) << (PACK_BITS * r) for r, x in enumerate(a))
-            pav = sum(int(x) << (PACK_BITS * r) for r, x in enumerate(av))
+            pa = sum(int(x) << (ci.bits * r) for r, x in enumerate(a))
+            pav = sum(int(x) << (ci.bits * r) for r, x in enumerate(av))
             swar = ((pav + H) - pa) & H == H
             assert swar == bool((a <= av).all())
 
     def test_pack_requires_packable(self):
         dag = layered_random(2, 3, p=0.5, seed=3)
-        inst = build(dag, d=5, capacity=8)
+        inst = build(dag, d=13, capacity=8)
         ci = compile_instance(inst)
         with pytest.raises(ValueError):
-            ci.pack_demands(np.zeros((ci.n, 5), dtype=np.int64))
+            ci.pack_demands(np.zeros((ci.n, 13), dtype=np.int64))

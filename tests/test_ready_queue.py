@@ -8,8 +8,8 @@ the list from the per-row states and keys, so what it pins is the
 maintenance: every insertion, removal, compaction remap and checkpoint
 round trip leaves exactly the list a fresh sort would give.  Beside the
 list the loop caches a ``uint64`` demand column while the queue is longer
-than ``_VECTOR_QUEUE`` and the images fit (d ≤ 4); ``_assert_column``
-holds the invariant stated in the class docstring.
+than ``_VECTOR_QUEUE`` and the images fit a word (d · bits ≤ 64);
+``_assert_column`` holds the invariant stated in the class docstring.
 
 Two hypothesis properties drive a live session through randomized
 submit / advance / cancel interleavings and check both after every verb,
@@ -245,7 +245,7 @@ def _assert_archive_summaries(session, submitted):
 
 @given(
     n=st.integers(150, 400),
-    d=st.sampled_from((1, 3, 4, 5)),
+    d=st.sampled_from((1, 4, 12, 13)),  # 5-bit fields: 13 types are 65 bits
     seed=st.integers(0, 2**31 - 1),
     cancels=st.booleans(),
 )
@@ -283,7 +283,7 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(n, d, seed, cancels):
     k = 0
     submit(_VECTOR_QUEUE + 40)
     check()
-    assert (session.loop.rp is not None) == (d <= 4)
+    assert (session.loop.rp is not None) == (d <= 12)
     while k < n or session.loop.pending or session.loop.L:
         act = rng.random()
         if k < n and act < 0.35:
@@ -307,7 +307,7 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(n, d, seed, cancels):
             _assert_archive_summaries(session, submitted)
     session = _json_fork(session)
     _assert_archive_summaries(session, submitted)
-    assert session.loop.rp is None and was_live == (d <= 4)
+    assert session.loop.rp is None and was_live == (d <= 12)
     assert session.compactions > 0
     session.validate()
     if not dead:
@@ -337,7 +337,9 @@ class TestColumnCache:
     """Both sides of ``_VECTOR_QUEUE`` and the crossing, deterministically."""
 
     @pytest.mark.parametrize(
-        "nqueued", [5, _VECTOR_QUEUE, _VECTOR_QUEUE + 1, 3 * _VECTOR_QUEUE]
+        "nqueued",
+        # a few fixed lengths, and the constant's own neighbourhood
+        sorted({5, 48, 49, 144, _VECTOR_QUEUE, _VECTOR_QUEUE + 1, 3 * _VECTOR_QUEUE}),
     )
     @pytest.mark.parametrize("strict", [True, False])
     def test_ready_column_of_a_checkpoint_is_the_oracle(self, nqueued, strict):
@@ -353,7 +355,7 @@ class TestColumnCache:
         assert fork.events == s.events
 
     def test_wide_images_never_get_a_column(self):
-        s = _backlog(3 * _VECTOR_QUEUE, caps=(4,) * 5)
+        s = _backlog(3 * _VECTOR_QUEUE, caps=(4,) * 17)  # 4-bit fields: 68 bits
         assert not s.gi.packable and s.loop.rp is None
         _assert_queue(s)
 

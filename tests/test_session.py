@@ -61,12 +61,15 @@ class TestGrowableCompiledInstance:
         assert gi.succ[a] == [b]
         assert gi.preds[b] == (a,)
         assert gi.packable
-        assert gi.packed[a] == (1 << 16) + 2 == gi.pack((2, 1))
+        assert gi.bits == 4  # capacity 4: three bits and the headroom bit
+        assert gi.packed[a] == (1 << 4) + 2 == gi.pack((2, 1))
 
     def test_unpackable_platforms(self):
-        assert not GrowableCompiledInstance([2] * 5).packable
-        assert not GrowableCompiledInstance([1 << 15]).packable
-        assert GrowableCompiledInstance([(1 << 15) - 1]).packable
+        # packable <=> d * bits <= 64
+        assert GrowableCompiledInstance([2] * 21).packable
+        assert not GrowableCompiledInstance([2] * 22).packable
+        assert not GrowableCompiledInstance([1 << 15] * 4).packable
+        assert GrowableCompiledInstance([(1 << 15) - 1] * 4).packable
         # the image exists either way: fields as wide as the capacities need
         gi = GrowableCompiledInstance([1 << 15, 3])
         assert gi.bits == 17
@@ -587,15 +590,17 @@ def _rigid_session_starts(dag, capacities, demands, durations):
 @pytest.mark.parametrize("boundary", ("capacity", "fifth-type", "long-queue"))
 def test_session_packing_boundary_identity(boundary):
     """The session twin of ``test_packing_boundary_identity``: the same
-    demands either side of ``gi.packable`` — capacity ``2**15 - 1`` vs
-    ``2**15``, ``d = 4`` vs ``d = 5`` with a fifth type nobody asks for,
-    the latter also with a queue past ``_VECTOR_QUEUE`` (vector pass on the
-    packable side, in-order scan on the other) — start every
-    job where ``list_schedule`` does, before and after a checkpoint round
-    trip (which restores availability through ``gi.pack``)."""
+    demands either side of ``gi.packable`` — ``d = 4`` at capacity
+    ``2**15 - 1`` vs ``2**15``, ``d = 12`` vs ``d = 13`` at capacity 12 with
+    a last type nobody asks for (the parameter id dates from the boundary
+    having been the fifth type), the latter also with a queue past
+    ``_VECTOR_QUEUE`` (vector pass on the packable side, in-order scan on
+    the other) — start every job where ``list_schedule`` does, before and
+    after a checkpoint round trip (which restores availability through
+    ``gi.pack``)."""
     rng = np.random.default_rng(41)
     if boundary == "long-queue":
-        # about three sources fit at once: the rest stay queued, past the
+        # two or three sources fit at once: the rest stay queued, past the
         # length where the packable side switches to its vector pass
         nsrc = _VECTOR_QUEUE + 24
         nodes = list(range(nsrc + 8))
@@ -607,17 +612,17 @@ def test_session_packing_boundary_identity(boundary):
     if boundary == "capacity":
         # demands are multiples of 3 and neither 2**15 - 1 nor 2**15 is:
         # no sum of them lands on the one unit the capacities differ by
-        rows = (3 * rng.integers(1, 4000, size=(len(nodes), 3))).tolist()
+        rows = (3 * rng.integers(1, 4000, size=(len(nodes), 4))).tolist()
         demands = dict(zip(nodes, rows))
-        narrow = _rigid_session_starts(dag, (2**15 - 1,) * 3, demands, durations)
-        wide = _rigid_session_starts(dag, (2**15,) * 3, demands, durations)
+        narrow = _rigid_session_starts(dag, (2**15 - 1,) * 4, demands, durations)
+        wide = _rigid_session_starts(dag, (2**15,) * 4, demands, durations)
     else:
-        rows = rng.integers(1, 7, size=(len(nodes), 4)).tolist()
+        rows = rng.integers(1, 7, size=(len(nodes), 12)).tolist()
         narrow = _rigid_session_starts(
-            dag, (12,) * 4, dict(zip(nodes, rows)), durations
+            dag, (12,) * 12, dict(zip(nodes, rows)), durations
         )
         wide = _rigid_session_starts(
-            dag, (12,) * 5, {j: r + [0] for j, r in zip(nodes, rows)}, durations
+            dag, (12,) * 13, {j: r + [0] for j, r in zip(nodes, rows)}, durations
         )
     assert narrow[0] and not wide[0]
     assert narrow[2] == wide[2]
