@@ -1,22 +1,48 @@
 #!/usr/bin/env python
-"""CI service smoke: drive `repro serve` end-to-end over stdio.
+"""CI service smoke: drive `repro serve` end to end through the typed client.
 
-Launches a single-session ``repro serve`` on its stdin/stdout with an
-aggressive compaction policy and drives it through the typed
-:class:`repro.service.ServiceClient`: submit across two tenants, cancel,
-advance, checkpoint, restore, drain.  Asserts every response is ok,
-compaction actually archived rows mid-session, the final schedule
-strict-validates, both wire versions are answered in kind (a bare v1
-request gets a bare response; a v2 envelope gets its rid echoed) and
-shutdown is clean.  Mid-run it scrapes ``GET /metrics`` off the
-``--metrics-port`` listener and cross-checks the ``metrics`` op: the
-``repro_requests_total`` counters must equal the client-side tally of
-every op sent, and the span ring must have traced the run.  The session
-trace (v3, with the cancellation) and a span dump are left in
-``--results-dir`` for upload.
+One stage per run (``--stage``), each against real ``repro serve``
+processes on localhost:
 
-Exits non-zero on any violation.  Needs only the stdlib plus ``repro``
-on ``PYTHONPATH``.
+``single``
+    One session on stdio with an aggressive compaction policy: submit
+    across two tenants, cancel, advance, checkpoint, restore, drain.
+    Every response is ok, compaction archived rows mid-session, the final
+    schedule strict-validates, both wire versions are answered in kind (a
+    bare v1 request gets a bare response; a v2 envelope gets its rid
+    echoed) and shutdown is clean.  Mid-run it scrapes ``GET /metrics``
+    off the ``--metrics-port`` listener and cross-checks the ``metrics``
+    op: the ``repro_requests_total`` counters must equal the client-side
+    tally of every op sent, and the span ring must have traced the run.
+    The session trace (v3, with the cancellation) and a span dump are
+    left in ``--results-dir`` for upload.
+
+``chaos``
+    ``repro serve --supervise`` with a durable journal on a TCP port.  A
+    deterministic job set is streamed one submit at a time, the worker is
+    SIGKILLed partway through, and the stream continues through the
+    restart window (the client reconnects and resends).  Every admitted
+    job completes exactly once, the final schedule is *event for event*
+    identical to an uninterrupted in-process reference and
+    strict-validates, the supervisor restarted the worker (new pid,
+    restart counter), and a clean ``shutdown`` ends the supervisor with 0.
+
+``sharded``
+    ``repro serve --workers 4`` (explicit placement: two tenants per
+    shard, each worker journaled and supervised), the stream round-robin
+    across the eight tenants.  One worker is SIGKILLed partway through:
+    submits to the three surviving shards keep succeeding through the
+    restart window, submits to the killed shard are resent by the router
+    until its supervisor has restarted it from its own journal, drain
+    completes every job exactly once and every shard strict-validates.
+    The router's merged ``GET /metrics`` scrape still carries every
+    shard's families under its ``shard`` label after the recovery, and
+    the killed shard's ``repro_restarts`` gauge shows the restart.
+
+A duplicate-id error counts as an ack in the two crash stages: the
+worker journaled the job before dying — at-least-once submission,
+exactly-once admission.  Exits non-zero on any violation.  Needs only
+the stdlib plus ``repro`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -25,39 +51,96 @@ import argparse
 import collections
 import json
 import os
-import socket
+import signal
+import subprocess
 import sys
+import tempfile
+import time
 import urllib.request
 
-from repro.service import ServiceClient
+from repro.service import Backpressure, ServiceClient
+from repro.service.router import pick_free_port
+from repro.service.supervisor import reap
+
+CAPACITIES = (4, 4)
+SEED = 0
+WORKERS = 4
+TENANTS = [f"t{i}" for i in range(2 * WORKERS)]  # two tenants per shard
+SHARD_MAP = ",".join(f"t{i}={i // 2}" for i in range(2 * WORKERS))
+KILL_SHARD = "1"  # owns t2 and t3
 
 
-def free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def job_stream(n: int, every: int, back: int, tenants=()) -> list[dict]:
+    """A deterministic job set: mixed demands against (4, 4), round-robin
+    over ``tenants`` (if any); every ``every``-th job depends on the job
+    ``back`` places before it (same tenant, hence same shard, when
+    ``back`` is a multiple of the tenant count)."""
+    jobs = []
+    for i in range(n):
+        rec = {
+            "id": f"j{i:03d}",
+            "demand": [1 + i % 3, 1 + (i * 2) % 4],
+            "duration": 1.0 + (i % 5) * 0.5,
+        }
+        if tenants:
+            rec["tenant"] = tenants[i % len(tenants)]
+        if i % every == every - 1 and i >= back:
+            rec["preds"] = [f"j{i - back:03d}"]
+        jobs.append(rec)
+    return jobs
 
 
-def counter_tally(text: str, family: str) -> dict[str, int]:
-    """Parse ``family{op="x"} N`` sample lines out of an exposition."""
-    tally = {}
+def samples(text: str, family: str, label: str) -> dict[str, int]:
+    """``family{...label="x"...} N`` sample lines of an exposition, by x."""
+    out = {}
     for line in text.splitlines():
         if line.startswith(family + "{"):
             labels, value = line.rsplit(" ", 1)
-            op = labels.split('op="', 1)[1].split('"', 1)[0]
-            tally[op] = int(float(value))
-    return tally
+            out[labels.split(f'{label}="', 1)[1].split('"', 1)[0]] = int(float(value))
+    return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--results-dir", default="service-results")
-    args = parser.parse_args()
+def scrape(port: int) -> tuple[str, str]:
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as http:
+        return http.headers.get("Content-Type", ""), http.read().decode()
+
+
+def stream_with_a_kill(stage, client, jobs, kill_at, pid_of, patience) -> int:
+    """Submit ``jobs`` one request each, each until acked; after
+    ``kill_at`` acks SIGKILL the worker ``pid_of(status)`` names and keep
+    going.  Returns the killed pid."""
+    killed = None
+    for i, rec in enumerate(jobs):
+        give_up = time.monotonic() + patience
+        while True:
+            try:
+                resp = client.submit([rec])
+                break
+            except Backpressure:
+                if time.monotonic() >= give_up:
+                    raise
+                time.sleep(0.05)
+        if rec["id"] not in resp.get("admitted", ()) and not any(
+            err.get("id") == rec["id"] and "already submitted" in str(err.get("detail"))
+            for err in resp.get("errors", ())
+        ):
+            raise SystemExit(f"{stage} smoke: FAIL — submit of {rec['id']} not acked: {resp}")
+        if i + 1 == kill_at:
+            killed = pid_of(client.status())
+            print(f"{stage} smoke: SIGKILL worker pid {killed} after "
+                  f"{i + 1}/{len(jobs)} submits", flush=True)
+            os.kill(killed, signal.SIGKILL)
+    assert killed is not None, "stream shorter than --kill-at"
+    return killed
+
+
+# ----------------------------------------------------------------------
+def stage_single(args) -> tuple[list[str], str]:
     os.makedirs(args.results_dir, exist_ok=True)
     checkpoint = os.path.join(args.results_dir, "checkpoint.json")
     trace = os.path.join(args.results_dir, "session-trace.json")
     span_dump = os.path.join(args.results_dir, "spans.jsonl")
-    metrics_port = free_port()
+    metrics_port = pick_free_port()
 
     client = ServiceClient.launch([
         sys.executable, "-m", "repro", "serve",
@@ -108,11 +191,7 @@ def main() -> int:
         "checkpoint": 1, "restore": 1, "drain": 1, "validate": 1,
         "status": 3, "stats": 1,
     })
-    with urllib.request.urlopen(
-        f"http://127.0.0.1:{metrics_port}/metrics", timeout=10
-    ) as http:
-        scrape_ctype = http.headers.get("Content-Type", "")
-        scrape = http.read().decode()
+    scrape_ctype, scraped = scrape(metrics_port)
     metrics = record(client.metrics())
     spans = record(client.spans())
     n_spans = client.dump_spans(span_dump)
@@ -145,13 +224,13 @@ def main() -> int:
     # bumped only after its response is built)
     if not scrape_ctype.startswith("text/plain; version=0.0.4"):
         failures.append(f"scrape content-type: {scrape_ctype!r}")
-    for origin, text in (("scrape", scrape), ("metrics op", metrics["text"])):
-        tally = counter_tally(text, "repro_requests_total")
+    for origin, text in (("scrape", scraped), ("metrics op", metrics["text"])):
+        tally = samples(text, "repro_requests_total", "op")
         if tally != dict(sent):
             failures.append(f"{origin} request counters {tally} != sent {dict(sent)}")
-    if "repro_request_latency_seconds_bucket" not in scrape:
+    if "repro_request_latency_seconds_bucket" not in scraped:
         failures.append("no latency histogram in scrape")
-    if 'repro_admission_outcomes_total{outcome="admitted"}' not in scrape:
+    if 'repro_admission_outcomes_total{outcome="admitted"}' not in scraped:
         failures.append("no admission outcomes in scrape")
     if not spans["spans"] or n_spans < 1:
         failures.append(f"span ring empty: {spans.get('count')} / dumped {n_spans}")
@@ -162,15 +241,212 @@ def main() -> int:
         failures.append(f"trace: version {tr['version']}, {len(tr['jobs'])} jobs")
     if [c["id"] for c in tr["cancelled"]] != ["'doomed'"]:
         failures.append(f"trace cancelled: {tr['cancelled']}")
+    return failures, (f"{drain}; metrics scrape {len(scraped)}B on "
+                      f":{metrics_port}, {n_spans} spans dumped")
 
-    if failures:
-        for f in failures:
-            print(f"service smoke: FAIL — {f}", flush=True)
-        return 1
-    print(f"service smoke: OK — {drain}; metrics scrape "
-          f"{len(scrape)}B on :{metrics_port}, {n_spans} spans dumped",
-          flush=True)
-    return 0
+
+def stage_chaos(args) -> tuple[list[str], str]:
+    from repro.conformance.fuzz import portable_events
+    from repro.service.checkpoint import restore_session
+    from repro.service.session import JobSpec, SchedulingSession
+
+    port = pick_free_port()
+    cmd = [
+        sys.executable, "-m", "repro", "serve",
+        "--supervise", "--backoff-base", "0.2", "--backoff-cap", "1",
+        "--max-restarts", "8",
+        "--tcp", str(port),
+        "--capacities", *map(str, CAPACITIES),
+        "--seed", str(SEED),
+        "--journal", os.path.join(args.workdir, "journal.jsonl"),
+        "--checkpoint-every", "8",
+        "--batch-size", "1", "--max-pending", "128",
+    ]
+    print(f"chaos smoke: starting supervisor: {' '.join(cmd)}", flush=True)
+    proc = subprocess.Popen(cmd)
+    try:
+        jobs = job_stream(args.jobs, every=4, back=1)
+        # retry_deadline makes every call survive the crash window:
+        # disconnect -> reconnect -> resend, server-side dedup by id
+        client = ServiceClient.connect(
+            "127.0.0.1", port,
+            connect_deadline=args.timeout, io_timeout=5.0,
+            retry_deadline=args.timeout,
+        )
+
+        def worker_pid(status):
+            assert status["pid"] != proc.pid, "status pid is the supervisor?"
+            return status["pid"]
+
+        killed_pid = stream_with_a_kill(
+            "chaos", client, jobs, args.kill_at, worker_pid, args.timeout
+        )
+        drain = client.drain()
+        validate = client.validate()
+        status = client.status()
+        snapshot = client.checkpoint()["snapshot"]
+        shutdown = client.shutdown()
+        client.close()
+
+        failures = []
+        if drain.get("completed") != args.jobs:
+            failures.append(
+                f"drain completed {drain.get('completed')} of {args.jobs} jobs"
+            )
+        if not validate.get("valid"):
+            failures.append(f"strict validation failed: {validate.get('violations')}")
+        if status["pid"] == killed_pid:
+            failures.append("worker pid unchanged after SIGKILL")
+        if status.get("restarts", 0) < 1:
+            failures.append(f"supervisor reports restarts={status.get('restarts')}")
+        if status.get("journal", {}).get("applied_seq", 0) < 1:
+            failures.append(f"journal status missing/empty: {status.get('journal')}")
+        if not shutdown.get("ok"):
+            failures.append(f"shutdown refused: {shutdown}")
+
+        # the recovered schedule must match the uninterrupted reference —
+        # the same stream, in the same order, through an in-process
+        # session — event for event: no admitted job lost, none duplicated
+        reference = SchedulingSession(CAPACITIES, seed=SEED)
+        for rec in jobs:
+            reference.submit([JobSpec.from_dict(rec)])
+        reference.drain()
+        want = portable_events(reference.to_schedule(), reprify=False)
+        got = portable_events(restore_session(snapshot).to_schedule(), reprify=False)
+        if got != want:
+            failures.append(
+                "recovered schedule diverges from the uninterrupted reference "
+                f"({len(got)} vs {len(want)} events)"
+            )
+
+        code = proc.wait(timeout=30)
+        if code != 0:
+            failures.append(f"supervisor exited {code} after clean shutdown")
+        return failures, (
+            f"{args.jobs} jobs, worker {killed_pid} SIGKILLed after {args.kill_at} "
+            f"submits, restarts={status.get('restarts')}, "
+            f"replayed={status.get('journal', {}).get('replayed')}, "
+            f"makespan={drain.get('makespan'):.3f}, schedule identical to the "
+            "uninterrupted reference"
+        )
+    finally:
+        reap(proc, patience=0, grace=10)
+
+
+def stage_sharded(args) -> tuple[list[str], str]:
+    metrics_port = pick_free_port()
+    cmd = [
+        sys.executable, "-m", "repro", "serve",
+        "--workers", str(WORKERS),
+        "--shard-policy", "explicit", "--shard-map", SHARD_MAP,
+        "--shard-deadline", "60",
+        "--capacities", *map(str, CAPACITIES),
+        "--batch-size", "1", "--max-pending", "128",
+        "--journal", os.path.join(args.workdir, "journal.jsonl"),
+        "--checkpoint-every", "8",
+        "--backoff-base", "0.2", "--backoff-cap", "1", "--max-restarts", "8",
+        "--metrics-port", str(metrics_port),
+    ]
+    print(f"sharded smoke: starting router: {' '.join(cmd)}", flush=True)
+    client = ServiceClient.launch(cmd)
+
+    # j{i-16}: same tenant, same shard — a legal dependency edge
+    jobs = job_stream(args.jobs, every=16, back=16, tenants=TENANTS)
+    killed_pid = stream_with_a_kill(
+        "sharded", client, jobs, args.kill_at,
+        lambda status: status["shards"][KILL_SHARD]["pid"], args.timeout,
+    )
+    survivor_submits_after_kill = sum(
+        rec["tenant"] not in ("t2", "t3") for rec in jobs[args.kill_at:]
+    )
+
+    drain = client.drain()
+    validate = client.validate()
+    status = client.status()
+    stats = client.stats()
+    # merged scrape after the recovery: every shard's families must
+    # still be present under its label, and the restarted shard must
+    # show its restart in the gauge the supervisor re-seeded
+    _, scraped = scrape(metrics_port)
+    restart_gauges = samples(scraped, "repro_restarts", "shard")
+    shutdown = client.shutdown()
+    client.close()
+
+    failures = []
+    killed = status["shards"][KILL_SHARD]
+    if drain.get("completed") != args.jobs:
+        failures.append(f"drain completed {drain.get('completed')} of {args.jobs}")
+    if not validate.get("valid"):
+        failures.append(f"strict validation failed: {validate.get('violations')}")
+    if killed["pid"] == killed_pid:
+        failures.append(f"shard {KILL_SHARD} pid unchanged after SIGKILL")
+    if killed.get("restarts", 0) < 1:
+        failures.append(f"shard {KILL_SHARD} reports no restart: {killed.get('restarts')}")
+    if survivor_submits_after_kill < 1:
+        failures.append("no surviving-shard submits exercised the crash window")
+    if stats.get("workers") != WORKERS:
+        failures.append(f"stats workers: {stats.get('workers')}")
+    per_shard = [stats["shards"][str(i)]["completed"] for i in range(WORKERS)]
+    if sum(per_shard) != args.jobs:
+        failures.append(f"per-shard completed counts do not add up: {per_shard}")
+    if not shutdown.get("ok"):
+        failures.append(f"shutdown refused: {shutdown}")
+    missing = [
+        str(i) for i in range(WORKERS)
+        if f'repro_requests_total{{shard="{i}"' not in scraped
+    ]
+    if missing:
+        failures.append(f"shards missing from merged scrape: {missing}")
+    if restart_gauges.get(KILL_SHARD, 0) < 1:
+        failures.append(f"killed shard restart gauge: {restart_gauges}")
+    if "repro_router_routed_jobs_total" not in scraped:
+        failures.append("router families missing from merged scrape")
+    if f'repro_journal_appends_total{{shard="{KILL_SHARD}"}}' not in scraped:
+        failures.append("journal metrics missing for killed shard")
+    if client.transport.proc.returncode != 0:
+        failures.append(f"router exited {client.transport.proc.returncode}")
+    return failures, (
+        f"{args.jobs} jobs over {len(TENANTS)} tenants / {WORKERS} shards, "
+        f"shard {KILL_SHARD} worker {killed_pid} SIGKILLed after {args.kill_at} "
+        f"submits and recovered (restarts={killed.get('restarts')}), "
+        f"{survivor_submits_after_kill} survivor submits during the window, "
+        f"all shards strict-valid, merged scrape {len(scraped)}B "
+        f"(restart gauges {restart_gauges})"
+    )
+
+
+STAGES = {"single": stage_single, "chaos": stage_chaos, "sharded": stage_sharded}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--stage", required=True, choices=tuple(STAGES))
+    parser.add_argument("--results-dir", default="service-results",
+                        help="single: where the trace and span dump are left")
+    parser.add_argument("--jobs", type=int, default=60,
+                        help="chaos/sharded: length of the job stream")
+    parser.add_argument("--kill-at", type=int, default=None,
+                        help="chaos/sharded: SIGKILL the worker after this many "
+                        "acked submits (default: a third of the stream)")
+    parser.add_argument("--timeout", type=float, default=120.0,
+                        help="chaos/sharded: how long one call may ride out the "
+                        "restart window, in seconds")
+    parser.add_argument("--workdir", default=None,
+                        help="chaos/sharded: journal/snapshot directory "
+                        "(default: a tempdir)")
+    args = parser.parse_args()
+    if args.kill_at is None:
+        args.kill_at = max(1, args.jobs // 3)
+    if args.stage != "single":
+        args.workdir = args.workdir or tempfile.mkdtemp(prefix=f"{args.stage}-smoke-")
+        os.makedirs(args.workdir, exist_ok=True)
+
+    failures, summary = STAGES[args.stage](args)
+    for failure in failures:
+        print(f"{args.stage} smoke: FAIL — {failure}", flush=True)
+    if not failures:
+        print(f"{args.stage} smoke: OK — {summary}", flush=True)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

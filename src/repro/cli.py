@@ -617,21 +617,41 @@ def _strip_supervise_flags(argv: "list[str]") -> "list[str]":
     return out
 
 
-def _start_metrics_listener(frontend, host: str, port: int):
-    """Bind the ``GET /metrics`` listener for a front-end (single worker
-    or router).  Returns ``(server, lock)``; the lock serializes scrapes
-    against request handling and must be handed to the serve loop."""
+def _serve_endpoint(endpoint, args, verb: str, detail: str) -> int:
+    """Serve one protocol endpoint (a single front-end or a router) on the
+    transport the flags select — ``--tcp`` or stdio — with the ``GET
+    /metrics`` listener beside it under ``--metrics-port``.  One lock
+    serializes scrapes against request handling."""
     import threading
 
-    from repro.obs.httpd import start_metrics_server
+    from repro.service import serve_stdio, serve_tcp
 
     lock = threading.Lock()
-    server = start_metrics_server(
-        frontend.render_metrics, host=host, port=port, lock=lock
-    )
-    print(f"serve: metrics on http://{server.host}:{server.port}/metrics",
-          file=sys.stderr, flush=True)
-    return server, lock
+    metrics_server = None
+    if args.metrics_port is not None:
+        # on demand: a plain `repro serve` never pays for http.server (~2 MB)
+        from repro.obs.httpd import start_metrics_server
+
+        metrics_server = start_metrics_server(
+            endpoint.render_metrics, host=args.host, port=args.metrics_port,
+            lock=lock,
+        )
+        print(f"serve: metrics on http://{metrics_server.host}:"
+              f"{metrics_server.port}/metrics", file=sys.stderr, flush=True)
+    try:
+        if args.tcp is not None:
+            def announce(port: int) -> None:
+                print(f"serve: {verb} on {args.host}:{port} ({detail})",
+                      file=sys.stderr, flush=True)
+
+            return serve_tcp(endpoint, args.host, args.tcp, on_bound=announce,
+                             max_request_bytes=args.max_request_bytes,
+                             lock=lock)
+        return serve_stdio(endpoint, sys.stdin, sys.stdout,
+                           max_request_bytes=args.max_request_bytes, lock=lock)
+    finally:
+        if metrics_server is not None:
+            metrics_server.close()
 
 
 def _cmd_supervise(args, argv: "Sequence[str] | None") -> int:
@@ -672,8 +692,9 @@ def _cmd_serve_sharded(args) -> int:
     """
     import subprocess
 
-    from repro.service import RemoteWorker, Router, serve_stdio, serve_tcp
+    from repro.service import RemoteWorker, Router
     from repro.service.router import pick_free_port
+    from repro.service.supervisor import reap
 
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}",
@@ -702,7 +723,6 @@ def _cmd_serve_sharded(args) -> int:
     ports = [pick_free_port(args.host) for _ in range(args.workers)]
     procs: "list[subprocess.Popen]" = []
     router = None
-    metrics_server = None
     try:
         for i, port in enumerate(ports):
             cmd = [
@@ -754,44 +774,20 @@ def _cmd_serve_sharded(args) -> int:
               f"{', '.join(map(str, ports))} (policy {args.shard_policy})",
               file=sys.stderr, flush=True)
 
-        lock = None
-        if args.metrics_port is not None:
-            # the router serves the merged scrape (each worker's families
-            # under a shard label); workers don't bind their own port
-            metrics_server, lock = _start_metrics_listener(
-                router, args.host, args.metrics_port
-            )
-
-        if args.tcp is not None:
-            def announce(port: int) -> None:
-                print(f"serve: routing on {args.host}:{port} "
-                      f"({args.workers} shards, policy {args.shard_policy})",
-                      file=sys.stderr, flush=True)
-
-            return serve_tcp(router, args.host, args.tcp, on_bound=announce,
-                             max_request_bytes=args.max_request_bytes,
-                             lock=lock)
-        return serve_stdio(router, sys.stdin, sys.stdout,
-                           max_request_bytes=args.max_request_bytes,
-                           lock=lock)
+        # the router serves the merged scrape (each worker's families
+        # under a shard label); workers don't bind their own port
+        return _serve_endpoint(
+            router, args, "routing",
+            f"{args.workers} shards, policy {args.shard_policy}",
+        )
     finally:
-        if metrics_server is not None:
-            metrics_server.close()
         if router is not None:
             if not router.closed:
                 # the loop ended without a shutdown op (EOF): stop workers
                 router.handle_request({"op": "shutdown"})
             router.close()
         for p in procs:
-            try:
-                p.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                p.terminate()
-                try:
-                    p.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    p.kill()
-                    p.wait()
+            reap(p)
 
 
 def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
@@ -804,8 +800,6 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
         ServiceFrontend,
         SchedulingSession,
         load_session,
-        serve_stdio,
-        serve_tcp,
         write_trace,
     )
 
@@ -917,29 +911,10 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    metrics_server = None
-    lock = None
-    if args.metrics_port is not None:
-        metrics_server, lock = _start_metrics_listener(
-            frontend, args.host, args.metrics_port
-        )
-    try:
-        if args.tcp is not None:
-            def announce(port: int) -> None:
-                print(f"serve: listening on {args.host}:{port} "
-                      f"(batch {args.batch_size} jobs / {args.batch_interval}s)",
-                      file=sys.stderr, flush=True)
-
-            code = serve_tcp(frontend, args.host, args.tcp, on_bound=announce,
-                             max_request_bytes=args.max_request_bytes,
-                             lock=lock)
-        else:
-            code = serve_stdio(frontend, sys.stdin, sys.stdout,
-                               max_request_bytes=args.max_request_bytes,
-                               lock=lock)
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
+    code = _serve_endpoint(
+        frontend, args, "listening",
+        f"batch {args.batch_size} jobs / {args.batch_interval}s",
+    )
     if args.trace:
         write_trace(frontend.session, args.trace)
         print(f"serve: session trace written to {args.trace}", file=sys.stderr)

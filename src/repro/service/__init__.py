@@ -8,14 +8,17 @@ Algorithm 2's dispatch loop), :mod:`repro.service.checkpoint` snapshots
 full session state with an exact-resume guarantee, and
 :mod:`repro.service.frontend` serves a JSON-lines request protocol over
 stdin/stdout or TCP (``repro serve``) with batched admission and weighted
-fair sharing across tenants.  :mod:`repro.service.router` shards tenants
-across N worker processes (``repro serve --workers N``) behind the same
-protocol, :mod:`repro.service.wire` defines the versioned envelope and
-the stable error-code vocabulary, and :mod:`repro.service.client` is the
-typed Python client.  Every front-end is instrumented through
-:mod:`repro.obs` (metrics registry, Prometheus exposition, request
-spans): the ``metrics``/``spans`` ops expose them on the wire and
-``repro serve --metrics-port`` over HTTP.
+fair sharing across tenants.  The protocol is one class,
+:class:`~repro.service.frontend.Endpoint`, with two backends:
+:class:`ServiceFrontend` (one session) and :class:`Router`
+(:mod:`repro.service.router`: tenants sharded across N worker processes,
+``repro serve --workers N``).  :mod:`repro.service.wire` defines the
+versioned envelope and the stable error-code vocabulary, and
+:mod:`repro.service.client` is the typed Python client (the router's
+worker handles are instances of it).  Every endpoint is instrumented
+through :mod:`repro.obs` (metrics registry, Prometheus exposition,
+request spans): the ``metrics``/``spans`` ops expose them on the wire
+and ``repro serve --metrics-port`` over HTTP.
 """
 
 from repro.service.chaos import ChaosCrash, ChaosInjector

@@ -33,6 +33,7 @@ import subprocess
 import time
 from typing import Any, Sequence
 
+from repro.service.supervisor import reap
 from repro.service.wire import BACKPRESSURE, WIRE_VERSION
 
 __all__ = [
@@ -112,15 +113,7 @@ class _StreamTransport:
             except (OSError, ValueError):
                 pass
         if self.proc is not None:
-            try:
-                self.proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                self.proc.terminate()
-                try:
-                    self.proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    self.proc.kill()
-                    self.proc.wait()
+            reap(self.proc)
 
 
 class _TcpTransport:
@@ -136,6 +129,7 @@ class _TcpTransport:
         self._fh = None
 
     def connect(self, deadline_at: float) -> None:
+        self.drop()  # never leak, or read stale bytes off, a live socket
         delay = 0.05
         while True:
             try:
@@ -266,29 +260,42 @@ class ServiceClient:
         ``ok: false`` response and :class:`Disconnected` on transport
         death (unless ``retry_deadline`` absorbs it).
         """
-        payload = {"op": op, **fields}
-        if self.wire_version >= WIRE_VERSION:
-            self._rid += 1
-            rid = self._rid
-            wire = json.dumps({"v": WIRE_VERSION, "rid": rid, **payload})
-        else:
-            rid = None
-            wire = json.dumps(payload)
-        resp = self._exchange(wire, rid)
-        resp.pop("v", None)
-        resp.pop("rid", None)
+        resp = self.exchange({"op": op, **fields})
         if not resp.get("ok", True):
             if resp.get("error") == BACKPRESSURE:
                 raise Backpressure(resp)
             raise ServiceError(resp)
         return resp
 
-    def _exchange(self, wire: str, rid: "int | None") -> dict[str, Any]:
+    def exchange(
+        self, request: dict[str, Any], *, deadline: "float | None" = None
+    ) -> dict[str, Any]:
+        """Send one request body, return the response body as answered —
+        envelope stripped, ``ok: false`` included (:meth:`request` is this
+        plus the typed errors).
+
+        ``deadline`` (seconds) stands in for ``retry_deadline`` on this
+        call: a reconnectable transport that dies (or was never
+        connected) is reconnected and the request resent until it passes,
+        then :class:`Disconnected` is raised.  The rid makes the resend
+        safe — a stale reply from before a reconnect is skipped, while a
+        rid-less reply is a v1-shaped transport error (bad JSON, oversized
+        line) that answers *this* request.
+        """
+        if deadline is None:
+            deadline = self.retry_deadline
         deadline_at = (
-            time.monotonic() + self.retry_deadline
-            if self.retry_deadline is not None and self.transport.reconnectable
+            time.monotonic() + deadline
+            if deadline is not None and self.transport.reconnectable
             else None
         )
+        if self.wire_version >= WIRE_VERSION:
+            self._rid += 1
+            rid = self._rid
+            wire = json.dumps({"v": WIRE_VERSION, "rid": rid, **request})
+        else:
+            rid = None
+            wire = json.dumps(request)
         while True:
             try:
                 self.transport.send_line(wire)
@@ -299,8 +306,9 @@ class ServiceClient:
                     except json.JSONDecodeError as exc:
                         raise Disconnected(f"undecodable response: {exc}") from None
                     if rid is None or "rid" not in resp or resp.get("rid") == rid:
+                        resp.pop("v", None)
+                        resp.pop("rid", None)
                         return resp
-                    # a stale reply from before a reconnect: skip it
             except Disconnected:
                 if deadline_at is None or time.monotonic() >= deadline_at:
                     raise

@@ -1,9 +1,12 @@
 """The `repro serve` front-end: JSON-lines protocol, batching, fair shares.
 
 One request per line, one JSON response per line — over stdin/stdout
-(:func:`serve_stdio`) or a TCP socket (:func:`serve_tcp`); both drive the
-same transport-free :class:`ServiceFrontend`, so tests and scripted
-clients exercise the full protocol without a process boundary.
+(:func:`serve_stdio`) or a TCP socket (:func:`serve_tcp`); both run the
+same loop over a transport-free :class:`Endpoint`, so tests and scripted
+clients exercise the full protocol without a process boundary.  The
+protocol is written once, in :class:`Endpoint`; what answers it is a
+backend: :class:`ServiceFrontend` (one session, this module) or
+:class:`~repro.service.router.Router` (N worker shards).
 
 **Batched admission.**  Submissions are buffered, not admitted
 immediately: a batch is admitted when the buffer reaches ``--batch-size``
@@ -72,7 +75,7 @@ import threading
 import time
 from typing import Any, Callable, TextIO
 
-from repro.obs import MetricsRegistry, SpanLog, process_rss_bytes
+from repro.obs import MetricsRegistry, SpanLog, process_rss_bytes, render_dump
 from repro.service.chaos import ChaosCrash
 from repro.service.checkpoint import (
     checkpoint_session,
@@ -86,6 +89,7 @@ from repro.service.session import JobSpec, SchedulingSession, real_number
 from repro.service.supervisor import RESTARTS_ENV
 from repro.service.wire import (
     ADMISSION_FAILED,
+    BACKPRESSURE,
     INTERNAL,
     INVALID_REQUEST,
     error_response,
@@ -94,7 +98,7 @@ from repro.service.wire import (
 )
 from repro.util.atomic import atomic_write_text
 
-__all__ = ["ServiceFrontend", "serve_stdio", "serve_tcp", "write_trace"]
+__all__ = ["Endpoint", "ServiceFrontend", "serve_stdio", "serve_tcp", "write_trace"]
 
 #: Default per-request size bound for both transports (chars on stdio,
 #: bytes on TCP); ``repro serve --max-request-bytes`` overrides.
@@ -108,34 +112,47 @@ def write_trace(session: SchedulingSession, path: str) -> None:
     atomic_write_text(path, json.dumps(session.to_trace(), indent=1) + "\n")
 
 
-class ServiceFrontend:
-    """Transport-free protocol handler around one :class:`SchedulingSession`.
+#: ops the due-batch pre-flush skips.  ``submit`` and ``flush`` admit on
+#: their own terms; ``restore`` must see the buffer as it is — flushing a
+#: due buffer into the session about to be replaced (or, under a router,
+#: into workers that then refuse the op) would silently discard or move
+#: the client's work behind its back
+_NO_PREFLUSH = ("submit", "flush", "restore")
 
-    ``clock`` injects the wall-clock source for the batch interval (tests
-    pass a fake); ``batch_size=1`` admits every submission immediately.
-    ``max_pending`` bounds each tenant's buffer: jobs past the bound are
-    refused with an explicit ``backpressure`` response field instead of
-    growing memory without limit.  ``durable`` wires a
-    :class:`~repro.service.journal.JournaledSession` in: mutating verbs
-    are write-ahead journaled before they are acknowledged, so a crashed
-    worker recovers every acknowledged operation.  ``admission`` selects
-    the flush order: ``"fair"`` (weighted stride, the default) or
-    ``"fifo"`` (global arrival order — what a worker under a sharded
-    router runs, since the router already decided the fair order).
+
+class Endpoint:
+    """One ``repro-wire`` protocol endpoint, whatever is behind it.
+
+    Everything the wire promises is decided here, once: the v1/v2
+    envelope, the exception → error-code table, size-or-interval batched
+    admission off the one :class:`FairQueue`, per-tenant ``max_pending``,
+    what an implicit flush reports, and the request / error / latency /
+    admission-outcome / uptime / RSS metric families and request spans.
+    A backend — :class:`ServiceFrontend` over one session,
+    :class:`~repro.service.router.Router` over N workers — supplies the
+    three class attributes below, :meth:`_admit`, :meth:`_metric_families`
+    and the ``_op_*`` handlers that touch what it fronts.  The serving
+    loops (:func:`serve_stdio`, :func:`serve_tcp`) need only
+    :meth:`handle_request` and :attr:`closed`.
     """
+
+    #: metric family prefix (``<prefix>_requests_total``, ...)
+    prefix = "repro"
+    #: span phase of one whole request
+    phase = "request"
+    #: backend exceptions answered with the ``backpressure`` code
+    unavailable: "tuple[type[Exception], ...]" = ()
 
     def __init__(
         self,
-        session: "SchedulingSession | None" = None,
         *,
-        batch_size: int = 32,
-        batch_interval: float = 0.05,
-        clock: Callable[[], float] = time.monotonic,
-        max_pending: "int | None" = None,
-        durable: "JournaledSession | None" = None,
-        admission: str = "fair",
-        metrics: "MetricsRegistry | None" = None,
-        spans: "SpanLog | None" = None,
+        batch_size: int,
+        batch_interval: float,
+        clock: Callable[[], float],
+        max_pending: "int | None",
+        fifo: bool,
+        metrics: "MetricsRegistry | None",
+        spans: "SpanLog | None",
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -143,83 +160,52 @@ class ServiceFrontend:
             raise ValueError(f"batch interval must be >= 0, got {batch_interval}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if admission not in ("fair", "fifo"):
-            raise ValueError(f"admission must be 'fair' or 'fifo', got {admission!r}")
-        if durable is not None:
-            if session is not None and session is not durable.session:
-                raise ValueError("session and durable.session must be the same object")
-            session = durable.session
-        if session is None:
-            raise ValueError("a session (or a durable wrapper) is required")
-        self.session = session
-        self.durable = durable
         self.batch_size = batch_size
         self.batch_interval = batch_interval
         self.max_pending = max_pending
         self.clock = clock
         self.closed = False
-        self.queue = FairQueue(fifo=admission == "fifo")
+        self.queue = FairQueue(fifo=fifo)
         # -- observability (always on at the service tier; the *batch*
         # engine stays uninstrumented because sessions only record once
         # bound).  The registry/span log may be shared (tests, benches).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = m = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans if spans is not None else SpanLog()
         self._rid: Any = None  # rid of the request being served, for spans
         self._cur_op: "str | None" = None
+        # what this request's flushes admitted / refused (see _dispatch)
+        self._flushed: "tuple[list[Any], list[dict[str, Any]]]" = ([], [])
         self._started = self.clock()
-        m = self.metrics
+        p = self.prefix
         self._m_requests = m.counter(
-            "repro_requests_total", "Protocol requests handled", labels=("op",)
+            f"{p}_requests_total", "Protocol requests handled", labels=("op",)
         )
         self._m_errors = m.counter(
-            "repro_request_errors_total",
+            f"{p}_request_errors_total",
             "Requests answered with a stable error code",
             labels=("op", "code"),
         )
         self._m_latency = m.histogram(
-            "repro_request_latency_seconds",
+            f"{p}_request_latency_seconds",
             "Wall-clock request handling latency",
             labels=("op",),
         )
         self._m_outcomes = m.counter(
-            "repro_admission_outcomes_total",
+            f"{p}_admission_outcomes_total",
             "Flush-time admission outcomes (admitted / admission_failed / backpressure)",
             labels=("outcome",),
         )
-        # the supervisor's lifetime restart count, seeded once from the
-        # env var it exports into each child — the gauge is the source
-        # the status/stats fields read from now on
-        self._restarts = _env_restarts()
-        m.gauge(
-            "repro_restarts",
-            "Supervisor restarts of this worker (boot-time seed)",
-        ).set(self._restarts)
         self._m_uptime = m.gauge(
-            "repro_uptime_seconds", "Seconds since this front-end was built"
+            f"{p}_uptime_seconds", "Seconds since this front-end was built"
         )
         self._m_rss = m.gauge(
-            "repro_process_rss_bytes", "Resident set size of this process"
+            f"{p}_process_rss_bytes", "Resident set size of this process"
         )
-        self.queue.bind_metrics(m)
-        self.session.bind_metrics(m)
-        if durable is not None:
-            durable.bind_observability(m, self.spans, rid_provider=lambda: self._rid)
-
-    @property
-    def _mut(self) -> "JournaledSession | SchedulingSession":
-        """The mutation target: the journaled wrapper when durable."""
-        return self.durable if self.durable is not None else self.session
-
-    @property
-    def _buffered(self) -> int:
-        return self.queue.buffered
+        self.queue.bind_metrics(m, prefix=p)
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def set_weight(self, name: str, weight: float) -> None:
-        self.queue.set_weight(name, weight)
-
     def _batch_due(self) -> bool:
         if self.queue.buffered == 0:
             return False
@@ -232,62 +218,30 @@ class ServiceFrontend:
     def flush(self) -> tuple[list[Any], list[dict[str, Any]]]:
         """Admit everything buffered, in the configured admission order.
 
-        Returns ``(admitted_ids, errors)``; a job the session rejects
-        (unknown predecessor, duplicate id, bad demand) produces one error
-        record and does not block the rest of the batch.  A job whose
-        predecessor lands *later in the same flush* (a cross-tenant
-        dependency the fair-share interleaving reordered) is retried after
-        the rest, so legal intra-call dependencies never depend on tenant
-        names — only genuinely unsatisfiable jobs error.
+        Returns ``(admitted_ids, errors)``: a job the backend refuses
+        produces one error record (``id``, stable ``error`` code,
+        ``detail``) and does not block the rest of the batch.  Both are
+        also noted for the request being served, so that no reply — a
+        refusal included — can swallow what its flushes did, and counted
+        into ``<prefix>_admission_outcomes_total``.
         """
-        errors: list[dict[str, Any]] = []
         pending = self.queue.drain_fair()
         if not pending:
-            return [], errors
-        s0 = self.spans.now()
-        durable = self.durable
-        if durable is not None and durable.chaos is not None:
-            durable.chaos.maybe_crash("op-begin")
-        admitted_specs: list[JobSpec] = []
-        try:
-            # fast path: the whole flush as one all-or-nothing batch —
-            # identical admission order and keys to the per-spec loop,
-            # and (when durable) one journal record + fsync per flush
-            # instead of one per job
-            self.session.submit(pending)
-            admitted_specs = pending
-        except (ValueError, TypeError):
-            # something in the batch does not admit: fall back to per-spec
-            # admission so individual bad jobs error without blocking the
-            # rest (the batch attempt had no side effects)
-            while pending:
-                deferred: list[tuple[JobSpec, str]] = []
-                progressed = False
-                for spec in pending:
-                    try:
-                        self.session.submit([spec])
-                        admitted_specs.append(spec)
-                        progressed = True
-                    except (ValueError, TypeError) as exc:
-                        deferred.append((spec, str(exc)))
-                if not progressed:  # fixpoint: what's left can never admit
-                    errors.extend(
-                        {"id": s.id, "error": ADMISSION_FAILED, "detail": e}
-                        for s, e in deferred
-                    )
-                    break
-                pending = [s for s, _ in deferred]
-        if durable is not None and admitted_specs:
-            durable.record_submit(admitted_specs)
-        if admitted_specs:
-            self._m_outcomes.inc(len(admitted_specs), outcome="admitted")
-        if errors:
-            self._m_outcomes.inc(len(errors), outcome=ADMISSION_FAILED)
-        self.spans.record(
-            self._cur_op or "flush", "admit", s0, self.spans.now() - s0,
-            rid=self._rid,
-        )
-        return [s.id for s in admitted_specs], errors
+            return [], []
+        admitted, errors = self._admit(pending)
+        self._flushed[0].extend(admitted)
+        self._flushed[1].extend(errors)
+        if admitted:
+            self._m_outcomes.inc(len(admitted), outcome="admitted")
+        for rec in errors:
+            self._m_outcomes.inc(outcome=rec["error"])
+        return admitted, errors
+
+    def _admit(
+        self, pending: "list[JobSpec]"
+    ) -> tuple[list[Any], list[dict[str, Any]]]:
+        """Backend: admit ``pending`` (already in admission order)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # protocol
@@ -324,7 +278,7 @@ class ServiceFrontend:
         self._m_latency.observe(dur, op=label)
         if resp.get("ok") is False:
             self._m_errors.inc(op=label, code=str(resp.get("error", "internal")))
-        self.spans.record(label, "request", s0, self.spans.now() - s0, rid=rid)
+        self.spans.record(label, self.phase, s0, self.spans.now() - s0, rid=rid)
         return wrap_response(resp, versioned, rid)
 
     def _dispatch(self, req: Any) -> dict[str, Any]:
@@ -334,33 +288,42 @@ class ServiceFrontend:
         handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
         if handler is None:
             return error_response(op, INVALID_REQUEST, f"unknown op {op!r}")
+        self._flushed = ([], [])
+        by_batch: list[Any] = []
         try:
-            pre_admitted: list[Any] = []
-            pre_errors: list[dict[str, Any]] = []
-            # "restore" is excluded: flushing a due buffer into the session
-            # about to be replaced would silently discard the client's work —
-            # its buffered-submissions guard must see the buffer as it is
-            if op not in ("submit", "flush", "restore") and self._batch_due():
-                pre_admitted, pre_errors = self.flush()
+            if op not in _NO_PREFLUSH and self._batch_due():
+                by_batch = self.flush()[0]
             resp = handler(req)
+        except self.unavailable as exc:
+            resp = error_response(op, BACKPRESSURE, f"{exc}; retry")
         except KeyError as exc:
-            return error_response(op, INVALID_REQUEST, f"missing required field {exc}")
+            resp = error_response(op, INVALID_REQUEST, f"missing required field {exc}")
         except (ValueError, TypeError) as exc:
             # TypeError covers structurally malformed payloads (scalar where
             # a list is expected, non-numeric weight, ...): a bad request
             # must produce an error response, never kill the service
-            return error_response(op, INVALID_REQUEST, str(exc))
+            resp = error_response(op, INVALID_REQUEST, str(exc))
         except OSError as exc:
-            return error_response(op, INTERNAL, str(exc))
-        if pre_admitted:
-            resp.setdefault("admitted_by_batch", pre_admitted)
-        if pre_errors:
-            resp.setdefault("admission_errors", []).extend(pre_errors)
+            resp = error_response(op, INTERNAL, str(exc))
+        # an implicit flush must never swallow what it did.  An ok reply
+        # lists the due batch it admitted (what advance/drain/... flush on
+        # their own is implied by their payload, and submit/flush report
+        # under their own keys); a refusal implies nothing, so it lists
+        # every admission.  Rejections ride along on every reply.
+        admitted, errors = self._flushed
+        if resp.get("ok") is False:
+            by_batch = admitted
+        elif op in ("submit", "flush"):
+            errors = []
+        if by_batch:
+            resp.setdefault("admitted_by_batch", by_batch)
+        if errors:
+            resp.setdefault("admission_errors", []).extend(errors)
         resp.setdefault("ok", True)
         resp.setdefault("op", op)
         return resp
 
-    # -- ops -----------------------------------------------------------
+    # -- argument checks -------------------------------------------------
     @staticmethod
     def _path_arg(req: dict[str, Any]) -> str | None:
         """The optional ``path`` field, required to be a string — an integer
@@ -371,6 +334,16 @@ class ServiceFrontend:
             raise ValueError(f"path must be a string, got {type(path).__name__}")
         return path
 
+    @staticmethod
+    def _limit_arg(req: dict[str, Any]) -> "int | None":
+        """The optional ``limit`` of the ``spans`` op."""
+        limit = req.get("limit")
+        if limit is not None:
+            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+                raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+        return limit
+
+    # -- ops every backend serves the same way ---------------------------
     def _op_submit(self, req: dict[str, Any]) -> dict[str, Any]:
         jobs = req.get("jobs")
         if not isinstance(jobs, list):
@@ -382,7 +355,7 @@ class ServiceFrontend:
         resp: dict[str, Any] = {"buffered": self.queue.buffered}
         if refused:
             resp["backpressure"] = refused
-            self._m_outcomes.inc(len(refused), outcome="backpressure")
+            self._m_outcomes.inc(len(refused), outcome=BACKPRESSURE)
         if self._batch_due():
             admitted, errors = self.flush()
             resp.update({"admitted": admitted, "buffered": 0})
@@ -397,6 +370,147 @@ class ServiceFrontend:
             resp["errors"] = errors
         return resp
 
+    def sync_gauges(self) -> None:
+        """Refresh the sampled-on-read gauges (uptime, RSS)."""
+        self._m_uptime.set(self.clock() - self._started)
+        self._m_rss.set(process_rss_bytes())
+
+    def _metric_families(self) -> list[dict[str, Any]]:
+        """The family records one scrape carries (gauges refreshed first)."""
+        self.sync_gauges()
+        return self.metrics.dump()
+
+    def render_metrics(self) -> str:
+        """The Prometheus text exposition — what ``GET /metrics`` and the
+        ``metrics`` op both serve."""
+        return render_dump(self._metric_families())
+
+    def _op_metrics(self, req: dict[str, Any]) -> dict[str, Any]:
+        families = self._metric_families()
+        return {"text": render_dump(families), "families": families}
+
+
+class ServiceFrontend(Endpoint):
+    """The :class:`Endpoint` around one :class:`SchedulingSession`.
+
+    ``clock`` injects the wall-clock source for the batch interval (tests
+    pass a fake); ``batch_size=1`` admits every submission immediately.
+    ``max_pending`` bounds each tenant's buffer: jobs past the bound are
+    refused with an explicit ``backpressure`` response field instead of
+    growing memory without limit.  ``durable`` wires a
+    :class:`~repro.service.journal.JournaledSession` in: mutating verbs
+    are write-ahead journaled before they are acknowledged, so a crashed
+    worker recovers every acknowledged operation.  ``admission`` selects
+    the flush order: ``"fair"`` (weighted stride, the default) or
+    ``"fifo"`` (global arrival order — what a worker under a sharded
+    router runs, since the router already decided the fair order).
+    """
+
+    def __init__(
+        self,
+        session: "SchedulingSession | None" = None,
+        *,
+        batch_size: int = 32,
+        batch_interval: float = 0.05,
+        clock: Callable[[], float] = time.monotonic,
+        max_pending: "int | None" = None,
+        durable: "JournaledSession | None" = None,
+        admission: str = "fair",
+        metrics: "MetricsRegistry | None" = None,
+        spans: "SpanLog | None" = None,
+    ) -> None:
+        super().__init__(
+            batch_size=batch_size, batch_interval=batch_interval, clock=clock,
+            max_pending=max_pending, fifo=admission == "fifo",
+            metrics=metrics, spans=spans,
+        )
+        if admission not in ("fair", "fifo"):
+            raise ValueError(f"admission must be 'fair' or 'fifo', got {admission!r}")
+        if durable is not None:
+            if session is not None and session is not durable.session:
+                raise ValueError("session and durable.session must be the same object")
+            session = durable.session
+        if session is None:
+            raise ValueError("a session (or a durable wrapper) is required")
+        self.session = session
+        self.durable = durable
+        # the supervisor's lifetime restart count, seeded once from the
+        # env var it exports into each child — the gauge is the source
+        # the status/stats fields read from now on
+        self._restarts = _env_restarts()
+        self.metrics.gauge(
+            "repro_restarts",
+            "Supervisor restarts of this worker (boot-time seed)",
+        ).set(self._restarts)
+        self.session.bind_metrics(self.metrics)
+        if durable is not None:
+            durable.bind_observability(
+                self.metrics, self.spans, rid_provider=lambda: self._rid
+            )
+
+    @property
+    def _mut(self) -> "JournaledSession | SchedulingSession":
+        """The mutation target: the journaled wrapper when durable."""
+        return self.durable if self.durable is not None else self.session
+
+    def set_weight(self, name: str, weight: float) -> None:
+        self.queue.set_weight(name, weight)
+
+    def _admit(
+        self, pending: "list[JobSpec]"
+    ) -> tuple[list[Any], list[dict[str, Any]]]:
+        """One :meth:`SchedulingSession.submit` for the whole batch.
+
+        A job the session rejects (unknown predecessor, duplicate id, bad
+        demand) produces one error record and does not block the rest.  A
+        job whose predecessor lands *later in the same flush* (a
+        cross-tenant dependency the fair-share interleaving reordered) is
+        retried after the rest, so legal intra-call dependencies never
+        depend on tenant names — only genuinely unsatisfiable jobs error.
+        """
+        errors: list[dict[str, Any]] = []
+        s0 = self.spans.now()
+        durable = self.durable
+        if durable is not None and durable.chaos is not None:
+            durable.chaos.maybe_crash("op-begin")
+        admitted_specs: list[JobSpec] = []
+        try:
+            # fast path: the whole flush as one all-or-nothing batch —
+            # identical admission order and keys to the per-spec loop,
+            # and (when durable) one journal record + fsync per flush
+            # instead of one per job
+            self.session.submit(pending)
+            admitted_specs = pending
+        except (ValueError, TypeError):
+            # something in the batch does not admit: fall back to per-spec
+            # admission so individual bad jobs error without blocking the
+            # rest (the batch attempt had no side effects)
+            while pending:
+                deferred: list[tuple[JobSpec, str]] = []
+                progressed = False
+                for spec in pending:
+                    try:
+                        self.session.submit([spec])
+                        admitted_specs.append(spec)
+                        progressed = True
+                    except (ValueError, TypeError) as exc:
+                        deferred.append((spec, str(exc)))
+                if not progressed:  # fixpoint: what's left can never admit
+                    errors.extend(
+                        {"id": s.id, "error": ADMISSION_FAILED, "detail": e}
+                        for s, e in deferred
+                    )
+                    break
+                pending = [s for s, _ in deferred]
+        if durable is not None and admitted_specs:
+            durable.record_submit(admitted_specs)
+        self.spans.record(
+            self._cur_op or "flush", "admit", s0, self.spans.now() - s0,
+            rid=self._rid,
+        )
+        return [s.id for s in admitted_specs], errors
+
+    # -- ops -----------------------------------------------------------
     def _op_cancel(self, req: dict[str, Any]) -> dict[str, Any]:
         jid = req["id"]
         was_buffered = jid in self.queue.buffered_ids()
@@ -417,16 +531,8 @@ class ServiceFrontend:
             cancelled.extend(self.queue.remove_ids(gone))
         return {"cancelled": cancelled, "buffered": was_buffered}
 
-    @staticmethod
-    def _with_flush_errors(resp: dict[str, Any], errors) -> dict[str, Any]:
-        # an implicit flush must never swallow rejections: advance/drain/
-        # checkpoint/trace responses carry them alongside their own payload
-        if errors:
-            resp["admission_errors"] = errors
-        return resp
-
     def _op_advance(self, req: dict[str, Any]) -> dict[str, Any]:
-        _, errors = self.flush()
+        self.flush()
         want_events = req.get("events", True)
         s0 = self.spans.now()
         out = self._mut.advance(real_number(req["until"]), events=bool(want_events))
@@ -439,22 +545,19 @@ class ServiceFrontend:
             # count only: bulk drivers (the sharded bench client) skip a
             # dict allocation — and a wire record — per event
             resp["event_count"] = out
-        return self._with_flush_errors(resp, errors)
+        return resp
 
     def _op_drain(self, req: dict[str, Any]) -> dict[str, Any]:
-        _, errors = self.flush()
+        self.flush()
         s0 = self.spans.now()
         self._mut.drain()
         self.spans.record("drain", "dispatch", s0, self.spans.now() - s0,
                           rid=self._rid)
-        return self._with_flush_errors(
-            {
-                "clock": self.session.now,
-                "makespan": self.session.makespan(),
-                "completed": self.session.counters.completed,
-            },
-            errors,
-        )
+        return {
+            "clock": self.session.now,
+            "makespan": self.session.makespan(),
+            "completed": self.session.counters.completed,
+        }
 
     def _op_status(self, req: dict[str, Any]) -> dict[str, Any]:
         status = self.session.status()
@@ -508,21 +611,18 @@ class ServiceFrontend:
     def _op_validate(self, req: dict[str, Any]) -> dict[str, Any]:
         from repro.conformance.invariants import validate_schedule
 
-        _, errors = self.flush()
+        self.flush()
         report = validate_schedule(self.session.to_schedule(), strict=True)
-        return self._with_flush_errors(
-            {
-                "valid": report.ok,
-                "violations": [
-                    {"kind": v.kind, "detail": v.detail} for v in report.violations
-                ],
-            },
-            errors,
-        )
+        return {
+            "valid": report.ok,
+            "violations": [
+                {"kind": v.kind, "detail": v.detail} for v in report.violations
+            ],
+        }
 
     def _op_checkpoint(self, req: dict[str, Any]) -> dict[str, Any]:
         path = self._path_arg(req)
-        _, errors = self.flush()
+        self.flush()
         if path is not None:
             save_session(self.session, path)
             resp = {"path": path, "clock": self.session.now}
@@ -536,7 +636,7 @@ class ServiceFrontend:
             # snapshot now covers everything the journal held
             self.durable.checkpoint()
             resp["journal_rotated"] = True
-        return self._with_flush_errors(resp, errors)
+        return resp
 
     def _op_restore(self, req: dict[str, Any]) -> dict[str, Any]:
         if self.queue.buffered:
@@ -561,38 +661,21 @@ class ServiceFrontend:
 
     def _op_trace(self, req: dict[str, Any]) -> dict[str, Any]:
         path = self._path_arg(req)
-        _, errors = self.flush()
+        self.flush()
         if path is not None:
             write_trace(self.session, path)
-            return self._with_flush_errors({"path": path}, errors)
-        return self._with_flush_errors({"trace": self.session.to_trace()}, errors)
+            return {"path": path}
+        return {"trace": self.session.to_trace()}
 
     def _op_prune(self, req: dict[str, Any]) -> dict[str, Any]:
         return {"dropped": self._mut.prune_events(),
                 "events": len(self.session.events)}
 
-    def sync_gauges(self) -> None:
-        """Refresh the sampled-on-read gauges (uptime, RSS, clock)."""
-        self._m_uptime.set(self.clock() - self._started)
-        self._m_rss.set(process_rss_bytes())
-
-    def render_metrics(self) -> str:
-        """The Prometheus text exposition (gauges refreshed first) — what
-        ``GET /metrics`` and the ``metrics`` op both serve."""
-        self.sync_gauges()
-        return self.metrics.render()
-
-    def _op_metrics(self, req: dict[str, Any]) -> dict[str, Any]:
-        self.sync_gauges()
-        return {"text": self.metrics.render(), "families": self.metrics.dump()}
-
     def _op_spans(self, req: dict[str, Any]) -> dict[str, Any]:
-        limit = req.get("limit")
-        if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-                raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
         return {
-            "spans": self.spans.snapshot(rid=req.get("for_rid"), limit=limit),
+            "spans": self.spans.snapshot(
+                rid=req.get("for_rid"), limit=self._limit_arg(req)
+            ),
             "count": len(self.spans),
             "recorded": self.spans.recorded,
         }
@@ -616,13 +699,13 @@ def _env_restarts() -> int:
 # ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
-def _handle_line(frontend: ServiceFrontend, line: str) -> dict[str, Any]:
+def _handle_line(endpoint: Endpoint, line: str) -> dict[str, Any]:
     try:
         req = json.loads(line)
     except json.JSONDecodeError as exc:
         return error_response(None, INVALID_REQUEST, f"bad JSON: {exc}")
     try:
-        return frontend.handle_request(req)
+        return endpoint.handle_request(req)
     except ChaosCrash:
         raise  # an injected crash must kill the worker, not be swallowed
     except Exception as exc:  # the last-resort backstop: a handler bug
@@ -639,49 +722,73 @@ def _drain_oversized(readline: Callable[[int], Any], limit: int) -> None:
             return
 
 
+def _serve_lines(
+    endpoint: Endpoint,
+    readline: Callable[[int], Any],
+    write: Callable[[str], None],
+    max_request_bytes: int,
+    lock: "threading.Lock",
+) -> None:
+    """The serving loop of both transports: one request per line off
+    ``readline`` (a text or a byte stream), one response line to
+    ``write``, until EOF, a ``shutdown`` op or the reader going away.
+
+    Blank lines are ignored.  A line longer than ``max_request_bytes`` is
+    discarded up to its newline and answered with an error — adversarial
+    input bounds memory instead of growing it; undecodable bytes and
+    malformed JSON are answered with an error too, and the loop goes on.
+    ``lock`` is held around each request: the session is single-threaded
+    state, shared with the other connections and the metrics listener.
+    """
+    while True:
+        raw = readline(max_request_bytes + 1)
+        if not raw:
+            return
+        if len(raw) > max_request_bytes and raw[-1:] not in ("\n", b"\n"):
+            _drain_oversized(readline, max_request_bytes)
+            resp = error_response(
+                None, INVALID_REQUEST, f"request exceeds {max_request_bytes} bytes"
+            )
+        else:
+            try:
+                line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            except UnicodeDecodeError as exc:
+                resp = error_response(None, INVALID_REQUEST, f"invalid UTF-8: {exc}")
+            else:
+                if not line:
+                    continue
+                with lock:
+                    resp = _handle_line(endpoint, line)
+        try:
+            write(json.dumps(resp) + "\n")
+        except OSError:
+            return  # the reader went away: nothing left to serve it
+        if endpoint.closed:
+            return
+
+
 def serve_stdio(
-    frontend: ServiceFrontend,
+    endpoint: Endpoint,
     in_stream: TextIO,
     out_stream: TextIO,
     *,
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     lock: "threading.Lock | None" = None,
 ) -> int:
-    """One request per line on ``in_stream``, one response per line out.
+    """One request per line on ``in_stream``, one response per line out
+    (see :func:`_serve_lines`).
 
-    Returns the process exit code (0 on clean shutdown or EOF).  Blank
-    lines are ignored; a malformed line produces an error response and
-    the loop continues.  A line longer than ``max_request_bytes`` is
-    discarded up to its newline and answered with an error — adversarial
-    input bounds memory instead of growing it.  ``lock``, when given, is
-    held around each request — the metrics HTTP listener shares it so a
-    scrape never reads the registry mid-mutation.
+    Returns the process exit code (0 on clean shutdown, EOF or the reader
+    disappearing).  ``lock``, when given, is the one the metrics HTTP
+    listener shares, so a scrape never reads the registry mid-mutation.
     """
-    while True:
-        line = in_stream.readline(max_request_bytes + 1)
-        if not line:
-            break
-        if len(line) > max_request_bytes and not line.endswith("\n"):
-            _drain_oversized(in_stream.readline, max_request_bytes)
-            resp = error_response(
-                None, INVALID_REQUEST, f"request exceeds {max_request_bytes} bytes"
-            )
-        else:
-            line = line.strip()
-            if not line:
-                continue
-            if lock is not None:
-                with lock:
-                    resp = _handle_line(frontend, line)
-            else:
-                resp = _handle_line(frontend, line)
-        try:
-            out_stream.write(json.dumps(resp) + "\n")
-            out_stream.flush()
-        except OSError:
-            return 0  # the reader went away: nothing left to serve
-        if frontend.closed:
-            break
+
+    def write(text: str) -> None:
+        out_stream.write(text)
+        out_stream.flush()
+
+    _serve_lines(endpoint, in_stream.readline, write, max_request_bytes,
+                 lock if lock is not None else threading.Lock())
     return 0
 
 
@@ -691,7 +798,7 @@ class _ServiceTCPServer(socketserver.ThreadingTCPServer):
 
 
 def serve_tcp(
-    frontend: ServiceFrontend,
+    endpoint: Endpoint,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
@@ -711,9 +818,9 @@ def serve_tcp(
     picked); ``ready`` (tests) is set at the same moment, with the port
     published as ``ready.port``.  Returns 0.
 
-    Errors are isolated per connection: an oversized line is answered
-    with an error, undecodable bytes are answered with an error, and a
-    mid-request disconnect closes that one connection — the server and
+    Errors are isolated per connection (see :func:`_serve_lines`): an
+    oversized line or undecodable bytes are answered with an error, and
+    a mid-request disconnect closes that one connection — the server and
     every other connection live on.
     """
     if lock is None:
@@ -721,41 +828,19 @@ def serve_tcp(
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self) -> None:
+            def write(text: str) -> None:
+                self.wfile.write(text.encode("utf-8"))
+                self.wfile.flush()
+
             try:
-                self._serve_connection()
+                _serve_lines(endpoint, self.rfile.readline, write,
+                             max_request_bytes, lock)
             except (OSError, ValueError):
                 # disconnect mid-request / unusable socket: close this
                 # connection only, never the server
                 return
-
-        def _serve_connection(self) -> None:
-            while True:
-                raw = self.rfile.readline(max_request_bytes + 1)
-                if not raw:
-                    return
-                if len(raw) > max_request_bytes and not raw.endswith(b"\n"):
-                    _drain_oversized(self.rfile.readline, max_request_bytes)
-                    resp = error_response(
-                        None, INVALID_REQUEST,
-                        f"request exceeds {max_request_bytes} bytes",
-                    )
-                else:
-                    try:
-                        line = raw.decode("utf-8").strip()
-                    except UnicodeDecodeError as exc:
-                        resp = error_response(
-                            None, INVALID_REQUEST, f"invalid UTF-8: {exc}"
-                        )
-                    else:
-                        if not line:
-                            continue
-                        with lock:
-                            resp = _handle_line(frontend, line)
-                self.wfile.write((json.dumps(resp) + "\n").encode("utf-8"))
-                self.wfile.flush()
-                if frontend.closed:
-                    threading.Thread(target=server.shutdown, daemon=True).start()
-                    return
+            if endpoint.closed:
+                threading.Thread(target=server.shutdown, daemon=True).start()
 
     with _ServiceTCPServer((host, port), Handler) as server:
         bound = server.server_address[1]

@@ -1,10 +1,11 @@
 """The sharded routing tier: tenants partitioned across worker sessions.
 
-``repro serve --workers N`` runs this front-end instead of a single
+``repro serve --workers N`` runs this backend instead of a single
 :class:`~repro.service.frontend.ServiceFrontend`: N worker processes each
 own a journaled, supervised :class:`SchedulingSession` for a disjoint
-subset of tenants, and the :class:`Router` speaks the *same* JSON-lines
-protocol (both wire versions) to clients while fanning requests out.
+subset of tenants, and the :class:`Router` — the same
+:class:`~repro.service.frontend.Endpoint` class, so the same wire
+envelope, admission buffer and dispatcher, inherited — fans requests out.
 
 **Deterministic partitioning.**  A routing policy maps a tenant name to
 a shard index; ``submit``/``cancel``/``tenant`` for one tenant always
@@ -26,13 +27,13 @@ idiom as the scheduler registry, :mod:`repro.registry`):
     identical — use it for stateless fan-out work where replayability
     does not matter, and one of the deterministic policies otherwise.
 
-**Fairness at the routing tier.**  The stride-fair admission queue runs
-*once, here, across all shards* (the promotion of the frontend's
-fair-share scheduler): the router buffers submissions per tenant,
-drains them in weighted-fair order, and forwards each shard its slice
-of that order.  Workers run with ``admission="fifo"`` and
-``batch_size=1`` so they preserve exactly the order the router decided —
-cross-shard tenant weights therefore hold globally.
+**Fairness at the routing tier.**  The endpoint's stride-fair admission
+queue runs *once, here, across all shards*: the router buffers
+submissions per tenant, drains them in weighted-fair order, and forwards
+each shard its slice of that order.  Workers run with
+``admission="fifo"`` and ``batch_size=1`` so they preserve exactly the
+order the router decided — cross-shard tenant weights therefore hold
+globally.
 
 **Fan-out and failover.**  Tenant-bound ops route to one worker;
 ``advance``/``drain``/``stats``/``status``/``validate``/``checkpoint``/
@@ -61,24 +62,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
-from repro.obs import (
-    MetricsRegistry,
-    SpanLog,
-    merge_dumps,
-    process_rss_bytes,
-    render_dump,
-)
-from repro.service.fairshare import FairQueue
+from repro.obs import MetricsRegistry, SpanLog, merge_dumps, process_rss_bytes
+from repro.service.client import Disconnected, ServiceClient, _TcpTransport
+from repro.service.frontend import Endpoint
 from repro.service.session import JobSpec, real_number
 from repro.service.wire import (
     ADMISSION_FAILED,
     BACKPRESSURE,
     INTERNAL,
-    INVALID_REQUEST,
-    WIRE_VERSION,
     error_response,
-    unwrap_request,
-    wrap_response,
 )
 
 __all__ = [
@@ -238,15 +230,14 @@ class LocalWorker:
 
 
 class RemoteWorker:
-    """One worker process over TCP: line protocol, v2 envelope, reconnect.
+    """One worker process over TCP: a :class:`ServiceClient` whose
+    transport failures surface as :class:`ShardUnavailable`.
 
-    Every request is wrapped in a ``repro-wire/2`` envelope with a fresh
-    ``rid``; the echoed rid is what makes resend-after-reconnect safe (a
-    stale response from a previous incarnation can never be attributed
-    to the current request).  ``call`` retries through disconnects until
-    ``deadline`` seconds have elapsed — a supervised worker that was
-    SIGKILLed typically reappears within its supervisor's backoff — and
-    raises :class:`ShardUnavailable` past the deadline.
+    The client wraps every request in a ``repro-wire/2`` envelope with a
+    fresh ``rid``; the echoed rid is what makes resend-after-reconnect
+    safe (a stale response from a previous incarnation can never be
+    attributed to the current request).  Nothing connects until the first
+    :meth:`call`, so a handle can be built before its worker listens.
     """
 
     def __init__(
@@ -257,81 +248,29 @@ class RemoteWorker:
         shard: int = 0,
         io_timeout: float = 120.0,
     ) -> None:
-        self.host = host
-        self.port = port
         self.shard = shard
-        self.io_timeout = io_timeout
-        self._sock: "socket.socket | None" = None
-        self._fh = None
-        self._rid = 0
-
-    # -- connection management ----------------------------------------
-    def _connect(self, deadline_at: float) -> None:
-        delay = 0.05
-        while True:
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port), timeout=min(self.io_timeout, 5.0)
-                )
-                sock.settimeout(self.io_timeout)
-                self._sock = sock
-                self._fh = sock.makefile("rw", encoding="utf-8", newline="\n")
-                return
-            except OSError as exc:
-                if time.monotonic() >= deadline_at:
-                    raise ShardUnavailable(self.shard, f"connect failed: {exc}") from None
-                time.sleep(min(delay, max(0.0, deadline_at - time.monotonic())))
-                delay = min(delay * 2, 0.5)
-
-    def _disconnect(self) -> None:
-        for closer in (self._fh, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._fh = self._sock = None
+        self.client = ServiceClient(_TcpTransport(host, port, io_timeout=io_timeout))
 
     def close(self) -> None:
-        self._disconnect()
+        self.client.close()
 
-    # -- request/response ---------------------------------------------
     def call(self, request: dict[str, Any], deadline: "float | None" = None) -> dict[str, Any]:
         """Send one request, return the bare (envelope-stripped) response.
 
         Retries through connect failures and mid-call disconnects until
-        ``deadline`` seconds from now; the worker's journal dedups a
-        resent ``submit`` (at-least-once delivery, exactly-once
-        admission), and the other verbs are idempotent or safely
-        re-appliable.
+        ``deadline`` seconds from now — a supervised worker that was
+        SIGKILLed typically reappears within its supervisor's backoff —
+        and raises :class:`ShardUnavailable` past it.  The worker's
+        journal dedups a resent ``submit`` (at-least-once delivery,
+        exactly-once admission), and the other verbs are idempotent or
+        safely re-appliable.
         """
-        deadline_at = time.monotonic() + (deadline if deadline is not None else 15.0)
-        self._rid += 1
-        rid = self._rid
-        wire = json.dumps({"v": WIRE_VERSION, "rid": rid, **request})
-        while True:
-            try:
-                if self._fh is None:
-                    self._connect(deadline_at)
-                self._fh.write(wire + "\n")
-                self._fh.flush()
-                while True:
-                    line = self._fh.readline()
-                    if not line:
-                        raise OSError("worker closed the connection")
-                    resp = json.loads(line)
-                    # a rid-less reply is a v1-shaped transport error (bad
-                    # JSON, oversized line): it answers *this* request; a
-                    # reply with a *different* rid is stale — skip it
-                    if "rid" not in resp or resp.get("rid") == rid:
-                        break
-                resp.pop("v", None)
-                resp.pop("rid", None)
-                return resp
-            except (OSError, ValueError) as exc:
-                self._disconnect()
-                if time.monotonic() >= deadline_at:
-                    raise ShardUnavailable(self.shard, str(exc)) from None
+        try:
+            return self.client.exchange(
+                request, deadline=deadline if deadline is not None else 15.0
+            )
+        except Disconnected as exc:
+            raise ShardUnavailable(self.shard, exc.detail) from None
 
 
 def pick_free_port(host: str = "127.0.0.1") -> int:
@@ -344,14 +283,22 @@ def pick_free_port(host: str = "127.0.0.1") -> int:
 # ----------------------------------------------------------------------
 # the router
 # ----------------------------------------------------------------------
-class Router:
-    """Protocol front-end partitioning tenants across worker shards.
+class Router(Endpoint):
+    """The :class:`Endpoint` partitioning tenants across worker shards.
 
-    Duck-type compatible with :class:`ServiceFrontend` for the stdio/TCP
-    serving loops (``handle_request`` + ``closed``).  ``workers`` are
-    :class:`LocalWorker`/:class:`RemoteWorker` handles; replace a handle
-    with :meth:`replace_worker` after recovering a shard in-process.
+    Same protocol, same admission buffer and dispatcher as a
+    :class:`ServiceFrontend`; the backend is N workers instead of one
+    session.  ``workers`` are :class:`LocalWorker`/:class:`RemoteWorker`
+    handles; replace a handle with :meth:`replace_worker` after
+    recovering a shard in-process.
     """
+
+    # every router family is ``repro_router_*`` so a merged scrape (worker
+    # ``repro_*`` families re-labeled with ``shard``) can never collide
+    # with the router's own
+    prefix = "repro_router"
+    phase = "route"
+    unavailable = (ShardUnavailable,)
 
     def __init__(
         self,
@@ -369,50 +316,20 @@ class Router:
     ) -> None:
         if not workers:
             raise ValueError("a router needs at least one worker")
-        if batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        if batch_interval < 0:
-            raise ValueError(f"batch interval must be >= 0, got {batch_interval}")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        # fair mode: this queue is the global stride queue
+        super().__init__(
+            batch_size=batch_size, batch_interval=batch_interval, clock=clock,
+            max_pending=max_pending, fifo=False, metrics=metrics, spans=spans,
+        )
         self.workers = list(workers)
         self.policy = resolve_policy(policy, len(workers), policy_spec)
-        self.batch_size = batch_size
-        self.batch_interval = batch_interval
-        self.clock = clock
-        self.max_pending = max_pending
         self.call_deadline = call_deadline
-        self.closed = False
-        self.queue = FairQueue()  # fair mode: the global stride queue
         self._placed: dict[Any, int] = {}  # admitted job id -> shard
         self._loads = [0] * len(workers)  # jobs forwarded per shard
         self._pool = ThreadPoolExecutor(
             max_workers=len(workers), thread_name_prefix="shard-io"
         )
-        # -- observability: every router family is ``repro_router_*`` so
-        # a merged scrape (worker ``repro_*`` families re-labeled with
-        # ``shard``) can never collide with the router's own
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else SpanLog()
-        self._rid: Any = None
-        self._cur_op: "str | None" = None
-        self._started = self.clock()
         m = self.metrics
-        self._m_requests = m.counter(
-            "repro_router_requests_total",
-            "Protocol requests handled at the routing tier",
-            labels=("op",),
-        )
-        self._m_errors = m.counter(
-            "repro_router_request_errors_total",
-            "Router requests answered with a stable error code",
-            labels=("op", "code"),
-        )
-        self._m_latency = m.histogram(
-            "repro_router_request_latency_seconds",
-            "Wall-clock request handling latency at the routing tier",
-            labels=("op",),
-        )
         self._m_routed = m.counter(
             "repro_router_routed_jobs_total",
             "Jobs admitted and forwarded, per shard",
@@ -426,13 +343,6 @@ class Router:
         m.gauge("repro_router_workers", "Worker shards behind this router").set(
             len(workers)
         )
-        self._m_uptime = m.gauge(
-            "repro_router_uptime_seconds", "Seconds since this router was built"
-        )
-        self._m_rss = m.gauge(
-            "repro_router_process_rss_bytes", "Resident set size of the router process"
-        )
-        self.queue.bind_metrics(m, prefix="repro_router")
 
     # -- lifecycle -----------------------------------------------------
     def replace_worker(self, shard: int, worker: Any) -> None:
@@ -521,26 +431,17 @@ class Router:
         """The shard this tenant's stateful ops route to."""
         return self.policy.shard_of(tenant, self._loads)
 
-    def _batch_due(self) -> bool:
-        if self.queue.buffered == 0:
-            return False
-        if self.queue.buffered >= self.batch_size:
-            return True
-        return self.clock() - self.queue.oldest_stamp() >= self.batch_interval
-
-    def flush(self) -> tuple[list[Any], list[dict[str, Any]]]:
-        """Drain the global fair queue and forward each shard its slice.
+    def _admit(
+        self, pending: "list[JobSpec]"
+    ) -> tuple[list[Any], list[dict[str, Any]]]:
+        """Forward each shard its slice of the drained fair order.
 
         The weighted-fair order is computed once, across every tenant on
         every shard; each worker receives its jobs as one ``submit`` in
         that order (workers admit FIFO), so relative admission priority
         between two tenants is identical whether or not they share a
-        shard.  Returns ``(admitted_ids, error_records)`` exactly like
-        the single-session frontend.
+        shard.
         """
-        pending = self.queue.drain_fair()
-        if not pending:
-            return [], []
         errors: list[dict[str, Any]] = []
         order: list[tuple[int, Any]] = []  # (shard, id) in global fair order
         per_shard: dict[int, list[JobSpec]] = {}
@@ -625,86 +526,7 @@ class Router:
                 self._m_routed.inc(shard=str(shard))
         return admitted, errors
 
-    # -- protocol ------------------------------------------------------
-    def handle_request(self, req: Any) -> dict[str, Any]:
-        """Same contract as :meth:`ServiceFrontend.handle_request`."""
-        body, versioned, rid, err = unwrap_request(req)
-        if err is not None:
-            return wrap_response(err, versioned, rid)
-        op = body.get("op") if isinstance(body, dict) else None
-        label = op if isinstance(op, str) else "invalid"
-        self._rid = rid
-        self._cur_op = label
-        t0 = time.perf_counter()
-        s0 = self.spans.now()
-        try:
-            resp = self._dispatch(body)
-        finally:
-            self._rid = None
-            self._cur_op = None
-        dur = time.perf_counter() - t0
-        self._m_requests.inc(op=label)
-        self._m_latency.observe(dur, op=label)
-        if resp.get("ok") is False:
-            self._m_errors.inc(op=label, code=str(resp.get("error", "internal")))
-        self.spans.record(label, "route", s0, self.spans.now() - s0, rid=rid)
-        return wrap_response(resp, versioned, rid)
-
-    def _dispatch(self, req: Any) -> dict[str, Any]:
-        if not isinstance(req, dict) or "op" not in req:
-            return error_response(None, INVALID_REQUEST, "request must be an object with an 'op'")
-        op = req["op"]
-        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
-        if handler is None:
-            return error_response(op, INVALID_REQUEST, f"unknown op {op!r}")
-        try:
-            pre_admitted: list[Any] = []
-            pre_errors: list[dict[str, Any]] = []
-            if op not in ("submit", "flush") and self._batch_due():
-                pre_admitted, pre_errors = self.flush()
-            resp = handler(req)
-        except ShardUnavailable as exc:
-            return error_response(op, BACKPRESSURE, f"{exc}; retry")
-        except KeyError as exc:
-            return error_response(op, INVALID_REQUEST, f"missing required field {exc}")
-        except (ValueError, TypeError) as exc:
-            return error_response(op, INVALID_REQUEST, str(exc))
-        except OSError as exc:
-            return error_response(op, INTERNAL, str(exc))
-        if pre_admitted:
-            resp.setdefault("admitted_by_batch", pre_admitted)
-        if pre_errors:
-            resp.setdefault("admission_errors", []).extend(pre_errors)
-        resp.setdefault("ok", True)
-        resp.setdefault("op", op)
-        return resp
-
     # -- tenant-bound ops ----------------------------------------------
-    def _op_submit(self, req: dict[str, Any]) -> dict[str, Any]:
-        jobs = req.get("jobs")
-        if not isinstance(jobs, list):
-            raise ValueError("submit needs a 'jobs' list")
-        # parsed whole before anything is buffered: one bad record refuses
-        # the request
-        specs = list(map(JobSpec.from_dict, jobs))
-        refused = self.queue.enqueue_many(specs, self.clock(), self.max_pending)
-        resp: dict[str, Any] = {"buffered": self.queue.buffered}
-        if refused:
-            resp["backpressure"] = refused
-        if self._batch_due():
-            admitted, errors = self.flush()
-            resp.update({"admitted": admitted, "buffered": 0})
-            if errors:
-                resp["errors"] = errors
-        return resp
-
-    def _op_flush(self, req: dict[str, Any]) -> dict[str, Any]:
-        admitted, errors = self.flush()
-        resp: dict[str, Any] = {"admitted": admitted}
-        if errors:
-            resp["errors"] = errors
-        return resp
-
     def _op_cancel(self, req: dict[str, Any]) -> dict[str, Any]:
         jid = req["id"]
         was_buffered = jid in self.queue.buffered_ids()
@@ -749,13 +571,8 @@ class Router:
         return {"name": name, "weight": weight, "shard": shard}
 
     # -- fan-out ops ----------------------------------------------------
-    def _with_flush_errors(self, resp: dict[str, Any], errors) -> dict[str, Any]:
-        if errors:
-            resp["admission_errors"] = errors
-        return resp
-
     def _op_advance(self, req: dict[str, Any]) -> dict[str, Any]:
-        _, errors = self.flush()
+        self.flush()
         until = real_number(req["until"])
         want_events = req.get("events", True)
         responses = self._broadcast(
@@ -776,22 +593,19 @@ class Router:
             resp["events"] = merged
         else:
             resp["event_count"] = sum(r["event_count"] for r in responses.values())
-        return self._with_flush_errors(resp, errors)
+        return resp
 
     def _op_drain(self, req: dict[str, Any]) -> dict[str, Any]:
-        _, errors = self.flush()
+        self.flush()
         responses = self._broadcast({"op": "drain"})
         err = self._first_error(responses)
         if err is not None:
             return err
-        return self._with_flush_errors(
-            {
-                "clock": max(r["clock"] for r in responses.values()),
-                "makespan": max(r["makespan"] for r in responses.values()),
-                "completed": sum(r["completed"] for r in responses.values()),
-            },
-            errors,
-        )
+        return {
+            "clock": max(r["clock"] for r in responses.values()),
+            "makespan": max(r["makespan"] for r in responses.values()),
+            "completed": sum(r["completed"] for r in responses.values()),
+        }
 
     def _op_status(self, req: dict[str, Any]) -> dict[str, Any]:
         responses = self._broadcast({"op": "status"})
@@ -846,7 +660,7 @@ class Router:
         }
 
     def _op_validate(self, req: dict[str, Any]) -> dict[str, Any]:
-        _, errors = self.flush()
+        self.flush()
         responses = self._broadcast({"op": "validate"})
         err = self._first_error(responses)
         if err is not None:
@@ -857,19 +671,14 @@ class Router:
                 v = dict(v)
                 v["shard"] = shard
                 violations.append(v)
-        return self._with_flush_errors(
-            {
-                "valid": all(r["valid"] for r in responses.values()),
-                "violations": violations,
-            },
-            errors,
-        )
+        return {
+            "valid": all(r["valid"] for r in responses.values()),
+            "violations": violations,
+        }
 
     def _op_checkpoint(self, req: dict[str, Any]) -> dict[str, Any]:
-        path = req.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ValueError(f"path must be a string, got {type(path).__name__}")
-        _, errors = self.flush()
+        path = self._path_arg(req)
+        self.flush()
         if path is not None:
             requests = {
                 i: {"op": "checkpoint", "path": f"{path}.shard{i}"}
@@ -891,7 +700,7 @@ class Router:
         resp["clock"] = max(r["clock"] for r in responses.values())
         if all(r.get("journal_rotated") for r in responses.values()):
             resp["journal_rotated"] = True
-        return self._with_flush_errors(resp, errors)
+        return resp
 
     def _op_restore(self, req: dict[str, Any]) -> dict[str, Any]:
         raise ValueError(
@@ -900,10 +709,8 @@ class Router:
         )
 
     def _op_trace(self, req: dict[str, Any]) -> dict[str, Any]:
-        path = req.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ValueError(f"path must be a string, got {type(path).__name__}")
-        _, errors = self.flush()
+        path = self._path_arg(req)
+        self.flush()
         if path is not None:
             requests = {
                 i: {"op": "trace", "path": f"{path}.shard{i}"}
@@ -913,23 +720,14 @@ class Router:
             err = self._first_error(responses)
             if err is not None:
                 return err
-            return self._with_flush_errors(
-                {"paths": [responses[i]["path"] for i in sorted(responses)]}, errors
-            )
+            return {"paths": [responses[i]["path"] for i in sorted(responses)]}
         responses = self._broadcast({"op": "trace"})
         err = self._first_error(responses)
         if err is not None:
             return err
-        return self._with_flush_errors(
-            {"traces": [responses[i]["trace"] for i in sorted(responses)]}, errors
-        )
+        return {"traces": [responses[i]["trace"] for i in sorted(responses)]}
 
-    def sync_gauges(self) -> None:
-        """Refresh the router's sampled-on-read gauges."""
-        self._m_uptime.set(self.clock() - self._started)
-        self._m_rss.set(process_rss_bytes())
-
-    def _merged_metrics(self) -> "tuple[str, list[dict[str, Any]]]":
+    def _metric_families(self) -> list[dict[str, Any]]:
         """One scrape for the whole topology: every reachable worker's
         families re-labeled under ``shard``, plus the router's own
         ``repro_router_*`` families.  A shard that is down is counted in
@@ -946,24 +744,10 @@ class Router:
             for shard in sorted(responses)
             if responses[shard].get("ok", True)
         ]
-        self.sync_gauges()
-        families = merge_dumps(tagged, label="shard") + self.metrics.dump()
-        return render_dump(families), families
-
-    def render_metrics(self) -> str:
-        """What ``GET /metrics`` serves in sharded mode (duck-typed with
-        :meth:`ServiceFrontend.render_metrics`)."""
-        return self._merged_metrics()[0]
-
-    def _op_metrics(self, req: dict[str, Any]) -> dict[str, Any]:
-        text, families = self._merged_metrics()
-        return {"text": text, "families": families}
+        return merge_dumps(tagged, label="shard") + super()._metric_families()
 
     def _op_spans(self, req: dict[str, Any]) -> dict[str, Any]:
-        limit = req.get("limit")
-        if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-                raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+        limit = self._limit_arg(req)
         fwd: dict[str, Any] = {"op": "spans"}
         if "for_rid" in req:
             fwd["for_rid"] = req["for_rid"]

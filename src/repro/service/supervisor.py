@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["BackoffPolicy", "supervise"]
+__all__ = ["BackoffPolicy", "reap", "supervise"]
 
 #: Environment variable carrying the restart count into the worker.
 RESTARTS_ENV = "REPRO_SERVICE_RESTARTS"
@@ -58,6 +58,22 @@ class BackoffPolicy:
             )
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+
+
+def reap(proc: subprocess.Popen, patience: float = 10.0, grace: float = 5.0) -> int:
+    """Collect a child that has been asked (or is about) to stop: wait
+    ``patience`` seconds for it to exit on its own, SIGTERM it and wait
+    ``grace`` more, then SIGKILL.  Returns its exit code; never leaves a
+    zombie or an orphan behind."""
+    try:
+        return proc.wait(timeout=patience)
+    except subprocess.TimeoutExpired:
+        proc.terminate()
+    try:
+        return proc.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        return proc.wait()
 
 
 def supervise(
@@ -102,11 +118,7 @@ def supervise(
         try:
             code = proc.wait()
         except KeyboardInterrupt:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except Exception:
-                proc.kill()
+            reap(proc, patience=0)
             return 130
         if code == 0:
             return 0

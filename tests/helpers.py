@@ -9,6 +9,8 @@ the name that wins depends on collection order.
 from __future__ import annotations
 
 import json
+import socket
+import threading
 from collections import deque
 
 import numpy as np
@@ -44,6 +46,25 @@ def strict_json(resp):
         raise AssertionError(f"non-JSON literal {literal} in {resp}")
 
     return json.loads(json.dumps(resp), parse_constant=refuse)
+
+
+def scripted_tcp_server(*connections):
+    """Listen on an ephemeral localhost port and hand each accepted
+    connection, in order, to the next callable (which gets the text-mode
+    socket file and returns when done with it).  Returns ``(port,
+    thread)`` — a peer that misbehaves exactly as a test scripts it."""
+    srv = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with srv:
+            for serve in connections:
+                conn, _ = srv.accept()
+                with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as fh:
+                    serve(fh)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return srv.getsockname()[1], thread
 
 
 def tiny_instance(

@@ -41,12 +41,16 @@ class TestParser:
 def test_serve_path_imports_no_scipy():
     """``repro serve`` — and every shard worker, supervisor and router
     process — never solves an LP, so booting one must not pay for scipy
-    (0.5 s and ~50 MB of RSS per process).  In a subprocess: this one has
-    scipy loaded."""
+    (0.5 s and ~50 MB of RSS per process) — nor, without
+    ``--metrics-port``, for ``http.server`` (~2 MB).  In a subprocess:
+    this one has both loaded.  It boots a real serve loop, on an empty
+    stdin, so imports made on the way in count too."""
     code = (
-        "import repro.cli, repro.service.frontend, repro.service.router, "
-        "repro.service.supervisor, sys; "
-        "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        "import io, sys, repro.cli, repro.service.router, repro.service.supervisor; "
+        "sys.stdin = io.StringIO(''); "
+        "rc = repro.cli.main(['serve']); "
+        "sys.exit(rc or any(m == 'http.server' or m.split('.')[0] == 'scipy' "
+        "for m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,6 +5,7 @@ import json
 import threading
 
 import pytest
+from helpers import scripted_tcp_server
 
 from repro.service import (
     Backpressure,
@@ -220,6 +221,32 @@ class TestTcpReconnect:
         client.shutdown()
         client.close()
         t.join(timeout=5.0)
+
+    def test_undecodable_reply_drops_the_connection_before_the_resend(self):
+        """The reply is not JSON: nothing on that stream can be trusted any
+        more.  ``connect()`` used to overwrite the live socket — leaked, its
+        unread bytes still pending — instead of closing it first."""
+
+        def garbage(fh):
+            fh.readline()
+            fh.write("\x00not json\n")
+            fh.flush()
+
+        def honest(fh):
+            rid = json.loads(fh.readline())["rid"]
+            fh.write(json.dumps({"v": 2, "rid": rid, "ok": True, "op": "status"}) + "\n")
+            fh.flush()
+
+        port, t = scripted_tcp_server(garbage, honest)
+        client = ServiceClient.connect(
+            "127.0.0.1", port, connect_deadline=10.0, retry_deadline=10.0
+        )
+        first = client.transport._sock
+        assert client.status() == {"ok": True, "op": "status"}  # the resend
+        assert first.fileno() == -1 and client.transport._sock is not first
+        client.close()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
 
     def test_connect_to_a_dead_port_times_out(self):
         port = pick_free_port()
