@@ -5,34 +5,79 @@ each job's non-dominated allocations are the task's alternatives with time
 ``t_j(p)`` and cost ``a_j(p)`` (average area).  Following the adaptation of
 Skutella's algorithm described in the paper, we solve one LP that minimizes
 the lower-bound functional ``L`` directly (instead of fixing a budget or a
-deadline a priori):
+deadline a priori).  With ``x_{j,k}`` the weight of job ``j``'s ``k``-th
+alternative, ``τ_j = Σ_k t_{j,k} x_{j,k}`` and ``γ_j = Σ_k a_{j,k} x_{j,k}``,
+the relaxation is
 
     minimize   L
-    s.t.       Σ_k x_{j,k} = 1                          ∀ jobs j
-               C_j >= Σ_k t_{j,k} x_{j,k}               ∀ j             (source length)
-               C_j >= C_u + Σ_k t_{j,k} x_{j,k}         ∀ edges u -> j  (path length)
+    s.t.       Σ_k x_{j,k} = 1, x >= 0                  ∀ jobs j
+               C_j >= τ_j                               ∀ j             (source length)
+               C_j >= C_u + τ_j                         ∀ edges u -> j  (path length)
                C_j <= L                                 ∀ j             (C(p) <= L)
-               Σ_j Σ_k a_{j,k} x_{j,k} <= L                             (A(p) <= L)
-               x >= 0, C >= 0
+               Σ_j γ_j <= L                                             (A(p) <= L)
 
-The optimum ``L_LP`` satisfies ``L_LP <= L_min <= T_opt`` (Lemmas 1-2, and
-because the fractional feasible region contains every integral allocation).
+and its optimum ``L_LP`` satisfies ``L_LP <= L_min <= T_opt`` (Lemmas 1-2,
+and because the fractional feasible region contains every integral
+allocation).
+
+**The LP handed to HiGHS** is that one in the *delta* (hull-segment)
+formulation.  The ``x`` of a job enter the rows only through ``(τ_j, γ_j)``,
+a point of the convex hull of its ``(t, a)`` alternatives; rows and objective
+are monotone in ``γ_j``, so nothing is lost by keeping, for each ``τ_j``,
+only the lowest such point — the job's lower convex hull, a convex
+piecewise-linear curve through the vertices ``(t_0, a_0), …, (t_m, a_m)``
+(first and last alternative always among them; alternatives above the hull
+get no variable).  One variable per hull *segment*, filled from 0 to 1:
+
+    τ_j = t_{j,0} + Σ_s Δt_{j,s} λ_{j,s}        Δt_s = t_s − t_{s−1} > 0
+    γ_j = a_{j,0} + Σ_s Δa_{j,s} λ_{j,s}        Δa_s = a_s − a_{s−1} < 0
+    0 <= λ_{j,s} <= 1
+
+    minimize   L
+    s.t.       C_j >= τ_j                     ∀ j without predecessors
+               C_j >= C_u + τ_j               ∀ edges u -> j
+               C_j <= L                       ∀ j without successors
+               Σ_j γ_j <= L
+               C >= 0
+
+The convex-combination block and its ``Σ_k x = 1`` row are gone, and so are
+the rows the precedence rows imply (``C_j >= τ_j`` below an edge, ``C_j <=
+L`` above one): ``segments + n + 1`` columns, ``sources + edges + sinks + 1``
+rows.  The slopes ``Δa_s/Δt_s`` increase along a hull, so filling segments in
+order is the cheapest way to reach a ``τ_j`` and the optimum is the same
+``L_LP``.  (Scaling a segment to ``[0, 1]`` rather than ``[0, Δt_s]`` keeps a
+division out of the matrix: two alternatives one ulp apart would otherwise
+put a slope of ``1e16`` in it, which HiGHS refuses.)  Times and areas are
+given to HiGHS in a power-of-two *unit* near ``L``: the delta form moves job
+data into the right-hand side, which HiGHS compares with absolute
+tolerances, and dividing by a power of two is exact — the solve does not
+depend on whether times are in seconds or nanoseconds.
+
+**Back to fractions.**  Only ``τ_j`` is read off the solver's answer; the
+job's ``x`` is the pair of weights on the two hull vertices around ``τ_j``.
+When the area row is slack HiGHS may fill a job's segments out of order,
+i.e. sit above the hull; the projection keeps ``τ_j`` — hence every ``C_j``
+and the path rows — and gives a ``γ_j`` no larger, so the projected point is
+feasible for the first LP at the same ``L_LP``: the bound stays certified.
 
 Rounding (the ρ-quantile rule, equivalent to Skutella's virtual-task
 rounding): per job, with alternatives sorted by increasing time (hence
-non-increasing cost, thanks to the Eq. (2) filter), choose the first
-alternative at which the cumulative fraction reaches ``1 − ρ``.  This yields
-the deterministic guarantees asserted by our tests::
+decreasing cost, thanks to the Eq. (2) filter), choose the first alternative
+at which the cumulative fraction reaches ``1 − ρ``.  This yields the
+deterministic guarantees asserted by our tests::
 
     t_j(p'_j) <= τ_j / ρ           (fractional time τ_j = Σ_k t_{j,k} x_{j,k})
     a_j(p'_j) <= γ_j / (1 − ρ)     (fractional cost γ_j = Σ_k a_{j,k} x_{j,k})
 
 and therefore ``C(p') <= L_LP/ρ`` and ``A(p') <= L_LP/(1−ρ)`` — exactly
-Lemma 3 with ``T_opt`` replaced by the (smaller) ``L_LP``.
+Lemma 3 with ``T_opt`` replaced by the (smaller) ``L_LP``.  The argument
+needs only ``x >= 0``, ``Σ x = 1`` and the order of the alternatives, so it
+holds verbatim for the two-vertex ``x`` above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Mapping, Sequence
@@ -81,35 +126,77 @@ class DTCTSolveError(RuntimeError):
     """HiGHS did not return an optimal solution of the DTCT LP.
 
     The LP is always feasible and bounded, so this means a solver limit or
-    numerically hostile input.  ``status`` and ``message`` are those of the
-    ``scipy.optimize.linprog`` result (1 iteration/time limit, 2 infeasible,
-    3 unbounded, 4 numerical difficulties).
+    numerically hostile input.  The problem was tried twice — with the tuned
+    options, then with HiGHS's defaults: ``status`` and ``message`` are those
+    of the second ``scipy.optimize.linprog`` result (1 iteration/time limit,
+    2 infeasible, 3 unbounded, 4 numerical difficulties), ``tuned_status``
+    that of the first, ``rows`` x ``columns`` the size of the constraint
+    matrix both were given.
     """
 
-    def __init__(self, status: int, message: str):
-        super().__init__(f"DTCT LP failed (status {status}): {message}")
+    def __init__(self, status: int, message: str, *, tuned_status: int, rows: int, columns: int):
+        super().__init__(
+            f"DTCT LP ({rows} rows x {columns} columns) failed (status {status}; "
+            f"status {tuned_status} with the tuned options): {message}"
+        )
         self.status = status
         self.message = message
+        self.tuned_status = tuned_status
+        self.rows = rows
+        self.columns = columns
 
 
-def _lp_problem(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]):
-    """The DTCT LP as ``linprog`` keyword arguments, assembled from flat arrays.
+#: How HiGHS is asked to solve the delta-form LP (sweep in CHANGES.md, PR 21).
+#: Its rows are a network block plus one dense row — presolve finds little to
+#: remove and costs more than it saves, and the dual simplex's default
+#: steepest-edge weights cost more per pivot than the pivots they spare.  The
+#: pair belongs to *this* formulation: on the convex-combination form
+#: ``presolve: False`` is ten times slower, not faster.
+_HIGHS_OPTIONS = {"simplex_dual_edge_weight_strategy": "devex", "presolve": False}
 
-    Variable layout: ``[x_{j,k} for j in topological order for k] + [C_j for
-    j] + [L]``.  ``A_ub`` rows, in order: one source-length row per job
-    (redundant but harmless for a job with predecessors; keeps every ``C_j``
-    anchored), one path-length row per edge in ``dag.edges()`` order, one
-    ``C_j − L`` row per job, the total-area row.
 
-    Returns ``(problem, job_order, times, areas, starts)``: the flat
-    per-column ``times``/``areas`` and the offsets (``starts[i]:starts[i + 1]``
-    are the ``x`` columns of ``job_order[i]``) are what unpacking needs.
+@dataclass(frozen=True)
+class _Frontiers:
+    """Every job's ``(time, area)`` frontier, flat, and its lower convex hull.
+
+    ``times``/``areas`` hold the candidates of ``job_order[i]`` at
+    ``starts[i]:starts[i + 1]``; ``job_of`` maps a flat position back to
+    ``i``.  Hull segment ``s`` — one LP column — joins the candidates at
+    flat positions ``lo[s]`` and ``hi[s]``; segments are in job order and,
+    within a job, in time order.  ``unit`` is the power of two the LP's
+    times and areas are divided by.
     """
-    # scipy is imported where an LP is built or solved, not with the
-    # package: ``repro serve`` never solves one (tests/test_cli.py holds
-    # the serve path to that)
-    from scipy.sparse import csr_matrix
 
+    job_order: list
+    starts: np.ndarray
+    times: np.ndarray
+    areas: np.ndarray
+    job_of: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    unit: float
+
+
+def _lower_hulls(times: np.ndarray, areas: np.ndarray, job_of: np.ndarray) -> np.ndarray:
+    """Flat positions of the vertices of every job's lower convex hull.
+
+    All jobs at once: a point on or above the chord of its two current
+    neighbours is a vertex of no lower hull, so every such point is dropped
+    in one pass, and passes repeat until each remaining triple turns
+    strictly left.  A job's first and last candidate always stay.
+    """
+    keep = np.arange(times.size)
+    while True:
+        t, a, j = times[keep], areas[keep], job_of[keep]
+        turn = (t[1:-1] - t[:-2]) * (a[2:] - a[1:-1]) - (a[1:-1] - a[:-2]) * (t[2:] - t[1:-1])
+        drop = (j[:-2] == j[2:]) & (turn <= 0.0)
+        if not drop.any():
+            return keep
+        keep = np.delete(keep, np.flatnonzero(drop) + 1)
+
+
+def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]) -> _Frontiers:
+    """Flatten ``table`` in topological order, check it, take the hulls."""
     job_order = instance.dag.topological_order()
     n = len(job_order)
     per_job = [table[j] for j in job_order]
@@ -119,70 +206,124 @@ def _lp_problem(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]
         raise ValueError(f"job {j!r} has no candidate allocations")
     starts = np.concatenate(([0], np.cumsum(counts)))
     n_x = int(starts[-1])
-    l_index = n_x + n
-    n_var = n_x + n + 1
     entries = list(chain.from_iterable(per_job))
     times = np.fromiter((e.time for e in entries), dtype=np.float64, count=n_x)
     areas = np.fromiter((e.area for e in entries), dtype=np.float64, count=n_x)
+    job_of = np.repeat(np.arange(n), counts)
 
-    jobs = np.arange(n)
-    x_cols = np.arange(n_x)
-    x_job = np.repeat(jobs, counts)
-    c_cols = n_x + jobs
+    # the convex-combination form did not care how a job's rows were ordered;
+    # the hull reads them as a frontier, so a table that is not one is refused
+    ok = np.isfinite(times) & (times > 0.0) & np.isfinite(areas)
+    ok[1:] &= (job_of[1:] != job_of[:-1]) | ((times[1:] > times[:-1]) & (areas[1:] < areas[:-1]))
+    if not ok.all():
+        j = job_order[int(job_of[np.flatnonzero(~ok)[0]])]
+        raise ValueError(
+            f"job {j!r}: candidate times must be positive, finite and strictly increasing, "
+            "areas finite and strictly decreasing (the order pareto_filter returns)"
+        )
 
-    # equality: sum_k x_{j,k} = 1
-    a_eq = csr_matrix((np.ones(n_x), (x_job, x_cols)), shape=(n, n_var))
+    hull = _lower_hulls(times, areas, job_of)
+    seg = np.flatnonzero(job_of[hull[1:]] == job_of[hull[:-1]])
+    # L_LP is at least every job's shortest time and the sum of the smallest areas
+    floor = max(times[starts[:-1]].max(), areas[starts[1:] - 1].sum())
+    unit = math.ldexp(1.0, math.frexp(floor)[1] - 1)  # floor / unit in [1, 2)
+    return _Frontiers(job_order, starts, times, areas, job_of, hull[seg], hull[seg + 1], unit)
 
-    # path length: C_u − C_j + τ_j <= 0 for every edge u -> j; the τ_j part
-    # of edge row e spans job j's x columns
-    position = {j: i for i, j in enumerate(job_order)}
+
+def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
+    """The delta-form LP of the module docstring as ``linprog`` keyword arguments.
+
+    Variable layout: ``[λ_s for every hull segment] + [C_j for j in
+    topological order] + [L]``.  ``A_ub`` rows, in order: one arrival row per
+    job without predecessors, one per edge in ``dag.edges()`` order, one
+    ``C_j − L`` row per job without successors, the total-area row.
+    """
+    # scipy is imported where an LP is built or solved, not with the
+    # package: ``repro serve`` never solves one (tests/test_cli.py holds
+    # the serve path to that)
+    from scipy.sparse import csr_matrix
+
+    n = len(fr.job_order)
+    n_y = fr.lo.size
+    dt = (fr.times[fr.hi] - fr.times[fr.lo]) / fr.unit
+    da = (fr.areas[fr.hi] - fr.areas[fr.lo]) / fr.unit
+    first = fr.starts[:-1]
+    t0 = fr.times[first] / fr.unit
+    seg_counts = np.bincount(fr.job_of[fr.lo], minlength=n)
+    seg_starts = np.cumsum(seg_counts) - seg_counts
+
+    position = {j: i for i, j in enumerate(fr.job_order)}
     edges = list(instance.dag.edges())
     n_e = len(edges)
     tail = np.fromiter((position[u] for u, _ in edges), dtype=np.int64, count=n_e)
     head = np.fromiter((position[j] for _, j in edges), dtype=np.int64, count=n_e)
-    edge_rows = n + np.arange(n_e)
-    head_counts = counts[head]
-    tau_rows = np.repeat(edge_rows, head_counts)
+    sources = np.flatnonzero(np.bincount(head, minlength=n) == 0)
+    sinks = np.flatnonzero(np.bincount(tail, minlength=n) == 0)
+    n_k = sinks.size
+
+    c_cols = n_y + np.arange(n)
+    l_index = n_y + n
+    # arrival at j, from time 0 for a source and from C_u for an edge u -> j:
+    # [C_u] + Σ_s Δt_s λ_s − C_j <= −t_{j,0}; the Σ spans j's segment columns
+    arrive = np.concatenate([sources, head])
+    n_a = arrive.size
+    arrive_rows = np.arange(n_a)
+    tau_counts = seg_counts[arrive]
+    tau_rows = np.repeat(arrive_rows, tau_counts)
     tau_cols = (
-        np.arange(int(head_counts.sum()))
-        + np.repeat(starts[head] - (np.cumsum(head_counts) - head_counts), head_counts)
+        np.arange(int(tau_counts.sum()))
+        + np.repeat(seg_starts[arrive] - (np.cumsum(tau_counts) - tau_counts), tau_counts)
     )
-    cap_rows = n + n_e + jobs
-    area_row = 2 * n + n_e
+    sink_rows = n_a + np.arange(n_k)
+    area_row = n_a + n_k
     rows = np.concatenate([
-        x_job, jobs,                       # source length: τ_j − C_j <= 0
-        edge_rows, edge_rows, tau_rows,    # path length
-        cap_rows, cap_rows,                # C_j − L <= 0
-        np.full(n_x + 1, area_row),        # total area − L <= 0
+        tau_rows, arrive_rows, arrive_rows[sources.size:],
+        sink_rows, sink_rows,              # C_j − L <= 0
+        np.full(n_y + 1, area_row),        # Σ Δa_s λ_s − L <= −Σ_j a_{j,0}
     ])
     cols = np.concatenate([
-        x_cols, c_cols,
-        c_cols[tail], c_cols[head], tau_cols,
-        c_cols, np.full(n, l_index),
-        x_cols, [l_index],
+        tau_cols, c_cols[arrive], c_cols[tail],
+        c_cols[sinks], np.full(n_k, l_index),
+        np.arange(n_y), [l_index],
     ])
     vals = np.concatenate([
-        times, np.full(n, -1.0),
-        np.ones(n_e), np.full(n_e, -1.0), times[tau_cols],
-        np.ones(n), np.full(n, -1.0),
-        areas, [-1.0],
+        dt[tau_cols], np.full(n_a, -1.0), np.ones(n_e),
+        np.ones(n_k), np.full(n_k, -1.0),
+        da, [-1.0],
     ])
-    a_ub = csr_matrix((vals, (rows, cols)), shape=(area_row + 1, n_var))
 
-    cost = np.zeros(n_var)
+    cost = np.zeros(l_index + 1)
     cost[l_index] = 1.0
-    bounds = np.zeros((n_var, 2))
-    bounds[:n_x, 1] = 1.0
-    bounds[n_x:, 1] = np.inf
-    problem = {
+    bounds = np.zeros((l_index + 1, 2))
+    bounds[:n_y, 1] = 1.0
+    bounds[n_y:, 1] = np.inf
+    return {
         "c": cost,
-        "A_ub": a_ub,
-        "b_ub": np.zeros(area_row + 1),
-        "A_eq": a_eq,
-        "b_eq": np.ones(n),
+        "A_ub": csr_matrix((vals, (rows, cols)), shape=(area_row + 1, l_index + 1)),
+        "b_ub": np.concatenate([-t0[arrive], np.zeros(n_k), [-fr.areas[first].sum() / fr.unit]]),
         "bounds": bounds,
     }
-    return problem, job_order, times, areas, starts
+
+
+def _project(fr: _Frontiers, lam: np.ndarray) -> np.ndarray:
+    """Flat candidate weights: per job, its hull at ``τ_j = t_{j,0} + Σ_s Δt_s λ_s``.
+
+    Only ``τ_j`` is read off the solver's segments.  Segment ``s`` of the
+    hull is then *filled* to ``clip((τ_j − t_lo) / Δt_s, 0, 1)`` — ones, at
+    most one fraction, zeros, in order, whatever HiGHS did — and a vertex
+    weighs the fill of the segment ending at it (1 for a job's first) minus
+    the fill of the segment starting at it (0 for its last).
+    """
+    first = fr.starts[:-1]
+    dt = fr.times[fr.hi] - fr.times[fr.lo]
+    seg_job = fr.job_of[fr.lo]
+    tau = fr.times[first] + np.bincount(seg_job, weights=dt * lam, minlength=first.size)
+    fill = np.clip((tau[seg_job] - fr.times[fr.lo]) / dt, 0.0, 1.0)
+    x = np.zeros(fr.times.size)
+    x[first] = 1.0
+    x[fr.hi] = fill
+    x[fr.lo] -= fill
+    return x
 
 
 def solve_dtct_lp(
@@ -191,39 +332,40 @@ def solve_dtct_lp(
 ) -> FractionalSolution:
     """Solve the relaxed DTCT LP with scipy's HiGHS backend.
 
-    ``table`` maps each job to its non-dominated candidate entries (from
-    :meth:`Instance.candidate_table`).  Raises :class:`DTCTSolveError` if the
-    solver does not reach an optimum (should not happen: the LP is always
-    feasible and bounded).
+    ``table`` maps each job to its non-dominated candidate entries as
+    :meth:`Instance.candidate_table` returns them — times strictly
+    increasing, areas strictly decreasing; a hand-built table that is not in
+    that order is refused with ``ValueError``.  Raises
+    :class:`DTCTSolveError` if neither the tuned options nor HiGHS's defaults
+    reach an optimum (should not happen: the LP is always feasible and
+    bounded).
     """
     if instance.n == 0:
         return FractionalSolution(0.0, {}, {}, {})
     from scipy.optimize import linprog  # see _lp_problem
 
-    problem, job_order, times, areas, starts = _lp_problem(instance, table)
-    res = linprog(**problem, method="highs")
+    fr = _frontiers(instance, table)
+    problem = _lp_problem(instance, fr)
+    res = linprog(**problem, method="highs", options=_HIGHS_OPTIONS)
     if not res.success:
-        raise DTCTSolveError(res.status, res.message)
+        # without presolve HiGHS forgives less; its defaults get the same problem once
+        tuned_status = res.status
+        res = linprog(**problem, method="highs")
+        if not res.success:
+            rows, columns = problem["A_ub"].shape
+            raise DTCTSolveError(
+                res.status, res.message, tuned_status=tuned_status, rows=rows, columns=columns
+            )
 
-    # per job, not np.add.reduceat: the slice-wise sums and dot products keep
-    # the fractional solution bit-equal to the entry-by-entry code's
-    x_all = np.clip(res.x, 0.0, None)
-    fractions: dict[JobId, np.ndarray] = {}
-    f_times: dict[JobId, float] = {}
-    f_areas: dict[JobId, float] = {}
-    offsets = starts.tolist()
-    for j, lo, hi in zip(job_order, offsets, offsets[1:]):
-        x = x_all[lo:hi]
-        s = x.sum()
-        x = x / s if s > 0 else np.full(hi - lo, 1.0 / (hi - lo))
-        fractions[j] = x
-        f_times[j] = float(times[lo:hi] @ x)
-        f_areas[j] = float(areas[lo:hi] @ x)
+    x = _project(fr, res.x[: fr.lo.size])
+    n = len(fr.job_order)
+    tau = np.bincount(fr.job_of, weights=fr.times * x, minlength=n)
+    gamma = np.bincount(fr.job_of, weights=fr.areas * x, minlength=n)
     return FractionalSolution(
-        lower_bound=float(res.x[-1]),
-        fractions=fractions,
-        fractional_times=f_times,
-        fractional_areas=f_areas,
+        lower_bound=float(res.x[-1]) * fr.unit,
+        fractions=dict(zip(fr.job_order, np.split(x, fr.starts[1:-1]))),
+        fractional_times=dict(zip(fr.job_order, tau.tolist())),
+        fractional_areas=dict(zip(fr.job_order, gamma.tolist())),
     )
 
 

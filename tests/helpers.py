@@ -34,6 +34,9 @@ __all__ = [
     "reference_candidate_table",
     "reference_lp_problem",
     "reference_solve_dtct_lp",
+    "reference_lower_hull",
+    "pipeline_instance",
+    "scripted_linprog",
     "reference_fair_queue",
 ]
 
@@ -94,10 +97,13 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
 
 
 # ---------------------------------------------------------------------------
-# Frozen references for Phase 1's array code (PR 12).  These are the per-job
-# ``Instance.candidate_table`` body and the loop LP assembler of
-# ``solve_dtct_lp`` as they stood before that code moved to arrays; the
-# identity tests require the live code to reproduce them with ``==``.
+# Frozen references for Phase 1 (PR 12).  The per-job
+# ``Instance.candidate_table`` body as it stood before that code moved to
+# arrays: the live code must reproduce it with ``==``.  The loop LP assembler
+# of ``solve_dtct_lp`` in the convex-combination (``x``) form, as it stood
+# until PR 21 put the delta form in ``core/dtct.py``: the oracle the live LP
+# must agree with in its optimum (the vertex may differ), and the LP in which
+# the live solution must be feasible.
 # ---------------------------------------------------------------------------
 def reference_pareto_filter(entries) -> list[ProfileEntry]:
     """``pareto_filter`` as a sort and a scan over entry objects."""
@@ -245,6 +251,65 @@ def reference_solve_dtct_lp(instance: Instance, table) -> FractionalSolution:
         fractional_times=f_times,
         fractional_areas=f_areas,
     )
+
+
+def scripted_linprog(monkeypatch, *scripted) -> list[dict]:
+    """Stand in for ``scipy.optimize.linprog`` as ``solve_dtct_lp`` looks it
+    up: call ``k`` is answered by ``scripted[k]`` — an ``OptimizeResult``, or
+    ``None`` for the real solver — and a call beyond the script fails.
+    Returns the list every call's keywords are appended to."""
+    import scipy.optimize
+
+    calls: list[dict] = []
+    real = scipy.optimize.linprog
+    answers = iter(scripted)
+
+    def linprog(c, **kwargs):
+        calls.append(kwargs)
+        answer = next(answers)
+        return real(c, **kwargs) if answer is None else answer
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    return calls
+
+
+def reference_lower_hull(times, areas) -> list[int]:
+    """Positions of the lower-convex-hull vertices of one job's frontier
+    (times strictly increasing): Andrew's monotone chain, one point at a
+    time; a point on the chord of its neighbours is not a vertex."""
+    hull: list[int] = []
+    for k in range(len(times)):
+        while len(hull) >= 2:
+            p, c = hull[-2], hull[-1]
+            turn = (times[c] - times[p]) * (areas[k] - areas[c]) - (areas[c] - areas[p]) * (
+                times[k] - times[c]
+            )
+            if turn > 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return hull
+
+
+def pipeline_instance(layers: int, width: int, seed) -> Instance:
+    """An input of the ``moldable-pipeline`` workload: what
+    ``benchmarks/stack/workloads.py::make_moldable`` draws from
+    ``default_rng(seed)`` at d = 2, capacity 32, expected in-degree 8
+    (``seed = [0, i]`` is the benchmark's seed-0 input ``i``)."""
+    from repro.resources.pool import ResourcePool
+
+    rng = np.random.default_rng(seed)
+    p = min(0.5, 8.0 / width)
+    edges = []
+    for layer in range(layers - 1):
+        hit = rng.random((width, width)) < p  # [successor, predecessor]
+        lonely = np.flatnonzero(~hit.any(axis=1))
+        hit[lonely, rng.integers(width, size=lonely.size)] = True
+        j, i = np.nonzero(hit)
+        edges += zip((layer * width + i).tolist(), ((layer + 1) * width + j).tolist())
+    n = layers * width
+    jobs = {j: Job(id=j, time_fn=random_multi_resource_time(2, rng)) for j in range(n)}
+    return Instance(jobs=jobs, dag=DAG(jobs, edges), pool=ResourcePool.uniform(2, 32))
 
 
 # ----------------------------------------------------------------------

@@ -6,21 +6,30 @@ LP solver tolerance) on randomized instances, not just on fixtures.
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from helpers import tiny_instance
+from helpers import scripted_linprog, tiny_instance
 from scipy.optimize import OptimizeResult
 
-from repro.core.dtct import DTCTSolveError, dtct_allocate, round_fractional, solve_dtct_lp
+from repro.core.dtct import (
+    DTCTSolveError,
+    FractionalSolution,
+    dtct_allocate,
+    round_fractional,
+    solve_dtct_lp,
+)
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
 from repro.jobs.candidates import full_grid
 from repro.jobs.job import Job
+from repro.jobs.profiles import ProfileEntry
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
 TOL = 1 + 1e-6
+#: the one way ``solve_dtct_lp`` asks HiGHS for the delta-form LP, spelled out
+#: here so that a drift in ``core/dtct.py`` fails a test
+TUNED = {"simplex_dual_edge_weight_strategy": "devex", "presolve": False}
 
 
 class TestLP:
@@ -56,8 +65,7 @@ class TestLP:
     def test_empty_instance(self):
         pool = ResourcePool.of(4)
         inst = Instance(jobs={}, dag=DAG(), pool=pool)
-        sol = solve_dtct_lp(inst, {})
-        assert sol.lower_bound == 0.0
+        assert solve_dtct_lp(inst, {}) == FractionalSolution(0.0, {}, {}, {})
 
     def test_single_rigid_job(self):
         pool = ResourcePool.of(4, 4)
@@ -71,7 +79,54 @@ class TestLP:
         assert p_prime["j"] == alloc
 
 
+class TestTableOrder:
+    """The hull reads a job's rows as a frontier, in order.  The
+    convex-combination LP did not care, so until PR 21 every table below was
+    accepted (and, now, would give a silently wrong bound)."""
+
+    GOOD = [(1.0, 6.0), (2.0, 3.0), (4.0, 2.0)]
+
+    @staticmethod
+    def solve(points):
+        inst = tiny_instance(seed=2)
+        table = inst.candidate_table(full_grid)
+        table[2] = [
+            ProfileEntry(alloc=ResourceVector((k + 1, 1)), time=t, area=a)
+            for k, (t, a) in enumerate(points)
+        ]
+        return solve_dtct_lp(inst, table)
+
+    def test_a_frontier_in_order_is_accepted(self):
+        assert self.solve(self.GOOD).fractions[2].shape == (3,)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            GOOD[::-1],                                  # slowest first
+            [GOOD[1], GOOD[0], GOOD[2]],                 # one pair swapped
+            [(1.0, 6.0), (1.0, 3.0), (4.0, 2.0)],        # equal times
+            [(1.0, 6.0), (2.0, 6.0), (4.0, 2.0)],        # equal areas
+            [(1.0, 6.0), (2.0, 7.0), (4.0, 2.0)],        # a dominated point
+            [(1.0, 6.0), (float("nan"), 3.0), (4.0, 2.0)],
+            [(1.0, 6.0), (2.0, float("nan")), (4.0, 2.0)],
+            [(0.0, 6.0), (2.0, 3.0)],
+            [(float("inf"), 6.0)],
+        ],
+    )
+    def test_anything_else_is_refused_naming_the_job(self, points):
+        with pytest.raises(ValueError, match=r"job 2: candidate times must be"):
+            self.solve(points)
+
+    def test_a_job_without_candidates_is_refused(self):
+        with pytest.raises(ValueError, match="job 2 has no candidate allocations"):
+            self.solve([])
+
+
 class TestSolverFailure:
+    @staticmethod
+    def failed(status, message="gave up"):
+        return OptimizeResult(success=False, status=status, message=message, x=None)
+
     @pytest.mark.parametrize(
         "status, message",
         [
@@ -80,32 +135,45 @@ class TestSolverFailure:
         ],
     )
     def test_typed_error_carries_status_and_message(self, monkeypatch, status, message):
-        def failing_linprog(c, **kwargs):
-            assert kwargs["method"] == "highs"
-            return OptimizeResult(success=False, status=status, message=message, x=None)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        calls = scripted_linprog(monkeypatch, self.failed(4), self.failed(status, message))
         inst = tiny_instance(seed=2)
         with pytest.raises(DTCTSolveError) as err:
             solve_dtct_lp(inst, inst.candidate_table(full_grid))
+        # the tuned attempt, then HiGHS's defaults on the same problem, then no more
+        assert [kw.get("options") for kw in calls] == [TUNED, None]
+        assert all(kw["method"] == "highs" for kw in calls)
         assert err.value.status == status
         assert err.value.message == message
-        assert message in str(err.value)
+        assert err.value.tuned_status == 4
+        rows, columns = calls[0]["A_ub"].shape
+        assert (err.value.rows, err.value.columns) == (rows, columns)
+        for part in (message, f"status {status}", "status 4", f"{rows} rows x {columns} columns"):
+            assert part in str(err.value)
         assert isinstance(err.value, RuntimeError)
 
-    def test_linprog_called_with_no_solver_options(self, monkeypatch):
-        seen = {}
-        real = scipy.optimize.linprog
+    def test_defaults_solve_what_the_tuned_options_gave_up_on(self, monkeypatch):
+        inst = tiny_instance(seed=2)
+        table = inst.candidate_table(full_grid)
+        expected = solve_dtct_lp(inst, table)
+        calls = scripted_linprog(monkeypatch, self.failed(4, "numerical difficulties"), None)
+        sol = solve_dtct_lp(inst, table)
+        tuned, retry = calls
+        assert tuned["options"] == TUNED and "options" not in retry
+        assert all(retry[name] is tuned[name] for name in ("A_ub", "b_ub", "bounds"))
+        assert sol.lower_bound == pytest.approx(expected.lower_bound, rel=1e-12, abs=0.0)
+        assert sol.fractional_times == pytest.approx(expected.fractional_times, rel=1e-9)
 
-        def spying_linprog(c, **kwargs):
-            seen.update(kwargs)
-            return real(c, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", spying_linprog)
+    def test_linprog_called_once_with_the_pinned_keywords_and_options(self, monkeypatch):
+        """The formulation and the options were chosen together (on the
+        convex-combination form ``presolve: False`` is ten times slower): a
+        drift in either the keyword set or the options dict fails here."""
+        calls = scripted_linprog(monkeypatch, None)
         inst = tiny_instance(seed=2)
         solve_dtct_lp(inst, inst.candidate_table(full_grid))
-        assert sorted(seen) == ["A_eq", "A_ub", "b_eq", "b_ub", "bounds", "method"]
+        (seen,) = calls
+        assert sorted(seen) == ["A_ub", "b_ub", "bounds", "method", "options"]
         assert seen["method"] == "highs"
+        assert seen["options"] == TUNED
 
 
 class TestRounding:
