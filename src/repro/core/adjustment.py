@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
+import numpy as np
+
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
 
@@ -41,15 +43,28 @@ def adjust_allocation(
     p_prime: Mapping[JobId, ResourceVector],
     mu: float,
 ) -> AdjustmentResult:
-    """Apply Eq. (5) to every job; returns the capped allocation ``p``."""
+    """Apply Eq. (5) to every job; returns the capped allocation ``p``.
+
+    The ``(n, d)`` matrix of ``p'`` is capped in one ``minimum``; a job the
+    caps do not touch keeps the vector it came with, and only a capped job
+    gets a new one.
+    """
     caps = instance.pool.mu_caps(mu)
-    allocation: dict[JobId, ResourceVector] = {}
-    adjusted = set()
-    for j, alloc in p_prime.items():
-        capped = alloc.cap(caps)
-        allocation[j] = capped
-        if tuple(capped) != tuple(alloc):
-            adjusted.add(j)
+    allocation = dict(p_prime)
+    adjusted: list = []
+    if allocation:
+        jobs = list(allocation)
+        wanted = np.array(list(allocation.values()), dtype=np.int64)
+        if wanted.ndim != 2 or wanted.shape[1] != len(caps):
+            raise ValueError(
+                f"resource-type dimension mismatch: allocations of shape "
+                f"{wanted.shape[1:]} against {len(caps)} resource types"
+            )
+        capped = np.minimum(wanted, np.array(caps, dtype=np.int64))
+        hit = np.flatnonzero((capped != wanted).any(axis=1))
+        for i, row in zip(hit.tolist(), capped[hit].tolist()):
+            allocation[jobs[i]] = ResourceVector(row)
+            adjusted.append(jobs[i])
     return AdjustmentResult(
         allocation=allocation, adjusted_jobs=frozenset(adjusted), mu=mu, caps=caps
     )

@@ -1,9 +1,12 @@
 """Phase 1 — resource allocation (Algorithm 1).
 
-Step 1 discards dominated allocations (done inside
-:meth:`Instance.candidate_table` via :func:`repro.jobs.profiles.pareto_indices`),
-Step 2 solves + rounds the DTCT relaxation (:mod:`repro.core.dtct`), and
-Step 3 applies the µ-adjustment (:mod:`repro.core.adjustment`).
+Step 1 evaluates every candidate and discards the dominated ones (all jobs
+at once, inside :meth:`Instance.candidate_table`:
+:func:`repro.jobs.vectorized.candidate_columns` and
+:func:`repro.jobs.profiles.pareto_rows`), Step 2 solves + rounds the DTCT
+relaxation (:mod:`repro.core.dtct`), and Step 3 applies the µ-adjustment
+(:mod:`repro.core.adjustment`).  The table stays in columns from Step 1 to
+the chosen allocation: no step builds a per-candidate object.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.core.adjustment import AdjustmentResult, adjust_allocation
 from repro.core.dtct import FractionalSolution, dtct_allocate
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
-from repro.jobs.profiles import ProfileEntry
+from repro.jobs.profiles import CandidateTable
 from repro.resources.vector import ResourceVector
 
 __all__ = ["Phase1Result", "allocate_resources"]
@@ -41,7 +44,8 @@ class Phase1Result:
     rho, mu:
         The parameters used.
     table:
-        The per-job non-dominated candidate frontiers (Step 1's output).
+        The per-job non-dominated candidate frontiers (Step 1's output): a
+        mapping job → entries, held in columns.
     """
 
     p_prime: dict[JobId, ResourceVector]
@@ -50,7 +54,7 @@ class Phase1Result:
     adjustment: AdjustmentResult
     rho: float
     mu: float
-    table: dict[JobId, list[ProfileEntry]]
+    table: CandidateTable
 
     @property
     def lower_bound(self) -> float:

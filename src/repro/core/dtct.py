@@ -60,6 +60,17 @@ i.e. sit above the hull; the projection keeps ``τ_j`` — hence every ``C_j``
 and the path rows — and gives a ``γ_j`` no larger, so the projected point is
 feasible for the first LP at the same ``L_LP``: the bound stays certified.
 
+**What is read.**  Every function here takes the candidate table as a
+``Mapping[JobId, Sequence[ProfileEntry]]`` and reads its *columns*
+(:class:`~repro.jobs.profiles.CandidateTable`: flat ``times``/``areas`` in
+frontier order, ``starts``, the ``rows`` that name each kept candidate in its
+job's candidate list).  :meth:`Instance.candidate_table` returns them; a
+hand-built dict of entry lists is lowered once on the way in (``_columns``)
+and then takes the same path.  The LP gets ``times``/``areas``/``starts``
+permuted to topological order, the rounding works on one ``(jobs, longest
+frontier)`` matrix and looks the chosen allocation up through ``rows`` — no
+entry object is built on the way from the table to ``p'``.
+
 Rounding (the ρ-quantile rule, equivalent to Skutella's virtual-task
 rounding): per job, with alternatives sorted by increasing time (hence
 decreasing cost, thanks to the Eq. (2) filter), choose the first alternative
@@ -79,13 +90,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.instance.instance import Instance
-from repro.jobs.profiles import ProfileEntry
+from repro.jobs.profiles import CandidateTable, ProfileEntry, take_segments
 from repro.resources.vector import ResourceVector
 
 __all__ = [
@@ -195,20 +205,24 @@ def _lower_hulls(times: np.ndarray, areas: np.ndarray, job_of: np.ndarray) -> np
         keep = np.delete(keep, np.flatnonzero(drop) + 1)
 
 
+def _columns(table: Mapping[JobId, Sequence[ProfileEntry]]) -> CandidateTable:
+    """The door: everything below reads a table's columns.  What
+    :meth:`Instance.candidate_table` returns has them; a hand-built ``{job:
+    entry list}`` is lowered here, once, and takes the same path."""
+    return table if isinstance(table, CandidateTable) else CandidateTable.from_entries(table)
+
+
 def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]) -> _Frontiers:
-    """Flatten ``table`` in topological order, check it, take the hulls."""
+    """``table``'s columns permuted to topological order, checked, with hulls."""
+    table = _columns(table)
     job_order = instance.dag.topological_order()
     n = len(job_order)
-    per_job = [table[j] for j in job_order]
-    counts = np.fromiter(map(len, per_job), dtype=np.int64, count=n)
+    starts, at = take_segments(table.starts, table.positions(job_order))
+    counts = starts[1:] - starts[:-1]
     if not counts.all():
         j = job_order[int(np.flatnonzero(counts == 0)[0])]
         raise ValueError(f"job {j!r} has no candidate allocations")
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    n_x = int(starts[-1])
-    entries = list(chain.from_iterable(per_job))
-    times = np.fromiter((e.time for e in entries), dtype=np.float64, count=n_x)
-    areas = np.fromiter((e.area for e in entries), dtype=np.float64, count=n_x)
+    times, areas = table.times[at], table.areas[at]
     job_of = np.repeat(np.arange(n), counts)
 
     # the convex-combination form did not care how a job's rows were ordered;
@@ -379,18 +393,47 @@ def round_fractional(
     For each job the candidates are sorted by increasing time; we select the
     first index at which the cumulative fraction reaches ``1 − ρ`` (minus a
     small numeric slack).  See the module docstring for the resulting
-    per-job guarantees.
+    per-job guarantees.  All jobs at once: the fractions go into one
+    ``(jobs, longest frontier)`` matrix, zero-padded, whose row-wise
+    ``cumsum`` is each job's own; the chosen allocation is looked up by the
+    table's ``rows`` column, so no entry object is built.  A fraction vector
+    whose length is not its job's frontier's, or that is not finite, is
+    refused with ``ValueError``.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"ρ must lie in (0, 1), got {rho}")
-    allocation: dict[JobId, ResourceVector] = {}
+    jobs = list(solution.fractions)
+    if not jobs:
+        return {}
+    table = _columns(table)
+    at = table.positions(jobs)
+    fractions = list(solution.fractions.values())
+    counts = np.fromiter(map(len, fractions), dtype=np.int64, count=len(jobs))
+    wrong = np.flatnonzero((counts != (table.starts[1:] - table.starts[:-1])[at]) | (counts == 0))
+    if wrong.size:
+        k = int(wrong[0])
+        raise ValueError(
+            f"job {jobs[k]!r}: {counts[k]} fractions for "
+            f"{len(table[jobs[k]])} candidate allocations"
+        )
+    flat = np.concatenate(fractions)
+    job_of = np.repeat(np.arange(len(jobs)), counts)
+    if not np.isfinite(flat).all():
+        k = int(job_of[np.flatnonzero(~np.isfinite(flat))[0]])
+        raise ValueError(f"job {jobs[k]!r}: fractions must be finite, got {fractions[k]}")
+    starts = np.cumsum(counts) - counts
+    x = np.zeros((len(jobs), int(counts.max())))
+    x[job_of, np.arange(flat.size) - starts[job_of]] = flat
     eps = 1e-9
-    for j, x in solution.fractions.items():
-        cum = np.cumsum(x)
-        idx = int(np.searchsorted(cum, 1.0 - rho - eps))
-        idx = min(idx, len(x) - 1)
-        allocation[j] = table[j][idx].alloc
-    return allocation
+    # a padded place repeats the row's total, a job's last candidate catches
+    # whatever stays below the threshold: the same index ``searchsorted`` on
+    # the job's own cumulative sums gives
+    below = (np.cumsum(x, axis=1) < 1.0 - rho - eps).sum(axis=1)
+    chosen = table.rows[table.starts[:-1][at] + np.minimum(below, counts - 1)]
+    candidates = table.candidates
+    return {
+        j: candidates[p][r] for j, p, r in zip(jobs, at.tolist(), chosen.tolist())
+    }
 
 
 def dtct_allocate(

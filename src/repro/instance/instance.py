@@ -19,9 +19,9 @@ from typing import Callable, Hashable, Mapping
 
 from repro.dag.graph import DAG
 from repro.dag.paths import critical_path_length
-from repro.jobs.candidates import CandidateStrategy, candidates_for_job, geometric_grid
+from repro.jobs.candidates import CandidateStrategy, geometric_grid
 from repro.jobs.job import Job
-from repro.jobs.profiles import ProfileEntry
+from repro.jobs.profiles import CandidateTable
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
@@ -54,7 +54,7 @@ class Instance:
     jobs: dict[JobId, Job]
     dag: DAG
     pool: ResourcePool
-    _candidate_cache: dict[CandidateStrategy, dict[JobId, list[ProfileEntry]]] = field(
+    _candidate_cache: dict[CandidateStrategy, CandidateTable] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: array-native lowering (see :mod:`repro.instance.compiled`); built on
@@ -158,53 +158,32 @@ class Instance:
     # ------------------------------------------------------------------
     # candidate tables (Eq. (2) applied)
     # ------------------------------------------------------------------
-    def candidate_table(
-        self, strategy: CandidateStrategy | None = None
-    ) -> dict[JobId, list[ProfileEntry]]:
+    def candidate_table(self, strategy: CandidateStrategy | None = None) -> CandidateTable:
         """Per-job non-dominated candidate frontiers, cached per strategy.
 
-        Each entry list is sorted by strictly increasing time / strictly
-        decreasing average area (see :func:`repro.jobs.profiles.pareto_filter`).
-        ``strategy(pool)`` is enumerated, validated and lowered to arrays once
-        for all jobs without pinned candidates; a pinned list is validated
-        per job (see :mod:`repro.jobs.vectorized`).
+        The result is a :class:`~repro.jobs.profiles.CandidateTable`: a
+        ``Mapping`` from job id (in ``self.jobs`` order) to that job's
+        frontier — a sequence of :class:`~repro.jobs.profiles.ProfileEntry`
+        sorted by strictly increasing time / strictly decreasing average area
+        (see :func:`repro.jobs.profiles.pareto_rows`) — held as flat
+        ``times``/``areas``/``rows`` columns.  Phase 1 reads the columns;
+        entry objects are built per job, the first time a caller indexes or
+        iterates that job's frontier (``len`` builds nothing).  All jobs are
+        evaluated by one batched kernel, :func:`repro.jobs.vectorized.candidate_columns`:
+        ``strategy(pool)`` is enumerated, validated and lowered once for all
+        jobs without pinned candidates, a pinned list once per distinct list.
         """
         strategy = strategy if strategy is not None else geometric_grid
         # keyed on the strategy itself, which the cache thereby keeps alive:
         # the id() of a strategy built inline is reused once it is freed
         cached = self._candidate_cache.get(strategy)
-        if cached is not None:
-            return cached
-        import numpy as np
+        if cached is None:
+            from repro.jobs.vectorized import candidate_columns
 
-        from repro.jobs.speedup import MultiResourceTime
-        from repro.jobs.vectorized import CandidateGrid, NoArrayForm
-
-        shared: CandidateGrid | None = None  # strategy(pool), lowered once
-        table: dict[JobId, list[ProfileEntry]] = {}
-        for j, job in self.jobs.items():
-            if job.candidates is None and shared is not None:
-                grid = shared
-            else:
-                grid = CandidateGrid.lower(
-                    candidates_for_job(job, self.pool, strategy), self.pool
-                )
-                if job.candidates is None:
-                    shared = grid
-            profile = None
-            if isinstance(job.time_fn, MultiResourceTime):
-                try:
-                    profile = grid.profile(job.time_fn)
-                except NoArrayForm:
-                    pass
-            if profile is None:
-                profile = (
-                    np.array([job.time(c) for c in grid.candidates]),
-                    np.array([self.avg_area(j, c) for c in grid.candidates]),
-                )
-            table[j] = grid.frontier(*profile)
-        self._candidate_cache[strategy] = table
-        return table
+            cached = self._candidate_cache[strategy] = candidate_columns(
+                self.jobs, self.pool, strategy
+            )
+        return cached
 
     def validate_allocation_map(self, allocation: AllocationMap):
         """Check that ``allocation`` covers every job and fits the pool.

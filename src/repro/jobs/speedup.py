@@ -135,7 +135,7 @@ class MultiResourceTime:
     Parameters
     ----------
     works:
-        Per-type work ``w_i >= 0``; a zero entry means the job does not use
+        Per-type work ``0 <= w_i < inf``; a zero entry means the job does not use
         that resource type (the term is skipped and the allocation may be 0
         there).
     speedups:
@@ -152,8 +152,8 @@ class MultiResourceTime:
     def __post_init__(self) -> None:
         if len(self.works) != len(self.speedups):
             raise ValueError("works and speedups must have the same length")
-        if any(w < 0 for w in self.works):
-            raise ValueError("per-type works must be non-negative")
+        if not all(0 <= w < math.inf for w in self.works):  # nan fails both
+            raise ValueError(f"per-type works must be finite and non-negative, got {self.works}")
         if not any(w > 0 for w in self.works):
             raise ValueError("at least one per-type work must be positive")
         if self.combiner not in ("max", "sum"):

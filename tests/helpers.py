@@ -23,14 +23,24 @@ from repro.instance.instance import Instance, make_instance
 from repro.jobs.candidates import candidates_for_job, geometric_grid
 from repro.jobs.job import Job
 from repro.jobs.profiles import ProfileEntry
-from repro.jobs.speedup import MultiResourceTime, random_multi_resource_time
-from repro.jobs.vectorized import evaluate_times
+from repro.jobs.speedup import (
+    AmdahlSpeedup,
+    LinearSpeedup,
+    LogSpeedup,
+    MultiResourceTime,
+    PowerLawSpeedup,
+    RooflineSpeedup,
+    random_multi_resource_time,
+)
 from repro.resources.vector import ResourceVector
 
 __all__ = [
     "tiny_instance",
+    "HalvingSpeedup",
     "rigid_unit_job",
     "reference_pareto_filter",
+    "reference_pareto_indices",
+    "reference_evaluate_times",
     "reference_candidate_table",
     "reference_lp_problem",
     "reference_solve_dtct_lp",
@@ -90,6 +100,13 @@ def tiny_instance(
     return make_instance(dag, pool, lambda j: fns[j])
 
 
+class HalvingSpeedup:
+    """A speedup model outside the built-in families: no array form."""
+
+    def __call__(self, x: int) -> float:
+        return 1.0 + x / 2.0
+
+
 def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
     """A unit-time job pinned to one unit of a single resource type."""
     alloc = ResourceVector.unit(d, rtype)
@@ -97,13 +114,20 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
 
 
 # ---------------------------------------------------------------------------
-# Frozen references for Phase 1 (PR 12).  The per-job
-# ``Instance.candidate_table`` body as it stood before that code moved to
-# arrays: the live code must reproduce it with ``==``.  The loop LP assembler
-# of ``solve_dtct_lp`` in the convex-combination (``x``) form, as it stood
-# until PR 21 put the delta form in ``core/dtct.py``: the oracle the live LP
-# must agree with in its optimum (the vertex may differ), and the LP in which
-# the live solution must be feasible.
+# Frozen references for Phase 1.  The per-job ``Instance.candidate_table``
+# body as it stood until PR 23 made the table one batched kernel: one
+# ``evaluate_times`` over the whole grid, one ``pareto_indices`` and one entry
+# list *per job* (``reference_evaluate_times`` / ``reference_pareto_indices``
+# are that code, not calls into the live module), the opaque-callable path
+# calling ``job.time`` and ``instance.avg_area`` per candidate.  The live table
+# must reproduce it with ``==`` — batched against per-job *array* form: numpy's
+# SIMD ``power``/``log2`` are not libm's, so python's scalar ``**`` is not the
+# yardstick.  ``reference_pareto_filter`` is the same Eq. (2) rule as a sort
+# and a scan over entry objects.  The loop LP assembler of ``solve_dtct_lp`` in
+# the convex-combination (``x``) form, as it stood until PR 21 put the delta
+# form in ``core/dtct.py``: the oracle the live LP must agree with in its
+# optimum (the vertex may differ), and the LP in which the live solution must
+# be feasible.
 # ---------------------------------------------------------------------------
 def reference_pareto_filter(entries) -> list[ProfileEntry]:
     """``pareto_filter`` as a sort and a scan over entry objects."""
@@ -124,31 +148,74 @@ def reference_pareto_filter(entries) -> list[ProfileEntry]:
     return out
 
 
+def reference_pareto_indices(times: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """``pareto_indices`` over one job's arrays, as it stood before PR 23."""
+    order = np.lexsort((areas, times))
+    t, a = times[order], areas[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = (t[1:] != t[:-1]) & (a[1:] < np.minimum.accumulate(a)[:-1])
+    return order[keep]
+
+
+def _reference_speedup_array(model, xs: np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if isinstance(model, LinearSpeedup):
+        return xs
+    if isinstance(model, AmdahlSpeedup):
+        return xs / (model.alpha * xs + (1.0 - model.alpha))
+    if isinstance(model, PowerLawSpeedup):
+        return xs**model.beta
+    if isinstance(model, RooflineSpeedup):
+        return np.minimum(xs, model.cap)
+    if isinstance(model, LogSpeedup):
+        return 1.0 + model.gamma * np.log2(xs)
+    raise TypeError(f"no array form for speedup model {type(model).__name__}")
+
+
+def reference_evaluate_times(fn: MultiResourceTime, allocs: np.ndarray) -> np.ndarray:
+    """``t_j`` over one job's ``(m, d)`` allocation matrix, every row for
+    every used type, as ``evaluate_times`` stood before PR 23."""
+    terms = []
+    for i, (w, s) in enumerate(zip(fn.works, fn.speedups)):
+        if w == 0:
+            continue
+        xs = allocs[:, i]
+        if (xs < 1).any():
+            raise ValueError("allocation must provide >= 1 unit of every used type")
+        terms.append(w / _reference_speedup_array(s, xs))
+    stack = np.stack(terms, axis=1)
+    return stack.max(axis=1) if fn.combiner == "max" else stack.sum(axis=1)
+
+
 def reference_candidate_table(instance: Instance, strategy=geometric_grid):
-    """One grid enumeration, validation and entry list per job."""
+    """One grid enumeration, validation, evaluation, frontier and entry list
+    per job."""
     table = {}
     for j, job in instance.jobs.items():
         cands = candidates_for_job(job, instance.pool, strategy)
+        profile = None
         if isinstance(job.time_fn, MultiResourceTime):
             try:
                 allocs = np.array([tuple(c) for c in cands], dtype=np.int64)
-                times = evaluate_times(job.time_fn, allocs)
+                times = reference_evaluate_times(job.time_fn, allocs)
             except TypeError:
                 pass  # custom speedup model without an array form
             else:
                 if not np.isfinite(times).all() or (times <= 0).any():
                     raise ValueError("execution times must be positive and finite")
                 caps = np.array(tuple(instance.pool.capacities), dtype=np.float64)
-                areas = times * (allocs / caps).sum(axis=1) / instance.pool.d
-                table[j] = reference_pareto_filter(
-                    ProfileEntry(alloc=c, time=float(t), area=float(a))
-                    for c, t, a in zip(cands, times, areas)
-                )
-                continue
-        table[j] = reference_pareto_filter(
-            ProfileEntry(alloc=c, time=job.time(c), area=instance.avg_area(j, c))
-            for c in cands
-        )
+                profile = times, times * (allocs / caps).sum(axis=1) / instance.pool.d
+        if profile is None:
+            profile = (
+                np.array([job.time(c) for c in cands]),
+                np.array([instance.avg_area(j, c) for c in cands]),
+            )
+        times, areas = profile
+        rows = reference_pareto_indices(times, areas)
+        table[j] = [
+            ProfileEntry(alloc=cands[i], time=t, area=a)
+            for i, t, a in zip(rows.tolist(), times[rows].tolist(), areas[rows].tolist())
+        ]
     return table
 
 

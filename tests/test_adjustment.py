@@ -44,6 +44,43 @@ class TestEquation5:
             assert (j in res.adjusted_jobs) == changed
 
 
+    def test_only_a_capped_job_gets_a_new_vector(self, monkeypatch):
+        """A count, not a stopwatch: the ``(n, d)`` matrix is capped in one
+        ``minimum`` and exactly ``len(adjusted_jobs)`` vectors are built."""
+        from repro.core import adjustment
+
+        built = []
+
+        class Counting(adjustment.ResourceVector):
+            def __new__(cls, amounts):
+                built.append(amounts)
+                return super().__new__(cls, amounts)
+
+        inst = tiny_instance(seed=9, d=2, capacity=12, n=12, edges=((0, 1),))
+        table = inst.candidate_table(full_grid)
+        p_prime = {
+            j: entries[0 if j % 3 else -1].alloc for j, entries in table.items()
+        }  # fastest (big) for two jobs in three, cheapest (small) for the third
+        monkeypatch.setattr(adjustment, "ResourceVector", Counting)
+        res = adjust_allocation(inst, p_prime, 0.3)
+        assert 0 < len(res.adjusted_jobs) < inst.n
+        assert len(built) == len(res.adjusted_jobs)
+        for j in inst.jobs:
+            assert (res.allocation[j] is p_prime[j]) == (j not in res.adjusted_jobs)
+            assert tuple(res.allocation[j]) == tuple(p_prime[j].cap(res.caps))
+        assert list(res.allocation) == list(p_prime)
+
+    def test_degenerate_inputs(self):
+        inst = tiny_instance(seed=9)
+        assert adjust_allocation(inst, {}, 0.3).allocation == {}
+        from repro.resources.vector import ResourceVector
+
+        with pytest.raises(ValueError):
+            adjust_allocation(inst, {0: ResourceVector((1, 1, 1))}, 0.3)
+        with pytest.raises(ValueError):
+            adjust_allocation(inst, {0: ResourceVector((1, 1)), 1: ResourceVector((1,))}, 0.3)
+
+
 class TestLemma4:
     @given(
         st.integers(min_value=0, max_value=10**6),

@@ -89,7 +89,7 @@ class TestTableOrder:
     @staticmethod
     def solve(points):
         inst = tiny_instance(seed=2)
-        table = inst.candidate_table(full_grid)
+        table = dict(inst.candidate_table(full_grid))  # hand-built: a dict of entry lists
         table[2] = [
             ProfileEntry(alloc=ResourceVector((k + 1, 1)), time=t, area=a)
             for k, (t, a) in enumerate(points)
@@ -222,3 +222,60 @@ class TestRounding:
         for rho in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 round_fractional(table, sol, rho)
+
+    @pytest.mark.parametrize("as_dict", [False, True], ids=["columns", "hand-built"])
+    def test_matrix_form_is_the_per_job_quantile(self, as_dict):
+        """All jobs in one padded matrix against ``searchsorted`` on each
+        job's own cumulative sums — the loop this replaced."""
+        inst = tiny_instance(seed=11, d=2, capacity=8)
+        table = inst.candidate_table(full_grid)
+        sol = solve_dtct_lp(inst, table)
+        rng = np.random.default_rng(0)
+        spread = {j: rng.dirichlet(np.ones(len(x))) for j, x in sol.fractions.items()}
+        for fractions in (sol.fractions, spread):
+            given_ = FractionalSolution(sol.lower_bound, fractions, {}, {})
+            for rho in (0.05, 0.31, 0.5, 0.95):
+                expected = {
+                    j: table[j][
+                        min(int(np.searchsorted(np.cumsum(x), 1.0 - rho - 1e-9)), len(x) - 1)
+                    ].alloc
+                    for j, x in fractions.items()
+                }
+                got = round_fractional(dict(table) if as_dict else table, given_, rho)
+                assert got == expected and list(got) == list(fractions)
+        assert round_fractional(table, FractionalSolution(0.0, {}, {}, {}), 0.5) == {}
+
+
+class TestRoundingTrustsNothing:
+    """``round_fractional`` is public and takes any ``FractionalSolution``.
+    Until PR 23 a vector shorter than its job's frontier silently selected a
+    candidate, a longer one ended in ``IndexError: list index out of range``
+    and a nan vector selected entry 0."""
+
+    @staticmethod
+    def rounded(fractions):
+        inst = tiny_instance(seed=2)
+        table = dict(inst.candidate_table(full_grid))
+        table[2] = [
+            ProfileEntry(alloc=ResourceVector((k + 1, 1)), time=t, area=a)
+            for k, (t, a) in enumerate(TestTableOrder.GOOD)
+        ]
+        sol = solve_dtct_lp(inst, table)
+        sol.fractions[2] = np.array(fractions, dtype=float)
+        return round_fractional(table, sol, 0.5)[2]
+
+    def test_a_vector_of_the_frontiers_length_selects_by_quantile(self):
+        assert self.rounded([0.0, 1.0, 0.0]) == ResourceVector((2, 1))
+        assert self.rounded([0.2, 0.2, 0.6]) == ResourceVector((3, 1))
+
+    @pytest.mark.parametrize("fractions", [[0.0, 1.0], [1.0], [0.0, 0.0, 0.0, 1.0], []])
+    def test_a_vector_of_another_length_is_refused(self, fractions):
+        with pytest.raises(
+            ValueError, match=rf"job 2: {len(fractions)} fractions for 3 candidate allocations"
+        ):
+            self.rounded(fractions)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_vector_is_refused(self, bad):
+        with pytest.raises(ValueError, match="job 2: fractions must be finite"):
+            self.rounded([0.5, bad, 0.5])

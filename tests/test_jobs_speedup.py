@@ -101,6 +101,13 @@ class TestMultiResourceTime:
         with pytest.raises(ValueError):
             MultiResourceTime(works=(1.0,), speedups=(LinearSpeedup(),), combiner="prod")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_works_are_refused_at_construction(self, bad):
+        """``w < 0`` is false for nan and inf: until PR 23 both got in, and
+        the candidate table refused them later, naming no job."""
+        with pytest.raises(ValueError, match="non-negative"):
+            MultiResourceTime(works=(bad, 1.0), speedups=(LinearSpeedup(),) * 2)
+
     def test_dimension_mismatch(self):
         t = MultiResourceTime(works=(1.0,), speedups=(LinearSpeedup(),))
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    HalvingSpeedup,
     pipeline_instance,
     reference_candidate_table,
     reference_lower_hull,
@@ -42,13 +43,6 @@ from repro.resources.vector import ResourceVector
 
 FAMILIES = ["linear", "amdahl", "power", "roofline", "log"]
 GRIDS = {"full": full_grid, "geometric": geometric_grid, "diagonal": diagonal_grid}
-
-
-class HalvingSpeedup:
-    """A speedup model outside the built-in families: no array form."""
-
-    def __call__(self, x: int) -> float:
-        return 1.0 + x / 2.0
 
 
 def mixed_instance(family: str, combiner: str, pool: ResourcePool, seed: int) -> Instance:

@@ -19,7 +19,6 @@ from repro.jobs.speedup import (
 )
 from repro.jobs.vectorized import (
     NoArrayForm,
-    evaluate_entries,
     evaluate_times,
     speedup_array,
 )
@@ -79,11 +78,14 @@ class TestEvaluateTimes:
 
 
 class TestEvaluateEntries:
+    """One job's entries, read off the table (``evaluate_entries``, a second
+    way to build them, went in PR 23)."""
+
     def test_matches_scalar_table(self):
         pool = ResourcePool.of(5, 4)
         fn = random_multi_resource_time(2, seed=77)
         cands = full_grid(pool)
-        fast = evaluate_entries(fn, cands, pool)
+        fast = make_instance(independent(1), pool, lambda j: fn).candidate_table(full_grid)[0]
         # scalar reference
         d = pool.d
         scalar = pareto_filter(
