@@ -22,7 +22,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple
 import numpy as np
 
 from repro.dag.paths import bottom_levels
-from repro.engine.dispatch import drive_priority_schedule, priority_loop
+from repro.engine.dispatch import priority_loop
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule, ScheduledJob
@@ -124,81 +124,50 @@ def explicit_priority(keys: Mapping[JobId, object]) -> PriorityRule:
     return rule
 
 
-def _keys_and_durations(instance, allocation, priority):
-    """The engine's ``(keys, durations)`` under ``priority``: 1-D arrays in
+def _setup(instance, allocation):
+    """Phase 2's set-up, the part no priority rule changes: the validated
+    ``(n, d)`` allocation matrix (``None`` when only the per-job check could
+    run) and the execution-time vector, both in topological order."""
+    alloc_mat = instance.validate_allocation_map(allocation)
+    ci = instance.compiled()
+    times_vec = np.fromiter(
+        (instance.time(j, allocation[j]) for j in ci.order),
+        dtype=np.float64,
+        count=ci.n,
+    )
+    return alloc_mat, times_vec
+
+
+def _dispatch(instance, allocation, priority, setup, on_start=None, on_complete=None):
+    """Run Algorithm 2 under ``priority`` on a :func:`_setup` result, to
+    completion; returns the drained loop.  The keys are a 1-D array in
     topological order when the rule has an ``as_array`` form (see
-    :data:`PriorityRule`), mappings over job ids otherwise."""
+    :data:`PriorityRule`), a mapping over job ids otherwise."""
+    alloc_mat, times_vec = setup
     as_array = getattr(priority, "as_array", None)
     if as_array is not None:
-        ci = instance.compiled()
-        times_vec = np.fromiter(
-            (instance.time(j, allocation[j]) for j in ci.order),
-            dtype=np.float64,
-            count=ci.n,
-        )
-        return as_array(instance, allocation, times_vec), times_vec
-    times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
-    return priority(instance, allocation, times), times
-
-
-def list_schedule(
-    instance: Instance,
-    allocation: Mapping[JobId, ResourceVector],
-    priority: PriorityRule = fifo_priority,
-    *,
-    on_event: Callable[[str, JobId, float, float | None], None] | None = None,
-) -> Schedule:
-    """Run Algorithm 2 and return the resulting (valid) schedule.
-
-    ``allocation`` must cover every job and fit within the pool's capacities
-    (guaranteed by Phase 1; validated here).  Deterministic for a fixed
-    priority rule.  The event loop — virtual time, completion batching,
-    vectorized resource accounting, release gating for online arrivals —
-    lives in :mod:`repro.engine`; this function contributes only the
-    priority keys and collects the placements.
-
-    ``on_event("start"|"finish", job, time, duration_or_None)`` streams
-    dispatch events as virtual time advances (``repro schedule --follow``);
-    leaving it ``None`` keeps the hot loop free of per-completion callbacks.
-    """
-    alloc_mat = instance.validate_allocation_map(allocation)
-    keys, durations = _keys_and_durations(instance, allocation, priority)
-
-    placements: dict[JobId, ScheduledJob] = {}
-
-    if on_event is None:
-        def on_start(j: JobId, start: float, duration: float) -> None:
-            placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
-                                         alloc=allocation[j])
-
-        on_complete = None
+        keys = as_array(instance, allocation, times_vec)
     else:
-        def on_start(j: JobId, start: float, duration: float) -> None:
-            placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
-                                         alloc=allocation[j])
-            on_event("start", j, start, duration)
-
-        def on_complete(j: JobId, now: float) -> None:
-            on_event("finish", j, now, None)
-            return None
-
-    drive_priority_schedule(instance, allocation, keys, durations, on_start,
-                            on_complete=on_complete, alloc_mat=alloc_mat)
-
-    if len(placements) != len(instance.jobs):  # pragma: no cover - invariant
+        times = dict(zip(instance.compiled().order, times_vec.tolist()))
+        keys = priority(instance, allocation, times)
+    loop = priority_loop(instance, allocation, keys, times_vec, on_start,
+                         on_complete=on_complete, alloc_mat=alloc_mat)
+    loop.run()
+    if loop.rq:  # pragma: no cover - invariant
         raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
-    return Schedule(instance=instance, placements=placements)
+    return loop
 
 
 class ScheduleLog(NamedTuple):
     """Array-native result of one list-scheduling run.
 
-    The same schedule :func:`list_schedule` produces, kept as arrays: no
-    per-job placement object or dict entry is materialized, so the cost
-    per job does not grow with the resident working set — the form the
-    million-job scaling benchmark measures, and the natural input for
-    array-level analysis or export.  ``to_schedule`` materializes the
-    classic object form when needed (identical event for event).
+    The schedule as the loop recorded it: no per-job placement object or
+    dict entry exists, so the cost per job does not grow with the resident
+    working set — the form the million-job scaling benchmark measures, and
+    the natural input for array-level analysis or export.
+    :meth:`to_schedule` wraps the same arrays in a :class:`Schedule`, which
+    builds the classic objects only if somebody reads ``placements``
+    (identical event for event).
     """
 
     #: job ids by topological index (the compiled instance's order)
@@ -212,17 +181,22 @@ class ScheduleLog(NamedTuple):
     makespan: float
 
     def to_schedule(self, instance: Instance, allocation) -> Schedule:
-        """Materialize the classic placement-object :class:`Schedule`."""
-        order = self.order
-        dur = self.duration
-        placements: dict[JobId, ScheduledJob] = {}
-        for k, i in enumerate(self.job_index.tolist()):
-            j = order[i]
-            placements[j] = ScheduledJob(
-                job_id=j, start=float(self.start[k]), time=float(dur[i]),
-                alloc=allocation[j],
-            )
-        return Schedule(instance=instance, placements=placements)
+        """The :class:`Schedule` over these columns and ``allocation`` (the
+        mapping the run was given); builds no placement object."""
+        return Schedule.from_log(instance, self, allocation)
+
+
+def _log_schedule(instance, allocation, priority, setup) -> ScheduleLog:
+    """The start log of one start-log-mode run on a :func:`_setup` result."""
+    loop = _dispatch(instance, allocation, priority, setup)
+    out_i, out_t = loop.start_log()
+    return ScheduleLog(
+        order=loop.order,
+        job_index=out_i.copy(),
+        start=out_t.copy(),
+        duration=setup[1],
+        makespan=float(loop.now),
+    )
 
 
 def list_schedule_log(
@@ -232,34 +206,57 @@ def list_schedule_log(
 ) -> ScheduleLog:
     """Algorithm 2 with array output: the start log instead of a Schedule.
 
-    Event-for-event identical to :func:`list_schedule` (same engine, same
-    discipline); the loop runs in start-log mode (``on_start=None``), so
-    no python callback fires and no placement objects are built.  Use
-    this for large ``n`` where materializing a million ``ScheduledJob``
-    records costs more than the scheduling itself.
+    ``allocation`` must cover every job and fit within the pool's
+    capacities (guaranteed by Phase 1; validated here).  Deterministic for a
+    fixed priority rule.  The event loop — virtual time, completion
+    batching, packed resource accounting, release gating for online
+    arrivals — lives in :mod:`repro.engine`; this function contributes only
+    the priority keys.  The loop runs in start-log mode (``on_start=None``):
+    no python callback fires and no placement object is built.
     """
-    alloc_mat = instance.validate_allocation_map(allocation)
-    keys, durations = _keys_and_durations(instance, allocation, priority)
-    ci = instance.compiled()
-    times_vec = (
-        durations if isinstance(durations, np.ndarray)
-        else ci.duration_vector(durations)
-    )
+    return _log_schedule(instance, allocation, priority, _setup(instance, allocation))
 
-    loop = priority_loop(
-        instance, allocation, keys, durations, None, alloc_mat=alloc_mat
-    )
-    loop.run()
-    out_i, out_t = loop.start_log()
-    if out_i.size != len(instance.jobs):  # pragma: no cover - invariant
-        raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
-    return ScheduleLog(
-        order=ci.order,
-        job_index=out_i.copy(),
-        start=out_t.copy(),
-        duration=times_vec,
-        makespan=float(loop.now),
-    )
+
+def list_schedule(
+    instance: Instance,
+    allocation: Mapping[JobId, ResourceVector],
+    priority: PriorityRule = fifo_priority,
+    *,
+    on_event: Callable[[str, JobId, float, float | None], None] | None = None,
+) -> Schedule:
+    """Run Algorithm 2 and return the resulting (valid) schedule.
+
+    Without ``on_event`` this is :func:`list_schedule_log` plus
+    :meth:`ScheduleLog.to_schedule`: the schedule comes back in columns,
+    ``makespan`` and ``len`` are read off the arrays, and the
+    :class:`~repro.sim.schedule.ScheduledJob` objects are built the first
+    time ``placements`` is read (a caller that compares makespans never
+    pays for them).
+
+    ``on_event("start"|"finish", job, time, duration_or_None)`` streams
+    dispatch events as virtual time advances (``repro schedule --follow``):
+    the one caller of the loop's per-start / per-completion callbacks, and
+    the schedule it returns is built from the placements it streamed.
+    """
+    if on_event is None:
+        return list_schedule_log(instance, allocation, priority).to_schedule(
+            instance, allocation
+        )
+
+    placements: dict[JobId, ScheduledJob] = {}
+
+    def on_start(j: JobId, start: float, duration: float) -> None:
+        placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
+                                     alloc=allocation[j])
+        on_event("start", j, start, duration)
+
+    def on_complete(j: JobId, now: float) -> None:
+        on_event("finish", j, now, None)
+        return None
+
+    _dispatch(instance, allocation, priority, _setup(instance, allocation),
+              on_start, on_complete)
+    return Schedule(instance=instance, placements=placements)
 
 
 def portfolio_list_schedule(
@@ -289,8 +286,11 @@ def portfolio_list_schedule(
     if not rules:
         raise ValueError("portfolio needs at least one priority rule")
     best: tuple[float, Schedule, str] | None = None
+    setup = _setup(instance, allocation)  # once, not once per rule
     for name, rule in rules.items():
-        sched = list_schedule(instance, allocation, rule)
+        sched = _log_schedule(instance, allocation, rule, setup).to_schedule(
+            instance, allocation
+        )
         # strict improvement required: earlier rules keep ties
         if best is None or sched.makespan < best[0] - 1e-12:
             best = (sched.makespan, sched, name)

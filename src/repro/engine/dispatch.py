@@ -125,7 +125,9 @@ def drive_priority_schedule(
     short, by one vectorized whole-queue comparison plus a re-filter of the
     passing entries while it is long (exact: availability only shrinks
     within a pass, so a job failing the whole-queue test cannot start until
-    the next event).  See :meth:`PriorityLoop.run`.
+    the next event), and in either form only up to the start that leaves
+    some type with less free than any job asks of it.  See
+    :meth:`PriorityLoop.run`.
 
     ``keys`` and ``durations`` may be mappings over job ids or 1-D arrays
     aligned with the topological order (the vectorized fast path);
@@ -239,12 +241,28 @@ class PriorityLoop:
     when the queue grows past the constant, patched at the positions the
     list is while the queue stays long, and dropped when the queue
     shrinks back.
+
+    **The exhausted-platform cut.**  :attr:`gmin` is one more image in the
+    same layout: field ``r`` holds the smallest amount of type ``r`` that
+    *any job of the instance* is allocated (the column minimum of the
+    allocation matrix, packed once at construction).  After every start the
+    loop tests ``(av - gmin) & H != H`` — some type has less free than the
+    smallest demand anybody has of it — and leaves the pass: availability
+    only shrinks within a pass, so no entry further down can fit.  The
+    minimum is over every job, queued or not, which is what makes the test
+    valid at any moment of any pass — with releases pending, after an
+    ``on_complete`` retry that freed nothing, across ``run(until)`` steps —
+    without upkeep as the queue changes.  A type some job asks nothing of
+    has a zero field, whose headroom bit always survives: that type is
+    simply never the witness (and ``gmin = 0`` never cuts at all, which is
+    how the tests switch the cut off).  One integer test per *start*
+    replaces one per queue entry behind it.
     """
 
     __slots__ = (
         "ci", "n", "order", "ip", "si", "remaining",
         "img_topo", "img_rank", "dem_rank", "rank_a", "topo_l", "dur",
-        "H", "av", "heap", "seq", "rq", "pb",
+        "H", "av", "gmin", "heap", "seq", "rq", "pb",
         "now", "eps", "on_start", "on_complete", "done",
         "log_i", "log_t", "ns",
     )
@@ -280,6 +298,14 @@ class PriorityLoop:
 
         self.H = ci.fit_mask
         self.av = ci.packed_capacities + ci.fit_mask
+        shifts = range(0, ci.d * ci.bits, ci.bits)
+        # the smallest demand any job of the instance has of each type, as
+        # one image in the demands' layout (the cut, see the class
+        # docstring); column by column: numpy reduces a tall matrix along
+        # its long axis several times slower than it scans d strided columns
+        self.gmin = sum(
+            int(alloc_mat[:, r].min()) << s for r, s in enumerate(shifts)
+        ) if n else 0
         if ci.packable:
             images = ci.pack_demands(alloc_mat)
             self.img_topo = images.tolist()
@@ -287,7 +313,6 @@ class PriorityLoop:
             self.img_rank = self.dem_rank.tolist()
         else:
             # wider than a word: the same shift-and-sum over python ints
-            shifts = range(0, ci.d * ci.bits, ci.bits)
             img_topo = [
                 sum(a << s for a, s in zip(row, shifts))
                 for row in alloc_mat.tolist()
@@ -390,6 +415,12 @@ class PriorityLoop:
           test.  They are scanned in rank order (exactly where the full
           pass would reach them) and the full-queue pass is skipped.
 
+        Every form leaves its scan after a start that exhausts the
+        platform (``(av - gmin) & H != H``, see the class docstring): the
+        entries it skips are exactly those the full scan would have tested
+        and refused.  The tests a pass makes *before* its first start are
+        not saved by this.
+
         All three are schedule-preserving: admission order within a time
         point remains the ``(key, topological index)`` total order, and
         the conformance fuzz matrix races the result against the frozen
@@ -434,6 +465,7 @@ class PriorityLoop:
         d = self.ci.d
         bits = self.ci.bits
         H = self.H
+        gmin = self.gmin
         uint64 = np.uint64
         av = self.av  # the availability image, headroom bits pre-added
         heap = self.heap
@@ -485,6 +517,8 @@ class PriorityLoop:
                                 started = [p]
                             else:
                                 started.append(p)
+                            if (av - gmin) & H != H:
+                                break  # exhausted: nothing below can fit
                 else:
                     # whole-queue feasibility in one vector comparison
                     L = len(rq)
@@ -515,6 +549,8 @@ class PriorityLoop:
                         else:
                             started.append(p)
                         hits = hits[1:]
+                        if (av - gmin) & H != H:
+                            break  # exhausted: no remaining hit can fit
                         if hits.size:
                             # re-filter the tail against the shrunk availability
                             if word:
@@ -593,8 +629,8 @@ class PriorityLoop:
                 # reach them (old entries being guaranteed misses).
                 if len(newly) > 1:
                     newly.sort()
-                leftovers = None
-                for r in newly:
+                leftovers = []
+                for k, r in enumerate(newly):
                     a = img_rank[r]
                     if (av - a) & H == H:
                         av -= a
@@ -608,11 +644,13 @@ class PriorityLoop:
                             ns += 1
                         else:
                             on_start(order[i], now, t)
-                    elif leftovers is None:
-                        leftovers = [r]
+                        if (av - gmin) & H != H:
+                            # exhausted: the rest only join the queue
+                            leftovers += newly[k + 1:]
+                            break
                     else:
                         leftovers.append(r)
-                newly = leftovers
+                newly = leftovers or None
             if newly is not None:
                 k = len(newly)
                 if pb is not None and k < _VECTOR_BATCH and len(rq) + k <= len(pb):

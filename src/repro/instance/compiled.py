@@ -68,14 +68,20 @@ class CompiledDAG:
         node ``i`` are ``succ_indices[succ_indptr[i]:succ_indptr[i+1]]``,
         listed in the same order as ``dag.successors(order[i])``.
     pred_indptr / pred_indices:
-        The transposed (predecessor) adjacency, same conventions.
+        The transposed (predecessor) adjacency, **built on first use**: the
+        dispatch loops and the bottom-level sweep never read it, only the
+        forward level sweeps do.  It is the stable sort of the successor
+        CSR's edges by target — nothing here reads the ``DAG`` again, which
+        may have mutated since — so the predecessors of a node are listed
+        by *ascending topological index*, not in ``dag.predecessors``
+        order; its readers (``np.maximum.reduceat`` sweeps) see a set.
     in_degree / out_degree:
-        Per-node degree vectors (int64).
+        Per-node degree vectors (int64), both counted off the successor CSR.
     """
 
     __slots__ = (
         "n", "order", "index",
-        "succ_indptr", "succ_indices", "pred_indptr", "pred_indices",
+        "succ_indptr", "succ_indices", "_pred_csr",
         "in_degree", "out_degree",
         "_levels", "_level_groups", "_succ_lists",
         "_succ_gathers", "_pred_gathers",
@@ -92,11 +98,9 @@ class CompiledDAG:
         self.succ_indptr, self.succ_indices = _csr(
             list(map(dag.successors, order)), index
         )
-        self.pred_indptr, self.pred_indices = _csr(
-            list(map(dag.predecessors, order)), index
-        )
-        self.in_degree = np.diff(self.pred_indptr)
+        self.in_degree = np.bincount(self.succ_indices, minlength=n)
         self.out_degree = np.diff(self.succ_indptr)
+        self._pred_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._levels: np.ndarray | None = None
         self._level_groups: list[np.ndarray] | None = None
         self._succ_lists: list[list[int]] | None = None
@@ -104,6 +108,25 @@ class CompiledDAG:
         self._pred_gathers: list[tuple] | None = None
 
     # ------------------------------------------------------------------
+    def _predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(pred_indptr, pred_indices)``, transposed from the successor
+        CSR the first time anyone asks (see the class docstring)."""
+        if self._pred_csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self.in_degree, out=indptr[1:])
+            sources = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degree)
+            by_target = np.argsort(self.succ_indices, kind="stable")
+            self._pred_csr = indptr, sources[by_target]
+        return self._pred_csr
+
+    @property
+    def pred_indptr(self) -> np.ndarray:
+        return self._predecessors()[0]
+
+    @property
+    def pred_indices(self) -> np.ndarray:
+        return self._predecessors()[1]
+
     def successors_of(self, i: int) -> np.ndarray:
         """CSR slice of the successors of topological index ``i`` (a view)."""
         return self.succ_indices[self.succ_indptr[i]:self.succ_indptr[i + 1]]

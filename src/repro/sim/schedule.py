@@ -10,8 +10,9 @@ the oracle used by the property-based tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from repro.conformance.invariants import TIME_RTOL, validate_schedule
 from repro.instance.instance import Instance
@@ -41,7 +42,6 @@ class ScheduledJob(NamedTuple):
         return self.start + self.time
 
 
-@dataclass
 class Schedule:
     """A complete schedule for an instance.
 
@@ -50,13 +50,47 @@ class Schedule:
     instance:
         The scheduled instance (provides the DAG, pool and time functions).
     placements:
-        Mapping job id → :class:`ScheduledJob`.
+        Mapping job id → :class:`ScheduledJob`, a plain mutable ``dict``.
+
+    A schedule is backed by one of two things.  ``Schedule(instance,
+    placements=dict)`` keeps the dict it is given — what the baselines, the
+    session and the fault replays build.  :meth:`from_log` keeps the
+    **columns** of a list-scheduling run (the start log's arrays and the
+    allocation mapping) and no per-job object: ``makespan``, ``len``,
+    ``allocation``, ``starts`` and ``intervals()`` are read off the arrays.
+    The first look at :attr:`placements` builds every :class:`ScheduledJob`
+    at once, in dispatch order, and drops the columns: from then on the dict
+    is the only authority, so ``sched.placements[j] = …`` followed by
+    ``validate()`` or ``makespan`` sees the edit.  Two schedules are equal
+    when their instances and placements are, whatever backs them.
     """
 
-    instance: Instance
-    placements: dict[JobId, ScheduledJob] = field(default_factory=dict)
+    __hash__ = None  # mutable, compared by value
 
-    # ------------------------------------------------------------------
+    def __init__(
+        self,
+        instance: Instance,
+        placements: "dict[JobId, ScheduledJob] | None" = None,
+    ) -> None:
+        self.instance = instance
+        self._placements = {} if placements is None else placements
+        self._columns = None
+
+    @classmethod
+    def from_log(
+        cls, instance: Instance, log, allocation: Mapping[JobId, ResourceVector]
+    ) -> "Schedule":
+        """The schedule of a start log, kept in columns until
+        :attr:`placements` is read.  ``log`` carries ``order`` (job ids by
+        topological index), ``job_index`` / ``start`` (one entry per start,
+        dispatch order) and ``duration`` (by topological index) — a
+        :class:`~repro.core.list_scheduler.ScheduleLog`; ``allocation`` is
+        the mapping the run was given."""
+        self = cls(instance)
+        self._placements = None
+        self._columns = (log, allocation)
+        return self
+
     @classmethod
     def from_decisions(
         cls,
@@ -77,23 +111,74 @@ class Schedule:
         return cls(instance=instance, placements=placements)
 
     # ------------------------------------------------------------------
+    def _rows(self) -> tuple[list, list, list, list]:
+        """Parallel ``(ids, starts, times, allocs)`` lists, one entry per
+        placement, from whichever of the columns or the dict is held."""
+        if self._placements is None:
+            log, allocation = self._columns
+            index = log.job_index
+            ids = list(map(log.order.__getitem__, index.tolist()))
+            return (
+                ids,
+                log.start.tolist(),
+                log.duration[index].tolist(),
+                list(map(allocation.__getitem__, ids)),
+            )
+        placed = self._placements.values()
+        return (
+            list(self._placements),
+            [p.start for p in placed],
+            [p.time for p in placed],
+            [p.alloc for p in placed],
+        )
+
+    @property
+    def placements(self) -> dict[JobId, ScheduledJob]:
+        if self._placements is None:
+            ids, starts, times, allocs = self._rows()
+            self._placements = dict(
+                zip(ids, map(ScheduledJob, ids, starts, times, allocs))
+            )
+            self._columns = None
+        return self._placements
+
     @property
     def makespan(self) -> float:
         """``T = max_j c_j`` (0 for an empty schedule)."""
-        if not self.placements:
+        if not len(self):
             return 0.0
-        return max(p.finish for p in self.placements.values())
+        if self._placements is None:
+            log = self._columns[0]
+            return float((log.start + log.duration[log.job_index]).max())
+        return max(p.finish for p in self._placements.values())
 
     @property
     def allocation(self) -> dict[JobId, ResourceVector]:
-        return {j: p.alloc for j, p in self.placements.items()}
+        ids, _, _, allocs = self._rows()
+        return dict(zip(ids, allocs))
 
     @property
     def starts(self) -> dict[JobId, float]:
-        return {j: p.start for j, p in self.placements.items()}
+        ids, starts, _, _ = self._rows()
+        return dict(zip(ids, starts))
 
     def __len__(self) -> int:
-        return len(self.placements)
+        if self._placements is None:
+            return self._columns[0].job_index.size
+        return len(self._placements)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.instance, self.placements) == (
+            other.instance, other.placements
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(instance={self.instance!r}, "
+            f"placements={self.placements!r})"
+        )
 
     # ------------------------------------------------------------------
     # validation (independent oracle)
@@ -119,23 +204,30 @@ class Schedule:
     def intervals(self) -> Iterator[tuple[float, float, tuple[int, ...]]]:
         """Yield maximal intervals ``(t0, t1, usage)`` of constant resource
         usage (the partition I of Section 4.2.2).  Zero-length intervals are
-        skipped."""
-        if not self.placements:
+        skipped.
+
+        One sweep over the sorted start/finish instants with a running
+        usage vector: every placement adds its allocation at its start and
+        takes it back at its finish, so the cost is a sort, not a test of
+        every placement against every interval."""
+        ids, starts, times, allocs = self._rows()
+        if not ids:
             return
-        points = sorted({p.start for p in self.placements.values()}
-                        | {p.finish for p in self.placements.values()})
-        jobs = list(self.placements.values())
-        d = self.instance.d
-        for t0, t1 in zip(points, points[1:]):
-            if t1 <= t0:
-                continue
-            usage = [0] * d
-            mid = (t0 + t1) / 2.0
-            for p in jobs:
-                if p.start <= mid < p.finish:
-                    for r in range(d):
-                        usage[r] += p.alloc[r]
-            yield (t0, t1, tuple(usage))
+        n = len(ids)
+        start = np.array(starts, dtype=np.float64)
+        instants, at = np.unique(
+            np.concatenate([start, start + np.array(times, dtype=np.float64)]),
+            return_inverse=True,
+        )
+        amounts = np.array(allocs)[:, :self.instance.d]
+        change = np.zeros((instants.size, amounts.shape[1]), dtype=amounts.dtype)
+        np.add.at(change, at[:n], amounts)
+        np.subtract.at(change, at[n:], amounts)
+        points = instants.tolist()
+        # the last row is the empty platform after the final finish
+        yield from zip(
+            points, points[1:], map(tuple, change.cumsum(axis=0).tolist())
+        )
 
     def utilization(self) -> list[float]:
         """Average fraction of each resource type in use over the makespan."""

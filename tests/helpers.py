@@ -32,7 +32,9 @@ from repro.jobs.speedup import (
     RooflineSpeedup,
     random_multi_resource_time,
 )
+from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
+from repro.sim.schedule import Schedule, ScheduledJob
 
 __all__ = [
     "tiny_instance",
@@ -46,6 +48,9 @@ __all__ = [
     "reference_solve_dtct_lp",
     "reference_lower_hull",
     "pipeline_instance",
+    "ruler_rigid_instance",
+    "reference_intervals",
+    "reference_callback_list_schedule",
     "scripted_linprog",
     "reference_fair_queue",
 ]
@@ -358,14 +363,11 @@ def reference_lower_hull(times, areas) -> list[int]:
     return hull
 
 
-def pipeline_instance(layers: int, width: int, seed) -> Instance:
-    """An input of the ``moldable-pipeline`` workload: what
-    ``benchmarks/stack/workloads.py::make_moldable`` draws from
-    ``default_rng(seed)`` at d = 2, capacity 32, expected in-degree 8
-    (``seed = [0, i]`` is the benchmark's seed-0 input ``i``)."""
-    from repro.resources.pool import ResourcePool
-
-    rng = np.random.default_rng(seed)
+def _layered_edges(rng, layers: int, width: int) -> list[tuple[int, int]]:
+    """Edges of the ruler's layered DAG, drawn as
+    ``benchmarks/stack/workloads.py::layered_edges`` draws them (the tests
+    cannot import it): each consecutive-layer pair with probability
+    ``8 / width``, at least one predecessor per non-first-layer job."""
     p = min(0.5, 8.0 / width)
     edges = []
     for layer in range(layers - 1):
@@ -374,9 +376,78 @@ def pipeline_instance(layers: int, width: int, seed) -> Instance:
         hit[lonely, rng.integers(width, size=lonely.size)] = True
         j, i = np.nonzero(hit)
         edges += zip((layer * width + i).tolist(), ((layer + 1) * width + j).tolist())
+    return edges
+
+
+def pipeline_instance(layers: int, width: int, seed) -> Instance:
+    """An input of the ``moldable-pipeline`` workload: what
+    ``benchmarks/stack/workloads.py::make_moldable`` draws from
+    ``default_rng(seed)`` at d = 2, capacity 32, expected in-degree 8
+    (``seed = [0, i]`` is the benchmark's seed-0 input ``i``)."""
+    rng = np.random.default_rng(seed)
+    edges = _layered_edges(rng, layers, width)
     n = layers * width
     jobs = {j: Job(id=j, time_fn=random_multi_resource_time(2, rng)) for j in range(n)}
     return Instance(jobs=jobs, dag=DAG(jobs, edges), pool=ResourcePool.uniform(2, 32))
+
+
+def ruler_rigid_instance(layers: int, width: int, seed, d: int = 4, capacity: int = 24):
+    """``(instance, allocation)`` of the shape the ``rigid-batch-*`` ruler
+    workloads have: the same layered DAG, demands uniform in 1–8 of each of
+    ``d`` types at ``capacity`` each, durations in 0.5–4."""
+    rng = np.random.default_rng(seed)
+    n = layers * width
+    edges = _layered_edges(rng, layers, width)
+    allocation = {
+        j: ResourceVector(row) for j, row in enumerate(rng.integers(1, 9, size=(n, d)))
+    }
+    jobs = {
+        j: Job(id=j, time_fn=lambda alloc, t=t: t, candidates=(allocation[j],))
+        for j, t in enumerate(rng.uniform(0.5, 4.0, size=n).tolist())
+    }
+    pool = ResourcePool.uniform(d, capacity)
+    return Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool), allocation
+
+
+def reference_intervals(schedule) -> list[tuple[float, float, tuple[int, ...]]]:
+    """``Schedule.intervals()`` as it was before it became a sweep: every
+    placement tested against the midpoint of every interval (quadratic; the
+    oracle for the sweep, frozen)."""
+    placed = list(schedule.placements.values())
+    points = sorted({p.start for p in placed} | {p.finish for p in placed})
+    d = schedule.instance.d
+    out = []
+    for t0, t1 in zip(points, points[1:]):
+        if t1 <= t0:
+            continue
+        usage = [0] * d
+        mid = (t0 + t1) / 2.0
+        for p in placed:
+            if p.start <= mid < p.finish:
+                for r in range(d):
+                    usage[r] += p.alloc[r]
+        out.append((t0, t1, tuple(usage)))
+    return out
+
+
+def reference_callback_list_schedule(instance: Instance, allocation, priority) -> Schedule:
+    """``list_schedule`` as it was while it collected placements through the
+    loop's per-start callback: one ``ScheduledJob`` and one dict entry per
+    dispatch, a dict-backed ``Schedule`` (frozen; the oracle for the
+    column-backed one)."""
+    from repro.engine.dispatch import drive_priority_schedule
+
+    alloc_mat = instance.validate_allocation_map(allocation)
+    times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
+    placements: dict = {}
+
+    def on_start(j, start, duration) -> None:
+        placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
+                                     alloc=allocation[j])
+
+    drive_priority_schedule(instance, allocation, priority(instance, allocation, times),
+                            times, on_start, alloc_mat=alloc_mat)
+    return Schedule(instance=instance, placements=placements)
 
 
 # ----------------------------------------------------------------------

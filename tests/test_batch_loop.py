@@ -7,6 +7,9 @@ whole over the demand column, whether the loop records starts into arrays
 or calls back per dispatch, and whether it is run to completion or
 stepped with ``run(until)`` are execution details — schedules are
 identical event for event, and equal to the frozen per-event PR-1 loop.
+So is the exhausted-platform cut: a pass that stops once some type has
+less free than any job of the instance asks of it (``loop.gmin``) starts
+what the full scan starts, and the counts at the end say it is taken.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tiny_instance
+from helpers import ruler_rigid_instance, tiny_instance
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
@@ -413,6 +416,118 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(
         starts = [(ci.order[i], t) for i, t in zip(index.tolist(), start.tolist())]
     assert starts == [(j, p.start) for j, p in ref.placements.items()]
     assert loop.now == ref.makespan
+
+
+# ----------------------------------------------------------------------
+# the exhausted-platform cut: exact, and taken
+# ----------------------------------------------------------------------
+@given(
+    n=st.sampled_from((40, 3 * _VECTOR_QUEUE)),
+    platform=st.sampled_from(sorted(_PLATFORMS)),
+    rule=st.sampled_from(RULES),
+    seed=st.integers(0, 2**31 - 1),
+    zeros=st.sampled_from(("none", "some-jobs", "a-whole-type")),
+    retries=st.booleans(),
+    log_mode=st.booleans(),
+    step=st.sampled_from((None, 0.7, 5.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_cut_leaves_every_event_where_it_was(
+    n, platform, rule, seed, zeros, retries, log_mode, step
+):
+    """With the cut and with ``loop.gmin = 0`` (no field of the availability
+    can fall below zero, so the test never fires) the loop produces the same
+    events in the same order: starts, finishes and ``on_complete`` retries,
+    run to completion or stepped, on word and wide images, with queues that
+    stay short (``n = 40``: only the late wave and the trickle cross
+    ``_VECTOR_QUEUE``) or start long, and with demands that are zero in a
+    type for some jobs or for all of them."""
+    inst, alloc = _long_queue_instance(n, platform, seed)
+    rng = np.random.default_rng(seed)
+    if zeros != "none":
+        for j in alloc:
+            if zeros == "a-whole-type" or rng.random() < 0.3:
+                alloc[j] = ResourceVector((0,) + tuple(alloc[j][1:]))
+    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
+    keys = rule(inst, alloc, times)
+    flaky = {j for j in inst.jobs if retries and rng.random() < 0.2}
+
+    def drive(cut):
+        events: list[tuple] = []
+        failed: set = set()
+
+        def on_complete(j, now):
+            if j in flaky and j not in failed:
+                failed.add(j)
+                events.append(("retry", j, now))
+                return times[j] / 2
+            events.append(("finish", j, now))
+            return None
+
+        loop = priority_loop(
+            inst, alloc, keys, times,
+            None if log_mode else lambda j, s, t: events.append(("start", j, s)),
+            on_complete=on_complete,
+        )
+        assert loop.gmin > 0
+        if zeros == "a-whole-type":
+            assert loop.gmin & ((1 << loop.ci.bits) - 1) == 0
+        if not cut:
+            loop.gmin = 0
+        until = None if step is None else 0.0
+        while not loop.run(until=until):
+            until = max(until + step, loop.next_time)
+        assert loop.available() == tuple(inst.pool.capacities)
+        if log_mode:
+            index, start = loop.start_log()
+            events.append((index.tolist(), start.tolist()))
+        return events, loop.now
+
+    assert drive(cut=True) == drive(cut=False)
+
+
+class _CountedReads(list):
+    """A list that counts its ``__getitem__`` calls — put in place of
+    ``loop.img_rank``, it sees every fit test and every start of a run."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def _image_reads(inst, alloc, cut=True):
+    ci = inst.compiled()
+    times = np.array([inst.time(j, alloc[j]) for j in ci.order])
+    loop = priority_loop(inst, alloc, np.arange(ci.n), times, None)
+    if not cut:
+        loop.gmin = 0
+    loop.img_rank = _CountedReads(loop.img_rank)
+    assert loop.run() is True and loop.start_log()[0].size == ci.n
+    return loop.img_rank.reads
+
+
+@pytest.mark.parametrize("n", (40, 2 * _VECTOR_QUEUE), ids=("short", "long"))
+def test_cut_reads_one_image_per_start_on_a_whole_type_bag(n):
+    """Every job asks for all of type 0: a start exhausts the platform, and
+    the pass is left — one image read per *start*, where the full scan of a
+    short queue reads one per queue entry per pass."""
+    dag = DAG(nodes=list(range(n)), edges=[])
+    demands = {j: (4, 1 + j % 3) for j in range(n)}
+    inst, alloc = _rigid(dag, (4, 6), demands, dict.fromkeys(range(n), 1.0))
+    assert _image_reads(inst, alloc) == n
+    if n <= _VECTOR_QUEUE:
+        assert _image_reads(inst, alloc, cut=False) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("d", (4, 6), ids=("packed", "general"))
+def test_cut_saves_two_reads_in_five_on_the_ruler_shape(d):
+    """On a layered rigid instance of the ``rigid-batch-*`` shape (capacity
+    24, demands 1–8, in-degree 8, queues of a few dozen) at least 40 % of
+    the full scan's fit tests come after the platform is exhausted."""
+    inst, alloc = ruler_rigid_instance(4, 400, seed=5, d=d)
+    assert _image_reads(inst, alloc) <= 0.6 * _image_reads(inst, alloc, cut=False)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,11 @@ each pinned here against the dict-based structures they lower.
 import numpy as np
 import pytest
 
+from repro.core.list_scheduler import (
+    bottom_level_priority,
+    fifo_priority,
+    list_schedule,
+)
 from repro.dag.generators import erdos_renyi_dag, layered_random
 from repro.dag.graph import DAG
 from repro.instance.compiled import compile_dag, compile_instance
@@ -33,11 +38,49 @@ class TestCompiledDAGRoundTrip:
         for i, j in enumerate(cd.order):
             succ = [cd.order[s] for s in cd.successors_of(i).tolist()]
             assert succ == list(dag.successors(j))  # same jobs, same order
-            preds = [cd.order[p] for p in cd.predecessors_of(i).tolist()]
-            assert preds == list(dag.predecessors(j))
+            # same jobs, listed by ascending topological index (the
+            # transposed CSR is sorted off the successor CSR, not read
+            # from the DAG)
+            preds = cd.predecessors_of(i).tolist()
+            assert preds == sorted(index[p] for p in dag.predecessors(j))
             assert cd.in_degree[i] == dag.in_degree(j)
             assert cd.out_degree[i] == dag.out_degree(j)
             assert index[j] == i
+
+    def test_predecessor_csr_is_built_on_first_use(self, dag):
+        """Neither Phase 2 under fifo nor the bottom-level sweep reads the
+        transposed adjacency, so neither builds it; the in-degrees are
+        there without it."""
+        inst = build(dag)
+        alloc = {j: ResourceVector((1, 1)) for j in inst.jobs}
+        for rule in (fifo_priority, bottom_level_priority):
+            list_schedule(inst, alloc, rule)
+        cd = compile_dag(dag)
+        assert cd._pred_csr is None
+        assert cd.in_degree.dtype == np.int64
+        assert cd.in_degree.tolist() == [len(dag.predecessors(j)) for j in cd.order]
+        assert cd._pred_csr is None
+        indptr, indices = cd.pred_indptr, cd.pred_indices
+        assert cd._pred_csr is not None and cd.pred_indptr is indptr
+        assert np.array_equal(np.diff(indptr), cd.in_degree)
+        assert indices.dtype == np.int64 and indices.size == cd.succ_indices.size
+
+    def test_predecessor_csr_is_the_lowering_s_own_after_the_dag_mutates(self):
+        """The transposed CSR is sorted off the successor CSR: a DAG edited
+        after the lowering cannot leak into the old lowering, and gets a
+        fresh one."""
+        dag = DAG(nodes=[0, 1, 2, 3], edges=[(0, 2), (1, 2)])
+        cd = compile_dag(dag)
+        dag.add_edge(2, 3)
+
+        def preds(c, j):
+            return {c.order[p] for p in c.predecessors_of(c.index[j]).tolist()}
+
+        assert preds(cd, 3) == set() and preds(cd, 2) == {0, 1}
+        fresh = compile_dag(dag)
+        assert fresh is not cd
+        assert preds(fresh, 3) == {2} and preds(fresh, 2) == {0, 1}
+        assert fresh.in_degree[fresh.index[3]] == 1
 
     def test_succ_lists_mirror_csr(self, dag):
         cd = compile_dag(dag)

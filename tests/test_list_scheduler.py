@@ -16,6 +16,7 @@ from repro.core.list_scheduler import (
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
 from repro.jobs.candidates import full_grid
+from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
@@ -211,6 +212,46 @@ class TestPortfolio:
         rules_rev = {"third": fifo_priority, "first": fifo_priority}
         _, winner_rev = portfolio_list_schedule(inst, alloc, rules=rules_rev)
         assert winner_rev == "third"
+
+    def test_set_up_is_paid_once_not_once_per_rule(self, monkeypatch):
+        """The allocation is validated once and every job's time evaluated
+        once, whatever the number of rules — and each rule still gets the
+        schedule ``list_schedule`` gives it."""
+        from repro.core.list_scheduler import portfolio_list_schedule
+
+        base = tiny_instance(seed=31, d=2, capacity=6,
+                             edges=((0, 2), (1, 2), (2, 3), (1, 4)))
+        calls = []
+
+        def counted(job):
+            def time_fn(alloc):
+                calls.append(job.id)
+                return job.time_fn(alloc)
+            return time_fn
+
+        inst = Instance(
+            jobs={j: Job(id=j, time_fn=counted(job), candidates=job.candidates)
+                  for j, job in base.jobs.items()},
+            dag=base.dag, pool=base.pool,
+        )
+        alloc = balanced_allocation(base)
+        singles = {
+            name: list_schedule(base, alloc, rule).makespan
+            for name, rule in (("bottom_level", bottom_level_priority),
+                               ("fifo", fifo_priority), ("lpt", lpt_priority))
+        }
+        validations = []
+        validate = Instance.validate_allocation_map
+        monkeypatch.setattr(
+            Instance, "validate_allocation_map",
+            lambda self, a: validations.append(1) or validate(self, a),
+        )
+        sched, winner = portfolio_list_schedule(inst, alloc)  # four rules
+        assert sorted(calls, key=repr) == sorted(inst.jobs, key=repr)
+        assert len(validations) == 1
+        assert sched.makespan <= min(singles.values())
+        if winner in singles:
+            assert sched.makespan == singles[winner]
 
     def test_tiny_improvements_within_tolerance_do_not_steal_the_win(self):
         from repro.core.list_scheduler import portfolio_list_schedule
