@@ -1,23 +1,21 @@
-"""Registry-driven benchmark subsystem.
+"""Registry-driven paper benchmarks: the producer of every paper artifact.
 
-One front door for every performance measurement in the repo::
+One command regenerates the committed ``BENCH_<name>.json`` slices and the
+``benchmarks/results/*.txt`` tables, and diffs the run against them::
 
-    PYTHONPATH=src python -m repro bench --quick --json out.json
-    PYTHONPATH=src python -m repro bench --only engine --compare baseline.json
+    PYTHONPATH=src python -m repro bench --emit-dir . --tables benchmarks/results
+    PYTHONPATH=src python -m repro bench --compare BENCH_*.json
 
 A benchmark is a registered factory (:func:`repro.bench.registry.
-register_benchmark`) expanding a :class:`repro.bench.core.BenchConfig`
-into a :class:`repro.bench.core.BenchPlan`; the shared runner
-(:mod:`repro.bench.runner`) owns timing, check evaluation and emission to
-the versioned JSON schema (:mod:`repro.bench.schema`), and
-:mod:`repro.bench.compare` diffs two documents for the CI regression
-gate.  ``benchmarks/bench_*.py`` are thin pytest wrappers over the same
-specs.
+register_benchmark`) returning a :class:`repro.bench.core.BenchPlan`; the
+shared runner (:mod:`repro.bench.runner`) owns check evaluation and
+emission to the versioned JSON schema (:mod:`repro.bench.schema`), and
+:mod:`repro.bench.compare` gates the deterministic quality ratios.
+Performance is measured by ``benchmarks/stack``, not here.
 """
 
 from repro.bench.core import (
     BenchCase,
-    BenchConfig,
     BenchPlan,
     CaseResult,
     CheckResult,
@@ -35,7 +33,6 @@ from repro.bench.registry import (
 
 __all__ = [
     "BenchCase",
-    "BenchConfig",
     "BenchPlan",
     "BenchmarkSpec",
     "CaseResult",

@@ -1,34 +1,39 @@
-"""Diff two benchmark documents: the regression gate behind ``--compare``.
+"""Diff a run against the committed slices: the gate behind ``--compare``.
+
+The baseline is the committed ``BENCH_<name>.json`` slices themselves,
+merged into one document by :func:`merge_baseline`, which refuses a set
+that is not one recording: every document must carry the same non-null
+``environment.git_sha``.
 
 Two kinds of entries come out of a comparison:
 
-* **gated deltas** — metrics a benchmark explicitly declared as
-  :class:`repro.bench.core.Gate`\\ s: machine-relative ratios (the
-  compiled-vs-reference speedup) or deterministic schedule-quality
-  numbers.  A gated metric that moves the wrong way by more than the
+* **gated deltas** — the derived metrics a benchmark declared as
+  :class:`repro.bench.core.Gate`\\ s, all deterministic schedule-quality
+  ratios.  A gated metric that moves the wrong way by more than the
   gate's ``max_regression`` is a **regression** and fails the run; one
   that moves the right way by the same margin is an **improvement**;
   anything else is **ok**.
 * **informational deltas** — every case's wall-clock and every shared
-  non-gated metric.  Reported (so the perf trajectory stays visible in
-  CI logs) but never failing: absolute timings move with the hardware.
+  non-gated derived metric.  Reported but never failing.
 
 Gates come from the *current* document — they are the code's contract,
 so a PR that adds a gate starts enforcing it immediately and a PR that
 retires one stops.  Benchmarks present on only one side are listed as
-``new``/``missing``, never failed: the committed baseline is regenerated
-whenever the benchmark set changes.
+``new``/``missing``, never failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+from repro.bench.schema import validate_document
 
 __all__ = [
     "CompareReport",
     "Delta",
     "compare_documents",
+    "merge_baseline",
 ]
 
 #: informational deltas smaller than this are elided from the summary
@@ -40,7 +45,7 @@ class Delta:
     """One compared metric."""
 
     benchmark: str
-    key: str  #: ``derived:<metric>``, ``case:<case>:<metric>`` or ``case:<case>:seconds``
+    key: str  #: ``derived:<metric>`` or ``case:<case>:seconds``
     baseline: float
     current: float
     #: "regression" | "improvement" | "ok" for gated metrics; "info" otherwise
@@ -76,10 +81,6 @@ class CompareReport:
     info: list[Delta] = field(default_factory=list)
     new_benchmarks: list[str] = field(default_factory=list)
     missing_benchmarks: list[str] = field(default_factory=list)
-    #: set when the two documents were produced under different configs
-    #: (quick vs full, or different seeds) — gated metrics then compare
-    #: different workloads; the CLI refuses such baselines outright
-    config_mismatch: str | None = None
 
     @property
     def regressions(self) -> list[Delta]:
@@ -99,8 +100,6 @@ class CompareReport:
             f"{len(self.regressions)} regression(s), "
             f"{len(self.improvements)} improvement(s)"
         ]
-        if self.config_mismatch:
-            lines.append(f"  WARNING: {self.config_mismatch}")
         for d in self.gated:
             lines.append(f"  [{d.status.upper()}] {d.describe()}")
         noisy = [d for d in self.info if abs(d.change) >= _NOISE_FLOOR]
@@ -117,6 +116,31 @@ class CompareReport:
         return "\n".join(lines)
 
 
+def merge_baseline(docs: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+    """One baseline document from validated slices of one recording.
+
+    Raises ``ValueError`` unless every document carries the same non-null
+    ``environment.git_sha`` — a baseline mixing recordings would gate one
+    benchmark against another commit's numbers.
+    """
+    if not docs:
+        raise ValueError("no baseline documents given")
+    shas = {doc["environment"].get("git_sha") for doc in docs}
+    if len(shas) != 1 or None in shas:
+        raise ValueError(
+            f"baseline documents carry git_sha {', '.join(sorted(s or 'null' for s in shas))}; "
+            "a baseline must be one recording (regenerate every slice at one commit)"
+        )
+    merged = {
+        "schema": docs[0]["schema"],
+        "config": dict(docs[0]["config"]),
+        "environment": dict(docs[0]["environment"]),
+        "benchmarks": [record for doc in docs for record in doc["benchmarks"]],
+    }
+    validate_document(merged)
+    return merged
+
+
 def _classify(current: float, baseline: float, direction: str, tolerance: float) -> str:
     if baseline == 0:
         return "ok"
@@ -129,65 +153,40 @@ def _classify(current: float, baseline: float, direction: str, tolerance: float)
     return "ok"
 
 
-def _resolve(record: Mapping[str, Any], gate: Mapping[str, Any]) -> float | None:
-    if gate["case"] is None:
-        return record["derived"].get(gate["metric"])
-    for case in record["cases"]:
-        if case["name"] == gate["case"]:
-            return case["metrics"].get(gate["metric"])
-    return None
-
-
-def _gate_key(gate: Mapping[str, Any]) -> str:
-    if gate["case"] is None:
-        return f"derived:{gate['metric']}"
-    return f"case:{gate['case']}:{gate['metric']}"
-
-
 def compare_documents(
     current: Mapping[str, Any], baseline: Mapping[str, Any]
 ) -> CompareReport:
     """Compare ``current`` against ``baseline`` (both validated documents)."""
     report = CompareReport()
-    if current["config"] != baseline["config"]:
-        report.config_mismatch = (
-            f"config mismatch: current {current['config']} vs baseline "
-            f"{baseline['config']} — gated metrics compare different workloads"
-        )
     base_by_name = {r["name"]: r for r in baseline["benchmarks"]}
-    cur_names = set()
 
     for record in current["benchmarks"]:
         name = record["name"]
-        cur_names.add(name)
         base = base_by_name.get(name)
         if base is None:
             report.new_benchmarks.append(name)
             continue
 
-        gated_keys = set()
+        gated = set()
         for gate in record["gates"]:
-            cur_value = _resolve(record, gate)
-            base_value = _resolve(base, gate)
-            if cur_value is None or base_value is None:
+            metric = gate["metric"]
+            if metric not in base["derived"]:
                 # a gate the baseline predates: informational until the
-                # baseline is regenerated
+                # slice is regenerated
                 continue
-            gated_keys.add(_gate_key(gate))
+            gated.add(metric)
+            current_value = float(record["derived"][metric])
+            base_value = float(base["derived"][metric])
+            tolerance = float(gate["max_regression"])
             report.gated.append(
                 Delta(
                     benchmark=name,
-                    key=_gate_key(gate),
-                    baseline=float(base_value),
-                    current=float(cur_value),
-                    status=_classify(
-                        float(cur_value),
-                        float(base_value),
-                        gate["direction"],
-                        float(gate["max_regression"]),
-                    ),
+                    key=f"derived:{metric}",
+                    baseline=base_value,
+                    current=current_value,
+                    status=_classify(current_value, base_value, gate["direction"], tolerance),
                     direction=gate["direction"],
-                    max_regression=float(gate["max_regression"]),
+                    max_regression=tolerance,
                 )
             )
 
@@ -195,44 +194,30 @@ def compare_documents(
         base_cases = {c["name"]: c for c in base["cases"]}
         for case in record["cases"]:
             bcase = base_cases.get(case["name"])
-            if bcase is None:
-                continue
-            report.info.append(
-                Delta(
-                    benchmark=name,
-                    key=f"case:{case['name']}:seconds",
-                    baseline=float(bcase["seconds"]),
-                    current=float(case["seconds"]),
-                    status="info",
-                    direction="lower",
-                )
-            )
-            for metric, value in case["metrics"].items():
-                key = f"case:{case['name']}:{metric}"
-                if key in gated_keys or metric not in bcase["metrics"]:
-                    continue
+            if bcase is not None:
                 report.info.append(
                     Delta(
                         benchmark=name,
-                        key=key,
-                        baseline=float(bcase["metrics"][metric]),
-                        current=float(value),
+                        key=f"case:{case['name']}:seconds",
+                        baseline=float(bcase["seconds"]),
+                        current=float(case["seconds"]),
                         status="info",
+                        direction="lower",
                     )
                 )
         for metric, value in record["derived"].items():
-            key = f"derived:{metric}"
-            if key in gated_keys or metric not in base["derived"]:
+            if metric in gated or metric not in base["derived"]:
                 continue
             report.info.append(
                 Delta(
                     benchmark=name,
-                    key=key,
+                    key=f"derived:{metric}",
                     baseline=float(base["derived"][metric]),
                     current=float(value),
                     status="info",
                 )
             )
 
+    cur_names = {r["name"] for r in current["benchmarks"]}
     report.missing_benchmarks = [n for n in base_by_name if n not in cur_names]
     return report

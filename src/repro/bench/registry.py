@@ -1,28 +1,26 @@
-"""The named-benchmark registry: one front door for every benchmark.
+"""The named-benchmark registry: one front door for every paper benchmark.
 
 Mirrors :mod:`repro.registry` (the scheduler registry) so the CLI, CI and
-the pytest wrappers under ``benchmarks/`` all resolve benchmarks the same
-way — "give me benchmark *name* and run it under this config" — without
-hard-coding imports of every suite module.  A suite module registers its
-benchmark::
+the tests all resolve benchmarks the same way — "give me benchmark *name*
+and run it" — without hard-coding imports of every suite module.  A suite
+module registers its benchmark::
 
     from repro.bench.registry import register_benchmark
 
-    @register_benchmark("engine", kind="engine")
-    def engine_benchmark(config: BenchConfig) -> BenchPlan:
+    @register_benchmark("table1", kind="paper")
+    def table1_benchmark() -> BenchPlan:
         ...
 
 and callers resolve it::
 
     from repro.bench.registry import get_benchmark
 
-    plan = get_benchmark("engine").build(BenchConfig(quick=True))
+    plan = get_benchmark("table1").build()
 
-Every registered factory takes a :class:`repro.bench.core.BenchConfig`
-and returns a :class:`repro.bench.core.BenchPlan`.  Registration is
-import-driven; :func:`_load_builtin_benchmarks` lazily imports
-:mod:`repro.bench.suites`, which defines the built-in specs (one per
-``benchmarks/bench_*.py`` wrapper).
+Every registered factory takes no argument and returns a
+:class:`repro.bench.core.BenchPlan`.  Registration is import-driven;
+:func:`_load_builtin_benchmarks` lazily imports :mod:`repro.bench.suites`,
+which defines the built-in specs (one per committed ``BENCH_<name>.json``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.bench.core import BenchConfig, BenchPlan
+from repro.bench.core import BenchPlan
 
 __all__ = [
     "BenchmarkSpec",
@@ -41,9 +39,9 @@ __all__ = [
 ]
 
 #: ``kind`` buckets benchmarks the way the scheduler registry buckets
-#: schedulers: ``"engine"`` (throughput of the dispatch core), ``"paper"``
-#: (regenerates a displayed result), ``"ablation"`` and ``"extension"``.
-_VALID_KINDS = ("engine", "paper", "ablation", "extension")
+#: schedulers: ``"paper"`` (regenerates a displayed result),
+#: ``"ablation"`` and ``"extension"``.
+_VALID_KINDS = ("paper", "ablation", "extension")
 
 
 @dataclass(frozen=True)
@@ -51,13 +49,13 @@ class BenchmarkSpec:
     """Registry entry: the plan factory plus the metadata the CLI lists."""
 
     name: str
-    factory: Callable[[BenchConfig], BenchPlan]
+    factory: Callable[[], BenchPlan]
     kind: str
     description: str = ""
 
-    def build(self, config: BenchConfig | None = None) -> BenchPlan:
-        """Expand the benchmark into its cases under ``config``."""
-        return self.factory(config if config is not None else BenchConfig())
+    def build(self) -> BenchPlan:
+        """Expand the benchmark into its cases."""
+        return self.factory()
 
 
 _REGISTRY: dict[str, BenchmarkSpec] = {}
@@ -68,7 +66,7 @@ def register_benchmark(
     *,
     kind: str = "paper",
     description: str | None = None,
-) -> Callable[[Callable[[BenchConfig], BenchPlan]], Callable[[BenchConfig], BenchPlan]]:
+) -> Callable[[Callable[[], BenchPlan]], Callable[[], BenchPlan]]:
     """Decorator adding a benchmark factory to the registry.
 
     The name must be unique; ``description`` defaults to the factory's
@@ -77,7 +75,7 @@ def register_benchmark(
     if kind not in _VALID_KINDS:
         raise ValueError(f"kind must be one of {_VALID_KINDS}, got {kind!r}")
 
-    def deco(fn: Callable[[BenchConfig], BenchPlan]) -> Callable[[BenchConfig], BenchPlan]:
+    def deco(fn: Callable[[], BenchPlan]) -> Callable[[], BenchPlan]:
         if name in _REGISTRY:
             raise ValueError(f"benchmark {name!r} is already registered")
         desc = description

@@ -1,22 +1,19 @@
-"""The shared benchmark driver: expand, time, record.
+"""The shared benchmark driver: expand, run, record.
 
-One front door for the CLI, CI and the pytest wrappers under
-``benchmarks/``::
+One front door for the CLI, CI and the tests::
 
-    from repro.bench.core import BenchConfig
     from repro.bench.runner import run_benchmarks
+    from repro.bench.schema import build_document
 
-    records = run_benchmarks(["engine", "scaling"], BenchConfig(quick=True))
-    doc = build_document(config, records)
+    records = run_benchmarks(["table1", "figure1"])
+    doc = build_document(records)
 
-:func:`run_spec` owns what every old script hand-rolled: plan expansion
-under the config, warmup/repeat/median timing per case, check and derived
-evaluation, and serialization to the schema record.  :func:`run_benchmarks`
-fans whole benchmarks out over a process pool via
-:func:`repro.experiments.parallel.map_parallel` — the unit is one
-registered benchmark (its cases share built workloads and its checks need
-the in-memory case values), order is preserved, and ``workers=1`` (the
-default, and what CI uses) keeps timings contention-free.
+:func:`run_spec` expands a registered plan, runs each case once,
+evaluates its checks and derived metrics and serializes the schema
+record.  :func:`run_benchmarks` fans whole benchmarks out over a process
+pool via :func:`repro.experiments.parallel.map_parallel` — the unit is
+one registered benchmark (its checks need the in-memory case values),
+order is preserved, and ``workers=1`` (the default) runs in-process.
 """
 
 from __future__ import annotations
@@ -24,18 +21,17 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.bench.core import BenchConfig, run_plan
+from repro.bench.core import run_plan
 from repro.bench.registry import BenchmarkSpec, get_benchmark
 from repro.experiments.parallel import map_parallel
 
 __all__ = ["failed_checks", "run_benchmarks", "run_spec"]
 
 
-def run_spec(spec: BenchmarkSpec, config: BenchConfig | None = None) -> dict[str, Any]:
+def run_spec(spec: BenchmarkSpec) -> dict[str, Any]:
     """Run one benchmark end to end; returns its schema record."""
-    config = config if config is not None else BenchConfig()
     t0 = time.perf_counter()
-    plan = spec.build(config)
+    plan = spec.build()
     by_name, checks, derived = run_plan(plan)
     tables = list(plan.tables(by_name)) if plan.tables is not None else []
     seconds_total = time.perf_counter() - t0
@@ -52,15 +48,13 @@ def run_spec(spec: BenchmarkSpec, config: BenchConfig | None = None) -> dict[str
     }
 
 
-def _run_benchmark_job(job: tuple[str, BenchConfig]) -> dict[str, Any]:
+def _run_benchmark_job(name: str) -> dict[str, Any]:
     """Module-level worker body (must be picklable for the process pool)."""
-    name, config = job
-    return run_spec(get_benchmark(name), config)
+    return run_spec(get_benchmark(name))
 
 
 def run_benchmarks(
     names: list[str],
-    config: BenchConfig | None = None,
     *,
     workers: int | None = 1,
     progress=None,
@@ -69,20 +63,18 @@ def run_benchmarks(
 
     ``workers=1`` (default) runs serially in-process and calls
     ``progress(i, total, name)`` before each benchmark; ``workers>1`` or
-    ``None`` (auto) trades timing fidelity for wall-clock by fanning the
-    benchmarks out with :func:`map_parallel`.
+    ``None`` (auto) fans the benchmarks out with :func:`map_parallel`.
     """
-    config = config if config is not None else BenchConfig()
     for name in names:
-        get_benchmark(name)  # fail fast on unknown names, before any timing
+        get_benchmark(name)  # fail fast on unknown names, before any run
     if workers == 1:
         records = []
         for i, name in enumerate(names):
             if progress is not None:
                 progress(i, len(names), name)
-            records.append(run_spec(get_benchmark(name), config))
+            records.append(_run_benchmark_job(name))
         return records
-    return map_parallel(_run_benchmark_job, [(n, config) for n in names], workers=workers)
+    return map_parallel(_run_benchmark_job, names, workers=workers)
 
 
 def failed_checks(records: list[dict[str, Any]]) -> list[tuple[str, dict[str, Any]]]:

@@ -8,12 +8,12 @@ Every ``repro bench`` run emits a single JSON document::
       "environment": {"python": ..., "numpy": ..., "git_sha": ..., ...},
       "benchmarks": [
         {
-          "name": "engine", "kind": "engine", "description": ...,
-          "seconds_total": 1.93,
+          "name": "sim_ratio_vs_d", "kind": "paper", "description": ...,
+          "seconds_total": 1.14,
           "cases":   [{"name", "seconds", "seconds_all", "repeats",
                        "warmup", "metrics", "rows"}, ...],
           "checks":  [{"name", "ok", "detail"}, ...],
-          "derived": {"wide_speedup_vs_pr1": 6.1, ...},
+          "derived": {"ours_mean_ratio": 1.62, ...},
           "gates":   [{"metric", "case", "direction", "max_regression"}, ...],
           "tables":  [{"name", "title", "columns", "rows", "precision",
                        "preamble", "footer"}, ...]
@@ -23,13 +23,15 @@ Every ``repro bench`` run emits a single JSON document::
 
 The same document is the source of *every* other artifact: the committed
 ``benchmarks/results/*.txt`` tables are rendered from the embedded table
-records (:func:`render_table` / :func:`write_tables`), the per-benchmark
-``BENCH_<name>.json`` trajectory files are extracted slices
-(:func:`benchmark_document`), and :mod:`repro.bench.compare` diffs two
-documents.  Text and JSON can therefore never disagree.
+records (:func:`render_table` / :func:`write_tables`), the committed
+``BENCH_<name>.json`` files are extracted slices
+(:func:`benchmark_document`), and :mod:`repro.bench.compare` diffs a run
+against them.  Text and JSON can therefore never disagree.
 
-Everything in the document except ``environment`` and the ``seconds*``
-fields is deterministic in ``config.seed``.
+``config`` is written as the constant :data:`CONFIG`: the benchmarks take
+no knobs, and the block stays so every ``repro-bench/1`` document keeps
+one shape.  Everything in the document except ``environment`` and the
+``seconds*`` fields is deterministic.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from typing import Any, Iterable, Mapping
 from repro.experiments.report import format_table
 
 __all__ = [
+    "CONFIG",
     "SCHEMA_VERSION",
     "SchemaError",
     "benchmark_document",
@@ -57,6 +60,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "repro-bench/1"
+#: the ``config`` block every document carries (see the module docstring)
+CONFIG = {"quick": False, "seed": 0}
 
 
 class SchemaError(ValueError):
@@ -97,7 +102,6 @@ def capture_environment() -> dict[str, Any]:
 
 
 def build_document(
-    config: Any,
     benchmarks: list[dict[str, Any]],
     *,
     environment: Mapping[str, Any] | None = None,
@@ -105,10 +109,7 @@ def build_document(
     """Assemble (and validate) the top-level document."""
     doc = {
         "schema": SCHEMA_VERSION,
-        "config": {
-            "quick": bool(config.quick),
-            "seed": int(config.seed),
-        },
+        "config": dict(CONFIG),
         "environment": dict(environment if environment is not None else capture_environment()),
         "benchmarks": benchmarks,
     }
@@ -153,19 +154,6 @@ def validate_document(doc: Any) -> None:
         f"expected {SCHEMA_VERSION!r}, got {doc['schema']!r}",
     )
     _check_mapping(doc["config"], "$.config", ("quick", "seed"))
-    _require(isinstance(doc["config"]["quick"], bool), "$.config.quick", "expected a bool")
-    # documents written while the batch loop had a selectable executor
-    # carry the key; only the one that survives is comparable
-    _require(
-        doc["config"].get("backend", "python") == "python",
-        "$.config.backend",
-        "only 'python' runs are comparable (the key is no longer written)",
-    )
-    _require(
-        isinstance(doc["config"]["seed"], int) and not isinstance(doc["config"]["seed"], bool),
-        "$.config.seed",
-        "expected an int",
-    )
     _require(isinstance(doc["environment"], Mapping), "$.environment", "expected an object")
     _require(isinstance(doc["benchmarks"], list), "$.benchmarks", "expected a list")
 
@@ -247,24 +235,13 @@ def validate_document(doc: Any) -> None:
                 f"{gpath}.direction",
                 f"expected 'higher' or 'lower', got {gate['direction']!r}",
             )
-            if gate["case"] is None:
-                _require(
-                    gate["metric"] in record["derived"],
-                    gpath,
-                    f"gate targets unknown derived metric {gate['metric']!r}",
-                )
-            else:
-                _require(
-                    gate["case"] in case_names,
-                    gpath,
-                    f"gate targets unknown case {gate['case']!r}",
-                )
-                case = next(c for c in record["cases"] if c["name"] == gate["case"])
-                _require(
-                    gate["metric"] in case["metrics"],
-                    gpath,
-                    f"gate targets unknown metric {gate['metric']!r} of case {gate['case']!r}",
-                )
+            # every gate ever written targets a derived metric
+            _require(gate["case"] is None, f"{gpath}.case", "expected null")
+            _require(
+                gate["metric"] in record["derived"],
+                gpath,
+                f"gate targets unknown derived metric {gate['metric']!r}",
+            )
 
         for j, table in enumerate(record["tables"]):
             tpath = f"{path}.tables[{j}]"

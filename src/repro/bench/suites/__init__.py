@@ -2,15 +2,8 @@
 
 Importing this package registers every built-in benchmark (the registry's
 :func:`repro.bench.registry._load_builtin_benchmarks` does so lazily).
-Each ``benchmarks/bench_*.py`` pytest wrapper maps onto one or more specs
-here; the mapping is asserted by ``tests/test_bench_harness.py``.
+Each spec owns one committed ``BENCH_<name>.json`` slice; that the two
+sets agree is asserted by ``tests/test_bench_harness.py``.
 """
 
-from repro.bench.suites import (  # noqa: F401
-    ablations,
-    engine,
-    extensions,
-    paper,
-    recovery,
-    service,
-)
+from repro.bench.suites import ablations, extensions, paper  # noqa: F401

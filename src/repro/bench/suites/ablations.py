@@ -1,8 +1,7 @@
 """Ablation benchmarks: the design knobs around the theorem-optimal point.
 
-Ported from ``bench_ablation_mu_rho.py``, ``bench_ablation_priority.py``
-and ``bench_ablation_rounding.py`` (whose robustness sweep is its own
-spec here, matching its own result table).
+The (µ, ρ) landscape, the Phase 2 priority rules, the DTCT rounding
+strategies and the robustness sweep — one spec per result table.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from statistics import mean
 
 from repro.bench.core import (
     BenchCase,
-    BenchConfig,
     BenchPlan,
     Checker,
     Table,
@@ -27,7 +25,7 @@ _PRIORITY_RULES = ("fifo", "lpt", "spt", "random", "bottom_level")
     kind="ablation",
     description="Sensitivity of the measured ratio to the (mu, rho) parameters",
 )
-def mu_rho_benchmark(config: BenchConfig) -> BenchPlan:
+def mu_rho_benchmark() -> BenchPlan:
     """Map the practical landscape around the theorem-optimal point at d=3."""
     from repro.core import theory
     from repro.experiments.sweeps import mu_rho_ablation
@@ -96,7 +94,7 @@ def mu_rho_benchmark(config: BenchConfig) -> BenchPlan:
     kind="ablation",
     description="Phase 2 queue orders: local vs global priorities (Theorem 6 gap)",
 )
-def priority_benchmark(config: BenchConfig) -> BenchPlan:
+def priority_benchmark() -> BenchPlan:
     """Random-workload priority sweep plus the adversarial Theorem 6 family."""
     from repro.experiments.sweeps import priority_ablation, theorem6_sweep
 
@@ -165,7 +163,7 @@ def priority_benchmark(config: BenchConfig) -> BenchPlan:
     kind="ablation",
     description="DTCT rounding strategies: quantile vs randomized vs swept rho",
 )
-def rounding_benchmark(config: BenchConfig) -> BenchPlan:
+def rounding_benchmark() -> BenchPlan:
     """L(p') per rounding strategy on the same fractional solutions (d=2)."""
     from repro.core import theory
     from repro.core.rounding import compare_roundings
@@ -223,7 +221,7 @@ def rounding_benchmark(config: BenchConfig) -> BenchPlan:
     kind="ablation",
     description="Allocation on noisy estimates, execution with true times",
 )
-def robustness_benchmark(config: BenchConfig) -> BenchPlan:
+def robustness_benchmark() -> BenchPlan:
     """Ratio degradation as estimate noise grows (d=2)."""
     from repro.experiments.robustness import robustness_sweep
 

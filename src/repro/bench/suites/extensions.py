@@ -1,8 +1,7 @@
 """Extension benchmarks: beyond the paper's displayed results.
 
-Ported from ``bench_extended.py`` (capacity precondition, FPTAS epsilon,
-candidate strategies — each its own spec, matching its own result table)
-and ``bench_malleable.py`` (the He et al. malleable relaxation).
+The capacity precondition, the FPTAS epsilon, the candidate strategies
+and the He et al. malleable relaxation — one spec per result table.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from statistics import mean
 
 from repro.bench.core import (
     BenchCase,
-    BenchConfig,
     BenchPlan,
     Checker,
     table_from_cases,
@@ -24,7 +22,7 @@ from repro.bench.registry import register_benchmark
     kind="extension",
     description="Capacity precondition: where P_min >= 1/mu^2 starts to hold",
 )
-def capacity_benchmark(config: BenchConfig) -> BenchPlan:
+def capacity_benchmark() -> BenchPlan:
     """Ratio vs platform capacity around the precondition threshold (d=2)."""
     from repro.experiments.extended import capacity_sweep
 
@@ -66,7 +64,7 @@ def capacity_benchmark(config: BenchConfig) -> BenchPlan:
     kind="extension",
     description="FPTAS epsilon: solution quality vs runtime on SP workloads",
 )
-def epsilon_benchmark(config: BenchConfig) -> BenchPlan:
+def epsilon_benchmark() -> BenchPlan:
     """Tighter epsilon must never end worse and must cost more time."""
     from repro.experiments.extended import epsilon_sweep
 
@@ -110,7 +108,7 @@ def epsilon_benchmark(config: BenchConfig) -> BenchPlan:
     kind="extension",
     description="Candidate strategies: schedule quality vs LP size",
 )
-def strategy_benchmark(config: BenchConfig) -> BenchPlan:
+def strategy_benchmark() -> BenchPlan:
     """Geometric grid vs full frontier: bounded quality loss, much smaller LP."""
     from repro.experiments.extended import strategy_sweep
 
@@ -150,7 +148,7 @@ def strategy_benchmark(config: BenchConfig) -> BenchPlan:
     kind="extension",
     description="Moldable (ours) vs the malleable relaxation (He et al. [21])",
 )
-def malleable_benchmark(config: BenchConfig) -> BenchPlan:
+def malleable_benchmark() -> BenchPlan:
     """What the moldable restriction costs against per-step reshaping."""
     from repro.core.two_phase import MoldableScheduler
     from repro.experiments.workloads import random_instance

@@ -1,7 +1,7 @@
 """Paper-result benchmarks: every displayed figure/table regenerated.
 
-Each spec reproduces one of the paper's displayed results, ports the old
-script's shape assertions as recorded checks, and emits the result rows
+Each spec reproduces one of the paper's displayed results, records its
+qualitative claims as named checks, and emits the result rows
 as an embedded table (the committed ``benchmarks/results/*.txt`` file is
 rendered from it).  Schedule-quality means are deterministic in the
 pinned seed sets, so the gated ones compare exactly across runs.
@@ -14,7 +14,6 @@ from statistics import mean
 
 from repro.bench.core import (
     BenchCase,
-    BenchConfig,
     BenchPlan,
     Checker,
     Gate,
@@ -35,7 +34,7 @@ def _approx(a: float, b: float, rel: float = 1e-6, abs_tol: float = 1e-12) -> bo
     kind="paper",
     description="Table 1: proven ratios per precedence class + empirical verification",
 )
-def table1_benchmark(config: BenchConfig) -> BenchPlan:
+def table1_benchmark() -> BenchPlan:
     """Proven-ratio summary cross-checked on random instances per class."""
     from repro.experiments.table1 import empirical_check, table1_text
 
@@ -78,7 +77,7 @@ def table1_benchmark(config: BenchConfig) -> BenchPlan:
     kind="paper",
     description="Figure 1: Theorem 2 estimated vs actual ratio vs Theorem 1",
 )
-def figure1_benchmark(config: BenchConfig) -> BenchPlan:
+def figure1_benchmark() -> BenchPlan:
     """The three ratio series for 22 <= d <= 50 (pure theory, no scheduling)."""
     from repro.core import theory
 
@@ -134,7 +133,7 @@ def figure1_benchmark(config: BenchConfig) -> BenchPlan:
     kind="paper",
     description="Figure 2 / Theorem 6: the local-priority list-scheduling lower bound",
 )
-def figure2_benchmark(config: BenchConfig) -> BenchPlan:
+def figure2_benchmark() -> BenchPlan:
     """Adversarial vs informed priorities on the reconstructed tree family."""
     from repro.experiments.sweeps import theorem6_sweep
 
@@ -190,7 +189,7 @@ def figure2_benchmark(config: BenchConfig) -> BenchPlan:
     kind="paper",
     description="Sim-A: makespan/lower-bound ratio vs d, ours vs baselines",
 )
-def sim_a_benchmark(config: BenchConfig) -> BenchPlan:
+def sim_a_benchmark() -> BenchPlan:
     """Graph families x d in {1..4}: ours vs every fixed-allocation baseline."""
     from repro.experiments.sweeps import algorithm_comparison
 
@@ -260,7 +259,7 @@ def sim_a_benchmark(config: BenchConfig) -> BenchPlan:
     kind="paper",
     description="Sim-B: independent jobs, ours (Theorem 5) vs Sun et al. [36]",
 )
-def sim_b_benchmark(config: BenchConfig) -> BenchPlan:
+def sim_b_benchmark() -> BenchPlan:
     """Independent-job ratios against the exact L_min (Lemma 8)."""
     from repro.experiments.sweeps import independent_comparison
 
@@ -314,7 +313,7 @@ def sim_b_benchmark(config: BenchConfig) -> BenchPlan:
     kind="paper",
     description="Pegasus-shaped real workflows: ratio vs LP bound per workflow",
 )
-def workflow_benchmark(config: BenchConfig) -> BenchPlan:
+def workflow_benchmark() -> BenchPlan:
     """Montage/CyberShake/Epigenomics/LIGO structures at d=2."""
     from repro.experiments.workflow_study import workflow_comparison
 
@@ -365,7 +364,7 @@ def workflow_benchmark(config: BenchConfig) -> BenchPlan:
     kind="paper",
     description="True ratios T/T_opt against the exact branch-and-bound optimum",
 )
-def true_ratio_benchmark(config: BenchConfig) -> BenchPlan:
+def true_ratio_benchmark() -> BenchPlan:
     """Tiny instances where T_opt is exactly computable."""
     from repro.experiments.extended import true_ratio_study
 

@@ -9,8 +9,8 @@ Usage (after ``pip install -e .``)::
     python -m repro sim-b
     python -m repro schedulers
     python -m repro fuzz --quick
-    python -m repro bench --quick --json out.json
-    python -m repro bench --only engine scaling --compare baseline.json
+    python -m repro bench --compare BENCH_*.json
+    python -m repro bench --emit-dir . --tables benchmarks/results
     python -m repro schedule --family cholesky --n 40 --d 3 --gantt
     python -m repro schedule --family independent --scheduler sun_shelf
     python -m repro schedule --scheduler tetris --arrival-rate 2.0
@@ -93,31 +93,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser(
         "bench",
-        help="registry-driven benchmark harness: timed cases, recorded "
-             "checks, versioned JSON emission, baseline comparison",
+        help="regenerate the paper's tables, figures and ratio studies: "
+             "recorded checks, versioned JSON emission, comparison against "
+             "the committed slices",
     )
-    be.add_argument("--quick", action="store_true",
-                    help="reduced CI configuration (smaller engine workloads, "
-                         "timing gates relaxed; also via REPRO_BENCH_QUICK=1)")
     be.add_argument("--only", nargs="+", default=None, metavar="NAME",
                     help="run only these registered benchmarks")
     be.add_argument("--kind", default=None,
-                    choices=["engine", "paper", "ablation", "extension"],
+                    choices=["paper", "ablation", "extension"],
                     help="run only benchmarks of this kind")
-    be.add_argument("--seed", type=int, default=0,
-                    help="workload seed offset (engine-level workloads)")
     be.add_argument("--workers", type=int, default=1,
                     help="process-pool size over whole benchmarks (default 1 "
-                         "= serial, best timing fidelity; 0 = auto)")
+                         "= serial; 0 = auto)")
     be.add_argument("--json", metavar="FILE", dest="json_out",
                     help="write the full repro-bench/1 document here")
     be.add_argument("--emit-dir", metavar="DIR",
                     help="write per-benchmark BENCH_<name>.json slices here")
     be.add_argument("--tables", metavar="DIR",
                     help="render every embedded result table to DIR/<name>.txt")
-    be.add_argument("--compare", metavar="BASELINE.json",
-                    help="diff against a baseline document; gated regressions "
-                         "fail the run")
+    be.add_argument("--compare", nargs="+", metavar="BENCH.json",
+                    help="diff against these documents (e.g. the committed "
+                         "BENCH_*.json), merged into one baseline that must "
+                         "carry one git_sha; gated regressions fail the run")
     be.add_argument("--list", action="store_true", dest="list_only",
                     help="list registered benchmarks and exit")
     be.add_argument("--profile", metavar="NAME", default=None,
@@ -345,12 +342,10 @@ def _cmd_bench(args) -> int:
     import json
     import os
 
-    from repro.bench.compare import compare_documents
-    from repro.bench.core import BenchConfig
+    from repro.bench.compare import compare_documents, merge_baseline
     from repro.bench.registry import benchmark_specs
     from repro.bench.runner import failed_checks, run_benchmarks
     from repro.bench.schema import (
-        SchemaError,
         benchmark_document,
         build_document,
         load_document,
@@ -376,14 +371,10 @@ def _cmd_bench(args) -> int:
         import io
         import pstats
 
-        quick = args.quick or os.environ.get("REPRO_BENCH_QUICK") == "1"
-        config = BenchConfig(quick=quick, seed=args.seed)
-        label = "quick" if quick else "full"
-        print(f"bench: profiling {args.profile} ({label} config, "
-              f"seed {args.seed})", flush=True)
+        print(f"bench: profiling {args.profile}", flush=True)
         profiler = cProfile.Profile()
         profiler.enable()
-        records = run_benchmarks([args.profile], config)
+        records = run_benchmarks([args.profile])
         profiler.disable()
         # the stats go through a buffer, never straight to stdout: with
         # --emit-dir they land in a file, otherwise they print *after*
@@ -417,37 +408,27 @@ def _cmd_bench(args) -> int:
                   f"{args.kind!r}", file=sys.stderr)
             return 2
 
-    quick = args.quick or os.environ.get("REPRO_BENCH_QUICK") == "1"
-    config = BenchConfig(quick=quick, seed=args.seed)
-
     baseline = None
     if args.compare:
+        docs = []
+        for path in args.compare:
+            try:
+                docs.append(load_document(path))
+            except (OSError, ValueError) as exc:  # unreadable, not JSON, or a SchemaError
+                print(f"error: cannot load baseline {path}: {exc}", file=sys.stderr)
+                return 2
         try:
-            baseline = load_document(args.compare)
-        except (OSError, json.JSONDecodeError, SchemaError) as exc:
-            print(f"error: cannot load baseline {args.compare}: {exc}",
-                  file=sys.stderr)
+            baseline = merge_baseline(docs)
+        except ValueError as exc:  # two recordings, a null git_sha, or duplicates
+            print(f"error: --compare: {exc}", file=sys.stderr)
             return 2
-        # a legacy key: load_document admitted only its one comparable value
-        baseline["config"].pop("backend", None)
-        base_cfg = dict(baseline["config"])
-        run_cfg = {"quick": quick, "seed": args.seed}
-        if base_cfg != run_cfg:
-            print(f"error: baseline {args.compare} was produced under config "
-                  f"{base_cfg}, this run uses {run_cfg} — gated metrics "
-                  "would compare different workloads; regenerate the baseline "
-                  "or match its config", file=sys.stderr)
-            return 2
-    label = "quick" if quick else "full"
-    print(f"bench: running {len(names)} benchmark(s) ({label} config, "
-          f"seed {args.seed})", flush=True)
+    print(f"bench: running {len(names)} benchmark(s)", flush=True)
 
     def progress(i, total, name):
         print(f"  [{i + 1}/{total}] {name}", flush=True)
 
-    records = run_benchmarks(names, config, workers=args.workers or None,
-                             progress=progress)
-    doc = build_document(config, records)
+    records = run_benchmarks(names, workers=args.workers or None, progress=progress)
+    doc = build_document(records)
 
     failed = failed_checks(records)
     for record in records:

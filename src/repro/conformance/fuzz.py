@@ -570,7 +570,7 @@ def _roundtrip_restore(session):
     """checkpoint → JSON text → restore (the exact-resume path under test).
 
     Restores through the *hot* path (``strict=False``, no availability or
-    ready-queue re-verification) — the one the service benchmark times —
+    ready-queue re-verification) — the one a mid-stream client takes —
     so any divergence it could hide is caught by the event-identity checks
     downstream; the hypothesis checkpoint suite covers ``strict=True``.
     """

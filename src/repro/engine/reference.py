@@ -4,20 +4,17 @@ Before the :mod:`repro.engine` refactor, the event loop was re-implemented
 (with subtle drift in tie-breaking and resource accounting) in the core list
 scheduler, the dynamic-baseline engine, the shelf packers, the backfill
 planner, the malleable scheduler and the fault simulator.  This module
-preserves those original loops *verbatim in behavior* so that
-
-* the equivalence tests (``tests/test_engine_equivalence.py``) can assert the
-  kernel ports produce identical schedules, and
-* ``benchmarks/bench_engine.py`` can measure the kernel against the loop it
-  replaced.
+preserves those original loops *verbatim in behavior* so that the
+equivalence tests (``tests/test_engine_equivalence.py``) can assert the
+kernel ports produce identical schedules.
 
 The module holds two generations of frozen loops: the original pre-kernel
 python loops (``reference_*``) and the PR-1 kernel driver
 (:func:`reference_pr1_list_schedule`) — the ``insort``-queue, dict-bookkeeping
 dispatch that the compiled-instance engine replaced.  Do not use this
 module for scheduling — it exists only as an executable specification of
-the old behavior.  Its consumers are the equivalence tests, the benchmark
-harness and the conformance fuzzer (:mod:`repro.conformance.fuzz`), which
+the old behavior.  Its consumers are the equivalence tests and the
+conformance fuzzer (:mod:`repro.conformance.fuzz`), which
 races the live engine against these loops event-for-event on every case
 it sweeps.
 """
@@ -174,8 +171,7 @@ def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule
     long queues — together with the era's per-run rebuilds (fresh Kahn
     order, python allocation validation, and, for ``priority=None``, the
     python bottom-level sweep).  The compiled-instance engine must
-    reproduce its schedules exactly, and ``benchmarks/bench_engine.py``
-    measures against it.
+    reproduce its schedules exactly.
     """
     if priority is None:
         priority = reference_bottom_level_priority

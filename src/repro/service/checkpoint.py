@@ -24,7 +24,7 @@ so a hot restore does no per-job queue rebuilding.  ``strict=True`` (the
 default) additionally cross-checks the snapshot's redundant state — the
 availability vector against the running jobs' demands, the ready array
 against the queued states — so a corrupted checkpoint fails loudly
-instead of resuming subtly wrong; hot paths (the throughput benchmark's
+instead of resuming subtly wrong; hot paths (an embedded client's
 mid-stream restore, the conformance round-trips) pass ``strict=False``
 to skip the re-verification.
 

@@ -47,8 +47,7 @@ see through it, and the conformance family drives sessions with
 aggressive compaction settings to pin that.
 
 Sessions carry an RNG (:attr:`SchedulingSession.rng`) for stochastic
-clients — e.g. the service-throughput benchmark's open-loop Poisson
-client draws inter-arrival times from it — so that checkpoint/restore
+in-process clients, so that checkpoint/restore
 (:mod:`repro.service.checkpoint`) resumes the *client's* stream exactly
 too, not just the scheduler's.
 """

@@ -1,9 +1,9 @@
 """Shared instance builders for the test suite.
 
 Imported explicitly (``from helpers import tiny_instance``) rather than via
-``conftest``: importing from ``conftest`` is ambiguous when pytest loads
-more than one conftest module (the benchmarks directory has its own), and
-the name that wins depends on collection order.
+``conftest``: importing from ``conftest`` is ambiguous whenever pytest
+loads more than one conftest module, and the name that wins depends on
+collection order.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""The benchmark orchestration subsystem: registry, schema, compare, runner.
+"""The paper-benchmark subsystem: registry, schema, compare, runner.
 
-Covers the ISSUE-4 harness contracts: schema round-trip validation,
-determinism of workload construction under a fixed seed, ``--compare``
-regression/improvement classification, and registry completeness (every
-``benchmarks/bench_*.py`` wrapper maps onto registered specs).
+Covers the harness contracts: schema round-trip validation, determinism
+of everything but wall-clock, ``--compare`` regression/improvement
+classification against a baseline merged from slices of one recording,
+and that the committed ``BENCH_*.json`` slices and
+``benchmarks/results/*.txt`` tables are one recording of exactly the
+registered benchmarks.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import pathlib
 
 import pytest
 
-from repro.bench.compare import compare_documents
+from repro.bench.compare import compare_documents, merge_baseline
 from repro.bench.core import (
     BenchCase,
-    BenchConfig,
     BenchPlan,
     Checker,
     Gate,
@@ -36,117 +37,100 @@ from repro.bench.schema import (
     SchemaError,
     benchmark_document,
     build_document,
+    load_document,
     render_table,
     validate_document,
     write_tables,
 )
-from repro.bench.workloads import family_instance, rigid_layered
 
-BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-
-#: every pytest wrapper under benchmarks/ and the registered specs it runs
-WRAPPER_SPECS = {
-    "bench_engine.py": ["engine"],
-    "bench_scaling.py": ["scaling"],
-    "bench_table1.py": ["table1"],
-    "bench_figure1.py": ["figure1"],
-    "bench_figure2_lower_bound.py": ["figure2_lower_bound"],
-    "bench_sim_ratio_vs_d.py": ["sim_ratio_vs_d"],
-    "bench_sim_independent.py": ["sim_independent"],
-    "bench_workflows.py": ["workflow_study"],
-    "bench_true_ratio.py": ["true_ratio"],
-    "bench_malleable.py": ["malleable"],
-    "bench_ablation_mu_rho.py": ["ablation_mu_rho"],
-    "bench_ablation_priority.py": ["ablation_priority"],
-    "bench_ablation_rounding.py": ["ablation_rounding", "robustness"],
-    "bench_extended.py": ["capacity_sweep", "epsilon_sweep", "strategy_sweep"],
-    "bench_service.py": ["service"],
-    "bench_service_recovery.py": ["service_recovery"],
-    "bench_service_sharded.py": ["service_sharded"],
-}
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def toy_factory(config: BenchConfig) -> BenchPlan:
+def toy_plan(*, fail: bool = False, table: str = "toy") -> BenchPlan:
     """A deterministic two-case benchmark exercising every plan hook."""
-    scale = 1 if config.quick else 2
 
     def checks(by_name):
         c = Checker()
-        c.check("values_scale", by_name["alpha"].value == 10 * scale)
-        c.check("always_fails_when_seed_negative", config.seed >= 0, "negative seed")
+        c.check("values", by_name["alpha"].value == 20)
+        c.check("fails_on_request", not fail, "asked to fail")
         return c.results
 
     return BenchPlan(
         cases=[
             BenchCase(
                 name="alpha",
-                fn=lambda: 10 * scale,
-                repeats=3,
-                warmup=1,
-                metrics=lambda value, seconds: {"value": float(value)},
+                fn=lambda: 20,
                 rows=lambda value: [{"case": "alpha", "value": value}],
             ),
-            BenchCase(
-                name="beta",
-                fn=lambda: config.seed,
-                metrics=lambda value, seconds: {"value": float(value)},
-            ),
+            BenchCase(name="beta", fn=lambda: 0),
         ],
         checks=checks,
         derived=lambda by_name: {
             "total": by_name["alpha"].value + by_name["beta"].value
         },
-        tables=table_from_cases("toy", "Toy benchmark"),
+        tables=table_from_cases(table, "Toy benchmark"),
         gates=[Gate("total", direction="higher", max_regression=0.30)],
     )
 
 
-TOY = BenchmarkSpec(name="toy", factory=toy_factory, kind="engine", description="toy")
+TOY = BenchmarkSpec(name="toy", factory=toy_plan, kind="paper", description="toy")
 
 
-def toy_document(*, quick: bool = True, seed: int = 0) -> dict:
-    record = run_spec(TOY, BenchConfig(quick=quick, seed=seed))
+def toy_document(*, sha: str | None = "abc123", spec: BenchmarkSpec = TOY) -> dict:
     return build_document(
-        BenchConfig(quick=quick, seed=seed), [record], environment={"python": "x"}
+        [run_spec(spec)], environment={"python": "x", "git_sha": sha}
     )
 
 
+@pytest.fixture
+def fixed_sha(monkeypatch):
+    """Documents the CLI writes carry this SHA, wherever the tests run."""
+    import repro.bench.schema as schema
+
+    monkeypatch.setattr(schema, "capture_environment", lambda: {"git_sha": "abc123"})
+
+
 # ----------------------------------------------------------------------
-# registry completeness
+# the committed record
 # ----------------------------------------------------------------------
-def test_every_wrapper_has_registered_specs():
-    wrappers = sorted(p.name for p in BENCH_DIR.glob("bench_*.py"))
-    assert wrappers == sorted(WRAPPER_SPECS), (
-        "benchmarks/bench_*.py and WRAPPER_SPECS disagree — register the new "
-        "script's spec and list it here"
+def test_committed_slices_are_one_recording_of_the_registered_benchmarks():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    docs = [load_document(p) for p in paths]
+    # one slice per registered benchmark, each named after its file
+    assert [p.stem for p in paths] == sorted(
+        f"BENCH_{name}" for name in available_benchmarks()
     )
-    registered = set(available_benchmarks())
-    declared = {name for names in WRAPPER_SPECS.values() for name in names}
-    assert declared <= registered
-    # every wrapper actually runs the spec it declares
-    for filename, names in WRAPPER_SPECS.items():
-        source = (BENCH_DIR / filename).read_text()
-        for name in names:
-            assert f'run_registered("{name}"' in source, (filename, name)
+    for path, doc in zip(paths, docs):
+        assert [r["name"] for r in doc["benchmarks"]] == [path.stem[len("BENCH_"):]]
+    # one recording (one non-null git_sha): the slices merge into one baseline
+    baseline = merge_baseline(docs)
+    # and the committed text tables are exactly what the slices render
+    rendered = {t["name"]: render_table(t) + "\n" for r in baseline["benchmarks"]
+                for t in r["tables"]}
+    committed = {p.stem: p.read_text() for p in (ROOT / "benchmarks" / "results").glob("*.txt")}
+    assert rendered == committed
 
 
+# ----------------------------------------------------------------------
+# registry
+# ----------------------------------------------------------------------
 def test_registry_metadata_and_lookup():
-    assert len(available_benchmarks()) >= 17
-    spec = get_benchmark("engine")
-    assert spec.kind == "engine"
+    assert len(available_benchmarks()) == 15
+    spec = get_benchmark("table1")
+    assert spec.kind == "paper"
     assert spec.description
     with pytest.raises(KeyError, match="unknown benchmark"):
         get_benchmark("nope")
     kinds = {s.kind for s in benchmark_specs()}
-    assert kinds == {"engine", "paper", "ablation", "extension"}
-    assert available_benchmarks(kind="engine") == ["engine", "scaling"]
+    assert kinds == {"paper", "ablation", "extension"}
+    assert available_benchmarks(kind="ablation") == [
+        "ablation_mu_rho", "ablation_priority", "ablation_rounding", "robustness"
+    ]
 
 
-def test_every_spec_expands_under_quick_config():
+def test_every_spec_expands():
     for spec in benchmark_specs():
-        if spec.name in ("engine", "scaling"):
-            continue  # workload construction at build time is benchmarked elsewhere
-        plan = spec.build(BenchConfig(quick=True))
+        plan = spec.build()
         assert plan.cases, spec.name
         names = [case.name for case in plan.cases]
         assert len(names) == len(set(names)), spec.name
@@ -164,8 +148,12 @@ def test_document_json_round_trip():
     assert again == json.loads(json.dumps(again))
     record = again["benchmarks"][0]
     assert record["name"] == "toy"
-    assert record["derived"] == {"total": 10.0}
+    assert record["derived"] == {"total": 20}
     assert [c["name"] for c in record["cases"]] == ["alpha", "beta"]
+    # one call per case, written in the shape every committed slice holds
+    for case in record["cases"]:
+        assert (case["repeats"], case["warmup"], case["metrics"]) == (1, 0, {})
+        assert case["seconds_all"] == [case["seconds"]]
     assert record["gates"] == [
         {"metric": "total", "case": None, "direction": "higher", "max_regression": 0.30}
     ]
@@ -177,8 +165,8 @@ def test_document_json_round_trip():
 
 def test_legacy_backend_key_is_accepted_but_never_written():
     doc = toy_document()
-    assert set(doc["config"]) == {"quick", "seed"}
-    # 4 of the committed documents carry the key with its one surviving value
+    assert doc["config"] == {"quick": False, "seed": 0}
+    # a repro-bench/1 document written while the key existed still loads
     legacy = json.loads(json.dumps(doc))
     legacy["config"]["backend"] = "python"
     validate_document(legacy)
@@ -199,8 +187,6 @@ def test_benchmark_document_slice_is_valid():
     [
         (lambda d: d.update(schema="repro-bench/0"), "schema"),
         (lambda d: d["config"].pop("seed"), "seed"),
-        # written while the batch loop had a second executor: not comparable
-        (lambda d: d["config"].update(backend="numba"), "backend"),
         (lambda d: d["benchmarks"][0].pop("cases"), "cases"),
         (lambda d: d["benchmarks"].append(dict(d["benchmarks"][0])), "duplicate"),
         (
@@ -251,31 +237,6 @@ def test_write_tables(tmp_path):
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
-def test_rigid_layered_deterministic():
-    a_inst, a_alloc = rigid_layered(4, 10, d=3, capacity=12, seed=7)
-    b_inst, b_alloc = rigid_layered(4, 10, d=3, capacity=12, seed=7)
-    assert a_inst.n == b_inst.n
-    assert sorted(map(repr, a_alloc)) == sorted(map(repr, b_alloc))
-    assert {repr(j): tuple(v) for j, v in a_alloc.items()} == {
-        repr(j): tuple(v) for j, v in b_alloc.items()
-    }
-    c_inst, _ = rigid_layered(4, 10, d=3, capacity=12, seed=8)
-    assert {repr(j): tuple(v) for j, v in a_alloc.items()} != {
-        repr(j): tuple(v) for j, v in rigid_layered(4, 10, d=3, capacity=12, seed=8)[1].items()
-    } or a_inst.dag.num_edges != c_inst.dag.num_edges
-
-
-def test_family_instance_deterministic_and_checked():
-    a = family_instance("layered", 12, d=2, capacity=8, seed=3)
-    b = family_instance("layered", 12, d=2, capacity=8, seed=3)
-    assert a.n == b.n == 12
-    assert sorted(map(repr, a.jobs)) == sorted(map(repr, b.jobs))
-    released = family_instance("layered", 12, d=2, capacity=8, seed=3, arrival_rate=2.0)
-    assert any(t > 0 for t in released.release_times().values())
-    with pytest.raises(KeyError, match="unknown family"):
-        family_instance("nope", 5, d=2, capacity=8)
-
-
 def test_everything_but_seconds_is_deterministic():
     a = toy_document()["benchmarks"][0]
     b = toy_document()["benchmarks"][0]
@@ -309,29 +270,29 @@ def test_compare_identical_runs_has_zero_spurious_regressions():
 
 
 def test_compare_classifies_higher_is_better():
-    base = toy_document()  # total = 10
+    base = toy_document()  # total = 20
     assert [
-        d.status for d in compare_documents(_with_derived(base, total=6.0), base).gated
+        d.status for d in compare_documents(_with_derived(base, total=12.0), base).gated
     ] == ["regression"]
     assert [
-        d.status for d in compare_documents(_with_derived(base, total=8.0), base).gated
+        d.status for d in compare_documents(_with_derived(base, total=16.0), base).gated
     ] == ["ok"]
     assert [
-        d.status for d in compare_documents(_with_derived(base, total=14.0), base).gated
+        d.status for d in compare_documents(_with_derived(base, total=28.0), base).gated
     ] == ["improvement"]
-    report = compare_documents(_with_derived(base, total=6.0), base)
+    report = compare_documents(_with_derived(base, total=12.0), base)
     assert not report.ok
     assert "REGRESSION" in report.summary()
 
 
 def test_compare_classifies_lower_is_better():
     base = toy_document()
-    current = _with_derived(base, total=14.0)
+    current = _with_derived(base, total=28.0)
     for doc in (base, current):
         doc["benchmarks"][0]["gates"][0]["direction"] = "lower"
     report = compare_documents(current, base)
     assert [d.status for d in report.gated] == ["regression"]
-    improved = _with_derived(base, total=6.0)
+    improved = _with_derived(base, total=12.0)
     improved["benchmarks"][0]["gates"][0]["direction"] = "lower"
     assert [d.status for d in compare_documents(improved, base).gated] == ["improvement"]
 
@@ -343,25 +304,9 @@ def test_compare_gates_come_from_current_document():
     assert compare_documents(current, base).gated == []
 
 
-def test_compare_flags_config_mismatch():
-    base = toy_document(quick=True)
-    current = toy_document(quick=True)
-    current["config"]["quick"] = False
-    report = compare_documents(current, base)
-    assert report.config_mismatch is not None
-    assert "WARNING" in report.summary()
-    assert compare_documents(toy_document(), base).config_mismatch is None
-
-
 def test_compare_new_and_missing_benchmarks_never_fail():
     base = toy_document()
-    other = run_spec(
-        BenchmarkSpec(name="other", factory=toy_factory, kind="engine"),
-        BenchConfig(quick=True),
-    )
-    current = build_document(
-        BenchConfig(quick=True, seed=0), [other], environment={"python": "x"}
-    )
+    current = toy_document(spec=BenchmarkSpec(name="other", factory=toy_plan, kind="paper"))
     report = compare_documents(current, base)
     assert report.ok
     assert report.new_benchmarks == ["other"]
@@ -371,24 +316,37 @@ def test_compare_new_and_missing_benchmarks_never_fail():
 def test_compare_info_deltas_never_gate():
     base = toy_document()
     current = json.loads(json.dumps(base))
-    # blow up a non-gated case metric and every wall-clock by 10x
+    # blow up every wall-clock by 10x
     for case in current["benchmarks"][0]["cases"]:
         case["seconds"] = case["seconds"] * 10 + 1.0
-        case["metrics"]["value"] = case["metrics"]["value"] * 10 + 1.0
     report = compare_documents(current, base)
     assert report.ok
     assert {d.status for d in report.info} == {"info"}
     assert any(d.key.endswith(":seconds") for d in report.info)
 
 
+def test_merge_baseline_takes_slices_of_one_recording():
+    other = BenchmarkSpec(name="other", factory=lambda: toy_plan(table="other"), kind="paper")
+    merged = merge_baseline([toy_document(), toy_document(spec=other)])
+    assert [r["name"] for r in merged["benchmarks"]] == ["toy", "other"]
+    assert merged["environment"]["git_sha"] == "abc123"
+    # two recordings, or one that cannot name its commit, are not a baseline
+    with pytest.raises(ValueError, match="git_sha abc123, def456"):
+        merge_baseline([toy_document(), toy_document(sha="def456")])
+    with pytest.raises(ValueError, match="null"):
+        merge_baseline([toy_document(sha=None)])
+    with pytest.raises(ValueError):
+        merge_baseline([])
+
+
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
 def test_run_spec_records_failed_checks():
-    record = run_spec(TOY, BenchConfig(quick=True, seed=-1))
-    failed = failed_checks([record])
-    assert [(name, check["name"]) for name, check in failed] == [
-        ("toy", "always_fails_when_seed_negative")
+    failing = BenchmarkSpec(name="toy", factory=lambda: toy_plan(fail=True), kind="paper")
+    assert failed_checks([run_spec(TOY)]) == []
+    assert [(name, check["name"]) for name, check in failed_checks([run_spec(failing)])] == [
+        ("toy", "fails_on_request")
     ]
 
 
@@ -402,7 +360,7 @@ def test_run_plan_rejects_duplicate_case_names():
 
 def test_run_benchmarks_fails_fast_on_unknown_name():
     with pytest.raises(KeyError, match="unknown benchmark"):
-        run_benchmarks(["figure1", "nope"], BenchConfig(quick=True))
+        run_benchmarks(["figure1", "nope"])
 
 
 def test_gate_validation():
@@ -410,16 +368,14 @@ def test_gate_validation():
         Gate("m", direction="sideways")
     with pytest.raises(ValueError, match="max_regression"):
         Gate("m", max_regression=-1.0)
-    assert Gate("m").key == "derived:m"
-    assert Gate("m", case="c").key == "case:c:m"
+    assert Gate("m").to_record()["case"] is None
 
 
 # ----------------------------------------------------------------------
 # CLI end to end (cheapest real benchmark only)
 # ----------------------------------------------------------------------
-def test_cli_bench_end_to_end(tmp_path, capsys):
+def test_cli_bench_end_to_end(tmp_path, capsys, fixed_sha):
     from repro.cli import main
-    from repro.bench.schema import load_document
 
     out = tmp_path / "out.json"
     tables = tmp_path / "tables"
@@ -427,7 +383,7 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     assert (
         main(
             [
-                "bench", "--quick", "--only", "figure1",
+                "bench", "--only", "figure1",
                 "--json", str(out),
                 "--tables", str(tables),
                 "--emit-dir", str(emit),
@@ -437,22 +393,26 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     )
     doc = load_document(out)
     assert [r["name"] for r in doc["benchmarks"]] == ["figure1"]
-    assert (tables / "figure1.txt").exists()
+    assert (tables / "figure1.txt").read_text() == (
+        ROOT / "benchmarks" / "results" / "figure1.txt"
+    ).read_text()
     piece = load_document(emit / "BENCH_figure1.json")
     assert [r["name"] for r in piece["benchmarks"]] == ["figure1"]
     # second run compared against the first: zero spurious regressions
-    out2 = tmp_path / "out2.json"
-    assert (
-        main(
-            [
-                "bench", "--quick", "--only", "figure1",
-                "--json", str(out2),
-                "--compare", str(out),
-            ]
-        )
-        == 0
-    )
+    assert main(["bench", "--only", "figure1", "--compare", str(out)]) == 0
     assert "0 regression(s)" in capsys.readouterr().out
+
+
+def test_cli_bench_compares_against_the_committed_slices(capsys, fixed_sha):
+    """The committed slices are the baseline: a run of the gated paper
+    benchmark compares against the merged ``BENCH_*.json`` set."""
+    from repro.cli import main
+
+    slices = [str(p) for p in sorted(ROOT.glob("BENCH_*.json"))]
+    assert main(["bench", "--only", "workflow_study", "--compare", *slices]) == 0
+    printed = capsys.readouterr().out
+    assert "compare: 1 gated metric(s), 0 regression(s)" in printed
+    assert "bench: OK" in printed
 
 
 def test_cli_bench_list_and_errors(tmp_path, capsys):
@@ -463,39 +423,38 @@ def test_cli_bench_list_and_errors(tmp_path, capsys):
     assert main(["bench", "--only", "nope"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err
     # a registered name filtered out by --kind is not "unknown"
-    assert main(["bench", "--only", "engine", "--kind", "paper"]) == 2
+    assert main(["bench", "--only", "figure1", "--kind", "ablation"]) == 2
     err = capsys.readouterr().err
     assert "unknown" not in err and "kind" in err
 
 
-def test_cli_bench_compares_against_a_legacy_backend_baseline(tmp_path, capsys):
-    """A committed-style baseline with ``"backend": "python"`` passes the
-    config check (no exit 2) and compares without a mismatch warning."""
+def test_cli_bench_compares_against_a_legacy_backend_baseline(tmp_path, capsys, fixed_sha):
+    """A baseline written while ``config`` carried ``"backend": "python"``
+    loads and compares like any other repro-bench/1 document."""
     from repro.cli import main
 
     out = tmp_path / "out.json"
-    assert main(["bench", "--quick", "--only", "figure1", "--json", str(out)]) == 0
+    assert main(["bench", "--only", "figure1", "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
     doc["config"]["backend"] = "python"
     baseline = tmp_path / "legacy.json"
     baseline.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert (
-        main(["bench", "--quick", "--only", "figure1", "--compare", str(baseline)])
-        == 0
-    )
-    printed = capsys.readouterr().out
-    assert "0 regression(s)" in printed and "WARNING" not in printed
+    assert main(["bench", "--only", "figure1", "--compare", str(baseline)]) == 0
+    assert "0 regression(s)" in capsys.readouterr().out
 
 
 def test_cli_bench_refuses_mismatched_baseline(tmp_path, capsys):
+    """Slices of two recordings, or of one with no SHA, are refused before
+    anything runs."""
     from repro.cli import main
 
-    baseline = tmp_path / "full-baseline.json"
-    doc = toy_document(quick=False)
-    baseline.write_text(json.dumps(doc))
-    assert (
-        main(["bench", "--quick", "--only", "figure1", "--compare", str(baseline)])
-        == 2
-    )
-    assert "config" in capsys.readouterr().err
+    paths = []
+    for sha in ("abc123", "def456", None):
+        path = tmp_path / f"{sha}.json"
+        path.write_text(json.dumps(toy_document(sha=sha)))
+        paths.append(str(path))
+    for mixed in (paths[:2], paths[2:]):
+        assert main(["bench", "--only", "figure1", "--compare", *mixed]) == 2
+        captured = capsys.readouterr()
+        assert "git_sha" in captured.err and "bench: running" not in captured.out

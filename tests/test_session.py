@@ -15,16 +15,18 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.conformance.fuzz import drive_session_faithfully, service_specs
+from helpers import ruler_rigid_instance
+from repro.conformance.fuzz import drive_session_faithfully, portable_events, service_specs
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.generators import layered_random
 from repro.dag.graph import DAG
 from repro.engine.dispatch import _VECTOR_QUEUE, priority_loop
 from repro.experiments.workloads import random_instance
 from repro.instance.compiled import GrowableCompiledInstance
-from repro.instance.instance import Instance, with_poisson_arrivals
+from repro.instance.instance import Instance, with_poisson_arrivals, with_release_times
 from repro.jobs.candidates import make_candidates
 from repro.jobs.job import Job
+from repro.obs import MetricsRegistry
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 from repro.service.checkpoint import checkpoint_session, restore_session
@@ -545,6 +547,37 @@ class TestBatchIdentity:
         for j, p in batch.placements.items():
             q = sched.placements[repr(j)]
             assert (q.start, q.time, tuple(q.alloc)) == (p.start, p.time, tuple(p.alloc))
+
+    @pytest.mark.parametrize("driver", ["plain", "checkpointed", "metrics_on"])
+    def test_open_loop_stream_equals_batch(self, driver):
+        """A contended stream: rigid jobs on a 6 × 40 layered DAG (d = 4,
+        capacity 24) with Poisson releases just under the batch service
+        rate, submitted 64 a chunk with an advance to each chunk's last arrival,
+        reproduces the batch schedule event for event through mid-stream
+        compactions — plain, through a checkpoint and a hot restore at
+        the halfway chunk, and with a metrics registry bound."""
+        inst, alloc = ruler_rigid_instance(6, 40, seed=0)
+        gaps = np.random.default_rng(0).exponential(1 / 1.8, size=inst.n)
+        online = with_release_times(
+            inst, dict(zip(inst.dag.topological_order(), np.cumsum(gaps).tolist()))
+        )
+        specs = service_specs(online, alloc)
+        batch = list_schedule(online, alloc, fifo_priority)
+        session = SchedulingSession(inst.pool.capacities, compact_min_rows=96)
+        if driver == "metrics_on":
+            session.bind_metrics(MetricsRegistry())
+        for k in range(0, inst.n, 64):
+            if driver == "checkpointed" and k == 128:
+                session = restore_session(checkpoint_session(session), strict=False)
+            chunk = specs[k:k + 64]
+            session.submit(chunk)
+            session.advance(chunk[-1].release, events=False)
+        session.drain()
+        session.validate()
+        assert session.compactions >= 1
+        assert portable_events(session.to_schedule(), reprify=False) == portable_events(
+            batch, reprify=True
+        )
 
     def test_single_shot_submit_equals_batch(self):
         pool = ResourcePool.uniform(3, 8)

@@ -1,4 +1,4 @@
-"""Tests for the Pegasus workflow study and the EXPERIMENTS.md generator."""
+"""Tests for the Pegasus workflow study."""
 
 import pytest
 
@@ -28,16 +28,3 @@ class TestWorkflowInstances:
         assert rows[0]["ours"] <= rows[0]["proven"] + 1e-9
         for key in ("min_area", "min_time", "balanced", "tetris", "heft"):
             assert rows[0][key] >= 1.0 - 1e-9
-
-
-class TestRunall:
-    def test_quick_generation(self, tmp_path):
-        from repro.experiments.runall import generate_experiments_md, main
-
-        text = generate_experiments_md(quick=True)
-        for heading in ("Figure 1", "Figure 2", "Table 1", "Sim-A", "Sim-B",
-                        "Workflow study", "Ablations", "True ratios"):
-            assert heading in text
-        out = tmp_path / "EXP.md"
-        assert main([str(out), "--quick"]) == 0
-        assert out.read_text().startswith("# EXPERIMENTS")
