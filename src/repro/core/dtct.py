@@ -53,6 +53,17 @@ data into the right-hand side, which HiGHS compares with absolute
 tolerances, and dividing by a power of two is exact — the solve does not
 depend on whether times are in seconds or nanoseconds.
 
+**How it is solved.**  The model goes to HiGHS through the private bindings
+scipy ships (``scipy.optimize._highspy._core``), not through ``linprog``:
+one array ``passModel`` in column-wise form, ``run``, and ``col_value`` back
+(``_solve``).  The options are the ones ``linprog(method="highs")`` sets plus
+the tuned pair, and an "optimal" answer still has to pass ``linprog``'s own
+acceptance test (bounds and rows within ``√1e-9 · 10``), so the vertex is
+the one ``linprog`` returned.  What ``linprog``'s wrapper added — input
+cleaning, a CSR→CSC copy, duals, slacks and marginals — was a third of the
+solve and is never read here.  ``tests/test_dtct.py`` pins every private name
+used, so a scipy that renames one fails there.
+
 **Back to fractions.**  Only ``τ_j`` is read off the solver's answer; the
 job's ``x`` is the pair of weights on the two hull vertices around ``τ_j``.
 When the area row is slack HiGHS may fill a job's segments out of order,
@@ -90,7 +101,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,10 +149,11 @@ class DTCTSolveError(RuntimeError):
     The LP is always feasible and bounded, so this means a solver limit or
     numerically hostile input.  The problem was tried twice — with the tuned
     options, then with HiGHS's defaults: ``status`` and ``message`` are those
-    of the second ``scipy.optimize.linprog`` result (1 iteration/time limit,
-    2 infeasible, 3 unbounded, 4 numerical difficulties), ``tuned_status``
-    that of the first, ``rows`` x ``columns`` the size of the constraint
-    matrix both were given.
+    of the second attempt, HiGHS's model status mapped to the codes
+    ``scipy.optimize.linprog`` used (1 iteration/time limit, 2 infeasible or
+    invalid model, 3 unbounded, 4 anything else, including an "optimal"
+    answer that breaks the model), ``tuned_status`` that of the first,
+    ``rows`` x ``columns`` the size of the constraint matrix both were given.
     """
 
     def __init__(self, status: int, message: str, *, tuned_status: int, rows: int, columns: int):
@@ -161,8 +173,41 @@ class DTCTSolveError(RuntimeError):
 #: remove and costs more than it saves, and the dual simplex's default
 #: steepest-edge weights cost more per pivot than the pivots they spare.  The
 #: pair belongs to *this* formulation: on the convex-combination form
-#: ``presolve: False`` is ten times slower, not faster.
-_HIGHS_OPTIONS = {"simplex_dual_edge_weight_strategy": "devex", "presolve": False}
+#: ``presolve: False`` is ten times slower, not faster.  In HiGHS's own names
+#: and values: ``1`` is devex.
+_HIGHS_OPTIONS = {"simplex_dual_edge_weight_strategy": 1, "presolve": "off"}
+
+#: What ``linprog(method="highs")`` sets on every solve: no log, the dual
+#: simplex (``1``), presolve on.  The retry after a failed tuned attempt gets
+#: these alone — "HiGHS's defaults" as ``linprog`` gave them.
+_BASE_OPTIONS = {
+    "output_flag": False, "log_to_console": False, "simplex_strategy": 1, "presolve": "on",
+}
+
+#: HiGHS model status (by name) -> the status code and sentence ``linprog``
+#: reported for it; any other status is 4.
+_STATUS = {
+    "kOptimal": (0, "Optimization terminated successfully."),
+    "kTimeLimit": (1, "Time limit reached."),
+    "kIterationLimit": (1, "Iteration limit reached."),
+    "kInfeasible": (2, "The problem is infeasible."),
+    "kModelError": (2, "HiGHS refused the model."),
+    "kUnbounded": (3, "The problem is unbounded."),
+}
+
+#: ``linprog``'s acceptance test on an optimal answer: every bound and row
+#: holds to ``√tol · 10`` with its default ``tol`` of 1e-9.
+_FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+
+
+class _Answer(NamedTuple):
+    """One attempt: ``status`` 0 with the column values ``x``, or a failure
+    code (see :class:`DTCTSolveError`) with ``x`` None."""
+
+    status: int
+    message: str
+    x: np.ndarray | None
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -217,7 +262,11 @@ def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]
     table = _columns(table)
     job_order = instance.dag.topological_order()
     n = len(job_order)
-    starts, at = take_segments(table.starts, table.positions(job_order))
+    try:
+        positions = table.positions(job_order)
+    except KeyError as missing:
+        raise ValueError(f"job {missing.args[0]!r} has no candidate allocations") from None
+    starts, at = take_segments(table.starts, positions)
     counts = starts[1:] - starts[:-1]
     if not counts.all():
         j = job_order[int(np.flatnonzero(counts == 0)[0])]
@@ -245,17 +294,21 @@ def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]
 
 
 def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
-    """The delta-form LP of the module docstring as ``linprog`` keyword arguments.
+    """The delta-form LP of the module docstring as arrays: minimize ``c · x``
+    subject to ``A_ub x <= b_ub`` and ``bounds[:, 0] <= x <= bounds[:, 1]``,
+    with ``A_ub`` in the column-wise (CSC) layout :func:`_solve` hands over.
 
     Variable layout: ``[λ_s for every hull segment] + [C_j for j in
     topological order] + [L]``.  ``A_ub`` rows, in order: one arrival row per
     job without predecessors, one per edge in ``dag.edges()`` order, one
-    ``C_j − L`` row per job without successors, the total-area row.
+    ``C_j − L`` row per job without successors, the total-area row.  The row
+    order is part of the model: HiGHS's pivots, hence the vertex, depend on
+    it.
     """
     # scipy is imported where an LP is built or solved, not with the
     # package: ``repro serve`` never solves one (tests/test_cli.py holds
     # the serve path to that)
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csc_matrix
 
     n = len(fr.job_order)
     n_y = fr.lo.size
@@ -313,10 +366,56 @@ def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
     bounds[n_y:, 1] = np.inf
     return {
         "c": cost,
-        "A_ub": csr_matrix((vals, (rows, cols)), shape=(area_row + 1, l_index + 1)),
+        "A_ub": csc_matrix((vals, (rows, cols)), shape=(area_row + 1, l_index + 1)),
         "b_ub": np.concatenate([-t0[arrive], np.zeros(n_k), [-fr.areas[first].sum() / fr.unit]]),
         "bounds": bounds,
     }
+
+
+def _solve(problem: dict, options: dict) -> _Answer:
+    """One HiGHS run on ``problem`` (as :func:`_lp_problem` builds it) with
+    :data:`_BASE_OPTIONS` updated by ``options``.
+
+    The model goes in through the array form of ``passModel``; assigning
+    ``HighsLp`` fields instead converts every array element by element.  An
+    optimal answer whose ``x`` leaves a bound or whose row activity exceeds
+    ``b_ub`` by more than :data:`_FEASIBILITY_TOL` is reported as status 4.
+    """
+    from scipy.optimize._highspy import _core as highs  # see _lp_problem
+
+    a = problem["A_ub"].tocsc()
+    rows, cols = a.shape
+    lower, upper = problem["bounds"].T
+    solver = highs._Highs()
+    for name, value in {**_BASE_OPTIONS, **options}.items():
+        solver.setOptionValue(name, value)
+    loaded = solver.passModel(
+        cols, rows, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        problem["c"], lower, upper, np.full(rows, -np.inf), problem["b_ub"],
+        a.indptr, a.indices, a.data, np.zeros(cols, dtype=np.int32),
+    )
+    if loaded == highs.HighsStatus.kError:
+        model_status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        model_status = solver.getModelStatus()
+    status, sentence = _STATUS.get(model_status.name, (4, "HiGHS stopped short of an optimum."))
+    message = (
+        f"{sentence} (HiGHS Status {int(model_status)}: "
+        f"model_status is {solver.modelStatusToString(model_status)})"
+    )
+    iterations = solver.getInfo().simplex_iteration_count
+    if status:
+        return _Answer(status, message, None, iterations)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = problem["b_ub"] - np.array(solution.row_value)
+    tol = _FEASIBILITY_TOL
+    # NaN fails every comparison, so a NaN anywhere is refused too
+    if not ((x >= lower - tol).all() and (x <= upper + tol).all() and (slack >= -tol).all()):
+        message = f"HiGHS reported an optimum that breaks the model by more than {tol:.2E}."
+        return _Answer(4, message, None, iterations)
+    return _Answer(0, message, x, iterations)
 
 
 def _project(fr: _Frontiers, lam: np.ndarray) -> np.ndarray:
@@ -344,39 +443,39 @@ def solve_dtct_lp(
     instance: Instance,
     table: Mapping[JobId, Sequence[ProfileEntry]],
 ) -> FractionalSolution:
-    """Solve the relaxed DTCT LP with scipy's HiGHS backend.
+    """Solve the relaxed DTCT LP with HiGHS (the copy scipy ships).
 
     ``table`` maps each job to its non-dominated candidate entries as
     :meth:`Instance.candidate_table` returns them — times strictly
     increasing, areas strictly decreasing; a hand-built table that is not in
-    that order is refused with ``ValueError``.  Raises
-    :class:`DTCTSolveError` if neither the tuned options nor HiGHS's defaults
-    reach an optimum (should not happen: the LP is always feasible and
-    bounded).
+    that order, or that lacks one of the instance's jobs, is refused with
+    ``ValueError``.  Raises :class:`DTCTSolveError` if neither the tuned
+    options nor HiGHS's defaults reach an optimum (should not happen: the LP
+    is always feasible and bounded).
     """
     if instance.n == 0:
         return FractionalSolution(0.0, {}, {}, {})
-    from scipy.optimize import linprog  # see _lp_problem
 
     fr = _frontiers(instance, table)
     problem = _lp_problem(instance, fr)
-    res = linprog(**problem, method="highs", options=_HIGHS_OPTIONS)
-    if not res.success:
+    answer = _solve(problem, _HIGHS_OPTIONS)
+    if answer.status:
         # without presolve HiGHS forgives less; its defaults get the same problem once
-        tuned_status = res.status
-        res = linprog(**problem, method="highs")
-        if not res.success:
+        tuned_status = answer.status
+        answer = _solve(problem, {})
+        if answer.status:
             rows, columns = problem["A_ub"].shape
             raise DTCTSolveError(
-                res.status, res.message, tuned_status=tuned_status, rows=rows, columns=columns
+                answer.status, answer.message, tuned_status=tuned_status, rows=rows,
+                columns=columns,
             )
 
-    x = _project(fr, res.x[: fr.lo.size])
+    x = _project(fr, answer.x[: fr.lo.size])
     n = len(fr.job_order)
     tau = np.bincount(fr.job_of, weights=fr.times * x, minlength=n)
     gamma = np.bincount(fr.job_of, weights=fr.areas * x, minlength=n)
     return FractionalSolution(
-        lower_bound=float(res.x[-1]) * fr.unit,
+        lower_bound=float(answer.x[-1]) * fr.unit,
         fractions=dict(zip(fr.job_order, np.split(x, fr.starts[1:-1]))),
         fractional_times=dict(zip(fr.job_order, tau.tolist())),
         fractional_areas=dict(zip(fr.job_order, gamma.tolist())),

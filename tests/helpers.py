@@ -12,6 +12,7 @@ import json
 import socket
 import threading
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -51,7 +52,9 @@ __all__ = [
     "ruler_rigid_instance",
     "reference_intervals",
     "reference_callback_list_schedule",
-    "scripted_linprog",
+    "REFERENCE_LINPROG_OPTIONS",
+    "reference_linprog_solve",
+    "scripted_highs",
     "reference_fair_queue",
 ]
 
@@ -132,7 +135,10 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
 # the convex-combination (``x``) form, as it stood until PR 21 put the delta
 # form in ``core/dtct.py``: the oracle the live LP must agree with in its
 # optimum (the vertex may differ), and the LP in which the live solution must
-# be feasible.
+# be feasible.  And the ``linprog`` call that solved the delta form until
+# ``core/dtct.py`` handed it to HiGHS directly (``reference_linprog_solve``):
+# same problem, same options, so the live adapter must return its ``x`` bit
+# for bit after the same number of iterations.
 # ---------------------------------------------------------------------------
 def reference_pareto_filter(entries) -> list[ProfileEntry]:
     """``pareto_filter`` as a sort and a scan over entry objects."""
@@ -325,23 +331,72 @@ def reference_solve_dtct_lp(instance: Instance, table) -> FractionalSolution:
     )
 
 
-def scripted_linprog(monkeypatch, *scripted) -> list[dict]:
-    """Stand in for ``scipy.optimize.linprog`` as ``solve_dtct_lp`` looks it
-    up: call ``k`` is answered by ``scripted[k]`` — an ``OptimizeResult``, or
-    ``None`` for the real solver — and a call beyond the script fails.
-    Returns the list every call's keywords are appended to."""
-    import scipy.optimize
+#: ``core/dtct.py``'s tuned options as ``linprog`` took them, until the LP
+#: went to HiGHS without it.
+REFERENCE_LINPROG_OPTIONS = {"simplex_dual_edge_weight_strategy": "devex", "presolve": False}
+
+
+def reference_linprog_solve(problem: dict, options: dict | None):
+    """``solve_dtct_lp``'s solver call as it stood until it handed the model
+    to HiGHS directly: ``linprog`` on the same problem dict (``options``
+    ``None`` for the defaults retry).  The ``OptimizeResult`` whose ``x`` and
+    ``nit`` the adapter must reproduce exactly."""
+    return linprog(**problem, method="highs", options=options)
+
+
+#: The 15 arguments of the array ``passModel`` overload, in order.
+PASS_MODEL_ARGS = (
+    "num_col", "num_row", "num_nz", "a_format", "sense", "offset", "cost", "col_lower",
+    "col_upper", "row_lower", "row_upper", "start", "index", "value", "integrality",
+)
+
+
+def scripted_highs(monkeypatch, *scripted) -> list[dict]:
+    """Stand in for HiGHS as ``core/dtct.py::_solve`` drives it.  Attempt
+    ``k`` — a model passed through the array ``passModel`` — is loaded and
+    run for real, then reports ``scripted[k]``: ``None`` for the real
+    answer, or ``(model status, x)`` — the status HiGHS is to report and,
+    for an "optimal" one, the column values, with row activities recomputed
+    from them.  An attempt beyond the script fails; ``linprog``'s own solves
+    (the ``HighsLp`` overload, as the frozen references make them) pass
+    through untouched.  Returns the list each attempt is appended to:
+    ``{"options": {name: value}, "model": {PASS_MODEL_ARGS name: argument}}``."""
+    from scipy.optimize._highspy import _core
+    from scipy.sparse import csc_matrix
 
     calls: list[dict] = []
-    real = scipy.optimize.linprog
     answers = iter(scripted)
 
-    def linprog(c, **kwargs):
-        calls.append(kwargs)
-        answer = next(answers)
-        return real(c, **kwargs) if answer is None else answer
+    class Scripted(_core._Highs):
+        answer = None
 
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        def __init__(self):
+            super().__init__()
+            self.options = {}
+
+        def setOptionValue(self, name, value):
+            self.options[name] = value
+            return super().setOptionValue(name, value)
+
+        def passModel(self, *args):
+            if len(args) == len(PASS_MODEL_ARGS):
+                self.answer = next(answers)
+                self.model = dict(zip(PASS_MODEL_ARGS, args))
+                calls.append({"options": self.options, "model": self.model})
+            return super().passModel(*args)
+
+        def getModelStatus(self):
+            return super().getModelStatus() if self.answer is None else self.answer[0]
+
+        def getSolution(self):
+            if self.answer is None:
+                return super().getSolution()
+            m = self.model
+            a = csc_matrix((m["value"], m["index"], m["start"]), shape=(m["num_row"], m["num_col"]))
+            x = np.asarray(self.answer[1], dtype=float)
+            return SimpleNamespace(col_value=x.tolist(), row_value=(a @ x).tolist())
+
+    monkeypatch.setattr(_core, "_Highs", Scripted)
     return calls
 
 

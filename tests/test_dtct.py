@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scripted_linprog, tiny_instance
-from scipy.optimize import OptimizeResult
+from helpers import (
+    REFERENCE_LINPROG_OPTIONS,
+    reference_linprog_solve,
+    scripted_highs,
+    tiny_instance,
+)
+from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat, ObjSense
 
 from repro.core.dtct import (
+    _STATUS,
     DTCTSolveError,
     FractionalSolution,
+    _frontiers,
+    _lp_problem,
     dtct_allocate,
     round_fractional,
     solve_dtct_lp,
@@ -27,9 +35,12 @@ from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
 TOL = 1 + 1e-6
-#: the one way ``solve_dtct_lp`` asks HiGHS for the delta-form LP, spelled out
-#: here so that a drift in ``core/dtct.py`` fails a test
-TUNED = {"simplex_dual_edge_weight_strategy": "devex", "presolve": False}
+#: the options ``solve_dtct_lp`` gives HiGHS, in HiGHS's names, spelled out
+#: here so that a drift in ``core/dtct.py`` fails a test: what
+#: ``linprog(method="highs")`` set on every solve (the defaults retry gets
+#: these alone), then the tuned attempt (1 = devex)
+BASE = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, "presolve": "on"}
+TUNED = {**BASE, "simplex_dual_edge_weight_strategy": 1, "presolve": "off"}
 
 
 class TestLP:
@@ -88,12 +99,16 @@ class TestTableOrder:
 
     @staticmethod
     def solve(points):
+        """Job 2's frontier replaced by ``points``, or dropped for ``None``."""
         inst = tiny_instance(seed=2)
         table = dict(inst.candidate_table(full_grid))  # hand-built: a dict of entry lists
-        table[2] = [
-            ProfileEntry(alloc=ResourceVector((k + 1, 1)), time=t, area=a)
-            for k, (t, a) in enumerate(points)
-        ]
+        if points is None:
+            del table[2]
+        else:
+            table[2] = [
+                ProfileEntry(alloc=ResourceVector((k + 1, 1)), time=t, area=a)
+                for k, (t, a) in enumerate(points)
+            ]
         return solve_dtct_lp(inst, table)
 
     def test_a_frontier_in_order_is_accepted(self):
@@ -118,34 +133,40 @@ class TestTableOrder:
             self.solve(points)
 
     def test_a_job_without_candidates_is_refused(self):
-        with pytest.raises(ValueError, match="job 2 has no candidate allocations"):
-            self.solve([])
+        # an empty frontier, and no entry at all (once a bare ``KeyError``
+        # from the table's ``positions``)
+        for points in ([], None):
+            with pytest.raises(ValueError, match="job 2 has no candidate allocations"):
+                self.solve(points)
 
 
 class TestSolverFailure:
     @staticmethod
-    def failed(status, message="gave up"):
-        return OptimizeResult(success=False, status=status, message=message, x=None)
+    def failed(status):
+        """A HiGHS model status ``_solve`` maps to ``status``."""
+        name = {1: "kIterationLimit", 2: "kInfeasible", 4: "kSolveError"}[status]
+        return getattr(HighsModelStatus, name), None
 
     @pytest.mark.parametrize(
         "status, message",
         [
             (2, "The problem is infeasible. (HiGHS Status 8: model_status is Infeasible)"),
-            (1, "Iteration limit reached. (HiGHS Status 14: model_status is Iteration limit)"),
+            (1, "Iteration limit reached. "
+                "(HiGHS Status 14: model_status is Iteration limit reached)"),
         ],
     )
     def test_typed_error_carries_status_and_message(self, monkeypatch, status, message):
-        calls = scripted_linprog(monkeypatch, self.failed(4), self.failed(status, message))
+        calls = scripted_highs(monkeypatch, self.failed(4), self.failed(status))
         inst = tiny_instance(seed=2)
         with pytest.raises(DTCTSolveError) as err:
             solve_dtct_lp(inst, inst.candidate_table(full_grid))
         # the tuned attempt, then HiGHS's defaults on the same problem, then no more
-        assert [kw.get("options") for kw in calls] == [TUNED, None]
-        assert all(kw["method"] == "highs" for kw in calls)
+        assert [call["options"] for call in calls] == [TUNED, BASE]
+        assert all(call["model"]["sense"] == ObjSense.kMinimize for call in calls)
         assert err.value.status == status
         assert err.value.message == message
         assert err.value.tuned_status == 4
-        rows, columns = calls[0]["A_ub"].shape
+        rows, columns = calls[0]["model"]["num_row"], calls[0]["model"]["num_col"]
         assert (err.value.rows, err.value.columns) == (rows, columns)
         for part in (message, f"status {status}", "status 4", f"{rows} rows x {columns} columns"):
             assert part in str(err.value)
@@ -155,25 +176,88 @@ class TestSolverFailure:
         inst = tiny_instance(seed=2)
         table = inst.candidate_table(full_grid)
         expected = solve_dtct_lp(inst, table)
-        calls = scripted_linprog(monkeypatch, self.failed(4, "numerical difficulties"), None)
+        calls = scripted_highs(monkeypatch, self.failed(4), None)
         sol = solve_dtct_lp(inst, table)
         tuned, retry = calls
-        assert tuned["options"] == TUNED and "options" not in retry
-        assert all(retry[name] is tuned[name] for name in ("A_ub", "b_ub", "bounds"))
+        assert tuned["options"] == TUNED and retry["options"] == BASE
+        same = ("cost", "row_upper", "start", "index", "value")
+        assert all(retry["model"][name] is tuned["model"][name] for name in same)
         assert sol.lower_bound == pytest.approx(expected.lower_bound, rel=1e-12, abs=0.0)
         assert sol.fractional_times == pytest.approx(expected.fractional_times, rel=1e-9)
 
-    def test_linprog_called_once_with_the_pinned_keywords_and_options(self, monkeypatch):
+    def test_highs_called_once_with_the_pinned_model_and_options(self, monkeypatch):
         """The formulation and the options were chosen together (on the
         convex-combination form ``presolve: False`` is ten times slower): a
-        drift in either the keyword set or the options dict fails here."""
-        calls = scripted_linprog(monkeypatch, None)
+        drift in either the model's form or the options fails here."""
+        calls = scripted_highs(monkeypatch, None)
         inst = tiny_instance(seed=2)
         solve_dtct_lp(inst, inst.candidate_table(full_grid))
         (seen,) = calls
-        assert sorted(seen) == ["A_ub", "b_ub", "bounds", "method", "options"]
-        assert seen["method"] == "highs"
         assert seen["options"] == TUNED
+        model = seen["model"]
+        assert (model["a_format"], model["sense"], model["offset"]) == (
+            MatrixFormat.kColwise, ObjSense.kMinimize, 0.0
+        )
+        # every row is ``<=`` and every column continuous
+        assert np.isneginf(model["row_lower"]).all() and not model["integrality"].any()
+
+    def test_an_optimum_that_breaks_a_row_takes_the_retry_then_the_error(self, monkeypatch):
+        """``linprog`` checked an "optimal" answer against the model (bounds
+        and rows to ``√1e-9 · 10`` ≈ 3.2e-4) and so does ``_solve``: an
+        answer 1e-3 over one row is retried, then refused with status 4."""
+        inst = tiny_instance(seed=2)
+        table = inst.candidate_table(full_grid)
+        problem = _lp_problem(inst, _frontiers(inst, table))
+        a, b = problem["A_ub"], problem["b_ub"]
+        x = reference_linprog_solve(problem, REFERENCE_LINPROG_OPTIONS).x.copy()
+        # C of the first job in topological order, a source: lowering it
+        # tightens its arrival row (row 0) and loosens every other row it is in
+        x[a.shape[1] - inst.n - 1] -= (b - a @ x)[0] + 1e-3
+        over = a @ x - b
+        assert np.flatnonzero(over > 1e-9).tolist() == [0]
+        assert over[0] == pytest.approx(1e-3, rel=1e-9)
+        assert (x >= problem["bounds"][:, 0]).all() and (x <= problem["bounds"][:, 1]).all()
+        broken = (HighsModelStatus.kOptimal, x)
+        calls = scripted_highs(monkeypatch, broken, broken)
+        with pytest.raises(DTCTSolveError) as err:
+            solve_dtct_lp(inst, table)
+        assert [call["options"] for call in calls] == [TUNED, BASE]
+        assert (err.value.status, err.value.tuned_status) == (4, 4)
+        assert "breaks the model by more than 3.16E-04" in err.value.message
+
+
+def test_the_private_highs_names_the_adapter_uses_exist():
+    """``core/dtct.py::_solve`` drives scipy's private HiGHS bindings, which
+    any scipy release may rename.  Every name it uses is exercised here on a
+    two-column LP, so an upgrade that moves one fails this test loudly
+    rather than every LP quietly."""
+    from scipy.optimize._highspy import _core
+
+    ok = _core.HighsStatus.kOk
+    solver = _core._Highs()
+    for options in (BASE, TUNED):
+        for name, value in options.items():
+            assert solver.setOptionValue(name, value) == ok, name
+            assert solver.getOptionValue(name) == (ok, value), name
+    # minimize x0 + 2 x1 subject to x0 + x1 >= 1 (as -x0 - x1 <= -1), x0 <= 1
+    loaded = solver.passModel(
+        2, 1, 2, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, np.inf]),
+        np.array([-np.inf]), np.array([-1.0]),
+        np.array([0, 1, 2], dtype=np.int32), np.zeros(2, dtype=np.int32),
+        np.array([-1.0, -1.0]), np.zeros(2, dtype=np.int32),
+    )
+    assert loaded == ok != _core.HighsStatus.kError  # what a refused model returns
+    assert solver.run() == ok
+    status = solver.getModelStatus()
+    assert status == _core.HighsModelStatus.kOptimal
+    assert (status.name, int(status), solver.modelStatusToString(status)) == ("kOptimal", 7, "Optimal")
+    solution = solver.getSolution()
+    assert list(solution.col_value) == [1.0, 0.0] and list(solution.row_value) == [-1.0]
+    assert isinstance(solver.getInfo().simplex_iteration_count, int)
+    # every status ``_solve`` maps, kModelError (a refused model) among them
+    assert "kModelError" in _STATUS
+    assert set(_STATUS) <= set(_core.HighsModelStatus.__members__)
 
 
 class TestRounding:

@@ -6,7 +6,9 @@ references.  The candidate table's arithmetic did not change — only how the
 work is organised — so tables must be equal bit for bit.  The LP did change
 (``core/dtct.py`` solves the delta form): it is held to the oracle's
 *optimum* and to being a point of the oracle's LP, not to its matrix or its
-vertex.
+vertex.  How the delta form reaches HiGHS changed too (``core/dtct.py::_solve``
+instead of ``linprog``), and that change is held to the vertex itself: the
+same ``x``, bit for bit, as the frozen ``linprog`` call on the same problem.
 """
 
 import numpy as np
@@ -14,18 +16,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    REFERENCE_LINPROG_OPTIONS,
     HalvingSpeedup,
     pipeline_instance,
     reference_candidate_table,
+    reference_linprog_solve,
     reference_lower_hull,
     reference_lp_problem,
     reference_pareto_filter,
     reference_solve_dtct_lp,
-    scripted_linprog,
+    scripted_highs,
     tiny_instance,
 )
 from repro.conformance.invariants import validate_schedule
-from repro.core.dtct import round_fractional, solve_dtct_lp
+from repro.core.dtct import (
+    _HIGHS_OPTIONS,
+    _frontiers,
+    _lp_problem,
+    _solve,
+    round_fractional,
+    solve_dtct_lp,
+)
 from repro.core.two_phase import moldable_schedule
 from repro.dag.generators import independent, layered_random
 from repro.dag.graph import DAG
@@ -274,6 +285,19 @@ def assert_agrees_with_oracle(inst, table):
     return sol
 
 
+def assert_same_vertex_as_linprog(inst, table):
+    """``_solve`` against the ``linprog`` call it replaced, on the same
+    problem with the same options, tuned and defaults: the same ``x`` to the
+    last bit after the same number of simplex iterations."""
+    problem = _lp_problem(inst, _frontiers(inst, table))
+    for options, linprog_options in ((_HIGHS_OPTIONS, REFERENCE_LINPROG_OPTIONS), ({}, None)):
+        answer = _solve(problem, options)
+        ref = reference_linprog_solve(problem, linprog_options)
+        assert answer.status == ref.status == 0
+        assert np.array_equal(answer.x, ref.x)
+        assert answer.iterations == ref.nit
+
+
 def assert_schedules(inst, **opts):
     result = moldable_schedule(inst, **opts)
     assert result.allocator == "lp"
@@ -283,12 +307,23 @@ def assert_schedules(inst, **opts):
     return result
 
 
+def shuffled_instance(seed: int) -> Instance:
+    """``layered_instance(2, seed)`` with its DAG's nodes inserted in a
+    shuffled order: ``dag.edges()``, grouped by tail in insertion order, is
+    then not the topological order of the tails."""
+    inst = layered_instance(2, seed)
+    nodes = list(inst.dag.nodes())
+    np.random.default_rng(seed).shuffle(nodes)
+    return Instance(jobs=inst.jobs, dag=DAG(nodes=nodes, edges=inst.dag.edges()), pool=inst.pool)
+
+
 ORACLE_CASES = {
     **{
         f"layered-d{d}-s{seed}": (lambda d=d, seed=seed: layered_instance(d, seed))
         for d in (1, 2, 3)
         for seed in (0, 7)
     },
+    "shuffled-s0": lambda: shuffled_instance(0),
     # the benchmark's three seed-0 inputs, 1 000 jobs each
     **{f"pipeline-{i}": (lambda i=i: pipeline_instance(10, 100, [0, i])) for i in range(3)},
 }
@@ -333,6 +368,31 @@ class TestLPOracle:
         result = assert_schedules(inst)
         assert result.lower_bound == pytest.approx(ref.lower_bound, rel=1e-9, abs=0.0)
 
+    def test_same_vertex_as_linprog(self, solved):
+        _, inst, table, _, _ = solved
+        assert_same_vertex_as_linprog(inst, table)
+
+
+def test_edge_rows_follow_dag_edges_not_the_topological_order():
+    """The vertex HiGHS stops at depends on the row order: edge rows sorted
+    by their tail's topological position move ``x`` on all 36 pipeline LPs
+    of seeds 0–11.  The edge rows stay in ``dag.edges()`` order, here on a
+    DAG where that order is not the topological one."""
+    inst = shuffled_instance(0)
+    dag = inst.dag
+    order = dag.topological_order()
+    edges = list(dag.edges())
+    position = {j: i for i, j in enumerate(order)}
+    assert sorted(edges, key=lambda e: position[e[0]]) != edges
+    a = _lp_problem(inst, _frontiers(inst, inst.candidate_table()))["A_ub"]
+    sources = sum(1 for j in order if not dag.predecessors(j))
+    first_c = a.shape[1] - inst.n - 1
+    # an edge row u -> j has +1 at C_u and -1 at C_j among the C columns
+    block = a.toarray()[sources : sources + len(edges), first_c : first_c + inst.n]
+    tails = [order[k] for k in np.argmax(block == 1.0, axis=1)]
+    heads = [order[k] for k in np.argmax(block == -1.0, axis=1)]
+    assert list(zip(tails, heads)) == edges
+
 
 def table_instance(n: int, edges) -> Instance:
     """``n`` jobs whose LP data comes from a hand-built table (the LP reads
@@ -369,6 +429,11 @@ class TestDegenerateProfiles:
     def test_integer_step_frontiers(self, case):
         assert_agrees_with_oracle(*case)
 
+    @given(dag_and_frontiers())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_step_frontiers_same_vertex_as_linprog(self, case):
+        assert_same_vertex_as_linprog(*case)
+
     def test_all_rigid_dag_has_no_segment_variable(self, monkeypatch):
         dag = layered_random(3, 4, p=0.5, seed=1)
         rng = np.random.default_rng(1)
@@ -382,9 +447,9 @@ class TestDegenerateProfiles:
         }
         inst = Instance(jobs=jobs, dag=dag, pool=ResourcePool.of(8, 8))
         table = inst.candidate_table()
-        calls = scripted_linprog(monkeypatch, None, None)  # here, then in the schedule
+        calls = scripted_highs(monkeypatch, None, None)  # here, then in the schedule
         sol = assert_agrees_with_oracle(inst, table)
-        assert calls[0]["A_ub"].shape[1] == inst.n + 1  # C_j and L only
+        assert calls[0]["model"]["num_col"] == inst.n + 1  # C_j and L only
         assert all(x.tolist() == [1.0] for x in sol.fractions.values())
         alloc = {j: job.candidates[0] for j, job in jobs.items()}
         rigid_bound = inst.lower_bound_functional(alloc)
@@ -482,10 +547,11 @@ def test_problem_has_no_redundant_row_or_column(monkeypatch):
     has no equality block — a reintroduced per-job row block shows here."""
     inst = pipeline_instance(10, 100, 5)
     table = inst.candidate_table()
-    calls = scripted_linprog(monkeypatch, None)
+    calls = scripted_highs(monkeypatch, None)
     solve_dtct_lp(inst, table)
-    (problem,) = calls
-    assert "A_eq" not in problem and "b_eq" not in problem
+    (call,) = calls
+    model = call["model"]
+    assert np.isneginf(model["row_lower"]).all()  # every row is ``<=``: no equality block
     dag = inst.dag
     sources = sum(1 for j in inst.jobs if not dag.predecessors(j))
     sinks = sum(1 for j in inst.jobs if not dag.successors(j))
@@ -493,5 +559,7 @@ def test_problem_has_no_redundant_row_or_column(monkeypatch):
         len(reference_lower_hull(*frontier(table, j))) - 1 for j in inst.jobs
     )
     assert sources == 100 and sinks > 0 and segments > inst.n
-    assert problem["A_ub"].shape == (sources + dag.num_edges + sinks + 1, segments + inst.n + 1)
-    assert problem["b_ub"].shape == (problem["A_ub"].shape[0],)
+    shape = (model["num_row"], model["num_col"])
+    assert shape == (sources + dag.num_edges + sinks + 1, segments + inst.n + 1)
+    assert model["row_upper"].shape == (model["num_row"],)
+    assert model["start"].shape == (model["num_col"] + 1,)
