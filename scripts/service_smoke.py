@@ -27,19 +27,7 @@ processes on localhost:
     strict-validates, the supervisor restarted the worker (new pid,
     restart counter), and a clean ``shutdown`` ends the supervisor with 0.
 
-``sharded``
-    ``repro serve --workers 4`` (explicit placement: two tenants per
-    shard, each worker journaled and supervised), the stream round-robin
-    across the eight tenants.  One worker is SIGKILLed partway through:
-    submits to the three surviving shards keep succeeding through the
-    restart window, submits to the killed shard are resent by the router
-    until its supervisor has restarted it from its own journal, drain
-    completes every job exactly once and every shard strict-validates.
-    The router's merged ``GET /metrics`` scrape still carries every
-    shard's families under its ``shard`` label after the recovery, and
-    the killed shard's ``repro_restarts`` gauge shows the restart.
-
-A duplicate-id error counts as an ack in the two crash stages: the
+A duplicate-id error counts as an ack in the chaos stage: the
 worker journaled the job before dying — at-least-once submission,
 exactly-once admission.  Exits non-zero on any violation.  Needs only
 the stdlib plus ``repro`` on ``PYTHONPATH``.
@@ -59,22 +47,16 @@ import time
 import urllib.request
 
 from repro.service import Backpressure, ServiceClient
-from repro.service.router import pick_free_port
+from repro.service.client import pick_free_port
 from repro.service.supervisor import reap
 
 CAPACITIES = (4, 4)
 SEED = 0
-WORKERS = 4
-TENANTS = [f"t{i}" for i in range(2 * WORKERS)]  # two tenants per shard
-SHARD_MAP = ",".join(f"t{i}={i // 2}" for i in range(2 * WORKERS))
-KILL_SHARD = "1"  # owns t2 and t3
 
 
-def job_stream(n: int, every: int, back: int, tenants=()) -> list[dict]:
-    """A deterministic job set: mixed demands against (4, 4), round-robin
-    over ``tenants`` (if any); every ``every``-th job depends on the job
-    ``back`` places before it (same tenant, hence same shard, when
-    ``back`` is a multiple of the tenant count)."""
+def job_stream(n: int, every: int, back: int) -> list[dict]:
+    """A deterministic job set: mixed demands against (4, 4); every
+    ``every``-th job depends on the job ``back`` places before it."""
     jobs = []
     for i in range(n):
         rec = {
@@ -82,8 +64,6 @@ def job_stream(n: int, every: int, back: int, tenants=()) -> list[dict]:
             "demand": [1 + i % 3, 1 + (i * 2) % 4],
             "duration": 1.0 + (i % 5) * 0.5,
         }
-        if tenants:
-            rec["tenant"] = tenants[i % len(tenants)]
         if i % every == every - 1 and i >= back:
             rec["preds"] = [f"j{i - back:03d}"]
         jobs.append(rec)
@@ -105,10 +85,10 @@ def scrape(port: int) -> tuple[str, str]:
         return http.headers.get("Content-Type", ""), http.read().decode()
 
 
-def stream_with_a_kill(stage, client, jobs, kill_at, pid_of, patience) -> int:
+def stream_with_a_kill(client, jobs, kill_at, supervisor_pid, patience) -> int:
     """Submit ``jobs`` one request each, each until acked; after
-    ``kill_at`` acks SIGKILL the worker ``pid_of(status)`` names and keep
-    going.  Returns the killed pid."""
+    ``kill_at`` acks SIGKILL the worker that answers ``status`` (never
+    the supervisor) and keep going.  Returns the killed pid."""
     killed = None
     for i, rec in enumerate(jobs):
         give_up = time.monotonic() + patience
@@ -124,10 +104,11 @@ def stream_with_a_kill(stage, client, jobs, kill_at, pid_of, patience) -> int:
             err.get("id") == rec["id"] and "already submitted" in str(err.get("detail"))
             for err in resp.get("errors", ())
         ):
-            raise SystemExit(f"{stage} smoke: FAIL — submit of {rec['id']} not acked: {resp}")
+            raise SystemExit(f"chaos smoke: FAIL — submit of {rec['id']} not acked: {resp}")
         if i + 1 == kill_at:
-            killed = pid_of(client.status())
-            print(f"{stage} smoke: SIGKILL worker pid {killed} after "
+            killed = client.status()["pid"]
+            assert killed != supervisor_pid, "status pid is the supervisor?"
+            print(f"chaos smoke: SIGKILL worker pid {killed} after "
                   f"{i + 1}/{len(jobs)} submits", flush=True)
             os.kill(killed, signal.SIGKILL)
     assert killed is not None, "stream shorter than --kill-at"
@@ -273,13 +254,8 @@ def stage_chaos(args) -> tuple[list[str], str]:
             connect_deadline=args.timeout, io_timeout=5.0,
             retry_deadline=args.timeout,
         )
-
-        def worker_pid(status):
-            assert status["pid"] != proc.pid, "status pid is the supervisor?"
-            return status["pid"]
-
         killed_pid = stream_with_a_kill(
-            "chaos", client, jobs, args.kill_at, worker_pid, args.timeout
+            client, jobs, args.kill_at, proc.pid, args.timeout
         )
         drain = client.drain()
         validate = client.validate()
@@ -333,89 +309,7 @@ def stage_chaos(args) -> tuple[list[str], str]:
         reap(proc, patience=0, grace=10)
 
 
-def stage_sharded(args) -> tuple[list[str], str]:
-    metrics_port = pick_free_port()
-    cmd = [
-        sys.executable, "-m", "repro", "serve",
-        "--workers", str(WORKERS),
-        "--shard-policy", "explicit", "--shard-map", SHARD_MAP,
-        "--shard-deadline", "60",
-        "--capacities", *map(str, CAPACITIES),
-        "--batch-size", "1", "--max-pending", "128",
-        "--journal", os.path.join(args.workdir, "journal.jsonl"),
-        "--checkpoint-every", "8",
-        "--backoff-base", "0.2", "--backoff-cap", "1", "--max-restarts", "8",
-        "--metrics-port", str(metrics_port),
-    ]
-    print(f"sharded smoke: starting router: {' '.join(cmd)}", flush=True)
-    client = ServiceClient.launch(cmd)
-
-    # j{i-16}: same tenant, same shard — a legal dependency edge
-    jobs = job_stream(args.jobs, every=16, back=16, tenants=TENANTS)
-    killed_pid = stream_with_a_kill(
-        "sharded", client, jobs, args.kill_at,
-        lambda status: status["shards"][KILL_SHARD]["pid"], args.timeout,
-    )
-    survivor_submits_after_kill = sum(
-        rec["tenant"] not in ("t2", "t3") for rec in jobs[args.kill_at:]
-    )
-
-    drain = client.drain()
-    validate = client.validate()
-    status = client.status()
-    stats = client.stats()
-    # merged scrape after the recovery: every shard's families must
-    # still be present under its label, and the restarted shard must
-    # show its restart in the gauge the supervisor re-seeded
-    _, scraped = scrape(metrics_port)
-    restart_gauges = samples(scraped, "repro_restarts", "shard")
-    shutdown = client.shutdown()
-    client.close()
-
-    failures = []
-    killed = status["shards"][KILL_SHARD]
-    if drain.get("completed") != args.jobs:
-        failures.append(f"drain completed {drain.get('completed')} of {args.jobs}")
-    if not validate.get("valid"):
-        failures.append(f"strict validation failed: {validate.get('violations')}")
-    if killed["pid"] == killed_pid:
-        failures.append(f"shard {KILL_SHARD} pid unchanged after SIGKILL")
-    if killed.get("restarts", 0) < 1:
-        failures.append(f"shard {KILL_SHARD} reports no restart: {killed.get('restarts')}")
-    if survivor_submits_after_kill < 1:
-        failures.append("no surviving-shard submits exercised the crash window")
-    if stats.get("workers") != WORKERS:
-        failures.append(f"stats workers: {stats.get('workers')}")
-    per_shard = [stats["shards"][str(i)]["completed"] for i in range(WORKERS)]
-    if sum(per_shard) != args.jobs:
-        failures.append(f"per-shard completed counts do not add up: {per_shard}")
-    if not shutdown.get("ok"):
-        failures.append(f"shutdown refused: {shutdown}")
-    missing = [
-        str(i) for i in range(WORKERS)
-        if f'repro_requests_total{{shard="{i}"' not in scraped
-    ]
-    if missing:
-        failures.append(f"shards missing from merged scrape: {missing}")
-    if restart_gauges.get(KILL_SHARD, 0) < 1:
-        failures.append(f"killed shard restart gauge: {restart_gauges}")
-    if "repro_router_routed_jobs_total" not in scraped:
-        failures.append("router families missing from merged scrape")
-    if f'repro_journal_appends_total{{shard="{KILL_SHARD}"}}' not in scraped:
-        failures.append("journal metrics missing for killed shard")
-    if client.transport.proc.returncode != 0:
-        failures.append(f"router exited {client.transport.proc.returncode}")
-    return failures, (
-        f"{args.jobs} jobs over {len(TENANTS)} tenants / {WORKERS} shards, "
-        f"shard {KILL_SHARD} worker {killed_pid} SIGKILLed after {args.kill_at} "
-        f"submits and recovered (restarts={killed.get('restarts')}), "
-        f"{survivor_submits_after_kill} survivor submits during the window, "
-        f"all shards strict-valid, merged scrape {len(scraped)}B "
-        f"(restart gauges {restart_gauges})"
-    )
-
-
-STAGES = {"single": stage_single, "chaos": stage_chaos, "sharded": stage_sharded}
+STAGES = {"single": stage_single, "chaos": stage_chaos}
 
 
 def main() -> int:
@@ -424,15 +318,15 @@ def main() -> int:
     parser.add_argument("--results-dir", default="service-results",
                         help="single: where the trace and span dump are left")
     parser.add_argument("--jobs", type=int, default=60,
-                        help="chaos/sharded: length of the job stream")
+                        help="chaos: length of the job stream")
     parser.add_argument("--kill-at", type=int, default=None,
-                        help="chaos/sharded: SIGKILL the worker after this many "
+                        help="chaos: SIGKILL the worker after this many "
                         "acked submits (default: a third of the stream)")
     parser.add_argument("--timeout", type=float, default=120.0,
-                        help="chaos/sharded: how long one call may ride out the "
+                        help="chaos: how long one call may ride out the "
                         "restart window, in seconds")
     parser.add_argument("--workdir", default=None,
-                        help="chaos/sharded: journal/snapshot directory "
+                        help="chaos: journal/snapshot directory "
                         "(default: a tempdir)")
     args = parser.parse_args()
     if args.kill_at is None:

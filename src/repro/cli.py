@@ -168,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="online scheduling service: JSON-lines requests "
              "(submit/cancel/advance/drain/checkpoint/restore) over "
-             "stdin/stdout or TCP; --workers N shards tenants across "
-             "worker processes",
+             "stdin/stdout or TCP",
     )
     sv.add_argument("--capacities", type=int, nargs="+", default=None, metavar="P",
                     help="per-type platform capacities (default: --d copies "
@@ -182,13 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--restore", metavar="FILE", default=None,
                     help="resume from a repro-session/2 (or legacy /1) "
-                         "checkpoint (single-worker mode only)")
+                         "checkpoint; with --journal, start a new durable "
+                         "lineage from it (not with --supervise: seed the "
+                         "journal once, then supervise with --journal alone)")
     sv.add_argument("--trace", metavar="FILE", default=None,
                     help="write the session trace (v3, cancellations "
-                         "included) on shutdown (single-worker mode; "
-                         "sharded services use the 'trace' op)")
+                         "included) on shutdown")
     sv.add_argument("--seed", type=int, default=0,
-                    help="session RNG seed (shard i uses seed+i)")
+                    help="session RNG seed")
     sv.add_argument("--compact-threshold", type=float, default=None,
                     metavar="FRACTION",
                     help="archive finished rows once this fraction of the "
@@ -203,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lim = sv.add_argument_group(
         "admission & limits",
-        "when jobs are admitted from the per-tenant buffers into the "
-        "session, and how much a client may buffer or send",
+        "when jobs are admitted, in weighted-fair order across tenants, "
+        "from the per-tenant buffers into the session, and how much a "
+        "client may buffer or send",
     )
     lim.add_argument("--batch-size", type=int, default=32,
                      help="admit buffered submissions once this many are "
@@ -213,11 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="...or once the oldest has waited this long "
                           "(default 0.05s); whichever comes first")
-    lim.add_argument("--admission", choices=("fair", "fifo"), default="fair",
-                     help="buffer draining discipline: weighted fair "
-                          "sharing across tenants (default) or global "
-                          "arrival order (fifo; used by workers under a "
-                          "sharded router, which decides fairness itself)")
     lim.add_argument("--max-pending", type=int, default=None, metavar="N",
                      help="bound each tenant's submission buffer: jobs past "
                           "the bound are refused with an explicit "
@@ -230,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     dur = sv.add_argument_group(
         "durability & supervision",
         "write-ahead journaling, crash recovery and the supervised "
-        "restart loop (per worker in sharded mode: shard i journals to "
-        "<journal>.shard<i>)",
+        "restart loop",
     )
     dur.add_argument("--journal", metavar="FILE", default=None,
                      help="durable mode: write-ahead journal every mutating "
@@ -265,31 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "exits (a worker healthy for 30s resets the "
                           "budget; default 5)")
 
-    shd = sv.add_argument_group(
-        "sharding",
-        "--workers N runs a routing front-end over N supervised worker "
-        "processes; tenants are partitioned deterministically and each "
-        "worker keeps its own journal, so a crashed shard recovers from "
-        "its own checkpoint while the others keep serving",
-    )
-    shd.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="shard tenants across N worker processes behind "
-                          "one protocol endpoint")
-    shd.add_argument("--shard-policy", default="hash",
-                     help="tenant→shard routing policy: 'hash' (stable "
-                          "hash, default), 'explicit' (--shard-map), or "
-                          "'least-loaded' (sticky, non-deterministic)")
-    shd.add_argument("--shard-map", metavar="SPEC", default=None,
-                     help="explicit tenant placement for "
-                          "--shard-policy explicit: 'acme=0,lab=1,*=2' "
-                          "('*' is the default shard)")
-    shd.add_argument("--shard-deadline", type=float, default=15.0,
-                     metavar="SECONDS",
-                     help="how long a call to an unreachable shard retries "
-                          "(reconnect + resend) before answering "
-                          "'backpressure' (default 15s; covers a "
-                          "supervised worker restart)")
-
     obs = sv.add_argument_group(
         "observability",
         "the service always keeps metrics (Prometheus exposition) and "
@@ -299,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                      help="serve the Prometheus text exposition on "
                           "http://<host>:PORT/metrics (0 picks a free "
-                          "port; sharded mode serves the merged, "
-                          "shard-labeled scrape from the router)")
+                          "port)")
 
     return p
 
@@ -598,11 +567,11 @@ def _strip_supervise_flags(argv: "list[str]") -> "list[str]":
     return out
 
 
-def _serve_endpoint(endpoint, args, verb: str, detail: str) -> int:
-    """Serve one protocol endpoint (a single front-end or a router) on the
-    transport the flags select — ``--tcp`` or stdio — with the ``GET
-    /metrics`` listener beside it under ``--metrics-port``.  One lock
-    serializes scrapes against request handling."""
+def _serve_frontend(frontend, args) -> int:
+    """Serve the front-end on the transport the flags select — ``--tcp``
+    or stdio — with the ``GET /metrics`` listener beside it under
+    ``--metrics-port``.  One lock serializes scrapes against request
+    handling."""
     import threading
 
     from repro.service import serve_stdio, serve_tcp
@@ -614,7 +583,7 @@ def _serve_endpoint(endpoint, args, verb: str, detail: str) -> int:
         from repro.obs.httpd import start_metrics_server
 
         metrics_server = start_metrics_server(
-            endpoint.render_metrics, host=args.host, port=args.metrics_port,
+            frontend.render_metrics, host=args.host, port=args.metrics_port,
             lock=lock,
         )
         print(f"serve: metrics on http://{metrics_server.host}:"
@@ -622,13 +591,14 @@ def _serve_endpoint(endpoint, args, verb: str, detail: str) -> int:
     try:
         if args.tcp is not None:
             def announce(port: int) -> None:
-                print(f"serve: {verb} on {args.host}:{port} ({detail})",
+                print(f"serve: listening on {args.host}:{port} (batch "
+                      f"{args.batch_size} jobs / {args.batch_interval}s)",
                       file=sys.stderr, flush=True)
 
-            return serve_tcp(endpoint, args.host, args.tcp, on_bound=announce,
+            return serve_tcp(frontend, args.host, args.tcp, on_bound=announce,
                              max_request_bytes=args.max_request_bytes,
                              lock=lock)
-        return serve_stdio(endpoint, sys.stdin, sys.stdout,
+        return serve_stdio(frontend, sys.stdin, sys.stdout,
                            max_request_bytes=args.max_request_bytes, lock=lock)
     finally:
         if metrics_server is not None:
@@ -662,115 +632,6 @@ def _cmd_supervise(args, argv: "Sequence[str] | None") -> int:
     return code
 
 
-def _cmd_serve_sharded(args) -> int:
-    """``repro serve --workers N``: a Router over N supervised workers.
-
-    Each worker is a full ``repro serve --supervise --tcp <port>`` child
-    on a pre-picked port — crash recovery, journaling and restart
-    backoff all reuse the single-worker machinery — running in ``fifo``
-    admission with ``--batch-size 1`` so the router's weighted-fair,
-    cross-shard admission order is preserved verbatim.
-    """
-    import subprocess
-
-    from repro.service import RemoteWorker, Router
-    from repro.service.router import pick_free_port
-    from repro.service.supervisor import reap
-
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        return 2
-    for flag, name, hint in (
-        (args.restore, "--restore", "restore is per-shard: restart each "
-                                    "worker from its own journal instead"),
-        (args.supervise, "--supervise", "workers are supervised "
-                                        "individually already"),
-        (args.chaos, "--chaos", "inject chaos into a single worker via "
-                                "REPRO_CHAOS in its environment"),
-        (args.trace, "--trace", "use the 'trace' op with a path before "
-                                "shutdown; it writes one file per shard"),
-    ):
-        if flag:
-            print(f"error: {name} cannot be combined with --workers "
-                  f"({hint})", file=sys.stderr)
-            return 2
-    if args.shard_map is not None and args.shard_policy != "explicit":
-        print("error: --shard-map requires --shard-policy explicit",
-              file=sys.stderr)
-        return 2
-
-    caps = args.capacities if args.capacities else [args.capacity] * args.d
-    ports = [pick_free_port(args.host) for _ in range(args.workers)]
-    procs: "list[subprocess.Popen]" = []
-    router = None
-    try:
-        for i, port in enumerate(ports):
-            cmd = [
-                sys.executable, "-m", "repro", "serve",
-                "--supervise", "--tcp", str(port), "--host", args.host,
-                "--capacities", *map(str, caps),
-                "--admission", "fifo", "--batch-size", "1",
-                "--seed", str(args.seed + i),
-                # the router adds an envelope around client requests:
-                # leave headroom so a client-limit-sized line still fits
-                "--max-request-bytes", str(args.max_request_bytes + 4096),
-                "--backoff-base", str(args.backoff_base),
-                "--backoff-cap", str(args.backoff_cap),
-                "--max-restarts", str(args.max_restarts),
-            ]
-            if args.journal:
-                snapshot = args.snapshot or args.journal + ".snapshot.json"
-                cmd += ["--journal", f"{args.journal}.shard{i}",
-                        "--snapshot", f"{snapshot}.shard{i}"]
-                if args.checkpoint_every is not None:
-                    cmd += ["--checkpoint-every", str(args.checkpoint_every)]
-            if args.compact_threshold is not None:
-                cmd += ["--compact-threshold", str(args.compact_threshold)]
-            if args.compact_min_rows is not None:
-                cmd += ["--compact-min-rows", str(args.compact_min_rows)]
-            procs.append(subprocess.Popen(cmd))
-
-        workers = [
-            RemoteWorker(args.host, port, shard=i)
-            for i, port in enumerate(ports)
-        ]
-        try:
-            router = Router(
-                workers,
-                policy=args.shard_policy,
-                policy_spec=args.shard_map,
-                batch_size=args.batch_size,
-                batch_interval=args.batch_interval,
-                max_pending=args.max_pending,
-                call_deadline=args.shard_deadline,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # wait for every shard to come up before accepting requests
-        for w in workers:
-            w.call({"op": "status"}, deadline=30.0)
-        print(f"serve: {args.workers} shard(s) on ports "
-              f"{', '.join(map(str, ports))} (policy {args.shard_policy})",
-              file=sys.stderr, flush=True)
-
-        # the router serves the merged scrape (each worker's families
-        # under a shard label); workers don't bind their own port
-        return _serve_endpoint(
-            router, args, "routing",
-            f"{args.workers} shards, policy {args.shard_policy}",
-        )
-    finally:
-        if router is not None:
-            if not router.closed:
-                # the loop ended without a shutdown op (EOF): stop workers
-                router.handle_request({"op": "shutdown"})
-            router.close()
-        for p in procs:
-            reap(p)
-
-
 def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
     import json
     import os
@@ -784,10 +645,17 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
         write_trace,
     )
 
-    if args.workers is not None:
-        return _cmd_serve_sharded(args)
-
     if args.supervise:
+        if args.restore and args.journal:
+            # the child argv keeps --restore, so every restart would reload
+            # the checkpoint over the journal's acknowledged ops
+            print(f"error: --restore cannot be combined with --supervise "
+                  f"--journal (every restart would reload {args.restore} and "
+                  f"drop what the journal acknowledged); seed the journal "
+                  f"once with 'repro serve --journal {args.journal} --restore "
+                  f"{args.restore}', then supervise with '--journal "
+                  f"{args.journal}' alone", file=sys.stderr)
+            return 2
         return _cmd_supervise(args, argv)
 
     # None = "not given": fresh sessions use the SchedulingSession
@@ -887,15 +755,11 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
             session, batch_size=args.batch_size,
             batch_interval=args.batch_interval,
             max_pending=args.max_pending, durable=durable,
-            admission=args.admission,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code = _serve_endpoint(
-        frontend, args, "listening",
-        f"batch {args.batch_size} jobs / {args.batch_interval}s",
-    )
+    code = _serve_frontend(frontend, args)
     if args.trace:
         write_trace(frontend.session, args.trace)
         print(f"serve: session trace written to {args.trace}", file=sys.stderr)

@@ -44,16 +44,7 @@ running it performs every conformance check that applies:
    appends, torn checkpoint writes); after every kill the client recovers
    (snapshot + journal replay) and retries, and the final drained
    schedule must equal the uninterrupted batch engine's run **event for
-   event** and strict-validate;
-8. **sharded routing** (``scenario="sharded"``) — the job set is
-   partitioned by weakly-connected DAG component onto tenants and driven
-   through a :class:`~repro.service.router.Router` over in-process
-   workers; each shard's drained schedule must equal, **event for
-   event**, a single-session reference fed the router's admission order
-   restricted to that shard — once over plain workers, and once over
-   *durable* workers where one seeded shard is killed mid-stream and
-   replaced by a journal-recovered successor (no admitted job lost,
-   surviving shards untouched).
+   event** and strict-validate.
 
 The default matrix sweeps all registered schedulers × the 11 workload
 families × ``d ∈ {1..6}`` × capacity regimes (including the degenerate
@@ -102,7 +93,7 @@ __all__ = [
     "run_fuzz",
 ]
 
-SCENARIOS = ("offline", "poisson", "faults", "service", "crash", "sharded")
+SCENARIOS = ("offline", "poisson", "faults", "service", "crash")
 
 #: Schedulers that plan offline and reject release times by contract.
 _OFFLINE_ONLY = frozenset({"backfill", "level_shelf", "sun_shelf", "malleable"})
@@ -154,7 +145,7 @@ class FuzzFailure:
     """One broken check: the case, which check broke, and why."""
 
     case: FuzzCase
-    check: str  #: "crash" | "validator" | "differential" | "serialize" | "trace" | "faults" | "service" | "crash-recovery" | "sharded"
+    check: str  #: "crash" | "validator" | "differential" | "serialize" | "trace" | "faults" | "service" | "crash-recovery"
     detail: str
 
 
@@ -252,14 +243,11 @@ def default_matrix(
                 d = _D_VALUES[(s_idx + f_idx + k) % len(_D_VALUES)]
                 caps = _capacities_for(d)
                 capacity = caps[(s_idx + f_idx * 2 + k) % len(caps)]
-                # the scenario rotation runs over a 7-slot ring (the 6
-                # scenarios plus a second "offline" slot, offline being
-                # the cheapest) so its modulus stays coprime with the
-                # 6-value d rotation: every (d, scenario) combination
+                # the scenario rotation's modulus (5) stays coprime with
+                # the 6-value d rotation: every (d, scenario) combination
                 # occurs across the matrix instead of locking into a
                 # fixed d↔scenario correspondence
-                ring = SCENARIOS + ("offline",)
-                scenario = ring[(s_idx + 2 * f_idx + 2 * k) % len(ring)]
+                scenario = SCENARIOS[(s_idx + 2 * f_idx + 2 * k) % len(SCENARIOS)]
                 if spec.name in _OFFLINE_ONLY and scenario == "poisson":
                     scenario = "offline"
                 if spec.name == "malleable":
@@ -331,7 +319,7 @@ def build_case_instance(case: FuzzCase) -> Instance:
     inst = random_instance(case.family, case.n, pool, seed=case.seed).instance
     if case.scenario == "poisson":
         inst = with_poisson_arrivals(inst, case.arrival_rate, seed=case.seed)
-    elif case.scenario in ("service", "crash", "sharded"):
+    elif case.scenario in ("service", "crash"):
         # odd seeds add release times so sessions exercise online-arrival
         # gating too; offline-only planners keep the offline instance (they
         # reject releases by contract)
@@ -428,10 +416,6 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
     # 7 — durable-session crash recovery (kill → recover → retry identity)
     if case.scenario == "crash" and allocation is not None:
         failures.extend(_check_crash(case, inst, allocation))
-
-    # 8 — sharded routing (per-shard identity + kill-one-shard recovery)
-    if case.scenario == "sharded" and allocation is not None:
-        failures.extend(_check_sharded(case, inst, allocation))
 
     return failures, False
 
@@ -872,179 +856,6 @@ def _check_crash(case, inst, allocation) -> list[FuzzFailure]:
             )
         ]
     return []
-
-
-# ----------------------------------------------------------------------
-# sharded routing (scenario="sharded")
-# ----------------------------------------------------------------------
-def shard_tenancy(specs, *, tenants: int = 4) -> dict:
-    """Partition job specs onto tenant names by weakly-connected DAG
-    component (components round-robin onto ``t0..t{tenants-1}``).
-
-    Every dependency edge stays inside one component, hence inside one
-    tenant — so *any* tenant→shard placement is free of cross-shard
-    edges, which the router refuses by design.  Returns ``{job id:
-    tenant name}``.
-    """
-    parent = {s.id: s.id for s in specs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in specs:
-        for p in s.preds:
-            parent[find(s.id)] = find(p)
-    component: dict = {}
-    tenancy = {}
-    for s in specs:  # insertion order: deterministic component numbering
-        root = find(s.id)
-        if root not in component:
-            component[root] = len(component)
-        tenancy[s.id] = f"t{component[root] % tenants}"
-    return tenancy
-
-
-def _sharded_reference(caps, admitted, by_id, nshards, shard_of) -> list[list]:
-    """Per-shard single-session baselines: shard ``i`` is one plain
-    session fed the router's admission order restricted to its tenants."""
-    from repro.service.session import SchedulingSession
-
-    events = []
-    for i in range(nshards):
-        ref = SchedulingSession(caps, **_FUZZ_COMPACTION)
-        mine = [by_id[j] for j in admitted if shard_of(by_id[j].tenant) == i]
-        if mine:
-            ref.submit(mine)
-        ref.drain()
-        events.append(portable_events(ref.to_schedule(), reprify=False))
-    return events
-
-
-def drive_router(
-    inst: Instance,
-    allocation,
-    *,
-    seed: int,
-    nshards: int = 2,
-    tenants: int = 4,
-    dirpath: "str | None" = None,
-):
-    """Drive ``(instance, allocation)`` through a sharded router.
-
-    Tenants are placed explicitly (``ti`` → shard ``i % nshards``); the
-    workers are in-process, ``fifo``-admission front-ends.  With
-    ``dirpath`` the workers are *durable* (journaled) and one seeded
-    shard is killed mid-stream — dropped without cleanup and replaced by
-    a journal-recovered successor via ``replace_worker``.  Returns
-    ``(per_shard_events, reference_events, killed_shard)``.
-    """
-    import numpy as np
-
-    from repro.service.frontend import ServiceFrontend
-    from repro.service.journal import JournaledSession
-    from repro.service.router import LocalWorker, Router
-    from repro.service.session import SchedulingSession
-
-    caps = inst.pool.capacities
-    specs = service_specs(inst, allocation)
-    tenancy = shard_tenancy(specs, tenants=tenants)
-    specs = [s._replace(tenant=tenancy[s.id]) for s in specs]
-    by_id = {s.id: s for s in specs}
-    spec_str = ",".join(f"t{i}={i % nshards}" for i in range(tenants))
-    rng = np.random.default_rng(seed)
-
-    def make_worker(i):
-        if dirpath is None:
-            return LocalWorker(ServiceFrontend(
-                SchedulingSession(caps, **_FUZZ_COMPACTION),
-                batch_size=1, admission="fifo",
-            ))
-        durable = JournaledSession.recover(
-            f"{dirpath}/journal.{i}.jsonl", f"{dirpath}/snapshot.{i}.json",
-            capacities=caps, fsync=False, session_kwargs=_FUZZ_COMPACTION,
-        )
-        return LocalWorker(ServiceFrontend(
-            durable=durable, batch_size=1, admission="fifo",
-        ))
-
-    router = Router(
-        [make_worker(i) for i in range(nshards)],
-        policy="explicit", policy_spec=spec_str,
-        batch_size=len(specs) + 1, batch_interval=1e18,
-    )
-    with router:
-        killed = None
-        admitted: list = []  # the router's global fair admission order
-        cut = int(rng.integers(0, len(specs) + 1)) if dirpath is not None else len(specs)
-        for lo, hi in ((0, cut), (cut, len(specs))):
-            chunk = [s.to_dict() for s in specs[lo:hi]]
-            if chunk:
-                resp = router.handle_request({"op": "submit", "jobs": chunk})
-                assert resp["ok"] and not resp.get("errors"), resp
-                admitted.extend(resp.get("admitted", ()))
-                resp = router.handle_request({"op": "flush"})
-                assert resp["ok"] and not resp.get("errors"), resp
-                admitted.extend(resp.get("admitted", ()))
-            if dirpath is not None and killed is None:
-                # SIGKILL equivalent: drop the worker without any cleanup
-                # and recover a successor from its journal alone
-                killed = int(rng.integers(0, nshards))
-                router.replace_worker(killed, make_worker(killed))
-        drain = router.handle_request({"op": "drain"})
-        assert drain["ok"], drain
-        got = [
-            portable_events(
-                w.frontend.session.to_schedule(), reprify=False
-            )
-            for w in router.workers
-        ]
-        want = _sharded_reference(
-            caps, admitted, by_id, nshards,
-            lambda t: int(t[1:]) % nshards,
-        )
-    return got, want, killed
-
-
-def _check_sharded(case, inst, allocation) -> list[FuzzFailure]:
-    import tempfile
-
-    out: list[FuzzFailure] = []
-    # plain workers: per-shard event identity with single-session baselines
-    try:
-        got, want, _ = drive_router(inst, allocation, seed=case.seed + 77003)
-    except Exception as exc:
-        return [FuzzFailure(case, "sharded", f"{type(exc).__name__}: {exc}")]
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            out.append(
-                FuzzFailure(
-                    case, "sharded",
-                    f"shard {i} diverges from its single-session reference "
-                    f"({len(g)} vs {len(w)} events)",
-                )
-            )
-    # durable workers + kill-one-shard: recovery must preserve identity
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            got, want, killed = drive_router(
-                inst, allocation, seed=case.seed + 77003, dirpath=tmp
-            )
-    except Exception as exc:
-        return out + [FuzzFailure(case, "sharded", f"{type(exc).__name__}: {exc}")]
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            out.append(
-                FuzzFailure(
-                    case, "sharded",
-                    f"shard {i} diverges from its single-session reference "
-                    f"after shard {killed} was killed and recovered "
-                    f"({len(g)} vs {len(w)} events)",
-                )
-            )
-    return out
 
 
 # ----------------------------------------------------------------------

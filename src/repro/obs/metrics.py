@@ -20,12 +20,10 @@ Design constraints, in order:
 * **Fixed histogram buckets.**  :data:`DEFAULT_BUCKETS` is a log-scale
   ladder (1 / 2.5 / 5 per decade, 1µs … 50s) shared by every latency
   histogram in the service; bucket boundaries are part of the contract,
-  not a tuning knob, which is what makes cross-shard merging sound.
-* **Mergeable dumps.**  :meth:`MetricsRegistry.dump` emits the registry
-  as JSON-able family records; :func:`merge_dumps` re-labels each
-  shard's families under a ``shard`` label and :func:`render_dump`
-  renders the merged set — one scrape of the router covers the whole
-  process tree.
+  not a tuning knob.
+* **JSON-able dumps.**  :meth:`MetricsRegistry.dump` emits the registry
+  as family records (the wire shape of the ``metrics`` op) and
+  :func:`render_dump` renders them.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "histogram_quantile",
-    "merge_dumps",
     "process_rss_bytes",
     "render_dump",
 ]
@@ -320,7 +317,7 @@ class MetricsRegistry:
     # -- exposition ----------------------------------------------------
     def dump(self) -> list[dict[str, Any]]:
         """The registry as JSON-able family records (the wire shape of the
-        ``metrics`` op; :func:`merge_dumps` re-labels them per shard)."""
+        ``metrics`` op)."""
         out: list[dict[str, Any]] = []
         for name in sorted(self._families):
             fam = self._families[name]
@@ -354,8 +351,8 @@ class MetricsRegistry:
 
 
 def render_dump(families: Iterable[Mapping[str, Any]]) -> str:
-    """Render family records (from :meth:`MetricsRegistry.dump`, possibly
-    merged across shards) as Prometheus v0.0.4 text.  Deterministic:
+    """Render family records (from :meth:`MetricsRegistry.dump`) as
+    Prometheus v0.0.4 text.  Deterministic:
     families sort by name, samples by label values."""
     lines: list[str] = []
     for fam in sorted(families, key=lambda f: f["name"]):
@@ -381,53 +378,6 @@ def render_dump(families: Iterable[Mapping[str, Any]]) -> str:
                 ls = _label_str(label_names, [str(v) for v in s["values"]])
                 lines.append(f"{name}{ls} {_fmt_number(float(s['value']))}")
     return "\n".join(lines) + "\n"
-
-
-def merge_dumps(
-    tagged: "Sequence[tuple[str, Iterable[Mapping[str, Any]]]]",
-    label: str = "shard",
-) -> list[dict[str, Any]]:
-    """Merge per-shard family dumps into one, each sample re-labeled with
-    its shard tag as the leading label.
-
-    Same-named families must agree on kind, labels and (histograms)
-    boundaries — guaranteed when every shard runs the same instrumented
-    code, checked here so a skewed fleet fails loudly instead of
-    rendering nonsense.
-    """
-    merged: dict[str, dict[str, Any]] = {}
-    for tag, families in tagged:
-        for fam in families:
-            name = fam["name"]
-            tgt = merged.get(name)
-            if tgt is None:
-                tgt = merged[name] = {
-                    "name": name,
-                    "kind": fam["kind"],
-                    "help": fam.get("help", ""),
-                    "labels": [label] + list(fam.get("labels", ())),
-                    "samples": [],
-                }
-                if fam["kind"] == "histogram":
-                    tgt["boundaries"] = list(fam["boundaries"])
-            else:
-                if tgt["kind"] != fam["kind"] or tgt["labels"][1:] != list(
-                    fam.get("labels", ())
-                ):
-                    raise ValueError(
-                        f"cannot merge metric {name!r}: kind/labels differ across shards"
-                    )
-                if fam["kind"] == "histogram" and tgt["boundaries"] != list(
-                    fam["boundaries"]
-                ):
-                    raise ValueError(
-                        f"cannot merge histogram {name!r}: bucket boundaries differ"
-                    )
-            for s in fam.get("samples", ()):
-                s2 = dict(s)
-                s2["values"] = [str(tag)] + [str(v) for v in s["values"]]
-                tgt["samples"].append(s2)
-    return [merged[name] for name in sorted(merged)]
 
 
 def process_rss_bytes() -> int:

@@ -1,17 +1,16 @@
 """Request tracing: a bounded ring of ``{rid, tenant, op, phase, t0, dur}``
 spans.
 
-One :class:`SpanLog` per process tier records what happened to a request
-as it moves through the stack — ``route`` at the router hand-off,
-``request`` around the worker's dispatch, ``admit`` at flush time,
-``journal-commit`` around the write-ahead append, ``dispatch`` around the
-engine advance.  The log is a fixed-capacity deque (oldest spans fall
-off), queryable by ``rid`` through the ``spans`` wire op and dumpable by
+One :class:`SpanLog` per front-end records what happened to a request
+as it moves through the stack — ``request`` around the whole request,
+``admit`` at flush time, ``journal-commit`` around the write-ahead
+append, ``dispatch`` around the engine advance.  The log is a
+fixed-capacity deque (oldest spans fall off), queryable by ``rid`` through the ``spans`` wire op and dumpable by
 :meth:`ServiceClient.dump_spans`.
 
 ``clock`` is injectable (tests pass a fake), defaulting to
 :func:`time.monotonic`; ``t0`` values are therefore *per-process*
-monotonic stamps — comparable within one span log, not across shards.
+monotonic stamps — comparable within one span log, not across processes.
 """
 
 from __future__ import annotations

@@ -8,17 +8,13 @@ Algorithm 2's dispatch loop), :mod:`repro.service.checkpoint` snapshots
 full session state with an exact-resume guarantee, and
 :mod:`repro.service.frontend` serves a JSON-lines request protocol over
 stdin/stdout or TCP (``repro serve``) with batched admission and weighted
-fair sharing across tenants.  The protocol is one class,
-:class:`~repro.service.frontend.Endpoint`, with two backends:
-:class:`ServiceFrontend` (one session) and :class:`Router`
-(:mod:`repro.service.router`: tenants sharded across N worker processes,
-``repro serve --workers N``).  :mod:`repro.service.wire` defines the
+fair sharing across tenants: one process, one session, one
+:class:`ServiceFrontend`.  :mod:`repro.service.wire` defines the
 versioned envelope and the stable error-code vocabulary, and
-:mod:`repro.service.client` is the typed Python client (the router's
-worker handles are instances of it).  Every endpoint is instrumented
-through :mod:`repro.obs` (metrics registry, Prometheus exposition,
-request spans): the ``metrics``/``spans`` ops expose them on the wire
-and ``repro serve --metrics-port`` over HTTP.
+:mod:`repro.service.client` is the typed Python client.  The front-end
+is instrumented through :mod:`repro.obs` (metrics registry, Prometheus
+exposition, request spans): the ``metrics``/``spans`` ops expose them on
+the wire and ``repro serve --metrics-port`` over HTTP.
 """
 
 from repro.service.chaos import ChaosCrash, ChaosInjector
@@ -33,16 +29,6 @@ from repro.service.client import Backpressure, Disconnected, ServiceClient, Serv
 from repro.service.fairshare import FairQueue
 from repro.service.frontend import ServiceFrontend, serve_stdio, serve_tcp, write_trace
 from repro.service.journal import JOURNAL_FORMAT, Journal, JournaledSession, scan_journal
-from repro.service.router import (
-    ROUTING_POLICIES,
-    LocalWorker,
-    RemoteWorker,
-    Router,
-    ShardUnavailable,
-    register_policy,
-    resolve_policy,
-    stable_shard,
-)
 from repro.service.session import JobSpec, SchedulingSession
 from repro.service.supervisor import BackoffPolicy, supervise
 from repro.service.wire import ERROR_CODES, WIRE_FORMAT, WIRE_VERSION
@@ -71,14 +57,6 @@ __all__ = [
     "write_trace",
     "BackoffPolicy",
     "supervise",
-    "Router",
-    "LocalWorker",
-    "RemoteWorker",
-    "ShardUnavailable",
-    "ROUTING_POLICIES",
-    "register_policy",
-    "resolve_policy",
-    "stable_shard",
     "ServiceClient",
     "ServiceError",
     "Backpressure",

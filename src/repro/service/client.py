@@ -21,8 +21,8 @@ Transports: ``ServiceClient.connect(host, port)`` for TCP,
 ``ServiceClient.over_streams(writer, reader)`` for an existing pipe
 pair, ``ServiceClient.launch([...argv])`` to spawn a ``repro serve``
 child on stdio.  All three speak the same protocol, so a scripted
-client works identically against a single session, a supervised durable
-worker or a sharded router.
+client works identically against a plain session or a supervised
+durable worker.
 """
 
 from __future__ import annotations
@@ -41,7 +41,15 @@ __all__ = [
     "Disconnected",
     "ServiceClient",
     "ServiceError",
+    "pick_free_port",
 ]
+
+
+def pick_free_port(host: str = "127.0.0.1") -> int:
+    """Reserve an ephemeral TCP port (bind-probe, then release)."""
+    with socket.socket() as s:
+        s.bind((host, 0))
+        return s.getsockname()[1]
 
 
 class ServiceError(Exception):
@@ -219,7 +227,7 @@ class ServiceClient:
         io_timeout: float = 120.0,
         **kw,
     ) -> "ServiceClient":
-        """Connect to a ``repro serve --tcp`` service (or sharded router)."""
+        """Connect to a ``repro serve --tcp`` service."""
         transport = _TcpTransport(host, port, io_timeout=io_timeout)
         transport.connect(time.monotonic() + connect_deadline)
         return cls(transport, **kw)
@@ -327,11 +335,8 @@ class ServiceClient:
     def flush(self) -> dict[str, Any]:
         return self.request("flush")
 
-    def cancel(self, job_id: Any, *, tenant: "str | None" = None) -> dict[str, Any]:
-        fields: dict[str, Any] = {"id": job_id}
-        if tenant is not None:
-            fields["tenant"] = tenant  # routes the cancel under a sharded router
-        return self.request("cancel", **fields)
+    def cancel(self, job_id: Any) -> dict[str, Any]:
+        return self.request("cancel", id=job_id)
 
     def advance(self, until: float, *, events: bool = True) -> dict[str, Any]:
         return self.request("advance", until=until, events=events)
@@ -372,8 +377,7 @@ class ServiceClient:
 
     def metrics(self) -> dict[str, Any]:
         """The service's metrics: ``"text"`` is the Prometheus exposition,
-        ``"families"`` the structured dump (a sharded router merges every
-        reachable worker under ``shard`` labels)."""
+        ``"families"`` the structured dump."""
         return self.request("metrics")
 
     def metrics_text(self) -> str:

@@ -1,32 +1,26 @@
 """Weighted fair-share admission queue (stride scheduling over tenants).
 
-Extracted from the single-session front-end so the same discipline can
-run at either tier: a standalone :class:`ServiceFrontend` runs it over
-its own session's tenants, and the sharded router runs it *once, across
-all shards*, so cross-shard tenant weights still hold (workers under a
-router run in ``fifo`` mode and preserve the order the router decided).
+The :class:`~repro.service.frontend.ServiceFrontend` buffers every
+submission here and drains it, at flush time, in weighted-fair order.
 
 Each tenant owns a FIFO buffer; draining interleaves tenants by stride
 scheduling: tenant ``T`` with weight ``w`` pays ``1/w`` virtual admission
 time per job, and the pending job with the smallest ``(vtime, tenant
 name)`` goes next.  A tenant (re)entering after idling starts at the
 current virtual floor, so saved-up idle time cannot be hoarded into a
-burst.  In ``fifo`` mode the stride order is bypassed and jobs drain in
-global arrival order — weights are kept but inert.
+burst.
 
-**Bookkeeping is per request, results are per job.**  A front-end hands
+**Bookkeeping is per request, results are per job.**  The front-end hands
 over a parsed request in one :meth:`FairQueue.enqueue_many` call; per
 job that is a deque append, and everything else — tenant lookup (per run
 of one tenant), the ``max_pending`` bound, gauges (once per tenant
 touched) and the arrival log — happens per request.  The arrival log,
 one ``(stamp, jobs)`` entry per request, is the queue's only record of
-*when* and *in what order* work arrived, and the queue owns it: the
-front-ends ask :meth:`FairQueue.oldest_stamp` whether the batch interval
-is due (a cancelled job's request leaves the log once all its jobs are
-gone, so younger jobs never inherit its wait), ``fifo`` draining is the
-log read front to back (arrival order belongs to the entry, not the id:
-a duplicate id that admission will refuse cannot move the job that came
-first), and :meth:`FairQueue.drain_fair` clears it.
+*when* work arrived, and the queue owns it: the front-end asks
+:meth:`FairQueue.oldest_stamp` whether the batch interval is due (a
+cancelled job's request leaves the log once all its jobs are gone, so
+younger jobs never inherit its wait), and :meth:`FairQueue.drain_fair`
+clears it.
 
 **The drain is run-length, and bit-identical to the per-job rule.**
 Picking ``min(active)`` once per job is O(jobs × tenants).  Instead the
@@ -72,33 +66,27 @@ class Tenant:
 
 
 class FairQueue:
-    """Per-tenant buffers with weighted-fair (or global-FIFO) draining."""
+    """Per-tenant buffers with weighted-fair draining."""
 
-    def __init__(self, *, fifo: bool = False) -> None:
-        self.fifo = fifo
+    def __init__(self) -> None:
         self.tenants: dict[str, Tenant] = {}
         self.buffered = 0
         self._vfloor = 0.0  # virtual admission time of the last drained job
         # what is buffered, as it arrived: one ``(stamp, jobs)`` entry per
-        # request — the fifo order and the batch-interval clock both read it
+        # request — the batch-interval clock reads it
         self._arrivals: list[tuple[float, list[JobSpec]]] = []
         self._m_depth = None  # bound gauges (None = uninstrumented)
         self._m_lag = None
 
-    def bind_metrics(self, registry, prefix: str = "repro") -> None:
-        """Publish per-tenant queue depth and stride lag as gauges.
-
-        ``prefix`` namespaces the family names so the router's global
-        queue (``repro_router_*``) and a worker's local queue
-        (``repro_*``) stay distinct families when merged in one scrape.
-        """
+    def bind_metrics(self, registry) -> None:
+        """Publish per-tenant queue depth and stride lag as gauges."""
         self._m_depth = registry.gauge(
-            f"{prefix}_queue_depth",
+            "repro_queue_depth",
             "Buffered submissions per tenant awaiting admission",
             labels=("tenant",),
         )
         self._m_lag = registry.gauge(
-            f"{prefix}_queue_stride_lag",
+            "repro_queue_stride_lag",
             "Tenant virtual admission time minus the queue's virtual floor",
             labels=("tenant",),
         )
@@ -190,41 +178,28 @@ class FairQueue:
         return {spec.id for t in self.tenants.values() for spec in t.buffer}
 
     def drain_fair(self) -> list[JobSpec]:
-        """Pop *everything* buffered, in the admission order.
-
-        Weighted-fair stride order by default; global arrival order in
-        ``fifo`` mode (vtimes still advance so a later switch of mode —
-        or a status report — stays coherent).
-        """
+        """Pop *everything* buffered, in weighted-fair stride order."""
         out: list[JobSpec] = []
         active = [t for t in self.tenants.values() if t.buffer]
-        if self.fifo:
-            for t in active:
-                t.vtime = max(t.vtime, self._vfloor) + len(t.buffer) / t.weight
-                self._vfloor = max(self._vfloor, t.vtime)
-                t.buffer.clear()
-            for _, specs in self._arrivals:
-                out += specs
-        else:
-            take = out.append
-            while active:
-                # run-length stride: the pick keeps the turn for as long
-                # as the per-job rule would keep picking it, i.e. while it
-                # stays strictly ahead of the runner-up
-                t = min(active, key=_STRIDE_KEY)
-                bv, bname = min(
-                    (_STRIDE_KEY(u) for u in active if u is not t),
-                    default=(math.inf, ""),
-                )
-                name, buf, v, step = t.name, t.buffer, t.vtime, 1.0 / t.weight
-                while True:
-                    take(buf.popleft())
-                    v += step  # the per-job rule's float additions, in its order
-                    if not buf or not (v < bv or (v == bv and name < bname)):
-                        break
-                t.vtime = self._vfloor = v
-                if not buf:
-                    active.remove(t)
+        take = out.append
+        while active:
+            # run-length stride: the pick keeps the turn for as long as the
+            # per-job rule would keep picking it, i.e. while it stays
+            # strictly ahead of the runner-up
+            t = min(active, key=_STRIDE_KEY)
+            bv, bname = min(
+                (_STRIDE_KEY(u) for u in active if u is not t),
+                default=(math.inf, ""),
+            )
+            name, buf, v, step = t.name, t.buffer, t.vtime, 1.0 / t.weight
+            while True:
+                take(buf.popleft())
+                v += step  # the per-job rule's float additions, in its order
+                if not buf or not (v < bv or (v == bv and name < bname)):
+                    break
+            t.vtime = self._vfloor = v
+            if not buf:
+                active.remove(t)
         self.buffered = 0
         self._arrivals.clear()
         if self._m_depth is not None:

@@ -2,11 +2,9 @@
 
 One request per line, one JSON response per line — over stdin/stdout
 (:func:`serve_stdio`) or a TCP socket (:func:`serve_tcp`); both run the
-same loop over a transport-free :class:`Endpoint`, so tests and scripted
-clients exercise the full protocol without a process boundary.  The
-protocol is written once, in :class:`Endpoint`; what answers it is a
-backend: :class:`ServiceFrontend` (one session, this module) or
-:class:`~repro.service.router.Router` (N worker shards).
+same loop over a transport-free :class:`ServiceFrontend` around one
+:class:`SchedulingSession`, so tests and scripted clients exercise the
+full protocol without a process boundary.
 
 **Batched admission.**  Submissions are buffered, not admitted
 immediately: a batch is admitted when the buffer reaches ``--batch-size``
@@ -30,9 +28,7 @@ waited).  A flush drains the queue and admits the whole batch with one
 scheduling (see :mod:`repro.service.fairshare`): a tenant with weight 2
 gets twice the admission share — and thus dispatch preference — of a
 weight-1 tenant under contention, while each tenant's own jobs stay
-FIFO.  Under a sharded router the fair order is decided once, across all
-shards, by the router; workers then run with ``admission="fifo"`` and
-preserve the order they are handed.
+FIFO.
 
 Requests (``op`` selects; everything else is the payload)::
 
@@ -50,7 +46,7 @@ Requests (``op`` selects; everything else is the payload)::
     {"op": "spans", "for_rid": 7}         the request-span ring (see repro.obs)
     {"op": "shutdown"}
 
-**Observability.**  Every front-end owns a
+**Observability.**  The front-end owns a
 :class:`~repro.obs.MetricsRegistry` (request latency histograms per op,
 admission outcomes, queue depths, journal timings, …) and a
 :class:`~repro.obs.SpanLog` (``request`` / ``admit`` / ``journal-commit``
@@ -98,7 +94,7 @@ from repro.service.wire import (
 )
 from repro.util.atomic import atomic_write_text
 
-__all__ = ["Endpoint", "ServiceFrontend", "serve_stdio", "serve_tcp", "write_trace"]
+__all__ = ["ServiceFrontend", "serve_stdio", "serve_tcp", "write_trace"]
 
 #: Default per-request size bound for both transports (chars on stdio,
 #: bytes on TCP); ``repro serve --max-request-bytes`` overrides.
@@ -114,45 +110,44 @@ def write_trace(session: SchedulingSession, path: str) -> None:
 
 #: ops the due-batch pre-flush skips.  ``submit`` and ``flush`` admit on
 #: their own terms; ``restore`` must see the buffer as it is — flushing a
-#: due buffer into the session about to be replaced (or, under a router,
-#: into workers that then refuse the op) would silently discard or move
-#: the client's work behind its back
+#: due buffer into the session about to be replaced would silently
+#: discard the client's work behind its back
 _NO_PREFLUSH = ("submit", "flush", "restore")
 
 
-class Endpoint:
-    """One ``repro-wire`` protocol endpoint, whatever is behind it.
+class ServiceFrontend:
+    """One ``repro-wire`` protocol endpoint around one :class:`SchedulingSession`.
 
-    Everything the wire promises is decided here, once: the v1/v2
-    envelope, the exception → error-code table, size-or-interval batched
-    admission off the one :class:`FairQueue`, per-tenant ``max_pending``,
-    what an implicit flush reports, and the request / error / latency /
+    Everything the wire promises is decided here: the v1/v2 envelope, the
+    exception → error-code table, size-or-interval batched admission off
+    the one :class:`FairQueue`, per-tenant ``max_pending``, what an
+    implicit flush reports, and the request / error / latency /
     admission-outcome / uptime / RSS metric families and request spans.
-    A backend — :class:`ServiceFrontend` over one session,
-    :class:`~repro.service.router.Router` over N workers — supplies the
-    three class attributes below, :meth:`_admit`, :meth:`_metric_families`
-    and the ``_op_*`` handlers that touch what it fronts.  The serving
-    loops (:func:`serve_stdio`, :func:`serve_tcp`) need only
+    The serving loops (:func:`serve_stdio`, :func:`serve_tcp`) need only
     :meth:`handle_request` and :attr:`closed`.
-    """
 
-    #: metric family prefix (``<prefix>_requests_total``, ...)
-    prefix = "repro"
-    #: span phase of one whole request
-    phase = "request"
-    #: backend exceptions answered with the ``backpressure`` code
-    unavailable: "tuple[type[Exception], ...]" = ()
+    ``clock`` injects the wall-clock source for the batch interval (tests
+    pass a fake); ``batch_size=1`` admits every submission immediately.
+    ``max_pending`` bounds each tenant's buffer: jobs past the bound are
+    refused with an explicit ``backpressure`` response field instead of
+    growing memory without limit.  ``durable`` wires a
+    :class:`~repro.service.journal.JournaledSession` in: mutating verbs
+    are write-ahead journaled before they are acknowledged, so a crashed
+    worker recovers every acknowledged operation.  The registry and span
+    log may be shared (tests, benches).
+    """
 
     def __init__(
         self,
+        session: "SchedulingSession | None" = None,
         *,
-        batch_size: int,
-        batch_interval: float,
-        clock: Callable[[], float],
-        max_pending: "int | None",
-        fifo: bool,
-        metrics: "MetricsRegistry | None",
-        spans: "SpanLog | None",
+        batch_size: int = 32,
+        batch_interval: float = 0.05,
+        clock: Callable[[], float] = time.monotonic,
+        max_pending: "int | None" = None,
+        durable: "JournaledSession | None" = None,
+        metrics: "MetricsRegistry | None" = None,
+        spans: "SpanLog | None" = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -160,15 +155,23 @@ class Endpoint:
             raise ValueError(f"batch interval must be >= 0, got {batch_interval}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        if durable is not None:
+            if session is not None and session is not durable.session:
+                raise ValueError("session and durable.session must be the same object")
+            session = durable.session
+        if session is None:
+            raise ValueError("a session (or a durable wrapper) is required")
+        self.session = session
+        self.durable = durable
         self.batch_size = batch_size
         self.batch_interval = batch_interval
         self.max_pending = max_pending
         self.clock = clock
         self.closed = False
-        self.queue = FairQueue(fifo=fifo)
+        self.queue = FairQueue()
         # -- observability (always on at the service tier; the *batch*
         # engine stays uninstrumented because sessions only record once
-        # bound).  The registry/span log may be shared (tests, benches).
+        # bound)
         self.metrics = m = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans if spans is not None else SpanLog()
         self._rid: Any = None  # rid of the request being served, for spans
@@ -176,32 +179,47 @@ class Endpoint:
         # what this request's flushes admitted / refused (see _dispatch)
         self._flushed: "tuple[list[Any], list[dict[str, Any]]]" = ([], [])
         self._started = self.clock()
-        p = self.prefix
         self._m_requests = m.counter(
-            f"{p}_requests_total", "Protocol requests handled", labels=("op",)
+            "repro_requests_total", "Protocol requests handled", labels=("op",)
         )
         self._m_errors = m.counter(
-            f"{p}_request_errors_total",
+            "repro_request_errors_total",
             "Requests answered with a stable error code",
             labels=("op", "code"),
         )
         self._m_latency = m.histogram(
-            f"{p}_request_latency_seconds",
+            "repro_request_latency_seconds",
             "Wall-clock request handling latency",
             labels=("op",),
         )
         self._m_outcomes = m.counter(
-            f"{p}_admission_outcomes_total",
+            "repro_admission_outcomes_total",
             "Flush-time admission outcomes (admitted / admission_failed / backpressure)",
             labels=("outcome",),
         )
         self._m_uptime = m.gauge(
-            f"{p}_uptime_seconds", "Seconds since this front-end was built"
+            "repro_uptime_seconds", "Seconds since this front-end was built"
         )
         self._m_rss = m.gauge(
-            f"{p}_process_rss_bytes", "Resident set size of this process"
+            "repro_process_rss_bytes", "Resident set size of this process"
         )
-        self.queue.bind_metrics(m, prefix=p)
+        self.queue.bind_metrics(m)
+        # the supervisor's lifetime restart count, seeded once from the
+        # env var it exports into each child — the gauge is the source
+        # the status/stats fields read from now on
+        self._restarts = _env_restarts()
+        m.gauge(
+            "repro_restarts",
+            "Supervisor restarts of this worker (boot-time seed)",
+        ).set(self._restarts)
+        session.bind_metrics(m)
+        if durable is not None:
+            durable.bind_observability(m, self.spans, rid_provider=lambda: self._rid)
+
+    @property
+    def _mut(self) -> "JournaledSession | SchedulingSession":
+        """The mutation target: the journaled wrapper when durable."""
+        return self.durable if self.durable is not None else self.session
 
     # ------------------------------------------------------------------
     # admission
@@ -216,14 +234,14 @@ class Endpoint:
         return self.clock() - self.queue.oldest_stamp() >= self.batch_interval
 
     def flush(self) -> tuple[list[Any], list[dict[str, Any]]]:
-        """Admit everything buffered, in the configured admission order.
+        """Admit everything buffered, in weighted-fair order.
 
-        Returns ``(admitted_ids, errors)``: a job the backend refuses
+        Returns ``(admitted_ids, errors)``: a job the session refuses
         produces one error record (``id``, stable ``error`` code,
         ``detail``) and does not block the rest of the batch.  Both are
         also noted for the request being served, so that no reply — a
         refusal included — can swallow what its flushes did, and counted
-        into ``<prefix>_admission_outcomes_total``.
+        into ``repro_admission_outcomes_total``.
         """
         pending = self.queue.drain_fair()
         if not pending:
@@ -236,225 +254,6 @@ class Endpoint:
         for rec in errors:
             self._m_outcomes.inc(outcome=rec["error"])
         return admitted, errors
-
-    def _admit(
-        self, pending: "list[JobSpec]"
-    ) -> tuple[list[Any], list[dict[str, Any]]]:
-        """Backend: admit ``pending`` (already in admission order)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # protocol
-    # ------------------------------------------------------------------
-    def handle_request(self, req: Any) -> dict[str, Any]:
-        """Process one protocol request; never raises on client errors.
-
-        Accepts both wire shapes (bare v1 and the v2 envelope, which is
-        stripped here and re-applied — with the ``rid`` echoed — on the
-        response).  The batch-interval clock is consulted before *every*
-        op: a buffer whose oldest job has waited past the interval is
-        admitted no matter which request arrives next (status, cancel,
-        …), so the "size or interval, whichever first" contract does not
-        depend on further submissions.  (The loop is synchronous — with
-        no requests at all, admission happens at the next one.)  Jobs
-        admitted this way are reported as ``admitted_by_batch``.
-        """
-        body, versioned, rid, err = unwrap_request(req)
-        if err is not None:
-            return wrap_response(err, versioned, rid)
-        op = body.get("op") if isinstance(body, dict) else None
-        label = op if isinstance(op, str) else "invalid"
-        self._rid = rid
-        self._cur_op = label
-        t0 = time.perf_counter()
-        s0 = self.spans.now()
-        try:
-            resp = self._dispatch(body)
-        finally:
-            self._rid = None
-            self._cur_op = None
-        dur = time.perf_counter() - t0
-        self._m_requests.inc(op=label)
-        self._m_latency.observe(dur, op=label)
-        if resp.get("ok") is False:
-            self._m_errors.inc(op=label, code=str(resp.get("error", "internal")))
-        self.spans.record(label, self.phase, s0, self.spans.now() - s0, rid=rid)
-        return wrap_response(resp, versioned, rid)
-
-    def _dispatch(self, req: Any) -> dict[str, Any]:
-        if not isinstance(req, dict) or "op" not in req:
-            return error_response(None, INVALID_REQUEST, "request must be an object with an 'op'")
-        op = req["op"]
-        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
-        if handler is None:
-            return error_response(op, INVALID_REQUEST, f"unknown op {op!r}")
-        self._flushed = ([], [])
-        by_batch: list[Any] = []
-        try:
-            if op not in _NO_PREFLUSH and self._batch_due():
-                by_batch = self.flush()[0]
-            resp = handler(req)
-        except self.unavailable as exc:
-            resp = error_response(op, BACKPRESSURE, f"{exc}; retry")
-        except KeyError as exc:
-            resp = error_response(op, INVALID_REQUEST, f"missing required field {exc}")
-        except (ValueError, TypeError) as exc:
-            # TypeError covers structurally malformed payloads (scalar where
-            # a list is expected, non-numeric weight, ...): a bad request
-            # must produce an error response, never kill the service
-            resp = error_response(op, INVALID_REQUEST, str(exc))
-        except OSError as exc:
-            resp = error_response(op, INTERNAL, str(exc))
-        # an implicit flush must never swallow what it did.  An ok reply
-        # lists the due batch it admitted (what advance/drain/... flush on
-        # their own is implied by their payload, and submit/flush report
-        # under their own keys); a refusal implies nothing, so it lists
-        # every admission.  Rejections ride along on every reply.
-        admitted, errors = self._flushed
-        if resp.get("ok") is False:
-            by_batch = admitted
-        elif op in ("submit", "flush"):
-            errors = []
-        if by_batch:
-            resp.setdefault("admitted_by_batch", by_batch)
-        if errors:
-            resp.setdefault("admission_errors", []).extend(errors)
-        resp.setdefault("ok", True)
-        resp.setdefault("op", op)
-        return resp
-
-    # -- argument checks -------------------------------------------------
-    @staticmethod
-    def _path_arg(req: dict[str, Any]) -> str | None:
-        """The optional ``path`` field, required to be a string — an integer
-        would reach ``open()`` as a raw file descriptor (fd 1 = the response
-        stream) and get written over and closed."""
-        path = req.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ValueError(f"path must be a string, got {type(path).__name__}")
-        return path
-
-    @staticmethod
-    def _limit_arg(req: dict[str, Any]) -> "int | None":
-        """The optional ``limit`` of the ``spans`` op."""
-        limit = req.get("limit")
-        if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-                raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
-        return limit
-
-    # -- ops every backend serves the same way ---------------------------
-    def _op_submit(self, req: dict[str, Any]) -> dict[str, Any]:
-        jobs = req.get("jobs")
-        if not isinstance(jobs, list):
-            raise ValueError("submit needs a 'jobs' list")
-        # parsed whole before anything is buffered: one bad record refuses
-        # the request
-        specs = list(map(JobSpec.from_dict, jobs))
-        refused = self.queue.enqueue_many(specs, self.clock(), self.max_pending)
-        resp: dict[str, Any] = {"buffered": self.queue.buffered}
-        if refused:
-            resp["backpressure"] = refused
-            self._m_outcomes.inc(len(refused), outcome=BACKPRESSURE)
-        if self._batch_due():
-            admitted, errors = self.flush()
-            resp.update({"admitted": admitted, "buffered": 0})
-            if errors:
-                resp["errors"] = errors
-        return resp
-
-    def _op_flush(self, req: dict[str, Any]) -> dict[str, Any]:
-        admitted, errors = self.flush()
-        resp: dict[str, Any] = {"admitted": admitted}
-        if errors:
-            resp["errors"] = errors
-        return resp
-
-    def sync_gauges(self) -> None:
-        """Refresh the sampled-on-read gauges (uptime, RSS)."""
-        self._m_uptime.set(self.clock() - self._started)
-        self._m_rss.set(process_rss_bytes())
-
-    def _metric_families(self) -> list[dict[str, Any]]:
-        """The family records one scrape carries (gauges refreshed first)."""
-        self.sync_gauges()
-        return self.metrics.dump()
-
-    def render_metrics(self) -> str:
-        """The Prometheus text exposition — what ``GET /metrics`` and the
-        ``metrics`` op both serve."""
-        return render_dump(self._metric_families())
-
-    def _op_metrics(self, req: dict[str, Any]) -> dict[str, Any]:
-        families = self._metric_families()
-        return {"text": render_dump(families), "families": families}
-
-
-class ServiceFrontend(Endpoint):
-    """The :class:`Endpoint` around one :class:`SchedulingSession`.
-
-    ``clock`` injects the wall-clock source for the batch interval (tests
-    pass a fake); ``batch_size=1`` admits every submission immediately.
-    ``max_pending`` bounds each tenant's buffer: jobs past the bound are
-    refused with an explicit ``backpressure`` response field instead of
-    growing memory without limit.  ``durable`` wires a
-    :class:`~repro.service.journal.JournaledSession` in: mutating verbs
-    are write-ahead journaled before they are acknowledged, so a crashed
-    worker recovers every acknowledged operation.  ``admission`` selects
-    the flush order: ``"fair"`` (weighted stride, the default) or
-    ``"fifo"`` (global arrival order — what a worker under a sharded
-    router runs, since the router already decided the fair order).
-    """
-
-    def __init__(
-        self,
-        session: "SchedulingSession | None" = None,
-        *,
-        batch_size: int = 32,
-        batch_interval: float = 0.05,
-        clock: Callable[[], float] = time.monotonic,
-        max_pending: "int | None" = None,
-        durable: "JournaledSession | None" = None,
-        admission: str = "fair",
-        metrics: "MetricsRegistry | None" = None,
-        spans: "SpanLog | None" = None,
-    ) -> None:
-        super().__init__(
-            batch_size=batch_size, batch_interval=batch_interval, clock=clock,
-            max_pending=max_pending, fifo=admission == "fifo",
-            metrics=metrics, spans=spans,
-        )
-        if admission not in ("fair", "fifo"):
-            raise ValueError(f"admission must be 'fair' or 'fifo', got {admission!r}")
-        if durable is not None:
-            if session is not None and session is not durable.session:
-                raise ValueError("session and durable.session must be the same object")
-            session = durable.session
-        if session is None:
-            raise ValueError("a session (or a durable wrapper) is required")
-        self.session = session
-        self.durable = durable
-        # the supervisor's lifetime restart count, seeded once from the
-        # env var it exports into each child — the gauge is the source
-        # the status/stats fields read from now on
-        self._restarts = _env_restarts()
-        self.metrics.gauge(
-            "repro_restarts",
-            "Supervisor restarts of this worker (boot-time seed)",
-        ).set(self._restarts)
-        self.session.bind_metrics(self.metrics)
-        if durable is not None:
-            durable.bind_observability(
-                self.metrics, self.spans, rid_provider=lambda: self._rid
-            )
-
-    @property
-    def _mut(self) -> "JournaledSession | SchedulingSession":
-        """The mutation target: the journaled wrapper when durable."""
-        return self.durable if self.durable is not None else self.session
-
-    def set_weight(self, name: str, weight: float) -> None:
-        self.queue.set_weight(name, weight)
 
     def _admit(
         self, pending: "list[JobSpec]"
@@ -510,7 +309,148 @@ class ServiceFrontend(Endpoint):
         )
         return [s.id for s in admitted_specs], errors
 
+    # ------------------------------------------------------------------
+    # protocol
+    # ------------------------------------------------------------------
+    def handle_request(self, req: Any) -> dict[str, Any]:
+        """Process one protocol request; never raises on client errors.
+
+        Accepts both wire shapes (bare v1 and the v2 envelope, which is
+        stripped here and re-applied — with the ``rid`` echoed — on the
+        response).  The batch-interval clock is consulted before *every*
+        op: a buffer whose oldest job has waited past the interval is
+        admitted no matter which request arrives next (status, cancel,
+        …), so the "size or interval, whichever first" contract does not
+        depend on further submissions.  (The loop is synchronous — with
+        no requests at all, admission happens at the next one.)  Jobs
+        admitted this way are reported as ``admitted_by_batch``.
+        """
+        body, versioned, rid, err = unwrap_request(req)
+        if err is not None:
+            return wrap_response(err, versioned, rid)
+        op = body.get("op") if isinstance(body, dict) else None
+        label = op if isinstance(op, str) else "invalid"
+        self._rid = rid
+        self._cur_op = label
+        t0 = time.perf_counter()
+        s0 = self.spans.now()
+        try:
+            resp = self._dispatch(body)
+        finally:
+            self._rid = None
+            self._cur_op = None
+        dur = time.perf_counter() - t0
+        self._m_requests.inc(op=label)
+        self._m_latency.observe(dur, op=label)
+        if resp.get("ok") is False:
+            self._m_errors.inc(op=label, code=str(resp.get("error", "internal")))
+        self.spans.record(label, "request", s0, self.spans.now() - s0, rid=rid)
+        return wrap_response(resp, versioned, rid)
+
+    def _dispatch(self, req: Any) -> dict[str, Any]:
+        if not isinstance(req, dict) or "op" not in req:
+            return error_response(None, INVALID_REQUEST, "request must be an object with an 'op'")
+        op = req["op"]
+        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
+        if handler is None:
+            return error_response(op, INVALID_REQUEST, f"unknown op {op!r}")
+        self._flushed = ([], [])
+        by_batch: list[Any] = []
+        try:
+            if op not in _NO_PREFLUSH and self._batch_due():
+                by_batch = self.flush()[0]
+            resp = handler(req)
+        except KeyError as exc:
+            resp = error_response(op, INVALID_REQUEST, f"missing required field {exc}")
+        except (ValueError, TypeError) as exc:
+            # TypeError covers structurally malformed payloads (scalar where
+            # a list is expected, non-numeric weight, ...): a bad request
+            # must produce an error response, never kill the service
+            resp = error_response(op, INVALID_REQUEST, str(exc))
+        except OSError as exc:
+            resp = error_response(op, INTERNAL, str(exc))
+        # an implicit flush must never swallow what it did.  An ok reply
+        # lists the due batch it admitted (what advance/drain/... flush on
+        # their own is implied by their payload, and submit/flush report
+        # under their own keys); a refusal implies nothing, so it lists
+        # every admission.  Rejections ride along on every reply.
+        admitted, errors = self._flushed
+        if resp.get("ok") is False:
+            by_batch = admitted
+        elif op in ("submit", "flush"):
+            errors = []
+        if by_batch:
+            resp.setdefault("admitted_by_batch", by_batch)
+        if errors:
+            resp.setdefault("admission_errors", []).extend(errors)
+        resp.setdefault("ok", True)
+        resp.setdefault("op", op)
+        return resp
+
+    # -- argument checks -------------------------------------------------
+    @staticmethod
+    def _path_arg(req: dict[str, Any]) -> str | None:
+        """The optional ``path`` field, required to be a string — an integer
+        would reach ``open()`` as a raw file descriptor (fd 1 = the response
+        stream) and get written over and closed."""
+        path = req.get("path")
+        if path is not None and not isinstance(path, str):
+            raise ValueError(f"path must be a string, got {type(path).__name__}")
+        return path
+
+    @staticmethod
+    def _limit_arg(req: dict[str, Any]) -> "int | None":
+        """The optional ``limit`` of the ``spans`` op."""
+        limit = req.get("limit")
+        if limit is not None:
+            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+                raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+        return limit
+
+    # -- observability ---------------------------------------------------
+    def _metric_families(self) -> list[dict[str, Any]]:
+        """The family records one scrape carries (the sampled-on-read
+        uptime and RSS gauges refreshed first)."""
+        self._m_uptime.set(self.clock() - self._started)
+        self._m_rss.set(process_rss_bytes())
+        return self.metrics.dump()
+
+    def render_metrics(self) -> str:
+        """The Prometheus text exposition — what ``GET /metrics`` and the
+        ``metrics`` op both serve."""
+        return render_dump(self._metric_families())
+
     # -- ops -----------------------------------------------------------
+    def _op_submit(self, req: dict[str, Any]) -> dict[str, Any]:
+        jobs = req.get("jobs")
+        if not isinstance(jobs, list):
+            raise ValueError("submit needs a 'jobs' list")
+        # parsed whole before anything is buffered: one bad record refuses
+        # the request
+        specs = list(map(JobSpec.from_dict, jobs))
+        refused = self.queue.enqueue_many(specs, self.clock(), self.max_pending)
+        resp: dict[str, Any] = {"buffered": self.queue.buffered}
+        if refused:
+            resp["backpressure"] = refused
+            self._m_outcomes.inc(len(refused), outcome=BACKPRESSURE)
+        if self._batch_due():
+            admitted, errors = self.flush()
+            resp.update({"admitted": admitted, "buffered": 0})
+            if errors:
+                resp["errors"] = errors
+        return resp
+
+    def _op_flush(self, req: dict[str, Any]) -> dict[str, Any]:
+        admitted, errors = self.flush()
+        resp: dict[str, Any] = {"admitted": admitted}
+        if errors:
+            resp["errors"] = errors
+        return resp
+
+    def _op_metrics(self, req: dict[str, Any]) -> dict[str, Any]:
+        families = self._metric_families()
+        return {"text": render_dump(families), "families": families}
+
     def _op_cancel(self, req: dict[str, Any]) -> dict[str, Any]:
         jid = req["id"]
         was_buffered = jid in self.queue.buffered_ids()
@@ -542,8 +482,8 @@ class ServiceFrontend(Endpoint):
         if want_events:
             resp["events"] = out
         else:
-            # count only: bulk drivers (the sharded bench client) skip a
-            # dict allocation — and a wire record — per event
+            # count only: bulk drivers skip a dict allocation — and a wire
+            # record — per event
             resp["event_count"] = out
         return resp
 
@@ -584,9 +524,8 @@ class ServiceFrontend(Endpoint):
 
         Every key below is always present (``journal_records`` is 0 for a
         non-durable service), so dashboards can parse it without
-        existence checks; the sharded router reports the same shape per
-        shard under a ``shards`` key.  The key list is in the README
-        (Service → Sharding, the "Fan-out ops" paragraph).
+        existence checks.  The key list is in the README (Service → the
+        ``stats`` op).
         """
         c = self.session.counters
         return {
@@ -605,7 +544,7 @@ class ServiceFrontend(Endpoint):
 
     def _op_tenant(self, req: dict[str, Any]) -> dict[str, Any]:
         name = str(req["name"])
-        self.set_weight(name, req["weight"])  # FairQueue.set_weight validates
+        self.queue.set_weight(name, req["weight"])  # validates the weight
         return {"name": req["name"], "weight": self.queue.weight_of(name)}
 
     def _op_validate(self, req: dict[str, Any]) -> dict[str, Any]:
@@ -699,7 +638,7 @@ def _env_restarts() -> int:
 # ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
-def _handle_line(endpoint: Endpoint, line: str) -> dict[str, Any]:
+def _handle_line(endpoint: ServiceFrontend, line: str) -> dict[str, Any]:
     try:
         req = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -723,7 +662,7 @@ def _drain_oversized(readline: Callable[[int], Any], limit: int) -> None:
 
 
 def _serve_lines(
-    endpoint: Endpoint,
+    endpoint: ServiceFrontend,
     readline: Callable[[int], Any],
     write: Callable[[str], None],
     max_request_bytes: int,
@@ -768,7 +707,7 @@ def _serve_lines(
 
 
 def serve_stdio(
-    endpoint: Endpoint,
+    endpoint: ServiceFrontend,
     in_stream: TextIO,
     out_stream: TextIO,
     *,
@@ -798,7 +737,7 @@ class _ServiceTCPServer(socketserver.ThreadingTCPServer):
 
 
 def serve_tcp(
-    endpoint: Endpoint,
+    endpoint: ServiceFrontend,
     host: str = "127.0.0.1",
     port: int = 0,
     *,

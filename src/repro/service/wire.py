@@ -8,9 +8,8 @@ The service speaks JSON-lines in two shapes:
   deprecation note in the README).
 * **v2 (``repro-wire/2``)** — the same payload wrapped in an envelope
   ``{"v": 2, "rid": <request id>, "op": ..., ...}``.  The response echoes
-  ``{"v": 2, "rid": <same id>}``, which is what lets the sharded router
-  correlate fan-out replies and lets clients pipeline safely across
-  reconnects.  ``rid`` is optional and opaque (any JSON scalar); when
+  ``{"v": 2, "rid": <same id>}``, which is what lets clients resend
+  safely across reconnects (a stale reply is recognised by its rid).  ``rid`` is optional and opaque (any JSON scalar); when
   omitted the response carries ``"v": 2`` only.
 
 Error responses are ``{"ok": false, "error": <code>, "detail": <text>}``
@@ -26,8 +25,7 @@ code                   meaning
 ``admission_failed``   a submitted job the session rejected (duplicate
                        id, unknown predecessor, demand exceeds capacity)
 ``backpressure``       the service is shedding load: a bounded buffer is
-                       full or a shard is temporarily unreachable —
-                       back off and retry
+                       full — back off and retry
 ``internal``           a service-side failure (handler bug, I/O error);
                        nothing was necessarily applied
 =====================  ==================================================

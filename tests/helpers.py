@@ -508,9 +508,9 @@ def reference_callback_list_schedule(instance: Instance, allocation, priority) -
 # ----------------------------------------------------------------------
 # Frozen admission queue: the per-job loop before PR 15.  The fair-share
 # queue as `service/fairshare.py` had it (one `enqueue` per job, one
-# `min(active)` per drained job, an arrival number per id) together with
-# the per-job loop both `_op_submit`s ran over it (`max_pending` test,
-# then `enqueue`, then a wall-clock stamp per id).  Bookkeeping moved
+# `min(active)` per drained job) together with the per-job loop
+# `_op_submit` ran over it (`max_pending` test, then `enqueue`, then a
+# wall-clock stamp per id).  Bookkeeping moved
 # from per job to per request; order, vtimes and refusals may not move.
 # ----------------------------------------------------------------------
 class _ReferenceTenant:
@@ -522,13 +522,10 @@ class _ReferenceTenant:
 
 
 class _ReferenceFairQueue:
-    def __init__(self, fifo=False):
-        self.fifo = fifo
+    def __init__(self):
         self.tenants = {}
         self.buffered = 0
         self._vfloor = 0.0
-        self._seq = 0
-        self._arrival = {}
         self.stamps = {}
 
     def tenant(self, name):
@@ -549,8 +546,6 @@ class _ReferenceFairQueue:
         if not t.buffer:
             t.vtime = max(t.vtime, self._vfloor)
         t.buffer.append(spec)
-        self._arrival[spec.id] = self._seq
-        self._seq += 1
         self.buffered += 1
 
     def submit(self, specs, stamp, max_pending=None):
@@ -571,23 +566,14 @@ class _ReferenceFairQueue:
     def drain_fair(self):
         out = []
         active = [t for t in self.tenants.values() if t.buffer]
-        if self.fifo:
-            for t in active:
-                out.extend(t.buffer)
-                t.vtime = max(t.vtime, self._vfloor) + len(t.buffer) / t.weight
-                self._vfloor = max(self._vfloor, t.vtime)
-                t.buffer.clear()
-            out.sort(key=lambda s: self._arrival[s.id])
-        else:
-            while active:
-                t = min(active, key=lambda t: (t.vtime, t.name))
-                out.append(t.buffer.popleft())
-                t.vtime += 1.0 / t.weight
-                self._vfloor = t.vtime
-                if not t.buffer:
-                    active.remove(t)
+        while active:
+            t = min(active, key=lambda t: (t.vtime, t.name))
+            out.append(t.buffer.popleft())
+            t.vtime += 1.0 / t.weight
+            self._vfloor = t.vtime
+            if not t.buffer:
+                active.remove(t)
         self.buffered = 0
-        self._arrival.clear()
         self.stamps.clear()
         return out
 
@@ -600,7 +586,6 @@ class _ReferenceFairQueue:
                     t.buffer.remove(spec)
                     removed.append(spec.id)
                     self.buffered -= 1
-                    self._arrival.pop(spec.id, None)
                     self.stamps.pop(spec.id, None)
         return removed
 
@@ -616,6 +601,6 @@ class _ReferenceFairQueue:
         return gone
 
 
-def reference_fair_queue(*, fifo=False) -> _ReferenceFairQueue:
+def reference_fair_queue() -> _ReferenceFairQueue:
     """The frozen per-job admission queue (see the banner above)."""
-    return _ReferenceFairQueue(fifo=fifo)
+    return _ReferenceFairQueue()

@@ -37,16 +37,28 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", (
+        ["--workers", "2"], ["--shard-policy", "hash"], ["--admission", "fifo"],
+    ))
+    def test_serve_is_one_process_with_fair_admission(self, flags, capsys):
+        """No sharded router and no second admission order to select."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        # the sweeps keep their own --workers
+        assert build_parser().parse_args(["sim-a", "--workers", "2"]).workers == 2
+
 
 def test_serve_path_imports_no_scipy():
-    """``repro serve`` — and every shard worker, supervisor and router
+    """``repro serve`` — and every supervisor and supervised worker
     process — never solves an LP, so booting one must not pay for scipy
     (0.5 s and ~50 MB of RSS per process) — nor, without
     ``--metrics-port``, for ``http.server`` (~2 MB).  In a subprocess:
     this one has both loaded.  It boots a real serve loop, on an empty
     stdin, so imports made on the way in count too."""
     code = (
-        "import io, sys, repro.cli, repro.service.router, repro.service.supervisor; "
+        "import io, sys, repro.cli, repro.service.supervisor; "
         "sys.stdin = io.StringIO(''); "
         "rc = repro.cli.main(['serve']); "
         "sys.exit(rc or any(m == 'http.server' or m.split('.')[0] == 'scipy' "
@@ -234,6 +246,29 @@ class TestCommands:
         assert main(["serve", "--restore", str(ck)]) == 0
         resp = json.loads(capsys.readouterr().out.splitlines()[0])
         assert resp["makespan"] == 2.0 and resp["completed"] == 1
+
+    def test_serve_supervised_restore_into_a_journal_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The supervisor hands ``--restore`` on to every child, so each
+        restart would reload the checkpoint over the journal and drop
+        every op it acknowledged.  Refused before anything is spawned."""
+        from repro.service import SchedulingSession, save_session
+
+        spawned = []
+        monkeypatch.setattr("repro.service.supervisor.supervise",
+                            lambda cmd, **kw: spawned.append(cmd) or 0)
+        ck = tmp_path / "ck.json"
+        save_session(SchedulingSession([4]), str(ck))
+        journal = tmp_path / "j.jsonl"
+        argv = ["serve", "--supervise", "--journal", str(journal),
+                "--restore", str(ck)]
+        assert main(argv) == 2
+        assert not spawned and not journal.exists()
+        err = capsys.readouterr().err
+        # the hint: seed once with --restore, then supervise the journal
+        assert f"--journal {journal} --restore {ck}" in err
+        assert f"supervise with '--journal {journal}' alone" in err
 
     def test_serve_bad_restore(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,11 +1,10 @@
-"""The endpoint contract: what the wire promises, whatever answers it.
+"""The endpoint contract: what the wire promises.
 
-:class:`repro.service.frontend.Endpoint` writes the protocol once; its
-two backends — a :class:`ServiceFrontend` over one session and a
-:class:`Router` over worker shards — inherit it.  Every case here runs
-against both, so a protocol decision cannot drift between the tiers
-again.  Backend behaviour (fan-out merges, journaling, failover) stays
-in ``test_service_frontend.py`` and ``test_router.py``.
+:class:`repro.service.frontend.ServiceFrontend` writes the protocol once,
+around one session.  The cases here pin the protocol decisions — the
+envelope, batched admission, ``max_pending``, argument checks, implicit
+flush reporting; session behaviour behind them (journaling, cancel
+cascades, restore) stays in ``test_service_frontend.py``.
 """
 
 import io
@@ -14,14 +13,7 @@ import json
 import pytest
 from helpers import strict_json as strict
 
-from repro.service import (
-    LocalWorker,
-    Router,
-    SchedulingSession,
-    ServiceFrontend,
-    serve_stdio,
-)
-from repro.service.frontend import Endpoint
+from repro.service import SchedulingSession, ServiceFrontend, serve_stdio
 
 
 def job(jid, demand=(1,), duration=1.0, **kw):
@@ -29,32 +21,20 @@ def job(jid, demand=(1,), duration=1.0, **kw):
 
 
 def make(kind, caps=(4,), **kw):
-    """A ``ServiceFrontend``, or a ``Router`` over two in-process workers."""
+    """A ``ServiceFrontend`` over one session."""
     kw.setdefault("batch_size", 100)
     kw.setdefault("batch_interval", 9999.0)
-    if kind == "frontend":
-        return ServiceFrontend(SchedulingSession(caps), **kw)
-    workers = [
-        LocalWorker(ServiceFrontend(SchedulingSession(caps), batch_size=1,
-                                    admission="fifo"))
-        for _ in range(2)
-    ]
-    return Router(workers, **kw)
+    return ServiceFrontend(SchedulingSession(caps), **kw)
 
 
-@pytest.fixture(params=("frontend", "router"))
+#: the one thing that answers the wire; the parameter keeps every case's
+#: ``[frontend]`` id
+@pytest.fixture(params=("frontend",))
 def kind(request):
     return request.param
 
 
 class TestContract:
-    def test_the_protocol_is_inherited_not_copied(self, kind):
-        ep = make(kind)
-        assert isinstance(ep, Endpoint)
-        for name in ("handle_request", "_dispatch", "_batch_due", "_op_submit",
-                     "_op_flush", "flush", "sync_gauges", "render_metrics"):
-            assert getattr(type(ep), name) is getattr(Endpoint, name), name
-
     # -- the wire envelope ---------------------------------------------
     def test_v2_envelope_is_echoed(self, kind):
         ep = make(kind)
@@ -82,7 +62,7 @@ class TestContract:
             assert resp["ok"] is False and resp["error"] == "invalid_request", req
         assert ep.handle_request({"op": "status"})["buffered"] == 0
         # every one of them was counted, under its op or as "invalid"
-        requests = ep.metrics.get(f"{ep.prefix}_requests_total")
+        requests = ep.metrics.get("repro_requests_total")
         assert requests.value(op="invalid") == 8 and requests.value(op="warp") == 1
 
     # -- size-or-interval admission ------------------------------------
@@ -126,8 +106,7 @@ class TestContract:
 
     def test_every_job_an_endpoint_decides_on_is_counted(self, kind):
         """Admitted, refused by the backend, or refused by ``max_pending``:
-        each lands in ``<prefix>_admission_outcomes_total`` — the router's
-        own refusals used to be counted nowhere (no worker ever sees them)."""
+        each lands in ``repro_admission_outcomes_total``."""
         ep = make(kind, max_pending=2)
         ep.handle_request({"op": "submit", "jobs": [
             job("a", tenant="t"), job("big", demand=(9,), tenant="t"),
@@ -136,11 +115,11 @@ class TestContract:
         resp = ep.handle_request({"op": "flush"})
         assert sorted(resp["admitted"]) == ["a", "b"]
         assert [e["id"] for e in resp["errors"]] == ["big"]
-        counted = ep.metrics.get(f"{ep.prefix}_admission_outcomes_total").samples()
+        counted = ep.metrics.get("repro_admission_outcomes_total").samples()
         assert dict(counted) == {
             ("admitted",): 2, ("admission_failed",): 1, ("backpressure",): 1,
         }
-        assert f'{ep.prefix}_admission_outcomes_total{{outcome="backpressure"}} 1' \
+        assert 'repro_admission_outcomes_total{outcome="backpressure"} 1' \
             in ep.handle_request({"op": "metrics"})["text"]
 
     def test_bad_constructor_arguments(self, kind):
@@ -176,7 +155,7 @@ class TestContract:
         being JSON); ``1e-320`` a step of ``inf`` (the virtual floor goes to
         ``inf`` and fair sharing ends for every tenant).  The endpoint's
         queue is the authoritative copy of the weights: the refusal comes
-        before the queue — or any shard — sees the value."""
+        before the queue sees the value."""
         ep = make(kind)
         ep.handle_request({"op": "tenant", "name": "hog", "weight": 2})
         ep.handle_request({"op": "submit", "jobs": [

@@ -7,8 +7,7 @@ it replaced.  That rule is kept frozen in ``helpers.reference_fair_queue``
 and the hypothesis property here holds the queue to it — output order
 *and* bit-equal ``vtime`` / ``_vfloor`` — however the arrival stream is
 chunked into requests.  The unit tests pin what the property cannot: who
-owns the wall-clock stamps, and the one ordering the frozen rule got
-wrong (a refused duplicate id moving an accepted job in ``fifo`` mode).
+owns the wall-clock stamps, and how ``max_pending`` counts.
 """
 
 import math
@@ -74,12 +73,11 @@ def _state(q):
 @settings(max_examples=150, deadline=None)
 @given(
     stream=_streams(),
-    fifo=st.booleans(),
     limit=st.sampled_from((None, None, 1, 2, 5)),
 )
-def test_requests_of_any_size_admit_what_the_per_job_loop_admits(stream, fifo, limit):
+def test_requests_of_any_size_admit_what_the_per_job_loop_admits(stream, limit):
     weights, segments = stream
-    queue, ref = FairQueue(fifo=fifo), reference_fair_queue(fifo=fifo)
+    queue, ref = FairQueue(), reference_fair_queue()
     for name, w in weights.items():
         queue.set_weight(name, w)
         ref.set_weight(name, w)
@@ -205,27 +203,3 @@ class TestBackpressure:
         assert q.enqueue_many([spec("a3", "a"), spec("b1", "b")], 0.0, limit=2) == ["a3"]
         q.drain_fair()
         assert q.enqueue_many([spec("a4", "a")], 0.0, limit=2) == []
-
-
-class TestFifoArrivalOrder:
-    def test_refused_duplicate_does_not_reorder_the_accepted_job(self):
-        q = FairQueue(fifo=True)
-        first = spec("x", "t1")
-        q.enqueue_many([first], 0.0)
-        q.enqueue_many([spec("y", "t2")], 0.0)
-        # a second "x" — which admission will refuse — from a tenant that
-        # sorts first, so neither id nor tenant order can rescue the order
-        dup = spec("x", "t0")
-        q.enqueue_many([dup], 0.0)
-        out = q.drain_fair()
-        assert [s.id for s in out] == ["x", "y", "x"]
-        assert out[0] is first and out[2] is dup
-
-    def test_fifo_is_arrival_order_across_tenants_and_removals(self):
-        q = FairQueue(fifo=True)
-        q.enqueue_many([spec(0, "b"), spec(1, "a"), spec(2, "b")], 0.0)
-        q.enqueue_many([spec(3, "a"), spec(4, "c")], 1.0)
-        q.remove_ids({1})
-        assert [s.id for s in q.drain_fair()] == [0, 2, 3, 4]
-        assert q.buffered == 0
-

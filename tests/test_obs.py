@@ -1,5 +1,5 @@
-"""Tests for the observability layer: metrics core, exposition, spans,
-the instrumented front-ends and the merged sharded scrape."""
+"""Tests for the observability layer: metrics core, exposition, spans
+and the instrumented front-end."""
 
 import json
 import urllib.error
@@ -12,12 +12,11 @@ from repro.obs import (
     MetricsRegistry,
     SpanLog,
     histogram_quantile,
-    merge_dumps,
     process_rss_bytes,
     render_dump,
 )
 from repro.obs.httpd import CONTENT_TYPE, start_metrics_server
-from repro.service import LocalWorker, Router, ServiceFrontend, SchedulingSession
+from repro.service import ServiceFrontend, SchedulingSession
 
 
 def job(jid, demand=(1,), duration=1.0, **kw):
@@ -196,51 +195,6 @@ class TestExposition:
         assert render_dump(dump) == reg.render()
 
 
-class TestMergeDumps:
-    def _shard(self, n):
-        reg = MetricsRegistry()
-        reg.counter("repro_req_total", "reqs", labels=("op",)).inc(n + 1, op="submit")
-        reg.histogram("repro_lat_seconds", "lat", buckets=(1.0,)).observe(0.5)
-        return reg.dump()
-
-    def test_shard_label_leads(self):
-        merged = merge_dumps([("0", self._shard(0)), ("1", self._shard(1))])
-        text = render_dump(merged)
-        assert 'repro_req_total{shard="0",op="submit"} 1\n' in text
-        assert 'repro_req_total{shard="1",op="submit"} 2\n' in text
-        assert 'repro_lat_seconds_bucket{shard="0",le="1"} 1\n' in text
-
-    def test_merged_families_keep_boundaries(self):
-        merged = merge_dumps([("0", self._shard(0))])
-        hist = next(f for f in merged if f["name"] == "repro_lat_seconds")
-        assert hist["boundaries"] == [1.0]
-        assert hist["labels"] == ["shard"]
-
-    def test_kind_mismatch_raises(self):
-        a = MetricsRegistry()
-        a.counter("m")
-        b = MetricsRegistry()
-        b.gauge("m")
-        with pytest.raises(ValueError, match="kind/labels differ"):
-            merge_dumps([("0", a.dump()), ("1", b.dump())])
-
-    def test_boundary_mismatch_raises(self):
-        a = MetricsRegistry()
-        a.histogram("h", buckets=(1.0,))
-        b = MetricsRegistry()
-        b.histogram("h", buckets=(2.0,))
-        with pytest.raises(ValueError, match="boundaries differ"):
-            merge_dumps([("0", a.dump()), ("1", b.dump())])
-
-    def test_merge_is_deterministic(self):
-        tagged = [("1", self._shard(1)), ("0", self._shard(0))]
-        # family order sorts by name regardless of input order; sample
-        # order is fixed at render time
-        assert render_dump(merge_dumps(tagged)) == render_dump(
-            merge_dumps(list(tagged))
-        )
-
-
 def test_process_rss_is_positive_here():
     assert process_rss_bytes() > 0
 
@@ -388,59 +342,6 @@ class TestFrontendObservability:
         reg = MetricsRegistry()
         a = ServiceFrontend(SchedulingSession((4,)), batch_size=1, metrics=reg)
         assert a.metrics is reg
-
-
-# ----------------------------------------------------------------------
-# sharded merge through a router
-# ----------------------------------------------------------------------
-class TestRouterObservability:
-    def _router(self, nshards=2):
-        workers = [
-            LocalWorker(
-                ServiceFrontend(SchedulingSession((4,)), batch_size=1,
-                                admission="fifo")
-            )
-            for _ in range(nshards)
-        ]
-        return Router(workers, batch_size=1)
-
-    def test_merged_scrape_has_shard_labels_and_router_families(self):
-        with self._router() as r:
-            r.handle_request({"op": "submit", "jobs": [
-                job("a", tenant="acme"), job("b", tenant="lab"),
-            ]})
-            r.handle_request({"op": "status"})  # fans out to every shard
-            m = r.handle_request({"op": "metrics"})
-        text = m["text"]
-        # worker families re-labeled per shard (leading label)
-        assert 'repro_requests_total{shard="0",op="status"}' in text
-        assert 'repro_requests_total{shard="1",op="status"}' in text
-        # the router's own families survive un-tagged, no collisions
-        assert 'repro_router_requests_total{op="submit"} 1\n' in text
-        routed = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_router_routed_jobs_total{")
-        ]
-        assert sum(routed) == 2
-        assert "repro_router_workers 2\n" in text
-
-    def test_router_spans_annotate_origin(self):
-        with self._router() as r:
-            r.handle_request({"v": 2, "rid": 5, "op": "submit",
-                              "jobs": [job("a", tenant="acme")]})
-            resp = r.handle_request({"op": "spans"})
-        shards = {s["shard"] for s in resp["spans"]}
-        assert "router" in shards
-        assert shards & {0, 1}
-
-    def test_status_aggregates_and_nests(self):
-        with self._router() as r:
-            s = r.handle_request({"op": "status"})
-        assert s["uptime_seconds"] >= 0
-        assert s["rss_bytes"] > 0
-        assert set(s["shards"]) == {"0", "1"}
-        assert all("uptime_seconds" in sh for sh in s["shards"].values())
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ reconnect/resend."""
 
 import json
 import threading
+import time
 
 import pytest
 from helpers import scripted_tcp_server
@@ -16,8 +17,8 @@ from repro.service import (
     ServiceFrontend,
     serve_tcp,
 )
+from repro.service.client import _TcpTransport, pick_free_port
 from repro.service.frontend import _handle_line
-from repro.service.router import pick_free_port
 
 
 class _LoopbackTransport:
@@ -215,9 +216,7 @@ class TestTcpReconnect:
         with pytest.raises(Disconnected):
             client.status()
         # the transport can still be reconnected by hand and shut down
-        import time as _time
-
-        client.transport.connect(_time.monotonic() + 5.0)
+        client.transport.connect(time.monotonic() + 5.0)
         client.shutdown()
         client.close()
         t.join(timeout=5.0)
@@ -247,6 +246,58 @@ class TestTcpReconnect:
         client.close()
         t.join(timeout=5.0)
         assert not t.is_alive()
+
+    def test_stale_rid_reply_is_skipped_after_a_reconnect(self):
+        """The first connection dies with the request unanswered; on the
+        resend the peer first replays a reply to an older rid, which must
+        not be taken for this request's answer."""
+
+        def vanish(fh):
+            fh.readline()  # reads the request, dies without answering
+
+        def stale_then_real(fh):
+            rid = json.loads(fh.readline())["rid"]  # the resend: same rid
+            for reply in ({"v": 2, "rid": rid - 1, "ok": True, "op": "stale"},
+                          {"v": 2, "rid": rid, "ok": True, "op": "status"}):
+                fh.write(json.dumps(reply) + "\n")
+            fh.flush()
+
+        port, t = scripted_tcp_server(vanish, stale_then_real)
+        client = ServiceClient.connect(
+            "127.0.0.1", port, connect_deadline=10.0, retry_deadline=10.0
+        )
+        assert client.status() == {"ok": True, "op": "status"}
+        client.close()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+
+    def test_nothing_connects_before_the_first_exchange(self):
+        """A client over a never-connected TCP transport can be built
+        before its server listens: the first exchange with a deadline
+        connects it."""
+        port = pick_free_port()  # nothing listens yet
+        client = ServiceClient(_TcpTransport("127.0.0.1", port))
+        assert client.transport._sock is None
+        fe = ServiceFrontend(SchedulingSession((4,)), batch_size=1)
+        ready = threading.Event()
+        t = threading.Thread(target=serve_tcp, args=(fe, "127.0.0.1", port),
+                             kwargs={"ready": ready}, daemon=True)
+        t.start()
+        assert ready.wait(5.0)
+        assert client.exchange({"op": "status"}, deadline=10.0)["ok"]
+        client.exchange({"op": "shutdown"}, deadline=10.0)
+        client.close()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+
+    def test_an_unreachable_server_is_disconnected_once_the_deadline_passes(self):
+        port = pick_free_port()  # bound-probed and released: nothing listens
+        client = ServiceClient(_TcpTransport("127.0.0.1", port))
+        t0 = time.monotonic()
+        with pytest.raises(Disconnected, match="connect failed"):
+            client.exchange({"op": "status"}, deadline=0.3)
+        # retried until the deadline, not refused on the first attempt
+        assert 0.3 <= time.monotonic() - t0 < 5.0
 
     def test_connect_to_a_dead_port_times_out(self):
         port = pick_free_port()

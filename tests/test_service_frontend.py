@@ -189,21 +189,6 @@ class TestFairSharing:
         assert sorted(r["admitted"]) == ["kid", "root"] and "errors" not in r
 
 
-class TestFifoAdmission:
-    def test_refused_duplicate_does_not_reorder_accepted_jobs(self):
-        """fifo promises global arrival order (what shard workers run under
-        the router); the duplicate used to move the first "x" behind "y"."""
-        fe = frontend(admission="fifo", batch_size=8)
-        for jid, tenant in (("x", "t1"), ("y", "t2"), ("x", "t0")):
-            assert fe.handle_request({"op": "submit", "jobs": [job(jid, tenant=tenant)]})["ok"]
-        r = fe.handle_request({"op": "flush"})
-        assert r["admitted"] == ["x", "y"]
-        (err,) = r["errors"]
-        assert err["id"] == "x" and err["error"] == "admission_failed"
-        # the first arrival is the one admitted
-        assert fe.session.tenants == ["t1", "t2"]
-
-
 class TestProtocol:
     def test_unknown_op_and_malformed_requests(self):
         fe = frontend()
