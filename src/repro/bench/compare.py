@@ -13,8 +13,9 @@ Two kinds of entries come out of a comparison:
   gate's ``max_regression`` is a **regression** and fails the run; one
   that moves the right way by the same margin is an **improvement**;
   anything else is **ok**.
-* **informational deltas** — every case's wall-clock and every shared
-  non-gated derived metric.  Reported but never failing.
+* **informational deltas** — every shared non-gated derived metric.
+  Reported but never failing.  Wall-clock is not compared: a case's
+  ``seconds`` moves with the host and the load, not with the code.
 
 Gates come from the *current* document — they are the code's contract,
 so a PR that adds a gate starts enforcing it immediately and a PR that
@@ -45,7 +46,7 @@ class Delta:
     """One compared metric."""
 
     benchmark: str
-    key: str  #: ``derived:<metric>`` or ``case:<case>:seconds``
+    key: str  #: ``derived:<metric>``
     baseline: float
     current: float
     #: "regression" | "improvement" | "ok" for gated metrics; "info" otherwise
@@ -190,21 +191,7 @@ def compare_documents(
                 )
             )
 
-        # informational: wall-clock per case plus shared non-gated metrics
-        base_cases = {c["name"]: c for c in base["cases"]}
-        for case in record["cases"]:
-            bcase = base_cases.get(case["name"])
-            if bcase is not None:
-                report.info.append(
-                    Delta(
-                        benchmark=name,
-                        key=f"case:{case['name']}:seconds",
-                        baseline=float(bcase["seconds"]),
-                        current=float(case["seconds"]),
-                        status="info",
-                        direction="lower",
-                    )
-                )
+        # informational: the shared non-gated metrics
         for metric, value in record["derived"].items():
             if metric in gated or metric not in base["derived"]:
                 continue

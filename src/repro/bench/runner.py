@@ -10,10 +10,8 @@ One front door for the CLI, CI and the tests::
 
 :func:`run_spec` expands a registered plan, runs each case once,
 evaluates its checks and derived metrics and serializes the schema
-record.  :func:`run_benchmarks` fans whole benchmarks out over a process
-pool via :func:`repro.experiments.parallel.map_parallel` — the unit is
-one registered benchmark (its checks need the in-memory case values),
-order is preserved, and ``workers=1`` (the default) runs in-process.
+record.  :func:`run_benchmarks` runs the named benchmarks in order, in
+this process.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Any
 
 from repro.bench.core import run_plan
 from repro.bench.registry import BenchmarkSpec, get_benchmark
-from repro.experiments.parallel import map_parallel
 
 __all__ = ["failed_checks", "run_benchmarks", "run_spec"]
 
@@ -48,33 +45,19 @@ def run_spec(spec: BenchmarkSpec) -> dict[str, Any]:
     }
 
 
-def _run_benchmark_job(name: str) -> dict[str, Any]:
-    """Module-level worker body (must be picklable for the process pool)."""
-    return run_spec(get_benchmark(name))
+def run_benchmarks(names: list[str], *, progress=None) -> list[dict[str, Any]]:
+    """Run the named benchmarks serially; returns their schema records.
 
-
-def run_benchmarks(
-    names: list[str],
-    *,
-    workers: int | None = 1,
-    progress=None,
-) -> list[dict[str, Any]]:
-    """Run the named benchmarks, optionally over a process pool.
-
-    ``workers=1`` (default) runs serially in-process and calls
-    ``progress(i, total, name)`` before each benchmark; ``workers>1`` or
-    ``None`` (auto) fans the benchmarks out with :func:`map_parallel`.
+    Every name is resolved before the first run, so a typo fails fast.
+    ``progress(i, total, name)`` is called before each benchmark.
     """
-    for name in names:
-        get_benchmark(name)  # fail fast on unknown names, before any run
-    if workers == 1:
-        records = []
-        for i, name in enumerate(names):
-            if progress is not None:
-                progress(i, len(names), name)
-            records.append(_run_benchmark_job(name))
-        return records
-    return map_parallel(_run_benchmark_job, names, workers=workers)
+    specs = [get_benchmark(name) for name in names]
+    records = []
+    for i, spec in enumerate(specs):
+        if progress is not None:
+            progress(i, len(specs), spec.name)
+        records.append(run_spec(spec))
+    return records
 
 
 def failed_checks(records: list[dict[str, Any]]) -> list[tuple[str, dict[str, Any]]]:

@@ -1,16 +1,12 @@
-"""Command-line interface: regenerate experiments and schedule workloads.
+"""Command-line interface: reproduce the paper and schedule workloads.
 
 Usage (after ``pip install -e .``)::
 
-    python -m repro figure1
-    python -m repro figure2 --d 2 3 4 --m 12 48
-    python -m repro table1
-    python -m repro sim-a --families layered cholesky --d 1 2 3
-    python -m repro sim-b
+    python -m repro bench --compare BENCH_*.json
+    python -m repro bench --only figure1 --tables out/
+    python -m repro bench --emit-dir . --tables benchmarks/results
     python -m repro schedulers
     python -m repro fuzz --quick
-    python -m repro bench --compare BENCH_*.json
-    python -m repro bench --emit-dir . --tables benchmarks/results
     python -m repro schedule --family cholesky --n 40 --d 3 --gantt
     python -m repro schedule --family independent --scheduler sun_shelf
     python -m repro schedule --scheduler tetris --arrival-rate 2.0
@@ -18,8 +14,9 @@ Usage (after ``pip install -e .``)::
     python -m repro serve --capacities 16 16        # JSON-lines service
     python -m repro serve --tcp 7077 --batch-size 8
 
-Every scheduler name comes from :mod:`repro.registry`; every command
-prints the same tables the benchmark harness asserts on.
+Every paper result (Table 1, Figures 1-2, the simulation ratios and the
+ablations) has one producer, its registered ``repro bench`` spec; every
+scheduler name comes from :mod:`repro.registry`.
 """
 
 from __future__ import annotations
@@ -28,16 +25,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.experiments.figure1 import figure1_table
 from repro.experiments.report import format_table
-from repro.experiments.sweeps import (
-    algorithm_comparison,
-    independent_comparison,
-    mu_rho_ablation,
-    priority_ablation,
-    theorem6_sweep,
-)
-from repro.experiments.table1 import table1_text
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
 from repro.instance.instance import with_poisson_arrivals
 from repro.registry import available_schedulers, get_scheduler, scheduler_specs
@@ -54,41 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    f1 = sub.add_parser("figure1", help="Theorem 2 ratio curves (Figure 1)")
-    f1.add_argument("--d-min", type=int, default=22)
-    f1.add_argument("--d-max", type=int, default=50)
-
-    f2 = sub.add_parser("figure2", help="Theorem 6 lower-bound simulation (Figure 2)")
-    f2.add_argument("--d", type=int, nargs="+", default=[2, 3, 4, 5, 6])
-    f2.add_argument("--m", type=int, nargs="+", default=[12, 24, 48])
-
-    t1 = sub.add_parser("table1", help="approximation-ratio summary (Table 1)")
-    t1.add_argument("--d", type=int, nargs="+", default=[1, 2, 3, 4, 8, 22, 50])
-
-    workers_help = (
-        "process-pool size for the sweep cells (default 1 = serial; "
-        "0 = auto, i.e. default_workers(), overridable via REPRO_WORKERS)"
-    )
-
-    sa = sub.add_parser("sim-a", help="ratio vs d, ours vs baselines")
-    sa.add_argument("--families", nargs="+", default=["layered", "cholesky"],
-                    choices=list(WORKLOAD_FAMILIES))
-    sa.add_argument("--d", type=int, nargs="+", default=[1, 2, 3])
-    sa.add_argument("--n", type=int, default=24)
-    sa.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    sa.add_argument("--workers", type=int, default=1, help=workers_help)
-
-    sb = sub.add_parser("sim-b", help="independent jobs, ours vs Sun et al. [36]")
-    sb.add_argument("--d", type=int, nargs="+", default=[1, 2, 3, 4])
-    sb.add_argument("--n", type=int, default=32)
-    sb.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
-    sb.add_argument("--workers", type=int, default=1, help=workers_help)
-
-    ab = sub.add_parser("ablation", help="µ/ρ and priority ablations")
-    ab.add_argument("kind", choices=["mu-rho", "priority"])
-    ab.add_argument("--d", type=int, default=3)
-    ab.add_argument("--n", type=int, default=24)
-
     sub.add_parser("schedulers", help="list the registered schedulers")
 
     be = sub.add_parser(
@@ -102,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--kind", default=None,
                     choices=["paper", "ablation", "extension"],
                     help="run only benchmarks of this kind")
-    be.add_argument("--workers", type=int, default=1,
-                    help="process-pool size over whole benchmarks (default 1 "
-                         "= serial; 0 = auto)")
     be.add_argument("--json", metavar="FILE", dest="json_out",
                     help="write the full repro-bench/1 document here")
     be.add_argument("--emit-dir", metavar="DIR",
@@ -117,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "carry one git_sha; gated regressions fail the run")
     be.add_argument("--list", action="store_true", dest="list_only",
                     help="list registered benchmarks and exit")
-    be.add_argument("--profile", metavar="NAME", default=None,
-                    help="run one registered benchmark under cProfile; the "
-                         "top-50 cumulative-time stats are written to "
-                         "--emit-dir/PROFILE_<name>.txt when --emit-dir is "
-                         "given, else printed after the run's own output "
-                         "(no document emission or gating)")
 
     fz = sub.add_parser(
         "fuzz",
@@ -280,6 +224,11 @@ def _cmd_fuzz(args) -> int:
 
     from repro.conformance.fuzz import default_matrix, run_fuzz
 
+    if args.max_cases is not None and args.max_cases < 0:
+        # a negative slice bound would silently drop cases from the end
+        print(f"error: --max-cases must be >= 0, got {args.max_cases}",
+              file=sys.stderr)
+        return 2
     quick = args.quick or os.environ.get("REPRO_FUZZ_QUICK") == "1"
     try:
         cases = default_matrix(
@@ -330,42 +279,9 @@ def _cmd_bench(args) -> int:
                            title="Registered benchmarks"))
         return 0
 
-    registered = [s.name for s in benchmark_specs()]
-    if args.profile is not None:
-        if args.profile not in registered:
-            print(f"error: unknown benchmark {args.profile!r}; registered: "
-                  f"{', '.join(registered)}", file=sys.stderr)
-            return 2
-        import cProfile
-        import io
-        import pstats
-
-        print(f"bench: profiling {args.profile}", flush=True)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        records = run_benchmarks([args.profile])
-        profiler.disable()
-        # the stats go through a buffer, never straight to stdout: with
-        # --emit-dir they land in a file, otherwise they print *after*
-        # the check results instead of interleaving with them
-        buf = io.StringIO()
-        pstats.Stats(profiler, stream=buf).sort_stats("cumulative").print_stats(50)
-        failed = failed_checks(records)
-        for name, check in failed:
-            detail = f": {check['detail']}" if check["detail"] else ""
-            print(f"  CHECK FAILED {name}:{check['name']}{detail}")
-        if args.emit_dir:
-            os.makedirs(args.emit_dir, exist_ok=True)
-            path = os.path.join(args.emit_dir, f"PROFILE_{args.profile}.txt")
-            with open(path, "w") as fh:
-                fh.write(buf.getvalue())
-            print(f"profile stats written to {path}")
-        else:
-            print(buf.getvalue(), end="")
-        return 1 if failed else 0
-
     names = [s.name for s in benchmark_specs(kind=args.kind)]
     if args.only is not None:
+        registered = [s.name for s in benchmark_specs()]
         unknown = set(args.only) - set(registered)
         if unknown:
             print(f"error: unknown benchmark(s): {', '.join(sorted(unknown))}; "
@@ -396,7 +312,7 @@ def _cmd_bench(args) -> int:
     def progress(i, total, name):
         print(f"  [{i + 1}/{total}] {name}", flush=True)
 
-    records = run_benchmarks(names, workers=args.workers or None, progress=progress)
+    records = run_benchmarks(names, progress=progress)
     doc = build_document(records)
 
     failed = failed_checks(records)
@@ -769,39 +685,6 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "figure1":
-        print(figure1_table(args.d_min, args.d_max))
-        return 0
-    if args.command == "figure2":
-        rows = theorem6_sweep(d_values=tuple(args.d), m_values=tuple(args.m))
-        print(format_table(list(rows[0]), [list(r.values()) for r in rows],
-                           title="Theorem 6 / Figure 2"))
-        return 0
-    if args.command == "table1":
-        print(table1_text(tuple(args.d)))
-        return 0
-    if args.command == "sim-a":
-        rows = algorithm_comparison(families=args.families, d_values=tuple(args.d),
-                                    n=args.n, seeds=tuple(args.seeds),
-                                    workers=args.workers or None)
-        print(format_table(list(rows[0]), [list(r.values()) for r in rows],
-                           title="Sim-A: mean ratio vs LP lower bound"))
-        return 0
-    if args.command == "sim-b":
-        rows = independent_comparison(d_values=tuple(args.d), n=args.n,
-                                      seeds=tuple(args.seeds),
-                                      workers=args.workers or None)
-        print(format_table(list(rows[0]), [list(r.values()) for r in rows],
-                           title="Sim-B: independent jobs"))
-        return 0
-    if args.command == "ablation":
-        if args.kind == "mu-rho":
-            rows = mu_rho_ablation(d=args.d, n=args.n)
-        else:
-            rows = priority_ablation(d=args.d, n=args.n)
-        print(format_table(list(rows[0]), [list(r.values()) for r in rows],
-                           title=f"Ablation: {args.kind}"))
-        return 0
     if args.command == "schedulers":
         return _cmd_schedulers()
     if args.command == "bench":

@@ -11,8 +11,8 @@ Priorities.  The paper proves the approximation ratio for *any* queue order;
 better orders help in practice (Section 4.2.1) and the distinction between
 *local* priorities (functions of the job alone) and *global* ones (functions
 of the precedence graph, e.g. bottom level) is the crux of Theorem 6.  The
-:class:`PriorityRule` factories below cover both families; benchmarks
-``bench_ablation_priority`` and ``bench_figure2_lower_bound`` exercise them.
+:class:`PriorityRule` factories below cover both families; the registered
+benchmarks ``ablation_priority`` and ``figure2_lower_bound`` exercise them.
 """
 
 from __future__ import annotations

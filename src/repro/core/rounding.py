@@ -13,8 +13,9 @@ worth comparing empirically:
   allocation minimizing ``L(p')`` (still inherits Lemma 3's guarantee for
   the *chosen* ρ, and can only improve on any single choice).
 
-Both produce drop-in replacements for Step 2's output; the
-``bench_ablation_rounding`` benchmark compares them end-to-end.
+Both produce drop-in replacements for Step 2's output; the registered
+``ablation_rounding`` benchmark (``repro bench --only ablation_rounding``)
+compares them end-to-end.
 """
 
 from __future__ import annotations

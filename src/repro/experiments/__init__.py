@@ -1,25 +1,6 @@
-"""Experiment harness: the paper's figures/tables and the simulation study."""
+"""Experiment library: the sweeps, workloads and table builders that the
+registered ``repro bench`` specs run to reproduce the paper.
 
-from repro.experiments.lb_instance import (
-    lower_bound_instance,
-    adversarial_priority,
-    informed_priority,
-    theoretical_makespans,
-)
-from repro.experiments.figure1 import figure1_table
-from repro.experiments.table1 import table1_rows, table1_text
-from repro.experiments.workloads import random_instance, WORKLOAD_FAMILIES
-from repro.experiments.report import format_table
-
-__all__ = [
-    "lower_bound_instance",
-    "adversarial_priority",
-    "informed_priority",
-    "theoretical_makespans",
-    "figure1_table",
-    "table1_rows",
-    "table1_text",
-    "random_instance",
-    "WORKLOAD_FAMILIES",
-    "format_table",
-]
+Import the modules directly (``repro.experiments.sweeps``,
+``repro.experiments.workloads``, ...); the package itself loads nothing.
+"""

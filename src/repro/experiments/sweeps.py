@@ -2,14 +2,8 @@
 
 Every function returns plain ``list[dict]`` rows ready for
 :func:`repro.experiments.report.format_table`, and is deterministic for
-fixed seeds.  The benchmark harness wraps each sweep in one bench target.
-
-The per-seed cells of Sim-A and Sim-B are independent; both sweeps accept
-``workers`` and fan the cells out over
-:func:`repro.experiments.parallel.map_parallel` (``workers=1`` — the
-default — runs serially; ``None`` uses ``default_workers()``, overridable
-via ``REPRO_WORKERS``).  Results are bit-identical regardless of worker
-count: cells are seeded independently and reassembled in order.
+fixed seeds.  Each sweep is run by one registered ``repro bench`` spec
+(:mod:`repro.bench.suites`), which pins its parameters.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from repro.experiments.lb_instance import (
     lower_bound_instance,
     theoretical_makespans,
 )
-from repro.experiments.parallel import map_parallel
 from repro.experiments.workloads import random_instance
 from repro.registry import available_schedulers, get_scheduler
 from repro.resources.pool import ResourcePool
@@ -47,13 +40,10 @@ __all__ = [
 ]
 
 
-def _sim_a_cell(cell: tuple) -> dict[str, float]:
-    """One Sim-A (family, d, seed) cell: ratio per scheduler.
-
-    Module-level so the cell can cross a process boundary (see
-    :mod:`repro.experiments.parallel`).
-    """
-    family, d, n, capacity, seed, schedulers = cell
+def _sim_a_cell(
+    family: str, d: int, n: int, capacity: int, seed: int, schedulers: tuple[str, ...]
+) -> dict[str, float]:
+    """One Sim-A (family, d, seed) cell: ratio per scheduler."""
     pool = ResourcePool.uniform(d, capacity)
     wl = random_instance(family, n, pool, seed=seed)
     inst = wl.instance
@@ -76,7 +66,6 @@ def algorithm_comparison(
     capacity: int = 16,
     seeds: Sequence[int] = (0, 1, 2),
     schedulers: Sequence[str] | None = None,
-    workers: int | None = 1,
 ) -> list[dict]:
     """Sim-A: mean makespan / LP-lower-bound ratio, ours vs. baselines.
 
@@ -84,33 +73,25 @@ def algorithm_comparison(
     seeds, plus the proven bound for reference.  ``schedulers`` defaults to
     every registered DAG-capable baseline (see :mod:`repro.registry`), so
     newly registered schedulers join the comparison automatically.
-    ``workers`` fans the (family, d, seed) cells over a process pool.
     """
     if schedulers is None:
         schedulers = available_schedulers(kind="baseline", graphs="any")
     schedulers = tuple(schedulers)
-    grid = [(family, d) for family in families for d in d_values]
-    cells = [
-        (family, d, n, capacity, seed, schedulers)
-        for family, d in grid
-        for seed in seeds
-    ]
-    results = map_parallel(_sim_a_cell, cells, workers=workers)
     rows: list[dict] = []
-    per_cell = len(seeds)
-    for g, (family, d) in enumerate(grid):
-        chunk = results[g * per_cell:(g + 1) * per_cell]
-        row = {"family": family, "d": d, "proven": theory.theorem1_ratio(d)}
-        row.update({
-            name: mean(c[name] for c in chunk) for name in ("ours", *schedulers)
-        })
-        rows.append(row)
+    for family in families:
+        for d in d_values:
+            cells = [_sim_a_cell(family, d, n, capacity, seed, schedulers)
+                     for seed in seeds]
+            row = {"family": family, "d": d, "proven": theory.theorem1_ratio(d)}
+            row.update({
+                name: mean(c[name] for c in cells) for name in ("ours", *schedulers)
+            })
+            rows.append(row)
     return rows
 
 
-def _sim_b_cell(cell: tuple) -> tuple[float, float, float]:
+def _sim_b_cell(d: int, n: int, capacity: int, seed: int) -> tuple[float, float, float]:
     """One Sim-B (d, seed) cell: (ours, sun_list, sun_shelf) ratios."""
-    d, n, capacity, seed = cell
     pool = ResourcePool.uniform(d, capacity)
     wl = random_instance("independent", n, pool, seed=seed)
     inst = wl.instance
@@ -130,23 +111,17 @@ def independent_comparison(
     n: int = 40,
     capacity: int = 16,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    workers: int | None = 1,
 ) -> list[dict]:
     """Sim-B: independent jobs — ours (Theorem 5) vs. Sun et al. [36].
 
     Ratios are against the *exact* ``L_min`` (Lemma 8), so they are true
-    upper bounds on the approximation factor achieved.  ``workers`` fans
-    the (d, seed) cells over a process pool.
+    upper bounds on the approximation factor achieved.
     """
-    cells = [(d, n, capacity, seed) for d in d_values for seed in seeds]
-    results = map_parallel(_sim_b_cell, cells, workers=workers)
     rows: list[dict] = []
-    per_cell = len(seeds)
-    for g, d in enumerate(d_values):
-        chunk = results[g * per_cell:(g + 1) * per_cell]
-        ours = [c[0] for c in chunk]
-        sun_list = [c[1] for c in chunk]
-        sun_shelf = [c[2] for c in chunk]
+    for d in d_values:
+        ours, sun_list, sun_shelf = zip(
+            *(_sim_b_cell(d, n, capacity, seed) for seed in seeds)
+        )
         rows.append(
             {
                 "d": d,

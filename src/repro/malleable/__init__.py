@@ -17,7 +17,7 @@ per resource type it uses, preserving total work and precedence while
 discarding the moldable model's allocation rigidity.  The relaxation's
 makespan is therefore an (often optimistic) reference point — malleability
 is strictly more powerful — quantifying what the moldable restriction
-costs (see ``bench_malleable.py``).
+costs (see the registered ``malleable`` benchmark).
 """
 
 from repro.malleable.model import MalleableJob, MalleableInstance, moldable_to_malleable

@@ -30,6 +30,9 @@ class ResourcePool:
     def __post_init__(self) -> None:
         caps = ResourceVector(self.capacities)
         object.__setattr__(self, "capacities", caps)
+        if not caps:
+            raise ValueError("platform capacities must be a positive vector, "
+                             "got () (a platform needs at least one resource type)")
         if any(c <= 0 for c in caps):
             raise ValueError(f"all capacities must be positive, got {tuple(caps)}")
         if not self.names:

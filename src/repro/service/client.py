@@ -1,9 +1,9 @@
 """The typed Python client for the `repro serve` wire protocol.
 
-:class:`ServiceClient` wraps the JSON-lines protocol (both wire
-versions, v2 by default) behind typed verbs — ``submit``, ``cancel``,
-``advance``, ``drain``, ``stats``, … — that **raise** on failure instead
-of handing callers ``{"ok": false}`` dicts to pattern-match:
+:class:`ServiceClient` wraps the JSON-lines protocol (wire v2) behind
+typed verbs — ``submit``, ``cancel``, ``advance``, ``drain``, ``stats``,
+… — that **raise** on failure instead of handing callers
+``{"ok": false}`` dicts to pattern-match:
 
 * :class:`ServiceError` — the service answered with a stable error code
   (``exc.code`` ∈ :data:`repro.service.wire.ERROR_CODES`, ``exc.detail``
@@ -194,25 +194,19 @@ class _TcpTransport:
 # the client
 # ----------------------------------------------------------------------
 class ServiceClient:
-    """Typed verbs over one service connection (wire v2 by default).
+    """Typed verbs over one service connection, speaking wire v2.
 
-    ``wire_version=1`` speaks the legacy bare-op shape (kept for
-    compatibility tests; new code should stay on 2).  ``retry_deadline``
-    (seconds, TCP only) makes every call survive worker restarts:
-    disconnect → reconnect → resend, correlated by rid.
+    ``retry_deadline`` (seconds, TCP only) makes every call survive
+    worker restarts: disconnect → reconnect → resend, correlated by rid.
     """
 
     def __init__(
         self,
         transport,
         *,
-        wire_version: int = WIRE_VERSION,
         retry_deadline: "float | None" = None,
     ) -> None:
-        if wire_version not in (1, WIRE_VERSION):
-            raise ValueError(f"unsupported wire version {wire_version!r}")
         self.transport = transport
-        self.wire_version = wire_version
         self.retry_deadline = retry_deadline
         self._rid = 0
 
@@ -297,13 +291,9 @@ class ServiceClient:
             if deadline is not None and self.transport.reconnectable
             else None
         )
-        if self.wire_version >= WIRE_VERSION:
-            self._rid += 1
-            rid = self._rid
-            wire = json.dumps({"v": WIRE_VERSION, "rid": rid, **request})
-        else:
-            rid = None
-            wire = json.dumps(request)
+        self._rid += 1
+        rid = self._rid
+        wire = json.dumps({"v": WIRE_VERSION, "rid": rid, **request})
         while True:
             try:
                 self.transport.send_line(wire)
@@ -313,7 +303,7 @@ class ServiceClient:
                         resp = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise Disconnected(f"undecodable response: {exc}") from None
-                    if rid is None or "rid" not in resp or resp.get("rid") == rid:
+                    if "rid" not in resp or resp["rid"] == rid:
                         resp.pop("v", None)
                         resp.pop("rid", None)
                         return resp

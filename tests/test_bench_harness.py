@@ -315,14 +315,16 @@ def test_compare_new_and_missing_benchmarks_never_fail():
 
 def test_compare_info_deltas_never_gate():
     base = toy_document()
-    current = json.loads(json.dumps(base))
-    # blow up every wall-clock by 10x
+    base["benchmarks"][0]["derived"]["spread"] = 1.0
+    current = _with_derived(base, spread=10.0)
+    # blow up every wall-clock by 10x: timing is not compared at all
     for case in current["benchmarks"][0]["cases"]:
         case["seconds"] = case["seconds"] * 10 + 1.0
     report = compare_documents(current, base)
     assert report.ok
-    assert {d.status for d in report.info} == {"info"}
-    assert any(d.key.endswith(":seconds") for d in report.info)
+    assert [(d.key, d.status) for d in report.info] == [("derived:spread", "info")]
+    summary = report.summary()
+    assert "derived:spread" in summary and ":seconds" not in summary
 
 
 def test_merge_baseline_takes_slices_of_one_recording():
@@ -356,6 +358,17 @@ def test_run_plan_rejects_duplicate_case_names():
     )
     with pytest.raises(ValueError, match="duplicate case name"):
         run_plan(plan)
+
+
+def test_run_benchmarks_runs_serially_in_the_given_order():
+    seen = []
+    records = run_benchmarks(
+        ["figure1", "ablation_priority"],
+        progress=lambda i, total, name: seen.append((i, total, name)),
+    )
+    assert [r["name"] for r in records] == ["figure1", "ablation_priority"]
+    assert seen == [(0, 2, "figure1"), (1, 2, "ablation_priority")]
+    assert failed_checks(records) == []
 
 
 def test_run_benchmarks_fails_fast_on_unknown_name():

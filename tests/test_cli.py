@@ -2,12 +2,15 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestParser:
@@ -18,13 +21,11 @@ class TestParser:
     def test_known_commands(self):
         p = build_parser()
         for argv in (
-            ["figure1"],
-            ["figure2", "--d", "2", "--m", "6"],
-            ["table1", "--d", "3"],
-            ["sim-a", "--families", "layered"],
-            ["sim-b"],
-            ["ablation", "mu-rho"],
+            ["schedulers"],
+            ["bench", "--only", "figure1"],
+            ["fuzz", "--quick"],
             ["schedule", "--family", "chain"],
+            ["serve"],
         ):
             args = p.parse_args(argv)
             assert args.command == argv[0]
@@ -46,8 +47,21 @@ class TestParser:
             build_parser().parse_args(["serve", *flags])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
-        # the sweeps keep their own --workers
-        assert build_parser().parse_args(["sim-a", "--workers", "2"]).workers == 2
+
+    @pytest.mark.parametrize("argv", (
+        ["figure1"], ["figure2"], ["table1"], ["sim-a"], ["sim-b"],
+        ["ablation", "mu-rho"],
+        ["bench", "--workers", "2"], ["bench", "--profile", "figure1"],
+    ))
+    def test_paper_results_have_one_front_door(self, argv, capsys):
+        """``repro bench`` is the only producer of the paper's results: the
+        per-figure subcommands, the process pool and the profiler are
+        gone, so argparse refuses them before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and captured.out == ""
 
 
 def test_serve_path_imports_no_scipy():
@@ -68,33 +82,51 @@ def test_serve_path_imports_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _bench_tables(tmp_path, *names):
+    """Run the registered benchmarks through ``repro bench --tables`` and
+    return ``{table name: rendered text}``."""
+    tables = tmp_path / "tables"
+    assert main(["bench", "--only", *names, "--tables", str(tables)]) == 0
+    return {p.stem: p.read_text() for p in sorted(tables.glob("*.txt"))}
+
+
+def _committed(name):
+    return (RESULTS / f"{name}.txt").read_text()
+
+
 class TestCommands:
-    def test_figure1(self, capsys):
-        assert main(["figure1", "--d-min", "22", "--d-max", "24"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert "22" in out
+    """Each paper result comes from its registered benchmark, and the
+    table ``repro bench --tables`` renders is the committed one."""
 
-    def test_figure2(self, capsys):
-        assert main(["figure2", "--d", "2", "3", "--m", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "Theorem 6" in out
+    def test_figure1(self, tmp_path, capsys):
+        out = _bench_tables(tmp_path, "figure1")
+        assert out == {"figure1": _committed("figure1")}
+        assert "Figure 1" in out["figure1"]
 
-    def test_table1(self, capsys):
-        assert main(["table1", "--d", "2", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "independent" in out
+    def test_figure2(self, tmp_path, capsys):
+        out = _bench_tables(tmp_path, "figure2_lower_bound")
+        assert out == {"figure2_lower_bound": _committed("figure2_lower_bound")}
+        assert "Theorem 6" in out["figure2_lower_bound"]
 
-    def test_sim_a_small(self, capsys):
-        assert main(["sim-a", "--families", "chain", "--d", "1",
-                     "--n", "6", "--seeds", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "Sim-A" in out
+    def test_table1(self, tmp_path, capsys):
+        out = _bench_tables(tmp_path, "table1")
+        assert out == {"table1": _committed("table1")}
+        assert "Table 1" in out["table1"] and "independent" in out["table1"]
 
-    def test_sim_b_small(self, capsys):
-        assert main(["sim-b", "--d", "1", "--n", "6", "--seeds", "0"]) == 0
-        assert "Sim-B" in capsys.readouterr().out
+    def test_sim_a_small(self, tmp_path, capsys):
+        out = _bench_tables(tmp_path, "sim_ratio_vs_d")
+        assert out == {"sim_ratio_vs_d": _committed("sim_ratio_vs_d")}
+        assert "Sim-A" in out["sim_ratio_vs_d"]
+
+    def test_sim_b_small(self, tmp_path, capsys):
+        out = _bench_tables(tmp_path, "sim_independent")
+        assert out == {"sim_independent": _committed("sim_independent")}
+        assert "Sim-B" in out["sim_independent"]
+
+    def test_ablation_commands(self, tmp_path, capsys):
+        out = _bench_tables(tmp_path, "ablation_mu_rho", "ablation_priority")
+        assert set(out) == {"ablation_mu_rho", "ablation_priority"}
+        assert out == {name: _committed(name) for name in out}
 
     def test_schedule_ours(self, capsys):
         assert main(["schedule", "--family", "layered", "--n", "8",
@@ -123,12 +155,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "allocator=sp" in out
 
-    def test_ablation_commands(self, capsys):
-        assert main(["ablation", "mu-rho", "--d", "2", "--n", "6"]) == 0
-        assert "Ablation: mu-rho" in capsys.readouterr().out
-        assert main(["ablation", "priority", "--d", "2", "--n", "6"]) == 0
-        assert "Ablation: priority" in capsys.readouterr().out
-
     def test_schedule_new_baselines(self, capsys):
         for algo in ("backfill", "level_shelf"):
             assert main(["schedule", "--family", "layered", "--n", "8",
@@ -155,6 +181,17 @@ class TestCommands:
         assert main(["fuzz", "--quick", "--n", "6", "--schedulers", "min_area",
                      "--families", "chain", "--max-cases", "5"]) == 0
         assert "0 failure(s)" in capsys.readouterr().out
+
+    def test_fuzz_refuses_a_negative_max_cases(self, capsys, monkeypatch):
+        """A negative bound would slice cases off the end of the matrix
+        without saying so; it is refused before the sweep starts."""
+        import repro.conformance.fuzz as fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
+        assert main(["fuzz", "--quick", "--max-cases", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --max-cases must be >= 0")
+        assert "sweeping" not in captured.out
 
     def test_fuzz_unknown_scheduler(self, capsys):
         assert main(["fuzz", "--schedulers", "nope"]) == 2
@@ -195,6 +232,11 @@ class TestCommands:
         assert main(["schedule", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_schedule_on_zero_resource_types_names_the_platform(self, capsys):
+        assert main(["schedule", "--d", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: platform capacities must be a positive vector")
 
     def test_schedule_follow_needs_fixed_allocation(self, capsys):
         assert main(["schedule", "--family", "independent", "--n", "6",

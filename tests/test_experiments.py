@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.figure1 import figure1_table
 from repro.experiments.report import format_table, format_value
 from repro.experiments.sweeps import (
     independent_comparison,
@@ -32,9 +31,16 @@ class TestReport:
 
 class TestFigure1:
     def test_table_contents(self):
-        out = figure1_table(22, 26)
-        assert "Figure 1" in out
-        assert out.count("\n") == 2 + 5  # title + header + sep + 5 rows
+        """The registered ``figure1`` benchmark renders the one Figure 1
+        table, straight from ``theory.figure1_rows``."""
+        from repro.bench.registry import get_benchmark
+        from repro.bench.runner import run_spec
+        from repro.bench.schema import render_table
+
+        [table] = run_spec(get_benchmark("figure1"))["tables"]
+        out = render_table(table)
+        assert out.startswith("Figure 1: approximation ratios for 22 <= d <= 50")
+        assert out.count("\n") == 2 + 29  # title + header + sep + 29 rows
         # first data row is d=22
         assert out.splitlines()[3].strip().startswith("22")
 

@@ -119,6 +119,17 @@ class TestResourcePool:
         with pytest.raises(ValueError):
             ResourcePool.of(4, 0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ResourcePool.uniform(0, 16),
+        lambda: ResourcePool.of(),
+        lambda: ResourcePool(ResourceVector(())),
+    ], ids=["uniform", "of", "constructor"])
+    def test_rejects_zero_resource_types(self, build):
+        """A d = 0 platform would otherwise build and fail much later,
+        inside numpy (``high <= 0``)."""
+        with pytest.raises(ValueError, match="platform capacities must be a positive vector"):
+            build()
+
     def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
             ResourcePool.of(4, 8, names=("one",))

@@ -171,6 +171,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="version"):
             instance_from_json(data)
 
+    def test_empty_capacities_are_refused(self):
+        inst = tiny_instance(seed=0, d=2, capacity=3)
+        data = json.loads(instance_to_json(inst, full_grid))
+        data["platform"]["capacities"] = []
+        data["platform"]["names"] = []
+        with pytest.raises(ValueError, match="platform capacities must be a positive vector"):
+            instance_from_json(data)
+
     def test_unknown_edge_job(self):
         inst = tiny_instance(seed=0, d=2, capacity=3)
         data = json.loads(instance_to_json(inst, full_grid))
@@ -203,25 +211,3 @@ class TestRoundTripScheduleIdentity:
         r1 = spec.schedule(inst)
         r2 = spec.schedule(back)
         assert _events(r2.schedule, reprify=False) == _events(r1.schedule, reprify=True)
-
-
-class TestParallelRunner:
-    def test_map_parallel_serial_fallback(self):
-        from repro.experiments.parallel import map_parallel
-
-        assert map_parallel(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_map_parallel_pool(self):
-        from repro.experiments.parallel import map_parallel
-
-        out = map_parallel(_square, list(range(8)), workers=2)
-        assert out == [x * x for x in range(8)]
-
-    def test_default_workers_positive(self):
-        from repro.experiments.parallel import default_workers
-
-        assert default_workers() >= 1
-
-
-def _square(x):
-    return x * x

@@ -1,4 +1,4 @@
-"""Tests for the typed service client: wire versions, typed errors,
+"""Tests for the typed service client: the v2 envelope, typed errors,
 reconnect/resend."""
 
 import json
@@ -45,12 +45,12 @@ class _LoopbackTransport:
         pass
 
 
-def loopback(caps=(8,), wire_version=2, **fe_kw):
+def loopback(caps=(8,), **fe_kw):
     fe_kw.setdefault("batch_size", 100)
     fe_kw.setdefault("batch_interval", 9999.0)
     fe = ServiceFrontend(SchedulingSession(caps), **fe_kw)
     transport = _LoopbackTransport(fe)
-    return ServiceClient(transport, wire_version=wire_version), transport
+    return ServiceClient(transport), transport
 
 
 def job(jid, demand=(1,), duration=1.0, **kw):
@@ -70,23 +70,21 @@ class TestWireVersions:
         resp = client.status()
         assert resp["ok"] and "v" not in resp and "rid" not in resp
 
-    def test_v1_client_sends_bare_requests(self):
-        client, t = loopback(wire_version=1)
-        resp = client.status()
-        assert resp["ok"]
-        assert "v" not in t.sent[0] and "rid" not in t.sent[0]
-
-    def test_unsupported_wire_version_is_refused(self):
-        with pytest.raises(ValueError, match="unsupported wire version"):
-            ServiceClient(_LoopbackTransport(None), wire_version=3)
-
     def test_round_trip_both_versions_same_result(self):
-        for version in (1, 2):
-            client, _ = loopback(wire_version=version)
-            assert client.submit([job("a")])["buffered"] == 1
-            assert client.flush()["admitted"] == ["a"]
-            drain = client.drain()
-            assert drain["completed"] == 1 and drain["makespan"] == 1.0
+        """The client speaks v2 only; a bare v1 line sent to the same kind
+        of front-end gets the same body, without the envelope."""
+        client, t = loopback()
+        _, bare = loopback()
+        requests = [{"op": "submit", "jobs": [job("a")]}, {"op": "flush"},
+                    {"op": "drain"}]
+        for request in requests:
+            body = client.exchange(request)
+            bare.send_line(json.dumps(request))
+            reply = json.loads(bare.recv_line())
+            assert "v" not in reply and "rid" not in reply
+            assert reply == body
+        assert body["completed"] == 1 and body["makespan"] == 1.0
+        assert all(w["v"] == 2 for w in t.sent)
 
     def test_stale_rid_responses_are_skipped(self):
         client, t = loopback()
@@ -104,6 +102,24 @@ class TestWireVersions:
         resp = client.status()
         assert resp["op"] == "status"  # not the stale echo
         t.send_line = real_send
+
+
+    def test_a_rid_less_reply_answers_the_pending_request(self):
+        """A transport-level error (bad JSON, oversized line) comes back
+        without a rid; it answers the request in flight, it is not
+        skipped as stale."""
+        client, t = loopback()
+
+        def refuse(line):
+            t.sent.append(json.loads(line))
+            t._responses.append(json.dumps(
+                {"ok": False, "error": "invalid_request", "detail": "too long"}
+            ))
+
+        t.send_line = refuse
+        resp = client.exchange({"op": "status"})
+        assert resp == {"ok": False, "error": "invalid_request", "detail": "too long"}
+        assert t.sent[0]["rid"] == 1
 
 
 class TestTypedErrors:
