@@ -14,8 +14,9 @@ Two kinds of entries come out of a comparison:
   that moves the right way by the same margin is an **improvement**;
   anything else is **ok**.
 * **informational deltas** — every shared non-gated derived metric.
-  Reported but never failing.  Wall-clock is not compared: a case's
-  ``seconds`` moves with the host and the load, not with the code.
+  Reported but never failing.  Wall-clock is not compared: a
+  benchmark's ``seconds`` moves with the host and the load, not with the
+  code.
 
 Gates come from the *current* document — they are the code's contract,
 so a PR that adds a gate starts enforcing it immediately and a PR that
@@ -134,7 +135,6 @@ def merge_baseline(docs: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         )
     merged = {
         "schema": docs[0]["schema"],
-        "config": dict(docs[0]["config"]),
         "environment": dict(docs[0]["environment"]),
         "benchmarks": [record for doc in docs for record in doc["benchmarks"]],
     }

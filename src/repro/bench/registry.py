@@ -3,22 +3,24 @@
 Mirrors :mod:`repro.registry` (the scheduler registry) so the CLI, CI and
 the tests all resolve benchmarks the same way — "give me benchmark *name*
 and run it" — without hard-coding imports of every suite module.  A suite
-module registers its benchmark::
+module registers its benchmark, with the gates ``--compare`` enforces::
 
     from repro.bench.registry import register_benchmark
 
-    @register_benchmark("table1", kind="paper")
-    def table1_benchmark() -> BenchPlan:
+    @register_benchmark("sim_independent", description="Sim-B: ...",
+                        gates=[Gate("ours_mean_ratio", direction="lower")])
+    def sim_b_benchmark() -> Outcome:
         ...
+        return table, checker.results, {"ours_mean_ratio": ...}
 
 and callers resolve it::
 
     from repro.bench.registry import get_benchmark
 
-    plan = get_benchmark("table1").build()
+    table, checks, derived = get_benchmark("table1").fn()
 
-Every registered factory takes no argument and returns a
-:class:`repro.bench.core.BenchPlan`.  Registration is import-driven;
+Every registered function takes no argument and returns a
+:data:`repro.bench.core.Outcome`.  Registration is import-driven;
 :func:`_load_builtin_benchmarks` lazily imports :mod:`repro.bench.suites`,
 which defines the built-in specs (one per committed ``BENCH_<name>.json``).
 """
@@ -26,9 +28,9 @@ which defines the built-in specs (one per committed ``BENCH_<name>.json``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from repro.bench.core import BenchPlan
+from repro.bench.core import Gate, Outcome
 
 __all__ = [
     "BenchmarkSpec",
@@ -38,24 +40,16 @@ __all__ = [
     "benchmark_specs",
 ]
 
-#: ``kind`` buckets benchmarks the way the scheduler registry buckets
-#: schedulers: ``"paper"`` (regenerates a displayed result),
-#: ``"ablation"`` and ``"extension"``.
-_VALID_KINDS = ("paper", "ablation", "extension")
-
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Registry entry: the plan factory plus the metadata the CLI lists."""
+    """Registry entry: the benchmark function plus what the record carries."""
 
     name: str
-    factory: Callable[[], BenchPlan]
-    kind: str
-    description: str = ""
-
-    def build(self) -> BenchPlan:
-        """Expand the benchmark into its cases."""
-        return self.factory()
+    fn: Callable[[], Outcome]
+    description: str
+    #: the derived metrics ``--compare`` may fail on
+    gates: Sequence[Gate] = ()
 
 
 _REGISTRY: dict[str, BenchmarkSpec] = {}
@@ -64,24 +58,17 @@ _REGISTRY: dict[str, BenchmarkSpec] = {}
 def register_benchmark(
     name: str,
     *,
-    kind: str = "paper",
-    description: str | None = None,
-) -> Callable[[Callable[[], BenchPlan]], Callable[[], BenchPlan]]:
-    """Decorator adding a benchmark factory to the registry.
+    description: str,
+    gates: Sequence[Gate] = (),
+) -> Callable[[Callable[[], Outcome]], Callable[[], Outcome]]:
+    """Decorator adding a benchmark function to the registry (unique name)."""
 
-    The name must be unique; ``description`` defaults to the factory's
-    first docstring line.
-    """
-    if kind not in _VALID_KINDS:
-        raise ValueError(f"kind must be one of {_VALID_KINDS}, got {kind!r}")
-
-    def deco(fn: Callable[[], BenchPlan]) -> Callable[[], BenchPlan]:
+    def deco(fn: Callable[[], Outcome]) -> Callable[[], Outcome]:
         if name in _REGISTRY:
             raise ValueError(f"benchmark {name!r} is already registered")
-        desc = description
-        if desc is None:
-            desc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
-        _REGISTRY[name] = BenchmarkSpec(name=name, factory=fn, kind=kind, description=desc)
+        _REGISTRY[name] = BenchmarkSpec(
+            name=name, fn=fn, description=description, gates=tuple(gates)
+        )
         return fn
 
     return deco
@@ -106,12 +93,12 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         ) from None
 
 
-def available_benchmarks(*, kind: str | None = None) -> list[str]:
-    """Registered benchmark names (registration order), optionally filtered."""
-    return [s.name for s in benchmark_specs(kind=kind)]
+def available_benchmarks() -> list[str]:
+    """Registered benchmark names, in registration order."""
+    return [s.name for s in benchmark_specs()]
 
 
-def benchmark_specs(*, kind: str | None = None) -> Iterator[BenchmarkSpec]:
-    """Iterate registry entries (registration order), optionally filtered."""
+def benchmark_specs() -> Iterator[BenchmarkSpec]:
+    """Iterate registry entries in registration order."""
     _load_builtin_benchmarks()
-    return iter([s for s in _REGISTRY.values() if kind is None or s.kind == kind])
+    return iter(list(_REGISTRY.values()))

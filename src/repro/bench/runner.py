@@ -1,4 +1,4 @@
-"""The shared benchmark driver: expand, run, record.
+"""The shared benchmark driver: call, time, record.
 
 One front door for the CLI, CI and the tests::
 
@@ -8,10 +8,9 @@ One front door for the CLI, CI and the tests::
     records = run_benchmarks(["table1", "figure1"])
     doc = build_document(records)
 
-:func:`run_spec` expands a registered plan, runs each case once,
-evaluates its checks and derived metrics and serializes the schema
-record.  :func:`run_benchmarks` runs the named benchmarks in order, in
-this process.
+:func:`run_spec` calls a registered benchmark once, times the call and
+serializes its schema record.  :func:`run_benchmarks` runs the named
+benchmarks in order, in this process.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.bench.core import run_plan
 from repro.bench.registry import BenchmarkSpec, get_benchmark
 
 __all__ = ["failed_checks", "run_benchmarks", "run_spec"]
@@ -28,20 +26,16 @@ __all__ = ["failed_checks", "run_benchmarks", "run_spec"]
 def run_spec(spec: BenchmarkSpec) -> dict[str, Any]:
     """Run one benchmark end to end; returns its schema record."""
     t0 = time.perf_counter()
-    plan = spec.build()
-    by_name, checks, derived = run_plan(plan)
-    tables = list(plan.tables(by_name)) if plan.tables is not None else []
-    seconds_total = time.perf_counter() - t0
+    table, checks, derived = spec.fn()
+    seconds = time.perf_counter() - t0
     return {
         "name": spec.name,
-        "kind": spec.kind,
         "description": spec.description,
-        "seconds_total": seconds_total,
-        "cases": [result.to_record() for result in by_name.values()],
+        "seconds": seconds,
         "checks": [check.to_record() for check in checks],
-        "derived": derived,
-        "gates": [gate.to_record() for gate in plan.gates],
-        "tables": [table.to_record() for table in tables],
+        "derived": dict(derived),
+        "gates": [gate.to_record() for gate in spec.gates],
+        "table": table.to_record(),
     }
 
 

@@ -52,15 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     be.add_argument("--only", nargs="+", default=None, metavar="NAME",
                     help="run only these registered benchmarks")
-    be.add_argument("--kind", default=None,
-                    choices=["paper", "ablation", "extension"],
-                    help="run only benchmarks of this kind")
     be.add_argument("--json", metavar="FILE", dest="json_out",
-                    help="write the full repro-bench/1 document here")
+                    help="write the full repro-bench/2 document here")
     be.add_argument("--emit-dir", metavar="DIR",
                     help="write per-benchmark BENCH_<name>.json slices here")
     be.add_argument("--tables", metavar="DIR",
-                    help="render every embedded result table to DIR/<name>.txt")
+                    help="render every benchmark's result table to DIR/<name>.txt")
     be.add_argument("--compare", nargs="+", metavar="BENCH.json",
                     help="diff against these documents (e.g. the committed "
                          "BENCH_*.json), merged into one baseline that must "
@@ -124,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 picks a free port)")
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--restore", metavar="FILE", default=None,
-                    help="resume from a repro-session/2 (or legacy /1) "
-                         "checkpoint; with --journal, start a new durable "
-                         "lineage from it (not with --supervise: seed the "
-                         "journal once, then supervise with --journal alone)")
+                    help="resume from a repro-session/2 checkpoint; with "
+                         "--journal, start a new durable lineage from it "
+                         "(not with --supervise: seed the journal once, "
+                         "then supervise with --journal alone)")
     sv.add_argument("--trace", metavar="FILE", default=None,
                     help="write the session trace (v3, cancellations "
                          "included) on shutdown")
@@ -229,6 +226,9 @@ def _cmd_fuzz(args) -> int:
         print(f"error: --max-cases must be >= 0, got {args.max_cases}",
               file=sys.stderr)
         return 2
+    if args.n < 1:
+        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
+        return 2
     quick = args.quick or os.environ.get("REPRO_FUZZ_QUICK") == "1"
     try:
         cases = default_matrix(
@@ -261,7 +261,7 @@ def _cmd_bench(args) -> int:
     import os
 
     from repro.bench.compare import compare_documents, merge_baseline
-    from repro.bench.registry import benchmark_specs
+    from repro.bench.registry import available_benchmarks, benchmark_specs
     from repro.bench.runner import failed_checks, run_benchmarks
     from repro.bench.schema import (
         benchmark_document,
@@ -271,27 +271,19 @@ def _cmd_bench(args) -> int:
     )
 
     if args.list_only:
-        rows = [
-            (s.name, s.kind, s.description)
-            for s in benchmark_specs(kind=args.kind)
-        ]
-        print(format_table(["name", "kind", "description"], rows,
+        rows = [(s.name, s.description) for s in benchmark_specs()]
+        print(format_table(["name", "description"], rows,
                            title="Registered benchmarks"))
         return 0
 
-    names = [s.name for s in benchmark_specs(kind=args.kind)]
+    names = available_benchmarks()
     if args.only is not None:
-        registered = [s.name for s in benchmark_specs()]
-        unknown = set(args.only) - set(registered)
+        unknown = set(args.only) - set(names)
         if unknown:
             print(f"error: unknown benchmark(s): {', '.join(sorted(unknown))}; "
-                  f"registered: {', '.join(registered)}", file=sys.stderr)
+                  f"registered: {', '.join(names)}", file=sys.stderr)
             return 2
         names = [n for n in names if n in set(args.only)]
-        if not names:
-            print(f"error: none of {', '.join(sorted(args.only))} has kind "
-                  f"{args.kind!r}", file=sys.stderr)
-            return 2
 
     baseline = None
     if args.compare:
@@ -320,8 +312,7 @@ def _cmd_bench(args) -> int:
         metrics = ", ".join(
             f"{k}={v:.4g}" for k, v in sorted(record["derived"].items())
         )
-        print(f"  {record['name']}: {record['seconds_total']:.2f}s, "
-              f"{len(record['cases'])} case(s)"
+        print(f"  {record['name']}: {record['seconds']:.2f}s"
               + (f", {metrics}" if metrics else ""))
     for name, check in failed:
         detail = f": {check['detail']}" if check["detail"] else ""

@@ -50,6 +50,9 @@ class SPAllocation:
     l_value: float
     target: float
     epsilon: float
+    #: width of the final DP table (``bmax + 1`` area budgets): the
+    #: FPTAS's cost, ``O(n / ε)``
+    budget_levels: int
 
 
 @dataclass
@@ -202,4 +205,5 @@ def sp_fptas_allocation(
         l_value=instance.lower_bound_functional(allocation),
         target=best_x,
         epsilon=epsilon,
+        budget_levels=len(dp.f),
     )

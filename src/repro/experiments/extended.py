@@ -14,7 +14,6 @@ These probe the knobs the theorems expose:
 
 from __future__ import annotations
 
-import time
 from statistics import mean
 from typing import Sequence
 
@@ -73,27 +72,29 @@ def epsilon_sweep(
     capacity: int = 12,
     seeds: Sequence[int] = (0, 1),
 ) -> list[dict]:
-    """FPTAS ε vs. allocation quality and runtime on random SP workloads.
+    """FPTAS ε vs. allocation quality and cost on random SP workloads.
 
     ``l_over_lp`` compares the FPTAS allocation's ``L(p')`` to the LP
     fractional bound (≥ 1 by definition; closer to 1 is better).
+    ``mean_budget_levels`` is the cost: the width of the final DP table
+    (:attr:`~repro.core.sp_fptas.SPAllocation.budget_levels`), which grows
+    with ``n / ε`` and is the same on every host.
     """
     pool = ResourcePool.uniform(d, capacity)
     workloads = [random_instance("sp", n, pool, seed=s) for s in seeds]
     lps = [lp_lower_bound(w.instance) for w in workloads]
     rows: list[dict] = []
     for eps in epsilons:
-        vals, runtimes = [], []
+        vals, levels = [], []
         for wl, lp in zip(workloads, lps):
-            t0 = time.perf_counter()
             res = sp_fptas_allocation(wl.instance, wl.sp_tree, epsilon=eps)
-            runtimes.append(time.perf_counter() - t0)
             vals.append(res.l_value / lp)
+            levels.append(res.budget_levels)
         rows.append(
             {
                 "epsilon": eps,
                 "l_over_lp": mean(vals),
-                "mean_seconds": mean(runtimes),
+                "mean_budget_levels": mean(levels),
             }
         )
     return rows
@@ -120,13 +121,11 @@ def strategy_sweep(
     pool = ResourcePool.uniform(d, capacity)
     rows: list[dict] = []
     for name, strat in strategies.items():
-        makespans, cand_counts, runtimes = [], [], []
+        makespans, cand_counts = [], []
         for seed in seeds:
             wl = random_instance(family, n, pool, seed=seed)
             inst = wl.instance
-            t0 = time.perf_counter()
             res = MoldableScheduler(allocator="lp", candidate_strategy=strat).schedule(inst)
-            runtimes.append(time.perf_counter() - t0)
             res.schedule.validate()
             makespans.append(res.makespan)
             table = inst.candidate_table(strat)
@@ -136,7 +135,6 @@ def strategy_sweep(
                 "strategy": name,
                 "mean_makespan": mean(makespans),
                 "mean_frontier_size": mean(cand_counts),
-                "mean_seconds": mean(runtimes),
             }
         )
     return rows

@@ -112,9 +112,13 @@ def random_instance(
     """Build a seeded random workload of the given family.
 
     ``n`` is the approximate job count (structured families round to their
-    natural size).  Job execution-time functions are drawn by
-    :func:`repro.jobs.speedup.random_multi_resource_time`.
+    natural size); it must be at least 1.  Job execution-time functions are
+    drawn by :func:`repro.jobs.speedup.random_multi_resource_time`.
     """
+    if n < 1:
+        # the families disagree below 1: some build no job, some clamp to
+        # their minimal shape, some fail inside numpy
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = ensure_rng(seed)
     dag, sp = _build_dag(family, n, rng)
     # one independent child generator per job, spawned in topological order

@@ -151,7 +151,7 @@ class ServiceFrontend:
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        if batch_interval < 0:
+        if not batch_interval >= 0:  # NaN would never come due: refuse it too
             raise ValueError(f"batch interval must be >= 0, got {batch_interval}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")

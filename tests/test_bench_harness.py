@@ -16,20 +16,13 @@ import pathlib
 import pytest
 
 from repro.bench.compare import compare_documents, merge_baseline
-from repro.bench.core import (
-    BenchCase,
-    BenchPlan,
-    Checker,
-    Gate,
-    Table,
-    run_plan,
-    table_from_cases,
-)
+from repro.bench.core import Checker, Gate, Table
 from repro.bench.registry import (
     BenchmarkSpec,
     available_benchmarks,
     benchmark_specs,
     get_benchmark,
+    register_benchmark,
 )
 from repro.bench.runner import failed_checks, run_benchmarks, run_spec
 from repro.bench.schema import (
@@ -46,34 +39,24 @@ from repro.bench.schema import (
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def toy_plan(*, fail: bool = False, table: str = "toy") -> BenchPlan:
-    """A deterministic two-case benchmark exercising every plan hook."""
+def toy(*, fail: bool = False):
+    """A deterministic benchmark returning a table, checks and a derived metric."""
+    value = 20
+    c = Checker()
+    c.check("values", value == 20)
+    c.check("fails_on_request", not fail, "asked to fail")
+    table = Table("Toy benchmark", [{"case": "alpha", "value": value}])
+    return table, c.results, {"total": value}
 
-    def checks(by_name):
-        c = Checker()
-        c.check("values", by_name["alpha"].value == 20)
-        c.check("fails_on_request", not fail, "asked to fail")
-        return c.results
 
-    return BenchPlan(
-        cases=[
-            BenchCase(
-                name="alpha",
-                fn=lambda: 20,
-                rows=lambda value: [{"case": "alpha", "value": value}],
-            ),
-            BenchCase(name="beta", fn=lambda: 0),
-        ],
-        checks=checks,
-        derived=lambda by_name: {
-            "total": by_name["alpha"].value + by_name["beta"].value
-        },
-        tables=table_from_cases(table, "Toy benchmark"),
-        gates=[Gate("total", direction="higher", max_regression=0.30)],
+def toy_spec(name: str = "toy", fn=toy) -> BenchmarkSpec:
+    return BenchmarkSpec(
+        name=name, fn=fn, description="toy",
+        gates=(Gate("total", direction="higher", max_regression=0.30),),
     )
 
 
-TOY = BenchmarkSpec(name="toy", factory=toy_plan, kind="paper", description="toy")
+TOY = toy_spec()
 
 
 def toy_document(*, sha: str | None = "abc123", spec: BenchmarkSpec = TOY) -> dict:
@@ -105,8 +88,7 @@ def test_committed_slices_are_one_recording_of_the_registered_benchmarks():
     # one recording (one non-null git_sha): the slices merge into one baseline
     baseline = merge_baseline(docs)
     # and the committed text tables are exactly what the slices render
-    rendered = {t["name"]: render_table(t) + "\n" for r in baseline["benchmarks"]
-                for t in r["tables"]}
+    rendered = {r["name"]: render_table(r["table"]) + "\n" for r in baseline["benchmarks"]}
     committed = {p.stem: p.read_text() for p in (ROOT / "benchmarks" / "results").glob("*.txt")}
     assert rendered == committed
 
@@ -116,26 +98,26 @@ def test_committed_slices_are_one_recording_of_the_registered_benchmarks():
 # ----------------------------------------------------------------------
 def test_registry_metadata_and_lookup():
     assert len(available_benchmarks()) == 15
-    spec = get_benchmark("table1")
-    assert spec.kind == "paper"
-    assert spec.description
-    with pytest.raises(KeyError, match="unknown benchmark"):
-        get_benchmark("nope")
-    kinds = {s.kind for s in benchmark_specs()}
-    assert kinds == {"paper", "ablation", "extension"}
-    assert available_benchmarks(kind="ablation") == [
+    assert available_benchmarks()[:4] == [
         "ablation_mu_rho", "ablation_priority", "ablation_rounding", "robustness"
     ]
+    spec = get_benchmark("table1")
+    assert spec.description and spec.gates == ()
+    with pytest.raises(KeyError, match="unknown benchmark"):
+        get_benchmark("nope")
+    with pytest.raises(ValueError, match="already registered"):
+        register_benchmark("table1", description="again")(toy)
 
 
 def test_every_spec_expands():
+    """Each spec's description and decorator-declared gates are what its
+    committed slice records, so a gate lives in one place."""
     for spec in benchmark_specs():
-        plan = spec.build()
-        assert plan.cases, spec.name
-        names = [case.name for case in plan.cases]
-        assert len(names) == len(set(names)), spec.name
-        for gate in plan.gates:
-            assert gate.direction in ("higher", "lower"), spec.name
+        [record] = load_document(ROOT / f"BENCH_{spec.name}.json")["benchmarks"]
+        assert record["description"] == spec.description, spec.name
+        assert record["gates"] == [gate.to_record() for gate in spec.gates], spec.name
+    gated = {s.name for s in benchmark_specs() if s.gates}
+    assert gated == {"sim_ratio_vs_d", "sim_independent", "workflow_study"}
 
 
 # ----------------------------------------------------------------------
@@ -146,30 +128,32 @@ def test_document_json_round_trip():
     again = json.loads(json.dumps(doc))
     validate_document(again)
     assert again == json.loads(json.dumps(again))
+    assert set(again) == {"schema", "environment", "benchmarks"}
     record = again["benchmarks"][0]
+    # one call, one table: every row is stored once
+    assert list(record) == [
+        "name", "description", "seconds", "checks", "derived", "gates", "table"
+    ]
     assert record["name"] == "toy"
     assert record["derived"] == {"total": 20}
-    assert [c["name"] for c in record["cases"]] == ["alpha", "beta"]
-    # one call per case, written in the shape every committed slice holds
-    for case in record["cases"]:
-        assert (case["repeats"], case["warmup"], case["metrics"]) == (1, 0, {})
-        assert case["seconds_all"] == [case["seconds"]]
+    assert record["table"]["rows"] == [{"case": "alpha", "value": 20}]
     assert record["gates"] == [
-        {"metric": "total", "case": None, "direction": "higher", "max_regression": 0.30}
+        {"metric": "total", "direction": "higher", "max_regression": 0.30}
     ]
     # the text artifact renders identically before and after the round trip
-    assert render_table(record["tables"][0]) == render_table(
-        doc["benchmarks"][0]["tables"][0]
-    )
+    assert render_table(record["table"]) == render_table(doc["benchmarks"][0]["table"])
 
 
-def test_legacy_backend_key_is_accepted_but_never_written():
-    doc = toy_document()
-    assert doc["config"] == {"quick": False, "seed": 0}
-    # a repro-bench/1 document written while the key existed still loads
-    legacy = json.loads(json.dumps(doc))
-    legacy["config"]["backend"] = "python"
-    validate_document(legacy)
+def test_a_repro_bench_1_document_is_refused(tmp_path):
+    """The first format (rows in ``cases[]`` and ``tables[]``, a constant
+    ``config`` block) is not read: the error names both tags."""
+    legacy = json.loads(json.dumps(toy_document()))
+    legacy["schema"] = "repro-bench/1"
+    legacy["config"] = {"quick": False, "seed": 0}
+    path = tmp_path / "BENCH_toy.json"
+    path.write_text(json.dumps(legacy))
+    with pytest.raises(SchemaError, match="'repro-bench/2', got 'repro-bench/1'"):
+        load_document(path)
 
 
 def test_benchmark_document_slice_is_valid():
@@ -186,8 +170,8 @@ def test_benchmark_document_slice_is_valid():
     "mutate, message",
     [
         (lambda d: d.update(schema="repro-bench/0"), "schema"),
-        (lambda d: d["config"].pop("seed"), "seed"),
-        (lambda d: d["benchmarks"][0].pop("cases"), "cases"),
+        (lambda d: d["benchmarks"][0].pop("seconds"), "seconds"),
+        (lambda d: d["benchmarks"][0].pop("table"), "table"),
         (lambda d: d["benchmarks"].append(dict(d["benchmarks"][0])), "duplicate"),
         (
             lambda d: d["benchmarks"][0]["gates"][0].update(metric="ghost"),
@@ -196,12 +180,6 @@ def test_benchmark_document_slice_is_valid():
         (
             lambda d: d["benchmarks"][0]["gates"][0].update(direction="sideways"),
             "direction",
-        ),
-        (
-            lambda d: d["benchmarks"][0]["cases"].append(
-                dict(d["benchmarks"][0]["cases"][0])
-            ),
-            "duplicate case",
         ),
     ],
 )
@@ -214,7 +192,6 @@ def test_validate_document_rejects(mutate, message):
 
 def test_render_table_preamble_footer_and_labels():
     table = Table(
-        name="t",
         title="Title",
         rows=[{"a": 1, "b": 2.5}],
         columns=[("a", "A"), ("b", "B label")],
@@ -243,10 +220,7 @@ def test_everything_but_seconds_is_deterministic():
 
     def strip_timing(record):
         record = json.loads(json.dumps(record))
-        record.pop("seconds_total")
-        for case in record["cases"]:
-            case.pop("seconds")
-            case.pop("seconds_all")
+        record.pop("seconds")
         return record
 
     assert strip_timing(a) == strip_timing(b)
@@ -306,7 +280,7 @@ def test_compare_gates_come_from_current_document():
 
 def test_compare_new_and_missing_benchmarks_never_fail():
     base = toy_document()
-    current = toy_document(spec=BenchmarkSpec(name="other", factory=toy_plan, kind="paper"))
+    current = toy_document(spec=toy_spec("other"))
     report = compare_documents(current, base)
     assert report.ok
     assert report.new_benchmarks == ["other"]
@@ -317,9 +291,8 @@ def test_compare_info_deltas_never_gate():
     base = toy_document()
     base["benchmarks"][0]["derived"]["spread"] = 1.0
     current = _with_derived(base, spread=10.0)
-    # blow up every wall-clock by 10x: timing is not compared at all
-    for case in current["benchmarks"][0]["cases"]:
-        case["seconds"] = case["seconds"] * 10 + 1.0
+    # blow up the wall-clock by 10x: timing is not compared at all
+    current["benchmarks"][0]["seconds"] = current["benchmarks"][0]["seconds"] * 10 + 1.0
     report = compare_documents(current, base)
     assert report.ok
     assert [(d.key, d.status) for d in report.info] == [("derived:spread", "info")]
@@ -328,8 +301,7 @@ def test_compare_info_deltas_never_gate():
 
 
 def test_merge_baseline_takes_slices_of_one_recording():
-    other = BenchmarkSpec(name="other", factory=lambda: toy_plan(table="other"), kind="paper")
-    merged = merge_baseline([toy_document(), toy_document(spec=other)])
+    merged = merge_baseline([toy_document(), toy_document(spec=toy_spec("other"))])
     assert [r["name"] for r in merged["benchmarks"]] == ["toy", "other"]
     assert merged["environment"]["git_sha"] == "abc123"
     # two recordings, or one that cannot name its commit, are not a baseline
@@ -345,19 +317,11 @@ def test_merge_baseline_takes_slices_of_one_recording():
 # runner
 # ----------------------------------------------------------------------
 def test_run_spec_records_failed_checks():
-    failing = BenchmarkSpec(name="toy", factory=lambda: toy_plan(fail=True), kind="paper")
+    failing = toy_spec(fn=lambda: toy(fail=True))
     assert failed_checks([run_spec(TOY)]) == []
     assert [(name, check["name"]) for name, check in failed_checks([run_spec(failing)])] == [
         ("toy", "fails_on_request")
     ]
-
-
-def test_run_plan_rejects_duplicate_case_names():
-    plan = BenchPlan(
-        cases=[BenchCase(name="x", fn=lambda: 1), BenchCase(name="x", fn=lambda: 2)]
-    )
-    with pytest.raises(ValueError, match="duplicate case name"):
-        run_plan(plan)
 
 
 def test_run_benchmarks_runs_serially_in_the_given_order():
@@ -381,7 +345,9 @@ def test_gate_validation():
         Gate("m", direction="sideways")
     with pytest.raises(ValueError, match="max_regression"):
         Gate("m", max_regression=-1.0)
-    assert Gate("m").to_record()["case"] is None
+    assert Gate("m").to_record() == {
+        "metric": "m", "direction": "higher", "max_regression": 0.30
+    }
 
 
 # ----------------------------------------------------------------------
@@ -432,29 +398,31 @@ def test_cli_bench_list_and_errors(tmp_path, capsys):
     from repro.cli import main
 
     assert main(["bench", "--list"]) == 0
-    assert "Registered benchmarks" in capsys.readouterr().out
+    listing = capsys.readouterr().out
+    assert "Registered benchmarks" in listing
+    assert listing.splitlines()[1].split() == ["name", "|", "description"]
     assert main(["bench", "--only", "nope"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err
-    # a registered name filtered out by --kind is not "unknown"
-    assert main(["bench", "--only", "figure1", "--kind", "ablation"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown" not in err and "kind" in err
+    # no --kind filter is left to select a subset
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--kind", "paper"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
 
-def test_cli_bench_compares_against_a_legacy_backend_baseline(tmp_path, capsys, fixed_sha):
-    """A baseline written while ``config`` carried ``"backend": "python"``
-    loads and compares like any other repro-bench/1 document."""
+def test_cli_bench_refuses_a_repro_bench_1_baseline(tmp_path, capsys):
+    """A ``repro-bench/1`` slice given to ``--compare`` exits 2 with the
+    schema message before anything runs."""
     from repro.cli import main
 
-    out = tmp_path / "out.json"
-    assert main(["bench", "--only", "figure1", "--json", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    doc["config"]["backend"] = "python"
+    legacy = json.loads(json.dumps(toy_document()))
+    legacy["schema"] = "repro-bench/1"
     baseline = tmp_path / "legacy.json"
-    baseline.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["bench", "--only", "figure1", "--compare", str(baseline)]) == 0
-    assert "0 regression(s)" in capsys.readouterr().out
+    baseline.write_text(json.dumps(legacy))
+    assert main(["bench", "--only", "figure1", "--compare", str(baseline)]) == 2
+    captured = capsys.readouterr()
+    assert "expected 'repro-bench/2', got 'repro-bench/1'" in captured.err
+    assert "bench: running" not in captured.out
 
 
 def test_cli_bench_refuses_mismatched_baseline(tmp_path, capsys):

@@ -128,6 +128,15 @@ class TestCommands:
         assert set(out) == {"ablation_mu_rho", "ablation_priority"}
         assert out == {name: _committed(name) for name in out}
 
+    @pytest.mark.parametrize("name", (
+        "ablation_rounding", "robustness", "capacity_sweep", "epsilon_sweep",
+        "strategy_sweep", "malleable", "workflow_study", "true_ratio",
+    ))
+    def test_every_other_table_regenerates(self, name, tmp_path, capsys):
+        """The remaining tables hold no wall-clock either: each regenerates
+        byte for byte."""
+        assert _bench_tables(tmp_path, name) == {name: _committed(name)}
+
     def test_schedule_ours(self, capsys):
         assert main(["schedule", "--family", "layered", "--n", "8",
                      "--d", "2", "--seed", "1"]) == 0
@@ -193,6 +202,18 @@ class TestCommands:
         assert captured.err.startswith("error: --max-cases must be >= 0")
         assert "sweeping" not in captured.out
 
+    @pytest.mark.parametrize("n", ("0", "-2"))
+    def test_fuzz_refuses_n_below_one(self, n, capsys, monkeypatch):
+        """Below one job the families used to build empty or clamped
+        instances, so the sweep reported 0 failures over nothing."""
+        import repro.conformance.fuzz as fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
+        assert main(["fuzz", "--quick", "--n", n, "--max-cases", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --n must be >= 1, got {n}")
+        assert "sweeping" not in captured.out
+
     def test_fuzz_unknown_scheduler(self, capsys):
         assert main(["fuzz", "--schedulers", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err
@@ -222,9 +243,9 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--d", "0"), ("--capacity", "0"), ("--n", "-3"), ("--seed", "-1")],
+        [("--d", "0"), ("--capacity", "0"), ("--n", "-3"), ("--n", "0"),
+         ("--seed", "-1")],
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     def test_schedule_bad_argument_is_a_clean_error(self, flag, value, capsys):
         """Out-of-range workload arguments exit 2 with ``error:`` on stderr,
         as ``repro serve`` answers the same mistakes — the ``ValueError``
@@ -317,3 +338,12 @@ class TestCommands:
         bad.write_text("{}")
         assert main(["serve", "--restore", str(bad)]) == 2
         assert "cannot restore" in capsys.readouterr().err
+
+    def test_serve_refuses_a_nan_batch_interval(self, capsys, monkeypatch):
+        """NaN never compares due, so interval admission would be off."""
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["serve", "--batch-interval", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch interval must be >= 0, got nan")

@@ -37,8 +37,7 @@ class TestFigure1:
         from repro.bench.runner import run_spec
         from repro.bench.schema import render_table
 
-        [table] = run_spec(get_benchmark("figure1"))["tables"]
-        out = render_table(table)
+        out = render_table(run_spec(get_benchmark("figure1"))["table"])
         assert out.startswith("Figure 1: approximation ratios for 22 <= d <= 50")
         assert out.count("\n") == 2 + 29  # title + header + sep + 29 rows
         # first data row is d=22
@@ -79,6 +78,13 @@ class TestWorkloads:
             assert set(wl.sp_tree.leaves()) == set(wl.instance.jobs)
         else:
             assert wl.sp_tree is None
+
+    @pytest.mark.parametrize("n", (0, -1))
+    @pytest.mark.parametrize("family", WORKLOAD_FAMILIES)
+    def test_n_below_one_is_refused(self, family, n):
+        """Every family refuses alike, before any generator runs."""
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            random_instance(family, n, ResourcePool.uniform(2, 8), seed=0)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

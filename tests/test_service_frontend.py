@@ -131,6 +131,18 @@ class TestBatching:
         with pytest.raises(ValueError, match="batch interval"):
             frontend(batch_interval=-1.0)
 
+    def test_nan_batch_interval_is_refused_and_inf_means_size_only(self):
+        """``clock() - oldest >= nan`` is never true, so a NaN interval would
+        silently switch interval admission off; ``inf`` says so on purpose."""
+        with pytest.raises(ValueError, match="batch interval must be >= 0, got nan"):
+            frontend(batch_interval=float("nan"))
+        clock = [0.0]
+        fe = frontend(batch_size=2, batch_interval=float("inf"), clock=lambda: clock[0])
+        fe.handle_request({"op": "submit", "jobs": [job("a")]})
+        clock[0] = 1e9
+        assert "admitted" not in fe.handle_request({"op": "status"})
+        assert fe.handle_request({"op": "submit", "jobs": [job("b")]})["admitted"] == ["a", "b"]
+
 
 class TestFairSharing:
     def test_weighted_admission_interleaving(self):
