@@ -12,7 +12,7 @@ Run:  python examples/fault_tolerant_run.py
 
 from repro import MoldableScheduler, ResourcePool
 from repro.experiments.report import format_table
-from repro.experiments.workflow_study import workflow_instance
+from repro.experiments.workloads import workflow_instance
 from repro.sim.faults import execute_with_faults
 
 

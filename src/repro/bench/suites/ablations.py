@@ -1,7 +1,8 @@
 """Ablation benchmarks: the design knobs around the theorem-optimal point.
 
 The (µ, ρ) landscape, the Phase 2 priority rules, the DTCT rounding
-strategies and the robustness sweep — one spec per result table.
+strategies and the robustness sweep — one spec per result table, each
+computing its rows from the parameters it pins.
 """
 
 from __future__ import annotations
@@ -21,12 +22,26 @@ _PRIORITY_RULES = ("fifo", "lpt", "spt", "random", "bottom_level")
 def mu_rho_benchmark() -> Outcome:
     """Map the practical landscape around the theorem-optimal point at d=3."""
     from repro.core import theory
-    from repro.experiments.sweeps import mu_rho_ablation
+    from repro.core.lower_bounds import lp_lower_bound
+    from repro.experiments.workloads import random_instance
+    from repro.registry import get_scheduler
+    from repro.resources.pool import ResourcePool
 
     d = 3
     mus = (0.15, 0.25, round(theory.MU_A, 3), 0.45)
     rhos = (0.2, round(theory.theorem1_rho(d), 3), 0.5, 0.7)
-    rows = mu_rho_ablation(d=d, n=24, mus=mus, rhos=rhos, seeds=(0, 1, 2))
+    pool = ResourcePool.uniform(d, 16)
+    instances = [random_instance("layered", 24, pool, seed=s).instance for s in (0, 1, 2)]
+    lbs = [lp_lower_bound(inst) for inst in instances]
+    ours = get_scheduler("ours")
+    rows = []
+    for mu in mus:
+        for rho in rhos:
+            rs = [
+                ours.schedule(inst, mu=mu, rho=rho, allocator="lp").makespan / lb
+                for inst, lb in zip(instances, lbs)
+            ]
+            rows.append({"mu": mu, "rho": rho, "mean_ratio": mean(rs), "max_ratio": max(rs)})
 
     c = Checker()
     c.check("row_count", len(rows) == len(mus) * len(rhos))
@@ -60,10 +75,44 @@ def mu_rho_benchmark() -> Outcome:
     description="Phase 2 queue orders: local vs global priorities (Theorem 6 gap)",
 )
 def priority_benchmark() -> Outcome:
-    """Random-workload priority sweep plus the adversarial Theorem 6 family."""
-    from repro.experiments.sweeps import priority_ablation, theorem6_sweep
+    """Random-workload priority sweep plus the adversarial Theorem 6 family.
 
-    rows = priority_ablation(d=3, n=30, seeds=(0, 1, 2), families=("layered", "cholesky"))
+    The allocation is fixed (Phase 1 with theorem parameters); only the
+    list order changes, isolating the priority rule's effect.
+    """
+    from repro.core.list_scheduler import (
+        bottom_level_priority,
+        fifo_priority,
+        list_schedule,
+        lpt_priority,
+        random_priority,
+        spt_priority,
+    )
+    from repro.experiments.lb_instance import theorem6_sweep
+    from repro.experiments.workloads import random_instance
+    from repro.registry import get_scheduler
+    from repro.resources.pool import ResourcePool
+
+    d = 3
+    rules = {
+        "fifo": fifo_priority,
+        "lpt": lpt_priority,
+        "spt": spt_priority,
+        "random": random_priority(123),
+        "bottom_level": bottom_level_priority,
+    }
+    pool = ResourcePool.uniform(d, 16)
+    rows = []
+    for family in ("layered", "cholesky"):
+        ratios: dict[str, list[float]] = {name: [] for name in rules}
+        for seed in (0, 1, 2):
+            inst = random_instance(family, 30, pool, seed=seed).instance
+            base = get_scheduler("ours").schedule(inst, allocator="lp")
+            for name, rule in rules.items():
+                sched = list_schedule(inst, base.allocation, rule)
+                sched.validate()
+                ratios[name].append(sched.makespan / base.lower_bound)
+        rows.append({"family": family, "d": d, **{name: mean(rs) for name, rs in ratios.items()}})
     [t6] = theorem6_sweep(d_values=(4,), m_values=(48,))
 
     c = Checker()
@@ -141,10 +190,43 @@ def rounding_benchmark() -> Outcome:
     description="Allocation on noisy estimates, execution with true times",
 )
 def robustness_benchmark() -> Outcome:
-    """Ratio degradation as estimate noise grows (d=2)."""
-    from repro.experiments.robustness import robustness_sweep
+    """Ratio degradation as estimate noise grows (d=2).
 
-    rows = robustness_sweep(noise_levels=(0.0, 0.1, 0.3, 0.6), d=2, n=20, seeds=(0, 1))
+    Assumption 2 grants exact execution-time functions; here Phase 1
+    allocates on *perturbed* profiles (deterministic lognormal noise per
+    allocation) and Phase 2 dispatches that allocation on the true times.
+    Ratios are against the true instance's LP bound, so the no-noise row
+    is the standard result and the others isolate mis-estimation's cost.
+    """
+    from repro.core import theory
+    from repro.core.allocation import allocate_resources
+    from repro.core.list_scheduler import list_schedule
+    from repro.core.lower_bounds import lp_lower_bound
+    from repro.experiments.workloads import perturbed_instance, random_instance
+    from repro.resources.pool import ResourcePool
+
+    d = 2
+    pool = ResourcePool.uniform(d, 16)
+    mu, rho, proven = theory.best_parameters(d, "general")
+    instances = [random_instance("layered", 20, pool, seed=s).instance for s in (0, 1)]
+    lbs = [lp_lower_bound(inst) for inst in instances]
+    rows = []
+    for noise in (0.0, 0.1, 0.3, 0.6):
+        ratios = []
+        for s, (inst, lb) in enumerate(zip(instances, lbs)):
+            estimate = inst if noise == 0.0 else perturbed_instance(inst, noise, seed=s)
+            sched = list_schedule(inst, allocate_resources(estimate, rho, mu).allocation)
+            sched.validate()
+            ratios.append(sched.makespan / lb)
+        rows.append(
+            {
+                "scheduler": "ours",
+                "rel_noise": noise,
+                "mean_ratio": mean(ratios),
+                "max_ratio": max(ratios),
+                "proven_noiseless": proven,
+            }
+        )
     c = Checker()
     c.check(
         "noiseless_within_bound",

@@ -1,7 +1,8 @@
 """Extension benchmarks: beyond the paper's displayed results.
 
 The capacity precondition, the FPTAS epsilon, the candidate strategies
-and the He et al. malleable relaxation — one spec per result table.
+and the He et al. malleable relaxation — one spec per result table, each
+computing its rows from the parameters it pins.
 """
 
 from __future__ import annotations
@@ -17,10 +18,35 @@ from repro.bench.registry import register_benchmark
     description="Capacity precondition: where P_min >= 1/mu^2 starts to hold",
 )
 def capacity_benchmark() -> Outcome:
-    """Ratio vs platform capacity around the precondition threshold (d=2)."""
-    from repro.experiments.extended import capacity_sweep
+    """Ratio vs platform capacity around the precondition threshold (d=2).
 
-    rows = capacity_sweep(d=2, capacities=(2, 4, 7, 16, 32), n=20, seeds=(0, 1))
+    Theorem 1 requires ``P_min >= 7``; the sweep crosses that threshold and
+    reports whether the precondition held alongside the measured ratios.
+    """
+    from repro.experiments.workloads import random_instance
+    from repro.registry import get_scheduler
+    from repro.resources.pool import ResourcePool
+
+    rows = []
+    for cap in (2, 4, 7, 16, 32):
+        pool = ResourcePool.uniform(2, cap)
+        results = []
+        for seed in (0, 1):
+            res = get_scheduler("ours").schedule(
+                random_instance("layered", 20, pool, seed=seed).instance, allocator="lp"
+            )
+            res.schedule.validate()
+            results.append(res)
+        ratios = [res.ratio() for res in results]
+        rows.append(
+            {
+                "capacity": cap,
+                "pmin_precondition": cap >= 7,
+                "mean_ratio": mean(ratios),
+                "max_ratio": max(ratios),
+                "proven": results[-1].proven_ratio,
+            }
+        )
     c = Checker()
     c.check(
         "bound_holds_under_precondition",
@@ -37,10 +63,31 @@ def capacity_benchmark() -> Outcome:
     description="FPTAS epsilon: solution quality vs runtime on SP workloads",
 )
 def epsilon_benchmark() -> Outcome:
-    """Tighter epsilon must never end worse and must cost a wider DP."""
-    from repro.experiments.extended import epsilon_sweep
+    """Tighter epsilon must never end worse and must cost a wider DP.
 
-    rows = epsilon_sweep(epsilons=(1.0, 0.5, 0.25), n=12, seeds=(0, 1))
+    ``l_over_lp`` compares the FPTAS allocation's ``L(p')`` to the LP
+    fractional bound (>= 1; closer to 1 is better); ``mean_budget_levels``
+    is the cost: the width of the final DP table, which grows with
+    ``n / epsilon`` and is the same on every host.
+    """
+    from repro.core.lower_bounds import lp_lower_bound
+    from repro.core.sp_fptas import sp_fptas_allocation
+    from repro.experiments.workloads import random_instance
+    from repro.resources.pool import ResourcePool
+
+    pool = ResourcePool.uniform(2, 12)
+    workloads = [random_instance("sp", 12, pool, seed=s) for s in (0, 1)]
+    lps = [lp_lower_bound(w.instance) for w in workloads]
+    rows = []
+    for eps in (1.0, 0.5, 0.25):
+        allocs = [sp_fptas_allocation(w.instance, w.sp_tree, epsilon=eps) for w in workloads]
+        rows.append(
+            {
+                "epsilon": eps,
+                "l_over_lp": mean(a.l_value / lp for a, lp in zip(allocs, lps)),
+                "mean_budget_levels": mean(a.budget_levels for a in allocs),
+            }
+        )
     c = Checker()
     vals = [r["l_over_lp"] for r in rows]
     c.check(
@@ -65,9 +112,34 @@ def epsilon_benchmark() -> Outcome:
 )
 def strategy_benchmark() -> Outcome:
     """Geometric grid vs full frontier: bounded quality loss, much smaller LP."""
-    from repro.experiments.extended import strategy_sweep
+    from repro.experiments.workloads import random_instance
+    from repro.jobs.candidates import diagonal_grid, full_grid, geometric_grid
+    from repro.registry import get_scheduler
+    from repro.resources.pool import ResourcePool
 
-    rows = strategy_sweep(d=2, capacity=16, n=16, seeds=(0, 1, 2))
+    strategies = {
+        "full": full_grid,
+        "geometric": geometric_grid,
+        "diagonal": lambda pool: diagonal_grid(pool, levels=16),
+    }
+    pool = ResourcePool.uniform(2, 16)
+    rows = []
+    for name, strategy in strategies.items():
+        makespans, frontier_sizes = [], []
+        for seed in (0, 1, 2):
+            inst = random_instance("layered", 16, pool, seed=seed).instance
+            res = get_scheduler("ours").schedule(inst, allocator="lp", candidate_strategy=strategy)
+            res.schedule.validate()
+            makespans.append(res.makespan)
+            table = inst.candidate_table(strategy)
+            frontier_sizes.append(mean(len(es) for es in table.values()))
+        rows.append(
+            {
+                "strategy": name,
+                "mean_makespan": mean(makespans),
+                "mean_frontier_size": mean(frontier_sizes),
+            }
+        )
     by_strategy = {r["strategy"]: r for r in rows}
     c = Checker()
     c.check(

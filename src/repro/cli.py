@@ -175,31 +175,35 @@ def build_parser() -> argparse.ArgumentParser:
                           "from the latest snapshot + journal suffix")
     dur.add_argument("--snapshot", metavar="FILE", default=None,
                      help="durable snapshot path (default: "
-                          "<journal>.snapshot.json)")
+                          "<journal>.snapshot.json); requires --journal")
     dur.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                      help="auto-checkpoint (and rotate the journal) every N "
                           "journaled records; requires --journal")
     dur.add_argument("--chaos", metavar="SPEC", default=None,
                      help="deterministic fault injection: 'point:rate,...' "
                           "(e.g. 'op-applied:0.05,mid-drain:0.2'; also via "
-                          "REPRO_CHAOS); an injected crash exits 137")
+                          "REPRO_CHAOS); an injected crash exits 137; "
+                          "requires --journal")
     dur.add_argument("--chaos-seed", type=int, default=0,
                      help="seed of the chaos injector's RNG")
     dur.add_argument("--supervise", action="store_true",
                      help="run the worker as a child process and restart it "
                           "from snapshot+journal on abnormal exit, with "
-                          "bounded exponential backoff")
-    dur.add_argument("--backoff-base", type=float, default=0.5,
+                          "bounded exponential backoff; requires --journal")
+    # None = "not given", so a supervisor flag without --supervise is
+    # refused rather than ignored; BackoffPolicy holds the defaults
+    dur.add_argument("--backoff-base", type=float, default=None,
                      metavar="SECONDS",
                      help="initial restart backoff (doubles per consecutive "
-                          "failure; default 0.5s)")
-    dur.add_argument("--backoff-cap", type=float, default=10.0,
+                          "failure; default 0.5s); requires --supervise")
+    dur.add_argument("--backoff-cap", type=float, default=None,
                      metavar="SECONDS",
-                     help="maximum restart backoff (default 10s)")
-    dur.add_argument("--max-restarts", type=int, default=5, metavar="N",
+                     help="maximum restart backoff (default 10s); requires "
+                          "--supervise")
+    dur.add_argument("--max-restarts", type=int, default=None, metavar="N",
                      help="give up after this many consecutive abnormal "
                           "exits (a worker healthy for 30s resets the "
-                          "budget; default 5)")
+                          "budget; default 5); requires --supervise")
 
     obs = sv.add_argument_group(
         "observability",
@@ -515,11 +519,10 @@ def _serve_frontend(frontend, args) -> int:
 def _cmd_supervise(args, argv: "Sequence[str] | None") -> int:
     from repro.service.supervisor import BackoffPolicy, supervise
 
+    given = {"base": args.backoff_base, "cap": args.backoff_cap,
+             "max_restarts": args.max_restarts}
     try:
-        policy = BackoffPolicy(
-            base=args.backoff_base, cap=args.backoff_cap,
-            max_restarts=args.max_restarts,
-        )
+        policy = BackoffPolicy(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -552,8 +555,33 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
         write_trace,
     )
 
+    # flags that only act beside another one are refused alone, never
+    # ignored: each would promise what the run does not do
+    chaos_spec = args.chaos or os.environ.get("REPRO_CHAOS")
+    if not args.journal:
+        if args.supervise:
+            print("error: --supervise requires --journal (a restarted worker "
+                  "recovers from snapshot + journal; without one it would "
+                  "restart empty and lose every acknowledged job); run "
+                  "'repro serve --supervise --journal FILE'", file=sys.stderr)
+            return 2
+        alone = [("--snapshot", args.snapshot is not None),
+                 ("--checkpoint-every", args.checkpoint_every is not None),
+                 ("--chaos" if args.chaos else "REPRO_CHAOS", bool(chaos_spec))]
+        for flag, given in alone:
+            if given:
+                print(f"error: {flag} requires --journal", file=sys.stderr)
+                return 2
+    if not args.supervise:
+        for flag, value in (("--backoff-base", args.backoff_base),
+                            ("--backoff-cap", args.backoff_cap),
+                            ("--max-restarts", args.max_restarts)):
+            if value is not None:
+                print(f"error: {flag} requires --supervise", file=sys.stderr)
+                return 2
+
     if args.supervise:
-        if args.restore and args.journal:
+        if args.restore:
             # the child argv keeps --restore, so every restart would reload
             # the checkpoint over the journal's acknowledged ops
             print(f"error: --restore cannot be combined with --supervise "
@@ -581,16 +609,12 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
                   f"{args.compact_min_rows}", file=sys.stderr)
             return 2
         compact_kw["compact_min_rows"] = args.compact_min_rows
-    if args.checkpoint_every is not None and not args.journal:
-        print("error: --checkpoint-every requires --journal", file=sys.stderr)
-        return 2
     if args.max_request_bytes < 1:
         print(f"error: --max-request-bytes must be >= 1, got "
               f"{args.max_request_bytes}", file=sys.stderr)
         return 2
 
     chaos = None
-    chaos_spec = args.chaos or os.environ.get("REPRO_CHAOS")
     if chaos_spec:
         def _chaos_exit(point: str) -> None:
             # die the way SIGKILL would: no cleanup, no atexit, exit 137

@@ -11,6 +11,9 @@ Baseline (what :meth:`repro.sim.schedule.Schedule.validate` has always
 checked, and now delegates here):
 
 * **job-set equality** — the schedule places exactly the instance's jobs;
+* **finite placements** — every start, duration and finish is finite (a
+  non-finite one would otherwise widen the time tolerance to infinity or
+  stall the capacity sweep; such placements stay out of the sweep);
 * **time-0 gating** — no job starts before time 0;
 * **release gating** — no job starts before its release (online arrivals);
 * **strict precedence** — ``finish(u) <= start(v)`` for every edge;
@@ -38,6 +41,7 @@ of stopping at the first one: :func:`validate_schedule` returns a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable
 
@@ -71,8 +75,8 @@ _MAX_VIOLATIONS_PER_KIND = 20
 class Violation:
     """One broken invariant: which kind, where, and a human-readable why."""
 
-    kind: str  #: "job-set" | "negative-start" | "release" | "precedence"
-    #: | "capacity" | "allocation" | "candidate" | "duration"
+    kind: str  #: "job-set" | "non-finite" | "negative-start" | "release"
+    #: | "precedence" | "capacity" | "allocation" | "candidate" | "duration"
     detail: str
     job_id: JobId | None = None
     time: float | None = None
@@ -169,8 +173,24 @@ def validate_schedule(
             )
         )
     placed = [p for j, p in placements.items() if j in inst.jobs]
+    finite = []
+    for p in placed:
+        # start + time is non-finite iff either is (or the sum overflows)
+        if math.isfinite(p.finish):
+            finite.append(p)
+        else:
+            col.add(
+                Violation(
+                    kind="non-finite",
+                    detail=(
+                        f"job {p.job_id!r} has a non-finite placement (start "
+                        f"{p.start}, duration {p.time}, finish {p.finish})"
+                    ),
+                    job_id=p.job_id,
+                )
+            )
     tol = rtol * max(
-        1.0, max((p.finish for p in placed), default=0.0)
+        1.0, max((p.finish for p in finite), default=0.0)
     )
 
     # --------------------------------------------------- starts and releases
@@ -261,7 +281,7 @@ def validate_schedule(
             )
 
     # ------------------------------------- per-event-point capacity sweep
-    _capacity_sweep(col, placed, d, caps, tol)
+    _sweep_capacity(col, finite, d, caps, tol)
 
     if strict:
         _candidate_membership(col, inst, placed, mu)
@@ -270,7 +290,7 @@ def validate_schedule(
     return ConformanceReport(violations=tuple(col.violations), strict=strict)
 
 
-def _capacity_sweep(col: _Collector, placed, d: int, caps, tol: float) -> None:
+def _sweep_capacity(col: _Collector, placed, d: int, caps, tol: float) -> None:
     """Joint event sweep over all resource types: at every event point,
     after applying the releases (first) and acquires at that time, usage
     must not exceed any capacity."""

@@ -10,7 +10,8 @@ Everything here is closed-form or one-dimensional root finding:
   :func:`theorem2_ratio_estimate` — the two curves of Figure 1;
 * :func:`theorem3_ratio` / :func:`theorem4_ratio` (SP graphs and trees),
   :func:`theorem5_ratio` (independent jobs);
-* :func:`local_list_lower_bound` — Theorem 6's ``d``.
+* :func:`local_list_lower_bound` — Theorem 6's ``d``;
+* :func:`table1_rows` / :func:`figure1_rows` — Table 1 and Figure 1.
 
 The generic makespan bounds ``f_d(µ,ρ)`` and ``g_d(µ,ρ)`` from the proofs of
 Theorems 1-2 are exposed because the end-to-end guarantee tests assert
@@ -41,6 +42,7 @@ __all__ = [
     "local_list_lower_bound",
     "best_parameters",
     "figure1_rows",
+    "table1_rows",
 ]
 
 #: The golden ratio φ = (1 + √5)/2.
@@ -284,4 +286,24 @@ def figure1_rows(d_min: int = 22, d_max: int = 50) -> list[dict[str, float]]:
                 "mu_star": mu_star(d),
             }
         )
+    return rows
+
+
+def table1_rows() -> list[dict[str, object]]:
+    """Table 1's proven ratio per precedence class, evaluated at
+    ``d`` in {1, 2, 3, 4, 8, 22, 50}; Theorem 2 joins at ``d >= 22`` and
+    Theorem 4 at ``d >= 4``."""
+    rows: list[dict[str, object]] = []
+
+    def row(precedence: str, d: int, formula: str, ratio: float) -> None:
+        rows.append({"precedence": precedence, "d": d, "formula": formula, "ratio": ratio})
+
+    for d in (1, 2, 3, 4, 8, 22, 50):
+        row("general", d, "1.619d + 2.545*sqrt(d) + 1", theorem1_ratio(d))
+        if d >= 22:
+            row("general", d, "d + 3*d^(2/3) + O(d^(1/3))", theorem2_ratio_actual(d))
+        row("sp/tree", d, "(1+eps)(1.619d + 1), eps=0", theorem3_ratio(d))
+        if d >= 4:
+            row("sp/tree", d, "(1+eps)(d + 2*sqrt(d-1)), eps=0", theorem4_ratio(d))
+        row("independent", d, "Theorem 5 (piecewise)", theorem5_ratio(d))
     return rows

@@ -26,9 +26,9 @@ constant — see the reconstruction note in DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Sequence
 
-from repro.core.list_scheduler import PriorityRule, explicit_priority
+from repro.core.list_scheduler import PriorityRule, explicit_priority, list_schedule
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
 from repro.jobs.job import Job
@@ -40,6 +40,7 @@ __all__ = [
     "adversarial_priority",
     "informed_priority",
     "theoretical_makespans",
+    "theorem6_sweep",
 ]
 
 JobId = Hashable
@@ -104,3 +105,34 @@ def theoretical_makespans(d: int, m: int) -> dict[str, float]:
         "ratio": (m * d) / (m + d - 1),
         "theorem6_bound": float(d),
     }
+
+
+def theorem6_sweep(d_values: Sequence[int], m_values: Sequence[int]) -> list[dict]:
+    """Figure 2 / Theorem 6: measured adversarial vs. informed makespans.
+
+    Asserts nothing itself; the benchmark asserts the measured values match
+    the closed forms and that the ratio approaches ``d``.
+    """
+    rows: list[dict] = []
+    for d in d_values:
+        for m in m_values:
+            inst = lower_bound_instance(d, m)
+            s_adv = list_schedule(inst, {j: inst.jobs[j].candidates[0] for j in inst.jobs},
+                                  adversarial_priority(inst))
+            s_opt = list_schedule(inst, {j: inst.jobs[j].candidates[0] for j in inst.jobs},
+                                  informed_priority(inst))
+            s_adv.validate()
+            s_opt.validate()
+            theo = theoretical_makespans(d, m)
+            rows.append(
+                {
+                    "d": d,
+                    "M": m,
+                    "T_adversarial": s_adv.makespan,
+                    "T_informed": s_opt.makespan,
+                    "measured_ratio": s_adv.makespan / s_opt.makespan,
+                    "closed_form_ratio": theo["ratio"],
+                    "theorem6_bound": theo["theorem6_bound"],
+                }
+            )
+    return rows

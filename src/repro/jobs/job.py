@@ -51,8 +51,11 @@ class Job:
     name: str = field(default="")
 
     def __post_init__(self) -> None:
-        if not self.release >= 0.0:
-            raise ValueError(f"job {self.id!r}: release time must be >= 0, got {self.release}")
+        # an infinite release never gates open: the event loop would spin
+        if not 0.0 <= self.release < float("inf"):
+            raise ValueError(
+                f"job {self.id!r}: release must be finite and >= 0, got {self.release}"
+            )
 
     def time(self, alloc: ResourceVector) -> float:
         """Execution time under ``alloc`` — validated positive and finite."""

@@ -1,6 +1,6 @@
 """The named-scheduler registry: one front door for every scheduler.
 
-The CLI, the experiment sweeps and external callers all need the same
+The CLI, the paper benchmarks and external callers all need the same
 thing — "give me scheduler *name* and run it on this instance" — without
 hard-coding imports of every implementation.  Modules defining a scheduler
 register it::

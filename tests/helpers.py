@@ -8,6 +8,7 @@ collection order.
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import threading
@@ -56,7 +57,19 @@ __all__ = [
     "reference_linprog_solve",
     "scripted_highs",
     "reference_fair_queue",
+    "bench_table",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def bench_table(name: str):
+    """The result :class:`~repro.bench.core.Table` of registered paper
+    benchmark ``name``, computed once per test session (treat it as
+    read-only)."""
+    from repro.bench.registry import get_benchmark
+
+    table, _, _ = get_benchmark(name).fn()
+    return table
 
 
 def strict_json(resp):

@@ -254,6 +254,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_schedule_refuses_an_arrival_rate_whose_gaps_overflow(self, capsys):
+        """A mean gap of 1/1e-320 overflows to inf, so every release was
+        inf and the run spun in the validator instead of exiting."""
+        assert main(["schedule", "--arrival-rate", "1e-320"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "release must be finite and >= 0" in err
+
     def test_schedule_on_zero_resource_types_names_the_platform(self, capsys):
         assert main(["schedule", "--d", "0"]) == 2
         err = capsys.readouterr().err
@@ -332,6 +339,49 @@ class TestCommands:
         # the hint: seed once with --restore, then supervise the journal
         assert f"--journal {journal} --restore {ck}" in err
         assert f"supervise with '--journal {journal}' alone" in err
+
+    @pytest.mark.parametrize("flags, needs", [
+        (["--supervise"], "--journal"),
+        (["--snapshot", "s.json"], "--journal"),
+        (["--chaos", "op-begin:1.0"], "--journal"),
+        (["--checkpoint-every", "4"], "--journal"),
+        (["--backoff-base", "1"], "--supervise"),
+        (["--backoff-cap", "2"], "--supervise"),
+        (["--max-restarts", "3"], "--supervise"),
+    ])
+    def test_serve_refuses_a_flag_without_the_one_it_needs(
+        self, flags, needs, tmp_path, capsys, monkeypatch
+    ):
+        """Each used to be ignored with exit 0: a supervised worker without
+        a journal restarted empty, dropping every acknowledged job; no
+        snapshot was written; no fault was injected; no backoff applied."""
+        import io
+
+        spawned = []
+        monkeypatch.setattr("repro.service.supervisor.supervise",
+                            lambda cmd, **kw: spawned.append(cmd) or 0)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", *flags]) == 2
+        assert not spawned and not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} requires {needs}")
+
+    def test_serve_supervise_without_a_journal_names_the_fix(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        assert main(["serve", "--supervise"]) == 2
+        err = capsys.readouterr().err
+        assert "lose every acknowledged job" in err
+        assert "'repro serve --supervise --journal FILE'" in err
+
+    def test_serve_refuses_repro_chaos_without_a_journal(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.setenv("REPRO_CHAOS", "op-begin:1.0")
+        assert main(["serve"]) == 2
+        assert capsys.readouterr().err.startswith("error: REPRO_CHAOS requires --journal")
 
     def test_serve_bad_restore(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ fuzz tests pin the matrix shape and run slices of it end-to-end with zero
 failures.
 """
 
+import json
+
 import pytest
 
 from helpers import tiny_instance
@@ -181,6 +183,29 @@ class TestStrictValidator:
         inst = rigid_two_jobs(edge=False)
         s = place(inst, {"a": 0.0, "b": 2.0})  # b starts exactly at a's finish
         assert validate_schedule(s).ok
+
+    def test_non_finite_placement_is_its_own_violation(self):
+        """One infinite finish used to widen the time tolerance to infinity,
+        so every other check passed: a trace with its last start set to
+        ``inf`` loaded and validated ``ok``."""
+        from repro.sim.trace import schedule_from_trace, schedule_to_trace
+
+        inst = rigid_two_jobs(edge=False)
+        trace = schedule_to_trace(place(inst, {"a": 0.0, "b": 2.0}))
+        trace["jobs"][-1]["start"] = float("inf")
+        s = schedule_from_trace(inst, json.dumps(trace))
+        report = validate_schedule(s)
+        assert [(v.kind, v.job_id) for v in report.violations] == [("non-finite", "b")]
+        with pytest.raises(ValueError, match="non-finite"):
+            s.validate()
+
+    def test_two_infinite_finishes_terminate(self):
+        """``abs(inf - inf) <= tol`` is False, so the capacity sweep never
+        advanced past two infinite events; they stay out of it now."""
+        inst = rigid_two_jobs(edge=False)
+        s = place(inst, {"a": float("inf"), "b": float("inf")})
+        report = validate_schedule(s)
+        assert [v.kind for v in report.violations] == ["non-finite", "non-finite"]
 
     def test_real_schedule_is_strictly_conformant(self):
         inst = tiny_instance(seed=5, d=2, capacity=6)

@@ -14,6 +14,7 @@ from repro.instance.instance import (
     with_release_times,
 )
 from repro.jobs.candidates import full_grid
+from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
@@ -175,6 +176,15 @@ class TestOnlineArrivals:
         for fn in (backfill_scheduler, level_shelf_scheduler, malleable_scheduler):
             with pytest.raises(ValueError, match="release"):
                 fn(inst)
+
+    @pytest.mark.parametrize("release", (float("inf"), float("nan"), -1.0))
+    def test_job_refuses_a_release_that_is_not_finite_and_non_negative(self, release):
+        """An infinite release never gates open, so the event loop would
+        spin on it; a Poisson stream whose mean gap overflows produces one."""
+        with pytest.raises(ValueError, match="release must be finite and >= 0"):
+            Job(id=0, time_fn=lambda p: 1.0, release=release)
+        with pytest.raises(ValueError, match="release must be finite and >= 0"):
+            with_poisson_arrivals(tiny_instance(seed=0), rate=1e-320, seed=0)
 
     def test_validate_flags_release_violation(self):
         pool = ResourcePool.of(2)

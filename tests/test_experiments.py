@@ -1,15 +1,12 @@
-"""Tests for the experiment harness: report, figure/table builders, sweeps."""
+"""Tests for the experiment library (report, workloads, the Theorem 6
+sweep), Table 1's rows and the paper benchmarks' result rows."""
 
 import pytest
 
+from helpers import bench_table
+from repro.core import theory
+from repro.experiments.lb_instance import theorem6_sweep
 from repro.experiments.report import format_table, format_value
-from repro.experiments.sweeps import (
-    independent_comparison,
-    mu_rho_ablation,
-    priority_ablation,
-    theorem6_sweep,
-)
-from repro.experiments.table1 import empirical_check, table1_rows, table1_text
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
 from repro.resources.pool import ResourcePool
 
@@ -46,23 +43,30 @@ class TestFigure1:
 
 class TestTable1:
     def test_rows_cover_classes(self):
-        rows = table1_rows((3,))
-        classes = {r.precedence for r in rows}
+        rows = [r for r in theory.table1_rows() if r["d"] == 3]
+        classes = {r["precedence"] for r in rows}
         assert classes == {"general", "sp/tree", "independent"}
 
     def test_large_d_adds_theorem2_and_4(self):
-        rows = table1_rows((25,))
-        formulas = [r.formula for r in rows]
+        rows = theory.table1_rows()
+        formulas = [r["formula"] for r in rows if r["d"] == 22]
         assert any("O(d^(1/3))" in f for f in formulas)
         assert any("sqrt(d-1)" in f for f in formulas)
+        # each theorem joins at its own threshold, not below it
+        assert all(r["d"] >= 22 for r in rows if "O(d^(1/3))" in r["formula"])
+        assert all(r["d"] >= 4 for r in rows if "sqrt(d-1)" in r["formula"])
 
     def test_text_renders(self):
-        out = table1_text((2, 4))
-        assert "Table 1" in out
+        out = bench_table("table1").preamble
+        assert out.startswith("Table 1")
         assert "independent" in out
 
-    def test_empirical_check_within_bounds(self):
-        for row in empirical_check(2, n=10, seeds=(0,), capacity=8):
+    def test_empirical_rows_within_bounds(self):
+        rows = bench_table("table1").rows
+        assert [(r["precedence"], r["d"]) for r in rows] == [
+            (cls, d) for d in (1, 2, 3) for cls in ("general", "sp/tree", "independent")
+        ]
+        for row in rows:
             assert row["within_bound"], row
 
 
@@ -105,18 +109,19 @@ class TestSweeps:
             assert r["measured_ratio"] == pytest.approx(r["closed_form_ratio"])
             assert r["measured_ratio"] < r["theorem6_bound"]
 
-    def test_independent_comparison_shape(self):
-        rows = independent_comparison(d_values=(1,), n=8, seeds=(0,))
-        assert rows[0]["ours"] <= rows[0]["proven_ours"] + 1e-9
-        assert rows[0]["sun_list"] <= rows[0]["proven_sun_list"] + 1e-9
+    def test_sim_independent_shape(self):
+        for r in bench_table("sim_independent").rows:
+            assert r["ours"] <= r["proven_ours"] + 1e-9
+            assert r["sun_list"] <= r["proven_sun_list"] + 1e-9
 
-    def test_mu_rho_ablation_shape(self):
-        rows = mu_rho_ablation(d=2, n=8, mus=(0.382,), rhos=(0.3, 0.6), seeds=(0,))
-        assert len(rows) == 2
+    def test_ablation_mu_rho_shape(self):
+        rows = bench_table("ablation_mu_rho").rows
+        assert len(rows) == 16
         assert all(r["mean_ratio"] >= 1.0 - 1e-9 for r in rows)
 
-    def test_priority_ablation_shape(self):
-        rows = priority_ablation(d=2, n=8, seeds=(0,), families=("layered",))
-        assert len(rows) == 1
-        for key in ("fifo", "lpt", "spt", "random", "bottom_level"):
-            assert rows[0][key] >= 1.0 - 1e-9
+    def test_ablation_priority_shape(self):
+        rows = bench_table("ablation_priority").rows
+        assert [r["family"] for r in rows] == ["layered", "cholesky"]
+        for row in rows:
+            for key in ("fifo", "lpt", "spt", "random", "bottom_level"):
+                assert row[key] >= 1.0 - 1e-9

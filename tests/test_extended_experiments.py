@@ -1,44 +1,42 @@
-"""Tests for the extended experiment sweeps."""
+"""Tests for the extension benchmarks' rows: capacity, epsilon, candidate
+strategy and true-ratio studies, each as its registered spec computes it."""
 
-
-from repro.experiments.extended import (
-    capacity_sweep,
-    epsilon_sweep,
-    strategy_sweep,
-    true_ratio_study,
-)
+from helpers import bench_table
+from repro.bench.registry import get_benchmark
 
 
 class TestCapacitySweep:
     def test_shape_and_precondition_flags(self):
-        rows = capacity_sweep(d=2, capacities=(4, 16), n=8, seeds=(0,))
-        assert [r["capacity"] for r in rows] == [4, 16]
-        assert rows[0]["pmin_precondition"] is False
-        assert rows[1]["pmin_precondition"] is True
+        rows = bench_table("capacity_sweep").rows
+        assert [r["capacity"] for r in rows] == [2, 4, 7, 16, 32]
+        assert [r["pmin_precondition"] for r in rows] == [False, False, True, True, True]
         for r in rows:
             assert r["mean_ratio"] >= 1.0 - 1e-9
 
     def test_bound_holds_when_precondition_met(self):
-        rows = capacity_sweep(d=2, capacities=(16,), n=10, seeds=(0, 1))
-        assert rows[0]["max_ratio"] <= rows[0]["proven"] + 1e-9
+        rows = [r for r in bench_table("capacity_sweep").rows if r["pmin_precondition"]]
+        assert rows
+        for r in rows:
+            assert r["max_ratio"] <= r["proven"] + 1e-9
 
 
 class TestEpsilonSweep:
     def test_quality_improves_with_epsilon(self):
-        rows = epsilon_sweep(epsilons=(1.0, 0.2), n=8, seeds=(0,))
-        assert rows[0]["epsilon"] == 1.0
-        # tighter epsilon gives at-least-as-good allocation value
-        assert rows[1]["l_over_lp"] <= rows[0]["l_over_lp"] * (1 + 1e-9)
+        rows = bench_table("epsilon_sweep").rows
+        assert [r["epsilon"] for r in rows] == [1.0, 0.5, 0.25]
+        # the tightest epsilon gives an at-least-as-good allocation value
+        assert rows[-1]["l_over_lp"] <= rows[0]["l_over_lp"] * (1 + 1e-9)
         for r in rows:
             assert r["l_over_lp"] >= 1.0 - 1e-6
         # the cost column is the DP's width, not wall-clock: tighter is wider
-        assert 0 < rows[0]["mean_budget_levels"] < rows[1]["mean_budget_levels"]
-        assert epsilon_sweep(epsilons=(1.0, 0.2), n=8, seeds=(0,)) == rows
+        levels = [r["mean_budget_levels"] for r in rows]
+        assert 0 < levels[0] < levels[1] < levels[2]
+        assert get_benchmark("epsilon_sweep").fn()[0].rows == rows
 
 
 class TestStrategySweep:
     def test_frontier_sizes_ordered(self):
-        rows = strategy_sweep(d=2, capacity=16, n=8, seeds=(0,))
+        rows = bench_table("strategy_sweep").rows
         by_name = {r["strategy"]: r for r in rows}
         # the full grid's Pareto frontier is the superset frontier: at least
         # as large as any sub-grid's (diagonal keeps more of its candidates
@@ -49,8 +47,7 @@ class TestStrategySweep:
         assert set(rows[0]) == {"strategy", "mean_makespan", "mean_frontier_size"}
 
     def test_full_grid_not_worse(self):
-        rows = strategy_sweep(d=2, capacity=8, n=8, seeds=(0, 1))
-        by_name = {r["strategy"]: r for r in rows}
+        by_name = {r["strategy"]: r for r in bench_table("strategy_sweep").rows}
         # richer candidate sets can only help the LP allocation (stochastic
         # list scheduling adds noise, so allow 10% slack)
         assert by_name["full"]["mean_makespan"] <= by_name["diagonal"]["mean_makespan"] * 1.10
@@ -58,8 +55,7 @@ class TestStrategySweep:
 
 class TestTrueRatioStudy:
     def test_true_ratios_bounded(self):
-        rows = true_ratio_study(d_values=(1,), n=4, capacity=3, seeds=(0, 1))
-        r = rows[0]
-        assert 1.0 - 1e-9 <= r["mean_true_ratio"] <= r["proven"]
-        # ratio vs LB over-estimates ratio vs T_opt
-        assert r["mean_lb_ratio"] >= r["mean_true_ratio"] - 1e-9
+        for r in bench_table("true_ratio").rows:
+            assert 1.0 - 1e-9 <= r["mean_true_ratio"] <= r["proven"]
+            # ratio vs LB over-estimates ratio vs T_opt
+            assert r["mean_lb_ratio"] >= r["mean_true_ratio"] - 1e-9

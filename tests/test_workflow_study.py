@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.workflow_study import WORKFLOWS, workflow_comparison, workflow_instance
+from helpers import bench_table
+from repro.experiments.workloads import WORKFLOWS, workflow_instance
 from repro.resources.pool import ResourcePool
 
 
@@ -23,8 +24,10 @@ class TestWorkflowInstances:
             workflow_instance("nope", ResourcePool.uniform(2, 8))
 
     def test_comparison_rows(self):
-        rows = workflow_comparison(d=2, capacity=12, names=("montage",))
-        assert rows[0]["workflow"] == "montage"
-        assert rows[0]["ours"] <= rows[0]["proven"] + 1e-9
-        for key in ("min_area", "min_time", "balanced", "tetris", "heft"):
-            assert rows[0][key] >= 1.0 - 1e-9
+        """The ``workflow_study`` benchmark: one row per workflow."""
+        rows = bench_table("workflow_study").rows
+        assert [r["workflow"] for r in rows] == list(WORKFLOWS)
+        for r in rows:
+            assert r["ours"] <= r["proven"] + 1e-9
+            for key in ("min_area", "min_time", "balanced", "tetris", "heft"):
+                assert r[key] >= 1.0 - 1e-9
