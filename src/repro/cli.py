@@ -233,6 +233,10 @@ def _cmd_fuzz(args) -> int:
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        # every case would crash in the workload generator's RNG
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     quick = args.quick or os.environ.get("REPRO_FUZZ_QUICK") == "1"
     try:
         cases = default_matrix(
@@ -241,6 +245,12 @@ def _cmd_fuzz(args) -> int:
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    if not cases:
+        # 0 cases and 0 failures would pass the gate having checked nothing
+        print("error: the filters leave no fuzz case: --schedulers "
+              f"{' '.join(args.schedulers or ['(all)'])} --families "
+              f"{' '.join(args.families or ['(all)'])}", file=sys.stderr)
         return 2
     if args.max_cases is not None:
         cases = cases[: args.max_cases]

@@ -11,10 +11,10 @@ emits.  This package is the machinery that keeps them trustworthy:
   :meth:`repro.sim.schedule.Schedule.validate`, which delegates to it.
 * :mod:`repro.conformance.fuzz` — a seeded differential fuzz harness that
   sweeps every registered scheduler across the workload families ×
-  resource dimensions × capacity regimes × arrival/fault scenarios, runs
-  the strict validator on every schedule, cross-checks the compiled
-  dispatch path against the frozen reference generations event-for-event,
-  and asserts serialize/trace round-trip schedule identity.
+  resource dimensions × capacity regimes × arrival/service/crash
+  scenarios, runs the strict validator on every schedule, cross-checks the
+  compiled dispatch path against the frozen reference generations
+  event-for-event, and asserts serialize/trace round-trip schedule identity.
 
 Run it from the CLI: ``python -m repro fuzz --quick``.
 """

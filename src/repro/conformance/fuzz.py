@@ -22,10 +22,7 @@ running it performs every conformance check that applies:
    schedule event-for-event through the ``repr`` id mapping;
 4. **trace round-trip identity** — ``schedule_from_trace(inst,
    schedule_to_trace(s))`` must equal ``s`` placement-for-placement;
-5. **fault replay** (``scenario="faults"``) — the kernel fault simulator
-   (:func:`repro.sim.faults.execute_with_faults`) is raced attempt-for-
-   attempt against the frozen pre-kernel loop under the same seed;
-6. **service replay** (``scenario="service"``) — the scheduler's fixed
+5. **service replay** (``scenario="service"``) — the scheduler's fixed
    allocation is driven through a live
    :class:`~repro.service.session.SchedulingSession` twice: once with a
    seeded *submission-order-faithful* interleaving of ``submit`` /
@@ -36,7 +33,7 @@ running it performs every conformance check that applies:
    chunk sizes, advances past batch starts, cancellations, another
    checkpoint/restore — whose completed sub-schedule must strict-validate,
    place no cancelled job, and round-trip through the version-3 trace;
-7. **crash recovery** (``scenario="crash"``) — the fixed allocation is
+6. **crash recovery** (``scenario="crash"``) — the fixed allocation is
    driven through a *durable*
    :class:`~repro.service.journal.JournaledSession` under a seeded
    :class:`~repro.service.chaos.ChaosInjector` that kills the session at
@@ -49,10 +46,11 @@ running it performs every conformance check that applies:
 The default matrix sweeps all registered schedulers × the 11 workload
 families × ``d ∈ {1..6}`` × capacity regimes (including the degenerate
 ``cap=1`` platform and ``cap = 2**15``, whose 17-bit fields put ``d = 4``
-past the one-word demand image) × offline / Poisson-arrival / fault-replay /
-service / crash-recovery scenarios.  Offline-only planners (backfill, the shelf packers,
-the malleable relaxation) are swept offline; a scheduler that *rejects* a
-scenario with ``ValueError`` is recorded as a skip, never a failure.
+past the one-word demand image) × offline / Poisson-arrival / service /
+crash-recovery scenarios.  Offline-only planners (backfill, the shelf
+packers, the malleable relaxation) are swept offline; a scheduler that
+*rejects* a scenario with ``ValueError`` is recorded as a skip, never a
+failure.
 
 Everything is deterministic in the case seed, so a failing case is its own
 reproducer: ``python -m repro fuzz`` prints (and can dump as JSON) the
@@ -67,18 +65,13 @@ from typing import Sequence
 
 from repro.conformance.invariants import validate_schedule
 from repro.core.list_scheduler import bottom_level_priority, fifo_priority, list_schedule
-from repro.engine.reference import (
-    reference_execute_with_faults,
-    reference_list_schedule,
-    reference_pr1_list_schedule,
-)
+from repro.engine.reference import reference_list_schedule, reference_pr1_list_schedule
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
 from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.instance.serialize import instance_from_json, instance_to_json
 from repro.jobs.candidates import make_candidates
 from repro.registry import get_scheduler, scheduler_specs
 from repro.resources.pool import ResourcePool
-from repro.sim.faults import execute_with_faults
 from repro.sim.schedule import Schedule
 from repro.sim.trace import schedule_from_trace, schedule_to_trace
 
@@ -93,7 +86,7 @@ __all__ = [
     "run_fuzz",
 ]
 
-SCENARIOS = ("offline", "poisson", "faults", "service", "crash")
+SCENARIOS = ("offline", "poisson", "service", "crash")
 
 #: Schedulers that plan offline and reject release times by contract.
 _OFFLINE_ONLY = frozenset({"backfill", "level_shelf", "sun_shelf", "malleable"})
@@ -110,15 +103,6 @@ _UNPACKED_CAP = 1 << 15
 #: grids tractable (the Cartesian strategies are exponential in d).
 _DIAGONAL = make_candidates("diagonal", levels=6)
 
-#: Fault-replay perturbation parameters (fixed; the case seed drives the
-#: randomness).
-_FAULT_KW = dict(
-    straggler_fraction=0.3,
-    straggler_factor=2.0,
-    failure_prob=0.15,
-    max_retries=2,
-)
-
 
 @dataclass(frozen=True)
 class FuzzCase:
@@ -133,6 +117,13 @@ class FuzzCase:
     scenario: str = "offline"
     arrival_rate: float = 2.0
 
+    def __post_init__(self) -> None:
+        # an unknown scenario would run every check but its own, as offline
+        if self.scenario not in SCENARIOS:
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
+            )
+
     def describe(self) -> str:
         return (
             f"{self.scheduler} × {self.family} n={self.n} d={self.d} "
@@ -145,7 +136,7 @@ class FuzzFailure:
     """One broken check: the case, which check broke, and why."""
 
     case: FuzzCase
-    check: str  #: "crash" | "validator" | "differential" | "serialize" | "trace" | "faults" | "service" | "crash-recovery"
+    check: str  #: "crash" | "validator" | "differential" | "serialize" | "trace" | "service" | "crash-recovery"
     detail: str
 
 
@@ -243,11 +234,12 @@ def default_matrix(
                 d = _D_VALUES[(s_idx + f_idx + k) % len(_D_VALUES)]
                 caps = _capacities_for(d)
                 capacity = caps[(s_idx + f_idx * 2 + k) % len(caps)]
-                # the scenario rotation's modulus (5) stays coprime with
-                # the 6-value d rotation: every (d, scenario) combination
-                # occurs across the matrix instead of locking into a
-                # fixed d↔scenario correspondence
-                scenario = SCENARIOS[(s_idx + 2 * f_idx + 2 * k) % len(SCENARIOS)]
+                # step 1 in k: each (scheduler, family) pair's 5 quick
+                # variants cover all 4 scenarios.  The offsets differ from
+                # the d and capacity rotations' (2·s_idx against s_idx), so
+                # across the matrix every (d, capacity, scenario)
+                # combination still occurs
+                scenario = SCENARIOS[(2 * s_idx + f_idx + k) % len(SCENARIOS)]
                 if spec.name in _OFFLINE_ONLY and scenario == "poisson":
                     scenario = "offline"
                 if spec.name == "malleable":
@@ -405,15 +397,11 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
     # 4 — trace round-trip identity
     failures.extend(_check_trace_roundtrip(case, inst, schedule))
 
-    # 5 — fault replay differential
-    if case.scenario == "faults" and allocation is not None:
-        failures.extend(_check_fault_replay(case, inst, allocation))
-
-    # 6 — online-session replay (faithful identity + adversarial validity)
+    # 5 — online-session replay (faithful identity + adversarial validity)
     if case.scenario == "service" and allocation is not None:
         failures.extend(_check_service(case, inst, allocation))
 
-    # 7 — durable-session crash recovery (kill → recover → retry identity)
+    # 6 — durable-session crash recovery (kill → recover → retry identity)
     if case.scenario == "crash" and allocation is not None:
         failures.extend(_check_crash(case, inst, allocation))
 
@@ -488,39 +476,6 @@ def _check_trace_roundtrip(case, inst, schedule) -> list[FuzzFailure]:
     if back.placements != schedule.placements:
         return [FuzzFailure(case, "trace", "trace round-trip changed the schedule")]
     return []
-
-
-def _check_fault_replay(case, inst, allocation) -> list[FuzzFailure]:
-    try:
-        live = execute_with_faults(
-            inst, allocation, priority=fifo_priority, seed=case.seed, **_FAULT_KW
-        )
-        live.validate()
-        ref_attempts, ref_completion = reference_execute_with_faults(
-            inst, allocation, priority=fifo_priority, seed=case.seed, **_FAULT_KW
-        )
-    except Exception as exc:
-        return [FuzzFailure(case, "faults", f"{type(exc).__name__}: {exc}")]
-    live_attempts = [
-        (a.job_id, a.start, a.duration, tuple(a.alloc), a.failed)
-        for a in live.attempts
-    ]
-    ref_attempts = [(j, s, t, tuple(a), f) for j, s, t, a, f in ref_attempts]
-    out: list[FuzzFailure] = []
-    if live_attempts != ref_attempts:
-        out.append(
-            FuzzFailure(
-                case,
-                "faults",
-                "fault replay diverges from the frozen pre-kernel loop "
-                "(attempt streams differ)",
-            )
-        )
-    if live.completion != ref_completion:
-        out.append(
-            FuzzFailure(case, "faults", "fault replay completion times diverge")
-        )
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -252,7 +252,6 @@ def list_schedule(
 
     def on_complete(j: JobId, now: float) -> None:
         on_event("finish", j, now, None)
-        return None
 
     _dispatch(instance, allocation, priority, _setup(instance, allocation),
               on_start, on_complete)

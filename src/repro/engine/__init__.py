@@ -17,12 +17,12 @@
   generations (pre-kernel python and the PR-1 kernel driver), kept only
   for differential tests and benchmarks.
 
-Every scheduler in :mod:`repro.core`, :mod:`repro.baselines`,
-:mod:`repro.malleable` and :mod:`repro.sim.faults` runs on this engine; the
-named-scheduler registry in :mod:`repro.registry` is the front door.
+Every scheduler in :mod:`repro.core`, :mod:`repro.baselines` and
+:mod:`repro.malleable` runs on this engine; the named-scheduler registry
+in :mod:`repro.registry` is the front door.
 """
 
-from repro.engine.dispatch import drive_policy_schedule, drive_priority_schedule
+from repro.engine.dispatch import drive_policy_schedule
 from repro.engine.kernel import COMPLETE, RELEASE, TIME_EPS, EventKernel
 from repro.engine.profile import ReservationProfile
 from repro.engine.shelves import Shelf, pack_shelves, stack_shelves
@@ -35,7 +35,6 @@ __all__ = [
     "ReservationProfile",
     "Shelf",
     "drive_policy_schedule",
-    "drive_priority_schedule",
     "pack_shelves",
     "stack_shelves",
 ]

@@ -2,10 +2,10 @@
 
 Two queue disciplines cover every event-driven scheduler in the repository:
 
-* :func:`drive_priority_schedule` — Algorithm 2's discipline: allocations
-  fixed up front, a ready queue kept in priority order, and every pass
-  starting *every* queued job that fits (the ``for each job j ∈ Q`` loop).
-  Used by the core list scheduler and the fault simulator.
+* :func:`priority_loop` — Algorithm 2's discipline: allocations fixed up
+  front, a ready queue kept in priority order, and every pass starting
+  *every* queued job that fits (the ``for each job j ∈ Q`` loop).  Used
+  by the core list scheduler.
 * :func:`drive_policy_schedule` — dispatch-time allocation: a policy
   callback inspects the ready set and the availability vector and picks
   ``(job, allocation)`` pairs to start.  Used by the Tetris and HEFT
@@ -19,9 +19,8 @@ index)`` total order.
 The priority discipline is a **re-entrant loop object**: it owns a
 resumable event heap plus readiness state and exposes ``run(until)`` —
 run until the heap drains (returns ``True``) or until the next event lies
-past ``until`` (returns ``False``, resume later).
-``drive_priority_schedule`` builds one via :func:`priority_loop` and runs
-it to completion; streaming front-ends (``repro schedule --follow``) step
+past ``until`` (returns ``False``, resume later).  Batch callers run it
+to completion; streaming front-ends (``repro schedule --follow``) step
 the same loop incrementally.
 
 Two loops share that contract, and **one demand encoding**: every demand
@@ -72,7 +71,6 @@ from repro.engine.kernel import RELEASE, TIME_EPS, EventKernel
 from repro.instance.compiled import compile_instance
 
 __all__ = [
-    "drive_priority_schedule",
     "drive_policy_schedule",
     "priority_loop",
     "PriorityLoop",
@@ -106,28 +104,18 @@ def _unpack(packed: int, d: int, bits: int) -> tuple[int, ...]:
     return tuple((packed >> (bits * r)) & field for r in range(d))
 
 
-def drive_priority_schedule(
+def priority_loop(
     instance,
     allocation: Mapping[JobId, Sequence[int]],
     keys: "Mapping[JobId, object] | np.ndarray",
     durations: "Mapping[JobId, float] | np.ndarray",
     on_start: Callable[[JobId, float, float], None],
     *,
-    on_complete: Callable[[JobId, float], float | None] | None = None,
+    on_complete: Callable[[JobId, float], None] | None = None,
     alloc_mat: np.ndarray | None = None,
 ) -> "PriorityLoop":
-    """Run Algorithm 2's queue discipline on the compiled instance.
-
-    The ready queue is kept sorted by rank (the dense integer image of
-    ``(key, topological tie-break)``); every scheduling pass is the greedy
-    scan in priority order, starting every job that still fits as
-    availability shrinks — in order over python ints while the queue is
-    short, by one vectorized whole-queue comparison plus a re-filter of the
-    passing entries while it is long (exact: availability only shrinks
-    within a pass, so a job failing the whole-queue test cannot start until
-    the next event), and in either form only up to the start that leaves
-    some type with less free than any job asks of it.  See
-    :meth:`PriorityLoop.run`.
+    """Build Algorithm 2's re-entrant dispatch loop for a fixed job set,
+    unstarted (the queue discipline is :meth:`PriorityLoop.run`'s).
 
     ``keys`` and ``durations`` may be mappings over job ids or 1-D arrays
     aligned with the topological order (the vectorized fast path);
@@ -138,37 +126,10 @@ def drive_priority_schedule(
     (``ValueError`` naming the first job outside ``0 ⪯ a ⪯ capacities``
     or asking for nothing).
 
-    ``on_start(job, start, duration)`` records each dispatch.  When given,
-    ``on_complete(job, now) -> float | None`` intercepts completions: a
-    float re-runs the job immediately for that duration *without* releasing
-    its resources (failure re-execution); ``None`` completes it normally.
-    Returns the drained loop: ``now`` holds the final virtual time,
-    ``available()`` the availability vector.
-    """
-    loop = priority_loop(
-        instance, allocation, keys, durations, on_start,
-        on_complete=on_complete, alloc_mat=alloc_mat,
-    )
-    loop.run()
-    return loop
-
-
-def priority_loop(
-    instance,
-    allocation: Mapping[JobId, Sequence[int]],
-    keys: "Mapping[JobId, object] | np.ndarray",
-    durations: "Mapping[JobId, float] | np.ndarray",
-    on_start: Callable[[JobId, float, float], None],
-    *,
-    on_complete: Callable[[JobId, float], float | None] | None = None,
-    alloc_mat: np.ndarray | None = None,
-) -> "PriorityLoop":
-    """Build the re-entrant dispatch loop for a fixed job set, unstarted.
-
-    Same arguments as :func:`drive_priority_schedule`; the returned loop
-    exposes ``run(until=None) -> bool`` (``True`` once drained), ``now``,
-    ``next_time``, ``pending`` and ``available()``.  Callers that only
-    need the final schedule should prefer :func:`drive_priority_schedule`.
+    ``on_start(job, start, duration)`` records each dispatch and
+    ``on_complete(job, now)``, when given, is told of each completion.
+    The returned loop exposes ``run(until=None) -> bool`` (``True`` once
+    drained), ``now``, ``next_time``, ``pending`` and ``available()``.
 
     ``on_start=None`` selects the **array start log**: instead of a python
     callback per dispatch, the loop records ``(topological index, start
@@ -250,13 +211,12 @@ class PriorityLoop:
     smallest demand anybody has of it — and leaves the pass: availability
     only shrinks within a pass, so no entry further down can fit.  The
     minimum is over every job, queued or not, which is what makes the test
-    valid at any moment of any pass — with releases pending, after an
-    ``on_complete`` retry that freed nothing, across ``run(until)`` steps —
-    without upkeep as the queue changes.  A type some job asks nothing of
-    has a zero field, whose headroom bit always survives: that type is
-    simply never the witness (and ``gmin = 0`` never cuts at all, which is
-    how the tests switch the cut off).  One integer test per *start*
-    replaces one per queue entry behind it.
+    valid at any moment of any pass — with releases pending, across
+    ``run(until)`` steps — without upkeep as the queue changes.  A type
+    some job asks nothing of has a zero field, whose headroom bit always
+    survives: that type is simply never the witness (and ``gmin = 0`` never
+    cuts at all, which is how the tests switch the cut off).  One integer
+    test per *start* replaces one per queue entry behind it.
     """
 
     __slots__ = (
@@ -604,12 +564,7 @@ class PriorityLoop:
                     continue
                 i = c
                 if on_complete is not None:
-                    retry = on_complete(order[i], now)
-                    if retry is not None:
-                        # re-run on the held allocation; nothing is released
-                        push(heap, (now + retry, seq, i))
-                        seq += 1
-                        continue
+                    on_complete(order[i], now)
                 freed = True
                 av += img_topo[i]
                 for s in si[ip[i]:ip[i + 1]]:

@@ -113,8 +113,9 @@ class EventKernel:
         return finish
 
     def hold(self, payload: Any, duration: float) -> float:
-        """Schedule a completion for work that already holds its resources
-        (re-execution of a failed attempt on the same allocation)."""
+        """Schedule a completion for work whose resources the caller has
+        already acquired (a dispatcher that acquires one pass's starts in
+        one :meth:`acquire`)."""
         finish = self.now + duration
         self.push_event(finish, COMPLETE, payload)
         return finish
@@ -160,8 +161,8 @@ class EventKernel:
 
         ``dispatch(kernel)`` is called at time 0 and after every event batch;
         it starts work via :meth:`start`.  ``handle(kernel, kind, payload)``
-        processes one popped event (releasing resources, updating readiness,
-        resubmitting failed work).  The loop ends when the heap is empty and
+        processes one popped event (releasing resources, updating
+        readiness).  The loop ends when the heap is empty and
         the final dispatch pass starts nothing; callers are responsible for
         detecting deadlock (work left unplaced) afterwards.
         """

@@ -3,10 +3,10 @@
 Before the :mod:`repro.engine` refactor, the event loop was re-implemented
 (with subtle drift in tie-breaking and resource accounting) in the core list
 scheduler, the dynamic-baseline engine, the shelf packers, the backfill
-planner, the malleable scheduler and the fault simulator.  This module
-preserves those original loops *verbatim in behavior* so that the
-equivalence tests (``tests/test_engine_equivalence.py``) can assert the
-kernel ports produce identical schedules.
+planner and the malleable scheduler.  This module preserves those original
+loops *verbatim in behavior* so that the equivalence tests
+(``tests/test_engine_equivalence.py``) can assert the kernel ports produce
+identical schedules.
 
 The module holds two generations of frozen loops: the original pre-kernel
 python loops (``reference_*``) and the PR-1 kernel driver
@@ -24,14 +24,12 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from operator import le as _le
-from typing import Hashable, Mapping
+from typing import Hashable
 
 import numpy as np
 
 from repro.engine.kernel import RELEASE, EventKernel
-from repro.instance.instance import Instance
 from repro.sim.schedule import Schedule, ScheduledJob
-from repro.util.rng import ensure_rng
 
 __all__ = [
     "reference_bottom_level_priority",
@@ -41,7 +39,6 @@ __all__ = [
     "reference_pack_shelf_placements",
     "reference_backfill_plan",
     "reference_malleable_task_starts",
-    "reference_execute_with_faults",
 ]
 
 JobId = Hashable
@@ -164,7 +161,7 @@ def reference_list_schedule(instance, allocation, priority=None) -> Schedule:
 def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule:
     """The PR-1 kernel list-schedule path, frozen verbatim.
 
-    This is the ``drive_priority_schedule`` that shipped with the unified
+    This is the priority-dispatch driver that shipped with the unified
     engine refactor: dict ``remaining`` bookkeeping, an ``insort``-sorted
     ready queue of ``(key, index, job)`` tuples, per-job tuple round-trips
     for resource accounting, and a vectorized feasibility prefilter for
@@ -457,91 +454,3 @@ def reference_malleable_task_starts(instance) -> dict:
         step += 1
 
     return task_start
-
-
-def reference_execute_with_faults(
-    instance: Instance,
-    allocation: Mapping[JobId, object],
-    *,
-    priority,
-    straggler_fraction: float = 0.0,
-    straggler_factor: float = 1.0,
-    failure_prob: float = 0.0,
-    max_retries: int = 3,
-    seed=0,
-):
-    """The pre-kernel fault-injection replay loop.
-
-    Returns ``(attempts, completion)`` where ``attempts`` is a list of
-    ``(job_id, start, duration, alloc, failed)`` tuples in dispatch order.
-    """
-    instance.validate_allocation_map(allocation)
-    rng = ensure_rng(seed)
-
-    base_times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
-    order = instance.dag.topological_order()
-    is_straggler = {j: bool(rng.random() < straggler_fraction) for j in order}
-    times = {
-        j: base_times[j] * (straggler_factor if is_straggler[j] else 1.0) for j in order
-    }
-    keys = priority(instance, allocation, base_times)
-    tie = {j: i for i, j in enumerate(order)}
-
-    dag = instance.dag
-    remaining = {j: dag.in_degree(j) for j in instance.jobs}
-    ready = sorted(dag.sources(), key=lambda j: (keys[j], tie[j]))
-    avail = list(instance.pool.capacities)
-    d = instance.d
-    running: list[tuple[float, int, JobId]] = []
-    seq = 0
-    now = 0.0
-    retries_used = {j: 0 for j in instance.jobs}
-    attempts: list[tuple] = []
-    completion: dict[JobId, float] = {}
-
-    while ready or running:
-        still: list[JobId] = []
-        for j in ready:
-            a = allocation[j]
-            if all(a[r] <= avail[r] for r in range(d)):
-                for r in range(d):
-                    avail[r] -= a[r]
-                heapq.heappush(running, (now + times[j], seq, j))
-                seq += 1
-                attempts.append((j, now, times[j], a, False))
-            else:
-                still.append(j)
-        ready = still
-
-        if not running:
-            break
-        now, _, j = heapq.heappop(running)
-        done = [j]
-        while running and running[0][0] <= now + 1e-12:
-            done.append(heapq.heappop(running)[2])
-        for c in done:
-            a = allocation[c]
-            failed = retries_used[c] < max_retries and float(rng.random()) < failure_prob
-            if failed:
-                retries_used[c] += 1
-                for idx in range(len(attempts) - 1, -1, -1):
-                    at = attempts[idx]
-                    if at[0] == c and not at[4] and c not in completion:
-                        attempts[idx] = (at[0], at[1], at[2], at[3], True)
-                        break
-                heapq.heappush(running, (now + times[c], seq, c))
-                seq += 1
-                attempts.append((c, now, times[c], a, False))
-                continue
-            completion[c] = now
-            for r in range(d):
-                avail[r] += a[r]
-            for s in dag.successors(c):
-                remaining[s] -= 1
-                if remaining[s] == 0:
-                    ready.append(s)
-                    ready.sort(key=lambda x: (keys[x], tie[x]))
-
-    if len(completion) != len(instance.jobs):
-        raise RuntimeError("fault simulation failed to complete every job")
-    return attempts, completion

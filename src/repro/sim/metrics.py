@@ -1,4 +1,4 @@
-"""Schedule metrics and empirical verification of the proof machinery.
+"""Empirical verification of the proof machinery on concrete schedules.
 
 Beyond the approximation theorem itself, the paper's proof rests on two
 schedule-level inequalities that any Algorithm 2 schedule must satisfy when
@@ -11,25 +11,19 @@ the allocation came from Algorithm 1:
 where ``T1/T2/T3`` are the durations of the I1/I2/I3 interval categories of
 Section 4.2.2 and ``p'`` is the pre-adjustment allocation.  Verifying them
 on concrete schedules is a much sharper implementation check than the
-end-to-end ratio alone — :func:`verify_lemma_bounds` does exactly that and
-is exercised by both tests and benchmarks.
-
-The module also provides plain scheduling metrics (waiting times, resource
-fragmentation) used by the experiment reports.
+end-to-end ratio alone — :func:`verify_lemma_bounds` does exactly that, and
+the invariant tests use it as their proof oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro.core.allocation import Phase1Result
 from repro.sim.intervals import classify_intervals
 from repro.sim.schedule import Schedule
 
-__all__ = ["LemmaCheck", "verify_lemma_bounds", "waiting_times", "fragmentation"]
-
-JobId = Hashable
+__all__ = ["LemmaCheck", "verify_lemma_bounds"]
 
 
 @dataclass(frozen=True)
@@ -84,77 +78,3 @@ def verify_lemma_bounds(schedule: Schedule, phase1: Phase1Result, *, rtol: float
         lemma6_holds=lemma6_lhs <= lemma6_rhs + tol6,
         capacity_precondition=inst.pool.supports_mu(mu),
     )
-
-
-def waiting_times(schedule: Schedule) -> dict[JobId, float]:
-    """Per-job wait beyond its earliest feasible start ``earliest(j)``,
-    the release-aware top-level recursion ``earliest(j) = max(r_j,
-    max_u(earliest(u) + t_u))`` over predecessors ``u`` with the
-    *scheduled* execution times (0 = started as early as the graph and
-    the arrival stream allow).
-
-    Under online arrivals neither a job's own pre-release span nor delay
-    inherited from a late-released predecessor is charged as waiting; for
-    release-free instances the recursion reduces exactly to the top
-    level ``top(j)``."""
-    inst = schedule.instance
-    times = {j: p.time for j, p in schedule.placements.items()}
-    earliest = _release_aware_top_levels(inst, times)
-    return {j: schedule.placements[j].start - earliest[j] for j in inst.jobs}
-
-
-def _release_aware_top_levels(inst, times: dict[JobId, float]) -> dict[JobId, float]:
-    """Earliest unlimited-resource start per job: the top-level recursion
-    with every job floored at its release time."""
-    earliest: dict[JobId, float] = {}
-    for j in inst.dag.topological_order():
-        ready = max(
-            (earliest[u] + times[u] for u in inst.dag.predecessors(j)),
-            default=0.0,
-        )
-        earliest[j] = max(inst.jobs[j].release, ready)
-    return earliest
-
-
-def fragmentation(schedule: Schedule) -> list[float]:
-    """Per-type fragmentation: time-weighted fraction of *idle* capacity
-    during intervals where at least one job was waiting for that type.
-
-    A high value means capacity was free but unusable (the packing loss that
-    the µ-adjustment is designed to limit).
-    """
-    inst = schedule.instance
-    caps = inst.pool.capacities
-    d = inst.d
-    total_frag = [0.0] * d
-    total_time = 0.0
-    # waiting intervals per job: [ready time, start) — a job is ready only
-    # once its predecessors finished *and* it has been released, so under
-    # online arrivals the pre-release span is not counted as packing loss
-    ready_at = {
-        j: max(
-            inst.jobs[j].release,
-            max(
-                (schedule.placements[p].finish for p in inst.dag.predecessors(j)),
-                default=0.0,
-            ),
-        )
-        for j in inst.jobs
-    }
-    for t0, t1, usage in schedule.intervals():
-        dur = t1 - t0
-        total_time += dur
-        mid = (t0 + t1) / 2
-        waiting = [
-            j
-            for j, p in schedule.placements.items()
-            if ready_at[j] <= mid < p.start
-        ]
-        if not waiting:
-            continue
-        for r in range(d):
-            if any(schedule.placements[j].alloc[r] > 0 for j in waiting):
-                total_frag[r] += dur * (caps[r] - usage[r]) / caps[r]
-    if total_time <= 0:
-        return [0.0] * d
-    return [f / total_time for f in total_frag]

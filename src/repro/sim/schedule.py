@@ -53,8 +53,8 @@ class Schedule:
         Mapping job id → :class:`ScheduledJob`, a plain mutable ``dict``.
 
     A schedule is backed by one of two things.  ``Schedule(instance,
-    placements=dict)`` keeps the dict it is given — what the baselines, the
-    session and the fault replays build.  :meth:`from_log` keeps the
+    placements=dict)`` keeps the dict it is given — what the baselines and
+    the session build.  :meth:`from_log` keeps the
     **columns** of a list-scheduling run (the start log's arrays and the
     allocation mapping) and no per-job object: ``makespan``, ``len``,
     ``allocation``, ``starts`` and ``intervals()`` are read off the arrays.

@@ -1,14 +1,11 @@
-"""Small shared utilities: seeded RNG handling, ordering helpers and
-crash-safe file replacement."""
+"""Small shared utilities: seeded RNG handling and crash-safe file
+replacement."""
 
 from repro.util.atomic import atomic_write_text, fsync_directory
 from repro.util.rng import ensure_rng
-from repro.util.order import argsort_by, stable_unique
 
 __all__ = [
     "ensure_rng",
-    "argsort_by",
-    "stable_unique",
     "atomic_write_text",
     "fsync_directory",
 ]

@@ -503,7 +503,7 @@ def reference_callback_list_schedule(instance: Instance, allocation, priority) -
     loop's per-start callback: one ``ScheduledJob`` and one dict entry per
     dispatch, a dict-backed ``Schedule`` (frozen; the oracle for the
     column-backed one)."""
-    from repro.engine.dispatch import drive_priority_schedule
+    from repro.engine.dispatch import priority_loop
 
     alloc_mat = instance.validate_allocation_map(allocation)
     times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
@@ -513,8 +513,8 @@ def reference_callback_list_schedule(instance: Instance, allocation, priority) -
         placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
                                      alloc=allocation[j])
 
-    drive_priority_schedule(instance, allocation, priority(instance, allocation, times),
-                            times, on_start, alloc_mat=alloc_mat)
+    priority_loop(instance, allocation, priority(instance, allocation, times),
+                  times, on_start, alloc_mat=alloc_mat).run()
     return Schedule(instance=instance, placements=placements)
 
 

@@ -243,11 +243,10 @@ def test_matrix_batches_equal_per_event_reference():
         assert starts[:k + 4] == [0.0] * k + [0.5] * 4
 
 
-def test_matrix_stepped_retry_equals_uninterrupted():
+def test_matrix_stepped_equals_uninterrupted():
     """d=6, at capacity 12 (one word) and with every amount scaled onto
     capacity ``2**11`` (78-bit images; the same sets of jobs fit):
-    ``run(until)`` stepping with an ``on_complete`` hook that fails every
-    third job once (re-run on the held allocation) sees the events of the
+    ``run(until)`` stepping sees the starts and finishes of the
     uninterrupted run, in order — one event sequence for both platforms."""
     inst, alloc = _workload(d=6, seed=37, poisson=True)
     keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
@@ -258,20 +257,10 @@ def test_matrix_stepped_retry_equals_uninterrupted():
 
     def drive(inst, alloc, step):
         events: list[tuple] = []
-        failed: set = set()
-
-        def on_complete(j, now):
-            if keys[j] % 3 == 0 and j not in failed:
-                failed.add(j)
-                events.append(("retry", j, now))
-                return times[j] / 2
-            events.append(("finish", j, now))
-            return None
-
         loop = priority_loop(
             inst, alloc, keys, times,
             lambda j, s, t: events.append(("start", j, s)),
-            on_complete=on_complete,
+            on_complete=lambda j, now: events.append(("finish", j, now)),
         )
         until = None if step is None else 0.0
         while not loop.run(until=until):
@@ -281,7 +270,7 @@ def test_matrix_stepped_retry_equals_uninterrupted():
 
     assert inst.compiled().packable and not wide.compiled().packable
     full = drive(inst, alloc, None)
-    assert sum(e[0] == "retry" for e in full[0]) == len(range(0, len(keys), 3))
+    assert sum(e[0] == "finish" for e in full[0]) == len(keys)
     assert drive(inst, alloc, 0.4) == full
     assert drive(wide, wide_alloc, None) == full
     assert drive(wide, wide_alloc, 0.4) == full
@@ -427,19 +416,18 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(
     rule=st.sampled_from(RULES),
     seed=st.integers(0, 2**31 - 1),
     zeros=st.sampled_from(("none", "some-jobs", "a-whole-type")),
-    retries=st.booleans(),
     log_mode=st.booleans(),
     step=st.sampled_from((None, 0.7, 5.0)),
 )
 @settings(max_examples=40, deadline=None)
 def test_cut_leaves_every_event_where_it_was(
-    n, platform, rule, seed, zeros, retries, log_mode, step
+    n, platform, rule, seed, zeros, log_mode, step
 ):
     """With the cut and with ``loop.gmin = 0`` (no field of the availability
     can fall below zero, so the test never fires) the loop produces the same
-    events in the same order: starts, finishes and ``on_complete`` retries,
-    run to completion or stepped, on word and wide images, with queues that
-    stay short (``n = 40``: only the late wave and the trickle cross
+    events in the same order: starts and finishes, run to completion or
+    stepped, on word and wide images, with queues that stay short
+    (``n = 40``: only the late wave and the trickle cross
     ``_VECTOR_QUEUE``) or start long, and with demands that are zero in a
     type for some jobs or for all of them."""
     inst, alloc = _long_queue_instance(n, platform, seed)
@@ -450,24 +438,13 @@ def test_cut_leaves_every_event_where_it_was(
                 alloc[j] = ResourceVector((0,) + tuple(alloc[j][1:]))
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
     keys = rule(inst, alloc, times)
-    flaky = {j for j in inst.jobs if retries and rng.random() < 0.2}
 
     def drive(cut):
         events: list[tuple] = []
-        failed: set = set()
-
-        def on_complete(j, now):
-            if j in flaky and j not in failed:
-                failed.add(j)
-                events.append(("retry", j, now))
-                return times[j] / 2
-            events.append(("finish", j, now))
-            return None
-
         loop = priority_loop(
             inst, alloc, keys, times,
             None if log_mode else lambda j, s, t: events.append(("start", j, s)),
-            on_complete=on_complete,
+            on_complete=lambda j, now: events.append(("finish", j, now)),
         )
         assert loop.gmin > 0
         if zeros == "a-whole-type":

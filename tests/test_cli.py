@@ -214,6 +214,32 @@ class TestCommands:
         assert captured.err.startswith(f"error: --n must be >= 1, got {n}")
         assert "sweeping" not in captured.out
 
+    def test_fuzz_refuses_a_negative_seed(self, capsys, monkeypatch):
+        """The seed reached every case's RNG, so a CLI input error was
+        reported as one scheduler crash per case."""
+        import repro.conformance.fuzz as fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
+        assert main(["fuzz", "--quick", "--seed", "-3", "--max-cases", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --seed must be >= 0, got -3")
+        assert "sweeping" not in captured.out
+
+    def test_fuzz_refuses_filters_that_leave_no_case(self, capsys, monkeypatch):
+        """``sun_list`` only runs the independent family: the sweep used
+        to pass over 0 cases."""
+        import repro.conformance.fuzz as fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
+        assert main(["fuzz", "--schedulers", "sun_list", "--families", "chain"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--schedulers sun_list" in err and "--families chain" in err
+
+    def test_fuzz_max_cases_zero_still_sweeps_nothing(self, capsys):
+        assert main(["fuzz", "--quick", "--max-cases", "0"]) == 0
+        assert "0 cases run" in capsys.readouterr().out
+
     def test_fuzz_unknown_scheduler(self, capsys):
         assert main(["fuzz", "--schedulers", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from repro.conformance import (
     validate_schedule,
 )
 from repro.conformance.fuzz import (
+    _OFFLINE_ONLY,
     SCENARIOS,
     FuzzCase,
     default_matrix,
@@ -245,11 +246,27 @@ class TestFuzzMatrix:
 
     def test_scenario_decorrelated_from_d(self):
         """Every (d, scenario) combination is reachable — a correlated
-        rotation would never fuzz e.g. the packed d=4 path under faults."""
+        rotation would never fuzz e.g. the packed d=4 path under crashes."""
         combos = {(c.d, c.scenario) for c in default_matrix(quick=True)}
         assert combos == {
             (d, s) for d in (1, 2, 3, 4, 5, 6) for s in SCENARIOS
         }
+
+    def test_every_scheduler_reaches_every_scenario(self):
+        """With 4 scenarios, a k-step of 2 kept each scheduler on 2 of them
+        (the parity of its registry index): ``ours`` never met Poisson
+        arrivals or crash recovery."""
+        reached: dict[str, set[str]] = {}
+        for c in default_matrix(quick=True):
+            reached.setdefault(c.scheduler, set()).add(c.scenario)
+        for name, scenarios in reached.items():
+            if name == "malleable":
+                expected = {"offline"}
+            elif name in _OFFLINE_ONLY:
+                expected = set(SCENARIOS) - {"poisson"}
+            else:
+                expected = set(SCENARIOS)
+            assert scenarios == expected, name
 
     def test_offline_only_planners_never_get_poisson(self):
         cases = default_matrix(quick=False)
@@ -271,6 +288,13 @@ class TestFuzzExecution:
             failures, skipped = run_case(case)
             assert not skipped
             assert failures == []
+
+    def test_unknown_scenario_is_refused(self):
+        """A misspelt or retired scenario used to run as ``offline`` and
+        pass, so a stale reproducer checked nothing it named."""
+        for scenario in ("servce", "faults"):
+            with pytest.raises(ValueError, match="offline.*poisson.*service.*crash"):
+                FuzzCase("ours", "layered", 8, 2, 16, 0, scenario=scenario)
 
     def test_unsupported_scenario_is_a_skip_not_a_failure(self):
         case = FuzzCase("backfill", "layered", 8, 2, 8, 0, "poisson")

@@ -30,7 +30,6 @@ from repro.dag.generators import erdos_renyi_dag
 from repro.dag.paths import bottom_levels
 from repro.engine.reference import (
     reference_backfill_plan,
-    reference_execute_with_faults,
     reference_list_schedule,
     reference_malleable_task_starts,
     reference_pack_shelf_placements,
@@ -42,7 +41,6 @@ from repro.jobs.speedup import random_multi_resource_time
 from repro.malleable.model import moldable_to_malleable
 from repro.malleable.scheduler import malleable_list_schedule
 from repro.resources.pool import ResourcePool
-from repro.sim.faults import execute_with_faults
 
 
 def random_instance(seed, d=2, n=14, capacity=6, p=0.3):
@@ -172,25 +170,3 @@ class TestMalleableEquivalence:
         new = malleable_list_schedule(m)
         old = reference_malleable_task_starts(m)
         assert new.task_start == old
-
-
-class TestFaultEquivalence:
-    @pytest.mark.parametrize("seed", (0, 4, 11))
-    def test_attempts_and_completions_identical(self, seed):
-        inst = tiny_instance(seed=seed, d=2, capacity=6,
-                             edges=((0, 1), (0, 2), (1, 3), (2, 3)))
-        alloc = balanced_allocation(inst)
-        new = execute_with_faults(
-            inst, alloc, straggler_fraction=0.4, straggler_factor=2.0,
-            failure_prob=0.5, max_retries=2, seed=seed,
-        )
-        ref_attempts, ref_completion = reference_execute_with_faults(
-            inst, alloc, priority=fifo_priority,
-            straggler_fraction=0.4, straggler_factor=2.0,
-            failure_prob=0.5, max_retries=2, seed=seed,
-        )
-        assert new.completion == ref_completion
-        got = [(a.job_id, a.start, a.duration, tuple(a.alloc), a.failed)
-               for a in new.attempts]
-        want = [(j, s, t, tuple(a), f) for j, s, t, a, f in ref_attempts]
-        assert got == want

@@ -54,16 +54,11 @@ class TestExamples:
         assert "ADVERSARIAL" in out
         assert "Theorem 6" in out
 
-    def test_fault_tolerant_run(self, capsys):
-        out = run_example("fault_tolerant_run", capsys)
-        assert "stragglers" in out
-        assert "retries" in out
-
     def test_every_example_has_a_smoke_test(self):
         """Keep this suite in sync with the examples directory."""
         scripts = {p.stem for p in EXAMPLES.glob("*.py")}
         tested = {
             "quickstart", "cholesky_workflow", "cluster_moldable",
-            "sp_pipeline", "lower_bound_demo", "fault_tolerant_run",
+            "sp_pipeline", "lower_bound_demo",
         }
         assert scripts == tested, f"untested examples: {scripts - tested}"

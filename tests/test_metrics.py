@@ -1,4 +1,4 @@
-"""Tests for schedule metrics and the Lemma 5/6 empirical verification."""
+"""Tests for the Lemma 5/6 empirical verification."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from repro.core.allocation import allocate_resources
 from repro.core.list_scheduler import list_schedule, random_priority
 from repro.core import theory
 from repro.jobs.candidates import full_grid
-from repro.sim.metrics import fragmentation, verify_lemma_bounds, waiting_times
+from repro.sim.metrics import verify_lemma_bounds
 
 
 def phase1_and_schedule(seed, d=2, capacity=8, priority=None, mu=None, rho=None):
@@ -52,80 +52,3 @@ class TestLemmaVerification:
         inst, phase1, sched = phase1_and_schedule(5, capacity=4)  # 4 < 1/µ² ≈ 6.85
         check = verify_lemma_bounds(sched, phase1)
         assert not check.capacity_precondition
-
-
-class TestScheduleMetrics:
-    def test_waiting_times_nonnegative(self):
-        inst, phase1, sched = phase1_and_schedule(8)
-        waits = waiting_times(sched)
-        assert set(waits) == set(inst.jobs)
-        assert all(w >= -1e-9 for w in waits.values())
-
-    def test_source_with_no_contention_starts_immediately(self):
-        inst, phase1, sched = phase1_and_schedule(9, capacity=16)
-        waits = waiting_times(sched)
-        started_at_zero = [j for j in inst.dag.sources()
-                           if sched.placements[j].start == 0.0]
-        assert started_at_zero
-        for j in started_at_zero:
-            assert waits[j] == pytest.approx(0.0)
-
-    def test_fragmentation_range(self):
-        inst, phase1, sched = phase1_and_schedule(10, capacity=5)
-        frag = fragmentation(sched)
-        assert len(frag) == inst.d
-        assert all(0.0 <= f <= 1.0 + 1e-9 for f in frag)
-
-    def test_fragmentation_zero_when_nothing_waits(self):
-        inst, phase1, sched = phase1_and_schedule(11, capacity=64)
-        # with huge capacity nothing ever waits
-        frag = fragmentation(sched)
-        assert all(f == pytest.approx(0.0) for f in frag)
-
-
-class TestReleaseAwareMetrics:
-    """Online arrivals: pre-release time is neither waiting nor packing
-    loss (the release-blind versions charged both)."""
-
-    def _online_schedule(self, seed=0, rate=0.5, capacity=32):
-        from repro.core.list_scheduler import list_schedule
-        from repro.instance.instance import with_poisson_arrivals
-
-        inst, phase1, _ = phase1_and_schedule(seed, capacity=capacity)
-        online = with_poisson_arrivals(inst, rate, seed=seed)
-        return online, list_schedule(online, phase1.allocation)
-
-    def test_wait_zero_when_started_at_release(self):
-        online, sched = self._online_schedule(capacity=64)
-        waits = waiting_times(sched)
-        assert all(w >= -1e-9 for w in waits.values())
-        # with huge capacity every source starts exactly at its release:
-        # release-blind metrics would report the full pre-release span
-        for j in online.dag.sources():
-            p = sched.placements[j]
-            if p.start == pytest.approx(online.jobs[j].release):
-                assert waits[j] == pytest.approx(0.0)
-
-    def test_wait_excludes_prerelease_span(self):
-        online, sched = self._online_schedule(seed=1)
-        waits = waiting_times(sched)
-        for j, p in sched.placements.items():
-            r = online.jobs[j].release
-            # wait can never exceed start − release (the release-blind
-            # metric did for any job arriving after its top level)
-            assert waits[j] <= p.start - r + 1e-9
-
-    def test_fragmentation_ignores_prerelease_idle(self):
-        # one job released late on an otherwise empty platform: the idle
-        # span before its release is not fragmentation
-        from repro.core.list_scheduler import list_schedule
-        from repro.instance.instance import with_release_times
-        from repro.sim.metrics import fragmentation as frag_fn
-
-        inst, phase1, _ = phase1_and_schedule(2, capacity=64)
-        j0 = next(iter(inst.dag.sources()))
-        online = with_release_times(inst, {j0: 50.0})
-        sched = list_schedule(online, phase1.allocation)
-        frag = frag_fn(sched)
-        # with huge capacity nothing ever waits past readiness
-        assert all(f == pytest.approx(0.0) for f in frag)
