@@ -680,9 +680,12 @@ class IncrementalPriorityLoop:
     queue stays long, and dropped when the queue shrinks back.
 
     Instead of per-event callbacks, the loop appends event tuples to
-    :attr:`log` (shared with the owning session): ``("start", id, t,
-    duration, demand)`` and ``("finish", id, t)`` — ids, not row indices,
-    so records stay valid across compactions.
+    :attr:`log` (shared with the owning session): ``("start", id, t)`` and
+    ``("finish", id, t)`` — ids, not row indices, so records stay valid
+    across compactions.  A start carries neither duration nor demand: both
+    are fixed at admission and stay on the job's row (live, or archived by
+    the session), which is where readers look them up, so the log pins no
+    per-job tuple for the life of the session.
 
     Heap codes: ``code >= 0`` is the completion of job index ``code``;
     ``code < 0`` is the release of index ``~code`` (the bitwise-complement
@@ -948,7 +951,6 @@ class IncrementalPriorityLoop:
         start_l = self.start
         finish_l = self.finish
         packed = gi.packed
-        demand = gi.demand
         dur = gi.duration
         order = gi.order
         key = gi.key
@@ -998,7 +1000,7 @@ class IncrementalPriorityLoop:
                             t = dur[i]
                             push(heap, (now + t, seq, i))
                             seq += 1
-                            append_log(("start", order[i], now, t, demand[i]))
+                            append_log(("start", order[i], now))
                             if started is None:
                                 started = [pos]
                             else:
@@ -1022,7 +1024,7 @@ class IncrementalPriorityLoop:
                         t = dur[i]
                         push(heap, (now + t, seq, i))
                         seq += 1
-                        append_log(("start", order[i], now, t, demand[i]))
+                        append_log(("start", order[i], now))
                         if started is None:
                             started = [pos]
                         else:
@@ -1126,7 +1128,7 @@ class IncrementalPriorityLoop:
                         t = dur[i]
                         push(heap, (now + t, seq, i))
                         seq += 1
-                        append_log(("start", order[i], now, t, demand[i]))
+                        append_log(("start", order[i], now))
                     elif leftovers is None:
                         leftovers = [i]
                     else:

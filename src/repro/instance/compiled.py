@@ -415,10 +415,23 @@ class CompiledInstance:
 
     # per-run builders ---------------------------------------------------
     def alloc_matrix(self, allocation: Mapping[JobId, Sequence[int]]) -> np.ndarray:
-        """``(n, d)`` int64 allocation matrix in topological order."""
+        """``(n, d)`` int64 allocation matrix in topological order.
+
+        ``ValueError`` names the first job whose row does not hold ``d``
+        amounts: flattened, a short row would shift every later row.
+        """
         n, d = self.cdag.n, self.d
+        order = self.cdag.order
+        lens = np.fromiter((len(allocation[j]) for j in order), dtype=np.int64, count=n)
+        bad = np.flatnonzero(lens != d)
+        if bad.size:
+            j = order[int(bad[0])]
+            raise ValueError(
+                f"job {j!r}: allocation {tuple(allocation[j])} has "
+                f"{len(allocation[j])} amounts for {d} resource types"
+            )
         return np.fromiter(
-            (a for j in self.cdag.order for a in allocation[j]),
+            (a for j in order for a in allocation[j]),
             dtype=np.int64,
             count=n * d,
         ).reshape(n, d)

@@ -198,20 +198,14 @@ class Instance:
         loop) — the dispatch drivers reuse it instead of lowering the
         allocation a second time.
         """
-        import numpy as np
-
         try:
             ci = self.compiled()
-            lens = np.fromiter(
-                (len(allocation[j]) for j in ci.order), dtype=np.int64, count=ci.n
-            )
-            if (lens == self.d).all():
-                m = ci.alloc_matrix(allocation)
-                if bool(
-                    ((0 <= m) & (m <= ci.capacities)).all()
-                    and (m.sum(axis=1) > 0).all()
-                ):
-                    return m
+            m = ci.alloc_matrix(allocation)  # refuses a row of the wrong length
+            if bool(
+                ((0 <= m) & (m <= ci.capacities)).all()
+                and (m.sum(axis=1) > 0).all()
+            ):
+                return m
         except (KeyError, TypeError, ValueError):
             pass
         for j in self.jobs:

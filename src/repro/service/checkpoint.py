@@ -28,6 +28,13 @@ instead of resuming subtly wrong; hot paths (an embedded client's
 mid-stream restore, the conformance round-trips) pass ``strict=False``
 to skip the re-verification.
 
+The document's records are the protocol's shapes, not the session's
+in-memory ones: the archive (columns in the session, see
+:class:`~repro.service.session.Archive`) is written as one record dict
+per job, and a ``("start", id, t)`` log entry as the five-field start row
+with the job's duration and demand.  Restore turns both back into the
+lean in-memory form.
+
 ``repro-session/2`` is the only format read or written: the PR-5
 ``repro-session/1`` (per-job record list, no archive, no stored queue) is
 refused with a ``ValueError`` naming both tags.  The availability vector
@@ -97,14 +104,12 @@ def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
         "ready": [i for _, i in loop.rq],
         "heap": [[t, s, c] for (t, s, c) in loop.heap],
         "available": list(loop.available()),
-        # archive records are append-only and frozen once written (restore
-        # and compaction only ever build new dicts), so the snapshot can
-        # share them instead of copying ~everything the session ever ran
-        "archive": list(session.archive),
-        # a shallow copy: event tuples are immutable and JSON serializes
-        # tuples as arrays, so the rows need no per-event conversion (and
-        # an in-memory round trip can adopt them back untouched)
-        "events": list(session.events),
+        # the archive's columns, one record dict per row
+        "archive": list(session.archive.records()),
+        # a start row carries the job's duration and demand, which the log
+        # leaves on the job's row; every other event tuple is written as it
+        # is (immutable, and JSON serializes tuples as arrays)
+        "events": [session.event_row(e) for e in session.events],
         "counters": {
             "submitted": session.counters.submitted,
             "cancelled": session.counters.cancelled,
@@ -149,11 +154,12 @@ def restore_session(
 
 
 def _event_tuple(e) -> tuple:
-    """Normalize one serialized event row back to its in-memory tuple."""
+    """Normalize one serialized event row back to its in-memory tuple (a
+    start row drops the duration and demand it repeats from the job's
+    row)."""
     kind = e[0]
     if kind == "start":
-        return ("start", e[1], float(e[2]), float(e[3]),
-                tuple(int(a) for a in e[4]))
+        return ("start", e[1], float(e[2]))
     if kind == "finish":
         return ("finish", e[1], float(e[2]))
     if kind == "submit":
@@ -235,47 +241,33 @@ def _load_loop_state(
         raise ValueError(f"availability {stored_avail} is out of bounds")
     loop.avh = gi.fit_mask + gi.pack(stored_avail)
 
-    archive_src = snap.get("archive", [])
-    if strict:
-        for rec in archive_src:
-            if rec["state"] not in _STATE_INDEX:
-                raise ValueError(
-                    f"archived job {rec['id']!r}: unknown state {rec['state']!r}"
-                )
-            session.archive.append(
-                {
-                    "id": rec["id"],
-                    "state": rec["state"],
-                    "demand": [int(a) for a in rec["demand"]],
-                    "duration": float(rec["duration"]),
-                    "key": rec["key"],
-                    "preds": list(rec["preds"]),
-                    "release": float(rec["release"]),
-                    "tenant": rec["tenant"],
-                    "start": None if rec["start"] is None else float(rec["start"]),
-                    "finish": None if rec["finish"] is None else float(rec["finish"]),
-                }
-            )
-    else:
-        # hot path: archived records are append-only and frozen once
-        # written, so sharing them between sessions is safe by design
-        session.archive.extend(archive_src)
     arch = session.archive
-    session.archive_index = {rec["id"]: pos for pos, rec in enumerate(arch)}
+    _load_archive(arch, snap.get("archive", []), gi.capacities, strict=strict)
+    if strict:
+        # one id, one row: a repeated or also-live id would be counted
+        # twice and answer two states
+        index: dict = {}
+        for pos, jid in enumerate(arch.ids):
+            if jid in index:
+                raise ValueError(f"archived job {jid!r} appears more than once")
+            if jid in gi.index:
+                raise ValueError(f"job {jid!r} is both archived and a live row")
+            index[jid] = pos
+    else:
+        index = {jid: pos for pos, jid in enumerate(arch.ids)}
+    session.archive_index = index
     # every finished job, archived or still a live row (see
-    # SchedulingSession.done_ids); the same walk rebuilds the archive's
-    # running values (SchedulingSession.archived_states)
-    done_ids = set()
+    # SchedulingSession.done_ids), and the archive's running values
+    # (SchedulingSession.archived_states)
+    done_ids = {jid for jid, s in zip(arch.ids, arch.state) if s == J_DONE}
     counts = session.archived_states
-    latest = 0.0
-    for rec in arch:
-        st = rec["state"]
-        counts[st] = counts.get(st, 0) + 1
-        if st == "done":
-            done_ids.add(rec["id"])
-            if rec["finish"] > latest:
-                latest = rec["finish"]
-    session.archived_makespan = latest
+    for code, name in enumerate(STATE_NAMES):
+        rows = arch.state.count(code)
+        if rows:
+            counts[name] = counts.get(name, 0) + rows
+    session.archived_makespan = max(
+        (f for f, s in zip(arch.finish, arch.state) if s == J_DONE), default=0.0
+    )
     order = session.gi.order
     done_ids.update(
         order[i] for i, st in enumerate(states) if st == J_DONE
@@ -284,10 +276,17 @@ def _load_loop_state(
     session.compactions = int(snap.get("compactions", 0))
 
     # rows that survived an in-memory round trip are already the exact
-    # in-memory tuples — only JSON-decoded rows (lists) need normalizing
-    session.events[:] = [
-        e if type(e) is tuple else _event_tuple(e) for e in snap["events"]
+    # in-memory tuples — only JSON-decoded rows (lists) and start rows
+    # need normalizing
+    events = [
+        e if type(e) is tuple and e[0] != "start" else _event_tuple(e)
+        for e in snap["events"]
     ]
+    if strict:
+        for e in events:
+            if e[0] == "start" and e[1] not in index and e[1] not in gi.index:
+                raise ValueError(f"event log starts unknown job {e[1]!r}")
+    session.events[:] = events
     counters = snap.get("counters", {})
     session.counters.submitted = int(counters.get("submitted", n))
     session.counters.cancelled = int(counters.get("cancelled", 0))
@@ -298,6 +297,42 @@ def _load_loop_state(
         rng = np.random.default_rng()
         rng.bit_generator.state = snap["rng"]
         session.rng = rng
+
+
+def _load_archive(arch, records, capacities, *, strict: bool) -> None:
+    """Append the snapshot's archive records to the session's columns,
+    refusing by id a record the columns cannot hold: a demand of the wrong
+    length (flattened, it would shift every later row) or with an amount
+    outside ``0..capacity``, or a done job with no start or finish;
+    ``strict`` also checks each state name."""
+    d = arch.d
+    demands = []
+    for rec in records:
+        if strict and rec["state"] not in _STATE_INDEX:
+            raise ValueError(
+                f"archived job {rec['id']!r}: unknown state {rec['state']!r}"
+            )
+        dem = [int(a) for a in rec["demand"]]
+        if len(dem) != d or any(not 0 <= a <= c for a, c in zip(dem, capacities)):
+            raise ValueError(
+                f"archived job {rec['id']!r}: demand {rec['demand']} is not "
+                f"{d} amounts within capacities {list(capacities)}"
+            )
+        if rec["state"] == "done" and (rec["start"] is None or rec["finish"] is None):
+            raise ValueError(f"archived job {rec['id']!r}: done but missing start/finish")
+        demands.append(dem)
+    arch.extend(
+        [rec["id"] for rec in records],
+        [_STATE_INDEX[rec["state"]] for rec in records],
+        demands,
+        [float(rec["duration"]) for rec in records],
+        [rec["key"] for rec in records],
+        [rec["preds"] for rec in records],
+        [float(rec["release"]) for rec in records],
+        [rec["tenant"] for rec in records],
+        [None if rec["start"] is None else float(rec["start"]) for rec in records],
+        [None if rec["finish"] is None else float(rec["finish"]) for rec in records],
+    )
 
 
 def _restore_v2(snap: dict[str, Any], *, strict: bool) -> SchedulingSession:

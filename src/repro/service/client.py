@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+#: Reconnect backoff: the first retry waits ``_RETRY_FIRST`` seconds and each
+#: later one twice the last, up to ``_RETRY_CAP``.  A freshly launched
+#: ``repro serve`` listens within a few hundred milliseconds; a coarse step
+#: would sleep past that moment by up to the step.
+_RETRY_FIRST = 0.005
+_RETRY_CAP = 0.05
+
+
 def pick_free_port(host: str = "127.0.0.1") -> int:
     """Reserve an ephemeral TCP port (bind-probe, then release)."""
     with socket.socket() as s:
@@ -138,7 +146,7 @@ class _TcpTransport:
 
     def connect(self, deadline_at: float) -> None:
         self.drop()  # never leak, or read stale bytes off, a live socket
-        delay = 0.05
+        delay = _RETRY_FIRST
         while True:
             try:
                 sock = socket.create_connection(
@@ -152,7 +160,7 @@ class _TcpTransport:
                 if time.monotonic() >= deadline_at:
                     raise Disconnected(f"connect failed: {exc}") from None
                 time.sleep(min(delay, max(0.0, deadline_at - time.monotonic())))
-                delay = min(delay * 2, 0.5)
+                delay = min(delay * 2, _RETRY_CAP)
 
     def drop(self) -> None:
         for closer in (self._fh, self._sock):

@@ -58,6 +58,9 @@ __all__ = [
     "scripted_highs",
     "reference_fair_queue",
     "bench_table",
+    "ReferenceHistory",
+    "reference_event_dict",
+    "reference_checkpoint",
 ]
 
 
@@ -617,3 +620,157 @@ class _ReferenceFairQueue:
 def reference_fair_queue() -> _ReferenceFairQueue:
     """The frozen per-job admission queue (see the banner above)."""
     return _ReferenceFairQueue()
+
+
+# ----------------------------------------------------------------------
+# frozen reference: a session's history as dict records and five-field
+# start tuples.  The session keeps its archive in columns and logs a start
+# as ("start", id, t); these are the record-per-row archive, the
+# ("start", id, t, duration, demand) log and the checkpoint writer and
+# event materializer over them that its checkpoints and advance replies
+# must match byte for byte.
+# ----------------------------------------------------------------------
+_REF_STATE_NAMES = ("waiting", "queued", "running", "done", "cancelled")
+
+
+def reference_event_dict(e: tuple) -> dict:
+    """The frozen protocol dict of one five-field event tuple."""
+    kind = e[0]
+    if kind == "start":
+        return {
+            "event": "start",
+            "id": e[1],
+            "time": e[2],
+            "duration": e[3],
+            "alloc": list(e[4]),
+        }
+    if kind == "finish":
+        return {"event": "finish", "id": e[1], "time": e[2]}
+    if kind == "submit":
+        return {"event": "submit", "id": e[1], "time": e[2], "tenant": e[3]}
+    return {"event": "cancel", "id": e[1], "time": e[2]}
+
+
+class ReferenceHistory:
+    """Keeps ``session``'s archive as a list of record dicts and its event
+    log with five-field starts, alongside the session itself.
+
+    The session's ``_compact`` and ``prune_events`` are wrapped on the
+    instance: before a compaction the log is caught up and every dead row
+    becomes a dict record (the rows are still live then); a prune drops
+    the same entries here.  :meth:`sync` catches the log up after any other
+    verb — a started job's duration and demand are read off its live row,
+    which it still is when its start is first seen.  A restored session
+    starts from the snapshot's own ``archive`` and ``events``.
+    """
+
+    def __init__(self, session, archive=(), events=()) -> None:
+        self.session = session
+        self.archive = list(archive)
+        self.events = [tuple(e) for e in events]
+        self.seen = len(session.events)
+        compact, prune = session._compact, session.prune_events
+
+        def _compact():
+            self.sync()
+            self._archive_dead_rows()
+            compact()
+
+        def prune_events():
+            self.sync()
+            self.events = [e for e in self.events if e[0] == "cancel"]
+            dropped = prune()
+            self.seen = len(session.events)
+            return dropped
+
+        session._compact = _compact
+        session.prune_events = prune_events
+
+    def sync(self) -> None:
+        gi = self.session.gi
+        for e in self.session.events[self.seen:]:
+            if e[0] == "start":
+                i = gi.index[e[1]]
+                e = ("start", e[1], e[2], gi.duration[i], gi.demand[i])
+            self.events.append(e)
+        self.seen = len(self.session.events)
+
+    def _archive_dead_rows(self) -> None:
+        session = self.session
+        gi, loop = session.gi, session.loop
+        order = gi.order
+        for i, s in enumerate(loop.state):
+            if s <= 2:  # waiting / queued / running stay hot
+                continue
+            pr = [order[p] for p in gi.preds[i]]
+            if gi.ext_preds[i]:
+                pr.extend(gi.ext_preds[i])
+            self.archive.append(
+                {
+                    "id": order[i],
+                    "state": _REF_STATE_NAMES[s],
+                    "demand": gi.demand[i],
+                    "duration": gi.duration[i],
+                    "key": gi.key[i],
+                    "preds": pr,
+                    "release": gi.release[i],
+                    "tenant": session.tenants[i],
+                    "start": loop.start[i],
+                    "finish": loop.finish[i],
+                }
+            )
+
+    def advance(self, until: float) -> tuple[list[dict], list[dict]]:
+        """``session.advance(until)`` and the reply the frozen
+        materializer gives for the same step."""
+        self.sync()
+        n0 = len(self.events)
+        reply = self.session.advance(until)
+        self.sync()
+        return reply, [reference_event_dict(e) for e in self.events[n0:]]
+
+
+def reference_checkpoint(session, history: ReferenceHistory) -> dict:
+    """The frozen ``repro-session/2`` writer over ``history``'s archive and
+    event log."""
+    history.sync()
+    gi = session.gi
+    loop = session.loop
+    return {
+        "format": "repro-session/2",
+        "capacities": list(gi.capacities),
+        "time_eps": loop.eps,
+        "clock": loop.now,
+        "seq": loop.seq,
+        "compact": {
+            "threshold": session.compact_threshold,
+            "min_rows": session.compact_min_rows,
+        },
+        "compactions": session.compactions,
+        "jobs": {
+            "id": list(gi.order),
+            "preds": [list(p) for p in gi.preds],
+            "ext_preds": [list(p) for p in gi.ext_preds],
+            "demand": [list(d) for d in gi.demand],
+            "duration": list(gi.duration),
+            "key": list(gi.key),
+            "release": list(gi.release),
+            "tenant": list(session.tenants),
+            "state": [_REF_STATE_NAMES[s] for s in loop.state],
+            "remaining": list(loop.remaining),
+            "start": list(loop.start),
+            "finish": list(loop.finish),
+        },
+        "ready": [i for _, i in loop.rq],
+        "heap": [[t, s, c] for (t, s, c) in loop.heap],
+        "available": list(loop.available()),
+        "archive": list(history.archive),
+        "events": list(history.events),
+        "counters": {
+            "submitted": session.counters.submitted,
+            "cancelled": session.counters.cancelled,
+            "completed": session.counters.completed,
+        },
+        "applied_seq": session.applied_seq,
+        "rng": session.rng.bit_generator.state,
+    }

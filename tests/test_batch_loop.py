@@ -526,6 +526,11 @@ def test_priority_loop_checks_an_allocation_it_lowers_itself(d, amount):
         priority_loop(inst, alloc, keys, times, None)
     with pytest.raises(ValueError, match="job 'c'"):
         priority_loop(inst, {**alloc, "b": (8,) * d, "c": (0,) * d}, keys, times, None)
+    # ragged rows with n * d amounts in all: flattened, c's row would
+    # borrow a's extra amount instead of being refused
+    ragged = {"a": (1,) * (d + 1), "b": (8,) * d, "c": (1,) * (d - 1)}
+    with pytest.raises(ValueError, match=f"job 'a'.* {d + 1} amounts for {d} "):
+        priority_loop(inst, ragged, keys, times, None)
     loop = priority_loop(inst, {**alloc, "b": (8,) * d}, keys, times, None)
     assert loop.run() is True and loop.start_log()[0].size == 3
 

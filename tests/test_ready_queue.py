@@ -311,8 +311,8 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(n, d, seed, cancels):
     assert session.compactions > 0
     session.validate()
     if not dead:
-        started = [e for e in session.events if e[0] == "start"]
-        assert {e[1]: (e[2], e[3], e[4]) for e in started} == {
+        started = [session.event_row(e) for e in session.events if e[0] == "start"]
+        assert {e[1]: (e[2], e[3], tuple(e[4])) for e in started} == {
             j: (p.start, p.time, tuple(p.alloc)) for j, p in batch.placements.items()
         }
 
@@ -431,7 +431,7 @@ class TestCompactionTrigger:
         s.submit([JobSpec(f"j{i}", (2,), 1.0) for i in range(4)])
         s.drain()  # every row is dead, but the table is below the floor
         assert s.compactions == 0
-        assert s.archive == []
+        assert len(s.archive) == 0
         assert len(s.gi.order) == 4
 
     def test_threshold_fires_at_exact_fraction(self):
@@ -445,7 +445,7 @@ class TestCompactionTrigger:
         s.advance(2.0)
         assert s.counters.completed == 2
         assert s.compactions == 1  # 2/4 dead >= 0.5: fires on the boundary
-        assert [rec["id"] for rec in s.archive] == ["a", "b"]
+        assert s.archive.ids == ["a", "b"]
         assert s.gi.order == ["c", "d"]
         s.drain()
         assert s.state_of("a") == "done" and s.state_of("d") == "done"
@@ -463,14 +463,14 @@ class TestCompactionTrigger:
         assert s.cancel("b") == ("b", "c")  # cascade: 2/4 rows dead
         s.advance(0.5)  # compaction piggybacks on the next verb
         assert s.compactions == 1
-        assert sorted(rec["id"] for rec in s.archive) == ["b", "c"]
+        assert sorted(s.archive.ids) == ["b", "c"]
         assert s.gi.order == ["a", "d"]
 
     def test_threshold_none_disables(self):
         s = SchedulingSession([2], compact_threshold=None, compact_min_rows=1)
         s.submit([JobSpec(j, (2,), 1.0) for j in "abcd"])
         s.drain()
-        assert s.compactions == 0 and s.archive == []
+        assert s.compactions == 0 and len(s.archive) == 0
 
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError, match="compact_threshold"):
@@ -509,7 +509,7 @@ class TestCompactionRemapping:
         s = self._mid_flight_session()
         s._compact()
         assert s.compactions == 1
-        assert [rec["id"] for rec in s.archive] == ["a", "b"]
+        assert s.archive.ids == ["a", "b"]
         gi = s.gi
         assert gi.order == ["blocker", "q1", "q2", "late"]
         # ready queue: indices remapped, (key, index) order intact

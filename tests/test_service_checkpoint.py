@@ -7,8 +7,10 @@ columnar and stores the ready queue in dispatch order (hot restore); the
 per-record v1 format is refused by name.
 """
 
+import gc
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,8 @@ from repro.service.checkpoint import (
     save_session,
 )
 from repro.service.session import JobSpec, SchedulingSession
+
+from helpers import ReferenceHistory, reference_checkpoint, reference_event_dict
 
 _DIAGONAL = make_candidates("diagonal", levels=6)
 
@@ -185,6 +189,39 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match="overcommit"):
             restore_session(snap)
 
+    @staticmethod
+    def _archived_snapshot():
+        """Seven jobs, four of them done and archived, three live."""
+        s = SchedulingSession([4], compact_threshold=0.5, compact_min_rows=4)
+        s.submit([JobSpec(f"j{i}", (2,), 1.0) for i in range(7)])
+        s.advance(2.0)
+        assert len(s.archive) == 4 and len(s.gi.order) == 3
+        return checkpoint_session(s)
+
+    def test_an_archive_listing_an_id_twice_is_refused(self):
+        snap = self._archived_snapshot()
+        snap["archive"].append(dict(snap["archive"][1]))
+        with pytest.raises(ValueError, match="archived job 'j1' appears more than once"):
+            restore_session(snap)
+
+    def test_an_archived_id_that_is_also_live_is_refused(self):
+        snap = self._archived_snapshot()
+        live = snap["jobs"]["id"][0]
+        snap["archive"].append({**snap["archive"][0], "id": live})
+        with pytest.raises(ValueError, match=f"job {live!r} is both archived and a live row"):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("demand", [[2, 2], [-1], [5], [2**63]])
+    def test_an_archived_demand_of_the_wrong_length_is_refused(self, demand):
+        """The archive holds demands back to back: a short row would shift
+        every later one, and an amount outside 0..capacity is no job the
+        platform ran, so restore refuses either by id on both paths."""
+        snap = self._archived_snapshot()
+        snap["archive"][2]["demand"] = demand
+        for strict in (True, False):
+            with pytest.raises(ValueError, match="archived job 'j2': demand"):
+                restore_session(snap, strict=strict)
+
     def test_resume_mid_flight_then_submit_more(self):
         """The restored session is live: it keeps admitting and cancelling."""
         s = SchedulingSession([4, 4])
@@ -288,3 +325,108 @@ class TestExactResumeProperty:
 
         assert resumed.to_schedule().placements == baseline.placements
         assert resumed.events == uninterrupted.events
+
+
+class TestColumnarHistory:
+    """The session keeps its archive in columns and logs a start as
+    ``("start", id, t)``; its checkpoints and ``advance`` replies must be
+    byte for byte those of the frozen record-per-row writer
+    (``tests/helpers.py``), through compactions, cancellations, prunes and
+    restores."""
+
+    @staticmethod
+    def _drive(d, seed, int_ids):
+        rng = np.random.default_rng(seed)
+        caps = [int(c) for c in rng.integers(2, 9, size=d)]
+        s = SchedulingSession(caps, seed=seed, compact_threshold=0.3, compact_min_rows=8)
+        hist = ReferenceHistory(s)
+        submitted: list = []
+        cancelled: set = set()
+        seen = set()
+        for step in range(160):
+            act = rng.random()
+            if act < 0.35:
+                specs = []
+                for _ in range(int(rng.integers(1, 7))):
+                    k = len(submitted) + len(specs)
+                    jid = k if int_ids else f"j{k}"
+                    alive = [j for j in submitted if j not in cancelled]
+                    preds = ()
+                    if alive and rng.random() < 0.6:
+                        picks = rng.choice(len(alive), size=min(2, len(alive)), replace=False)
+                        preds = tuple(alive[int(p)] for p in picks)
+                    demand = [int(rng.integers(0, c + 1)) for c in caps]
+                    demand[int(rng.integers(d))] = max(1, demand[0] if d == 1 else 1)
+                    key = (None, int(rng.integers(50)), float(rng.uniform(0, 50)))[
+                        int(rng.integers(3))
+                    ]
+                    release = s.now + float(rng.uniform(0, 3)) if rng.random() < 0.2 else 0.0
+                    specs.append(
+                        JobSpec(jid, tuple(demand), float(rng.uniform(0.2, 2.0)), preds,
+                                release, key, ("default", "acme")[int(rng.integers(2))])
+                    )
+                s.submit(specs)
+                submitted.extend(sp.id for sp in specs)
+            elif act < 0.45 and submitted:
+                cancelled.update(s.cancel(submitted[int(rng.integers(len(submitted)))]))
+            elif act < 0.8:
+                got, want = hist.advance(s.now + float(rng.uniform(0, 2.5)))
+                assert got == want
+            elif act < 0.85:
+                s.prune_events()
+                seen.add("pruned")
+            else:
+                text = json.dumps(checkpoint_session(s))
+                assert text == json.dumps(reference_checkpoint(s, hist))
+                seen.update(s.state_of(j) for j in s.archive_index)
+                if len(s.gi.order):
+                    seen.add("live")
+                snap = json.loads(text)
+                if rng.random() < 0.5:
+                    s = restore_session(snap)
+                else:  # the hot path: an in-memory snapshot
+                    s = restore_session(checkpoint_session(s), strict=False)
+                hist = ReferenceHistory(s, snap["archive"], snap["events"])
+                assert json.dumps(checkpoint_session(s)) == json.dumps(
+                    reference_checkpoint(s, hist)
+                )
+        s.drain()
+        assert json.dumps(checkpoint_session(s)) == json.dumps(reference_checkpoint(s, hist))
+        assert s.event_dicts() == [reference_event_dict(e) for e in hist.events]
+        s.validate()
+        return seen
+
+    @pytest.mark.parametrize("d", (1, 4, 13))
+    @pytest.mark.parametrize("int_ids", (False, True), ids=("str-ids", "int-ids"))
+    def test_checkpoints_and_replies_match_the_frozen_writer(self, d, int_ids):
+        seen = set()
+        for seed in range(3):
+            seen |= self._drive(d, 100 * d + seed, int_ids)
+        # every shape the history takes was written at least once
+        assert {"done", "cancelled", "live", "pruned"} <= seen
+
+    def test_archived_jobs_add_no_gc_tracked_objects(self):
+        """An archived job is a row of columns, not a container: after a
+        collection, the objects the garbage collector tracks do not grow
+        with the archive (a dict and a preds list per job would add two
+        each)."""
+        s = SchedulingSession([4, 4], compact_threshold=0.5, compact_min_rows=64)
+
+        def run(n):
+            base = len(s.archive) + len(s.gi.order)
+            s.submit(
+                [
+                    JobSpec(f"j{base + k}", (1, 2), 1.0, (f"j{base + k - 1}",) if k else ())
+                    for k in range(n)
+                ]
+            )
+            s.drain()
+            s.prune_events()
+            gc.collect()
+            return len(gc.get_objects())
+
+        run(200)
+        before = run(200)
+        after = run(2000)
+        assert len(s.archive) >= 2200
+        assert after - before < 100

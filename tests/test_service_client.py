@@ -315,6 +315,26 @@ class TestTcpReconnect:
         # retried until the deadline, not refused on the first attempt
         assert 0.3 <= time.monotonic() - t0 < 5.0
 
+    def test_connect_retries_never_sleep_past_the_cap(self, monkeypatch):
+        """A server that starts listening mid-backoff is reached within
+        one short step: every retry sleeps at most ``_RETRY_CAP``."""
+        from repro.service import client as client_mod
+
+        slept: list[float] = []
+        real_sleep = time.sleep
+
+        def record(s):
+            slept.append(s)
+            real_sleep(s)
+
+        monkeypatch.setattr(client_mod.time, "sleep", record)
+        port = pick_free_port()  # nothing listens
+        with pytest.raises(Disconnected, match="connect failed"):
+            ServiceClient.connect("127.0.0.1", port, connect_deadline=0.4)
+        assert len(slept) >= 5  # the backoff reached its cap
+        assert slept[0] <= client_mod._RETRY_FIRST
+        assert max(slept) <= client_mod._RETRY_CAP == 0.05
+
     def test_connect_to_a_dead_port_times_out(self):
         port = pick_free_port()
         with pytest.raises(Disconnected, match="connect failed"):

@@ -613,8 +613,8 @@ def _rigid_session_starts(dag, capacities, demands, durations):
     session.drain()
     fork.drain()
     assert fork.events == session.events
-    started = [e for e in session.events if e[0] == "start"]
-    assert {e[1]: (e[2], e[4]) for e in started} == {
+    started = [session.event_row(e) for e in session.events if e[0] == "start"]
+    assert {e[1]: (e[2], tuple(e[4])) for e in started} == {
         repr(j): (p.start, tuple(demands[j])) for j, p in batch.placements.items()
     }
     return session.gi.packable, queued, [e[1:3] for e in started]
