@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.baselines._dynamic import run_dynamic
 from repro.baselines.naive import BaselineResult
+from repro.engine.dispatch import run_dynamic
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
 from repro.registry import register_scheduler

@@ -506,20 +506,14 @@ def service_specs(inst: Instance, allocation) -> list:
 
 
 def _roundtrip_restore(session):
-    """checkpoint → JSON text → restore (the exact-resume path under test).
-
-    Restores through the *hot* path (``strict=False``, no availability or
-    ready-queue re-verification) — the one a mid-stream client takes —
-    so any divergence it could hide is caught by the event-identity checks
-    downstream; the hypothesis checkpoint suite covers ``strict=True``.
-    """
+    """checkpoint → JSON text → restore (the exact-resume path under test);
+    any divergence the restore's cross-checks let through is caught by the
+    event-identity checks downstream."""
     import json
 
     from repro.service.checkpoint import checkpoint_session, restore_session
 
-    return restore_session(
-        json.loads(json.dumps(checkpoint_session(session))), strict=False
-    )
+    return restore_session(json.loads(json.dumps(checkpoint_session(session))))
 
 
 #: Compaction settings the fuzz drivers run under: aggressive enough that

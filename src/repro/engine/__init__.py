@@ -1,40 +1,35 @@
 """The shared event-driven simulation engine.
 
-* :mod:`repro.engine.dispatch` — the two queue disciplines over the
+* :mod:`repro.engine.dispatch` — the event loops over the
   compiled-instance lowering (:mod:`repro.instance.compiled`): Algorithm
   2's priority scan (``PriorityLoop`` for a fixed job set,
   ``IncrementalPriorityLoop`` for the online service — one python-int
-  demand image and one sorted-list ready queue in both, for any ``d``)
-  and dispatch-time allocation policies;
-* :mod:`repro.engine.kernel` — the callback-driven discrete-event core
-  (virtual time, one event heap of completions and releases, numpy-vector
-  resource accounting) under the policy driver, the malleable scheduler
-  and the PR-1 reference;
+  demand image and one sorted-list ready queue in both, for any ``d``),
+  ``run_dynamic`` for dispatch-time allocation policies (Tetris, HEFT),
+  and the batch rule :data:`~repro.engine.dispatch.TIME_EPS` all of them
+  share;
 * :mod:`repro.engine.shelves` — first-fit shelf packing (pack scheduling);
 * :mod:`repro.engine.profile` — future-availability reservations
   (conservative backfilling);
 * :mod:`repro.engine.reference` — the frozen loops of earlier
-  generations (pre-kernel python and the PR-1 kernel driver), kept only
-  for differential tests and benchmarks.
+  generations (pre-kernel python and the PR-1 kernel driver, with its own
+  private copy of that kernel), kept only for differential tests.
 
-Every scheduler in :mod:`repro.core`, :mod:`repro.baselines` and
-:mod:`repro.malleable` runs on this engine; the named-scheduler registry
-in :mod:`repro.registry` is the front door.
+The malleable scheduler (:mod:`repro.malleable.scheduler`) runs its own
+unit-step loop.  Every scheduler in :mod:`repro.core`,
+:mod:`repro.baselines` and :mod:`repro.malleable` is reached through the
+named-scheduler registry in :mod:`repro.registry`.
 """
 
-from repro.engine.dispatch import drive_policy_schedule
-from repro.engine.kernel import COMPLETE, RELEASE, TIME_EPS, EventKernel
+from repro.engine.dispatch import TIME_EPS, run_dynamic
 from repro.engine.profile import ReservationProfile
 from repro.engine.shelves import Shelf, pack_shelves, stack_shelves
 
 __all__ = [
-    "COMPLETE",
-    "RELEASE",
     "TIME_EPS",
-    "EventKernel",
     "ReservationProfile",
     "Shelf",
-    "drive_policy_schedule",
     "pack_shelves",
+    "run_dynamic",
     "stack_shelves",
 ]

@@ -1,15 +1,17 @@
 """Scheduling drivers on top of the compiled-instance lowering.
 
-Two queue disciplines cover every event-driven scheduler in the repository:
+Two queue disciplines cover every event-driven moldable scheduler in the
+repository, and every loop here batches events within :data:`TIME_EPS`:
 
 * :func:`priority_loop` — Algorithm 2's discipline: allocations fixed up
   front, a ready queue kept in priority order, and every pass starting
   *every* queued job that fits (the ``for each job j ∈ Q`` loop).  Used
   by the core list scheduler.
-* :func:`drive_policy_schedule` — dispatch-time allocation: a policy
-  callback inspects the ready set and the availability vector and picks
-  ``(job, allocation)`` pairs to start.  Used by the Tetris and HEFT
-  baselines, on :class:`~repro.engine.kernel.EventKernel`.
+* :func:`run_dynamic` — dispatch-time allocation: a policy callback
+  inspects the ready set and the availability vector and picks ``(job,
+  allocation)`` pairs to start.  Used by the Tetris and HEFT baselines;
+  one plain loop over a ``(time, seq, code)`` heap and a list of
+  available amounts.
 
 Both run on the **compiled instance** (:mod:`repro.instance.compiled`):
 jobs are dense topological indices, adjacency is CSR, and priority keys
@@ -67,11 +69,12 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.kernel import RELEASE, TIME_EPS, EventKernel
 from repro.instance.compiled import compile_instance
+from repro.sim.schedule import Schedule, ScheduledJob
 
 __all__ = [
-    "drive_policy_schedule",
+    "TIME_EPS",
+    "run_dynamic",
     "priority_loop",
     "PriorityLoop",
     "IncrementalPriorityLoop",
@@ -83,6 +86,11 @@ __all__ = [
 ]
 
 JobId = Hashable
+
+#: Events within this tolerance of the earliest pending one are popped and
+#: processed as a single batch — the tolerance every loop here has always
+#: used for simultaneous completions.
+TIME_EPS = 1e-12
 
 #: Newly ready rows at least this many enter a ready queue as one block
 #: (``extend`` + ``sort``, the demand column gathered again) instead of being
@@ -349,7 +357,7 @@ class PriorityLoop:
         refused with ``ValueError``.
 
         The loop is structured around time-point batches: all events
-        within ``time_eps`` of the first popped event form one batch,
+        within :data:`TIME_EPS` of the first popped event form one batch,
         applied event by event over python ints, and one dispatch pass
         follows it.  A pass is the greedy scan of the ready queue in rank
         order, in the form the queue length calls for:
@@ -662,7 +670,7 @@ class IncrementalPriorityLoop:
     availability vector's image, headroom bits pre-added) — at the queue
     lengths a service sees, a few dozen, that is cheaper than any numpy
     call.  Event batching anchors on the first popped event with the same
-    ``time_eps`` horizon.  A session driven submission-order-faithfully
+    :data:`TIME_EPS` horizon.  A session driven submission-order-faithfully
     therefore reproduces the batch schedule event for event (the
     conformance service family asserts this at every step, including
     through :meth:`compact`).
@@ -698,16 +706,10 @@ class IncrementalPriorityLoop:
         "start", "finish", "avh", "log", "ncompleted", "rq", "rp",
     )
 
-    def __init__(
-        self,
-        gi,
-        *,
-        log: list | None = None,
-        time_eps: float = TIME_EPS,
-    ) -> None:
+    def __init__(self, gi, *, log: list | None = None) -> None:
         self.gi = gi
         self.now = 0.0
-        self.eps = time_eps
+        self.eps = TIME_EPS
         self.heap: list[tuple[float, int, int]] = []
         self.seq = 0
         self.state: list[int] = []
@@ -811,7 +813,7 @@ class IncrementalPriorityLoop:
 
     def load_ready(self, items: Sequence[int]) -> None:
         """Restore the ready queue from stored row indices (already in
-        dispatch order) — the checkpoint hot-restore path: no rebuild from
+        dispatch order) — the checkpoint restore path: no rebuild from
         per-job states, no sort, just the keys looked up."""
         key = self.gi.key
         self.rq[:] = [(key[i], i) for i in items]
@@ -1159,74 +1161,78 @@ class IncrementalPriorityLoop:
 DispatchPolicy = Callable[[object, Sequence[JobId], Sequence[int]], list[tuple[JobId, object]]]
 
 
-def drive_policy_schedule(
-    instance,
-    policy: DispatchPolicy,
-    on_start: Callable[[JobId, float, float, object], None],
-) -> EventKernel:
-    """Run the dispatch-time-allocation discipline on the kernel.
+def run_dynamic(instance, policy: DispatchPolicy) -> Schedule:
+    """Run the dispatch-time-allocation discipline: ``policy`` decides.
 
-    ``policy(instance, ready, available)`` must only return jobs from the
-    ready list with allocations that fit the available vector (validated
-    here); returning ``[]`` yields until the next event.  ``on_start(job,
-    start, duration, alloc)`` records each dispatch.  Readiness bookkeeping
-    runs on the compiled instance: an in-degree vector decremented over CSR
-    successor slices; the policy still sees plain job ids, in the same
-    order the dict-based driver produced them.
+    ``policy(instance, ready, available)`` sees the ready job ids (in the
+    order they became ready) and the available amounts, and must return
+    only ready jobs with allocations that fit (checked here); returning
+    ``[]`` yields until the next event batch.  Events pop from one
+    ``(time, seq, code)`` heap — ``code < n`` completes topological index
+    ``code``, ``code >= n`` releases index ``code - n`` — in batches of
+    :data:`TIME_EPS`, and readiness is an in-degree count over the
+    compiled DAG's successor lists.
     """
     ci = compile_instance(instance)
     cd = ci.cdag
     order = cd.order
     index = cd.index
-    succ_indptr = cd.succ_indptr
-    succ_indices = cd.succ_indices
-
-    remaining = cd.in_degree.copy()
-    kernel = EventKernel(instance.pool.capacities)
+    succ = cd.succ_lists()
+    n = len(order)
+    remaining = cd.in_degree.tolist()
+    heap: list[tuple[float, int, int]] = []
     if ci.has_releases:
         rel = ci.release
         for i in np.flatnonzero(rel > 0.0).tolist():
-            remaining[i] += 1
-            kernel.schedule_release(float(rel[i]), i)
+            remaining[i] += 1  # a release acts as one extra virtual predecessor
+            heap.append((float(rel[i]), len(heap), n + i))
+        heapq.heapify(heap)
+    seq = len(heap)
 
     ready: list[JobId] = [j for j in instance.dag.sources() if remaining[index[j]] == 0]
-    held: dict[int, np.ndarray] = {}
-
-    def dispatch(k: EventKernel) -> None:
-        while True:
-            starts = policy(instance, list(ready), tuple(int(a) for a in k.available))
-            if not starts:
-                return
+    avail = list(instance.pool.capacities)
+    held: dict[int, tuple[int, ...]] = {}
+    placements: dict[JobId, ScheduledJob] = {}
+    now = 0.0
+    while True:
+        while starts := policy(instance, list(ready), tuple(avail)):
             for j, alloc in starts:
                 if j not in ready:
                     raise RuntimeError(f"policy started non-ready job {j!r}")
                 instance.pool.validate_allocation(alloc)
-                row = np.asarray(tuple(alloc), dtype=np.int64)
-                if not (row <= k.available).all():
+                a = tuple(alloc)
+                if any(x > y for x, y in zip(a, avail)):
                     raise RuntimeError(
-                        f"policy overcommitted: {tuple(alloc)} vs available "
-                        f"{tuple(int(a) for a in k.available)}"
+                        f"policy overcommitted: {a} vs available {tuple(avail)}"
                     )
+                avail = [y - x for x, y in zip(a, avail)]
                 t = instance.time(j, alloc)
                 i = index[j]
-                k.start(i, row, t)
-                held[i] = row
-                on_start(j, k.now, t, alloc)
+                heapq.heappush(heap, (now + t, seq, i))
+                seq += 1
+                held[i] = a
+                placements[j] = ScheduledJob(job_id=j, start=now, time=t, alloc=alloc)
                 ready.remove(j)
+        if not heap:
+            break
+        now, _, c = heapq.heappop(heap)
+        batch = [c]
+        horizon = now + TIME_EPS
+        while heap and heap[0][0] <= horizon:
+            batch.append(heapq.heappop(heap)[2])
+        for c in batch:
+            if c >= n:
+                c -= n
+                remaining[c] -= 1
+                if not remaining[c]:
+                    ready.append(order[c])
+                continue
+            avail = [x + y for x, y in zip(held.pop(c), avail)]
+            for s in succ[c]:
+                remaining[s] -= 1
+                if not remaining[s]:
+                    ready.append(order[s])
 
-    def handle(k: EventKernel, kind: str, payload) -> None:
-        i = payload
-        if kind == RELEASE:
-            remaining[i] -= 1
-            if remaining[i] == 0:
-                ready.append(order[i])
-            return
-        k.release(held.pop(i))
-        sl = succ_indices[succ_indptr[i]:succ_indptr[i + 1]]
-        if sl.size:
-            remaining[sl] -= 1  # successors of one job are unique
-            for t_idx in sl[remaining[sl] == 0].tolist():
-                ready.append(order[t_idx])
-
-    kernel.run(dispatch, handle)
-    return kernel
+    if len(placements) != n:
+        raise RuntimeError("policy stalled with ready jobs and an idle platform")
+    return Schedule(instance=instance, placements=placements)

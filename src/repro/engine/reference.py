@@ -11,7 +11,9 @@ identical schedules.
 The module holds two generations of frozen loops: the original pre-kernel
 python loops (``reference_*``) and the PR-1 kernel driver
 (:func:`reference_pr1_list_schedule`) — the ``insort``-queue, dict-bookkeeping
-dispatch that the compiled-instance engine replaced.  Do not use this
+dispatch that the compiled-instance engine replaced, on a private copy of
+the part of that era's event kernel it drives (:class:`_PR1Kernel`; the
+kernel itself is gone from the engine).  Do not use this
 module for scheduling — it exists only as an executable specification of
 the old behavior.  Its consumers are the equivalence tests and the
 conformance fuzzer (:mod:`repro.conformance.fuzz`), which
@@ -28,7 +30,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.engine.kernel import RELEASE, EventKernel
+from repro.engine.dispatch import TIME_EPS
 from repro.sim.schedule import Schedule, ScheduledJob
 
 __all__ = [
@@ -158,6 +160,57 @@ def reference_list_schedule(instance, allocation, priority=None) -> Schedule:
     return Schedule(instance=instance, placements=placements)
 
 
+_COMPLETE, _RELEASE = "complete", "release"
+
+
+class _PR1Kernel:
+    """The PR-1 event kernel, cut down to what
+    :func:`reference_pr1_list_schedule` calls: a clock, one heap of
+    completions and releases, numpy-vector availability, and the loop
+    that alternates dispatch passes with :data:`TIME_EPS` event batches."""
+
+    def __init__(self, capacities) -> None:
+        self.caps = np.asarray(tuple(capacities), dtype=np.int64)
+        self.available = self.caps.copy()
+        self.now = 0.0
+        self.heap: list = []
+        self.seq = 0
+
+    def acquire(self, demand) -> None:
+        self.available -= demand
+        if (self.available < 0).any():
+            raise RuntimeError("overcommitted")
+
+    def release(self, demand) -> None:
+        self.available += demand
+        if (self.available > self.caps).any():
+            raise RuntimeError("released more resources than were acquired")
+
+    def _push(self, time: float, kind: str, payload) -> None:
+        heapq.heappush(self.heap, (float(time), self.seq, kind, payload))
+        self.seq += 1
+
+    def hold(self, payload, duration: float) -> None:
+        """A completion for work whose resources the caller acquired."""
+        self._push(self.now + duration, _COMPLETE, payload)
+
+    def schedule_release(self, time: float, payload) -> None:
+        self._push(time, _RELEASE, payload)
+
+    def run(self, dispatch, handle) -> None:
+        heap = self.heap
+        dispatch(self)
+        while heap:
+            t, _, kind, payload = heapq.heappop(heap)
+            self.now = t
+            batch = [(kind, payload)]
+            while heap and heap[0][0] <= t + TIME_EPS:
+                batch.append(heapq.heappop(heap)[2:])
+            for kind, payload in batch:
+                handle(self, kind, payload)
+            dispatch(self)
+
+
 def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule:
     """The PR-1 kernel list-schedule path, frozen verbatim.
 
@@ -192,7 +245,7 @@ def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule
     alloc_tup = [tuple(allocation[j]) for j in order]
 
     remaining = {j: dag.in_degree(j) for j in order}
-    kernel = EventKernel(instance.pool.capacities)
+    kernel = _PR1Kernel(instance.pool.capacities)
     for j, r in instance.release_times().items():
         if r > 0.0:
             remaining[j] += 1
@@ -206,7 +259,7 @@ def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule
     freed = [0] * d
     have_freed = False
 
-    def dispatch(k: EventKernel) -> None:
+    def dispatch(k: _PR1Kernel) -> None:
         nonlocal have_freed
         if have_freed:
             k.release(freed)
@@ -247,9 +300,9 @@ def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule
             k.acquire(acq)
             ready[:] = keep
 
-    def handle(k: EventKernel, kind: str, payload) -> None:
+    def handle(k: _PR1Kernel, kind: str, payload) -> None:
         nonlocal have_freed
-        if kind == RELEASE:
+        if kind == _RELEASE:
             j = payload
             remaining[j] -= 1
             if remaining[j] == 0:

@@ -1,14 +1,14 @@
-"""Greedy list scheduling for the malleable model, on the shared kernel.
+"""Greedy list scheduling for the malleable model, one unit step at a time.
 
 He et al. [21] prove that greedy list scheduling of unit-task DAGs on
-``d`` resource types is a (d+1)-approximation.  The scheduler runs on
-:class:`repro.engine.kernel.EventKernel` with every task a unit-duration
-start: at each step it starts as many ready tasks as capacities allow
-(tasks are ready when their intra-job predecessors, and all tasks of the
-job's outer-DAG predecessors, have completed).  Priorities follow the
-outer topological order (any order preserves the bound) — readiness
-bookkeeping stays here, while virtual time, the completion heap and the
-resource vectors live in the kernel.
+``d`` resource types is a (d+1)-approximation.  Every task lasts exactly
+one step, so the scheduler needs no event heap: each step starts, in queue
+order, as many ready tasks as the capacities allow (tasks are ready when
+their intra-job predecessors, and all tasks of the job's outer-DAG
+predecessors, have completed), then releases the started tasks'
+successors in start order, then opens the outer jobs that became
+unblocked.  Priorities follow the outer topological order (any order
+preserves the bound).
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
-import numpy as np
-
-from repro.engine.kernel import EventKernel
 from repro.malleable.model import MalleableInstance
 from repro.registry import register_scheduler
 
@@ -92,7 +89,6 @@ def malleable_list_schedule(instance: MalleableInstance) -> MalleableSchedule:
     from repro.instance.compiled import compile_dag
 
     inst = instance
-    d = inst.d
     # outer-DAG gating, on the compiled lowering: a job's tasks become
     # available once all predecessors' tasks completed
     outer = compile_dag(inst.dag)
@@ -105,7 +101,6 @@ def malleable_list_schedule(instance: MalleableInstance) -> MalleableSchedule:
 
     # per-job intra readiness as index lists over tasks.nodes() order
     task_nodes: dict[JobId, list[TaskId]] = {}
-    task_index: dict[JobId, dict[TaskId, int]] = {}
     intra_remaining: dict[JobId, list[int]] = {}
     intra_succ: dict[JobId, list[list[int]]] = {}
     rtype_of: dict[JobId, list[int]] = {}
@@ -113,64 +108,45 @@ def malleable_list_schedule(instance: MalleableInstance) -> MalleableSchedule:
         nodes = list(job.tasks.nodes())
         idx = {t: k for k, t in enumerate(nodes)}
         task_nodes[j] = nodes
-        task_index[j] = idx
         intra_remaining[j] = [job.tasks.in_degree(t) for t in nodes]
         intra_succ[j] = [[idx[s] for s in job.tasks.successors(t)] for t in nodes]
         rtype_of[j] = [job.rtype[t] for t in nodes]
 
-    ready: list[tuple[JobId, TaskId]] = [
-        (j, t)
-        for j in open_jobs
-        for k, t in enumerate(task_nodes[j])
-        if intra_remaining[j][k] == 0
-    ]
+    # the ready queue holds (job, task index) pairs
+    ready = [(j, k) for j in open_jobs for k, n in enumerate(intra_remaining[j]) if n == 0]
     task_start: dict[tuple[JobId, TaskId], int] = {}
-    unit_rows = np.eye(d, dtype=np.int64)  # one unit of a single type
-    kernel = EventKernel(inst.pool.capacities)
-    # jobs whose outer predecessors completed mid-batch; their ready tasks
-    # enter the queue only after the batch, preserving the historical
-    # "completions release successors at the end of the step" order
-    newly_open: list[JobId] = []
-
-    def dispatch(k: EventKernel) -> None:
-        for j in newly_open:
-            left = intra_remaining[j]
-            for ti, t in enumerate(task_nodes[j]):
-                if left[ti] == 0:
-                    ready.append((j, t))
-        newly_open.clear()
-        if not ready:
-            return
-        avail = k.available
-        leftover: list[tuple[JobId, TaskId]] = []
-        for j, t in ready:
-            r = rtype_of[j][task_index[j][t]]
+    caps = list(inst.pool.capacities)
+    step = 0
+    while ready:
+        avail = list(caps)
+        started: list[tuple[JobId, int]] = []
+        leftover: list[tuple[JobId, int]] = []
+        for j, ti in ready:
+            r = rtype_of[j][ti]
             if avail[r] > 0:
-                k.start((j, t), unit_rows[r], 1.0)
-                task_start[(j, t)] = int(round(k.now))
+                avail[r] -= 1
+                task_start[(j, task_nodes[j][ti])] = step
+                started.append((j, ti))
             else:
-                leftover.append((j, t))
-        ready[:] = leftover
-
-    def handle(k: EventKernel, kind: str, payload) -> None:
-        j, t = payload
-        ti = task_index[j][t]
-        k.release(unit_rows[rtype_of[j][ti]])
-        oi = outer_index[j]
-        job_tasks_left[oi] -= 1
-        left = intra_remaining[j]
-        nodes = task_nodes[j]
-        for si in intra_succ[j][ti]:
-            left[si] -= 1
-            if left[si] == 0:
-                ready.append((j, nodes[si]))
-        if job_tasks_left[oi] == 0:
-            for ni in outer_succ[oi]:
-                outer_remaining[ni] -= 1
-                if outer_remaining[ni] == 0:
-                    newly_open.append(outer_order[ni])
-
-    kernel.run(dispatch, handle)
+                leftover.append((j, ti))
+        ready = leftover
+        newly_open: list[JobId] = []
+        for j, ti in started:
+            left = intra_remaining[j]
+            for si in intra_succ[j][ti]:
+                left[si] -= 1
+                if left[si] == 0:
+                    ready.append((j, si))
+            oi = outer_index[j]
+            job_tasks_left[oi] -= 1
+            if job_tasks_left[oi] == 0:
+                for ni in outer_succ[oi]:
+                    outer_remaining[ni] -= 1
+                    if outer_remaining[ni] == 0:
+                        newly_open.append(outer_order[ni])
+        for j in newly_open:
+            ready.extend((j, k) for k, n in enumerate(intra_remaining[j]) if n == 0)
+        step += 1
 
     total = sum(inst.jobs[j].n_tasks for j in inst.jobs)
     if len(task_start) != total:  # pragma: no cover - a DAG always progresses

@@ -20,13 +20,11 @@ scalars (floats survive JSON round-trips exactly; heap entries, keys and
 ids are carried verbatim), and the ready queue is stored as its index
 array rather than re-derived — restore loads it straight back into the
 loop's sorted ``(key, index)`` list (the keys looked up, nothing sorted),
-so a hot restore does no per-job queue rebuilding.  ``strict=True`` (the
-default) additionally cross-checks the snapshot's redundant state — the
-availability vector against the running jobs' demands, the ready array
-against the queued states — so a corrupted checkpoint fails loudly
-instead of resuming subtly wrong; hot paths (an embedded client's
-mid-stream restore, the conformance round-trips) pass ``strict=False``
-to skip the re-verification.
+so a restore does no per-job queue rebuilding.  Every restore also
+cross-checks the snapshot's redundant state — the availability vector
+against the running jobs' demands, the ready array against the queued
+states, the event heap against the job states and the clock — so a
+corrupted checkpoint fails loudly instead of resuming subtly wrong.
 
 The document's records are the protocol's shapes, not the session's
 in-memory ones: the archive (columns in the session, see
@@ -50,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING
+from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS
 from repro.service.session import STATE_NAMES, SchedulingSession
 
 __all__ = [
@@ -122,17 +120,14 @@ def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
     }
 
 
-def restore_session(
-    data: "dict[str, Any] | str", *, strict: bool = True
-) -> SchedulingSession:
+def restore_session(data: "dict[str, Any] | str") -> SchedulingSession:
     """Rebuild a session from a checkpoint; exact resume (see module doc).
 
-    Raises ``ValueError`` on an unknown format or malformed records.
-    With ``strict`` (the default) the snapshot's redundant state is
-    cross-checked too — stored availability against the running jobs'
-    demands, the stored ready queue against the queued states — so a
-    corrupted snapshot must never resume silently wrong; hot restores
-    pass ``strict=False`` to skip the re-verification.
+    Raises ``ValueError`` on an unknown format, on malformed records and
+    on redundant state that disagrees with itself (stored availability
+    against the running jobs' demands, the stored ready queue against the
+    queued states, the event heap against the job states and the clock),
+    so a corrupted snapshot never resumes silently wrong.
     """
     snap = json.loads(data) if isinstance(data, str) else data
     if not isinstance(snap, dict):
@@ -146,8 +141,8 @@ def restore_session(
             f"(expected {SESSION_FORMAT!r})"
         )
     try:
-        return _restore_v2(snap, strict=strict)
-    except (KeyError, TypeError, IndexError) as exc:
+        return _restore_v2(snap)
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         # truncated or hand-edited snapshots must fail the documented way
         # (ValueError), not leak KeyError/TypeError to the caller
         raise ValueError(f"malformed session checkpoint: {exc!r}") from exc
@@ -170,11 +165,7 @@ def _event_tuple(e) -> tuple:
 
 
 def _load_loop_state(
-    session: SchedulingSession,
-    snap: dict[str, Any],
-    states: list[int],
-    *,
-    strict: bool,
+    session: SchedulingSession, snap: dict[str, Any], states: list[int]
 ) -> None:
     """The loop and session half of a restore: clock, heap, ready,
     availability, archive, events, counters, RNG — the rows are already
@@ -201,14 +192,9 @@ def _load_loop_state(
     for i in ready_idx:
         if not 0 <= i < n:
             raise ValueError(f"ready queue references unknown job index {i}")
-    if strict:
-        expected = sorted(
-            (gi.key[i], i) for i, s in enumerate(states) if s == J_QUEUED
-        )
-        if [i for _, i in expected] != ready_idx:
-            raise ValueError(
-                "stored ready queue disagrees with the queued job states"
-            )
+    expected = sorted((gi.key[i], i) for i, s in enumerate(states) if s == J_QUEUED)
+    if [i for _, i in expected] != ready_idx:
+        raise ValueError("stored ready queue disagrees with the queued job states")
     loop.load_ready(ready_idx)
 
     stored_avail = [int(a) for a in snap["available"]]
@@ -217,44 +203,39 @@ def _load_loop_state(
             f"availability vector has dimension {len(stored_avail)}, "
             f"platform has {gi.d}"
         )
-    if strict:
-        # recompute availability from running demands and cross-check
-        avail = list(gi.capacities)
-        for i, s in enumerate(states):
-            if s == J_RUNNING:
-                for r, a in enumerate(gi.demand[i]):
-                    avail[r] -= a
-        if any(a < 0 for a in avail):
-            raise ValueError("running jobs overcommit the platform capacities")
-        if avail != stored_avail:
+    # recompute availability from running demands and cross-check
+    avail = list(gi.capacities)
+    for i, s in enumerate(states):
+        if s == J_RUNNING:
+            for r, a in enumerate(gi.demand[i]):
+                avail[r] -= a
+    if any(a < 0 for a in avail):
+        raise ValueError("running jobs overcommit the platform capacities")
+    if avail != stored_avail:
+        raise ValueError(
+            f"stored availability {snap['available']} disagrees with the "
+            f"running jobs' demands (recomputed {avail})"
+        )
+    # waiting jobs must still have a satisfiable readiness count
+    for i, s in enumerate(states):
+        if s == J_WAITING and loop.remaining[i] <= 0:
             raise ValueError(
-                f"stored availability {snap['available']} disagrees with the "
-                f"running jobs' demands (recomputed {avail})"
+                f"job {gi.order[i]!r}: waiting with no outstanding predecessors"
             )
-        # waiting jobs must still have a satisfiable readiness count
-        for i, s in enumerate(states):
-            if s == J_WAITING and loop.remaining[i] <= 0:
-                raise ValueError(
-                    f"job {gi.order[i]!r}: waiting with no outstanding predecessors"
-                )
-    if any(a < 0 or a > c for a, c in zip(stored_avail, gi.capacities)):
-        raise ValueError(f"availability {stored_avail} is out of bounds")
+    # equal to the recomputed vector, so within 0..capacities
     loop.avh = gi.fit_mask + gi.pack(stored_avail)
 
     arch = session.archive
-    _load_archive(arch, snap.get("archive", []), gi.capacities, strict=strict)
-    if strict:
-        # one id, one row: a repeated or also-live id would be counted
-        # twice and answer two states
-        index: dict = {}
-        for pos, jid in enumerate(arch.ids):
-            if jid in index:
-                raise ValueError(f"archived job {jid!r} appears more than once")
-            if jid in gi.index:
-                raise ValueError(f"job {jid!r} is both archived and a live row")
-            index[jid] = pos
-    else:
-        index = {jid: pos for pos, jid in enumerate(arch.ids)}
+    _load_archive(arch, snap.get("archive", []), gi.capacities)
+    # one id, one row: a repeated or also-live id would be counted twice
+    # and answer two states
+    index: dict = {}
+    for pos, jid in enumerate(arch.ids):
+        if jid in index:
+            raise ValueError(f"archived job {jid!r} appears more than once")
+        if jid in gi.index:
+            raise ValueError(f"job {jid!r} is both archived and a live row")
+        index[jid] = pos
     session.archive_index = index
     # every finished job, archived or still a live row (see
     # SchedulingSession.done_ids), and the archive's running values
@@ -282,10 +263,10 @@ def _load_loop_state(
         e if type(e) is tuple and e[0] != "start" else _event_tuple(e)
         for e in snap["events"]
     ]
-    if strict:
-        for e in events:
-            if e[0] == "start" and e[1] not in index and e[1] not in gi.index:
-                raise ValueError(f"event log starts unknown job {e[1]!r}")
+    for e in events:
+        if e[0] == "start" and e[1] not in index and e[1] not in gi.index:
+            raise ValueError(f"event log starts unknown job {e[1]!r}")
+    _check_heap(session, states)
     session.events[:] = events
     counters = snap.get("counters", {})
     session.counters.submitted = int(counters.get("submitted", n))
@@ -299,16 +280,59 @@ def _load_loop_state(
         session.rng = rng
 
 
-def _load_archive(arch, records, capacities, *, strict: bool) -> None:
+def _check_heap(session: SchedulingSession, states: list[int]) -> None:
+    """Refuse by job an event heap the job states and the clock cannot
+    have produced: each running row has exactly one completion entry, at
+    ``start + duration``; a release entry belongs to a waiting row; no
+    entry lies before the clock and no start after it.  A heap that
+    passes makes ``drain`` free exactly what runs, finish every job, and
+    never move the clock back."""
+    gi = session.gi
+    loop = session.loop
+    now = loop.now
+    start = loop.start
+    seen: set[int] = set()
+    for t, _, c in loop.heap:
+        i = ~c if c < 0 else c
+        jid = gi.order[i]
+        if i in seen:
+            raise ValueError(f"job {jid!r}: more than one event heap entry")
+        seen.add(i)
+        if not t >= now:  # NaN too
+            raise ValueError(f"job {jid!r}: heap entry at {t} is before the clock {now}")
+        if c < 0:
+            if states[i] != J_WAITING:
+                raise ValueError(
+                    f"job {jid!r}: release entry but the job is {STATE_NAMES[states[i]]}"
+                )
+        elif states[i] != J_RUNNING:
+            raise ValueError(
+                f"job {jid!r}: completion entry but the job is {STATE_NAMES[states[i]]}"
+            )
+        elif t != start[i] + gi.duration[i]:
+            raise ValueError(
+                f"job {jid!r}: completion entry at {t}, not at start + duration "
+                f"{start[i] + gi.duration[i]}"
+            )
+    for i, s in enumerate(states):
+        if s == J_RUNNING and i not in seen:
+            raise ValueError(f"job {gi.order[i]!r}: running with no completion entry")
+        if start[i] is not None and start[i] > now:
+            raise ValueError(
+                f"job {gi.order[i]!r}: start {start[i]} is after the clock {now}"
+            )
+
+
+def _load_archive(arch, records, capacities) -> None:
     """Append the snapshot's archive records to the session's columns,
-    refusing by id a record the columns cannot hold: a demand of the wrong
-    length (flattened, it would shift every later row) or with an amount
-    outside ``0..capacity``, or a done job with no start or finish;
-    ``strict`` also checks each state name."""
+    refusing by id a record the columns cannot hold: an unknown state, a
+    demand of the wrong length (flattened, it would shift every later row)
+    or with an amount outside ``0..capacity``, or a done job with no start
+    or finish."""
     d = arch.d
     demands = []
     for rec in records:
-        if strict and rec["state"] not in _STATE_INDEX:
+        if rec["state"] not in _STATE_INDEX:
             raise ValueError(
                 f"archived job {rec['id']!r}: unknown state {rec['state']!r}"
             )
@@ -335,12 +359,18 @@ def _load_archive(arch, records, capacities, *, strict: bool) -> None:
     )
 
 
-def _restore_v2(snap: dict[str, Any], *, strict: bool) -> SchedulingSession:
+def _restore_v2(snap: dict[str, Any]) -> SchedulingSession:
+    if snap["time_eps"] != TIME_EPS:
+        # the batch rule is the engine's constant; any other value would
+        # batch events the platform cannot hold together
+        raise ValueError(
+            f"time_eps {snap['time_eps']!r} is not the engine's batch "
+            f"tolerance {TIME_EPS!r}"
+        )
     compact = snap.get("compact", {})
     thr = compact.get("threshold", 0.5)
     session = SchedulingSession(
         snap["capacities"],
-        time_eps=float(snap["time_eps"]),
         compact_threshold=None if thr is None else float(thr),
         compact_min_rows=int(compact.get("min_rows", 512)),
     )
@@ -399,7 +429,7 @@ def _restore_v2(snap: dict[str, Any], *, strict: bool) -> SchedulingSession:
         if s == J_DONE and (loop.start[i] is None or loop.finish[i] is None):
             raise ValueError(f"job {cols['id'][i]!r}: done but missing start/finish")
 
-    _load_loop_state(session, snap, states, strict=strict)
+    _load_loop_state(session, snap, states)
     return session
 
 

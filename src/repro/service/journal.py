@@ -349,7 +349,7 @@ class JournaledSession:
         replayed = deduped = 0
         if os.path.exists(journal_path):
             _, records, _ = scan_journal(journal_path)
-            last_rng = None
+            last = None  # the last replayed record: its rng is the cursor
             for rec in records:
                 seq = rec["seq"]
                 if seq <= session.applied_seq:
@@ -363,11 +363,17 @@ class JournaledSession:
                     )
                 _apply_record(session, rec)
                 session.applied_seq = seq
-                last_rng = rec.get("rng")
+                last = rec
                 replayed += 1
-            if last_rng is not None:
+            if last is not None and last.get("rng") is not None:
                 # the client's RNG cursor as of the last acknowledged op
-                session.rng.bit_generator.state = last_rng
+                try:
+                    session.rng.bit_generator.state = last["rng"]
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(
+                        f"journal record seq {last['seq']}: malformed rng "
+                        f"state ({exc!r})"
+                    ) from exc
         js = cls(
             session,
             journal_path,

@@ -27,10 +27,10 @@ index)`` entries), and exposes the service verbs:
 **Batch identity.**  Dispatch order inside the session is exactly the
 batch discipline — the ready queue is totally ordered by ``(key,
 submission index)``, every pass starts every fitting job, simultaneous
-events batch within ``time_eps`` — so a session driven
-*submission-order-faithfully* (every job submitted before virtual time
-reaches the start it would get in the batch run) produces a schedule
-event-for-event identical to
+events batch within :data:`~repro.engine.dispatch.TIME_EPS` — so a
+session driven *submission-order-faithfully* (every job submitted before
+virtual time reaches the start it would get in the batch run) produces a
+schedule event-for-event identical to
 :func:`repro.core.list_scheduler.list_schedule` on the same job set.  The
 conformance fuzz family (``scenario="service"``) and the hypothesis suite
 assert this across every registered scheduler's allocations.
@@ -80,7 +80,6 @@ from repro.engine.dispatch import (
     J_WAITING,
     IncrementalPriorityLoop,
 )
-from repro.engine.kernel import TIME_EPS
 from repro.instance.compiled import GrowableCompiledInstance, whole_amounts
 
 __all__ = ["Archive", "JobSpec", "SchedulingSession", "STATE_NAMES", "real_number"]
@@ -389,8 +388,6 @@ class SchedulingSession:
     ----------
     capacities:
         Per-type platform capacities ``P^(i)``.
-    time_eps:
-        Simultaneous-event batching tolerance (the engine's default).
     seed:
         Seed of the session RNG exposed to stochastic clients.
     compact_threshold:
@@ -405,7 +402,6 @@ class SchedulingSession:
         self,
         capacities: Sequence[int],
         *,
-        time_eps: float = TIME_EPS,
         seed: int | None = None,
         compact_threshold: float | None = 0.5,
         compact_min_rows: int = 512,
@@ -418,9 +414,7 @@ class SchedulingSession:
             raise ValueError(f"compact_min_rows must be >= 1, got {compact_min_rows}")
         self.gi = GrowableCompiledInstance(capacities)
         self.events: list[tuple] = []
-        self.loop = IncrementalPriorityLoop(
-            self.gi, log=self.events, time_eps=time_eps
-        )
+        self.loop = IncrementalPriorityLoop(self.gi, log=self.events)
         self.tenants: list[str] = []  # per-job tenant label, row order
         self.counters = _Counters()
         self.rng = np.random.default_rng(seed)
@@ -521,10 +515,6 @@ class SchedulingSession:
     @property
     def capacities(self) -> tuple[int, ...]:
         return self.gi.capacities
-
-    @property
-    def time_eps(self) -> float:
-        return self.loop.eps
 
     def available(self) -> tuple[int, ...]:
         """Per-type resources free at the current clock."""

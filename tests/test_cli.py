@@ -325,6 +325,18 @@ class TestCommands:
         assert json.loads(trace_path.read_text())["version"] == 3
         assert (tmp_path / "ck.json").exists()
 
+    @pytest.mark.parametrize("rng", ['"garbage"', '{"bit_generator": "PCG64"}'])
+    def test_serve_refuses_a_journal_with_a_malformed_rng(self, tmp_path, capsys, rng):
+        journal = tmp_path / "j.jsonl"
+        journal.write_text(
+            '{"format": "repro-journal/1", "base_seq": 0}\n'
+            '{"seq": 1, "op": "drain", "rng": ' + rng + '}\n'
+        )
+        assert main(["serve", "--journal", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot recover from {journal}: ")
+        assert "journal record seq 1: malformed rng" in err
+
     def test_serve_restore_resumes(self, tmp_path, capsys, monkeypatch):
         import io
 

@@ -1,11 +1,12 @@
-"""Tests for the shared event kernel and its dispatch drivers."""
+"""Tests for the engine's dispatch-time-allocation loop, reservation
+profiles, shelves and online arrivals."""
 
 import pytest
 
 from helpers import rigid_unit_job, tiny_instance
 from repro.core.list_scheduler import list_schedule
 from repro.dag.graph import DAG
-from repro.engine.kernel import COMPLETE, RELEASE, EventKernel
+from repro.engine.dispatch import TIME_EPS, run_dynamic
 from repro.engine.profile import ReservationProfile
 from repro.engine.shelves import pack_shelves, stack_shelves
 from repro.instance.instance import (
@@ -24,65 +25,73 @@ def balanced_allocation(inst):
     return {j: min(es, key=lambda e: e.time * e.area).alloc for j, es in table.items()}
 
 
-class TestKernel:
-    def test_start_and_complete(self):
-        k = EventKernel((4, 4))
-        k.start("a", (2, 1), 3.0)
-        assert tuple(k.available) == (2, 3)
-        assert k.pop_batch() == [(COMPLETE, "a")]
-        assert k.now == pytest.approx(3.0)
-        k.release((2, 1))
-        assert tuple(k.available) == (4, 4)
+def _policy_instance(durations, edges=()):
+    """Single-type pool of capacity 2; job ``j`` runs ``durations[j]`` on
+    any allocation."""
+    jobs = {
+        j: Job(id=j, time_fn=lambda a, t=t: t, candidates=(ResourceVector((1,)),))
+        for j, t in durations.items()
+    }
+    return Instance(jobs=jobs, dag=DAG(nodes=list(durations), edges=list(edges)),
+                    pool=ResourcePool.of(2))
 
-    def test_batching_pops_near_simultaneous_events(self):
-        k = EventKernel((8,))
-        k.start("a", (1,), 1.0)
-        k.start("b", (1,), 1.0 + 1e-13)
-        k.start("c", (1,), 2.0)
-        batch = k.pop_batch()
-        assert [p for _, p in batch] == ["a", "b"]
-        assert k.pending == 1
 
-    def test_overcommit_rejected(self):
-        k = EventKernel((2,))
-        k.acquire((2,))
-        with pytest.raises(RuntimeError, match="overcommitted"):
-            k.acquire((1,))
-        # failed acquire must not corrupt the availability vector
-        assert tuple(k.available) == (0,)
+def _greedy(demand):
+    """Start every ready job on ``demand[j]`` units while it fits."""
+    def policy(inst, ready, avail):
+        free = avail[0]
+        starts = []
+        for j in ready:
+            if demand[j] <= free:
+                free -= demand[j]
+                starts.append((j, ResourceVector((demand[j],))))
+        return starts
+    return policy
 
-    def test_over_release_rejected(self):
-        k = EventKernel((2,))
-        with pytest.raises(RuntimeError, match="released more"):
-            k.release((1,))
 
-    def test_past_event_rejected(self):
-        k = EventKernel((1,))
-        k.start("a", (1,), 5.0)
-        k.pop_batch()
-        with pytest.raises(ValueError, match="past"):
-            k.push_event(1.0, RELEASE, "x")
+class TestDynamicLoop:
+    """The dispatch-time-allocation loop (Tetris/HEFT) refuses a policy
+    that misbehaves, and batches near-simultaneous completions."""
 
-    def test_run_alternates_dispatch_and_events(self):
-        k = EventKernel((1,))
-        log = []
-        pending = ["a", "b"]
+    def test_a_non_ready_job_is_refused(self):
+        inst = _policy_instance({"a": 1.0, "b": 1.0}, edges=[("a", "b")])
+        with pytest.raises(RuntimeError, match="policy started non-ready job 'b'"):
+            run_dynamic(inst, lambda i, ready, avail: [("b", ResourceVector((1,)))])
 
-        def dispatch(kk):
-            if pending and kk.available[0] >= 1:
-                j = pending.pop(0)
-                kk.start(j, (1,), 1.0)
-                log.append(("start", j, kk.now))
+    def test_an_allocation_outside_the_pool_is_refused(self):
+        inst = _policy_instance({"a": 1.0})
+        with pytest.raises(ValueError, match=r"allocation \(3,\) exceeds capacities \(2,\)"):
+            run_dynamic(inst, lambda i, ready, avail: [("a", ResourceVector((3,)))])
 
-        def handle(kk, kind, payload):
-            kk.release((1,))
-            log.append(("done", payload, kk.now))
+    def test_an_overcommit_is_refused(self):
+        inst = _policy_instance({"a": 1.0, "b": 1.0})
+        def both(i, ready, avail):  # each fits alone, not together
+            return [(j, ResourceVector((2,))) for j in ready]
 
-        k.run(dispatch, handle)
-        assert log == [
-            ("start", "a", 0.0), ("done", "a", 1.0),
-            ("start", "b", 1.0), ("done", "b", 2.0),
-        ]
+        with pytest.raises(RuntimeError, match=r"overcommitted: \(2,\) vs available \(0,\)"):
+            run_dynamic(inst, both)
+
+    def test_a_policy_that_stalls_is_refused(self):
+        inst = _policy_instance({"a": 1.0, "b": 1.0})
+        with pytest.raises(RuntimeError, match="stalled with ready jobs and an idle platform"):
+            run_dynamic(inst, lambda i, ready, avail: [])
+
+    def test_completions_within_time_eps_free_capacity_before_one_pass(self):
+        # a and b each hold one of the two units and finish 1e-13 apart;
+        # c needs both.  One batch frees both units, so the policy never
+        # sees a half-free platform and c starts at the batch's time.
+        inst = _policy_instance({"a": 1.0, "b": 1.0 + 1e-13, "c": 1.0})
+        assert 1e-13 < TIME_EPS
+        greedy = _greedy({"a": 1, "b": 1, "c": 2})
+        seen = []
+
+        def policy(i, ready, avail):
+            seen.append(avail)
+            return greedy(i, ready, avail)
+
+        s = run_dynamic(inst, policy)
+        assert (1,) not in seen
+        assert [s.placements[j].start for j in "abc"] == [0.0, 0.0, 1.0]
 
 
 class TestReservationProfile:

@@ -15,7 +15,6 @@ from repro.baselines.heft import heft_moldable_scheduler, make_heft_policy
 from repro.baselines.level_shelf import level_shelf_scheduler
 from repro.baselines.sun2018 import sun_shelf_scheduler
 from repro.baselines.tetris import make_tetris_policy, tetris_scheduler
-from repro.baselines._dynamic import run_dynamic
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
@@ -28,6 +27,7 @@ from repro.core.independent import optimal_independent_allocation
 from repro.dag.analysis import node_levels
 from repro.dag.generators import erdos_renyi_dag
 from repro.dag.paths import bottom_levels
+from repro.engine.dispatch import run_dynamic
 from repro.engine.reference import (
     reference_backfill_plan,
     reference_list_schedule,

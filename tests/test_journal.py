@@ -246,6 +246,18 @@ class TestJournaledSession:
         with pytest.raises(ValueError, match="failed to replay"):
             self._js(tmp_path, checkpoint=False)
 
+    @pytest.mark.parametrize("rng", ['"garbage"', '{"bit_generator": "PCG64"}'])
+    def test_a_malformed_rng_fails_recovery_by_seq(self, tmp_path, rng):
+        """The last record's rng is the restored cursor: one numpy cannot
+        load (a string, a dict without ``state``) is a ValueError naming
+        the record, not numpy's TypeError or KeyError."""
+        (tmp_path / "j.jsonl").write_text(
+            '{"format": "repro-journal/1", "base_seq": 0}\n'
+            '{"seq": 1, "op": "drain", "rng": ' + rng + '}\n'
+        )
+        with pytest.raises(ValueError, match="journal record seq 1: malformed rng"):
+            self._js(tmp_path, checkpoint=False)
+
     def test_auto_checkpoint_rotates_journal(self, tmp_path):
         js = self._js(tmp_path, checkpoint_every=2)
         js.submit(_specs(2))

@@ -131,8 +131,6 @@ class TestCheckpointBasics:
         snap["available"] = [4]
         with pytest.raises(ValueError, match="disagrees"):
             restore_session(snap)
-        # the hot-restore path skips the cross-checks by contract
-        restore_session(snap, strict=False)
 
     def test_corrupt_ready_rejected(self):
         s = SchedulingSession([4])
@@ -153,9 +151,8 @@ class TestCheckpointBasics:
         s.submit([JobSpec("a", (4,), 5.0), JobSpec("b", (4,), 5.0)])
         snap = checkpoint_session(s)
         snap["jobs"]["duration"] = [1e308, 1e308]
-        for strict in (True, False):
-            with pytest.raises(ValueError, match="leaves the float64 range"):
-                restore_session(snap, strict=strict)
+        with pytest.raises(ValueError, match="leaves the float64 range"):
+            restore_session(snap)
 
     def test_corrupt_state_rejected(self):
         s = SchedulingSession([4])
@@ -190,6 +187,71 @@ class TestCheckpointBasics:
             restore_session(snap)
 
     @staticmethod
+    def _running_snapshot():
+        """a and b run (completions at 1 and 5), c is queued, clock 0.5."""
+        s = SchedulingSession([4])
+        s.submit([JobSpec("a", (2,), 1.0), JobSpec("b", (2,), 5.0), JobSpec("c", (4,), 1.0)])
+        s.advance(0.5)
+        snap = checkpoint_session(s)
+        assert snap["heap"] == [[1.0, 0, 0], [5.0, 1, 1]] and snap["ready"] == [2]
+        return snap
+
+    def test_a_duplicated_completion_entry_is_refused(self):
+        """Two completions would free a's demand twice: drain overcommits."""
+        snap = self._running_snapshot()
+        snap["heap"].append([1.0, 2, 0])
+        with pytest.raises(ValueError, match="job 'a': more than one event heap entry"):
+            restore_session(snap)
+
+    def test_a_dropped_completion_entry_is_refused(self):
+        """With no completion, a never finishes: drain leaves it running."""
+        snap = self._running_snapshot()
+        del snap["heap"][0]
+        with pytest.raises(ValueError, match="job 'a': running with no completion entry"):
+            restore_session(snap)
+
+    def test_a_heap_entry_before_the_clock_is_refused(self):
+        """The clock would run back to the pending completions."""
+        snap = self._running_snapshot()
+        snap["clock"] = 100
+        with pytest.raises(ValueError, match=r"job 'a': heap entry at 1\.0 is before the clock"):
+            restore_session(snap)
+
+    def test_a_completion_entry_for_a_row_that_is_not_running_is_refused(self):
+        snap = self._running_snapshot()
+        snap["heap"].append([2.0, 2, 2])
+        with pytest.raises(ValueError, match="job 'c': completion entry but the job is queued"):
+            restore_session(snap)
+
+    def test_a_completion_entry_not_at_start_plus_duration_is_refused(self):
+        snap = self._running_snapshot()
+        snap["heap"][0][0] = 2.0
+        with pytest.raises(ValueError, match="job 'a': completion entry at 2.0, not at start"):
+            restore_session(snap)
+
+    def test_a_release_entry_for_a_row_that_is_not_waiting_is_refused(self):
+        snap = self._running_snapshot()
+        snap["heap"].append([3.0, 2, ~2])
+        with pytest.raises(ValueError, match="job 'c': release entry but the job is queued"):
+            restore_session(snap)
+
+    def test_a_start_after_the_clock_is_refused(self):
+        snap = self._running_snapshot()
+        snap["jobs"]["start"][0] = 0.75
+        snap["heap"][0][0] = 1.75
+        with pytest.raises(ValueError, match="job 'a': start 0.75 is after the clock 0.5"):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("eps", [1e9, float("inf"), 0.0, 1e-9])
+    def test_a_batch_tolerance_other_than_the_engines_is_refused(self, eps):
+        """A wider tolerance batches completions that do not coincide:
+        drain then starts work before its capacity is free."""
+        snap = self._running_snapshot()
+        snap["time_eps"] = eps
+        with pytest.raises(ValueError, match="time_eps"):
+            restore_session(snap)
+
+    @staticmethod
     def _archived_snapshot():
         """Seven jobs, four of them done and archived, three live."""
         s = SchedulingSession([4], compact_threshold=0.5, compact_min_rows=4)
@@ -215,12 +277,11 @@ class TestCheckpointBasics:
     def test_an_archived_demand_of_the_wrong_length_is_refused(self, demand):
         """The archive holds demands back to back: a short row would shift
         every later one, and an amount outside 0..capacity is no job the
-        platform ran, so restore refuses either by id on both paths."""
+        platform ran, so restore refuses either by id."""
         snap = self._archived_snapshot()
         snap["archive"][2]["demand"] = demand
-        for strict in (True, False):
-            with pytest.raises(ValueError, match="archived job 'j2': demand"):
-                restore_session(snap, strict=strict)
+        with pytest.raises(ValueError, match="archived job 'j2': demand"):
+            restore_session(snap)
 
     def test_resume_mid_flight_then_submit_more(self):
         """The restored session is live: it keeps admitting and cancelling."""
@@ -260,7 +321,7 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match=refusal):
             restore_session(snap)
         with pytest.raises(ValueError, match=refusal):
-            restore_session(json.dumps(snap), strict=False)
+            restore_session(json.dumps(snap))
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(snap))
         with pytest.raises(ValueError, match=refusal):
@@ -384,8 +445,8 @@ class TestColumnarHistory:
                 snap = json.loads(text)
                 if rng.random() < 0.5:
                     s = restore_session(snap)
-                else:  # the hot path: an in-memory snapshot
-                    s = restore_session(checkpoint_session(s), strict=False)
+                else:  # an in-memory snapshot
+                    s = restore_session(checkpoint_session(s))
                 hist = ReferenceHistory(s, snap["archive"], snap["events"])
                 assert json.dumps(checkpoint_session(s)) == json.dumps(
                     reference_checkpoint(s, hist)

@@ -568,7 +568,7 @@ class TestBatchIdentity:
             session.bind_metrics(MetricsRegistry())
         for k in range(0, inst.n, 64):
             if driver == "checkpointed" and k == 128:
-                session = restore_session(checkpoint_session(session), strict=False)
+                session = restore_session(checkpoint_session(session))
             chunk = specs[k:k + 64]
             session.submit(chunk)
             session.advance(chunk[-1].release, events=False)
