@@ -22,6 +22,7 @@ scheduler name comes from :mod:`repro.registry`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -374,26 +375,37 @@ def _cmd_schedulers() -> int:
 
 
 def _follow_replay(inst, result) -> "Schedule | None":
-    """Stream the result's fixed allocation through the re-entrant engine
-    loop, printing each start/finish as virtual time advances.  Returns the
-    streamed schedule (same allocation, FIFO queue order — it carries the
-    identical Phase-2 guarantee) or ``None`` when the scheduler keeps no
-    allocation to replay."""
-    from repro.core.list_scheduler import list_schedule
+    """Stream the result's fixed allocation through a
+    :class:`~repro.service.session.SchedulingSession` — the re-entrant
+    engine loop — printing each start/finish as virtual time advances.
+    Returns the streamed schedule (same allocation, FIFO queue order — it
+    carries the identical Phase-2 guarantee) or ``None`` when the scheduler
+    keeps no allocation to replay."""
+    from repro.conformance.fuzz import service_specs
+    from repro.service import SchedulingSession
+    from repro.sim.schedule import ScheduledJob
 
     allocation = getattr(result, "allocation", None)
     if allocation is None:
         return None
-
-    def on_event(kind, job, t, duration) -> None:
-        if kind == "start":
-            alloc = tuple(int(a) for a in allocation[job])
-            print(f"[{t:12.4f}] start  {job!r} alloc={alloc} dur={duration:.4f}",
-                  flush=True)
-        else:
-            print(f"[{t:12.4f}] finish {job!r}", flush=True)
-
-    return list_schedule(inst, allocation, on_event=on_event)
+    session = SchedulingSession(inst.pool.capacities)
+    session.submit(service_specs(inst, allocation))
+    job_of = {repr(j): j for j in inst.jobs}
+    placements = {}
+    until = session.now
+    while until is not None:
+        for e in session.advance(until):
+            t = e["time"]
+            if e["event"] == "start":
+                j = job_of[e["id"]]
+                placements[j] = ScheduledJob(job_id=j, start=t, time=e["duration"],
+                                             alloc=allocation[j])
+                print(f"[{t:12.4f}] start  {e['id']} alloc={tuple(e['alloc'])} "
+                      f"dur={e['duration']:.4f}", flush=True)
+            elif e["event"] == "finish":
+                print(f"[{t:12.4f}] finish {e['id']}", flush=True)
+        until = session.loop.next_time
+    return Schedule(instance=inst, placements=placements)
 
 
 def _cmd_schedule(args) -> int:
@@ -426,9 +438,12 @@ def _cmd_schedule(args) -> int:
               f"scheduler={args.scheduler} (streamed replay)\n"
               f"makespan={streamed.makespan:.4f}", end="")
         own = result.schedule
-        if not isinstance(own, Schedule) or streamed.placements != own.placements:
-            # the replay uses the FIFO queue order; flag any placement-level
-            # divergence from the scheduler's own order, not just makespan
+        if not isinstance(own, Schedule) or any(
+            own.placements[j].start != p.start for j, p in streamed.placements.items()
+        ):
+            # the replay uses the FIFO queue order; flag any job it starts
+            # at another time than the scheduler's own schedule, not just
+            # a different makespan
             print(f" (differs from the scheduler's own queue order, "
                   f"makespan {result.makespan:.4f})", end="")
         print()
@@ -607,9 +622,13 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
     # defaults, restored sessions keep their checkpoint's settings
     compact_kw = {}
     if args.compact_threshold is not None:
-        ct = None if args.compact_threshold <= 0 else args.compact_threshold
-        if ct is not None and ct > 1.0:
-            print(f"error: --compact-threshold must be <= 1, got {ct}",
+        # 0 or a negative fraction disables compaction
+        ct = args.compact_threshold
+        if -math.inf < ct <= 0:
+            ct = None
+        if not SchedulingSession.valid_compact_threshold(ct):
+            print(f"error: --compact-threshold must be in (0, 1], or <= 0 to "
+                  f"disable compaction, got {args.compact_threshold}",
                   file=sys.stderr)
             return 2
         compact_kw["compact_threshold"] = ct
@@ -648,23 +667,16 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             print(f"error: cannot restore {args.restore}: {exc}", file=sys.stderr)
             return 2
-        if "compact_threshold" in compact_kw:
-            session.compact_threshold = compact_kw["compact_threshold"]
-        if "compact_min_rows" in compact_kw:
-            session.compact_min_rows = int(compact_kw["compact_min_rows"])
         print(f"serve: resumed {len(session.gi.order)} job(s) at clock "
               f"{session.now:g} from {args.restore}", file=sys.stderr)
     if args.journal:
         snapshot = args.snapshot or args.journal + ".snapshot.json"
         try:
             if session is not None:
-                # an explicit --restore starts a new durable lineage:
-                # snapshot it and rotate whatever journal was there
                 durable = JournaledSession(
                     session, args.journal, snapshot,
                     checkpoint_every=args.checkpoint_every, chaos=chaos,
                 )
-                durable.checkpoint()
             else:
                 durable = JournaledSession.recover(
                     args.journal, snapshot, capacities=caps,
@@ -673,10 +685,6 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
                 )
                 session = durable.session
                 if durable.recovered:
-                    if "compact_threshold" in compact_kw:
-                        session.compact_threshold = compact_kw["compact_threshold"]
-                    if "compact_min_rows" in compact_kw:
-                        session.compact_min_rows = int(compact_kw["compact_min_rows"])
                     print(f"serve: recovered {len(session.gi.order)} job(s) at "
                           f"clock {session.now:g} from {snapshot} "
                           f"(+{durable.replayed} journal record(s) replayed, "
@@ -690,6 +698,19 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
             session = SchedulingSession(caps, seed=args.seed, **compact_kw)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+    # the overrides, over a restored or recovered session's own settings
+    # (a session built here already has them)
+    for name, value in compact_kw.items():
+        setattr(session, name, value)
+    if args.restore and durable is not None:
+        # an explicit --restore starts a new durable lineage: snapshot it
+        # and rotate whatever journal was there
+        try:
+            durable.checkpoint()
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot recover from {args.journal}: {exc}",
+                  file=sys.stderr)
             return 2
     try:
         frontend = ServiceFrontend(

@@ -13,6 +13,13 @@ better orders help in practice (Section 4.2.1) and the distinction between
 of the precedence graph, e.g. bottom level) is the crux of Theorem 6.  The
 :class:`PriorityRule` factories below cover both families; the registered
 benchmarks ``ablation_priority`` and ``figure2_lower_bound`` exercise them.
+
+Output.  One run of the batch loop records a start log
+(:func:`list_schedule_log`); :func:`list_schedule` wraps it as a
+:class:`~repro.sim.schedule.Schedule`.  Nothing is called back per event:
+the same events one at a time, as virtual time advances, come out of a
+:class:`~repro.service.session.SchedulingSession` (``repro schedule
+--follow``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.dag.paths import bottom_levels
 from repro.engine.dispatch import priority_loop
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
-from repro.sim.schedule import Schedule, ScheduledJob
+from repro.sim.schedule import Schedule
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -138,26 +145,6 @@ def _setup(instance, allocation):
     return alloc_mat, times_vec
 
 
-def _dispatch(instance, allocation, priority, setup, on_start=None, on_complete=None):
-    """Run Algorithm 2 under ``priority`` on a :func:`_setup` result, to
-    completion; returns the drained loop.  The keys are a 1-D array in
-    topological order when the rule has an ``as_array`` form (see
-    :data:`PriorityRule`), a mapping over job ids otherwise."""
-    alloc_mat, times_vec = setup
-    as_array = getattr(priority, "as_array", None)
-    if as_array is not None:
-        keys = as_array(instance, allocation, times_vec)
-    else:
-        times = dict(zip(instance.compiled().order, times_vec.tolist()))
-        keys = priority(instance, allocation, times)
-    loop = priority_loop(instance, allocation, keys, times_vec, on_start,
-                         on_complete=on_complete, alloc_mat=alloc_mat)
-    loop.run()
-    if loop.rq:  # pragma: no cover - invariant
-        raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
-    return loop
-
-
 class ScheduleLog(NamedTuple):
     """Array-native result of one list-scheduling run.
 
@@ -187,14 +174,27 @@ class ScheduleLog(NamedTuple):
 
 
 def _log_schedule(instance, allocation, priority, setup) -> ScheduleLog:
-    """The start log of one start-log-mode run on a :func:`_setup` result."""
-    loop = _dispatch(instance, allocation, priority, setup)
+    """Run Algorithm 2 under ``priority`` on a :func:`_setup` result, to
+    completion, and return its start log.  The keys are a 1-D array in
+    topological order when the rule has an ``as_array`` form (see
+    :data:`PriorityRule`), a mapping over job ids otherwise."""
+    alloc_mat, times_vec = setup
+    order = instance.compiled().order
+    as_array = getattr(priority, "as_array", None)
+    if as_array is not None:
+        keys = as_array(instance, allocation, times_vec)
+    else:
+        keys = priority(instance, allocation, dict(zip(order, times_vec.tolist())))
+    loop = priority_loop(instance, allocation, keys, times_vec, alloc_mat=alloc_mat)
+    loop.run()
+    if loop.rq:  # pragma: no cover - invariant
+        raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
     out_i, out_t = loop.start_log()
     return ScheduleLog(
-        order=loop.order,
+        order=order,
         job_index=out_i.copy(),
         start=out_t.copy(),
-        duration=setup[1],
+        duration=times_vec,
         makespan=float(loop.now),
     )
 
@@ -211,8 +211,8 @@ def list_schedule_log(
     fixed priority rule.  The event loop — virtual time, completion
     batching, packed resource accounting, release gating for online
     arrivals — lives in :mod:`repro.engine`; this function contributes only
-    the priority keys.  The loop runs in start-log mode (``on_start=None``):
-    no python callback fires and no placement object is built.
+    the priority keys.  No python callback fires and no placement object
+    is built.
     """
     return _log_schedule(instance, allocation, priority, _setup(instance, allocation))
 
@@ -221,41 +221,21 @@ def list_schedule(
     instance: Instance,
     allocation: Mapping[JobId, ResourceVector],
     priority: PriorityRule = fifo_priority,
-    *,
-    on_event: Callable[[str, JobId, float, float | None], None] | None = None,
 ) -> Schedule:
     """Run Algorithm 2 and return the resulting (valid) schedule.
 
-    Without ``on_event`` this is :func:`list_schedule_log` plus
-    :meth:`ScheduleLog.to_schedule`: the schedule comes back in columns,
-    ``makespan`` and ``len`` are read off the arrays, and the
-    :class:`~repro.sim.schedule.ScheduledJob` objects are built the first
-    time ``placements`` is read (a caller that compares makespans never
-    pays for them).
-
-    ``on_event("start"|"finish", job, time, duration_or_None)`` streams
-    dispatch events as virtual time advances (``repro schedule --follow``):
-    the one caller of the loop's per-start / per-completion callbacks, and
-    the schedule it returns is built from the placements it streamed.
+    :func:`list_schedule_log` plus :meth:`ScheduleLog.to_schedule`: the
+    schedule comes back in columns, ``makespan`` and ``len`` are read off
+    the arrays, and the :class:`~repro.sim.schedule.ScheduledJob` objects
+    are built the first time ``placements`` is read (a caller that
+    compares makespans never pays for them).  Event by event, as virtual
+    time advances, the same schedule comes out of a
+    :class:`~repro.service.session.SchedulingSession` (``repro schedule
+    --follow``).
     """
-    if on_event is None:
-        return list_schedule_log(instance, allocation, priority).to_schedule(
-            instance, allocation
-        )
-
-    placements: dict[JobId, ScheduledJob] = {}
-
-    def on_start(j: JobId, start: float, duration: float) -> None:
-        placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
-                                     alloc=allocation[j])
-        on_event("start", j, start, duration)
-
-    def on_complete(j: JobId, now: float) -> None:
-        on_event("finish", j, now, None)
-
-    _dispatch(instance, allocation, priority, _setup(instance, allocation),
-              on_start, on_complete)
-    return Schedule(instance=instance, placements=placements)
+    return list_schedule_log(instance, allocation, priority).to_schedule(
+        instance, allocation
+    )
 
 
 def portfolio_list_schedule(

@@ -2,9 +2,11 @@
 
 * :mod:`repro.engine.dispatch` — the event loops over the
   compiled-instance lowering (:mod:`repro.instance.compiled`): Algorithm
-  2's priority scan (``PriorityLoop`` for a fixed job set,
-  ``IncrementalPriorityLoop`` for the online service — one python-int
-  demand image and one sorted-list ready queue in both, for any ``d``),
+  2's priority scan (``PriorityLoop``, the batch kernel: a fixed job set,
+  run once to completion, one output — the start log;
+  ``IncrementalPriorityLoop``, the one resumable loop, behind the online
+  session and ``repro schedule --follow`` — one python-int demand image
+  and one sorted-list ready queue in both, for any ``d``),
   ``run_dynamic`` for dispatch-time allocation policies (Tetris, HEFT),
   and the batch rule :data:`~repro.engine.dispatch.TIME_EPS` all of them
   share;

@@ -18,16 +18,9 @@ jobs are dense topological indices, adjacency is CSR, and priority keys
 are lowered once into integer *ranks* realizing the ``(key, topological
 index)`` total order.
 
-The priority discipline is a **re-entrant loop object**: it owns a
-resumable event heap plus readiness state and exposes ``run(until)`` —
-run until the heap drains (returns ``True``) or until the next event lies
-past ``until`` (returns ``False``, resume later).  Batch callers run it
-to completion; streaming front-ends (``repro schedule --follow``) step
-the same loop incrementally.
-
-Two loops share that contract, and **one demand encoding**: every demand
-is a python-int image with a headroom bit per field
-(:func:`~repro.instance.compiled.pack_layout` sizes a field by the
+Algorithm 2's discipline has two loops, one role each, and **one demand
+encoding**: every demand is a python-int image with a headroom bit per
+field (:func:`~repro.instance.compiled.pack_layout` sizes a field by the
 platform), for any ``d`` and any capacity, and ``(av - a) & H == H`` /
 ``av -= a`` / ``av += a`` are the only admission / acquire / free
 statements.  Both keep the ready queue as a sorted python list, scanned in
@@ -35,14 +28,17 @@ order while it is short, and both cache a demand column beside the list
 only while it is longer than ``_VECTOR_QUEUE``, to test the whole queue in
 one vector operation.
 
-* :class:`PriorityLoop` — the batch loop, for a fixed job set.  The queue
-  holds integer ranks; per-event work is python ints over memoryviews of
-  the compiled int64 buffers (no copy of the CSR adjacency or the
-  readiness vector).  The column is ``uint64`` images where they fit a
-  word (``ci.packable``: ``d * bits <= 64``) and ``(L, d)`` int64 rows
-  where they do not.
-* :class:`IncrementalPriorityLoop` — the growable form used by
-  :mod:`repro.service`: runs on a
+* :class:`PriorityLoop` — the batch kernel, for a fixed job set: built,
+  run once to completion, and read back as one output, the array start
+  log (``start_log()``).  The queue holds integer ranks; per-event work
+  is python ints over memoryviews of the compiled int64 buffers (no copy
+  of the CSR adjacency or the readiness vector).  The column is
+  ``uint64`` images where they fit a word (``ci.packable``: ``d * bits <=
+  64``) and ``(L, d)`` int64 rows where they do not.
+* :class:`IncrementalPriorityLoop` — the resumable loop, stepped with
+  ``run(until)`` as virtual time advances, behind
+  :class:`~repro.service.session.SchedulingSession` (and so behind ``repro
+  serve`` and ``repro schedule --follow``): runs on a
   :class:`~repro.instance.compiled.GrowableCompiledInstance`, admits jobs
   *while scheduling* (``admit_batch``), supports cancellation of
   not-yet-started jobs, and keeps the ready queue as ``(key, row index)``
@@ -117,13 +113,12 @@ def priority_loop(
     allocation: Mapping[JobId, Sequence[int]],
     keys: "Mapping[JobId, object] | np.ndarray",
     durations: "Mapping[JobId, float] | np.ndarray",
-    on_start: Callable[[JobId, float, float], None],
+    on_start: None = None,
     *,
-    on_complete: Callable[[JobId, float], None] | None = None,
     alloc_mat: np.ndarray | None = None,
 ) -> "PriorityLoop":
-    """Build Algorithm 2's re-entrant dispatch loop for a fixed job set,
-    unstarted (the queue discipline is :meth:`PriorityLoop.run`'s).
+    """Build Algorithm 2's batch loop for a fixed job set, unstarted (the
+    queue discipline is :meth:`PriorityLoop.run`'s).
 
     ``keys`` and ``durations`` may be mappings over job ids or 1-D arrays
     aligned with the topological order (the vectorized fast path);
@@ -134,18 +129,17 @@ def priority_loop(
     (``ValueError`` naming the first job outside ``0 ⪯ a ⪯ capacities``
     or asking for nothing).
 
-    ``on_start(job, start, duration)`` records each dispatch and
-    ``on_complete(job, now)``, when given, is told of each completion.
-    The returned loop exposes ``run(until=None) -> bool`` (``True`` once
-    drained), ``now``, ``next_time``, ``pending`` and ``available()``.
-
-    ``on_start=None`` selects the **array start log**: instead of a python
-    callback per dispatch, the loop records ``(topological index, start
-    time)`` pairs into preallocated arrays, retrievable via
-    ``start_log()``.  This keeps the hot loop free of per-job python
-    object construction (the cost that grows with the resident working
-    set at large ``n``).
+    The loop has one output: :meth:`PriorityLoop.run` records ``(topological
+    index, start time)`` pairs into preallocated arrays, read back with
+    ``start_log()`` — no python object per dispatch.  ``on_start`` is a
+    leftover slot that only accepts ``None``; a caller that wants each event
+    as it happens drives a :class:`~repro.service.session.SchedulingSession`.
     """
+    if on_start is not None:
+        raise TypeError(
+            "priority_loop records an array start log and calls nothing back; "
+            "drive a repro.service.SchedulingSession for per-event output"
+        )
     ci = compile_instance(instance)
     if alloc_mat is None:
         # nobody has checked this allocation yet: an amount above its
@@ -168,22 +162,21 @@ def priority_loop(
         order = ci.order
         dur = [durations[j] for j in order]
     rank_of, topo_of_rank = ci.rank_permutation(keys)
-    return PriorityLoop(
-        ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete
-    )
+    return PriorityLoop(ci, alloc_mat, dur, rank_of, topo_of_rank)
 
 
 class PriorityLoop:
-    """Algorithm 2's batch event loop, resumable.
+    """Algorithm 2's batch event loop: built for a fixed job set, run once.
 
     One flat loop owns the event heap, the readiness vector and the ready
     queue.  Heap entries are ``(time, seq, code)`` with ``code < n`` a
     completion of topological index ``code`` and ``code >= n`` the release
     of index ``code - n``; ``seq`` makes simultaneous events pop in
-    submission order, so ``on_complete`` sees completions in exactly the
-    order the per-event references deliver them.  :meth:`run` processes
-    the events of one time point as a single batch and runs the
-    feasibility re-scan once per time point.
+    submission order, exactly the order the per-event references deliver
+    them in.  :meth:`run` processes the events of one time point as a
+    single batch and runs the feasibility re-scan once per time point; the
+    one output is the start log (:meth:`start_log`), and :attr:`now` is
+    the makespan once the run is over.
 
     **One demand encoding**, the session loop's: every demand is a
     python-int image with a headroom bit per field (``img_topo`` by
@@ -203,8 +196,8 @@ class PriorityLoop:
     operation instead of in order.  It holds rows of ``dem_rank`` — the
     ``uint64`` images where they fit a word (``ci.packable``), the
     ``(d,)`` int64 amounts where they do not; that is all the loop reads
-    ``ci.packable`` for.  Invariant, between :meth:`run` calls: ``pb is
-    None`` ⇔ ``len(rq) <= _VECTOR_QUEUE``; otherwise ``pb[p]`` is the
+    ``ci.packable`` for.  Invariant, between dispatch passes: the column is
+    absent ⇔ ``len(rq) <= _VECTOR_QUEUE``; otherwise ``pb[p]`` is the
     demand of ``rq[p]`` for every position ``p`` of the queue (the buffer
     may be longer — room for insertions).  It is gathered from the list
     when the queue grows past the constant, patched at the positions the
@@ -219,43 +212,33 @@ class PriorityLoop:
     smallest demand anybody has of it — and leaves the pass: availability
     only shrinks within a pass, so no entry further down can fit.  The
     minimum is over every job, queued or not, which is what makes the test
-    valid at any moment of any pass — with releases pending, across
-    ``run(until)`` steps — without upkeep as the queue changes.  A type
-    some job asks nothing of has a zero field, whose headroom bit always
-    survives: that type is simply never the witness (and ``gmin = 0`` never
-    cuts at all, which is how the tests switch the cut off).  One integer
-    test per *start* replaces one per queue entry behind it.
+    valid at any moment of any pass, with releases pending, without
+    upkeep as the queue changes.  A type some job asks nothing of has a
+    zero field, whose headroom bit always survives: that type is simply
+    never the witness (and ``gmin = 0`` never cuts at all, which is how the
+    tests switch the cut off).  One integer test per *start* replaces one
+    per queue entry behind it.
     """
 
     __slots__ = (
-        "ci", "n", "order", "ip", "si", "remaining",
+        "ci", "n", "ip", "si", "remaining",
         "img_topo", "img_rank", "dem_rank", "rank_a", "topo_l", "dur",
         "H", "av", "gmin", "heap", "seq", "rq", "pb",
-        "now", "eps", "on_start", "on_complete", "done",
-        "log_i", "log_t", "ns",
+        "now", "log_i", "log_t", "ns",
     )
 
-    def __init__(
-        self, ci, alloc_mat, dur, rank_of, topo_of_rank, on_start, on_complete
-    ) -> None:
+    def __init__(self, ci, alloc_mat, dur, rank_of, topo_of_rank) -> None:
         self.ci = ci
         cd = ci.cdag
         n = cd.n
         self.n = n
-        self.order = cd.order
         self.ip = cd.succ_indptr
         self.si = cd.succ_indices
         self.dur = dur
-        self.on_start = on_start
-        self.on_complete = on_complete
-        self.done = n == 0
-        # the array start log (on_start=None mode): (topological index,
-        # start time) per dispatch, ns pairs recorded so far
-        if on_start is None:
-            self.log_i = np.empty(n, dtype=np.int64)
-            self.log_t = np.empty(n, dtype=np.float64)
-        else:
-            self.log_i = self.log_t = None
+        # the start log: (topological index, start time) per dispatch, ns
+        # pairs recorded so far
+        self.log_i = np.empty(n, dtype=np.int64)
+        self.log_t = np.empty(n, dtype=np.float64)
         self.ns = 0
 
         self.rank_a = np.ascontiguousarray(rank_of, dtype=np.int64)
@@ -311,7 +294,6 @@ class PriorityLoop:
         self.pb = self._column() if len(self.rq) > _VECTOR_QUEUE else None
 
         self.now = 0.0
-        self.eps = TIME_EPS
 
     def _column(self) -> np.ndarray:
         """The demand column of a long queue, gathered from the list with
@@ -322,39 +304,14 @@ class PriorityLoop:
         pb[:len(rq)] = dem_rank[rq]
         return pb
 
-    @property
-    def next_time(self) -> float | None:
-        """Time of the earliest pending event (``None`` when drained)."""
-        return self.heap[0][0] if self.heap else None
-
-    @property
-    def pending(self) -> int:
-        return len(self.heap)
-
-    @property
-    def L(self) -> int:
-        """Length of the ready queue."""
-        return len(self.rq)
-
-    def available(self) -> tuple[int, ...]:
-        """The per-type availability vector at the current clock."""
-        ci = self.ci
-        return _unpack(self.av - self.H, ci.d, ci.bits)
-
     def start_log(self) -> "tuple[np.ndarray, np.ndarray]":
         """The recorded ``(topological index, start time)`` arrays, in
-        dispatch order — only populated when the loop was built with
-        ``on_start=None`` (views into the loop's buffers; copy to keep)."""
-        if self.on_start is not None:
-            raise ValueError("start_log() requires a loop built with on_start=None")
+        dispatch order (views into the loop's buffers; copy to keep)."""
         return self.log_i[: self.ns], self.log_t[: self.ns]
 
-    def run(self, until: float | None = None) -> bool:
-        """Dispatch and process events; stop once the heap drains (returns
-        ``True``) or the earliest pending event lies past ``until``
-        (returns ``False`` — call again to resume).  ``until=None`` or
-        ``inf`` runs to completion; NaN orders against no event time and is
-        refused with ``ValueError``.
+    def run(self) -> None:
+        """Dispatch and process events until the heap drains, recording
+        every start into the start log.
 
         The loop is structured around time-point batches: all events
         within :data:`TIME_EPS` of the first popped event form one batch,
@@ -395,26 +352,24 @@ class PriorityLoop:
         per-event references event for event.
 
         The collector is paused for the duration of the run: the loop
-        allocates only acyclic objects (event tuples, the caller's
-        placement records), but each allocation-triggered generational
-        collection scans *every* live object — with a million-job
-        instance resident that is an O(n) cost paid every ~10k events,
-        and it is what used to bend the jobs/s curve at large n.  No
-        cycles are created, so nothing is ever missed; the prior
-        collector state is restored on exit either way.
+        allocates only acyclic objects (event tuples, batch lists), but
+        each allocation-triggered generational collection scans *every*
+        live object — with a million-job instance resident that is an
+        O(n) cost paid every ~10k events, and it is what used to bend the
+        jobs/s curve at large n.  No cycles are created, so nothing is
+        ever missed; the prior collector state is restored on exit either
+        way.
         """
-        if until is not None and until != until:
-            raise ValueError("cannot run until a NaN time")
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
         try:
-            return self._run(until)
+            self._run()
         finally:
             if was_enabled:
                 gc.enable()
 
-    def _run(self, until: "float | None") -> bool:
+    def _run(self) -> None:
         # python ints straight out of the int64 buffers, no copy
         remaining = memoryview(self.remaining)
         ip = memoryview(self.ip)
@@ -426,9 +381,6 @@ class PriorityLoop:
         dem_rank = self.dem_rank
         topo_l = self.topo_l
         dur = self.dur
-        order = self.order
-        on_start = self.on_start
-        on_complete = self.on_complete
         n = self.n
         d = self.ci.d
         bits = self.ci.bits
@@ -441,17 +393,11 @@ class PriorityLoop:
         rq = self.rq
         pb = self.pb
         now = self.now
-        eps = self.eps
         push = heapq.heappush
         pop = heapq.heappop
-        done = False
-        log = on_start is None
-        if log:
-            # array start-log mode: record (topo index, start time) pairs
-            # instead of calling back per dispatch (see priority_loop)
-            log_i = memoryview(self.log_i)
-            log_t = memoryview(self.log_t)
-            ns = self.ns
+        log_i = memoryview(self.log_i)
+        log_t = memoryview(self.log_t)
+        ns = self.ns
         # Between passes the invariant "no queued job fits the current
         # availability" holds (the pass leaves only misses behind and
         # availability only grows on completions), so a batch that frees
@@ -472,15 +418,11 @@ class PriorityLoop:
                         if (av - a) & H == H:
                             av -= a
                             i = topo_l[r]
-                            t = dur[i]
-                            push(heap, (now + t, seq, i))
+                            push(heap, (now + dur[i], seq, i))
                             seq += 1
-                            if log:
-                                log_i[ns] = i
-                                log_t[ns] = now
-                                ns += 1
-                            else:
-                                on_start(order[i], now, t)
+                            log_i[ns] = i
+                            log_t[ns] = now
+                            ns += 1
                             if started is None:
                                 started = [p]
                             else:
@@ -503,15 +445,11 @@ class PriorityLoop:
                         r = rq[p]
                         av -= img_rank[r]
                         i = topo_l[r]
-                        t = dur[i]
-                        push(heap, (now + t, seq, i))
+                        push(heap, (now + dur[i], seq, i))
                         seq += 1
-                        if log:
-                            log_i[ns] = i
-                            log_t[ns] = now
-                            ns += 1
-                        else:
-                            on_start(order[i], now, t)
+                        log_i[ns] = i
+                        log_t[ns] = now
+                        ns += 1
                         if started is None:
                             started = [p]
                         else:
@@ -543,14 +481,11 @@ class PriorityLoop:
                             pb = None
             need_pass = False
             if not heap:
-                done = True
-                break
-            if until is not None and heap[0][0] > until:
                 break
             # -------------------------- event batch --------------------------
             t0, _, c = pop(heap)
             now = t0
-            horizon = t0 + eps
+            horizon = t0 + TIME_EPS
             if heap and heap[0][0] <= horizon:
                 batch = [c]
                 while heap and heap[0][0] <= horizon:
@@ -571,8 +506,6 @@ class PriorityLoop:
                             newly.append(rank[i])
                     continue
                 i = c
-                if on_complete is not None:
-                    on_complete(order[i], now)
                 freed = True
                 av += img_topo[i]
                 for s in si[ip[i]:ip[i + 1]]:
@@ -598,15 +531,11 @@ class PriorityLoop:
                     if (av - a) & H == H:
                         av -= a
                         i = topo_l[r]
-                        t = dur[i]
-                        push(heap, (now + t, seq, i))
+                        push(heap, (now + dur[i], seq, i))
                         seq += 1
-                        if log:
-                            log_i[ns] = i
-                            log_t[ns] = now
-                            ns += 1
-                        else:
-                            on_start(order[i], now, t)
+                        log_i[ns] = i
+                        log_t[ns] = now
+                        ns += 1
                         if (av - gmin) & H != H:
                             # exhausted: the rest only join the queue
                             leftovers += newly[k + 1:]
@@ -635,15 +564,8 @@ class PriorityLoop:
                         rq.sort()
                     pb = self._column() if len(rq) > _VECTOR_QUEUE else None
 
-        # store the loop state back (the queue was mutated in place)
-        self.av = av
-        self.seq = seq
-        self.pb = pb
-        self.now = now
-        self.done = done
-        if log:
-            self.ns = ns
-        return done
+        self.now = now  # the makespan
+        self.ns = ns
 
 
 # ----------------------------------------------------------------------

@@ -29,10 +29,6 @@ Injection points (``CRASH_POINTS``):
     the journal append writes only a byte prefix of the record before
     dying (the classic torn tail).
 
-``flush-delay`` is the one non-crash point: it injects a delay (by
-default nothing; pass ``delay=``) before journal flushes, modelling a
-slow disk without killing anything.
-
 A crash is delivered by raising :class:`ChaosCrash` (in-process
 harnesses catch it and run recovery) or by an ``on_crash`` override —
 ``repro serve --chaos`` installs ``os._exit(137)`` so a served process
@@ -42,12 +38,11 @@ after N crashes so retry loops always terminate.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-__all__ = ["CRASH_POINTS", "DELAY_POINTS", "ChaosCrash", "ChaosInjector"]
+__all__ = ["CRASH_POINTS", "ChaosCrash", "ChaosInjector"]
 
 CRASH_POINTS = (
     "op-begin",
@@ -57,7 +52,6 @@ CRASH_POINTS = (
     "checkpoint-temp",
     "journal-torn",
 )
-DELAY_POINTS = ("flush-delay",)
 
 
 class ChaosCrash(RuntimeError):
@@ -74,15 +68,12 @@ class ChaosInjector:
         seed: int = 0,
         max_crashes: "int | None" = None,
         on_crash: "Callable[[str], Any] | None" = None,
-        delay: float = 0.0,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        known = set(CRASH_POINTS) | set(DELAY_POINTS)
-        unknown = set(rates) - known
+        unknown = set(rates) - set(CRASH_POINTS)
         if unknown:
             raise ValueError(
                 f"unknown chaos point(s) {sorted(unknown)}; "
-                f"known: {sorted(known)}"
+                f"known: {sorted(CRASH_POINTS)}"
             )
         for point, rate in rates.items():
             if not 0.0 <= float(rate) <= 1.0:
@@ -91,8 +82,6 @@ class ChaosInjector:
         self.rng = np.random.default_rng(seed)
         self.max_crashes = max_crashes
         self.on_crash = on_crash
-        self.delay = float(delay)
-        self.sleep = sleep
         self.crashes = 0
         self.fired: list[str] = []  # every crash site, in order
 
@@ -104,7 +93,6 @@ class ChaosInjector:
         seed: int = 0,
         max_crashes: "int | None" = None,
         on_crash: "Callable[[str], Any] | None" = None,
-        delay: float = 0.0,
     ) -> "ChaosInjector":
         """Parse ``"point:rate,point:rate"`` (e.g. ``"op-applied:0.05,mid-drain:0.2"``).
 
@@ -123,9 +111,7 @@ class ChaosInjector:
                 raise ValueError(f"malformed chaos rate in {part!r}") from None
         if not rates:
             raise ValueError(f"empty chaos spec {spec!r}")
-        return cls(
-            rates, seed=seed, max_crashes=max_crashes, on_crash=on_crash, delay=delay
-        )
+        return cls(rates, seed=seed, max_crashes=max_crashes, on_crash=on_crash)
 
     # ------------------------------------------------------------------
     def fires(self, point: str) -> bool:
@@ -150,7 +136,3 @@ class ChaosInjector:
     def maybe_crash(self, point: str) -> None:
         if self.fires(point):
             self.crash(point)
-
-    def maybe_delay(self, point: str = "flush-delay") -> None:
-        if self.fires(point) and self.delay > 0.0:
-            self.sleep(self.delay)

@@ -198,13 +198,11 @@ class Journal:
         fh = self._open()
         line = json.dumps(record, **_COMPACT) + "\n"
         chaos = self.chaos
-        if chaos is not None:
-            chaos.maybe_delay("flush-delay")
-            if chaos.fires("journal-torn"):
-                # a torn append: only a byte prefix reaches the file
-                fh.write(line[: max(1, len(line) // 2)])
-                fh.flush()
-                chaos.crash("journal-torn")
+        if chaos is not None and chaos.fires("journal-torn"):
+            # a torn append: only a byte prefix reaches the file
+            fh.write(line[: max(1, len(line) // 2)])
+            fh.flush()
+            chaos.crash("journal-torn")
         self._write(line)
         self.appended += 1
         if self._m_append_s is not None:

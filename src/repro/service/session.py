@@ -406,7 +406,7 @@ class SchedulingSession:
         compact_threshold: float | None = 0.5,
         compact_min_rows: int = 512,
     ) -> None:
-        if compact_threshold is not None and not 0.0 < compact_threshold <= 1.0:
+        if not self.valid_compact_threshold(compact_threshold):
             raise ValueError(
                 f"compact_threshold must be in (0, 1] or None, got {compact_threshold}"
             )
@@ -458,6 +458,13 @@ class SchedulingSession:
         #: observability).  Runtime-only wiring — checkpoints do not
         #: persist it; front-ends rebind after a restore.
         self.metrics = None
+
+    @staticmethod
+    def valid_compact_threshold(value: float | None) -> bool:
+        """Whether ``value`` may be a session's ``compact_threshold``:
+        ``None`` (never compact) or a fraction in ``(0, 1]`` — NaN is not,
+        and a checkpoint could not carry it (JSON has no NaN)."""
+        return value is None or 0.0 < value <= 1.0
 
     def bind_metrics(self, registry) -> None:
         """Opt in to scheduler-side metrics on the given

@@ -502,22 +502,23 @@ def reference_intervals(schedule) -> list[tuple[float, float, tuple[int, ...]]]:
 
 
 def reference_callback_list_schedule(instance: Instance, allocation, priority) -> Schedule:
-    """``list_schedule`` as it was while it collected placements through the
-    loop's per-start callback: one ``ScheduledJob`` and one dict entry per
-    dispatch, a dict-backed ``Schedule`` (frozen; the oracle for the
-    column-backed one)."""
+    """``list_schedule`` as it was while it collected placements one start
+    at a time: one ``ScheduledJob`` and one dict entry per dispatch, in
+    dispatch order (read off the loop's start log), a dict-backed
+    ``Schedule`` (frozen; the oracle for the column-backed one)."""
     from repro.engine.dispatch import priority_loop
 
     alloc_mat = instance.validate_allocation_map(allocation)
     times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
+    loop = priority_loop(instance, allocation, priority(instance, allocation, times),
+                         times, alloc_mat=alloc_mat)
+    loop.run()
+    order = instance.compiled().order
     placements: dict = {}
-
-    def on_start(j, start, duration) -> None:
-        placements[j] = ScheduledJob(job_id=j, start=start, time=duration,
+    for i, start in zip(*(a.tolist() for a in loop.start_log())):
+        j = order[i]
+        placements[j] = ScheduledJob(job_id=j, start=start, time=times[j],
                                      alloc=allocation[j])
-
-    priority_loop(instance, allocation, priority(instance, allocation, times),
-                  times, on_start, alloc_mat=alloc_mat).run()
     return Schedule(instance=instance, placements=placements)
 
 

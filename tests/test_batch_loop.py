@@ -1,11 +1,9 @@
 """The batch dispatch loop (``PriorityLoop.run``): one demand encoding, two
-forms of the dispatch pass.
+forms of the dispatch pass, one output (the start log).
 
 The contract under test: whether the demand images fit a ``uint64``
-(``ci.packable``), whether a pass scanned the queue in order or tested it
-whole over the demand column, whether the loop records starts into arrays
-or calls back per dispatch, and whether it is run to completion or
-stepped with ``run(until)`` are execution details — schedules are
+(``ci.packable``) and whether a pass scanned the queue in order or tested
+it whole over the demand column are execution details — start logs are
 identical event for event, and equal to the frozen per-event PR-1 loop.
 So is the exhausted-platform cut: a pass that stops once some type has
 less free than any job of the instance asks of it (``loop.gmin``) starts
@@ -27,7 +25,12 @@ from repro.core.list_scheduler import (
 )
 from repro.dag.generators import layered_random
 from repro.dag.graph import DAG
-from repro.engine.dispatch import _VECTOR_BATCH, _VECTOR_QUEUE, priority_loop
+from repro.engine.dispatch import (
+    _VECTOR_BATCH,
+    _VECTOR_QUEUE,
+    PriorityLoop,
+    priority_loop,
+)
 from repro.engine.reference import reference_pr1_list_schedule
 from repro.experiments.workloads import random_instance
 from repro.instance.compiled import compile_dag
@@ -73,29 +76,6 @@ def test_batch_loop_matches_reference(rule, workload):
     assert _events(sched) == _events(ref)
 
 
-def test_stepped_run_with_on_start_equals_uninterrupted():
-    """Stepped ``run(until)`` with an ``on_start`` callback sees the
-    uninterrupted run's starts: the loop state is resumable mid-schedule."""
-    inst, alloc = _workload(seed=7)
-
-    def starts_of(step):
-        starts: list[tuple] = []
-        loop = priority_loop(
-            inst, alloc,
-            {j: i for i, j in enumerate(inst.dag.topological_order())},
-            {j: inst.time(j, alloc[j]) for j in inst.jobs},
-            lambda j, s, t: starts.append((repr(j), round(s, 9), round(t, 9))),
-        )
-        until = None if step is None else 0.0
-        while not loop.run(until=until):
-            until += step
-        return starts
-
-    full = starts_of(None)
-    assert len(full) == len(inst.jobs)
-    assert starts_of(0.75) == full
-
-
 def test_run_restores_gc_state():
     """The loop pauses the collector for the duration of a run (each
     allocation-triggered collection scans the whole resident instance —
@@ -116,7 +96,7 @@ def test_run_restores_gc_state():
 
 
 # ----------------------------------------------------------------------
-# array start-log mode (on_start=None): the million-job measurement path
+# the start log: the million-job measurement path
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("d", (2, 6), ids=("packed", "general"))
 @pytest.mark.parametrize("poisson", (False, True), ids=("offline", "poisson"))
@@ -130,36 +110,6 @@ def test_schedule_log_equals_object_path(d, poisson):
         assert log.job_index.size == len(inst.jobs)
         assert log.makespan == sched.makespan
         assert _events(log.to_schedule(inst, alloc)) == _events(sched)
-
-
-def test_start_log_accumulates_across_bounded_runs():
-    """run(until) stepping must append to the log, never overwrite it —
-    the resumable-session contract in array form."""
-    inst, alloc = _workload(seed=29)
-    keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    full = priority_loop(inst, alloc, keys, times, None)
-    full.run()
-    ref_i, ref_t = full.start_log()
-
-    loop = priority_loop(inst, alloc, keys, times, None)
-    done = False
-    until = 0.0
-    while not done:
-        done = loop.run(until=until)
-        until += 0.75
-    out_i, out_t = loop.start_log()
-    np.testing.assert_array_equal(out_i, ref_i)
-    np.testing.assert_array_equal(out_t, ref_t)
-
-
-def test_start_log_requires_log_mode():
-    inst, alloc = _workload(seed=31)
-    keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    loop = priority_loop(inst, alloc, keys, times, lambda j, s, t: None)
-    with pytest.raises(ValueError, match="on_start=None"):
-        loop.start_log()
 
 
 # ----------------------------------------------------------------------
@@ -243,39 +193,6 @@ def test_matrix_batches_equal_per_event_reference():
         assert starts[:k + 4] == [0.0] * k + [0.5] * 4
 
 
-def test_matrix_stepped_equals_uninterrupted():
-    """d=6, at capacity 12 (one word) and with every amount scaled onto
-    capacity ``2**11`` (78-bit images; the same sets of jobs fit):
-    ``run(until)`` stepping sees the starts and finishes of the
-    uninterrupted run, in order — one event sequence for both platforms."""
-    inst, alloc = _workload(d=6, seed=37, poisson=True)
-    keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    scale = 2**11 // 12
-    wide = Instance(jobs=inst.jobs, dag=inst.dag, pool=ResourcePool.uniform(6, 2**11))
-    wide_alloc = {j: ResourceVector(tuple(scale * a for a in alloc[j])) for j in alloc}
-
-    def drive(inst, alloc, step):
-        events: list[tuple] = []
-        loop = priority_loop(
-            inst, alloc, keys, times,
-            lambda j, s, t: events.append(("start", j, s)),
-            on_complete=lambda j, now: events.append(("finish", j, now)),
-        )
-        until = None if step is None else 0.0
-        while not loop.run(until=until):
-            until += step
-        assert loop.available() == tuple(inst.pool.capacities)
-        return events, loop.now
-
-    assert inst.compiled().packable and not wide.compiled().packable
-    full = drive(inst, alloc, None)
-    assert sum(e[0] == "finish" for e in full[0]) == len(keys)
-    assert drive(inst, alloc, 0.4) == full
-    assert drive(wide, wide_alloc, None) == full
-    assert drive(wide, wide_alloc, 0.4) == full
-
-
 # ----------------------------------------------------------------------
 # the long side: the demand column, both ways across _VECTOR_QUEUE
 # ----------------------------------------------------------------------
@@ -338,15 +255,12 @@ def _long_queue_instance(n, platform, seed):
     )
 
 
-def _assert_column(loop, mat):
-    """The queue is sorted, and the demand column is a cache of it: there
-    iff the queue is longer than ``_VECTOR_QUEUE``, and then row for row
-    the allocation of the queued jobs (``uint64`` images where they fit)."""
-    rq, pb, ci = loop.rq, loop.pb, loop.ci
-    assert rq == sorted(set(rq)) and loop.L == len(rq)
-    assert (pb is None) == (len(rq) <= _VECTOR_QUEUE)
-    if pb is None:
-        return
+def _assert_column(loop, pb, mat):
+    """The queue is sorted, and the demand column ``pb`` just gathered is a
+    cache of it: row for row the allocation of the queued jobs (``uint64``
+    images where they fit)."""
+    rq, ci = loop.rq, loop.ci
+    assert rq == sorted(set(rq)) and len(rq) > _VECTOR_QUEUE
     col = pb[:len(rq)]
     if ci.packable:
         assert col.dtype == np.uint64 and col.ndim == 1
@@ -360,49 +274,38 @@ def _assert_column(loop, mat):
     platform=st.sampled_from(sorted(_PLATFORMS)),
     rule=st.sampled_from(RULES),
     seed=st.integers(0, 2**31 - 1),
-    log_mode=st.booleans(),
-    step=st.sampled_from((None, 0.7, 5.0)),
 )
 @settings(max_examples=25, deadline=None)
-def test_long_queue_crosses_the_vector_threshold_both_ways(
-    n, platform, rule, seed, log_mode, step
-):
+def test_long_queue_crosses_the_vector_threshold_both_ways(n, platform, rule, seed):
     """The batch twin of the session property of the same name: whichever
     form each pass took, the starts are the per-event PR-1 loop's, in
-    dispatch order, and the column invariant holds wherever ``run(until)``
-    stops — including while the column is live."""
+    dispatch order, and every gather of the demand column caches the queue
+    it was gathered from.  There are at least three: the bag's, the late
+    wave's and the trickle's, the last two each after the queue before
+    them drained below ``_VECTOR_QUEUE``."""
     inst, alloc = _long_queue_instance(n, platform, seed)
     ref = reference_pr1_list_schedule(inst, alloc, rule)
     ci = inst.compiled()
     assert ci.packable == platform.startswith("word")
     mat = ci.alloc_matrix(alloc)
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    starts: list[tuple] = []
-    loop = priority_loop(
-        inst, alloc, rule(inst, alloc, times), times,
-        None if log_mode else lambda j, s, t: starts.append((j, s)),
-    )
-    _assert_column(loop, mat)
-    assert loop.pb is not None  # the bag alone is a long queue
-    ups = downs = 0
-    until = None if step is None else 0.0
-    while True:
-        was_live = loop.pb is not None
-        done = loop.run(until=until)
-        _assert_column(loop, mat)
-        ups += not was_live and loop.pb is not None
-        downs += was_live and loop.pb is None
-        if done:
-            break
-        # step, but never idle through the gaps between the phases
-        until = max(until + step, loop.next_time)
-    assert loop.L == 0 and loop.pb is None
-    if step is not None:
-        # the bag drained, the wave refilled and drained, the trickle too
-        assert ups >= 2 and downs >= 3
-    if log_mode:
-        index, start = loop.start_log()
-        starts = [(ci.order[i], t) for i, t in zip(index.tolist(), start.tolist())]
+    gathers: list[int] = []
+    real = PriorityLoop._column
+
+    def column(loop):
+        pb = real(loop)
+        _assert_column(loop, pb, mat)
+        gathers.append(len(loop.rq))
+        return pb
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PriorityLoop, "_column", column)
+        loop = priority_loop(inst, alloc, rule(inst, alloc, times), times)
+        assert loop.pb is not None  # the bag alone is a long queue
+        loop.run()
+    assert len(gathers) >= 3 and not loop.rq
+    index, start = loop.start_log()
+    starts = [(ci.order[i], t) for i, t in zip(index.tolist(), start.tolist())]
     assert starts == [(j, p.start) for j, p in ref.placements.items()]
     assert loop.now == ref.makespan
 
@@ -416,18 +319,13 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(
     rule=st.sampled_from(RULES),
     seed=st.integers(0, 2**31 - 1),
     zeros=st.sampled_from(("none", "some-jobs", "a-whole-type")),
-    log_mode=st.booleans(),
-    step=st.sampled_from((None, 0.7, 5.0)),
 )
 @settings(max_examples=40, deadline=None)
-def test_cut_leaves_every_event_where_it_was(
-    n, platform, rule, seed, zeros, log_mode, step
-):
+def test_cut_leaves_every_event_where_it_was(n, platform, rule, seed, zeros):
     """With the cut and with ``loop.gmin = 0`` (no field of the availability
-    can fall below zero, so the test never fires) the loop produces the same
-    events in the same order: starts and finishes, run to completion or
-    stepped, on word and wide images, with queues that stay short
-    (``n = 40``: only the late wave and the trickle cross
+    can fall below zero, so the test never fires) the loop records the same
+    start log and makespan, on word and wide images, with queues that stay
+    short (``n = 40``: only the late wave and the trickle cross
     ``_VECTOR_QUEUE``) or start long, and with demands that are zero in a
     type for some jobs or for all of them."""
     inst, alloc = _long_queue_instance(n, platform, seed)
@@ -440,25 +338,16 @@ def test_cut_leaves_every_event_where_it_was(
     keys = rule(inst, alloc, times)
 
     def drive(cut):
-        events: list[tuple] = []
-        loop = priority_loop(
-            inst, alloc, keys, times,
-            None if log_mode else lambda j, s, t: events.append(("start", j, s)),
-            on_complete=lambda j, now: events.append(("finish", j, now)),
-        )
+        loop = priority_loop(inst, alloc, keys, times)
         assert loop.gmin > 0
         if zeros == "a-whole-type":
             assert loop.gmin & ((1 << loop.ci.bits) - 1) == 0
         if not cut:
             loop.gmin = 0
-        until = None if step is None else 0.0
-        while not loop.run(until=until):
-            until = max(until + step, loop.next_time)
-        assert loop.available() == tuple(inst.pool.capacities)
-        if log_mode:
-            index, start = loop.start_log()
-            events.append((index.tolist(), start.tolist()))
-        return events, loop.now
+        loop.run()
+        index, start = loop.start_log()
+        assert index.size == len(inst.jobs)
+        return index.tolist(), start.tolist(), loop.now
 
     assert drive(cut=True) == drive(cut=False)
 
@@ -477,11 +366,12 @@ class _CountedReads(list):
 def _image_reads(inst, alloc, cut=True):
     ci = inst.compiled()
     times = np.array([inst.time(j, alloc[j]) for j in ci.order])
-    loop = priority_loop(inst, alloc, np.arange(ci.n), times, None)
+    loop = priority_loop(inst, alloc, np.arange(ci.n), times)
     if not cut:
         loop.gmin = 0
     loop.img_rank = _CountedReads(loop.img_rank)
-    assert loop.run() is True and loop.start_log()[0].size == ci.n
+    loop.run()
+    assert loop.start_log()[0].size == ci.n
     return loop.img_rank.reads
 
 
@@ -523,30 +413,38 @@ def test_priority_loop_checks_an_allocation_it_lowers_itself(d, amount):
     # plain tuples: a ResourceVector would refuse the negative amount itself
     alloc = {"a": (1,) * d, "b": (amount,) + (1,) * (d - 1), "c": (2,) * d}
     with pytest.raises(ValueError, match="job 'b'"):
-        priority_loop(inst, alloc, keys, times, None)
+        priority_loop(inst, alloc, keys, times)
     with pytest.raises(ValueError, match="job 'c'"):
-        priority_loop(inst, {**alloc, "b": (8,) * d, "c": (0,) * d}, keys, times, None)
+        priority_loop(inst, {**alloc, "b": (8,) * d, "c": (0,) * d}, keys, times)
     # ragged rows with n * d amounts in all: flattened, c's row would
     # borrow a's extra amount instead of being refused
     ragged = {"a": (1,) * (d + 1), "b": (8,) * d, "c": (1,) * (d - 1)}
     with pytest.raises(ValueError, match=f"job 'a'.* {d + 1} amounts for {d} "):
-        priority_loop(inst, ragged, keys, times, None)
-    loop = priority_loop(inst, {**alloc, "b": (8,) * d}, keys, times, None)
-    assert loop.run() is True and loop.start_log()[0].size == 3
+        priority_loop(inst, ragged, keys, times)
+    loop = priority_loop(inst, {**alloc, "b": (8,) * d}, keys, times)
+    loop.run()
+    assert loop.start_log()[0].size == 3
 
 
-def test_run_until_nan_is_refused():
-    """``heap[0][0] > nan`` is false for ever: NaN would drain the whole
-    schedule and answer ``True``.  ``inf`` keeps meaning "to completion"."""
-    inst, alloc = _workload(seed=43)
+def test_priority_loop_calls_nothing_back():
+    """The fifth positional slot is all that is left of the per-start
+    callback: ``None`` is accepted, anything else is refused with the
+    per-event path named (a session streams events as time advances)."""
+    inst, alloc = _workload(seed=31)
     keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
+    with pytest.raises(TypeError, match="SchedulingSession"):
+        priority_loop(inst, alloc, keys, times, lambda j, s, t: None)
     loop = priority_loop(inst, alloc, keys, times, None)
-    with pytest.raises(ValueError, match="NaN"):
-        loop.run(until=float("nan"))
-    assert loop.now == 0.0 and loop.start_log()[0].size == 0
-    assert loop.run(until=float("inf")) is True
+    loop.run()
     assert loop.start_log()[0].size == len(inst.jobs)
+
+
+def test_empty_instance_loop():
+    inst = Instance(jobs={}, dag=DAG(), pool=ResourcePool.uniform(2, 4))
+    loop = priority_loop(inst, {}, {}, {})
+    loop.run()
+    assert loop.now == 0.0 and loop.start_log()[0].size == 0
 
 
 def test_loop_reads_the_compiled_buffers_in_place():
@@ -558,7 +456,7 @@ def test_loop_reads_the_compiled_buffers_in_place():
     assert compile_dag(inst.dag)._succ_lists is None
     keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    loop = priority_loop(inst, alloc, keys, times, None)
+    loop = priority_loop(inst, alloc, keys, times)
     loop.run()
     assert isinstance(loop.remaining, np.ndarray) and loop.remaining.dtype == np.int64
     assert not loop.remaining.any()

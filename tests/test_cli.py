@@ -255,6 +255,62 @@ class TestCommands:
                  for line in out.splitlines() if line.startswith("[")]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "cholesky", "--n", "40", "--d", "3"],
+        ["--scheduler", "tetris", "--arrival-rate", "2.0", "--n", "60"],
+        ["--family", "lu", "--n", "60", "--d", "4", "--capacity", "32768",
+         "--scheduler", "min_time"],
+    ], ids=("cholesky-tuple-ids", "tetris-arrivals", "d4-68-bit-images"))
+    def test_schedule_follow_prints_the_list_schedule_events(self, argv, capsys):
+        """Every printed start and finish is an event of ``list_schedule``
+        under FIFO on the scheduler's allocation: starts in dispatch order
+        with their allocation and duration, finishes in completion order,
+        and at a time point the finishes come before the starts they make
+        room for."""
+        from repro.core.list_scheduler import fifo_priority, list_schedule
+        from repro.experiments.workloads import random_instance
+        from repro.instance.instance import with_poisson_arrivals
+        from repro.registry import get_scheduler
+        from repro.resources.pool import ResourcePool
+
+        args = build_parser().parse_args(["schedule", *argv])
+        wl = random_instance(args.family, args.n,
+                             ResourcePool.uniform(args.d, args.capacity), seed=args.seed)
+        inst = wl.instance
+        if args.arrival_rate is not None:
+            inst = with_poisson_arrivals(inst, args.arrival_rate, seed=args.seed)
+        allocation = get_scheduler(args.scheduler).schedule(inst).allocation
+        placements = list_schedule(inst, allocation, fifo_priority).placements
+
+        assert main(["schedule", *argv, "--follow"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+        starts = [ln for ln in lines if "] start  " in ln]
+        finishes = [ln for ln in lines if "] finish " in ln]
+        assert len(starts) == len(finishes) == len(placements) == inst.n
+        assert starts == [
+            f"[{p.start:12.4f}] start  {j!r} alloc={tuple(int(a) for a in p.alloc)} "
+            f"dur={p.time:.4f}"
+            for j, p in placements.items()
+        ]
+        dispatched = {j: k for k, j in enumerate(placements)}
+        by_finish = sorted(placements, key=lambda j: (placements[j].finish, dispatched[j]))
+        assert finishes == [
+            f"[{placements[j].finish:12.4f}] finish {j!r}" for j in by_finish
+        ]
+        # a start follows every finish at or before its time, and precedes
+        # every finish after it
+        by_repr = {repr(j): j for j in placements}
+        done: set = set()
+        for ln in lines:
+            kind, rest = ln.split("] ", 1)[1].split(None, 1)
+            j = by_repr[rest.split(" alloc=")[0]]
+            if kind == "finish":
+                done.add(j)
+                continue
+            t = placements[j].start
+            assert done >= {k for k, p in placements.items() if p.finish <= t}
+            assert not done & {k for k, p in placements.items() if p.finish > t + 1e-9}
+
     def test_repro_backend_env_is_inert(self, capsys, monkeypatch):
         import warnings
 
@@ -420,6 +476,59 @@ class TestCommands:
         monkeypatch.setenv("REPRO_CHAOS", "op-begin:1.0")
         assert main(["serve"]) == 2
         assert capsys.readouterr().err.startswith("error: REPRO_CHAOS requires --journal")
+
+    @pytest.mark.parametrize("value", ("nan", "-inf"))
+    def test_serve_restore_refuses_a_non_finite_compact_threshold(
+        self, value, tmp_path, capsys, monkeypatch
+    ):
+        """The override used to be assigned unchecked: compaction silently
+        stopped, and every checkpoint carried a threshold that is not JSON
+        and that restore refuses."""
+        import io
+
+        from repro.service import SchedulingSession, save_session
+
+        ck = tmp_path / "ck.json"
+        save_session(SchedulingSession([4]), str(ck))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["serve", "--restore", str(ck), f"--compact-threshold={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --compact-threshold ")
+
+    @pytest.mark.parametrize("value", ("nan", "-inf"))
+    def test_serve_journal_refuses_a_non_finite_compact_threshold(
+        self, value, tmp_path, capsys, monkeypatch
+    ):
+        """The recovered-journal path took the same unchecked override;
+        refused before the snapshot or the journal is touched."""
+        import io
+
+        from repro.service import JournaledSession, SchedulingSession
+        from repro.service.session import JobSpec
+
+        journal = tmp_path / "j.jsonl"
+        js = JournaledSession(SchedulingSession([4]), str(journal),
+                              str(journal) + ".snapshot.json")
+        js.checkpoint()
+        js.submit([JobSpec("a", (2,), 1.0)])
+        js.close()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["serve", "--journal", str(journal),
+                     f"--compact-threshold={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --compact-threshold ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_serve_refuses_the_retired_flush_delay_point(self, tmp_path, capsys, monkeypatch):
+        """``flush-delay`` slept only with a delay no caller could pass, so
+        ``--chaos flush-delay`` was accepted and injected nothing."""
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        assert main(["serve", "--journal", str(tmp_path / "j.jsonl"),
+                     "--chaos", "flush-delay"]) == 2
+        assert "unknown chaos point(s) ['flush-delay']" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_serve_bad_restore(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -303,6 +303,12 @@ class TestChaosInjector:
         with pytest.raises(ValueError, match="unknown chaos point"):
             ChaosInjector({"op-oops": 1.0})
 
+    def test_flush_delay_is_not_a_point(self):
+        """The one non-crash point slept only given a ``delay`` that no
+        caller passed; it is gone rather than accepted and inert."""
+        with pytest.raises(ValueError, match=r"unknown chaos point\(s\) \['flush-delay'\]"):
+            ChaosInjector({"flush-delay": 1.0})
+
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="must be in"):
             ChaosInjector({"op-begin": 1.5})

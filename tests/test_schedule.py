@@ -345,21 +345,6 @@ class TestColumnBackedSchedule:
         with pytest.raises(ValueError, match="before time 0"):
             s.validate()
 
-    def test_on_event_streams_every_start_and_finish_in_order(self, case, built):
-        inst, alloc = case
-        events = []
-        s = list_schedule(
-            inst, alloc, on_event=lambda kind, j, t, dur: events.append((kind, j, t, dur))
-        )
-        assert built[0] == len(inst.jobs)  # the callback form builds as it goes
-        assert s == list_schedule(inst, alloc)
-        times = [t for _, _, t, _ in events]
-        assert times == sorted(times)
-        starts = [(j, t, dur) for kind, j, t, dur in events if kind == "start"]
-        assert starts == [(j, p.start, p.time) for j, p in s.placements.items()]
-        finishes = {j: t for kind, j, t, dur in events if kind == "finish"}
-        assert finishes == {j: p.finish for j, p in s.placements.items()}
-
     def test_empty_schedule_from_columns(self):
         inst = Instance(jobs={}, dag=DAG(nodes=[]), pool=ResourcePool.of(2))
         s = list_schedule(inst, {})

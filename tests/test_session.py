@@ -20,7 +20,7 @@ from repro.conformance.fuzz import drive_session_faithfully, portable_events, se
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.generators import layered_random
 from repro.dag.graph import DAG
-from repro.engine.dispatch import _VECTOR_QUEUE, priority_loop
+from repro.engine.dispatch import _VECTOR_QUEUE
 from repro.experiments.workloads import random_instance
 from repro.instance.compiled import GrowableCompiledInstance
 from repro.instance.instance import Instance, with_poisson_arrivals, with_release_times
@@ -661,43 +661,3 @@ def test_session_packing_boundary_identity(boundary):
     assert narrow[2] == wide[2]
     if boundary == "long-queue":
         assert narrow[1] == wide[1] > _VECTOR_QUEUE
-
-
-class TestReentrantBatchLoops:
-    """priority_loop: stepping run(until) must equal one run() to completion."""
-
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_stepped_run_matches_full_run(self, d):
-        pool = ResourcePool.uniform(d, 8)
-        inst = random_instance("layered", 16, pool, seed=2).instance
-        inst = with_poisson_arrivals(inst, 3.0, seed=2)
-        alloc = fixed_allocation(inst, d)
-        durations = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-        keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
-
-        full: dict = {}
-        loop = priority_loop(inst, alloc, keys, durations,
-                             lambda j, t, dur: full.__setitem__(j, (t, dur)))
-        assert loop.run() is True
-
-        stepped: dict = {}
-        loop2 = priority_loop(inst, alloc, keys, durations,
-                              lambda j, t, dur: stepped.__setitem__(j, (t, dur)))
-        steps = 0
-        while not loop2.run(until=loop2.next_time):
-            steps += 1
-            assert loop2.now <= loop2.next_time
-        assert steps > 1  # the stepping actually resumed mid-schedule
-        assert stepped == full
-        assert loop2.now == loop.now
-        assert loop2.available() == loop.available() == tuple(pool.capacities)
-
-    def test_empty_instance_loop(self):
-        from repro.dag.graph import DAG
-        from repro.instance.instance import Instance
-
-        inst = Instance(jobs={}, dag=DAG(), pool=ResourcePool.uniform(2, 4))
-        loop = priority_loop(inst, {}, {}, {}, lambda *a: None)
-        assert loop.run() is True
-        assert loop.now == 0.0
-        assert loop.available() == (4, 4)
