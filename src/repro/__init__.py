@@ -27,7 +27,6 @@ from repro.jobs import (
     MultiResourceTime,
     random_multi_resource_time,
     TabulatedTimeFunction,
-    pareto_filter,
 )
 from repro.jobs.candidates import full_grid, geometric_grid, diagonal_grid, make_candidates
 from repro.instance import Instance, make_instance
@@ -63,7 +62,6 @@ __all__ = [
     "MultiResourceTime",
     "random_multi_resource_time",
     "TabulatedTimeFunction",
-    "pareto_filter",
     "full_grid",
     "geometric_grid",
     "diagonal_grid",

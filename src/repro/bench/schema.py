@@ -68,7 +68,6 @@ def capture_environment() -> dict[str, Any]:
     Best-effort: a missing git checkout records ``git_sha: null`` rather
     than failing the run.
     """
-    import networkx
     import numpy
     import scipy
 
@@ -87,7 +86,6 @@ def capture_environment() -> dict[str, Any]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "networkx": networkx.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

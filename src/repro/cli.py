@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -222,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fuzz(args) -> int:
     import json
-    import os
 
     from repro.conformance.fuzz import default_matrix, run_fuzz
 
@@ -273,7 +273,6 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_bench(args) -> int:
     import json
-    import os
 
     from repro.bench.compare import compare_documents, merge_baseline
     from repro.bench.registry import available_benchmarks, benchmark_specs
@@ -408,12 +407,29 @@ def _follow_replay(inst, result) -> "Schedule | None":
     return Schedule(instance=inst, placements=placements)
 
 
+def _trace_path_error(path: "str | None") -> "str | None":
+    """Why ``--trace path`` could not be written, or ``None``: checked
+    before any work, so a bad path does not cost the run its trace."""
+    if path is None:
+        return None
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"error: --trace: directory {parent} does not exist"
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return f"error: --trace: directory {parent} is not writable"
+    return None
+
+
 def _cmd_schedule(args) -> int:
     try:
         spec = get_scheduler(args.scheduler)
     except KeyError:
         print(f"unknown scheduler {args.scheduler!r}; "
               f"registered: {', '.join(available_schedulers())}", file=sys.stderr)
+        return 2
+    trace_error = _trace_path_error(args.trace)
+    if trace_error:
+        print(trace_error, file=sys.stderr)
         return 2
     try:
         pool = ResourcePool.uniform(args.d, args.capacity)
@@ -569,7 +585,6 @@ def _cmd_supervise(args, argv: "Sequence[str] | None") -> int:
 
 def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
     import json
-    import os
 
     from repro.service import (
         ChaosInjector,
@@ -604,6 +619,11 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
             if value is not None:
                 print(f"error: {flag} requires --supervise", file=sys.stderr)
                 return 2
+
+    trace_error = _trace_path_error(args.trace)
+    if trace_error:
+        print(trace_error, file=sys.stderr)
+        return 2
 
     if args.supervise:
         if args.restore:

@@ -22,7 +22,7 @@ from repro.core.list_scheduler import (
     bottom_level_priority,
     explicit_priority,
 )
-from repro.core.lower_bounds import lp_lower_bound, exact_lmin_bruteforce, trivial_lower_bounds
+from repro.core.lower_bounds import lp_lower_bound
 from repro.core.sp_fptas import SPAllocation, sp_fptas_allocation
 from repro.core.two_phase import MoldableScheduler, ScheduleResult
 from repro.core import theory
@@ -49,8 +49,6 @@ __all__ = [
     "bottom_level_priority",
     "explicit_priority",
     "lp_lower_bound",
-    "exact_lmin_bruteforce",
-    "trivial_lower_bounds",
     "SPAllocation",
     "sp_fptas_allocation",
     "MoldableScheduler",

@@ -282,7 +282,8 @@ def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]
         j = job_order[int(job_of[np.flatnonzero(~ok)[0]])]
         raise ValueError(
             f"job {j!r}: candidate times must be positive, finite and strictly increasing, "
-            "areas finite and strictly decreasing (the order pareto_filter returns)"
+            "areas finite and strictly decreasing (an Eq. (2) frontier, as candidate_table "
+            "returns)"
         )
 
     hull = _lower_hulls(times, areas, job_of)

@@ -46,7 +46,6 @@ __all__ = [
     "ScheduleLog",
     "list_schedule",
     "list_schedule_log",
-    "portfolio_list_schedule",
 ]
 
 JobId = Hashable
@@ -131,20 +130,6 @@ def explicit_priority(keys: Mapping[JobId, object]) -> PriorityRule:
     return rule
 
 
-def _setup(instance, allocation):
-    """Phase 2's set-up, the part no priority rule changes: the validated
-    ``(n, d)`` allocation matrix (``None`` when only the per-job check could
-    run) and the execution-time vector, both in topological order."""
-    alloc_mat = instance.validate_allocation_map(allocation)
-    ci = instance.compiled()
-    times_vec = np.fromiter(
-        (instance.time(j, allocation[j]) for j in ci.order),
-        dtype=np.float64,
-        count=ci.n,
-    )
-    return alloc_mat, times_vec
-
-
 class ScheduleLog(NamedTuple):
     """Array-native result of one list-scheduling run.
 
@@ -173,13 +158,30 @@ class ScheduleLog(NamedTuple):
         return Schedule.from_log(instance, self, allocation)
 
 
-def _log_schedule(instance, allocation, priority, setup) -> ScheduleLog:
-    """Run Algorithm 2 under ``priority`` on a :func:`_setup` result, to
-    completion, and return its start log.  The keys are a 1-D array in
-    topological order when the rule has an ``as_array`` form (see
-    :data:`PriorityRule`), a mapping over job ids otherwise."""
-    alloc_mat, times_vec = setup
+def list_schedule_log(
+    instance: Instance,
+    allocation: Mapping[JobId, ResourceVector],
+    priority: PriorityRule = fifo_priority,
+) -> ScheduleLog:
+    """Algorithm 2 with array output: the start log instead of a Schedule.
+
+    ``allocation`` must cover every job and fit within the pool's
+    capacities (guaranteed by Phase 1; validated here).  Deterministic for a
+    fixed priority rule.  The event loop — virtual time, completion
+    batching, packed resource accounting, release gating for online
+    arrivals — lives in :mod:`repro.engine`; this function contributes only
+    the priority keys.  No python callback fires and no placement object
+    is built.  The keys are a 1-D array in topological order when the rule
+    has an ``as_array`` form (see :data:`PriorityRule`), a mapping over job
+    ids otherwise.
+    """
+    alloc_mat = instance.validate_allocation_map(allocation)
     order = instance.compiled().order
+    times_vec = np.fromiter(
+        (instance.time(j, allocation[j]) for j in order),
+        dtype=np.float64,
+        count=len(order),
+    )
     as_array = getattr(priority, "as_array", None)
     if as_array is not None:
         keys = as_array(instance, allocation, times_vec)
@@ -197,24 +199,6 @@ def _log_schedule(instance, allocation, priority, setup) -> ScheduleLog:
         duration=times_vec,
         makespan=float(loop.now),
     )
-
-
-def list_schedule_log(
-    instance: Instance,
-    allocation: Mapping[JobId, ResourceVector],
-    priority: PriorityRule = fifo_priority,
-) -> ScheduleLog:
-    """Algorithm 2 with array output: the start log instead of a Schedule.
-
-    ``allocation`` must cover every job and fit within the pool's
-    capacities (guaranteed by Phase 1; validated here).  Deterministic for a
-    fixed priority rule.  The event loop — virtual time, completion
-    batching, packed resource accounting, release gating for online
-    arrivals — lives in :mod:`repro.engine`; this function contributes only
-    the priority keys.  No python callback fires and no placement object
-    is built.
-    """
-    return _log_schedule(instance, allocation, priority, _setup(instance, allocation))
 
 
 def list_schedule(
@@ -236,42 +220,3 @@ def list_schedule(
     return list_schedule_log(instance, allocation, priority).to_schedule(
         instance, allocation
     )
-
-
-def portfolio_list_schedule(
-    instance: Instance,
-    allocation: Mapping[JobId, ResourceVector],
-    rules: Mapping[str, PriorityRule] | None = None,
-) -> tuple[Schedule, str]:
-    """Run Algorithm 2 under several priority rules, keep the best schedule.
-
-    Every candidate inherits the approximation guarantee (the proofs hold
-    for *any* queue order), so the portfolio can only improve the constant.
-    Returns ``(schedule, winning_rule_name)``.
-
-    Tie-breaking contract: **the first rule (in ``rules`` iteration order)
-    wins ties** — a later rule replaces the incumbent only when its makespan
-    is strictly better by more than the 1e-12 tolerance.  Downstream
-    experiments key on the winner's name, so this is load-bearing and
-    guarded by a regression test (``tests/test_list_scheduler.py``).
-    """
-    if rules is None:
-        rules = {
-            "bottom_level": bottom_level_priority,
-            "fifo": fifo_priority,
-            "lpt": lpt_priority,
-            "random": random_priority(0),
-        }
-    if not rules:
-        raise ValueError("portfolio needs at least one priority rule")
-    best: tuple[float, Schedule, str] | None = None
-    setup = _setup(instance, allocation)  # once, not once per rule
-    for name, rule in rules.items():
-        sched = _log_schedule(instance, allocation, rule, setup).to_schedule(
-            instance, allocation
-        )
-        # strict improvement required: earlier rules keep ties
-        if best is None or sched.makespan < best[0] - 1e-12:
-            best = (sched.makespan, sched, name)
-    assert best is not None
-    return best[1], best[2]

@@ -1,75 +1,24 @@
-"""Makespan lower bounds used as ratio denominators and test oracles.
+"""The makespan lower bound used as the ratio denominator.
 
 The chain of inequalities (Lemmas 1-2 and LP relaxation)::
 
     L_LP  <=  L_min  <=  T_opt
 
-* :func:`lp_lower_bound` — the fractional DTCT optimum (any instance);
-* :func:`exact_lmin_bruteforce` — exact ``L_min`` over the candidate set by
-  exhaustive enumeration (tiny instances; the test oracle for the FPTAS and
-  Lemma 8);
-* :func:`trivial_lower_bounds` — ``max_j min_p t_j(p)`` and
-  ``Σ_j min_p a_j(p)``: cheap sanity floors.
+:func:`lp_lower_bound` is the fractional DTCT optimum (any instance).  The
+exact ``L_min`` by enumeration, the test oracle for the FPTAS and Lemma 8,
+is ``tests/helpers.py::exact_lmin_bruteforce``.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Hashable
-
 from repro.core.dtct import solve_dtct_lp
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
-from repro.resources.vector import ResourceVector
 
-__all__ = ["lp_lower_bound", "exact_lmin_bruteforce", "trivial_lower_bounds"]
-
-JobId = Hashable
+__all__ = ["lp_lower_bound"]
 
 
 def lp_lower_bound(instance: Instance, strategy: CandidateStrategy | None = None) -> float:
     """``L_LP`` — the fractional DTCT optimum (certified ``<= T_opt``)."""
     table = instance.candidate_table(strategy)
     return solve_dtct_lp(instance, table).lower_bound
-
-
-def exact_lmin_bruteforce(
-    instance: Instance,
-    strategy: CandidateStrategy | None = None,
-    *,
-    max_combinations: int = 2_000_000,
-) -> tuple[float, dict[JobId, ResourceVector]]:
-    """Exact ``L_min`` by enumerating every combination of candidates.
-
-    Exponential in the number of jobs: refuses to run past
-    ``max_combinations`` (it is a test oracle, not an algorithm).
-    """
-    table = instance.candidate_table(strategy)
-    jobs = list(instance.jobs)
-    count = 1
-    for j in jobs:
-        count *= len(table[j])
-        if count > max_combinations:
-            raise ValueError(
-                f"brute force would enumerate > {max_combinations} combinations"
-            )
-    best_l = float("inf")
-    best: dict[JobId, ResourceVector] = {}
-    for combo in product(*(table[j] for j in jobs)):
-        alloc = {j: e.alloc for j, e in zip(jobs, combo)}
-        l = instance.lower_bound_functional(alloc)
-        if l < best_l:
-            best_l, best = l, alloc
-    return best_l, best
-
-
-def trivial_lower_bounds(instance: Instance, strategy: CandidateStrategy | None = None) -> dict[str, float]:
-    """Cheap floors: ``max_j min t_j`` (a job must run) and ``Σ_j min a_j``
-    (total area must fit)."""
-    table = instance.candidate_table(strategy)
-    if not instance.jobs:
-        return {"max_min_time": 0.0, "min_total_area": 0.0}
-    return {
-        "max_min_time": max(min(e.time for e in table[j]) for j in instance.jobs),
-        "min_total_area": sum(min(e.area for e in table[j]) for j in instance.jobs),
-    }

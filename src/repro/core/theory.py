@@ -180,12 +180,6 @@ def theorem2_ratio_estimate(d: int) -> float:
     return g_bound(d, mu, rho_star(d, mu))
 
 
-def theorem2_pmin(d: int) -> float:
-    """Capacity precondition of Theorem 2 (``P_min >= 1/µ*²``)."""
-    m = mu_star(d)
-    return 1.0 / (m * m)
-
-
 # ----------------------------------------------------------------------
 # Theorems 3-4 (series-parallel graphs and trees)
 # ----------------------------------------------------------------------
@@ -212,13 +206,6 @@ def theorem4_ratio(d: int, eps: float = 0.0) -> float:
     if eps < 0:
         raise ValueError("ε must be >= 0")
     return (1.0 + eps) * (d + 2.0 * math.sqrt(d - 1.0))
-
-
-def sp_ratio(d: int, eps: float = 0.0) -> float:
-    """The better of Theorems 3-4 for SP graphs / trees."""
-    if d < 4:
-        return theorem3_ratio(d, eps)
-    return min(theorem3_ratio(d, eps), theorem4_ratio(d, eps))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Precedence-constraint DAGs (Section 3.1) and workload graph generators."""
 
 from repro.dag.graph import DAG
-from repro.dag.paths import critical_path, critical_path_length, bottom_levels, top_levels
+from repro.dag.paths import critical_path, critical_path_length, bottom_levels
 from repro.dag.sp import SPNode, SPLeaf, SPSeries, SPParallel, sp_to_dag, tree_to_sp, random_sp_tree
 from repro.dag import generators
 
@@ -10,7 +10,6 @@ __all__ = [
     "critical_path",
     "critical_path_length",
     "bottom_levels",
-    "top_levels",
     "SPNode",
     "SPLeaf",
     "SPSeries",

@@ -6,10 +6,11 @@ from:
 * structureless: :func:`independent`, :func:`erdos_renyi_dag`,
   :func:`layered_random`;
 * classic shapes: :func:`chain`, :func:`fork_join`, :func:`random_out_tree`,
-  :func:`random_in_tree`, :func:`random_sp_dag`;
+  :func:`random_in_tree` (random series-parallel graphs are
+  :func:`repro.dag.sp.random_sp_tree` + :func:`~repro.dag.sp.sp_to_dag`);
 * dense linear-algebra workflows (the paper's HPC motivation):
-  :func:`cholesky_dag`, :func:`lu_dag`, :func:`qr_dag`;
-* iterative/stencil workflows: :func:`stencil_dag`, :func:`fft_dag`.
+  :func:`cholesky_dag`, :func:`lu_dag`;
+* iterative/stencil workflows: :func:`stencil_dag`.
 
 All generators return a :class:`~repro.dag.graph.DAG`; stochastic ones take a
 ``seed`` (int / Generator / None) and are deterministic for a fixed seed.
@@ -22,7 +23,6 @@ from typing import Hashable
 import numpy as np
 
 from repro.dag.graph import DAG
-from repro.dag.sp import random_sp_tree, sp_to_dag
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -33,12 +33,9 @@ __all__ = [
     "erdos_renyi_dag",
     "random_out_tree",
     "random_in_tree",
-    "random_sp_dag",
     "cholesky_dag",
     "lu_dag",
-    "qr_dag",
     "stencil_dag",
-    "fft_dag",
 ]
 
 JobId = Hashable
@@ -143,16 +140,6 @@ def random_in_tree(n: int, seed: int | np.random.Generator | None = None) -> DAG
     return g
 
 
-def random_sp_dag(
-    n: int,
-    seed: int | np.random.Generator | None = None,
-    *,
-    p_series: float = 0.5,
-) -> DAG:
-    """A random series-parallel DAG with ``n`` jobs (see :mod:`repro.dag.sp`)."""
-    return sp_to_dag(random_sp_tree(n, seed, p_series=p_series))
-
-
 # ----------------------------------------------------------------------
 # dense linear algebra task graphs
 # ----------------------------------------------------------------------
@@ -225,48 +212,8 @@ def lu_dag(b: int) -> DAG:
     return g
 
 
-def qr_dag(b: int) -> DAG:
-    """Tiled QR factorization task graph (flat-tree TS kernels) on ``b × b``
-    tiles: ``("geqrt", k)``, ``("ormqr", k, j)``, ``("tsqrt", k, i)``,
-    ``("tsmqr", k, i, j)``."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    g = DAG()
-
-    def upd(k: int, i: int, j: int) -> JobId:
-        """The task producing tile (i, j) at the end of step k."""
-        if i == k:
-            return ("ormqr", k, j)
-        return ("tsmqr", k, i, j)
-
-    for k in range(b):
-        geqrt = ("geqrt", k)
-        g.add_node(geqrt)
-        if k > 0:
-            g.add_edge(upd(k - 1, k, k), geqrt)
-        for j in range(k + 1, b):
-            orm = ("ormqr", k, j)
-            g.add_edge(geqrt, orm)
-            if k > 0:
-                g.add_edge(upd(k - 1, k, j), orm)
-        prev = geqrt
-        for i in range(k + 1, b):
-            ts = ("tsqrt", k, i)
-            g.add_edge(prev, ts)
-            if k > 0:
-                g.add_edge(upd(k - 1, i, k), ts)
-            prev = ts
-            for j in range(k + 1, b):
-                tm = ("tsmqr", k, i, j)
-                g.add_edge(ts, tm)
-                g.add_edge(upd(k, i - 1, j) if i - 1 > k else ("ormqr", k, j), tm)
-                if k > 0:
-                    g.add_edge(upd(k - 1, i, j), tm)
-    return g
-
-
 # ----------------------------------------------------------------------
-# iterative / spectral workflows
+# iterative workflows
 # ----------------------------------------------------------------------
 def stencil_dag(width: int, steps: int) -> DAG:
     """A 1-D 3-point stencil unrolled over time: job ``(t, i)`` depends on
@@ -280,20 +227,4 @@ def stencil_dag(width: int, steps: int) -> DAG:
                 j = i + di
                 if 0 <= j < width:
                     g.add_edge((t - 1, j), (t, i))
-    return g
-
-
-def fft_dag(log2n: int) -> DAG:
-    """Butterfly (Cooley-Tukey FFT) task graph on ``2**log2n`` lanes:
-    job ``(s, i)`` at stage ``s`` depends on ``(s-1, i)`` and
-    ``(s-1, i XOR 2**(s-1))``."""
-    if log2n < 1:
-        raise ValueError("log2n must be >= 1")
-    n = 1 << log2n
-    g = DAG(nodes=((s, i) for s in range(log2n + 1) for i in range(n)))
-    for s in range(1, log2n + 1):
-        stride = 1 << (s - 1)
-        for i in range(n):
-            g.add_edge((s - 1, i), (s, i))
-            g.add_edge((s - 1, i ^ stride), (s, i))
     return g

@@ -150,36 +150,5 @@ class DAG:
         """Raise ``ValueError`` on cycles (acyclicity check)."""
         self.topological_order()
 
-    def ancestors(self, node: JobId) -> set[JobId]:
-        """All transitive predecessors of ``node``."""
-        out: set[JobId] = set()
-        stack = list(self._pred[node])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._pred[u])
-        return out
-
-    def descendants(self, node: JobId) -> set[JobId]:
-        """All transitive successors of ``node``."""
-        out: set[JobId] = set()
-        stack = list(self._succ[node])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._succ[u])
-        return out
-
-    def relabel(self, mapping: dict[JobId, JobId]) -> "DAG":
-        """A copy with node ids mapped through ``mapping`` (must be injective)."""
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("relabel mapping must be injective")
-        g = DAG((mapping.get(n, n) for n in self.nodes()))
-        for u, v in self.edges():
-            g.add_edge(mapping.get(u, u), mapping.get(v, v))
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DAG(n={len(self)}, m={self.num_edges})"

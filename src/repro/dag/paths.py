@@ -1,10 +1,10 @@
 """Weighted path computations on precedence DAGs (Definition 2).
 
 Given per-job execution times ``t_j`` these compute the critical-path
-length ``C(p) = max_f Σ_{j∈f} t_j`` and the standard *top level* /
-*bottom level* quantities used by global list-scheduling priorities.
+length ``C(p) = max_f Σ_{j∈f} t_j`` and the *bottom level* used by the
+global list-scheduling priority.
 
-All three run on the cached array lowering of the DAG
+Both run on the cached array lowering of the DAG
 (:mod:`repro.instance.compiled`): one level-batched numpy sweep over the
 CSR adjacency instead of a per-node python recursion, with bit-identical
 results (only ``max`` and ``+`` are involved).
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.dag.graph import DAG
 
-__all__ = ["critical_path_length", "critical_path", "bottom_levels", "top_levels"]
+__all__ = ["critical_path_length", "critical_path", "bottom_levels"]
 
 JobId = Hashable
 
@@ -35,17 +35,6 @@ def bottom_levels(dag: DAG, times: Mapping[JobId, float]) -> dict[JobId, float]:
     cd = compile_dag(dag)
     b = bottom_levels_array(cd, _times_vector(cd.order, times))
     return dict(zip(cd.order, b.tolist()))
-
-
-def top_levels(dag: DAG, times: Mapping[JobId, float]) -> dict[JobId, float]:
-    """Top level ``top(j)``: longest total time of a path ending just before
-    ``j`` (exclusive of ``t_j``) — the earliest possible start of ``j`` with
-    unlimited resources."""
-    from repro.instance.compiled import compile_dag, top_levels_array
-
-    cd = compile_dag(dag)
-    t = top_levels_array(cd, _times_vector(cd.order, times))
-    return dict(zip(cd.order, t.tolist()))
 
 
 def critical_path_length(dag: DAG, times: Mapping[JobId, float]) -> float:

@@ -665,11 +665,6 @@ class IncrementalPriorityLoop:
         gi = self.gi
         return _unpack(self.avh - gi.fit_mask, gi.d, gi.bits)
 
-    def ready_items(self) -> list[tuple[object, int]]:
-        """The ready queue as ``(key, index)`` tuples in dispatch order (a
-        copy of :attr:`rq`)."""
-        return list(self.rq)
-
     # ------------------------------------------------------------------
     # ready-queue maintenance
     # ------------------------------------------------------------------

@@ -1,24 +1,19 @@
-"""Frozen pre-kernel scheduling loops, kept for differential testing.
+"""Frozen Algorithm 2 loops, kept for differential testing.
 
-Before the :mod:`repro.engine` refactor, the event loop was re-implemented
-(with subtle drift in tie-breaking and resource accounting) in the core list
-scheduler, the dynamic-baseline engine, the shelf packers, the backfill
-planner and the malleable scheduler.  This module preserves those original
-loops *verbatim in behavior* so that the equivalence tests
-(``tests/test_engine_equivalence.py``) can assert the kernel ports produce
-identical schedules.
-
-The module holds two generations of frozen loops: the original pre-kernel
-python loops (``reference_*``) and the PR-1 kernel driver
+The module holds two generations of the list-scheduling loop: the original
+pre-kernel python loop (:func:`reference_list_schedule`, with its
+:func:`reference_bottom_level_priority`) and the PR-1 kernel driver
 (:func:`reference_pr1_list_schedule`) — the ``insort``-queue, dict-bookkeeping
 dispatch that the compiled-instance engine replaced, on a private copy of
 the part of that era's event kernel it drives (:class:`_PR1Kernel`; the
 kernel itself is gone from the engine).  Do not use this
 module for scheduling — it exists only as an executable specification of
-the old behavior.  Its consumers are the equivalence tests and the
-conformance fuzzer (:mod:`repro.conformance.fuzz`), which
-races the live engine against these loops event-for-event on every case
-it sweeps.
+the old behavior.  Its consumers are the conformance fuzzer
+(:mod:`repro.conformance.fuzz`), which races the live engine against these
+loops event-for-event on every case it sweeps, and the equivalence tests.
+The frozen loops of the other schedulers (the dynamic baselines, the shelf
+packer, the backfill planner, the malleable scheduler) are test oracles
+only and live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -37,10 +32,6 @@ __all__ = [
     "reference_bottom_level_priority",
     "reference_list_schedule",
     "reference_pr1_list_schedule",
-    "reference_run_dynamic",
-    "reference_pack_shelf_placements",
-    "reference_backfill_plan",
-    "reference_malleable_task_starts",
 ]
 
 JobId = Hashable
@@ -324,186 +315,3 @@ def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule
     if len(placements) != len(instance.jobs):
         raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
     return Schedule(instance=instance, placements=placements)
-
-
-def reference_run_dynamic(instance, policy) -> Schedule:
-    """The pre-kernel dynamic-allocation loop (Tetris/HEFT substrate)."""
-    dag = instance.dag
-    remaining = {j: dag.in_degree(j) for j in instance.jobs}
-    ready: list[JobId] = list(dag.sources())
-    avail = list(instance.pool.capacities)
-    d = instance.d
-    running: list[tuple[float, int, JobId]] = []
-    seq = 0
-    now = 0.0
-    placements: dict[JobId, ScheduledJob] = {}
-
-    while ready or running:
-        while True:
-            starts = policy(instance, list(ready), tuple(avail))
-            if not starts:
-                break
-            for j, alloc in starts:
-                if j not in ready:
-                    raise RuntimeError(f"policy started non-ready job {j!r}")
-                instance.pool.validate_allocation(alloc)
-                if any(alloc[r] > avail[r] for r in range(d)):
-                    raise RuntimeError(
-                        f"policy overcommitted: {tuple(alloc)} vs available {tuple(avail)}"
-                    )
-                t = instance.time(j, alloc)
-                for r in range(d):
-                    avail[r] -= alloc[r]
-                placements[j] = ScheduledJob(job_id=j, start=now, time=t, alloc=alloc)
-                heapq.heappush(running, (now + t, seq, j))
-                seq += 1
-                ready.remove(j)
-
-        if not running:
-            if ready:
-                raise RuntimeError("policy stalled with ready jobs and an idle platform")
-            break
-
-        now, _, j = heapq.heappop(running)
-        done = [j]
-        while running and running[0][0] <= now + 1e-12:
-            done.append(heapq.heappop(running)[2])
-        for c in done:
-            a = placements[c].alloc
-            for r in range(d):
-                avail[r] += a[r]
-            for s in dag.successors(c):
-                remaining[s] -= 1
-                if remaining[s] == 0:
-                    ready.append(s)
-
-    if len(placements) != len(instance.jobs):
-        raise RuntimeError("dynamic engine failed to place every job")
-    return Schedule(instance=instance, placements=placements)
-
-
-def reference_pack_shelf_placements(
-    jobs, allocation, times, capacities, *, t0: float = 0.0
-) -> tuple[dict[JobId, ScheduledJob], float]:
-    """The pre-kernel first-fit shelf loop shared (by copy) between the
-    level-shelf baseline and Sun et al.'s pack scheduler."""
-    caps = capacities
-    d = len(caps)
-    shelves: list[dict] = []
-    for j in jobs:
-        a = allocation[j]
-        placed = False
-        for shelf in shelves:
-            if all(shelf["used"][r] + a[r] <= caps[r] for r in range(d)):
-                shelf["jobs"].append(j)
-                for r in range(d):
-                    shelf["used"][r] += a[r]
-                placed = True
-                break
-        if not placed:
-            shelves.append({"jobs": [j], "used": list(a), "height": times[j]})
-    placements: dict[JobId, ScheduledJob] = {}
-    for shelf in shelves:
-        for j in shelf["jobs"]:
-            placements[j] = ScheduledJob(job_id=j, start=t0, time=times[j], alloc=allocation[j])
-        t0 += shelf["height"]
-    return placements, t0
-
-
-def reference_backfill_plan(instance, allocation, times, order) -> dict[JobId, ScheduledJob]:
-    """The pre-kernel conservative-backfilling reservation loop."""
-    reserved: dict[JobId, ScheduledJob] = {}
-    pending = list(order)
-    caps = instance.pool.capacities
-    d = instance.d
-
-    def earliest_fit(est: float, alloc, duration: float) -> float:
-        points = sorted({est} | {r.finish for r in reserved.values() if r.finish > est})
-        for t in points:
-            end = t + duration
-            ok = True
-            probes = [t] + [r.start for r in reserved.values() if t < r.start < end - 1e-12]
-            for probe in probes:
-                usage = [0] * d
-                for r in reserved.values():
-                    if r.start <= probe + 1e-12 and probe < r.finish - 1e-12:
-                        for i in range(d):
-                            usage[i] += r.alloc[i]
-                if any(usage[i] + alloc[i] > caps[i] for i in range(d)):
-                    ok = False
-                    break
-            if ok:
-                return t
-        return max((r.finish for r in reserved.values()), default=est)
-
-    while pending:
-        progressed = False
-        for j in list(pending):
-            preds = instance.dag.predecessors(j)
-            if any(p not in reserved for p in preds):
-                continue
-            est = max((reserved[p].finish for p in preds), default=0.0)
-            start = earliest_fit(est, allocation[j], times[j])
-            reserved[j] = ScheduledJob(job_id=j, start=start, time=times[j], alloc=allocation[j])
-            pending.remove(j)
-            progressed = True
-        if not progressed:
-            raise RuntimeError("backfill planning stalled")
-    return reserved
-
-
-def reference_malleable_task_starts(instance) -> dict:
-    """The pre-kernel unit-time-stepped malleable loop."""
-    inst = instance
-    outer_remaining = {j: inst.dag.in_degree(j) for j in inst.jobs}
-    job_tasks_left = {j: inst.jobs[j].n_tasks for j in inst.jobs}
-    open_jobs = [j for j in inst.dag.topological_order() if outer_remaining[j] == 0]
-
-    intra_remaining = {
-        j: {t: inst.jobs[j].tasks.in_degree(t) for t in inst.jobs[j].tasks.nodes()}
-        for j in inst.jobs
-    }
-    ready = [
-        (j, t)
-        for j in open_jobs
-        for t, k in intra_remaining[j].items()
-        if k == 0
-    ]
-    task_start: dict = {}
-    step = 0
-    total = sum(job_tasks_left.values())
-
-    while len(task_start) < total:
-        if not ready:
-            raise RuntimeError("malleable scheduler stalled")
-        avail = list(inst.pool.capacities)
-        started = []
-        leftover = []
-        for j, t in ready:
-            r = inst.jobs[j].rtype[t]
-            if avail[r] > 0:
-                avail[r] -= 1
-                task_start[(j, t)] = step
-                started.append((j, t))
-            else:
-                leftover.append((j, t))
-        ready = leftover
-        newly_open = []
-        for j, t in started:
-            job_tasks_left[j] -= 1
-            for s in inst.jobs[j].tasks.successors(t):
-                intra_remaining[j][s] -= 1
-                if intra_remaining[j][s] == 0:
-                    ready.append((j, s))
-            if job_tasks_left[j] == 0:
-                for nxt in inst.dag.successors(j):
-                    outer_remaining[nxt] -= 1
-                    if outer_remaining[nxt] == 0:
-                        newly_open.append(nxt)
-        for j in newly_open:
-            for t, k in intra_remaining[j].items():
-                if k == 0:
-                    ready.append((j, t))
-        step += 1
-
-    return task_start

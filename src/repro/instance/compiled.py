@@ -7,19 +7,19 @@ that structure once into dense numpy arrays and caches the result, so every
 run over the same instance reuses it:
 
 * :class:`CompiledDAG` — topological order, id ↔ index maps, CSR successor
-  and predecessor adjacency, in/out-degree vectors and (lazily) the
-  longest-path level decomposition.  Cached on the :class:`~repro.dag.graph.DAG`
+  adjacency, in/out-degree vectors and (lazily) the longest-path level
+  decomposition.  Cached on the :class:`~repro.dag.graph.DAG`
   itself and invalidated on mutation.
 * :class:`CompiledInstance` — a :class:`CompiledDAG` plus the per-job release
-  vector, allocation-matrix / duration-vector builders and the integer
+  vector, the allocation-matrix builder and the integer
   *rank* permutation that turns arbitrary priority keys into dense ints
   (heap/array queues then compare machine integers, not python tuples).
   Cached on the :class:`~repro.instance.instance.Instance`.
 * level-batched array sweeps for the classic DAG quantities —
-  :func:`node_levels_array`, :func:`bottom_levels_array`,
-  :func:`top_levels_array` — each a single pass over the CSR arrays
-  grouped by level (every edge crosses strictly downward in the level
-  decomposition, so one vectorized segmented reduction per level suffices).
+  :func:`node_levels_array` and :func:`bottom_levels_array` — each a
+  single pass over the CSR arrays grouped by level (every edge crosses
+  strictly downward in the level decomposition, so one vectorized
+  segmented reduction per level suffices).
 
 Everything here is exact: the topological order, tie-breaking and float
 arithmetic reproduce the dict-based code paths bit for bit (the engine
@@ -41,7 +41,6 @@ __all__ = [
     "compile_instance",
     "node_levels_array",
     "bottom_levels_array",
-    "top_levels_array",
     "critical_path_length_array",
     "pack_layout",
     "whole_amounts",
@@ -67,24 +66,15 @@ class CompiledDAG:
         CSR successor adjacency over topological indices: the successors of
         node ``i`` are ``succ_indices[succ_indptr[i]:succ_indptr[i+1]]``,
         listed in the same order as ``dag.successors(order[i])``.
-    pred_indptr / pred_indices:
-        The transposed (predecessor) adjacency, **built on first use**: the
-        dispatch loops and the bottom-level sweep never read it, only the
-        forward level sweeps do.  It is the stable sort of the successor
-        CSR's edges by target — nothing here reads the ``DAG`` again, which
-        may have mutated since — so the predecessors of a node are listed
-        by *ascending topological index*, not in ``dag.predecessors``
-        order; its readers (``np.maximum.reduceat`` sweeps) see a set.
     in_degree / out_degree:
         Per-node degree vectors (int64), both counted off the successor CSR.
     """
 
     __slots__ = (
         "n", "order", "index",
-        "succ_indptr", "succ_indices", "_pred_csr",
+        "succ_indptr", "succ_indices",
         "in_degree", "out_degree",
-        "_levels", "_level_groups", "_succ_lists",
-        "_succ_gathers", "_pred_gathers",
+        "_levels", "_level_groups", "_succ_lists", "_succ_gathers",
     )
 
     def __init__(self, dag) -> None:
@@ -100,41 +90,12 @@ class CompiledDAG:
         )
         self.in_degree = np.bincount(self.succ_indices, minlength=n)
         self.out_degree = np.diff(self.succ_indptr)
-        self._pred_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._levels: np.ndarray | None = None
         self._level_groups: list[np.ndarray] | None = None
         self._succ_lists: list[list[int]] | None = None
         self._succ_gathers: list[tuple] | None = None
-        self._pred_gathers: list[tuple] | None = None
 
     # ------------------------------------------------------------------
-    def _predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(pred_indptr, pred_indices)``, transposed from the successor
-        CSR the first time anyone asks (see the class docstring)."""
-        if self._pred_csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self.in_degree, out=indptr[1:])
-            sources = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degree)
-            by_target = np.argsort(self.succ_indices, kind="stable")
-            self._pred_csr = indptr, sources[by_target]
-        return self._pred_csr
-
-    @property
-    def pred_indptr(self) -> np.ndarray:
-        return self._predecessors()[0]
-
-    @property
-    def pred_indices(self) -> np.ndarray:
-        return self._predecessors()[1]
-
-    def successors_of(self, i: int) -> np.ndarray:
-        """CSR slice of the successors of topological index ``i`` (a view)."""
-        return self.succ_indices[self.succ_indptr[i]:self.succ_indptr[i + 1]]
-
-    def predecessors_of(self, i: int) -> np.ndarray:
-        """CSR slice of the predecessors of topological index ``i`` (a view)."""
-        return self.pred_indices[self.pred_indptr[i]:self.pred_indptr[i + 1]]
-
     def succ_lists(self) -> list[list[int]]:
         """Successor adjacency as plain python int lists, one per node.
 
@@ -181,25 +142,14 @@ class CompiledDAG:
         level-batched sweep, built once per DAG.
         """
         if self._succ_gathers is None:
-            self._succ_gathers = [
-                self._gather(self.succ_indptr, self.succ_indices, nodes)
-                for nodes in self.level_groups()
-            ]
+            gathers = []
+            for nodes in self.level_groups():
+                targets, seg_starts, nz = _ragged_gather(
+                    self.succ_indptr, self.succ_indices, nodes
+                )
+                gathers.append((targets, seg_starts, nodes[nz]))
+            self._succ_gathers = gathers
         return self._succ_gathers
-
-    def level_pred_gathers(self) -> list[tuple]:
-        """Per-level predecessor gathers (see :meth:`level_succ_gathers`)."""
-        if self._pred_gathers is None:
-            self._pred_gathers = [
-                self._gather(self.pred_indptr, self.pred_indices, nodes)
-                for nodes in self.level_groups()
-            ]
-        return self._pred_gathers
-
-    @staticmethod
-    def _gather(indptr, indices, nodes) -> tuple:
-        targets, seg_starts, nz = _ragged_gather(indptr, indices, nodes)
-        return targets, seg_starts, nodes[nz]
 
 
 def _csr(adjacency: list, index: Mapping) -> tuple[np.ndarray, np.ndarray]:
@@ -293,17 +243,6 @@ def bottom_levels_array(cdag: CompiledDAG, times: np.ndarray) -> np.ndarray:
             seg_max = np.maximum.reduceat(b[targets], seg_starts)
             b[src] = times[src] + seg_max
     return b
-
-
-def top_levels_array(cdag: CompiledDAG, times: np.ndarray) -> np.ndarray:
-    """``top(j) = max_{p ∈ pred(j)} (top(p) + t_p)``, one forward sweep."""
-    t = np.asarray(times, dtype=np.float64)
-    tl = np.zeros(cdag.n, dtype=np.float64)
-    for targets, seg_starts, src in cdag.level_pred_gathers()[1:]:
-        if targets.size:
-            seg_max = np.maximum.reduceat(tl[targets] + t[targets], seg_starts)
-            tl[src] = seg_max
-    return tl
 
 
 def critical_path_length_array(cdag: CompiledDAG, times: np.ndarray) -> float:
@@ -435,14 +374,6 @@ class CompiledInstance:
             dtype=np.int64,
             count=n * d,
         ).reshape(n, d)
-
-    def duration_vector(self, durations: Mapping[JobId, float]) -> np.ndarray:
-        """Per-job durations as float64, topological order."""
-        return np.fromiter(
-            (durations[j] for j in self.cdag.order),
-            dtype=np.float64,
-            count=self.cdag.n,
-        )
 
     def pack_demands(self, alloc_mat: np.ndarray) -> np.ndarray:
         """The demand image of every job as one ``uint64`` array (see

@@ -138,15 +138,6 @@ class Instance:
         """``A(p) = Σ_j a_j(p_j)`` — average total area over resource types."""
         return sum(self.avg_area(j, allocation[j]) for j in self.jobs)
 
-    def total_area_per_type(self, allocation: AllocationMap) -> list[float]:
-        """``A^(i)(p)`` for each resource type ``i``."""
-        out = [0.0] * self.d
-        for j in self.jobs:
-            t = self.time(j, allocation[j])
-            for i in range(self.d):
-                out[i] += allocation[j][i] * t / self.pool.capacities[i]
-        return out
-
     def critical_path(self, allocation: AllocationMap) -> float:
         """``C(p)`` — longest total execution time along a precedence path."""
         return critical_path_length(self.dag, self.times(allocation))

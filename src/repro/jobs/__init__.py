@@ -3,8 +3,8 @@
 A job's execution time ``t_j(p_j)`` is a known function of its allocation
 vector.  :mod:`repro.jobs.speedup` provides analytic multi-resource models
 that provably satisfy Assumption 3; :mod:`repro.jobs.profiles` provides
-tabulated profiles, the non-dominated (Pareto) filtering of Eq. (2), and
-Assumption-3 checkers; :mod:`repro.jobs.candidates` controls which
+tabulated profiles and the non-dominated (Pareto) filtering of Eq. (2);
+:mod:`repro.jobs.candidates` controls which
 allocations are enumerated for Phase 1.
 """
 
@@ -23,8 +23,6 @@ from repro.jobs.speedup import (
 from repro.jobs.profiles import (
     TabulatedTimeFunction,
     ProfileEntry,
-    pareto_filter,
-    assumption3_violations,
 )
 from repro.jobs.candidates import full_grid, geometric_grid, diagonal_grid, make_candidates
 
@@ -41,8 +39,6 @@ __all__ = [
     "random_multi_resource_time",
     "TabulatedTimeFunction",
     "ProfileEntry",
-    "pareto_filter",
-    "assumption3_violations",
     "full_grid",
     "geometric_grid",
     "diagonal_grid",

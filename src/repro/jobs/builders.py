@@ -1,46 +1,23 @@
-"""Profile builders: measured samples, noise injection, kernel presets.
+"""Noise injection on top of an execution-time model.
 
 Assumption 2 says execution-time functions come from "modeling, profiling,
-prediction or interpolation"; this module provides those ingestion paths:
-
-* :func:`profile_from_samples` — wrap measured ``allocation → time`` samples
-  (with monotone completion for off-grid queries);
-* :func:`perturbed_time_fn` — deterministic multiplicative noise on top of a
-  model, for robustness studies (noise can break Assumption 3 — quantify
-  with :func:`repro.jobs.profiles.assumption3_violations`);
-* :func:`kernel_time_fn` — canonical dense-linear-algebra kernel profiles on
-  (cores, cache, memory-bandwidth)-style platforms, used by the Cholesky/LU
-  experiments and examples.
+prediction or interpolation"; :func:`perturbed_time_fn` models the error of
+such a prediction — deterministic multiplicative noise on top of a model,
+for the robustness studies (noise can break Assumption 3).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from repro.jobs.profiles import TabulatedTimeFunction
-from repro.jobs.speedup import AmdahlSpeedup, MultiResourceTime, RooflineSpeedup
 from repro.resources.vector import ResourceVector
 
-__all__ = ["profile_from_samples", "perturbed_time_fn", "kernel_time_fn", "KERNEL_PRESETS"]
+__all__ = ["perturbed_time_fn"]
 
 TimeFunction = Callable[[ResourceVector], float]
-
-
-def profile_from_samples(
-    samples: Mapping[tuple, float] | Mapping[ResourceVector, float],
-    *,
-    extend_monotone: bool = True,
-) -> TabulatedTimeFunction:
-    """Build a time function from measured samples.
-
-    With ``extend_monotone`` (default) queries off the sampled grid return
-    the fastest sampled time among dominated allocations, so the candidate
-    strategies need not match the profiling grid exactly.
-    """
-    return TabulatedTimeFunction(samples, extend_monotone=extend_monotone)
 
 
 def perturbed_time_fn(
@@ -67,46 +44,3 @@ def perturbed_time_fn(
         return base(alloc) * factor
 
     return fn
-
-
-#: Canonical (work, sequential-fraction, cache-cap, membw-cap) per kernel,
-#: normalized to a GEMM work unit of 1.  Shapes follow the usual flop/byte
-#: intuition: GEMM scales near-linearly with cores, TRSM/SYRK saturate
-#: earlier, panel factorizations are sequential-heavy and cache-bound.
-KERNEL_PRESETS: dict[str, tuple[float, float, float, float]] = {
-    "gemm": (1.00, 0.05, 8.0, 6.0),
-    "syrk": (0.55, 0.12, 6.0, 4.0),
-    "trsm": (0.55, 0.15, 6.0, 4.0),
-    "trsm_r": (0.55, 0.15, 6.0, 4.0),
-    "trsm_c": (0.55, 0.15, 6.0, 4.0),
-    "potrf": (0.35, 0.40, 4.0, 2.0),
-    "getrf": (0.40, 0.45, 4.0, 2.0),
-    "geqrt": (0.45, 0.40, 4.0, 2.0),
-    "tsqrt": (0.50, 0.30, 4.0, 3.0),
-    "ormqr": (0.60, 0.15, 6.0, 4.0),
-    "tsmqr": (0.90, 0.08, 8.0, 5.0),
-}
-
-
-def kernel_time_fn(kernel: str, d: int, *, scale: float = 10.0) -> MultiResourceTime:
-    """A preset execution-time model for a dense-LA ``kernel`` on ``d``
-    resource types.
-
-    Type 0 is compute (Amdahl), further types alternate cache/membw-style
-    roofline terms derived from the preset caps.  Unknown kernels get the
-    GEMM profile (a safe, parallel-friendly default).
-
-    Works with the node ids produced by
-    :func:`repro.dag.generators.cholesky_dag` / :func:`lu_dag` / :func:`qr_dag`
-    (pass ``task[0]`` as the kernel name).
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    work, alpha, cache_cap, bw_cap = KERNEL_PRESETS.get(kernel, KERNEL_PRESETS["gemm"])
-    works = [scale * work]
-    speedups: list = [AmdahlSpeedup(alpha)]
-    for i in range(1, d):
-        cap = cache_cap if i % 2 == 1 else bw_cap
-        works.append(scale * work * 0.4)
-        speedups.append(RooflineSpeedup(cap))
-    return MultiResourceTime(works=tuple(works), speedups=tuple(speedups), combiner="max")

@@ -66,7 +66,3 @@ class Job:
                 f"got {t} at allocation {tuple(alloc)}"
             )
         return t
-
-    def is_rigid(self) -> bool:
-        """True when the job admits exactly one allocation."""
-        return self.candidates is not None and len(self.candidates) == 1

@@ -1,4 +1,4 @@
-"""Tabulated profiles, Eq. (2) dominance filtering, and Assumption-3 checks.
+"""Tabulated profiles, Eq. (2) dominance filtering and the candidate table.
 
 The DTCT transformation (Section 4.1.2) evaluates each candidate allocation
 ``p`` of a job at the pair ``(t_j(p), a_j(p))`` — execution time and average
@@ -9,8 +9,7 @@ area — and discards the *dominated* subset
 so that the remaining alternatives satisfy the DTCT tradeoff condition
 (faster ⇒ at least as costly).  :func:`pareto_rows` is the one kernel that
 does this — every job of a ``(jobs, candidates)`` matrix in the same
-sort-and-scan; :func:`pareto_indices` (one job) and :func:`pareto_filter`
-(entry objects) are its one-row forms.  It additionally drops redundant
+sort-and-scan.  It additionally drops redundant
 duplicates (equal time with larger-or-equal area, or equal area with
 larger-or-equal time — justified by footnote 1), yielding a frontier with
 *strictly* increasing time and strictly decreasing area, the clean shape the
@@ -36,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC, Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,9 +47,6 @@ __all__ = [
     "CandidateTable",
     "take_segments",
     "pareto_rows",
-    "pareto_indices",
-    "pareto_filter",
-    "assumption3_violations",
 ]
 
 
@@ -94,10 +90,6 @@ class TabulatedTimeFunction:
         if len(ds) != 1:
             raise ValueError("all tabulated allocations must have the same dimension")
         self._extend = extend_monotone
-
-    @property
-    def allocations(self) -> tuple[ResourceVector, ...]:
-        return tuple(self._table)
 
     def __call__(self, alloc: ResourceVector) -> float:
         alloc = alloc if isinstance(alloc, ResourceVector) else ResourceVector(alloc)
@@ -276,62 +268,3 @@ def pareto_rows(times: np.ndarray, areas: np.ndarray) -> tuple[np.ndarray, np.nd
     keep = np.ones(order.shape, dtype=bool)
     keep[:, 1:] = (t[:, 1:] != t[:, :-1]) & (a[:, 1:] < np.minimum.accumulate(a, axis=1)[:, :-1])
     return order, keep
-
-
-def pareto_indices(times: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Positions of the Eq. (2) frontier of ``(times[i], areas[i])`` pairs,
-    in frontier order: :func:`pareto_rows` on one row."""
-    order, keep = pareto_rows(times[None, :], areas[None, :])
-    return order[keep]
-
-
-def pareto_filter(entries: Iterable[ProfileEntry]) -> list[ProfileEntry]:
-    """The non-dominated set ``N_j`` of Eq. (2), deduplicated.
-
-    Returns entries sorted by strictly increasing time with strictly
-    decreasing area.  Ties: among equal times the minimum-area entry is kept;
-    an entry whose area equals an already-kept faster entry's area is
-    redundant (slower at the same cost) and dropped.
-    """
-    entries = list(entries)
-    keep = pareto_indices(
-        np.array([e.time for e in entries], dtype=np.float64),
-        np.array([e.area for e in entries], dtype=np.float64),
-    )
-    return [entries[i] for i in keep.tolist()]
-
-
-def assumption3_violations(
-    entries: Sequence[ProfileEntry],
-    *,
-    rtol: float = 1e-9,
-    max_report: int = 10,
-) -> list[str]:
-    """Check Assumption 3 over all comparable candidate pairs.
-
-    For every pair ``p ⪯ q`` in ``entries`` verifies
-    ``t(q) <= t(p) <= max_i(q^(i)/p^(i)) * t(q)`` (within ``rtol``) and
-    returns human-readable descriptions of up to ``max_report`` violations
-    (empty list ⇒ the profile is Assumption-3 compliant on this grid).
-    """
-    bad: list[str] = []
-    for e1 in entries:
-        for e2 in entries:
-            if len(bad) >= max_report:
-                return bad
-            if e1 is e2 or not e1.alloc.strictly_dominated_by(e2.alloc):
-                continue
-            # e1.alloc ⪯ e2.alloc (p=e1, q=e2)
-            if e2.time > e1.time * (1 + rtol):
-                bad.append(
-                    f"monotonicity: t{tuple(e2.alloc)}={e2.time:.6g} > "
-                    f"t{tuple(e1.alloc)}={e1.time:.6g}"
-                )
-                continue
-            ratio = e2.alloc.max_ratio_over(e1.alloc)
-            if e1.time > ratio * e2.time * (1 + rtol):
-                bad.append(
-                    f"superlinear speedup: t{tuple(e1.alloc)}={e1.time:.6g} > "
-                    f"{ratio:.4g} * t{tuple(e2.alloc)}={e2.time:.6g}"
-                )
-    return bad

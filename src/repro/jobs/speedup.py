@@ -163,10 +163,6 @@ class MultiResourceTime:
     def d(self) -> int:
         return len(self.works)
 
-    def uses_type(self, i: int) -> bool:
-        """True when the job has work on resource type ``i``."""
-        return self.works[i] > 0
-
     def __call__(self, alloc: ResourceVector) -> float:
         if len(alloc) != len(self.works):
             raise ValueError(

@@ -63,11 +63,8 @@ from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
 __all__ = [
-    "NoArrayForm",
     "CandidateGrid",
     "family_array",
-    "speedup_array",
-    "evaluate_times",
     "candidate_columns",
 ]
 
@@ -75,11 +72,6 @@ __all__ = [
 #: working set (a few dozen bytes per cell), not a tuning knob: the table
 #: does not depend on it.
 _BLOCK_CELLS = 1 << 16
-
-
-class NoArrayForm(TypeError):
-    """The speedup model is not one of the built-in families, so its job is
-    evaluated candidate by candidate instead."""
 
 
 def _power(xs, beta):
@@ -117,20 +109,6 @@ def _family_of(cls: type) -> tuple[int, str | None]:
 def family_array(code: int, xs: np.ndarray, parameter) -> np.ndarray:
     """The speedup kernel: family ``code`` over float allocations ``xs >= 1``."""
     return _FAMILIES[code][2](xs, parameter)
-
-
-def speedup_array(model, xs: np.ndarray) -> np.ndarray:
-    """Array form of a speedup model over integral allocations ``xs >= 1``.
-
-    Supports the built-in families; raises :class:`NoArrayForm` (a
-    ``TypeError``) for custom models, whose jobs take the scalar path.
-    """
-    code, attr = _family_of(type(model))
-    if code < 0:
-        raise NoArrayForm(f"no array form for speedup model {type(model).__name__}")
-    return family_array(
-        code, np.asarray(xs, dtype=np.float64), getattr(model, attr) if attr else None
-    )
 
 
 @dataclass(frozen=True)
@@ -378,19 +356,3 @@ def candidate_columns(
         np.concatenate(rows)[at],
         candidates,
     )
-
-
-def evaluate_times(fn: MultiResourceTime, allocs: np.ndarray) -> np.ndarray:
-    """``t_j`` over an ``(m, d)`` integer allocation matrix: the kernel on one
-    job.  Allocations must provide >= 1 unit of every type the job uses
-    (matching the scalar evaluator's contract); raises :class:`NoArrayForm`
-    for a custom speedup model on such a type.
-    """
-    allocs = np.asarray(allocs)
-    if allocs.ndim != 2 or allocs.shape[1] != fn.d:
-        raise ValueError(f"allocation matrix must be (m, {fn.d}), got {allocs.shape}")
-    job = Job(id="evaluate_times", time_fn=fn)
-    fns = _TimeFunctions.lower([job], fn.d)
-    if not fns.array_form()[0]:
-        raise NoArrayForm("no array form for a speedup model of this time function")
-    return _block_times(*_levels(allocs), fns, [job])[0]

@@ -3,13 +3,13 @@
 ``ResourceVector`` subclasses :class:`tuple` so vectors are hashable,
 immutable, cheap to create, and usable directly as dict keys in the hot
 scheduling loops, while still carrying the domain operations the paper
-uses (the partial order ``p ⪯ q`` of Assumption 3, component arithmetic,
-and the per-type reduction factors of Lemma 4).
+uses (the partial order ``p ⪯ q`` of Assumption 3 and component
+arithmetic).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["ResourceVector"]
 
@@ -75,10 +75,6 @@ class ResourceVector(tuple):
         """``other ⪯ self``."""
         return ResourceVector.dominated_by(other, self)
 
-    def strictly_dominated_by(self, other: "ResourceVector") -> bool:
-        """``self ⪯ other`` and ``self != other``."""
-        return self.dominated_by(other) and tuple(self) != tuple(other)
-
     # ------------------------------------------------------------------
     # arithmetic (used by the list scheduler's availability tracking)
     # ------------------------------------------------------------------
@@ -96,22 +92,6 @@ class ResourceVector(tuple):
         self._check_same_d(limits)
         return ResourceVector(min(a, b) for a, b in zip(self, limits))
 
-    def max_ratio_over(self, other: "ResourceVector") -> float:
-        """``max_i self^(i) / other^(i)`` — the speed-loss factor of Assumption 3.
-
-        Components where ``self`` is 0 contribute nothing; a positive demand
-        over a zero ``other`` component yields ``inf``.
-        """
-        self._check_same_d(other)
-        worst = 0.0
-        for a, b in zip(self, other):
-            if a == 0:
-                continue
-            if b == 0:
-                return float("inf")
-            worst = max(worst, a / b)
-        return worst
-
     # ------------------------------------------------------------------
     def _check_same_d(self, other: "ResourceVector") -> None:
         if len(self) != len(other):
@@ -121,22 +101,3 @@ class ResourceVector(tuple):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResourceVector{tuple(self)}"
-
-
-def iter_allocation_grid(limits: ResourceVector) -> Iterator[ResourceVector]:
-    """Yield every allocation ``1 <= p^(i) <= limits^(i)`` (full grid).
-
-    Exponential in ``d`` — intended for small pools, oracles and tests.
-    """
-    d = len(limits)
-
-    def rec(i: int, prefix: list[int]) -> Iterator[ResourceVector]:
-        if i == d:
-            yield ResourceVector(prefix)
-            return
-        for a in range(1, limits[i] + 1):
-            prefix.append(a)
-            yield from rec(i + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])

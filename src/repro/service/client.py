@@ -17,10 +17,9 @@ typed verbs — ``submit``, ``cancel``, ``advance``, ``drain``, ``stats``,
   (rid correlation makes the resend safe; the server's journal dedups a
   replayed submit).
 
-Transports: ``ServiceClient.connect(host, port)`` for TCP,
-``ServiceClient.over_streams(writer, reader)`` for an existing pipe
-pair, ``ServiceClient.launch([...argv])`` to spawn a ``repro serve``
-child on stdio.  All three speak the same protocol, so a scripted
+Transports: ``ServiceClient.connect(host, port)`` for TCP and
+``ServiceClient.launch([...argv])`` to spawn a ``repro serve`` child on
+stdio.  Both speak the same protocol, so a scripted
 client works identically against a plain session or a supervised
 durable worker.
 """
@@ -97,9 +96,9 @@ class Disconnected(ServiceError):
 # transports
 # ----------------------------------------------------------------------
 class _StreamTransport:
-    """A writer/reader text-stream pair (stdio pipes, test buffers)."""
+    """A child's stdio pipe pair; closing it reaps the child."""
 
-    def __init__(self, writer, reader, proc: "subprocess.Popen | None" = None) -> None:
+    def __init__(self, writer, reader, proc: "subprocess.Popen") -> None:
         self.writer = writer
         self.reader = reader
         self.proc = proc
@@ -128,8 +127,7 @@ class _StreamTransport:
                 stream.close()
             except (OSError, ValueError):
                 pass
-        if self.proc is not None:
-            reap(self.proc)
+        reap(self.proc)
 
 
 class _TcpTransport:
@@ -233,11 +231,6 @@ class ServiceClient:
         transport = _TcpTransport(host, port, io_timeout=io_timeout)
         transport.connect(time.monotonic() + connect_deadline)
         return cls(transport, **kw)
-
-    @classmethod
-    def over_streams(cls, writer, reader, **kw) -> "ServiceClient":
-        """Wrap an existing text-stream pair (e.g. a child's stdio pipes)."""
-        return cls(_StreamTransport(writer, reader), **kw)
 
     @classmethod
     def launch(cls, argv: "Sequence[str]", **kw) -> "ServiceClient":
@@ -377,10 +370,6 @@ class ServiceClient:
         """The service's metrics: ``"text"`` is the Prometheus exposition,
         ``"families"`` the structured dump."""
         return self.request("metrics")
-
-    def metrics_text(self) -> str:
-        """Just the rendered Prometheus exposition."""
-        return self.metrics()["text"]
 
     def spans(
         self, *, for_rid: Any = None, limit: "int | None" = None

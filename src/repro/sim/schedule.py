@@ -91,25 +91,6 @@ class Schedule:
         self._columns = (log, allocation)
         return self
 
-    @classmethod
-    def from_decisions(
-        cls,
-        instance: Instance,
-        allocation: Mapping[JobId, ResourceVector],
-        starts: Mapping[JobId, float],
-    ) -> "Schedule":
-        """Build from the paper's two decision vectors ``(p, s)``."""
-        placements = {
-            j: ScheduledJob(
-                job_id=j,
-                start=float(starts[j]),
-                time=instance.time(j, allocation[j]),
-                alloc=allocation[j],
-            )
-            for j in instance.jobs
-        }
-        return cls(instance=instance, placements=placements)
-
     # ------------------------------------------------------------------
     def _rows(self) -> tuple[list, list, list, list]:
         """Parallel ``(ids, starts, times, allocs)`` lists, one entry per
@@ -240,9 +221,3 @@ class Schedule:
             for r in range(self.instance.d):
                 tot[r] += (t1 - t0) * usage[r]
         return [tot[r] / (caps[r] * T) for r in range(self.instance.d)]
-
-    def fraction_of_job_in(self, job_id: JobId, t0: float, t1: float) -> float:
-        """``β_{j,I}`` — the fraction of job ``j`` executed in ``[t0, t1]``."""
-        p = self.placements[job_id]
-        overlap = max(0.0, min(p.finish, t1) - max(p.start, t0))
-        return overlap / p.time if p.time > 0 else 0.0

@@ -19,7 +19,6 @@ __all__ = [
     "schedule_to_trace",
     "trace_to_json",
     "schedule_from_trace",
-    "cancellations_from_trace",
 ]
 
 JobId = Hashable
@@ -83,14 +82,6 @@ def schedule_to_trace(schedule: Schedule, *, cancellations=None) -> dict:
 def trace_to_json(schedule: Schedule, *, indent: int | None = 2) -> str:
     """Serialize to a JSON string."""
     return json.dumps(schedule_to_trace(schedule), indent=indent)
-
-
-def cancellations_from_trace(trace: "dict | str") -> list[dict]:
-    """The ``cancelled`` records of a trace (empty before version 3)."""
-    data = json.loads(trace) if isinstance(trace, str) else trace
-    if data.get("version") not in _KNOWN_VERSIONS:
-        raise ValueError(f"unsupported trace version {data.get('version')!r}")
-    return [dict(rec) for rec in data.get("cancelled", ())]
 
 
 def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:

@@ -9,12 +9,16 @@ collection order.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import socket
 import threading
 from collections import deque
+from itertools import product
 from types import SimpleNamespace
+from typing import Hashable, Iterator, Mapping, Sequence
 
+import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
@@ -22,9 +26,9 @@ from scipy.sparse import csr_matrix
 from repro.core.dtct import FractionalSolution
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance, make_instance
-from repro.jobs.candidates import candidates_for_job, geometric_grid
+from repro.jobs.candidates import CandidateStrategy, candidates_for_job, geometric_grid
 from repro.jobs.job import Job
-from repro.jobs.profiles import ProfileEntry
+from repro.jobs.profiles import ProfileEntry, pareto_rows
 from repro.jobs.speedup import (
     AmdahlSpeedup,
     LinearSpeedup,
@@ -39,9 +43,11 @@ from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule, ScheduledJob
 
 __all__ = [
+    "nx_graph",
     "tiny_instance",
     "HalvingSpeedup",
     "rigid_unit_job",
+    "kernel_frontier",
     "reference_pareto_filter",
     "reference_pareto_indices",
     "reference_evaluate_times",
@@ -61,7 +67,18 @@ __all__ = [
     "ReferenceHistory",
     "reference_event_dict",
     "reference_checkpoint",
+    "reference_run_dynamic",
+    "reference_pack_shelf_placements",
+    "reference_backfill_plan",
+    "reference_malleable_task_starts",
+    "exact_lmin_bruteforce",
+    "trivial_lower_bounds",
+    "iter_allocation_grid",
+    "schedule_from_decisions",
+    "assumption3_violations",
 ]
+
+JobId = Hashable
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,6 +119,14 @@ def scripted_tcp_server(*connections):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     return srv.getsockname()[1], thread
+
+
+def nx_graph(dag: DAG) -> nx.DiGraph:
+    """``dag`` as a networkx graph, the suite's independent graph oracle."""
+    g = nx.DiGraph()
+    g.add_nodes_from(dag.nodes())
+    g.add_edges_from(dag.edges())
+    return g
 
 
 def tiny_instance(
@@ -156,6 +181,17 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
 # same problem, same options, so the live adapter must return its ``x`` bit
 # for bit after the same number of iterations.
 # ---------------------------------------------------------------------------
+def kernel_frontier(entries) -> list[ProfileEntry]:
+    """The live Eq. (2) kernel, ``pareto_rows``, on one job's entries: the
+    kept entries in frontier order."""
+    entries = list(entries)
+    order, keep = pareto_rows(
+        np.array([[e.time for e in entries]], dtype=np.float64).reshape(1, -1),
+        np.array([[e.area for e in entries]], dtype=np.float64).reshape(1, -1),
+    )
+    return [entries[i] for i in order[keep].tolist()]
+
+
 def reference_pareto_filter(entries) -> list[ProfileEntry]:
     """``pareto_filter`` as a sort and a scan over entry objects."""
     items = sorted(entries, key=lambda e: (e.time, e.area))
@@ -775,3 +811,339 @@ def reference_checkpoint(session, history: ReferenceHistory) -> dict:
         "applied_seq": session.applied_seq,
         "rng": session.rng.bit_generator.state,
     }
+
+
+# ----------------------------------------------------------------------
+# Frozen pre-kernel loops of the schedulers other than Algorithm 2: the
+# dynamic-allocation loop under Tetris and HEFT, the first-fit shelf
+# packer, the conservative-backfilling planner and the unit-step malleable
+# loop, as they stood before the engine refactor.  The live ports must
+# reproduce them exactly (``tests/test_engine_equivalence.py``).  The two
+# Algorithm 2 generations the fuzzer races stay in
+# ``repro.engine.reference``.
+# ----------------------------------------------------------------------
+def reference_run_dynamic(instance, policy) -> Schedule:
+    """The pre-kernel dynamic-allocation loop (Tetris/HEFT substrate)."""
+    dag = instance.dag
+    remaining = {j: dag.in_degree(j) for j in instance.jobs}
+    ready: list[JobId] = list(dag.sources())
+    avail = list(instance.pool.capacities)
+    d = instance.d
+    running: list[tuple[float, int, JobId]] = []
+    seq = 0
+    now = 0.0
+    placements: dict[JobId, ScheduledJob] = {}
+
+    while ready or running:
+        while True:
+            starts = policy(instance, list(ready), tuple(avail))
+            if not starts:
+                break
+            for j, alloc in starts:
+                if j not in ready:
+                    raise RuntimeError(f"policy started non-ready job {j!r}")
+                instance.pool.validate_allocation(alloc)
+                if any(alloc[r] > avail[r] for r in range(d)):
+                    raise RuntimeError(
+                        f"policy overcommitted: {tuple(alloc)} vs available {tuple(avail)}"
+                    )
+                t = instance.time(j, alloc)
+                for r in range(d):
+                    avail[r] -= alloc[r]
+                placements[j] = ScheduledJob(job_id=j, start=now, time=t, alloc=alloc)
+                heapq.heappush(running, (now + t, seq, j))
+                seq += 1
+                ready.remove(j)
+
+        if not running:
+            if ready:
+                raise RuntimeError("policy stalled with ready jobs and an idle platform")
+            break
+
+        now, _, j = heapq.heappop(running)
+        done = [j]
+        while running and running[0][0] <= now + 1e-12:
+            done.append(heapq.heappop(running)[2])
+        for c in done:
+            a = placements[c].alloc
+            for r in range(d):
+                avail[r] += a[r]
+            for s in dag.successors(c):
+                remaining[s] -= 1
+                if remaining[s] == 0:
+                    ready.append(s)
+
+    if len(placements) != len(instance.jobs):
+        raise RuntimeError("dynamic engine failed to place every job")
+    return Schedule(instance=instance, placements=placements)
+
+
+def reference_pack_shelf_placements(
+    jobs, allocation, times, capacities, *, t0: float = 0.0
+) -> tuple[dict[JobId, ScheduledJob], float]:
+    """The pre-kernel first-fit shelf loop shared (by copy) between the
+    level-shelf baseline and Sun et al.'s pack scheduler."""
+    caps = capacities
+    d = len(caps)
+    shelves: list[dict] = []
+    for j in jobs:
+        a = allocation[j]
+        placed = False
+        for shelf in shelves:
+            if all(shelf["used"][r] + a[r] <= caps[r] for r in range(d)):
+                shelf["jobs"].append(j)
+                for r in range(d):
+                    shelf["used"][r] += a[r]
+                placed = True
+                break
+        if not placed:
+            shelves.append({"jobs": [j], "used": list(a), "height": times[j]})
+    placements: dict[JobId, ScheduledJob] = {}
+    for shelf in shelves:
+        for j in shelf["jobs"]:
+            placements[j] = ScheduledJob(job_id=j, start=t0, time=times[j], alloc=allocation[j])
+        t0 += shelf["height"]
+    return placements, t0
+
+
+def reference_backfill_plan(instance, allocation, times, order) -> dict[JobId, ScheduledJob]:
+    """The pre-kernel conservative-backfilling reservation loop."""
+    reserved: dict[JobId, ScheduledJob] = {}
+    pending = list(order)
+    caps = instance.pool.capacities
+    d = instance.d
+
+    def earliest_fit(est: float, alloc, duration: float) -> float:
+        points = sorted({est} | {r.finish for r in reserved.values() if r.finish > est})
+        for t in points:
+            end = t + duration
+            ok = True
+            probes = [t] + [r.start for r in reserved.values() if t < r.start < end - 1e-12]
+            for probe in probes:
+                usage = [0] * d
+                for r in reserved.values():
+                    if r.start <= probe + 1e-12 and probe < r.finish - 1e-12:
+                        for i in range(d):
+                            usage[i] += r.alloc[i]
+                if any(usage[i] + alloc[i] > caps[i] for i in range(d)):
+                    ok = False
+                    break
+            if ok:
+                return t
+        return max((r.finish for r in reserved.values()), default=est)
+
+    while pending:
+        progressed = False
+        for j in list(pending):
+            preds = instance.dag.predecessors(j)
+            if any(p not in reserved for p in preds):
+                continue
+            est = max((reserved[p].finish for p in preds), default=0.0)
+            start = earliest_fit(est, allocation[j], times[j])
+            reserved[j] = ScheduledJob(job_id=j, start=start, time=times[j], alloc=allocation[j])
+            pending.remove(j)
+            progressed = True
+        if not progressed:
+            raise RuntimeError("backfill planning stalled")
+    return reserved
+
+
+def reference_malleable_task_starts(instance) -> dict:
+    """The pre-kernel unit-time-stepped malleable loop."""
+    inst = instance
+    outer_remaining = {j: inst.dag.in_degree(j) for j in inst.jobs}
+    job_tasks_left = {j: inst.jobs[j].n_tasks for j in inst.jobs}
+    open_jobs = [j for j in inst.dag.topological_order() if outer_remaining[j] == 0]
+
+    intra_remaining = {
+        j: {t: inst.jobs[j].tasks.in_degree(t) for t in inst.jobs[j].tasks.nodes()}
+        for j in inst.jobs
+    }
+    ready = [
+        (j, t)
+        for j in open_jobs
+        for t, k in intra_remaining[j].items()
+        if k == 0
+    ]
+    task_start: dict = {}
+    step = 0
+    total = sum(job_tasks_left.values())
+
+    while len(task_start) < total:
+        if not ready:
+            raise RuntimeError("malleable scheduler stalled")
+        avail = list(inst.pool.capacities)
+        started = []
+        leftover = []
+        for j, t in ready:
+            r = inst.jobs[j].rtype[t]
+            if avail[r] > 0:
+                avail[r] -= 1
+                task_start[(j, t)] = step
+                started.append((j, t))
+            else:
+                leftover.append((j, t))
+        ready = leftover
+        newly_open = []
+        for j, t in started:
+            job_tasks_left[j] -= 1
+            for s in inst.jobs[j].tasks.successors(t):
+                intra_remaining[j][s] -= 1
+                if intra_remaining[j][s] == 0:
+                    ready.append((j, s))
+            if job_tasks_left[j] == 0:
+                for nxt in inst.dag.successors(j):
+                    outer_remaining[nxt] -= 1
+                    if outer_remaining[nxt] == 0:
+                        newly_open.append(nxt)
+        for j in newly_open:
+            for t, k in intra_remaining[j].items():
+                if k == 0:
+                    ready.append((j, t))
+        step += 1
+
+    return task_start
+
+
+# ----------------------------------------------------------------------
+# Exhaustive oracles: the exact ``L_min`` over the candidate set by
+# enumeration (the oracle for the FPTAS and Lemma 8) and the cheap floors
+# ``max_j min t_j`` / ``Σ_j min a_j``.
+# ----------------------------------------------------------------------
+def exact_lmin_bruteforce(
+    instance: Instance,
+    strategy: CandidateStrategy | None = None,
+    *,
+    max_combinations: int = 2_000_000,
+) -> tuple[float, dict[JobId, ResourceVector]]:
+    """Exact ``L_min`` by enumerating every combination of candidates.
+
+    Exponential in the number of jobs: refuses to run past
+    ``max_combinations`` (it is a test oracle, not an algorithm).
+    """
+    table = instance.candidate_table(strategy)
+    jobs = list(instance.jobs)
+    count = 1
+    for j in jobs:
+        count *= len(table[j])
+        if count > max_combinations:
+            raise ValueError(
+                f"brute force would enumerate > {max_combinations} combinations"
+            )
+    best_l = float("inf")
+    best: dict[JobId, ResourceVector] = {}
+    for combo in product(*(table[j] for j in jobs)):
+        alloc = {j: e.alloc for j, e in zip(jobs, combo)}
+        l = instance.lower_bound_functional(alloc)
+        if l < best_l:
+            best_l, best = l, alloc
+    return best_l, best
+
+
+def trivial_lower_bounds(instance: Instance, strategy: CandidateStrategy | None = None) -> dict[str, float]:
+    """Cheap floors: ``max_j min t_j`` (a job must run) and ``Σ_j min a_j``
+    (total area must fit)."""
+    table = instance.candidate_table(strategy)
+    if not instance.jobs:
+        return {"max_min_time": 0.0, "min_total_area": 0.0}
+    return {
+        "max_min_time": max(min(e.time for e in table[j]) for j in instance.jobs),
+        "min_total_area": sum(min(e.area for e in table[j]) for j in instance.jobs),
+    }
+
+
+def iter_allocation_grid(limits: ResourceVector) -> Iterator[ResourceVector]:
+    """Yield every allocation ``1 <= p^(i) <= limits^(i)`` (full grid).
+
+    Exponential in ``d`` — intended for small pools, oracles and tests.
+    """
+    d = len(limits)
+
+    def rec(i: int, prefix: list[int]) -> Iterator[ResourceVector]:
+        if i == d:
+            yield ResourceVector(prefix)
+            return
+        for a in range(1, limits[i] + 1):
+            prefix.append(a)
+            yield from rec(i + 1, prefix)
+            prefix.pop()
+
+    yield from rec(0, [])
+
+
+def schedule_from_decisions(
+    instance: Instance,
+    allocation: Mapping[JobId, ResourceVector],
+    starts: Mapping[JobId, float],
+) -> Schedule:
+    """Build from the paper's two decision vectors ``(p, s)``."""
+    placements = {
+        j: ScheduledJob(
+            job_id=j,
+            start=float(starts[j]),
+            time=instance.time(j, allocation[j]),
+            alloc=allocation[j],
+        )
+        for j in instance.jobs
+    }
+    return Schedule(instance=instance, placements=placements)
+
+
+# ----------------------------------------------------------------------
+# Assumption 3 checked over every comparable pair of a job's candidates.
+# ----------------------------------------------------------------------
+def _strictly_dominated_by(p: ResourceVector, q: ResourceVector) -> bool:
+    """``p ⪯ q`` and ``p != q``."""
+    return p.dominated_by(q) and tuple(p) != tuple(q)
+
+
+def _max_ratio_over(q: ResourceVector, p: ResourceVector) -> float:
+    """``max_i q^(i) / p^(i)`` — the speed-loss factor of Assumption 3.
+
+    Components where ``q`` is 0 contribute nothing; a positive demand
+    over a zero ``p`` component yields ``inf``.
+    """
+    worst = 0.0
+    for a, b in zip(q, p):
+        if a == 0:
+            continue
+        if b == 0:
+            return float("inf")
+        worst = max(worst, a / b)
+    return worst
+
+
+def assumption3_violations(
+    entries: Sequence[ProfileEntry],
+    *,
+    rtol: float = 1e-9,
+    max_report: int = 10,
+) -> list[str]:
+    """Check Assumption 3 over all comparable candidate pairs.
+
+    For every pair ``p ⪯ q`` in ``entries`` verifies
+    ``t(q) <= t(p) <= max_i(q^(i)/p^(i)) * t(q)`` (within ``rtol``) and
+    returns human-readable descriptions of up to ``max_report`` violations
+    (empty list ⇒ the profile is Assumption-3 compliant on this grid).
+    """
+    bad: list[str] = []
+    for e1 in entries:
+        for e2 in entries:
+            if len(bad) >= max_report:
+                return bad
+            if e1 is e2 or not _strictly_dominated_by(e1.alloc, e2.alloc):
+                continue
+            # e1.alloc ⪯ e2.alloc (p=e1, q=e2)
+            if e2.time > e1.time * (1 + rtol):
+                bad.append(
+                    f"monotonicity: t{tuple(e2.alloc)}={e2.time:.6g} > "
+                    f"t{tuple(e1.alloc)}={e1.time:.6g}"
+                )
+                continue
+            ratio = _max_ratio_over(e2.alloc, e1.alloc)
+            if e1.time > ratio * e2.time * (1 + rtol):
+                bad.append(
+                    f"superlinear speedup: t{tuple(e1.alloc)}={e1.time:.6g} > "
+                    f"{ratio:.4g} * t{tuple(e2.alloc)}={e2.time:.6g}"
+                )
+    return bad

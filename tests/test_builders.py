@@ -1,32 +1,10 @@
-"""Tests for profile builders: samples, perturbation, kernel presets."""
+"""Tests for the noise-injection profile builder."""
 
 import pytest
 
-from repro.jobs.builders import (
-    KERNEL_PRESETS,
-    kernel_time_fn,
-    perturbed_time_fn,
-    profile_from_samples,
-)
-from repro.jobs.profiles import ProfileEntry, assumption3_violations
+from repro.jobs.builders import perturbed_time_fn
 from repro.jobs.speedup import LinearSpeedup, MultiResourceTime
-from repro.resources.vector import ResourceVector, iter_allocation_grid
-
-
-class TestProfileFromSamples:
-    def test_exact_lookup(self):
-        fn = profile_from_samples({(1, 1): 8.0, (2, 2): 4.5})
-        assert fn(ResourceVector((1, 1))) == 8.0
-
-    def test_monotone_completion(self):
-        fn = profile_from_samples({(1, 1): 8.0, (2, 2): 4.5})
-        assert fn(ResourceVector((4, 2))) == 4.5
-        assert fn(ResourceVector((1, 4))) == 8.0
-
-    def test_strict_mode(self):
-        fn = profile_from_samples({(1, 1): 8.0}, extend_monotone=False)
-        with pytest.raises(KeyError):
-            fn(ResourceVector((2, 2)))
+from repro.resources.vector import ResourceVector
 
 
 class TestPerturbation:
@@ -59,37 +37,3 @@ class TestPerturbation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             perturbed_time_fn(self.base(), -0.1)
-
-
-class TestKernelPresets:
-    def test_all_presets_buildable(self):
-        for kernel in KERNEL_PRESETS:
-            fn = kernel_time_fn(kernel, d=3)
-            t = fn(ResourceVector((4, 2, 2)))
-            assert t > 0
-
-    def test_gemm_scales_best(self):
-        """GEMM gains more from extra cores than POTRF (lower alpha)."""
-        one = ResourceVector((1, 1, 1))
-        many = ResourceVector((32, 1, 1))
-        for a, b in [("gemm", "potrf")]:
-            sp_a = kernel_time_fn(a, 3)(one) / kernel_time_fn(a, 3)(many)
-            sp_b = kernel_time_fn(b, 3)(one) / kernel_time_fn(b, 3)(many)
-            assert sp_a > sp_b
-
-    def test_unknown_kernel_gets_default(self):
-        fn = kernel_time_fn("mystery", d=2)
-        assert fn(ResourceVector((2, 2))) > 0
-
-    def test_assumption3_compliant(self):
-        for kernel in ("gemm", "potrf", "trsm"):
-            fn = kernel_time_fn(kernel, d=2)
-            entries = [
-                ProfileEntry(alloc=a, time=fn(a), area=fn(a))
-                for a in iter_allocation_grid(ResourceVector((6, 6)))
-            ]
-            assert assumption3_violations(entries) == []
-
-    def test_d_validation(self):
-        with pytest.raises(ValueError):
-            kernel_time_fn("gemm", d=0)

@@ -86,9 +86,13 @@ class TestPerJob:
             candidates_for_job(job, pool, full_grid)
 
     def test_rigid_flag(self):
+        """A rigid job is one pinned to a single allocation: that vector is
+        its whole candidate set, whatever the strategy."""
+        pool = ResourcePool.of(2, 2)
         job = Job(id="j", time_fn=lambda a: 1.0, candidates=(ResourceVector((1, 1)),))
-        assert job.is_rigid()
-        assert not Job(id="k", time_fn=lambda a: 1.0).is_rigid()
+        assert candidates_for_job(job, pool, full_grid) == (ResourceVector((1, 1)),)
+        free = Job(id="k", time_fn=lambda a: 1.0)
+        assert len(candidates_for_job(free, pool, full_grid)) > 1
 
 
 class TestJobValidation:

@@ -159,6 +159,38 @@ class TestCommands:
         assert data["version"] == 3
         assert len(data["jobs"]) == 5
 
+    def test_schedule_refuses_a_trace_into_a_missing_directory(self, tmp_path, capsys):
+        """Checked before the schedule is computed: the write at the end
+        used to die with a traceback after all the work was done."""
+        target = tmp_path / "missing" / "x.json"
+        assert main(["schedule", "--n", "5", "--trace", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --trace: directory {target.parent} does not exist\n"
+        assert "makespan" not in out and not target.parent.exists()
+
+    def test_schedule_refuses_a_trace_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "x.json"
+        assert main(["schedule", "--n", "5", "--trace", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --trace: directory {blocker} does not exist\n"
+        assert "makespan" not in out and blocker.read_text() == ""
+
+    def test_schedule_refuses_a_trace_into_an_unwritable_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        access = os.access
+        monkeypatch.setattr(
+            "repro.cli.os.access",
+            lambda p, mode: False if p == str(tmp_path) else access(p, mode),
+        )
+        target = tmp_path / "x.json"
+        assert main(["schedule", "--n", "5", "--trace", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --trace: directory {tmp_path} is not writable\n"
+        assert "makespan" not in out and not target.exists()
+
     def test_schedule_sp_family_uses_fptas(self, capsys):
         assert main(["schedule", "--family", "outtree", "--n", "8"]) == 0
         out = capsys.readouterr().out
@@ -380,6 +412,58 @@ class TestCommands:
         assert next(r for r in responses if r["op"] == "validate")["valid"]
         assert json.loads(trace_path.read_text())["version"] == 3
         assert (tmp_path / "ck.json").exists()
+
+    def test_serve_refuses_a_trace_into_a_missing_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Refused before a request is read (and before ``--supervise``
+        would start a worker), not at shutdown with the trace lost."""
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "shutdown"}\n'))
+        monkeypatch.setattr("repro.service.supervisor.supervise",
+                            lambda cmd, **kw: pytest.fail("worker started"))
+        target = tmp_path / "missing" / "x.json"
+        for extra in ([], ["--supervise", "--journal", str(tmp_path / "j.jsonl")]):
+            assert main(["serve", "--capacities", "4", "4", *extra,
+                         "--trace", str(target)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: --trace: directory {target.parent} does not exist\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_serve_refuses_a_trace_under_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "shutdown"}\n'))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["serve", "--capacities", "4", "4",
+                     "--trace", str(blocker / "x.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --trace: directory {blocker} does not exist\n"
+
+    def test_serve_refuses_a_trace_into_an_unwritable_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "shutdown"}\n'))
+        monkeypatch.setattr("repro.service.supervisor.supervise",
+                            lambda cmd, **kw: pytest.fail("worker started"))
+        access = os.access
+        monkeypatch.setattr(
+            "repro.cli.os.access",
+            lambda p, mode: False if p == str(tmp_path) else access(p, mode),
+        )
+        for extra in ([], ["--supervise", "--journal", str(tmp_path / "j.jsonl")]):
+            assert main(["serve", "--capacities", "4", "4", *extra,
+                         "--trace", str(tmp_path / "x.json")]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: --trace: directory {tmp_path} is not writable\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rng", ['"garbage"', '{"bit_generator": "PCG64"}'])
     def test_serve_refuses_a_journal_with_a_malformed_rng(self, tmp_path, capsys, rng):

@@ -102,7 +102,7 @@ def test_vector_and_dict_key_forms_agree(n_seed, d):
     inst, alloc = rigid_instance("erdos", n_seed, d, 10, rigid_seed=n_seed + 2)
     ci = compile_instance(inst)
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    times_vec = ci.duration_vector(times)
+    times_vec = np.array([times[j] for j in ci.order])
     for rule in RULES:
         keys_arr = rule.as_array(inst, alloc, times_vec)
         keys_map = rule(inst, alloc, times)

@@ -8,11 +8,6 @@ each pinned here against the dict-based structures they lower.
 import numpy as np
 import pytest
 
-from repro.core.list_scheduler import (
-    bottom_level_priority,
-    fifo_priority,
-    list_schedule,
-)
 from repro.dag.generators import erdos_renyi_dag, layered_random
 from repro.dag.graph import DAG
 from repro.instance.compiled import compile_dag, compile_instance
@@ -36,56 +31,17 @@ class TestCompiledDAGRoundTrip:
         cd = compile_dag(dag)
         index = cd.index
         for i, j in enumerate(cd.order):
-            succ = [cd.order[s] for s in cd.successors_of(i).tolist()]
+            succ = [cd.order[s] for s in cd.succ_lists()[i]]
             assert succ == list(dag.successors(j))  # same jobs, same order
-            # same jobs, listed by ascending topological index (the
-            # transposed CSR is sorted off the successor CSR, not read
-            # from the DAG)
-            preds = cd.predecessors_of(i).tolist()
-            assert preds == sorted(index[p] for p in dag.predecessors(j))
             assert cd.in_degree[i] == dag.in_degree(j)
             assert cd.out_degree[i] == dag.out_degree(j)
             assert index[j] == i
 
-    def test_predecessor_csr_is_built_on_first_use(self, dag):
-        """Neither Phase 2 under fifo nor the bottom-level sweep reads the
-        transposed adjacency, so neither builds it; the in-degrees are
-        there without it."""
-        inst = build(dag)
-        alloc = {j: ResourceVector((1, 1)) for j in inst.jobs}
-        for rule in (fifo_priority, bottom_level_priority):
-            list_schedule(inst, alloc, rule)
-        cd = compile_dag(dag)
-        assert cd._pred_csr is None
-        assert cd.in_degree.dtype == np.int64
-        assert cd.in_degree.tolist() == [len(dag.predecessors(j)) for j in cd.order]
-        assert cd._pred_csr is None
-        indptr, indices = cd.pred_indptr, cd.pred_indices
-        assert cd._pred_csr is not None and cd.pred_indptr is indptr
-        assert np.array_equal(np.diff(indptr), cd.in_degree)
-        assert indices.dtype == np.int64 and indices.size == cd.succ_indices.size
-
-    def test_predecessor_csr_is_the_lowering_s_own_after_the_dag_mutates(self):
-        """The transposed CSR is sorted off the successor CSR: a DAG edited
-        after the lowering cannot leak into the old lowering, and gets a
-        fresh one."""
-        dag = DAG(nodes=[0, 1, 2, 3], edges=[(0, 2), (1, 2)])
-        cd = compile_dag(dag)
-        dag.add_edge(2, 3)
-
-        def preds(c, j):
-            return {c.order[p] for p in c.predecessors_of(c.index[j]).tolist()}
-
-        assert preds(cd, 3) == set() and preds(cd, 2) == {0, 1}
-        fresh = compile_dag(dag)
-        assert fresh is not cd
-        assert preds(fresh, 3) == {2} and preds(fresh, 2) == {0, 1}
-        assert fresh.in_degree[fresh.index[3]] == 1
-
     def test_succ_lists_mirror_csr(self, dag):
         cd = compile_dag(dag)
         for i in range(cd.n):
-            assert cd.succ_lists()[i] == cd.successors_of(i).tolist()
+            lo, hi = cd.succ_indptr[i], cd.succ_indptr[i + 1]
+            assert cd.succ_lists()[i] == cd.succ_indices[lo:hi].tolist()
 
     def test_order_is_the_dag_topological_order(self, dag):
         assert compile_dag(dag).order == dag.topological_order()
@@ -98,6 +54,23 @@ class TestCompiledDAGRoundTrip:
         cd2 = compile_dag(dag)
         assert cd2 is not cd
         assert cd2.n == 3 and cd2.in_degree.sum() == 2
+
+    def test_successor_csr_is_the_lowering_s_own_after_the_dag_mutates(self):
+        """The CSR is copied out of the DAG's adjacency: an edge added after
+        the lowering cannot leak into it, and the fresh lowering has it."""
+        dag = DAG(nodes=[0, 1, 2, 3], edges=[(0, 2), (1, 2)])
+        cd = compile_dag(dag)
+        dag.add_edge(2, 3)
+
+        def succs(c, j):
+            return {c.order[s] for s in c.succ_lists()[c.index[j]]}
+
+        assert succs(cd, 2) == set() and succs(cd, 0) == {2}
+        assert cd.in_degree[cd.index[3]] == 0
+        fresh = compile_dag(dag)
+        assert fresh is not cd
+        assert succs(fresh, 2) == {3} and succs(fresh, 0) == {2}
+        assert fresh.in_degree[fresh.index[3]] == 1
 
 
 class TestCompiledInstance:
@@ -118,16 +91,13 @@ class TestCompiledInstance:
         inst.dag.add_edge(1, 2)  # mutating the DAG invalidates the lowering
         assert compile_instance(inst) is not ci
 
-    def test_alloc_matrix_and_duration_vector(self, dag):
+    def test_alloc_matrix(self, dag):
         inst = build(dag, d=2)
         alloc = {j: ResourceVector((1 + i % 3, 2)) for i, j in enumerate(inst.jobs)}
         ci = compile_instance(inst)
         m = ci.alloc_matrix(alloc)
-        times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-        tv = ci.duration_vector(times)
         for i, j in enumerate(ci.order):
             assert tuple(m[i]) == tuple(alloc[j])
-            assert tv[i] == times[j]
 
 
 class TestRankPermutation:

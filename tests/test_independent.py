@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import tiny_instance
+from helpers import exact_lmin_bruteforce, tiny_instance
 from repro.core.independent import optimal_independent_allocation
-from repro.core.lower_bounds import exact_lmin_bruteforce
 from repro.jobs.candidates import full_grid
 
 

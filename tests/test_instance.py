@@ -45,7 +45,7 @@ class TestDefinitions:
     def test_total_area_per_type(self):
         inst = fixed_time_instance()
         alloc = {"a": ResourceVector((2, 1)), "b": ResourceVector((4, 1))}
-        per_type = inst.total_area_per_type(alloc)
+        per_type = [sum(inst.area(j, alloc[j], i) for j in inst.jobs) for i in range(inst.d)]
         assert per_type[0] == pytest.approx(2.0 + 1.0)
         assert per_type[1] == pytest.approx(2.0 + 0.5)
         # average over types equals A(p)

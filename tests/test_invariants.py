@@ -84,7 +84,8 @@ class TestEndToEndChain:
     def test_lower_bound_chain_monotone(self, seed, d):
         """trivial floors <= L_LP and adjusted allocation's L(p) within the
         adjustment inflation envelope of L(p')."""
-        from repro.core.lower_bounds import lp_lower_bound, trivial_lower_bounds
+        from helpers import trivial_lower_bounds
+        from repro.core.lower_bounds import lp_lower_bound
 
         pool = ResourcePool.uniform(d, 10)
         wl = random_instance("layered", 10, pool, seed=seed)

@@ -4,7 +4,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.jobs.profiles import ProfileEntry, assumption3_violations
+from helpers import assumption3_violations, iter_allocation_grid
+from repro.jobs.profiles import ProfileEntry
 from repro.jobs.speedup import (
     AmdahlSpeedup,
     CommunicationOverheadTime,
@@ -15,7 +16,7 @@ from repro.jobs.speedup import (
     RooflineSpeedup,
     random_multi_resource_time,
 )
-from repro.resources.vector import ResourceVector, iter_allocation_grid
+from repro.resources.vector import ResourceVector
 
 
 class TestSpeedupModels:

@@ -25,7 +25,7 @@ class TestConstruction:
         assert all(inst.dag.in_degree(j) <= 1 for j in inst.jobs)
         # unit-time single-type rigid jobs
         for j, job in inst.jobs.items():
-            assert job.is_rigid()
+            assert len(job.candidates) == 1
             alloc = job.candidates[0]
             assert sum(alloc) == 1
             assert job.time(alloc) == 1.0

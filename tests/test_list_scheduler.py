@@ -16,7 +16,6 @@ from repro.core.list_scheduler import (
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
 from repro.jobs.candidates import full_grid
-from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 
@@ -171,101 +170,3 @@ class TestRandomizedValidity:
         s = list_schedule(inst, {i: ResourceVector((1,)) for i in range(n)},
                           random_priority(seed))
         assert s.makespan == pytest.approx(-(-n // 4))
-
-
-class TestPortfolio:
-    def test_best_of_rules(self):
-        from repro.core.list_scheduler import portfolio_list_schedule
-
-        inst = tiny_instance(seed=31, d=2, capacity=6,
-                             edges=((0, 2), (1, 2), (2, 3), (1, 4)))
-        alloc = balanced_allocation(inst)
-        sched, winner = portfolio_list_schedule(inst, alloc)
-        sched.validate()
-        for rule in (fifo_priority, lpt_priority, bottom_level_priority):
-            single = list_schedule(inst, alloc, rule)
-            assert sched.makespan <= single.makespan + 1e-9
-        assert winner in ("bottom_level", "fifo", "lpt", "random")
-
-    def test_empty_rules_rejected(self):
-        from repro.core.list_scheduler import portfolio_list_schedule
-
-        inst = tiny_instance(seed=0)
-        alloc = balanced_allocation(inst)
-        with pytest.raises(ValueError):
-            portfolio_list_schedule(inst, alloc, rules={})
-
-    def test_first_rule_wins_ties(self):
-        """Regression: the documented tie-breaking contract — the first rule
-        (iteration order) keeps ties, later rules need a strict improvement."""
-        from repro.core.list_scheduler import portfolio_list_schedule
-
-        inst = tiny_instance(seed=31, d=2, capacity=6)
-        alloc = balanced_allocation(inst)
-        # identical rules => identical makespans for every entry
-        rules = {"first": fifo_priority, "second": fifo_priority,
-                 "third": fifo_priority}
-        sched, winner = portfolio_list_schedule(inst, alloc, rules=rules)
-        assert winner == "first"
-        # reversing the dict order flips the winner, confirming it is the
-        # *order*, not the name, that decides ties
-        rules_rev = {"third": fifo_priority, "first": fifo_priority}
-        _, winner_rev = portfolio_list_schedule(inst, alloc, rules=rules_rev)
-        assert winner_rev == "third"
-
-    def test_set_up_is_paid_once_not_once_per_rule(self, monkeypatch):
-        """The allocation is validated once and every job's time evaluated
-        once, whatever the number of rules — and each rule still gets the
-        schedule ``list_schedule`` gives it."""
-        from repro.core.list_scheduler import portfolio_list_schedule
-
-        base = tiny_instance(seed=31, d=2, capacity=6,
-                             edges=((0, 2), (1, 2), (2, 3), (1, 4)))
-        calls = []
-
-        def counted(job):
-            def time_fn(alloc):
-                calls.append(job.id)
-                return job.time_fn(alloc)
-            return time_fn
-
-        inst = Instance(
-            jobs={j: Job(id=j, time_fn=counted(job), candidates=job.candidates)
-                  for j, job in base.jobs.items()},
-            dag=base.dag, pool=base.pool,
-        )
-        alloc = balanced_allocation(base)
-        singles = {
-            name: list_schedule(base, alloc, rule).makespan
-            for name, rule in (("bottom_level", bottom_level_priority),
-                               ("fifo", fifo_priority), ("lpt", lpt_priority))
-        }
-        validations = []
-        validate = Instance.validate_allocation_map
-        monkeypatch.setattr(
-            Instance, "validate_allocation_map",
-            lambda self, a: validations.append(1) or validate(self, a),
-        )
-        sched, winner = portfolio_list_schedule(inst, alloc)  # four rules
-        assert sorted(calls, key=repr) == sorted(inst.jobs, key=repr)
-        assert len(validations) == 1
-        assert sched.makespan <= min(singles.values())
-        if winner in singles:
-            assert sched.makespan == singles[winner]
-
-    def test_tiny_improvements_within_tolerance_do_not_steal_the_win(self):
-        from repro.core.list_scheduler import portfolio_list_schedule
-
-        inst = tiny_instance(seed=8, d=2, capacity=6)
-        alloc = balanced_allocation(inst)
-        base = list_schedule(inst, alloc, fifo_priority).makespan
-        better = list_schedule(inst, alloc, bottom_level_priority).makespan
-        sched, winner = portfolio_list_schedule(
-            inst, alloc,
-            rules={"fifo": fifo_priority, "bottom": bottom_level_priority},
-        )
-        if better < base - 1e-12:
-            assert winner == "bottom"
-        else:
-            assert winner == "fifo"
-        assert sched.makespan == pytest.approx(min(base, better))

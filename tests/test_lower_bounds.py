@@ -3,12 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import tiny_instance
-from repro.core.lower_bounds import (
-    exact_lmin_bruteforce,
-    lp_lower_bound,
-    trivial_lower_bounds,
-)
+from helpers import exact_lmin_bruteforce, tiny_instance, trivial_lower_bounds
+from repro.core.lower_bounds import lp_lower_bound
 from repro.jobs.candidates import full_grid
 
 

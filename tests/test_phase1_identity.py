@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     REFERENCE_LINPROG_OPTIONS,
     HalvingSpeedup,
+    kernel_frontier,
     pipeline_instance,
     reference_candidate_table,
     reference_linprog_solve,
@@ -43,7 +44,7 @@ from repro.dag.graph import DAG
 from repro.instance.instance import Instance, make_instance
 from repro.jobs.candidates import diagonal_grid, full_grid, geometric_grid
 from repro.jobs.job import Job
-from repro.jobs.profiles import ProfileEntry, pareto_filter, pareto_indices
+from repro.jobs.profiles import ProfileEntry
 from repro.jobs.speedup import (
     LinearSpeedup,
     MultiResourceTime,
@@ -176,13 +177,7 @@ class TestParetoTies:
         # the allocation records the input position, so equality also pins
         # *which* of several tied entries survives
         entries = [entry(t, a, k) for k, (t, a) in enumerate(self.CASES[case])]
-        expected = reference_pareto_filter(entries)
-        assert pareto_filter(entries) == expected
-        keep = pareto_indices(
-            np.array([e.time for e in entries], dtype=np.float64),
-            np.array([e.area for e in entries], dtype=np.float64),
-        )
-        assert [entries[i] for i in keep] == expected
+        assert kernel_frontier(entries) == reference_pareto_filter(entries)
 
     def test_random_pairs_with_many_ties(self):
         rng = np.random.default_rng(5)
@@ -190,7 +185,7 @@ class TestParetoTies:
             m = int(rng.integers(1, 30))
             pairs = rng.integers(1, 6, size=(m, 2)).astype(float)
             entries = [entry(t, a, k) for k, (t, a) in enumerate(pairs.tolist())]
-            assert pareto_filter(entries) == reference_pareto_filter(entries)
+            assert kernel_frontier(entries) == reference_pareto_filter(entries)
 
 
 def layered_instance(d: int, seed: int, layers: int = 4, width: int = 5) -> Instance:

@@ -1,14 +1,10 @@
-"""Tests for tabulated profiles and the Eq. (2) Pareto filter."""
+"""Tests for tabulated profiles and the Eq. (2) Pareto kernel."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.jobs.profiles import (
-    ProfileEntry,
-    TabulatedTimeFunction,
-    assumption3_violations,
-    pareto_filter,
-)
+from helpers import assumption3_violations, kernel_frontier
+from repro.jobs.profiles import ProfileEntry, TabulatedTimeFunction
 from repro.resources.vector import ResourceVector
 
 
@@ -19,24 +15,24 @@ def entry(t, a, alloc=(1,)):
 class TestParetoFilter:
     def test_keeps_frontier(self):
         entries = [entry(1.0, 10.0), entry(2.0, 5.0), entry(4.0, 1.0)]
-        assert pareto_filter(entries) == entries
+        assert kernel_frontier(entries) == entries
 
     def test_drops_dominated(self):
         dominated = entry(3.0, 7.0)  # slower and costlier than (2, 5)
-        out = pareto_filter([entry(1.0, 10.0), entry(2.0, 5.0), dominated, entry(4.0, 1.0)])
+        out = kernel_frontier([entry(1.0, 10.0), entry(2.0, 5.0), dominated, entry(4.0, 1.0)])
         assert dominated not in out
         assert len(out) == 3
 
     def test_equal_time_keeps_min_area(self):
-        out = pareto_filter([entry(2.0, 5.0), entry(2.0, 3.0)])
+        out = kernel_frontier([entry(2.0, 5.0), entry(2.0, 3.0)])
         assert out == [entry(2.0, 3.0)]
 
     def test_equal_area_keeps_fastest(self):
-        out = pareto_filter([entry(1.0, 5.0), entry(2.0, 5.0)])
+        out = kernel_frontier([entry(1.0, 5.0), entry(2.0, 5.0)])
         assert out == [entry(1.0, 5.0)]
 
     def test_result_strictly_monotone(self):
-        out = pareto_filter(
+        out = kernel_frontier(
             [entry(1.0, 4.0), entry(1.0, 6.0), entry(2.0, 4.0), entry(3.0, 2.0), entry(3.5, 2.0)]
         )
         for e1, e2 in zip(out, out[1:]):
@@ -56,7 +52,7 @@ class TestParetoFilter:
     @settings(max_examples=100)
     def test_matches_bruteforce_dominance(self, pairs):
         entries = [entry(t, a) for t, a in pairs]
-        out = pareto_filter(entries)
+        out = kernel_frontier(entries)
         out_set = {(e.time, e.area) for e in out}
         # 1) no kept entry is strictly dominated (Eq. 2)
         for e in out:

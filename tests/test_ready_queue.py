@@ -94,7 +94,7 @@ def _assert_insort_order(loop):
     queued rows — what a fresh sort of the per-row states would give."""
     key = loop.gi.key
     ref = sorted((key[i], i) for i, s in enumerate(loop.state) if s == J_QUEUED)
-    assert loop.ready_items() == ref
+    assert list(loop.rq) == ref
 
 
 def _assert_column(loop):
@@ -418,7 +418,7 @@ class TestColumnCache:
         row = s.gi.index
         want = [(2.5, row["q2"]), (2.5, row["q4"]), (3, row["q0"]),
                 (3.0, row["q1"]), (3, row["q3"]), (3.0, row["q5"])]
-        assert s.loop.ready_items() == want
+        assert list(s.loop.rq) == want
         # 3 == 3.0: the tie falls to the index, and the key keeps its type
         assert [type(k) for k, _ in s.loop.rq] == [float, float, int, float, int, float]
         fork = _json_fork(s)
@@ -521,7 +521,7 @@ class TestCompactionRemapping:
         assert gi.order == ["blocker", "q1", "q2", "late"]
         # ready queue: indices remapped, (key, index) order intact
         loop = s.loop
-        assert loop.ready_items() == [(3, gi.index["q2"]), (9, gi.index["q1"])]
+        assert list(loop.rq) == [(3, gi.index["q2"]), (9, gi.index["q1"])]
         _assert_insort_order(loop)
         # heap codes: blocker's completion (code >= 0, the new index) and
         # late's release (code < 0, bitwise complement of the new index)

@@ -9,6 +9,7 @@ from helpers import (
     reference_callback_list_schedule,
     reference_intervals,
     ruler_rigid_instance,
+    schedule_from_decisions,
     tiny_instance,
 )
 from repro.core.list_scheduler import (
@@ -40,7 +41,7 @@ def two_job_instance():
 class TestScheduleBasics:
     def test_from_decisions_and_makespan(self):
         inst = two_job_instance()
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst,
             {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
             {"a": 0.0, "b": 2.0},
@@ -51,7 +52,7 @@ class TestScheduleBasics:
 
     def test_precedence_violation_detected(self):
         inst = two_job_instance()
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst,
             {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
             {"a": 0.0, "b": 1.0},  # b starts before a finishes
@@ -66,7 +67,7 @@ class TestScheduleBasics:
             for k in ("x", "y")
         }
         inst = Instance(jobs=jobs, dag=DAG(nodes=["x", "y"]), pool=pool)
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst, {k: ResourceVector((2,)) for k in jobs}, {"x": 0.0, "y": 1.0}
         )
         with pytest.raises(ValueError, match="capacity"):
@@ -80,14 +81,14 @@ class TestScheduleBasics:
             for k in ("x", "y")
         }
         inst = Instance(jobs=jobs, dag=DAG(nodes=["x", "y"]), pool=pool)
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst, {k: ResourceVector((2,)) for k in jobs}, {"x": 0.0, "y": 1.0}
         )
         s.validate()
 
     def test_negative_start_detected(self):
         inst = two_job_instance()
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst,
             {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
             {"a": -1.0, "b": 2.0},
@@ -113,7 +114,7 @@ class TestIntervalsAndUtilization:
 
     def test_interval_usage_matches_placements(self):
         inst = two_job_instance()
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst,
             {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
             {"a": 0.0, "b": 2.0},
@@ -129,17 +130,6 @@ class TestIntervalsAndUtilization:
         s = list_schedule(inst, alloc)
         for u in s.utilization():
             assert 0.0 < u <= 1.0 + 1e-9
-
-    def test_fraction_of_job_in(self):
-        inst = two_job_instance()
-        s = Schedule.from_decisions(
-            inst,
-            {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
-            {"a": 0.0, "b": 2.0},
-        )
-        assert s.fraction_of_job_in("a", 0.0, 1.0) == pytest.approx(0.5)
-        assert s.fraction_of_job_in("a", 0.0, 5.0) == pytest.approx(1.0)
-        assert s.fraction_of_job_in("b", 0.0, 2.0) == pytest.approx(0.0)
 
     def test_classification_partitions(self):
         inst = tiny_instance(seed=15, d=2, capacity=8)
@@ -165,7 +155,7 @@ class TestIntervalsAndUtilization:
             starts[jid] = t0
             allocs[jid] = ResourceVector((units,))
         inst = Instance(jobs=jobs, dag=DAG(nodes=list(jobs)), pool=pool)
-        s = Schedule.from_decisions(inst, allocs, starts)
+        s = schedule_from_decisions(inst, allocs, starts)
         cls = classify_intervals(s, mu=0.382)
         assert cls.t1 == pytest.approx(1.0)
         assert cls.t2 == pytest.approx(1.0)
@@ -173,7 +163,7 @@ class TestIntervalsAndUtilization:
 
     def test_classification_rejects_bad_mu(self):
         inst = two_job_instance()
-        s = Schedule.from_decisions(
+        s = schedule_from_decisions(
             inst,
             {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
             {"a": 0.0, "b": 2.0},

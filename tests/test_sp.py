@@ -1,9 +1,11 @@
 """Tests for series-parallel structures: composition semantics, tree
 conversion, random generation."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import nx_graph
 from repro.dag import generators
 from repro.dag.graph import DAG
 from repro.dag.paths import critical_path_length
@@ -69,20 +71,20 @@ class TestTreeConversion:
     def test_out_tree(self):
         dag = DAG(edges=[("r", "a"), ("r", "b"), ("a", "c")])
         sp = tree_to_sp(dag)
-        sp_dag = sp_to_dag(sp)
+        sp_dag = nx_graph(sp_to_dag(sp))
         # original tree edges must be implied
         for u, v in dag.edges():
-            assert v in sp_dag.descendants(u) or sp_dag.has_edge(u, v)
+            assert v in nx.descendants(sp_dag, u) or sp_dag.has_edge(u, v)
         # siblings must stay unordered
-        assert "b" not in sp_dag.descendants("a")
-        assert "a" not in sp_dag.descendants("b")
+        assert "b" not in nx.descendants(sp_dag, "a")
+        assert "a" not in nx.descendants(sp_dag, "b")
 
     def test_in_tree(self):
         dag = DAG(edges=[("a", "r"), ("b", "r"), ("c", "a")])
         sp = tree_to_sp(dag)
-        sp_dag = sp_to_dag(sp)
-        assert "r" in sp_dag.descendants("c")
-        assert "b" not in sp_dag.descendants("a")
+        sp_dag = nx_graph(sp_to_dag(sp))
+        assert "r" in nx.descendants(sp_dag, "c")
+        assert "b" not in nx.descendants(sp_dag, "a")
 
     def test_forest(self):
         dag = DAG(edges=[("r1", "a")])
@@ -112,8 +114,9 @@ class TestTreeConversion:
         assert set(sp_dag.nodes()) == set(dag.nodes())
         # SP semantics may add transitive edges but never new *orderings*
         # beyond the tree's reachability, and must preserve all of them
+        sp_g, g = nx_graph(sp_dag), nx_graph(dag)
         for u in dag.nodes():
-            assert sp_dag.descendants(u) == dag.descendants(u)
+            assert nx.descendants(sp_g, u) == nx.descendants(g, u)
 
 
 class TestRandomSP:
@@ -130,9 +133,9 @@ class TestRandomSP:
         chain_tree = random_sp_tree(6, seed=0, p_series=1.0)
         dag = sp_to_dag(chain_tree)
         # all-series: a total order = chain with transitive edges; check reachability
-        order = dag.topological_order()
+        order, g = dag.topological_order(), nx_graph(dag)
         for i, u in enumerate(order):
-            assert len(dag.descendants(u)) == len(order) - i - 1
+            assert len(nx.descendants(g, u)) == len(order) - i - 1
         par_tree = random_sp_tree(6, seed=0, p_series=0.0)
         assert sp_to_dag(par_tree).num_edges == 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.lower_bounds import exact_lmin_bruteforce
+from helpers import exact_lmin_bruteforce
 from repro.core.sp_fptas import sp_fptas_allocation
 from repro.dag.sp import SPLeaf, SPParallel, SPSeries, random_sp_tree, sp_to_dag, tree_to_sp
 from repro.dag.generators import random_out_tree

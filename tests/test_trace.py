@@ -10,7 +10,6 @@ from repro.instance.instance import with_poisson_arrivals
 from repro.jobs.candidates import full_grid
 from repro.sim.trace import (
     TRACE_VERSION,
-    cancellations_from_trace,
     schedule_from_trace,
     schedule_to_trace,
     trace_to_json,
@@ -109,7 +108,7 @@ class TestTraceV3Cancellations:
         trace["version"] = 2  # a v2 archive: no cancelled list
         rebuilt = schedule_from_trace(inst, trace)
         assert rebuilt.placements == sched.placements
-        assert cancellations_from_trace(trace) == []
+        assert trace.get("cancelled", []) == []
 
     def test_cancellations_carried_and_extracted(self):
         from repro.service.session import JobSpec, SchedulingSession
@@ -125,7 +124,7 @@ class TestTraceV3Cancellations:
         s.drain()
         trace = s.to_trace()
         assert trace["version"] == 3
-        assert cancellations_from_trace(trace) == [{"id": "'drop'", "time": 0.0}]
+        assert trace["cancelled"] == [{"id": "'drop'", "time": 0.0}]
         # the loader rebuilds the completed placements, ignoring cancellations
         sched = s.to_schedule()
         rebuilt = schedule_from_trace(sched.instance, trace)
@@ -140,7 +139,3 @@ class TestTraceV3Cancellations:
         trace["cancelled"] = [{"id": repr(placed), "time": 0.0}]
         with pytest.raises(ValueError, match="both cancelled and placed"):
             schedule_from_trace(inst, trace)
-
-    def test_unknown_version_in_extractor(self):
-        with pytest.raises(ValueError, match="version"):
-            cancellations_from_trace({"version": 99})

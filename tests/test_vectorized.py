@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import iter_allocation_grid, reference_pareto_filter
 from repro.instance.instance import make_instance
 from repro.dag.generators import independent
 from repro.jobs.candidates import full_grid
-from repro.jobs.profiles import ProfileEntry, pareto_filter
+from repro.jobs.job import Job
+from repro.jobs.profiles import ProfileEntry
 from repro.jobs.speedup import (
     AmdahlSpeedup,
     LinearSpeedup,
@@ -17,16 +19,19 @@ from repro.jobs.speedup import (
     RooflineSpeedup,
     random_multi_resource_time,
 )
-from repro.jobs.vectorized import (
-    NoArrayForm,
-    evaluate_times,
-    speedup_array,
-)
+from repro.jobs.vectorized import _block_times, _family_of, _levels, _TimeFunctions, family_array
 from repro.resources.pool import ResourcePool
-from repro.resources.vector import ResourceVector, iter_allocation_grid
+from repro.resources.vector import ResourceVector
 
 
-class TestSpeedupArray:
+def kernel_times(fn: MultiResourceTime, allocs) -> np.ndarray:
+    """``t_j`` of one job over an ``(m, d)`` allocation matrix, through the
+    table's kernel."""
+    job = Job(id="j", time_fn=fn)
+    return _block_times(*_levels(np.asarray(allocs)), _TimeFunctions.lower([job], fn.d), [job])[0]
+
+
+class TestFamilyArray:
     @pytest.mark.parametrize(
         "model",
         [
@@ -39,41 +44,33 @@ class TestSpeedupArray:
     )
     def test_matches_scalar(self, model):
         xs = np.arange(1, 40)
-        arr = speedup_array(model, xs)
+        code, attr = _family_of(type(model))
+        arr = family_array(code, xs.astype(np.float64), getattr(model, attr) if attr else None)
         for x, v in zip(xs, arr):
             assert v == pytest.approx(model(int(x)))
 
-    def test_custom_model_raises(self):
+    def test_custom_model_has_no_family(self):
         class Custom:
             def __call__(self, x):
                 return float(x)
 
-        assert issubclass(NoArrayForm, TypeError)
-        with pytest.raises(NoArrayForm):
-            speedup_array(Custom(), np.array([1, 2]))
+        assert _family_of(Custom) == (-1, None)
 
 
-class TestEvaluateTimes:
+class TestKernelTimes:
     @given(st.integers(min_value=0, max_value=10**6),
            st.sampled_from(["max", "sum"]))
     @settings(max_examples=30, deadline=None)
     def test_matches_scalar_everywhere(self, seed, combiner):
         fn = random_multi_resource_time(2, seed=seed, combiner=combiner)
         allocs = [tuple(a) for a in iter_allocation_grid(ResourceVector((5, 5)))]
-        vec = evaluate_times(fn, np.array(allocs))
+        vec = kernel_times(fn, np.array(allocs))
         for a, t in zip(allocs, vec):
             assert t == pytest.approx(fn(ResourceVector(a)), rel=1e-12)
 
-    def test_shape_validation(self):
-        fn = MultiResourceTime(works=(1.0, 1.0), speedups=(LinearSpeedup(),) * 2)
-        with pytest.raises(ValueError):
-            evaluate_times(fn, np.array([1, 2, 3]))
-        with pytest.raises(ValueError):
-            evaluate_times(fn, np.array([[0, 1]]))
-
     def test_zero_work_type_ignored(self):
         fn = MultiResourceTime(works=(4.0, 0.0), speedups=(LinearSpeedup(),) * 2)
-        vec = evaluate_times(fn, np.array([[2, 0], [4, 0]]))
+        vec = kernel_times(fn, np.array([[2, 0], [4, 0]]))
         assert vec == pytest.approx([2.0, 1.0])
 
 
@@ -88,7 +85,7 @@ class TestEvaluateEntries:
         fast = make_instance(independent(1), pool, lambda j: fn).candidate_table(full_grid)[0]
         # scalar reference
         d = pool.d
-        scalar = pareto_filter(
+        scalar = reference_pareto_filter(
             ProfileEntry(
                 alloc=c,
                 time=fn(c),
