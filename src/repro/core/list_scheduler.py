@@ -28,7 +28,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.dag.paths import bottom_levels
+from repro.dag.paths import bottom_levels, bottom_levels_array
 from repro.engine.dispatch import priority_loop
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
@@ -109,9 +109,7 @@ def random_priority(seed: int | np.random.Generator | None = None) -> PriorityRu
 
 
 def _bottom_level_keys(instance, allocation, times_vec) -> np.ndarray:
-    from repro.instance.compiled import bottom_levels_array, compile_dag
-
-    return -bottom_levels_array(compile_dag(instance.dag), times_vec)
+    return -bottom_levels_array(instance.dag, times_vec)
 
 
 @_array_form(_bottom_level_keys)

@@ -6,9 +6,9 @@ level decomposition), average degree, and the *parallelism profile* (ready
 width per level) — the quantities evaluation sections tabulate when
 describing their workload mix.
 
-The level decomposition comes from the cached array lowering of the DAG
-(:mod:`repro.instance.compiled`): one vectorized Kahn peel over the CSR
-adjacency, shared with the scheduling engine.
+The level decomposition is the DAG's own lazily kept
+:attr:`~repro.dag.graph.DAG.levels`: one vectorized Kahn peel over its CSR
+adjacency, shared with the level-batched path sweeps.
 """
 
 from __future__ import annotations
@@ -26,32 +26,17 @@ JobId = Hashable
 
 def node_levels(dag: DAG) -> dict[JobId, int]:
     """Precedence level of each node: 0 for sources, else 1 + max over preds."""
-    from repro.instance.compiled import compile_dag
-
-    cd = compile_dag(dag)
-    return dict(zip(cd.order, cd.levels.tolist()))
-
-
-#: Backwards-compatible private alias.
-_levels = node_levels
+    return dict(zip(dag.order, dag.levels.tolist()))
 
 
 def depth(dag: DAG) -> int:
     """Number of levels (hop-longest chain length); 0 for an empty graph."""
-    from repro.instance.compiled import compile_dag
-
-    if len(dag) == 0:
-        return 0
-    return int(compile_dag(dag).levels.max()) + 1
+    return int(dag.levels.max(initial=-1)) + 1
 
 
 def level_widths(dag: DAG) -> list[int]:
     """Node count per precedence level (the parallelism profile)."""
-    from repro.instance.compiled import compile_dag
-
-    if len(dag) == 0:
-        return []
-    return np.bincount(compile_dag(dag).levels).tolist()
+    return np.bincount(dag.levels).tolist()
 
 
 def width(dag: DAG) -> int:

@@ -48,10 +48,7 @@ def independent(n: int) -> DAG:
 
 def chain(n: int) -> DAG:
     """A linear chain ``0 -> 1 -> ... -> n-1`` (fully sequential)."""
-    g = DAG(nodes=range(n))
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return DAG(range(n), ((i, i + 1) for i in range(n - 1)))
 
 
 def fork_join(width: int, stages: int = 1) -> DAG:
@@ -62,19 +59,16 @@ def fork_join(width: int, stages: int = 1) -> DAG:
     """
     if width < 1 or stages < 1:
         raise ValueError("width and stages must be >= 1")
-    g = DAG()
-    prev_join: JobId | None = None
+    edges: list[tuple[JobId, JobId]] = []
     for s in range(stages):
         fork = ("fork", s)
         join = ("join", s)
-        if prev_join is not None:
-            g.add_edge(prev_join, fork)
+        if s:
+            edges.append((("join", s - 1), fork))
         for k in range(width):
             w = ("work", s, k)
-            g.add_edge(fork, w)
-            g.add_edge(w, join)
-        prev_join = join
-    return g
+            edges += [(fork, w), (w, join)]
+    return DAG(edges=edges)
 
 
 def layered_random(
@@ -95,15 +89,14 @@ def layered_random(
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     rng = ensure_rng(seed)
-    g = DAG(nodes=((l, i) for l in range(layers) for i in range(width)))
+    edges: list[tuple[JobId, JobId]] = []
     for l in range(layers - 1):
         for j in range(width):
-            preds = np.nonzero(rng.random(width) < p)[0]
-            for i in preds:
-                g.add_edge((l, int(i)), (l + 1, j))
-            if connect_all and len(preds) == 0:
-                g.add_edge((l, int(rng.integers(width))), (l + 1, j))
-    return g
+            preds = np.nonzero(rng.random(width) < p)[0].tolist()
+            if connect_all and not preds:
+                preds = [int(rng.integers(width))]
+            edges += [((l, i), (l + 1, j)) for i in preds]
+    return DAG(((l, i) for l in range(layers) for i in range(width)), edges)
 
 
 def erdos_renyi_dag(n: int, p: float, seed: int | np.random.Generator | None = None) -> DAG:
@@ -112,32 +105,25 @@ def erdos_renyi_dag(n: int, p: float, seed: int | np.random.Generator | None = N
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     rng = ensure_rng(seed)
-    g = DAG(nodes=range(n))
+    edges: list[tuple[int, int]] = []
     for i in range(n):
         js = i + 1 + np.nonzero(rng.random(n - i - 1) < p)[0]
-        for j in js:
-            g.add_edge(i, int(j))
-    return g
+        edges += [(i, j) for j in js.tolist()]
+    return DAG(range(n), edges)
 
 
 def random_out_tree(n: int, seed: int | np.random.Generator | None = None) -> DAG:
     """A uniformly-attached random out-tree: node ``i >= 1`` has a single
     parent chosen uniformly from ``0..i-1`` (dependencies flow root→leaves)."""
     rng = ensure_rng(seed)
-    g = DAG(nodes=range(n))
-    for i in range(1, n):
-        g.add_edge(int(rng.integers(i)), i)
-    return g
+    return DAG(range(n), [(int(rng.integers(i)), i) for i in range(1, n)])
 
 
 def random_in_tree(n: int, seed: int | np.random.Generator | None = None) -> DAG:
     """Mirror of :func:`random_out_tree`: dependencies flow leaves→root
     (every node has at most one successor)."""
     rng = ensure_rng(seed)
-    g = DAG(nodes=range(n))
-    for i in range(1, n):
-        g.add_edge(i, int(rng.integers(i)))
-    return g
+    return DAG(range(n), [(i, int(rng.integers(i))) for i in range(1, n)])
 
 
 # ----------------------------------------------------------------------
@@ -153,29 +139,30 @@ def cholesky_dag(b: int) -> DAG:
     """
     if b < 1:
         raise ValueError("b must be >= 1")
-    g = DAG()
+    edges: list[tuple[JobId, JobId]] = []
+    add = edges.append
     for k in range(b):
         potrf = ("potrf", k)
-        g.add_node(potrf)
         if k > 0:
-            g.add_edge(("syrk", k - 1, k), potrf)
+            add((("syrk", k - 1, k), potrf))
         for i in range(k + 1, b):
             trsm = ("trsm", k, i)
-            g.add_edge(potrf, trsm)
+            add((potrf, trsm))
             if k > 0:
-                g.add_edge(("gemm", k - 1, i, k), trsm)
+                add((("gemm", k - 1, i, k), trsm))
         for i in range(k + 1, b):
             syrk = ("syrk", k, i)
-            g.add_edge(("trsm", k, i), syrk)
+            add((("trsm", k, i), syrk))
             if k > 0:
-                g.add_edge(("syrk", k - 1, i), syrk)
+                add((("syrk", k - 1, i), syrk))
             for j in range(k + 1, i):
                 gemm = ("gemm", k, i, j)
-                g.add_edge(("trsm", k, i), gemm)
-                g.add_edge(("trsm", k, j), gemm)
+                add((("trsm", k, i), gemm))
+                add((("trsm", k, j), gemm))
                 if k > 0:
-                    g.add_edge(("gemm", k - 1, i, j), gemm)
-    return g
+                    add((("gemm", k - 1, i, j), gemm))
+    # every later potrf first appears as the head of its syrk edge
+    return DAG([("potrf", 0)], edges)
 
 
 def lu_dag(b: int) -> DAG:
@@ -186,30 +173,31 @@ def lu_dag(b: int) -> DAG:
     """
     if b < 1:
         raise ValueError("b must be >= 1")
-    g = DAG()
+    edges: list[tuple[JobId, JobId]] = []
+    add = edges.append
     for k in range(b):
         getrf = ("getrf", k)
-        g.add_node(getrf)
         if k > 0:
-            g.add_edge(("gemm", k - 1, k, k), getrf)
+            add((("gemm", k - 1, k, k), getrf))
         for j in range(k + 1, b):
             tr = ("trsm_r", k, j)
-            g.add_edge(getrf, tr)
+            add((getrf, tr))
             if k > 0:
-                g.add_edge(("gemm", k - 1, k, j), tr)
+                add((("gemm", k - 1, k, j), tr))
         for i in range(k + 1, b):
             tc = ("trsm_c", k, i)
-            g.add_edge(getrf, tc)
+            add((getrf, tc))
             if k > 0:
-                g.add_edge(("gemm", k - 1, i, k), tc)
+                add((("gemm", k - 1, i, k), tc))
         for i in range(k + 1, b):
             for j in range(k + 1, b):
                 gm = ("gemm", k, i, j)
-                g.add_edge(("trsm_c", k, i), gm)
-                g.add_edge(("trsm_r", k, j), gm)
+                add((("trsm_c", k, i), gm))
+                add((("trsm_r", k, j), gm))
                 if k > 0:
-                    g.add_edge(("gemm", k - 1, i, j), gm)
-    return g
+                    add((("gemm", k - 1, i, j), gm))
+    # every later getrf first appears as the head of its gemm edge
+    return DAG([("getrf", 0)], edges)
 
 
 # ----------------------------------------------------------------------
@@ -220,11 +208,13 @@ def stencil_dag(width: int, steps: int) -> DAG:
     ``(t-1, i-1)``, ``(t-1, i)``, ``(t-1, i+1)`` (clamped at borders)."""
     if width < 1 or steps < 1:
         raise ValueError("width and steps must be >= 1")
-    g = DAG(nodes=((t, i) for t in range(steps) for i in range(width)))
-    for t in range(1, steps):
-        for i in range(width):
-            for di in (-1, 0, 1):
-                j = i + di
-                if 0 <= j < width:
-                    g.add_edge((t - 1, j), (t, i))
-    return g
+    return DAG(
+        ((t, i) for t in range(steps) for i in range(width)),
+        (
+            ((t - 1, j), (t, i))
+            for t in range(1, steps)
+            for i in range(width)
+            for j in (i - 1, i, i + 1)
+            if 0 <= j < width
+        ),
+    )

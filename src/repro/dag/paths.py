@@ -4,10 +4,11 @@ Given per-job execution times ``t_j`` these compute the critical-path
 length ``C(p) = max_f Σ_{j∈f} t_j`` and the *bottom level* used by the
 global list-scheduling priority.
 
-Both run on the cached array lowering of the DAG
-(:mod:`repro.instance.compiled`): one level-batched numpy sweep over the
-CSR adjacency instead of a per-node python recursion, with bit-identical
-results (only ``max`` and ``+`` are involved).
+Both are one level-batched numpy sweep over the DAG's CSR adjacency
+(:meth:`~repro.dag.graph.DAG.level_succ_gathers`): every edge crosses
+strictly downward in the level decomposition, so sweeping levels deepest
+first makes each level a single segmented reduction — bit-identical to a
+per-node recursion, since only ``max`` and ``+`` are involved.
 """
 
 from __future__ import annotations
@@ -18,33 +19,38 @@ import numpy as np
 
 from repro.dag.graph import DAG
 
-__all__ = ["critical_path_length", "critical_path", "bottom_levels"]
+__all__ = ["critical_path_length", "critical_path", "bottom_levels", "bottom_levels_array"]
 
 JobId = Hashable
 
 
-def _times_vector(order: list[JobId], times: Mapping[JobId, float]) -> np.ndarray:
-    return np.array([times[j] for j in order], dtype=np.float64)
+def bottom_levels_array(dag: DAG, times: np.ndarray) -> np.ndarray:
+    """``b(j) = t_j + max_{s ∈ succ(j)} b(s)`` for every position, one sweep
+    (``times`` aligned with ``dag.order``)."""
+    b = np.asarray(times, dtype=np.float64).copy()
+    for targets, seg_starts, src in reversed(dag.level_succ_gathers()):
+        if targets.size:
+            seg_max = np.maximum.reduceat(b[targets], seg_starts)
+            b[src] = times[src] + seg_max
+    return b
+
+
+def _times_vector(dag: DAG, times: Mapping[JobId, float]) -> np.ndarray:
+    return np.array([times[j] for j in dag.order], dtype=np.float64)
 
 
 def bottom_levels(dag: DAG, times: Mapping[JobId, float]) -> dict[JobId, float]:
     """Bottom level ``b(j)``: longest total time of a path starting at ``j``
     (inclusive of ``t_j``).  ``max_j b(j)`` is the critical-path length."""
-    from repro.instance.compiled import bottom_levels_array, compile_dag
-
-    cd = compile_dag(dag)
-    b = bottom_levels_array(cd, _times_vector(cd.order, times))
-    return dict(zip(cd.order, b.tolist()))
+    b = bottom_levels_array(dag, _times_vector(dag, times))
+    return dict(zip(dag.order, b.tolist()))
 
 
 def critical_path_length(dag: DAG, times: Mapping[JobId, float]) -> float:
-    """``C(p)`` — the total execution time along a longest path."""
-    from repro.instance.compiled import compile_dag, critical_path_length_array
-
-    if len(dag) == 0:
-        return 0.0
-    cd = compile_dag(dag)
-    return critical_path_length_array(cd, _times_vector(cd.order, times))
+    """``C(p)`` — the total execution time along a longest path (the
+    maximum bottom level; 0.0 for an empty graph)."""
+    b = bottom_levels_array(dag, _times_vector(dag, times))
+    return float(b.max()) if b.size else 0.0
 
 
 def critical_path(dag: DAG, times: Mapping[JobId, float]) -> list[JobId]:
@@ -57,7 +63,7 @@ def critical_path(dag: DAG, times: Mapping[JobId, float]) -> list[JobId]:
     start = max(dag.sources(), key=lambda j: b[j])
     path = [start]
     cur = start
-    while dag.successors(cur):
-        cur = max(dag.successors(cur), key=lambda s: b[s])
+    while succ := dag.successors(cur):
+        cur = max(succ, key=lambda s: b[s])
         path.append(cur)
     return path

@@ -112,23 +112,20 @@ def sp_to_dag(root: SPNode) -> DAG:
 
     Raises ``ValueError`` on duplicate job ids.
     """
-    dag = DAG()
-    seen: set[JobId] = set()
+    leaves: dict[JobId, None] = {}
+    edges: list[tuple[JobId, JobId]] = []
 
     def rec(node: SPNode) -> tuple[list[JobId], list[JobId]]:
         """Return (sources, sinks) of the sub-poset, adding edges as we go."""
         if isinstance(node, SPLeaf):
-            if node.job in seen:
+            if node.job in leaves:
                 raise ValueError(f"duplicate job id {node.job!r} in SP tree")
-            seen.add(node.job)
-            dag.add_node(node.job)
+            leaves[node.job] = None
             return [node.job], [node.job]
         if isinstance(node, SPSeries):
             lsrc, lsink = rec(node.left)
             rsrc, rsink = rec(node.right)
-            for u in lsink:
-                for v in rsrc:
-                    dag.add_edge(u, v)
+            edges.extend((u, v) for u in lsink for v in rsrc)
             return lsrc, rsink
         if isinstance(node, SPParallel):
             lsrc, lsink = rec(node.left)
@@ -137,7 +134,7 @@ def sp_to_dag(root: SPNode) -> DAG:
         raise TypeError(f"unknown SP node {node!r}")
 
     rec(root)
-    return dag
+    return DAG(leaves, edges)
 
 
 # ----------------------------------------------------------------------

@@ -28,24 +28,18 @@ def montage_dag(n: int) -> DAG:
     """
     if n < 2:
         raise ValueError("montage needs n >= 2 input images")
-    g = DAG()
-    for i in range(n):
-        g.add_node(("mProject", i))
+    edges = []
     for i in range(n - 1):
         diff = ("mDiffFit", i)
-        g.add_edge(("mProject", i), diff)
-        g.add_edge(("mProject", i + 1), diff)
-        g.add_edge(diff, ("mConcatFit", 0))
-    g.add_edge(("mConcatFit", 0), ("mBgModel", 0))
+        edges += [(("mProject", i), diff), (("mProject", i + 1), diff),
+                  (diff, ("mConcatFit", 0))]
+    edges.append((("mConcatFit", 0), ("mBgModel", 0)))
     for i in range(n):
         bg = ("mBackground", i)
-        g.add_edge(("mBgModel", 0), bg)
-        g.add_edge(("mProject", i), bg)
-        g.add_edge(bg, ("mImgtbl", 0))
-    g.add_edge(("mImgtbl", 0), ("mAdd", 0))
-    g.add_edge(("mAdd", 0), ("mShrink", 0))
-    g.add_edge(("mShrink", 0), ("mJPEG", 0))
-    return g
+        edges += [(("mBgModel", 0), bg), (("mProject", i), bg), (bg, ("mImgtbl", 0))]
+    edges += [(("mImgtbl", 0), ("mAdd", 0)), (("mAdd", 0), ("mShrink", 0)),
+              (("mShrink", 0), ("mJPEG", 0))]
+    return DAG([("mProject", i) for i in range(n)], edges)
 
 
 def cybershake_dag(n: int) -> DAG:
@@ -57,17 +51,13 @@ def cybershake_dag(n: int) -> DAG:
     """
     if n < 1:
         raise ValueError("cybershake needs n >= 1 variations")
-    g = DAG()
-    for e in range(2):
-        g.add_node(("ExtractSGT", e))
+    edges = []
     for i in range(n):
         synth = ("SeismogramSynthesis", i)
-        g.add_edge(("ExtractSGT", i % 2), synth)
         peak = ("PeakValCalc", i)
-        g.add_edge(synth, peak)
-        g.add_edge(synth, ("ZipSeis", 0))
-        g.add_edge(peak, ("ZipPSA", 0))
-    return g
+        edges += [(("ExtractSGT", i % 2), synth), (synth, peak),
+                  (synth, ("ZipSeis", 0)), (peak, ("ZipPSA", 0))]
+    return DAG([("ExtractSGT", 0), ("ExtractSGT", 1)], edges)
 
 
 def epigenomics_dag(lanes: int, width: int) -> DAG:
@@ -81,22 +71,18 @@ def epigenomics_dag(lanes: int, width: int) -> DAG:
     """
     if lanes < 1 or width < 1:
         raise ValueError("epigenomics needs lanes >= 1 and width >= 1")
-    g = DAG()
+    edges = []
     for l in range(lanes):
-        split = ("fastqSplit", l)
         merge = ("mapMerge", l)
         for w in range(width):
-            chain = ["filterContams", "sol2sanger", "fastq2bfq", "map"]
-            prev = split
-            for stage in chain:
-                node = (stage, l, w)
-                g.add_edge(prev, node)
-                prev = node
-            g.add_edge(prev, merge)
-        g.add_edge(merge, ("mapMergeGlobal", 0))
-    g.add_edge(("mapMergeGlobal", 0), ("maqIndex", 0))
-    g.add_edge(("maqIndex", 0), ("pileup", 0))
-    return g
+            chain = [("fastqSplit", l)]
+            chain += [(stage, l, w) for stage in
+                      ("filterContams", "sol2sanger", "fastq2bfq", "map")]
+            chain.append(merge)
+            edges += zip(chain, chain[1:])
+        edges.append((merge, ("mapMergeGlobal", 0)))
+    edges += [(("mapMergeGlobal", 0), ("maqIndex", 0)), (("maqIndex", 0), ("pileup", 0))]
+    return DAG(edges=edges)
 
 
 def ligo_dag(n: int, group: int = 3) -> DAG:
@@ -109,15 +95,12 @@ def ligo_dag(n: int, group: int = 3) -> DAG:
     """
     if n < 1 or group < 1:
         raise ValueError("ligo needs n >= 1 and group >= 1")
-    g = DAG()
+    edges = []
     for i in range(n):
-        g.add_edge(("TmpltBank", i), ("Inspiral", i))
-        g.add_edge(("Inspiral", i), ("Thinca", i // group))
-    n_groups = (n + group - 1) // group
+        edges += [(("TmpltBank", i), ("Inspiral", i)),
+                  (("Inspiral", i), ("Thinca", i // group))]
     for i in range(n):
         gid = i // group
-        g.add_edge(("Thinca", gid), ("TrigBank", i))
-        g.add_edge(("TrigBank", i), ("Inspiral2", i))
-        g.add_edge(("Inspiral2", i), ("Thinca2", gid))
-    assert len([x for x in g.nodes() if x[0] == "Thinca"]) == n_groups
-    return g
+        edges += [(("Thinca", gid), ("TrigBank", i)), (("TrigBank", i), ("Inspiral2", i)),
+                  (("Inspiral2", i), ("Thinca2", gid))]
+    return DAG(edges=edges)

@@ -125,9 +125,9 @@ def priority_loop(
     ``alloc_mat`` optionally supplies the already-lowered and validated
     ``(n, d)`` allocation matrix (the one ``validate_allocation_map``
     returns) so the allocation is neither lowered nor checked twice per
-    run; without it the allocation is lowered and checked here
-    (``ValueError`` naming the first job outside ``0 ⪯ a ⪯ capacities``
-    or asking for nothing).
+    run; without it ``validate_allocation_map`` lowers and checks it here
+    (``ValueError`` naming a job whose row is not whole, lies outside
+    ``0 ⪯ a ⪯ capacities`` or asks for nothing).
 
     The loop has one output: :meth:`PriorityLoop.run` records ``(topological
     index, start time)`` pairs into preallocated arrays, read back with
@@ -144,18 +144,7 @@ def priority_loop(
     if alloc_mat is None:
         # nobody has checked this allocation yet: an amount above its
         # capacity would carry into the neighbouring field of the image
-        alloc_mat = ci.alloc_matrix(allocation)
-        bad = (
-            ((alloc_mat < 0) | (alloc_mat > ci.capacities)).any(axis=1)
-            | (alloc_mat.sum(axis=1) <= 0)
-        )
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(
-                f"job {ci.order[i]!r}: allocation {tuple(alloc_mat[i].tolist())} "
-                "must request at least one unit, no negative amount and no "
-                f"more than the capacities {tuple(ci.capacities.tolist())}"
-            )
+        alloc_mat = instance.validate_allocation_map(allocation)
     if isinstance(durations, np.ndarray):
         dur = durations.tolist()
     else:
@@ -229,11 +218,11 @@ class PriorityLoop:
 
     def __init__(self, ci, alloc_mat, dur, rank_of, topo_of_rank) -> None:
         self.ci = ci
-        cd = ci.cdag
-        n = cd.n
+        dag = ci.dag
+        n = dag.n
         self.n = n
-        self.ip = cd.succ_indptr
-        self.si = cd.succ_indices
+        self.ip = dag.succ_indptr
+        self.si = dag.succ_indices
         self.dur = dur
         # the start log: (topological index, start time) per dispatch, ns
         # pairs recorded so far
@@ -272,7 +261,7 @@ class PriorityLoop:
             self.dem_rank = alloc_mat[topo_a]
             self.img_rank = [img_topo[i] for i in self.topo_l]
 
-        remaining = cd.in_degree.astype(np.int64, copy=True)
+        remaining = dag.in_degrees.copy()
         heap: list[tuple[float, int, int]] = []
         seq = 0
         if ci.has_releases:
@@ -1088,15 +1077,15 @@ def run_dynamic(instance, policy: DispatchPolicy) -> Schedule:
     ``(time, seq, code)`` heap — ``code < n`` completes topological index
     ``code``, ``code >= n`` releases index ``code - n`` — in batches of
     :data:`TIME_EPS`, and readiness is an in-degree count over the
-    compiled DAG's successor lists.
+    DAG's successor lists.
     """
     ci = compile_instance(instance)
-    cd = ci.cdag
-    order = cd.order
-    index = cd.index
-    succ = cd.succ_lists()
+    dag = ci.dag
+    order = dag.order
+    index = dag.index
+    succ = dag.succ_lists()
     n = len(order)
-    remaining = cd.in_degree.tolist()
+    remaining = dag.in_degrees.tolist()
     heap: list[tuple[float, int, int]] = []
     if ci.has_releases:
         rel = ci.release
@@ -1106,7 +1095,7 @@ def run_dynamic(instance, policy: DispatchPolicy) -> Schedule:
         heapq.heapify(heap)
     seq = len(heap)
 
-    ready: list[JobId] = [j for j in instance.dag.sources() if remaining[index[j]] == 0]
+    ready: list[JobId] = [j for j in dag.sources() if remaining[index[j]] == 0]
     avail = list(instance.pool.capacities)
     held: dict[int, tuple[int, ...]] = {}
     placements: dict[JobId, ScheduledJob] = {}

@@ -59,24 +59,16 @@ def lower_bound_instance(d: int, m: int) -> Instance:
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and M >= 1")
     pool = ResourcePool.uniform(d, 2)
-    dag = DAG()
     jobs: dict[JobId, Job] = {}
-
-    def add(job_id: JobId, rtype: int) -> None:
-        alloc = ResourceVector.unit(d, rtype)
-        jobs[job_id] = Job(id=job_id, time_fn=_unit_time, candidates=(alloc,))
-        dag.add_node(job_id)
-
+    edges: list[tuple[JobId, JobId]] = []
     for i in range(d):
-        add(("r", i), i)
-        for k in range(2 * m - 1):
-            add(("b", i, k), i)
+        alloc = ResourceVector.unit(d, i)
+        level = [("r", i)] + [("b", i, k) for k in range(2 * m - 1)]
+        for job_id in level:
+            jobs[job_id] = Job(id=job_id, time_fn=_unit_time, candidates=(alloc,))
         if i >= 1:
-            parent = ("r", i - 1)
-            dag.add_edge(parent, ("r", i))
-            for k in range(2 * m - 1):
-                dag.add_edge(parent, ("b", i, k))
-    return Instance(jobs=jobs, dag=dag, pool=pool)
+            edges += [(("r", i - 1), job_id) for job_id in level]
+    return Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool)
 
 
 def adversarial_priority(instance: Instance) -> PriorityRule:

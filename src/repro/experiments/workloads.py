@@ -243,4 +243,4 @@ def perturbed_instance(instance: Instance, rel_noise: float, seed: int = 0) -> I
             candidates=job.candidates,
             name=job.name,
         )
-    return Instance(jobs=jobs, dag=instance.dag.copy(), pool=instance.pool)
+    return Instance(jobs=jobs, dag=instance.dag, pool=instance.pool)

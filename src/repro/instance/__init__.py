@@ -1,24 +1,18 @@
 """Problem instances: jobs + precedence DAG + resource pool (Section 3).
 
 :mod:`repro.instance.compiled` holds the array-native lowering of an
-instance (CSR adjacency, degree/release vectors, priority-rank maps) that
-the scheduling engine's hot paths run on.
+instance (release vector, allocation matrix, priority ranks, packed
+demand images) that the scheduling engine's hot paths run on, over the
+positions of the instance's :class:`~repro.dag.graph.DAG`.
 """
 
-from repro.instance.compiled import (
-    CompiledDAG,
-    CompiledInstance,
-    compile_dag,
-    compile_instance,
-)
+from repro.instance.compiled import CompiledInstance, compile_instance
 from repro.instance.instance import Instance, AllocationMap, make_instance
 
 __all__ = [
     "Instance",
     "AllocationMap",
     "make_instance",
-    "CompiledDAG",
     "CompiledInstance",
-    "compile_dag",
     "compile_instance",
 ]

@@ -1,25 +1,17 @@
-"""The compiled-instance layer: array-native lowering of DAGs and instances.
+"""The compiled-instance layer: the array-native lowering of an instance.
 
-The schedulers' hot loops — readiness bookkeeping, feasibility tests,
-priority queues, level sweeps — are pure structure: they never need the
-hashable job ids, only *which* jobs relate to which.  This module lowers
-that structure once into dense numpy arrays and caches the result, so every
-run over the same instance reuses it:
+The precedence structure already is arrays — a
+:class:`~repro.dag.graph.DAG` is built once into its topological order, an
+id → position index and CSR adjacency — so what is lowered here is per job
+and per platform, over the DAG's positions:
 
-* :class:`CompiledDAG` — topological order, id ↔ index maps, CSR successor
-  adjacency, in/out-degree vectors and (lazily) the longest-path level
-  decomposition.  Cached on the :class:`~repro.dag.graph.DAG`
-  itself and invalidated on mutation.
-* :class:`CompiledInstance` — a :class:`CompiledDAG` plus the per-job release
-  vector, the allocation-matrix builder and the integer
-  *rank* permutation that turns arbitrary priority keys into dense ints
-  (heap/array queues then compare machine integers, not python tuples).
-  Cached on the :class:`~repro.instance.instance.Instance`.
-* level-batched array sweeps for the classic DAG quantities —
-  :func:`node_levels_array` and :func:`bottom_levels_array` — each a
-  single pass over the CSR arrays grouped by level (every edge crosses
-  strictly downward in the level decomposition, so one vectorized
-  segmented reduction per level suffices).
+* :class:`CompiledInstance` — the instance's DAG plus the per-job release
+  vector, the allocation-matrix builder, the integer *rank* permutation
+  that turns arbitrary priority keys into dense ints (heap/array queues
+  then compare machine integers, not python tuples) and the packed demand
+  images.  Cached on the :class:`~repro.instance.instance.Instance`.
+* :class:`GrowableCompiledInstance` — the same lowering kept in
+  append-only lists for an online session whose job set grows.
 
 Everything here is exact: the topological order, tie-breaking and float
 arithmetic reproduce the dict-based code paths bit for bit (the engine
@@ -33,223 +25,17 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from repro.resources.vector import ResourceVector
+
 __all__ = [
-    "CompiledDAG",
     "CompiledInstance",
     "GrowableCompiledInstance",
-    "compile_dag",
     "compile_instance",
-    "node_levels_array",
-    "bottom_levels_array",
-    "critical_path_length_array",
     "pack_layout",
     "whole_amounts",
 ]
 
 JobId = Hashable
-
-
-class CompiledDAG:
-    """Array-native form of a precedence DAG.
-
-    Attributes
-    ----------
-    n:
-        Number of nodes.
-    order:
-        The job ids in the graph's canonical topological order (exactly
-        ``dag.topological_order()`` — all tie-breaking downstream keys on
-        positions in this order).
-    index:
-        Mapping job id → position in ``order``.
-    succ_indptr / succ_indices:
-        CSR successor adjacency over topological indices: the successors of
-        node ``i`` are ``succ_indices[succ_indptr[i]:succ_indptr[i+1]]``,
-        listed in the same order as ``dag.successors(order[i])``.
-    in_degree / out_degree:
-        Per-node degree vectors (int64), both counted off the successor CSR.
-    """
-
-    __slots__ = (
-        "n", "order", "index",
-        "succ_indptr", "succ_indices",
-        "in_degree", "out_degree",
-        "_levels", "_level_groups", "_succ_lists", "_succ_gathers",
-    )
-
-    def __init__(self, dag) -> None:
-        order = dag.topological_order()
-        n = len(order)
-        index = {j: i for i, j in enumerate(order)}
-        self.n = n
-        self.order = order
-        self.index = index
-
-        self.succ_indptr, self.succ_indices = _csr(
-            list(map(dag.successors, order)), index
-        )
-        self.in_degree = np.bincount(self.succ_indices, minlength=n)
-        self.out_degree = np.diff(self.succ_indptr)
-        self._levels: np.ndarray | None = None
-        self._level_groups: list[np.ndarray] | None = None
-        self._succ_lists: list[list[int]] | None = None
-        self._succ_gathers: list[tuple] | None = None
-
-    # ------------------------------------------------------------------
-    def succ_lists(self) -> list[list[int]]:
-        """Successor adjacency as plain python int lists, one per node.
-
-        The event loops decrement a handful of successor in-degrees per
-        completion; for the typical fan-outs (tens of edges) a C-backed
-        python loop over ints beats the fixed dispatch cost of the numpy
-        CSR slice.  Built once per DAG, shared across runs.
-        """
-        if self._succ_lists is None:
-            indptr = self.succ_indptr.tolist()
-            flat = self.succ_indices.tolist()
-            self._succ_lists = [
-                flat[indptr[i]:indptr[i + 1]] for i in range(self.n)
-            ]
-        return self._succ_lists
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Longest-path level of every node (0 for sources); lazy, cached."""
-        if self._levels is None:
-            self._levels = node_levels_array(self)
-        return self._levels
-
-    def level_groups(self) -> list[np.ndarray]:
-        """Topological indices grouped by level, ``groups[l]`` sorted ascending."""
-        if self._level_groups is None:
-            lv = self.levels
-            if self.n == 0:
-                self._level_groups = []
-            else:
-                srt = np.argsort(lv, kind="stable")
-                bounds = np.searchsorted(lv[srt], np.arange(int(lv.max()) + 2))
-                self._level_groups = [
-                    srt[bounds[l]:bounds[l + 1]] for l in range(len(bounds) - 1)
-                ]
-        return self._level_groups
-
-    def level_succ_gathers(self) -> list[tuple]:
-        """Per-level ``(targets, seg_starts, sources)`` successor gathers.
-
-        ``sources`` are the level's nodes with at least one successor and
-        ``targets``/``seg_starts`` their concatenated adjacency ready for
-        ``np.ufunc.reduceat`` — the structure-constant part of every
-        level-batched sweep, built once per DAG.
-        """
-        if self._succ_gathers is None:
-            gathers = []
-            for nodes in self.level_groups():
-                targets, seg_starts, nz = _ragged_gather(
-                    self.succ_indptr, self.succ_indices, nodes
-                )
-                gathers.append((targets, seg_starts, nodes[nz]))
-            self._succ_gathers = gathers
-        return self._succ_gathers
-
-
-def _csr(adjacency: list, index: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of per-node neighbour lists, ids mapped
-    through ``index`` — lowered by whole-array calls, not a store per edge."""
-    n = len(adjacency)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adjacency), np.int64, n), out=indptr[1:])
-    indices = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(adjacency)),
-        np.int64,
-        int(indptr[-1]),
-    )
-    return indptr, indices
-
-
-def compile_dag(dag) -> CompiledDAG:
-    """Lower ``dag`` to its array form, cached on the DAG until it mutates."""
-    cd = getattr(dag, "_compiled", None)
-    if cd is None:
-        cd = CompiledDAG(dag)
-        dag._compiled = cd
-    return cd
-
-
-# ----------------------------------------------------------------------
-# ragged adjacency gather: the workhorse of the level-batched sweeps
-# ----------------------------------------------------------------------
-def _ragged_gather(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated adjacency of ``nodes``.
-
-    Returns ``(targets, seg_starts, nz)`` where ``nz`` masks the nodes with
-    at least one neighbor, ``targets`` is their concatenated neighbor list
-    and ``seg_starts`` the start offset of each nonempty segment inside it
-    (ready for ``np.ufunc.reduceat``).
-    """
-    starts = indptr[nodes]
-    lens = indptr[nodes + 1] - starts
-    nz = lens > 0
-    ln = lens[nz]
-    if ln.size == 0:
-        return np.empty(0, dtype=indices.dtype), np.empty(0, dtype=np.int64), nz
-    seg_ends = np.cumsum(ln)
-    seg_starts = seg_ends - ln
-    total = int(seg_ends[-1])
-    rep = np.repeat(np.arange(ln.size), ln)
-    pos = np.arange(total) - seg_starts[rep]
-    targets = indices[starts[nz][rep] + pos]
-    return targets, seg_starts, nz
-
-
-def node_levels_array(cdag: CompiledDAG) -> np.ndarray:
-    """Longest-path level per node: 0 for sources, else 1 + max over preds.
-
-    Computed by synchronous Kahn peeling: the round in which a node's
-    in-degree reaches zero *is* its longest-path level.
-    """
-    n = cdag.n
-    level = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return level
-    cnt = cdag.in_degree.copy()
-    frontier = np.flatnonzero(cnt == 0)
-    seen = 0
-    l = 0
-    while frontier.size:
-        level[frontier] = l
-        seen += frontier.size
-        targets, _, _ = _ragged_gather(cdag.succ_indptr, cdag.succ_indices, frontier)
-        if targets.size == 0:
-            break
-        np.subtract.at(cnt, targets, 1)
-        frontier = np.unique(targets[cnt[targets] == 0])
-        l += 1
-    if seen < n:  # pragma: no cover - compile_dag already validated acyclicity
-        raise ValueError("precedence graph contains a cycle")
-    return level
-
-
-def bottom_levels_array(cdag: CompiledDAG, times: np.ndarray) -> np.ndarray:
-    """``b(j) = t_j + max_{s ∈ succ(j)} b(s)`` for every node, one sweep.
-
-    Every edge goes to a strictly deeper level, so sweeping levels deepest
-    first makes each level a single segmented ``maximum.reduceat``.
-    """
-    b = np.asarray(times, dtype=np.float64).copy()
-    for targets, seg_starts, src in reversed(cdag.level_succ_gathers()):
-        if targets.size:
-            seg_max = np.maximum.reduceat(b[targets], seg_starts)
-            b[src] = times[src] + seg_max
-    return b
-
-
-def critical_path_length_array(cdag: CompiledDAG, times: np.ndarray) -> float:
-    """``C(p)`` — the maximum bottom level (0.0 for an empty graph)."""
-    if cdag.n == 0:
-        return 0.0
-    return float(bottom_levels_array(cdag, times).max())
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +62,13 @@ def whole_amounts(demand) -> tuple[int, ...]:
     return dem
 
 
+def _whole_row(job_id: JobId, row) -> tuple[int, ...]:
+    try:
+        return whole_amounts(row)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"job {job_id!r}: allocation {row!r}: {exc}") from None
+
+
 def pack_layout(capacities) -> tuple[bool, int, int, int]:
     """``(packable, bits, fit_mask, packed_capacities)`` for a capacity vector.
 
@@ -300,7 +93,7 @@ def pack_layout(capacities) -> tuple[bool, int, int, int]:
 class CompiledInstance:
     """Array form of an :class:`~repro.instance.instance.Instance`.
 
-    Owns the structural arrays (via ``cdag``) and the per-job release
+    Reads the structure from the instance's ``dag`` and owns the per-job release
     vector; provides the per-run builders the dispatch drivers consume —
     allocation matrices, duration vectors, the integer rank permutation
     for priority keys and (when ``packable``) the ``uint64`` demand lowering.
@@ -323,16 +116,16 @@ class CompiledInstance:
     """
 
     __slots__ = (
-        "cdag", "d", "capacities", "release", "has_releases",
+        "dag", "d", "capacities", "release", "has_releases",
         "packable", "bits", "fit_mask", "packed_capacities",
     )
 
     def __init__(self, instance) -> None:
-        self.cdag = compile_dag(instance.dag)
+        self.dag = instance.dag
         self.d = instance.d
         self.capacities = np.asarray(tuple(instance.pool.capacities), dtype=np.int64)
         self.release = np.array(
-            [instance.jobs[j].release for j in self.cdag.order], dtype=np.float64
+            [instance.jobs[j].release for j in self.dag.order], dtype=np.float64
         )
         self.has_releases = bool((self.release > 0.0).any())
         self.packable, self.bits, self.fit_mask, self.packed_capacities = (
@@ -342,38 +135,38 @@ class CompiledInstance:
     # convenience pass-throughs -----------------------------------------
     @property
     def n(self) -> int:
-        return self.cdag.n
+        return self.dag.n
 
     @property
     def order(self) -> list[JobId]:
-        return self.cdag.order
+        return self.dag.order
 
     @property
     def index(self) -> dict[JobId, int]:
-        return self.cdag.index
+        return self.dag.index
 
     # per-run builders ---------------------------------------------------
     def alloc_matrix(self, allocation: Mapping[JobId, Sequence[int]]) -> np.ndarray:
         """``(n, d)`` int64 allocation matrix in topological order.
 
-        ``ValueError`` names the first job whose row does not hold ``d``
-        amounts: flattened, a short row would shift every later row.
+        ``ValueError`` names the first job whose row is not ``d`` whole
+        amounts: flattened, a short row would shift every later row, and
+        the int64 lowering would truncate ``2.7`` to two units.  A
+        :class:`~repro.resources.vector.ResourceVector` is whole by
+        construction; any other row goes through :func:`whole_amounts`.
         """
-        n, d = self.cdag.n, self.d
-        order = self.cdag.order
-        lens = np.fromiter((len(allocation[j]) for j in order), dtype=np.int64, count=n)
-        bad = np.flatnonzero(lens != d)
-        if bad.size:
-            j = order[int(bad[0])]
+        n, d = self.dag.n, self.d
+        order = self.dag.order
+        rows = list(map(allocation.__getitem__, order))
+        if not {ResourceVector}.issuperset(map(type, rows)):
+            rows = list(map(_whole_row, order, rows))
+        if not {d}.issuperset(map(len, rows)):
+            i = next(i for i, row in enumerate(rows) if len(row) != d)
             raise ValueError(
-                f"job {j!r}: allocation {tuple(allocation[j])} has "
-                f"{len(allocation[j])} amounts for {d} resource types"
+                f"job {order[i]!r}: allocation {tuple(rows[i])} has "
+                f"{len(rows[i])} amounts for {d} resource types"
             )
-        return np.fromiter(
-            (a for j in order for a in allocation[j]),
-            dtype=np.int64,
-            count=n * d,
-        ).reshape(n, d)
+        return np.fromiter(chain.from_iterable(rows), np.int64, n * d).reshape(n, d)
 
     def pack_demands(self, alloc_mat: np.ndarray) -> np.ndarray:
         """The demand image of every job as one ``uint64`` array (see
@@ -407,7 +200,7 @@ class CompiledInstance:
         the topological order (the fast path used by the vectorized
         priority rules; a stable argsort realizes the identical order).
         """
-        n = self.cdag.n
+        n = self.dag.n
         if isinstance(keys, np.ndarray):
             if keys.shape != (n,):
                 raise ValueError(
@@ -417,7 +210,7 @@ class CompiledInstance:
             rank_of = np.empty(n, dtype=np.int64)
             rank_of[topo_arr] = np.arange(n, dtype=np.int64)
             return rank_of, topo_arr.tolist()
-        order = self.cdag.order
+        order = self.dag.order
         topo_of_rank = sorted(range(n), key=lambda i: keys[order[i]])
         rank_of = np.empty(n, dtype=np.int64)
         rank_of[topo_of_rank] = np.arange(n, dtype=np.int64)
@@ -425,12 +218,10 @@ class CompiledInstance:
 
 
 def compile_instance(instance) -> CompiledInstance:
-    """Lower ``instance`` once; cached on the instance (and its DAG)."""
+    """Lower ``instance`` once; cached on the instance."""
     ci = instance._compiled
-    # the DAG cache is authoritative: if the DAG mutated, recompile
-    if ci is None or ci.cdag is not getattr(instance.dag, "_compiled", None):
-        ci = CompiledInstance(instance)
-        instance._compiled = ci
+    if ci is None:
+        ci = instance._compiled = CompiledInstance(instance)
     return ci
 
 

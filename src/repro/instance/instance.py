@@ -71,7 +71,6 @@ class Instance:
                 f"DAG nodes must match job ids (missing from DAG: {sorted(map(repr, missing))[:5]}, "
                 f"unknown in DAG: {sorted(map(repr, extra))[:5]})"
             )
-        self.dag.validate()
 
     # ------------------------------------------------------------------
     @property
@@ -179,31 +178,27 @@ class Instance:
     def validate_allocation_map(self, allocation: AllocationMap):
         """Check that ``allocation`` covers every job and fits the pool.
 
-        The check is one whole-matrix comparison over the compiled order;
-        any failure re-runs the per-job loop so error messages (missing
-        job, dimension mismatch, over-capacity, zero allocation) stay
-        exactly as before.
-
-        Returns the validated ``(n, d)`` allocation matrix in topological
-        order when the vectorized path ran (``None`` after the fallback
-        loop) — the dispatch drivers reuse it instead of lowering the
-        allocation a second time.
+        Returns the ``(n, d)`` allocation matrix in topological order — the
+        dispatch drivers reuse it instead of lowering the allocation a
+        second time.  The check is the lowering
+        (:meth:`~repro.instance.compiled.CompiledInstance.alloc_matrix`,
+        which refuses a row that is not ``d`` whole amounts) plus one
+        whole-matrix comparison; only a failed comparison walks the rows,
+        to name the first job outside ``0 ⪯ p ⪯ P`` or asking for nothing.
+        Every refusal is a ``ValueError`` naming a job.
         """
+        ci = self.compiled()
         try:
-            ci = self.compiled()
-            m = ci.alloc_matrix(allocation)  # refuses a row of the wrong length
-            if bool(
-                ((0 <= m) & (m <= ci.capacities)).all()
-                and (m.sum(axis=1) > 0).all()
-            ):
-                return m
-        except (KeyError, TypeError, ValueError):
-            pass
-        for j in self.jobs:
-            if j not in allocation:
-                raise ValueError(f"allocation missing job {j!r}")
-            self.pool.validate_allocation(allocation[j])
-        return None
+            m = ci.alloc_matrix(allocation)
+        except KeyError as exc:
+            raise ValueError(f"allocation missing job {exc.args[0]!r}") from None
+        if not (((0 <= m) & (m <= ci.capacities)).all() and (m.sum(axis=1) > 0).all()):
+            for j, row in zip(ci.order, m.tolist()):
+                try:
+                    self.pool.validate_allocation(ResourceVector(row))
+                except ValueError as exc:
+                    raise ValueError(f"job {j!r}: {exc}") from None
+        return m
 
 
 def make_instance(

@@ -178,9 +178,15 @@ def instance_from_json(text: str | dict) -> Instance:
             )
         records.sort(key=lambda rec: rec["index"])
     jobs: dict[JobId, Job] = {}
-    dag = DAG()
-    for rec in records:
+    for pos, rec in enumerate(records):
         jid = rec["id"]
+        # a repeated id would overwrite its first job, an unhashable one
+        # cannot key the instance: refuse both by record
+        try:
+            if jid in jobs:
+                raise ValueError(f"job record {pos}: duplicate id {jid!r}")
+        except TypeError:
+            raise ValueError(f"job record {pos}: id {jid!r} is not hashable") from None
         grid = {
             ResourceVector(e["alloc"]): float(e["time"]) for e in rec["profile"]
         }
@@ -200,9 +206,7 @@ def instance_from_json(text: str | dict) -> Instance:
             candidates=tuple(grid) if pinned else None,
             release=float(rec.get("release", 0.0)),
         )
-        dag.add_node(jid)
     for u, v in data["edges"]:
         if u not in jobs or v not in jobs:
             raise ValueError(f"edge ({u}, {v}) references unknown job")
-        dag.add_edge(u, v)
-    return Instance(jobs=jobs, dag=dag, pool=pool)
+    return Instance(jobs=jobs, dag=DAG(jobs, data["edges"]), pool=pool)

@@ -39,7 +39,6 @@ class MalleableJob:
     rtype: dict[TaskId, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.tasks.validate()
         missing = [t for t in self.tasks.nodes() if t not in self.rtype]
         if missing:
             raise ValueError(f"job {self.id!r}: tasks without resource type: {missing[:5]}")
@@ -67,7 +66,6 @@ class MalleableInstance:
     def __post_init__(self) -> None:
         if set(self.dag.nodes()) != set(self.jobs):
             raise ValueError("outer DAG nodes must match job ids")
-        self.dag.validate()
         for job in self.jobs.values():
             for t, r in job.rtype.items():
                 if not 0 <= r < self.pool.d:
@@ -116,8 +114,8 @@ def moldable_to_malleable(instance: Instance, *, max_tasks_per_job: int = 10_000
         entries = table[j]
         knee = min(entries, key=lambda e: e.time * e.area)
         height = max(1, math.ceil(knee.time))
-        tasks = DAG()
         rtype: dict[TaskId, int] = {}
+        edges: list[tuple[TaskId, TaskId]] = []
         count = 0
         for i in range(instance.d):
             work = knee.alloc[i] * knee.time
@@ -133,7 +131,6 @@ def moldable_to_malleable(instance: Instance, *, max_tasks_per_job: int = 10_000
                 cur_layer: list[TaskId] = []
                 for k in range(width):
                     t = (i, layer, k)
-                    tasks.add_node(t)
                     rtype[t] = i
                     cur_layer.append(t)
                     count += 1
@@ -142,14 +139,10 @@ def moldable_to_malleable(instance: Instance, *, max_tasks_per_job: int = 10_000
                             f"job {j!r} unrolls to > {max_tasks_per_job} tasks; "
                             "scale the workload down"
                         )
-                for u in prev_layer:
-                    for v in cur_layer:
-                        tasks.add_edge(u, v)
+                edges += [(u, v) for u in prev_layer for v in cur_layer]
                 if cur_layer:
                     prev_layer = cur_layer
-        if len(tasks) == 0:  # pragma: no cover - knee always has positive work
-            t = (0, 0, 0)
-            tasks.add_node(t)
-            rtype[t] = 0
-        jobs[j] = MalleableJob(id=j, tasks=tasks, rtype=rtype)
-    return MalleableInstance(jobs=jobs, dag=instance.dag.copy(), pool=instance.pool)
+        if not rtype:  # pragma: no cover - knee always has positive work
+            rtype[(0, 0, 0)] = 0
+        jobs[j] = MalleableJob(id=j, tasks=DAG(rtype, edges), rtype=rtype)
+    return MalleableInstance(jobs=jobs, dag=instance.dag, pool=instance.pool)

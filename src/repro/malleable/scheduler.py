@@ -79,23 +79,21 @@ class MalleableResult:
 def malleable_list_schedule(instance: MalleableInstance) -> MalleableSchedule:
     """Greedy unit-step list scheduling ((d+1)-approximation, [21]).
 
-    Readiness bookkeeping runs on the compiled (array) form: the outer DAG
-    is lowered once via :func:`~repro.instance.compiled.compile_dag` and
-    each job's intra-task DAG into index lists, so the per-step work is
-    list/int operations instead of nested dict lookups.  Queue orders are
-    identical to the dict-based original (outer jobs open in topological
-    order, tasks enter in ``tasks.nodes()`` order).
+    Readiness bookkeeping runs on index lists: the outer DAG's positions
+    and successor lists, and each job's intra-task DAG lowered to index
+    lists over ``tasks.nodes()``, so the per-step work is list/int
+    operations instead of nested dict lookups.  Queue orders are identical
+    to the dict-based original (outer jobs open in topological order, tasks
+    enter in ``tasks.nodes()`` order).
     """
-    from repro.instance.compiled import compile_dag
-
     inst = instance
-    # outer-DAG gating, on the compiled lowering: a job's tasks become
-    # available once all predecessors' tasks completed
-    outer = compile_dag(inst.dag)
+    # outer-DAG gating over positions: a job's tasks become available once
+    # all predecessors' tasks completed
+    outer = inst.dag
     outer_order = outer.order
     outer_index = outer.index
     outer_succ = outer.succ_lists()
-    outer_remaining = outer.in_degree.tolist()
+    outer_remaining = outer.in_degrees.tolist()
     job_tasks_left = [inst.jobs[j].n_tasks for j in outer_order]
     open_jobs = [j for oi, j in enumerate(outer_order) if outer_remaining[oi] == 0]
 

@@ -1010,7 +1010,6 @@ class SchedulingSession:
         loop = self.loop
         jobs: dict[JobId, Job] = {}
         placements: dict[JobId, ScheduledJob] = {}
-        dag = DAG()
         edges: list[tuple[JobId, JobId]] = []
         for rec in self.archive.records():
             if rec["state"] != "done":
@@ -1023,7 +1022,6 @@ class SchedulingSession:
                 candidates=(v,),
                 release=rec["release"],
             )
-            dag.add_node(jid)
             edges.extend((p, jid) for p in rec["preds"])
             placements[jid] = ScheduledJob(
                 job_id=jid, start=rec["start"], time=rec["duration"], alloc=v
@@ -1038,16 +1036,13 @@ class SchedulingSession:
                 candidates=(v,),
                 release=gi.release[i],
             )
-            dag.add_node(jid)
             edges.extend((gi.order[p], jid) for p in gi.preds[i])
             edges.extend((p, jid) for p in gi.ext_preds[i])
             placements[jid] = ScheduledJob(
                 job_id=jid, start=loop.start[i], time=gi.duration[i], alloc=v
             )
-        for u, w in edges:
-            dag.add_edge(u, w)
         pool = ResourcePool(ResourceVector(gi.capacities))
-        inst = Instance(jobs=jobs, dag=dag, pool=pool)
+        inst = Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool)
         return Schedule(instance=inst, placements=placements)
 
     def validate(self) -> None:

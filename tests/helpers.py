@@ -44,6 +44,7 @@ from repro.sim.schedule import Schedule, ScheduledJob
 
 __all__ = [
     "nx_graph",
+    "ReferenceDAG",
     "tiny_instance",
     "HalvingSpeedup",
     "rigid_unit_job",
@@ -127,6 +128,75 @@ def nx_graph(dag: DAG) -> nx.DiGraph:
     g.add_nodes_from(dag.nodes())
     g.add_edges_from(dag.edges())
     return g
+
+
+class ReferenceDAG:
+    """The dict-of-lists precedence container ``DAG`` was before it became
+    an immutable CSR built once (frozen; the oracle for node, edge and
+    adjacency order and for the LIFO Kahn order).  ``add_edge`` skips a
+    repeated edge, creates unseen endpoints (``u`` first) and refuses a
+    self-loop; ``topological_order`` refuses a cycle."""
+
+    def __init__(self, nodes=(), edges=()):
+        self._succ: dict = {}
+        self._pred: dict = {}
+        self._edge_set: set = set()
+        for n in nodes:
+            self.add_node(n)
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    def add_node(self, node) -> None:
+        if node not in self._succ:
+            self._succ[node] = []
+            self._pred[node] = []
+
+    def add_edge(self, u, v) -> None:
+        if u == v:
+            raise ValueError(f"self-loop on {u!r} is not a valid precedence")
+        self.add_node(u)
+        self.add_node(v)
+        if (u, v) not in self._edge_set:
+            self._edge_set.add((u, v))
+            self._succ[u].append(v)
+            self._pred[v].append(u)
+
+    def nodes(self) -> list:
+        return list(self._succ)
+
+    def edges(self) -> list:
+        return [(u, v) for u, vs in self._succ.items() for v in vs]
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._edge_set)
+
+    def successors(self, node) -> list:
+        return self._succ[node]
+
+    def predecessors(self, node) -> list:
+        return self._pred[node]
+
+    def sources(self) -> list:
+        return [n for n in self._succ if not self._pred[n]]
+
+    def sinks(self) -> list:
+        return [n for n in self._succ if not self._succ[n]]
+
+    def topological_order(self) -> list:
+        indeg = {n: len(ps) for n, ps in self._pred.items()}
+        frontier = [n for n, k in indeg.items() if k == 0]
+        order = []
+        while frontier:
+            n = frontier.pop()
+            order.append(n)
+            for s in self._succ[n]:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    frontier.append(s)
+        if len(order) != len(self._succ):
+            raise ValueError("precedence graph contains a cycle")
+        return order
 
 
 def tiny_instance(

@@ -33,7 +33,6 @@ from repro.engine.dispatch import (
 )
 from repro.engine.reference import reference_pr1_list_schedule
 from repro.experiments.workloads import random_instance
-from repro.instance.compiled import compile_dag
 from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.jobs.candidates import geometric_grid
 from repro.jobs.job import Job
@@ -453,11 +452,11 @@ def test_loop_reads_the_compiled_buffers_in_place():
     readiness vector (what would cost ~400 B a job at n = 10**6)."""
     inst, alloc = _workload(n=60, seed=47)
     assert list_schedule_log(inst, alloc, bottom_level_priority).job_index.size == len(inst.jobs)
-    assert compile_dag(inst.dag)._succ_lists is None
+    assert inst.dag._succ_lists is None
     keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
     loop = priority_loop(inst, alloc, keys, times)
     loop.run()
     assert isinstance(loop.remaining, np.ndarray) and loop.remaining.dtype == np.int64
     assert not loop.remaining.any()
-    assert compile_dag(inst.dag)._succ_lists is None
+    assert inst.dag._succ_lists is None

@@ -1,16 +1,16 @@
 """Unit tests for the array-native lowering (:mod:`repro.instance.compiled`).
 
-The dispatch engine trusts this layer completely — CSR round-trips,
-release vectors, rank stability and the packed-demand SWAR encoding are
-each pinned here against the dict-based structures they lower.
+The dispatch engine trusts this layer completely — release vectors, the
+allocation matrix, rank stability and the packed-demand SWAR encoding are
+each pinned here against the dict-based structures they lower (the DAG's
+own CSR layout is pinned in ``test_dag_graph.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.dag.generators import erdos_renyi_dag, layered_random
-from repro.dag.graph import DAG
-from repro.instance.compiled import compile_dag, compile_instance
+from repro.instance.compiled import compile_instance
 from repro.instance.instance import make_instance, with_release_times
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
@@ -26,53 +26,6 @@ def dag(request):
     return erdos_renyi_dag(20, 0.25, seed=request.param)
 
 
-class TestCompiledDAGRoundTrip:
-    def test_csr_matches_adjacency(self, dag):
-        cd = compile_dag(dag)
-        index = cd.index
-        for i, j in enumerate(cd.order):
-            succ = [cd.order[s] for s in cd.succ_lists()[i]]
-            assert succ == list(dag.successors(j))  # same jobs, same order
-            assert cd.in_degree[i] == dag.in_degree(j)
-            assert cd.out_degree[i] == dag.out_degree(j)
-            assert index[j] == i
-
-    def test_succ_lists_mirror_csr(self, dag):
-        cd = compile_dag(dag)
-        for i in range(cd.n):
-            lo, hi = cd.succ_indptr[i], cd.succ_indptr[i + 1]
-            assert cd.succ_lists()[i] == cd.succ_indices[lo:hi].tolist()
-
-    def test_order_is_the_dag_topological_order(self, dag):
-        assert compile_dag(dag).order == dag.topological_order()
-
-    def test_cache_dropped_on_mutation(self):
-        dag = DAG(nodes=[0, 1, 2], edges=[(0, 1)])
-        cd = compile_dag(dag)
-        assert compile_dag(dag) is cd  # cached while unchanged
-        dag.add_edge(1, 2)
-        cd2 = compile_dag(dag)
-        assert cd2 is not cd
-        assert cd2.n == 3 and cd2.in_degree.sum() == 2
-
-    def test_successor_csr_is_the_lowering_s_own_after_the_dag_mutates(self):
-        """The CSR is copied out of the DAG's adjacency: an edge added after
-        the lowering cannot leak into it, and the fresh lowering has it."""
-        dag = DAG(nodes=[0, 1, 2, 3], edges=[(0, 2), (1, 2)])
-        cd = compile_dag(dag)
-        dag.add_edge(2, 3)
-
-        def succs(c, j):
-            return {c.order[s] for s in c.succ_lists()[c.index[j]]}
-
-        assert succs(cd, 2) == set() and succs(cd, 0) == {2}
-        assert cd.in_degree[cd.index[3]] == 0
-        fresh = compile_dag(dag)
-        assert fresh is not cd
-        assert succs(fresh, 2) == {3} and succs(fresh, 0) == {2}
-        assert fresh.in_degree[fresh.index[3]] == 1
-
-
 class TestCompiledInstance:
     def test_release_vector(self, dag):
         inst = build(dag)
@@ -84,12 +37,12 @@ class TestCompiledInstance:
             assert ci.release[i] == releases[j]
         assert not compile_instance(inst).has_releases
 
-    def test_compiled_cache_follows_dag(self):
-        inst = build(DAG(nodes=[0, 1, 2], edges=[(0, 1)]))
+    def test_lowering_is_cached_and_reads_the_dag_in_place(self, dag):
+        inst = build(dag)
         ci = compile_instance(inst)
         assert compile_instance(inst) is ci
-        inst.dag.add_edge(1, 2)  # mutating the DAG invalidates the lowering
-        assert compile_instance(inst) is not ci
+        assert ci.dag is inst.dag is dag
+        assert ci.order is dag.order and ci.index is dag.index and ci.n == len(dag)
 
     def test_alloc_matrix(self, dag):
         inst = build(dag, d=2)

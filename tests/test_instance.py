@@ -1,8 +1,11 @@
 """Tests for Instance: Definitions 1-2 arithmetic and candidate tables."""
 
+import numpy as np
 import pytest
 
 from helpers import tiny_instance
+from repro.core.list_scheduler import fifo_priority, list_schedule
+from repro.dag.generators import independent
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance, make_instance
 from repro.jobs.candidates import full_grid, make_candidates
@@ -65,11 +68,8 @@ class TestValidation:
             Instance(jobs={"a": Job(id="a", time_fn=lambda p: 1.0)}, dag=dag, pool=pool)
 
     def test_cyclic_dag_rejected(self):
-        pool = ResourcePool.of(2)
-        dag = DAG(edges=[("a", "b"), ("b", "a")])
-        jobs = {j: Job(id=j, time_fn=lambda p: 1.0) for j in ("a", "b")}
-        with pytest.raises(ValueError):
-            Instance(jobs=jobs, dag=dag, pool=pool)
+        with pytest.raises(ValueError, match="cycle"):
+            DAG(edges=[("a", "b"), ("b", "a")])
 
     def test_validate_allocation_map(self):
         inst = fixed_time_instance()
@@ -79,6 +79,55 @@ class TestValidation:
             inst.validate_allocation_map(
                 {"a": ResourceVector((9, 1)), "b": ResourceVector((1, 1))}
             )
+
+
+class TestAllocationRows:
+    """``validate_allocation_map`` refuses a row that is not whole, lies
+    outside the pool or asks for nothing, with a ``ValueError`` naming the
+    job, whatever sequence carries it.  A ``(2.7, 1)`` row used to be
+    truncated to two units, so four such jobs ran together on 8 units of
+    type 0; a tuple over the capacities died with an ``AttributeError``."""
+
+    @staticmethod
+    def unit_jobs():
+        return make_instance(independent(4), ResourcePool.of(8, 8), lambda j: (lambda a: 1.0))
+
+    @pytest.mark.parametrize(
+        "row", [(2.7, 1), [2.7, 1], np.array([2.7, 1.0]), (float("nan"), 1), ("2", 1)]
+    )
+    def test_a_fractional_amount_is_refused_not_truncated(self, row):
+        inst = self.unit_jobs()
+        with pytest.raises(ValueError, match=r"^job \d: allocation "):
+            inst.validate_allocation_map(dict.fromkeys(inst.jobs, row))
+        with pytest.raises(ValueError, match=r"^job \d: "):
+            list_schedule(inst, dict.fromkeys(inst.jobs, row), fifo_priority)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [((9, 1), "exceeds capacities"), ([0, 0], "at least one"),
+         ((-1, 2), "non-negative"), (np.array([1, 9]), "exceeds capacities")],
+    )
+    def test_an_out_of_range_or_empty_row_is_refused_by_job(self, row, reason):
+        inst = self.unit_jobs()
+        alloc = {**dict.fromkeys(inst.jobs, (1, 1)), 2: row}
+        with pytest.raises(ValueError, match=rf"^job 2: .*{reason}"):
+            inst.validate_allocation_map(alloc)
+        with pytest.raises(ValueError, match=rf"^job 2: .*{reason}"):
+            list_schedule(inst, alloc, fifo_priority)
+
+    def test_whole_amounts_in_any_sequence_are_units(self):
+        inst = self.unit_jobs()
+        rows = [ResourceVector((2, 1)), (2, 1), [2.0, 1], np.array([2, 1])]
+        alloc = dict(zip(inst.jobs, rows))
+        m = inst.validate_allocation_map(alloc)
+        assert m.dtype == np.int64 and m.tolist() == [[2, 1]] * 4
+        sched = list_schedule(inst, alloc, fifo_priority)
+        assert {p.start for p in sched.placements.values()} == {0.0}
+
+    def test_a_missing_job_is_named(self):
+        inst = self.unit_jobs()
+        with pytest.raises(ValueError, match="allocation missing job 3"):
+            inst.validate_allocation_map({j: (1, 1) for j in range(3)})
 
 
 class TestCandidateTable:

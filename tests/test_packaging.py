@@ -1,6 +1,7 @@
 """Package hygiene: what ``src/`` exports, what it needs at run time, and
 the hypothesis profiles the suite runs under."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -79,6 +80,30 @@ def test_networkx_is_a_test_dependency_only():
     setup_py = (ROOT / "setup.py").read_text()
     install = re.search(r"install_requires=\[(.*?)\]", setup_py, re.S)
     assert install and "networkx" not in install.group(1)
+
+
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """Every module ``path`` imports, at top level or inside a function."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_dag_layer_imports_no_layer_above_it():
+    """``repro.dag`` is the bottom of the stack: the instance lowering and
+    the engine read the DAG's arrays, never the other way round (a
+    function-local import counts too)."""
+    above = ("repro.instance", "repro.engine")
+    offenders = {
+        path.name: sorted(m for m in _imported_modules(path) if m.startswith(above))
+        for path in sorted((ROOT / "src" / "repro" / "dag").glob("*.py"))
+    }
+    assert {k: v for k, v in offenders.items() if v} == {}
 
 
 def test_tier1_profile_replays_the_same_examples():

@@ -179,6 +179,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="platform capacities must be a positive vector"):
             instance_from_json(data)
 
+    def test_a_repeated_or_unhashable_id_is_refused_by_record(self):
+        """Two records with one ``id`` used to load as one job (the second
+        overwrote the first: four records, ``n = 3``), and a list ``id``
+        died with a ``TypeError``."""
+        inst = tiny_instance(seed=0, d=2, capacity=3, edges=(), n=4)
+        data = json.loads(instance_to_json(inst, full_grid))
+        assert instance_from_json(data).n == 4
+        dup = json.loads(json.dumps(data))
+        dup["jobs"][3]["id"] = dup["jobs"][1]["id"]
+        with pytest.raises(ValueError, match=r"job record 3: duplicate id '1'"):
+            instance_from_json(dup)
+        listed = json.loads(json.dumps(data))
+        listed["jobs"][2]["id"] = [2]
+        with pytest.raises(ValueError, match=r"job record 2: id \[2\] is not hashable"):
+            instance_from_json(listed)
+
     def test_unknown_edge_job(self):
         inst = tiny_instance(seed=0, d=2, capacity=3)
         data = json.loads(instance_to_json(inst, full_grid))
