@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser(
         "fuzz",
-        help="conformance sweep: strict validation + differential checks "
-             "over every registered scheduler",
+        help="conformance sweep over every registered scheduler: strict "
+             "validation, round trips, and the batch loop raced against "
+             "the session loop",
     )
     fz.add_argument("--quick", action="store_true",
                     help="reduced matrix (~500 cases; also via REPRO_FUZZ_QUICK=1)")
@@ -226,10 +227,15 @@ def _cmd_fuzz(args) -> int:
 
     from repro.conformance.fuzz import default_matrix, run_fuzz
 
-    if args.max_cases is not None and args.max_cases < 0:
-        # a negative slice bound would silently drop cases from the end
-        print(f"error: --max-cases must be >= 0, got {args.max_cases}",
+    if args.max_cases is not None and args.max_cases < 1:
+        # a negative slice bound would silently drop cases from the end,
+        # and 0 would pass the gate having checked nothing
+        print(f"error: --max-cases must be >= 1, got {args.max_cases}",
               file=sys.stderr)
+        return 2
+    failures_error = _output_path_error("--failures", args.failures)
+    if failures_error:
+        print(failures_error, file=sys.stderr)
         return 2
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
@@ -289,6 +295,11 @@ def _cmd_bench(args) -> int:
         print(format_table(["name", "description"], rows,
                            title="Registered benchmarks"))
         return 0
+
+    json_error = _output_path_error("--json", args.json_out)
+    if json_error:
+        print(json_error, file=sys.stderr)
+        return 2
 
     names = available_benchmarks()
     if args.only is not None:
@@ -407,16 +418,16 @@ def _follow_replay(inst, result) -> "Schedule | None":
     return Schedule(instance=inst, placements=placements)
 
 
-def _trace_path_error(path: "str | None") -> "str | None":
-    """Why ``--trace path`` could not be written, or ``None``: checked
-    before any work, so a bad path does not cost the run its trace."""
+def _output_path_error(flag: str, path: "str | None") -> "str | None":
+    """Why ``flag path`` could not be written, or ``None``: checked
+    before any work, so a bad path does not cost the run its output."""
     if path is None:
         return None
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
-        return f"error: --trace: directory {parent} does not exist"
+        return f"error: {flag}: directory {parent} does not exist"
     if not os.access(parent, os.W_OK | os.X_OK):
-        return f"error: --trace: directory {parent} is not writable"
+        return f"error: {flag}: directory {parent} is not writable"
     return None
 
 
@@ -427,7 +438,7 @@ def _cmd_schedule(args) -> int:
         print(f"unknown scheduler {args.scheduler!r}; "
               f"registered: {', '.join(available_schedulers())}", file=sys.stderr)
         return 2
-    trace_error = _trace_path_error(args.trace)
+    trace_error = _output_path_error("--trace", args.trace)
     if trace_error:
         print(trace_error, file=sys.stderr)
         return 2
@@ -620,7 +631,7 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
                 print(f"error: {flag} requires --supervise", file=sys.stderr)
                 return 2
 
-    trace_error = _trace_path_error(args.trace)
+    trace_error = _output_path_error("--trace", args.trace)
     if trace_error:
         print(trace_error, file=sys.stderr)
         return 2

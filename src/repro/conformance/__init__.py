@@ -12,9 +12,9 @@ emits.  This package is the machinery that keeps them trustworthy:
 * :mod:`repro.conformance.fuzz` — a seeded differential fuzz harness that
   sweeps every registered scheduler across the workload families ×
   resource dimensions × capacity regimes × arrival/service/crash
-  scenarios, runs the strict validator on every schedule, cross-checks the
-  compiled dispatch path against the frozen reference generations
-  event-for-event, and asserts serialize/trace round-trip schedule identity.
+  scenarios, runs the strict validator on every schedule, races the batch
+  dispatch loop against the session loop event for event, and asserts
+  serialize/trace round-trip schedule identity.
 
 Run it from the CLI: ``python -m repro fuzz --quick``.
 """

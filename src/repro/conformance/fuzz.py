@@ -1,10 +1,8 @@
 """Seeded differential fuzzing of every registered scheduler.
 
-PR 2 proved differential testing works (the compiled dispatch path against
-two frozen reference generations); this module turns that ad-hoc pattern
-into a subsystem.  A *fuzz case* is one fully-specified configuration —
-``(scheduler, workload family, n, d, capacity, seed, scenario)`` — and
-running it performs every conformance check that applies:
+A *fuzz case* is one fully-specified configuration — ``(scheduler,
+workload family, n, d, capacity, seed, scenario)`` — and running it
+performs every conformance check that applies:
 
 1. **strict validation** — the schedule passes
    :func:`repro.conformance.invariants.validate_schedule` (capacity at
@@ -12,27 +10,26 @@ running it performs every conformance check that applies:
    membership with the result's µ when it carries one, duration
    consistency, job-set equality);
 2. **differential dispatch** — when the result carries a fixed allocation,
-   the live compiled engine (:func:`repro.core.list_scheduler.list_schedule`)
-   is raced event-for-event against the frozen PR-1 kernel driver
-   (:func:`repro.engine.reference.reference_pr1_list_schedule`) and — in
-   offline scenarios — the original pre-kernel loop
-   (:func:`repro.engine.reference.reference_list_schedule`);
+   the package's two live Algorithm 2 loops are raced event for event: the
+   batch loop's FIFO schedule (:func:`repro.core.list_scheduler.list_schedule`,
+   computed once per case) against the session loop, fed the allocation
+   through a seeded *submission-order-faithful* interleaving of ``submit``
+   / ``advance`` calls (every job submitted before virtual time reaches its
+   batch start; :func:`drive_session_faithfully`).  In the ``service``
+   scenario the replay also round-trips the session through checkpoint →
+   JSON → restore at a random midpoint;
 3. **serialize round-trip identity** — the scheduler re-runs on
    ``instance_from_json(instance_to_json(inst))`` and must reproduce the
    schedule event-for-event through the ``repr`` id mapping;
 4. **trace round-trip identity** — ``schedule_from_trace(inst,
    schedule_to_trace(s))`` must equal ``s`` placement-for-placement;
-5. **service replay** (``scenario="service"``) — the scheduler's fixed
-   allocation is driven through a live
-   :class:`~repro.service.session.SchedulingSession` twice: once with a
-   seeded *submission-order-faithful* interleaving of ``submit`` /
-   ``advance`` calls (every job submitted before virtual time reaches its
-   batch start) with a checkpoint → JSON → restore round-trip at a random
-   midpoint, which must reproduce the batch compiled engine's schedule
-   **event for event**; and once with an adversarial interleaving — random
-   chunk sizes, advances past batch starts, cancellations, another
-   checkpoint/restore — whose completed sub-schedule must strict-validate,
-   place no cancelled job, and round-trip through the version-3 trace;
+5. **adversarial service replay** (``scenario="service"``) — the
+   scheduler's fixed allocation is driven through a live
+   :class:`~repro.service.session.SchedulingSession` with an adversarial
+   interleaving — random chunk sizes, advances past batch starts,
+   cancellations, checkpoint/restore — whose completed sub-schedule must
+   strict-validate, place no cancelled job, and round-trip through the
+   version-3 trace;
 6. **crash recovery** (``scenario="crash"``) — the fixed allocation is
    driven through a *durable*
    :class:`~repro.service.journal.JournaledSession` under a seeded
@@ -40,8 +37,8 @@ running it performs every conformance check that applies:
    random injection points (mid-admission, mid-drain, torn journal
    appends, torn checkpoint writes); after every kill the client recovers
    (snapshot + journal replay) and retries, and the final drained
-   schedule must equal the uninterrupted batch engine's run **event for
-   event** and strict-validate.
+   schedule must equal the case's batch schedule **event for event** and
+   strict-validate.
 
 The default matrix sweeps all registered schedulers × the 11 workload
 families × ``d ∈ {1..6}`` × capacity regimes (including the degenerate
@@ -64,8 +61,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from repro.conformance.invariants import validate_schedule
-from repro.core.list_scheduler import bottom_level_priority, fifo_priority, list_schedule
-from repro.engine.reference import reference_list_schedule, reference_pr1_list_schedule
+from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
 from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.instance.serialize import instance_from_json, instance_to_json
@@ -136,7 +132,9 @@ class FuzzFailure:
     """One broken check: the case, which check broke, and why."""
 
     case: FuzzCase
-    check: str  #: "crash" | "validator" | "differential" | "serialize" | "trace" | "service" | "crash-recovery"
+    #: "crash" | "validator" | "differential" (batch loop ≠ session loop)
+    #: | "serialize" | "trace" | "service" | "crash-recovery"
+    check: str
     detail: str
 
 
@@ -299,12 +297,6 @@ def portable_events(schedule: Schedule, *, reprify: bool) -> list[tuple]:
     )
 
 
-def _events_by_id(schedule: Schedule) -> dict:
-    return {
-        j: (p.start, p.time, tuple(p.alloc)) for j, p in schedule.placements.items()
-    }
-
-
 def build_case_instance(case: FuzzCase) -> Instance:
     """The (deterministic) instance a case runs on."""
     pool = ResourcePool.uniform(case.d, case.capacity)
@@ -387,9 +379,17 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
 
     allocation = getattr(result, "allocation", None)
 
-    # 2 — differential dispatch across engine generations
+    # 2 — differential dispatch: the batch loop against the session loop
+    batch = None
     if allocation is not None:
-        failures.extend(_check_differential(case, inst, allocation))
+        try:
+            batch = list_schedule(inst, allocation, fifo_priority)
+        except Exception as exc:
+            failures.append(
+                FuzzFailure(case, "differential", f"{type(exc).__name__}: {exc}")
+            )
+    if batch is not None:
+        failures.extend(_check_differential(case, inst, allocation, batch))
 
     # 3 — serialize round-trip schedule identity
     failures.extend(_check_serialize_roundtrip(case, spec, inst, strategy, schedule))
@@ -397,48 +397,39 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
     # 4 — trace round-trip identity
     failures.extend(_check_trace_roundtrip(case, inst, schedule))
 
-    # 5 — online-session replay (faithful identity + adversarial validity)
+    # 5 — adversarial online-session replay (validity)
     if case.scenario == "service" and allocation is not None:
         failures.extend(_check_service(case, inst, allocation))
 
     # 6 — durable-session crash recovery (kill → recover → retry identity)
-    if case.scenario == "crash" and allocation is not None:
-        failures.extend(_check_crash(case, inst, allocation))
+    if case.scenario == "crash" and batch is not None:
+        failures.extend(_check_crash(case, inst, allocation, batch))
 
     return failures, False
 
 
-def _check_differential(case, inst, allocation) -> list[FuzzFailure]:
+def _check_differential(case, inst, allocation, batch) -> list[FuzzFailure]:
     try:
-        live = list_schedule(inst, allocation, bottom_level_priority)
-        pr1 = reference_pr1_list_schedule(inst, allocation, None)
+        session = drive_session_faithfully(
+            inst,
+            allocation,
+            seed=case.seed + 9173,
+            checkpoint=case.scenario == "service",
+            batch=batch,
+        )
+        sched = session.to_schedule()
+        session.validate()
     except Exception as exc:
         return [FuzzFailure(case, "differential", f"{type(exc).__name__}: {exc}")]
-    out: list[FuzzFailure] = []
-    if _events_by_id(live) != _events_by_id(pr1):
-        out.append(
+    if portable_events(sched, reprify=False) != portable_events(batch, reprify=True):
+        return [
             FuzzFailure(
                 case,
                 "differential",
-                "compiled dispatch diverges from the frozen PR-1 kernel driver",
+                "submission-order-faithful session diverges from the batch loop",
             )
-        )
-    if not inst.has_releases:  # the pre-kernel loop predates releases
-        try:
-            old = reference_list_schedule(inst, allocation, None)
-        except Exception as exc:
-            return out + [
-                FuzzFailure(case, "differential", f"{type(exc).__name__}: {exc}")
-            ]
-        if _events_by_id(live) != _events_by_id(old):
-            out.append(
-                FuzzFailure(
-                    case,
-                    "differential",
-                    "compiled dispatch diverges from the pre-kernel loop",
-                )
-            )
-    return out
+        ]
+    return []
 
 
 def _check_serialize_roundtrip(case, spec, inst, strategy, schedule) -> list[FuzzFailure]:
@@ -446,7 +437,9 @@ def _check_serialize_roundtrip(case, spec, inst, strategy, schedule) -> list[Fuz
 
     try:
         back = instance_from_json(
-            instance_to_json(inst, strategy if strategy is not None else geometric_grid)
+            instance_to_json(
+                inst, strategy if strategy is not None else geometric_grid, indent=None
+            )
         )
         result2 = _run_scheduler(spec, back, strategy)
     except Exception as exc:
@@ -622,29 +615,7 @@ def _drive_session_adversarially(inst: Instance, allocation, *, seed: int):
 
 
 def _check_service(case, inst, allocation) -> list[FuzzFailure]:
-    from repro.sim.trace import schedule_from_trace
-
     out: list[FuzzFailure] = []
-    # faithful interleaving: event-for-event identity with the batch engine
-    try:
-        batch = list_schedule(inst, allocation, fifo_priority)
-        session = drive_session_faithfully(
-            inst, allocation, seed=case.seed + 9173, checkpoint=True, batch=batch
-        )
-        sched = session.to_schedule()
-        session.validate()
-    except Exception as exc:
-        return [FuzzFailure(case, "service", f"{type(exc).__name__}: {exc}")]
-    if portable_events(sched, reprify=False) != portable_events(batch, reprify=True):
-        out.append(
-            FuzzFailure(
-                case,
-                "service",
-                "submission-order-faithful session diverges from the batch "
-                "compiled engine",
-            )
-        )
-    # adversarial interleaving: strict validity of whatever completed
     try:
         session, cancelled = _drive_session_adversarially(
             inst, allocation, seed=case.seed + 40123
@@ -781,11 +752,10 @@ def drive_session_with_crashes(
     return js, chaos
 
 
-def _check_crash(case, inst, allocation) -> list[FuzzFailure]:
+def _check_crash(case, inst, allocation, batch) -> list[FuzzFailure]:
     import tempfile
 
     try:
-        batch = list_schedule(inst, allocation, fifo_priority)
         with tempfile.TemporaryDirectory() as tmp:
             js, chaos = drive_session_with_crashes(
                 inst, allocation, seed=case.seed + 55511, dirpath=tmp, batch=batch

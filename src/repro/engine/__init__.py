@@ -12,10 +12,7 @@
   share;
 * :mod:`repro.engine.shelves` — first-fit shelf packing (pack scheduling);
 * :mod:`repro.engine.profile` — future-availability reservations
-  (conservative backfilling);
-* :mod:`repro.engine.reference` — the frozen loops of earlier
-  generations (pre-kernel python and the PR-1 kernel driver, with its own
-  private copy of that kernel), kept only for differential tests.
+  (conservative backfilling).
 
 The malleable scheduler (:mod:`repro.malleable.scheduler`) runs its own
 unit-step loop.  Every scheduler in :mod:`repro.core`,

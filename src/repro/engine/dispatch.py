@@ -52,8 +52,8 @@ Both gate readiness on job release times (online arrivals) and preserve
 the historical tie-breaking exactly: simultaneous completions are
 processed as one batch, newly ready jobs enter the queue by ``(priority
 key, topological index)``, and events pop in ``(time, submission)`` order.
-The frozen predecessors (:mod:`repro.engine.reference`) pin that behavior
-in the differential tests.
+The frozen predecessors (test oracles in ``tests/helpers.py``) pin that
+behavior in the equivalence tests.
 """
 
 from __future__ import annotations
@@ -337,8 +337,9 @@ class PriorityLoop:
 
         All three are schedule-preserving: admission order within a time
         point remains the ``(key, topological index)`` total order, and
-        the conformance fuzz matrix races the result against the frozen
-        per-event references event for event.
+        the test suite races the result against the frozen per-event
+        references event for event over every case of the quick fuzz
+        matrix.
 
         The collector is paused for the duration of the run: the loop
         allocates only acyclic objects (event tuples, batch lists), but

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ruler_rigid_instance, tiny_instance
+from helpers import reference_pr1_list_schedule, ruler_rigid_instance, tiny_instance
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
@@ -31,7 +31,6 @@ from repro.engine.dispatch import (
     PriorityLoop,
     priority_loop,
 )
-from repro.engine.reference import reference_pr1_list_schedule
 from repro.experiments.workloads import random_instance
 from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.jobs.candidates import geometric_grid

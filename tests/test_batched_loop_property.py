@@ -7,21 +7,26 @@ semantic changes: across workload families × schedulers × d ∈ {1..6} ×
 arrival modes (hypothesis-sampled), the live engine must reproduce the
 frozen per-event PR-1 reference loop event for event — and, offline, the
 pre-kernel loop too — or the property fails with a seeded reproducer.
+The same race runs deterministically over every case of the quick fuzz
+matrix, which covers every registered scheduler and every capacity regime.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_list_schedule, reference_pr1_list_schedule
+from repro.conformance.fuzz import (
+    _run_scheduler,
+    _strategy_for,
+    build_case_instance,
+    default_matrix,
+)
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
     list_schedule,
     lpt_priority,
     spt_priority,
-)
-from repro.engine.reference import (
-    reference_list_schedule,
-    reference_pr1_list_schedule,
 )
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
 from repro.instance.instance import with_poisson_arrivals
@@ -102,3 +107,30 @@ def test_batched_loop_equals_per_event_reference(
     if not inst.has_releases:  # the pre-kernel loop predates releases
         legacy = reference_list_schedule(inst, allocation, priority)
         assert _events(live) == _events(legacy)
+
+
+def test_quick_fuzz_matrix_equals_both_frozen_generations():
+    """Every quick-matrix case with an allocation: the batch loop under the
+    bottom-level rule equals the PR-1 loop and, without releases, the
+    pre-kernel loop.  Unlike the property above this reaches ``balanced``,
+    ``sun_list`` and ``sun_shelf`` and capacities 1, 4, 16 and ``2**15``
+    (both sides of ``d * bits = 64``)."""
+    cases = default_matrix(quick=True)
+    compared, diverged = 0, []
+    for case in cases:
+        inst = build_case_instance(case)
+        result = _run_scheduler(get_scheduler(case.scheduler), inst, _strategy_for(case))
+        allocation = getattr(result, "allocation", None)
+        if allocation is None:
+            continue
+        compared += 1
+        live = _events(list_schedule(inst, allocation, bottom_level_priority))
+        if live != _events(reference_pr1_list_schedule(inst, allocation, None)):
+            diverged.append(f"PR-1: {case.describe()}")
+        if not inst.has_releases and live != _events(
+            reference_list_schedule(inst, allocation, None)
+        ):
+            diverged.append(f"pre-kernel: {case.describe()}")
+    assert diverged == []
+    # the malleable relaxation is the only scheduler that keeps no allocation
+    assert compared == sum(c.scheduler != "malleable" for c in cases)

@@ -168,6 +168,19 @@ class TestCommands:
         assert err == f"error: --trace: directory {target.parent} does not exist\n"
         assert "makespan" not in out and not target.parent.exists()
 
+    def test_bench_refuses_json_into_a_missing_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Checked before any benchmark runs: the document write at the end
+        used to die with a traceback after the whole run."""
+        monkeypatch.setattr("repro.bench.runner.run_benchmarks",
+                            lambda *a, **kw: pytest.fail("ran"))
+        target = tmp_path / "missing" / "x.json"
+        assert main(["bench", "--only", "figure1", "--json", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --json: directory {target.parent} does not exist\n"
+        assert "running" not in out and not target.parent.exists()
+
     def test_schedule_refuses_a_trace_under_a_regular_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -231,8 +244,34 @@ class TestCommands:
         monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
         assert main(["fuzz", "--quick", "--max-cases", "-1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --max-cases must be >= 0")
+        assert captured.err.startswith("error: --max-cases must be >= 1")
         assert "sweeping" not in captured.out
+
+    def test_fuzz_refuses_max_cases_zero(self, capsys, monkeypatch):
+        """``--max-cases 0`` swept nothing and exited 0: the outcome the
+        empty-filter refusal exists to prevent."""
+        import repro.conformance.fuzz as fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
+        assert main(["fuzz", "--quick", "--max-cases", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-cases must be >= 1, got 0\n"
+        assert "sweeping" not in captured.out
+
+    def test_fuzz_refuses_failures_into_a_missing_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Checked before the sweep: the report write at the end used to die
+        with a traceback after every case had run."""
+        import repro.conformance.fuzz as fuzz
+
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **kw: pytest.fail("swept"))
+        target = tmp_path / "missing" / "f.json"
+        assert main(["fuzz", "--quick", "--max-cases", "3",
+                     "--failures", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --failures: directory {target.parent} does not exist\n"
+        assert "sweeping" not in out and not target.parent.exists()
 
     @pytest.mark.parametrize("n", ("0", "-2"))
     def test_fuzz_refuses_n_below_one(self, n, capsys, monkeypatch):
@@ -267,10 +306,6 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "--schedulers sun_list" in err and "--families chain" in err
-
-    def test_fuzz_max_cases_zero_still_sweeps_nothing(self, capsys):
-        assert main(["fuzz", "--quick", "--max-cases", "0"]) == 0
-        assert "0 cases run" in capsys.readouterr().out
 
     def test_fuzz_unknown_scheduler(self, capsys):
         assert main(["fuzz", "--schedulers", "nope"]) == 2

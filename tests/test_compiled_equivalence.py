@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_list_schedule, reference_pr1_list_schedule
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
@@ -22,10 +23,6 @@ from repro.core.list_scheduler import (
     spt_priority,
 )
 from repro.dag.generators import erdos_renyi_dag, layered_random
-from repro.engine.reference import (
-    reference_list_schedule,
-    reference_pr1_list_schedule,
-)
 from repro.instance.compiled import compile_instance
 from repro.instance.instance import make_instance, with_poisson_arrivals
 from repro.resources.pool import ResourcePool

@@ -1,5 +1,5 @@
 """Differential tests: kernel-based schedulers vs. the frozen pre-refactor
-loops in :mod:`repro.engine.reference` and ``helpers.py``.
+loops in ``helpers.py``.
 
 The kernel port must preserve the old loops' behavior *exactly* — same
 starts, same tie-breaking, same RNG draw order — so every comparison below
@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     reference_backfill_plan,
+    reference_list_schedule,
     reference_malleable_task_starts,
     reference_pack_shelf_placements,
     reference_run_dynamic,
@@ -34,7 +35,6 @@ from repro.dag.analysis import node_levels
 from repro.dag.generators import erdos_renyi_dag
 from repro.dag.paths import bottom_levels
 from repro.engine.dispatch import run_dynamic
-from repro.engine.reference import reference_list_schedule
 from repro.instance.instance import make_instance
 from repro.jobs.candidates import full_grid
 from repro.jobs.speedup import random_multi_resource_time
