@@ -10,9 +10,11 @@ allocation fits the currently available amount of *every* resource type
 Priorities.  The paper proves the approximation ratio for *any* queue order;
 better orders help in practice (Section 4.2.1) and the distinction between
 *local* priorities (functions of the job alone) and *global* ones (functions
-of the precedence graph, e.g. bottom level) is the crux of Theorem 6.  The
-:class:`PriorityRule` factories below cover both families; the registered
-benchmarks ``ablation_priority`` and ``figure2_lower_bound`` exercise them.
+of the precedence graph, e.g. bottom level) is the crux of Theorem 6.  A
+:data:`PriorityRule` has one form: it returns every job's real-number key
+as one array in topological order.  The rules below cover both families;
+the registered benchmarks ``ablation_priority`` and ``figure2_lower_bound``
+exercise them.
 
 Output.  One run of the batch loop records a start log
 (:func:`list_schedule_log`); :func:`list_schedule` wraps it as a
@@ -28,8 +30,9 @@ from typing import Callable, Hashable, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.dag.paths import bottom_levels, bottom_levels_array
+from repro.dag.paths import bottom_levels_array
 from repro.engine.dispatch import priority_loop
+from repro.instance.compiled import priority_key
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule
@@ -50,80 +53,64 @@ __all__ = [
 
 JobId = Hashable
 
-#: A priority rule maps (instance, allocation, times) to a per-job sort key;
-#: *smaller keys start first*.  A rule may additionally carry an
-#: ``as_array`` attribute — ``as_array(instance, allocation, times_vec)``
-#: returning a 1-D key array aligned with the topological order — which the
-#: scheduler uses instead of the dict form: a stable argsort of the array
-#: realizes exactly the ``(key, topological index)`` order of the dict
-#: path, without building ``n`` python key objects per run.
+#: A priority rule maps ``(instance, allocation, times_vec)`` to a 1-D
+#: array of real-number keys aligned with the topological order
+#: (``instance.compiled().order``): ``times_vec[i]`` is the execution time
+#: of topological index ``i`` under ``allocation``, and the key at ``i`` is
+#: that job's.  *Smaller keys start first*; ties break by topological index
+#: (the rank lowering's argsort is stable).  Algorithm 2's ratio holds for
+#: any such order.
 PriorityRule = Callable[
-    [Instance, Mapping[JobId, ResourceVector], Mapping[JobId, float]],
-    dict[JobId, object],
+    [Instance, Mapping[JobId, ResourceVector], np.ndarray], np.ndarray
 ]
 
 
-def _array_form(fn):
-    """Attach ``fn`` to a rule as its vectorized key form (see PriorityRule)."""
-
-    def attach(rule):
-        rule.as_array = fn
-        return rule
-
-    return attach
-
-
-@_array_form(lambda instance, allocation, times_vec: np.arange(len(times_vec)))
-def fifo_priority(instance: Instance, allocation, times) -> dict[JobId, object]:
+def fifo_priority(instance: Instance, allocation, times_vec) -> np.ndarray:
     """Queue-insertion order (topological index): the paper's default."""
-    return {j: i for i, j in enumerate(instance.dag.topological_order())}
+    return np.arange(len(times_vec))
 
 
-@_array_form(lambda instance, allocation, times_vec: -times_vec)
-def lpt_priority(instance: Instance, allocation, times) -> dict[JobId, object]:
+#: the name ``benchmarks/stack/batch.py`` calls the rule by
+fifo_priority.as_array = fifo_priority
+
+
+def lpt_priority(instance: Instance, allocation, times_vec) -> np.ndarray:
     """Longest processing time first (local)."""
-    return {j: (-times[j], i) for i, j in enumerate(instance.dag.topological_order())}
+    return -times_vec
 
 
-@_array_form(lambda instance, allocation, times_vec: times_vec)
-def spt_priority(instance: Instance, allocation, times) -> dict[JobId, object]:
+def spt_priority(instance: Instance, allocation, times_vec) -> np.ndarray:
     """Shortest processing time first (local)."""
-    return {j: (times[j], i) for i, j in enumerate(instance.dag.topological_order())}
+    return times_vec
 
 
 def random_priority(seed: int | np.random.Generator | None = None) -> PriorityRule:
     """A fixed random permutation of the jobs (local)."""
 
-    def rule(instance: Instance, allocation, times) -> dict[JobId, object]:
-        rng = ensure_rng(seed)
-        order = instance.dag.topological_order()
-        perm = rng.permutation(len(order))
-        return {j: int(perm[i]) for i, j in enumerate(order)}
-
-    def rule_array(instance, allocation, times_vec) -> np.ndarray:
+    def rule(instance: Instance, allocation, times_vec) -> np.ndarray:
         rng = ensure_rng(seed)
         return rng.permutation(len(times_vec))
 
-    rule.as_array = rule_array
     return rule
 
 
-def _bottom_level_keys(instance, allocation, times_vec) -> np.ndarray:
+def bottom_level_priority(instance: Instance, allocation, times_vec) -> np.ndarray:
+    """Critical-path-aware (global): larger bottom level starts first."""
     return -bottom_levels_array(instance.dag, times_vec)
 
 
-@_array_form(_bottom_level_keys)
-def bottom_level_priority(instance: Instance, allocation, times) -> dict[JobId, object]:
-    """Critical-path-aware (global): larger bottom level starts first."""
-    b = bottom_levels(instance.dag, times)
-    return {j: (-b[j], i) for i, j in enumerate(instance.dag.topological_order())}
+def explicit_priority(keys: Mapping[JobId, float]) -> PriorityRule:
+    """Use the given per-job keys verbatim (adversarial constructions).
 
+    Each key must be what a session accepts as a job's ``key``
+    (:func:`~repro.instance.compiled.priority_key`: a real number, exactly
+    a float64, not NaN; ``ValueError`` names the job otherwise).  The
+    mapping is lowered to float64 once, here.
+    """
+    lowered = {j: float(priority_key(j, k)) for j, k in keys.items()}
 
-def explicit_priority(keys: Mapping[JobId, object]) -> PriorityRule:
-    """Use the given per-job keys verbatim (adversarial constructions)."""
-
-    def rule(instance: Instance, allocation, times) -> dict[JobId, object]:
-        return dict(keys)
+    def rule(instance: Instance, allocation, times_vec) -> np.ndarray:
+        return np.array([lowered[j] for j in instance.compiled().order])
 
     return rule
 
@@ -169,9 +156,8 @@ def list_schedule_log(
     batching, packed resource accounting, release gating for online
     arrivals — lives in :mod:`repro.engine`; this function contributes only
     the priority keys.  No python callback fires and no placement object
-    is built.  The keys are a 1-D array in topological order when the rule
-    has an ``as_array`` form (see :data:`PriorityRule`), a mapping over job
-    ids otherwise.
+    is built.  The rule returns the keys as one array in topological order
+    (see :data:`PriorityRule`).
     """
     alloc_mat = instance.validate_allocation_map(allocation)
     order = instance.compiled().order
@@ -180,11 +166,7 @@ def list_schedule_log(
         dtype=np.float64,
         count=len(order),
     )
-    as_array = getattr(priority, "as_array", None)
-    if as_array is not None:
-        keys = as_array(instance, allocation, times_vec)
-    else:
-        keys = priority(instance, allocation, dict(zip(order, times_vec.tolist())))
+    keys = priority(instance, allocation, times_vec)
     loop = priority_loop(instance, allocation, keys, times_vec, alloc_mat=alloc_mat)
     loop.run()
     if loop.rq:  # pragma: no cover - invariant

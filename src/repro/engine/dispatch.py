@@ -20,10 +20,10 @@ index)`` total order.
 
 Algorithm 2's discipline has two loops, one role each, and **one demand
 encoding**: every demand is a python-int image with a headroom bit per
-field (:func:`~repro.instance.compiled.pack_layout` sizes a field by the
-platform), for any ``d`` and any capacity, and ``(av - a) & H == H`` /
-``av -= a`` / ``av += a`` are the only admission / acquire / free
-statements.  Both keep the ready queue as a sorted python list, scanned in
+field (the platform's :class:`~repro.instance.compiled.DemandLayout` sizes
+a field and packs every image), for any ``d`` and any capacity, and
+``(av - a) & H == H`` / ``av -= a`` / ``av += a`` are the only admission /
+acquire / free statements.  Both keep the ready queue as a sorted python list, scanned in
 order while it is short, and both cache a demand column beside the list
 only while it is longer than ``_VECTOR_QUEUE``, to test the whole queue in
 one vector operation.
@@ -33,8 +33,8 @@ one vector operation.
   log (``start_log()``).  The queue holds integer ranks; per-event work
   is python ints over memoryviews of the compiled int64 buffers (no copy
   of the CSR adjacency or the readiness vector).  The column is
-  ``uint64`` images where they fit a word (``ci.packable``: ``d * bits <=
-  64``) and ``(L, d)`` int64 rows where they do not.
+  ``uint64`` images where they fit a word (``layout.packable``: ``d * bits
+  <= 64``) and ``(L, d)`` int64 rows where they do not.
 * :class:`IncrementalPriorityLoop` — the resumable loop, stepped with
   ``run(until)`` as virtual time advances, behind
   :class:`~repro.service.session.SchedulingSession` (and so behind ``repro
@@ -45,8 +45,8 @@ one vector operation.
   tuples — the identical total order the rank lowering realizes, so a
   session driven submission-order-faithfully reproduces the batch schedule
   event for event (the conformance service family asserts this).  Its
-  column exists only where the images fit a ``uint64`` (``gi.packable``);
-  wider images are always scanned in order.
+  column exists only where the images fit a ``uint64``
+  (``layout.packable``); wider images are always scanned in order.
 
 Both gate readiness on job release times (online arrivals) and preserve
 the historical tie-breaking exactly: simultaneous completions are
@@ -102,17 +102,11 @@ _VECTOR_BATCH = 8
 _VECTOR_QUEUE = 96
 
 
-def _unpack(packed: int, d: int, bits: int) -> tuple[int, ...]:
-    """The ``d`` per-type amounts of a packed vector of ``bits``-wide fields."""
-    field = (1 << bits) - 1
-    return tuple((packed >> (bits * r)) & field for r in range(d))
-
-
 def priority_loop(
     instance,
     allocation: Mapping[JobId, Sequence[int]],
-    keys: "Mapping[JobId, object] | np.ndarray",
-    durations: "Mapping[JobId, float] | np.ndarray",
+    keys: np.ndarray,
+    durations: np.ndarray,
     on_start: None = None,
     *,
     alloc_mat: np.ndarray | None = None,
@@ -120,9 +114,9 @@ def priority_loop(
     """Build Algorithm 2's batch loop for a fixed job set, unstarted (the
     queue discipline is :meth:`PriorityLoop.run`'s).
 
-    ``keys`` and ``durations`` may be mappings over job ids or 1-D arrays
-    aligned with the topological order (the vectorized fast path);
-    ``alloc_mat`` optionally supplies the already-lowered and validated
+    ``keys`` (real numbers, a :data:`~repro.core.list_scheduler.PriorityRule`'s
+    output) and ``durations`` are 1-D arrays aligned with the topological
+    order; ``alloc_mat`` optionally supplies the already-lowered and validated
     ``(n, d)`` allocation matrix (the one ``validate_allocation_map``
     returns) so the allocation is neither lowered nor checked twice per
     run; without it ``validate_allocation_map`` lowers and checks it here
@@ -145,13 +139,8 @@ def priority_loop(
         # nobody has checked this allocation yet: an amount above its
         # capacity would carry into the neighbouring field of the image
         alloc_mat = instance.validate_allocation_map(allocation)
-    if isinstance(durations, np.ndarray):
-        dur = durations.tolist()
-    else:
-        order = ci.order
-        dur = [durations[j] for j in order]
     rank_of, topo_of_rank = ci.rank_permutation(keys)
-    return PriorityLoop(ci, alloc_mat, dur, rank_of, topo_of_rank)
+    return PriorityLoop(ci, alloc_mat, durations.tolist(), rank_of, topo_of_rank)
 
 
 class PriorityLoop:
@@ -183,10 +172,10 @@ class PriorityLoop:
     queue**: it exists only while the queue is longer than
     ``_VECTOR_QUEUE``, and then a pass tests the whole queue in one vector
     operation instead of in order.  It holds rows of ``dem_rank`` — the
-    ``uint64`` images where they fit a word (``ci.packable``), the
+    ``uint64`` images where they fit a word (``layout.packable``), the
     ``(d,)`` int64 amounts where they do not; that is all the loop reads
-    ``ci.packable`` for.  Invariant, between dispatch passes: the column is
-    absent ⇔ ``len(rq) <= _VECTOR_QUEUE``; otherwise ``pb[p]`` is the
+    ``layout.packable`` for.  Invariant, between dispatch passes: the
+    column is absent ⇔ ``len(rq) <= _VECTOR_QUEUE``; otherwise ``pb[p]`` is the
     demand of ``rq[p]`` for every position ``p`` of the queue (the buffer
     may be longer — room for insertions).  It is gathered from the list
     when the queue grows past the constant, patched at the positions the
@@ -196,8 +185,9 @@ class PriorityLoop:
     **The exhausted-platform cut.**  :attr:`gmin` is one more image in the
     same layout: field ``r`` holds the smallest amount of type ``r`` that
     *any job of the instance* is allocated (the column minimum of the
-    allocation matrix, packed once at construction).  After every start the
-    loop tests ``(av - gmin) & H != H`` — some type has less free than the
+    allocation matrix, packed once at construction by
+    :meth:`~repro.instance.compiled.DemandLayout.images`).  After every
+    start the loop tests ``(av - gmin) & H != H`` — some type has less free than the
     smallest demand anybody has of it — and leaves the pass: availability
     only shrinks within a pass, so no entry further down can fit.  The
     minimum is over every job, queued or not, which is what makes the test
@@ -232,34 +222,28 @@ class PriorityLoop:
 
         self.rank_a = np.ascontiguousarray(rank_of, dtype=np.int64)
         topo_a = np.ascontiguousarray(topo_of_rank, dtype=np.int64)
-        self.topo_l = (
-            topo_of_rank if isinstance(topo_of_rank, list) else topo_a.tolist()
-        )
+        self.topo_l = topo_of_rank
 
-        self.H = ci.fit_mask
-        self.av = ci.packed_capacities + ci.fit_mask
-        shifts = range(0, ci.d * ci.bits, ci.bits)
+        layout = ci.layout
+        self.H = layout.fit_mask
+        self.av = layout.packed_capacities + layout.fit_mask
         # the smallest demand any job of the instance has of each type, as
         # one image in the demands' layout (the cut, see the class
         # docstring); column by column: numpy reduces a tall matrix along
         # its long axis several times slower than it scans d strided columns
-        self.gmin = sum(
-            int(alloc_mat[:, r].min()) << s for r, s in enumerate(shifts)
-        ) if n else 0
-        if ci.packable:
-            images = ci.pack_demands(alloc_mat)
+        self.gmin = int(layout.images(
+            [[int(alloc_mat[:, r].min()) for r in range(layout.d)]]
+        )[0]) if n else 0
+        images = layout.images(alloc_mat)
+        if layout.packable:
             self.img_topo = images.tolist()
             self.dem_rank = images[topo_a]
             self.img_rank = self.dem_rank.tolist()
         else:
-            # wider than a word: the same shift-and-sum over python ints
-            img_topo = [
-                sum(a << s for a, s in zip(row, shifts))
-                for row in alloc_mat.tolist()
-            ]
-            self.img_topo = img_topo
+            # wider than a word: the column holds the rows themselves
+            self.img_topo = images
             self.dem_rank = alloc_mat[topo_a]
-            self.img_rank = [img_topo[i] for i in self.topo_l]
+            self.img_rank = [images[i] for i in self.topo_l]
 
         remaining = dag.in_degrees.copy()
         heap: list[tuple[float, int, int]] = []
@@ -365,15 +349,14 @@ class PriorityLoop:
         ip = memoryview(self.ip)
         si = memoryview(self.si)
         rank = memoryview(self.rank_a)
-        word = self.ci.packable  # the column holds uint64 images, not rows
+        layout = self.ci.layout
+        word = layout.packable  # the column holds uint64 images, not rows
         img_topo = self.img_topo
         img_rank = self.img_rank
         dem_rank = self.dem_rank
         topo_l = self.topo_l
         dur = self.dur
         n = self.n
-        d = self.ci.d
-        bits = self.ci.bits
         H = self.H
         gmin = self.gmin
         uint64 = np.uint64
@@ -426,7 +409,7 @@ class PriorityLoop:
                         H_u = uint64(H)
                         hits = (((uint64(av) - pb[:L]) & H_u) == H_u).nonzero()[0]
                     else:
-                        avv = np.array(_unpack(av - H, d, bits), dtype=np.int64)
+                        avv = np.array(layout.unpack(av - H), dtype=np.int64)
                         hits = (pb[:L] <= avv).all(axis=1).nonzero()[0]
                     while hits.size:
                         # the first hit is the lowest-rank fitting job and
@@ -592,8 +575,8 @@ class IncrementalPriorityLoop:
     a ``uint64``, and then the whole queue is tested in one vector
     operation (a bag-of-tasks submit leaves thousands of rows queued, and
     scanning those per completion costs ten times the vector pass).
-    Invariant, after every method: ``rp is None`` ⇔ ``not gi.packable or
-    len(rq) <= _VECTOR_QUEUE``; otherwise ``rp[p] == gi.packed[rq[p][1]]``
+    Invariant, after every method: ``rp is None`` ⇔ ``not
+    gi.layout.packable or len(rq) <= _VECTOR_QUEUE``; otherwise ``rp[p] == gi.packed[rq[p][1]]``
     for every position ``p`` of the queue (the buffer may be longer — room
     for insertions).  It is gathered from the list when the queue grows
     past the constant, patched at the positions the list is while the
@@ -629,7 +612,7 @@ class IncrementalPriorityLoop:
         self.start: list[float | None] = []
         self.finish: list[float | None] = []
         # availability image with the headroom bits pre-added
-        self.avh = gi.packed_capacities + gi.fit_mask
+        self.avh = gi.layout.packed_capacities + gi.layout.fit_mask
         self.log: list[tuple] = log if log is not None else []
         self.ncompleted = 0  # lifetime completions (survives compaction)
         # the ready queue, and its demand column while the queue is long
@@ -652,8 +635,8 @@ class IncrementalPriorityLoop:
 
     def available(self) -> tuple[int, ...]:
         """The per-type availability vector at the current clock."""
-        gi = self.gi
-        return _unpack(self.avh - gi.fit_mask, gi.d, gi.bits)
+        layout = self.gi.layout
+        return layout.unpack(self.avh - layout.fit_mask)
 
     # ------------------------------------------------------------------
     # ready-queue maintenance
@@ -663,7 +646,7 @@ class IncrementalPriorityLoop:
         gathered anew (with as much room again for in-place insertions)
         iff the queue is long and the images fit a ``uint64``."""
         rq = self.rq
-        if not self.gi.packable or len(rq) <= _VECTOR_QUEUE:
+        if not self.gi.layout.packable or len(rq) <= _VECTOR_QUEUE:
             self.rp = None
             return
         packed = self.gi.packed
@@ -867,7 +850,7 @@ class IncrementalPriorityLoop:
         release_a = gi.release
         append_log = self.log.append
         ncompleted = self.ncompleted
-        H = gi.fit_mask
+        H = gi.layout.fit_mask
         uint64 = np.uint64
         avh = self.avh
         eps = self.eps

@@ -5,11 +5,14 @@ The precedence structure already is arrays — a
 id → position index and CSR adjacency — so what is lowered here is per job
 and per platform, over the DAG's positions:
 
+* :class:`DemandLayout` — one platform's demand images (the one packer
+  and its inverse) and the one bounds rule on demand rows, held by both
+  lowerings below.
 * :class:`CompiledInstance` — the instance's DAG plus the per-job release
-  vector, the allocation-matrix builder, the integer *rank* permutation
-  that turns arbitrary priority keys into dense ints (heap/array queues
-  then compare machine integers, not python tuples) and the packed demand
-  images.  Cached on the :class:`~repro.instance.instance.Instance`.
+  vector, the platform's layout and the integer *rank* permutation that
+  turns real-number priority keys into dense ints (heap/array queues then
+  compare machine integers, not python floats).  Cached on the
+  :class:`~repro.instance.instance.Instance`.
 * :class:`GrowableCompiledInstance` — the same lowering kept in
   append-only lists for an online session whose job set grows.
 
@@ -21,7 +24,7 @@ equivalence tests hold the lowering to that).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -29,23 +32,30 @@ from repro.resources.vector import ResourceVector
 
 __all__ = [
     "CompiledInstance",
+    "DemandLayout",
     "GrowableCompiledInstance",
     "compile_instance",
-    "pack_layout",
+    "priority_key",
     "whole_amounts",
 ]
 
 JobId = Hashable
 
+#: no int64 amount exceeds it: a capacity clipped to it compares the same
+_INT64_MAX = np.iinfo(np.int64).max
+#: the amount types the whole-matrix form lowers (to numpy a bool is an int)
+_INT64_TYPES = frozenset((int, np.int64))
+
 
 # ----------------------------------------------------------------------
-# instance-level lowering
+# the two inputs of Phase 2: priority keys and demand rows
 # ----------------------------------------------------------------------
 
 
 def whole_amounts(demand) -> tuple[int, ...]:
     """The one lowering of a demand to integer amounts, wherever one enters
-    (wire record, row validation, batch validation).
+    (wire record, row validation, batch validation, checkpoint restore,
+    instance and trace files).
 
     An amount must *equal* its integer value: ``2``, ``2.0`` and numpy
     integers are two units; ``2.7``, ``"2"``, ``nan`` and ``inf`` raise
@@ -62,75 +72,162 @@ def whole_amounts(demand) -> tuple[int, ...]:
     return dem
 
 
-def _whole_row(job_id: JobId, row) -> tuple[int, ...]:
+def priority_key(job_id: JobId, key):
+    """The one rule for a priority key (a submitted job's ``key``,
+    :func:`~repro.core.list_scheduler.explicit_priority`'s): an ``int`` or
+    ``float``, not a ``bool``, not NaN (it breaks the ``(key, index)``
+    total order) and exactly a float64.  Returns ``key`` as given;
+    ``ValueError`` names the job otherwise."""
+    if isinstance(key, bool) or not isinstance(key, (int, float)) or key != key:
+        raise ValueError(f"job {job_id!r}: priority key must be numeric")
     try:
-        return whole_amounts(row)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"job {job_id!r}: allocation {row!r}: {exc}") from None
+        exact = float(key) == key
+    except OverflowError:  # an int past the float64 range
+        exact = False
+    if not exact:
+        raise ValueError(
+            f"job {job_id!r}: priority key {key!r} is not exactly "
+            "representable as float64 (the checkpoint and ready-queue "
+            "image type)"
+        )
+    return key
 
 
-def pack_layout(capacities) -> tuple[bool, int, int, int]:
-    """``(packable, bits, fit_mask, packed_capacities)`` for a capacity vector.
+class DemandLayout:
+    """One platform's demand images, and the bounds rule on demand rows.
 
-    The single source of truth for the SWAR lowering shared by the batch
-    (:class:`CompiledInstance`) and online (:class:`GrowableCompiledInstance`)
-    engines — the two admission tests must agree bit for bit.  A field is
-    as wide as the platform needs: ``bits`` is the widest capacity's bit
-    length plus the headroom bit, on every platform.  ``packable`` says the
-    ``d`` fields together fit a ``uint64`` (``d * bits <= 64``: four types
-    below ``2**15``, six at capacity 24, twelve at capacity 12); a wider
-    image only python ints can carry.
-    """
-    caps = [int(c) for c in capacities]
-    d = len(caps)
-    bits = max(caps, default=0).bit_length() + 1
-    packable = d >= 1 and d * bits <= 64
-    fit_mask = sum(1 << (bits * r + bits - 1) for r in range(d))
-    packed = sum(c << (bits * r) for r, c in enumerate(caps))
-    return packable, bits, fit_mask, packed
-
-
-class CompiledInstance:
-    """Array form of an :class:`~repro.instance.instance.Instance`.
-
-    Reads the structure from the instance's ``dag`` and owns the per-job release
-    vector; provides the per-run builders the dispatch drivers consume —
-    allocation matrices, duration vectors, the integer rank permutation
-    for priority keys and (when ``packable``) the ``uint64`` demand lowering.
-
-    **Demand images.**  A whole demand vector is one integer: field ``r``
-    occupies bits ``[bits * r, bits * (r + 1))`` with the top bit of each
-    field kept clear, ``bits`` sized by the platform (:func:`pack_layout`).
-    The dominance test ``a ⪯ av`` then becomes the classic borrow-free
-    SWAR comparison::
+    **Images.**  A whole demand vector is one integer: field ``r`` occupies
+    bits ``[bits * r, bits * (r + 1))`` with the top bit of each field kept
+    clear.  A field is as wide as the platform needs: ``bits`` is the widest
+    capacity's bit length plus that headroom bit.  The dominance test
+    ``a ⪯ av`` then becomes the classic borrow-free SWAR comparison::
 
         ((av + fit_mask) - a) & fit_mask == fit_mask
 
     where ``fit_mask`` carries the headroom bit of every field: field
     arithmetic cannot borrow across fields (``2**(bits-1) + av_r - a_r > 0``
     always), so each field's headroom bit survives the subtraction iff
-    ``a_r <= av_r``.  One integer op replaces a ``d``-wide vector
-    comparison on every platform; where ``packable`` (``d * bits <= 64``)
-    the images also fit a ``uint64`` array, so a long ready queue is
-    tested by a single 1-D vector op (:meth:`pack_demands`).
+    ``a_r <= av_r``.  One integer op replaces a ``d``-wide vector comparison
+    on every platform.  ``packable`` says the ``d`` fields together fit a
+    ``uint64`` (``d * bits <= 64``: four types below ``2**15``, six at
+    capacity 24, twelve at capacity 12); then :meth:`images` packs into a
+    ``uint64`` array, so a long ready queue is tested by a single 1-D vector
+    op.  A wider image only python ints can carry.  The batch and the
+    session loop read one layout, so their admission tests agree bit for
+    bit.
+
+    **Bounds.**  A demand row is ``d`` whole amounts (:func:`whole_amounts`),
+    each within ``0..P`` of its type, at least one unit in all — the rule
+    batch validation, session admission and checkpoint restore share, for
+    live and archived rows alike.  An amount above its capacity would carry
+    into the neighbouring field of the image, a negative one borrow from
+    it, so images are packed only from rows the rule accepted.  It has two
+    forms: :meth:`matrix`, which lowers a whole batch of int rows at once
+    or declines it, and :meth:`row`, which lowers one row or refuses it by
+    job.
     """
 
     __slots__ = (
-        "dag", "d", "capacities", "release", "has_releases",
-        "packable", "bits", "fit_mask", "packed_capacities",
+        "d", "capacities", "_cap_array", "bits", "packable", "fit_mask",
+        "packed_capacities", "_shifts",
     )
+
+    def __init__(self, capacities: Sequence[int]) -> None:
+        caps = tuple(int(c) for c in capacities)
+        d = len(caps)
+        bits = max(caps, default=0).bit_length() + 1
+        self.d = d
+        self.capacities = caps
+        self._cap_array = np.array([min(c, _INT64_MAX) for c in caps], dtype=np.int64)
+        self.bits = bits
+        self.packable = d >= 1 and d * bits <= 64
+        self.fit_mask = sum(1 << (bits * r + bits - 1) for r in range(d))
+        self.packed_capacities = sum(c << (bits * r) for r, c in enumerate(caps))
+        self._shifts = np.arange(d, dtype=np.uint64) * np.uint64(bits)
+
+    def images(self, rows) -> "np.ndarray | list[int]":
+        """The image of every row of ``rows`` — a ``(k, d)`` matrix or ``k``
+        sequences of ``d`` amounts, each accepted by the bounds rule: a
+        ``uint64`` array where :attr:`packable`, python ints otherwise."""
+        if self.packable:
+            m = np.asarray(rows, dtype=np.uint64).reshape(-1, self.d)
+            return (m << self._shifts).sum(axis=1, dtype=np.uint64)
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        shifts = range(0, self.d * self.bits, self.bits)
+        return [sum(a << s for a, s in zip(row, shifts)) for row in rows]
+
+    def unpack(self, image: int) -> tuple[int, ...]:
+        """The ``d`` amounts of one image (a python int)."""
+        field = (1 << self.bits) - 1
+        return tuple((image >> (self.bits * r)) & field for r in range(self.d))
+
+    def matrix(self, rows: Sequence) -> "np.ndarray | None":
+        """The bounds rule over ``k`` rows at once: their ``(k, d)`` int64
+        matrix when every row is ``d`` python or numpy int64 amounts within
+        ``0..P`` of its type asking for at least one unit, ``None``
+        otherwise — then :meth:`row`, which also lowers other whole amounts
+        (``2.0``), accepts the rows or names the first job that breaks the
+        rule."""
+        k, d = len(rows), self.d
+        try:
+            if not {d}.issuperset(map(len, rows)) or not (
+                {ResourceVector}.issuperset(map(type, rows))  # ints by construction
+                or _INT64_TYPES.issuperset(map(type, chain.from_iterable(rows)))
+            ):
+                return None
+            m = np.fromiter(chain.from_iterable(rows), np.int64, k * d).reshape(k, d)
+        except (TypeError, OverflowError):  # a row with no len; past int64
+            return None
+        if ((0 <= m) & (m <= self._cap_array)).all() and m.any(axis=1).all():
+            return m
+        return None
+
+    def row(self, job_id: JobId, amounts) -> tuple[int, ...]:
+        """The bounds rule on one row: ``amounts`` lowered by
+        :func:`whole_amounts` and returned, or a ``ValueError`` naming the
+        job and the clause the row breaks."""
+        try:
+            dem = whole_amounts(amounts)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"job {job_id!r}: demand {amounts!r}: {exc}") from None
+        if len(dem) != self.d:
+            problem = f"has {len(dem)} amounts for {self.d} resource types"
+        elif any(a < 0 for a in dem):
+            problem = "has a negative amount (amounts must be non-negative)"
+        elif any(a > c for a, c in zip(dem, self.capacities)):
+            problem = f"exceeds capacities {self.capacities}"
+        elif not any(dem):
+            problem = "must request at least one unit"
+        else:
+            return dem
+        raise ValueError(f"job {job_id!r}: demand {dem} {problem}")
+
+
+# ----------------------------------------------------------------------
+# instance-level lowering
+# ----------------------------------------------------------------------
+
+
+class CompiledInstance:
+    """Array form of an :class:`~repro.instance.instance.Instance`.
+
+    Reads the structure from the instance's ``dag`` and owns the per-job
+    release vector and the platform's :class:`DemandLayout`; provides the
+    integer rank permutation the dispatch drivers consume for priority
+    keys.  The allocation matrix is
+    :meth:`~repro.instance.instance.Instance.validate_allocation_map`'s.
+    """
+
+    __slots__ = ("dag", "layout", "release", "has_releases")
 
     def __init__(self, instance) -> None:
         self.dag = instance.dag
-        self.d = instance.d
-        self.capacities = np.asarray(tuple(instance.pool.capacities), dtype=np.int64)
+        self.layout = DemandLayout(instance.pool.capacities)
         self.release = np.array(
             [instance.jobs[j].release for j in self.dag.order], dtype=np.float64
         )
         self.has_releases = bool((self.release > 0.0).any())
-        self.packable, self.bits, self.fit_mask, self.packed_capacities = (
-            pack_layout(self.capacities)
-        )
 
     # convenience pass-throughs -----------------------------------------
     @property
@@ -146,75 +243,25 @@ class CompiledInstance:
         return self.dag.index
 
     # per-run builders ---------------------------------------------------
-    def alloc_matrix(self, allocation: Mapping[JobId, Sequence[int]]) -> np.ndarray:
-        """``(n, d)`` int64 allocation matrix in topological order.
-
-        ``ValueError`` names the first job whose row is not ``d`` whole
-        amounts: flattened, a short row would shift every later row, and
-        the int64 lowering would truncate ``2.7`` to two units.  A
-        :class:`~repro.resources.vector.ResourceVector` is whole by
-        construction; any other row goes through :func:`whole_amounts`.
-        """
-        n, d = self.dag.n, self.d
-        order = self.dag.order
-        rows = list(map(allocation.__getitem__, order))
-        if not {ResourceVector}.issuperset(map(type, rows)):
-            rows = list(map(_whole_row, order, rows))
-        if not {d}.issuperset(map(len, rows)):
-            i = next(i for i, row in enumerate(rows) if len(row) != d)
-            raise ValueError(
-                f"job {order[i]!r}: allocation {tuple(rows[i])} has "
-                f"{len(rows[i])} amounts for {d} resource types"
-            )
-        return np.fromiter(chain.from_iterable(rows), np.int64, n * d).reshape(n, d)
-
-    def pack_demands(self, alloc_mat: np.ndarray) -> np.ndarray:
-        """The demand image of every job as one ``uint64`` array (see
-        class docstring).
-
-        ``alloc_mat`` is the ``(n, d)`` matrix from :meth:`alloc_matrix`,
-        already validated against the capacities (an amount above its
-        capacity would carry into the neighbouring field); only valid when
-        :attr:`packable`.
-        """
-        if not self.packable:
-            raise ValueError(
-                f"instance is not packable (d={self.d}, "
-                f"max capacity {int(self.capacities.max(initial=0))})"
-            )
-        shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(self.bits)
-        return (alloc_mat.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-
-    def rank_permutation(
-        self, keys: "Mapping[JobId, object] | np.ndarray"
-    ) -> tuple[np.ndarray, list[int]]:
+    def rank_permutation(self, keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Dense integer ranks realizing the ``(key, topological index)`` order.
 
-        Returns ``(rank_of, topo_of_rank)``: ``rank_of[i]`` is the rank of
-        topological index ``i`` and ``topo_of_rank[r]`` its inverse.  Ranks
-        are a *total* order — ties in ``keys`` resolve by topological index
-        (the sort is stable), exactly the historical ``insort`` key
-        ``(keys[j], index[j])`` — so priority queues can carry bare ints.
-
-        ``keys`` may be a mapping over job ids or a 1-D array aligned with
-        the topological order (the fast path used by the vectorized
-        priority rules; a stable argsort realizes the identical order).
+        ``keys`` is a 1-D array of real-number keys aligned with the
+        topological order (a :data:`~repro.core.list_scheduler.PriorityRule`'s
+        output).  Returns ``(rank_of, topo_of_rank)``: ``rank_of[i]`` is the
+        rank of topological index ``i`` and ``topo_of_rank[r]`` its inverse.
+        Ranks are a *total* order — ties in ``keys`` resolve by topological
+        index (the argsort is stable) — so priority queues can carry bare
+        ints.
         """
         n = self.dag.n
-        if isinstance(keys, np.ndarray):
-            if keys.shape != (n,):
-                raise ValueError(
-                    f"key array must have shape ({n},), got {keys.shape}"
-                )
-            topo_arr = np.argsort(keys, kind="stable")
-            rank_of = np.empty(n, dtype=np.int64)
-            rank_of[topo_arr] = np.arange(n, dtype=np.int64)
-            return rank_of, topo_arr.tolist()
-        order = self.dag.order
-        topo_of_rank = sorted(range(n), key=lambda i: keys[order[i]])
+        keys = np.asarray(keys)
+        if keys.shape != (n,):
+            raise ValueError(f"key array must have shape ({n},), got {keys.shape}")
+        topo_arr = np.argsort(keys, kind="stable")
         rank_of = np.empty(n, dtype=np.int64)
-        rank_of[topo_of_rank] = np.arange(n, dtype=np.int64)
-        return rank_of, topo_of_rank
+        rank_of[topo_arr] = np.arange(n, dtype=np.int64)
+        return rank_of, topo_arr.tolist()
 
 
 def compile_instance(instance) -> CompiledInstance:
@@ -241,15 +288,13 @@ class GrowableCompiledInstance:
     per row and never touches existing rows.
 
     **One demand encoding.**  ``packed[i]`` is a python-int image of the
-    demand row on *every* platform, field ``r`` at bit ``bits * r`` with the
-    field's top (headroom) bit clear, so the loop's admission test is
-    always :class:`CompiledInstance`'s borrow-free comparison
-    ``(avh - a) & fit_mask == fit_mask``.  ``bits`` is the widest
-    capacity's bit length plus one (:func:`pack_layout`) — python ints do
-    not overflow, whatever ``d * bits`` comes to.  ``packable``
-    (``d * bits <= 64``) therefore says one thing only: the images may also
-    be held in a ``uint64`` array (the loop's ready-queue column and its
-    whole-queue vector pass).
+    demand row on *every* platform, in the platform's :class:`DemandLayout`
+    (:attr:`layout`, the batch lowering's), so the loop's admission test is
+    always the borrow-free comparison ``(avh - a) & fit_mask == fit_mask``
+    — python ints do not overflow, whatever ``d * bits`` comes to.
+    ``layout.packable`` (``d * bits <= 64``) therefore says one thing only:
+    the images may also be held in a ``uint64`` array (the loop's
+    ready-queue column and its whole-queue vector pass).
 
     Invariants the session relies on:
 
@@ -259,10 +304,11 @@ class GrowableCompiledInstance:
       tie-breaks key on positions in it, exactly like the batch lowering;
     * priority ``key`` values are totally ordered by ``(key, index)``;
       keys must be mutually comparable (the service protocol uses floats);
-    * demand rows are validated against the capacities before they are
-      appended (:meth:`validate_row`, or the session's whole-batch form of
-      it), so the dispatch loop's admission test never sees an infeasible
-      row and no field of an image can carry into its neighbour.
+    * demand rows pass the layout's bounds rule before they are appended
+      (:meth:`validate_row`, the session's whole-batch form of it, or
+      checkpoint restore), so the dispatch loop's admission test never
+      sees an infeasible row and no field of an image can carry into its
+      neighbour.
 
     **Compaction.**  Long-lived sessions accumulate rows for jobs that are
     finished or cancelled; :meth:`compact` rebuilds the contiguous layout
@@ -275,27 +321,28 @@ class GrowableCompiledInstance:
     """
 
     __slots__ = (
-        "d", "capacities", "packable", "bits", "fit_mask", "packed_capacities",
-        "order", "index", "succ", "preds", "ext_preds", "demand", "packed",
-        "duration", "key", "release",
+        "layout", "order", "index", "succ", "preds", "ext_preds", "demand",
+        "packed", "duration", "key", "release",
     )
 
     def __init__(self, capacities: Sequence[int]) -> None:
-        caps = tuple(int(c) for c in capacities)
+        try:
+            caps = whole_amounts(capacities)
+        except (TypeError, ValueError):
+            caps = ()
         if not caps or any(c <= 0 for c in caps):
-            raise ValueError(f"capacities must be a positive vector, got {capacities!r}")
-        self.d = len(caps)
-        self.capacities = caps
-        self.packable, self.bits, self.fit_mask, self.packed_capacities = (
-            pack_layout(caps)
-        )
+            raise ValueError(
+                f"capacities must be a positive vector of whole amounts, "
+                f"got {capacities!r}"
+            )
+        self.layout = DemandLayout(caps)
         self.order: list[JobId] = []          # job ids, append (topological) order
         self.index: dict[JobId, int] = {}     # id -> topological index
         self.succ: list[list[int]] = []       # successor indices per job
         self.preds: list[tuple[int, ...]] = []  # predecessor indices per job
         self.ext_preds: list[tuple[JobId, ...]] = []  # satisfied preds dropped by compact()
         self.demand: list[tuple[int, ...]] = []
-        self.packed: list[int] = []           # demand image, see pack()
+        self.packed: list[int] = []           # demand image, see layout.images
         self.duration: list[float] = []
         self.key: list[object] = []           # priority key; order is (key, index)
         self.release: list[float] = []
@@ -303,10 +350,6 @@ class GrowableCompiledInstance:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def pack(self, demand: Sequence[int]) -> int:
-        """The python-int image of one per-type vector (class docstring)."""
-        return sum(int(a) << (self.bits * r) for r, a in enumerate(demand))
 
     def validate_row(
         self,
@@ -320,24 +363,7 @@ class GrowableCompiledInstance:
         before admitting any of it (all-or-nothing submission)."""
         if job_id in self.index:
             raise ValueError(f"job {job_id!r} was already submitted")
-        try:
-            dem = whole_amounts(demand)
-        except ValueError as exc:
-            raise ValueError(f"job {job_id!r}: {exc}") from None
-        if len(dem) != self.d:
-            raise ValueError(
-                f"job {job_id!r}: demand {dem} has dimension {len(dem)}, "
-                f"platform has {self.d}"
-            )
-        if any(a < 0 for a in dem) or sum(dem) <= 0:
-            raise ValueError(
-                f"job {job_id!r}: demand {dem} must request at least one "
-                "unit and no negative amounts"
-            )
-        if any(a > c for a, c in zip(dem, self.capacities)):
-            raise ValueError(
-                f"job {job_id!r}: demand {dem} exceeds capacities {self.capacities}"
-            )
+        dem = self.layout.row(job_id, demand)
         duration = float(duration)
         if not duration > 0.0 or duration != duration or duration == float("inf"):
             raise ValueError(
@@ -365,9 +391,9 @@ class GrowableCompiledInstance:
 
         The batch-lowering fast path: the caller (the session's ``submit``
         or the checkpoint restorer) has already validated every row — this
-        method only extends the column lists in bulk and, where the images
-        fit a ``uint64``, packs the demand matrix with one vectorized
-        shift-and-sum instead of ``k`` python packs.  ``preds_idx`` rows
+        method only extends the column lists in bulk and packs the demand
+        rows with one :meth:`DemandLayout.images` call (one vectorized
+        shift-and-sum where the images fit a ``uint64``).  ``preds_idx`` rows
         may reference earlier rows of the same batch (indices are
         absolute), and double as the successor wiring source — callers
         that already know a dependency is satisfied pass it through
@@ -389,12 +415,8 @@ class GrowableCompiledInstance:
             ext_preds if ext_preds is not None else ((),) * k
         )
         self.demand.extend(demands)
-        if self.packable:
-            dm = np.asarray(demands, dtype=np.uint64).reshape(k, self.d)
-            shifts = np.arange(self.d, dtype=np.uint64) * np.uint64(self.bits)
-            self.packed.extend((dm << shifts).sum(axis=1, dtype=np.uint64).tolist())
-        else:
-            self.packed.extend(map(self.pack, demands))
+        images = self.layout.images(demands)
+        self.packed.extend(images.tolist() if self.layout.packable else images)
         self.duration.extend(durations)
         self.key.extend(keys)
         self.release.extend(releases)

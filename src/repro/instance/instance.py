@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping
 
+import numpy as np
+
 from repro.dag.graph import DAG
 from repro.dag.paths import critical_path_length
 from repro.jobs.candidates import CandidateStrategy, geometric_grid
@@ -175,29 +177,27 @@ class Instance:
             )
         return cached
 
-    def validate_allocation_map(self, allocation: AllocationMap):
+    def validate_allocation_map(self, allocation: AllocationMap) -> np.ndarray:
         """Check that ``allocation`` covers every job and fits the pool.
 
-        Returns the ``(n, d)`` allocation matrix in topological order — the
-        dispatch drivers reuse it instead of lowering the allocation a
-        second time.  The check is the lowering
-        (:meth:`~repro.instance.compiled.CompiledInstance.alloc_matrix`,
-        which refuses a row that is not ``d`` whole amounts) plus one
-        whole-matrix comparison; only a failed comparison walks the rows,
-        to name the first job outside ``0 ⪯ p ⪯ P`` or asking for nothing.
-        Every refusal is a ``ValueError`` naming a job.
+        Returns the ``(n, d)`` int64 allocation matrix in topological order
+        — the dispatch drivers reuse it instead of lowering the allocation a
+        second time.  The check is the platform layout's bounds rule
+        (:class:`~repro.instance.compiled.DemandLayout`), whole-matrix form
+        first; if that declines, the per-row form lowers other whole amounts
+        (``2.7`` is refused, never truncated) or raises a ``ValueError``
+        naming the first job outside ``0 ⪯ p ⪯ P`` or asking for nothing.
         """
         ci = self.compiled()
+        layout = ci.layout
+        order = ci.order
         try:
-            m = ci.alloc_matrix(allocation)
+            rows = list(map(allocation.__getitem__, order))
         except KeyError as exc:
             raise ValueError(f"allocation missing job {exc.args[0]!r}") from None
-        if not (((0 <= m) & (m <= ci.capacities)).all() and (m.sum(axis=1) > 0).all()):
-            for j, row in zip(ci.order, m.tolist()):
-                try:
-                    self.pool.validate_allocation(ResourceVector(row))
-                except ValueError as exc:
-                    raise ValueError(f"job {j!r}: {exc}") from None
+        m = layout.matrix(rows)
+        if m is None:
+            m = layout.matrix(list(map(layout.row, order, rows)))
         return m
 
 

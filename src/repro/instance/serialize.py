@@ -40,6 +40,7 @@ import json
 from typing import Hashable
 
 from repro.dag.graph import DAG
+from repro.instance.compiled import whole_amounts
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy, candidates_for_job, full_grid
 from repro.jobs.job import Job
@@ -59,6 +60,15 @@ JobId = Hashable
 FORMAT_VERSION = 2
 
 _KNOWN_VERSIONS = (1, 2)
+
+
+def _whole_vector(what: str, amounts) -> ResourceVector:
+    """``amounts`` lowered by :func:`whole_amounts`: ``4.6`` is refused,
+    naming ``what``, where ``ResourceVector`` alone would truncate it."""
+    try:
+        return ResourceVector(whole_amounts(amounts))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _mu_cap_vectors(pool: ResourcePool) -> list[ResourceVector]:
@@ -152,12 +162,14 @@ def instance_from_json(text: str | dict) -> Instance:
     serialized grid only when it was pinned at serialization time
     (``pinned: true``); unpinned jobs stay unpinned, so downstream
     candidate strategies re-enumerate exactly as on the original instance.
+    Capacities and profile allocs must be whole amounts: ``4.6`` is
+    refused (by job, for an alloc), never truncated to ``4``.
     """
     data = json.loads(text) if isinstance(text, str) else text
     if data.get("version") not in _KNOWN_VERSIONS:
         raise ValueError(f"unsupported instance format version {data.get('version')!r}")
     pool = ResourcePool(
-        ResourceVector(data["platform"]["capacities"]),
+        _whole_vector("platform capacities", data["platform"]["capacities"]),
         tuple(data["platform"]["names"]),
     )
     version = data["version"]
@@ -187,12 +199,13 @@ def instance_from_json(text: str | dict) -> Instance:
                 raise ValueError(f"job record {pos}: duplicate id {jid!r}")
         except TypeError:
             raise ValueError(f"job record {pos}: id {jid!r} is not hashable") from None
+        what = f"job {jid!r}: profile alloc"
         grid = {
-            ResourceVector(e["alloc"]): float(e["time"]) for e in rec["profile"]
+            _whole_vector(what, e["alloc"]): float(e["time"]) for e in rec["profile"]
         }
         table = dict(grid)
         for e in rec.get("mu_capped", ()):
-            table[ResourceVector(e["alloc"])] = float(e["time"])
+            table[_whole_vector(what, e["alloc"])] = float(e["time"])
         fn = TabulatedTimeFunction(table, extend_monotone=True)
         # the version-1 loader pinned every job to the serialized grid
         # regardless of the flag; preserve that for v1 archives so results

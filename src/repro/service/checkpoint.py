@@ -35,10 +35,11 @@ lean in-memory form.
 
 ``repro-session/2`` is the only format read or written: the PR-5
 ``repro-session/1`` (per-job record list, no archive, no stored queue) is
-refused with a ``ValueError`` naming both tags.  The availability vector
-is stored per type; restore lowers it to the loop's one demand image with
-:meth:`GrowableCompiledInstance.pack
-<repro.instance.compiled.GrowableCompiledInstance.pack>`.
+refused with a ``ValueError`` naming both tags.  A demand row, live or
+archived, must pass the bounds rule ``submit`` admits by
+(:meth:`DemandLayout.row <repro.instance.compiled.DemandLayout.row>`);
+the availability vector is packed into the loop's image by the same
+layout.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS
+from repro.instance.compiled import whole_amounts
 from repro.service.session import STATE_NAMES, SchedulingSession
 
 __all__ = [
@@ -76,7 +78,7 @@ def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
     loop = session.loop
     return {
         "format": SESSION_FORMAT,
-        "capacities": list(gi.capacities),
+        "capacities": list(gi.layout.capacities),
         "time_eps": loop.eps,
         "clock": loop.now,
         "seq": loop.seq,
@@ -171,6 +173,7 @@ def _load_loop_state(
     availability, archive, events, counters, RNG — the rows are already
     appended."""
     gi = session.gi
+    layout = gi.layout
     loop = session.loop
     n = len(gi.order)
 
@@ -197,14 +200,17 @@ def _load_loop_state(
         raise ValueError("stored ready queue disagrees with the queued job states")
     loop.load_ready(ready_idx)
 
-    stored_avail = [int(a) for a in snap["available"]]
-    if len(stored_avail) != gi.d:
+    try:
+        stored_avail = list(whole_amounts(snap["available"]))
+    except ValueError as exc:
+        raise ValueError(f"availability vector: {exc}") from None
+    if len(stored_avail) != layout.d:
         raise ValueError(
             f"availability vector has dimension {len(stored_avail)}, "
-            f"platform has {gi.d}"
+            f"platform has {layout.d}"
         )
     # recompute availability from running demands and cross-check
-    avail = list(gi.capacities)
+    avail = list(layout.capacities)
     for i, s in enumerate(states):
         if s == J_RUNNING:
             for r, a in enumerate(gi.demand[i]):
@@ -223,10 +229,10 @@ def _load_loop_state(
                 f"job {gi.order[i]!r}: waiting with no outstanding predecessors"
             )
     # equal to the recomputed vector, so within 0..capacities
-    loop.avh = gi.fit_mask + gi.pack(stored_avail)
+    loop.avh = layout.fit_mask + int(layout.images([stored_avail])[0])
 
     arch = session.archive
-    _load_archive(arch, snap.get("archive", []), gi.capacities)
+    _load_archive(arch, snap.get("archive", []), layout)
     # one id, one row: a repeated or also-live id would be counted twice
     # and answer two states
     index: dict = {}
@@ -323,25 +329,22 @@ def _check_heap(session: SchedulingSession, states: list[int]) -> None:
             )
 
 
-def _load_archive(arch, records, capacities) -> None:
+def _load_archive(arch, records, layout) -> None:
     """Append the snapshot's archive records to the session's columns,
     refusing by id a record the columns cannot hold: an unknown state, a
-    demand of the wrong length (flattened, it would shift every later row)
-    or with an amount outside ``0..capacity``, or a done job with no start
-    or finish."""
-    d = arch.d
+    demand the layout's bounds rule refuses (flattened, a row of the wrong
+    length would shift every later one; every archived row was admitted by
+    that rule), or a done job with no start or finish."""
     demands = []
     for rec in records:
         if rec["state"] not in _STATE_INDEX:
             raise ValueError(
                 f"archived job {rec['id']!r}: unknown state {rec['state']!r}"
             )
-        dem = [int(a) for a in rec["demand"]]
-        if len(dem) != d or any(not 0 <= a <= c for a, c in zip(dem, capacities)):
-            raise ValueError(
-                f"archived job {rec['id']!r}: demand {rec['demand']} is not "
-                f"{d} amounts within capacities {list(capacities)}"
-            )
+        try:
+            dem = layout.row(rec["id"], rec["demand"])
+        except ValueError as exc:
+            raise ValueError(f"archived {exc}") from None
         if rec["state"] == "done" and (rec["start"] is None or rec["finish"] is None):
             raise ValueError(f"archived job {rec['id']!r}: done but missing start/finish")
         demands.append(dem)
@@ -388,14 +391,7 @@ def _restore_v2(snap: dict[str, Any]) -> SchedulingSession:
         if name not in _STATE_INDEX:
             raise ValueError(f"job {jid!r}: unknown state {name!r}")
         states.append(_STATE_INDEX[name])
-    demands = []
-    for jid, dem in zip(cols["id"], cols["demand"]):
-        dem = tuple(int(a) for a in dem)
-        if len(dem) != gi.d or any(a < 0 for a in dem) or any(
-            a > c for a, c in zip(dem, gi.capacities)
-        ):
-            raise ValueError(f"job {jid!r}: demand {dem} is out of bounds")
-        demands.append(dem)
+    demands = list(map(gi.layout.row, cols["id"], cols["demand"]))
     preds = []
     for row, (jid, pt) in enumerate(zip(cols["id"], cols["preds"])):
         pt = tuple(int(p) for p in pt)

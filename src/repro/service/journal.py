@@ -320,7 +320,6 @@ class JournaledSession:
         checkpoint_every: "int | None" = None,
         fsync: bool = True,
         chaos: "ChaosInjector | None" = None,
-        checkpoint: bool = True,
         session_kwargs: "Mapping[str, Any] | None" = None,
     ) -> "JournaledSession":
         """Restore the latest snapshot and replay the journal suffix.
@@ -329,10 +328,9 @@ class JournaledSession:
         (dedup); the suffix must then continue contiguously — a gap
         means the snapshot/journal pair diverged and recovery fails
         loudly rather than resuming silently wrong.  With neither file
-        present a fresh session is built from ``capacities``.  Unless
-        ``checkpoint=False`` (timing harnesses), recovery ends with a
-        fresh snapshot + journal rotation so repeated crashes never
-        replay an ever-growing suffix.
+        present a fresh session is built from ``capacities``.  Recovery
+        ends with a fresh snapshot + journal rotation so repeated crashes
+        never replay an ever-growing suffix.
         """
         if os.path.exists(snapshot_path):
             session = load_session(snapshot_path)
@@ -381,8 +379,7 @@ class JournaledSession:
             chaos=chaos,
         )
         js.recovered, js.replayed, js.deduped = recovered, replayed, deduped
-        if checkpoint:
-            js.checkpoint()
+        js.checkpoint()
         return js
 
     # ------------------------------------------------------------------

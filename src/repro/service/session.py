@@ -80,7 +80,7 @@ from repro.engine.dispatch import (
     J_WAITING,
     IncrementalPriorityLoop,
 )
-from repro.instance.compiled import GrowableCompiledInstance, whole_amounts
+from repro.instance.compiled import GrowableCompiledInstance, priority_key, whole_amounts
 
 __all__ = ["Archive", "JobSpec", "SchedulingSession", "STATE_NAMES", "real_number"]
 
@@ -423,7 +423,7 @@ class SchedulingSession:
         self.compactions = 0
         # dead rows compacted away, in columns (the cold store), and
         # each archived id's position in them
-        self.archive = Archive(self.gi.d)
+        self.archive = Archive(self.gi.layout.d)
         self.archive_index: dict[JobId, int] = {}
         #: what :meth:`status` and :meth:`makespan` need of the archive —
         #: rows per state name and the latest archived finish — as running
@@ -521,7 +521,7 @@ class SchedulingSession:
 
     @property
     def capacities(self) -> tuple[int, ...]:
-        return self.gi.capacities
+        return self.gi.layout.capacities
 
     def available(self) -> tuple[int, ...]:
         """Per-type resources free at the current clock."""
@@ -555,7 +555,7 @@ class SchedulingSession:
             "jobs": len(self.gi.order) + len(self.archive),
             "states": counts,
             "available": list(self.available()),
-            "capacities": list(self.gi.capacities),
+            "capacities": list(self.gi.layout.capacities),
             "pending_events": self.loop.pending,
             "submitted": self.counters.submitted,
             "cancelled": self.counters.cancelled,
@@ -623,18 +623,7 @@ class SchedulingSession:
             if sid in batch_pos or sid in index or sid in archive_index:
                 raise ValueError(f"job {sid!r} was already submitted")
             if skey is not None:
-                if (
-                    isinstance(skey, bool)
-                    or not isinstance(skey, (int, float))
-                    or skey != skey  # NaN breaks the (key, index) total order
-                ):
-                    raise ValueError(f"job {sid!r}: priority key must be numeric")
-                if float(skey) != skey:
-                    raise ValueError(
-                        f"job {sid!r}: priority key {skey!r} is not exactly "
-                        "representable as float64 (the checkpoint and ready-queue "
-                        "image type)"
-                    )
+                priority_key(sid, skey)
             if preds_s and done_ids.issuperset(preds_s):
                 # every predecessor already finished (the steady-state
                 # case): one C-speed set test, nothing outstanding.  The
@@ -741,30 +730,27 @@ class SchedulingSession:
         """Vectorized demand/duration/release bounds checks for a batch,
         given as columns.
 
-        The fast path is three whole-batch numpy comparisons; any failure
-        (or a batch numpy does not lower to an ``int64`` matrix:
-        structurally malformed, amounts that are not python ints, or past
-        ``int64`` on a platform with such capacities) falls back to the
-        scalar :meth:`GrowableCompiledInstance.validate_row` per row,
-        which raises the precise historical error message — or accepts
-        every row, whose scalar lowering is then the result.
+        The fast path is the layout's whole-matrix bounds rule
+        (:meth:`~repro.instance.compiled.DemandLayout.matrix`) and four
+        whole-batch comparisons of the durations and releases; any failure
+        (or a batch the matrix form declines: structurally malformed,
+        amounts that are not ints, or past ``int64``) falls back to the
+        scalar :meth:`GrowableCompiledInstance.validate_row` per row, which
+        refuses by job — or accepts every row, whose scalar lowering is
+        then the result.
         """
         gi = self.gi
         try:
             # numpy lowers the whole batch in C; .tolist() converts back to
             # builtin ints/floats, so the stored rows never hold numpy scalars
-            dm = np.array(dem_col)
+            dm = gi.layout.matrix(dem_col)
             dr = np.array(dur_col, dtype=np.float64)
             rl = np.array(rel_col, dtype=np.float64)
             ok = (
-                # anything but whole python ints (2.7, "1", 2.0) is the
-                # scalar rule's to refuse or lower, never numpy's to truncate
-                dm.dtype == np.int64
-                and dm.ndim == 2
-                and dm.shape[1] == gi.d
-                and bool((dm >= 0).all())
-                and bool((dm.sum(axis=1) > 0).all())
-                and bool((dm <= np.asarray(gi.capacities, dtype=np.int64)).all())
+                # the matrix form declines anything but int amounts (2.7,
+                # "1", 2.0, True): the scalar rule's to refuse or lower,
+                # never numpy's to truncate
+                dm is not None
                 and bool((dr > 0.0).all())
                 and bool(np.isfinite(dr).all())
                 and bool((rl >= 0.0).all())
@@ -1041,7 +1027,7 @@ class SchedulingSession:
             placements[jid] = ScheduledJob(
                 job_id=jid, start=loop.start[i], time=gi.duration[i], alloc=v
             )
-        pool = ResourcePool(ResourceVector(gi.capacities))
+        pool = ResourcePool(ResourceVector(gi.layout.capacities))
         inst = Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool)
         return Schedule(instance=inst, placements=placements)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Hashable
 
+from repro.instance.compiled import whole_amounts
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule, ScheduledJob
@@ -88,11 +89,12 @@ def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:
     """Rebuild a :class:`Schedule` for ``instance`` from a trace.
 
     Job ids are matched by ``repr`` (the trace's portable key); raises
-    ``ValueError`` when the trace does not cover the instance's jobs or a
-    traced release disagrees with the instance's.  Version-3 ``cancelled``
-    records describe jobs that never ran — they are not placements and the
-    instance need not contain them, but an id both cancelled and placed is
-    rejected as corrupt.
+    ``ValueError`` when the trace does not cover the instance's jobs, a
+    traced release disagrees with the instance's or a traced alloc is not
+    whole amounts (``4.6`` is refused by job, never truncated to ``4``).
+    Version-3 ``cancelled`` records describe jobs that never ran — they are
+    not placements and the instance need not contain them, but an id both
+    cancelled and placed is rejected as corrupt.
     """
     data = json.loads(trace) if isinstance(trace, str) else trace
     if data.get("version") not in _KNOWN_VERSIONS:
@@ -118,11 +120,15 @@ def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:
                     f"trace release {release} for job {rec['id']} disagrees "
                     f"with the instance's {instance.jobs[jid].release}"
                 )
+        try:
+            alloc = ResourceVector(whole_amounts(rec["alloc"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace job {rec['id']}: alloc: {exc}") from None
         placements[jid] = ScheduledJob(
             job_id=jid,
             start=float(rec["start"]),
             time=float(rec["time"]),
-            alloc=ResourceVector(rec["alloc"]),
+            alloc=alloc,
         )
     if set(placements) != set(instance.jobs):
         raise ValueError("trace does not cover every instance job")

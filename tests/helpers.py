@@ -26,6 +26,12 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from repro.core.dtct import FractionalSolution
+from repro.core.list_scheduler import (
+    bottom_level_priority,
+    fifo_priority,
+    lpt_priority,
+    spt_priority,
+)
 from repro.dag.graph import DAG
 from repro.engine.dispatch import TIME_EPS
 from repro.instance.instance import Instance, make_instance
@@ -44,6 +50,7 @@ from repro.jobs.speedup import (
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule, ScheduledJob
+from repro.util.rng import ensure_rng
 
 __all__ = [
     "nx_graph",
@@ -63,7 +70,12 @@ __all__ = [
     "ruler_rigid_instance",
     "reference_intervals",
     "reference_callback_list_schedule",
+    "reference_fifo_priority",
+    "reference_lpt_priority",
+    "reference_spt_priority",
+    "reference_random_priority",
     "reference_bottom_level_priority",
+    "REFERENCE_TWINS",
     "reference_list_schedule",
     "reference_pr1_list_schedule",
     "REFERENCE_LINPROG_OPTIONS",
@@ -621,15 +633,15 @@ def reference_callback_list_schedule(instance: Instance, allocation, priority) -
     from repro.engine.dispatch import priority_loop
 
     alloc_mat = instance.validate_allocation_map(allocation)
-    times = {j: instance.time(j, allocation[j]) for j in instance.jobs}
+    order = instance.compiled().order
+    times = np.array([instance.time(j, allocation[j]) for j in order])
     loop = priority_loop(instance, allocation, priority(instance, allocation, times),
                          times, alloc_mat=alloc_mat)
     loop.run()
-    order = instance.compiled().order
     placements: dict = {}
     for i, start in zip(*(a.tolist() for a in loop.start_log())):
         j = order[i]
-        placements[j] = ScheduledJob(job_id=j, start=start, time=times[j],
+        placements[j] = ScheduledJob(job_id=j, start=start, time=float(times[i]),
                                      alloc=allocation[j])
     return Schedule(instance=instance, placements=placements)
 
@@ -851,7 +863,7 @@ def reference_checkpoint(session, history: ReferenceHistory) -> dict:
     loop = session.loop
     return {
         "format": "repro-session/2",
-        "capacities": list(gi.capacities),
+        "capacities": list(session.capacities),
         "time_eps": loop.eps,
         "clock": loop.now,
         "seq": loop.seq,
@@ -899,6 +911,9 @@ def reference_checkpoint(session, history: ReferenceHistory) -> dict:
 # (``_PR1Kernel``).  The live batch loop must reproduce both event for
 # event (``tests/test_batch_loop.py``, ``tests/test_batched_loop_property.py``,
 # ``tests/test_compiled_equivalence.py``, ``tests/test_engine_equivalence.py``).
+# Both read a priority rule's keys as a dict over job ids, the form the
+# built-in rules had before they kept only their array bodies: pass them a
+# rule's ``reference_*_priority`` twin (``REFERENCE_TWINS``).
 #
 # The frozen loops must not retroactively benefit from infrastructure the
 # later refactors added (the DAG's cached topological order, the vectorized
@@ -935,6 +950,33 @@ def _era_validate_allocation_map(instance, allocation) -> None:
         instance.pool.validate_allocation(allocation[j])
 
 
+def reference_fifo_priority(instance, allocation, times) -> dict[JobId, object]:
+    """The dict body of ``fifo_priority`` (frozen): topological index."""
+    return {j: i for i, j in enumerate(instance.dag.topological_order())}
+
+
+def reference_lpt_priority(instance, allocation, times) -> dict[JobId, object]:
+    """The dict body of ``lpt_priority`` (frozen)."""
+    return {j: (-times[j], i) for i, j in enumerate(instance.dag.topological_order())}
+
+
+def reference_spt_priority(instance, allocation, times) -> dict[JobId, object]:
+    """The dict body of ``spt_priority`` (frozen)."""
+    return {j: (times[j], i) for i, j in enumerate(instance.dag.topological_order())}
+
+
+def reference_random_priority(seed=None):
+    """The dict body of ``random_priority`` (frozen)."""
+
+    def rule(instance, allocation, times) -> dict[JobId, object]:
+        rng = ensure_rng(seed)
+        order = instance.dag.topological_order()
+        perm = rng.permutation(len(order))
+        return {j: int(perm[i]) for i, j in enumerate(order)}
+
+    return rule
+
+
 def reference_bottom_level_priority(instance, allocation, times) -> dict[JobId, object]:
     """The pre-vectorization bottom-level priority rule: a per-node python
     sweep over the DAG, keyed exactly like the live rule."""
@@ -944,6 +986,18 @@ def reference_bottom_level_priority(instance, allocation, times) -> dict[JobId, 
         succ_best = max((b[s] for s in instance.dag.successors(j)), default=0.0)
         b[j] = times[j] + succ_best
     return {j: (-b[j], i) for i, j in enumerate(_era_topological_order(instance.dag))}
+
+
+#: Each built-in array rule's frozen dict twin, the key form the two frozen
+#: loops read (``random_priority(seed)``'s is ``reference_random_priority(seed)``).
+#: The bottom-level twin is the era sweep above: it keys exactly as the
+#: rule's dict body did, ``(-bottom level, topological index)``.
+REFERENCE_TWINS = {
+    fifo_priority: reference_fifo_priority,
+    lpt_priority: reference_lpt_priority,
+    spt_priority: reference_spt_priority,
+    bottom_level_priority: reference_bottom_level_priority,
+}
 
 
 def reference_list_schedule(instance, allocation, priority=None) -> Schedule:

@@ -2,7 +2,7 @@
 forms of the dispatch pass, one output (the start log).
 
 The contract under test: whether the demand images fit a ``uint64``
-(``ci.packable``) and whether a pass scanned the queue in order or tested
+(``layout.packable``) and whether a pass scanned the queue in order or tested
 it whole over the demand column are execution details — start logs are
 identical event for event, and equal to the frozen per-event PR-1 loop.
 So is the exhausted-platform cut: a pass that stops once some type has
@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_pr1_list_schedule, ruler_rigid_instance, tiny_instance
+from helpers import (
+    REFERENCE_TWINS,
+    reference_pr1_list_schedule,
+    ruler_rigid_instance,
+    tiny_instance,
+)
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
@@ -58,6 +63,11 @@ def _events(schedule):
     return {j: (p.start, p.time, tuple(p.alloc)) for j, p in schedule.placements.items()}
 
 
+def _times(inst, alloc):
+    """The duration array a rule and ``priority_loop`` take, in topological order."""
+    return np.array([inst.time(j, alloc[j]) for j in inst.compiled().order])
+
+
 # ----------------------------------------------------------------------
 # schedule identity with the per-event reference
 # ----------------------------------------------------------------------
@@ -70,7 +80,7 @@ def test_batch_loop_matches_reference(rule, workload):
         inst = tiny_instance(d=2, capacity=1)
         alloc = _cheapest_alloc(inst)
     sched = list_schedule(inst, alloc, rule)
-    ref = reference_pr1_list_schedule(inst, alloc, rule)
+    ref = reference_pr1_list_schedule(inst, alloc, REFERENCE_TWINS[rule])
     assert _events(sched) == _events(ref)
 
 
@@ -136,7 +146,7 @@ def _start_logs(inst, alloc):
 
 @pytest.mark.parametrize("boundary", ("capacity", "fifth-type"))
 def test_packing_boundary_identity(boundary):
-    """The same demands either side of ``ci.packable`` (``d * bits <= 64``)
+    """The same demands either side of ``layout.packable`` (``d * bits <= 64``)
     give one start log: ``d = 4`` at capacity ``2**15 - 1`` (16-bit fields,
     one word) vs ``2**15`` (17-bit fields, 68 bits), and ``d = 12`` at
     capacity 12 (5-bit fields, 60 bits) vs ``d = 13`` with a last type
@@ -158,7 +168,7 @@ def test_packing_boundary_identity(boundary):
         wide = _rigid(
             dag, (12,) * 13, {j: r + [0] for j, r in zip(nodes, rows)}, durations
         )
-    assert word[0].compiled().packable and not wide[0].compiled().packable
+    assert word[0].compiled().layout.packable and not wide[0].compiled().layout.packable
     assert _start_logs(*word) == _start_logs(*wide)
 
 
@@ -182,10 +192,11 @@ def test_matrix_batches_equal_per_event_reference():
     for unit, capacity, packable in ((1, k + 4, True), (2**11 // (k + 4), 2**11, False)):
         demands = {j: (unit,) * 6 for j in dag.nodes()}
         inst, alloc = _rigid(dag, (capacity,) * 6, demands, durations, releases)
-        assert inst.compiled().packable == packable
+        assert inst.compiled().layout.packable == packable
         for rule in RULES:
             sched = list_schedule(inst, alloc, rule)
-            assert _events(sched) == _events(reference_pr1_list_schedule(inst, alloc, rule))
+            ref = reference_pr1_list_schedule(inst, alloc, REFERENCE_TWINS[rule])
+            assert _events(sched) == _events(ref)
         # the release-only batch fit-tested its own jobs: 4 of k + 2 had room
         starts = sorted(p.start for p in sched.placements.values())
         assert starts[:k + 4] == [0.0] * k + [0.5] * 4
@@ -257,13 +268,12 @@ def _assert_column(loop, pb, mat):
     """The queue is sorted, and the demand column ``pb`` just gathered is a
     cache of it: row for row the allocation of the queued jobs (``uint64``
     images where they fit)."""
-    rq, ci = loop.rq, loop.ci
+    rq, layout = loop.rq, loop.ci.layout
     assert rq == sorted(set(rq)) and len(rq) > _VECTOR_QUEUE
     col = pb[:len(rq)]
-    if ci.packable:
+    if layout.packable:
         assert col.dtype == np.uint64 and col.ndim == 1
-        field = (1 << ci.bits) - 1
-        col = [[(v >> (ci.bits * r)) & field for r in range(ci.d)] for v in col.tolist()]
+        col = [layout.unpack(v) for v in col.tolist()]
     np.testing.assert_array_equal(col, mat[[loop.topo_l[r] for r in rq]])
 
 
@@ -282,11 +292,11 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(n, platform, rule, se
     wave's and the trickle's, the last two each after the queue before
     them drained below ``_VECTOR_QUEUE``."""
     inst, alloc = _long_queue_instance(n, platform, seed)
-    ref = reference_pr1_list_schedule(inst, alloc, rule)
+    ref = reference_pr1_list_schedule(inst, alloc, REFERENCE_TWINS[rule])
     ci = inst.compiled()
-    assert ci.packable == platform.startswith("word")
-    mat = ci.alloc_matrix(alloc)
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
+    assert ci.layout.packable == platform.startswith("word")
+    mat = inst.validate_allocation_map(alloc)
+    times = _times(inst, alloc)
     gathers: list[int] = []
     real = PriorityLoop._column
 
@@ -332,14 +342,14 @@ def test_cut_leaves_every_event_where_it_was(n, platform, rule, seed, zeros):
         for j in alloc:
             if zeros == "a-whole-type" or rng.random() < 0.3:
                 alloc[j] = ResourceVector((0,) + tuple(alloc[j][1:]))
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
+    times = _times(inst, alloc)
     keys = rule(inst, alloc, times)
 
     def drive(cut):
         loop = priority_loop(inst, alloc, keys, times)
         assert loop.gmin > 0
         if zeros == "a-whole-type":
-            assert loop.gmin & ((1 << loop.ci.bits) - 1) == 0
+            assert loop.gmin & ((1 << loop.ci.layout.bits) - 1) == 0
         if not cut:
             loop.gmin = 0
         loop.run()
@@ -363,8 +373,7 @@ class _CountedReads(list):
 
 def _image_reads(inst, alloc, cut=True):
     ci = inst.compiled()
-    times = np.array([inst.time(j, alloc[j]) for j in ci.order])
-    loop = priority_loop(inst, alloc, np.arange(ci.n), times)
+    loop = priority_loop(inst, alloc, np.arange(ci.n), _times(inst, alloc))
     if not cut:
         loop.gmin = 0
     loop.img_rank = _CountedReads(loop.img_rank)
@@ -405,9 +414,8 @@ def test_priority_loop_checks_an_allocation_it_lowers_itself(d, amount):
     outside ``0..capacity`` would carry into (or borrow from) the
     neighbouring field of the image, so the job is named and refused."""
     dag = DAG(nodes=["a", "b", "c"], edges=[("a", "c")])
-    times = dict.fromkeys("abc", 1.0)
-    inst, _ = _rigid(dag, (8,) * d, dict.fromkeys("abc", (1,) * d), times)
-    keys = {"a": 0, "b": 1, "c": 2}
+    inst, _ = _rigid(dag, (8,) * d, dict.fromkeys("abc", (1,) * d), dict.fromkeys("abc", 1.0))
+    keys, times = np.arange(3), np.ones(3)
     # plain tuples: a ResourceVector would refuse the negative amount itself
     alloc = {"a": (1,) * d, "b": (amount,) + (1,) * (d - 1), "c": (2,) * d}
     with pytest.raises(ValueError, match="job 'b'"):
@@ -429,8 +437,8 @@ def test_priority_loop_calls_nothing_back():
     callback: ``None`` is accepted, anything else is refused with the
     per-event path named (a session streams events as time advances)."""
     inst, alloc = _workload(seed=31)
-    keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
+    times = _times(inst, alloc)
+    keys = np.arange(len(times))
     with pytest.raises(TypeError, match="SchedulingSession"):
         priority_loop(inst, alloc, keys, times, lambda j, s, t: None)
     loop = priority_loop(inst, alloc, keys, times, None)
@@ -440,7 +448,7 @@ def test_priority_loop_calls_nothing_back():
 
 def test_empty_instance_loop():
     inst = Instance(jobs={}, dag=DAG(), pool=ResourcePool.uniform(2, 4))
-    loop = priority_loop(inst, {}, {}, {})
+    loop = priority_loop(inst, {}, np.zeros(0), np.zeros(0))
     loop.run()
     assert loop.now == 0.0 and loop.start_log()[0].size == 0
 
@@ -452,9 +460,8 @@ def test_loop_reads_the_compiled_buffers_in_place():
     inst, alloc = _workload(n=60, seed=47)
     assert list_schedule_log(inst, alloc, bottom_level_priority).job_index.size == len(inst.jobs)
     assert inst.dag._succ_lists is None
-    keys = {j: i for i, j in enumerate(inst.dag.topological_order())}
-    times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
-    loop = priority_loop(inst, alloc, keys, times)
+    times = _times(inst, alloc)
+    loop = priority_loop(inst, alloc, np.arange(len(times)), times)
     loop.run()
     assert isinstance(loop.remaining, np.ndarray) and loop.remaining.dtype == np.int64
     assert not loop.remaining.any()

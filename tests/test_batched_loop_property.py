@@ -14,7 +14,7 @@ matrix, which covers every registered scheduler and every capacity regime.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_list_schedule, reference_pr1_list_schedule
+from helpers import REFERENCE_TWINS, reference_list_schedule, reference_pr1_list_schedule
 from repro.conformance.fuzz import (
     _run_scheduler,
     _strategy_for,
@@ -100,12 +100,13 @@ def test_batched_loop_equals_per_event_reference(
     priority = _RULES[rule]
 
     live = list_schedule(inst, allocation, priority)
-    reference = reference_pr1_list_schedule(inst, allocation, priority)
+    twin = REFERENCE_TWINS[priority]
+    reference = reference_pr1_list_schedule(inst, allocation, twin)
     assert _events(live) == _events(reference)
     assert live.makespan == reference.makespan
 
     if not inst.has_releases:  # the pre-kernel loop predates releases
-        legacy = reference_list_schedule(inst, allocation, priority)
+        legacy = reference_list_schedule(inst, allocation, twin)
         assert _events(live) == _events(legacy)
 
 

@@ -14,12 +14,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_list_schedule, reference_pr1_list_schedule
+from helpers import (
+    REFERENCE_TWINS,
+    reference_list_schedule,
+    reference_pr1_list_schedule,
+    reference_random_priority,
+)
 from repro.core.list_scheduler import (
     bottom_level_priority,
     fifo_priority,
     list_schedule,
     lpt_priority,
+    random_priority,
     spt_priority,
 )
 from repro.dag.generators import erdos_renyi_dag, layered_random
@@ -62,11 +68,11 @@ def rigid_instance(shape, n_seed, d, capacity, rigid_seed):
 )
 def test_compiled_dispatch_reproduces_references(shape, n_seed, d, capacity, rule_idx):
     inst, alloc = rigid_instance(shape, n_seed, d, capacity, rigid_seed=n_seed + 1)
-    assert compile_instance(inst).packable == (d * (capacity.bit_length() + 1) <= 64)
+    assert compile_instance(inst).layout.packable == (d * (capacity.bit_length() + 1) <= 64)
     rule = RULES[rule_idx]
     new = list_schedule(inst, alloc, rule)
-    pr1 = reference_pr1_list_schedule(inst, alloc, rule)
-    old = reference_list_schedule(inst, alloc, rule)
+    pr1 = reference_pr1_list_schedule(inst, alloc, REFERENCE_TWINS[rule])
+    old = reference_list_schedule(inst, alloc, REFERENCE_TWINS[rule])
     # event-for-event: identical starts (and so identical finishes)
     assert new.starts == pr1.starts
     assert new.starts == old.starts
@@ -86,7 +92,7 @@ def test_compiled_dispatch_matches_pr1_with_releases(n_seed, d, capacity, rate):
     inst, alloc = rigid_instance("layered", n_seed, d, capacity, rigid_seed=n_seed + 1)
     online = with_poisson_arrivals(inst, rate=rate, seed=n_seed)
     new = list_schedule(online, alloc, bottom_level_priority)
-    pr1 = reference_pr1_list_schedule(online, alloc, bottom_level_priority)
+    pr1 = reference_pr1_list_schedule(online, alloc, REFERENCE_TWINS[bottom_level_priority])
     assert new.starts == pr1.starts
     new.validate()
 
@@ -94,13 +100,16 @@ def test_compiled_dispatch_matches_pr1_with_releases(n_seed, d, capacity, rate):
 @settings(max_examples=15, deadline=None)
 @given(n_seed=st.integers(0, 10_000), d=st.integers(1, 4))
 def test_vector_and_dict_key_forms_agree(n_seed, d):
-    """Every rule's ``as_array`` form must realize the exact order of its
-    dict form (stable argsort vs. python tuple sort)."""
+    """Every rule's array keys must realize the exact order of its frozen
+    dict twin's (stable argsort vs. python sort by ``(key, topological
+    index)``)."""
     inst, alloc = rigid_instance("erdos", n_seed, d, 10, rigid_seed=n_seed + 2)
     ci = compile_instance(inst)
     times = {j: inst.time(j, alloc[j]) for j in inst.jobs}
     times_vec = np.array([times[j] for j in ci.order])
-    for rule in RULES:
-        keys_arr = rule.as_array(inst, alloc, times_vec)
-        keys_map = rule(inst, alloc, times)
-        assert ci.rank_permutation(keys_arr)[1] == ci.rank_permutation(keys_map)[1]
+    pairs = [(rule, REFERENCE_TWINS[rule]) for rule in RULES]
+    pairs.append((random_priority(n_seed), reference_random_priority(n_seed)))
+    for rule, twin in pairs:
+        keys_map = twin(inst, alloc, times)
+        want = sorted(range(ci.n), key=lambda i: (keys_map[ci.order[i]], i))
+        assert ci.rank_permutation(rule(inst, alloc, times_vec))[1] == want

@@ -1,16 +1,19 @@
 """Unit tests for the array-native lowering (:mod:`repro.instance.compiled`).
 
 The dispatch engine trusts this layer completely — release vectors, the
-allocation matrix, rank stability and the packed-demand SWAR encoding are
-each pinned here against the dict-based structures they lower (the DAG's
-own CSR layout is pinned in ``test_dag_graph.py``).
+allocation matrix, rank stability, the packed-demand SWAR encoding and
+the bounds rule on demand rows are each pinned here against the plain
+python they lower (the DAG's own CSR layout is pinned in
+``test_dag_graph.py``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dag.generators import erdos_renyi_dag, layered_random
-from repro.instance.compiled import compile_instance
+from repro.instance.compiled import DemandLayout, compile_instance
 from repro.instance.instance import make_instance, with_release_times
 from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
@@ -48,22 +51,21 @@ class TestCompiledInstance:
         inst = build(dag, d=2)
         alloc = {j: ResourceVector((1 + i % 3, 2)) for i, j in enumerate(inst.jobs)}
         ci = compile_instance(inst)
-        m = ci.alloc_matrix(alloc)
+        m = inst.validate_allocation_map(alloc)
         for i, j in enumerate(ci.order):
             assert tuple(m[i]) == tuple(alloc[j])
 
 
 class TestRankPermutation:
-    def test_mapping_and_array_forms_agree(self, dag):
-        inst = build(dag)
-        ci = compile_instance(inst)
+    def test_ranks_are_the_key_then_index_sort(self, dag):
+        """The stable argsort realizes ``sorted`` by ``(key, topological
+        index)``, ties and all."""
+        ci = compile_instance(build(dag))
         rng = np.random.default_rng(7)
         vals = rng.integers(0, 4, size=ci.n).astype(np.float64)  # many ties
-        keys_map = {j: (vals[i], i) for i, j in enumerate(ci.order)}
-        r_map, t_map = ci.rank_permutation(keys_map)
-        r_arr, t_arr = ci.rank_permutation(vals)
-        assert t_map == list(t_arr)
-        assert np.array_equal(r_map, r_arr)
+        rank_of, topo_of_rank = ci.rank_permutation(vals)
+        assert topo_of_rank == sorted(range(ci.n), key=lambda i: (vals[i], i))
+        assert np.array_equal(rank_of[topo_of_rank], np.arange(ci.n))
 
     def test_ties_break_by_topological_index(self, dag):
         ci = compile_instance(build(dag))
@@ -84,9 +86,31 @@ class TestRankPermutation:
         ci = compile_instance(build(dag))
         with pytest.raises(ValueError):
             ci.rank_permutation(np.zeros(ci.n + 1))
+        with pytest.raises(ValueError):  # a mapping is not a key array
+            ci.rank_permutation(dict(zip(ci.order, range(ci.n))))
 
 
-class TestPackedDemands:
+#: ``(capacities, packable)`` either side of ``d * bits = 64``: four types
+#: at 16-bit fields (one word) and at 17-bit ones (68 bits); twelve and
+#: thirteen types at 5-bit fields (60 and 65 bits)
+_SIDES = (
+    ((2**15 - 1,) * 4, True),
+    ((2**15,) * 4, False),
+    ((12,) * 12, True),
+    ((12,) * 13, False),
+)
+
+
+def _amount(cap):
+    """An amount the bounds rule must judge: in range, ``0``, ``P``,
+    ``P + 1``, negative, fractional or boolean."""
+    return st.one_of(
+        st.integers(0, cap),
+        st.sampled_from((0, cap, cap + 1, -1, 0.5, cap - 0.5, True, False)),
+    )
+
+
+class TestDemandLayout:
     def test_packable_predicate(self):
         """``packable`` ⇔ ``d * bits <= 64``, a field being the widest
         capacity's bit length plus its headroom bit."""
@@ -101,42 +125,64 @@ class TestPackedDemands:
             (13, 12, 5),         # 65 bits
             (1, 2**62, 64),
         ):
-            ci = compile_instance(build(dag, d=d, capacity=capacity))
-            assert ci.bits == bits
-            assert ci.packable == (d * bits <= 64)
+            layout = compile_instance(build(dag, d=d, capacity=capacity)).layout
+            assert layout.bits == bits
+            assert layout.packable == (d * bits <= 64)
 
-    def test_pack_round_trip(self):
-        dag = layered_random(3, 4, p=0.5, seed=1)
-        inst = build(dag, d=3, capacity=9)
-        ci = compile_instance(inst)
-        rng = np.random.default_rng(5)
-        alloc = {j: ResourceVector(rng.integers(0, 10, size=3)) for j in inst.jobs}
-        m = ci.alloc_matrix(alloc)
-        packed = ci.pack_demands(m)
-        field = (1 << ci.bits) - 1
-        for i in range(ci.n):
-            fields = [
-                (int(packed[i]) >> (ci.bits * r)) & field for r in range(ci.d)
-            ]
-            assert fields == list(m[i])
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.sampled_from(_SIDES), data=st.data())
+    def test_images_are_the_shift_sum_and_unpack_inverts_them(self, side, data):
+        """The one packer is the per-row shift-sum, from rows and from their
+        int64 matrix alike — a ``uint64`` array on the word side, python ints
+        on the wide side — and :meth:`unpack` gives every row back."""
+        caps, packable = side
+        layout = DemandLayout(caps)
+        assert layout.packable == packable
+        rows = data.draw(
+            st.lists(st.tuples(*(st.integers(0, c) for c in caps)), max_size=6)
+        )
+        want = [sum(a << (layout.bits * r) for r, a in enumerate(row)) for row in rows]
+        for given_rows in (rows, np.array(rows, dtype=np.int64).reshape(-1, len(caps))):
+            images = layout.images(given_rows)
+            if packable:
+                assert isinstance(images, np.ndarray) and images.dtype == np.uint64
+                images = images.tolist()
+            assert images == want
+        assert [layout.unpack(image) for image in want] == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(side=st.sampled_from(_SIDES), data=st.data())
+    def test_matrix_form_agrees_with_the_row_form(self, side, data):
+        """The whole-matrix form lowers a batch exactly when the per-row
+        form accepts every row of it, to the same amounts: on ``0``, ``P``,
+        ``P + 1``, negative, all-zero, fractional and boolean amounts."""
+        caps, _ = side
+        layout = DemandLayout(caps)
+        row = st.one_of(
+            st.tuples(*(_amount(c) for c in caps)), st.just((0,) * len(caps))
+        )
+        rows = data.draw(st.lists(row, min_size=1, max_size=5))
+        lowered = []
+        for j, r in enumerate(rows):
+            try:
+                lowered.append(list(layout.row(j, r)))
+            except ValueError as exc:
+                assert str(exc).startswith(f"job {j!r}: ")
+                lowered = None
+                break
+        m = layout.matrix(rows)
+        if lowered is None:
+            assert m is None
+        else:
+            assert m is not None and m.dtype == np.int64 and m.tolist() == lowered
 
     def test_swar_test_equals_vector_dominance(self):
-        dag = layered_random(2, 3, p=0.5, seed=2)
-        inst = build(dag, d=4, capacity=24)
-        ci = compile_instance(inst)
+        layout = DemandLayout((24,) * 4)
         rng = np.random.default_rng(11)
-        H = ci.fit_mask
+        H = layout.fit_mask
         for _ in range(200):
             a = rng.integers(0, 25, size=4)
             av = rng.integers(0, 25, size=4)
-            pa = sum(int(x) << (ci.bits * r) for r, x in enumerate(a))
-            pav = sum(int(x) << (ci.bits * r) for r, x in enumerate(av))
+            pa, pav = layout.images([a, av]).tolist()
             swar = ((pav + H) - pa) & H == H
             assert swar == bool((a <= av).all())
-
-    def test_pack_requires_packable(self):
-        dag = layered_random(2, 3, p=0.5, seed=3)
-        inst = build(dag, d=13, capacity=8)
-        ci = compile_instance(inst)
-        with pytest.raises(ValueError):
-            ci.pack_demands(np.zeros((ci.n, 13), dtype=np.int64))

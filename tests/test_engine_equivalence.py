@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    REFERENCE_TWINS,
     reference_backfill_plan,
     reference_list_schedule,
     reference_malleable_task_starts,
     reference_pack_shelf_placements,
+    reference_random_priority,
     reference_run_dynamic,
     tiny_instance,
 )
@@ -22,14 +24,7 @@ from repro.baselines.heft import heft_moldable_scheduler, make_heft_policy
 from repro.baselines.level_shelf import level_shelf_scheduler
 from repro.baselines.sun2018 import sun_shelf_scheduler
 from repro.baselines.tetris import make_tetris_policy, tetris_scheduler
-from repro.core.list_scheduler import (
-    bottom_level_priority,
-    fifo_priority,
-    list_schedule,
-    lpt_priority,
-    random_priority,
-    spt_priority,
-)
+from repro.core.list_scheduler import bottom_level_priority, list_schedule, random_priority
 from repro.core.independent import optimal_independent_allocation
 from repro.dag.analysis import node_levels
 from repro.dag.generators import erdos_renyi_dag
@@ -61,15 +56,15 @@ SEEDS = (0, 1, 7, 23, 101)
 
 class TestListScheduleEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("rule", [
-        fifo_priority, lpt_priority, spt_priority,
-        bottom_level_priority, random_priority(3),
+    @pytest.mark.parametrize("rule, twin", [
+        *REFERENCE_TWINS.items(),
+        (random_priority(3), reference_random_priority(3)),
     ])
-    def test_identical_placements(self, seed, rule):
+    def test_identical_placements(self, seed, rule, twin):
         inst = random_instance(seed, d=2 + seed % 2)
         alloc = balanced_allocation(inst)
         new = list_schedule(inst, alloc, rule)
-        old = reference_list_schedule(inst, alloc, rule)
+        old = reference_list_schedule(inst, alloc, twin)
         assert new.starts == old.starts
         assert new.makespan == old.makespan
 
@@ -79,7 +74,7 @@ class TestListScheduleEquivalence:
         inst = random_instance(5, d=3, n=24, capacity=4, p=0.15)
         alloc = balanced_allocation(inst)
         new = list_schedule(inst, alloc, bottom_level_priority)
-        old = reference_list_schedule(inst, alloc, bottom_level_priority)
+        old = reference_list_schedule(inst, alloc, REFERENCE_TWINS[bottom_level_priority])
         assert new.starts == old.starts
 
 

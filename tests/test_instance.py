@@ -97,7 +97,7 @@ class TestAllocationRows:
     )
     def test_a_fractional_amount_is_refused_not_truncated(self, row):
         inst = self.unit_jobs()
-        with pytest.raises(ValueError, match=r"^job \d: allocation "):
+        with pytest.raises(ValueError, match=r"^job \d: demand "):
             inst.validate_allocation_map(dict.fromkeys(inst.jobs, row))
         with pytest.raises(ValueError, match=r"^job \d: "):
             list_schedule(inst, dict.fromkeys(inst.jobs, row), fifo_priority)

@@ -25,7 +25,7 @@ from repro.experiments.workloads import random_instance
 from repro.registry import get_scheduler
 from repro.resources.pool import ResourcePool
 from repro.service.chaos import CRASH_POINTS, ChaosCrash, ChaosInjector
-from repro.service.checkpoint import checkpoint_session, load_session
+from repro.service.checkpoint import checkpoint_session
 from repro.service.journal import (
     JOURNAL_FORMAT,
     Journal,
@@ -244,7 +244,7 @@ class TestJournaledSession:
             '{"seq": 1, "op": "teleport", "rng": null}\n'
         )
         with pytest.raises(ValueError, match="failed to replay"):
-            self._js(tmp_path, checkpoint=False)
+            self._js(tmp_path)
 
     @pytest.mark.parametrize("rng", ['"garbage"', '{"bit_generator": "PCG64"}'])
     def test_a_malformed_rng_fails_recovery_by_seq(self, tmp_path, rng):
@@ -256,7 +256,7 @@ class TestJournaledSession:
             '{"seq": 1, "op": "drain", "rng": ' + rng + '}\n'
         )
         with pytest.raises(ValueError, match="journal record seq 1: malformed rng"):
-            self._js(tmp_path, checkpoint=False)
+            self._js(tmp_path)
 
     def test_auto_checkpoint_rotates_journal(self, tmp_path):
         js = self._js(tmp_path, checkpoint_every=2)

@@ -106,6 +106,35 @@ def test_the_dag_layer_imports_no_layer_above_it():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
+def _image_arithmetic(path: pathlib.Path) -> list[str]:
+    """Every shift in ``path`` by anything but a literal, and every read of
+    a ``bits`` name or attribute, as ``line: source``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        shift = (ast.LShift, ast.RShift)
+        if (
+            isinstance(node, ast.BinOp) and isinstance(node.op, shift)
+            and not isinstance(node.right, ast.Constant)
+        ) or (isinstance(node, ast.AugAssign) and isinstance(node.op, shift)) or (
+            isinstance(node, ast.Name) and node.id == "bits"
+        ) or (isinstance(node, ast.Attribute) and node.attr == "bits"):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_the_layout_builds_demand_images():
+    """A demand image is packed and unpacked in one place,
+    ``instance/compiled.py``'s ``DemandLayout``: no other module shifts by
+    the field width, or by any other variable, or reads ``bits`` at all."""
+    src = ROOT / "src" / "repro"
+    offenders = {
+        str(path.relative_to(src)): _image_arithmetic(path)
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "instance" / "compiled.py"
+    }
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
 def test_tier1_profile_replays_the_same_examples():
     profile = settings.get_profile("tier1")
     assert profile.derandomize is True

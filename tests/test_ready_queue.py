@@ -102,7 +102,7 @@ def _assert_column(loop):
     long and the images fit a ``uint64``, and then equal to the queued
     rows' images position for position."""
     rq, rp, gi = loop.rq, loop.rp, loop.gi
-    assert (rp is None) == (not gi.packable or len(rq) <= _VECTOR_QUEUE)
+    assert (rp is None) == (not gi.layout.packable or len(rq) <= _VECTOR_QUEUE)
     if rp is not None:
         assert rp.dtype == np.uint64
         assert rp[:len(rq)].tolist() == [gi.packed[i] for _, i in rq]
@@ -363,7 +363,7 @@ class TestColumnCache:
 
     def test_wide_images_never_get_a_column(self):
         s = _backlog(3 * _VECTOR_QUEUE, caps=(4,) * 17)  # 4-bit fields: 68 bits
-        assert not s.gi.packable and s.loop.rp is None
+        assert not s.gi.layout.packable and s.loop.rp is None
         _assert_queue(s)
 
     def test_cancel_first_last_middle_and_the_row_that_drops_the_column(self):

@@ -179,6 +179,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="platform capacities must be a positive vector"):
             instance_from_json(data)
 
+    def test_fractional_amounts_are_refused_not_truncated(self):
+        """A profile alloc of ``[1.5, 1]`` used to load as ``(1, 1)`` and a
+        capacity of ``3.5`` as ``3``: each is refused, an alloc by job."""
+        inst = tiny_instance(seed=0, d=2, capacity=3)
+        data = json.loads(instance_to_json(inst, full_grid))
+        bad = json.loads(json.dumps(data))
+        rec = bad["jobs"][1]
+        rec["profile"][0]["alloc"] = [1.5, 1]
+        with pytest.raises(
+            ValueError, match=rf"^job {rec['id']!r}: profile alloc: .*whole numbers"
+        ):
+            instance_from_json(bad)
+        data["platform"]["capacities"] = [3.5, 3]
+        with pytest.raises(ValueError, match=r"^platform capacities: .*whole numbers"):
+            instance_from_json(data)
+
     def test_a_repeated_or_unhashable_id_is_refused_by_record(self):
         """Two records with one ``id`` used to load as one job (the second
         overwrote the first: four records, ``n = 3``), and a list ``id``

@@ -283,6 +283,45 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match="archived job 'j2': demand"):
             restore_session(snap)
 
+    @staticmethod
+    def _two_type_snapshot():
+        """On ``[8, 8]``: five jobs done and archived, ``a`` running and
+        ``b`` queued behind it (``b`` never fits beside ``a``)."""
+        s = SchedulingSession([8, 8], compact_threshold=0.5, compact_min_rows=4)
+        s.submit([JobSpec(f"j{i}", (2, 1), 1.0) for i in range(5)])
+        s.advance(2.0)
+        s.submit([JobSpec("a", (8, 8), 1.0), JobSpec("b", (7, 8), 1.0)])
+        assert len(s.archive) == 5 and s.state_of("b") == "queued"
+        return checkpoint_session(s)
+
+    def test_a_fractional_live_demand_is_refused_not_truncated(self):
+        """``submit`` refuses a ``7.9``; restore used to admit the row as
+        ``(7, 8)``: a job running on less than it asked for."""
+        snap = self._two_type_snapshot()
+        snap["jobs"]["demand"][snap["jobs"]["id"].index("b")] = [7.9, 8]
+        with pytest.raises(ValueError, match=r"^job 'b': demand \[7\.9, 8\]: .*whole"):
+            restore_session(snap)
+
+    def test_a_fractional_archived_demand_is_refused_not_truncated(self):
+        snap = self._two_type_snapshot()
+        snap["archive"][2]["demand"] = [1.5, 0]
+        with pytest.raises(ValueError, match=r"^archived job 'j2': demand \[1\.5, 0\]: .*whole"):
+            restore_session(snap)
+
+    def test_an_all_zero_live_demand_is_refused(self):
+        """``submit`` refuses a job that asks for nothing; restore used to
+        admit it and drain it."""
+        snap = self._two_type_snapshot()
+        snap["jobs"]["demand"][snap["jobs"]["id"].index("b")] = [0, 0]
+        with pytest.raises(ValueError, match=r"^job 'b': demand \(0, 0\) must request at least one"):
+            restore_session(snap)
+
+    def test_fractional_capacities_are_refused_not_truncated(self):
+        snap = self._two_type_snapshot()
+        snap["capacities"] = [8.5, 8]
+        with pytest.raises(ValueError, match="capacities must be a positive vector of whole"):
+            restore_session(snap)
+
     def test_resume_mid_flight_then_submit_more(self):
         """The restored session is live: it keeps admitting and cancelling."""
         s = SchedulingSession([4, 4])

@@ -62,19 +62,19 @@ class TestGrowableCompiledInstance:
         assert gi.order == ["a", "b"]
         assert gi.succ[a] == [b]
         assert gi.preds[b] == (a,)
-        assert gi.packable
-        assert gi.bits == 4  # capacity 4: three bits and the headroom bit
-        assert gi.packed[a] == (1 << 4) + 2 == gi.pack((2, 1))
+        assert gi.layout.packable
+        assert gi.layout.bits == 4  # capacity 4: three bits and the headroom bit
+        assert gi.packed[a] == (1 << 4) + 2 == gi.layout.images([(2, 1)])[0]
 
     def test_unpackable_platforms(self):
         # packable <=> d * bits <= 64
-        assert GrowableCompiledInstance([2] * 21).packable
-        assert not GrowableCompiledInstance([2] * 22).packable
-        assert not GrowableCompiledInstance([1 << 15] * 4).packable
-        assert GrowableCompiledInstance([(1 << 15) - 1] * 4).packable
+        assert GrowableCompiledInstance([2] * 21).layout.packable
+        assert not GrowableCompiledInstance([2] * 22).layout.packable
+        assert not GrowableCompiledInstance([1 << 15] * 4).layout.packable
+        assert GrowableCompiledInstance([(1 << 15) - 1] * 4).layout.packable
         # the image exists either way: fields as wide as the capacities need
         gi = GrowableCompiledInstance([1 << 15, 3])
-        assert gi.bits == 17
+        assert gi.layout.bits == 17
         gi.append_batch(["a"], [()], [(1 << 15, 2)], [1.0], [0], [0.0])
         assert gi.packed == [(2 << 17) + (1 << 15)]
 
@@ -83,7 +83,7 @@ class TestGrowableCompiledInstance:
         gi.append_batch(["a"], [()], [(1, 1)], [1.0], [0], [0.0])
         with pytest.raises(ValueError, match="already submitted"):
             gi.validate_row("a", (1, 1), 1.0)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="1 amounts for 2 resource types"):
             gi.validate_row("b", (1,), 1.0)
         with pytest.raises(ValueError, match="exceeds capacities"):
             gi.validate_row("b", (5, 1), 1.0)
@@ -617,20 +617,20 @@ def _rigid_session_starts(dag, capacities, demands, durations):
     assert {e[1]: (e[2], tuple(e[4])) for e in started} == {
         repr(j): (p.start, tuple(demands[j])) for j, p in batch.placements.items()
     }
-    return session.gi.packable, queued, [e[1:3] for e in started]
+    return session.gi.layout.packable, queued, [e[1:3] for e in started]
 
 
 @pytest.mark.parametrize("boundary", ("capacity", "fifth-type", "long-queue"))
 def test_session_packing_boundary_identity(boundary):
     """The session twin of ``test_packing_boundary_identity``: the same
-    demands either side of ``gi.packable`` — ``d = 4`` at capacity
+    demands either side of ``gi.layout.packable`` — ``d = 4`` at capacity
     ``2**15 - 1`` vs ``2**15``, ``d = 12`` vs ``d = 13`` at capacity 12 with
     a last type nobody asks for (the parameter id dates from the boundary
     having been the fifth type), the latter also with a queue past
     ``_VECTOR_QUEUE`` (vector pass on the packable side, in-order scan on
     the other) — start every job where ``list_schedule`` does, before and
     after a checkpoint round trip (which restores availability through
-    ``gi.pack``)."""
+    the layout's packer)."""
     rng = np.random.default_rng(41)
     if boundary == "long-queue":
         # two or three sources fit at once: the rest stay queued, past the

@@ -93,6 +93,17 @@ class TestTrace:
         with pytest.raises(ValueError):
             schedule_from_trace(inst, trace)
 
+    def test_a_fractional_alloc_is_refused_by_job_not_truncated(self):
+        """A traced ``[4.6, 4.6]`` used to load as ``(4, 4)``."""
+        inst, sched = make_schedule()
+        trace = schedule_to_trace(sched)
+        rec = trace["jobs"][1]
+        rec["alloc"] = [4.6, 4.6]
+        with pytest.raises(
+            ValueError, match=rf"^trace job {rec['id']}: alloc: .*whole numbers"
+        ):
+            schedule_from_trace(inst, trace)
+
     def test_incomplete_trace_rejected(self):
         inst, sched = make_schedule()
         trace = schedule_to_trace(sched)
