@@ -53,16 +53,22 @@ data into the right-hand side, which HiGHS compares with absolute
 tolerances, and dividing by a power of two is exact — the solve does not
 depend on whether times are in seconds or nanoseconds.
 
-**How it is solved.**  The model goes to HiGHS through the private bindings
-scipy ships (``scipy.optimize._highspy._core``), not through ``linprog``:
-one array ``passModel`` in column-wise form, ``run``, and ``col_value`` back
-(``_solve``).  The options are the ones ``linprog(method="highs")`` sets plus
-the tuned pair, and an "optimal" answer still has to pass ``linprog``'s own
-acceptance test (bounds and rows within ``√1e-9 · 10``), so the vertex is
+**How it is solved.**  The model goes to HiGHS through the private binding
+scipy ships (``scipy.optimize._highspy._core``), not through ``linprog``,
+and numpy is all it takes to get there.  :func:`_lp_problem` lays the matrix
+out column-wise itself, as the arrays scipy's canonical CSC holds, bit for
+bit.  :func:`_highs_binding` loads the binding's extension file without
+running ``scipy/optimize/__init__``, whose linalg, special and sparse
+imports the LP never calls and which were a third of a pipeline run's
+resident memory.  Then one array ``passModel``, ``run``, and ``col_value``
+back (``_solve``).  The options are the ones ``linprog(method="highs")`` sets
+plus the tuned pair, and an "optimal" answer still has to pass ``linprog``'s
+own acceptance test (bounds and rows within ``√1e-9 · 10``), so the vertex is
 the one ``linprog`` returned.  What ``linprog``'s wrapper added — input
 cleaning, a CSR→CSC copy, duals, slacks and marginals — was a third of the
 solve and is never read here.  ``tests/test_dtct.py`` pins every private name
-used, so a scipy that renames one fails there.
+used and where the binding's file lives, so a scipy that renames or moves
+one fails there.
 
 **Back to fractions.**  Only ``τ_j`` is read off the solver's answer; the
 job's ``x`` is the pair of weights on the two hull vertices around ``τ_j``.
@@ -99,8 +105,13 @@ holds verbatim for the two-vertex ``x`` above.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -199,6 +210,12 @@ _STATUS = {
 #: holds to ``√tol · 10`` with its default ``tol`` of 1e-9.
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
+#: scipy's HiGHS binding, by the name ``scipy.optimize`` imports it under.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+#: held while the binding is loaded: a second load of the extension would
+#: register its types twice, which pybind11 refuses
+_HIGHS_LOCK = threading.Lock()
+
 
 class _Answer(NamedTuple):
     """One attempt: ``status`` 0 with the column values ``x``, or a failure
@@ -296,21 +313,19 @@ def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]
 
 def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
     """The delta-form LP of the module docstring as arrays: minimize ``c · x``
-    subject to ``A_ub x <= b_ub`` and ``bounds[:, 0] <= x <= bounds[:, 1]``,
-    with ``A_ub`` in the column-wise (CSC) layout :func:`_solve` hands over.
+    subject to ``A x <= b_ub`` and ``bounds[:, 0] <= x <= bounds[:, 1]``.
+
+    ``A`` (``shape`` = rows x columns) is in the column-wise layout
+    :func:`_solve` hands over, as scipy's canonical CSC holds it: column
+    ``k`` has its entries at ``indptr[k]:indptr[k + 1]``, row indices
+    ascending in ``indices`` (int32, as is ``indptr``) and values in ``data``.
 
     Variable layout: ``[λ_s for every hull segment] + [C_j for j in
-    topological order] + [L]``.  ``A_ub`` rows, in order: one arrival row per
-    job without predecessors, one per edge in ``dag.edges()`` order, one
-    ``C_j − L`` row per job without successors, the total-area row.  The row
-    order is part of the model: HiGHS's pivots, hence the vertex, depend on
-    it.
+    topological order] + [L]``.  Rows, in order: one arrival row per job
+    without predecessors, one per edge in ``dag.edges()`` order, one ``C_j −
+    L`` row per job without successors, the total-area row.  The row order is
+    part of the model: HiGHS's pivots, hence the vertex, depend on it.
     """
-    # scipy is imported where an LP is built or solved, not with the
-    # package: ``repro serve`` never solves one (tests/test_cli.py holds
-    # the serve path to that)
-    from scipy.sparse import csc_matrix
-
     n = len(fr.job_order)
     n_y = fr.lo.size
     dt = (fr.times[fr.hi] - fr.times[fr.lo]) / fr.unit
@@ -320,11 +335,9 @@ def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
     seg_counts = np.bincount(fr.job_of[fr.lo], minlength=n)
     seg_starts = np.cumsum(seg_counts) - seg_counts
 
-    position = {j: i for i, j in enumerate(fr.job_order)}
-    edges = list(instance.dag.edges())
-    n_e = len(edges)
-    tail = np.fromiter((position[u] for u, _ in edges), dtype=np.int64, count=n_e)
-    head = np.fromiter((position[j] for _, j in edges), dtype=np.int64, count=n_e)
+    # ``fr.job_order`` is the DAG's ``order``: its positions are the C columns
+    tail, head = instance.dag.edge_positions()
+    n_e = tail.size
     sources = np.flatnonzero(np.bincount(head, minlength=n) == 0)
     sinks = np.flatnonzero(np.bincount(tail, minlength=n) == 0)
     n_k = sinks.size
@@ -365,12 +378,60 @@ def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
     bounds = np.zeros((l_index + 1, 2))
     bounds[:n_y, 1] = 1.0
     bounds[n_y:, 1] = np.inf
+    shape = (area_row + 1, l_index + 1)
+    # no (row, column) pair repeats, so one sort by column, then row, is the
+    # CSC order, and a column starts after the entries of those left of it
+    at = np.argsort(cols * shape[0] + rows)
+    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
     return {
         "c": cost,
-        "A_ub": csc_matrix((vals, (rows, cols)), shape=(area_row + 1, l_index + 1)),
+        "indptr": indptr,
+        "indices": rows[at].astype(np.int32),
+        "data": vals[at],
+        "shape": shape,
         "b_ub": np.concatenate([-t0[arrive], np.zeros(n_k), [-fr.areas[first].sum() / fr.unit]]),
         "bounds": bounds,
     }
+
+
+def _highs_binding():
+    """scipy's HiGHS binding (``scipy.optimize._highspy._core``), without
+    running ``scipy/optimize/__init__``.
+
+    A binding already imported — by this function or by ``scipy.optimize``
+    — is the one returned.  Otherwise the extension file is found in scipy's
+    directory (``find_spec`` imports nothing) and loaded under its canonical
+    name into ``sys.modules``, where a later ``import scipy.optimize`` finds
+    and reuses it.  A binding missing from its place raises ``ImportError``
+    naming the path; ``tests/test_dtct.py`` pins the place.
+    """
+    with _HIGHS_LOCK:
+        module = sys.modules.get(_HIGHS_MODULE)
+        if module is not None:
+            return module
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("the DTCT LP needs scipy's HiGHS binding: scipy is not installed")
+        folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+        spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+            _HIGHS_MODULE
+        )
+        if spec is None:
+            path = os.path.join(folder, "_core")
+            looked = ", ".join("_core" + suffix for suffix in EXTENSION_SUFFIXES)
+            raise ImportError(
+                f"scipy's HiGHS binding is not at {path} (looked for {looked})",
+                name=_HIGHS_MODULE, path=path,
+            )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS_MODULE]
+            raise
+        return module
 
 
 def _solve(problem: dict, options: dict) -> _Answer:
@@ -382,18 +443,17 @@ def _solve(problem: dict, options: dict) -> _Answer:
     optimal answer whose ``x`` leaves a bound or whose row activity exceeds
     ``b_ub`` by more than :data:`_FEASIBILITY_TOL` is reported as status 4.
     """
-    from scipy.optimize._highspy import _core as highs  # see _lp_problem
-
-    a = problem["A_ub"].tocsc()
-    rows, cols = a.shape
+    highs = _highs_binding()
+    rows, cols = problem["shape"]
     lower, upper = problem["bounds"].T
     solver = highs._Highs()
     for name, value in {**_BASE_OPTIONS, **options}.items():
         solver.setOptionValue(name, value)
     loaded = solver.passModel(
-        cols, rows, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-        problem["c"], lower, upper, np.full(rows, -np.inf), problem["b_ub"],
-        a.indptr, a.indices, a.data, np.zeros(cols, dtype=np.int32),
+        cols, rows, problem["data"].size, highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize, 0.0, problem["c"], lower, upper, np.full(rows, -np.inf),
+        problem["b_ub"], problem["indptr"], problem["indices"], problem["data"],
+        np.zeros(cols, dtype=np.int32),
     )
     if loaded == highs.HighsStatus.kError:
         model_status = highs.HighsModelStatus.kModelError
@@ -465,7 +525,7 @@ def solve_dtct_lp(
         tuned_status = answer.status
         answer = _solve(problem, {})
         if answer.status:
-            rows, columns = problem["A_ub"].shape
+            rows, columns = problem["shape"]
             raise DTCTSolveError(
                 answer.status, answer.message, tuned_status=tuned_status, rows=rows,
                 columns=columns,

@@ -154,7 +154,9 @@ def mu_star(d: int) -> float:
     lo = 1e-9
     if h_poly(d, MU_B) >= 0:  # pragma: no cover - cannot happen for d >= 22
         return MU_A
-    from scipy.optimize import brentq  # not with the package: see core.dtct
+    # imported here, for d >= 22 only: no other path of the package runs
+    # scipy.optimize's __init__ (core.dtct loads HiGHS's binding alone)
+    from scipy.optimize import brentq
 
     return float(brentq(lambda m: h_poly(d, m), lo, MU_B, xtol=1e-14))
 

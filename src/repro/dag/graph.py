@@ -7,7 +7,8 @@ self-loop or a cycle, runs the one Kahn pass and lays the graph out as the
 arrays the schedulers read — the topological order, an id → position
 index, and successor and predecessor CSR over topological positions.  The
 id-level queries (``successors``, ``predecessors``, ``edges``, ...) are
-views of those arrays, in the order the edges were given.
+views of those arrays, in the order the edges were given;
+``edge_positions`` is ``edges`` over positions, for array consumers.
 
 Everything structural the engine and the sweeps need beyond that — the
 longest-path levels, the per-level successor gathers, python-int
@@ -143,11 +144,17 @@ class DAG:
 
     def edges(self) -> Iterator[tuple[JobId, JobId]]:
         """Every edge, grouped by source in node order, each group in the
-        order its edges were given."""
-        order, succ = self.order, self.succ_lists()
-        for u, i in zip(self._nodes, self._pos.tolist()):
-            for s in succ[i]:
-                yield (u, order[s])
+        order its edges were given: :meth:`edge_positions` as job ids."""
+        at = self.order.__getitem__
+        tails, heads = self.edge_positions()
+        return zip(map(at, tails.tolist()), map(at, heads.tolist()))
+
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge as ``(tails, heads)``, positions in ``order`` (int64),
+        in :meth:`edges` order — the successor CSR read row by row in node
+        order rather than in topological order."""
+        heads, _, _ = _ragged_gather(self.succ_indptr, self.succ_indices, self._pos)
+        return np.repeat(self._pos, self.out_degrees[self._pos]), heads
 
     def successors(self, node: JobId) -> list[JobId]:
         """Immediate successors of ``node``."""

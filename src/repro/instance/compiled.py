@@ -28,7 +28,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.resources.vector import ResourceVector
+from repro.resources.vector import ResourceVector, whole_amounts
 
 __all__ = [
     "CompiledInstance",
@@ -36,7 +36,6 @@ __all__ = [
     "GrowableCompiledInstance",
     "compile_instance",
     "priority_key",
-    "whole_amounts",
 ]
 
 JobId = Hashable
@@ -50,26 +49,6 @@ _INT64_TYPES = frozenset((int, np.int64))
 # ----------------------------------------------------------------------
 # the two inputs of Phase 2: priority keys and demand rows
 # ----------------------------------------------------------------------
-
-
-def whole_amounts(demand) -> tuple[int, ...]:
-    """The one lowering of a demand to integer amounts, wherever one enters
-    (wire record, row validation, batch validation, checkpoint restore,
-    instance and trace files).
-
-    An amount must *equal* its integer value: ``2``, ``2.0`` and numpy
-    integers are two units; ``2.7``, ``"2"``, ``nan`` and ``inf`` raise
-    ``ValueError`` instead of truncating — a job never runs on less than
-    it asked for.  A boolean is not an amount, although ``True == 1``.
-    """
-    raw = tuple(demand)
-    try:
-        dem = tuple(map(int, raw))
-    except OverflowError as exc:  # int(inf)
-        raise ValueError(str(exc)) from None
-    if dem != raw or any(isinstance(a, (bool, np.bool_)) for a in raw):
-        raise ValueError(f"demand amounts must be whole numbers, got {list(raw)}")
-    return dem
 
 
 def priority_key(job_id: JobId, key):

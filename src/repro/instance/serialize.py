@@ -40,7 +40,6 @@ import json
 from typing import Hashable
 
 from repro.dag.graph import DAG
-from repro.instance.compiled import whole_amounts
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy, candidates_for_job, full_grid
 from repro.jobs.job import Job
@@ -63,10 +62,10 @@ _KNOWN_VERSIONS = (1, 2)
 
 
 def _whole_vector(what: str, amounts) -> ResourceVector:
-    """``amounts`` lowered by :func:`whole_amounts`: ``4.6`` is refused,
-    naming ``what``, where ``ResourceVector`` alone would truncate it."""
+    """``amounts`` as a vector: ``4.6`` is refused, naming ``what``
+    (:func:`~repro.resources.vector.whole_amounts`)."""
     try:
-        return ResourceVector(whole_amounts(amounts))
+        return ResourceVector(amounts)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: {exc}") from None
 

@@ -62,10 +62,6 @@ class ResourcePool:
         """``P_min = min_i P^(i)`` — the theorems' capacity precondition."""
         return min(self.capacities)
 
-    def fits(self, demand: ResourceVector, available: ResourceVector) -> bool:
-        """True when ``demand ⪯ available`` (Algorithm 2's admission test)."""
-        return demand.dominated_by(available)
-
     def validate_allocation(self, alloc: ResourceVector) -> None:
         """Raise unless ``0 ⪯ alloc ⪯ capacities`` with at least one positive entry."""
         if alloc.d != self.d:

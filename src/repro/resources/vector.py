@@ -11,11 +11,39 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["ResourceVector"]
+import numpy as np
+
+__all__ = ["ResourceVector", "whole_amounts"]
+
+#: the one amount type taken as it is, without :func:`whole_amounts`
+_EXACT = frozenset((int,))
+
+
+def whole_amounts(demand) -> tuple[int, ...]:
+    """The one lowering of amounts to integers, wherever they enter (a
+    :class:`ResourceVector`, a wire record, row validation, batch
+    validation, checkpoint restore, instance and trace files).
+
+    An amount must *equal* its integer value: ``2``, ``2.0`` and numpy
+    integers are two units; ``2.7``, ``"2"``, ``nan`` and ``inf`` raise
+    ``ValueError`` instead of truncating — a job never runs on less than
+    it asked for.  A boolean is not an amount, although ``True == 1``.
+    """
+    raw = tuple(demand)
+    try:
+        dem = tuple(map(int, raw))
+    except OverflowError as exc:  # int(inf)
+        raise ValueError(str(exc)) from None
+    if dem != raw or any(isinstance(a, (bool, np.bool_)) for a in raw):
+        raise ValueError(f"demand amounts must be whole numbers, got {list(raw)}")
+    return dem
 
 
 class ResourceVector(tuple):
     """An allocation ``p = (p^(1), ..., p^(d))`` of integral resource amounts.
+
+    Amounts are lowered by :func:`whole_amounts`: ``2.0`` and numpy integers
+    are taken, ``2.7`` and ``True`` refused.
 
     The class is a thin :class:`tuple` subclass: equality, hashing and
     iteration behave like tuples, so vectors can index dictionaries and be
@@ -25,10 +53,11 @@ class ResourceVector(tuple):
     __slots__ = ()
 
     def __new__(cls, amounts: Iterable[int]) -> "ResourceVector":
-        vec = super().__new__(cls, (int(a) for a in amounts))
-        for a in vec:
-            if a < 0:
-                raise ValueError(f"resource amounts must be non-negative, got {tuple(vec)}")
+        raw = tuple(amounts)
+        # exact ints, the common case, are whole amounts already
+        vec = super().__new__(cls, raw if _EXACT.issuperset(map(type, raw)) else whole_amounts(raw))
+        if vec and min(vec) < 0:
+            raise ValueError(f"resource amounts must be non-negative, got {tuple(vec)}")
         return vec
 
     # ------------------------------------------------------------------

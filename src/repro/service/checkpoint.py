@@ -50,7 +50,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS
-from repro.instance.compiled import whole_amounts
+from repro.resources.vector import whole_amounts
 from repro.service.session import STATE_NAMES, SchedulingSession
 
 __all__ = [

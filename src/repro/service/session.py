@@ -80,7 +80,8 @@ from repro.engine.dispatch import (
     J_WAITING,
     IncrementalPriorityLoop,
 )
-from repro.instance.compiled import GrowableCompiledInstance, priority_key, whole_amounts
+from repro.instance.compiled import GrowableCompiledInstance, priority_key
+from repro.resources.vector import whole_amounts
 
 __all__ = ["Archive", "JobSpec", "SchedulingSession", "STATE_NAMES", "real_number"]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from typing import Hashable
 
-from repro.instance.compiled import whole_amounts
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule, ScheduledJob
@@ -121,7 +120,7 @@ def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:
                     f"with the instance's {instance.jobs[jid].release}"
                 )
         try:
-            alloc = ResourceVector(whole_amounts(rec["alloc"]))
+            alloc = ResourceVector(rec["alloc"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace job {rec['id']}: alloc: {exc}") from None
         placements[jid] = ScheduledJob(

@@ -23,7 +23,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from repro.core.dtct import FractionalSolution
 from repro.core.list_scheduler import (
@@ -80,6 +80,8 @@ __all__ = [
     "reference_pr1_list_schedule",
     "REFERENCE_LINPROG_OPTIONS",
     "reference_linprog_solve",
+    "lp_matrix",
+    "reference_delta_lp_problem",
     "scripted_highs",
     "reference_fair_queue",
     "bench_table",
@@ -267,7 +269,10 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
 # be feasible.  And the ``linprog`` call that solved the delta form until
 # ``core/dtct.py`` handed it to HiGHS directly (``reference_linprog_solve``):
 # same problem, same options, so the live adapter must return its ``x`` bit
-# for bit after the same number of iterations.
+# for bit after the same number of iterations.  The delta form's assembler as
+# it stood while it built the matrix with ``scipy.sparse`` from a list of
+# ``dag.edges()`` (``reference_delta_lp_problem``): the live one must hand
+# HiGHS the same arrays, dtypes included.
 # ---------------------------------------------------------------------------
 def kernel_frontier(entries) -> list[ProfileEntry]:
     """The live Eq. (2) kernel, ``pareto_rows``, on one job's entries: the
@@ -476,12 +481,88 @@ def reference_solve_dtct_lp(instance: Instance, table) -> FractionalSolution:
 REFERENCE_LINPROG_OPTIONS = {"simplex_dual_edge_weight_strategy": "devex", "presolve": False}
 
 
+def lp_matrix(problem: dict) -> csc_matrix:
+    """The constraint matrix of a ``core/dtct.py::_lp_problem`` problem, as
+    the scipy matrix its column arrays describe."""
+    return csc_matrix(
+        (problem["data"], problem["indices"], problem["indptr"]), shape=problem["shape"]
+    )
+
+
 def reference_linprog_solve(problem: dict, options: dict | None):
     """``solve_dtct_lp``'s solver call as it stood until it handed the model
-    to HiGHS directly: ``linprog`` on the same problem dict (``options``
-    ``None`` for the defaults retry).  The ``OptimizeResult`` whose ``x`` and
-    ``nit`` the adapter must reproduce exactly."""
-    return linprog(**problem, method="highs", options=options)
+    to HiGHS directly: ``linprog`` on the same problem (``options`` ``None``
+    for the defaults retry).  The ``OptimizeResult`` whose ``x`` and ``nit``
+    the adapter must reproduce exactly."""
+    return linprog(
+        problem["c"], A_ub=lp_matrix(problem), b_ub=problem["b_ub"], bounds=problem["bounds"],
+        method="highs", options=options,
+    )
+
+
+def reference_delta_lp_problem(instance: Instance, fr) -> dict:
+    """``core/dtct.py::_lp_problem`` as it stood while it built ``A_ub`` with
+    ``scipy.sparse`` (COO triplets to CSC) and its edge rows from a list of
+    ``dag.edges()`` and an id → position dict.  ``fr`` is what
+    ``core/dtct.py::_frontiers`` returns."""
+    n = len(fr.job_order)
+    n_y = fr.lo.size
+    dt = (fr.times[fr.hi] - fr.times[fr.lo]) / fr.unit
+    da = (fr.areas[fr.hi] - fr.areas[fr.lo]) / fr.unit
+    first = fr.starts[:-1]
+    t0 = fr.times[first] / fr.unit
+    seg_counts = np.bincount(fr.job_of[fr.lo], minlength=n)
+    seg_starts = np.cumsum(seg_counts) - seg_counts
+
+    position = {j: i for i, j in enumerate(fr.job_order)}
+    edges = list(instance.dag.edges())
+    n_e = len(edges)
+    tail = np.fromiter((position[u] for u, _ in edges), dtype=np.int64, count=n_e)
+    head = np.fromiter((position[j] for _, j in edges), dtype=np.int64, count=n_e)
+    sources = np.flatnonzero(np.bincount(head, minlength=n) == 0)
+    sinks = np.flatnonzero(np.bincount(tail, minlength=n) == 0)
+    n_k = sinks.size
+
+    c_cols = n_y + np.arange(n)
+    l_index = n_y + n
+    arrive = np.concatenate([sources, head])
+    n_a = arrive.size
+    arrive_rows = np.arange(n_a)
+    tau_counts = seg_counts[arrive]
+    tau_rows = np.repeat(arrive_rows, tau_counts)
+    tau_cols = (
+        np.arange(int(tau_counts.sum()))
+        + np.repeat(seg_starts[arrive] - (np.cumsum(tau_counts) - tau_counts), tau_counts)
+    )
+    sink_rows = n_a + np.arange(n_k)
+    area_row = n_a + n_k
+    rows = np.concatenate([
+        tau_rows, arrive_rows, arrive_rows[sources.size:],
+        sink_rows, sink_rows,
+        np.full(n_y + 1, area_row),
+    ])
+    cols = np.concatenate([
+        tau_cols, c_cols[arrive], c_cols[tail],
+        c_cols[sinks], np.full(n_k, l_index),
+        np.arange(n_y), [l_index],
+    ])
+    vals = np.concatenate([
+        dt[tau_cols], np.full(n_a, -1.0), np.ones(n_e),
+        np.ones(n_k), np.full(n_k, -1.0),
+        da, [-1.0],
+    ])
+
+    cost = np.zeros(l_index + 1)
+    cost[l_index] = 1.0
+    bounds = np.zeros((l_index + 1, 2))
+    bounds[:n_y, 1] = 1.0
+    bounds[n_y:, 1] = np.inf
+    return {
+        "c": cost,
+        "A_ub": csc_matrix((vals, (rows, cols)), shape=(area_row + 1, l_index + 1)),
+        "b_ub": np.concatenate([-t0[arrive], np.zeros(n_k), [-fr.areas[first].sum() / fr.unit]]),
+        "bounds": bounds,
+    }
 
 
 #: The 15 arguments of the array ``passModel`` overload, in order.
@@ -502,7 +583,6 @@ def scripted_highs(monkeypatch, *scripted) -> list[dict]:
     through untouched.  Returns the list each attempt is appended to:
     ``{"options": {name: value}, "model": {PASS_MODEL_ARGS name: argument}}``."""
     from scipy.optimize._highspy import _core
-    from scipy.sparse import csc_matrix
 
     calls: list[dict] = []
     answers = iter(scripted)

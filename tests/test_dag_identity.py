@@ -15,8 +15,9 @@ replaced:
 
 import hashlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import ReferenceDAG, tiny_instance
 from repro.dag import generators, workflows
@@ -192,6 +193,23 @@ def test_the_csr_dag_equals_the_dict_dag(graph):
         assert dag.out_degree(v) == len(ref.successors(v))
     for u, v in edges:
         assert dag.has_edge(u, v) and not dag.has_edge(v, u)
+
+
+@given(graphs())
+@example(([], []))  # the empty DAG
+@example((["a", ("t", 0), 3], [("a", 3), (("t", 0), 3), ("a", 3)]))  # repeated edge
+@example(([5, "c", (2, "x")], []))  # isolated nodes only
+@settings(max_examples=200)
+def test_edge_positions_are_the_edges_over_positions(graph):
+    nodes, edges = graph
+    ref, _ = _reference_or_error(nodes, edges)
+    assume(ref is not None)
+    dag = DAG(nodes, edges)
+    tails, heads = dag.edge_positions()
+    assert tails.dtype == heads.dtype == np.int64
+    got = list(zip(tails.tolist(), heads.tolist()))
+    assert got == [(dag.index[u], dag.index[v]) for u, v in dag.edges()]
+    assert got == [(dag.index[u], dag.index[v]) for u, v in ref.edges()]
 
 
 def test_self_loops_and_cycles_are_refused_at_construction():

@@ -4,12 +4,18 @@ The rounding guarantees are deterministic — we assert them exactly (up to
 LP solver tolerance) on randomized instances, not just on fixtures.
 """
 
+import os
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     REFERENCE_LINPROG_OPTIONS,
+    lp_matrix,
     reference_linprog_solve,
     scripted_highs,
     tiny_instance,
@@ -21,6 +27,7 @@ from repro.core.dtct import (
     DTCTSolveError,
     FractionalSolution,
     _frontiers,
+    _highs_binding,
     _lp_problem,
     dtct_allocate,
     round_fractional,
@@ -208,7 +215,7 @@ class TestSolverFailure:
         inst = tiny_instance(seed=2)
         table = inst.candidate_table(full_grid)
         problem = _lp_problem(inst, _frontiers(inst, table))
-        a, b = problem["A_ub"], problem["b_ub"]
+        a, b = lp_matrix(problem), problem["b_ub"]
         x = reference_linprog_solve(problem, REFERENCE_LINPROG_OPTIONS).x.copy()
         # C of the first job in topological order, a source: lowering it
         # tightens its arrival row (row 0) and loosens every other row it is in
@@ -228,10 +235,17 @@ class TestSolverFailure:
 
 def test_the_private_highs_names_the_adapter_uses_exist():
     """``core/dtct.py::_solve`` drives scipy's private HiGHS bindings, which
-    any scipy release may rename.  Every name it uses is exercised here on a
-    two-column LP, so an upgrade that moves one fails this test loudly
-    rather than every LP quietly."""
+    any scipy release may rename or move.  Every name it uses is exercised
+    here on a two-column LP, and the extension file is where
+    ``_highs_binding`` looks for it, so an upgrade that moves either fails
+    this test loudly rather than every LP quietly."""
+    import scipy
     from scipy.optimize._highspy import _core
+
+    folder, name = os.path.split(_core.__file__)
+    assert folder == os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    assert name in {"_core" + suffix for suffix in EXTENSION_SUFFIXES}
+    assert _highs_binding() is _core
 
     ok = _core.HighsStatus.kOk
     solver = _core._Highs()
@@ -258,6 +272,71 @@ def test_the_private_highs_names_the_adapter_uses_exist():
     # every status ``_solve`` maps, kModelError (a refused model) among them
     assert "kModelError" in _STATUS
     assert set(_STATUS) <= set(_core.HighsModelStatus.__members__)
+
+
+#: Run in a fresh interpreter: a pipeline run, then ``linprog`` and
+#: ``milp``, in the order ``argv[1]`` names; exits 0 when all hold.
+_FRESH_INTERPRETER = """
+import sys
+import repro
+from repro.core.dtct import _highs_binding
+from repro.core.two_phase import moldable_schedule
+
+def pipeline():
+    inst = repro.make_instance(
+        repro.generators.layered_random(3, 3, seed=0), repro.ResourcePool.of(8, 8),
+        lambda j: repro.random_multi_resource_time(2, seed=1),
+    )
+    assert moldable_schedule(inst).allocator == "lp"
+
+def scipy_solvers():
+    from scipy.optimize import LinearConstraint, linprog, milp
+    assert linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method="highs").x.tolist() == [1, 0]
+    res = milp([1, 2], constraints=LinearConstraint([[2, 2]], lb=3), integrality=[1, 1])
+    assert res.x.tolist() == [2, 0]
+
+if sys.argv[1] == "lp-first":
+    pipeline()
+    assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
+    core = _highs_binding()
+    scipy_solvers()
+else:
+    from scipy.optimize._highspy import _core as core
+    scipy_solvers()
+    pipeline()
+from scipy.optimize._highspy import _core
+assert _highs_binding() is core is _core is sys.modules["scipy.optimize._highspy._core"]
+"""
+
+
+@pytest.mark.parametrize("order", ["lp-first", "scipy-first"])
+def test_the_lp_loads_the_binding_alone_and_shares_it_with_scipy(order):
+    """A pipeline run loads HiGHS's binding without ``scipy.optimize`` or
+    ``scipy.sparse`` (a third of its resident memory).  ``linprog`` and
+    ``milp`` then work on the same binding object, imported before or after
+    the LP's: pybind11 refuses a second copy."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, order], env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_a_missing_binding_names_the_path(tmp_path):
+    """No fallback: a scipy without the extension file where scipy keeps it
+    is an ``ImportError`` that says where it looked."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    code = (
+        "from repro.core.dtct import _highs_binding\n"
+        "try:\n    _highs_binding()\n"
+        "except ImportError as exc:\n    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    path = os.path.join(str(tmp_path), "scipy", "optimize", "_highspy", "_core")
+    assert run.stdout.startswith(f"scipy's HiGHS binding is not at {path}")
 
 
 class TestRounding:

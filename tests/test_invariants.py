@@ -12,7 +12,6 @@ lower-bound chain) that no single-module test pins down.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 

@@ -9,6 +9,8 @@ work is organised — so tables must be equal bit for bit.  The LP did change
 vertex.  How the delta form reaches HiGHS changed too (``core/dtct.py::_solve``
 instead of ``linprog``), and that change is held to the vertex itself: the
 same ``x``, bit for bit, as the frozen ``linprog`` call on the same problem.
+So is how the delta form's matrix is laid out: the column arrays must equal,
+dtypes included, those of the frozen assembler built on ``scipy.sparse``.
 """
 
 import numpy as np
@@ -19,8 +21,10 @@ from helpers import (
     REFERENCE_LINPROG_OPTIONS,
     HalvingSpeedup,
     kernel_frontier,
+    lp_matrix,
     pipeline_instance,
     reference_candidate_table,
+    reference_delta_lp_problem,
     reference_linprog_solve,
     reference_lower_hull,
     reference_lp_problem,
@@ -29,6 +33,7 @@ from helpers import (
     scripted_highs,
     tiny_instance,
 )
+from repro.conformance.fuzz import build_case_instance, default_matrix
 from repro.conformance.invariants import validate_schedule
 from repro.core.dtct import (
     _HIGHS_OPTIONS,
@@ -41,6 +46,7 @@ from repro.core.dtct import (
 from repro.core.two_phase import moldable_schedule
 from repro.dag.generators import independent, layered_random
 from repro.dag.graph import DAG
+from repro.experiments.workloads import WORKLOAD_FAMILIES
 from repro.instance.instance import Instance, make_instance
 from repro.jobs.candidates import diagonal_grid, full_grid, geometric_grid
 from repro.jobs.job import Job
@@ -293,6 +299,23 @@ def assert_same_vertex_as_linprog(inst, table):
         assert answer.iterations == ref.nit
 
 
+def assert_same_lp_arrays(inst, table):
+    """``_lp_problem`` against the assembler that built its matrix with
+    ``scipy.sparse`` and its edge rows from ``list(dag.edges())``: the same
+    column arrays, dtypes included, and the same ``c``, ``b_ub`` and
+    ``bounds`` — what HiGHS is handed is unchanged."""
+    fr = _frontiers(inst, table)
+    live, ref = _lp_problem(inst, fr), reference_delta_lp_problem(inst, fr)
+    a = ref["A_ub"]
+    assert live["shape"] == a.shape
+    for name in ("indptr", "indices", "data"):
+        assert live[name].dtype == getattr(a, name).dtype, name
+        assert np.array_equal(live[name], getattr(a, name)), name
+    for name in ("c", "b_ub", "bounds"):
+        assert live[name].dtype == ref[name].dtype, name
+        assert np.array_equal(live[name], ref[name]), name
+
+
 def assert_schedules(inst, **opts):
     result = moldable_schedule(inst, **opts)
     assert result.allocator == "lp"
@@ -367,6 +390,20 @@ class TestLPOracle:
         _, inst, table, _, _ = solved
         assert_same_vertex_as_linprog(inst, table)
 
+    def test_same_lp_arrays_as_the_scipy_assembler(self, solved):
+        _, inst, table, _, _ = solved
+        assert_same_lp_arrays(inst, table)
+
+
+@pytest.mark.parametrize("family", WORKLOAD_FAMILIES)
+def test_every_fuzz_family_gets_the_scipy_assembler_arrays(family):
+    """Every quick fuzz case the two-phase scheduler runs, by family."""
+    cases = default_matrix(quick=True, schedulers=["ours"], families=[family])
+    assert len(cases) == 5
+    for case in cases:
+        inst = build_case_instance(case)
+        assert_same_lp_arrays(inst, inst.candidate_table())
+
 
 def test_edge_rows_follow_dag_edges_not_the_topological_order():
     """The vertex HiGHS stops at depends on the row order: edge rows sorted
@@ -379,7 +416,7 @@ def test_edge_rows_follow_dag_edges_not_the_topological_order():
     edges = list(dag.edges())
     position = {j: i for i, j in enumerate(order)}
     assert sorted(edges, key=lambda e: position[e[0]]) != edges
-    a = _lp_problem(inst, _frontiers(inst, inst.candidate_table()))["A_ub"]
+    a = lp_matrix(_lp_problem(inst, _frontiers(inst, inst.candidate_table())))
     sources = sum(1 for j in order if not dag.predecessors(j))
     first_c = a.shape[1] - inst.n - 1
     # an edge row u -> j has +1 at C_u and -1 at C_j among the C columns

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +26,15 @@ class TestResourceVector:
 
     def test_coerces_to_int(self):
         assert ResourceVector((1.0, 2.0)) == (1, 2)
+        v = ResourceVector((2.0, np.int64(1)))
+        assert v == (2, 1) and all(type(a) is int for a in v)
+
+    @pytest.mark.parametrize("amounts", [(2.7, 1), (True, 1), (1, np.True_), (math.inf, 1)])
+    def test_refuses_what_is_not_a_whole_amount(self, amounts):
+        """A fractional amount is refused, not truncated (a job would run on
+        less than it asked for), and a boolean is not an amount."""
+        with pytest.raises(ValueError, match="whole numbers|infinity"):
+            ResourceVector(amounts)
 
     def test_zeros_ones_unit(self):
         assert ResourceVector.zeros(3) == (0, 0, 0)
@@ -131,14 +141,18 @@ class TestResourcePool:
         with pytest.raises(ValueError, match="platform capacities must be a positive vector"):
             build()
 
+    def test_refuses_a_fractional_capacity(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ResourcePool.of(8.5, 8)
+
     def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
             ResourcePool.of(4, 8, names=("one",))
 
     def test_fits(self):
-        pool = ResourcePool.of(4, 4)
-        assert pool.fits(ResourceVector((2, 2)), ResourceVector((2, 2)))
-        assert not pool.fits(ResourceVector((3, 2)), ResourceVector((2, 2)))
+        """Algorithm 2's admission test is ``demand ⪯ available``."""
+        assert ResourceVector((2, 2)).dominated_by(ResourceVector((2, 2)))
+        assert not ResourceVector((3, 2)).dominated_by(ResourceVector((2, 2)))
 
     def test_validate_allocation(self):
         pool = ResourcePool.of(4, 4)
