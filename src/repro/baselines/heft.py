@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.baselines.naive import BaselineResult, knee
+from repro.baselines.naive import BaselineResult
 from repro.dag.paths import bottom_levels
 from repro.engine.dispatch import run_dynamic
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
+from repro.jobs.profiles import knee
 from repro.registry import register_scheduler
 from repro.resources.vector import ResourceVector
 

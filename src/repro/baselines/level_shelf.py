@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.baselines.naive import BaselineResult, knee
+from repro.baselines.naive import BaselineResult
 from repro.dag.analysis import node_levels
 from repro.engine.shelves import pack_shelves, stack_shelves
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
+from repro.jobs.profiles import knee
 from repro.registry import register_scheduler
 from repro.sim.schedule import Schedule, ScheduledJob
 

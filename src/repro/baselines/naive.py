@@ -20,6 +20,7 @@ from typing import Callable, Hashable
 from repro.core.list_scheduler import PriorityRule, fifo_priority, list_schedule
 from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
+from repro.jobs.profiles import knee
 from repro.registry import register_scheduler
 from repro.resources.vector import ResourceVector
 from repro.sim.schedule import Schedule
@@ -28,11 +29,6 @@ __all__ = ["BaselineResult", "knee", "min_area_scheduler", "min_time_scheduler",
            "balanced_scheduler"]
 
 JobId = Hashable
-
-
-def knee(entries):
-    """The knee of a ``(t, a)`` frontier: the entry minimizing ``t·a``."""
-    return min(entries, key=lambda e: e.time * e.area)
 
 
 @dataclass(frozen=True)

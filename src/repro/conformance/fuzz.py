@@ -63,6 +63,7 @@ from typing import Sequence
 from repro.conformance.invariants import validate_schedule
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.experiments.workloads import WORKLOAD_FAMILIES, random_instance
+from repro.instance.compiled import Allocation
 from repro.instance.instance import Instance, with_poisson_arrivals
 from repro.instance.serialize import instance_from_json, instance_to_json
 from repro.jobs.candidates import make_candidates
@@ -478,23 +479,26 @@ def service_specs(inst: Instance, allocation) -> list:
     """Lower ``(instance, allocation)`` to submittable service job specs.
 
     Ids become their ``repr`` (the portable key the serializers use),
-    durations are the instance's times at the fixed allocation, and the
+    demands and durations are the rows of ``Allocation.lower(inst,
+    allocation)`` (the instance's times at the fixed allocation), and the
     priority key is the topological index — the FIFO order the batch
     comparison run uses.  Shared with the hypothesis checkpoint suite.
     """
     from repro.service.session import JobSpec
 
-    order = inst.dag.topological_order()
+    lowered = Allocation.lower(inst, allocation)
     return [
         JobSpec(
             id=repr(j),
-            demand=tuple(int(a) for a in allocation[j]),
-            duration=inst.time(j, allocation[j]),
+            demand=tuple(demand),
+            duration=duration,
             preds=tuple(repr(u) for u in inst.dag.predecessors(j)),
             release=inst.jobs[j].release,
             key=i,
         )
-        for i, j in enumerate(order)
+        for i, (j, demand, duration) in enumerate(
+            zip(inst.dag.order, lowered.matrix.tolist(), lowered.durations.tolist())
+        )
     ]
 
 

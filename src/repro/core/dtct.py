@@ -53,6 +53,23 @@ data into the right-hand side, which HiGHS compares with absolute
 tolerances, and dividing by a power of two is exact — the solve does not
 depend on whether times are in seconds or nanoseconds.
 
+**When no LP is needed.**  Put every job on its last (slowest, cheapest)
+candidate: total area ``A_min = Σ_j a_{j,last}``, longest path ``C_slow``
+(the largest bottom level at the times ``t_{j,last}``).  If ``C_slow <=
+A_min`` the optimum is known in closed form:
+
+    lower bound:  every feasible point has ``L >= Σ_j γ_j >= A_min`` (area row);
+    optimality:   the all-last point is feasible at ``L = A_min``;
+    uniqueness:   areas strictly decrease along a frontier, so ``Σ_j γ_j =
+                  A_min`` puts every job on its last candidate.
+
+This is Definition 2's ``L(p) = max(A(p), C(p))`` attained by its area half,
+so ``L_LP = L_min`` and the relaxation is tight.  :func:`solve_dtct_lp` checks
+it before any hull or LP work and returns ``x`` one-hot on each last
+candidate; HiGHS is not loaded.  Because the optimum is unique, any solver's
+answer rounds to the same ``p'``.  When ``C_slow > A_min`` the LP goes to
+HiGHS unchanged.
+
 **How it is solved.**  The model goes to HiGHS through the private binding
 scipy ships (``scipy.optimize._highspy._core``), not through ``linprog``,
 and numpy is all it takes to get there.  :func:`_lp_problem` lays the matrix
@@ -111,11 +128,13 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.dag.paths import bottom_levels_array
 from repro.instance.compiled import Allocation
 from repro.instance.instance import Instance
 from repro.jobs.profiles import CandidateTable, ProfileEntry, take_segments
@@ -237,7 +256,8 @@ class _Frontiers:
     ``i``.  Hull segment ``s`` — one LP column — joins the candidates at
     flat positions ``lo[s]`` and ``hi[s]``; segments are in job order and,
     within a job, in time order.  ``unit`` is the power of two the LP's
-    times and areas are divided by.
+    times and areas are divided by.  The hulls are built on the first read
+    of ``lo`` or ``hi``: only the LP reads them.
     """
 
     job_order: list
@@ -245,9 +265,21 @@ class _Frontiers:
     times: np.ndarray
     areas: np.ndarray
     job_of: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     unit: float
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        hull = _lower_hulls(self.times, self.areas, self.job_of)
+        seg = np.flatnonzero(self.job_of[hull[1:]] == self.job_of[hull[:-1]])
+        return hull[seg], hull[seg + 1]
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self._segments[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self._segments[1]
 
 
 def _lower_hulls(times: np.ndarray, areas: np.ndarray, job_of: np.ndarray) -> np.ndarray:
@@ -276,7 +308,7 @@ def _columns(table: Mapping[JobId, Sequence[ProfileEntry]]) -> CandidateTable:
 
 
 def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]) -> _Frontiers:
-    """``table``'s columns permuted to topological order, checked, with hulls."""
+    """``table``'s columns permuted to topological order and checked."""
     table = _columns(table)
     job_order = instance.dag.topological_order()
     n = len(job_order)
@@ -304,12 +336,10 @@ def _frontiers(instance: Instance, table: Mapping[JobId, Sequence[ProfileEntry]]
             "returns)"
         )
 
-    hull = _lower_hulls(times, areas, job_of)
-    seg = np.flatnonzero(job_of[hull[1:]] == job_of[hull[:-1]])
     # L_LP is at least every job's shortest time and the sum of the smallest areas
     floor = max(times[starts[:-1]].max(), areas[starts[1:] - 1].sum())
     unit = math.ldexp(1.0, math.frexp(floor)[1] - 1)  # floor / unit in [1, 2)
-    return _Frontiers(job_order, starts, times, areas, job_of, hull[seg], hull[seg + 1], unit)
+    return _Frontiers(job_order, starts, times, areas, job_of, unit)
 
 
 def _lp_problem(instance: Instance, fr: _Frontiers) -> dict:
@@ -501,24 +531,10 @@ def _project(fr: _Frontiers, lam: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_dtct_lp(
-    instance: Instance,
-    table: Mapping[JobId, Sequence[ProfileEntry]],
-) -> FractionalSolution:
-    """Solve the relaxed DTCT LP with HiGHS (the copy scipy ships).
-
-    ``table`` maps each job to its non-dominated candidate entries as
-    :meth:`Instance.candidate_table` returns them — times strictly
-    increasing, areas strictly decreasing; a hand-built table that is not in
-    that order, or that lacks one of the instance's jobs, is refused with
-    ``ValueError``.  Raises :class:`DTCTSolveError` if neither the tuned
-    options nor HiGHS's defaults reach an optimum (should not happen: the LP
-    is always feasible and bounded).
-    """
-    if instance.n == 0:
-        return FractionalSolution(0.0, {}, {}, {})
-
-    fr = _frontiers(instance, table)
+def _lp_optimum(instance: Instance, fr: _Frontiers) -> tuple[np.ndarray, float]:
+    """The LP solved by HiGHS: flat candidate weights and ``L_LP``.  The
+    tuned options first, HiGHS's defaults once if they fail, then
+    :class:`DTCTSolveError`."""
     problem = _lp_problem(instance, fr)
     answer = _solve(problem, _HIGHS_OPTIONS)
     if answer.status:
@@ -531,13 +547,54 @@ def solve_dtct_lp(
                 answer.status, answer.message, tuned_status=tuned_status, rows=rows,
                 columns=columns,
             )
+    return _project(fr, answer.x[: fr.lo.size]), float(answer.x[-1]) * fr.unit
 
-    x = _project(fr, answer.x[: fr.lo.size])
+
+def solve_dtct_lp(
+    instance: Instance,
+    table: Mapping[JobId, Sequence[ProfileEntry]],
+) -> FractionalSolution:
+    """Solve the relaxed DTCT LP: in closed form when the area bound is
+    attained, with HiGHS (the copy scipy ships) otherwise.
+
+    ``table`` maps each job to its non-dominated candidate entries as
+    :meth:`Instance.candidate_table` returns them — times strictly
+    increasing, areas strictly decreasing; a hand-built table that is not in
+    that order, or that lacks one of the instance's jobs, is refused with
+    ``ValueError``.
+
+    If ``C_slow <= A_min`` (module docstring, *When no LP is needed*) the
+    answer is ``x`` one-hot on every job's last candidate with
+    ``lower_bound = A_min``, the last areas summed by ``math.fsum``: the
+    exact sum rounded once, to within half an ulp.  Both sides of the test
+    are floats: ``C_slow`` is a sum of times rounded at each step, so within
+    a few ulps of ``A_min`` the closed form may be taken where exact
+    arithmetic finds the path a few ulps longer.  ``A_min`` is then below
+    ``L_LP`` by those ulps, far inside HiGHS's own tolerances, and still a
+    lower bound (to that half ulp): the area row gives it for every point.
+
+    Otherwise raises :class:`DTCTSolveError` if neither the tuned options
+    nor HiGHS's defaults reach an optimum (should not happen: the LP is
+    always feasible and bounded).
+    """
+    if instance.n == 0:
+        return FractionalSolution(0.0, {}, {}, {})
+
+    fr = _frontiers(instance, table)
+    last = fr.starts[1:] - 1
+    area = math.fsum(fr.areas[last].tolist())
+    if bottom_levels_array(instance.dag, fr.times[last]).max() <= area:
+        x = np.zeros(fr.times.size)
+        x[last] = 1.0
+        lower_bound = area
+    else:
+        x, lower_bound = _lp_optimum(instance, fr)
+
     n = len(fr.job_order)
     tau = np.bincount(fr.job_of, weights=fr.times * x, minlength=n)
     gamma = np.bincount(fr.job_of, weights=fr.areas * x, minlength=n)
     return FractionalSolution(
-        lower_bound=float(answer.x[-1]) * fr.unit,
+        lower_bound=lower_bound,
         fractions=dict(zip(fr.job_order, np.split(x, fr.starts[1:-1]))),
         fractional_times=dict(zip(fr.job_order, tau.tolist())),
         fractional_areas=dict(zip(fr.job_order, gamma.tolist())),

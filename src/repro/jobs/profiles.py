@@ -47,6 +47,7 @@ __all__ = [
     "CandidateTable",
     "take_segments",
     "pareto_rows",
+    "knee",
 ]
 
 
@@ -101,6 +102,12 @@ class TabulatedTimeFunction:
             if feas:
                 return min(feas)
         raise KeyError(f"allocation {tuple(alloc)} not in profile table")
+
+
+def knee(entries: Sequence[ProfileEntry]) -> ProfileEntry:
+    """The knee of a ``(t, a)`` frontier: the entry minimizing ``t·a`` (the
+    first such entry on a tie)."""
+    return min(entries, key=lambda e: e.time * e.area)
 
 
 def take_segments(starts: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from typing import Hashable
 
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance
+from repro.jobs.profiles import knee
 from repro.resources.pool import ResourcePool
 
 __all__ = ["MalleableJob", "MalleableInstance", "moldable_to_malleable"]
@@ -111,14 +112,13 @@ def moldable_to_malleable(instance: Instance, *, max_tasks_per_job: int = 10_000
     table = instance.candidate_table()
     jobs: dict[JobId, MalleableJob] = {}
     for j in instance.jobs:
-        entries = table[j]
-        knee = min(entries, key=lambda e: e.time * e.area)
-        height = max(1, math.ceil(knee.time))
+        balanced = knee(table[j])
+        height = max(1, math.ceil(balanced.time))
         rtype: dict[TaskId, int] = {}
         edges: list[tuple[TaskId, TaskId]] = []
         count = 0
         for i in range(instance.d):
-            work = knee.alloc[i] * knee.time
+            work = balanced.alloc[i] * balanced.time
             n_units = math.ceil(work)
             if n_units == 0:
                 continue

@@ -1678,6 +1678,25 @@ def reference_adjust_allocation(instance: Instance, p_prime, mu: float):
     return allocation, frozenset(adjusted)
 
 
+def reference_service_specs(inst: Instance, allocation) -> list:
+    """``conformance/fuzz.py::service_specs`` as it stood while it cast each
+    amount and evaluated ``inst.time`` per job: the specs the lowered rows
+    must reproduce."""
+    from repro.service.session import JobSpec
+
+    return [
+        JobSpec(
+            id=repr(j),
+            demand=tuple(int(a) for a in allocation[j]),
+            duration=inst.time(j, allocation[j]),
+            preds=tuple(repr(u) for u in inst.dag.predecessors(j)),
+            release=inst.jobs[j].release,
+            key=i,
+        )
+        for i, j in enumerate(inst.dag.topological_order())
+    ]
+
+
 def reference_dict_list_schedule(instance: Instance, allocation, priority=fifo_priority) -> Schedule:
     """Algorithm 2 over a dict: the dict lowered by the layout's bounds
     rule in topological order, one ``instance.time`` per job."""

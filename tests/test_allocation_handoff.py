@@ -14,7 +14,18 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import reference_dict_list_schedule, reference_moldable_schedule
+from helpers import (
+    reference_dict_list_schedule,
+    reference_moldable_schedule,
+    reference_service_specs,
+)
+from repro.conformance.fuzz import (
+    _run_scheduler,
+    _strategy_for,
+    build_case_instance,
+    default_matrix,
+    service_specs,
+)
 from repro.core.adjustment import adjust_allocation
 from repro.core.allocation import allocate_resources
 from repro.core.independent import optimal_independent_allocation
@@ -23,6 +34,7 @@ from repro.core.sp_fptas import sp_fptas_allocation
 from repro.core.two_phase import MoldableScheduler
 from repro.experiments.workloads import WORKLOAD_FAMILIES, perturbed_instance, random_instance
 from repro.instance.compiled import Allocation
+from repro.registry import get_scheduler
 from repro.resources.pool import ResourcePool
 
 #: capacity per d: the geometric grid stays small at d = 8 and d = 12
@@ -141,3 +153,22 @@ def test_a_value_comes_only_from_the_checked_lowering():
     fits_big = Allocation.lower(big, over)
     with pytest.raises(ValueError, match="capacit"):
         list_schedule(small, fits_big)
+
+
+def test_service_specs_are_the_lowered_rows():
+    """``service_specs`` reads one ``Allocation.lower``'s matrix and
+    durations: on every ``ours`` case of the quick fuzz matrix the specs
+    equal the per-job casts and ``inst.time`` calls it replaced, durations
+    bit for bit — for the result's value and for a plain dict of it."""
+    spec = get_scheduler("ours")
+    cases = [c for c in default_matrix(quick=True) if c.scheduler == "ours"]
+    assert len(cases) >= 50
+    for case in cases:
+        inst = build_case_instance(case)
+        allocation = _run_scheduler(spec, inst, _strategy_for(case)).allocation
+        want = reference_service_specs(inst, allocation)
+        for given in (allocation, dict(allocation)):
+            got = service_specs(inst, given)
+            assert got == want, case
+            assert bits([s.duration for s in got]) == bits([s.duration for s in want]), case
+            assert all(type(a) is int for s in got for a in s.demand), case

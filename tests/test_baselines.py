@@ -48,6 +48,19 @@ class TestFixedAllocationBaselines:
             best = min(entries, key=lambda e: e.time * e.area)
             assert res.allocation[j] == best.alloc
 
+    def test_one_knee_rule(self):
+        """The knee lives in ``jobs/profiles.py``; every baseline and the
+        malleable relaxation use that one function, and the old import path
+        ``repro.baselines.naive.knee`` still resolves to it."""
+        from repro.baselines import backfill, heft, level_shelf, naive
+        from repro.jobs import profiles
+        from repro.malleable import model
+
+        assert all(
+            module.knee is profiles.knee
+            for module in (naive, heft, level_shelf, backfill, model)
+        )
+
     @pytest.mark.parametrize("scheduler", ALL_GENERAL)
     def test_valid_and_above_lower_bound(self, scheduler):
         inst = tiny_instance(seed=13, d=2, capacity=6,

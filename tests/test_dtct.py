@@ -4,6 +4,7 @@ The rounding guarantees are deterministic — we assert them exactly (up to
 LP solver tolerance) on randomized instances, not just on fixtures.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     REFERENCE_LINPROG_OPTIONS,
     lp_matrix,
+    pipeline_instance,
     reference_linprog_solve,
     scripted_highs,
     tiny_instance,
@@ -231,6 +233,39 @@ class TestSolverFailure:
         assert [call["options"] for call in calls] == [TUNED, BASE]
         assert (err.value.status, err.value.tuned_status) == (4, 4)
         assert "breaks the model by more than 3.16E-04" in err.value.message
+
+
+def test_highs_runs_only_where_the_area_bound_is_not_attained(monkeypatch):
+    """A count: the three seed-0 inputs of the ``moldable-pipeline``
+    workload (10 x 100, every job's slowest candidate makes a path shorter
+    than the least area) are solved without HiGHS, at ``L_LP`` the least
+    area; a 20 x 50 input of the same generator, whose slow path is longer,
+    reaches HiGHS once, with the tuned options."""
+    calls = scripted_highs(monkeypatch, None, None, None, None)
+    for i in range(3):
+        inst = pipeline_instance(10, 100, [0, i])
+        table = inst.candidate_table()
+        sol = solve_dtct_lp(inst, table)
+        assert sol.lower_bound == math.fsum(es[-1].area for es in table.values())
+        assert all(x[-1] == 1.0 == x.sum() for x in sol.fractions.values())
+    assert calls == []
+    solve_dtct_lp(mixed := pipeline_instance(20, 50, 5), mixed.candidate_table())
+    assert [call["options"] for call in calls] == [TUNED]
+
+
+def test_the_closed_form_never_loads_the_binding():
+    """A pipeline run whose LP is solved in closed form leaves HiGHS's
+    binding unloaded (fresh interpreter)."""
+    code = (
+        "import sys, repro\n"
+        "inst = repro.make_instance(repro.generators.layered_random(3, 10, seed=0),\n"
+        "    repro.ResourcePool.of(8, 8), lambda j: repro.random_multi_resource_time(2, seed=1))\n"
+        "assert repro.get_scheduler('ours').schedule(inst).phase1.fractional.lower_bound > 0\n"
+        "assert 'scipy.optimize._highspy._core' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_the_private_highs_names_the_adapter_uses_exist():

@@ -13,9 +13,11 @@ So is how the delta form's matrix is laid out: the column arrays must equal,
 dtypes included, those of the frozen assembler built on ``scipy.sparse``.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     REFERENCE_LINPROG_OPTIONS,
@@ -37,7 +39,9 @@ from repro.conformance.fuzz import build_case_instance, default_matrix
 from repro.conformance.invariants import validate_schedule
 from repro.core.dtct import (
     _HIGHS_OPTIONS,
+    FractionalSolution,
     _frontiers,
+    _lp_optimum,
     _lp_problem,
     _solve,
     round_fractional,
@@ -573,11 +577,93 @@ class TestDegenerateProfiles:
         assert reference_solve_dtct_lp(inst, tiny).lower_bound == 0.0
 
 
+# ---------------------------------------------------------------------------
+# The closed form (module docstring of ``core/dtct.py``, "When no LP is
+# needed"): where every job's slowest candidate makes a path no longer than
+# the least area, the optimum is that all-last point, and it is unique.
+# ---------------------------------------------------------------------------
+def slow_path_and_least_area(inst, table) -> tuple[float, float]:
+    """``(C_slow, A_min)``, read off the table by hand."""
+    order = inst.dag.topological_order()
+    done: dict = {}
+    for j in order:
+        done[j] = table[j][-1].time + max((done[u] for u in inst.dag.predecessors(j)), default=0.0)
+    return max(done.values()), math.fsum(table[j][-1].area for j in order)
+
+
+def with_areas(table, k: float, *, nudge=None, by: float = 0.0):
+    """Every area times ``k``; then job ``nudge``'s last area plus ``by``."""
+    out = {j: [ProfileEntry(e.alloc, e.time, e.area * k) for e in es] for j, es in table.items()}
+    if nudge is not None:
+        *rest, last = out[nudge]
+        out[nudge] = [*rest, ProfileEntry(last.alloc, last.time, last.area + by)]
+    return out
+
+
+@st.composite
+def both_regimes(draw):
+    """A small moldable instance and its table, with the areas as drawn,
+    scaled by a drawn factor around ``C_slow / A_min``, or scaled and nudged
+    so that ``A_min`` lands within a few ulps of ``C_slow``, either side."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    inst = tiny_instance(
+        d=draw(st.integers(1, 3)), edges=tuple(edges), n=n, seed=draw(st.integers(0, 2**16))
+    )
+    table = dict(inst.candidate_table())
+    c_slow, a_min = slow_path_and_least_area(inst, table)
+    mode = draw(st.sampled_from(["drawn", "scaled", "tie"]))
+    if mode == "scaled":
+        table = with_areas(table, draw(st.floats(0.25, 4.0)) * c_slow / a_min)
+    elif mode == "tie":
+        table = with_areas(table, c_slow / a_min)
+        job = max(table, key=lambda j: table[j][-1].area)
+        ulps = draw(st.integers(-4, 4))
+        target = c_slow + ulps * math.ulp(c_slow)
+        table = with_areas(table, 1.0, nudge=job, by=target - slow_path_and_least_area(inst, table)[1])
+        areas = frontier(table, job)[1]
+        assume(areas[-1] > 0.0 and (len(areas) == 1 or areas[-1] < areas[-2]))
+    return inst, table
+
+
+class TestClosedForm:
+    @given(both_regimes())
+    @settings(max_examples=80, deadline=None)
+    def test_both_regimes_agree_with_the_oracle_and_the_lp(self, case):
+        """Either side of ``C_slow = A_min``, down to a few ulps: the bound
+        is the frozen oracle's and the LP's, and the closed form rounds as
+        both do at every ρ (its optimum is unique).  HiGHS runs once exactly
+        when the slow path is longer than the least area."""
+        inst, table = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = scripted_highs(mp, None)
+            sol = assert_agrees_with_oracle(inst, table)
+        ref = reference_solve_dtct_lp(inst, table)
+        fr = _frontiers(inst, table)
+        x, bound = _lp_optimum(inst, fr)  # the HiGHS path, whatever the regime
+        lp = FractionalSolution(bound, dict(zip(fr.job_order, np.split(x, fr.starts[1:-1]))), {}, {})
+        assert sol.lower_bound == pytest.approx(bound, rel=1e-9, abs=0.0)
+        c_slow, a_min = slow_path_and_least_area(inst, table)
+        assert len(calls) == (c_slow > a_min)
+        for rho in RHOS:
+            p_prime = round_fractional(table, sol, rho)
+            assert p_prime == round_fractional(table, lp, rho)
+            if not calls:
+                assert p_prime == round_fractional(table, ref, rho)
+        if not calls:
+            assert sol.lower_bound == a_min
+            assert all(x.tolist() == [0.0] * (len(x) - 1) + [1.0] for x in sol.fractions.values())
+
+
 def test_problem_has_no_redundant_row_or_column(monkeypatch):
-    """A count, not a stopwatch: on a 10 x 100 layered instance the LP is
+    """A count, not a stopwatch: on a 20 x 50 layered instance the LP is
     ``sources + edges + sinks + 1`` rows by ``segments + n + 1`` columns and
-    has no equality block — a reintroduced per-job row block shows here."""
-    inst = pipeline_instance(10, 100, 5)
+    has no equality block — a reintroduced per-job row block shows here.
+    The instance is a mixed one (its slow critical path is longer than its
+    least area), so the LP reaches HiGHS; the 10 x 100 shape of the
+    ``moldable-pipeline`` workload is solved in closed form."""
+    inst = pipeline_instance(20, 50, 5)
     table = inst.candidate_table()
     calls = scripted_highs(monkeypatch, None)
     solve_dtct_lp(inst, table)
@@ -590,7 +676,7 @@ def test_problem_has_no_redundant_row_or_column(monkeypatch):
     segments = sum(
         len(reference_lower_hull(*frontier(table, j))) - 1 for j in inst.jobs
     )
-    assert sources == 100 and sinks > 0 and segments > inst.n
+    assert sources == 50 and sinks > 0 and segments > inst.n
     shape = (model["num_row"], model["num_col"])
     assert shape == (sources + dag.num_edges + sinks + 1, segments + inst.n + 1)
     assert model["row_upper"].shape == (model["num_row"],)
