@@ -698,7 +698,7 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             print(f"error: cannot restore {args.restore}: {exc}", file=sys.stderr)
             return 2
-        print(f"serve: resumed {len(session.gi.order)} job(s) at clock "
+        print(f"serve: resumed {len(session)} job(s) at clock "
               f"{session.now:g} from {args.restore}", file=sys.stderr)
     if args.journal:
         snapshot = args.snapshot or args.journal + ".snapshot.json"
@@ -716,7 +716,7 @@ def _cmd_serve(args, argv: "Sequence[str] | None" = None) -> int:
                 )
                 session = durable.session
                 if durable.recovered:
-                    print(f"serve: recovered {len(session.gi.order)} job(s) at "
+                    print(f"serve: recovered {len(session)} job(s) at "
                           f"clock {session.now:g} from {snapshot} "
                           f"(+{durable.replayed} journal record(s) replayed, "
                           f"{durable.deduped} deduplicated)", file=sys.stderr)

@@ -5,8 +5,9 @@
   2's priority scan (``PriorityLoop``, the batch kernel: a fixed job set,
   run once to completion, one output — the start log;
   ``IncrementalPriorityLoop``, the one resumable loop, behind the online
-  session and ``repro schedule --follow`` — one python-int demand image
-  and one sorted-list ready queue in both, for any ``d``),
+  session and ``repro schedule --follow``, which owns every row of a live
+  session — one python-int demand image and one sorted-list ready queue
+  in both, for any ``d``),
   ``run_dynamic`` for dispatch-time allocation policies (Tetris, HEFT),
   and the batch rule :data:`~repro.engine.dispatch.TIME_EPS` all of them
   share;

@@ -38,10 +38,11 @@ one vector operation.
 * :class:`IncrementalPriorityLoop` — the resumable loop, stepped with
   ``run(until)`` as virtual time advances, behind
   :class:`~repro.service.session.SchedulingSession` (and so behind ``repro
-  serve`` and ``repro schedule --follow``): runs on a
-  :class:`~repro.instance.compiled.GrowableCompiledInstance`, admits jobs
-  *while scheduling* (``admit_batch``), supports cancellation of
-  not-yet-started jobs, and keeps the ready queue as ``(key, row index)``
+  serve`` and ``repro schedule --follow``).  It owns every row of a live
+  session — one append-only list per column, from the job's id and
+  predecessors to its state and start — admits jobs *while scheduling*
+  (``admit``), supports cancellation of not-yet-started jobs, drops dead
+  rows (``compact``), and keeps the ready queue as ``(key, row index)``
   tuples — the identical total order the rank lowering realizes, so a
   session driven submission-order-faithfully reproduces the batch schedule
   event for event (the conformance service family asserts this).  Its
@@ -65,7 +66,8 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.instance.compiled import compile_instance
+from repro.instance.compiled import DemandLayout, compile_instance
+from repro.resources.vector import whole_amounts
 from repro.sim.schedule import Schedule, ScheduledJob
 
 __all__ = [
@@ -539,7 +541,7 @@ class PriorityLoop:
 
 
 # ----------------------------------------------------------------------
-# the growable (online-session) loop
+# the online-session loop: the one owner of a live session's rows
 # ----------------------------------------------------------------------
 
 #: Job states inside :class:`IncrementalPriorityLoop`.
@@ -547,11 +549,12 @@ J_WAITING, J_QUEUED, J_RUNNING, J_DONE, J_CANCELLED = range(5)
 
 
 class IncrementalPriorityLoop:
-    """Algorithm 2's discipline over a growing job set, resumable.
+    """Algorithm 2's discipline over a growing job set, resumable — and the
+    one owner of a live session's rows.
 
     The online form of :class:`PriorityLoop`: jobs are admitted with
-    :meth:`admit_batch` *at any point* — including between :meth:`run`
-    calls with the clock mid-schedule — and not-yet-started jobs can be
+    :meth:`admit` *at any point* — including between :meth:`run` calls
+    with the clock mid-schedule — and not-yet-started jobs can be
     cancelled.  The ready queue :attr:`rq` is the sorted list of ``(key,
     index)`` tuples itself, kept in order with ``bisect.insort`` and
     ``del`` — *exactly* the ``(key, index)`` total order the batch rank
@@ -567,17 +570,42 @@ class IncrementalPriorityLoop:
     conformance service family asserts this at every step, including
     through :meth:`compact`).
 
+    **The rows.**  Every admitted job is one row, and every column of it
+    is an append-only python list indexed by row: ``order`` (the ids),
+    ``index`` (id → row), ``succ`` and ``preds`` (row indices), ``ext_preds``
+    (satisfied predecessors by id), ``demand``, ``packed``, ``duration``,
+    ``key`` and ``release``, fixed at admission, and ``state``,
+    ``remaining``, ``start`` and ``finish``, which the loop moves.  Rows are
+    appended in a topological order — every predecessor of a row has a
+    lower index — so tie-breaks key on positions in ``order`` exactly as
+    they do in the batch lowering.  There are three ways in:
+    :meth:`admit` appends a batch at the clock, :meth:`load` appends a
+    checkpoint's rows with their stored states, and :meth:`compact` drops
+    the dead rows; nothing else appends or removes one.  A row must pass
+    the layout's bounds rule before it is appended (the session's
+    ``_validate_numeric``, on submit and restore alike), so the admission
+    test never sees an infeasible row and no field of an image carries
+    into its neighbour.
+
+    **One demand encoding.**  ``packed[i]`` is a python-int image of the
+    demand row in the platform's :class:`~repro.instance.compiled.DemandLayout`
+    (:attr:`layout`, the batch lowering's) on *every* platform, so the
+    admission test is always ``(avh - a) & fit_mask == fit_mask`` — python
+    ints do not overflow, whatever ``d * bits`` comes to.  ``layout.packable``
+    says one thing only: the images may also be held in a ``uint64`` array.
+
     The ``uint64`` demand column :attr:`rp` is a **cache of the list, not
     the queue**: it exists only while the queue is long and the images fit
     a ``uint64``, and then the whole queue is tested in one vector
     operation (a bag-of-tasks submit leaves thousands of rows queued, and
     scanning those per completion costs ten times the vector pass).
     Invariant, after every method: ``rp is None`` ⇔ ``not
-    gi.layout.packable or len(rq) <= _VECTOR_QUEUE``; otherwise ``rp[p] == gi.packed[rq[p][1]]``
-    for every position ``p`` of the queue (the buffer may be longer — room
-    for insertions).  It is gathered from the list when the queue grows
-    past the constant, patched at the positions the list is while the
-    queue stays long, and dropped when the queue shrinks back.
+    layout.packable or len(rq) <= _VECTOR_QUEUE``; otherwise ``rp[p] ==
+    packed[rq[p][1]]`` for every position ``p`` of the queue (the buffer
+    may be longer — room for insertions).  It is gathered from the list
+    when the queue grows past the constant, patched at the positions the
+    list is while the queue stays long, and dropped when the queue shrinks
+    back.
 
     Instead of per-event callbacks, the loop appends event tuples to
     :attr:`log` (shared with the owning session): ``("start", id, t)`` and
@@ -594,22 +622,49 @@ class IncrementalPriorityLoop:
     """
 
     __slots__ = (
-        "gi", "now", "eps", "heap", "seq", "state", "remaining",
-        "start", "finish", "avh", "log", "ncompleted", "rq", "rp",
+        "layout", "order", "index", "succ", "preds", "ext_preds", "demand",
+        "packed", "duration", "key", "release", "state", "remaining",
+        "start", "finish",
+        "now", "eps", "heap", "seq", "avh", "log", "ncompleted", "rq", "rp",
     )
 
-    def __init__(self, gi, *, log: list | None = None) -> None:
-        self.gi = gi
+    #: the columns :meth:`compact` gathers row by row as they are
+    _PLAIN_COLUMNS = (
+        "demand", "packed", "duration", "key", "release", "state", "remaining",
+        "start", "finish",
+    )
+
+    def __init__(self, capacities: Sequence[int], *, log: list | None = None) -> None:
+        try:
+            caps = whole_amounts(capacities)
+        except (TypeError, ValueError):
+            caps = ()
+        if not caps or any(c <= 0 for c in caps):
+            raise ValueError(
+                f"capacities must be a positive vector of whole amounts, "
+                f"got {capacities!r}"
+            )
+        self.layout = layout = DemandLayout(caps)
+        self.order: list[JobId] = []          # job ids, append (topological) order
+        self.index: dict[JobId, int] = {}     # id -> row
+        self.succ: list[list[int]] = []       # successor rows
+        self.preds: list[tuple[int, ...]] = []  # predecessor rows
+        self.ext_preds: list[tuple[JobId, ...]] = []  # satisfied preds, by id
+        self.demand: list[tuple[int, ...]] = []
+        self.packed: list[int] = []           # demand image, see layout.images
+        self.duration: list[float] = []
+        self.key: list[object] = []           # priority key; order is (key, index)
+        self.release: list[float] = []
+        self.state: list[int] = []
+        self.remaining: list[int] = []        # outstanding (virtual) predecessors
+        self.start: list[float | None] = []
+        self.finish: list[float | None] = []
         self.now = 0.0
         self.eps = TIME_EPS
         self.heap: list[tuple[float, int, int]] = []
         self.seq = 0
-        self.state: list[int] = []
-        self.remaining: list[int] = []
-        self.start: list[float | None] = []
-        self.finish: list[float | None] = []
         # availability image with the headroom bits pre-added
-        self.avh = gi.layout.packed_capacities + gi.layout.fit_mask
+        self.avh = layout.packed_capacities + layout.fit_mask
         self.log: list[tuple] = log if log is not None else []
         self.ncompleted = 0  # lifetime completions (survives compaction)
         # the ready queue, and its demand column while the queue is long
@@ -632,7 +687,7 @@ class IncrementalPriorityLoop:
 
     def available(self) -> tuple[int, ...]:
         """The per-type availability vector at the current clock."""
-        layout = self.gi.layout
+        layout = self.layout
         return layout.unpack(self.avh - layout.fit_mask)
 
     # ------------------------------------------------------------------
@@ -643,10 +698,10 @@ class IncrementalPriorityLoop:
         gathered anew (with as much room again for in-place insertions)
         iff the queue is long and the images fit a ``uint64``."""
         rq = self.rq
-        if not self.gi.layout.packable or len(rq) <= _VECTOR_QUEUE:
+        if not self.layout.packable or len(rq) <= _VECTOR_QUEUE:
             self.rp = None
             return
-        packed = self.gi.packed
+        packed = self.packed
         rp = np.empty(2 * len(rq), dtype=np.uint64)
         rp[:len(rq)] = np.array([packed[i] for _, i in rq], dtype=np.uint64)
         self.rp = rp
@@ -661,15 +716,14 @@ class IncrementalPriorityLoop:
         gathered again, as it is when the queue first grows past
         :data:`_VECTOR_QUEUE` or outgrows the column's room.
         """
-        gi = self.gi
-        key = gi.key
+        key = self.key
         rq = self.rq
         rp = self.rp
         if len(rows) >= _VECTOR_BATCH:
             rq.extend([(key[i], i) for i in rows])
             rq.sort()
         elif rp is not None and len(rq) + len(rows) <= rp.shape[0]:
-            packed = gi.packed
+            packed = self.packed
             for i in rows:
                 item = (key[i], i)
                 p = bisect_left(rq, item)
@@ -686,7 +740,7 @@ class IncrementalPriorityLoop:
     def _pop_ready(self, i: int) -> None:
         """Remove row ``i`` from the ready queue (cancellation path)."""
         rq = self.rq
-        p = bisect_left(rq, (self.gi.key[i], i))
+        p = bisect_left(rq, (self.key[i], i))
         if not (p < len(rq) and rq[p][1] == i):  # pragma: no cover - defensive
             raise RuntimeError(f"ready queue lost row {i}")
         del rq[p]
@@ -698,23 +752,64 @@ class IncrementalPriorityLoop:
             else:
                 rp[p:L] = rp[p + 1:L + 1]
 
-    def load_ready(self, items: Sequence[int]) -> None:
-        """Restore the ready queue from stored row indices (already in
-        dispatch order) — the checkpoint restore path: no rebuild from
-        per-job states, no sort, just the keys looked up."""
-        key = self.gi.key
-        self.rq[:] = [(key[i], i) for i in items]
-        self._gather_column()
-
     # ------------------------------------------------------------------
-    def admit_batch(self, lo: int, rem_counts: Sequence[int]) -> None:
-        """Register every appended row from ``lo`` to the end of the
-        instance (once, in row order) — readiness is set per row, but all
-        newly queued rows enter the ready queue through one
-        :meth:`_enqueue` call.
+    # the rows: append, admit, load, cancel, compact
+    # ------------------------------------------------------------------
+    def _append(
+        self,
+        ids: Sequence[JobId],
+        preds: Sequence[tuple[int, ...]],
+        ext_preds: Sequence[tuple[JobId, ...]],
+        demands: Sequence[tuple[int, ...]],
+        durations: Sequence[float],
+        keys: Sequence[object],
+        releases: Sequence[float],
+    ) -> int:
+        """Append validated rows' fixed columns in one shot (the demand
+        images packed by one :meth:`DemandLayout.images` call); returns the
+        first new row.  ``preds`` rows are absolute and may reference
+        earlier rows of the same batch; they double as the successor
+        wiring source, so a dependency already satisfied is passed by id
+        in ``ext_preds`` instead."""
+        base = len(self.order)
+        self.order.extend(ids)
+        index = self.index
+        for off, jid in enumerate(ids):
+            index[jid] = base + off
+        succ = self.succ
+        succ.extend([] for _ in ids)
+        self.preds.extend(preds)
+        self.ext_preds.extend(ext_preds)
+        self.demand.extend(demands)
+        images = self.layout.images(demands)
+        self.packed.extend(images.tolist() if self.layout.packable else images)
+        self.duration.extend(durations)
+        self.key.extend(keys)
+        self.release.extend(releases)
+        for off, pt in enumerate(preds):
+            if pt:
+                i = base + off
+                for p in pt:
+                    succ[p].append(i)
+        return base
 
-        ``rem_counts[i - lo]`` is row ``i``'s count of predecessors not yet
-        completed (the session's ``submit`` walks every predecessor to
+    def admit(
+        self,
+        ids: Sequence[JobId],
+        preds: Sequence[tuple[int, ...]],
+        ext_preds: Sequence[tuple[JobId, ...]],
+        demands: Sequence[tuple[int, ...]],
+        durations: Sequence[float],
+        keys: Sequence[object],
+        releases: Sequence[float],
+        outstanding: Sequence[int],
+    ) -> None:
+        """Append a validated batch at the clock and register its
+        readiness — per row, with every newly queued row entering the
+        ready queue through one :meth:`_enqueue` call.
+
+        ``outstanding[k]`` is the ``k``-th row's count of predecessors not
+        yet completed (the session's ``submit`` walks every predecessor to
         resolve ids and rejects cancelled ones, so it already has the
         counts).  A release in the future adds one virtual release
         predecessor, whose event is only pushed on the heap when it is the
@@ -724,28 +819,21 @@ class IncrementalPriorityLoop:
         free capacity, so deferring it keeps those no-op events (and their
         dispatch passes) off the heap entirely.
         """
-        gi = self.gi
+        lo = self._append(ids, preds, ext_preds, demands, durations, keys, releases)
         state = self.state
         remaining = self.remaining
-        n = len(gi.order)
-        if lo != len(state):
-            raise ValueError(
-                f"admit out of order: row {lo}, expected {len(state)}"
-            )
         now = self.now
         heap = self.heap
         seq = self.seq
         push = heapq.heappush
         newly: list[int] = []
-        release = gi.release
-        self.start.extend([None] * (n - lo))
-        self.finish.extend([None] * (n - lo))
-        for i in range(lo, n):
-            rem = rem_counts[i - lo]
+        self.start.extend([None] * len(ids))
+        self.finish.extend([None] * len(ids))
+        for i, rem, rel in zip(range(lo, lo + len(ids)), outstanding, releases):
             if rem == 0:
-                if release[i] > now:
+                if rel > now:
                     # the release is the one outstanding virtual predecessor
-                    push(heap, (release[i], seq, ~i))
+                    push(heap, (rel, seq, ~i))
                     seq += 1
                     remaining.append(1)
                     state.append(J_WAITING)
@@ -762,6 +850,49 @@ class IncrementalPriorityLoop:
         if newly:
             self._enqueue(newly)
 
+    def load(
+        self,
+        ids: Sequence[JobId],
+        preds: Sequence[tuple[int, ...]],
+        ext_preds: Sequence[tuple[JobId, ...]],
+        demands: Sequence[tuple[int, ...]],
+        durations: Sequence[float],
+        keys: Sequence[object],
+        releases: Sequence[float],
+        state: Sequence[int],
+        remaining: Sequence[int],
+        start: Sequence["float | None"],
+        finish: Sequence["float | None"],
+        *,
+        now: float,
+        seq: int,
+        heap: list[tuple[float, int, int]],
+        ready: Sequence[int],
+        ncompleted: int,
+    ) -> None:
+        """Resume a checkpoint into this (empty) loop: the rows appended
+        by the one append, with their stored states, and the schedule
+        state as it was — clock, sequence counter, event heap (a sorted
+        list is a heap), the ready queue from its row indices in dispatch
+        order (the keys looked up, nothing sorted) and the availability,
+        the capacities less every running row's demand.  The caller
+        (:func:`~repro.service.checkpoint.restore_session`) checks that the
+        parts agree with one another."""
+        self._append(ids, preds, ext_preds, demands, durations, keys, releases)
+        self.state = list(state)
+        self.remaining = list(remaining)
+        self.start = list(start)
+        self.finish = list(finish)
+        self.now = now
+        self.seq = seq
+        self.heap = heap
+        self.ncompleted = ncompleted
+        packed = self.packed
+        self.avh -= sum(packed[i] for i, s in enumerate(state) if s == J_RUNNING)
+        key = self.key
+        self.rq[:] = [(key[i], i) for i in ready]
+        self._gather_column()
+
     def cancel(self, i: int) -> bool:
         """Cancel job index ``i`` if it has not started; returns success.
 
@@ -776,7 +907,7 @@ class IncrementalPriorityLoop:
             return True
         if st == J_QUEUED:
             self._pop_ready(i)
-        elif self.gi.release[i] > self.now:
+        elif self.release[i] > self.now:
             # purge the pending release event: a leftover entry would drag
             # the clock out to the cancelled job's release on drain
             code = ~i
@@ -787,28 +918,42 @@ class IncrementalPriorityLoop:
         self.state[i] = J_CANCELLED
         return True
 
-    def compact(self, keep: Sequence[int], old2new: np.ndarray) -> None:
-        """Remap the loop's parallel state after the instance compacted.
+    def compact(self, keep: Sequence[int]) -> None:
+        """Drop every row not in ``keep`` and renumber the survivors.
 
-        ``keep``/``old2new`` come from
-        :meth:`~repro.instance.compiled.GrowableCompiledInstance.compact`.
-        Every heap code and ready entry references a live (kept) row —
-        completions point at running jobs, releases at waiting ones, the
-        ready queue at queued ones — and ``old2new`` is increasing on
-        survivors, so remapping indices preserves both the heap order
-        (codes don't participate in it) and the ready queue's
-        ``(key, index)`` order; the demand column holds demands in queue
-        order, which a renumbering does not change.
+        ``keep`` must be strictly increasing: relative order — and with it
+        the ``(key, index)`` total order over survivors — is preserved.  A
+        dropped predecessor of a surviving row moves into its
+        :attr:`ext_preds` by id (it was satisfied before it was dropped,
+        so the row owes it no readiness bookkeeping, only provenance); a
+        dropped successor simply disappears.  Every heap code and ready
+        entry references a kept row — completions point at running jobs,
+        releases at waiting ones, the ready queue at queued ones — and the
+        renumbering is increasing, so it preserves both the heap order
+        (codes don't participate in it) and the ready queue's ``(key,
+        index)`` order; the demand column holds demands in queue order,
+        which a renumbering does not change.
         """
-        state = self.state
-        self.state = [state[i] for i in keep]
-        remaining = self.remaining
-        self.remaining = [remaining[i] for i in keep]
-        start = self.start
-        self.start = [start[i] for i in keep]
-        finish = self.finish
-        self.finish = [finish[i] for i in keep]
-        o2n = old2new.tolist()
+        o2n = [-1] * len(self.order)
+        for new, old in enumerate(keep):
+            o2n[old] = new
+        order = self.order
+        preds = self.preds
+        ext = self.ext_preds
+        self.order = [order[i] for i in keep]
+        self.index = {j: k for k, j in enumerate(self.order)}
+        self.preds = [tuple(o2n[p] for p in preds[i] if o2n[p] >= 0) for i in keep]
+        self.ext_preds = [
+            ext[i] + tuple(order[p] for p in preds[i] if o2n[p] < 0) for i in keep
+        ]
+        succ: list[list[int]] = [[] for _ in keep]
+        for i, pt in enumerate(self.preds):
+            for p in pt:
+                succ[p].append(i)
+        self.succ = succ
+        for name in self._PLAIN_COLUMNS:
+            col = getattr(self, name)
+            setattr(self, name, [col[i] for i in keep])
         self.rq = [(k, o2n[i]) for k, i in self.rq]
         self.heap = [
             (t, s, o2n[c] if c >= 0 else ~o2n[~c]) for (t, s, c) in self.heap
@@ -833,21 +978,20 @@ class IncrementalPriorityLoop:
         """
         # load the loop state into locals, as the batch loop does: the
         # per-event path below is the hot loop the service benchmark times
-        gi = self.gi
         heap = self.heap
         state = self.state
         remaining = self.remaining
         start_l = self.start
         finish_l = self.finish
-        packed = gi.packed
-        dur = gi.duration
-        order = gi.order
-        key = gi.key
-        succ = gi.succ
-        release_a = gi.release
+        packed = self.packed
+        dur = self.duration
+        order = self.order
+        key = self.key
+        succ = self.succ
+        release_a = self.release
         append_log = self.log.append
         ncompleted = self.ncompleted
-        H = gi.layout.fit_mask
+        H = self.layout.fit_mask
         uint64 = np.uint64
         avh = self.avh
         eps = self.eps

@@ -15,8 +15,12 @@ and per platform, over the DAG's positions:
   turns real-number priority keys into dense ints (heap/array queues then
   compare machine integers, not python floats).  Cached on the
   :class:`~repro.instance.instance.Instance`.
-* :class:`GrowableCompiledInstance` — the same lowering kept in
-  append-only lists for an online session whose job set grows.
+
+An online session's job set grows, so it is not lowered here: its rows —
+the same per-job columns, appended as jobs are admitted — belong to the
+loop that schedules them,
+:class:`~repro.engine.dispatch.IncrementalPriorityLoop`, which packs their
+demands with the same :class:`DemandLayout`.
 
 Everything here is exact: the topological order, tie-breaking and float
 arithmetic reproduce the dict-based code paths bit for bit (the engine
@@ -38,7 +42,6 @@ __all__ = [
     "Allocation",
     "CompiledInstance",
     "DemandLayout",
-    "GrowableCompiledInstance",
     "compile_instance",
     "priority_key",
 ]
@@ -325,198 +328,3 @@ def compile_instance(instance) -> CompiledInstance:
     if ci is None:
         ci = instance._compiled = CompiledInstance(instance)
     return ci
-
-
-# ----------------------------------------------------------------------
-# growable lowering (online sessions)
-# ----------------------------------------------------------------------
-
-
-class GrowableCompiledInstance:
-    """Append-only array form of an instance that grows while scheduling.
-
-    :class:`CompiledInstance` lowers a *frozen* job set once; an online
-    session admits jobs continuously, so recompiling per submission would
-    be O(n) per job.  This class keeps the same lowering — topological
-    order, successor adjacency, per-job demand / duration / release rows —
-    in append-only python lists: :meth:`append_batch` is O(1 + in-degree)
-    per row and never touches existing rows.
-
-    **One demand encoding.**  ``packed[i]`` is a python-int image of the
-    demand row on *every* platform, in the platform's :class:`DemandLayout`
-    (:attr:`layout`, the batch lowering's), so the loop's admission test is
-    always the borrow-free comparison ``(avh - a) & fit_mask == fit_mask``
-    — python ints do not overflow, whatever ``d * bits`` comes to.
-    ``layout.packable`` (``d * bits <= 64``) therefore says one thing only:
-    the images may also be held in a ``uint64`` array (the loop's
-    ready-queue column and its whole-queue vector pass).
-
-    Invariants the session relies on:
-
-    * jobs are appended in a valid topological order — every predecessor
-      of a job must already have an index when the job is appended, so
-      ``order`` *is* a topological order of the growing DAG and downstream
-      tie-breaks key on positions in it, exactly like the batch lowering;
-    * priority ``key`` values are totally ordered by ``(key, index)``;
-      keys must be mutually comparable (the service protocol uses floats);
-    * demand rows pass the layout's bounds rule before they are appended
-      (:meth:`validate_row`, the session's whole-batch form of it, or
-      checkpoint restore), so the dispatch loop's admission test never
-      sees an infeasible row and no field of an image can carry into its
-      neighbour.
-
-    **Compaction.**  Long-lived sessions accumulate rows for jobs that are
-    finished or cancelled; :meth:`compact` rebuilds the contiguous layout
-    over a surviving subset, preserving relative order (so the ``(key,
-    index)`` total order over survivors is unchanged) and returning the
-    old→new index mapping for the owner to remap its own structures.
-    Predecessors that were dropped are recorded by *id* in
-    :attr:`ext_preds` — they were satisfied before being dropped, so the
-    surviving row owes them no readiness bookkeeping, only provenance.
-    """
-
-    __slots__ = (
-        "layout", "order", "index", "succ", "preds", "ext_preds", "demand",
-        "packed", "duration", "key", "release",
-    )
-
-    def __init__(self, capacities: Sequence[int]) -> None:
-        try:
-            caps = whole_amounts(capacities)
-        except (TypeError, ValueError):
-            caps = ()
-        if not caps or any(c <= 0 for c in caps):
-            raise ValueError(
-                f"capacities must be a positive vector of whole amounts, "
-                f"got {capacities!r}"
-            )
-        self.layout = DemandLayout(caps)
-        self.order: list[JobId] = []          # job ids, append (topological) order
-        self.index: dict[JobId, int] = {}     # id -> topological index
-        self.succ: list[list[int]] = []       # successor indices per job
-        self.preds: list[tuple[int, ...]] = []  # predecessor indices per job
-        self.ext_preds: list[tuple[JobId, ...]] = []  # satisfied preds dropped by compact()
-        self.demand: list[tuple[int, ...]] = []
-        self.packed: list[int] = []           # demand image, see layout.images
-        self.duration: list[float] = []
-        self.key: list[object] = []           # priority key; order is (key, index)
-        self.release: list[float] = []
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def validate_row(
-        self,
-        job_id: JobId,
-        demand: Sequence[int],
-        duration: float,
-        release: float = 0.0,
-    ) -> tuple[int, ...]:
-        """Check one prospective row without appending it; returns the
-        normalized demand tuple.  Lets callers validate a whole batch
-        before admitting any of it (all-or-nothing submission)."""
-        if job_id in self.index:
-            raise ValueError(f"job {job_id!r} was already submitted")
-        dem = self.layout.row(job_id, demand)
-        duration = float(duration)
-        if not duration > 0.0 or duration != duration or duration == float("inf"):
-            raise ValueError(
-                f"job {job_id!r}: duration must be positive and finite, got {duration}"
-            )
-        release = float(release)
-        if not 0.0 <= release < float("inf"):
-            raise ValueError(
-                f"job {job_id!r}: release must be finite and >= 0, got {release}"
-            )
-        return dem
-
-    def append_batch(
-        self,
-        ids: Sequence[JobId],
-        preds_idx: Sequence[tuple[int, ...]],
-        demands: Sequence[tuple[int, ...]],
-        durations: Sequence[float],
-        keys: Sequence[object],
-        releases: Sequence[float],
-        ext_preds: "Sequence[tuple[JobId, ...]] | None" = None,
-    ) -> int:
-        """Append a pre-validated batch of rows in one shot; returns the
-        first new index.
-
-        The batch-lowering fast path: the caller (the session's ``submit``
-        or the checkpoint restorer) has already validated every row — this
-        method only extends the column lists in bulk and packs the demand
-        rows with one :meth:`DemandLayout.images` call (one vectorized
-        shift-and-sum where the images fit a ``uint64``).  ``preds_idx`` rows
-        may reference earlier rows of the same batch (indices are
-        absolute), and double as the successor wiring source — callers
-        that already know a dependency is satisfied pass it through
-        ``ext_preds`` by id instead, keeping the wiring loop proportional
-        to the dependencies that can still fire.
-        """
-        k = len(ids)
-        if k == 0:
-            return len(self.order)
-        base = len(self.order)
-        self.order.extend(ids)
-        index = self.index
-        for off, jid in enumerate(ids):
-            index[jid] = base + off
-        succ = self.succ
-        succ.extend([] for _ in range(k))
-        self.preds.extend(preds_idx)
-        self.ext_preds.extend(
-            ext_preds if ext_preds is not None else ((),) * k
-        )
-        self.demand.extend(demands)
-        images = self.layout.images(demands)
-        self.packed.extend(images.tolist() if self.layout.packable else images)
-        self.duration.extend(durations)
-        self.key.extend(keys)
-        self.release.extend(releases)
-        for off, pt in enumerate(preds_idx):
-            if pt:
-                i = base + off
-                for p in pt:
-                    succ[p].append(i)
-        return base
-
-    def compact(self, keep: Sequence[int]) -> np.ndarray:
-        """Rebuild the contiguous layout over the surviving rows ``keep``.
-
-        ``keep`` must be strictly increasing (relative order — and with it
-        the ``(key, index)`` total order over survivors — is preserved).
-        Dropped predecessors of a surviving row move into its
-        :attr:`ext_preds` by id; dropped successors simply disappear.
-        Returns the old→new index map as an int64 array with ``-1`` for
-        dropped rows, so owners (the incremental loop, the session) can
-        remap their parallel state.
-        """
-        n = len(self.order)
-        old2new = np.full(n, -1, dtype=np.int64)
-        old2new[np.asarray(keep, dtype=np.int64)] = np.arange(len(keep))
-        o2n = old2new.tolist()
-        old_order = self.order
-        self.order = [old_order[i] for i in keep]
-        self.index = {j: k for k, j in enumerate(self.order)}
-        new_preds: list[tuple[int, ...]] = []
-        new_ext: list[tuple[JobId, ...]] = []
-        for i in keep:
-            surv = tuple(o2n[p] for p in self.preds[i] if o2n[p] >= 0)
-            dropped = tuple(old_order[p] for p in self.preds[i] if o2n[p] < 0)
-            new_preds.append(surv)
-            new_ext.append(self.ext_preds[i] + dropped)
-        self.preds = new_preds
-        self.ext_preds = new_ext
-        succ: list[list[int]] = [[] for _ in range(len(keep))]
-        for i, pt in enumerate(new_preds):
-            for p in pt:
-                succ[p].append(i)
-        self.succ = succ
-        self.demand = [self.demand[i] for i in keep]
-        self.packed = [self.packed[i] for i in keep]
-        self.duration = [self.duration[i] for i in keep]
-        self.key = [self.key[i] for i in keep]
-        self.release = [self.release[i] for i in keep]
-        return old2new

@@ -18,13 +18,17 @@ the hypothesis suite — is **exact resume**:
 Two properties make this hold: all scheduler state is plain python
 scalars (floats survive JSON round-trips exactly; heap entries, keys and
 ids are carried verbatim), and the ready queue is stored as its index
-array rather than re-derived — restore loads it straight back into the
-loop's sorted ``(key, index)`` list (the keys looked up, nothing sorted),
-so a restore does no per-job queue rebuilding.  Every restore also
+array rather than re-derived — restore hands the rows, their states and
+the schedule state to the loop in one call
+(:meth:`~repro.engine.dispatch.IncrementalPriorityLoop.load`, which
+appends the rows through the loop's one append and rebuilds the sorted
+``(key, index)`` list with the keys looked up, nothing sorted), so a
+restore does no per-job queue rebuilding.  Every restore also
 cross-checks the snapshot's redundant state — the availability vector
 against the running jobs' demands, the ready array against the queued
-states, the event heap against the job states and the clock — so a
-corrupted checkpoint fails loudly instead of resuming subtly wrong.
+states, the event heap against the job states, the clock and the stored
+sequence counter — so a corrupted checkpoint fails loudly instead of
+resuming subtly wrong.
 
 The document's records are the protocol's shapes, not the session's
 in-memory ones: the archive (columns in the session, see
@@ -35,11 +39,12 @@ lean in-memory form.
 
 ``repro-session/2`` is the only format read or written: the PR-5
 ``repro-session/1`` (per-job record list, no archive, no stored queue) is
-refused with a ``ValueError`` naming both tags.  A demand row, live or
-archived, must pass the bounds rule ``submit`` admits by
-(:meth:`DemandLayout.row <repro.instance.compiled.DemandLayout.row>`);
-the availability vector is packed into the loop's image by the same
-layout.
+refused with a ``ValueError`` naming both tags.  A row, live or
+archived, must pass the rules ``submit`` admits by: its demand the
+layout's bounds rule (:meth:`DemandLayout.row
+<repro.instance.compiled.DemandLayout.row>`), its key
+:func:`~repro.instance.compiled.priority_key`, and a live row's
+duration and release the session's ``_validate_numeric``.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS
+from repro.instance.compiled import priority_key
 from repro.resources.vector import whole_amounts
 from repro.service.session import STATE_NAMES, SchedulingSession
 
@@ -74,11 +80,10 @@ _JOB_COLUMNS = (
 
 def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
     """Snapshot the full session state as a JSON-ready dict."""
-    gi = session.gi
     loop = session.loop
     return {
         "format": SESSION_FORMAT,
-        "capacities": list(gi.layout.capacities),
+        "capacities": list(session.capacities),
         "time_eps": loop.eps,
         "clock": loop.now,
         "seq": loop.seq,
@@ -88,13 +93,13 @@ def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
         },
         "compactions": session.compactions,
         "jobs": {
-            "id": list(gi.order),
-            "preds": [list(p) for p in gi.preds],
-            "ext_preds": [list(p) for p in gi.ext_preds],
-            "demand": [list(d) for d in gi.demand],
-            "duration": list(gi.duration),
-            "key": list(gi.key),
-            "release": list(gi.release),
+            "id": list(loop.order),
+            "preds": [list(p) for p in loop.preds],
+            "ext_preds": [list(p) for p in loop.ext_preds],
+            "demand": [list(d) for d in loop.demand],
+            "duration": list(loop.duration),
+            "key": list(loop.key),
+            "release": list(loop.release),
             "tenant": list(session.tenants),
             "state": [STATE_NAMES[s] for s in loop.state],
             "remaining": list(loop.remaining),
@@ -166,202 +171,6 @@ def _event_tuple(e) -> tuple:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-def _load_loop_state(
-    session: SchedulingSession, snap: dict[str, Any], states: list[int]
-) -> None:
-    """The loop and session half of a restore: clock, heap, ready,
-    availability, archive, events, counters, RNG — the rows are already
-    appended."""
-    gi = session.gi
-    layout = gi.layout
-    loop = session.loop
-    n = len(gi.order)
-
-    loop.now = float(snap["clock"])
-    # the stored rows, as one batch admitted at the stored clock
-    session.span_bound = session._bounded_span(gi.release, gi.duration)
-    loop.seq = int(snap["seq"])
-    heap = []
-    for t, s, c in snap["heap"]:
-        c = int(c)
-        i = ~c if c < 0 else c
-        if not 0 <= i < n:
-            raise ValueError(f"heap entry references unknown job index {c}")
-        heap.append((float(t), int(s), c))
-    heap.sort()  # a valid checkpoint is already heap-ordered; sorting is a superset
-    loop.heap = heap
-
-    ready_idx = [int(i) for i in snap["ready"]]
-    for i in ready_idx:
-        if not 0 <= i < n:
-            raise ValueError(f"ready queue references unknown job index {i}")
-    expected = sorted((gi.key[i], i) for i, s in enumerate(states) if s == J_QUEUED)
-    if [i for _, i in expected] != ready_idx:
-        raise ValueError("stored ready queue disagrees with the queued job states")
-    loop.load_ready(ready_idx)
-
-    try:
-        stored_avail = list(whole_amounts(snap["available"]))
-    except ValueError as exc:
-        raise ValueError(f"availability vector: {exc}") from None
-    if len(stored_avail) != layout.d:
-        raise ValueError(
-            f"availability vector has dimension {len(stored_avail)}, "
-            f"platform has {layout.d}"
-        )
-    # recompute availability from running demands and cross-check
-    avail = list(layout.capacities)
-    for i, s in enumerate(states):
-        if s == J_RUNNING:
-            for r, a in enumerate(gi.demand[i]):
-                avail[r] -= a
-    if any(a < 0 for a in avail):
-        raise ValueError("running jobs overcommit the platform capacities")
-    if avail != stored_avail:
-        raise ValueError(
-            f"stored availability {snap['available']} disagrees with the "
-            f"running jobs' demands (recomputed {avail})"
-        )
-    # waiting jobs must still have a satisfiable readiness count
-    for i, s in enumerate(states):
-        if s == J_WAITING and loop.remaining[i] <= 0:
-            raise ValueError(
-                f"job {gi.order[i]!r}: waiting with no outstanding predecessors"
-            )
-    # equal to the recomputed vector, so within 0..capacities
-    loop.avh = layout.fit_mask + int(layout.images([stored_avail])[0])
-
-    arch = session.archive
-    _load_archive(arch, snap.get("archive", []), layout)
-    # one id, one row: a repeated or also-live id would be counted twice
-    # and answer two states
-    index: dict = {}
-    for pos, jid in enumerate(arch.ids):
-        if jid in index:
-            raise ValueError(f"archived job {jid!r} appears more than once")
-        if jid in gi.index:
-            raise ValueError(f"job {jid!r} is both archived and a live row")
-        index[jid] = pos
-    session.archive_index = index
-    # every finished job, archived or still a live row (see
-    # SchedulingSession.done_ids), and the archive's running values
-    # (SchedulingSession.archived_states)
-    done_ids = {jid for jid, s in zip(arch.ids, arch.state) if s == J_DONE}
-    counts = session.archived_states
-    for code, name in enumerate(STATE_NAMES):
-        rows = arch.state.count(code)
-        if rows:
-            counts[name] = counts.get(name, 0) + rows
-    session.archived_makespan = max(
-        (f for f, s in zip(arch.finish, arch.state) if s == J_DONE), default=0.0
-    )
-    order = session.gi.order
-    done_ids.update(
-        order[i] for i, st in enumerate(states) if st == J_DONE
-    )
-    session.done_ids = done_ids
-    session.compactions = int(snap.get("compactions", 0))
-
-    # rows that survived an in-memory round trip are already the exact
-    # in-memory tuples — only JSON-decoded rows (lists) and start rows
-    # need normalizing
-    events = [
-        e if type(e) is tuple and e[0] != "start" else _event_tuple(e)
-        for e in snap["events"]
-    ]
-    for e in events:
-        if e[0] == "start" and e[1] not in index and e[1] not in gi.index:
-            raise ValueError(f"event log starts unknown job {e[1]!r}")
-    _check_heap(session, states)
-    session.events[:] = events
-    counters = snap.get("counters", {})
-    session.counters.submitted = int(counters.get("submitted", n))
-    session.counters.cancelled = int(counters.get("cancelled", 0))
-    session.counters.completed = int(counters.get("completed", 0))
-    loop.ncompleted = session.counters.completed
-    session.applied_seq = int(snap.get("applied_seq", 0))
-    if snap.get("rng") is not None:
-        rng = np.random.default_rng()
-        rng.bit_generator.state = snap["rng"]
-        session.rng = rng
-
-
-def _check_heap(session: SchedulingSession, states: list[int]) -> None:
-    """Refuse by job an event heap the job states and the clock cannot
-    have produced: each running row has exactly one completion entry, at
-    ``start + duration``; a release entry belongs to a waiting row; no
-    entry lies before the clock and no start after it.  A heap that
-    passes makes ``drain`` free exactly what runs, finish every job, and
-    never move the clock back."""
-    gi = session.gi
-    loop = session.loop
-    now = loop.now
-    start = loop.start
-    seen: set[int] = set()
-    for t, _, c in loop.heap:
-        i = ~c if c < 0 else c
-        jid = gi.order[i]
-        if i in seen:
-            raise ValueError(f"job {jid!r}: more than one event heap entry")
-        seen.add(i)
-        if not t >= now:  # NaN too
-            raise ValueError(f"job {jid!r}: heap entry at {t} is before the clock {now}")
-        if c < 0:
-            if states[i] != J_WAITING:
-                raise ValueError(
-                    f"job {jid!r}: release entry but the job is {STATE_NAMES[states[i]]}"
-                )
-        elif states[i] != J_RUNNING:
-            raise ValueError(
-                f"job {jid!r}: completion entry but the job is {STATE_NAMES[states[i]]}"
-            )
-        elif t != start[i] + gi.duration[i]:
-            raise ValueError(
-                f"job {jid!r}: completion entry at {t}, not at start + duration "
-                f"{start[i] + gi.duration[i]}"
-            )
-    for i, s in enumerate(states):
-        if s == J_RUNNING and i not in seen:
-            raise ValueError(f"job {gi.order[i]!r}: running with no completion entry")
-        if start[i] is not None and start[i] > now:
-            raise ValueError(
-                f"job {gi.order[i]!r}: start {start[i]} is after the clock {now}"
-            )
-
-
-def _load_archive(arch, records, layout) -> None:
-    """Append the snapshot's archive records to the session's columns,
-    refusing by id a record the columns cannot hold: an unknown state, a
-    demand the layout's bounds rule refuses (flattened, a row of the wrong
-    length would shift every later one; every archived row was admitted by
-    that rule), or a done job with no start or finish."""
-    demands = []
-    for rec in records:
-        if rec["state"] not in _STATE_INDEX:
-            raise ValueError(
-                f"archived job {rec['id']!r}: unknown state {rec['state']!r}"
-            )
-        try:
-            dem = layout.row(rec["id"], rec["demand"])
-        except ValueError as exc:
-            raise ValueError(f"archived {exc}") from None
-        if rec["state"] == "done" and (rec["start"] is None or rec["finish"] is None):
-            raise ValueError(f"archived job {rec['id']!r}: done but missing start/finish")
-        demands.append(dem)
-    arch.extend(
-        [rec["id"] for rec in records],
-        [_STATE_INDEX[rec["state"]] for rec in records],
-        demands,
-        [float(rec["duration"]) for rec in records],
-        [rec["key"] for rec in records],
-        [rec["preds"] for rec in records],
-        [float(rec["release"]) for rec in records],
-        [rec["tenant"] for rec in records],
-        [None if rec["start"] is None else float(rec["start"]) for rec in records],
-        [None if rec["finish"] is None else float(rec["finish"]) for rec in records],
-    )
-
-
 def _restore_v2(snap: dict[str, Any]) -> SchedulingSession:
     if snap["time_eps"] != TIME_EPS:
         # the batch rule is the engine's constant; any other value would
@@ -377,56 +186,243 @@ def _restore_v2(snap: dict[str, Any]) -> SchedulingSession:
         compact_threshold=None if thr is None else float(thr),
         compact_min_rows=int(compact.get("min_rows", 512)),
     )
-    gi = session.gi
-    loop = session.loop
 
     jobs = snap["jobs"]
     cols = {name: jobs[name] for name in _JOB_COLUMNS}
-    k = len(cols["id"])
-    if any(len(c) != k for c in cols.values()):
+    ids = cols["id"]
+    n = len(ids)
+    if any(len(c) != n for c in cols.values()):
         raise ValueError("job columns have inconsistent lengths")
 
+    # the rows: every column submit lowers, lowered by submit's rules
     states = []
-    for jid, name in zip(cols["id"], cols["state"]):
+    for jid, name in zip(ids, cols["state"]):
         if name not in _STATE_INDEX:
             raise ValueError(f"job {jid!r}: unknown state {name!r}")
         states.append(_STATE_INDEX[name])
-    demands = list(map(gi.layout.row, cols["id"], cols["demand"]))
+    demands, durations, releases = session._validate_numeric(
+        ids, cols["demand"], cols["duration"], cols["release"]
+    )
+    keys = list(map(priority_key, ids, cols["key"]))
     preds = []
-    for row, (jid, pt) in enumerate(zip(cols["id"], cols["preds"])):
+    for row, (jid, pt) in enumerate(zip(ids, cols["preds"])):
         pt = tuple(int(p) for p in pt)
         if any(not 0 <= p < row for p in pt):
             raise ValueError(f"job {jid!r}: predecessor indices {pt} out of order")
         preds.append(pt)
-    durations = [float(t) for t in cols["duration"]]
-    if any(not 0.0 < t < float("inf") for t in durations):
-        raise ValueError("durations must be positive and finite")
-    releases = [float(r) for r in cols["release"]]
-    if any(not 0.0 <= r < float("inf") for r in releases):
-        raise ValueError("releases must be finite and >= 0")
+    start = [None if t is None else float(t) for t in cols["start"]]
+    finish = [None if t is None else float(t) for t in cols["finish"]]
+    for jid, s, t0, t1 in zip(ids, states, start, finish):
+        if s == J_RUNNING and t0 is None:
+            raise ValueError(f"job {jid!r}: running but has no start time")
+        if s == J_DONE and (t0 is None or t1 is None):
+            raise ValueError(f"job {jid!r}: done but missing start/finish")
 
-    gi.append_batch(
-        cols["id"],
-        preds,
-        demands,
-        durations,
-        list(cols["key"]),
-        releases,
-        [tuple(p) for p in cols["ext_preds"]],
+    # the schedule state: heap, ready queue, counters
+    heap = []
+    for t, sq, c in snap["heap"]:
+        c = int(c)
+        if not 0 <= (~c if c < 0 else c) < n:
+            raise ValueError(f"heap entry references unknown job index {c}")
+        heap.append((float(t), int(sq), c))
+    heap.sort()  # a valid checkpoint is already heap-ordered; sorting is a superset
+    ready = [int(i) for i in snap["ready"]]
+    for i in ready:
+        if not 0 <= i < n:
+            raise ValueError(f"ready queue references unknown job index {i}")
+    expected = sorted((keys[i], i) for i, s in enumerate(states) if s == J_QUEUED)
+    if [i for _, i in expected] != ready:
+        raise ValueError("stored ready queue disagrees with the queued job states")
+    counters = snap.get("counters", {})
+    session.counters.submitted = int(counters.get("submitted", n))
+    session.counters.cancelled = int(counters.get("cancelled", 0))
+    session.counters.completed = int(counters.get("completed", 0))
+
+    loop = session.loop
+    loop.load(
+        ids, preds, [tuple(p) for p in cols["ext_preds"]], demands, durations,
+        keys, releases, states, [int(r) for r in cols["remaining"]], start, finish,
+        now=float(snap["clock"]), seq=int(snap["seq"]), heap=heap, ready=ready,
+        ncompleted=session.counters.completed,
     )
-    loop.state = states
-    loop.remaining = [int(r) for r in cols["remaining"]]
-    loop.start = [None if t is None else float(t) for t in cols["start"]]
-    loop.finish = [None if t is None else float(t) for t in cols["finish"]]
     session.tenants = list(cols["tenant"])
+    # the stored rows, as one batch admitted at the stored clock
+    session.span_bound = session._bounded_span(releases, durations)
+    _check_availability(loop, snap["available"])
+    # waiting jobs must still have a satisfiable readiness count
     for i, s in enumerate(states):
-        if s == J_RUNNING and loop.start[i] is None:
-            raise ValueError(f"job {cols['id'][i]!r}: running but has no start time")
-        if s == J_DONE and (loop.start[i] is None or loop.finish[i] is None):
-            raise ValueError(f"job {cols['id'][i]!r}: done but missing start/finish")
-
-    _load_loop_state(session, snap, states)
+        if s == J_WAITING and loop.remaining[i] <= 0:
+            raise ValueError(
+                f"job {ids[i]!r}: waiting with no outstanding predecessors"
+            )
+    _load_history(session, snap)
+    _check_heap(loop)
     return session
+
+
+def _check_availability(loop, stored) -> None:
+    """Refuse a stored availability vector that is not the capacities less
+    the running jobs' demands (the vector the loop resumed with)."""
+    try:
+        amounts = list(whole_amounts(stored))
+    except ValueError as exc:
+        raise ValueError(f"availability vector: {exc}") from None
+    if len(amounts) != loop.layout.d:
+        raise ValueError(
+            f"availability vector has dimension {len(amounts)}, "
+            f"platform has {loop.layout.d}"
+        )
+    avail = list(loop.layout.capacities)
+    for i, s in enumerate(loop.state):
+        if s == J_RUNNING:
+            for r, a in enumerate(loop.demand[i]):
+                avail[r] -= a
+    if any(a < 0 for a in avail):
+        raise ValueError("running jobs overcommit the platform capacities")
+    if avail != amounts:
+        raise ValueError(
+            f"stored availability {stored} disagrees with the "
+            f"running jobs' demands (recomputed {avail})"
+        )
+
+
+def _load_history(session: SchedulingSession, snap: dict[str, Any]) -> None:
+    """The session half of a restore — archive, event log, journal cursor
+    and RNG — over the loaded rows."""
+    loop = session.loop
+    arch = session.archive
+    _load_archive(arch, snap.get("archive", []), loop.layout)
+    # one id, one row: a repeated or also-live id would be counted twice
+    # and answer two states
+    index: dict = {}
+    for pos, jid in enumerate(arch.ids):
+        if jid in index:
+            raise ValueError(f"archived job {jid!r} appears more than once")
+        if jid in loop.index:
+            raise ValueError(f"job {jid!r} is both archived and a live row")
+        index[jid] = pos
+    session.archive_index = index
+    # every finished job, archived or still a live row (see
+    # SchedulingSession.done_ids), and the archive's running values
+    # (SchedulingSession.archived_states)
+    done_ids = {jid for jid, s in zip(arch.ids, arch.state) if s == J_DONE}
+    counts = session.archived_states
+    for code, name in enumerate(STATE_NAMES):
+        rows = arch.state.count(code)
+        if rows:
+            counts[name] = counts.get(name, 0) + rows
+    session.archived_makespan = max(
+        (f for f, s in zip(arch.finish, arch.state) if s == J_DONE), default=0.0
+    )
+    done_ids.update(
+        jid for jid, st in zip(loop.order, loop.state) if st == J_DONE
+    )
+    session.done_ids = done_ids
+    session.compactions = int(snap.get("compactions", 0))
+
+    # rows that survived an in-memory round trip are already the exact
+    # in-memory tuples — only JSON-decoded rows (lists) and start rows
+    # need normalizing
+    events = [
+        e if type(e) is tuple and e[0] != "start" else _event_tuple(e)
+        for e in snap["events"]
+    ]
+    for e in events:
+        if e[0] == "start" and e[1] not in index and e[1] not in loop.index:
+            raise ValueError(f"event log starts unknown job {e[1]!r}")
+    session.events[:] = events
+    session.applied_seq = int(snap.get("applied_seq", 0))
+    if snap.get("rng") is not None:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = snap["rng"]
+        session.rng = rng
+
+
+def _check_heap(loop) -> None:
+    """Refuse by job an event heap the job states and the clock cannot
+    have produced: each running row has exactly one completion entry, at
+    ``start + duration``; a release entry belongs to a waiting row; no
+    entry lies before the clock and no start after it; every entry's
+    sequence number is its own and below the stored next one (``seq``).
+    A heap that passes makes ``drain`` free exactly what runs, finish
+    every job, never move the clock back, and pop simultaneous events in
+    the order they were pushed."""
+    now = loop.now
+    start = loop.start
+    states = loop.state
+    seen: set[int] = set()
+    seqs: set[int] = set()
+    for t, sq, c in loop.heap:
+        i = ~c if c < 0 else c
+        jid = loop.order[i]
+        if i in seen:
+            raise ValueError(f"job {jid!r}: more than one event heap entry")
+        seen.add(i)
+        if not t >= now:  # NaN too
+            raise ValueError(f"job {jid!r}: heap entry at {t} is before the clock {now}")
+        if c < 0:
+            if states[i] != J_WAITING:
+                raise ValueError(
+                    f"job {jid!r}: release entry but the job is {STATE_NAMES[states[i]]}"
+                )
+        elif states[i] != J_RUNNING:
+            raise ValueError(
+                f"job {jid!r}: completion entry but the job is {STATE_NAMES[states[i]]}"
+            )
+        elif t != start[i] + loop.duration[i]:
+            raise ValueError(
+                f"job {jid!r}: completion entry at {t}, not at start + duration "
+                f"{start[i] + loop.duration[i]}"
+            )
+        if sq in seqs:
+            raise ValueError(f"job {jid!r}: heap entry reuses seq {sq}")
+        seqs.add(sq)
+        if not sq < loop.seq:
+            raise ValueError(
+                f"job {jid!r}: heap entry seq {sq} is not below the stored seq {loop.seq}"
+            )
+    for i, s in enumerate(states):
+        if s == J_RUNNING and i not in seen:
+            raise ValueError(f"job {loop.order[i]!r}: running with no completion entry")
+        if start[i] is not None and start[i] > now:
+            raise ValueError(
+                f"job {loop.order[i]!r}: start {start[i]} is after the clock {now}"
+            )
+
+
+def _load_archive(arch, records, layout) -> None:
+    """Append the snapshot's archive records to the session's columns,
+    refusing by id a record the columns cannot hold: an unknown state, a
+    demand the layout's bounds rule refuses (flattened, a row of the wrong
+    length would shift every later one; every archived row was admitted by
+    that rule), a key ``submit`` refuses, or a done job with no start or
+    finish."""
+    demands = []
+    keys = []
+    for rec in records:
+        if rec["state"] not in _STATE_INDEX:
+            raise ValueError(
+                f"archived job {rec['id']!r}: unknown state {rec['state']!r}"
+            )
+        try:
+            demands.append(layout.row(rec["id"], rec["demand"]))
+            keys.append(priority_key(rec["id"], rec["key"]))
+        except ValueError as exc:
+            raise ValueError(f"archived {exc}") from None
+        if rec["state"] == "done" and (rec["start"] is None or rec["finish"] is None):
+            raise ValueError(f"archived job {rec['id']!r}: done but missing start/finish")
+    arch.extend(
+        [rec["id"] for rec in records],
+        [_STATE_INDEX[rec["state"]] for rec in records],
+        demands,
+        [float(rec["duration"]) for rec in records],
+        keys,
+        [rec["preds"] for rec in records],
+        [float(rec["release"]) for rec in records],
+        [rec["tenant"] for rec in records],
+        [None if rec["start"] is None else float(rec["start"]) for rec in records],
+        [None if rec["finish"] is None else float(rec["finish"]) for rec in records],
+    )
 
 
 def save_session(

@@ -595,7 +595,7 @@ class ServiceFrontend:
         session.bind_metrics(self.metrics)
         return {
             "clock": self.session.now,
-            "jobs": len(self.session.gi.order) + len(self.session.archive),
+            "jobs": len(self.session),
         }
 
     def _op_trace(self, req: dict[str, Any]) -> dict[str, Any]:

@@ -2,19 +2,19 @@
 
 A :class:`SchedulingSession` is the online form of the batch pipeline:
 instead of compiling a frozen instance and running the dispatch loop to
-completion, it owns a
-:class:`~repro.instance.compiled.GrowableCompiledInstance` (submissions
-append rows, never recompile) and an
-:class:`~repro.engine.dispatch.IncrementalPriorityLoop` (a resumable heap
-plus readiness state, the ready queue one sorted python list of ``(key,
-index)`` entries), and exposes the service verbs:
+completion, it owns one
+:class:`~repro.engine.dispatch.IncrementalPriorityLoop` — the resumable
+heap, the ready queue (one sorted python list of ``(key, index)``
+entries) and every row of every live job, which submissions append to,
+never recompile — plus the service-level state around it (tenants, the
+archive, counters, the event log), and exposes the service verbs:
 
 * :meth:`~SchedulingSession.submit` — admit jobs (with chosen demands,
   durations, precedences, releases and priority keys) at the current
   virtual time; a job is a :class:`JobSpec` row (a named tuple), a batch
   of rows is transposed to its columns once (``zip(*specs)``), validated
-  with vectorized bounds checks and lowered into the growable rows in
-  one shot;
+  with vectorized bounds checks and appended to the loop's rows in one
+  shot;
 * :meth:`~SchedulingSession.cancel` — best-effort cancellation: a job
   that has not started is withdrawn together with its pending descendants
   (their precedence constraint became unsatisfiable); a running or
@@ -42,11 +42,13 @@ cancelled jobs.  When the dead-row fraction crosses
 session *archive* (an :class:`Archive` of columns, one row per job and
 no python container per row, its ids indexed by
 :attr:`SchedulingSession.archive_index` — completed history is never
-lost, only moved out of the hot arrays) and the growable layout is
-rebuilt contiguous.  Compaction is semantically invisible: schedules,
-traces, duplicate-id checks, predecessor resolution and checkpoints all
-see through it, and the conformance family drives sessions with
-aggressive compaction settings to pin that.
+lost, only moved out of the hot arrays) and the loop rebuilds its rows
+contiguous in one call
+(:meth:`~repro.engine.dispatch.IncrementalPriorityLoop.compact`).
+Compaction is semantically invisible: schedules, traces, duplicate-id
+checks, predecessor resolution and checkpoints all see through it, and
+the conformance family drives sessions with aggressive compaction
+settings to pin that.
 
 **The event log** (:attr:`SchedulingSession.events`) holds ``("submit",
 id, t, tenant)``, ``("start", id, t)``, ``("finish", id, t)`` and
@@ -80,7 +82,7 @@ from repro.engine.dispatch import (
     J_WAITING,
     IncrementalPriorityLoop,
 )
-from repro.instance.compiled import GrowableCompiledInstance, priority_key
+from repro.instance.compiled import priority_key
 from repro.resources.vector import whole_amounts
 
 __all__ = ["Archive", "JobSpec", "SchedulingSession", "STATE_NAMES", "real_number"]
@@ -413,10 +415,9 @@ class SchedulingSession:
             )
         if compact_min_rows < 1:
             raise ValueError(f"compact_min_rows must be >= 1, got {compact_min_rows}")
-        self.gi = GrowableCompiledInstance(capacities)
         self.events: list[tuple] = []
-        self.loop = IncrementalPriorityLoop(self.gi, log=self.events)
-        self.tenants: list[str] = []  # per-job tenant label, row order
+        self.loop = IncrementalPriorityLoop(capacities, log=self.events)
+        self.tenants: list[str] = []  # per-job tenant label, the loop's row order
         self.counters = _Counters()
         self.rng = np.random.default_rng(seed)
         self.compact_threshold = compact_threshold
@@ -424,7 +425,7 @@ class SchedulingSession:
         self.compactions = 0
         # dead rows compacted away, in columns (the cold store), and
         # each archived id's position in them
-        self.archive = Archive(self.gi.layout.d)
+        self.archive = Archive(self.loop.layout.d)
         self.archive_index: dict[JobId, int] = {}
         #: what :meth:`status` and :meth:`makespan` need of the archive —
         #: rows per state name and the latest archived finish — as running
@@ -522,7 +523,7 @@ class SchedulingSession:
 
     @property
     def capacities(self) -> tuple[int, ...]:
-        return self.gi.layout.capacities
+        return self.loop.layout.capacities
 
     def available(self) -> tuple[int, ...]:
         """Per-type resources free at the current clock."""
@@ -532,11 +533,16 @@ class SchedulingSession:
         """True iff the session has ever admitted ``job_id`` (live row or
         archived) — the membership test an at-least-once client uses to
         filter re-submissions after a crash."""
-        return job_id in self.gi.index or job_id in self.archive_index
+        return job_id in self.loop.index or job_id in self.archive_index
+
+    def __len__(self) -> int:
+        """The number of jobs ever admitted, live row or archived — the
+        ids :meth:`__contains__` answers for."""
+        return len(self.loop.order) + len(self.archive)
 
     def state_of(self, job_id: JobId) -> str:
         """One of ``waiting / queued / running / done / cancelled``."""
-        i = self.gi.index.get(job_id)
+        i = self.loop.index.get(job_id)
         if i is not None:
             return STATE_NAMES[self.loop.state[i]]
         pos = self.archive_index.get(job_id)
@@ -553,10 +559,10 @@ class SchedulingSession:
             counts[name] += rows
         return {
             "clock": self.now,
-            "jobs": len(self.gi.order) + len(self.archive),
+            "jobs": len(self),
             "states": counts,
             "available": list(self.available()),
-            "capacities": list(self.gi.layout.capacities),
+            "capacities": list(self.capacities),
             "pending_events": self.loop.pending,
             "submitted": self.counters.submitted,
             "cancelled": self.counters.cancelled,
@@ -587,9 +593,9 @@ class SchedulingSession:
         duplicate ids, a total of work whose completion time float64 cannot
         hold — raises ``ValueError`` *before* any of the call's jobs are
         admitted, so a rejected batch leaves the session untouched.  The
-        whole batch is lowered into the growable rows in one vectorized
-        shot (demands bounds-checked and packed as a matrix, rows extended
-        in bulk, newly ready jobs entering the ready queue in one call).
+        whole batch is appended to the loop's rows in one vectorized shot
+        (demands bounds-checked and packed as a matrix, rows extended in
+        bulk, newly ready jobs entering the ready queue in one call).
         """
         specs = [
             spec if isinstance(spec, JobSpec) else JobSpec.from_dict(spec)
@@ -597,17 +603,17 @@ class SchedulingSession:
         ]
         if not specs:
             return []
-        gi = self.gi
-        loop_state = self.loop.state
-        base = len(gi.order)
+        loop = self.loop
+        loop_state = loop.state
+        base = len(loop.order)
         # validate the whole batch first: admission is all-or-nothing
         batch_pos: dict[JobId, int] = {}
         preds_idx: list[tuple[int, ...]] = []  # outstanding deps, as row indices
         ext_preds: list[tuple[JobId, ...]] = []  # satisfied deps, by id
-        rem_counts: list[int] = []  # not-yet-done preds per row, for admit_batch
+        rem_counts: list[int] = []  # not-yet-done preds per row, for admit
         keys: list[float] = []
         sub0 = self.counters.submitted
-        index = gi.index
+        index = loop.index
         index_get = index.get
         batch_pos_get = batch_pos.get
         archive_index = self.archive_index
@@ -695,12 +701,11 @@ class SchedulingSession:
             ids, dem_col, dur_col, rel_col
         )
         span = self._bounded_span(releases, durations)
-        gi.append_batch(
-            ids, preds_idx, demands, durations, keys, releases, ext_preds
+        loop.admit(
+            ids, preds_idx, ext_preds, demands, durations, keys, releases, rem_counts
         )
         self.span_bound = span
         now = self.now
-        self.loop.admit_batch(base, rem_counts)
         self.tenants.extend(tenants)
         self.events.extend(
             ("submit", jid, now, tn) for jid, tn in zip(ids, tenants)
@@ -736,15 +741,14 @@ class SchedulingSession:
         whole-batch comparisons of the durations and releases; any failure
         (or a batch the matrix form declines: structurally malformed,
         amounts that are not ints, or past ``int64``) falls back to the
-        scalar :meth:`GrowableCompiledInstance.validate_row` per row, which
-        refuses by job — or accepts every row, whose scalar lowering is
-        then the result.
+        scalar :meth:`validate_row` per row, which refuses by job — or
+        accepts every row, whose scalar lowering is then the result.
+        ``submit`` and checkpoint restore lower their rows through it alike.
         """
-        gi = self.gi
         try:
             # numpy lowers the whole batch in C; .tolist() converts back to
             # builtin ints/floats, so the stored rows never hold numpy scalars
-            dm = gi.layout.matrix(dem_col)
+            dm = self.loop.layout.matrix(dem_col)
             dr = np.array(dur_col, dtype=np.float64)
             rl = np.array(rel_col, dtype=np.float64)
             ok = (
@@ -762,8 +766,33 @@ class SchedulingSession:
         if ok:
             return list(map(tuple, dm.tolist())), dr.tolist(), rl.tolist()
         # scalar path: raises the precise message
-        demands = list(map(gi.validate_row, ids, dem_col, dur_col, rel_col))
+        demands = list(map(self.validate_row, ids, dem_col, dur_col, rel_col))
         return demands, list(map(float, dur_col)), list(map(float, rel_col))
+
+    def validate_row(
+        self,
+        job_id: JobId,
+        demand: Sequence[int],
+        duration: float,
+        release: float = 0.0,
+    ) -> tuple[int, ...]:
+        """Check one prospective row without admitting it; returns the
+        normalized demand tuple — the scalar form of
+        :meth:`_validate_numeric`, which refuses by job."""
+        if job_id in self.loop.index:
+            raise ValueError(f"job {job_id!r} was already submitted")
+        dem = self.loop.layout.row(job_id, demand)
+        duration = float(duration)
+        if not duration > 0.0 or duration != duration or duration == float("inf"):
+            raise ValueError(
+                f"job {job_id!r}: duration must be positive and finite, got {duration}"
+            )
+        release = float(release)
+        if not 0.0 <= release < float("inf"):
+            raise ValueError(
+                f"job {job_id!r}: release must be finite and >= 0, got {release}"
+            )
+        return dem
 
     def cancel(self, job_id: JobId) -> tuple[JobId, ...]:
         """Best-effort cancel: returns the ids withdrawn (cascade order).
@@ -774,13 +803,13 @@ class SchedulingSession:
         started, completed or was cancelled — too late, nothing changes.
         Unknown ids raise ``KeyError``.
         """
-        gi = self.gi
-        i = gi.index.get(job_id)
+        loop = self.loop
+        i = loop.index.get(job_id)
         if i is None:
             if job_id in self.archive_index:  # archived: done or cancelled
                 return ()
             raise KeyError(job_id)
-        state = self.loop.state
+        state = loop.state
         if state[i] in (J_RUNNING, J_DONE, J_CANCELLED):
             return ()
         cancelled: list[JobId] = []
@@ -790,11 +819,11 @@ class SchedulingSession:
             if state[k] == J_CANCELLED:
                 continue
             # descendants of a not-yet-started job are necessarily pending
-            self.loop.cancel(k)
+            loop.cancel(k)
             self.counters.cancelled += 1
-            self.events.append(("cancel", gi.order[k], self.now))
-            cancelled.append(gi.order[k])
-            stack.extend(reversed(gi.succ[k]))
+            self.events.append(("cancel", loop.order[k], self.now))
+            cancelled.append(loop.order[k])
+            stack.extend(reversed(loop.succ[k]))
         if cancelled and self.metrics is not None:
             self._m_cancelled.inc(len(cancelled))
         return tuple(cancelled)
@@ -863,7 +892,7 @@ class SchedulingSession:
                 len(self.events) - n0, self.loop.ncompleted - c0
             )
         leftover = [
-            self.gi.order[i]
+            self.loop.order[i]
             for i, s in enumerate(self.loop.state)
             if s in (J_WAITING, J_QUEUED, J_RUNNING)
         ]
@@ -879,7 +908,7 @@ class SchedulingSession:
         thr = self.compact_threshold
         if thr is None:
             return
-        rows = len(self.gi.order)
+        rows = len(self.loop.order)
         if rows < self.compact_min_rows:
             return
         dead = self.counters.completed + self.counters.cancelled - len(self.archive)
@@ -887,15 +916,15 @@ class SchedulingSession:
             self._compact()
 
     def _compact(self) -> None:
-        """Archive every done/cancelled row and rebuild the hot arrays."""
-        gi = self.gi
+        """Archive every done/cancelled row, then have the loop drop them
+        (the tenants column by the same ``keep``)."""
         loop = self.loop
         state = loop.state
         keep = [i for i, s in enumerate(state) if s <= J_RUNNING]  # stay hot
         dead = [i for i, s in enumerate(state) if s > J_RUNNING]  # done / cancelled
-        order = gi.order
-        preds = gi.preds
-        ext = gi.ext_preds
+        order = loop.order
+        preds = loop.preds
+        ext = loop.ext_preds
         finish = loop.finish
         archive = self.archive
         pos = len(archive)
@@ -909,11 +938,11 @@ class SchedulingSession:
         archive.extend(
             ids,
             states,
-            [gi.demand[i] for i in dead],
-            [gi.duration[i] for i in dead],
-            [gi.key[i] for i in dead],
+            [loop.demand[i] for i in dead],
+            [loop.duration[i] for i in dead],
+            [loop.key[i] for i in dead],
             [(*map(order.__getitem__, preds[i]), *ext[i]) for i in dead],
-            [gi.release[i] for i in dead],
+            [loop.release[i] for i in dead],
             [self.tenants[i] for i in dead],
             [loop.start[i] for i in dead],
             [finish[i] for i in dead],
@@ -923,8 +952,7 @@ class SchedulingSession:
         self.archived_makespan = max(
             self.archived_makespan, max(done_finish, default=0.0)
         )
-        old2new = gi.compact(keep)
-        loop.compact(keep, old2new)
+        loop.compact(keep)
         tenants = self.tenants
         self.tenants = [tenants[i] for i in keep]
         self.compactions += 1
@@ -945,9 +973,10 @@ class SchedulingSession:
         if e[0] != "start":
             return e
         jid = e[1]
-        i = self.gi.index.get(jid)
+        loop = self.loop
+        i = loop.index.get(jid)
         if i is not None:
-            return (*e, self.gi.duration[i], self.gi.demand[i])
+            return (*e, loop.duration[i], loop.demand[i])
         pos = self.archive_index[jid]
         return (*e, self.archive.duration[pos], self.archive.demand_of(pos))
 
@@ -993,7 +1022,6 @@ class SchedulingSession:
         from repro.resources.vector import ResourceVector
         from repro.sim.schedule import Schedule, ScheduledJob
 
-        gi = self.gi
         loop = self.loop
         jobs: dict[JobId, Job] = {}
         placements: dict[JobId, ScheduledJob] = {}
@@ -1013,22 +1041,22 @@ class SchedulingSession:
             placements[jid] = ScheduledJob(
                 job_id=jid, start=rec["start"], time=rec["duration"], alloc=v
             )
-        for i, jid in enumerate(gi.order):
+        for i, jid in enumerate(loop.order):
             if loop.state[i] != J_DONE:
                 continue
-            v = ResourceVector(gi.demand[i])
+            v = ResourceVector(loop.demand[i])
             jobs[jid] = Job(
                 id=jid,
-                time_fn=TabulatedTimeFunction({v: gi.duration[i]}),
+                time_fn=TabulatedTimeFunction({v: loop.duration[i]}),
                 candidates=(v,),
-                release=gi.release[i],
+                release=loop.release[i],
             )
-            edges.extend((gi.order[p], jid) for p in gi.preds[i])
-            edges.extend((p, jid) for p in gi.ext_preds[i])
+            edges.extend((loop.order[p], jid) for p in loop.preds[i])
+            edges.extend((p, jid) for p in loop.ext_preds[i])
             placements[jid] = ScheduledJob(
-                job_id=jid, start=loop.start[i], time=gi.duration[i], alloc=v
+                job_id=jid, start=loop.start[i], time=loop.duration[i], alloc=v
             )
-        pool = ResourcePool(ResourceVector(gi.layout.capacities))
+        pool = ResourcePool(ResourceVector(self.capacities))
         inst = Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool)
         return Schedule(instance=inst, placements=placements)
 

@@ -896,33 +896,33 @@ class ReferenceHistory:
         session.prune_events = prune_events
 
     def sync(self) -> None:
-        gi = self.session.gi
+        loop = self.session.loop
         for e in self.session.events[self.seen:]:
             if e[0] == "start":
-                i = gi.index[e[1]]
-                e = ("start", e[1], e[2], gi.duration[i], gi.demand[i])
+                i = loop.index[e[1]]
+                e = ("start", e[1], e[2], loop.duration[i], loop.demand[i])
             self.events.append(e)
         self.seen = len(self.session.events)
 
     def _archive_dead_rows(self) -> None:
         session = self.session
-        gi, loop = session.gi, session.loop
-        order = gi.order
+        loop = session.loop
+        order = loop.order
         for i, s in enumerate(loop.state):
             if s <= 2:  # waiting / queued / running stay hot
                 continue
-            pr = [order[p] for p in gi.preds[i]]
-            if gi.ext_preds[i]:
-                pr.extend(gi.ext_preds[i])
+            pr = [order[p] for p in loop.preds[i]]
+            if loop.ext_preds[i]:
+                pr.extend(loop.ext_preds[i])
             self.archive.append(
                 {
                     "id": order[i],
                     "state": _REF_STATE_NAMES[s],
-                    "demand": gi.demand[i],
-                    "duration": gi.duration[i],
-                    "key": gi.key[i],
+                    "demand": loop.demand[i],
+                    "duration": loop.duration[i],
+                    "key": loop.key[i],
                     "preds": pr,
-                    "release": gi.release[i],
+                    "release": loop.release[i],
                     "tenant": session.tenants[i],
                     "start": loop.start[i],
                     "finish": loop.finish[i],
@@ -943,7 +943,6 @@ def reference_checkpoint(session, history: ReferenceHistory) -> dict:
     """The frozen ``repro-session/2`` writer over ``history``'s archive and
     event log."""
     history.sync()
-    gi = session.gi
     loop = session.loop
     return {
         "format": "repro-session/2",
@@ -957,13 +956,13 @@ def reference_checkpoint(session, history: ReferenceHistory) -> dict:
         },
         "compactions": session.compactions,
         "jobs": {
-            "id": list(gi.order),
-            "preds": [list(p) for p in gi.preds],
-            "ext_preds": [list(p) for p in gi.ext_preds],
-            "demand": [list(d) for d in gi.demand],
-            "duration": list(gi.duration),
-            "key": list(gi.key),
-            "release": list(gi.release),
+            "id": list(loop.order),
+            "preds": [list(p) for p in loop.preds],
+            "ext_preds": [list(p) for p in loop.ext_preds],
+            "demand": [list(d) for d in loop.demand],
+            "duration": list(loop.duration),
+            "key": list(loop.key),
+            "release": list(loop.release),
             "tenant": list(session.tenants),
             "state": [_REF_STATE_NAMES[s] for s in loop.state],
             "remaining": list(loop.remaining),

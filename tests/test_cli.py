@@ -530,6 +530,36 @@ class TestCommands:
         resp = json.loads(capsys.readouterr().out.splitlines()[0])
         assert resp["makespan"] == 2.0 and resp["completed"] == 1
 
+    def test_serve_counts_archived_jobs_on_restore_and_recovery(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Both lines count what the ``restore`` op counts, live rows and
+        archived ones; they used to count the live rows only."""
+        import io
+
+        from repro.service import JournaledSession, SchedulingSession, save_session
+        from repro.service.session import JobSpec
+
+        journal = tmp_path / "j.jsonl"
+        js = JournaledSession(
+            SchedulingSession([4], compact_threshold=0.5, compact_min_rows=4),
+            str(journal), str(journal) + ".snapshot.json",
+        )
+        js.submit([JobSpec(f"j{i}", (2,), 1.0) for i in range(7)])
+        js.advance(2.0)
+        assert len(js.session.archive) == 4 and len(js.session.loop.order) == 3
+        js.checkpoint()
+        js.close()
+        ck = tmp_path / "ck.json"
+        save_session(js.session, str(ck))
+        for argv, line in (
+            (["--restore", str(ck)], "serve: resumed 7 job(s) at clock 2 "),
+            (["--journal", str(journal)], "serve: recovered 7 job(s) at clock 2 "),
+        ):
+            monkeypatch.setattr("sys.stdin", io.StringIO(""))
+            assert main(["serve", *argv]) == 0
+            assert line in capsys.readouterr().err
+
     def test_serve_supervised_restore_into_a_journal_is_refused(
         self, tmp_path, capsys, monkeypatch
     ):

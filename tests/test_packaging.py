@@ -3,6 +3,7 @@ the hypothesis profiles the suite runs under."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 import re
@@ -200,6 +201,114 @@ def test_only_the_allocation_value_lowers_an_allocation_mapping():
     lowering = found.pop("instance/compiled.py::lower", None)
     assert found == {}
     assert lowering  # the scan sees the one lowering
+
+
+#: every per-row column of a live session: the session loop's to write
+_ROW_COLUMNS = frozenset((
+    "order", "index", "succ", "preds", "ext_preds", "demand", "packed",
+    "duration", "key", "release", "state", "remaining", "start", "finish",
+))
+_MUTATORS = frozenset((
+    "append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+    "update", "setdefault", "popitem",
+))
+#: the loop's three ways in for rows, and where each is called from
+_ROW_ENTRIES = frozenset(("admit", "load", "compact"))
+
+
+def _is_loop(node) -> bool:
+    """``loop``, ``self.loop``, ``session.loop``: the session loop."""
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")) == "loop"
+
+
+def _row_writes(path: pathlib.Path) -> tuple[list[str], list[str]]:
+    """Per ``path``: every write to a loop's row column — an assignment to
+    ``loop.<column>`` or an item of it, a ``del`` of one, a mutating call
+    on one, directly or through a local name bound to it — and every call
+    of the loop's row entries, as ``function: source``."""
+    writes, entries = [], []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = {
+            t.id
+            for n in ast.walk(fn) if isinstance(n, ast.Assign)
+            and isinstance(n.value, ast.Attribute) and n.value.attr in _ROW_COLUMNS
+            and _is_loop(n.value.value)
+            for t in n.targets if isinstance(t, ast.Name)
+        }
+
+        def column(node) -> bool:
+            return (
+                isinstance(node, ast.Attribute) and node.attr in _ROW_COLUMNS
+                and _is_loop(node.value)
+            ) or (isinstance(node, ast.Name) and node.id in aliases)
+
+        for n in ast.walk(fn):
+            targets = (
+                n.targets if isinstance(n, (ast.Assign, ast.Delete))
+                else [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign))
+                else []
+            )
+            for t in targets:
+                if (isinstance(t, ast.Attribute) and column(t)) or (
+                    isinstance(t, ast.Subscript) and column(t.value)
+                ):
+                    writes.append(f"{fn.name}: {ast.unparse(n)}")
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                if n.func.attr in _MUTATORS and column(n.func.value):
+                    writes.append(f"{fn.name}: {ast.unparse(n)}")
+                elif n.func.attr in _ROW_ENTRIES and _is_loop(n.func.value):
+                    entries.append(f"{fn.name}: {n.func.attr}")
+    return writes, entries
+
+
+def test_only_the_session_loop_appends_or_compacts_live_rows():
+    """A live session's rows have one owner, ``engine/dispatch.py``'s
+    ``IncrementalPriorityLoop``: no other module writes a row column, the
+    session admits through ``admit`` and compacts with one ``compact`` call,
+    restore appends through ``load``, and no second row store is left."""
+    src = ROOT / "src" / "repro"
+    writes, entries = {}, {}
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        name = str(path.relative_to(src))
+        for retired in ("GrowableCompiledInstance", "append_batch", "admit_batch", ".gi."):
+            assert retired not in text, (name, retired)
+        if name == "engine/dispatch.py":
+            continue
+        w, e = _row_writes(path)
+        if w:
+            writes[name] = w
+        if e:
+            entries[name] = sorted(e)
+    assert writes == {}
+    assert entries == {
+        "service/checkpoint.py": ["_restore_v2: load"],
+        "service/session.py": ["_compact: compact", "submit: admit"],
+    }
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks():
+    """``scripts/src_lines.py`` (CI's step summary): a docstring, a
+    comment line and a blank line are raw lines, not code lines; a string
+    that is not a docstring and every line of a split statement are."""
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "scripts" / "src_lines.py"
+    )
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    text = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        "    y = (x +  # trailing comment\n"
+        "         1)\n"
+        '    return """not a\ndocstring"""\n'
+    )
+    assert src_lines.count(text) == (10, 5)
 
 
 def test_tier1_profile_replays_the_same_examples():

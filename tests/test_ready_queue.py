@@ -92,7 +92,7 @@ def _specs(inst, alloc, keys, releases):
 def _assert_insort_order(loop):
     """The property: the queue IS the sorted ``(key, index)`` list of
     queued rows — what a fresh sort of the per-row states would give."""
-    key = loop.gi.key
+    key = loop.key
     ref = sorted((key[i], i) for i, s in enumerate(loop.state) if s == J_QUEUED)
     assert list(loop.rq) == ref
 
@@ -101,11 +101,11 @@ def _assert_column(loop):
     """The demand column is a cache of the list: there iff the queue is
     long and the images fit a ``uint64``, and then equal to the queued
     rows' images position for position."""
-    rq, rp, gi = loop.rq, loop.rp, loop.gi
-    assert (rp is None) == (not gi.layout.packable or len(rq) <= _VECTOR_QUEUE)
+    rq, rp = loop.rq, loop.rp
+    assert (rp is None) == (not loop.layout.packable or len(rq) <= _VECTOR_QUEUE)
     if rp is not None:
         assert rp.dtype == np.uint64
-        assert rp[:len(rq)].tolist() == [gi.packed[i] for _, i in rq]
+        assert rp[:len(rq)].tolist() == [loop.packed[i] for _, i in rq]
 
 
 def _assert_queue(session):
@@ -118,7 +118,7 @@ def _json_fork(session, *, via_json=True):
     must be the oracle's indices."""
     snap = checkpoint_session(session)
     loop = session.loop
-    key = loop.gi.key
+    key = loop.key
     assert snap["ready"] == [
         i for _, i in sorted((key[i], i) for i, s in enumerate(loop.state) if s == J_QUEUED)
     ]
@@ -170,7 +170,7 @@ def test_ready_queue_realizes_insort_total_order(family, scheduler, d, seed):
         elif act < 0.75:
             state = session.loop.state
             pending = [
-                session.gi.order[i]
+                session.loop.order[i]
                 for i, s in enumerate(state)
                 if s in (J_WAITING, J_QUEUED)
             ]
@@ -308,7 +308,7 @@ def test_long_queue_crosses_the_vector_threshold_both_ways(n, d, seed, cancels):
             queued = [i for _, i in session.loop.rq]
             if queued:
                 victim = queued[int(rng.integers(len(queued)))]
-                dead.update(session.cancel(session.gi.order[victim]))
+                dead.update(session.cancel(session.loop.order[victim]))
         check()
         if rng.random() < 0.1:
             _assert_archive_summaries(session, submitted)
@@ -363,7 +363,7 @@ class TestColumnCache:
 
     def test_wide_images_never_get_a_column(self):
         s = _backlog(3 * _VECTOR_QUEUE, caps=(4,) * 17)  # 4-bit fields: 68 bits
-        assert not s.gi.layout.packable and s.loop.rp is None
+        assert not s.loop.layout.packable and s.loop.rp is None
         _assert_queue(s)
 
     def test_cancel_first_last_middle_and_the_row_that_drops_the_column(self):
@@ -371,11 +371,11 @@ class TestColumnCache:
         loop = s.loop
         for pos in (0, -1, len(loop.rq) // 2):
             _, row = loop.rq[pos]
-            assert s.cancel(s.gi.order[row]) == (s.gi.order[row],)
+            assert s.cancel(s.loop.order[row]) == (s.loop.order[row],)
             _assert_queue(s)
             assert loop.rp is not None
         _, row = loop.rq[3]
-        s.cancel(s.gi.order[row])  # _VECTOR_QUEUE rows left: the cache goes
+        s.cancel(s.loop.order[row])  # _VECTOR_QUEUE rows left: the cache goes
         assert loop.L == _VECTOR_QUEUE and loop.rp is None
         _assert_queue(s)
         s.drain()
@@ -415,7 +415,7 @@ class TestColumnCache:
     def test_mixed_int_and_float_keys_with_ties(self):
         keys = [3, 3.0, 2.5, 3, 2.5, 3.0]
         s = _backlog(len(keys), keys=keys)
-        row = s.gi.index
+        row = s.loop.index
         want = [(2.5, row["q2"]), (2.5, row["q4"]), (3, row["q0"]),
                 (3.0, row["q1"]), (3, row["q3"]), (3.0, row["q5"])]
         assert list(s.loop.rq) == want
@@ -439,7 +439,7 @@ class TestCompactionTrigger:
         s.drain()  # every row is dead, but the table is below the floor
         assert s.compactions == 0
         assert len(s.archive) == 0
-        assert len(s.gi.order) == 4
+        assert len(s.loop.order) == 4
 
     def test_threshold_fires_at_exact_fraction(self):
         # capacity 2, demand 2: the four jobs run strictly serially, so
@@ -453,7 +453,7 @@ class TestCompactionTrigger:
         assert s.counters.completed == 2
         assert s.compactions == 1  # 2/4 dead >= 0.5: fires on the boundary
         assert s.archive.ids == ["a", "b"]
-        assert s.gi.order == ["c", "d"]
+        assert s.loop.order == ["c", "d"]
         s.drain()
         assert s.state_of("a") == "done" and s.state_of("d") == "done"
 
@@ -471,7 +471,7 @@ class TestCompactionTrigger:
         s.advance(0.5)  # compaction piggybacks on the next verb
         assert s.compactions == 1
         assert sorted(s.archive.ids) == ["b", "c"]
-        assert s.gi.order == ["a", "d"]
+        assert s.loop.order == ["a", "d"]
 
     def test_threshold_none_disables(self):
         s = SchedulingSession([2], compact_threshold=None, compact_min_rows=1)
@@ -517,21 +517,20 @@ class TestCompactionRemapping:
         s._compact()
         assert s.compactions == 1
         assert s.archive.ids == ["a", "b"]
-        gi = s.gi
-        assert gi.order == ["blocker", "q1", "q2", "late"]
-        # ready queue: indices remapped, (key, index) order intact
         loop = s.loop
-        assert list(loop.rq) == [(3, gi.index["q2"]), (9, gi.index["q1"])]
+        assert loop.order == ["blocker", "q1", "q2", "late"]
+        # ready queue: indices remapped, (key, index) order intact
+        assert list(loop.rq) == [(3, loop.index["q2"]), (9, loop.index["q1"])]
         _assert_insort_order(loop)
         # heap codes: blocker's completion (code >= 0, the new index) and
         # late's release (code < 0, bitwise complement of the new index)
         codes = sorted(c for (_, _, c) in loop.heap)
-        assert codes == sorted([gi.index["blocker"], ~gi.index["late"]])
+        assert codes == sorted([loop.index["blocker"], ~loop.index["late"]])
         # archived predecessors moved into ext_preds by id; live wiring
         # (none here — blocker's preds are both archived) stays indexed
-        assert gi.preds[gi.index["blocker"]] == ()
-        assert sorted(gi.ext_preds[gi.index["blocker"]]) == ["a", "b"]
-        assert gi.succ[gi.index["blocker"]] == []
+        assert loop.preds[loop.index["blocker"]] == ()
+        assert sorted(loop.ext_preds[loop.index["blocker"]]) == ["a", "b"]
+        assert loop.succ[loop.index["blocker"]] == []
 
     def test_compacted_session_drains_identically(self):
         plain = self._mid_flight_session()

@@ -242,6 +242,23 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match="job 'a': start 0.75 is after the clock 0.5"):
             restore_session(snap)
 
+    @pytest.mark.parametrize("seq", [0, 1])
+    def test_a_heap_seq_not_below_the_stored_seq_is_refused(self, seq):
+        """Later pushes would reuse the seq: completions at one time would
+        pop by row index, not in the order the jobs started."""
+        snap = self._running_snapshot()
+        snap["seq"] = seq
+        with pytest.raises(
+            ValueError, match=rf"heap entry seq {seq} is not below the stored seq {seq}"
+        ):
+            restore_session(snap)
+
+    def test_two_heap_entries_sharing_a_seq_are_refused(self):
+        snap = self._running_snapshot()
+        snap["heap"][1][1] = 0
+        with pytest.raises(ValueError, match="job 'b': heap entry reuses seq 0"):
+            restore_session(snap)
+
     @pytest.mark.parametrize("eps", [1e9, float("inf"), 0.0, 1e-9])
     def test_a_batch_tolerance_other_than_the_engines_is_refused(self, eps):
         """A wider tolerance batches completions that do not coincide:
@@ -257,7 +274,7 @@ class TestCheckpointBasics:
         s = SchedulingSession([4], compact_threshold=0.5, compact_min_rows=4)
         s.submit([JobSpec(f"j{i}", (2,), 1.0) for i in range(7)])
         s.advance(2.0)
-        assert len(s.archive) == 4 and len(s.gi.order) == 3
+        assert len(s.archive) == 4 and len(s.loop.order) == 3
         return checkpoint_session(s)
 
     def test_an_archive_listing_an_id_twice_is_refused(self):
@@ -314,6 +331,23 @@ class TestCheckpointBasics:
         snap = self._two_type_snapshot()
         snap["jobs"]["demand"][snap["jobs"]["id"].index("b")] = [0, 0]
         with pytest.raises(ValueError, match=r"^job 'b': demand \(0, 0\) must request at least one"):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("key", [float("nan"), True], ids=["nan", "true"])
+    def test_a_live_key_submit_refuses_is_refused(self, key):
+        """Restore used to store a live row's key as it was: a queued NaN
+        broke the ready queue's ``(key, index)`` order (a later cancel lost
+        the row), and a boolean was written back as ``true``."""
+        snap = self._two_type_snapshot()
+        snap["jobs"]["key"][snap["jobs"]["id"].index("b")] = key
+        with pytest.raises(ValueError, match=r"^job 'b': priority key must be numeric"):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("key", [float("nan"), True], ids=["nan", "true"])
+    def test_an_archived_key_submit_refuses_is_refused(self, key):
+        snap = self._two_type_snapshot()
+        snap["archive"][2]["key"] = key
+        with pytest.raises(ValueError, match=r"^archived job 'j2': priority key must be numeric"):
             restore_session(snap)
 
     def test_fractional_capacities_are_refused_not_truncated(self):
@@ -479,7 +513,7 @@ class TestColumnarHistory:
                 text = json.dumps(checkpoint_session(s))
                 assert text == json.dumps(reference_checkpoint(s, hist))
                 seen.update(s.state_of(j) for j in s.archive_index)
-                if len(s.gi.order):
+                if len(s.loop.order):
                     seen.add("live")
                 snap = json.loads(text)
                 if rng.random() < 0.5:
@@ -513,7 +547,7 @@ class TestColumnarHistory:
         s = SchedulingSession([4, 4], compact_threshold=0.5, compact_min_rows=64)
 
         def run(n):
-            base = len(s.archive) + len(s.gi.order)
+            base = len(s.archive) + len(s.loop.order)
             s.submit(
                 [
                     JobSpec(f"j{base + k}", (1, 2), 1.0, (f"j{base + k - 1}",) if k else ())

@@ -1,7 +1,7 @@
 """Tests for the online scheduling session (service subsystem tentpole).
 
-Covers the growable compiled instance, the incremental re-entrant dispatch
-loop, the session verbs (submit / cancel / advance / drain) and — the
+Covers the incremental re-entrant dispatch loop and the rows it owns, the
+session verbs (submit / cancel / advance / drain) and — the
 acceptance criterion — event-for-event identity between a
 submission-order-faithful session and the batch compiled engine.
 """
@@ -20,9 +20,8 @@ from repro.conformance.fuzz import drive_session_faithfully, portable_events, se
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.generators import layered_random
 from repro.dag.graph import DAG
-from repro.engine.dispatch import _VECTOR_QUEUE
+from repro.engine.dispatch import _VECTOR_QUEUE, IncrementalPriorityLoop
 from repro.experiments.workloads import random_instance
-from repro.instance.compiled import GrowableCompiledInstance
 from repro.instance.instance import Instance, with_poisson_arrivals, with_release_times
 from repro.jobs.candidates import make_candidates
 from repro.jobs.job import Job
@@ -52,61 +51,71 @@ def fixed_allocation(inst, d):
     return {j: min(es, key=lambda e: e.time * e.area).alloc for j, es in table.items()}
 
 
-class TestGrowableCompiledInstance:
-    def test_append_and_structure(self):
-        gi = GrowableCompiledInstance([4, 4])
-        base = gi.append_batch(
-            ["a", "b"], [(), (0,)], [(2, 1), (1, 1)], [1.0, 2.0], [0, 1], [0.0, 0.0]
+class TestLoopRows:
+    """A live session's rows: the loop appends, wires and packs them; the
+    session's ``validate_row`` checks one before it is admitted."""
+
+    @staticmethod
+    def _admit(loop, ids, preds, demands):
+        k = len(ids)
+        loop.admit(
+            ids, preds, [()] * k, demands, [1.0] * k, list(range(k)), [0.0] * k,
+            [len(p) for p in preds],
         )
-        a, b = base, base + 1
-        assert gi.order == ["a", "b"]
-        assert gi.succ[a] == [b]
-        assert gi.preds[b] == (a,)
-        assert gi.layout.packable
-        assert gi.layout.bits == 4  # capacity 4: three bits and the headroom bit
-        assert gi.packed[a] == (1 << 4) + 2 == gi.layout.images([(2, 1)])[0]
+
+    def test_append_and_structure(self):
+        loop = IncrementalPriorityLoop([4, 4])
+        self._admit(loop, ["a", "b"], [(), (0,)], [(2, 1), (1, 1)])
+        a, b = 0, 1
+        assert loop.index == {"a": a, "b": b}
+        assert loop.order == ["a", "b"]
+        assert loop.succ[a] == [b]
+        assert loop.preds[b] == (a,)
+        assert loop.layout.packable
+        assert loop.layout.bits == 4  # capacity 4: three bits and the headroom bit
+        assert loop.packed[a] == (1 << 4) + 2 == loop.layout.images([(2, 1)])[0]
 
     def test_unpackable_platforms(self):
         # packable <=> d * bits <= 64
-        assert GrowableCompiledInstance([2] * 21).layout.packable
-        assert not GrowableCompiledInstance([2] * 22).layout.packable
-        assert not GrowableCompiledInstance([1 << 15] * 4).layout.packable
-        assert GrowableCompiledInstance([(1 << 15) - 1] * 4).layout.packable
+        assert IncrementalPriorityLoop([2] * 21).layout.packable
+        assert not IncrementalPriorityLoop([2] * 22).layout.packable
+        assert not IncrementalPriorityLoop([1 << 15] * 4).layout.packable
+        assert IncrementalPriorityLoop([(1 << 15) - 1] * 4).layout.packable
         # the image exists either way: fields as wide as the capacities need
-        gi = GrowableCompiledInstance([1 << 15, 3])
-        assert gi.layout.bits == 17
-        gi.append_batch(["a"], [()], [(1 << 15, 2)], [1.0], [0], [0.0])
-        assert gi.packed == [(2 << 17) + (1 << 15)]
+        loop = IncrementalPriorityLoop([1 << 15, 3])
+        assert loop.layout.bits == 17
+        self._admit(loop, ["a"], [()], [(1 << 15, 2)])
+        assert loop.packed == [(2 << 17) + (1 << 15)]
 
     def test_validation_errors(self):
-        gi = GrowableCompiledInstance([4, 4])
-        gi.append_batch(["a"], [()], [(1, 1)], [1.0], [0], [0.0])
+        s = SchedulingSession([4, 4])
+        s.submit([JobSpec("a", (1, 1), 1.0)])
         with pytest.raises(ValueError, match="already submitted"):
-            gi.validate_row("a", (1, 1), 1.0)
+            s.validate_row("a", (1, 1), 1.0)
         with pytest.raises(ValueError, match="1 amounts for 2 resource types"):
-            gi.validate_row("b", (1,), 1.0)
+            s.validate_row("b", (1,), 1.0)
         with pytest.raises(ValueError, match="exceeds capacities"):
-            gi.validate_row("b", (5, 1), 1.0)
+            s.validate_row("b", (5, 1), 1.0)
         with pytest.raises(ValueError, match="at least one unit"):
-            gi.validate_row("b", (0, 0), 1.0)
+            s.validate_row("b", (0, 0), 1.0)
         with pytest.raises(ValueError, match="duration"):
-            gi.validate_row("b", (1, 1), 0.0)
+            s.validate_row("b", (1, 1), 0.0)
         with pytest.raises(ValueError, match="duration"):
-            gi.validate_row("b", (1, 1), float("inf"))
+            s.validate_row("b", (1, 1), float("inf"))
         with pytest.raises(ValueError, match="release"):
-            gi.validate_row("b", (1, 1), 1.0, release=-1.0)
+            s.validate_row("b", (1, 1), 1.0, release=-1.0)
         with pytest.raises(ValueError, match="release"):
-            gi.validate_row("b", (1, 1), 1.0, release=float("inf"))
-        assert gi.validate_row("b", [1, 1], 1.0) == (1, 1)
+            s.validate_row("b", (1, 1), 1.0, release=float("inf"))
+        assert s.validate_row("b", [1, 1], 1.0) == (1, 1)
         # an amount must equal its integer value: lowered, or refused —
         # never truncated
-        assert gi.validate_row("b", (2.0, np.int64(1)), 1.0) == (2, 1)
-        assert all(type(a) is int for a in gi.validate_row("b", (2.0, np.int64(1)), 1.0))
+        assert s.validate_row("b", (2.0, np.int64(1)), 1.0) == (2, 1)
+        assert all(type(a) is int for a in s.validate_row("b", (2.0, np.int64(1)), 1.0))
         for bad in ((2.7, 1), ("1", 1), (float("nan"), 1), (float("inf"), 1)):
             with pytest.raises(ValueError, match="job 'b': "):
-                gi.validate_row("b", bad, 1.0)
+                s.validate_row("b", bad, 1.0)
         with pytest.raises(ValueError, match="capacities must be a positive"):
-            GrowableCompiledInstance([])
+            IncrementalPriorityLoop([])
 
 
 _BASE = {"id": "j", "demand": [1, 2], "duration": 1.5}
@@ -402,8 +411,8 @@ class TestSessionBasics:
             assert s.status()["jobs"] == 0
         # whole amounts of any numeric type are lowered to python ints
         s.submit([JobSpec("a", (2.0, 1), 1.0), JobSpec("b", np.array([1, 2]), 1.0)])
-        assert s.gi.demand == [(2, 1), (1, 2)]
-        assert all(type(a) is int for row in s.gi.demand for a in row)
+        assert s.loop.demand == [(2, 1), (1, 2)]
+        assert all(type(a) is int for row in s.loop.demand for a in row)
         s.drain()
         assert s.to_schedule().placements["a"].alloc == ResourceVector((2, 1))
 
@@ -617,13 +626,13 @@ def _rigid_session_starts(dag, capacities, demands, durations):
     assert {e[1]: (e[2], tuple(e[4])) for e in started} == {
         repr(j): (p.start, tuple(demands[j])) for j, p in batch.placements.items()
     }
-    return session.gi.layout.packable, queued, [e[1:3] for e in started]
+    return session.loop.layout.packable, queued, [e[1:3] for e in started]
 
 
 @pytest.mark.parametrize("boundary", ("capacity", "fifth-type", "long-queue"))
 def test_session_packing_boundary_identity(boundary):
     """The session twin of ``test_packing_boundary_identity``: the same
-    demands either side of ``gi.layout.packable`` — ``d = 4`` at capacity
+    demands either side of ``loop.layout.packable`` — ``d = 4`` at capacity
     ``2**15 - 1`` vs ``2**15``, ``d = 12`` vs ``d = 13`` at capacity 12 with
     a last type nobody asks for (the parameter id dates from the boundary
     having been the fifth type), the latter also with a queue past
