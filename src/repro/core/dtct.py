@@ -101,9 +101,14 @@ frontier order, ``starts``, the ``rows`` that name each kept candidate in its
 job's candidate list).  :meth:`Instance.candidate_table` returns them; a
 hand-built dict of entry lists is lowered once on the way in (``_columns``)
 and then takes the same path.  The LP gets ``times``/``areas``/``starts``
-permuted to topological order, the rounding works on one ``(jobs, longest
-frontier)`` matrix and looks the chosen allocation up through ``rows`` — no
-entry object is built on the way from the table to ``p'``.
+permuted to topological order and its answer stays flat
+(:class:`FractionalSolution` builds its per-job dicts only when one is
+read); one kernel (:func:`_quantile_picks`) rounds every job on one
+``(jobs, longest frontier)`` matrix, and :func:`dtct_allocate` gathers
+``p'``'s ``(n, d)`` matrix from the candidate lists' allocation arrays by
+``rows`` — no entry object, dict or vector is built on the way from the
+table to ``p'``.  :func:`round_fractional` runs the same kernel and
+returns the dict a caller with a hand-built table wants.
 
 Rounding (the ρ-quantile rule, equivalent to Skutella's virtual-task
 rounding): per job, with alternatives sorted by increasing time (hence
@@ -151,7 +156,6 @@ __all__ = [
 JobId = Hashable
 
 
-@dataclass(frozen=True)
 class FractionalSolution:
     """Optimal fractional DTCT solution.
 
@@ -166,12 +170,76 @@ class FractionalSolution:
         ``τ_j = Σ_k t_{j,k} x_{j,k}``.
     fractional_areas:
         ``γ_j = Σ_k a_{j,k} x_{j,k}``.
+
+    Built by hand, from these four values, the three dicts are what was
+    given.  :func:`solve_dtct_lp` keeps its answer flat instead — ``x`` over
+    every job's frontier, laid out as the LP read them, in topological
+    order — and each dict is built on its first read.  Once ``fractions``
+    has been read it is the only authority: a caller may edit it before
+    rounding, and :func:`round_fractional` rounds what it holds.
     """
 
-    lower_bound: float
-    fractions: dict[JobId, np.ndarray]
-    fractional_times: dict[JobId, float]
-    fractional_areas: dict[JobId, float]
+    __slots__ = ("lower_bound", "_flat", "_fractions", "_fractional_times", "_fractional_areas")
+    __hash__ = None  # compares like the four values it stands for
+
+    def __init__(
+        self,
+        lower_bound: float,
+        fractions: dict[JobId, np.ndarray],
+        fractional_times: dict[JobId, float],
+        fractional_areas: dict[JobId, float],
+    ) -> None:
+        self.lower_bound = lower_bound
+        self._flat = None
+        self._fractions = fractions
+        self._fractional_times = fractional_times
+        self._fractional_areas = fractional_areas
+
+    @classmethod
+    def _of(cls, lower_bound: float, fr: "_Frontiers", x: np.ndarray) -> "FractionalSolution":
+        """The flat answer: ``x`` over ``fr``'s layout."""
+        self = cls(lower_bound, None, None, None)
+        self._flat = (fr, x)
+        return self
+
+    def _per_job(self, column: np.ndarray) -> dict[JobId, float]:
+        fr, x = self._flat
+        total = np.bincount(fr.job_of, weights=column * x, minlength=len(fr.job_order))
+        return dict(zip(fr.job_order, total.tolist()))
+
+    @property
+    def fractions(self) -> dict[JobId, np.ndarray]:
+        if self._fractions is None:
+            fr, x = self._flat
+            self._fractions = dict(zip(fr.job_order, np.split(x, fr.starts[1:-1])))
+        return self._fractions
+
+    @property
+    def fractional_times(self) -> dict[JobId, float]:
+        if self._fractional_times is None:
+            self._fractional_times = self._per_job(self._flat[0].times)
+        return self._fractional_times
+
+    @property
+    def fractional_areas(self) -> dict[JobId, float]:
+        if self._fractional_areas is None:
+            self._fractional_areas = self._per_job(self._flat[0].areas)
+        return self._fractional_areas
+
+    def _values(self) -> tuple:
+        return self.lower_bound, self.fractions, self.fractional_times, self.fractional_areas
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"FractionalSolution(lower_bound={self.lower_bound!r}, "
+            f"fractions={self.fractions!r}, fractional_times={self.fractional_times!r}, "
+            f"fractional_areas={self.fractional_areas!r})"
+        )
 
 
 class DTCTSolveError(RuntimeError):
@@ -590,15 +658,63 @@ def solve_dtct_lp(
     else:
         x, lower_bound = _lp_optimum(instance, fr)
 
-    n = len(fr.job_order)
-    tau = np.bincount(fr.job_of, weights=fr.times * x, minlength=n)
-    gamma = np.bincount(fr.job_of, weights=fr.areas * x, minlength=n)
-    return FractionalSolution(
-        lower_bound=lower_bound,
-        fractions=dict(zip(fr.job_order, np.split(x, fr.starts[1:-1]))),
-        fractional_times=dict(zip(fr.job_order, tau.tolist())),
-        fractional_areas=dict(zip(fr.job_order, gamma.tolist())),
-    )
+    return FractionalSolution._of(lower_bound, fr, x)
+
+
+def _quantile_picks(starts: np.ndarray, x: np.ndarray, rho: float) -> np.ndarray:
+    """Per job, the index in its frontier of the first candidate at which the
+    cumulative fraction reaches ``1 − ρ`` (minus a small numeric slack); job
+    ``i``'s fractions are ``x[starts[i]:starts[i + 1]]``.
+
+    All jobs at once: the fractions go into one ``(jobs, longest frontier)``
+    matrix, zero-padded, whose row-wise ``cumsum`` is each job's own.  A
+    padded place repeats the row's total and a job's last candidate catches
+    whatever stays below the threshold: the index ``searchsorted`` on the
+    job's own cumulative sums gives.
+    """
+    counts = starts[1:] - starts[:-1]
+    job_of = np.repeat(np.arange(counts.size), counts)
+    padded = np.zeros((counts.size, int(counts.max())))
+    padded[job_of, np.arange(x.size) - starts[job_of]] = x
+    below = (np.cumsum(padded, axis=1) < 1.0 - rho - 1e-9).sum(axis=1)
+    return np.minimum(below, counts - 1)
+
+
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"ρ must lie in (0, 1), got {rho}")
+
+
+def _fraction_columns(
+    table: CandidateTable, solution: FractionalSolution
+) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """``(jobs, at, starts, x)``: the solution's jobs, their table
+    positions and their fractions flat, each job's as long as its frontier
+    in ``table`` and finite (``ValueError`` naming the job otherwise)."""
+    fractions = None
+    if solution._fractions is None:  # flat, and the dict not yet read
+        fr, x = solution._flat
+        jobs, starts = fr.job_order, fr.starts
+    else:
+        fractions = list(solution.fractions.values())
+        jobs = list(solution.fractions)
+        counts = np.fromiter(map(len, fractions), dtype=np.int64, count=len(jobs))
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        x = np.concatenate(fractions) if jobs else np.zeros(0)
+    at = table.positions(jobs)
+    counts = starts[1:] - starts[:-1]
+    wrong = np.flatnonzero((counts != (table.starts[1:] - table.starts[:-1])[at]) | (counts == 0))
+    if wrong.size:
+        k = int(wrong[0])
+        raise ValueError(
+            f"job {jobs[k]!r}: {counts[k]} fractions for "
+            f"{len(table[jobs[k]])} candidate allocations"
+        )
+    if not np.isfinite(x).all():
+        k = int(np.searchsorted(starts, np.flatnonzero(~np.isfinite(x))[0], side="right")) - 1
+        given = fractions[k] if fractions is not None else x[starts[k] : starts[k + 1]]
+        raise ValueError(f"job {jobs[k]!r}: fractions must be finite, got {given}")
+    return jobs, at, starts, x
 
 
 def round_fractional(
@@ -611,43 +727,19 @@ def round_fractional(
     For each job the candidates are sorted by increasing time; we select the
     first index at which the cumulative fraction reaches ``1 − ρ`` (minus a
     small numeric slack).  See the module docstring for the resulting
-    per-job guarantees.  All jobs at once: the fractions go into one
-    ``(jobs, longest frontier)`` matrix, zero-padded, whose row-wise
-    ``cumsum`` is each job's own; the chosen allocation is looked up by the
-    table's ``rows`` column, so no entry object is built.  A fraction vector
-    whose length is not its job's frontier's, or that is not finite, is
-    refused with ``ValueError``.
+    per-job guarantees.  One kernel picks every job's candidate
+    (:func:`_quantile_picks`, which :func:`dtct_allocate` runs too); the
+    chosen allocation is looked up by the table's ``rows`` column, so no
+    entry object is built, and returned as a dict.  A fraction vector whose
+    length is not its job's frontier's, or that is not finite, is refused
+    with ``ValueError``.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"ρ must lie in (0, 1), got {rho}")
-    jobs = list(solution.fractions)
+    _check_rho(rho)
+    table = _columns(table)
+    jobs, at, starts, x = _fraction_columns(table, solution)
     if not jobs:
         return {}
-    table = _columns(table)
-    at = table.positions(jobs)
-    fractions = list(solution.fractions.values())
-    counts = np.fromiter(map(len, fractions), dtype=np.int64, count=len(jobs))
-    wrong = np.flatnonzero((counts != (table.starts[1:] - table.starts[:-1])[at]) | (counts == 0))
-    if wrong.size:
-        k = int(wrong[0])
-        raise ValueError(
-            f"job {jobs[k]!r}: {counts[k]} fractions for "
-            f"{len(table[jobs[k]])} candidate allocations"
-        )
-    flat = np.concatenate(fractions)
-    job_of = np.repeat(np.arange(len(jobs)), counts)
-    if not np.isfinite(flat).all():
-        k = int(job_of[np.flatnonzero(~np.isfinite(flat))[0]])
-        raise ValueError(f"job {jobs[k]!r}: fractions must be finite, got {fractions[k]}")
-    starts = np.cumsum(counts) - counts
-    x = np.zeros((len(jobs), int(counts.max())))
-    x[job_of, np.arange(flat.size) - starts[job_of]] = flat
-    eps = 1e-9
-    # a padded place repeats the row's total, a job's last candidate catches
-    # whatever stays below the threshold: the same index ``searchsorted`` on
-    # the job's own cumulative sums gives
-    below = (np.cumsum(x, axis=1) < 1.0 - rho - eps).sum(axis=1)
-    chosen = table.rows[table.starts[:-1][at] + np.minimum(below, counts - 1)]
+    chosen = table.rows[table.starts[:-1][at] + _quantile_picks(starts, x, rho)]
     candidates = table.candidates
     return {
         j: candidates[p][r] for j, p, r in zip(jobs, at.tolist(), chosen.tolist())
@@ -664,7 +756,22 @@ def dtct_allocate(
     Returns the initial allocation ``p'`` (satisfying Lemma 3 relative to the
     returned fractional lower bound) as the instance's
     :class:`~repro.instance.compiled.Allocation`, and the fractional solution
-    itself.
+    itself.  The answer stays in columns: the rounding kernel picks each
+    job's candidate off the flat ``x`` and ``p'``'s matrix is one gather
+    from the candidate lists' allocation arrays
+    (:meth:`~repro.jobs.profiles.CandidateTable.allocations`), held to the
+    layout's bounds rule — no dict, no entry object, no vector.
     """
+    _check_rho(rho)
     solution = solve_dtct_lp(instance, table)
-    return Allocation.lower(instance, round_fractional(table, solution, rho)), solution
+    table = _columns(table)
+    if instance.n == 0:
+        return Allocation._of(instance, np.zeros((0, instance.d), dtype=np.int64)), solution
+    jobs, at, starts, x = _fraction_columns(table, solution)
+    rows = table.rows[table.starts[:-1][at] + _quantile_picks(starts, x, rho)]
+    matrix = table.allocations(at, rows)
+    layout = instance.compiled().layout
+    if matrix.shape[1:] != (layout.d,) or not layout.accepts(matrix):
+        for job, row in zip(jobs, matrix.tolist()):
+            layout.row(job, row)  # raises, naming the first job it refuses
+    return Allocation._of(instance, matrix), solution

@@ -36,6 +36,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.jobs.vectorized import _TimeFunctions, exact_times
 from repro.resources.vector import ResourceVector, whole_amounts
 
 __all__ = [
@@ -167,9 +168,13 @@ class DemandLayout:
             m = np.fromiter(chain.from_iterable(rows), np.int64, k * d).reshape(k, d)
         except (TypeError, OverflowError):  # a row with no len; past int64
             return None
-        if ((0 <= m) & (m <= self._cap_array)).all() and m.any(axis=1).all():
-            return m
-        return None
+        return m if self.accepts(m) else None
+
+    def accepts(self, m: np.ndarray) -> bool:
+        """The bounds rule over a ``(k, d)`` int64 matrix: every amount
+        within ``0..P`` of its type, every row asking for at least one
+        unit."""
+        return bool(((0 <= m) & (m <= self._cap_array)).all() and m.any(axis=1).all())
 
     def row(self, job_id: JobId, amounts) -> tuple[int, ...]:
         """The bounds rule on one row: ``amounts`` lowered by
@@ -195,27 +200,35 @@ class DemandLayout:
 class Allocation(MappingABC):
     """One allocation decision ``p`` of one instance: ``matrix``, its
     ``(n, d)`` int64 rows in topological order, accepted by the layout's
-    bounds rule, and ``durations``, ``instance.time`` of each row, computed
-    once, on first use (never a candidate table's time, which is numpy's,
-    not ``Job.time``'s: see :mod:`repro.jobs.vectorized`).  To everything
-    else it is the read-only ``Mapping[JobId, ResourceVector]`` it stands
-    for, in topological order.  :meth:`lower` is the one way a mapping
-    becomes one; there is no public constructor (``Allocation(...)`` is a
-    ``TypeError``), so every value's matrix passed the bounds rule."""
+    bounds rule, and ``durations``, ``instance.time`` of each row, bit for
+    bit, computed once, on first use.  Durations are never a candidate
+    table's times, which are numpy's, not ``Job.time``'s (see
+    :mod:`repro.jobs.vectorized`): every job whose time function has an
+    exact array form is evaluated in one batch by
+    :func:`~repro.jobs.vectorized.exact_times`, over the time functions the
+    instance's candidate table lowered, and every other job — an opaque
+    callable, an instance with no table, a value the batch finds
+    non-positive or non-finite — by ``instance.time``, which raises its
+    refusal naming the job.  To everything else it is the read-only
+    ``Mapping[JobId, ResourceVector]`` it stands for, in topological order;
+    its vectors are built on the first mapping read.  :meth:`lower` is the
+    one way a mapping becomes one; there is no public constructor
+    (``Allocation(...)`` is a ``TypeError``), so every value's matrix passed
+    the bounds rule."""
 
     __slots__ = ("instance", "matrix", "_vectors", "_durations")
 
     @classmethod
     def _of(cls, instance, matrix: np.ndarray, vectors: "list | None" = None) -> "Allocation":
         """The value over ``matrix``, unchecked: only for a matrix the bounds
-        rule accepted (:meth:`lower`) or an elementwise cap of one
+        rule accepted (:meth:`lower`, :func:`repro.core.dtct.dtct_allocate`)
+        or an elementwise cap of one
         (:func:`repro.core.adjustment.adjust_allocation`)."""
         self = object.__new__(cls)
         self.instance = instance
         self.matrix = matrix
         matrix.flags.writeable = False  # the vectors and durations are its
-        # the rows are whole and non-negative: the vectors are built unchecked
-        self._vectors = vectors or list(map(_trusted_vector, matrix.tolist()))
+        self._vectors = vectors
         self._durations = None
         return self
 
@@ -239,19 +252,33 @@ class Allocation(MappingABC):
             m = layout.matrix(list(map(layout.row, order, rows)))
         return cls._of(instance, m, rows if {ResourceVector}.issuperset(map(type, rows)) else None)
 
+    def _rows(self) -> list:
+        """The vectors, by topological index; built on first use."""
+        if self._vectors is None:
+            # the rows are whole and non-negative: the vectors are built unchecked
+            self._vectors = list(map(_trusted_vector, self.matrix.tolist()))
+        return self._vectors
+
     @property
     def durations(self) -> np.ndarray:
         """``t_j(p_j)`` by topological index (read-only float64)."""
         if self._durations is None:
-            order = self.instance.dag.order
-            self._durations = np.fromiter(
-                map(self.instance.time, order, self._vectors), np.float64, len(order)
-            )
-            self._durations.flags.writeable = False
+            instance = self.instance
+            order, fns = instance.dag.order, _lowered_time_functions(instance)
+            if fns is None:
+                times = np.fromiter(map(instance.time, order, self._rows()), np.float64, len(order))
+            else:
+                times = exact_times(fns, self.matrix)
+                redo = np.flatnonzero(~((times > 0.0) & (times < np.inf))).tolist()
+                if redo:
+                    rows = self._rows()
+                    times[redo] = [instance.time(order[k], rows[k]) for k in redo]
+            times.flags.writeable = False
+            self._durations = times
         return self._durations
 
     def __getitem__(self, job) -> ResourceVector:
-        return self._vectors[self.instance.dag.index[job]]
+        return self._rows()[self.instance.dag.index[job]]
 
     def __iter__(self) -> Iterator[JobId]:
         return iter(self.instance.dag.order)
@@ -261,6 +288,16 @@ class Allocation(MappingABC):
 
     def __repr__(self) -> str:
         return f"Allocation({dict(self)!r})"
+
+
+def _lowered_time_functions(instance) -> "_TimeFunctions | None":
+    """The time functions of ``instance``'s jobs as one of its cached
+    candidate tables lowered them, permuted to topological order; ``None``
+    if no table of it has been built (then there is nothing to reuse)."""
+    for table in instance._candidate_cache.values():
+        if table.time_functions is not None:
+            return table.time_functions.take(table.positions(instance.dag.order))
+    return None
 
 
 # ----------------------------------------------------------------------

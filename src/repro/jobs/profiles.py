@@ -25,9 +25,12 @@ the strategy's grid).  Phase 1 reads the columns and never builds an entry:
 the LP takes ``times``/``areas``/``starts``, the rounding picks a flat
 position and looks the allocation up by ``rows``.  To everything else the
 table *is* the ``Mapping[JobId, Sequence[ProfileEntry]]`` it always was: the
-value of a job knows its length from ``starts`` alone and builds its
-:class:`ProfileEntry` objects the first time it is indexed, iterated or
-compared — once; it hands out the same objects afterwards.
+value of a job is a view built on the first mapping read of that job, knows
+its length from ``starts`` alone and builds its :class:`ProfileEntry`
+objects the first time it is indexed, iterated or compared — once; it hands
+out the same objects afterwards.  The pipeline builds neither: it reads the
+columns, and the chosen candidates' ``(n, d)`` matrix is one gather from the
+candidate lists' stacked allocation arrays (:meth:`CandidateTable.allocations`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC, Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,6 +190,11 @@ class CandidateTable(MappingABC):
     candidates:
         Per job, the candidate list its rows index (shared between jobs
         that enumerate the same list).
+    time_functions:
+        The jobs' time functions lowered to arrays, in table order, by the
+        kernel that filled the table
+        (:class:`repro.jobs.vectorized._TimeFunctions`); ``None`` for a
+        table lowered from entries.
     """
 
     def __init__(
@@ -197,6 +205,9 @@ class CandidateTable(MappingABC):
         areas: np.ndarray,
         rows: np.ndarray,
         candidates: Sequence[Sequence[ResourceVector]],
+        *,
+        lists: "tuple[np.ndarray, np.ndarray] | None" = None,
+        time_functions=None,
     ) -> None:
         self.jobs = tuple(jobs)
         self.starts = starts
@@ -204,11 +215,10 @@ class CandidateTable(MappingABC):
         self.areas = areas
         self.rows = rows
         self.candidates = candidates
-        bounds = starts.tolist()
-        self._frontiers = {
-            j: _Frontier(self, i, lo, hi)
-            for i, (j, lo, hi) in enumerate(zip(self.jobs, bounds, bounds[1:]))
-        }
+        self.time_functions = time_functions
+        self._index = dict(zip(self.jobs, range(len(self.jobs))))
+        self._views: dict[Hashable, _Frontier] = {}
+        self._lists = lists
 
     @classmethod
     def from_entries(cls, entries: Mapping[Hashable, Sequence[ProfileEntry]]) -> "CandidateTable":
@@ -228,30 +238,61 @@ class CandidateTable(MappingABC):
             np.arange(len(flat)) - np.repeat(starts[:-1], counts),
             [tuple(e.alloc for e in es) for es in lists],
         )
-        for frontier, es in zip(table._frontiers.values(), lists):
-            frontier._entries = es
+        for job, es in zip(jobs, lists):
+            table[job]._entries = es
         return table
 
     def positions(self, jobs: Iterable[Hashable]) -> np.ndarray:
         """Table positions of ``jobs`` (``KeyError`` for a job not in the table)."""
-        frontiers = self._frontiers
-        return np.fromiter((frontiers[j]._position for j in jobs), dtype=np.int64)
+        return np.fromiter(map(self._index.__getitem__, jobs), dtype=np.int64)
 
-    # -- the mapping it has always been; values()/items() without a lookup per job
+    def allocations(self, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``candidates[p][r]`` for every pair of ``positions`` and ``rows``, as
+        one ``(k, d)`` int64 matrix: a gather from the candidate lists'
+        allocation matrices, stacked, each distinct list once."""
+        if self._lists is None:
+            # a list per job, as entries gave them: stacked in job order
+            counts = np.fromiter(map(len, self.candidates), dtype=np.int64)
+            flat = list(chain.from_iterable(self.candidates))
+            d = len(flat[0]) if flat else 0
+            self._lists = (
+                np.array(flat, dtype=np.int64).reshape(len(flat), d),
+                np.cumsum(counts) - counts,
+            )
+        stacked, first = self._lists
+        return stacked[first[positions] + rows]
+
+    # -- the mapping it has always been: a job's view is built on its first read
     def __getitem__(self, job) -> Sequence[ProfileEntry]:
-        return self._frontiers[job]
+        view = self._views.get(job)
+        if view is None:
+            i = self._index[job]
+            lo, hi = self.starts[i : i + 2].tolist()
+            view = self._views[job] = _Frontier(self, i, lo, hi)
+        return view
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._frontiers)
+        return iter(self.jobs)
 
     def __len__(self) -> int:
-        return len(self._frontiers)
+        return len(self.jobs)
+
+    def __contains__(self, job) -> bool:
+        return job in self._index
 
     def values(self):
-        return self._frontiers.values()
+        views = self._views
+        if len(views) < len(self.jobs):  # every view, in one pass over the bounds
+            bounds, built = self.starts.tolist(), views
+            self._views = views = {
+                j: _Frontier(self, i, lo, hi) if built.get(j) is None else built[j]
+                for i, (j, lo, hi) in enumerate(zip(self.jobs, bounds, bounds[1:]))
+            }
+        return views.values()
 
     def items(self):
-        return self._frontiers.items()
+        self.values()
+        return self._views.items()
 
     def __repr__(self) -> str:
         return f"CandidateTable({len(self)} jobs, {self.times.size} candidates)"

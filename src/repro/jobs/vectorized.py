@@ -32,21 +32,28 @@ columnar :class:`~repro.jobs.profiles.CandidateTable`:
   set.  Every step is per job row, so the table is the same at any block
   size.
 
-The table's times are numpy's, not ``Job.time``'s: an array ``**`` can land
-one ulp from python's scalar ``**``, and under ``sum`` at ``d >= 8`` numpy's
-pairwise order is not ``Job.time``'s left-to-right one.  Phase 1 only ranks
-and weighs them; a duration Phase 2 runs is ``instance.time`` of the chosen
-vector (:class:`~repro.instance.compiled.Allocation`), never a table time —
-one bit moves a schedule.  No :class:`~repro.jobs.profiles.ProfileEntry` is
-built here; the table's per-job views build them for callers that look at one.  ``tests/helpers.py``
-keeps the per-job loop this replaced as a frozen reference; the tables are
-required to be equal entry for entry.  The cost of all this is the
-``instance.candidate_table_s`` layer of ``benchmarks/stack``
-(``moldable-pipeline``).
+The table's times stay numpy's, not ``Job.time``'s: an array ``**`` can
+land one ulp from python's scalar ``**`` (numpy's vector ``pow`` is not
+libm's), and under ``sum`` at ``d >= 8`` numpy's pairwise order is not
+python's.  Phase 1 only ranks and weighs them; a duration Phase 2 runs is
+never a table time — one bit moves a schedule.  The durations come from
+:func:`exact_times`, which reuses the table's lowered time functions
+(:class:`_TimeFunctions`, kept as ``table.time_functions``) and evaluates
+every job with an exact array form in one batch, with python's arithmetic
+where numpy's differs: ``Job.time``'s value bit for bit
+(:class:`~repro.instance.compiled.Allocation` reads it; everything else
+goes to ``instance.time``).  No :class:`~repro.jobs.profiles.ProfileEntry`
+is built here; the table's per-job views build them for callers that look
+at one.  ``tests/helpers.py`` keeps the per-job loop this replaced as a
+frozen reference; the tables are required to be equal entry for entry.
+The cost of all this is the ``instance.candidate_table_s`` layer of
+``benchmarks/stack`` (``moldable-pipeline``).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Mapping, Sequence
@@ -71,6 +78,7 @@ __all__ = [
     "CandidateGrid",
     "family_array",
     "candidate_columns",
+    "exact_times",
 ]
 
 #: Most ``(job, row)`` cells evaluated at once.  An internal bound on the
@@ -161,12 +169,17 @@ class _TimeFunctions:
     ``codes[k, i]`` is the family of job ``k``'s speedup on type ``i`` (-1:
     no built-in family; an opaque callable has -1 everywhere) and
     ``params[k, i]`` its parameter; ``sums[k]`` says the combiner is ``sum``.
+    ``exact[k]`` says job ``k``'s value *is* the family formulas: its time
+    function and every speedup it uses call the built-in ``__call__`` (a
+    subclass that overrides one still has an array form for the table, whose
+    times are only ranked, but not for :func:`exact_times`).
     """
 
     works: np.ndarray
     codes: np.ndarray
     params: np.ndarray
     sums: np.ndarray
+    exact: np.ndarray
 
     @classmethod
     def lower(cls, jobs: Sequence[Job], d: int) -> "_TimeFunctions":
@@ -187,7 +200,8 @@ class _TimeFunctions:
                 works.append(ones)
                 models.append(nones)
                 sums.append(False)
-        works = np.array(works).reshape(len(jobs), d)
+        n = len(jobs)
+        works = np.array(works).reshape(n, d)
         if works.dtype.kind not in "biuf":
             # a type bug in a job's data is reported, not coerced
             bad = next(
@@ -200,15 +214,30 @@ class _TimeFunctions:
             )
         models = list(chain.from_iterable(models))
         classes = list(map(type, models))
-        family = {c: _family_of(c) for c in set(classes)}  # one lookup per class
-        attrs = [family[c][1] for c in classes]
+        kinds = list(set(classes))  # one lookup per class, then gathers
+        kind = np.fromiter(
+            map({c: k for k, c in enumerate(kinds)}.__getitem__, classes), np.int64, n * d
+        ).reshape(n, d)
+        family = list(map(_family_of, kinds))
+        attr_of = dict(zip(kinds, (attr for _, attr in family)))
+        # a class is its family's formula only while it keeps the family's __call__
+        builtin = np.array([
+            code >= 0 and c.__call__ is _FAMILIES[code][0].__call__
+            for c, (code, _) in zip(kinds, family)
+        ], dtype=bool)
+        fn_types = list(map(type, (job.time_fn for job in jobs)))
+        own = {t: getattr(t, "__call__", None) is MultiResourceTime.__call__ for t in set(fn_types)}
+        works = works.astype(np.float64)
         return cls(
-            works.astype(np.float64),
-            np.array([family[c][0] for c in classes], dtype=np.int64).reshape(len(jobs), d),
+            works,
+            np.array([code for code, _ in family], dtype=np.int64)[kind],
             np.array(
-                [getattr(s, a) if a else 0.0 for s, a in zip(models, attrs)], dtype=np.float64
-            ).reshape(len(jobs), d),
+                [getattr(s, a) if a else 0.0 for s, a in zip(models, map(attr_of.get, classes))],
+                dtype=np.float64,
+            ).reshape(n, d),
             np.array(sums, dtype=bool),
+            np.fromiter(map(own.get, fn_types), bool, n)
+            & ((works == 0) | builtin[kind]).all(axis=1),
         )
 
     def array_form(self) -> np.ndarray:
@@ -217,8 +246,72 @@ class _TimeFunctions:
 
     def take(self, rows) -> "_TimeFunctions":
         return _TimeFunctions(
-            self.works[rows], self.codes[rows], self.params[rows], self.sums[rows]
+            self.works[rows], self.codes[rows], self.params[rows], self.sums[rows],
+            self.exact[rows],
         )
+
+
+def _python_sum(terms: np.ndarray) -> np.ndarray:
+    """Row by row, python's ``sum`` of the row's floats in column order —
+    the combiner :class:`MultiResourceTime` applies — with a 0 column a
+    skipped term.  Before 3.12 that is left to right from 0; from 3.12 on,
+    ``sum`` of floats compensates each addition (Neumaier) and adds the
+    compensation once, when it is finite and not 0.  Adding 0 changes
+    neither the total nor the compensation, so skipped terms stay skipped."""
+    total = np.zeros(terms.shape[0])
+    if sys.version_info < (3, 12):
+        for column in terms.T:
+            total = total + column
+        return total
+    comp = np.zeros_like(total)
+    for column in terms.T:
+        t = total + column
+        comp += np.where(
+            np.abs(total) >= np.abs(column), (total - t) + column, (column - t) + total
+        )
+        total = t
+    keep = (comp != 0.0) & np.isfinite(comp)
+    return np.where(keep, total + comp, total)
+
+
+def exact_times(fns: _TimeFunctions, allocs: np.ndarray) -> np.ndarray:
+    """``Job.time`` bit for bit, all jobs at once: row ``k`` of the ``(n,
+    d)`` integer matrix ``allocs`` under the time function lowered in row
+    ``k`` of ``fns``.
+
+    The table's kernel is numpy's arithmetic; this is python's, in arrays.
+    ``+ − × ÷`` and ``min`` are correctly rounded either way, so numpy does
+    those; ``float ** beta`` is python's per element (numpy's ``**`` may
+    take a vector path that differs in the last bit), ``math.log2`` runs
+    once per distinct level, and the terms are combined in type order as
+    python's ``max``/``sum`` (:func:`_python_sum`) combine them.  A row
+    whose job has no exact array form (``fns.exact``), or that gives a type
+    the job uses less than one unit, is NaN: the caller asks ``Job.time``,
+    which evaluates the callable or raises its refusal by name.
+    """
+    n, d = allocs.shape
+    xs = allocs.astype(np.float64)
+    used = fns.works != 0
+    ok = fns.exact & ~(used & (xs < 1.0)).any(axis=1)
+    terms = np.zeros((n, d))
+    for i in range(d):
+        users = ok & used[:, i]
+        codes = fns.codes[:, i]
+        for code in np.unique(codes[users]).tolist():
+            rows = np.flatnonzero(users & (codes == code))
+            x, param, family = xs[rows, i], fns.params[rows, i], _FAMILIES[code][0]
+            if family is PowerLawSpeedup:
+                speedup = np.array([a**b for a, b in zip(x.tolist(), param.tolist())])
+            elif family is LogSpeedup:
+                levels, at = np.unique(x, return_inverse=True)
+                logs = np.array([math.log2(v) for v in levels.tolist()])
+                speedup = 1.0 + param * logs[at.reshape(-1)]
+            else:
+                speedup = family_array(code, x, param)
+            terms[rows, i] = fns.works[rows, i] / speedup
+    times = np.where(fns.sums, _python_sum(terms), terms.max(axis=1, initial=0.0))
+    times[~ok] = np.nan
+    return times
 
 
 def _block_times(
@@ -289,13 +382,15 @@ def _python_shares(grid: CandidateGrid, pool: ResourcePool) -> np.ndarray:
     return np.array([sum(c[i] / caps[i] for i in range(d)) for c in grid.candidates])
 
 
-def _group_blocks(grid: CandidateGrid, jobs: Sequence[Job], pool: ResourcePool):
-    """``(which, times, areas)`` over the jobs of one group, a block at a
-    time: ``which`` are positions in ``jobs``, the matrices ``(which.size,
-    m)``.  Jobs with an array form come first, then the others."""
+def _group_blocks(
+    grid: CandidateGrid, jobs: Sequence[Job], fns: _TimeFunctions, pool: ResourcePool
+):
+    """``(which, times, areas)`` over the jobs of one group (``fns`` their
+    lowered time functions), a block at a time: ``which`` are positions in
+    ``jobs``, the matrices ``(which.size, m)``.  Jobs with an array form come
+    first, then the others."""
     m, d = grid.allocs.shape
     per_block = max(1, _BLOCK_CELLS // m)
-    fns = _TimeFunctions.lower(jobs, d)
     form = fns.array_form()
     kernel, scalar = np.flatnonzero(form), np.flatnonzero(~form)
     for lo in range(0, kernel.size, per_block):
@@ -322,6 +417,7 @@ def candidate_columns(
     if not jobs:
         return CandidateTable.from_entries({})
     job_list = list(jobs.values())
+    fns = _TimeFunctions.lower(job_list, pool.d)  # once, kept for Allocation.durations
     groups: dict[object, tuple[CandidateGrid, list[int]]] = {}
     for position, job in enumerate(job_list):
         key = None if job.candidates is None else tuple(job.candidates)
@@ -335,11 +431,16 @@ def candidate_columns(
     # frontiers in the order they are computed, permuted to job order at the end
     computed, counts, times, areas, rows = [], [], [], [], []
     candidates: list = [None] * len(job_list)
+    first = np.empty(len(job_list), dtype=np.int64)  # each job's list in the stacked allocs
+    stacked = 0
     for grid, members in groups.values():
         for position in members:
             candidates[position] = grid.candidates
         positions = np.array(members)
-        for which, t, a in _group_blocks(grid, [job_list[p] for p in members], pool):
+        first[positions] = stacked
+        stacked += len(grid.candidates)
+        blocks = _group_blocks(grid, [job_list[p] for p in members], fns.take(positions), pool)
+        for which, t, a in blocks:
             order, keep = pareto_rows(t, a)
             kept = keep.sum(axis=1)
             row = order[keep]  # every job's kept candidates, job after job
@@ -360,4 +461,6 @@ def candidate_columns(
         np.concatenate(areas)[at],
         np.concatenate(rows)[at],
         candidates,
+        lists=(np.concatenate([grid.allocs for grid, _ in groups.values()]), first),
+        time_functions=fns,
     )

@@ -57,7 +57,7 @@ import numpy as np
 from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS
 from repro.instance.compiled import priority_key
 from repro.resources.vector import whole_amounts
-from repro.service.session import STATE_NAMES, SchedulingSession
+from repro.service.session import STATE_NAMES, SchedulingSession, duration_and_release
 
 __all__ = [
     "SESSION_FORMAT",
@@ -193,6 +193,14 @@ def _restore_v2(snap: dict[str, Any]) -> SchedulingSession:
     n = len(ids)
     if any(len(c) != n for c in cols.values()):
         raise ValueError("job columns have inconsistent lengths")
+    if len(set(ids)) != n:
+        # one id, one row: the loop's index would keep the last row of a
+        # repeated id, and drain would run every one of them
+        seen: set = set()
+        for jid in ids:
+            if jid in seen:
+                raise ValueError(f"job {jid!r} appears more than once among the live rows")
+            seen.add(jid)
 
     # the rows: every column submit lowers, lowered by submit's rules
     states = []
@@ -395,10 +403,11 @@ def _load_archive(arch, records, layout) -> None:
     refusing by id a record the columns cannot hold: an unknown state, a
     demand the layout's bounds rule refuses (flattened, a row of the wrong
     length would shift every later one; every archived row was admitted by
-    that rule), a key ``submit`` refuses, or a done job with no start or
-    finish."""
-    demands = []
-    keys = []
+    that rule), a key ``submit`` refuses, a duration or release ``submit``'s
+    numeric rule refuses (:func:`~repro.service.session.duration_and_release`:
+    ``inf`` or ``-5.0`` would otherwise restore), or a done job with no
+    start or finish."""
+    demands, keys, durations, releases = [], [], [], []
     for rec in records:
         if rec["state"] not in _STATE_INDEX:
             raise ValueError(
@@ -407,18 +416,21 @@ def _load_archive(arch, records, layout) -> None:
         try:
             demands.append(layout.row(rec["id"], rec["demand"]))
             keys.append(priority_key(rec["id"], rec["key"]))
+            duration, release = duration_and_release(rec["id"], rec["duration"], rec["release"])
         except ValueError as exc:
             raise ValueError(f"archived {exc}") from None
+        durations.append(duration)
+        releases.append(release)
         if rec["state"] == "done" and (rec["start"] is None or rec["finish"] is None):
             raise ValueError(f"archived job {rec['id']!r}: done but missing start/finish")
     arch.extend(
         [rec["id"] for rec in records],
         [_STATE_INDEX[rec["state"]] for rec in records],
         demands,
-        [float(rec["duration"]) for rec in records],
+        durations,
         keys,
         [rec["preds"] for rec in records],
-        [float(rec["release"]) for rec in records],
+        releases,
         [rec["tenant"] for rec in records],
         [None if rec["start"] is None else float(rec["start"]) for rec in records],
         [None if rec["finish"] is None else float(rec["finish"]) for rec in records],

@@ -115,6 +115,25 @@ def real_number(x: Any) -> float:
     return float(x)
 
 
+def duration_and_release(job_id: JobId, duration, release) -> tuple[float, float]:
+    """The duration and release clauses of the numeric rule ``submit``
+    applies (and checkpoint restore, to live and archived rows alike):
+    ``(float(duration), float(release))``, or a ``ValueError`` naming the
+    job unless the duration is positive and finite and the release finite
+    and ``>= 0``."""
+    duration = float(duration)
+    if not duration > 0.0 or duration != duration or duration == float("inf"):
+        raise ValueError(
+            f"job {job_id!r}: duration must be positive and finite, got {duration}"
+        )
+    release = float(release)
+    if not 0.0 <= release < float("inf"):
+        raise ValueError(
+            f"job {job_id!r}: release must be finite and >= 0, got {release}"
+        )
+    return duration, release
+
+
 class JobSpec(NamedTuple):
     """One submitted job: the service protocol's unit of admission.
 
@@ -782,16 +801,7 @@ class SchedulingSession:
         if job_id in self.loop.index:
             raise ValueError(f"job {job_id!r} was already submitted")
         dem = self.loop.layout.row(job_id, demand)
-        duration = float(duration)
-        if not duration > 0.0 or duration != duration or duration == float("inf"):
-            raise ValueError(
-                f"job {job_id!r}: duration must be positive and finite, got {duration}"
-            )
-        release = float(release)
-        if not 0.0 <= release < float("inf"):
-            raise ValueError(
-                f"job {job_id!r}: release must be finite and >= 0, got {release}"
-            )
+        duration_and_release(job_id, duration, release)
         return dem
 
     def cancel(self, job_id: JobId) -> tuple[JobId, ...]:

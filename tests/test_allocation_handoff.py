@@ -3,10 +3,15 @@
 The oracle is the frozen dict pipeline in ``helpers`` (``round_fractional``
 → the dict µ-adjustment → the dict list scheduler, with Lemma 8's frozen
 sweep): all three allocators must give its schedule, ``p'``, ``p``, capped
-set and lower bound.  The value's durations are ``instance.time``'s, bit
-for bit, never a candidate table's: the table's times are numpy's (an array
-``**``, and under ``sum`` at ``d >= 8`` a pairwise sum), which can differ
-from ``Job.time``'s in the last bit.
+set and lower bound — the LP allocator's ``p'`` now gathered by
+``dtct_allocate`` as a matrix, never a dict.  The value's durations are
+``instance.time``'s, bit for bit, never a candidate table's: the table's
+times are numpy's (an array ``**``, and under ``sum`` at ``d >= 8`` a
+pairwise sum), which can differ from ``Job.time``'s in the last bit.  They
+come from the exact batch (``jobs/vectorized.py::exact_times``) over the
+table's lowering, so a batch that took numpy's ``**`` or ``sum`` fails
+here; CI runs this file a second time with numpy's AVX-512 dispatch off,
+so both of numpy's ``**`` paths are held.
 """
 
 from functools import lru_cache

@@ -350,6 +350,29 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match=r"^archived job 'j2': priority key must be numeric"):
             restore_session(snap)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("duration", float("inf")), ("duration", -5.0), ("duration", 0.0),
+         ("release", -5.0), ("release", float("inf")), ("release", float("nan"))],
+    )
+    def test_an_archived_duration_or_release_submit_refuses_is_refused(self, field, value):
+        """Archived numbers used to be read with a bare ``float()``: an
+        ``inf`` duration or a ``-5.0`` release restored as it was."""
+        snap = self._two_type_snapshot()
+        snap["archive"][2][field] = value
+        with pytest.raises(ValueError, match=rf"^archived job 'j2': {field} must be"):
+            restore_session(snap)
+
+    def test_a_live_id_listed_twice_is_refused(self):
+        """The live rows used to be taken as they came: with an id named
+        twice, both rows were restored and ``drain`` ran that job twice."""
+        s = SchedulingSession([4])
+        s.submit([JobSpec("a", (2,), 1.0), JobSpec("b", (2,), 1.0)])
+        snap = checkpoint_session(s)
+        snap["jobs"]["id"][snap["jobs"]["id"].index("b")] = "a"
+        with pytest.raises(ValueError, match=r"^job 'a' appears more than once among the live"):
+            restore_session(snap)
+
     def test_fractional_capacities_are_refused_not_truncated(self):
         snap = self._two_type_snapshot()
         snap["capacities"] = [8.5, 8]
