@@ -215,19 +215,35 @@ class DAG:
         """Longest-path level of every position (0 for sources).
 
         Computed by synchronous Kahn peeling: the round in which a node's
-        in-degree reaches zero *is* its longest-path level.
+        in-degree reaches zero *is* its longest-path level.  A round touches
+        only its frontier's out-edges (one sort of them, then run lengths),
+        never all ``n`` nodes: a chain has ``n`` rounds.
         """
         if self._levels is None:
             level = np.zeros(self.n, dtype=np.int64)
             cnt = self.in_degrees.copy()
+            ptr, succ = self.succ_indptr, self.succ_indices
             frontier = np.flatnonzero(cnt == 0)
             l = 0
             while frontier.size:
                 level[frontier] = l
-                targets, _, _ = _ragged_gather(self.succ_indptr, self.succ_indices, frontier)
-                np.subtract.at(cnt, targets, 1)
-                frontier = np.unique(targets[cnt[targets] == 0])
                 l += 1
+                starts = ptr[frontier]
+                lens = ptr[frontier + 1] - starts
+                ends = lens.cumsum()
+                total = int(ends[-1])
+                if not total:
+                    break
+                targets = succ[np.arange(total) + (starts - ends + lens).repeat(lens)]
+                targets.sort()
+                # each target once, and how many of its in-edges this round removes
+                first = np.empty(total, dtype=bool)
+                first[0] = True
+                np.not_equal(targets[1:], targets[:-1], out=first[1:])
+                head = first.nonzero()[0]
+                hit = targets[head]
+                cnt[hit] -= np.append(head[1:], total) - head
+                frontier = hit[cnt[hit] == 0]
             self._levels = level
         return self._levels
 

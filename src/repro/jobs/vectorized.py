@@ -17,20 +17,35 @@ columnar :class:`~repro.jobs.profiles.CandidateTable`:
   36-row column (6, not 1 296, at d = 4) as a ``(jobs of the family, levels)``
   array and gathering to ``(jobs, rows)`` gives, float for float, what
   evaluating every row for every job gives (:func:`family_array`,
-  :func:`_block_times`).  Types a job has no work on are masked out, never
-  divided by.
-* The per-type terms of the jobs that use the same types under the same
-  combiner are reduced with one ``max``/``sum`` over a trailing axis — the
+  :func:`_type_terms`, the one per-type kernel of both paths below).  Types
+  a job has no work on are masked out, never divided by.
+* **The sweep.**  On a list that is the lexicographic product of its levels
+  (:attr:`CandidateGrid.strides`; the geometric and full grids), a job under
+  ``max`` whose terms are finite, positive and non-increasing along each
+  type's levels is filtered over ``Σ_i L_i`` points, not ``Π_i L_i`` rows
+  (12, not 36, on the ruler's d = 2 grid): each of its terms ``τ`` at or
+  above its fastest time, with, per type, the first level whose term is
+  ``<= τ``.  Every row's time is one of its terms and that point is at or
+  below the row on every type — no larger in area, earlier in the product
+  order — so Eq. (2) keeps the same rows, and the table is the grid
+  kernel's bit for bit (:func:`_sweep`, :func:`_group_blocks`).
+* **The grid kernel** takes every other job — ``sum``, a list that is not a
+  product, a level below 1, terms that are not finite, positive and
+  non-increasing — and refuses as it always has.  The per-type terms of the
+  jobs that use the same types under the same combiner are gathered to the
+  rows and reduced with one ``max``/``sum`` over a trailing axis — the
   reduction the one-job form ``np.stack(terms, axis=1).sum(axis=1)`` is, so
   also numpy's pairwise ``sum`` from 8 terms on — multiplied into areas, and
-  Eq. (2) takes all rows in one :func:`~repro.jobs.profiles.pareto_rows`.
-* A time function with no array form (an opaque callable, or a speedup model
-  outside the built-in families on a type the job uses) is evaluated
-  candidate by candidate — once per candidate: the area comes from the time
-  in hand — and joins the same matrices before the Eq. (2) step.
-* Blocks of at most ``_BLOCK_CELLS`` ``(job, row)`` cells bound the working
-  set.  Every step is per job row, so the table is the same at any block
-  size.
+  Eq. (2) takes all rows in one :func:`~repro.jobs.profiles.pareto_rows`
+  (:func:`_block_times`).
+* A time function with no array form (an opaque callable, a speedup model
+  outside the built-in families on a type the job uses, or a subclass that
+  overrides ``__call__``) is evaluated candidate by candidate — once per
+  candidate: the area comes from the time in hand — and joins the same
+  matrices before the Eq. (2) step.
+* Blocks of at most ``_BLOCK_CELLS`` ``(job, column)`` cells bound the
+  working set.  Every step is per job row, so the table is the same at any
+  block size.
 
 The table's times stay numpy's, not ``Job.time``'s: an array ``**`` can
 land one ulp from python's scalar ``**`` (numpy's vector ``pow`` is not
@@ -39,7 +54,7 @@ python's.  Phase 1 only ranks and weighs them; a duration Phase 2 runs is
 never a table time — one bit moves a schedule.  The durations come from
 :func:`exact_times`, which reuses the table's lowered time functions
 (:class:`_TimeFunctions`, kept as ``table.time_functions``) and evaluates
-every job with an exact array form in one batch, with python's arithmetic
+every job with an array form in one batch, with python's arithmetic
 where numpy's differs: ``Job.time``'s value bit for bit
 (:class:`~repro.instance.compiled.Allocation` reads it; everything else
 goes to ``instance.time``).  No :class:`~repro.jobs.profiles.ProfileEntry`
@@ -112,10 +127,11 @@ _FAMILIES = (
 
 def _family_of(cls: type) -> tuple[int, str | None]:
     """``(family code, parameter attribute)`` of a speedup class; code -1
-    for a class outside the built-in families."""
+    for a class outside the built-in families, or for a subclass that
+    overrides its family's ``__call__``: its formula is its own."""
     for code, (family, attr, _) in enumerate(_FAMILIES):
         if issubclass(cls, family):
-            return code, attr
+            return (code, attr) if cls.__call__ is family.__call__ else (-1, None)
     return -1, None
 
 
@@ -141,6 +157,10 @@ class CandidateGrid:
     levels: tuple[np.ndarray, ...]
     #: ``(m, d)``: ``allocs[r, i] == levels[i][level_of[r, i]]``
     level_of: np.ndarray
+    #: the mixed-radix place values when the list is the lexicographic
+    #: product of its levels (row ``r`` is ``level_of[r] @ strides``, as
+    #: ``itertools.product`` lays it out), else ``None``
+    strides: np.ndarray | None
 
     @classmethod
     def lower(
@@ -149,7 +169,11 @@ class CandidateGrid:
         """Lower an already validated candidate list."""
         allocs = np.array([tuple(c) for c in candidates], dtype=np.int64)
         caps = np.array(tuple(pool.capacities), dtype=np.float64)
-        return cls(tuple(candidates), allocs, (allocs / caps).sum(axis=1), *_levels(allocs))
+        levels, level_of = _levels(allocs)
+        return cls(
+            tuple(candidates), allocs, (allocs / caps).sum(axis=1), levels, level_of,
+            _product_strides(levels, level_of),
+        )
 
 
 def _levels(allocs: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -162,17 +186,30 @@ def _levels(allocs: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     )
 
 
+def _product_strides(levels: Sequence[np.ndarray], level_of: np.ndarray) -> np.ndarray | None:
+    """:attr:`CandidateGrid.strides`: ``m == Π L_i`` and every row's level
+    indices are the mixed-radix digits of its position."""
+    sizes = [lv.size for lv in levels]
+    m = level_of.shape[0]
+    if m != math.prod(sizes):
+        return None
+    strides = np.cumprod([1] + sizes[:0:-1])[::-1]
+    return strides if np.array_equal(level_of @ strides, np.arange(m)) else None
+
+
 @dataclass(frozen=True)
 class _TimeFunctions:
     """The time functions of a group's jobs as ``(jobs, d)`` arrays.
 
     ``codes[k, i]`` is the family of job ``k``'s speedup on type ``i`` (-1:
-    no built-in family; an opaque callable has -1 everywhere) and
+    none, see :func:`_family_of`; an opaque callable has -1 everywhere) and
     ``params[k, i]`` its parameter; ``sums[k]`` says the combiner is ``sum``.
-    ``exact[k]`` says job ``k``'s value *is* the family formulas: its time
-    function and every speedup it uses call the built-in ``__call__`` (a
-    subclass that overrides one still has an array form for the table, whose
-    times are only ranked, but not for :func:`exact_times`).
+    ``exact[k]`` says job ``k`` has an array form: its value *is* the family
+    formulas, because its time function and every speedup on a type it uses
+    call the built-in ``__call__``.  A subclass that overrides one is asked,
+    for the table and for :func:`exact_times` alike — the table's times
+    become the lower bound a schedule is certified against, so they must be
+    the job's own.
     """
 
     works: np.ndarray
@@ -220,29 +257,21 @@ class _TimeFunctions:
         ).reshape(n, d)
         family = list(map(_family_of, kinds))
         attr_of = dict(zip(kinds, (attr for _, attr in family)))
-        # a class is its family's formula only while it keeps the family's __call__
-        builtin = np.array([
-            code >= 0 and c.__call__ is _FAMILIES[code][0].__call__
-            for c, (code, _) in zip(kinds, family)
-        ], dtype=bool)
+        codes = np.array([code for code, _ in family], dtype=np.int64)[kind]
         fn_types = list(map(type, (job.time_fn for job in jobs)))
         own = {t: getattr(t, "__call__", None) is MultiResourceTime.__call__ for t in set(fn_types)}
         works = works.astype(np.float64)
         return cls(
             works,
-            np.array([code for code, _ in family], dtype=np.int64)[kind],
+            codes,
             np.array(
                 [getattr(s, a) if a else 0.0 for s, a in zip(models, map(attr_of.get, classes))],
                 dtype=np.float64,
             ).reshape(n, d),
             np.array(sums, dtype=bool),
             np.fromiter(map(own.get, fn_types), bool, n)
-            & ((works == 0) | builtin[kind]).all(axis=1),
+            & ((works == 0) | (codes >= 0)).all(axis=1),
         )
-
-    def array_form(self) -> np.ndarray:
-        """Per job: every type it has work on has a built-in family."""
-        return ((self.codes >= 0) | (self.works == 0)).all(axis=1)
 
     def take(self, rows) -> "_TimeFunctions":
         return _TimeFunctions(
@@ -314,33 +343,45 @@ def exact_times(fns: _TimeFunctions, allocs: np.ndarray) -> np.ndarray:
     return times
 
 
-def _block_times(
-    grid_levels: Sequence[np.ndarray],
-    level_of: np.ndarray,
-    fns: _TimeFunctions,
-    jobs: Sequence[Job],
-) -> np.ndarray:
-    """``t_j(p)`` for every job of ``fns`` (all with an array form) and every
-    row of a grid given by its ``levels`` and ``level_of``: ``(jobs, m)``.
-    ``jobs`` only names the job in a refusal."""
-    n, m = fns.works.shape[0], level_of.shape[0]
+def _type_terms(grid_levels: Sequence[np.ndarray], fns: _TimeFunctions) -> list[np.ndarray]:
+    """Per type ``i``, the ``(jobs, levels of i)`` terms ``w_i / s_i(level)``
+    of every job of ``fns`` (all exact, no used level below 1); 0 where the
+    job does not use the type.  The one per-type kernel of both paths: each
+    family is evaluated once, on the type's distinct levels."""
+    n = fns.works.shape[0]
     used = fns.works != 0
-    terms = []  # per type, (jobs, levels of that type); 0 where the type is unused
+    terms = []
     for i, levels in enumerate(grid_levels):
         term = np.zeros((n, levels.size))
         users = used[:, i]
         if users.any():
-            if levels[0] < 1:
-                job = jobs[int(np.flatnonzero(users)[0])]
-                raise ValueError(
-                    f"job {job.id!r}: allocation must provide >= 1 unit of every used type"
-                )
             codes = fns.codes[:, i]
             for code in np.unique(codes[users]).tolist():
                 rows = np.flatnonzero(users & (codes == code))
                 speedup = family_array(code, levels[None, :], fns.params[rows, i, None])
                 term[rows] = fns.works[rows, i, None] / speedup
         terms.append(term)
+    return terms
+
+
+def _block_times(
+    grid_levels: Sequence[np.ndarray],
+    level_of: np.ndarray,
+    fns: _TimeFunctions,
+    jobs: Sequence[Job],
+) -> np.ndarray:
+    """``t_j(p)`` for every job of ``fns`` (all exact) and every row of a
+    grid given by its ``levels`` and ``level_of``: ``(jobs, m)``.  ``jobs``
+    only names the job in a refusal."""
+    n, m = fns.works.shape[0], level_of.shape[0]
+    used = fns.works != 0
+    for i, levels in enumerate(grid_levels):
+        if levels[0] < 1 and used[:, i].any():
+            job = jobs[int(np.flatnonzero(used[:, i])[0])]
+            raise ValueError(
+                f"job {job.id!r}: allocation must provide >= 1 unit of every used type"
+            )
+    terms = _type_terms(grid_levels, fns)
     # ``max`` is exact in any order and a masked-out term is 0, below every
     # time: one running maximum over the gathered columns serves all jobs
     times = np.zeros((n, m))
@@ -382,23 +423,80 @@ def _python_shares(grid: CandidateGrid, pool: ResourcePool) -> np.ndarray:
     return np.array([sum(c[i] / caps[i] for i in range(d)) for c in grid.candidates])
 
 
+def _sweepable(terms: Sequence[np.ndarray], fns: _TimeFunctions) -> np.ndarray:
+    """Per job: combined by ``max``, and on every type it uses its terms are
+    finite, positive and non-increasing along the levels."""
+    used = fns.works != 0
+    ok = ~fns.sums
+    for i, term in enumerate(terms):
+        fit = (np.isfinite(term) & (term > 0)).all(axis=1)
+        fit &= (term[:, 1:] <= term[:, :-1]).all(axis=1)
+        ok &= fit | ~used[:, i]
+    return ok
+
+
+def _sweep(terms: Sequence[np.ndarray], strides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(times, rows)``, both ``(jobs, Σ_i L_i)``: for every per-type term
+    ``τ`` of a job at or above its fastest time, the least point at time
+    ``τ`` — per type the first level whose term is ``<= τ`` — as its grid
+    row, and its time, which is ``τ``: the term that set it is at its own
+    first level ``<= τ``, every other type is at or below ``τ``.  A term
+    below the fastest time is raised to it (a duplicate of that point)."""
+    times = np.concatenate(terms, axis=1)
+    np.maximum(times, np.max([term[:, -1] for term in terms], axis=0)[:, None], out=times)
+    rows = np.zeros(times.shape, dtype=np.int64)
+    for term, stride in zip(terms, strides.tolist()):
+        above = np.zeros(times.shape, dtype=np.int64)  # non-increasing: the level's index
+        for level in term.T:
+            above += level[:, None] > times
+        rows += stride * above
+    return times, rows
+
+
+def _swept_blocks(grid: CandidateGrid, kernel: np.ndarray, fns: _TimeFunctions):
+    """The sweep's blocks of :func:`_group_blocks` over the jobs ``kernel``
+    of a product list; returns the jobs it left to the grid kernel."""
+    d = grid.allocs.shape[1]
+    per_block = max(1, _BLOCK_CELLS // sum(levels.size for levels in grid.levels))
+    left = [kernel[:0]]
+    for lo in range(0, kernel.size, per_block):
+        which = kernel[lo : lo + per_block]
+        block = fns.take(which)
+        terms = _type_terms(grid.levels, block)
+        swept = _sweepable(terms, block)
+        if swept.any():
+            times, rows = _sweep([term[swept] for term in terms], grid.strides)
+            yield which[swept], times, times * grid.shares[rows] / d, rows
+        left.append(which[~swept])
+    return np.concatenate(left)
+
+
 def _group_blocks(
     grid: CandidateGrid, jobs: Sequence[Job], fns: _TimeFunctions, pool: ResourcePool
 ):
-    """``(which, times, areas)`` over the jobs of one group (``fns`` their
-    lowered time functions), a block at a time: ``which`` are positions in
-    ``jobs``, the matrices ``(which.size, m)``.  Jobs with an array form come
-    first, then the others."""
+    """``(which, times, areas, rows)`` over the jobs of one group (``fns``
+    their lowered time functions), a block at a time: ``which`` are
+    positions in ``jobs``, the matrices ``(which.size, columns)``, and
+    ``rows`` the grid row of each column (``None``: column ``r`` is row
+    ``r``).  Swept jobs come first, then the grid kernel's, then the jobs
+    with no array form.  The sweep's point at time ``τ`` is at or below
+    every row of time ``τ`` on every type, so no larger in area (``t ·
+    share / d`` rounds monotonically) and earlier in the product order,
+    which is what ``pareto_rows`` keeps on a tie.  In a group where a job
+    would be refused for a level below 1, every job takes the grid kernel,
+    so the refusal is that kernel's own."""
     m, d = grid.allocs.shape
+    kernel, scalar = np.flatnonzero(fns.exact), np.flatnonzero(~fns.exact)
+    below_one = np.array([levels[0] < 1 for levels in grid.levels])
+    if grid.strides is not None and not (fns.works[kernel][:, below_one] != 0).any():
+        kernel = yield from _swept_blocks(grid, kernel, fns)
     per_block = max(1, _BLOCK_CELLS // m)
-    form = fns.array_form()
-    kernel, scalar = np.flatnonzero(form), np.flatnonzero(~form)
     for lo in range(0, kernel.size, per_block):
         which = kernel[lo : lo + per_block]
         named = [jobs[k] for k in which.tolist()]
         times = _block_times(grid.levels, grid.level_of, fns.take(which), named)
         _check_times(times, grid, named)
-        yield which, times, times * grid.shares / d
+        yield which, times, times * grid.shares / d, None
     shares = _python_shares(grid, pool) if scalar.size else None
     for lo in range(0, scalar.size, per_block):
         which = scalar[lo : lo + per_block]
@@ -406,7 +504,7 @@ def _group_blocks(
         times = np.array(
             [[jobs[k].time(c) for c in grid.candidates] for k in which.tolist()]
         ).reshape(which.size, m)
-        yield which, times, times * shares / d
+        yield which, times, times * shares / d, None
 
 
 def candidate_columns(
@@ -440,16 +538,16 @@ def candidate_columns(
         first[positions] = stacked
         stacked += len(grid.candidates)
         blocks = _group_blocks(grid, [job_list[p] for p in members], fns.take(positions), pool)
-        for which, t, a in blocks:
+        for which, t, a, grid_rows in blocks:
             order, keep = pareto_rows(t, a)
             kept = keep.sum(axis=1)
-            row = order[keep]  # every job's kept candidates, job after job
+            column = order[keep]  # every job's kept candidates, job after job
             job = np.repeat(np.arange(which.size), kept)
             computed.append(positions[which])
             counts.append(kept)
-            times.append(t[job, row])
-            areas.append(a[job, row])
-            rows.append(row)
+            times.append(t[job, column])
+            areas.append(a[job, column])
+            rows.append(column if grid_rows is None else grid_rows[job, column])
     starts, at = take_segments(
         np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
         np.argsort(np.concatenate(computed)),

@@ -317,17 +317,23 @@ def reference_pareto_indices(times: np.ndarray, areas: np.ndarray) -> np.ndarray
     return order[keep]
 
 
+def _is_family(model, family: type) -> bool:
+    """``model`` computes ``family``'s formula: an instance that keeps its
+    ``__call__`` (a subclass overriding it is asked, like any other model)."""
+    return isinstance(model, family) and type(model).__call__ is family.__call__
+
+
 def _reference_speedup_array(model, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
-    if isinstance(model, LinearSpeedup):
+    if _is_family(model, LinearSpeedup):
         return xs
-    if isinstance(model, AmdahlSpeedup):
+    if _is_family(model, AmdahlSpeedup):
         return xs / (model.alpha * xs + (1.0 - model.alpha))
-    if isinstance(model, PowerLawSpeedup):
+    if _is_family(model, PowerLawSpeedup):
         return xs**model.beta
-    if isinstance(model, RooflineSpeedup):
+    if _is_family(model, RooflineSpeedup):
         return np.minimum(xs, model.cap)
-    if isinstance(model, LogSpeedup):
+    if _is_family(model, LogSpeedup):
         return 1.0 + model.gamma * np.log2(xs)
     raise TypeError(f"no array form for speedup model {type(model).__name__}")
 
@@ -354,7 +360,7 @@ def reference_candidate_table(instance: Instance, strategy=geometric_grid):
     for j, job in instance.jobs.items():
         cands = candidates_for_job(job, instance.pool, strategy)
         profile = None
-        if isinstance(job.time_fn, MultiResourceTime):
+        if _is_family(job.time_fn, MultiResourceTime):
             try:
                 allocs = np.array([tuple(c) for c in cands], dtype=np.int64)
                 times = reference_evaluate_times(job.time_fn, allocs)

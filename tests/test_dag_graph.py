@@ -126,6 +126,25 @@ class TestTopology:
         assert g.num_edges == nxg.number_of_edges()
         assert set(g.sources()) == {v for v in nxg if nxg.in_degree(v) == 0}
 
+    @given(st.integers(min_value=0, max_value=40), st.randoms(use_true_random=False))
+    def test_levels_are_longest_path_depths(self, n, rnd):
+        """A node's level is the number of edges on a longest path into it;
+        dense draws put several in-edges of one node in one peeling round."""
+        p = rnd.choice([0.05, 0.2, 0.6])
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p]
+        g = DAG(nodes=rnd.sample(range(n), n), edges=edges)
+        nxg = nx.DiGraph(edges)
+        nxg.add_nodes_from(range(n))
+        depth = {}
+        for v in nx.topological_sort(nxg):
+            depth[v] = max((depth[u] + 1 for u in nxg.predecessors(v)), default=0)
+        assert g.levels.tolist() == [depth[v] for v in g.order]
+
+    def test_a_chain_has_one_level_a_node(self):
+        g = DAG(edges=[(i, i + 1) for i in range(499)])
+        assert g.levels.tolist() == list(range(500))
+        assert [group.tolist() for group in g.level_groups()] == [[i] for i in range(500)]
+
 
 class TestPositions:
     """The CSR layout over topological positions, against the frozen
