@@ -201,15 +201,13 @@ class Allocation(MappingABC):
     """One allocation decision ``p`` of one instance: ``matrix``, its
     ``(n, d)`` int64 rows in topological order, accepted by the layout's
     bounds rule, and ``durations``, ``instance.time`` of each row, bit for
-    bit, computed once, on first use.  Durations are never a candidate
-    table's times, which are numpy's, not ``Job.time``'s (see
-    :mod:`repro.jobs.vectorized`): every job whose time function has an
-    exact array form is evaluated in one batch by
-    :func:`~repro.jobs.vectorized.exact_times`, over the time functions the
-    instance's candidate table lowered, and every other job — an opaque
-    callable, an instance with no table, a value the batch finds
-    non-positive or non-finite — by ``instance.time``, which raises its
-    refusal naming the job.  To everything else it is the read-only
+    bit, computed once, on first use: every job whose time function has an
+    exact array form in one batch by
+    :func:`~repro.jobs.vectorized.exact_times` (the candidate table's own
+    kernel, over the time functions the instance's table lowered), and
+    every other job — an opaque callable, an instance with no table, a value
+    the batch finds non-positive or non-finite — by ``instance.time``, which
+    raises its refusal naming the job.  To everything else it is the read-only
     ``Mapping[JobId, ResourceVector]`` it stands for, in topological order;
     its vectors are built on the first mapping read.  :meth:`lower` is the
     one way a mapping becomes one; there is no public constructor

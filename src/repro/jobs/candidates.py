@@ -18,8 +18,10 @@ strategy — see :func:`candidates_for_job`.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Callable
+
+import numpy as np
 
 from repro.jobs.job import Job
 from repro.resources.pool import ResourcePool
@@ -108,6 +110,23 @@ def candidates_for_job(
     cands = job.candidates if job.candidates is not None else strategy(pool)
     if not cands:
         raise ValueError(f"job {job.id!r} has an empty candidate set")
-    for c in cands:
-        pool.validate_allocation(c)
-    return tuple(cands)
+    cands = tuple(cands)
+    if not _accepted(cands, pool):
+        for c in cands:
+            pool.validate_allocation(c)  # names the first row it refuses
+    return cands
+
+
+def _accepted(cands: tuple, pool: ResourcePool) -> bool:
+    """:meth:`ResourcePool.validate_allocation` of every row, as one ``(m,
+    d)`` array: each row a :class:`ResourceVector` (whole, non-negative
+    amounts) of ``d`` types, at most the capacities and not all zero.
+    ``False`` says some row may be refused, not which."""
+    if not {ResourceVector}.issuperset(map(type, cands)) or set(map(len, cands)) != {pool.d}:
+        return False
+    try:
+        allocs = np.fromiter(chain.from_iterable(cands), np.int64, len(cands) * pool.d)
+    except OverflowError:  # an amount no capacity reaches
+        return False
+    allocs = allocs.reshape(len(cands), pool.d)
+    return bool((allocs <= np.array(pool.capacities)).all() and allocs.any(axis=1).all())

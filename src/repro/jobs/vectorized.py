@@ -9,16 +9,22 @@ columnar :class:`~repro.jobs.profiles.CandidateTable`:
   without pinned candidates shares ``strategy(pool)``; pinned jobs with equal
   ``candidates`` tuples share a group.  A list is validated and lowered once
   (:class:`CandidateGrid`).
-* **Per group and resource type, each speedup family is evaluated once, on
-  the distinct levels of that column.**  ``t_j``'s ``i``-th term ``w_i /
-  s_i(p^(i))`` depends on ``p^(i)`` only, and every array form below is an
-  elementwise ufunc expression, whose value at an element does not depend on
-  where in an array the element sits: evaluating the 6 distinct levels of a
-  36-row column (6, not 1 296, at d = 4) as a ``(jobs of the family, levels)``
-  array and gathering to ``(jobs, rows)`` gives, float for float, what
-  evaluating every row for every job gives (:func:`family_array`,
-  :func:`_type_terms`, the one per-type kernel of both paths below).  Types
-  a job has no work on are masked out, never divided by.
+* **One time kernel.**  ``t_j``'s ``i``-th term ``w_i / s_i(p^(i))``
+  depends on ``p^(i)`` only, so per group and type each family is evaluated
+  once, elementwise, on the column's distinct levels (6, not 1 296 rows, at
+  d = 4) and gathered to the rows (:func:`family_array`,
+  :func:`_type_terms`); types a job has no work on are masked out, never
+  divided by.  The terms are combined as :class:`MultiResourceTime`
+  combines them (:func:`_combine`): ``max`` as a running maximum over the
+  gathered columns, ``sum`` as python's ``sum`` in type order
+  (:func:`_python_sum`), not numpy's pairwise one.  The grid kernel, the
+  sweep and :func:`exact_times` (Phase 2's durations) all evaluate through
+  these two, and their rules are python's: numpy does ``+ − × ÷`` and
+  ``min``, correctly rounded on any SIMD path, while ``float ** beta`` is
+  ``math.pow`` per element and ``log2`` is ``math.log2`` once per level —
+  numpy's vector ``pow``/``log2`` can land one ulp from the C library's on
+  one host and not another.  So a table time, the bound built from it and
+  a duration are ``Job.time``'s float, bit for bit, on any host.
 * **The sweep.**  On a list that is the lexicographic product of its levels
   (:attr:`CandidateGrid.strides`; the geometric and full grids), a job under
   ``max`` whose terms are finite, positive and non-increasing along each
@@ -31,12 +37,9 @@ columnar :class:`~repro.jobs.profiles.CandidateTable`:
   kernel's bit for bit (:func:`_sweep`, :func:`_group_blocks`).
 * **The grid kernel** takes every other job — ``sum``, a list that is not a
   product, a level below 1, terms that are not finite, positive and
-  non-increasing — and refuses as it always has.  The per-type terms of the
-  jobs that use the same types under the same combiner are gathered to the
-  rows and reduced with one ``max``/``sum`` over a trailing axis — the
-  reduction the one-job form ``np.stack(terms, axis=1).sum(axis=1)`` is, so
-  also numpy's pairwise ``sum`` from 8 terms on — multiplied into areas, and
-  Eq. (2) takes all rows in one :func:`~repro.jobs.profiles.pareto_rows`
+  non-increasing — and refuses as it always has: the per-type terms are
+  gathered to the rows and combined, multiplied into areas, and Eq. (2)
+  takes all rows in one :func:`~repro.jobs.profiles.pareto_rows`
   (:func:`_block_times`).
 * A time function with no array form (an opaque callable, a speedup model
   outside the built-in families on a type the job uses, or a subclass that
@@ -47,20 +50,14 @@ columnar :class:`~repro.jobs.profiles.CandidateTable`:
   working set.  Every step is per job row, so the table is the same at any
   block size.
 
-The table's times stay numpy's, not ``Job.time``'s: an array ``**`` can
-land one ulp from python's scalar ``**`` (numpy's vector ``pow`` is not
-libm's), and under ``sum`` at ``d >= 8`` numpy's pairwise order is not
-python's.  Phase 1 only ranks and weighs them; a duration Phase 2 runs is
-never a table time — one bit moves a schedule.  The durations come from
-:func:`exact_times`, which reuses the table's lowered time functions
-(:class:`_TimeFunctions`, kept as ``table.time_functions``) and evaluates
-every job with an array form in one batch, with python's arithmetic
-where numpy's differs: ``Job.time``'s value bit for bit
-(:class:`~repro.instance.compiled.Allocation` reads it; everything else
-goes to ``instance.time``).  No :class:`~repro.jobs.profiles.ProfileEntry`
-is built here; the table's per-job views build them for callers that look
-at one.  ``tests/helpers.py`` keeps the per-job loop this replaced as a
-frozen reference; the tables are required to be equal entry for entry.
+:func:`exact_times` reuses the table's lowered time functions
+(:class:`_TimeFunctions`, kept as ``table.time_functions``) for
+:class:`~repro.instance.compiled.Allocation`'s durations, each job's row a
+grid of one row.  No :class:`~repro.jobs.profiles.ProfileEntry` is built
+here; the table's per-job views build them for callers that look at one.
+``tests/helpers.py`` keeps the per-job loop this replaced, every time
+``Job.time``'s, as a frozen reference; the tables must be equal entry for
+entry.
 The cost of all this is the ``instance.candidate_table_s`` layer of
 ``benchmarks/stack`` (``moldable-pipeline``).
 """
@@ -69,8 +66,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -102,16 +100,20 @@ __all__ = [
 _BLOCK_CELLS = 1 << 16
 
 
-def _power(xs, beta):
-    out = xs**beta
-    if np.ndim(beta):
-        # given as a python scalar — as the one-job form gives it — these two
-        # exponents take numpy's sqrt / copy shortcuts, not the pow loop
-        for shortcut in (0.5, 1.0):
-            rows = np.flatnonzero(beta[:, 0] == shortcut)
-            if rows.size:
-                out[rows] = xs**shortcut
-    return out
+def _pow(xs: np.ndarray, beta) -> np.ndarray:
+    """``float ** beta`` per element, as python computes it: ``math.pow``
+    calls the C library's ``pow``, as ``float.__pow__`` does for the
+    positive finite operands here; numpy's ``**`` may take a vector path
+    that lands one ulp away, on one host and not another."""
+    xs, beta = np.broadcast_arrays(xs, beta)
+    out = map(math.pow, xs.ravel().tolist(), beta.ravel().tolist())
+    return np.fromiter(out, np.float64, xs.size).reshape(xs.shape)
+
+
+def _log2(xs: np.ndarray) -> np.ndarray:
+    """``math.log2`` per element, evaluated once per distinct value."""
+    values, at = np.unique(xs, return_inverse=True)
+    return np.array(list(map(math.log2, values.tolist())))[at.reshape(xs.shape)]
 
 
 #: The built-in speedup families: class, parameter attribute, array form
@@ -119,9 +121,9 @@ def _power(xs, beta):
 _FAMILIES = (
     (LinearSpeedup, None, lambda xs, _: xs),
     (AmdahlSpeedup, "alpha", lambda xs, alpha: xs / (alpha * xs + (1.0 - alpha))),
-    (PowerLawSpeedup, "beta", _power),
+    (PowerLawSpeedup, "beta", _pow),
     (RooflineSpeedup, "cap", lambda xs, cap: np.minimum(xs, cap)),
-    (LogSpeedup, "gamma", lambda xs, gamma: 1.0 + gamma * np.log2(xs)),
+    (LogSpeedup, "gamma", lambda xs, gamma: 1.0 + gamma * _log2(xs)),
 )
 
 
@@ -136,7 +138,8 @@ def _family_of(cls: type) -> tuple[int, str | None]:
 
 
 def family_array(code: int, xs: np.ndarray, parameter) -> np.ndarray:
-    """The speedup kernel: family ``code`` over float allocations ``xs >= 1``."""
+    """The speedup kernel: family ``code`` over float allocations ``xs >= 1``,
+    each element the float the family's ``__call__`` returns."""
     return _FAMILIES[code][2](xs, parameter)
 
 
@@ -167,7 +170,7 @@ class CandidateGrid:
         cls, candidates: Sequence[ResourceVector], pool: ResourcePool
     ) -> "CandidateGrid":
         """Lower an already validated candidate list."""
-        allocs = np.array([tuple(c) for c in candidates], dtype=np.int64)
+        allocs = np.fromiter(chain.from_iterable(candidates), np.int64).reshape(len(candidates), pool.d)
         caps = np.array(tuple(pool.capacities), dtype=np.float64)
         levels, level_of = _levels(allocs)
         return cls(
@@ -238,7 +241,7 @@ class _TimeFunctions:
                 models.append(nones)
                 sums.append(False)
         n = len(jobs)
-        works = np.array(works).reshape(n, d)
+        works = np.array(list(chain.from_iterable(works)))
         if works.dtype.kind not in "biuf":
             # a type bug in a job's data is reported, not coerced
             bad = next(
@@ -251,51 +254,54 @@ class _TimeFunctions:
             )
         models = list(chain.from_iterable(models))
         classes = list(map(type, models))
-        kinds = list(set(classes))  # one lookup per class, then gathers
-        kind = np.fromiter(
-            map({c: k for k, c in enumerate(kinds)}.__getitem__, classes), np.int64, n * d
-        ).reshape(n, d)
-        family = list(map(_family_of, kinds))
-        attr_of = dict(zip(kinds, (attr for _, attr in family)))
-        codes = np.array([code for code, _ in family], dtype=np.int64)[kind]
+        code_of = {c: _family_of(c)[0] for c in set(classes)}
+        codes = np.fromiter(map(code_of.__getitem__, classes), np.int64, n * d)
+        params = np.zeros(n * d)
+        for code in set(code_of.values()) - {-1}:
+            attr = _FAMILIES[code][1]
+            if attr:  # one attribute getter per family, over its elements
+                at = np.flatnonzero(codes == code)
+                picked = itemgetter(*at.tolist())(models) if at.size > 1 else (models[at[0]],)
+                params[at] = list(map(attrgetter(attr), picked))
+        codes = codes.reshape(n, d)
+        works = works.astype(np.float64).reshape(n, d)
         fn_types = list(map(type, (job.time_fn for job in jobs)))
         own = {t: getattr(t, "__call__", None) is MultiResourceTime.__call__ for t in set(fn_types)}
-        works = works.astype(np.float64)
         return cls(
             works,
             codes,
-            np.array(
-                [getattr(s, a) if a else 0.0 for s, a in zip(models, map(attr_of.get, classes))],
-                dtype=np.float64,
-            ).reshape(n, d),
+            params.reshape(n, d),
             np.array(sums, dtype=bool),
             np.fromiter(map(own.get, fn_types), bool, n)
             & ((works == 0) | (codes >= 0)).all(axis=1),
         )
 
-    def take(self, rows) -> "_TimeFunctions":
+    def take(self, rows: np.ndarray) -> "_TimeFunctions":
+        """The rows ``rows`` (integer positions), gathered along axis 0."""
         return _TimeFunctions(
-            self.works[rows], self.codes[rows], self.params[rows], self.sums[rows],
-            self.exact[rows],
+            *(np.take(column, rows, axis=0) for column in (
+                self.works, self.codes, self.params, self.sums, self.exact
+            ))
         )
 
 
-def _python_sum(terms: np.ndarray) -> np.ndarray:
-    """Row by row, python's ``sum`` of the row's floats in column order —
-    the combiner :class:`MultiResourceTime` applies — with a 0 column a
-    skipped term.  Before 3.12 that is left to right from 0; from 3.12 on,
-    ``sum`` of floats compensates each addition (Neumaier) and adds the
-    compensation once, when it is finite and not 0.  Adding 0 changes
-    neither the total nor the compensation, so skipped terms stay skipped."""
-    total = np.zeros(terms.shape[0])
+def _python_sum(columns) -> np.ndarray:
+    """Element by element, python's ``sum`` of the ``columns`` (equal-shape
+    arrays, one per type) in type order — the combiner
+    :class:`MultiResourceTime` applies — with a 0 term a skipped term.
+    Before 3.12 that is left to right from 0; from 3.12 on, ``sum`` of
+    floats compensates each addition (Neumaier) and adds the compensation
+    once, when it is finite and not 0.  Adding 0 changes neither the total
+    nor the compensation, so skipped terms stay skipped."""
+    total = 0.0
     if sys.version_info < (3, 12):
-        for column in terms.T:
+        for column in columns:
             total = total + column
         return total
-    comp = np.zeros_like(total)
-    for column in terms.T:
+    comp = 0.0
+    for column in columns:
         t = total + column
-        comp += np.where(
+        comp = comp + np.where(
             np.abs(total) >= np.abs(column), (total - t) + column, (column - t) + total
         )
         total = t
@@ -303,65 +309,57 @@ def _python_sum(terms: np.ndarray) -> np.ndarray:
     return np.where(keep, total + comp, total)
 
 
-def exact_times(fns: _TimeFunctions, allocs: np.ndarray) -> np.ndarray:
-    """``Job.time`` bit for bit, all jobs at once: row ``k`` of the ``(n,
-    d)`` integer matrix ``allocs`` under the time function lowered in row
-    ``k`` of ``fns``.
-
-    The table's kernel is numpy's arithmetic; this is python's, in arrays.
-    ``+ − × ÷`` and ``min`` are correctly rounded either way, so numpy does
-    those; ``float ** beta`` is python's per element (numpy's ``**`` may
-    take a vector path that differs in the last bit), ``math.log2`` runs
-    once per distinct level, and the terms are combined in type order as
-    python's ``max``/``sum`` (:func:`_python_sum`) combine them.  A row
-    whose job has no exact array form (``fns.exact``), or that gives a type
-    the job uses less than one unit, is NaN: the caller asks ``Job.time``,
-    which evaluates the callable or raises its refusal by name.
-    """
-    n, d = allocs.shape
-    xs = allocs.astype(np.float64)
-    used = fns.works != 0
-    ok = fns.exact & ~(used & (xs < 1.0)).any(axis=1)
-    terms = np.zeros((n, d))
-    for i in range(d):
-        users = ok & used[:, i]
+def _type_terms(fns: _TimeFunctions, amounts: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per type ``i``, the terms ``w_i / s_i(x)`` of every exact job of
+    ``fns`` (no used amount below 1) at the float amounts ``amounts[i]``:
+    ``L`` levels every job shares (a grid's) or a ``(jobs, 1)`` column, one
+    amount per job; ``(jobs, L)``, 0 where the job does not use the type or
+    is not exact."""
+    terms = []
+    for i, xs in enumerate(amounts):
+        xs = np.atleast_2d(xs)
+        users = (fns.works[:, i] != 0) & fns.exact
+        term = np.zeros((users.size, xs.shape[1]))
         codes = fns.codes[:, i]
         for code in np.unique(codes[users]).tolist():
             rows = np.flatnonzero(users & (codes == code))
-            x, param, family = xs[rows, i], fns.params[rows, i], _FAMILIES[code][0]
-            if family is PowerLawSpeedup:
-                speedup = np.array([a**b for a, b in zip(x.tolist(), param.tolist())])
-            elif family is LogSpeedup:
-                levels, at = np.unique(x, return_inverse=True)
-                logs = np.array([math.log2(v) for v in levels.tolist()])
-                speedup = 1.0 + param * logs[at.reshape(-1)]
-            else:
-                speedup = family_array(code, x, param)
-            terms[rows, i] = fns.works[rows, i] / speedup
-    times = np.where(fns.sums, _python_sum(terms), terms.max(axis=1, initial=0.0))
-    times[~ok] = np.nan
+            at = xs if xs.shape[0] == 1 else xs[rows]
+            term[rows] = fns.works[rows, i, None] / family_array(code, at, fns.params[rows, i, None])
+        terms.append(term)
+    return terms
+
+
+def _combine(terms: Sequence[np.ndarray], level_of: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """``(jobs, rows)``: the terms of :func:`_type_terms` gathered to the
+    rows of ``level_of`` (per type, a column index into that type's terms)
+    and combined as ``Job.time`` combines them.  ``max`` is exact in any
+    order and a masked-out term is 0, below every time: one running maximum
+    over the gathered columns.  ``sum`` is python's (:func:`_python_sum`)."""
+    times = np.zeros((sums.size, level_of.shape[0]))
+    if not sums.all():
+        for i, term in enumerate(terms):
+            np.maximum(times, term[:, level_of[:, i]], out=times)
+    if sums.any():
+        rows = np.flatnonzero(sums)
+        times[rows] = _python_sum(term[rows][:, level_of[:, i]] for i, term in enumerate(terms))
     return times
 
 
-def _type_terms(grid_levels: Sequence[np.ndarray], fns: _TimeFunctions) -> list[np.ndarray]:
-    """Per type ``i``, the ``(jobs, levels of i)`` terms ``w_i / s_i(level)``
-    of every job of ``fns`` (all exact, no used level below 1); 0 where the
-    job does not use the type.  The one per-type kernel of both paths: each
-    family is evaluated once, on the type's distinct levels."""
-    n = fns.works.shape[0]
-    used = fns.works != 0
-    terms = []
-    for i, levels in enumerate(grid_levels):
-        term = np.zeros((n, levels.size))
-        users = used[:, i]
-        if users.any():
-            codes = fns.codes[:, i]
-            for code in np.unique(codes[users]).tolist():
-                rows = np.flatnonzero(users & (codes == code))
-                speedup = family_array(code, levels[None, :], fns.params[rows, i, None])
-                term[rows] = fns.works[rows, i, None] / speedup
-        terms.append(term)
-    return terms
+def exact_times(fns: _TimeFunctions, allocs: np.ndarray) -> np.ndarray:
+    """``Job.time`` bit for bit, all jobs at once: row ``k`` of the ``(n,
+    d)`` integer matrix ``allocs`` under the time function lowered in row
+    ``k`` of ``fns``, by the table's own kernel (each job's row is a grid
+    of one row).  A row whose job has no exact array form (``fns.exact``),
+    or that gives a type the job uses less than one unit, is NaN: the
+    caller asks ``Job.time``, which evaluates the callable or raises its
+    refusal by name.
+    """
+    xs = allocs.astype(np.float64)
+    ok = fns.exact & ~((fns.works != 0) & (xs < 1.0)).any(axis=1)
+    terms = _type_terms(replace(fns, exact=ok), xs.T[:, :, None])
+    times = _combine(terms, np.zeros((1, xs.shape[1]), dtype=np.int64), fns.sums)[:, 0]
+    times[~ok] = np.nan
+    return times
 
 
 def _block_times(
@@ -373,7 +371,6 @@ def _block_times(
     """``t_j(p)`` for every job of ``fns`` (all exact) and every row of a
     grid given by its ``levels`` and ``level_of``: ``(jobs, m)``.  ``jobs``
     only names the job in a refusal."""
-    n, m = fns.works.shape[0], level_of.shape[0]
     used = fns.works != 0
     for i, levels in enumerate(grid_levels):
         if levels[0] < 1 and used[:, i].any():
@@ -381,26 +378,7 @@ def _block_times(
             raise ValueError(
                 f"job {job.id!r}: allocation must provide >= 1 unit of every used type"
             )
-    terms = _type_terms(grid_levels, fns)
-    # ``max`` is exact in any order and a masked-out term is 0, below every
-    # time: one running maximum over the gathered columns serves all jobs
-    times = np.zeros((n, m))
-    if not fns.sums.all():
-        for i, term in enumerate(terms):
-            np.maximum(times, term[:, level_of[:, i]], out=times)
-    # ``sum`` is the one-job reduction itself: the jobs that use the same
-    # types stack those columns, in type order, and reduce the trailing axis
-    if fns.sums.any():
-        summed = np.flatnonzero(fns.sums)
-        shapes, shape_of = np.unique(used[summed], axis=0, return_inverse=True)
-        for k, shape in enumerate(shapes):
-            rows = summed[shape_of.reshape(-1) == k]
-            types = np.flatnonzero(shape)
-            stack = np.empty((rows.size, m, types.size))
-            for c, i in enumerate(types.tolist()):
-                stack[:, :, c] = terms[i][rows[:, None], level_of[None, :, i]]
-            times[rows] = stack.sum(axis=-1)
-    return times
+    return _combine(_type_terms(fns, grid_levels), level_of, fns.sums)
 
 
 def _check_times(times: np.ndarray, grid: CandidateGrid, jobs: Sequence[Job]) -> None:
@@ -462,7 +440,7 @@ def _swept_blocks(grid: CandidateGrid, kernel: np.ndarray, fns: _TimeFunctions):
     for lo in range(0, kernel.size, per_block):
         which = kernel[lo : lo + per_block]
         block = fns.take(which)
-        terms = _type_terms(grid.levels, block)
+        terms = _type_terms(block, grid.levels)
         swept = _sweepable(terms, block)
         if swept.any():
             times, rows = _sweep([term[swept] for term in terms], grid.strides)

@@ -61,7 +61,6 @@ __all__ = [
     "kernel_frontier",
     "reference_pareto_filter",
     "reference_pareto_indices",
-    "reference_evaluate_times",
     "reference_candidate_table",
     "reference_lp_problem",
     "reference_solve_dtct_lp",
@@ -259,18 +258,17 @@ def rigid_unit_job(job_id, d: int, rtype: int) -> Job:
 # ---------------------------------------------------------------------------
 # Frozen references for Phase 1.  The per-job ``Instance.candidate_table``
 # body as it stood until PR 23 made the table one batched kernel: one
-# ``evaluate_times`` over the whole grid, one ``pareto_indices`` and one entry
-# list *per job* (``reference_evaluate_times`` / ``reference_pareto_indices``
-# are that code, not calls into the live module), the opaque-callable path
-# calling ``job.time`` and ``instance.avg_area`` per candidate.  The live table
-# must reproduce it with ``==`` — batched against per-job *array* form: numpy's
-# SIMD ``power``/``log2`` are not libm's, so python's scalar ``**`` is not the
-# yardstick.  ``reference_pareto_filter`` is the same Eq. (2) rule as a sort
-# and a scan over entry objects.  The loop LP assembler of ``solve_dtct_lp`` in
-# the convex-combination (``x``) form, as it stood until PR 21 put the delta
-# form in ``core/dtct.py``: the oracle the live LP must agree with in its
-# optimum (the vertex may differ), and the LP in which the live solution must
-# be feasible.  And the ``linprog`` call that solved the delta form until
+# evaluation of the whole grid, one ``pareto_indices`` and one entry list *per
+# job* (``reference_pareto_indices`` is that code, not a call into the live
+# module), every time ``job.time`` per candidate and every area the array
+# form's ``t · share / d`` (``instance.avg_area`` for a job with no array
+# form).  The live table must reproduce it with ``==``: its times are
+# ``Job.time``'s, bit for bit.  ``reference_pareto_filter`` is the same Eq. (2)
+# rule as a sort and a scan over entry objects.  The loop LP assembler of
+# ``solve_dtct_lp`` in the convex-combination (``x``) form, as it stood until
+# PR 21 put the delta form in ``core/dtct.py``: the oracle the live LP must
+# agree with in its optimum (the vertex may differ), and the LP in which the
+# live solution must be feasible.  And the ``linprog`` call that solved the delta form until
 # ``core/dtct.py`` handed it to HiGHS directly (``reference_linprog_solve``):
 # same problem, same options, so the live adapter must return its ``x`` bit
 # for bit after the same number of iterations.  The delta form's assembler as
@@ -323,34 +321,13 @@ def _is_family(model, family: type) -> bool:
     return isinstance(model, family) and type(model).__call__ is family.__call__
 
 
-def _reference_speedup_array(model, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if _is_family(model, LinearSpeedup):
-        return xs
-    if _is_family(model, AmdahlSpeedup):
-        return xs / (model.alpha * xs + (1.0 - model.alpha))
-    if _is_family(model, PowerLawSpeedup):
-        return xs**model.beta
-    if _is_family(model, RooflineSpeedup):
-        return np.minimum(xs, model.cap)
-    if _is_family(model, LogSpeedup):
-        return 1.0 + model.gamma * np.log2(xs)
-    raise TypeError(f"no array form for speedup model {type(model).__name__}")
-
-
-def reference_evaluate_times(fn: MultiResourceTime, allocs: np.ndarray) -> np.ndarray:
-    """``t_j`` over one job's ``(m, d)`` allocation matrix, every row for
-    every used type, as ``evaluate_times`` stood before PR 23."""
-    terms = []
-    for i, (w, s) in enumerate(zip(fn.works, fn.speedups)):
-        if w == 0:
-            continue
-        xs = allocs[:, i]
-        if (xs < 1).any():
-            raise ValueError("allocation must provide >= 1 unit of every used type")
-        terms.append(w / _reference_speedup_array(s, xs))
-    stack = np.stack(terms, axis=1)
-    return stack.max(axis=1) if fn.combiner == "max" else stack.sum(axis=1)
+def _has_array_form(fn) -> bool:
+    """``fn`` is a ``MultiResourceTime`` whose every used type's speedup is
+    a built-in family that keeps its ``__call__``: the kernel's jobs."""
+    families = (LinearSpeedup, AmdahlSpeedup, PowerLawSpeedup, RooflineSpeedup, LogSpeedup)
+    return _is_family(fn, MultiResourceTime) and all(
+        w == 0 or any(_is_family(s, f) for f in families) for w, s in zip(fn.works, fn.speedups)
+    )
 
 
 def reference_candidate_table(instance: Instance, strategy=geometric_grid):
@@ -359,24 +336,13 @@ def reference_candidate_table(instance: Instance, strategy=geometric_grid):
     table = {}
     for j, job in instance.jobs.items():
         cands = candidates_for_job(job, instance.pool, strategy)
-        profile = None
-        if _is_family(job.time_fn, MultiResourceTime):
-            try:
-                allocs = np.array([tuple(c) for c in cands], dtype=np.int64)
-                times = reference_evaluate_times(job.time_fn, allocs)
-            except TypeError:
-                pass  # custom speedup model without an array form
-            else:
-                if not np.isfinite(times).all() or (times <= 0).any():
-                    raise ValueError("execution times must be positive and finite")
-                caps = np.array(tuple(instance.pool.capacities), dtype=np.float64)
-                profile = times, times * (allocs / caps).sum(axis=1) / instance.pool.d
-        if profile is None:
-            profile = (
-                np.array([job.time(c) for c in cands]),
-                np.array([instance.avg_area(j, c) for c in cands]),
-            )
-        times, areas = profile
+        times = np.array([job.time(c) for c in cands])  # refuses by name
+        if _has_array_form(job.time_fn):
+            allocs = np.array([tuple(c) for c in cands], dtype=np.int64)
+            caps = np.array(tuple(instance.pool.capacities), dtype=np.float64)
+            areas = times * (allocs / caps).sum(axis=1) / instance.pool.d
+        else:
+            areas = np.array([instance.avg_area(j, c) for c in cands])
         rows = reference_pareto_indices(times, areas)
         table[j] = [
             ProfileEntry(alloc=cands[i], time=t, area=a)

@@ -4,16 +4,21 @@
 kernel (``jobs/vectorized.py``) and returns a ``CandidateTable`` — columns
 that are also the ``Mapping[JobId, Sequence[ProfileEntry]]`` the table has
 always been.  ``tests/helpers.py::reference_candidate_table`` is the per-job
-*array* form as it stood before: the two must be ``==``, entry for entry.
-(Not python's scalar ``**``: numpy's SIMD ``power``/``log2`` are not libm's.)
+form it replaced, with every time ``job.time(c)``: the two must be ``==``,
+entry for entry, so a table time is ``Job.time``'s float on any SIMD path.
 The mechanism — no entry object in the pipeline, a kernel-call count that
 does not grow with n, a bounded working set — is held by counts, not by a
 stopwatch.
 """
 
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +31,7 @@ from helpers import (
     reference_candidate_table,
     reference_pareto_filter,
 )
+import repro
 from repro.core.two_phase import moldable_schedule
 from repro.dag.generators import independent
 from repro.dag.graph import DAG
@@ -70,7 +76,7 @@ positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 speedups = st.one_of(
     st.just(LinearSpeedup()),
     st.builds(AmdahlSpeedup, alpha=st.floats(min_value=0.0, max_value=1.0)),
-    # 0.5 and 1.0: the exponents numpy special-cases when they come as scalars
+    # 0.5 and 1.0 among them: exponents whose power has an exact shortcut
     st.builds(
         PowerLawSpeedup,
         beta=st.one_of(st.sampled_from([0.5, 1.0, 0.75]), st.floats(min_value=0.01, max_value=1.0)),
@@ -142,8 +148,8 @@ class TestEqualsThePerJobForm:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 0.75])
     @pytest.mark.parametrize("levels", [1, 2, 3, 7, 8, 9, 17])
     def test_power_law_exponents_and_short_level_columns(self, beta, levels):
-        """β = 0.5 / 1.0 take numpy's scalar-exponent shortcuts in the per-job
-        form; a column of fewer levels than a SIMD lane is all remainder."""
+        """Every element is python's ``float ** beta``, whatever the exponent
+        and however many levels a column has."""
         pool = ResourcePool.of(199)
         grid = tuple(ResourceVector((x,)) for x in np.linspace(1, 199, levels).astype(int))
         rng = np.random.default_rng(levels)
@@ -155,9 +161,11 @@ class TestEqualsThePerJobForm:
         inst = make_instance(independent(len(fns)), pool, lambda j: fns[j])
         assert_equals_reference(inst, lambda p: grid)
 
-    def test_nine_types_under_sum_is_numpys_pairwise_sum(self):
-        """From 8 terms on numpy's ``sum`` is not a left fold, and which
-        terms share an accumulator depends on which types a job uses."""
+    def test_nine_types_under_sum_is_pythons_sum(self):
+        """Python's ``sum`` of the used types' terms in type order, a zero-work
+        type skipped: from 8 terms on numpy's pairwise ``sum`` is another
+        order, and which terms share an accumulator would depend on which
+        types a job uses."""
         pool = ResourcePool.uniform(9, 4)
         rng = np.random.default_rng(9)
         grid = tuple(ResourceVector(r) for r in rng.integers(1, 5, size=(12, 9)).tolist())
@@ -168,6 +176,75 @@ class TestEqualsThePerJobForm:
         assert {sum(w > 0 for w in fn.works) for fn in fns} & {8, 9}
         inst = make_instance(independent(len(fns)), pool, lambda j: fns[j])
         assert_equals_reference(inst, lambda p: grid)
+
+
+#: The table on a fixed mixed-family input (d ∈ {2, 4, 8} × ``max``/``sum``,
+#: all five families, zero-work types) as ``{"d combiner column": hex
+#: bytes}``, printed as JSON when run as a script.  The works and parameters are
+#: python arithmetic on small integers, so no numpy ufunc draws them.
+TABLE_BYTES = """
+import json
+from repro.jobs.candidates import geometric_grid
+from repro.jobs.job import Job
+from repro.jobs.speedup import (
+    AmdahlSpeedup, LinearSpeedup, LogSpeedup, MultiResourceTime, PowerLawSpeedup,
+    RooflineSpeedup,
+)
+from repro.jobs.vectorized import candidate_columns
+from repro.resources.pool import ResourcePool
+
+def model(k, i):
+    return (
+        LinearSpeedup(),
+        AmdahlSpeedup(alpha=((k + i) % 13) / 52),
+        PowerLawSpeedup(beta=0.5 + ((3 * k + i) % 17) / 34),
+        RooflineSpeedup(cap=2.0 + (k + 2 * i) % 15),
+        LogSpeedup(gamma=0.3 + ((k + i) % 7) * 0.05),
+    )[(k + i) % 5]
+
+def columns():
+    out = {}
+    for d, capacity in ((2, 32), (4, 16), (8, 4)):
+        for combiner in ("max", "sum"):
+            jobs = {}
+            for k in range(40):
+                works = [0.0 if (7 * k + 3 * i) % 11 == 0 else 1.0 + ((37 * k + 11 * i) % 97) * 0.731
+                         for i in range(d)]
+                works[k % d] = works[k % d] or 2.5
+                fn = MultiResourceTime(works=tuple(works), speedups=tuple(model(k, i) for i in range(d)),
+                                       combiner=combiner)
+                jobs[k] = Job(id=k, time_fn=fn)
+            table = candidate_columns(jobs, ResourcePool.uniform(d, capacity), geometric_grid)
+            for column in ("times", "areas", "rows", "starts"):
+                out[f"{d} {combiner} {column}"] = getattr(table, column).tobytes().hex()
+    return out
+
+if __name__ == "__main__":
+    print(json.dumps(columns()))
+"""
+
+
+def test_the_table_is_the_same_bytes_with_numpys_avx512_dispatch_off():
+    """Every time is python's arithmetic (``math.pow`` per element,
+    ``math.log2`` per level, python's ``sum``), so numpy's SIMD path cannot
+    move the table: the same input in a fresh interpreter with the AVX-512
+    groups disabled gives the same bytes.  (Where the host has no AVX-512,
+    or this process runs with the groups off already, both runs take the
+    same path and agree trivially.)"""
+    script = {"__name__": "table_bytes"}
+    exec(TABLE_BYTES, script)
+    here = script["columns"]()
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", TABLE_BYTES], env=env, capture_output=True, text=True, check=True
+    )
+    there = json.loads(run.stdout)
+    assert len(here) == len(there) == 3 * 2 * 4
+    assert [key for key in here if here[key] != there[key]] == []
 
 
 class TestTies:

@@ -85,6 +85,44 @@ class TestPerJob:
         with pytest.raises(ValueError):
             candidates_for_job(job, pool, full_grid)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (ResourceVector((1, 1, 1)), "allocation has 3 types, pool has 2"),
+            (ResourceVector((3, 1)), "allocation (3, 1) exceeds capacities (2, 2)"),
+            (ResourceVector((0, 0)), "allocation must request at least one resource unit"),
+            (ResourceVector((2**70, 1)), f"allocation ({2**70}, 1) exceeds capacities (2, 2)"),
+        ],
+    )
+    def test_the_first_refused_row_is_named(self, bad, message):
+        """The list is checked as one array; a refusal is the per-row
+        check's own text, for the first row it refuses."""
+        pool = ResourcePool.of(2, 2)
+        later = ResourceVector((5, 5))  # refused too, but after ``bad``
+        for pinned in ((bad,), (ResourceVector((1, 2)), bad, later)):
+            job = Job(id="j", time_fn=lambda a: 1.0, candidates=pinned)
+            with pytest.raises(ValueError) as refused:
+                candidates_for_job(job, pool, full_grid)
+            assert str(refused.value) == message
+
+    def test_an_empty_list_is_refused_by_name(self):
+        pool = ResourcePool.of(2, 2)
+        for empty in ((), []):
+            job = Job(id="j", time_fn=lambda a: 1.0, candidates=empty)
+            with pytest.raises(ValueError) as refused:
+                candidates_for_job(job, pool, full_grid)
+            assert str(refused.value) == "job 'j' has an empty candidate set"
+        with pytest.raises(ValueError) as refused:
+            candidates_for_job(Job(id="k", time_fn=lambda a: 1.0), pool, lambda p: ())
+        assert str(refused.value) == "job 'k' has an empty candidate set"
+
+    def test_an_accepted_list_comes_back_as_a_tuple(self):
+        pool = ResourcePool.of(2, 2)
+        rows = [ResourceVector((1, 0)), ResourceVector((2, 2)), ResourceVector((0, 1))]
+        job = Job(id="j", time_fn=lambda a: 1.0, candidates=tuple(rows))
+        assert candidates_for_job(job, pool, full_grid) == tuple(rows)
+        assert candidates_for_job(Job(id="k", time_fn=lambda a: 1.0), pool, lambda p: rows) == tuple(rows)
+
     def test_rigid_flag(self):
         """A rigid job is one pinned to a single allocation: that vector is
         its whole candidate set, whatever the strategy."""

@@ -125,7 +125,7 @@ def test_the_sum_is_pythons_on_either_side_of_3_12(monkeypatch):
     assert bits(want[(3, 11)]) != bits(want[(3, 12)])
     for version, python_sum in want.items():
         monkeypatch.setattr(vectorized.sys, "version_info", version)
-        assert bits(_python_sum(terms)) == bits(python_sum)
+        assert bits(_python_sum(terms.T)) == bits(python_sum)
 
 
 def tabled_instance(time_fn_of, pool=ResourcePool.of(4, 4), n=3):

@@ -1,5 +1,7 @@
 """Tests for the vectorized profile evaluation (HPC fast path)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,8 +48,7 @@ class TestFamilyArray:
         xs = np.arange(1, 40)
         code, attr = _family_of(type(model))
         arr = family_array(code, xs.astype(np.float64), getattr(model, attr) if attr else None)
-        for x, v in zip(xs, arr):
-            assert v == pytest.approx(model(int(x)))
+        assert arr.tolist() == [model(int(x)) for x in xs]  # the scalar's float, bit for bit
 
     def test_custom_model_has_no_family(self):
         class Custom:
@@ -55,6 +56,41 @@ class TestFamilyArray:
                 return float(x)
 
         assert _family_of(Custom) == (-1, None)
+
+
+class TestLowering:
+    """``_TimeFunctions.lower`` reads each family's parameter once per class
+    of speedup, over that class's elements; every value is the model's own."""
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_every_parameter_and_code_is_the_models_own(self, n):
+        rng = np.random.default_rng(n)
+        fns = [random_multi_resource_time(3, rng, zero_prob=0.2) for _ in range(n)]
+        jobs = [Job(id=k, time_fn=fn) for k, fn in enumerate(fns)]
+        jobs.insert(n // 2, Job(id="opaque", time_fn=lambda a: 1.0))
+        lowered = _TimeFunctions.lower(jobs, 3)
+        want_codes, want_params = [], []
+        for job in jobs:
+            models = getattr(job.time_fn, "speedups", (None,) * 3)
+            families = [_family_of(type(s)) for s in models]
+            want_codes.append([code for code, _ in families])
+            want_params.append([getattr(s, a) if a else 0.0 for s, (_, a) in zip(models, families)])
+        assert lowered.codes.tolist() == want_codes
+        assert lowered.params.tolist() == want_params
+        assert lowered.exact.tolist() == [job.id != "opaque" for job in jobs]
+
+    def test_refusals_name_the_job(self):
+        two = MultiResourceTime(works=(1.0, 2.0), speedups=(LinearSpeedup(),) * 2)
+        with pytest.raises(ValueError) as refused:
+            _TimeFunctions.lower([Job(id="a", time_fn=two)], 3)
+        assert str(refused.value) == "job 'a': time function has 2 resource types, the pool has 3"
+        fraction = MultiResourceTime(works=(Fraction(1, 2), 1.0), speedups=(LinearSpeedup(),) * 2)
+        jobs = [Job(id="a", time_fn=two), Job(id="b", time_fn=fraction)]
+        with pytest.raises(TypeError) as refused:
+            _TimeFunctions.lower(jobs, 2)
+        assert str(refused.value) == (
+            "job 'b': per-type works must be numbers, got (Fraction(1, 2), 1.0)"
+        )
 
 
 class TestKernelTimes:
@@ -65,8 +101,7 @@ class TestKernelTimes:
         fn = random_multi_resource_time(2, seed=seed, combiner=combiner)
         allocs = [tuple(a) for a in iter_allocation_grid(ResourceVector((5, 5)))]
         vec = kernel_times(fn, np.array(allocs))
-        for a, t in zip(allocs, vec):
-            assert t == pytest.approx(fn(ResourceVector(a)), rel=1e-12)
+        assert vec.tolist() == [fn(ResourceVector(a)) for a in allocs]
 
     def test_zero_work_type_ignored(self):
         fn = MultiResourceTime(works=(4.0, 0.0), speedups=(LinearSpeedup(),) * 2)
