@@ -31,8 +31,10 @@ one vector operation.
 * :class:`PriorityLoop` — the batch kernel, for a fixed job set: built,
   run once to completion, and read back as one output, the array start
   log (``start_log()``).  The queue holds integer ranks; per-event work
-  is python ints over memoryviews of the compiled int64 buffers (no copy
-  of the CSR adjacency or the readiness vector).  The column is
+  is python ints: three per-job columns (readiness counts, successor
+  offsets, ranks) become python lists for the run, and the O(E)
+  successor indices are read in place (a memoryview, never copied).  The
+  column is
   ``uint64`` images where they fit a word (``layout.packable``: ``d * bits
   <= 64``) and ``(L, d)`` int64 rows where they do not.
 * :class:`IncrementalPriorityLoop` — the resumable loop, stepped with
@@ -161,10 +163,14 @@ class PriorityLoop:
     capacity, ``av`` is the availability's image with the headroom bits
     ``H`` pre-added, and ``(av - a) & H == H`` / ``av -= a`` / ``av += a``
     are the only admission / acquire / free statements.  The per-event
-    work is python ints throughout: successor readiness walks
-    **memoryviews of the compiled int64 buffers** (``succ_indptr``,
-    ``succ_indices``, ``remaining``, ``rank_of`` — no copy, so a million
-    jobs cost no list), and the ready queue :attr:`rq` is a sorted python
+    work is python ints throughout.  Successor readiness reads three
+    per-job columns as **python lists built once per run** — ``remaining``
+    (in-degree counts, small cached ints: 8 B a job), ``succ_indptr`` and
+    ``rank_of`` (a pointer and an int object: 40 B a job each) — where a
+    list item costs a fraction of a memoryview item; the O(E)
+    ``succ_indices`` stay a **memoryview of the compiled int64 buffer**,
+    never copied.  :attr:`remaining` is the int64 array again when the run
+    returns (all zero).  The ready queue :attr:`rq` is a sorted python
     list of ranks kept in order with ``insort`` and ``del``.
 
     The demand column :attr:`pb` is a **cache of the list, not the
@@ -343,11 +349,13 @@ class PriorityLoop:
                 gc.enable()
 
     def _run(self) -> None:
-        # python ints straight out of the int64 buffers, no copy
-        remaining = memoryview(self.remaining)
-        ip = memoryview(self.ip)
+        # the per-job columns the event batch reads, as python lists for
+        # the run (see the class docstring); the O(E) successor indices
+        # are read in place
+        remaining = self.remaining.tolist()
+        ip = self.ip.tolist()
         si = memoryview(self.si)
-        rank = memoryview(self.rank_a)
+        rank = self.rank_a.tolist()
         layout = self.ci.layout
         word = layout.packable  # the column holds uint64 images, not rows
         img_topo = self.img_topo
@@ -538,6 +546,7 @@ class PriorityLoop:
 
         self.now = now  # the makespan
         self.ns = ns
+        self.remaining[:] = remaining
 
 
 # ----------------------------------------------------------------------

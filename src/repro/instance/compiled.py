@@ -32,10 +32,12 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from functools import partial
 from itertools import chain
+from operator import attrgetter
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.jobs.job import Job
 from repro.jobs.vectorized import _TimeFunctions, exact_times
 from repro.resources.vector import ResourceVector, whole_amounts
 
@@ -54,6 +56,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: the amount types the whole-matrix form lowers (to numpy a bool is an int)
 _INT64_TYPES = frozenset((int, np.int64))
 _trusted_vector = partial(tuple.__new__, ResourceVector)
+_TIME_FN = attrgetter("time_fn")
+_RELEASE = attrgetter("release")
 
 
 # ----------------------------------------------------------------------
@@ -201,13 +205,19 @@ class Allocation(MappingABC):
     """One allocation decision ``p`` of one instance: ``matrix``, its
     ``(n, d)`` int64 rows in topological order, accepted by the layout's
     bounds rule, and ``durations``, ``instance.time`` of each row, bit for
-    bit, computed once, on first use: every job whose time function has an
-    exact array form in one batch by
-    :func:`~repro.jobs.vectorized.exact_times` (the candidate table's own
-    kernel, over the time functions the instance's table lowered), and
-    every other job — an opaque callable, an instance with no table, a value
-    the batch finds non-positive or non-finite — by ``instance.time``, which
-    raises its refusal naming the job.  To everything else it is the read-only
+    bit, computed once, on first use, in one of two batches.  On an instance
+    with a candidate table, every job whose time function has an exact array
+    form goes through :func:`~repro.jobs.vectorized.exact_times` (the
+    table's own kernel, over the time functions the table lowered).  On an
+    instance with no table (opaque callables: the rigid case), every job's
+    ``time_fn`` is called on its row in one C-level pass, once each —
+    ``Job.time``'s arithmetic without its per-job call.  Every value a batch
+    finds non-positive or non-finite (NaN), and every job the table cannot
+    evaluate, is asked of ``instance.time``, which raises its refusal
+    naming the job.  An instance or a job class that overrides ``time``,
+    and a pass in which a call raises, go job by job through
+    ``instance.time``, so the first refusal in topological order is the one
+    raised.  To everything else it is the read-only
     ``Mapping[JobId, ResourceVector]`` it stands for, in topological order;
     its vectors are built on the first mapping read.  :meth:`lower` is the
     one way a mapping becomes one; there is no public constructor
@@ -264,9 +274,12 @@ class Allocation(MappingABC):
             instance = self.instance
             order, fns = instance.dag.order, _lowered_time_functions(instance)
             if fns is None:
-                times = np.fromiter(map(instance.time, order, self._rows()), np.float64, len(order))
+                times = _one_pass_times(instance, order, self._rows())
             else:
                 times = exact_times(fns, self.matrix)
+            if times is None:
+                times = np.fromiter(map(instance.time, order, self._rows()), np.float64, len(order))
+            else:
                 redo = np.flatnonzero(~((times > 0.0) & (times < np.inf))).tolist()
                 if redo:
                     rows = self._rows()
@@ -286,6 +299,33 @@ class Allocation(MappingABC):
 
     def __repr__(self) -> str:
         return f"Allocation({dict(self)!r})"
+
+
+def _apply(fn, row):
+    return fn(row)
+
+
+def _one_pass_times(instance, order: list, rows: list) -> "np.ndarray | None":
+    """Every job's ``float(time_fn(row))`` in one C-level pass, unchecked
+    (the caller asks ``instance.time`` for every value that is not
+    positive and finite, which refuses by name).  ``None`` — ask
+    ``instance.time`` job by job — when the instance or a job's class
+    overrides ``time``, or when a call raises: the per-job path then
+    raises the first refusal in topological order, a bad value before a
+    later job's exception."""
+    from repro.instance.instance import Instance  # which imports this module
+
+    jobs = list(map(instance.jobs.__getitem__, order))
+    if type(instance).time is not Instance.time or any(
+        getattr(cls, "time", None) is not Job.time for cls in set(map(type, jobs))
+    ):
+        return None
+    try:
+        return np.fromiter(
+            map(float, map(_apply, map(_TIME_FN, jobs), rows)), np.float64, len(jobs)
+        )
+    except Exception:
+        return None
 
 
 def _lowered_time_functions(instance) -> "_TimeFunctions | None":
@@ -317,8 +357,9 @@ class CompiledInstance:
     def __init__(self, instance) -> None:
         self.dag = instance.dag
         self.layout = DemandLayout(instance.pool.capacities)
-        self.release = np.array(
-            [instance.jobs[j].release for j in self.dag.order], dtype=np.float64
+        self.release = np.fromiter(
+            map(_RELEASE, map(instance.jobs.__getitem__, self.dag.order)),
+            np.float64, self.dag.n,
         )
         self.has_releases = bool((self.release > 0.0).any())
 

@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Hashable, Mapping, Sequence
 
@@ -104,7 +104,15 @@ def _pow(xs: np.ndarray, beta) -> np.ndarray:
     """``float ** beta`` per element, as python computes it: ``math.pow``
     calls the C library's ``pow``, as ``float.__pow__`` does for the
     positive finite operands here; numpy's ``**`` may take a vector path
-    that lands one ulp away, on one host and not another."""
+    that lands one ulp away, on one host and not another.  A ``(1, L)`` row
+    of levels every job shares against one β per job (a ``(jobs, 1)``
+    column) is evaluated level by level over the one list of βs, so no
+    operand is listed twice; the result is then a transposed view."""
+    xs, beta = np.asarray(xs), np.asarray(beta)
+    if xs.ndim == beta.ndim == 2 and xs.shape[0] == 1 and beta.shape[1] == 1:
+        betas = beta[:, 0].tolist()
+        out = chain.from_iterable(map(math.pow, repeat(x), betas) for x in xs[0].tolist())
+        return np.fromiter(out, np.float64, xs.size * len(betas)).reshape(xs.size, len(betas)).T
     xs, beta = np.broadcast_arrays(xs, beta)
     out = map(math.pow, xs.ravel().tolist(), beta.ravel().tolist())
     return np.fromiter(out, np.float64, xs.size).reshape(xs.shape)

@@ -8,11 +8,14 @@ values, cumulative ``_bucket``/``_sum``/``_count`` histogram samples).
 
 Design constraints, in order:
 
-* **Zero dependencies, bounded overhead.**  Recording is a dict lookup
-  plus a float add (histograms: one :func:`bisect.bisect_left`); hot
-  paths keep a bound child (:meth:`Counter.labels`) so even the lookup
-  amortizes away.  The batch engine never touches any of this — sessions
-  only record when :meth:`SchedulingSession.bind_metrics` was called.
+* **Zero dependencies, bounded overhead.**  Recording is one label key
+  (labels given in the declared order cost one tuple compare and one
+  ``str`` per value; any other order is checked as a set), a dict lookup
+  and a float add (histograms: one :func:`bisect.bisect_left`); hot
+  paths keep a bound child (:meth:`Counter.labels`) so even the key and
+  the lookup amortize away.  The batch engine never touches any of this
+  — sessions only record when :meth:`SchedulingSession.bind_metrics` was
+  called.
 * **Deterministic exposition.**  Families render sorted by name and
   samples sorted by label values, independent of registration or
   recording order, so two runs that record the same values emit
@@ -94,6 +97,8 @@ class _Family:
         self._children: dict[tuple[str, ...], Any] = {}
 
     def _key(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
+        if tuple(labels) == self.label_names:  # the declared order: one compare
+            return tuple(map(str, labels.values()))
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, "

@@ -54,15 +54,18 @@ _STRIDE_KEY = attrgetter("vtime", "name")
 
 
 class Tenant:
-    """One tenant's FIFO buffer and its stride-scheduling state."""
+    """One tenant's FIFO buffer and its stride-scheduling state, and the
+    two gauges an instrumented queue bound it at its first observation
+    (``None`` before)."""
 
-    __slots__ = ("name", "weight", "buffer", "vtime")
+    __slots__ = ("name", "weight", "buffer", "vtime", "m_depth", "m_lag")
 
     def __init__(self, name: str, weight: float = 1.0) -> None:
         self.name = name
         self.weight = weight
         self.buffer: deque[JobSpec] = deque()
         self.vtime = 0.0
+        self.m_depth = self.m_lag = None
 
 
 class FairQueue:
@@ -75,7 +78,7 @@ class FairQueue:
         # what is buffered, as it arrived: one ``(stamp, jobs)`` entry per
         # request — the batch-interval clock reads it
         self._arrivals: list[tuple[float, list[JobSpec]]] = []
-        self._m_depth = None  # bound gauges (None = uninstrumented)
+        self._m_depth = None  # gauge families (None = uninstrumented)
         self._m_lag = None
 
     def bind_metrics(self, registry) -> None:
@@ -91,12 +94,15 @@ class FairQueue:
             labels=("tenant",),
         )
         for t in self.tenants.values():
-            self._m_depth.set(len(t.buffer), tenant=t.name)
-            self._m_lag.set(t.vtime - self._vfloor, tenant=t.name)
+            t.m_depth = None  # bound to an earlier registry, if any
+            self._observe(t)
 
     def _observe(self, t: Tenant) -> None:
-        self._m_depth.set(len(t.buffer), tenant=t.name)
-        self._m_lag.set(t.vtime - self._vfloor, tenant=t.name)
+        if t.m_depth is None:  # the tenant's first observation: key its gauges once
+            t.m_depth = self._m_depth.labels(tenant=t.name)
+            t.m_lag = self._m_lag.labels(tenant=t.name)
+        t.m_depth.set(len(t.buffer))
+        t.m_lag.set(t.vtime - self._vfloor)
 
     def tenant(self, name: str) -> Tenant:
         t = self.tenants.get(name)

@@ -5,15 +5,17 @@ The oracle is the frozen dict pipeline in ``helpers`` (``round_fractional``
 sweep): all three allocators must give its schedule, ``p'``, ``p``, capped
 set and lower bound — the LP allocator's ``p'`` now gathered by
 ``dtct_allocate`` as a matrix, never a dict.  The value's durations are
-``instance.time``'s, bit for bit, never a candidate table's: the table's
-times are numpy's (an array ``**``, and under ``sum`` at ``d >= 8`` a
-pairwise sum), which can differ from ``Job.time``'s in the last bit.  They
-come from the exact batch (``jobs/vectorized.py::exact_times``) over the
-table's lowering, so a batch that took numpy's ``**`` or ``sum`` fails
-here; CI runs this file a second time with numpy's AVX-512 dispatch off,
-so both of numpy's ``**`` paths are held.
+``instance.time``'s, bit for bit, and so is the table's time of every
+chosen row: both come from one kernel (``jobs/vectorized.py::exact_times``
+over the table's lowering), so a batch that took numpy's ``**`` or
+``sum`` fails here; CI runs this file a second time with numpy's AVX-512
+dispatch off, so both of numpy's ``**`` paths are held.  On an instance
+with no table (opaque callables, the rigid case) the durations are one
+pass over the time functions: the same floats, the same refusals, each
+function called once.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +25,7 @@ from helpers import (
     reference_dict_list_schedule,
     reference_moldable_schedule,
     reference_service_specs,
+    ruler_rigid_instance,
 )
 from repro.conformance.fuzz import (
     _run_scheduler,
@@ -38,9 +41,13 @@ from repro.core.list_scheduler import list_schedule, list_schedule_log
 from repro.core.sp_fptas import sp_fptas_allocation
 from repro.core.two_phase import MoldableScheduler
 from repro.experiments.workloads import WORKLOAD_FAMILIES, perturbed_instance, random_instance
+from repro.dag.graph import DAG
 from repro.instance.compiled import Allocation
+from repro.instance.instance import Instance
+from repro.jobs.job import Job
 from repro.registry import get_scheduler
 from repro.resources.pool import ResourcePool
+from repro.resources.vector import ResourceVector
 
 #: capacity per d: the geometric grid stays small at d = 8 and d = 12
 CAPACITY = {2: 8, 4: 8, 8: 4, 12: 2}
@@ -176,3 +183,156 @@ def test_service_specs_are_the_lowered_rows():
             assert got == want, case
             assert bits([s.duration for s in got]) == bits([s.duration for s in want]), case
             assert all(type(a) is int for s in got for a in s.demand), case
+
+
+# ----------------------------------------------------------------------
+# an instance with no table: the opaque durations in one pass
+# ----------------------------------------------------------------------
+def opaque_instance(fns, d=2, capacity=8, seed=0, cls=Instance, job_cls=Job):
+    """``(instance, allocation)``: one job per time function, a random
+    layered-ish DAG over them, random rows; no candidate table is built."""
+    rng = np.random.default_rng(seed)
+    n = len(fns)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 4)) if rng.random() < 0.4]
+    jobs = {j: job_cls(id=j, time_fn=fn) for j, fn in enumerate(fns)}
+    alloc = {j: ResourceVector(r) for j, r in enumerate(rng.integers(1, capacity + 1, (n, d)).tolist())}
+    return cls(jobs=jobs, dag=DAG(jobs, edges), pool=ResourcePool.uniform(d, capacity)), alloc
+
+
+def per_job(inst, alloc):
+    """The per-job path: ``instance.time`` job by job in topological order;
+    its durations, or the exception it raises."""
+    try:
+        return np.array([inst.time(j, alloc[j]) for j in inst.dag.order])
+    except Exception as exc:  # noqa: BLE001 - the refusal is the result
+        return exc
+
+
+def one_pass(inst, alloc):
+    try:
+        return Allocation.lower(inst, alloc).durations
+    except Exception as exc:  # noqa: BLE001
+        return exc
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, Exception) and bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_opaque_durations_are_instance_time_bit_for_bit(seed, monkeypatch):
+    """Random rigid instances (the ruler's shape at d = 4 and 6, and time
+    functions of the row that land anywhere in a float's last bits): the
+    one pass gives ``instance.time``'s floats, asks it nothing, and calls
+    every time function exactly once."""
+    inst, alloc = ruler_rigid_instance(4, 25, seed, d=4 + 2 * (seed % 2))
+    assert bits(Allocation.lower(inst, alloc).durations) == bits(per_job(inst, alloc))
+
+    rng = np.random.default_rng(seed)
+    calls = []
+
+    def fn_of(j, w, beta):
+        def fn(row):
+            calls.append(j)
+            return w / math.fsum(row) ** beta + 1e-3 * (row[0] % 3)
+        return fn
+
+    n = 80
+    fns = [fn_of(j, w, b) for j, (w, b) in enumerate(zip(rng.uniform(0.1, 9.0, n), rng.uniform(0.3, 1.0, n)))]
+    inst, alloc = opaque_instance(fns, d=3, seed=seed)
+    want = per_job(inst, alloc)
+    calls.clear()
+    asked = []
+    real_time = Instance.time
+    monkeypatch.setattr(Instance, "time", lambda self, j, a: asked.append(j) or real_time(self, j, a))
+    durations = Allocation.lower(inst, alloc).durations
+    assert bits(durations) == bits(want)
+    assert sorted(calls) == list(range(n))  # each function exactly once
+    assert bits(list_schedule_log(inst, alloc).duration) == bits(want)
+    assert asked == []
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _raises(row):
+    raise _Boom(f"no time at {tuple(row)}")
+
+
+#: a time function's bad outcomes: a value ``Job.time`` refuses, a value
+#: ``float`` cannot take, and a call that raises
+BAD = {
+    "zero": lambda row: 0.0,
+    "negative": lambda row: -1.5,
+    "nan": lambda row: float("nan"),
+    "inf": lambda row: float("inf"),
+    "-inf": lambda row: float("-inf"),
+    "none": lambda row: None,
+    "text": lambda row: "fast",
+    "raises": _raises,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD))
+@pytest.mark.parametrize("at", [0, 17, 39])
+def test_an_opaque_refusal_is_the_per_job_paths(bad, at):
+    """One bad time function among good ones: the exception type, message
+    and job are the per-job path's (``Job.time``'s refusal names the job
+    and the row)."""
+    fns = [lambda row, k=k: 1.0 + k / 7 for k in range(40)]
+    fns[at] = BAD[bad]
+    inst, alloc = opaque_instance(fns, seed=at)
+    want = per_job(inst, alloc)
+    assert isinstance(want, Exception)
+    assert same_outcome(one_pass(inst, alloc), want)
+    if isinstance(want, ValueError) and bad != "text":
+        assert str(want).startswith(f"job {at}: execution time must be positive and finite")
+
+
+@pytest.mark.parametrize("bad", ["zero", "nan", "-inf", "none"])
+def test_the_first_refusal_in_topological_order_wins(bad):
+    """A bad value at job j and a raising function at job k > j: the one
+    pass meets k's exception first, and still raises j's refusal."""
+    fns = [lambda row, k=k: 2.0 + k for k in range(30)]
+    order = opaque_instance(fns, seed=1)[0].dag.order
+    fns[order[5]], fns[order[20]] = BAD[bad], _raises
+    inst, alloc = opaque_instance(fns, seed=1)
+    assert inst.dag.order == order
+    want = per_job(inst, alloc)
+    assert not isinstance(want, _Boom)
+    assert same_outcome(one_pass(inst, alloc), want)
+
+
+class _HalfJob(Job):
+    """A job class with its own ``time``: half the function's value."""
+
+    def time(self, alloc):
+        return 0.5 * float(self.time_fn(alloc))
+
+
+class _ShiftedInstance(Instance):
+    """An instance with its own ``time``: every job a unit longer."""
+
+    def time(self, job_id, alloc):
+        return super().time(job_id, alloc) + 1.0
+
+
+@pytest.mark.parametrize("override", ["job", "instance"])
+def test_an_overridden_time_is_asked_job_by_job(override):
+    """A job class or an instance that overrides ``time`` keeps the per-job
+    call: its own floats, and its own refusal (here ``_HalfJob`` passes a
+    0 that ``Job.time`` would refuse)."""
+    fns = [lambda row, k=k: 1.0 + k / 3 for k in range(25)]
+    kw = {"job_cls": _HalfJob} if override == "job" else {"cls": _ShiftedInstance}
+    inst, alloc = opaque_instance(fns, **kw)
+    want = per_job(inst, alloc)
+    plain = per_job(*opaque_instance(fns))
+    assert bits(want) != bits(plain)
+    assert same_outcome(one_pass(inst, alloc), want)
+    if override == "job":
+        fns[3] = BAD["zero"]
+        inst, alloc = opaque_instance(fns, **kw)
+        assert bits(one_pass(inst, alloc))[inst.dag.index[3]] == bits([0.0])[0]
