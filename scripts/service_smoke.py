@@ -6,7 +6,8 @@ processes on localhost:
 
 ``single``
     One session on stdio with an aggressive compaction policy: submit
-    across two tenants, cancel, advance, checkpoint, restore, drain.
+    across two tenants, cancel, advance, checkpoint, restore, drain,
+    prune (which has no event log to drop from and answers 0).
     Every response is ok, compaction archived rows mid-session, the final
     schedule strict-validates, both wire versions are answered in kind (a
     bare v1 request gets a bare response; a v2 envelope gets its rid
@@ -152,6 +153,7 @@ def stage_single(args) -> tuple[list[str], str]:
     record(client.checkpoint(checkpoint))
     record(client.restore(path=checkpoint))
     drain = record(client.drain())
+    prune = record(client.prune())
     validate = record(client.validate())
     status = record(client.status())
     stats = record(client.stats())
@@ -169,7 +171,7 @@ def stage_single(args) -> tuple[list[str], str]:
     # observability stage: every op sent so far, by the client's own count
     sent = collections.Counter({
         "tenant": 1, "submit": 2, "flush": 1, "advance": 1, "cancel": 1,
-        "checkpoint": 1, "restore": 1, "drain": 1, "validate": 1,
+        "checkpoint": 1, "restore": 1, "drain": 1, "prune": 1, "validate": 1,
         "status": 3, "stats": 1,
     })
     scrape_ctype, scraped = scrape(metrics_port)
@@ -181,8 +183,8 @@ def stage_single(args) -> tuple[list[str], str]:
     client.close()
 
     failures = []
-    if len(responses) != 15:
-        failures.append(f"expected 15 responses, got {len(responses)}")
+    if len(responses) != 16:
+        failures.append(f"expected 16 responses, got {len(responses)}")
     bad = [r for r in responses if not r.get("ok")]
     if bad:
         failures.append(f"failed responses: {bad}")
@@ -190,6 +192,8 @@ def stage_single(args) -> tuple[list[str], str]:
         failures.append(f"strict validation failed: {validate}")
     if drain["completed"] != 4:
         failures.append(f"drain completed {drain['completed']} != 4")
+    if prune["dropped"] != 0:
+        failures.append(f"prune: {prune}")
     if cancel["cancelled"] != ["doomed"]:
         failures.append(f"cancel: {cancel}")
     if status["compactions"] < 1 or status["archived"] < 1:

@@ -128,7 +128,7 @@ def strategy_benchmark() -> Outcome:
         makespans, frontier_sizes = [], []
         for seed in (0, 1, 2):
             inst = random_instance("layered", 16, pool, seed=seed).instance
-            res = get_scheduler("ours").schedule(inst, allocator="lp", candidate_strategy=strategy)
+            res = get_scheduler("ours").schedule(inst, allocator="lp", strategy=strategy)
             res.schedule.validate()
             makespans.append(res.makespan)
             table = inst.candidate_table(strategy)

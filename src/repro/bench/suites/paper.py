@@ -341,7 +341,7 @@ def true_ratio_benchmark() -> Outcome:
         true_ratios, lb_ratios = [], []
         for seed in (0, 1, 2, 3, 4):
             inst = random_instance("erdos", 4, pool, seed=seed).instance
-            res = get_scheduler("ours").schedule(inst, allocator="lp", candidate_strategy=full_grid)
+            res = get_scheduler("ours").schedule(inst, allocator="lp", strategy=full_grid)
             res.schedule.validate()
             t_opt, _ = optimal_makespan(inst, full_grid, max_jobs=6)
             assert res.lower_bound / (1 + 1e-6) <= t_opt <= res.makespan + 1e-9

@@ -272,15 +272,9 @@ def _strategy_for(case: FuzzCase):
 
 
 def _run_scheduler(spec, instance: Instance, strategy):
-    if spec.name == "ours":
-        if strategy is not None:
-            return spec.schedule(instance, candidate_strategy=strategy)
-        return spec.schedule(instance)
     if spec.name == "malleable":
         return spec.schedule(instance)
-    if strategy is not None:
-        return spec.schedule(instance, strategy=strategy)
-    return spec.schedule(instance)
+    return spec.schedule(instance, strategy=strategy)
 
 
 def portable_events(schedule: Schedule, *, reprify: bool) -> list[tuple]:

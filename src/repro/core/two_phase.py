@@ -77,7 +77,7 @@ class MoldableScheduler:
     allocator:
         ``"auto"`` (independent jobs → Lemma 8, SP tree given → FPTAS,
         otherwise LP), or one of ``"lp"``, ``"independent"``, ``"sp"``.
-    candidate_strategy:
+    strategy:
         Candidate enumeration for Phase 1 (``None`` = geometric grid).
     priority:
         Phase 2 queue priority rule (default FIFO — the paper's baseline).
@@ -88,7 +88,7 @@ class MoldableScheduler:
     mu: float | None = None
     rho: float | None = None
     allocator: str = "auto"
-    candidate_strategy: CandidateStrategy | None = None
+    strategy: CandidateStrategy | None = None
     priority: PriorityRule = fifo_priority
     epsilon: float = 0.3
     sp_tree: SPNode | None = None
@@ -102,18 +102,18 @@ class MoldableScheduler:
         mu = self.mu if self.mu is not None else mu_def
         rho = phase1 = None
         if allocator == "independent":
-            ind = optimal_independent_allocation(instance, self.candidate_strategy)
+            ind = optimal_independent_allocation(instance, self.strategy)
             p_prime, lower_bound = ind.allocation, ind.l_min
         elif allocator == "sp":
             if sp is None:
                 raise ValueError("SP allocator requires the SP decomposition tree")
-            res = sp_fptas_allocation(instance, sp, self.epsilon, self.candidate_strategy)
+            res = sp_fptas_allocation(instance, sp, self.epsilon, self.strategy)
             # the FPTAS certifies L(p') <= (1+ε) L_min, so L(p')/(1+ε)
             # under-estimates L_min — a sound lower bound
             p_prime, lower_bound = res.allocation, res.l_value / (1.0 + self.epsilon)
         else:
             rho = self.rho if self.rho is not None else rho_def
-            phase1 = allocate_resources(instance, rho, mu, self.candidate_strategy)
+            phase1 = allocate_resources(instance, rho, mu, self.strategy)
             lower_bound = phase1.lower_bound
         adjustment = phase1.adjustment if phase1 else adjust_allocation(instance, p_prime, mu)
         return ScheduleResult(

@@ -617,12 +617,11 @@ class IncrementalPriorityLoop:
     back.
 
     Instead of per-event callbacks, the loop appends event tuples to
-    :attr:`log` (shared with the owning session): ``("start", id, t)`` and
-    ``("finish", id, t)`` — ids, not row indices, so records stay valid
-    across compactions.  A start carries neither duration nor demand: both
-    are fixed at admission and stay on the job's row (live, or archived by
-    the session), which is where readers look them up, so the log pins no
-    per-job tuple for the life of the session.
+    :attr:`log`: ``("start", id, t)`` and ``("finish", id, t)``.  The
+    owning session reads them after each run (for its reply, its counters
+    and its finished ids) and empties the list.  A start carries neither
+    duration nor demand: both are fixed at admission and stay on the job's
+    row, which is where the session looks them up.
 
     Heap codes: ``code >= 0`` is the completion of job index ``code``;
     ``code < 0`` is the release of index ``~code`` (the bitwise-complement
@@ -643,7 +642,7 @@ class IncrementalPriorityLoop:
         "start", "finish",
     )
 
-    def __init__(self, capacities: Sequence[int], *, log: list | None = None) -> None:
+    def __init__(self, capacities: Sequence[int]) -> None:
         try:
             caps = whole_amounts(capacities)
         except (TypeError, ValueError):
@@ -674,7 +673,7 @@ class IncrementalPriorityLoop:
         self.seq = 0
         # availability image with the headroom bits pre-added
         self.avh = layout.packed_capacities + layout.fit_mask
-        self.log: list[tuple] = log if log is not None else []
+        self.log: list[tuple] = []
         self.ncompleted = 0  # lifetime completions (survives compaction)
         # the ready queue, and its demand column while the queue is long
         self.rq: list[tuple[object, int]] = []

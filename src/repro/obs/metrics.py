@@ -13,9 +13,10 @@ Design constraints, in order:
   ``str`` per value; any other order is checked as a set), a dict lookup
   and a float add (histograms: one :func:`bisect.bisect_left`); hot
   paths keep a bound child (:meth:`Counter.labels`) so even the key and
-  the lookup amortize away.  The batch engine never touches any of this
-  — sessions only record when :meth:`SchedulingSession.bind_metrics` was
-  called.
+  the lookup amortize away.  A child joins the exposition at its first
+  recording, so binding one ahead of use shows nothing until then.  The
+  batch engine never touches any of this — sessions only record when
+  :meth:`SchedulingSession.bind_metrics` was called.
 * **Deterministic exposition.**  Families render sorted by name and
   samples sorted by label values, independent of registration or
   recording order, so two runs that record the same values emit
@@ -106,10 +107,6 @@ class _Family:
             )
         return tuple(str(labels[n]) for n in self.label_names)
 
-    def items(self) -> "list[tuple[tuple[str, ...], Any]]":
-        """``(label_values, bound_child)`` pairs, sorted by label values."""
-        return sorted(self._children.items())
-
     def clear(self) -> None:
         self._children.clear()
 
@@ -135,19 +132,21 @@ class Counter(_Family):
         return child.total if child is not None else 0.0
 
     def samples(self) -> list[tuple[tuple[str, ...], float]]:
-        return sorted((k, c.total) for k, c in self._children.items())
+        return sorted((k, c.total) for k, c in self._children.items() if c.recorded)
 
 
 class _BoundCounter:
-    __slots__ = ("total",)
+    __slots__ = ("total", "recorded")
 
     def __init__(self) -> None:
         self.total = 0.0
+        self.recorded = False
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         self.total += amount
+        self.recorded = True
 
 
 class Gauge(_Family):
@@ -173,20 +172,23 @@ class Gauge(_Family):
         return child.current if child is not None else 0.0
 
     def samples(self) -> list[tuple[tuple[str, ...], float]]:
-        return sorted((k, g.current) for k, g in self._children.items())
+        return sorted((k, g.current) for k, g in self._children.items() if g.recorded)
 
 
 class _BoundGauge:
-    __slots__ = ("current",)
+    __slots__ = ("current", "recorded")
 
     def __init__(self) -> None:
         self.current = 0.0
+        self.recorded = False
 
     def set(self, value: float) -> None:
         self.current = float(value)
+        self.recorded = True
 
     def inc(self, amount: float = 1.0) -> None:
         self.current += amount
+        self.recorded = True
 
 
 class Histogram(_Family):
@@ -224,7 +226,7 @@ class Histogram(_Family):
         self.labels(**labels).observe(value)
 
     def samples(self) -> list[tuple[tuple[str, ...], "_BoundHistogram"]]:
-        return sorted(self._children.items())
+        return sorted((k, h) for k, h in self._children.items() if h.count)
 
 
 class _BoundHistogram:

@@ -6,8 +6,8 @@ struct-of-arrays form: one column per per-job field (demand, duration,
 priority key, predecessor indices, release, tenant, state, start/finish,
 readiness count), plus the resumable event heap, the ready queue's index
 array *in dispatch order*, the virtual clock and event-sequence counter,
-the availability vector, the compaction archive and policy, the session
-event log and the RNG state.  The guarantee — validated the same way the
+the availability vector, the compaction archive and policy, the
+cancellations and the RNG state.  The guarantee — validated the same way the
 instance serializer's round-trips are, by the conformance fuzz family and
 the hypothesis suite — is **exact resume**:
 
@@ -33,9 +33,14 @@ resuming subtly wrong.
 The document's records are the protocol's shapes, not the session's
 in-memory ones: the archive (columns in the session, see
 :class:`~repro.service.session.Archive`) is written as one record dict
-per job, and a ``("start", id, t)`` log entry as the five-field start row
-with the job's duration and demand.  Restore turns both back into the
-lean in-memory form.
+per job, and restore turns it back into columns.  The ``events`` key
+holds only ``["cancel", id, t]`` rows, the session's
+:attr:`~repro.service.session.SchedulingSession.cancels`: a job's start
+and finish are on its row.  A snapshot written while the session still
+kept an event log (``submit``, ``start`` and ``finish`` rows beside the
+cancellations) restores too: every row is checked — an unknown kind, a
+malformed row or a start of a job the snapshot does not hold is refused
+— and only the cancellations are kept.
 
 ``repro-session/2`` is the only format read or written: the PR-5
 ``repro-session/1`` (per-job record list, no archive, no stored queue) is
@@ -111,10 +116,7 @@ def checkpoint_session(session: SchedulingSession) -> dict[str, Any]:
         "available": list(loop.available()),
         # the archive's columns, one record dict per row
         "archive": list(session.archive.records()),
-        # a start row carries the job's duration and demand, which the log
-        # leaves on the job's row; every other event tuple is written as it
-        # is (immutable, and JSON serializes tuples as arrays)
-        "events": [session.event_row(e) for e in session.events],
+        "events": [("cancel", jid, t) for jid, t in session.cancels],
         "counters": {
             "submitted": session.counters.submitted,
             "cancelled": session.counters.cancelled,
@@ -153,22 +155,6 @@ def restore_session(data: "dict[str, Any] | str") -> SchedulingSession:
         # truncated or hand-edited snapshots must fail the documented way
         # (ValueError), not leak KeyError/TypeError to the caller
         raise ValueError(f"malformed session checkpoint: {exc!r}") from exc
-
-
-def _event_tuple(e) -> tuple:
-    """Normalize one serialized event row back to its in-memory tuple (a
-    start row drops the duration and demand it repeats from the job's
-    row)."""
-    kind = e[0]
-    if kind == "start":
-        return ("start", e[1], float(e[2]))
-    if kind == "finish":
-        return ("finish", e[1], float(e[2]))
-    if kind == "submit":
-        return ("submit", e[1], float(e[2]), e[3])
-    if kind == "cancel":
-        return ("cancel", e[1], float(e[2]))
-    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def _restore_v2(snap: dict[str, Any]) -> SchedulingSession:
@@ -295,8 +281,8 @@ def _check_availability(loop, stored) -> None:
 
 
 def _load_history(session: SchedulingSession, snap: dict[str, Any]) -> None:
-    """The session half of a restore — archive, event log, journal cursor
-    and RNG — over the loaded rows."""
+    """The session half of a restore — archive, cancellations, journal
+    cursor and RNG — over the loaded rows."""
     loop = session.loop
     arch = session.archive
     _load_archive(arch, snap.get("archive", []), loop.layout)
@@ -328,17 +314,19 @@ def _load_history(session: SchedulingSession, snap: dict[str, Any]) -> None:
     session.done_ids = done_ids
     session.compactions = int(snap.get("compactions", 0))
 
-    # rows that survived an in-memory round trip are already the exact
-    # in-memory tuples — only JSON-decoded rows (lists) and start rows
-    # need normalizing
-    events = [
-        e if type(e) is tuple and e[0] != "start" else _event_tuple(e)
-        for e in snap["events"]
-    ]
-    for e in events:
-        if e[0] == "start" and e[1] not in index and e[1] not in loop.index:
-            raise ValueError(f"event log starts unknown job {e[1]!r}")
-    session.events[:] = events
+    # a snapshot of a session that kept an event log also holds submit,
+    # start and finish rows: each is checked, and only cancellations kept
+    for e in snap["events"]:
+        kind = e[0]
+        if kind not in ("cancel", "start", "finish", "submit"):
+            raise ValueError(f"unknown event kind {kind!r}")
+        jid, t = e[1], float(e[2])
+        if kind == "cancel":
+            session.cancels.append((jid, t))
+        elif kind == "start" and jid not in index and jid not in loop.index:
+            raise ValueError(f"event log starts unknown job {jid!r}")
+        elif kind == "submit" and len(e) < 4:
+            raise ValueError(f"submit event of job {jid!r} has no tenant")
     session.applied_seq = int(snap.get("applied_seq", 0))
     if snap.get("rng") is not None:
         rng = np.random.default_rng()

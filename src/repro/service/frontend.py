@@ -197,6 +197,10 @@ class ServiceFrontend:
             "Flush-time admission outcomes (admitted / admission_failed / backpressure)",
             labels=("outcome",),
         )
+        self._m_admitted = self._m_outcomes.labels(outcome="admitted")
+        # per op label: its request counter and latency children, bound at
+        # the label's first request
+        self._m_per_op: dict[str, tuple[Any, Any]] = {}
         self._m_uptime = m.gauge(
             "repro_uptime_seconds", "Seconds since this front-end was built"
         )
@@ -250,7 +254,7 @@ class ServiceFrontend:
         self._flushed[0].extend(admitted)
         self._flushed[1].extend(errors)
         if admitted:
-            self._m_outcomes.inc(len(admitted), outcome="admitted")
+            self._m_admitted.inc(len(admitted))
         for rec in errors:
             self._m_outcomes.inc(outcome=rec["error"])
         return admitted, errors
@@ -340,8 +344,13 @@ class ServiceFrontend:
             self._rid = None
             self._cur_op = None
         dur = time.perf_counter() - t0
-        self._m_requests.inc(op=label)
-        self._m_latency.observe(dur, op=label)
+        per_op = self._m_per_op.get(label)
+        if per_op is None:
+            per_op = self._m_per_op[label] = (
+                self._m_requests.labels(op=label), self._m_latency.labels(op=label)
+            )
+        per_op[0].inc()
+        per_op[1].observe(dur)
         if resp.get("ok") is False:
             self._m_errors.inc(op=label, code=str(resp.get("error", "internal")))
         self.spans.record(label, "request", s0, self.spans.now() - s0, rid=rid)
@@ -607,8 +616,9 @@ class ServiceFrontend:
         return {"trace": self.session.to_trace()}
 
     def _op_prune(self, req: dict[str, Any]) -> dict[str, Any]:
-        return {"dropped": self._mut.prune_events(),
-                "events": len(self.session.events)}
+        # the session keeps no event log, so there is nothing to drop; the
+        # op stays for the clients that send it
+        return {"dropped": 0, "events": 0}
 
     def _op_spans(self, req: dict[str, Any]) -> dict[str, Any]:
         return {

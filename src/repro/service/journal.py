@@ -2,9 +2,9 @@
 
 The durable service wraps its :class:`~repro.service.session.SchedulingSession`
 in a :class:`JournaledSession`.  Every mutating verb (``submit`` /
-``cancel`` / ``advance`` / ``drain`` / ``prune``) is applied in memory
-and then appended to an on-disk journal — flushed and fsynced — *before*
-the call returns, so an acknowledged operation is always recoverable:
+``cancel`` / ``advance`` / ``drain``) is applied in memory and then
+appended to an on-disk journal — flushed and fsynced — *before* the call
+returns, so an acknowledged operation is always recoverable:
 
     recovered state = latest snapshot + replay of the journal suffix.
 
@@ -142,20 +142,21 @@ class Journal:
 
     def bind_metrics(self, registry) -> None:
         """Publish append/fsync timings and rotation counts (opt-in; the
-        fuzz and hypothesis harnesses run uninstrumented)."""
+        fuzz and hypothesis harnesses run uninstrumented); each family's
+        one child is bound here."""
         self._m_appends = registry.counter(
             "repro_journal_appends_total", "Write-ahead records appended"
-        )
+        ).labels()
         self._m_append_s = registry.histogram(
             "repro_journal_append_seconds",
             "Full journal append latency (serialize + write + flush + fsync)",
-        )
+        ).labels()
         self._m_fsync_s = registry.histogram(
             "repro_journal_fsync_seconds", "fsync portion of each journal append"
-        )
+        ).labels()
         self._m_rotations = registry.counter(
             "repro_journal_rotations_total", "Journal rotations after durable snapshots"
-        )
+        ).labels()
 
     # ------------------------------------------------------------------
     def _open(self):
@@ -233,7 +234,9 @@ class Journal:
 
 def _apply_record(session: SchedulingSession, rec: Mapping[str, Any]) -> None:
     """Replay one journal record against ``session`` (events are not
-    materialized — replay is state reconstruction, not serving)."""
+    materialized — replay is state reconstruction, not serving).  A
+    ``prune`` record, which journals no longer get, replays as nothing:
+    the session keeps no event log for it to bound."""
     op = rec.get("op")
     try:
         if op == "submit":
@@ -244,9 +247,7 @@ def _apply_record(session: SchedulingSession, rec: Mapping[str, Any]) -> None:
             session.advance(float(rec["until"]), events=False)
         elif op == "drain":
             session.drain()
-        elif op == "prune":
-            session.prune_events()
-        else:
+        elif op != "prune":
             raise ValueError(f"unknown journal op {op!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
@@ -488,11 +489,3 @@ class JournaledSession:
         self._point("op-applied")
         self._commit("drain", {})
         self._point("op-journaled")
-
-    def prune_events(self) -> int:
-        self._point("op-begin")
-        dropped = self.session.prune_events()
-        self._point("op-applied")
-        self._commit("prune", {})
-        self._point("op-journaled")
-        return dropped

@@ -7,7 +7,7 @@ completion, it owns one
 heap, the ready queue (one sorted python list of ``(key, index)``
 entries) and every row of every live job, which submissions append to,
 never recompile — plus the service-level state around it (tenants, the
-archive, counters, the event log), and exposes the service verbs:
+archive, counters, the cancellations), and exposes the service verbs:
 
 * :meth:`~SchedulingSession.submit` — admit jobs (with chosen demands,
   durations, precedences, releases and priority keys) at the current
@@ -50,12 +50,17 @@ checks, predecessor resolution and checkpoints all see through it, and
 the conformance family drives sessions with aggressive compaction
 settings to pin that.
 
-**The event log** (:attr:`SchedulingSession.events`) holds ``("submit",
-id, t, tenant)``, ``("start", id, t)``, ``("finish", id, t)`` and
-``("cancel", id, t)`` tuples.  A start names neither duration nor demand:
-:meth:`SchedulingSession.event_row` reads both off the job's live or
-archived row when an ``advance`` reply or a checkpoint writes the
-protocol's five-field start.
+**History** is the rows: a job's start, duration and demand live on its
+live row or its archived one, and :meth:`~SchedulingSession.to_schedule`,
+the trace, :meth:`~SchedulingSession.validate` and
+:meth:`~SchedulingSession.state_of` read them there.  The session keeps no
+event log beside them.  What the loop runs during one ``advance`` or
+``drain`` — ``("start", id, t)`` and ``("finish", id, t)`` tuples in the
+loop's ``log`` — is that verb's reply buffer: read for the reply (a start
+gains its duration and demand from its row, still live then), the event
+count and :attr:`~SchedulingSession.done_ids`, then emptied.  The one
+record the rows cannot hold, the time of a cancellation, is kept as
+``(id, time)`` in :attr:`~SchedulingSession.cancels`.
 
 Sessions carry an RNG (:attr:`SchedulingSession.rng`) for stochastic
 in-process clients, so that checkpoint/restore
@@ -384,25 +389,6 @@ class Archive:
         return map(self.record, range(len(self.ids)))
 
 
-def _event_dict(e: tuple) -> dict[str, Any]:
-    """Materialize one protocol row (:meth:`SchedulingSession.event_row`)
-    into its protocol dict."""
-    kind = e[0]
-    if kind == "start":
-        return {
-            "event": "start",
-            "id": e[1],
-            "time": e[2],
-            "duration": e[3],
-            "alloc": list(e[4]),
-        }
-    if kind == "finish":
-        return {"event": "finish", "id": e[1], "time": e[2]}
-    if kind == "submit":
-        return {"event": "submit", "id": e[1], "time": e[2], "tenant": e[3]}
-    return {"event": "cancel", "id": e[1], "time": e[2]}
-
-
 class SchedulingSession:
     """A long-running incremental scheduling session (see module docstring).
 
@@ -434,8 +420,11 @@ class SchedulingSession:
             )
         if compact_min_rows < 1:
             raise ValueError(f"compact_min_rows must be >= 1, got {compact_min_rows}")
-        self.events: list[tuple] = []
-        self.loop = IncrementalPriorityLoop(capacities, log=self.events)
+        self.loop = IncrementalPriorityLoop(capacities)
+        #: every cancellation as ``(id, time)``, in the order it happened —
+        #: the trace's and the checkpoint's record of it (a cancelled row
+        #: keeps no time)
+        self.cancels: list[tuple[JobId, float]] = []
         self.tenants: list[str] = []  # per-job tenant label, the loop's row order
         self.counters = _Counters()
         self.rng = np.random.default_rng(seed)
@@ -458,8 +447,8 @@ class SchedulingSession:
         #: whose predecessors have all finished without resolving them
         #: one by one (archived-cancelled ids fail it and take the
         #: precise-error path through :attr:`archive_index`).  Maintained
-        #: from the finish entries of the event log as :meth:`advance` /
-        #: :meth:`drain` consume it, and rebuilt whole on restore.
+        #: from the finishes each :meth:`advance` / :meth:`drain` ran, and
+        #: rebuilt whole on restore.
         self.done_ids: set[JobId] = set()
         #: sequence id of the last journaled operation applied to this
         #: session (0 = none).  The write-ahead journal
@@ -492,34 +481,34 @@ class SchedulingSession:
         :class:`~repro.obs.MetricsRegistry`.
 
         Registers the session's counter/gauge families (idempotent per
-        registry) and keeps them updated from the verbs: jobs
-        submitted / dispatched / completed / cancelled, clock advances,
-        compactions, and the virtual-clock gauge.  Counters are
-        registry-level, so rebinding after checkpoint/restore keeps
-        them monotone across session lineages.
+        registry) and binds each one's child once, here; the verbs then
+        record on the children: jobs submitted / dispatched / completed /
+        cancelled, clock advances, compactions, and the virtual-clock
+        gauge.  Counters are registry-level, so rebinding after
+        checkpoint/restore keeps them monotone across session lineages.
         """
         self.metrics = registry
         self._m_submitted = registry.counter(
             "repro_jobs_submitted_total", "Jobs admitted into the session"
-        )
+        ).labels()
         self._m_dispatched = registry.counter(
             "repro_jobs_dispatched_total", "Jobs started by the dispatch loop"
-        )
+        ).labels()
         self._m_completed = registry.counter(
             "repro_jobs_completed_total", "Jobs run to completion"
-        )
+        ).labels()
         self._m_cancelled = registry.counter(
             "repro_jobs_cancelled_total", "Jobs withdrawn by cancellation"
-        )
+        ).labels()
         self._m_advances = registry.counter(
             "repro_clock_advances_total", "advance()/drain() calls moving virtual time"
-        )
+        ).labels()
         self._m_compactions = registry.counter(
             "repro_compactions_total", "Dead-row compactions of the hot arrays"
-        )
+        ).labels()
         self._m_clock = registry.gauge(
             "repro_session_clock", "Current virtual time of the session"
-        )
+        ).labels()
         self._m_clock.set(self.now)
 
     def _observe_advance(self, nevents: int, finishes: int) -> None:
@@ -724,11 +713,7 @@ class SchedulingSession:
             ids, preds_idx, ext_preds, demands, durations, keys, releases, rem_counts
         )
         self.span_bound = span
-        now = self.now
         self.tenants.extend(tenants)
-        self.events.extend(
-            ("submit", jid, now, tn) for jid, tn in zip(ids, tenants)
-        )
         self.counters.submitted = sub0 + len(specs)
         if self.metrics is not None:
             self._m_submitted.inc(len(specs))
@@ -831,7 +816,7 @@ class SchedulingSession:
             # descendants of a not-yet-started job are necessarily pending
             loop.cancel(k)
             self.counters.cancelled += 1
-            self.events.append(("cancel", loop.order[k], self.now))
+            self.cancels.append((loop.order[k], self.now))
             cancelled.append(loop.order[k])
             stack.extend(reversed(loop.succ[k]))
         if cancelled and self.metrics is not None:
@@ -849,11 +834,10 @@ class SchedulingSession:
         when nothing happened.  Time only moves forward.
 
         With ``events=False`` the fired events are *not* materialized as
-        protocol dicts — the count of new log entries is returned instead
-        (they stay readable via :meth:`event_dicts`).  Embedded callers
-        that only poll counters (the benchmark client, bulk replays) skip
-        a dict allocation per event that way; the streaming front-end
-        keeps the default.
+        protocol dicts — their count is returned instead.  Embedded
+        callers that only poll counters (the benchmark client, bulk
+        replays) skip a dict allocation per event that way; the streaming
+        front-end keeps the default.
         """
         until = float(until)
         if not math.isfinite(until):
@@ -862,23 +846,9 @@ class SchedulingSession:
             raise ValueError(f"cannot advance to a non-finite time ({until})")
         if until < self.now:
             raise ValueError(f"cannot advance backwards to {until} (clock is {self.now})")
-        n0 = len(self.events)
-        c0 = self.loop.ncompleted
-        self.loop.run(until)
-        self.loop.advance_clock(until)
-        self.counters.completed = self.loop.ncompleted
-        done_add = self.done_ids.add
-        new = self.events[n0:]
-        for e in new:
-            if e[0] == "finish":
-                done_add(e[1])
-        if self.metrics is not None:
-            self._observe_advance(len(new), self.loop.ncompleted - c0)
-        out: "list[dict[str, Any]] | int"
-        if events:
-            out = self.event_dicts(new)
-        else:
-            out = len(new)
+        ran = self._run(until)
+        out = self._event_dicts(ran) if events else len(ran)
+        ran.clear()
         self._maybe_compact()
         return out
 
@@ -890,17 +860,7 @@ class SchedulingSession:
         only need the headline numbers read :meth:`makespan` and the
         counters instead.
         """
-        n0 = len(self.events)
-        c0 = self.loop.ncompleted
-        self.loop.run()
-        done_add = self.done_ids.add
-        for e in self.events[n0:]:
-            if e[0] == "finish":
-                done_add(e[1])
-        if self.metrics is not None:
-            self._observe_advance(
-                len(self.events) - n0, self.loop.ncompleted - c0
-            )
+        self._run(None).clear()
         leftover = [
             self.loop.order[i]
             for i, s in enumerate(self.loop.state)
@@ -908,8 +868,24 @@ class SchedulingSession:
         ]
         if leftover:  # pragma: no cover - admission bounds validation prevents this
             raise RuntimeError(f"drain left jobs unfinished: {leftover[:5]}")
-        self.counters.completed = self.loop.ncompleted
         self._maybe_compact()
+
+    def _run(self, until: float | None) -> list[tuple]:
+        """Run the loop to ``until`` (``None``: to quiescence) and fold what
+        it ran into the counters, :attr:`done_ids` and the bound metrics;
+        returns the loop's buffer of ``("start" | "finish", id, t)``
+        tuples, which the caller empties once it has read it."""
+        loop = self.loop
+        ran = loop.log
+        c0 = loop.ncompleted
+        loop.run(until)
+        if until is not None:
+            loop.advance_clock(until)
+        self.counters.completed = loop.ncompleted
+        self.done_ids.update(e[1] for e in ran if e[0] == "finish")
+        if self.metrics is not None:
+            self._observe_advance(len(ran), loop.ncompleted - c0)
+        return ran
 
     # ------------------------------------------------------------------
     # compaction
@@ -942,7 +918,7 @@ class SchedulingSession:
         self.archive_index.update(zip(ids, range(pos, pos + len(ids))))
         states = [state[i] for i in dead]
         done_finish = [finish[i] for i, s in zip(dead, states) if s == J_DONE]
-        self.done_ids.update(  # already there via the event log; cheap belt
+        self.done_ids.update(  # already there via advance/drain; cheap belt
             jid for jid, s in zip(ids, states) if s == J_DONE
         )
         archive.extend(
@@ -974,44 +950,23 @@ class SchedulingSession:
     # ------------------------------------------------------------------
     def cancellations(self) -> list[dict[str, Any]]:
         """The cancellation events, in the order they happened."""
-        return [_event_dict(e) for e in self.events if e[0] == "cancel"]
+        return [{"event": "cancel", "id": jid, "time": t} for jid, t in self.cancels]
 
-    def event_row(self, e: tuple) -> tuple:
-        """One log entry as its full protocol row: a ``("start", id, t)``
-        entry gains the job's duration and demand, read from its live or
-        archived row; any other entry already is its row."""
-        if e[0] != "start":
-            return e
-        jid = e[1]
+    def _event_dicts(self, ran: list[tuple]) -> list[dict[str, Any]]:
+        """What one verb ran as protocol dicts: a start gains the job's
+        duration and demand from its row — a live one, since compaction
+        runs after the reply is built."""
         loop = self.loop
-        i = loop.index.get(jid)
-        if i is not None:
-            return (*e, loop.duration[i], loop.demand[i])
-        pos = self.archive_index[jid]
-        return (*e, self.archive.duration[pos], self.archive.demand_of(pos))
-
-    def event_dicts(self, events: "Sequence[tuple] | None" = None) -> list[dict[str, Any]]:
-        """Materialize event tuples (default: the whole log) as protocol dicts."""
-        row = self.event_row
-        return [_event_dict(row(e)) for e in (self.events if events is None else events)]
-
-    def prune_events(self) -> int:
-        """Drop submit/start/finish records from the event log; returns the
-        number dropped.
-
-        The log exists for clients (``advance`` returns its new slice) and
-        the trace's cancellation records — scheduling never reads it — but
-        it grows with total history, which an indefinitely-running service
-        must bound.  Pruning keeps cancellations (the trace needs them) and
-        leaves checkpoints exact: a restored session replays identically,
-        its log just starts later.  Completed placements are unaffected
-        (they live in the loop state and the archive, not the log), and
-        so is the archive: pruning bounds the log, not the history.
-        """
-        kept = [e for e in self.events if e[0] == "cancel"]
-        dropped = len(self.events) - len(kept)
-        self.events[:] = kept  # in place: the loop holds the same list
-        return dropped
+        index = loop.index
+        out = []
+        for kind, jid, t in ran:
+            if kind == "start":
+                i = index[jid]
+                out.append({"event": "start", "id": jid, "time": t,
+                            "duration": loop.duration[i], "alloc": list(loop.demand[i])})
+            else:
+                out.append({"event": "finish", "id": jid, "time": t})
+        return out
 
     def to_schedule(self) -> "Schedule":
         """The completed jobs as a :class:`~repro.sim.schedule.Schedule`.
@@ -1082,7 +1037,5 @@ class SchedulingSession:
 
         return schedule_to_trace(
             self.to_schedule(),
-            cancellations=[
-                {"id": e["id"], "time": e["time"]} for e in self.cancellations()
-            ],
+            cancellations=[{"id": jid, "time": t} for jid, t in self.cancels],
         )

@@ -85,6 +85,7 @@ __all__ = [
     "reference_fair_queue",
     "bench_table",
     "ReferenceHistory",
+    "run_out",
     "reference_event_dict",
     "reference_checkpoint",
     "reference_run_dynamic",
@@ -103,6 +104,13 @@ __all__ = [
 ]
 
 JobId = Hashable
+
+
+def run_out(session) -> list[dict]:
+    """Advance ``session`` to quiescence in one call and return the reply:
+    every event a ``drain`` would run, in the order it runs them (no
+    event can pass ``now + span_bound``)."""
+    return session.advance(session.now + session.span_bound)
 
 
 @functools.lru_cache(maxsize=None)
@@ -805,11 +813,11 @@ def reference_fair_queue() -> _ReferenceFairQueue:
 
 # ----------------------------------------------------------------------
 # frozen reference: a session's history as dict records and five-field
-# start tuples.  The session keeps its archive in columns and logs a start
-# as ("start", id, t); these are the record-per-row archive, the
-# ("start", id, t, duration, demand) log and the checkpoint writer and
-# event materializer over them that its checkpoints and advance replies
-# must match byte for byte.
+# start tuples.  The session keeps its archive in columns and no event log
+# at all; these are the record-per-row archive, the full
+# ("submit" | "start" | "finish" | "cancel", ...) log the session once
+# kept, and the checkpoint writers and event materializer over them that
+# its checkpoints and advance replies must match byte for byte.
 # ----------------------------------------------------------------------
 _REF_STATE_NAMES = ("waiting", "queued", "running", "done", "cancelled")
 
@@ -827,54 +835,62 @@ def reference_event_dict(e: tuple) -> dict:
         }
     if kind == "finish":
         return {"event": "finish", "id": e[1], "time": e[2]}
-    if kind == "submit":
-        return {"event": "submit", "id": e[1], "time": e[2], "tenant": e[3]}
     return {"event": "cancel", "id": e[1], "time": e[2]}
 
 
 class ReferenceHistory:
-    """Keeps ``session``'s archive as a list of record dicts and its event
-    log with five-field starts, alongside the session itself.
+    """Keeps ``session``'s archive as a list of record dicts and the event
+    log it once kept — ``("submit", id, t, tenant)``, five-field starts,
+    finishes and cancellations — alongside the session itself.
 
-    The session's ``_compact`` and ``prune_events`` are wrapped on the
-    instance: before a compaction the log is caught up and every dead row
-    becomes a dict record (the rows are still live then); a prune drops
-    the same entries here.  :meth:`sync` catches the log up after any other
-    verb — a started job's duration and demand are read off its live row,
-    which it still is when its start is first seen.  A restored session
-    starts from the snapshot's own ``archive`` and ``events``.
+    The session's ``submit``, ``cancel``, ``_run`` and ``_compact`` are
+    wrapped on the instance: a submission or cancellation is logged at the
+    clock; what a run leaves in the loop's buffer is logged as it comes, a
+    start with the duration and demand of its row (still live then); and
+    before a compaction every dead row becomes a dict record.  A restored
+    session starts from the snapshot's own ``archive`` and ``events``.
     """
 
     def __init__(self, session, archive=(), events=()) -> None:
         self.session = session
         self.archive = list(archive)
         self.events = [tuple(e) for e in events]
-        self.seen = len(session.events)
-        compact, prune = session._compact, session.prune_events
+        submit, cancel, run, compact = (
+            session.submit, session.cancel, session._run, session._compact
+        )
+        loop = session.loop
+
+        def _submit(jobs):
+            ids = submit(jobs)
+            tenants = session.tenants[len(session.tenants) - len(ids):]
+            self.events.extend(("submit", j, session.now, t) for j, t in zip(ids, tenants))
+            return ids
+
+        def _cancel(job_id):
+            gone = cancel(job_id)
+            self.events.extend(("cancel", j, session.now) for j in gone)
+            return gone
+
+        def _run(until):
+            ran = run(until)
+            for kind, jid, t in ran:
+                if kind == "start":
+                    i = loop.index[jid]
+                    self.events.append((kind, jid, t, loop.duration[i], loop.demand[i]))
+                else:
+                    self.events.append((kind, jid, t))
+            return ran
 
         def _compact():
-            self.sync()
             self._archive_dead_rows()
             compact()
 
-        def prune_events():
-            self.sync()
-            self.events = [e for e in self.events if e[0] == "cancel"]
-            dropped = prune()
-            self.seen = len(session.events)
-            return dropped
+        session.submit, session.cancel, session._run, session._compact = (
+            _submit, _cancel, _run, _compact
+        )
 
-        session._compact = _compact
-        session.prune_events = prune_events
-
-    def sync(self) -> None:
-        loop = self.session.loop
-        for e in self.session.events[self.seen:]:
-            if e[0] == "start":
-                i = loop.index[e[1]]
-                e = ("start", e[1], e[2], loop.duration[i], loop.demand[i])
-            self.events.append(e)
-        self.seen = len(self.session.events)
+    def cancellations(self) -> list[tuple]:
+        return [e for e in self.events if e[0] == "cancel"]
 
     def _archive_dead_rows(self) -> None:
         session = self.session
@@ -904,17 +920,15 @@ class ReferenceHistory:
     def advance(self, until: float) -> tuple[list[dict], list[dict]]:
         """``session.advance(until)`` and the reply the frozen
         materializer gives for the same step."""
-        self.sync()
         n0 = len(self.events)
         reply = self.session.advance(until)
-        self.sync()
         return reply, [reference_event_dict(e) for e in self.events[n0:]]
 
 
-def reference_checkpoint(session, history: ReferenceHistory) -> dict:
+def reference_checkpoint(session, history: ReferenceHistory, *, full_log=False) -> dict:
     """The frozen ``repro-session/2`` writer over ``history``'s archive and
-    event log."""
-    history.sync()
+    cancellations; with ``full_log``, over its whole event log, as the
+    writer of a session that kept one did."""
     loop = session.loop
     return {
         "format": "repro-session/2",
@@ -945,7 +959,7 @@ def reference_checkpoint(session, history: ReferenceHistory) -> dict:
         "heap": [[t, s, c] for (t, s, c) in loop.heap],
         "available": list(loop.available()),
         "archive": list(history.archive),
-        "events": list(history.events),
+        "events": list(history.events) if full_log else history.cancellations(),
         "counters": {
             "submitted": session.counters.submitted,
             "cancelled": session.counters.cancelled,

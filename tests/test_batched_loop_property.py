@@ -59,16 +59,7 @@ def _case(family, scheduler, d, arrivals, seed):
         inst = with_poisson_arrivals(inst, 2.0, seed=seed)
     strategy = _DIAGONAL if d >= 5 else None
     try:
-        if scheduler == "ours":
-            result = (
-                spec.schedule(inst, candidate_strategy=strategy)
-                if strategy is not None
-                else spec.schedule(inst)
-            )
-        elif strategy is not None:
-            result = spec.schedule(inst, strategy=strategy)
-        else:
-            result = spec.schedule(inst)
+        result = spec.schedule(inst, strategy=strategy)
     except ValueError:
         return None  # contractual rejection (offline planner + releases)
     allocation = getattr(result, "allocation", None)

@@ -190,6 +190,23 @@ class TestJournaledSession:
         assert js2.session.to_schedule().placements == ref.to_schedule().placements
         js2.close()
 
+    def test_a_prune_record_recovers_to_the_same_state(self, tmp_path):
+        """A journal written while the session kept an event log may hold a
+        ``prune`` record; it replays as nothing."""
+        js = self._js(tmp_path)
+        js.submit(_specs())
+        js.cancel("j3")
+        js.advance(1.5, events=False)
+        js.journal.append({"seq": 4, "op": "prune", "rng": js.session.rng.bit_generator.state})
+        js.session.applied_seq = 4
+        js.drain()
+        want = checkpoint_session(js.session)
+        js.close()
+        js2 = self._js(tmp_path)
+        assert js2.replayed == 5
+        assert checkpoint_session(js2.session) == want
+        js2.close()
+
     def test_recovery_restores_rng_cursor(self, tmp_path):
         js = self._js(tmp_path)
         js.submit(_specs(2))

@@ -98,7 +98,7 @@ class TestFullOptimal:
         sched.validate()
         lb = lp_lower_bound(inst, full_grid)
         assert lb <= t_opt * (1 + 1e-6)
-        res = MoldableScheduler(allocator="lp", candidate_strategy=full_grid).schedule(inst)
+        res = MoldableScheduler(allocator="lp", strategy=full_grid).schedule(inst)
         assert t_opt <= res.makespan + 1e-9
         assert res.makespan <= res.proven_ratio * t_opt * (1 + 1e-6)
 

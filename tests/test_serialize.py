@@ -63,7 +63,7 @@ class TestRoundTrip:
         same candidate enumeration — unpinned jobs stay unpinned)."""
         inst = tiny_instance(seed=3, d=2, capacity=4)
         back = instance_from_json(instance_to_json(inst, full_grid))
-        sched = MoldableScheduler(allocator="lp", candidate_strategy=full_grid)
+        sched = MoldableScheduler(allocator="lp", strategy=full_grid)
         r1 = sched.schedule(inst)
         r2 = sched.schedule(back)
         assert r2.makespan == pytest.approx(r1.makespan, rel=1e-9)

@@ -30,7 +30,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.session import JobSpec, SchedulingSession
 
-from helpers import ReferenceHistory, reference_checkpoint, reference_event_dict
+from helpers import ReferenceHistory, reference_checkpoint, reference_event_dict, run_out
 
 _DIAGONAL = make_candidates("diagonal", levels=6)
 
@@ -56,18 +56,7 @@ def _session_case(family, scheduler, d, arrivals, seed):
         inst = with_poisson_arrivals(inst, 2.0, seed=seed)
     strategy = _DIAGONAL if d >= 5 else None
     try:
-        if scheduler == "ours":
-            result = (
-                spec.schedule(inst, candidate_strategy=strategy)
-                if strategy is not None
-                else spec.schedule(inst)
-            )
-        else:
-            result = (
-                spec.schedule(inst, strategy=strategy)
-                if strategy is not None
-                else spec.schedule(inst)
-            )
+        result = spec.schedule(inst, strategy=strategy)
     except ValueError:
         return None  # contractual rejection (e.g. offline planner + releases)
     allocation = getattr(result, "allocation", None)
@@ -87,10 +76,8 @@ class TestCheckpointBasics:
         assert data["format"] == SESSION_FORMAT
         s2 = load_session(str(path))
         assert s2.now == s.now
-        s.drain()
-        s2.drain()
+        assert run_out(s) == run_out(s2)
         assert s.to_schedule().placements == s2.to_schedule().placements
-        assert s.events == s2.events
 
     def test_rng_stream_resumes(self):
         s = SchedulingSession([2], seed=11)
@@ -390,10 +377,11 @@ class TestCheckpointBasics:
             sess.advance(2.5)
             sess.submit([JobSpec("c", (4, 4), 0.5)])
             assert sess.cancel("c") == ("c",)
-        s.drain()
-        s2.drain()
+        assert run_out(s) == run_out(s2)
         assert s.to_schedule().placements == s2.to_schedule().placements
-        assert s.events == s2.events
+        assert s.cancellations() == s2.cancellations() == [
+            {"event": "cancel", "id": "c", "time": 2.5}
+        ]
 
     def test_v1_checkpoint_is_refused(self, tmp_path, capsys):
         """The PR-5 per-record format is no longer read: every way in
@@ -468,28 +456,29 @@ class TestExactResumeProperty:
         specs = service_specs(inst, allocation)
         caps = inst.pool.capacities
 
+        baseline = SchedulingSession(caps)
+        baseline.submit(specs)
+        baseline.drain()
+        until = cut * max(baseline.makespan(), 1e-9)
+
         uninterrupted = SchedulingSession(caps)
         uninterrupted.submit(specs)
-        uninterrupted.drain()
-        baseline = uninterrupted.to_schedule()
-
         interrupted = SchedulingSession(caps)
         interrupted.submit(specs)
-        interrupted.advance(cut * max(baseline.makespan, 1e-9))
+        assert interrupted.advance(until) == uninterrupted.advance(until)
         resumed = _roundtrip(interrupted)
+        assert run_out(resumed) == run_out(uninterrupted)
         resumed.drain()
         resumed.validate()
 
-        assert resumed.to_schedule().placements == baseline.placements
-        assert resumed.events == uninterrupted.events
+        assert resumed.to_schedule().placements == baseline.to_schedule().placements
 
 
 class TestColumnarHistory:
-    """The session keeps its archive in columns and logs a start as
-    ``("start", id, t)``; its checkpoints and ``advance`` replies must be
-    byte for byte those of the frozen record-per-row writer
-    (``tests/helpers.py``), through compactions, cancellations, prunes and
-    restores."""
+    """The session keeps its archive in columns and no event log; its
+    checkpoints and ``advance`` replies must be byte for byte those of the
+    frozen record-per-row writer (``tests/helpers.py``), through
+    compactions, cancellations and restores."""
 
     @staticmethod
     def _drive(d, seed, int_ids):
@@ -530,8 +519,8 @@ class TestColumnarHistory:
                 got, want = hist.advance(s.now + float(rng.uniform(0, 2.5)))
                 assert got == want
             elif act < 0.85:
-                s.prune_events()
-                seen.add("pruned")
+                assert s.cancellations() == list(map(reference_event_dict, hist.cancellations()))
+                seen.add("cancellations")
             else:
                 text = json.dumps(checkpoint_session(s))
                 assert text == json.dumps(reference_checkpoint(s, hist))
@@ -547,9 +536,10 @@ class TestColumnarHistory:
                 assert json.dumps(checkpoint_session(s)) == json.dumps(
                     reference_checkpoint(s, hist)
                 )
+            assert s.loop.log == []
         s.drain()
         assert json.dumps(checkpoint_session(s)) == json.dumps(reference_checkpoint(s, hist))
-        assert s.event_dicts() == [reference_event_dict(e) for e in hist.events]
+        assert s.cancellations() == list(map(reference_event_dict, hist.cancellations()))
         s.validate()
         return seen
 
@@ -560,7 +550,7 @@ class TestColumnarHistory:
         for seed in range(3):
             seen |= self._drive(d, 100 * d + seed, int_ids)
         # every shape the history takes was written at least once
-        assert {"done", "cancelled", "live", "pruned"} <= seen
+        assert {"done", "cancelled", "live", "cancellations"} <= seen
 
     def test_archived_jobs_add_no_gc_tracked_objects(self):
         """An archived job is a row of columns, not a container: after a
@@ -578,7 +568,6 @@ class TestColumnarHistory:
                 ]
             )
             s.drain()
-            s.prune_events()
             gc.collect()
             return len(gc.get_objects())
 
@@ -587,3 +576,96 @@ class TestColumnarHistory:
         after = run(2000)
         assert len(s.archive) >= 2200
         assert after - before < 100
+
+
+def _history_tuples(session) -> list:
+    """Every ``submit``, ``start`` or ``finish`` tuple a list attribute of
+    the session or of its loop holds."""
+    loop = session.loop
+    lists = [v for v in vars(session).values() if isinstance(v, list)]
+    lists += [getattr(loop, n) for n in type(loop).__slots__ if isinstance(getattr(loop, n), list)]
+    return [e for v in lists for e in v
+            if type(e) is tuple and e and e[0] in ("submit", "start", "finish")]
+
+
+class TestNoRetainedHistory:
+    """A job's start and finish are on its row; the session keeps no event
+    log beside the rows, and a checkpoint carries only cancellations."""
+
+    def test_no_history_tuple_between_verbs(self):
+        s = SchedulingSession([4], compact_threshold=0.5, compact_min_rows=4)
+        s.submit([JobSpec(f"j{i}", (2,), 1.0) for i in range(6)] + [JobSpec("x", (4,), 1.0)])
+        assert _history_tuples(s) == []
+        assert s.advance(1.5) and _history_tuples(s) == []
+        assert s.cancel("x") == ("x",) and _history_tuples(s) == []
+        s = _roundtrip(s)
+        assert _history_tuples(s) == []
+        s.drain()
+        assert _history_tuples(s) == [] and s.compactions >= 1
+        assert s.advance(s.now + 1.0, events=False) == 0
+        assert s.cancels == [("x", 1.5)]
+
+    def test_a_checkpoint_holds_only_cancel_rows(self):
+        s = SchedulingSession([4])
+        s.submit([JobSpec("a", (4,), 1.0), JobSpec("b", (4,), 1.0, preds=("a",)),
+                   JobSpec("c", (1,), 1.0, preds=("b",))])
+        s.advance(0.5)
+        assert s.cancel("b") == ("b", "c")
+        s.drain()
+        snap = json.loads(json.dumps(checkpoint_session(s)))
+        assert snap["events"] == [["cancel", "b", 0.5], ["cancel", "c", 0.5]]
+        assert _roundtrip(s).cancellations() == s.cancellations()
+
+
+class TestParentSnapshots:
+    """A snapshot written while the session kept its event log — ``submit``,
+    ``start``, ``finish`` and ``cancel`` rows, the start with its duration
+    and demand — restores: its rows are checked, its cancellations kept."""
+
+    @staticmethod
+    def _sessions():
+        """The same ops on two sessions, the second's history frozen the way
+        a session with an event log wrote it."""
+        ops = [
+            ("submit", [JobSpec("a", (2,), 1.0), JobSpec("b", (3,), 2.0, tenant="t"),
+                        JobSpec("c", (1,), 1.0, preds=("b",)), JobSpec("d", (4,), 1.0)]),
+            ("advance", 1.5),
+            ("cancel", "d"),
+            ("submit", [JobSpec("e", (2,), 0.5, preds=("a",))]),
+        ]
+        plain = SchedulingSession([4])
+        frozen = SchedulingSession([4])
+        hist = ReferenceHistory(frozen)
+        for s in (plain, frozen):
+            for op, arg in ops:
+                getattr(s, op)(arg)
+        return plain, frozen, hist
+
+    def test_a_full_log_restores_and_resumes(self):
+        plain, frozen, hist = self._sessions()
+        snap = json.loads(json.dumps(reference_checkpoint(frozen, hist, full_log=True)))
+        assert {e[0] for e in snap["events"]} == {"submit", "start", "finish", "cancel"}
+        restored = restore_session(snap)
+        assert restored.cancels == [("d", 1.5)]
+        assert [c["id"] for c in restored.to_trace()["cancelled"]] == ["'d'"]
+        assert checkpoint_session(restored)["events"] == [("cancel", "d", 1.5)]
+        assert restored.advance(2.5) == plain.advance(2.5)
+        assert run_out(restored) == run_out(plain)
+        assert restored.to_schedule().placements == plain.to_schedule().placements
+
+    @pytest.mark.parametrize(
+        "row, refusal",
+        [
+            (["levitate", "a", 0.0], "unknown event kind 'levitate'"),
+            (["start", "ghost", 0.0, 1.0, [1]], "event log starts unknown job 'ghost'"),
+            (["finish", "a"], "malformed session checkpoint"),
+            (["submit", "a", 0.0], "submit event of job 'a' has no tenant"),
+            (["cancel", "d", "soon"], "could not convert"),
+        ],
+    )
+    def test_a_bad_row_of_a_full_log_is_refused(self, row, refusal):
+        _, frozen, hist = self._sessions()
+        snap = json.loads(json.dumps(reference_checkpoint(frozen, hist, full_log=True)))
+        snap["events"].insert(2, row)
+        with pytest.raises(ValueError, match=refusal):
+            restore_session(snap)

@@ -320,14 +320,20 @@ class TestProtocol:
         r = fe.handle_request({"op": "drain"})
         assert r["completed"] == 0 and "admission_errors" not in r
 
-    def test_prune_events(self):
+    def test_prune_answers_ok_with_nothing_to_drop(self):
+        """The session keeps no event log: ``prune`` drops nothing, on both
+        wire shapes, and the cancellations still reach the trace."""
         fe = frontend()
         fe.handle_request({"op": "submit", "jobs": [job("a"), job("b", release=9.0)]})
         fe.handle_request({"op": "flush"})
         fe.handle_request({"op": "cancel", "id": "b"})
         fe.handle_request({"op": "drain"})
-        r = fe.handle_request({"op": "prune"})
-        assert r["dropped"] > 0 and r["events"] == 1  # the cancellation stays
+        assert fe.handle_request({"op": "prune"}) == {
+            "ok": True, "op": "prune", "dropped": 0, "events": 0
+        }
+        assert fe.handle_request({"v": 2, "rid": 5, "op": "prune"}) == {
+            "v": 2, "rid": 5, "ok": True, "op": "prune", "dropped": 0, "events": 0
+        }
         trace = fe.handle_request({"op": "trace"})["trace"]
         assert [c["id"] for c in trace["cancelled"]] == ["'b'"]
 
@@ -591,6 +597,16 @@ class TestAdversarialInput:
 
 
 class TestDurableFrontend:
+    def test_prune_journals_nothing(self, tmp_path):
+        from repro.service.journal import scan_journal
+
+        fe = _durable_frontend(tmp_path)
+        fe.handle_request({"op": "submit", "jobs": [job("a")]})
+        fe.handle_request({"op": "flush"})
+        assert fe.handle_request({"op": "prune"})["dropped"] == 0
+        _, records, _ = scan_journal(str(tmp_path / "j.jsonl"))
+        assert [r["op"] for r in records] == ["submit"]
+
     def test_mutations_are_journaled_and_recoverable(self, tmp_path):
         from repro.conformance.fuzz import portable_events
         from repro.service.journal import JournaledSession, scan_journal

@@ -15,7 +15,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from helpers import ruler_rigid_instance
+from helpers import ruler_rigid_instance, run_out
 from repro.conformance.fuzz import drive_session_faithfully, portable_events, service_specs
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.generators import layered_random
@@ -319,10 +319,10 @@ class TestSessionBasics:
         """NaN used to drain every event, inf to pin the clock at inf."""
         s = diamond_session()
         s.advance(1.0)
-        before = (s.now, list(s.events), s.available(), s.loop.pending)
+        before = (s.now, s.status(), s.available(), s.loop.pending)
         with pytest.raises(ValueError, match="non-finite"):
             s.advance(until)
-        assert (s.now, s.events, s.available(), s.loop.pending) == before
+        assert (s.now, s.status(), s.available(), s.loop.pending) == before
         s.drain()
         assert s.makespan() == 5.0  # a 0-1, b 1-3, c 3-4.5, d 4.5-5
 
@@ -604,29 +604,28 @@ class TestBatchIdentity:
 
 def _rigid_session_starts(dag, capacities, demands, durations):
     """Submit the rigid jobs whole, stop mid-schedule, fork through a JSON
-    checkpoint (strict restore) and drain both sessions.  Asserts that the
-    two event logs are one and that every start is ``list_schedule``'s;
-    returns ``(packable, queue length after the first pass, (id, start)
-    log)``."""
+    checkpoint (strict restore) and run both sessions out.  Asserts that
+    the two runs reply the same events and that every start is
+    ``list_schedule``'s; returns ``(packable, queue length after the first
+    pass, (id, start) log)``."""
     jobs = {j: Job(id=j, time_fn=lambda alloc, t=durations[j]: t) for j in dag.nodes()}
     inst = Instance(jobs=jobs, dag=dag, pool=ResourcePool.of(*capacities))
     alloc = {j: ResourceVector(tuple(demands[j])) for j in jobs}
     batch = list_schedule(inst, alloc, fifo_priority)
     session = SchedulingSession(capacities)
     session.submit(service_specs(inst, alloc))
-    session.advance(0.0)
+    replies = session.advance(0.0)
     queued = session.loop.L
-    session.advance(batch.makespan / 2)
+    replies += session.advance(batch.makespan / 2)
     fork = restore_session(json.loads(json.dumps(checkpoint_session(session))))
     assert fork.available() == session.available()
-    session.drain()
-    fork.drain()
-    assert fork.events == session.events
-    started = [session.event_row(e) for e in session.events if e[0] == "start"]
-    assert {e[1]: (e[2], tuple(e[4])) for e in started} == {
+    tail = run_out(session)
+    assert run_out(fork) == tail
+    started = [e for e in replies + tail if e["event"] == "start"]
+    assert {e["id"]: (e["time"], tuple(e["alloc"])) for e in started} == {
         repr(j): (p.start, tuple(demands[j])) for j, p in batch.placements.items()
     }
-    return session.loop.layout.packable, queued, [e[1:3] for e in started]
+    return session.loop.layout.packable, queued, [(e["id"], e["time"]) for e in started]
 
 
 @pytest.mark.parametrize("boundary", ("capacity", "fifth-type", "long-queue"))

@@ -21,7 +21,7 @@ class TestGeneralPath:
         proof of Theorem 1 actually bounds (L_LP <= T_opt tightens it)."""
         inst = tiny_instance(seed=seed, d=d, capacity=8,
                              edges=((0, 1), (0, 2), (1, 3), (2, 3), (1, 4)))
-        sched = MoldableScheduler(allocator="lp", candidate_strategy=full_grid)
+        sched = MoldableScheduler(allocator="lp", strategy=full_grid)
         res = sched.schedule(inst)
         res.schedule.validate()
         assert res.makespan <= res.proven_ratio * res.lower_bound * (1 + 1e-6)
@@ -89,7 +89,7 @@ class TestIndependentPath:
     def test_theorem5_guarantee(self, seed, d):
         """Independent jobs: ratio vs exact L_min stays below Theorem 5."""
         inst = tiny_instance(seed=seed, d=d, capacity=max(8, 7), edges=(), n=7)
-        res = MoldableScheduler(candidate_strategy=full_grid).schedule(inst)
+        res = MoldableScheduler(strategy=full_grid).schedule(inst)
         res.schedule.validate()
         assert res.makespan <= res.proven_ratio * res.lower_bound * (1 + 1e-6)
 
