@@ -40,6 +40,7 @@ import argparse
 import collections
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -331,20 +332,33 @@ def main() -> int:
                         "restart window, in seconds")
     parser.add_argument("--workdir", default=None,
                         help="chaos: journal/snapshot directory "
-                        "(default: a tempdir)")
+                        "(default: a tempdir, removed when the stage "
+                        "passes and kept, its path printed, when it fails)")
     args = parser.parse_args()
     if args.kill_at is None:
         args.kill_at = max(1, args.jobs // 3)
+    made = None  # a work directory of our own, never a caller's --workdir
     if args.stage != "single":
-        args.workdir = args.workdir or tempfile.mkdtemp(prefix=f"{args.stage}-smoke-")
+        if args.workdir is None:
+            args.workdir = made = tempfile.mkdtemp(prefix=f"{args.stage}-smoke-")
         os.makedirs(args.workdir, exist_ok=True)
 
-    failures, summary = STAGES[args.stage](args)
-    for failure in failures:
-        print(f"{args.stage} smoke: FAIL — {failure}", flush=True)
-    if not failures:
-        print(f"{args.stage} smoke: OK — {summary}", flush=True)
-    return 1 if failures else 0
+    passed = False
+    try:
+        failures, summary = STAGES[args.stage](args)
+        for failure in failures:
+            print(f"{args.stage} smoke: FAIL — {failure}", flush=True)
+        if not failures:
+            print(f"{args.stage} smoke: OK — {summary}", flush=True)
+        passed = not failures
+    finally:
+        # a failed stage keeps its journal and snapshot for inspection
+        if made is not None:
+            if passed:
+                shutil.rmtree(made)
+            else:
+                print(f"{args.stage} smoke: work directory kept at {made}", flush=True)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

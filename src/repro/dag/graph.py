@@ -2,7 +2,8 @@
 and CSR adjacency.
 
 Nodes are arbitrary hashable job identifiers.  ``DAG(nodes, edges)`` is
-immutable: the constructor numbers the ids, drops repeated edges, refuses a
+immutable: the constructor reads the edges in chunks, numbers the ids,
+drops repeated edges (found by one sort of the edge keys), refuses a
 self-loop or a cycle, runs the one Kahn pass and lays the graph out as the
 arrays the schedulers read — the topological order, an id → position
 index, and successor and predecessor CSR over topological positions.  The
@@ -21,7 +22,7 @@ tests as an independent oracle).
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Hashable, Iterable, Iterator
 
 import numpy as np
@@ -29,6 +30,10 @@ import numpy as np
 __all__ = ["DAG"]
 
 JobId = Hashable
+
+#: edges the constructor reads from its input per step: the check and the
+#: flattening hold one chunk of edge tuples at a time, never all of them
+_CHUNK = 4096
 
 
 class DAG:
@@ -70,30 +75,41 @@ class DAG:
     def __init__(
         self, nodes: Iterable[JobId] = (), edges: Iterable[tuple[JobId, JobId]] = ()
     ) -> None:
-        pairs = list(edges)
-        if not {2}.issuperset(map(len, pairs)):
-            raise ValueError("every edge must be a (u, v) pair")
-        flat = list(chain.from_iterable(pairs))
+        # the edges in bounded chunks: no tuple per edge outlives its chunk
+        flat: list[JobId] = []
+        edges = iter(edges)
+        while chunk := list(islice(edges, _CHUNK)):
+            if not {2}.issuperset(map(len, chunk)):
+                raise ValueError("every edge must be a (u, v) pair")
+            flat += chain.from_iterable(chunk)
         # rows in first-appearance order: the given nodes, then unseen
         # endpoints edge by edge, u before v
         ids = list(dict.fromkeys(chain(nodes, flat)))
         n = len(ids)
         row = dict(zip(ids, range(n)))
         codes = np.fromiter(map(row.__getitem__, flat), np.int64, len(flat))
+        del flat, row
         src, dst = codes[0::2], codes[1::2]
         loops = np.flatnonzero(src == dst)
         if loops.size:
             u = ids[int(src[loops[0]])]
             raise ValueError(f"self-loop on {u!r} is not a valid precedence")
-        # a repeated edge keeps its first occurrence
-        _, first = np.unique(src * n + dst, return_index=True)
-        if first.size < src.size:
+        # a repeated edge is one equal neighbour among the sorted keys; only
+        # then is the first occurrence of each looked up
+        keys = src * n
+        keys += dst
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            _, first = np.unique(src * n + dst, return_index=True)
             first.sort()
             src, dst = src[first], dst[first]
+        del keys
 
-        # Kahn over python ints, LIFO frontier seeded in row order
+        # Kahn over python ints, LIFO frontier seeded in row order: the
+        # successors are read off a memoryview of the CSR (no list of m
+        # ints), and each one's count is read and written once
         ptr, nxt = _csr(src, dst, n)
-        ptr, nxt = ptr.tolist(), nxt.tolist()
+        ptr, nxt = ptr.tolist(), memoryview(nxt)
         remaining = np.bincount(dst, minlength=n).tolist()
         frontier = [r for r, k in enumerate(remaining) if not k]
         pop, push = frontier.pop, frontier.append
@@ -103,9 +119,11 @@ class DAG:
             r = pop()
             visit(r)
             for s in nxt[ptr[r]:ptr[r + 1]]:
-                remaining[s] -= 1
-                if not remaining[s]:
+                k = remaining[s] - 1
+                remaining[s] = k
+                if not k:
                     push(s)
+        del ptr, nxt, remaining
         if len(topo) != n:
             raise ValueError("precedence graph contains a cycle")
 
@@ -284,11 +302,22 @@ class DAG:
 
 
 def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the edges ``src -> dst`` grouped by ``src``;
-    the sort is stable, so each group keeps the edges' given order."""
+    """``(indptr, indices)`` of the edges ``src -> dst`` grouped by ``src``,
+    each group in the edges' given order.
+
+    The grouping sorts the distinct keys ``src * m + edge index``: distinct
+    keys have one sorted order, so every sort numpy dispatches gives the
+    same CSR.  The keys fit int64, since ``n * m < 2**63`` for any graph
+    that fits in memory.
+    """
+    m = src.size
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.argsort(src, kind="stable")]
+    keys = src * m
+    keys += np.arange(m)
+    keys.sort()
+    keys %= m
+    return indptr, dst[keys]
 
 
 def _split(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:

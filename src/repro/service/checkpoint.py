@@ -36,7 +36,8 @@ in-memory ones: the archive (columns in the session, see
 per job, and restore turns it back into columns.  The ``events`` key
 holds only ``["cancel", id, t]`` rows, the session's
 :attr:`~repro.service.session.SchedulingSession.cancels`: a job's start
-and finish are on its row.  A snapshot written while the session still
+and finish are on its row.  Each names a cancelled row, archived or live,
+once, at a time in ``[0, clock]``.  A snapshot written while the session still
 kept an event log (``submit``, ``start`` and ``finish`` rows beside the
 cancellations) restores too: every row is checked — an unknown kind, a
 malformed row or a start of a job the snapshot does not hold is refused
@@ -55,11 +56,14 @@ duration and release the session's ``_validate_numeric``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from repro.engine.dispatch import J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS
+from repro.engine.dispatch import (
+    J_CANCELLED, J_DONE, J_QUEUED, J_RUNNING, J_WAITING, TIME_EPS,
+)
 from repro.instance.compiled import priority_key
 from repro.resources.vector import whole_amounts
 from repro.service.session import STATE_NAMES, SchedulingSession, duration_and_release
@@ -315,13 +319,28 @@ def _load_history(session: SchedulingSession, snap: dict[str, Any]) -> None:
     session.compactions = int(snap.get("compactions", 0))
 
     # a snapshot of a session that kept an event log also holds submit,
-    # start and finish rows: each is checked, and only cancellations kept
+    # start and finish rows: each is checked, and only cancellations kept.
+    # A cancellation names a cancelled row, archived or live, once, at a
+    # time the clock has reached: ``unnamed`` holds the cancelled rows no
+    # cancel row has named yet
+    unnamed = {jid for jid, s in zip(arch.ids, arch.state) if s == J_CANCELLED}
+    unnamed.update(jid for jid, st in zip(loop.order, loop.state) if st == J_CANCELLED)
+    now = loop.now
     for e in snap["events"]:
         kind = e[0]
         if kind not in ("cancel", "start", "finish", "submit"):
             raise ValueError(f"unknown event kind {kind!r}")
         jid, t = e[1], float(e[2])
         if kind == "cancel":
+            if jid not in unnamed:
+                if any(c == jid for c, _ in session.cancels):
+                    raise ValueError(f"job {jid!r} is cancelled more than once")
+                raise ValueError(f"cancel event of job {jid!r}, which is not cancelled")
+            if not (math.isfinite(t) and 0.0 <= t <= now):
+                raise ValueError(
+                    f"cancel event of job {jid!r} at {t}, outside [0, clock {now}]"
+                )
+            unnamed.remove(jid)
             session.cancels.append((jid, t))
         elif kind == "start" and jid not in index and jid not in loop.index:
             raise ValueError(f"event log starts unknown job {jid!r}")

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import ReferenceDAG, tiny_instance
 from repro.dag import generators, workflows
-from repro.dag.graph import DAG
+from repro.dag.graph import _CHUNK, DAG
 from repro.dag.sp import random_sp_tree, sp_to_dag, tree_to_sp
 from repro.experiments.lb_instance import lower_bound_instance
 from repro.experiments.workloads import perturbed_instance, random_instance, workflow_instance
@@ -179,6 +179,10 @@ def test_the_csr_dag_equals_the_dict_dag(graph):
             DAG(nodes, iter(edges))
         return
     dag = DAG(nodes, iter(edges))  # a one-shot iterator, as the ruler passes
+    _assert_same_graph(dag, ref, order, edges)
+
+
+def _assert_same_graph(dag, ref, order, edges):
     assert dag.nodes() == ref.nodes()
     assert list(dag.edges()) == ref.edges()
     assert dag.num_edges == ref.num_edges
@@ -193,6 +197,48 @@ def test_the_csr_dag_equals_the_dict_dag(graph):
         assert dag.out_degree(v) == len(ref.successors(v))
     for u, v in edges:
         assert dag.has_edge(u, v) and not dag.has_edge(v, u)
+
+
+# ----------------------------------------------------------------------
+# construction past one chunk of edges (the property draws at most 30)
+# ----------------------------------------------------------------------
+def _chunked_edges():
+    """``3.5 × _CHUNK`` acyclic edges over ints, strings and tuples, with
+    repeats on both sides of the first two chunk boundaries."""
+    rng = np.random.default_rng(50)
+    universe = [*range(300), *(f"s{i}" for i in range(300)), *((i, "t") for i in range(300))]
+    a, b = rng.integers(len(universe), size=(2, 7 * _CHUNK // 2))
+    edges = [(universe[min(i, j)], universe[max(i, j)]) for i, j in zip(a.tolist(), b.tolist())
+             if i != j]
+    for k in (_CHUNK, 2 * _CHUNK):
+        edges[k:k] = [edges[k - 1], edges[k - 2]]  # right after the boundary
+        edges[k - 3:k - 3] = [edges[k + 5]]  # ahead of its first occurrence's chunk
+    assert len(edges) > 3 * _CHUNK
+    return universe[::7], edges
+
+
+def test_a_graph_of_several_chunks_equals_the_dict_dag():
+    nodes, edges = _chunked_edges()
+    ref = ReferenceDAG(nodes, edges)
+    assert ref.num_edges < len(edges)
+    order = ref.topological_order()
+    _assert_same_graph(DAG(nodes, edges), ref, order, edges)
+    _assert_same_graph(DAG(nodes, (e for e in edges)), ref, order, edges)  # one-shot
+
+
+@pytest.mark.parametrize("bad", [(7,), (7, 8, 9)])
+def test_a_malformed_pair_in_a_later_chunk_is_refused(bad):
+    _, edges = _chunked_edges()
+    edges.insert(2 * _CHUNK + 7, bad)
+    with pytest.raises(ValueError, match=r"every edge must be a \(u, v\) pair"):
+        DAG((), iter(edges))
+
+
+@pytest.mark.parametrize("edges", [(), [], iter(()), (e for e in ())])
+def test_no_edges_leave_the_given_nodes(edges):
+    dag = DAG(["b", 0, ("t", 1)], edges)
+    assert dag.nodes() == dag.topological_order()[::-1] == ["b", 0, ("t", 1)]
+    assert dag.num_edges == 0 and list(dag.edges()) == []
 
 
 @given(graphs())

@@ -617,6 +617,53 @@ class TestNoRetainedHistory:
         assert _roundtrip(s).cancellations() == s.cancellations()
 
 
+
+class TestCancelRows:
+    """A cancel row names a cancelled row, archived or live, once, at a time
+    in ``[0, clock]``; any other row would reach the trace as a
+    cancellation that never happened."""
+
+    @staticmethod
+    def _snapshot():
+        """``x`` cancelled at 0.5 and archived, ``y`` cancelled at 2.0 and
+        live, ``r`` and ``a`` queued, the clock at 2.0."""
+        s = SchedulingSession([4], compact_threshold=0.5, compact_min_rows=4)
+        s.submit([JobSpec(f"j{i}", (2,), 1.0) for i in range(6)] + [JobSpec("x", (4,), 1.0)])
+        s.advance(0.5)
+        assert s.cancel("x") == ("x",)
+        s.advance(2.0)
+        s.submit([JobSpec("r", (4,), 1.0), JobSpec("a", (1,), 1.0),
+                  JobSpec("y", (1,), 1.0, preds=("a",))])
+        assert s.cancel("y") == ("y",)
+        assert "x" in s.archive_index and s.state_of("a") == "queued"
+        return json.loads(json.dumps(checkpoint_session(s)))
+
+    def test_archived_and_live_cancellations_restore(self):
+        restored = restore_session(self._snapshot())
+        assert restored.cancels == [("x", 0.5), ("y", 2.0)]
+
+    @pytest.mark.parametrize(
+        "row, refusal",
+        [
+            (["cancel", "ghost", 0.0], "cancel event of job 'ghost', which is not cancelled"),
+            (["cancel", "a", 1.0], "cancel event of job 'a', which is not cancelled"),
+            (["cancel", "j0", 1.0], "cancel event of job 'j0', which is not cancelled"),
+            (["cancel", "x", 0.5], "job 'x' is cancelled more than once"),
+        ],
+    )
+    def test_a_row_for_no_cancelled_job_or_a_second_one_is_refused(self, row, refusal):
+        snap = self._snapshot()
+        snap["events"].append(row)
+        with pytest.raises(ValueError, match=refusal):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("t", ["nan", "inf", 2.5, -1.0])
+    def test_a_cancellation_outside_the_clock_is_refused(self, t):
+        snap = self._snapshot()
+        snap["events"][1][2] = t
+        with pytest.raises(ValueError, match=r"job 'y' at .*, outside \[0, clock 2.0\]"):
+            restore_session(snap)
+
 class TestParentSnapshots:
     """A snapshot written while the session kept its event log — ``submit``,
     ``start``, ``finish`` and ``cancel`` rows, the start with its duration
