@@ -26,7 +26,7 @@ from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
 from repro.jobs.profiles import knee
 from repro.registry import register_scheduler
-from repro.sim.schedule import Schedule, ScheduledJob
+from repro.sim.schedule import Schedule
 
 __all__ = ["backfill_scheduler"]
 
@@ -55,7 +55,7 @@ def backfill_scheduler(
     )
     # topological feasibility: process jobs so predecessors are reserved first
     profile = ReservationProfile(instance.pool.capacities)
-    reserved: dict[JobId, ScheduledJob] = {}
+    reserved: dict[JobId, float] = {}  # job -> start
     pending = list(order)
 
     while pending:
@@ -64,15 +64,15 @@ def backfill_scheduler(
             preds = instance.dag.predecessors(j)
             if any(p not in reserved for p in preds):
                 continue
-            est = max((reserved[p].finish for p in preds), default=0.0)
+            est = max((reserved[p] + times[p] for p in preds), default=0.0)
             start = profile.earliest_fit(est, allocation[j], times[j])
             profile.reserve(start, times[j], allocation[j])
-            reserved[j] = ScheduledJob(job_id=j, start=start, time=times[j],
-                                       alloc=allocation[j])
+            reserved[j] = start
             pending.remove(j)
             progressed = True
         if not progressed:  # pragma: no cover - DAG guarantees progress
             raise RuntimeError("backfill planning stalled")
 
-    schedule = Schedule(instance=instance, placements=reserved)
+    schedule = Schedule(instance, reserved, reserved.values(), map(times.__getitem__, reserved),
+                        map(allocation.__getitem__, reserved))
     return BaselineResult(name="backfill", schedule=schedule, allocation=allocation)

@@ -19,7 +19,7 @@ from repro.instance.instance import Instance
 from repro.jobs.candidates import CandidateStrategy
 from repro.jobs.profiles import knee
 from repro.registry import register_scheduler
-from repro.sim.schedule import Schedule, ScheduledJob
+from repro.sim.schedule import Schedule
 
 __all__ = ["level_shelf_scheduler"]
 
@@ -44,13 +44,14 @@ def level_shelf_scheduler(
     for j, l in levels.items():
         by_level.setdefault(l, []).append(j)
 
-    placements: dict[JobId, ScheduledJob] = {}
+    starts: dict[JobId, float] = {}
     t0 = 0.0
     for level in sorted(by_level):
         jobs = sorted(by_level[level], key=lambda j: -times[j])
         shelves = pack_shelves(jobs, allocation, times, instance.pool.capacities)
-        placed, t0 = stack_shelves(shelves, allocation, times, t0=t0)
-        placements.update(placed)
+        placed, t0 = stack_shelves(shelves, t0=t0)
+        starts.update(placed)
 
-    schedule = Schedule(instance=instance, placements=placements)
+    schedule = Schedule(instance, starts, starts.values(), map(times.__getitem__, starts),
+                        map(allocation.__getitem__, starts))
     return BaselineResult(name="level_shelf", schedule=schedule, allocation=allocation)

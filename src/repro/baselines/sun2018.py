@@ -69,6 +69,7 @@ def sun_shelf_scheduler(
     order = sorted(instance.jobs, key=lambda j: -times[j])
 
     shelves = pack_shelves(order, allocation, times, instance.pool.capacities)
-    placements, _ = stack_shelves(shelves, allocation, times)
-    schedule = Schedule(instance=instance, placements=placements)
+    starts, _ = stack_shelves(shelves)
+    schedule = Schedule(instance, starts, starts.values(), map(times.__getitem__, starts),
+                        map(allocation.__getitem__, starts))
     return BaselineResult(name="sun2018_shelf", schedule=schedule, allocation=allocation)

@@ -393,7 +393,6 @@ def _follow_replay(inst, result) -> "Schedule | None":
     keeps no allocation to replay."""
     from repro.conformance.fuzz import service_specs
     from repro.service import SchedulingSession
-    from repro.sim.schedule import ScheduledJob
 
     allocation = getattr(result, "allocation", None)
     if allocation is None:
@@ -401,21 +400,20 @@ def _follow_replay(inst, result) -> "Schedule | None":
     session = SchedulingSession(inst.pool.capacities)
     session.submit(service_specs(inst, allocation))
     job_of = {repr(j): j for j in inst.jobs}
-    placements = {}
+    rows = []
     until = session.now
     while until is not None:
         for e in session.advance(until):
             t = e["time"]
             if e["event"] == "start":
                 j = job_of[e["id"]]
-                placements[j] = ScheduledJob(job_id=j, start=t, time=e["duration"],
-                                             alloc=allocation[j])
+                rows.append((j, t, e["duration"], allocation[j]))
                 print(f"[{t:12.4f}] start  {e['id']} alloc={tuple(e['alloc'])} "
                       f"dur={e['duration']:.4f}", flush=True)
             elif e["event"] == "finish":
                 print(f"[{t:12.4f}] finish {e['id']}", flush=True)
         until = session.loop.next_time
-    return Schedule(instance=inst, placements=placements)
+    return Schedule(inst, *zip(*rows))
 
 
 def _output_path_error(flag: str, path: "str | None") -> "str | None":
@@ -465,9 +463,7 @@ def _cmd_schedule(args) -> int:
               f"scheduler={args.scheduler} (streamed replay)\n"
               f"makespan={streamed.makespan:.4f}", end="")
         own = result.schedule
-        if not isinstance(own, Schedule) or any(
-            own.placements[j].start != p.start for j, p in streamed.placements.items()
-        ):
+        if not isinstance(own, Schedule) or own.starts != streamed.starts:
             # the replay uses the FIFO queue order; flag any job it starts
             # at another time than the scheduler's own schedule, not just
             # a different makespan

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from repro.conformance.invariants import validate_schedule
@@ -384,7 +385,8 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
                 FuzzFailure(case, "differential", f"{type(exc).__name__}: {exc}")
             )
     if batch is not None:
-        failures.extend(_check_differential(case, inst, allocation, batch))
+        horizons = submit_horizons(inst, batch)
+        failures.extend(_check_differential(case, inst, allocation, batch, horizons))
 
     # 3 — serialize round-trip schedule identity
     failures.extend(_check_serialize_roundtrip(case, spec, inst, strategy, schedule))
@@ -398,19 +400,19 @@ def run_case(case: FuzzCase) -> tuple[list[FuzzFailure], bool]:
 
     # 6 — durable-session crash recovery (kill → recover → retry identity)
     if case.scenario == "crash" and batch is not None:
-        failures.extend(_check_crash(case, inst, allocation, batch))
+        failures.extend(_check_crash(case, inst, allocation, batch, horizons))
 
     return failures, False
 
 
-def _check_differential(case, inst, allocation, batch) -> list[FuzzFailure]:
+def _check_differential(case, inst, allocation, batch, horizons) -> list[FuzzFailure]:
     try:
         session = drive_session_faithfully(
             inst,
             allocation,
             seed=case.seed + 9173,
             checkpoint=case.scenario == "service",
-            batch=batch,
+            horizons=horizons,
         )
         sched = session.to_schedule()
         session.validate()
@@ -513,8 +515,15 @@ def _roundtrip_restore(session):
 _FUZZ_COMPACTION = {"compact_threshold": 0.3, "compact_min_rows": 4}
 
 
+def submit_horizons(inst: Instance, batch: Schedule) -> list[float]:
+    """By ``k``: the earliest start in ``batch`` of the jobs submitted from
+    the ``k``-th on, in submission (topological) order."""
+    starts = batch.starts
+    return list(accumulate(map(starts.__getitem__, reversed(inst.dag.order)), min))[::-1]
+
+
 def drive_session_faithfully(
-    inst: Instance, allocation, *, seed: int, checkpoint: bool = True, batch=None
+    inst: Instance, allocation, *, seed: int, horizons: list[float], checkpoint: bool = True
 ):
     """Drive a session with a seeded submission-order-faithful interleaving.
 
@@ -523,9 +532,9 @@ def drive_session_faithfully(
     earliest batch start among not-yet-submitted jobs — the faithfulness
     condition under which the session must reproduce the batch schedule.
     With ``checkpoint``, one random chunk boundary round-trips the session
-    through checkpoint → JSON → restore.  ``batch`` optionally supplies the
-    already-computed batch schedule (it anchors the advance horizons).
-    Returns the drained session.
+    through checkpoint → JSON → restore.  ``horizons`` is
+    :func:`submit_horizons` of the batch schedule.  Returns the drained
+    session.
 
     The session runs with a metrics registry bound (and rebound across
     the checkpoint round-trip, exactly as ``restore`` does in the
@@ -537,9 +546,6 @@ def drive_session_faithfully(
     from repro.obs import MetricsRegistry
     from repro.service.session import SchedulingSession
 
-    if batch is None:
-        batch = list_schedule(inst, allocation, fifo_priority)
-    order = inst.dag.topological_order()
     specs = service_specs(inst, allocation)
     n = len(specs)
     rng = np.random.default_rng(seed)
@@ -557,7 +563,7 @@ def drive_session_faithfully(
             session.bind_metrics(registry)
             ckpt_at = None
         if k < n:
-            horizon = min(batch.placements[order[i]].start for i in range(k, n))
+            horizon = horizons[k]
             if horizon > session.now:
                 # strictly below the next unsubmitted start: faithful
                 t = session.now + float(rng.uniform(0.0, 0.999)) * (
@@ -662,7 +668,7 @@ def drive_session_with_crashes(
     *,
     seed: int,
     dirpath: str,
-    batch=None,
+    horizons: list[float],
     rates=None,
     max_crashes: int = 4,
     checkpoint_every: int = 3,
@@ -680,6 +686,7 @@ def drive_session_with_crashes(
     deduplicated by id), advances re-target the same horizon, the drain
     is re-issued.  ``checkpoint_every=3`` keeps journal rotation in the
     loop so recovery crosses compaction boundaries, not just appends.
+    ``horizons`` is :func:`submit_horizons` of the batch schedule.
     Returns ``(journaled_session, injector)`` after the final drain.
     """
     import numpy as np
@@ -687,9 +694,6 @@ def drive_session_with_crashes(
     from repro.service.chaos import ChaosCrash, ChaosInjector
     from repro.service.journal import JournaledSession
 
-    if batch is None:
-        batch = list_schedule(inst, allocation, fifo_priority)
-    order = inst.dag.topological_order()
     specs = service_specs(inst, allocation)
     n = len(specs)
     rng = np.random.default_rng(seed)
@@ -731,7 +735,7 @@ def drive_session_with_crashes(
                 js = recover()
         k += size
         if k < n:
-            horizon = min(batch.placements[order[i]].start for i in range(k, n))
+            horizon = horizons[k]
             if horizon > js.session.now:
                 t = js.session.now + float(rng.uniform(0.0, 0.999)) * (
                     horizon - js.session.now
@@ -750,13 +754,13 @@ def drive_session_with_crashes(
     return js, chaos
 
 
-def _check_crash(case, inst, allocation, batch) -> list[FuzzFailure]:
+def _check_crash(case, inst, allocation, batch, horizons) -> list[FuzzFailure]:
     import tempfile
 
     try:
         with tempfile.TemporaryDirectory() as tmp:
             js, chaos = drive_session_with_crashes(
-                inst, allocation, seed=case.seed + 55511, dirpath=tmp, batch=batch
+                inst, allocation, seed=case.seed + 55511, dirpath=tmp, horizons=horizons
             )
             sched = js.session.to_schedule()
             js.session.validate()

@@ -20,9 +20,10 @@ checked, and now delegates here):
 * **per-event-point capacity** — at every event point the running jobs use
   at most ``P^(i)`` of every resource type (releases apply before acquires
   at coincident times, so back-to-back reuse is legal);
-* **allocation bounds** — every allocation has the platform's ``d``,
-  requests at least one unit, and fits the capacities on its own (catches
-  oversized zero-duration jobs the sweep cannot see).
+* **allocation bounds** — every allocation requests at least one unit and
+  fits the capacities on its own (catches oversized zero-duration jobs the
+  sweep cannot see); that it has the platform's ``d`` is refused earlier,
+  when the :class:`~repro.sim.schedule.Schedule` is built.
 
 Strict extras (``strict=True``, the fuzz harness's configuration):
 
@@ -156,13 +157,14 @@ def validate_schedule(
     µ-capped image of each pinned candidate as a legal allocation.
     """
     inst = schedule.instance
-    placements = schedule.placements
+    rows = schedule.placements.values()
+    placements = {p.job_id: p for p in rows}
     col = _Collector()
 
     # ---------------------------------------------------------------- job set
-    if set(placements) != set(inst.jobs):
-        missing = sorted(map(repr, set(inst.jobs) - set(placements)))[:5]
-        extra = sorted(map(repr, set(placements) - set(inst.jobs)))[:5]
+    if placements.keys() != inst.jobs.keys():
+        missing = sorted(map(repr, inst.jobs.keys() - placements.keys()))[:5]
+        extra = sorted(map(repr, placements.keys() - inst.jobs.keys()))[:5]
         col.add(
             Violation(
                 kind="job-set",
@@ -172,7 +174,7 @@ def validate_schedule(
                 ),
             )
         )
-    placed = [p for j, p in placements.items() if j in inst.jobs]
+    placed = [p for p in rows if p.job_id in inst.jobs]
     finite = []
     for p in placed:
         # start + time is non-finite iff either is (or the sum overflows)
@@ -244,25 +246,13 @@ def validate_schedule(
     for p in placed:
         if col.saturated("allocation"):
             break
-        a = tuple(p.alloc)
-        if len(a) != d:
-            col.add(
-                Violation(
-                    kind="allocation",
-                    detail=(
-                        f"job {p.job_id!r} allocation {a} has dimension "
-                        f"{len(a)}, platform has {d}"
-                    ),
-                    job_id=p.job_id,
-                )
-            )
-            continue
+        a = p.alloc
         if any(x < 0 for x in a) or sum(a) <= 0:
             col.add(
                 Violation(
                     kind="allocation",
                     detail=(
-                        f"job {p.job_id!r} allocation {a} must request at "
+                        f"job {p.job_id!r} allocation {tuple(a)} must request at "
                         "least one unit and no negative amounts"
                     ),
                     job_id=p.job_id,
@@ -273,7 +263,7 @@ def validate_schedule(
                 Violation(
                     kind="allocation",
                     detail=(
-                        f"job {p.job_id!r} allocation {a} exceeds the "
+                        f"job {p.job_id!r} allocation {tuple(a)} exceeds the "
                         f"platform capacities {tuple(caps)}"
                     ),
                     job_id=p.job_id,
@@ -296,14 +286,11 @@ def _sweep_capacity(col: _Collector, placed, d: int, caps, tol: float) -> None:
     must not exceed any capacity."""
     events: list[tuple[float, int, tuple[int, ...]]] = []
     for p in placed:
-        a = tuple(p.alloc)
-        if len(a) != d:
-            continue  # reported as an allocation violation; sweep would crash
         # release (-1) sorts before acquire (+1) at equal times so that
         # back-to-back jobs may reuse resources at the same instant
-        events.append((p.start, +1, a))
-        events.append((p.finish, -1, a))
-    events.sort(key=lambda e: (e[0], e[1]))
+        events.append((p.start, +1, p.alloc))
+        events.append((p.finish, -1, p.alloc))
+    events.sort()  # by time, releases first; the allocation only orders ties, applied together
     usage = [0] * d
     i = 0
     n_events = len(events)
@@ -343,16 +330,15 @@ def _candidate_membership(col: _Collector, inst, placed, mu: float | None) -> No
         job = inst.jobs[p.job_id]
         if job.candidates is None:
             continue
-        a = tuple(p.alloc)
         allowed = {tuple(c) for c in job.candidates}
         if mu_caps is not None:
             allowed |= {tuple(c.cap(mu_caps)) for c in job.candidates}
-        if a not in allowed:
+        if p.alloc not in allowed:
             col.add(
                 Violation(
                     kind="candidate",
                     detail=(
-                        f"job {p.job_id!r} runs on {a}, not in its pinned "
+                        f"job {p.job_id!r} runs on {tuple(p.alloc)}, not in its pinned "
                         f"candidate set"
                         + ("" if mu_caps is None else " (nor a µ-capped image)")
                     ),
@@ -366,8 +352,6 @@ def _duration_consistency(col: _Collector, inst, placed, rtol: float) -> None:
     for p in placed:
         if col.saturated("duration"):
             return
-        if len(tuple(p.alloc)) != inst.d:
-            continue  # reported as an allocation violation
         try:
             expected = inst.time(p.job_id, p.alloc)
         except Exception as exc:  # time_fn rejects the allocation outright

@@ -123,9 +123,8 @@ class ScheduleLog(NamedTuple):
     dict entry exists, so the cost per job does not grow with the resident
     working set — the form the million-job scaling benchmark measures, and
     the natural input for array-level analysis or export.
-    :meth:`to_schedule` wraps the same arrays in a :class:`Schedule`, which
-    builds the classic objects only if somebody reads ``placements``
-    (identical event for event).
+    :meth:`to_schedule` gathers the same arrays into a :class:`Schedule`'s
+    columns (identical event for event).
     """
 
     #: job ids by topological index (the compiled instance's order)
@@ -139,8 +138,8 @@ class ScheduleLog(NamedTuple):
     makespan: float
 
     def to_schedule(self, instance: Instance, allocation) -> Schedule:
-        """The :class:`Schedule` over these columns and ``allocation`` (the
-        mapping the run was given); builds no placement object."""
+        """The :class:`Schedule` of these columns and ``allocation``, the
+        mapping the run was given (:meth:`Schedule.from_log`)."""
         return Schedule.from_log(instance, self, allocation)
 
 
@@ -184,15 +183,15 @@ def list_schedule(
 ) -> Schedule:
     """Run Algorithm 2 and return the resulting (valid) schedule.
 
-    :func:`list_schedule_log` plus :meth:`ScheduleLog.to_schedule`: the
-    schedule comes back in columns, ``makespan`` and ``len`` are read off
-    the arrays, and the :class:`~repro.sim.schedule.ScheduledJob` objects
-    are built the first time ``placements`` is read (a caller that
-    compares makespans never pays for them).  Event by event, as virtual
-    time advances, the same schedule comes out of a
+    :func:`list_schedule_log` plus :meth:`ScheduleLog.to_schedule`, with
+    ``allocation`` lowered once for both: the schedule's columns are
+    gathers, and a :class:`~repro.sim.schedule.ScheduledJob` is built only
+    when ``placements`` is read.  Event by event, as virtual time advances,
+    the same schedule comes out of a
     :class:`~repro.service.session.SchedulingSession` (``repro schedule
     --follow``).
     """
+    allocation = Allocation.lower(instance, allocation)
     return list_schedule_log(instance, allocation, priority).to_schedule(
         instance, allocation
     )

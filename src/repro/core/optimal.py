@@ -82,7 +82,7 @@ def optimal_makespan_fixed_allocation(
         raise ValueError(f"exact search limited to {max_jobs} jobs, got {instance.n}")
     instance.validate_allocation_map(allocation)
     if instance.n == 0:
-        return 0.0, Schedule(instance=instance, placements={})
+        return 0.0, Schedule(instance)
 
     dag = instance.dag
     caps = instance.pool.capacities
@@ -130,8 +130,7 @@ def optimal_makespan_fixed_allocation(
             placed.pop()
 
     dfs([], {}, set(instance.jobs))
-    placements = {p.job_id: p for p in best["placed"]}
-    schedule = Schedule(instance=instance, placements=placements)
+    schedule = Schedule(instance, *zip(*best["placed"]))
     schedule.validate()
     return best["makespan"], schedule
 
@@ -169,7 +168,7 @@ def optimal_makespan(
         if combos > max_combinations:
             raise ValueError(f"allocation search space exceeds {max_combinations}")
     if not jobs:
-        return 0.0, Schedule(instance=instance, placements={})
+        return 0.0, Schedule(instance)
 
     best_mk = float("inf")
     best_sched: Schedule | None = None

@@ -70,7 +70,7 @@ import numpy as np
 
 from repro.instance.compiled import DemandLayout, compile_instance
 from repro.resources.vector import whole_amounts
-from repro.sim.schedule import Schedule, ScheduledJob
+from repro.sim.schedule import Schedule
 
 __all__ = [
     "TIME_EPS",
@@ -1231,7 +1231,7 @@ def run_dynamic(instance, policy: DispatchPolicy) -> Schedule:
     ready: list[JobId] = [j for j in dag.sources() if remaining[index[j]] == 0]
     avail = list(instance.pool.capacities)
     held: dict[int, tuple[int, ...]] = {}
-    placements: dict[JobId, ScheduledJob] = {}
+    placed: list[tuple] = []  # the schedule's rows
     now = 0.0
     while True:
         while starts := policy(instance, list(ready), tuple(avail)):
@@ -1250,7 +1250,7 @@ def run_dynamic(instance, policy: DispatchPolicy) -> Schedule:
                 heapq.heappush(heap, (now + t, seq, i))
                 seq += 1
                 held[i] = a
-                placements[j] = ScheduledJob(job_id=j, start=now, time=t, alloc=alloc)
+                placed.append((j, now, t, a))
                 ready.remove(j)
         if not heap:
             break
@@ -1272,6 +1272,6 @@ def run_dynamic(instance, policy: DispatchPolicy) -> Schedule:
                 if not remaining[s]:
                     ready.append(order[s])
 
-    if len(placements) != n:
+    if len(placed) != n:
         raise RuntimeError("policy stalled with ready jobs and an idle platform")
-    return Schedule(instance=instance, placements=placements)
+    return Schedule(instance, *zip(*placed))

@@ -15,8 +15,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.sim.schedule import ScheduledJob
-
 __all__ = ["Shelf", "pack_shelves", "stack_shelves"]
 
 JobId = Hashable
@@ -58,21 +56,16 @@ def pack_shelves(
 
 
 def stack_shelves(
-    shelves: Sequence[Shelf],
-    allocation: Mapping[JobId, object],
-    times: Mapping[JobId, float],
-    *,
-    t0: float = 0.0,
-) -> tuple[dict[JobId, ScheduledJob], float]:
+    shelves: Sequence[Shelf], *, t0: float = 0.0
+) -> tuple[dict[JobId, float], float]:
     """Run ``shelves`` back-to-back starting at ``t0``.
 
-    Returns the placements and the finish time of the last shelf (so callers
-    stacking several shelf groups — e.g. one per precedence level — can
-    chain them).
+    Returns every job's start and the finish time of the last shelf (so
+    callers stacking several shelf groups — e.g. one per precedence level —
+    can chain them).
     """
-    placements: dict[JobId, ScheduledJob] = {}
+    starts: dict[JobId, float] = {}
     for shelf in shelves:
-        for j in shelf.jobs:
-            placements[j] = ScheduledJob(job_id=j, start=t0, time=times[j], alloc=allocation[j])
+        starts.update(dict.fromkeys(shelf.jobs, t0))
         t0 += shelf.height
-    return placements, t0
+    return starts, t0

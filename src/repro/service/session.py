@@ -985,11 +985,11 @@ class SchedulingSession:
         from repro.jobs.profiles import TabulatedTimeFunction
         from repro.resources.pool import ResourcePool
         from repro.resources.vector import ResourceVector
-        from repro.sim.schedule import Schedule, ScheduledJob
+        from repro.sim.schedule import Schedule
 
         loop = self.loop
         jobs: dict[JobId, Job] = {}
-        placements: dict[JobId, ScheduledJob] = {}
+        rows: list[tuple] = []
         edges: list[tuple[JobId, JobId]] = []
         for rec in self.archive.records():
             if rec["state"] != "done":
@@ -1003,9 +1003,7 @@ class SchedulingSession:
                 release=rec["release"],
             )
             edges.extend((p, jid) for p in rec["preds"])
-            placements[jid] = ScheduledJob(
-                job_id=jid, start=rec["start"], time=rec["duration"], alloc=v
-            )
+            rows.append((jid, rec["start"], rec["duration"], v))
         for i, jid in enumerate(loop.order):
             if loop.state[i] != J_DONE:
                 continue
@@ -1018,12 +1016,10 @@ class SchedulingSession:
             )
             edges.extend((loop.order[p], jid) for p in loop.preds[i])
             edges.extend((p, jid) for p in loop.ext_preds[i])
-            placements[jid] = ScheduledJob(
-                job_id=jid, start=loop.start[i], time=loop.duration[i], alloc=v
-            )
+            rows.append((jid, loop.start[i], loop.duration[i], v))
         pool = ResourcePool(ResourceVector(self.capacities))
         inst = Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool)
-        return Schedule(instance=inst, placements=placements)
+        return Schedule(inst, *zip(*rows))
 
     def validate(self) -> None:
         """Strictly validate the realized schedule (raises on violation)."""

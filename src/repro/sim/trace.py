@@ -9,19 +9,16 @@ notebook without importing this library.
 from __future__ import annotations
 
 import json
-from typing import Hashable
 
 from repro.instance.instance import Instance
 from repro.resources.vector import ResourceVector
-from repro.sim.schedule import Schedule, ScheduledJob
+from repro.sim.schedule import Schedule
 
 __all__ = [
     "schedule_to_trace",
     "trace_to_json",
     "schedule_from_trace",
 ]
-
-JobId = Hashable
 
 #: Trace format version (bump on schema change).  Version 2 added the
 #: per-job ``release`` field (online-arrival scenarios); version 3 added
@@ -88,9 +85,10 @@ def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:
     """Rebuild a :class:`Schedule` for ``instance`` from a trace.
 
     Job ids are matched by ``repr`` (the trace's portable key); raises
-    ``ValueError`` when the trace does not cover the instance's jobs, a
-    traced release disagrees with the instance's or a traced alloc is not
-    whole amounts (``4.6`` is refused by job, never truncated to ``4``).
+    ``ValueError`` when the trace does not cover the instance's jobs or
+    places one twice, a traced release disagrees with the instance's or a
+    traced alloc is not whole amounts (``4.6`` is refused by job, never
+    truncated to ``4``).
     Version-3 ``cancelled`` records describe jobs that never ran — they are
     not placements and the instance need not contain them, but an id both
     cancelled and placed is rejected as corrupt.
@@ -107,7 +105,7 @@ def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:
                 f"trace is corrupt: jobs both cancelled and placed: {sorted(both)[:5]}"
             )
     by_repr = {repr(j): j for j in instance.jobs}
-    placements: dict[JobId, ScheduledJob] = {}
+    rows = []
     for rec in data["jobs"]:
         jid = by_repr.get(rec["id"])
         if jid is None:
@@ -123,12 +121,7 @@ def schedule_from_trace(instance: Instance, trace: dict | str) -> Schedule:
             alloc = ResourceVector(rec["alloc"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace job {rec['id']}: alloc: {exc}") from None
-        placements[jid] = ScheduledJob(
-            job_id=jid,
-            start=float(rec["start"]),
-            time=float(rec["time"]),
-            alloc=alloc,
-        )
-    if set(placements) != set(instance.jobs):
+        rows.append((jid, float(rec["start"]), float(rec["time"]), alloc))
+    if {row[0] for row in rows} != set(instance.jobs):
         raise ValueError("trace does not cover every instance job")
-    return Schedule(instance=instance, placements=placements)
+    return Schedule(instance, *zip(*rows))

@@ -96,6 +96,8 @@ __all__ = [
     "trivial_lower_bounds",
     "iter_allocation_grid",
     "schedule_from_decisions",
+    "schedule_of",
+    "reference_capacity_breaches",
     "assumption3_violations",
     "reference_adjust_allocation",
     "reference_dict_list_schedule",
@@ -668,6 +670,29 @@ def ruler_rigid_instance(layers: int, width: int, seed, d: int = 4, capacity: in
     return Instance(jobs=jobs, dag=DAG(jobs, edges), pool=pool), allocation
 
 
+def reference_capacity_breaches(schedule, tol: float) -> list[tuple[float, int, int]]:
+    """The capacity sweep of ``validate_schedule`` as it was before its
+    events were sorted without a key: ``(time, +1/-1)`` keys, a stable sort,
+    releases then acquires within ``tol`` of each event point (frozen; the
+    oracle for the keyless sort).  Returns every ``(t, type, usage)``
+    breach, uncapped."""
+    d, caps = schedule.instance.d, schedule.instance.pool.capacities
+    events = []
+    for p in schedule.placements.values():
+        events.append((p.start, +1, tuple(p.alloc)))
+        events.append((p.finish, -1, tuple(p.alloc)))
+    events.sort(key=lambda e: (e[0], e[1]))
+    usage, i, out = [0] * d, 0, []
+    while i < len(events):
+        t = events[i][0]
+        for sign in (-1, +1):
+            while i < len(events) and abs(events[i][0] - t) <= tol and events[i][1] == sign:
+                usage = [u + sign * a for u, a in zip(usage, events[i][2])]
+                i += 1
+        out.extend((t, r, usage[r]) for r in range(d) if usage[r] > caps[r])
+    return out
+
+
 def reference_intervals(schedule) -> list[tuple[float, float, tuple[int, ...]]]:
     """``Schedule.intervals()`` as it was before it became a sweep: every
     placement tested against the midpoint of every interval (quadratic; the
@@ -692,8 +717,8 @@ def reference_intervals(schedule) -> list[tuple[float, float, tuple[int, ...]]]:
 def reference_callback_list_schedule(instance: Instance, allocation, priority) -> Schedule:
     """``list_schedule`` as it was while it collected placements one start
     at a time: one ``ScheduledJob`` and one dict entry per dispatch, in
-    dispatch order (read off the loop's start log), a dict-backed
-    ``Schedule`` (frozen; the oracle for the column-backed one)."""
+    dispatch order (read off the loop's start log), then one ``Schedule``
+    of those rows (frozen; the oracle for the gathered columns)."""
     from repro.engine.dispatch import priority_loop
 
     alloc_mat = instance.validate_allocation_map(allocation)
@@ -707,7 +732,7 @@ def reference_callback_list_schedule(instance: Instance, allocation, priority) -
         j = order[i]
         placements[j] = ScheduledJob(job_id=j, start=start, time=float(times[i]),
                                      alloc=allocation[j])
-    return Schedule(instance=instance, placements=placements)
+    return schedule_of(instance, placements.values())
 
 
 # ----------------------------------------------------------------------
@@ -1131,7 +1156,7 @@ def reference_list_schedule(instance, allocation, priority=None) -> Schedule:
 
     if len(placements) != len(instance.jobs):
         raise RuntimeError("list scheduling failed to place every job")
-    return Schedule(instance=instance, placements=placements)
+    return schedule_of(instance, placements.values())
 
 
 _COMPLETE, _RELEASE = "complete", "release"
@@ -1297,7 +1322,7 @@ def reference_pr1_list_schedule(instance, allocation, priority=None) -> Schedule
 
     if len(placements) != len(instance.jobs):
         raise RuntimeError("deadlock: ready jobs cannot fit an empty platform")
-    return Schedule(instance=instance, placements=placements)
+    return schedule_of(instance, placements.values())
 
 
 # ----------------------------------------------------------------------
@@ -1360,7 +1385,7 @@ def reference_run_dynamic(instance, policy) -> Schedule:
 
     if len(placements) != len(instance.jobs):
         raise RuntimeError("dynamic engine failed to place every job")
-    return Schedule(instance=instance, placements=placements)
+    return schedule_of(instance, placements.values())
 
 
 def reference_pack_shelf_placements(
@@ -1556,6 +1581,12 @@ def iter_allocation_grid(limits: ResourceVector) -> Iterator[ResourceVector]:
     yield from rec(0, [])
 
 
+def schedule_of(instance: Instance, rows) -> Schedule:
+    """The :class:`Schedule` of ``(job_id, start, time, alloc)`` rows, such
+    as :class:`ScheduledJob` values, in the order given."""
+    return Schedule(instance, *zip(*rows)) if rows else Schedule(instance)
+
+
 def schedule_from_decisions(
     instance: Instance,
     allocation: Mapping[JobId, ResourceVector],
@@ -1571,7 +1602,7 @@ def schedule_from_decisions(
         )
         for j in instance.jobs
     }
-    return Schedule(instance=instance, placements=placements)
+    return schedule_of(instance, placements.values())
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,13 @@ fuzz tests pin the matrix shape and run slices of it end-to-end with zero
 failures.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from helpers import tiny_instance
+from helpers import reference_capacity_breaches, schedule_of, tiny_instance
 from repro.conformance import (
     ScheduleConformanceError,
     assert_conformant,
@@ -25,6 +27,7 @@ from repro.conformance.fuzz import (
     run_case,
     run_fuzz,
 )
+from repro.conformance.invariants import _MAX_VIOLATIONS_PER_KIND, TIME_RTOL
 from repro.core.list_scheduler import list_schedule
 from repro.dag.graph import DAG
 from repro.instance.instance import Instance, with_release_times
@@ -52,7 +55,7 @@ def place(inst, starts, allocs=None, times=None):
         a = allocs[j] if allocs else inst.jobs[j].candidates[0]
         t = times[j] if times else inst.time(j, a)
         placements[j] = ScheduledJob(job_id=j, start=s, time=t, alloc=a)
-    return Schedule(instance=inst, placements=placements)
+    return schedule_of(inst, placements.values())
 
 
 class TestStrictValidator:
@@ -96,6 +99,42 @@ class TestStrictValidator:
         assert "job-set" in report.kinds()
         with pytest.raises(ValueError, match="exactly"):
             report.raise_if_failed()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_capacity_breaches_equal_the_keyed_sort(self, seed):
+        """The sweep sorts its event tuples without a key: ties in time and
+        sign are applied as one group, so the allocation that now orders
+        them changes no breach (integer instants make ties the rule)."""
+        rng = np.random.default_rng(seed)
+        n, d = 60, 1 + seed % 3
+        jobs = {k: Job(id=k, time_fn=lambda p: 1.0, candidates=(ResourceVector([1] * d),))
+                for k in range(n)}
+        inst = Instance(jobs=jobs, dag=DAG(nodes=range(n)), pool=ResourcePool.uniform(d, 6))
+        s = Schedule(
+            inst, range(n), rng.integers(0, 8, n).astype(float),
+            rng.integers(0, 3, n).astype(float), rng.integers(0, 4, (n, d)),
+        )
+        got = [
+            (v.time, v.detail) for v in validate_schedule(s).violations
+            if v.kind == "capacity" and v.time is not None  # not the elision note
+        ]
+        want = [
+            (t, f"capacity violated at t={t}: type {r} uses {u} > 6")
+            for t, r, u in reference_capacity_breaches(s, TIME_RTOL * max(1.0, s.makespan))
+        ]
+        assert got and got == want[: _MAX_VIOLATIONS_PER_KIND - 1]
+
+    def test_a_wrong_width_allocation_is_refused_before_validation(self):
+        """The validator's width check moved to construction: a schedule
+        whose row has another ``d`` than the platform cannot be built."""
+        inst = rigid_two_jobs(d=2)
+        with pytest.raises(ValueError, match=r"job 'b' allocation: \(2,\) has dimension 1, platform has 2"):
+            place(inst, {"a": 0.0, "b": 2.0},
+                  allocs={"a": ResourceVector([2, 2]), "b": ResourceVector([2])})
+        s = place(inst, {"a": 0.0, "b": 2.0})
+        with pytest.raises(ValueError, match=r"job 'a' allocation: \(2, 2, 2\)"):
+            s.replace("a", alloc=ResourceVector([2, 2, 2]))
+        assert validate_schedule(s).ok
 
     def test_oversized_allocation_detected(self):
         inst = rigid_two_jobs(capacity=2)
@@ -149,13 +188,7 @@ class TestStrictValidator:
         }
         dag = DAG(nodes=range(n), edges=[(k, k + 1) for k in range(n - 1)])
         inst = Instance(jobs=jobs, dag=dag, pool=ResourcePool.uniform(1, n))
-        s = Schedule(
-            instance=inst,
-            placements={
-                k: ScheduledJob(job_id=k, start=0.0, time=1.0, alloc=alloc)
-                for k in range(n)
-            },
-        )
+        s = Schedule(inst, range(n), [0.0] * n, [1.0] * n, [alloc] * n)
         report = validate_schedule(s)
         per_kind = {}
         for v in report.violations:
@@ -321,12 +354,10 @@ class TestFuzzExecution:
 
         def corrupting(spec, instance, strategy):
             result = real(spec, instance, strategy)
-            sched = result.schedule
-            j, p = next(iter(sched.placements.items()))
-            sched.placements[j] = ScheduledJob(
-                job_id=p.job_id, start=-5.0, time=p.time, alloc=p.alloc
+            j = next(iter(result.schedule.placements))
+            return dataclasses.replace(
+                result, schedule=result.schedule.replace(j, start=-5.0)
             )
-            return result
 
         monkeypatch.setattr(fuzz_mod, "_run_scheduler", corrupting)
         case = FuzzCase("min_time", "independent", 8, 2, 8, 0, "offline")

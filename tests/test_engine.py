@@ -120,8 +120,8 @@ class TestShelves:
         times = {"a": 3.0, "b": 2.0, "c": 1.0}
         shelves = pack_shelves(["a", "b", "c"], alloc, times, (4,))
         assert [s.jobs for s in shelves] == [["a", "b"], ["c"]]
-        placements, end = stack_shelves(shelves, alloc, times)
-        assert placements["c"].start == pytest.approx(3.0)
+        starts, end = stack_shelves(shelves)
+        assert starts["c"] == pytest.approx(3.0)
         assert end == pytest.approx(4.0)
 
 
@@ -200,13 +200,9 @@ class TestOnlineArrivals:
         jobs = {0: rigid_unit_job(0, 1, 0)}
         inst = Instance(jobs=jobs, dag=DAG(nodes=[0]), pool=pool)
         inst = with_release_times(inst, {0: 3.0})
-        from repro.sim.schedule import Schedule, ScheduledJob
+        from repro.sim.schedule import Schedule
 
-        bad = Schedule(
-            instance=inst,
-            placements={0: ScheduledJob(job_id=0, start=0.0, time=1.0,
-                                        alloc=ResourceVector((1,)))},
-        )
+        bad = Schedule(inst, [0], [0.0], [1.0], [ResourceVector((1,))])
         with pytest.raises(ValueError, match="release"):
             bad.validate()
 

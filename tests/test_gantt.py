@@ -14,7 +14,7 @@ from repro.sim.schedule import Schedule
 class TestGantt:
     def test_empty(self):
         inst = tiny_instance(seed=0, edges=(), n=0)
-        s = Schedule(instance=inst, placements={})
+        s = Schedule(inst)
         assert ascii_gantt(s) == "(empty schedule)"
 
     def test_renders_bands_per_type(self):

@@ -19,6 +19,7 @@ from repro.conformance.fuzz import (
     drive_session_with_crashes,
     portable_events,
     service_specs,
+    submit_horizons,
 )
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.experiments.workloads import random_instance
@@ -515,7 +516,7 @@ class TestKillAtRandomOffset:
             allocation,
             seed=seed,
             dirpath=str(tmp),
-            batch=batch,
+            horizons=submit_horizons(inst, batch),
             max_crashes=max_crashes,
             checkpoint_every=checkpoint_every,
         )

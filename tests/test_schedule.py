@@ -10,6 +10,7 @@ from helpers import (
     reference_intervals,
     ruler_rigid_instance,
     schedule_from_decisions,
+    schedule_of,
     tiny_instance,
 )
 from repro.core.list_scheduler import (
@@ -26,6 +27,21 @@ from repro.resources.pool import ResourcePool
 from repro.resources.vector import ResourceVector
 from repro.sim.intervals import classify_intervals
 from repro.sim.schedule import Schedule, ScheduledJob
+from repro.sim.trace import schedule_from_trace, schedule_to_trace
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Count of ``ScheduledJob`` constructions from here on."""
+    count = [0]
+    new = ScheduledJob.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ScheduledJob, "__new__", counting)
+    return count
 
 
 def two_job_instance():
@@ -98,7 +114,7 @@ class TestScheduleBasics:
 
     def test_missing_job_detected(self):
         inst = two_job_instance()
-        s = Schedule(instance=inst, placements={})
+        s = Schedule(inst)
         with pytest.raises(ValueError, match="exactly"):
             s.validate()
 
@@ -181,10 +197,9 @@ class TestIntervalsSweep:
         inst, alloc = ruler_rigid_instance(3, 60, seed, d=3, capacity=12)
         for rule in (fifo_priority, lpt_priority):
             cols = list_schedule(inst, alloc, rule)
-            got = list(cols.intervals())  # read off the columns
-            assert cols._placements is None
-            assert got == reference_intervals(cols)
-            assert list(cols.intervals()) == got  # and off the dict
+            got = list(cols.intervals())
+            assert got == reference_intervals(cols)  # which reads placements
+            assert list(cols.intervals()) == got  # and changes nothing
             assert all(
                 type(t0) is float and type(t1) is float and t0 < t1
                 and all(type(u) is int for u in usage)
@@ -210,29 +225,21 @@ class TestIntervalsSweep:
             for j in range(n)
         }
         placements[n] = ScheduledJob(n, 2.0, 0.0, ResourceVector((3, 3)))
-        s = Schedule(instance=inst, placements=placements)
+        s = schedule_of(inst, placements.values())
         got = list(s.intervals())
         assert got == reference_intervals(s)
         assert [t0 for t0, _, _ in got] == [float(t) for t in range(len(got))]
 
-    def test_a_placement_is_read_a_bounded_number_of_times(self):
-        """The count that was quadratic: ``finish`` reads per placement must
-        not grow with the number of intervals."""
-        reads = [0]
-
-        class Counted(ScheduledJob):
-            @property
-            def finish(self):
-                reads[0] += 1
-                return self.start + self.time
-
+    def test_a_placement_is_read_a_bounded_number_of_times(self, built):
+        """The count that was quadratic, placement reads per interval: the
+        sweep reads the columns and builds no placement at all."""
         inst, alloc = ruler_rigid_instance(5, 100, seed=3)
-        built = reference_callback_list_schedule(inst, alloc, fifo_priority)
-        s = Schedule(inst, {j: Counted(*p) for j, p in built.placements.items()})
+        s = reference_callback_list_schedule(inst, alloc, fifo_priority)
+        built[0] = 0
         assert len(list(s.intervals())) > 400
-        assert reads[0] <= 4 * len(s)
+        assert built[0] == 0
 
-    def test_utilization_of_five_thousand_jobs(self):
+    def test_utilization_of_five_thousand_jobs(self, built):
         inst, alloc = ruler_rigid_instance(10, 500, seed=1)
         s = list_schedule(inst, alloc)
         util = s.utilization()
@@ -241,31 +248,18 @@ class TestIntervalsSweep:
             np.array(alloc[j]) * inst.time(j, alloc[j]) for j in inst.jobs
         ) / (24 * s.makespan)
         assert util == pytest.approx(area.tolist())
-        assert s._placements is None  # still in columns
+        assert built[0] == 0  # read off the columns
 
 
 class TestColumnBackedSchedule:
-    """``list_schedule`` hands its schedule over in columns; the dict of
-    ``ScheduledJob`` appears at the first look at ``placements`` and is the
-    only authority from then on."""
+    """A schedule is its columns; ``placements`` is a read-only view whose
+    ``ScheduledJob`` values are built when read, and a changed schedule is
+    a new one (``replace``)."""
 
     @pytest.fixture
     def case(self):
         inst, alloc = ruler_rigid_instance(4, 50, seed=11, d=3, capacity=12)
         return inst, alloc
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """Count of ``ScheduledJob`` constructions from here on."""
-        count = [0]
-        new = ScheduledJob.__new__
-
-        def counting(cls, *args, **kwargs):
-            count[0] += 1
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(ScheduledJob, "__new__", counting)
-        return count
 
     def test_no_placement_object_until_placements_is_read(self, case, built):
         inst, alloc = case
@@ -274,11 +268,83 @@ class TestColumnBackedSchedule:
         assert s.makespan > 0 and s.allocation == alloc
         assert set(s.starts) == set(inst.jobs)
         list(s.intervals())
+        view = s.placements
+        assert len(view) == len(inst.jobs) and set(view) == set(inst.jobs)
         assert built[0] == 0
-        assert len(s.placements) == len(inst.jobs) and built[0] == len(inst.jobs)
-        assert s.placements is s.placements and type(s.placements) is dict
-        assert built[0] == len(inst.jobs)  # built once
-        assert s._columns is None  # and the columns are let go
+        assert len(list(view.values())) == len(inst.jobs) == built[0]
+        j = inst.dag.order[0]
+        assert view[j].start == s.starts[j]
+        assert built[0] == len(inst.jobs) + 1  # one more per read
+        assert j in view and "no-such-job" not in view
+
+    def test_list_schedule_lowers_a_plain_mapping_once(self, case, monkeypatch):
+        from repro.instance.compiled import DemandLayout
+
+        inst, alloc = case
+        lowered, matrix = [0], DemandLayout.matrix
+
+        def counting(self, rows):
+            lowered[0] += 1
+            return matrix(self, rows)
+
+        monkeypatch.setattr(DemandLayout, "matrix", counting)
+        s = list_schedule(inst, dict(alloc))
+        assert lowered[0] == 1 and s.allocation == alloc
+        assert s.alloc.dtype == np.int64 and s.alloc.shape == (len(inst.jobs), inst.d)
+
+    def test_placements_cannot_be_assigned(self, case):
+        inst, alloc = case
+        s = list_schedule(inst, alloc)
+        j, p = next(iter(s.placements.items()))
+        with pytest.raises(TypeError):
+            s.placements[j] = p._replace(start=-1.0)
+        with pytest.raises(TypeError):
+            del s.placements[j]
+        with pytest.raises(ValueError):
+            s.start[0] = -1.0  # the columns are read-only too
+        assert s.placements[j] == p
+
+    def test_replace_leaves_the_original_unchanged(self, case):
+        inst, alloc = case
+        s = list_schedule(inst, alloc)
+        before = dict(s.placements.items())
+        j, p = next(iter(before.items()))
+        moved = s.replace(j, start=p.start + 1.0, time=p.time * 2.0)
+        assert dict(s.placements.items()) == before and s.makespan == max(
+            q.finish for q in before.values()
+        )
+        assert moved.placements[j] == p._replace(start=p.start + 1.0, time=p.time * 2.0)
+        assert moved != s and list(moved.placements) == list(s.placements)
+        with pytest.raises(KeyError):
+            s.replace("no-such-job", start=0.0)
+
+    def test_producers_in_different_row_orders_compare_equal(self, case):
+        inst, alloc = case
+        s = list_schedule(inst, alloc, lpt_priority)
+        loaded = schedule_from_trace(inst, schedule_to_trace(s))  # by start
+        rows = list(s.placements.values())
+        backwards = schedule_of(inst, rows[::-1])
+        assert list(loaded.placements) != list(s.placements)
+        assert s == loaded == backwards and backwards == s
+        j = rows[0].job_id
+        assert backwards.replace(j, start=rows[0].start + 1.0) != s
+
+    def test_a_wrong_width_row_or_a_repeated_id_is_refused(self):
+        inst = two_job_instance()  # d = 2
+        with pytest.raises(ValueError, match=r"job 'b' allocation: \(1,\) has dimension 1"):
+            Schedule(inst, "ab", [0.0, 2.0], [2.0, 3.0], [(1, 1), (1,)])
+        with pytest.raises(ValueError, match=r"job 'a' allocation: \(1, 1, 1\) has dimension 3"):
+            Schedule(inst, "ab", [0.0, 2.0], [2.0, 3.0], np.ones((2, 3), int))
+        with pytest.raises(ValueError, match="job 'a' is placed twice"):
+            Schedule(inst, "aba", [0.0, 2.0, 5.0], [2.0, 3.0, 2.0], [(1, 1), (2, 1), (1, 1)])
+        with pytest.raises(ValueError, match="job 'b' allocation: .*whole numbers"):
+            Schedule(inst, "ab", [0.0, 2.0], [2.0, 3.0], [(1, 1), (2.5, 1)])
+        s = schedule_from_decisions(
+            inst, {"a": ResourceVector((1, 1)), "b": ResourceVector((2, 1))},
+            {"a": 0.0, "b": 2.0},
+        )
+        with pytest.raises(ValueError, match=r"job 'a' allocation: \(1, 1, 1\)"):
+            s.replace("a", alloc=(1, 1, 1))
 
     @pytest.mark.parametrize(
         "rule", (fifo_priority, lpt_priority, bottom_level_priority),
@@ -307,7 +373,7 @@ class TestColumnBackedSchedule:
         assert s != list_schedule(inst, alloc, lpt_priority)
         assert (s == object()) is False
 
-    def test_pickles_from_either_backing(self, case):
+    def test_pickles(self, case):
         inst, alloc = case
         inst = Instance(  # the module-level time functions of a picklable instance
             jobs={j: Job(id=j, time_fn=_unit_time, candidates=job.candidates)
@@ -315,25 +381,25 @@ class TestColumnBackedSchedule:
             dag=inst.dag, pool=inst.pool,
         )
         s = list_schedule(inst, alloc)
-        from_columns = pickle.loads(pickle.dumps(s))
-        assert from_columns._placements is None
-        assert from_columns.makespan == s.makespan
-        s.placements
-        from_dict = pickle.loads(pickle.dumps(s))
-        assert from_dict.placements == from_columns.placements == s.placements
+        back = pickle.loads(pickle.dumps(s))
+        assert back.makespan == s.makespan and back.placements == s.placements
+        assert list(back.placements.items()) == list(s.placements.items())
+        assert not back.alloc.flags.writeable and back.alloc.dtype == np.int64
 
-    def test_edits_after_the_first_look_are_seen(self, case):
+    def test_replaced_rows_are_seen(self, case):
         inst, alloc = case
         s = list_schedule(inst, alloc)
         j, p = max(s.placements.items(), key=lambda kv: kv[1].finish)
-        s.placements[j] = p._replace(start=p.start + 100.0)
-        assert s.makespan == s.placements[j].finish > p.finish + 99.0
-        assert s.starts[j] == p.start + 100.0
-        s.validate()  # later is still valid
+        later = s.replace(j, start=p.start + 100.0)
+        assert later.makespan == later.placements[j].finish > p.finish + 99.0
+        assert later.starts[j] == p.start + 100.0
+        later.validate()  # later is still valid
         first = inst.dag.topological_order()[-1]
-        s.placements[first] = s.placements[first]._replace(start=-1.0)
+        bad = later.replace(first, start=-1.0)
         with pytest.raises(ValueError, match="before time 0"):
-            s.validate()
+            bad.validate()
+        later.validate()
+        s.validate()
 
     def test_empty_schedule_from_columns(self):
         inst = Instance(jobs={}, dag=DAG(nodes=[]), pool=ResourcePool.of(2))

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from helpers import ruler_rigid_instance, run_out
-from repro.conformance.fuzz import drive_session_faithfully, portable_events, service_specs
+from repro.conformance.fuzz import (
+    drive_session_faithfully,
+    portable_events,
+    service_specs,
+    submit_horizons,
+)
 from repro.core.list_scheduler import fifo_priority, list_schedule
 from repro.dag.generators import layered_random
 from repro.dag.graph import DAG
@@ -549,7 +554,7 @@ class TestBatchIdentity:
         alloc = fixed_allocation(inst, d)
         batch = list_schedule(inst, alloc, fifo_priority)
         session = drive_session_faithfully(inst, alloc, seed=17 * d, checkpoint=False,
-                                           batch=batch)
+                                           horizons=submit_horizons(inst, batch))
         sched = session.to_schedule()
         session.validate()
         assert len(sched.placements) == inst.n

@@ -1,6 +1,7 @@
 """Tests for schedule trace (de)serialization."""
 
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,19 @@ class TestTrace:
         for j in inst.jobs:
             assert rebuilt.placements[j].start == sched.placements[j].start
             assert rebuilt.placements[j].alloc == sched.placements[j].alloc
+
+    @pytest.mark.parametrize("copy_first", (True, False))
+    def test_a_job_placed_twice_is_refused(self, copy_first):
+        """A repeated record, its copy 1000 later, must not load: as the
+        dict it once filled, the copy silently replaced the original (and
+        only moved the makespan when it came last)."""
+        inst, sched = make_schedule()
+        trace = schedule_to_trace(sched)
+        rec = trace["jobs"][3]
+        copy = dict(rec, start=rec["start"] + 1000.0)
+        jobs = [copy, *trace["jobs"]] if copy_first else [*trace["jobs"], copy]
+        with pytest.raises(ValueError, match=f"job {re.escape(rec['id'])} is placed twice"):
+            schedule_from_trace(inst, dict(trace, jobs=jobs))
 
     def test_json_string_roundtrip(self):
         inst, sched = make_schedule(1)
