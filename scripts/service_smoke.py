@@ -16,7 +16,13 @@ processes on localhost:
     op: the ``repro_requests_total`` counters must equal the client-side
     tally of every op sent, and the span ring must have traced the run.
     The session trace (v3, with the cancellation) and a span dump are
-    left in ``--results-dir`` for upload.
+    left in ``--results-dir`` for upload.  The ``checkpoint`` op must
+    write ``repro-session/3`` with none of the loop state the rows imply
+    (``seq``, ``ready``, ``heap``, ``available``, ``counters``, each row's
+    ``remaining``), and a second server restores the committed
+    ``repro-session/2`` snapshot ``tests/data/session_v2.json`` through
+    the ``restore`` op: its next ``advance`` reply and its drained
+    schedule must be the ones recorded beside it.
 
 ``chaos``
     ``repro serve --supervise`` with a durable journal on a TCP port.  A
@@ -54,6 +60,11 @@ from repro.service.supervisor import reap
 
 CAPACITIES = (4, 4)
 SEED = 0
+
+#: a repro-session/2 snapshot written mid-flight, and what it did next
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "session_v2.json")
+#: the loop state a repro-session/2 snapshot stored beside its rows
+V2_ONLY_KEYS = frozenset(("seq", "ready", "heap", "available", "counters"))
 
 
 def job_stream(n: int, every: int, back: int) -> list[dict]:
@@ -152,6 +163,8 @@ def stage_single(args) -> tuple[list[str], str]:
     record(client.advance(2.5))
     cancel = record(client.cancel("doomed"))
     record(client.checkpoint(checkpoint))
+    with open(checkpoint) as fh:
+        snapshot = json.load(fh)
     record(client.restore(path=checkpoint))
     drain = record(client.drain())
     prune = record(client.prune())
@@ -227,8 +240,38 @@ def stage_single(args) -> tuple[list[str], str]:
         failures.append(f"trace: version {tr['version']}, {len(tr['jobs'])} jobs")
     if [c["id"] for c in tr["cancelled"]] != ["'doomed'"]:
         failures.append(f"trace cancelled: {tr['cancelled']}")
+    if snapshot["format"] != "repro-session/3" or V2_ONLY_KEYS & set(snapshot) or (
+        "remaining" in snapshot["jobs"]
+    ):
+        failures.append(f"checkpoint op wrote {snapshot['format']} with keys {sorted(snapshot)}")
+    failures += restore_v2_fixture()
     return failures, (f"{drain}; metrics scrape {len(scraped)}B on "
                       f":{metrics_port}, {n_spans} spans dumped")
+
+
+def restore_v2_fixture() -> list[str]:
+    """Restore the committed v2 snapshot through the ``restore`` op of a
+    fresh server; its next reply and drained schedule must be recorded
+    ones."""
+    from repro.service.checkpoint import restore_session
+
+    with open(V2_FIXTURE.replace(".json", "_expected.json")) as fh:
+        want = json.load(fh)
+    client = ServiceClient.launch([sys.executable, "-m", "repro", "serve", "--capacities", "4"])
+    client.restore(path=V2_FIXTURE)  # an error response raises
+    reply = client.advance(want["advance"]["until"])["events"]
+    client.drain()
+    snapshot = client.checkpoint()["snapshot"]
+    client.shutdown()
+    client.close()
+    placements = restore_session(snapshot).to_schedule().placements
+    schedule = sorted([p.start, p.time, list(p.alloc), j] for j, p in placements.items())
+    failures = []
+    if reply != want["advance"]["reply"]:
+        failures.append(f"v2 fixture: advance replied {reply}")
+    if schedule != want["schedule"]:
+        failures.append(f"v2 fixture: drained to {schedule}")
+    return failures
 
 
 def stage_chaos(args) -> tuple[list[str], str]:

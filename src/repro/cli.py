@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 picks a free port)")
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--restore", metavar="FILE", default=None,
-                    help="resume from a repro-session/2 checkpoint; with "
+                    help="resume from a repro-session/3 (or /2) checkpoint; with "
                          "--journal, start a new durable lineage from it "
                          "(not with --supervise: seed the journal once, "
                          "then supervise with --journal alone)")

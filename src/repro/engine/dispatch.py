@@ -868,37 +868,53 @@ class IncrementalPriorityLoop:
         keys: Sequence[object],
         releases: Sequence[float],
         state: Sequence[int],
-        remaining: Sequence[int],
         start: Sequence["float | None"],
         finish: Sequence["float | None"],
         *,
         now: float,
-        seq: int,
-        heap: list[tuple[float, int, int]],
-        ready: Sequence[int],
-        ncompleted: int,
+        running: Sequence[int],
     ) -> None:
         """Resume a checkpoint into this (empty) loop: the rows appended
-        by the one append, with their stored states, and the schedule
-        state as it was — clock, sequence counter, event heap (a sorted
-        list is a heap), the ready queue from its row indices in dispatch
-        order (the keys looked up, nothing sorted) and the availability,
-        the capacities less every running row's demand.  The caller
+        by the one append, with their stored states, start and finish, at
+        clock ``now``; the rest of the loop state is derived from them by
+        the rules :meth:`admit` and :meth:`run` keep:
+
+        * a waiting row's ``remaining`` is its count of predecessors not
+          done or, when that count is 0 and its release is after the
+          clock, 1 (the release); every other row's is 0;
+        * the availability is the capacities less the running rows' images;
+        * the ready queue is the queued rows in ``(key, index)`` order;
+        * the heap holds each running row's completion at ``start +
+          duration``, pushed in ``running`` order, then the release of
+          each waiting row that waits for nothing else; ``seq`` is the
+          number of entries;
+        * ``ncompleted`` is the number of done rows (the caller adds the
+          ones it archived).
+
+        ``running`` lists the running rows in the order their completions
+        pop: exact ties between completions are the one thing the rows
+        cannot fix.  The caller
         (:func:`~repro.service.checkpoint.restore_session`) checks that the
-        parts agree with one another."""
+        rows are ones this loop can have produced."""
         self._append(ids, preds, ext_preds, demands, durations, keys, releases)
-        self.state = list(state)
-        self.remaining = list(remaining)
-        self.start = list(start)
+        self.state = state = list(state)
+        self.start = start = list(start)
         self.finish = list(finish)
         self.now = now
-        self.seq = seq
-        self.heap = heap
-        self.ncompleted = ncompleted
-        packed = self.packed
-        self.avh -= sum(packed[i] for i, s in enumerate(state) if s == J_RUNNING)
-        key = self.key
-        self.rq[:] = [(key[i], i) for i in ready]
+        dur, release = self.duration, self.release
+        self.heap = heap = [(start[i] + dur[i], seq, i) for seq, i in enumerate(running)]
+        self.remaining = remaining = [0] * len(state)
+        for i, pt in enumerate(self.preds):
+            if state[i] == J_WAITING:
+                remaining[i] = sum(state[p] != J_DONE for p in pt)
+                if not remaining[i] and release[i] > now:
+                    remaining[i] = 1
+                    heap.append((release[i], len(heap), ~i))
+        heap.sort()  # a sorted list is a heap
+        self.seq = len(heap)
+        self.ncompleted = state.count(J_DONE)
+        self.avh -= sum(self.packed[i] for i, s in enumerate(state) if s == J_RUNNING)
+        self.rq[:] = sorted((self.key[i], i) for i, s in enumerate(state) if s == J_QUEUED)
         self._gather_column()
 
     def cancel(self, i: int) -> bool:

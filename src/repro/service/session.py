@@ -304,7 +304,7 @@ class Archive:
     no object for the garbage collector to walk.
 
     :meth:`record` is the one way a row is read whole: the checkpoint's
-    archive dict, with the key order ``repro-session/2`` writes.
+    archive dict, with the key order ``repro-session/3`` writes.
     :meth:`extend` is the one way rows come in, from
     :meth:`SchedulingSession._compact` and from a restore alike.
     """

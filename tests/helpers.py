@@ -88,6 +88,7 @@ __all__ = [
     "run_out",
     "reference_event_dict",
     "reference_checkpoint",
+    "reference_checkpoint_v3",
     "reference_run_dynamic",
     "reference_pack_shelf_placements",
     "reference_backfill_plan",
@@ -990,6 +991,42 @@ def reference_checkpoint(session, history: ReferenceHistory, *, full_log=False) 
             "cancelled": session.counters.cancelled,
             "completed": session.counters.completed,
         },
+        "applied_seq": session.applied_seq,
+        "rng": session.rng.bit_generator.state,
+    }
+
+
+def reference_checkpoint_v3(session, history: ReferenceHistory) -> dict:
+    """The frozen ``repro-session/3`` writer over ``history``'s archive and
+    cancellations: the rows, and of the loop state only the order the
+    running rows' completions pop in."""
+    loop = session.loop
+    return {
+        "format": "repro-session/3",
+        "capacities": list(session.capacities),
+        "time_eps": loop.eps,
+        "clock": loop.now,
+        "compact": {
+            "threshold": session.compact_threshold,
+            "min_rows": session.compact_min_rows,
+        },
+        "compactions": session.compactions,
+        "jobs": {
+            "id": list(loop.order),
+            "preds": [list(p) for p in loop.preds],
+            "ext_preds": [list(p) for p in loop.ext_preds],
+            "demand": [list(d) for d in loop.demand],
+            "duration": list(loop.duration),
+            "key": list(loop.key),
+            "release": list(loop.release),
+            "tenant": list(session.tenants),
+            "state": [_REF_STATE_NAMES[s] for s in loop.state],
+            "start": list(loop.start),
+            "finish": list(loop.finish),
+        },
+        "running": [c for _, _, c in sorted(loop.heap) if c >= 0],
+        "archive": list(history.archive),
+        "events": history.cancellations(),
         "applied_seq": session.applied_seq,
         "rng": session.rng.bit_generator.state,
     }

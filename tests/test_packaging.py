@@ -284,7 +284,7 @@ def test_only_the_session_loop_appends_or_compacts_live_rows():
             entries[name] = sorted(e)
     assert writes == {}
     assert entries == {
-        "service/checkpoint.py": ["_restore_v2: load"],
+        "service/checkpoint.py": ["_restore: load"],
         "service/session.py": ["_compact: compact", "submit: admit"],
     }
 

@@ -116,15 +116,17 @@ def _assert_queue(session):
 
 
 def _json_fork(session, *, via_json=True):
-    """checkpoint → (JSON text →) restore; the stored ``"ready"`` column
-    must be the oracle's indices."""
+    """checkpoint → (JSON text →) restore; the restored ready queue (the
+    snapshot stores none: restore derives it from the queued rows) must be
+    the oracle's indices."""
     snap = checkpoint_session(session)
     loop = session.loop
     key = loop.key
-    assert snap["ready"] == [
+    fork = restore_session(json.loads(json.dumps(snap)) if via_json else snap)
+    assert [i for _, i in fork.loop.rq] == [
         i for _, i in sorted((key[i], i) for i, s in enumerate(loop.state) if s == J_QUEUED)
     ]
-    return restore_session(json.loads(json.dumps(snap)) if via_json else snap)
+    return fork
 
 
 @given(

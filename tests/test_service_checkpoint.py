@@ -1,14 +1,19 @@
-"""Tests for repro-session/2 checkpoints: the exact-resume guarantee.
+"""Tests for repro-session/3 checkpoints: the exact-resume guarantee.
 
 The satellite property: ``checkpoint → restore → drain`` is event-for-event
 identical to an uninterrupted run, across workload families × schedulers ×
-d ∈ {1..6} × arrival modes (hypothesis-sampled).  The v2 format is
-columnar and stores the ready queue in dispatch order (hot restore); the
-per-record v1 format is refused by name.
+d ∈ {1..6} × arrival modes (hypothesis-sampled), and through exact
+completion ties.  The v3 format holds the rows and the order the running
+rows' completions pop in; restore derives the rest of the loop state and
+refuses rows the loop cannot have produced.  A v2 snapshot (the same rows
+plus the loop state they imply, written by ``tests/helpers.py``'s frozen
+writer or committed under ``tests/data/``) restores when its stored state
+is the derived one; the per-record v1 format is refused by name.
 """
 
 import gc
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,7 +35,13 @@ from repro.service.checkpoint import (
 )
 from repro.service.session import JobSpec, SchedulingSession
 
-from helpers import ReferenceHistory, reference_checkpoint, reference_event_dict, run_out
+from helpers import (
+    ReferenceHistory,
+    reference_checkpoint,
+    reference_checkpoint_v3,
+    reference_event_dict,
+    run_out,
+)
 
 _DIAGONAL = make_candidates("diagonal", levels=6)
 
@@ -42,6 +53,19 @@ _SCHEDULERS = ("ours", "min_area", "min_time", "tetris", "heft", "level_shelf", 
 
 def _roundtrip(session):
     return restore_session(json.loads(json.dumps(checkpoint_session(session))))
+
+
+def _frozen(capacities, **kw):
+    """A session and the history the frozen writers read, kept from its
+    first op on."""
+    s = SchedulingSession(capacities, **kw)
+    return s, ReferenceHistory(s)
+
+
+def _v2(session, history) -> dict:
+    """``session``'s snapshot as the frozen ``repro-session/2`` writer
+    writes it, through JSON."""
+    return json.loads(json.dumps(reference_checkpoint(session, history)))
 
 
 def _session_case(family, scheduler, d, arrivals, seed):
@@ -110,26 +134,33 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match="malformed session checkpoint"):
             restore_session(snap)
 
-    def test_corrupt_availability_rejected(self):
+    def test_a_checkpoint_holds_no_derived_state(self):
         s = SchedulingSession([4])
+        s.submit([JobSpec("a", (2,), 5.0), JobSpec("b", (4,), 1.0, release=9.0)])
+        s.advance(1.0)
+        snap = checkpoint_session(s)
+        assert snap["format"] == "repro-session/3" and snap["running"] == [0]
+        assert not {"seq", "ready", "heap", "available", "counters"} & set(snap)
+        assert "remaining" not in snap["jobs"]
+
+    def test_corrupt_availability_rejected(self):
+        s, hist = _frozen([4])
         s.submit([JobSpec("a", (2,), 5.0)])
         s.advance(1.0)  # a is running, available = [2]
-        snap = checkpoint_session(s)
+        snap = _v2(s, hist)
         snap["available"] = [4]
-        with pytest.raises(ValueError, match="disagrees"):
+        with pytest.raises(ValueError, match=r"stored available \[4\] disagrees"):
             restore_session(snap)
 
     def test_corrupt_ready_rejected(self):
-        s = SchedulingSession([4])
+        s, hist = _frozen([4])
         s.submit([JobSpec("a", (2,), 5.0), JobSpec("b", (4,), 1.0)])
         s.advance(1.0)  # a runs, b is queued
-        snap = checkpoint_session(s)
-        snap["ready"] = []
-        with pytest.raises(ValueError, match="disagrees"):
-            restore_session(snap)
-        snap["ready"] = [7]
-        with pytest.raises(ValueError, match="unknown job index"):
-            restore_session(snap)
+        snap = _v2(s, hist)
+        for ready in ([], [7]):
+            snap["ready"] = ready
+            with pytest.raises(ValueError, match="stored ready .* disagrees"):
+                restore_session(snap)
 
     def test_work_past_float_range_rejected(self):
         """A crafted snapshot is the other way in for the state ``submit``
@@ -150,9 +181,9 @@ class TestCheckpointBasics:
             restore_session(snap)
 
     def test_corrupt_heap_rejected(self):
-        s = SchedulingSession([4])
+        s, hist = _frozen([4])
         s.submit([JobSpec("a", (2,), 5.0, release=1.0)])
-        snap = checkpoint_session(s)
+        snap = _v2(s, hist)
         snap["heap"].append([2.0, 9, 55])
         with pytest.raises(ValueError, match="unknown job index"):
             restore_session(snap)
@@ -165,21 +196,22 @@ class TestCheckpointBasics:
         ghost = {
             "id": "ghost", "demand": [3], "duration": 1.0, "key": 1.0,
             "preds": [], "ext_preds": [], "release": 0.0, "tenant": "default",
-            "state": "running", "remaining": 0, "start": 0.5, "finish": None,
+            "state": "running", "start": 0.5, "finish": None,
         }
         for col, val in ghost.items():
             snap["jobs"][col].append(val)
-        snap["available"] = [-2]
+        snap["running"].append(1)
         with pytest.raises(ValueError, match="overcommit"):
             restore_session(snap)
 
     @staticmethod
     def _running_snapshot():
-        """a and b run (completions at 1 and 5), c is queued, clock 0.5."""
-        s = SchedulingSession([4])
+        """As the frozen v2 writer writes it: a and b run (completions at
+        1 and 5), c is queued, clock 0.5."""
+        s, hist = _frozen([4])
         s.submit([JobSpec("a", (2,), 1.0), JobSpec("b", (2,), 5.0), JobSpec("c", (4,), 1.0)])
         s.advance(0.5)
-        snap = checkpoint_session(s)
+        snap = _v2(s, hist)
         assert snap["heap"] == [[1.0, 0, 0], [5.0, 1, 1]] and snap["ready"] == [2]
         return snap
 
@@ -187,46 +219,50 @@ class TestCheckpointBasics:
         """Two completions would free a's demand twice: drain overcommits."""
         snap = self._running_snapshot()
         snap["heap"].append([1.0, 2, 0])
-        with pytest.raises(ValueError, match="job 'a': more than one event heap entry"):
+        with pytest.raises(ValueError, match="job 'a': listed as running more than once"):
             restore_session(snap)
 
     def test_a_dropped_completion_entry_is_refused(self):
         """With no completion, a never finishes: drain leaves it running."""
         snap = self._running_snapshot()
         del snap["heap"][0]
-        with pytest.raises(ValueError, match="job 'a': running with no completion entry"):
+        with pytest.raises(ValueError, match="job 'a': running but not listed among the running"):
             restore_session(snap)
 
     def test_a_heap_entry_before_the_clock_is_refused(self):
         """The clock would run back to the pending completions."""
         snap = self._running_snapshot()
         snap["clock"] = 100
-        with pytest.raises(ValueError, match=r"job 'a': heap entry at 1\.0 is before the clock"):
+        with pytest.raises(
+            ValueError, match=r"job 'a': a running row cannot have start 0\.0 and finish None at clock 100"
+        ):
             restore_session(snap)
 
     def test_a_completion_entry_for_a_row_that_is_not_running_is_refused(self):
         snap = self._running_snapshot()
         snap["heap"].append([2.0, 2, 2])
-        with pytest.raises(ValueError, match="job 'c': completion entry but the job is queued"):
+        with pytest.raises(ValueError, match="job 'c': listed as running but is queued"):
             restore_session(snap)
 
     def test_a_completion_entry_not_at_start_plus_duration_is_refused(self):
         snap = self._running_snapshot()
         snap["heap"][0][0] = 2.0
-        with pytest.raises(ValueError, match="job 'a': completion entry at 2.0, not at start"):
+        with pytest.raises(ValueError, match=r"stored heap \[\(2\.0, 0\), .* disagrees"):
             restore_session(snap)
 
     def test_a_release_entry_for_a_row_that_is_not_waiting_is_refused(self):
         snap = self._running_snapshot()
         snap["heap"].append([3.0, 2, ~2])
-        with pytest.raises(ValueError, match="job 'c': release entry but the job is queued"):
+        with pytest.raises(ValueError, match=r"stored heap .*\(3\.0, -3\).* disagrees"):
             restore_session(snap)
 
     def test_a_start_after_the_clock_is_refused(self):
         snap = self._running_snapshot()
         snap["jobs"]["start"][0] = 0.75
         snap["heap"][0][0] = 1.75
-        with pytest.raises(ValueError, match="job 'a': start 0.75 is after the clock 0.5"):
+        with pytest.raises(
+            ValueError, match="job 'a': a running row cannot have start 0.75 and finish None at clock 0.5"
+        ):
             restore_session(snap)
 
     @pytest.mark.parametrize("seq", [0, 1])
@@ -243,7 +279,7 @@ class TestCheckpointBasics:
     def test_two_heap_entries_sharing_a_seq_are_refused(self):
         snap = self._running_snapshot()
         snap["heap"][1][1] = 0
-        with pytest.raises(ValueError, match="job 'b': heap entry reuses seq 0"):
+        with pytest.raises(ValueError, match="heap entry reuses seq 0"):
             restore_session(snap)
 
     @pytest.mark.parametrize("eps", [1e9, float("inf"), 0.0, 1e-9])
@@ -366,6 +402,123 @@ class TestCheckpointBasics:
         with pytest.raises(ValueError, match="capacities must be a positive vector of whole"):
             restore_session(snap)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("applied_seq", 2.7), ("applied_seq", -4), ("applied_seq", True),
+         ("compactions", -3), ("compactions", 1.5),
+         ("compact.min_rows", 2.5), ("compact.min_rows", True)],
+    )
+    def test_a_scalar_that_is_not_a_whole_count_is_refused_not_truncated(self, field, value):
+        """``applied_seq: 2.7`` used to restore as 2, ``-4`` as it was, and
+        ``compact.min_rows: 2.5`` as 2."""
+        snap = self._two_type_snapshot()
+        if field.startswith("compact."):
+            snap["compact"][field.split(".")[1]] = value
+        else:
+            snap[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be a whole number"):
+            restore_session(snap)
+
+    def test_a_boolean_compaction_threshold_is_refused(self):
+        snap = self._two_type_snapshot()
+        snap["compact"]["threshold"] = True
+        with pytest.raises(ValueError, match="expected a number, got True"):
+            restore_session(snap)
+
+    @staticmethod
+    def _done_snapshot():
+        """``a`` done and archived, ``b`` (after ``a``) done and live,
+        ``c`` running, the clock at 3.5."""
+        s = SchedulingSession([4], compact_threshold=1.0, compact_min_rows=1)
+        s.submit([JobSpec("a", (4,), 1.0)])
+        s.advance(1.0)
+        s.submit([JobSpec("b", (4,), 2.0, preds=("a",)), JobSpec("c", (4,), 9.0)])
+        s.advance(3.5)
+        assert list(s.archive_index) == ["a"] and s.state_of("b") == "done"
+        return json.loads(json.dumps(checkpoint_session(s)))
+
+    @staticmethod
+    def _archived(snap, jid):
+        return next(r for r in snap["archive"] if r["id"] == jid)
+
+    def test_a_clock_before_a_live_finish_is_refused(self):
+        snap = self._done_snapshot()
+        snap["clock"] = 1.0
+        with pytest.raises(
+            ValueError, match="job 'b': a done row cannot have start 1.0 and finish 3.0 at clock 1.0"
+        ):
+            restore_session(snap)
+
+    def test_an_archived_start_after_its_finish_is_refused(self):
+        """Restored, ``validate()`` reported a precedence violation."""
+        snap = self._done_snapshot()
+        self._archived(snap, "a")["start"] = 5.0
+        with pytest.raises(ValueError, match="job 'a': a done row cannot have start 5.0"):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("times", [False, True], ids=["as-run", "no-times"])
+    def test_an_archived_predecessor_relabelled_cancelled_is_refused(self, times):
+        """Restored, ``validate()`` failed with "DAG nodes must match": a
+        done job whose predecessor never ran."""
+        snap = self._done_snapshot()
+        rec = self._archived(snap, "a")
+        rec["state"] = "cancelled"
+        snap["events"].append(["cancel", "a", 0.0])
+        if times:
+            rec["start"] = rec["finish"] = None
+            refusal = "job 'b': done but its predecessor 'a' is not done"
+        else:
+            refusal = "job 'a': a cancelled row cannot have start 0.0 and finish 1.0"
+        with pytest.raises(ValueError, match=refusal):
+            restore_session(snap)
+
+    @pytest.mark.parametrize("counters", [{"completed": 99}, {"submitted": 0}])
+    def test_v2_counters_the_rows_contradict_are_refused(self, counters):
+        """``status()`` reported them, and ``_maybe_compact`` read them."""
+        s, hist = _frozen([4])
+        s.submit([JobSpec("a", (2,), 1.0), JobSpec("b", (2,), 1.0)])
+        s.advance(1.5)
+        snap = _v2(s, hist)
+        snap["counters"].update(counters)
+        with pytest.raises(ValueError, match="stored counters .* disagrees with the rows"):
+            restore_session(snap)
+
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (lambda c: c["running"].clear(), "job 'a': running but not listed"),
+            (lambda c: c["running"].append(0), "job 'a': listed as running more than once"),
+            (lambda c: c["running"].append(2), "job 'c': listed as running but is queued"),
+            (lambda c: c["running"].append(True), "unknown job index True"),
+            (lambda c: c["jobs"]["start"].__setitem__(2, 0.0), "job 'c': a queued row cannot"),
+            (lambda c: c["jobs"]["release"].__setitem__(2, 9.0), "job 'c': queued before its release"),
+            (lambda c: c["jobs"]["state"].__setitem__(2, "waiting"),
+             "job 'c': waiting with no outstanding predecessors"),
+            (lambda c: c.update(clock=-1.0), "clock must be finite and >= 0"),
+        ],
+    )
+    def test_rows_the_loop_cannot_have_produced_are_refused(self, edit, refusal):
+        """``a`` and ``b`` run, ``c`` is queued, the clock at 0.5."""
+        s = SchedulingSession([4])
+        s.submit([JobSpec("a", (2,), 1.0), JobSpec("b", (2,), 5.0), JobSpec("c", (4,), 1.0)])
+        s.advance(0.5)
+        snap = json.loads(json.dumps(checkpoint_session(s)))
+        edit(snap)
+        with pytest.raises(ValueError, match=refusal):
+            restore_session(snap)
+
+    def test_a_waiting_row_under_a_cancelled_predecessor_is_refused(self):
+        """Restored, ``drain`` left the row waiting for ever."""
+        s = SchedulingSession([4])
+        s.submit([JobSpec("a", (4,), 1.0), JobSpec("b", (4,), 1.0),
+                  JobSpec("c", (1,), 1.0, preds=("b",))])
+        assert s.cancel("b") == ("b", "c")
+        snap = checkpoint_session(s)
+        snap["jobs"]["state"][2] = "waiting"
+        snap["events"].pop()
+        with pytest.raises(ValueError, match="job 'c': waiting on a cancelled predecessor"):
+            restore_session(snap)
+
     def test_resume_mid_flight_then_submit_more(self):
         """The restored session is live: it keeps admitting and cancelling."""
         s = SchedulingSession([4, 4])
@@ -436,6 +589,31 @@ class TestCheckpointBasics:
         assert s.makespan() == s2.makespan()
 
 
+def _tie_ops(seed, d):
+    """Submits of jobs with integer durations, each batch followed by an
+    ``advance`` to the clock it was submitted at (its jobs start in a pass
+    of their own), the clock moving on by whole units: completions and
+    releases tie exactly.  Keys fall from batch to batch, so a later pass
+    at one clock often starts a job that one pass would have started
+    first."""
+    rng = np.random.default_rng(seed)
+    caps = [int(c) for c in rng.integers(2, 6, size=d)]
+    ops, clock, n = [], 0, 0
+    for batch in range(14):
+        specs = []
+        for _ in range(int(rng.integers(1, 4))):
+            demand = [int(rng.integers(0, c + 1)) for c in caps]
+            demand[int(rng.integers(d))] = 1
+            preds = (f"t{int(rng.integers(n))}",) if n and rng.random() < 0.3 else ()
+            release = float(clock + int(rng.integers(1, 3))) if rng.random() < 0.2 else 0.0
+            specs.append(JobSpec(f"t{n}", tuple(demand), float(rng.integers(1, 4)),
+                                 preds, release, int(rng.integers(4)) - batch))
+            n += 1
+        ops += [("submit", specs), ("advance", float(clock))]
+        clock += int(rng.integers(0, 2))
+    return caps, ops
+
+
 class TestExactResumeProperty:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -473,12 +651,91 @@ class TestExactResumeProperty:
 
         assert resumed.to_schedule().placements == baseline.to_schedule().placements
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), cut=st.integers(0, 28),
+           every=st.booleans())
+    def test_exact_ties_resume_identically(self, seed, d, cut, every):
+        """Integer durations, and submits between ``advance``s at one
+        clock: completions tie exactly, and a restore at op ``cut`` (and,
+        with ``every``, before each later op) must continue with the
+        uninterrupted run's replies."""
+        caps, ops = _tie_ops(seed, d)
+
+        def replies(restore):
+            s = SchedulingSession(caps)
+            out = []
+            for k, (op, arg) in enumerate(ops):
+                if restore(k):
+                    s = _roundtrip(s)
+                out.append(getattr(s, op)(arg))
+            if restore(len(ops)):
+                s = _roundtrip(s)
+            return out, run_out(s)
+
+        want = replies(lambda k: False)
+        assert replies(lambda k: k == cut or (every and k > cut)) == want
+
+
+class TestCompletionTies:
+    """Which of two completions at exactly one time pops — and is reported
+    — first is the one order the rows cannot fix: ``running`` carries it."""
+
+    @staticmethod
+    def _session(one_pass):
+        """On ``[2]``, A (key 5) and B (key 1) start at 0 and take 1.0:
+        A in a pass of its own before B, or both in one pass (B first)."""
+        s = SchedulingSession([2])
+        if one_pass:
+            s.submit([JobSpec("A", (1,), 1.0, key=5), JobSpec("B", (1,), 1.0, key=1)])
+        else:
+            s.submit([JobSpec("A", (1,), 1.0, key=5)])
+            s.advance(0.0)
+            s.submit([JobSpec("B", (1,), 1.0, key=1)])
+        s.advance(0.0)
+        return s
+
+    @pytest.mark.parametrize("one_pass", [False, True], ids=["two-passes", "one-pass"])
+    def test_the_next_reply_after_a_restore_is_the_uninterrupted_one(self, one_pass):
+        s = self._session(one_pass)
+        snap = json.loads(json.dumps(checkpoint_session(s)))
+        other = checkpoint_session(self._session(not one_pass))
+        assert snap["jobs"] == json.loads(json.dumps(other))["jobs"]  # the rows cannot tell
+        assert snap["running"] == ([1, 0] if one_pass else [0, 1])
+        want = s.advance(1.0)
+        assert [e["id"] for e in want] == (["B", "A"] if one_pass else ["A", "B"])
+        assert restore_session(snap).advance(1.0) == want
+
+
+_DATA = pathlib.Path(__file__).parent / "data"
+
+
+class TestV2Fixture:
+    """``tests/data/session_v2.json`` is a ``repro-session/2`` snapshot the
+    v2 writer wrote mid-flight — running, queued, waiting-on-release,
+    waiting-on-a-predecessor, archived and cancelled rows, and two
+    completions tied at 3.0 — and ``session_v2_expected.json`` what that
+    session did next: its next ``advance`` reply, its drained schedule and
+    its status."""
+
+    def test_it_restores_and_resumes_as_recorded(self):
+        want = json.loads((_DATA / "session_v2_expected.json").read_text())
+        s = load_session(str(_DATA / "session_v2.json"))
+        assert s.advance(want["advance"]["until"]) == want["advance"]["reply"]
+        s.drain()
+        placements = s.to_schedule().placements
+        rows = sorted([p.start, p.time, list(p.alloc), j] for j, p in placements.items())
+        assert rows == want["schedule"]
+        assert s.status() == want["status"]
+        assert checkpoint_session(s)["format"] == "repro-session/3"
+
 
 class TestColumnarHistory:
     """The session keeps its archive in columns and no event log; its
     checkpoints and ``advance`` replies must be byte for byte those of the
     frozen record-per-row writer (``tests/helpers.py``), through
-    compactions, cancellations and restores."""
+    compactions, cancellations and restores — from v3 snapshots and from
+    the frozen v2 writer's, whose stored loop state must be the derived
+    one."""
 
     @staticmethod
     def _drive(d, seed, int_ids):
@@ -523,22 +780,23 @@ class TestColumnarHistory:
                 seen.add("cancellations")
             else:
                 text = json.dumps(checkpoint_session(s))
-                assert text == json.dumps(reference_checkpoint(s, hist))
+                assert text == json.dumps(reference_checkpoint_v3(s, hist))
                 seen.update(s.state_of(j) for j in s.archive_index)
                 if len(s.loop.order):
                     seen.add("live")
                 snap = json.loads(text)
                 if rng.random() < 0.5:
                     s = restore_session(snap)
-                else:  # an in-memory snapshot
+                elif step % 2:  # an in-memory snapshot
                     s = restore_session(checkpoint_session(s))
+                else:  # the frozen v2 writer's snapshot of the same session
+                    s = restore_session(json.loads(json.dumps(reference_checkpoint(s, hist))))
                 hist = ReferenceHistory(s, snap["archive"], snap["events"])
-                assert json.dumps(checkpoint_session(s)) == json.dumps(
-                    reference_checkpoint(s, hist)
-                )
+                assert json.dumps(checkpoint_session(s)) == text
+                assert text == json.dumps(reference_checkpoint_v3(s, hist))
             assert s.loop.log == []
         s.drain()
-        assert json.dumps(checkpoint_session(s)) == json.dumps(reference_checkpoint(s, hist))
+        assert json.dumps(checkpoint_session(s)) == json.dumps(reference_checkpoint_v3(s, hist))
         assert s.cancellations() == list(map(reference_event_dict, hist.cancellations()))
         s.validate()
         return seen
@@ -620,8 +878,9 @@ class TestNoRetainedHistory:
 
 class TestCancelRows:
     """A cancel row names a cancelled row, archived or live, once, at a time
-    in ``[0, clock]``; any other row would reach the trace as a
-    cancellation that never happened."""
+    in ``[0, clock]``, and every cancelled row has one; any other row would
+    reach the trace as a cancellation that never happened, and a missing
+    one would leave a cancellation out of it."""
 
     @staticmethod
     def _snapshot():
@@ -655,6 +914,14 @@ class TestCancelRows:
         snap = self._snapshot()
         snap["events"].append(row)
         with pytest.raises(ValueError, match=refusal):
+            restore_session(snap)
+
+    def test_a_cancelled_row_no_cancel_row_names_is_refused(self):
+        """Restored, ``status()`` counted the cancellation and the trace
+        held none."""
+        snap = self._snapshot()
+        del snap["events"][1]
+        with pytest.raises(ValueError, match="job 'y' is cancelled but no cancel row names it"):
             restore_session(snap)
 
     @pytest.mark.parametrize("t", ["nan", "inf", 2.5, -1.0])
